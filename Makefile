@@ -20,7 +20,9 @@ race:
 	$(GO) test -race ./...
 
 # Each fuzz target needs its own invocation: `go test -fuzz` refuses to
-# run more than one target per package.
+# run more than one target per package. FuzzSpaceOps executes whole
+# operation sequences, so minimizing each new input by the default 60 s
+# would be the entire pass; it gets an execution budget instead.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=$(FUZZTIME) ./internal/telescope
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/dns
@@ -30,6 +32,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,
 # flash clone, wire ingest, shard replay), compared against the
@@ -53,8 +56,10 @@ bench-parallel:
 			-require BenchmarkShardReplaySequential,BenchmarkShardReplayParallel \
 			-note "shard-replay pair at GOMAXPROCS 1/2/4; ratios are only meaningful when host_cpus >= GOMAXPROCS — with fewer cores parallel pays barrier overhead without real concurrency"
 
-# The parallel-allocation gate: one measured pass over the shard-replay
-# pair; fails if parallel allocs/op exceed sequential by more than 5%.
+# The allocation gate: one measured pass over the shard-replay pair;
+# fails if parallel allocs/op exceed sequential by more than 5%, or if
+# sequential replay passes its B/op or allocs/op ceiling
+# (scripts/alloc_gate.sh records both).
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardReplay(Sequential|Parallel)$$' -benchmem -benchtime 1x -count 1 . \
 		| bash scripts/alloc_gate.sh

@@ -319,7 +319,7 @@ type ShardEngine struct {
 	runner  *sim.ParallelRunner
 	domains []*ShardDomain
 	prof    *metrics.EpochProfiler
-	envPool sync.Pool // of *crossEnv
+	envs    *envPool
 	closed  bool
 
 	// epochIngress counts records Replay scheduled since the last epoch
@@ -337,10 +337,36 @@ type ShardEngine struct {
 // payload has been copied out — before the gateway call, so a reflected
 // re-send inside HandleInbound can reuse it immediately.
 type crossEnv struct {
-	e   *ShardEngine
 	dst int
 	pkt *netsim.Packet
 	fn  sim.Event
+}
+
+// envPool recycles crossEnvs. The runtime keeps every sync.Pool it has
+// seen, and what the pool holds, reachable until the second collection
+// after their last use. So the pool is an allocation of its own rather
+// than a field of the engine, envelopes reach the domains only through
+// it, and Close clears domains: what the runtime then retains of a
+// closed engine is this struct and a few empty envelopes, not the farm.
+type envPool struct {
+	sync.Pool // of *crossEnv
+	domains   []*ShardDomain
+}
+
+func newEnvPool() *envPool {
+	p := &envPool{}
+	p.New = func() any {
+		env := &crossEnv{}
+		env.fn = func(then sim.Time) {
+			d := p.domains[env.dst]
+			pkt := env.pkt
+			env.pkt = nil
+			p.Put(env)
+			d.G.HandleInbound(then, pkt)
+		}
+		return env
+	}
+	return p
 }
 
 // NewShardEngine builds the domains and their runner.
@@ -349,18 +375,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &ShardEngine{cfg: cfg, space: cfg.Gateway.Space}
-	e.envPool.New = func() any {
-		env := &crossEnv{e: e}
-		env.fn = func(then sim.Time) {
-			d := env.e.domains[env.dst]
-			pkt := env.pkt
-			env.pkt = nil
-			env.e.envPool.Put(env)
-			d.G.HandleInbound(then, pkt)
-		}
-		return env
-	}
+	e := &ShardEngine{cfg: cfg, space: cfg.Gateway.Space, envs: newEnvPool()}
 	kernels := make([]*sim.Kernel, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		src := i
@@ -369,7 +384,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		// envelope fires only during runs, after e.runner and e.domains
 		// are fully wired.
 		d, err := NewShardDomain(cfg, i, func(now sim.Time, dst int, pkt *netsim.Packet) {
-			env := e.envPool.Get().(*crossEnv)
+			env := e.envs.Get().(*crossEnv)
 			env.dst, env.pkt = dst, pkt
 			e.runner.Send(src, dst, now.Add(e.cfg.Lookahead), env.fn)
 		})
@@ -379,6 +394,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		e.domains = append(e.domains, d)
 		kernels[i] = d.K
 	}
+	e.envs.domains = e.domains
 	e.runner = sim.NewParallelRunner(kernels, cfg.Lookahead)
 	e.runner.SetSequential(!cfg.Parallel)
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
@@ -702,6 +718,7 @@ func (e *ShardEngine) Close() error {
 	flushT0 := time.Now()
 	var errs []error
 	e.runner.Close()
+	e.envs.domains = nil // see envPool: the runtime outlives us holding it
 	for _, d := range e.domains {
 		d.Close()
 	}

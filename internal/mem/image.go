@@ -96,7 +96,7 @@ func (img *Image) NewClone() *AddressSpace {
 	if img.released {
 		panic("mem: clone of released image")
 	}
-	a := NewAddressSpace(img.store, img.numPages)
+	a := newSpace(img.store, img.numPages, img.store.getPageTable())
 	a.base = img
 	img.clones++
 	img.live++

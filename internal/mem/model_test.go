@@ -1,0 +1,323 @@
+package mem_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"potemkin/internal/mem"
+	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
+	"potemkin/internal/vmm"
+)
+
+// The model test: one sequence of clone / write / read / share-pass /
+// checkpoint-restore / destroy operations is applied to three things at
+// once — a host as shipped (faults are delta frames), a host where every
+// written page is given its bytes immediately (what every fault did
+// before delta frames), and a plain map of page arrays. After every
+// step the shipped host's content must equal the map's, and every
+// simulated statistic must equal the eager host's: laziness may move
+// host cost only.
+
+const (
+	modelPages    = 12 // guest-physical pages; the image backs the first 8
+	modelResident = 8
+	modelSeed     = 4077
+	modelMaxVMs   = 5
+)
+
+// world is one host and its VMs, indexed the same way in every world.
+type world struct {
+	host  *vmm.VMHost
+	vms   []*vmm.VM
+	eager bool
+}
+
+func newWorld(share, eager bool) *world {
+	cfg := vmm.DefaultHostConfig("model")
+	cfg.ShareContent = share
+	h := vmm.NewHost(sim.NewKernel(1), cfg)
+	h.RegisterImage("img", modelPages, modelResident, 4, modelSeed)
+	return &world{host: h, eager: eager}
+}
+
+func (w *world) clone() {
+	vm, err := w.host.FlashClone("img", netsim.Addr(len(w.vms)+1), nil)
+	if err != nil {
+		panic(err)
+	}
+	w.vms = append(w.vms, vm)
+}
+
+func (w *world) write(vm int, vpn uint64, off int, b []byte) bool {
+	faulted := w.vms[vm].Mem.Write(vpn, off, b)
+	if w.eager {
+		w.vms[vm].Mem.Materialize(vpn)
+	}
+	return faulted
+}
+
+// checkpointRestore saves vm through the wire format and restores it as
+// a new VM.
+func (w *world) checkpointRestore(vm int) error {
+	var buf bytes.Buffer
+	if _, err := vmm.TakeCheckpoint(w.vms[vm]).WriteTo(&buf); err != nil {
+		return err
+	}
+	ck, err := vmm.ReadCheckpoint(&buf)
+	if err != nil {
+		return err
+	}
+	restored, err := w.host.Restore(ck, nil)
+	if err != nil {
+		return err
+	}
+	w.vms = append(w.vms, restored)
+	return nil
+}
+
+func (w *world) destroy(vm int) {
+	w.host.Destroy(w.vms[vm].ID)
+	w.vms = append(w.vms[:vm], w.vms[vm+1:]...)
+}
+
+// model is the oracle: what each VM wrote, page by page, over the
+// image's content.
+type model struct {
+	image [modelPages][mem.PageSize]byte
+	vms   []map[uint64]*[mem.PageSize]byte
+}
+
+func newModel() *model {
+	m := &model{}
+	// The image's content, read from a store nothing else touches.
+	witness := mem.BuildImage(mem.NewStore(), modelPages, modelResident, modelSeed).NewClone()
+	for vpn := range m.image {
+		copy(m.image[vpn][:], witness.Read(uint64(vpn), 0, mem.PageSize))
+	}
+	return m
+}
+
+func (m *model) page(vm int, vpn uint64) []byte {
+	if p, ok := m.vms[vm][vpn]; ok {
+		return p[:]
+	}
+	return m.image[vpn][:]
+}
+
+func (m *model) write(vm int, vpn uint64, off int, b []byte) {
+	p, ok := m.vms[vm][vpn]
+	if !ok {
+		p = new([mem.PageSize]byte)
+		*p = m.image[vpn]
+		m.vms[vm][vpn] = p
+	}
+	copy(p[off:], b)
+}
+
+func (m *model) copyVM(vm int) {
+	c := make(map[uint64]*[mem.PageSize]byte, len(m.vms[vm]))
+	for vpn, p := range m.vms[vm] {
+		cp := *p
+		c[vpn] = &cp
+	}
+	m.vms = append(m.vms, c)
+}
+
+// writeLens are the lengths a generated write picks from: nothing, one
+// byte, the guest's 8-byte touch, the edges of the inline area and of
+// the cap (a record is its bytes plus a header), and whole pages.
+var writeLens = []int{
+	0, 1, 8,
+	mem.DeltaInline - mem.DeltaHdr, mem.DeltaInline - mem.DeltaHdr + 1,
+	100,
+	mem.DeltaCap - mem.DeltaHdr, mem.DeltaCap - mem.DeltaHdr + 1,
+	1500, mem.PageSize,
+}
+
+// runOps decodes ops as an operation sequence and applies it to the
+// shipped world, the eager world and the model, checking after every
+// step. It reports how many write steps found a lazy frame, so callers
+// can tell the interesting paths ran.
+func runOps(t *testing.T, ops []byte) (lazyHits int) {
+	t.Helper()
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return int(b)
+	}
+
+	share := next()%2 == 1
+	lazy, eager := newWorld(share, false), newWorld(share, true)
+	both := []*world{lazy, eager}
+	m := newModel()
+
+	for step := 0; len(ops) > 0; step++ {
+		op, pick := next(), next()
+		desc := "clone"
+		switch n := len(lazy.vms); {
+		case n == 0 || (op%16 == 0 && n < modelMaxVMs):
+			for _, w := range both {
+				w.clone()
+			}
+			m.vms = append(m.vms, map[uint64]*[mem.PageSize]byte{})
+
+		case op%16 <= 9: // write
+			vm, vpn := pick%n, uint64(next()%modelPages)
+			length := writeLens[next()%len(writeLens)]
+			off := 0
+			switch room := mem.PageSize - length; next() % 3 {
+			case 0:
+				off = room // off+len == PageSize
+			case 1:
+				off = (next()<<8 | next()) % (room + 1)
+			}
+			b := make([]byte, length)
+			fill := next()
+			for i := range b {
+				b[i] = byte(fill * (i%7 + 1)) // fill 0 writes zeroes: the zero-frame path
+			}
+			desc = fmt.Sprintf("write vm%d page %d [%d,%d) fill %d", vm, vpn, off, off+length, fill)
+			if lazy.vms[vm].Mem.IsDelta(vpn) {
+				lazyHits++
+			}
+			if fl, fe := lazy.write(vm, vpn, off, b), eager.write(vm, vpn, off, b); fl != fe {
+				t.Fatalf("step %d %s: fault reported %v, eager run %v", step, desc, fl, fe)
+			}
+			m.write(vm, vpn, off, b)
+
+		case op%16 <= 11: // read
+			vm, vpn := pick%n, uint64(next()%modelPages)
+			off := (next()<<8 | next()) % mem.PageSize
+			length := next() % (mem.PageSize - off + 1)
+			desc = fmt.Sprintf("read vm%d page %d [%d,%d)", vm, vpn, off, off+length)
+			got := lazy.vms[vm].Mem.Read(vpn, off, length)
+			eager.vms[vm].Mem.Read(vpn, off, length)
+			if !bytes.Equal(got, m.page(vm, vpn)[off:off+length]) {
+				t.Fatalf("step %d %s: read differs from the model", step, desc)
+			}
+
+		// Not under ShareContent: a pass keeps whichever of two identical
+		// frames its map walk meets first, and whether the survivor is the
+		// one registered for inline dedup decides later dedup hits — two
+		// runs of one sequence then differ, eager or not.
+		case op%16 == 12 && !share:
+			desc = "share pass"
+			rl, re := lazy.host.MemorySharePass(), eager.host.MemorySharePass()
+			if rl != re {
+				t.Fatalf("step %d share pass: %+v, eager run %+v", step, rl, re)
+			}
+
+		case op%16 == 13 && n < modelMaxVMs:
+			vm := pick % n
+			desc = fmt.Sprintf("checkpoint and restore vm%d", vm)
+			for _, w := range both {
+				if err := w.checkpointRestore(vm); err != nil {
+					t.Fatalf("step %d %s: %v", step, desc, err)
+				}
+			}
+			m.copyVM(vm)
+
+		default:
+			vm := pick % n
+			desc = fmt.Sprintf("destroy vm%d", vm)
+			for _, w := range both {
+				w.destroy(vm)
+			}
+			m.vms = append(m.vms[:vm], m.vms[vm+1:]...)
+		}
+		check(t, fmt.Sprintf("step %d (%s)", step, desc), lazy, eager, m)
+	}
+
+	for _, w := range both {
+		w.host.DestroyAll()
+		if err := w.host.CheckMemoryInvariants(); err != nil {
+			t.Fatalf("after teardown: %v", err)
+		}
+		if got := w.host.Store().FrameCount(); got != 1+modelResident {
+			t.Fatalf("after teardown: %d frames live, want the zero frame and the image's %d", got, modelResident)
+		}
+	}
+	return lazyHits
+}
+
+// check compares the shipped world's content with the model, and its
+// simulated statistics with the eager world's.
+func check(t *testing.T, at string, lazy, eager *world, m *model) {
+	t.Helper()
+	for i, vm := range lazy.vms {
+		for vpn := uint64(0); vpn < modelPages; vpn++ {
+			if !bytes.Equal(vm.Mem.PeekPage(vpn), m.page(i, vpn)) {
+				t.Fatalf("%s: vm%d page %d differs from the model", at, i, vpn)
+			}
+		}
+		ref := eager.vms[i].Mem
+		if vm.Mem.PrivatePages() != ref.PrivatePages() || vm.Mem.OwnedPages() != ref.OwnedPages() ||
+			vm.Mem.ResidentPages() != ref.ResidentPages() {
+			t.Fatalf("%s: vm%d private/owned/resident = %d/%d/%d, eager run %d/%d/%d", at, i,
+				vm.Mem.PrivatePages(), vm.Mem.OwnedPages(), vm.Mem.ResidentPages(),
+				ref.PrivatePages(), ref.OwnedPages(), ref.ResidentPages())
+		}
+		if got, want := vm.Mem.Stats(), ref.Stats(); got != want {
+			t.Fatalf("%s: vm%d space stats %+v, eager run %+v", at, i, got, want)
+		}
+	}
+	ls, es := lazy.host.Store(), eager.host.Store()
+	if ls.ModeledBytes() != es.ModeledBytes() || ls.Stats() != es.Stats() {
+		t.Fatalf("%s: store %d modeled bytes %+v, eager run %d %+v", at,
+			ls.ModeledBytes(), ls.Stats(), es.ModeledBytes(), es.Stats())
+	}
+	if lazy.host.Stats() != eager.host.Stats() || lazy.host.MemoryInUse() != eager.host.MemoryInUse() {
+		t.Fatalf("%s: host stats %+v, eager run %+v", at, lazy.host.Stats(), eager.host.Stats())
+	}
+	for _, w := range []*world{lazy, eager} {
+		if err := w.host.CheckMemoryInvariants(); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+	}
+}
+
+// TestSpaceOpsAgainstModel runs fixed random sequences through runOps —
+// the fuzz target's property as an ordinary test, so `go test` holds it
+// without a corpus.
+func TestSpaceOpsAgainstModel(t *testing.T) {
+	lazyHits := 0
+	for seed := int64(0); seed < 24; seed++ {
+		ops := make([]byte, 2400)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		lazyHits += runOps(t, ops)
+	}
+	if lazyHits < 100 {
+		t.Errorf("only %d writes found a lazy delta frame: the sequences no longer reach the delta paths", lazyHits)
+	}
+}
+
+func FuzzSpaceOps(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		ops := make([]byte, 400)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	// One VM: a fault whose record is the cap to the byte, one byte more;
+	// on another page three touches (two inline, one spilled); then a
+	// checkpoint, a restore, and a read of the restored page.
+	f.Add([]byte{0, 0, 0,
+		1, 0, 3, 6, 0, 1,
+		1, 0, 3, 1, 0, 2,
+		1, 0, 4, 2, 2, 3,
+		1, 0, 4, 2, 0, 4,
+		1, 0, 4, 2, 0, 5,
+		13, 0,
+		10, 1, 4, 0, 0, 255})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			t.Skip("long sequences only repeat what short ones reach")
+		}
+		runOps(t, ops)
+	})
+}

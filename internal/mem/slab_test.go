@@ -102,6 +102,70 @@ func TestRecycledBufferHygiene(t *testing.T) {
 	}
 }
 
+// TestRecycledSlotDeltaHygiene frees a delta frame with records both
+// inline and spilled, then puts every kind of tenant in its slot: none
+// may see the old source or replay an old record, and with the overflow
+// buffer back in its pool the next such fault allocates nothing.
+func TestRecycledSlotDeltaHygiene(t *testing.T) {
+	s := NewStore()
+	srcA := s.AllocData(testPage(0xA1))
+	srcB := s.AllocData(testPage(0xB2))
+
+	dirty := func() uint32 {
+		id := s.AllocCopyWrite(srcA, 10, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		for i := 0; i < 6; i++ { // past deltaInline: spills
+			s.CowWrite(id, 100+20*i, []byte{0xDE, 0xAD, 0xBE, 0xEF, byte(i)})
+		}
+		if f := s.must(id); f.src == 0 || f.inlLen == 0 || len(f.delta) == 0 {
+			t.Fatalf("setup: want a lazy frame with inline and spilled records, have src=%d inl=%d spill=%d", f.src, f.inlLen, len(f.delta))
+		}
+		s.DecRef(id)
+		return id.index()
+	}
+
+	tenants := map[string]struct {
+		alloc func() FrameID
+		want  func() []byte
+	}{
+		"zero-fill": {
+			func() FrameID { return s.AllocZeroFill(3, []byte{7}) },
+			func() []byte { p := make([]byte, PageSize); p[3] = 7; return p },
+		},
+		"data": {
+			func() FrameID { return s.AllocData(testPage(0x33)) },
+			func() []byte { return testPage(0x33) },
+		},
+		"pattern": {
+			func() FrameID { return s.AllocPattern(4242) },
+			func() []byte { p := make([]byte, PageSize); fillPattern(p, 4242); return p },
+		},
+		"delta over another source": {
+			func() FrameID { return s.AllocCopyWrite(srcB, 4000, []byte{9}) },
+			func() []byte { p := testPage(0xB2); p[4000] = 9; return p },
+		},
+		"delta with no records": {
+			func() FrameID { return s.AllocCopyWrite(srcB, 0, nil) },
+			func() []byte { return testPage(0xB2) },
+		},
+	}
+	for name, tc := range tenants {
+		slot := dirty()
+		id := tc.alloc()
+		if id.index() != slot {
+			t.Fatalf("%s: test setup: slot %d not reused (got %d)", name, slot, id.index())
+		}
+		if !bytes.Equal(s.View(id), tc.want()) {
+			t.Errorf("%s in a recycled slot shows a previous tenant's delta", name)
+		}
+		s.DecRef(id)
+	}
+
+	dirty()
+	if avg := testing.AllocsPerRun(100, func() { dirty() }); avg != 0 {
+		t.Errorf("a fault with spilled records in a recycled slot allocates %.1f objects, want 0", avg)
+	}
+}
+
 func TestAllocZeroFillMatchesAllocData(t *testing.T) {
 	for _, share := range []bool{false, true} {
 		s := NewStore()

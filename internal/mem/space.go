@@ -25,9 +25,10 @@ type SpaceStats struct {
 // reads falling through to the reference image — so cloning costs O(1)
 // regardless of image size, exactly like attaching copy-on-write shadow
 // page tables. The first write to an image-backed page copies that page
-// into the overlay (a CoW fault); writes to pages the image never
-// populated allocate zero-filled frames on demand. Unmapped pages read
-// as zero.
+// into the overlay (a CoW fault, charged as a frame; the store defers
+// producing the bytes until they are read); writes to pages the image
+// never populated allocate zero-filled frames on demand. Unmapped pages
+// read as zero.
 type AddressSpace struct {
 	store    *Store
 	base     *Image // nil for scratch (non-cloned) spaces
@@ -48,10 +49,14 @@ type AddressSpace struct {
 // NewAddressSpace creates an empty scratch space of numPages
 // guest-physical pages over store. All pages initially read as zero.
 func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
+	return newSpace(store, numPages, make(map[uint64]PTE))
+}
+
+func newSpace(store *Store, numPages uint64, pages map[uint64]PTE) *AddressSpace {
 	if numPages == 0 {
 		panic("mem: zero-size address space")
 	}
-	return &AddressSpace{store: store, pages: make(map[uint64]PTE), numPages: numPages}
+	return &AddressSpace{store: store, pages: pages, numPages: numPages}
 }
 
 // Store returns the backing frame store.
@@ -213,16 +218,17 @@ func (a *AddressSpace) Release() {
 	if a.released {
 		return
 	}
-	for vpn, pte := range a.pages {
+	for _, pte := range a.pages {
 		a.store.dropHolder(pte.Frame, a)
 		a.store.DecRef(pte.Frame)
-		delete(a.pages, vpn)
 	}
 	a.shadowed = 0
 	if a.base != nil {
 		a.base.live--
 		a.base = nil
+		a.store.putPageTable(a.pages) // the next clone's overlay
 	}
+	a.pages = nil
 	a.released = true
 }
 

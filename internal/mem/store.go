@@ -6,16 +6,25 @@
 // (reference images) that new VMs flash-clone from.
 //
 // Sharing here is real: clones reference the same frames, a write to a
-// shared frame genuinely copies bytes, and accounting is derived from the
-// frame table — so the memory-savings experiments (E2) measure mechanism
-// behaviour, not a formula.
+// shared frame genuinely gets a frame of its own, and accounting is
+// derived from the frame table — so the memory-savings experiments (E2)
+// measure mechanism behaviour, not a formula.
 //
-// The frame table is a dense slab ([]frame) with an intrusive free list
-// rather than a map of heap-allocated frames: allocation is a free-list
-// pop (or append), freeing is a push, and FrameIDs carry a generation
-// number so dangling IDs are caught when a slot is reused. Page buffers
-// of freed frames are recycled through a bounded pool, so steady-state
-// VM churn allocates no garbage on the alloc/CoW hot paths.
+// What a fault costs the simulated machine (a frame, a CowCopies count,
+// PageSize of ModeledBytes) and what it costs the host are separate: a
+// CoW fault against a reference image allocates a delta frame that
+// records the source frame and the bytes written, and the page's bytes
+// are produced on first read — the same rule pattern frames follow, so
+// neither side of a fault occupies host RAM until something looks.
+//
+// The frame table is a slab of fixed-size chunks with an intrusive free
+// list rather than a map of heap-allocated frames: allocation is a
+// free-list pop (or the next slot of the last chunk), freeing is a push,
+// and FrameIDs carry a generation number so dangling IDs are caught when
+// a slot is reused. Page buffers of freed frames, delta overflow buffers
+// and the page tables of released clones are recycled through bounded
+// pools, so steady-state VM churn allocates no garbage on the alloc/CoW
+// hot paths.
 package mem
 
 import (
@@ -44,30 +53,51 @@ func (id FrameID) generation() uint32 { return uint32(id >> 32) }
 
 // frame is one machine page slot in the slab. Content is either explicit
 // bytes, a deterministic pattern (materialized lazily, so large synthetic
-// reference images do not occupy host RAM), or all-zeroes (data == nil,
-// pattern == 0). refs == 0 marks a free slot.
+// reference images do not occupy host RAM), a delta over another frame
+// (src != 0, likewise lazy), or all-zeroes (data == nil, pattern == 0,
+// src == 0). refs == 0 marks a free slot.
 type frame struct {
 	refs    int64
 	data    []byte
 	pattern uint64 // nonzero: content is pattern-generated until materialized
-	hash    uint64
-	hashed  bool
+	hash    uint64 // dedup bucket key, meaningful while hashed
 
-	// gen is the slot generation FrameIDs must match; bumped on free.
-	gen uint32
-	// nextFree links free slots (intrusive free list); meaningful only
-	// while refs == 0.
-	nextFree uint32
+	// Delta frame: content is src's bytes with the write records in
+	// inl[:inlLen] and then delta applied in order, until materialized.
+	// The frame holds no reference on src. That is sound because only a
+	// clone's fault against its image creates one, the image cannot be
+	// released while the clone is attached, and a delta frame never
+	// outlives or leaves its clone: it has exactly one reference, and
+	// IncRef materializes before adding a second. must(src) panics if
+	// the invariant is ever broken.
+	//
+	// The first records sit inline in the slot and the overflow is a
+	// pooled deltaCap buffer (nil until needed, back to the pool when
+	// the frame is freed or materialized), so a fault costs no heap
+	// object.
+	src   FrameID
+	delta []byte
 
 	// Private-page accounting (see Store.updatePrivate): holder/extra
 	// form the multiset of address spaces currently mapping this frame
 	// (one entry per mapping; the single-holder common case costs one
 	// pointer, no allocation). priv is the space currently counting this
 	// frame as private, i.e. the sole holder of a refs==1 frame.
-	holder      *AddressSpace
-	extra       []*AddressSpace
+	holder *AddressSpace
+	extra  []*AddressSpace
+	priv   *AddressSpace
+
+	// gen is the slot generation FrameIDs must match; bumped on free.
+	// (The sub-word fields from here on sit together so a slot packs
+	// into 160 bytes.)
+	gen uint32
+	// nextFree links free slots (intrusive free list); meaningful only
+	// while refs == 0.
+	nextFree    uint32
 	holderCount int32
-	priv        *AddressSpace
+	hashed      bool
+	inlLen      uint8
+	inl         [deltaInline]byte
 }
 
 // StoreStats counts frame-store activity.
@@ -84,18 +114,106 @@ type StoreStats struct {
 // noFreeSlot terminates the intrusive free list.
 const noFreeSlot = ^uint32(0)
 
+// slabChunk is the number of frame slots the slab grows by (160 KiB): a
+// power of two, so addressing a slot is a shift and a mask.
+const slabChunk = 1024
+
 // bufPoolCap bounds the recycled page-buffer pool (4 MiB of 4 KiB
-// pages). Churn beyond the cap falls back to the allocator, exactly the
-// pre-slab behaviour.
+// pages). Only frames whose bytes something read or wrote wholesale
+// hold a buffer (delta and pattern frames do not), so the pool serves
+// checkpoints, share passes and large writes; churn beyond the cap
+// falls back to the allocator.
 const bufPoolCap = 1024
+
+// pageTablePoolCap bounds the pool of released clones' page tables, and
+// pageTableMaxRecycle the size of a table worth keeping: clear walks
+// every bucket a map ever grew, so a table that once held a whole image
+// would tax each later tenant.
+const (
+	pageTablePoolCap    = 4096
+	pageTableMaxRecycle = 1024
+)
+
+// A delta record is a 4-byte header (offset, length; little-endian
+// uint16s) followed by the bytes written. deltaInline holds two of the
+// guest's 8-byte page touches; a frame whose records would pass
+// deltaCap is materialized instead, which bounds what a read has to
+// replay. Overflow buffers are recycled like page buffers, to the same
+// 4 MiB.
+const (
+	deltaHdr     = 4
+	deltaInline  = 24
+	deltaCap     = 256
+	deltaPoolCap = bufPoolCap * PageSize / deltaCap
+)
+
+// appendDelta records a write of b at off on delta frame f. It reports
+// false, recording nothing, when the frame's records would outgrow
+// deltaCap.
+func (s *Store) appendDelta(f *frame, off int, b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	need := deltaHdr + len(b)
+	if int(f.inlLen)+len(f.delta)+need > deltaCap {
+		return false
+	}
+	var hdr [deltaHdr]byte
+	binary.LittleEndian.PutUint16(hdr[0:], uint16(off))
+	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(b)))
+	// Records apply inline-first, so nothing goes inline after a spill.
+	if len(f.delta) == 0 && int(f.inlLen)+need <= deltaInline {
+		copy(f.inl[f.inlLen:], hdr[:])
+		copy(f.inl[int(f.inlLen)+deltaHdr:], b)
+		f.inlLen += uint8(need)
+		return true
+	}
+	if f.delta == nil {
+		var ok bool
+		if f.delta, ok = pop(&s.deltaPool); !ok {
+			f.delta = make([]byte, 0, deltaCap)
+		}
+	}
+	f.delta = append(append(f.delta, hdr[:]...), b...)
+	return true
+}
+
+// dropLazy forgets a pattern or delta description of f's content. The
+// overflow buffer goes back to the pool at length zero, so no stale
+// record can ever be replayed.
+func (s *Store) dropLazy(f *frame) {
+	f.pattern = 0
+	f.src = 0
+	f.inlLen = 0
+	if f.delta != nil {
+		if len(s.deltaPool) < deltaPoolCap {
+			s.deltaPool = append(s.deltaPool, f.delta[:0])
+		}
+		f.delta = nil
+	}
+}
+
+// applyDelta replays write records onto page.
+func applyDelta(page, recs []byte) {
+	for len(recs) > 0 {
+		off := int(binary.LittleEndian.Uint16(recs[0:]))
+		n := int(binary.LittleEndian.Uint16(recs[2:]))
+		copy(page[off:], recs[deltaHdr:deltaHdr+n])
+		recs = recs[deltaHdr+n:]
+	}
+}
 
 // Store is a machine-wide refcounted frame table shared by every VM on a
 // simulated physical host. It is not safe for concurrent use; the VMM is
 // single-threaded under the sim kernel.
 type Store struct {
-	// slab[0] is a permanently-dead sentinel so index 0 (and hence
-	// FrameID 0) is never valid.
-	slab     []frame
+	// The slab grows a chunk at a time, so a slot never moves and growth
+	// costs the new slots only: a flat slice re-cleared and copied the
+	// whole table at every step, which was most of the bytes a replay
+	// allocated once page copies were gone. Slot 0 is a permanently-dead
+	// sentinel so index 0 (and hence FrameID 0) is never valid.
+	slab     [][]frame
+	slots    uint32 // slots ever carved, including the sentinel
 	freeHead uint32
 	live     int // live frames, maintained incrementally
 
@@ -107,7 +225,9 @@ type Store struct {
 	zero  FrameID
 	dedup map[uint64][]FrameID
 
-	bufPool [][]byte
+	bufPool       [][]byte
+	deltaPool     [][]byte
+	pageTablePool []map[uint64]PTE
 
 	stats StoreStats
 }
@@ -115,7 +235,8 @@ type Store struct {
 // NewStore returns an empty store with a preallocated shared zero frame.
 func NewStore() *Store {
 	s := &Store{
-		slab:     make([]frame, 1, 64), // slot 0 reserved
+		slab:     [][]frame{make([]frame, slabChunk)},
+		slots:    1, // slot 0 reserved
 		freeHead: noFreeSlot,
 		dedup:    make(map[uint64][]FrameID),
 	}
@@ -125,19 +246,28 @@ func NewStore() *Store {
 	return s
 }
 
-// alloc carves a fresh frame slot (free-list pop or slab append) with
-// refs == 1 and updates the incremental live/peak counters. The returned
-// pointer is valid only until the next alloc (the slab may move).
+// slot addresses a carved slab index.
+func (s *Store) slot(idx uint32) *frame {
+	return &s.slab[idx/slabChunk][idx%slabChunk]
+}
+
+// alloc carves a fresh frame slot (free-list pop or the slab's next)
+// with refs == 1 and updates the incremental live/peak counters.
 func (s *Store) alloc() (FrameID, *frame) {
-	var idx uint32
-	if s.freeHead != noFreeSlot {
-		idx = s.freeHead
-		s.freeHead = s.slab[idx].nextFree
+	var f *frame
+	idx := s.freeHead
+	if idx != noFreeSlot {
+		f = s.slot(idx)
+		s.freeHead = f.nextFree
 	} else {
-		s.slab = append(s.slab, frame{gen: 1})
-		idx = uint32(len(s.slab) - 1)
+		idx = s.slots
+		if idx%slabChunk == 0 {
+			s.slab = append(s.slab, make([]frame, slabChunk))
+		}
+		s.slots++
+		f = s.slot(idx)
+		f.gen = 1
 	}
-	f := &s.slab[idx]
 	f.refs = 1
 	s.live++
 	s.stats.Allocs++
@@ -151,12 +281,12 @@ func (s *Store) alloc() (FrameID, *frame) {
 // free returns a slot to the free list, bumping its generation so stale
 // FrameIDs are caught, and recycles its page buffer.
 func (s *Store) free(idx uint32) {
-	f := &s.slab[idx]
+	f := s.slot(idx)
 	if f.data != nil {
 		s.putBuf(f.data)
 		f.data = nil
 	}
-	f.pattern = 0
+	s.dropLazy(f)
 	f.hash = 0
 	f.hashed = false
 	f.holder = nil
@@ -173,11 +303,20 @@ func (s *Store) free(idx uint32) {
 	s.stats.Frees++
 }
 
+// pop takes the most recently pooled item, if there is one.
+func pop[T any](pool *[]T) (item T, ok bool) {
+	n := len(*pool)
+	if n == 0 {
+		return item, false
+	}
+	item = (*pool)[n-1]
+	clear((*pool)[n-1:]) // the pool must not keep what it handed out alive
+	*pool = (*pool)[:n-1]
+	return item, true
+}
+
 func (s *Store) getBuf() []byte {
-	if n := len(s.bufPool); n > 0 {
-		b := s.bufPool[n-1]
-		s.bufPool[n-1] = nil
-		s.bufPool = s.bufPool[:n-1]
+	if b, ok := pop(&s.bufPool); ok {
 		return b
 	}
 	return make([]byte, PageSize)
@@ -187,6 +326,25 @@ func (s *Store) putBuf(b []byte) {
 	if len(s.bufPool) < bufPoolCap {
 		s.bufPool = append(s.bufPool, b)
 	}
+}
+
+// getPageTable returns an empty page table for a new clone, recycled
+// from a released one when possible.
+func (s *Store) getPageTable() map[uint64]PTE {
+	if m, ok := pop(&s.pageTablePool); ok {
+		return m
+	}
+	return make(map[uint64]PTE)
+}
+
+// putPageTable takes a released clone's page table. clear keeps the
+// buckets, so the next clone's faults grow nothing.
+func (s *Store) putPageTable(m map[uint64]PTE) {
+	if len(m) > pageTableMaxRecycle || len(s.pageTablePool) >= pageTablePoolCap {
+		return
+	}
+	clear(m)
+	s.pageTablePool = append(s.pageTablePool, m)
 }
 
 // Stats returns a copy of the store counters.
@@ -220,10 +378,10 @@ func (s *Store) Refs(id FrameID) int64 {
 
 func (s *Store) must(id FrameID) *frame {
 	idx := id.index()
-	if idx == 0 || int(idx) >= len(s.slab) {
+	if idx == 0 || idx >= s.slots {
 		panic(fmt.Sprintf("mem: dangling frame %d", id))
 	}
-	f := &s.slab[idx]
+	f := s.slot(idx)
 	if f.gen != id.generation() || f.refs <= 0 {
 		panic(fmt.Sprintf("mem: dangling frame %d", id))
 	}
@@ -233,16 +391,20 @@ func (s *Store) must(id FrameID) *frame {
 // alive reports whether a frame id is still present.
 func (s *Store) alive(id FrameID) bool {
 	idx := id.index()
-	if idx == 0 || int(idx) >= len(s.slab) {
+	if idx == 0 || idx >= s.slots {
 		return false
 	}
-	f := &s.slab[idx]
+	f := s.slot(idx)
 	return f.gen == id.generation() && f.refs > 0
 }
 
-// IncRef adds a reference to a frame.
+// IncRef adds a reference to a frame. A delta frame is materialized
+// first: a second holder could outlive the image it reads through.
 func (s *Store) IncRef(id FrameID) {
 	f := s.must(id)
+	if f.src != 0 {
+		s.materialize(f)
+	}
 	f.refs++
 	s.updatePrivate(f)
 }
@@ -348,16 +510,32 @@ func (s *Store) dropDedup(hash uint64, id FrameID) {
 	}
 }
 
-// materialize ensures f.data holds explicit bytes.
+// render writes f's content into buf (PageSize long) and leaves f as it
+// found it. Recycled buffers carry stale content, so every case
+// overwrites all of buf.
+func (s *Store) render(f *frame, buf []byte) {
+	switch {
+	case f.data != nil:
+		copy(buf, f.data)
+	case f.src != 0:
+		s.render(s.must(f.src), buf)
+		applyDelta(buf, f.inl[:f.inlLen])
+		applyDelta(buf, f.delta)
+	case f.pattern != 0:
+		fillPattern(buf, f.pattern)
+	default:
+		clear(buf)
+	}
+}
+
+// materialize ensures f.data holds explicit bytes. It is the one place
+// a lazy frame (pattern or delta) turns into an ordinary data frame,
+// and every reader of a frame's bytes comes through it.
 func (s *Store) materialize(f *frame) []byte {
 	if f.data == nil {
 		buf := s.getBuf()
-		if f.pattern != 0 {
-			fillPattern(buf, f.pattern)
-			f.pattern = 0
-		} else {
-			clear(buf) // recycled buffers carry stale content
-		}
+		s.render(f, buf)
+		s.dropLazy(f)
 		f.data = buf
 	}
 	return f.data
@@ -480,21 +658,22 @@ func contentHash(b []byte) uint64 {
 
 func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
-// AllocCopyWrite allocates a new private frame holding a copy of src's
-// content with b applied at off — the copy-on-write fault path for
-// image-backed pages. src's reference count is untouched (the image
-// keeps its reference).
+// AllocCopyWrite allocates a new private frame whose content is src's
+// with b applied at off — the copy-on-write fault path for image-backed
+// pages. The frame is a delta over src (see frame.src for the lifetime
+// rule the caller must meet) unless b alone exceeds deltaCap. src's
+// reference count is untouched (the image keeps its reference).
 func (s *Store) AllocCopyWrite(src FrameID, off int, b []byte) FrameID {
 	if off < 0 || off+len(b) > PageSize {
 		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
 	}
-	s.must(src) // validate before the slab may move
+	s.must(src)
 	id, nf := s.alloc()
-	buf := s.getBuf()
-	nf.data = buf
-	copy(buf, s.View(src))
-	copy(buf[off:], b)
 	s.stats.CowCopies++
+	nf.src = src
+	if !s.appendDelta(nf, off, b) {
+		copy(s.materialize(nf)[off:], b)
+	}
 	return id
 }
 
@@ -512,11 +691,11 @@ func (s *Store) AllocPattern(seed uint64) FrameID {
 }
 
 // View returns the frame's content for reading. The returned slice must
-// not be modified; use CowWrite for writes. Pattern frames are
-// materialized on first view.
+// not be modified; use CowWrite for writes. Pattern and delta frames
+// are materialized on first view.
 func (s *Store) View(id FrameID) []byte {
 	f := s.must(id)
-	if f.data == nil && f.pattern == 0 {
+	if f.data == nil && f.pattern == 0 && f.src == 0 {
 		return zeroPage[:]
 	}
 	return s.materialize(f)
@@ -526,17 +705,16 @@ var zeroPage [PageSize]byte
 
 // CowWrite writes b at offset off into the page, performing
 // copy-on-write: if the frame is shared (refs > 1) a private copy is
-// created and returned; otherwise the write happens in place. The
-// (possibly new) frame ID is returned along with whether a copy happened.
+// created and returned; otherwise the write happens in place (on a delta
+// frame, as one more record). The (possibly new) frame ID is returned
+// along with whether a copy happened.
 func (s *Store) CowWrite(id FrameID, off int, b []byte) (FrameID, bool) {
 	if off < 0 || off+len(b) > PageSize {
 		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
 	}
 	f := s.must(id)
 	if f.refs > 1 {
-		// Shared: copy, drop our reference on the original. The refs
-		// drop happens before alloc so private accounting settles while
-		// f is still addressable (alloc may move the slab).
+		// Shared: copy, drop our reference on the original.
 		f.refs--
 		s.updatePrivate(f)
 		nid, nf := s.alloc()
@@ -553,6 +731,9 @@ func (s *Store) CowWrite(id FrameID, off int, b []byte) (FrameID, bool) {
 		s.dropDedup(f.hash, id)
 		f.hashed = false
 	}
+	if f.src != 0 && s.appendDelta(f, off, b) {
+		return id, false
+	}
 	copy(s.materialize(f)[off:], b)
 	return id, false
 }
@@ -567,12 +748,12 @@ func (s *Store) CheckRefs(external map[FrameID]int64) error {
 		seen[id] = n
 	}
 	seen[s.zero]++ // permanent self-reference
-	for idx := 1; idx < len(s.slab); idx++ {
-		f := &s.slab[idx]
+	for idx := uint32(1); idx < s.slots; idx++ {
+		f := s.slot(idx)
 		if f.refs <= 0 {
 			continue // free slot
 		}
-		id := makeFrameID(uint32(idx), f.gen)
+		id := makeFrameID(idx, f.gen)
 		if f.refs != seen[id] {
 			return fmt.Errorf("mem: frame %d has %d refs, expected %d", id, f.refs, seen[id])
 		}

@@ -144,7 +144,9 @@ type Options struct {
 	// grid; larger values widen further. Requires Parallel.
 	AdaptiveEpochs int
 
-	// Policy is the containment mode. Default InternalReflect.
+	// Policy is the containment mode. The zero value is Open, which
+	// forwards everything a guest sends; set InternalReflect for the
+	// paper's containment.
 	Policy Policy
 	// IdleTimeout recycles VMs idle this long; 0 keeps the default of
 	// 60 s; negative disables recycling.

@@ -1,33 +1,57 @@
 #!/usr/bin/env bash
 # alloc_gate.sh — fail if the parallel shard-replay path allocates more
-# than the sequential oracle (beyond a 5% tolerance).
+# than the sequential oracle (beyond a 5% tolerance), or if sequential
+# shard replay itself allocates past its recorded ceilings.
 #
 # Reads `go test -bench BenchmarkShardReplay... -benchmem` output on
 # stdin. The parallel runner's whole point is that epoch exchange,
 # cross-shard payloads, and sink appends reuse preallocated storage; a
 # parallel allocs/op figure above sequential * 1.05 means a pooling
 # regression slipped in.
+#
+# The sequential ceilings hold what delta frames bought: a CoW fault
+# costs the bytes written, not a page copy, and not a heap object
+# either. B/op is 20% above the figure recorded with that change
+# (11.9 MB/op; it was 186 MB/op while every fault copied 4 KiB);
+# allocs/op is the figure from before it, which it may never exceed.
 set -euo pipefail
 
-awk '
+SEQ_BYTES_CEILING=14300000
+SEQ_ALLOCS_CEILING=106584
+
+awk -v bytes_ceiling="$SEQ_BYTES_CEILING" -v allocs_ceiling="$SEQ_ALLOCS_CEILING" '
     { print }  # pass through so the CI log stays readable
     /^BenchmarkShardReplaySequential/ {
-        for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") seq = $i
+        for (i = 2; i < NF; i++) {
+            if ($(i+1) == "allocs/op") seq = $i
+            if ($(i+1) == "B/op") seqbytes = $i
+        }
     }
     /^BenchmarkShardReplayParallel/ {
         for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") par = $i
     }
     END {
-        if (seq == "" || par == "") {
+        if (seq == "" || par == "" || seqbytes == "") {
             print "alloc-gate: missing benchmark output (need both ShardReplaySequential and ShardReplayParallel with -benchmem)" > "/dev/stderr"
             exit 1
         }
         limit = seq * 1.05
         printf "alloc-gate: sequential %.0f allocs/op, parallel %.0f allocs/op (limit %.0f)\n", seq, par, limit
+        printf "alloc-gate: sequential %.0f B/op (ceiling %.0f), %.0f allocs/op (ceiling %.0f)\n", seqbytes, bytes_ceiling, seq, allocs_ceiling
+        fail = 0
         if (par + 0 > limit) {
             print "alloc-gate: FAIL — parallel allocates more than sequential * 1.05" > "/dev/stderr"
-            exit 1
+            fail = 1
         }
+        if (seqbytes + 0 > bytes_ceiling + 0) {
+            print "alloc-gate: FAIL — sequential shard replay allocates more bytes per op than its ceiling" > "/dev/stderr"
+            fail = 1
+        }
+        if (seq + 0 > allocs_ceiling + 0) {
+            print "alloc-gate: FAIL — sequential shard replay allocates more objects per op than its ceiling" > "/dev/stderr"
+            fail = 1
+        }
+        if (fail) exit 1
         print "alloc-gate: OK"
     }
 '
