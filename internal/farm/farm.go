@@ -179,8 +179,21 @@ type Farm struct {
 
 	stats Stats
 	met   farmMetrics
-	gi    *guest.Instruments
 	rr    int // round-robin cursor for tie-breaking
+
+	// What every guest is built with: the uplink sender and the hooks
+	// (infection observer, shared instruments) close over the farm
+	// alone, so they are made once, not per clone.
+	send  guest.Sender
+	hooks guest.Hooks
+
+	// Free lists. A spawn costs a request record and a FarmVM, a packet
+	// crossing the intra-farm hop costs a timer callback holding it;
+	// each comes from here and returns when its last user is done, so
+	// clone → serve → reclaim allocates nothing on a warmed farm.
+	freeReqs []*spawnReq
+	freeVMs  []*FarmVM
+	freeHops []*hop
 	// tr, when non-nil, records placement spans under the gateway's
 	// binding trace (shared via the tracer's per-address context).
 	tr *trace.Tracer
@@ -200,7 +213,8 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 		cfg.PickTarget = func(r *sim.RNG) netsim.Addr { return netsim.Addr(r.Uint64n(1 << 32)) }
 	}
 	f := &Farm{Cfg: cfg, K: k, byAddr: make(map[netsim.Addr]*FarmVM)}
-	f.gi = guest.NewInstruments(cfg.Metrics)
+	f.send = f.uplink
+	f.hooks = guest.Hooks{OnInfected: f.infected, Metrics: guest.NewInstruments(cfg.Metrics)}
 	if m := cfg.Metrics; m != nil {
 		f.met = farmMetrics{
 			spawns:        m.Counter("farm_spawns_total"),
@@ -283,7 +297,10 @@ func (f *Farm) InfectedVMs() int {
 	return n
 }
 
-// Instance returns the live guest bound to addr, or nil.
+// Instance returns the live guest bound to addr, or nil. Like VMAt's and
+// EachInstance's, the handle is good until the VM is reclaimed: the
+// farm, the VMM and the guest layer all reuse a reclaimed VM's structs
+// for a later clone.
 func (f *Farm) Instance(addr netsim.Addr) *guest.Instance {
 	if fv, ok := f.byAddr[addr]; ok {
 		return fv.Guest
@@ -426,8 +443,13 @@ func (f *Farm) PrepareSnapshotImages(name string, warmup time.Duration) error {
 }
 
 // spawnReq tracks one gateway VM request through retries and server
-// failures until its ready callback has fired.
+// failures until its ready callback has fired. A request that ends in a
+// VM goes back to the farm's free list; onCloned is req.cloned, bound
+// once for the struct's lifetime.
 type spawnReq struct {
+	f        *Farm
+	onCloned func(*vmm.VM)
+
 	addr    netsim.Addr
 	hint    gateway.SpawnHint
 	ready   func(gateway.VMRef, error)
@@ -448,7 +470,12 @@ type spawnReq struct {
 // backoff, up to Cfg.RetryBudget extra attempts; ready fires exactly
 // once either way.
 func (f *Farm) RequestVM(now sim.Time, addr netsim.Addr, hint gateway.SpawnHint, ready func(gateway.VMRef, error)) {
-	req := &spawnReq{addr: addr, hint: hint, ready: ready}
+	req := pop(&f.freeReqs)
+	if req == nil {
+		req = &spawnReq{f: f}
+		req.onCloned = req.cloned
+	}
+	req.addr, req.hint, req.ready = addr, hint, ready
 	if f.tr != nil {
 		req.parent = f.tr.Current(uint64(addr))
 	}
@@ -471,31 +498,13 @@ func (f *Farm) trySpawn(now sim.Time, req *spawnReq, avoid *vmm.VMHost) {
 	}
 	ps.SetAttr("server", h.Cfg.Name)
 	req.host = h
-	onReady := func(vm *vmm.VM) {
-		if req.done {
-			// The request already concluded elsewhere (crash-triggered
-			// retry); never resurrect a superseded clone.
-			h.Destroy(vm.ID)
-			return
-		}
-		ps.Finish(f.K.Now())
-		f.finish(req)
-		fv := f.attachGuest(h, vm, req.addr)
-		f.stats.Spawns++
-		f.met.spawns.Inc()
-		f.met.liveVMs.Add(1)
-		if live := f.LiveVMs(); live > f.stats.PeakLiveVMs {
-			f.stats.PeakLiveVMs = live
-		}
-		req.ready(fv, nil)
-	}
 	// The VMM parents its clone span under this attempt's placement span.
 	f.tr.Push(uint64(req.addr), ps)
 	var err error
 	if f.Cfg.FullBoot {
-		_, err = h.FullBoot(f.Cfg.Image.Name, req.addr, onReady)
+		_, err = h.FullBoot(f.Cfg.Image.Name, req.addr, req.onCloned)
 	} else {
-		_, err = h.FlashClone(f.Cfg.Image.Name, req.addr, onReady)
+		_, err = h.FlashClone(f.Cfg.Image.Name, req.addr, req.onCloned)
 	}
 	f.tr.Pop(uint64(req.addr), ps)
 	if err != nil {
@@ -507,6 +516,30 @@ func (f *Farm) trySpawn(now sim.Time, req *spawnReq, avoid *vmm.VMHost) {
 	if live := f.LiveVMs(); live > f.stats.PeakLiveVMs {
 		f.stats.PeakLiveVMs = live
 	}
+}
+
+// cloned is the VMM's ready callback for req's current attempt (on
+// req.host, under req.span). Only one attempt's clone is ever alive: an
+// attempt ends early only by its server crashing, which destroys the
+// clone (it never comes up) before the retry is placed.
+func (req *spawnReq) cloned(vm *vmm.VM) {
+	f, h := req.f, req.host
+	if req.done {
+		panic("farm: a clone came up for a request that had already concluded")
+	}
+	req.span.Finish(f.K.Now())
+	f.finish(req)
+	fv := f.attachGuest(h, vm, req.addr)
+	f.stats.Spawns++
+	f.met.spawns.Inc()
+	f.met.liveVMs.Add(1)
+	if live := f.LiveVMs(); live > f.stats.PeakLiveVMs {
+		f.stats.PeakLiveVMs = live
+	}
+	ready := req.ready
+	*req = spawnReq{f: f, onCloned: req.onCloned}
+	f.freeReqs = append(f.freeReqs, req)
+	ready(fv, nil)
 }
 
 // failOrRetry retries a failed spawn after backoff while budget
@@ -556,34 +589,16 @@ func (f *Farm) finish(req *spawnReq) {
 
 // attachGuest builds the guest instance for a freshly-ready VM.
 func (f *Farm) attachGuest(h *vmm.VMHost, vm *vmm.VM, addr netsim.Addr) *FarmVM {
-	fv := &FarmVM{farm: f, VM: vm, Host: h}
-	send := func(pkt *netsim.Packet) {
-		if f.linkDown {
-			f.stats.LinkDrops++
-			f.met.linkDrops.Inc()
-			return
-		}
-		f.K.After(f.Cfg.UplinkLatency, func(now sim.Time) {
-			if f.gw != nil {
-				f.gw.HandleOutbound(now, pkt)
-			}
-		})
+	fv := pop(&f.freeVMs)
+	if fv == nil {
+		fv = new(FarmVM)
 	}
-	hooks := guest.Hooks{
-		OnInfected: func(in *guest.Instance) {
-			f.stats.Infections++
-			f.met.infections.Inc()
-			if f.Cfg.OnInfected != nil {
-				f.Cfg.OnInfected(f.K.Now(), in)
-			}
-		},
-		Metrics: f.gi,
-	}
+	*fv = FarmVM{farm: f, VM: vm, Host: h}
 	pick := f.Cfg.PickTarget
 	if f.Cfg.PickTargetFor != nil {
 		pick = f.Cfg.PickTargetFor(addr)
 	}
-	fv.Guest = guest.New(f.K, vm, f.profileFor(addr), send, pick, hooks)
+	fv.Guest = guest.New(f.K, vm, f.profileFor(addr), f.send, pick, f.hooks)
 	fv.Guest.Start()
 	// A late clone for a recycled-and-rebound address must not displace
 	// the current holder's registration; it will be destroyed right after
@@ -592,6 +607,94 @@ func (f *Farm) attachGuest(h *vmm.VMHost, vm *vmm.VM, addr netsim.Addr) *FarmVM 
 		f.byAddr[addr] = fv
 	}
 	return fv
+}
+
+// pop takes the most recently freed item off a free list, or returns nil.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	item := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return item
+}
+
+// uplink is every guest's Sender: the packet crosses the intra-farm hop
+// to the gateway's containment engine.
+func (f *Farm) uplink(pkt *netsim.Packet) {
+	if f.linkDown {
+		f.stats.LinkDrops++
+		f.met.linkDrops.Inc()
+		return
+	}
+	f.K.After(f.Cfg.UplinkLatency, f.newHop(nil, pkt).fire)
+}
+
+// infected is every guest's OnInfected hook.
+func (f *Farm) infected(in *guest.Instance) {
+	f.stats.Infections++
+	f.met.infections.Inc()
+	if f.Cfg.OnInfected != nil {
+		f.Cfg.OnInfected(f.K.Now(), in)
+	}
+}
+
+// hop is one packet in flight on the intra-farm link: the kernel event
+// that holds it until the link latency has passed. to is the receiving
+// VM for the downlink direction, nil for the uplink. fire is hp.arrive,
+// bound once for the struct's lifetime; the struct returns to the
+// farm's free list when it fires.
+type hop struct {
+	f    *Farm
+	to   *FarmVM
+	pkt  *netsim.Packet
+	fire sim.Event
+
+	// own and buf are storage for the copy of an ephemeral packet, which
+	// its sender reuses as soon as it has handed it over. The copy stays
+	// marked Ephemeral: it is only good until the hop lands.
+	own netsim.Packet
+	buf []byte
+}
+
+// newHop puts pkt on the link toward fv (nil: toward the gateway).
+func (f *Farm) newHop(fv *FarmVM, pkt *netsim.Packet) *hop {
+	hp := pop(&f.freeHops)
+	if hp == nil {
+		hp = &hop{f: f}
+		hp.fire = hp.arrive
+	}
+	hp.to, hp.pkt = fv, pkt
+	if pkt.Ephemeral {
+		hp.own = *pkt
+		if pkt.Payload != nil {
+			hp.buf = append(hp.buf[:0], pkt.Payload...)
+			hp.own.Payload = hp.buf
+		}
+		hp.pkt = &hp.own
+	}
+	return hp
+}
+
+func (hp *hop) arrive(now sim.Time) {
+	f, fv := hp.f, hp.to
+	switch {
+	case fv == nil:
+		if f.gw != nil {
+			f.gw.HandleOutbound(now, hp.pkt)
+		}
+	case !fv.dead && fv.VM.State == vmm.StateRunning:
+		fv.Guest.HandlePacket(now, hp.pkt)
+	}
+	hp.to, hp.pkt = nil, nil
+	f.freeHops = append(f.freeHops, hp)
+	if fv != nil {
+		if fv.arriving--; fv.dead && fv.arriving == 0 {
+			f.freeVMs = append(f.freeVMs, fv)
+		}
+	}
 }
 
 // profileFor picks the guest personality for an address: the fixed
@@ -607,54 +710,65 @@ func (f *Farm) profileFor(addr netsim.Addr) *guest.Profile {
 	return f.Cfg.Profiles[h%uint64(len(f.Cfg.Profiles))]
 }
 
-// FarmVM adapts a (VM, guest) pair to gateway.VMRef.
+// FarmVM adapts a (VM, guest) pair to gateway.VMRef. It is valid until
+// Destroy: the farm reuses the struct for a later clone.
 type FarmVM struct {
 	VM    *vmm.VM
 	Host  *vmm.VMHost
 	Guest *guest.Instance
 
 	farm *Farm
+	// dead is set by Destroy; arriving counts downlink hops still in
+	// flight toward this VM. A destroyed FarmVM joins the free list only
+	// once the last of them has landed (and been dropped), so no hop can
+	// find a later tenant behind the pointer it carries.
+	dead     bool
+	arriving int
 }
 
 // Deliver implements gateway.VMRef: the packet crosses the intra-farm
 // hop, then the guest handles it (if the VM is still running by then).
 func (fv *FarmVM) Deliver(now sim.Time, pkt *netsim.Packet) {
-	if fv.VM.State != vmm.StateRunning {
+	if fv.dead || fv.VM.State != vmm.StateRunning {
 		return
 	}
-	if fv.farm.linkDown {
-		fv.farm.stats.LinkDrops++
-		fv.farm.met.linkDrops.Inc()
+	f := fv.farm
+	if f.linkDown {
+		f.stats.LinkDrops++
+		f.met.linkDrops.Inc()
 		return
 	}
 	fv.Host.ChargeCPU(now, fv.Host.Cfg.CPU.PerPacket)
-	if d := fv.farm.Cfg.DownlinkLatency; d > 0 {
-		if pkt.Ephemeral {
-			pkt = pkt.Clone() // held by the timer past this dispatch
-		}
-		fv.farm.K.After(d, func(then sim.Time) {
-			if fv.VM.State == vmm.StateRunning {
-				fv.Guest.HandlePacket(then, pkt)
-			}
-		})
+	d := f.Cfg.DownlinkLatency
+	if d <= 0 {
+		fv.Guest.HandlePacket(now, pkt)
 		return
 	}
-	fv.Guest.HandlePacket(now, pkt)
+	fv.arriving++
+	f.K.After(d, f.newHop(fv, pkt).fire)
 }
 
 // Destroy implements gateway.VMRef: stop the guest and reclaim the VM.
 func (fv *FarmVM) Destroy(_ sim.Time) {
+	if fv.dead {
+		return
+	}
+	fv.dead = true
+	f, ip := fv.farm, fv.VM.IP
 	fv.Guest.Stop()
 	fv.Host.Destroy(fv.VM.ID)
 	// Another VM may already hold this address (a late clone destroyed
 	// after its binding was recycled and re-bound); only unregister if
 	// the entry is ours.
-	if cur, ok := fv.farm.byAddr[fv.VM.IP]; ok && cur == fv {
-		delete(fv.farm.byAddr, fv.VM.IP)
+	if cur, ok := f.byAddr[ip]; ok && cur == fv {
+		delete(f.byAddr, ip)
 	}
-	fv.farm.stats.Reclaims++
-	fv.farm.met.reclaims.Inc()
-	fv.farm.met.liveVMs.Add(-1)
+	f.stats.Reclaims++
+	f.met.reclaims.Inc()
+	f.met.liveVMs.Add(-1)
+	if fv.arriving == 0 {
+		f.freeVMs = append(f.freeVMs, fv)
+	}
 }
 
 // CheckInvariants verifies memory refcount consistency on every server.

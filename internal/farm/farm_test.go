@@ -55,7 +55,7 @@ func TestProbeSpawnsVMAndGetsReply(t *testing.T) {
 	var replies []*netsim.Packet
 	r := newRig(t, nil, func(c *gateway.Config) {
 		c.Policy = gateway.PolicyReflectSource
-		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { replies = append(replies, p) }
+		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { replies = append(replies, p.Clone()) }
 	})
 	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
 	r.k.RunFor(2 * time.Second)

@@ -18,7 +18,9 @@ const (
 )
 
 // Binding is the gateway's per-address state: the IP→VM mapping plus
-// the flow context containment decisions need.
+// the flow context containment decisions need. A *Binding is valid
+// until the binding is recycled: the gateway reuses the struct, maps
+// cleared, for a later address.
 type Binding struct {
 	Addr  netsim.Addr
 	State BindingState
@@ -42,8 +44,9 @@ type Binding struct {
 	outTargets map[netsim.Addr]struct{}
 	detected   bool
 
-	// rate is the outbound token bucket (lazily created).
-	rate *bucket
+	// rate is the outbound token bucket, filled on first use (limited).
+	rate    bucket
+	limited bool
 
 	// Tracing state (nil/empty when Config.Tracer is unset). span is the
 	// binding's root span; spawnSpan covers the current clone request;
@@ -54,17 +57,65 @@ type Binding struct {
 	spawnSpan  *trace.Span
 	activeSpan *trace.Span
 	pendingAt  []sim.Time
+
+	// Recycling state. onReady is b.vmReady, bound once for the struct's
+	// lifetime and handed to the backend with every VM request; attempt
+	// is the retries that request has spent. waiting is set while a
+	// backend answer or a retry timer is outstanding (one at a time),
+	// gone once the binding has been recycled: a binding recycled
+	// mid-wait joins the free list only when the wait ends, so a late
+	// answer can never reach a later tenant. gen counts tenants, for the
+	// expiry heap's stale entries, which have no such end.
+	g       *Gateway
+	onReady func(VMRef, error)
+	attempt int
+	waiting bool
+	gone    bool
+	gen     uint32
 }
 
-func newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding {
-	return &Binding{
+// newBinding returns a pending binding for addr, on a recycled struct
+// when the gateway has one: its maps are cleared and its slices
+// truncated, so nothing of the last tenant — peer, target, detection,
+// span, queued packet — survives.
+func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding {
+	var b *Binding
+	if n := len(g.freeBindings); n > 0 {
+		b, g.freeBindings[n-1] = g.freeBindings[n-1], nil
+		g.freeBindings = g.freeBindings[:n-1]
+		clear(b.peers)
+		clear(b.outTargets)
+		clear(b.pending)
+	} else {
+		b = &Binding{
+			peers:      make(map[netsim.Addr]struct{}),
+			outTargets: make(map[netsim.Addr]struct{}),
+		}
+		b.onReady = b.vmReady
+	}
+	*b = Binding{
 		Addr:       addr,
 		State:      BindingPending,
 		Hint:       hint,
 		CreatedAt:  now,
 		LastActive: now,
-		peers:      make(map[netsim.Addr]struct{}),
-		outTargets: make(map[netsim.Addr]struct{}),
+		pending:    b.pending[:0],
+		peers:      b.peers,
+		peerOrder:  b.peerOrder[:0],
+		outTargets: b.outTargets,
+		pendingAt:  b.pendingAt[:0],
+		g:          g,
+		onReady:    b.onReady,
+		gen:        b.gen + 1,
+	}
+	return b
+}
+
+// release puts a recycled binding on the free list once nothing is
+// waiting to call it back.
+func (b *Binding) release() {
+	if b.gone && !b.waiting {
+		b.g.freeBindings = append(b.g.freeBindings, b)
 	}
 }
 
@@ -77,7 +128,9 @@ func (b *Binding) notePeer(addr netsim.Addr, limit int) {
 	}
 	for len(b.peers) >= limit && len(b.peerOrder) > 0 {
 		oldest := b.peerOrder[0]
-		b.peerOrder = b.peerOrder[1:]
+		// Shift rather than reslice: the array is the binding's for
+		// good, and a resliced head would be lost to every later tenant.
+		b.peerOrder = b.peerOrder[:copy(b.peerOrder, b.peerOrder[1:])]
 		delete(b.peers, oldest)
 	}
 	b.peers[addr] = struct{}{}

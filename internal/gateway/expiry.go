@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"container/heap"
-
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
@@ -22,8 +20,9 @@ import (
 //     heap can fire early (the entry is then re-pushed at the true
 //     deadline) but never late.
 //   - Recycling does not remove entries. A popped entry is validated
-//     against g.bindings by pointer; entries for recycled (or rebound —
-//     the address may carry a new *Binding) bindings are dropped.
+//     against g.bindings by pointer and tenant generation (Binding
+//     structs are reused); entries for recycled (or rebound — the
+//     address may carry a new binding) bindings are dropped.
 //   - Entries for pinned-detected bindings are dropped permanently:
 //     Binding.detected is sticky, so such a binding can never become
 //     scrubbable again (RecycleAll and backend-loss recycling don't
@@ -36,27 +35,56 @@ type expiryEntry struct {
 	at   sim.Time
 	seq  uint64
 	addr netsim.Addr
+	gen  uint32
 	b    *Binding
 }
 
+// expiryHeap is a binary min-heap on (at, seq). It is written out
+// rather than driven through container/heap because that interface
+// boxes every entry pushed and popped: two heap objects per binding.
 type expiryHeap []expiryEntry
 
-func (h expiryHeap) Len() int { return len(h) }
-func (h expiryHeap) Less(i, j int) bool {
+func (h expiryHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryEntry)) }
-func (h *expiryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = expiryEntry{}
-	*h = old[:n-1]
-	return e
+
+func (h *expiryHeap) push(e expiryEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *expiryHeap) pop() expiryEntry {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = expiryEntry{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if s.less(c, least) {
+				least = c
+			}
+		}
+		if least == i {
+			return top
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
 }
 
 // bindingDeadline computes when b becomes scrubbable: the earlier of
@@ -82,5 +110,5 @@ func (g *Gateway) scheduleExpiry(addr netsim.Addr, b *Binding) {
 		return
 	}
 	g.expirySeq++
-	heap.Push(&g.expiry, expiryEntry{at: at, seq: g.expirySeq, addr: addr, b: b})
+	g.expiry.push(expiryEntry{at: at, seq: g.expirySeq, addr: addr, gen: b.gen, b: b})
 }

@@ -19,8 +19,8 @@
 package gateway
 
 import (
-	"container/heap"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,7 +168,9 @@ type Config struct {
 	ScanFilter int
 
 	// ExternalOut receives packets the policy allows to leave (open
-	// policy, reflect-to-source, DNS). Nil means count-and-drop.
+	// policy, reflect-to-source, DNS). Nil means count-and-drop. Like
+	// every consumer of gateway traffic it must Clone a packet marked
+	// Ephemeral to keep it past the call.
 	ExternalOut func(now sim.Time, pkt *netsim.Packet)
 
 	// OnDetected fires when the scan detector flags a binding.
@@ -290,6 +292,11 @@ type Gateway struct {
 	// expirySeq breaks deadline ties deterministically.
 	expiry    expiryHeap
 	expirySeq uint64
+	// scrubbed and requeued are scrubOnce's working lists, kept between
+	// ticks; freeBindings are recycled bindings' structs, maps attached.
+	scrubbed     []netsim.Addr
+	requeued     []*Binding
+	freeBindings []*Binding
 	// pendingDepth is the live count of packets queued across all
 	// pending bindings (the Stats.PendingQueued gauge).
 	pendingDepth int
@@ -408,7 +415,8 @@ func (g *Gateway) Stats() Stats {
 // NumBindings returns the number of live bindings (pending + active).
 func (g *Gateway) NumBindings() int { return len(g.bindings) }
 
-// Binding returns the binding for addr, or nil.
+// Binding returns the binding for addr, or nil. The handle is good until
+// the binding is recycled (see Binding).
 func (g *Gateway) Binding(addr netsim.Addr) *Binding { return g.bindings[addr] }
 
 // Close stops background recycling.
@@ -442,13 +450,11 @@ func (g *Gateway) Scrub(now sim.Time) { g.scrubOnce(now) }
 // Expired addresses are recycled in sorted order so the event log is a
 // pure function of the seed.
 func (g *Gateway) scrubOnce(now sim.Time) {
-	var expired []netsim.Addr
-	var requeue []*Binding
-	var requeueAddrs []netsim.Addr
+	expired, requeue := g.scrubbed[:0], g.requeued[:0]
 	for len(g.expiry) > 0 && g.expiry[0].at <= now {
-		e := heap.Pop(&g.expiry).(expiryEntry)
+		e := g.expiry.pop()
 		b, ok := g.bindings[e.addr]
-		if !ok || b != e.b {
+		if !ok || b != e.b || b.gen != e.gen {
 			continue // stale: recycled, or the address was rebound
 		}
 		if g.Cfg.PinDetected && b.detected {
@@ -462,18 +468,19 @@ func (g *Gateway) scrubOnce(now sim.Time) {
 			// already have arrived, and pushing it now would pop again
 			// in this same pass.
 			requeue = append(requeue, b)
-			requeueAddrs = append(requeueAddrs, e.addr)
 			continue
 		}
 		expired = append(expired, e.addr)
 	}
-	for i, b := range requeue {
-		g.scheduleExpiry(requeueAddrs[i], b)
+	for _, b := range requeue {
+		g.scheduleExpiry(b.Addr, b)
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, addr := range expired {
 		g.recycle(now, addr, g.bindings[addr])
 	}
+	clear(requeue)
+	g.scrubbed, g.requeued = expired[:0], requeue[:0]
 }
 
 func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
@@ -507,6 +514,8 @@ func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
 		// pushed above the root, and a plain Pop would strand it.
 		tr.Clear(uint64(addr))
 	}
+	b.gone = true
+	b.release()
 }
 
 // RecycleBinding implements Recycler: the backend reports it lost the

@@ -107,7 +107,7 @@ func (g *Gateway) bind(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding 
 		g.logEvent(now, EvShed, addr, hint.Source, "")
 		return nil
 	}
-	b := newBinding(now, addr, hint)
+	b := g.newBinding(now, addr, hint)
 	g.bindings[addr] = b
 	g.scheduleExpiry(addr, b)
 	g.stats.BindingsCreated++
@@ -132,74 +132,82 @@ func (g *Gateway) bind(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding 
 		tr.Push(uint64(addr), b.span)
 	}
 	g.logEvent(now, EvBound, addr, hint.Source, detail)
-	g.requestVM(now, addr, b, hint, 0)
+	g.requestVM(now, b)
 	return g.bindings[addr]
 }
 
-// requestVM asks the backend for addr's VM, attempt counting retries
+// requestVM asks the backend for b's VM, b.attempt counting retries
 // already spent. On failure it retries with exponential backoff while
 // budget remains and the binding is still current; the final failure
 // recycles the binding (keeping BindingsCreated == live + recycled).
-func (g *Gateway) requestVM(now sim.Time, addr netsim.Addr, b *Binding, hint SpawnHint, attempt int) {
+func (g *Gateway) requestVM(now sim.Time, b *Binding) {
 	tr := g.Cfg.Tracer
 	if tr != nil && b.span != nil {
 		b.spawnSpan = tr.StartChild(now, b.span, "spawn",
-			trace.Attr{K: "attempt", V: strconv.Itoa(attempt)})
+			trace.Attr{K: "attempt", V: strconv.Itoa(b.attempt)})
 		// Expose the spawn span as the address's current context so the
 		// backend (farm) parents its placement span under it. RequestVM
 		// returns synchronously even when ready fires later, so the Pop
 		// below restores the root before control returns to the caller.
-		tr.Push(uint64(addr), b.spawnSpan)
-		defer tr.Pop(uint64(addr), b.spawnSpan)
+		tr.Push(uint64(b.Addr), b.spawnSpan)
+		defer tr.Pop(uint64(b.Addr), b.spawnSpan)
 	}
-	g.backend.RequestVM(now, addr, hint, func(vm VMRef, err error) {
-		// The binding may have been recycled while the clone was in
-		// flight; in that case destroy the late VM.
-		cur, ok := g.bindings[addr]
-		if !ok || cur != b {
-			if vm != nil {
-				vm.Destroy(g.K.Now())
-			}
-			return
+	b.waiting = true
+	g.backend.RequestVM(now, b.Addr, b.Hint, b.onReady)
+}
+
+// vmReady is the backend's answer to requestVM.
+func (b *Binding) vmReady(vm VMRef, err error) {
+	g := b.g
+	b.waiting = false
+	// The binding may have been recycled while the clone was in
+	// flight; in that case destroy the late VM.
+	if b.gone {
+		if vm != nil {
+			vm.Destroy(g.K.Now())
 		}
-		if err != nil {
-			g.spawnFailed(addr, b, hint, attempt, err)
-			return
+		b.release()
+		return
+	}
+	if err != nil {
+		g.spawnFailed(b, err)
+		return
+	}
+	b.VM = vm
+	b.State = BindingActive
+	flushAt := g.K.Now()
+	b.spawnSpan.Finish(flushAt)
+	g.logEvent(flushAt, EvActive, b.Addr, 0, "")
+	if tr := g.Cfg.Tracer; tr != nil && b.span != nil {
+		b.activeSpan = tr.StartChild(flushAt, b.span, "active")
+		for _, at := range b.pendingAt {
+			tr.ObserveStage("pending-wait", flushAt.Sub(at).Seconds()*1e3)
 		}
-		b.VM = vm
-		b.State = BindingActive
-		flushAt := g.K.Now()
-		b.spawnSpan.Finish(flushAt)
-		g.logEvent(flushAt, EvActive, addr, 0, "")
-		if tr != nil && b.span != nil {
-			b.activeSpan = tr.StartChild(flushAt, b.span, "active")
-			for _, at := range b.pendingAt {
-				tr.ObserveStage("pending-wait", flushAt.Sub(at).Seconds()*1e3)
-			}
-			b.pendingAt = nil
-		}
-		g.pendingDepth -= len(b.pending)
-		g.met.pendingQueued.Add(-int64(len(b.pending)))
-		for _, queued := range b.pending {
-			g.stats.DeliveredToVM++
-			g.met.delivered.Inc()
-			g.capture(flushAt, CapToVM, queued)
-			vm.Deliver(flushAt, queued)
-		}
-		b.pending = nil
-	})
+		b.pendingAt = b.pendingAt[:0]
+	}
+	g.pendingDepth -= len(b.pending)
+	g.met.pendingQueued.Add(-int64(len(b.pending)))
+	for _, queued := range b.pending {
+		g.stats.DeliveredToVM++
+		g.met.delivered.Inc()
+		g.capture(flushAt, CapToVM, queued)
+		vm.Deliver(flushAt, queued)
+	}
+	clear(b.pending)
+	b.pending = b.pending[:0]
 }
 
 // spawnFailed handles a backend error for a still-current binding:
 // retry after backoff if budget remains, otherwise tear down. The
 // pending queue rides along across retries untouched.
-func (g *Gateway) spawnFailed(addr netsim.Addr, b *Binding, hint SpawnHint, attempt int, err error) {
+func (g *Gateway) spawnFailed(b *Binding, err error) {
 	now := g.K.Now()
+	addr := b.Addr
 	if b.spawnSpan != nil && !b.spawnSpan.Done() {
 		b.spawnSpan.Event(now, "spawn-error", err.Error())
 		b.spawnSpan.Finish(now)
 	}
-	if attempt < g.Cfg.SpawnRetryBudget {
+	if b.attempt < g.Cfg.SpawnRetryBudget {
 		g.stats.SpawnRetries++
 		g.met.spawnRetries.Inc()
 		g.logEvent(now, EvSpawnRetry, addr, 0, err.Error())
@@ -207,11 +215,15 @@ func (g *Gateway) spawnFailed(addr netsim.Addr, b *Binding, hint SpawnHint, atte
 		if backoff <= 0 {
 			backoff = 100 * time.Millisecond
 		}
-		g.K.After(backoff<<attempt, func(then sim.Time) {
-			if cur, ok := g.bindings[addr]; !ok || cur != b {
-				return // recycled while backing off
+		b.waiting = true
+		g.K.After(backoff<<b.attempt, func(then sim.Time) {
+			b.waiting = false
+			if b.gone {
+				b.release() // recycled while backing off
+				return
 			}
-			g.requestVM(then, addr, b, hint, attempt+1)
+			b.attempt++
+			g.requestVM(then, b)
 		})
 		return
 	}

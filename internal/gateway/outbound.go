@@ -60,6 +60,9 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 	if g.Cfg.Space.Contains(pkt.Dst) {
 		g.stats.OutInternal++
 		if g.reinject != nil && g.owns != nil && !g.owns(pkt.Dst) {
+			if pkt.Ephemeral {
+				pkt = pkt.Clone() // it rides the shard router past this dispatch
+			}
 			g.reinject(now, pkt)
 		} else {
 			g.HandleInbound(now, pkt)

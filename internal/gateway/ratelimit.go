@@ -64,7 +64,7 @@ func (g *Gateway) allowOutbound(now sim.Time, b *Binding) bool {
 	if !g.Cfg.OutboundLimit.Enabled() || b == nil {
 		return true
 	}
-	if b.rate == nil {
+	if !b.limited {
 		burst := g.Cfg.OutboundLimit.Burst
 		if burst <= 0 {
 			burst = g.Cfg.OutboundLimit.Rate / 2
@@ -72,7 +72,7 @@ func (g *Gateway) allowOutbound(now sim.Time, b *Binding) bool {
 				burst = 1
 			}
 		}
-		b.rate = &bucket{tokens: burst, last: now}
+		b.rate, b.limited = bucket{tokens: burst, last: now}, true
 	}
 	if b.rate.take(now, g.Cfg.OutboundLimit) {
 		return true

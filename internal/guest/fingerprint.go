@@ -35,16 +35,18 @@ func (in *Instance) scheduleCanary() {
 	if in.Profile.CanaryRatePerSec <= 0 || in.pick == nil {
 		return
 	}
-	gap := time.Duration(in.rng.Exp(1e9 / in.Profile.CanaryRatePerSec))
-	in.K.After(gap, func(sim.Time) {
-		if !in.active() {
-			return
-		}
-		if in.VM.State == vmm.StateRunning {
-			in.emitCanary()
-		}
-		in.scheduleCanary()
-	})
+	in.after(time.Duration(in.rng.Exp(1e9/in.Profile.CanaryRatePerSec)), in.onCanary)
+}
+
+func (in *Instance) canaryTick(sim.Time) {
+	in.fired()
+	if !in.active() {
+		return
+	}
+	if in.VM.State == vmm.StateRunning {
+		in.emitCanary()
+	}
+	in.scheduleCanary()
 }
 
 // emitCanary opens a canary connection: a plain SYN to a picked
@@ -52,35 +54,39 @@ func (in *Instance) scheduleCanary() {
 // any) clears suspicion. The timeout fires on the kernel, so the whole
 // check is deterministic.
 func (in *Instance) emitCanary() {
-	dst := in.pick(in.rng)
+	dst := in.pick(&in.rng)
 	srcPort := in.ephemeralPort()
 	now := in.K.Now()
-	c := &tcpConn{
-		key: netsim.FlowKey{
-			Src: in.IP, Dst: dst, SrcPort: srcPort, DstPort: in.Profile.canaryPort(),
-			Proto: netsim.ProtoTCP,
-		},
+	key := netsim.FlowKey{
+		Src: in.IP, Dst: dst, SrcPort: srcPort, DstPort: in.Profile.canaryPort(),
+		Proto: netsim.ProtoTCP,
+	}
+	iss := uint32(in.rng.Uint64()) | 1
+	in.conns.insert(now, tcpConn{
+		key:    key,
 		state:  tcpSynSent,
-		iss:    uint32(in.rng.Uint64()) | 1,
+		iss:    iss,
+		sndNxt: iss + 1,
 		client: true,
 		canary: true,
-	}
-	c.sndNxt = c.iss + 1
-	in.conns.insert(now, c)
+	})
 	in.stats.CanariesOut++
 	in.actions++
 	in.inst.Canaries.Inc()
 	in.VM.Touch(now)
-	in.sendSegment(dst, srcPort, c.key.DstPort, c.iss, 0, netsim.FlagSYN, nil)
+	in.sendSegment(dst, srcPort, key.DstPort, iss, 0, netsim.FlagSYN, nil)
 
-	key := c.key
-	in.K.After(in.Profile.canaryTimeout(), func(sim.Time) {
+	in.after(in.Profile.canaryTimeout(), func(sim.Time) {
+		in.fired()
+		if in.stopped {
+			return
+		}
 		cc := in.conns.lookup(key)
 		if cc == nil || !cc.canary || cc.state != tcpSynSent {
 			return // answered (or evicted); answered canaries reset suspicion
 		}
-		in.conns.remove(key)
-		if in.stopped || !in.Infected || in.quiet {
+		in.conns.remove(cc)
+		if !in.Infected || in.quiet {
 			return
 		}
 		in.suspicion++
@@ -97,7 +103,7 @@ func (in *Instance) canaryAnswered(c *tcpConn) {
 	// Be polite: reset the probe connection like a scanner would.
 	in.sendSegment(c.key.Dst, c.key.SrcPort, c.key.DstPort,
 		c.sndNxt, c.rcvNxt, netsim.FlagRST, nil)
-	in.conns.remove(c.key)
+	in.conns.remove(c)
 }
 
 // goQuiet is the fingerprint decision: the guest concludes it is in a
@@ -117,15 +123,18 @@ func (in *Instance) scheduleBeacon() {
 	if in.Profile.C2Server == 0 {
 		return
 	}
-	in.K.After(in.Profile.beaconPeriod(), func(sim.Time) {
-		if !in.active() {
-			return
-		}
-		if in.VM.State == vmm.StateRunning {
-			in.emitBeacon()
-		}
-		in.scheduleBeacon()
-	})
+	in.after(in.Profile.beaconPeriod(), in.onBeacon)
+}
+
+func (in *Instance) beaconTick(sim.Time) {
+	in.fired()
+	if !in.active() {
+		return
+	}
+	if in.VM.State == vmm.StateRunning {
+		in.emitBeacon()
+	}
+	in.scheduleBeacon()
 }
 
 // emitBeacon sends one C2 check-in: a SYN|PSH to the controller

@@ -12,6 +12,7 @@
 package guest
 
 import (
+	"strconv"
 	"time"
 
 	"potemkin/internal/mem"
@@ -222,7 +223,9 @@ func parseGeneration(sig, payload []byte) int {
 }
 
 // Sender transmits a packet originated by the guest. The farm wires this
-// to the host's uplink toward the gateway.
+// to the host's uplink toward the gateway. A packet marked Ephemeral is
+// the guest's own storage, rewritten by its next segment: a sender that
+// keeps one past the call must Clone it.
 type Sender func(pkt *netsim.Packet)
 
 // TargetPicker chooses a scan destination for an infected guest.
@@ -237,15 +240,20 @@ type Hooks struct {
 	Metrics *Instruments
 }
 
-// Instruments are the guest-side live telemetry handles, shared across
-// every instance the farm runs (the registry's atomics do the
-// aggregation). All handles are nil-safe, so a zero Instruments is a
-// valid telemetry-off value.
+// Instruments is what every instance one farm runs shares: the
+// guest-side live telemetry handles (the registry's atomics do the
+// aggregation) and the farm's stopped instances, which New reuses. All
+// handles are nil-safe, so a zero Instruments is a valid telemetry-off
+// value. Like everything under one sim kernel it is single-threaded.
 type Instruments struct {
 	Canaries     *metrics.Counter // guest_canaries_total
 	Beacons      *metrics.Counter // guest_beacons_total
 	Fingerprints *metrics.Counter // guest_fingerprints_total
 	Deception    *metrics.Hist    // guest_deception_actions: attacker actions executed before going quiet
+
+	// free are stopped instances with no kernel event left in flight,
+	// connection table and bound callbacks attached.
+	free []*Instance
 }
 
 // NewInstruments registers the guest telemetry series on m (nil m
@@ -279,7 +287,11 @@ type Stats struct {
 	Fingerprinted    uint64 // guests that concluded they are jailed and went quiet
 }
 
-// Instance is one running guest bound to a VM.
+// Instance is one running guest bound to a VM. It is valid until Stop:
+// a stopped instance keeps its final state only until New hands the
+// struct to the next guest of the same Instruments, so read what you
+// need (Stats, Infected, Generation) before stopping it, and stop it no
+// later than its VM is destroyed — the VM struct is reused the same way.
 type Instance struct {
 	K       *sim.Kernel
 	VM      *vmm.VM
@@ -297,12 +309,23 @@ type Instance struct {
 	pick    TargetPicker
 	hooks   Hooks
 	inst    *Instruments
-	rng     *sim.RNG
+	rng     sim.RNG
 	stats   Stats
 	stopped bool
 	ipid    uint16
-	conns   *connTable
+	conns   connTable
 	tcpSeen uint64
+	seg     netsim.Packet // the TCP segment being sent (see sendSegment)
+
+	// The periodic processes' kernel callbacks, bound once for the
+	// struct's lifetime so that scheduling the next one allocates
+	// nothing, and the number of the instance's events (these and canary
+	// timeouts) still in the kernel's queue. A stopped instance joins
+	// the free list only when that count reaches zero: its remaining
+	// events fire as the no-ops they always were, and a reused struct
+	// can never receive one a previous guest scheduled.
+	onTouch, onScan, onCanary, onBeacon sim.Event
+	events                              int
 
 	// dnsPending is the outstanding second-stage lookup ID (0 = none).
 	dnsPending uint16
@@ -326,12 +349,54 @@ func New(k *sim.Kernel, vm *vmm.VM, profile *Profile, send Sender, pick TargetPi
 	if inst == nil {
 		inst = &Instruments{}
 	}
-	return &Instance{
+	var in *Instance
+	if n := len(inst.free); n > 0 {
+		in, inst.free[n-1] = inst.free[n-1], nil
+		inst.free = inst.free[:n-1]
+		in.conns.reset()
+	} else {
+		in = &Instance{}
+		in.conns.conns = make(map[netsim.FlowKey]*tcpConn)
+		in.onTouch, in.onScan, in.onCanary, in.onBeacon = in.touchTick, in.scanTick, in.canaryTick, in.beaconTick
+	}
+	*in = Instance{
 		K: k, VM: vm, Profile: profile, IP: vm.IP,
 		send: send, pick: pick, hooks: hooks, inst: inst,
-		rng:   k.Stream("guest").Fork(vm.IP.String()),
-		conns: newConnTable(),
+		conns:   in.conns,
+		onTouch: in.onTouch, onScan: in.onScan, onCanary: in.onCanary, onBeacon: in.onBeacon,
 	}
+	in.seedRNG()
+	return in
+}
+
+// guestStream is the name hash of the kernel stream guests fork from.
+var guestStream = fnv1a([]byte("guest"))
+
+// fnv1a is the hash sim derives sub-stream seeds from names with.
+func fnv1a(name []byte) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range name {
+		h ^= uint64(c)
+		h *= 0x100000001b3
+	}
+	return h
+}
+
+// seedRNG seeds in.rng exactly as k.Stream("guest").Fork(ip.String())
+// would, in place: sim.NewRNG inlines, so neither stream is a heap
+// object, and the dotted quad is hashed from a stack buffer.
+func (in *Instance) seedRNG() {
+	o := in.IP.Octets()
+	var quad [15]byte
+	name := quad[:0]
+	for i, b := range o {
+		if i > 0 {
+			name = append(name, '.')
+		}
+		name = strconv.AppendUint(name, uint64(b), 10)
+	}
+	stream := sim.NewRNG(in.K.Seed() ^ guestStream)
+	in.rng = *sim.NewRNG(stream.Uint64() ^ fnv1a(name))
 }
 
 // Stats returns a copy of the counters.
@@ -350,24 +415,54 @@ func (in *Instance) Start() {
 	in.scheduleTouch()
 }
 
-// Stop halts background activity (the VM is being reclaimed).
-func (in *Instance) Stop() { in.stopped = true }
+// Stop halts background activity (the VM is being reclaimed) and gives
+// the instance up for reuse; see Instance.
+func (in *Instance) Stop() {
+	if in.stopped {
+		return
+	}
+	in.stopped = true
+	in.retire()
+}
+
+// after schedules one of the instance's own events.
+func (in *Instance) after(d time.Duration, ev sim.Event) {
+	in.events++
+	in.K.After(d, ev)
+}
+
+// fired accounts for one of the instance's events firing; every such
+// event calls it first.
+func (in *Instance) fired() {
+	in.events--
+	in.retire()
+}
+
+// retire frees the instance for reuse once it is stopped and the last
+// of its events has fired.
+func (in *Instance) retire() {
+	if in.stopped && in.events == 0 {
+		in.inst.free = append(in.inst.free, in)
+	}
+}
 
 func (in *Instance) scheduleTouch() {
 	if in.Profile.TouchRatePerSec <= 0 {
 		return
 	}
-	gap := time.Duration(in.rng.Exp(1e9 / in.Profile.TouchRatePerSec))
-	in.K.After(gap, func(sim.Time) {
-		if in.stopped || in.VM.State == vmm.StateDead {
-			return
-		}
-		if in.VM.State == vmm.StateRunning {
-			in.touchPage()
-		}
-		// Paused VMs make no progress but resume where they left off.
-		in.scheduleTouch()
-	})
+	in.after(time.Duration(in.rng.Exp(1e9/in.Profile.TouchRatePerSec)), in.onTouch)
+}
+
+func (in *Instance) touchTick(sim.Time) {
+	in.fired()
+	if in.stopped || in.VM.State == vmm.StateDead {
+		return
+	}
+	if in.VM.State == vmm.StateRunning {
+		in.touchPage()
+	}
+	// Paused VMs make no progress but resume where they left off.
+	in.scheduleTouch()
 }
 
 func (in *Instance) touchPage() {

@@ -34,7 +34,7 @@ func newRig(t *testing.T, profile *Profile, hooks Hooks) *rig {
 	k.Run() // finish clone
 	r.vm = vm
 	pick := func(rng *sim.RNG) netsim.Addr { return netsim.Addr(rng.Uint64n(1 << 32)) }
-	r.in = New(k, vm, profile, func(p *netsim.Packet) { r.out = append(r.out, p) }, pick, hooks)
+	r.in = New(k, vm, profile, func(p *netsim.Packet) { r.out = append(r.out, p.Clone()) }, pick, hooks)
 	return r
 }
 

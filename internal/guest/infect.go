@@ -104,23 +104,25 @@ func (in *Instance) scheduleScan() {
 	if in.Profile.ScanRatePerSec <= 0 || in.pick == nil {
 		return
 	}
-	gap := time.Duration(in.rng.Exp(1e9 / in.Profile.ScanRatePerSec))
-	in.K.After(gap, func(sim.Time) {
-		// quiet only ever flips for fingerprinting profiles, so the
-		// check cannot perturb existing non-fingerprinting runs.
-		if in.stopped || !in.Infected || in.quiet || in.VM.State == vmm.StateDead {
-			return
-		}
-		if in.VM.State == vmm.StateRunning {
-			in.emitScan()
-		}
-		// Paused VMs stop scanning but resume when unfrozen.
-		in.scheduleScan()
-	})
+	in.after(time.Duration(in.rng.Exp(1e9/in.Profile.ScanRatePerSec)), in.onScan)
+}
+
+func (in *Instance) scanTick(sim.Time) {
+	in.fired()
+	// quiet only ever flips for fingerprinting profiles, so the
+	// check cannot perturb existing non-fingerprinting runs.
+	if in.stopped || !in.Infected || in.quiet || in.VM.State == vmm.StateDead {
+		return
+	}
+	if in.VM.State == vmm.StateRunning {
+		in.emitScan()
+	}
+	// Paused VMs stop scanning but resume when unfrozen.
+	in.scheduleScan()
 }
 
 func (in *Instance) emitScan() {
-	dst := in.pick(in.rng)
+	dst := in.pick(&in.rng)
 	proto := in.Profile.ScanProto
 	if proto == 0 {
 		proto = netsim.ProtoTCP

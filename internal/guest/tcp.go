@@ -59,6 +59,9 @@ type tcpConn struct {
 	client     bool // we initiated (exploit dialogue or canary probe)
 	canary     bool // fingerprinting probe: SYN-ACK means the world answered
 	rxBytes    int
+
+	// Idle-order links (see connTable); a free conn chains through newer.
+	older, newer *tcpConn
 }
 
 // maxConns bounds each guest's connection table, like a small server's
@@ -68,34 +71,91 @@ const maxConns = 256
 // connTable is the guest's connection state, keyed by the REMOTE
 // endpoint's flow key as seen in inbound packets (src=remote,
 // dst=local).
+//
+// Live connections also sit on a list in lastActive order — every write
+// of lastActive goes through touch, which moves the connection to the
+// newest end — so the oldest-idle connection is the list's head, found
+// in O(1), and connections idle equally long leave in the order they
+// were last touched. Closed connections are kept for the next open.
 type connTable struct {
-	conns map[netsim.FlowKey]*tcpConn
-}
-
-func newConnTable() *connTable {
-	return &connTable{conns: make(map[netsim.FlowKey]*tcpConn)}
+	conns          map[netsim.FlowKey]*tcpConn
+	oldest, newest *tcpConn
+	free           *tcpConn
 }
 
 func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn { return ct.conns[key] }
 
-func (ct *connTable) insert(now sim.Time, c *tcpConn) {
+// insert opens a connection with proto's fields, evicting the
+// oldest-idle one when the table is full.
+func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
 	if len(ct.conns) >= maxConns {
-		var oldestKey netsim.FlowKey
-		var oldest *tcpConn
-		for k, v := range ct.conns {
-			if oldest == nil || v.lastActive < oldest.lastActive {
-				oldestKey, oldest = k, v
-			}
-		}
-		delete(ct.conns, oldestKey)
+		ct.remove(ct.oldest)
 	}
-	c.lastActive = now
+	if old := ct.conns[proto.key]; old != nil {
+		ct.remove(old) // a reused ephemeral port: the new dialogue replaces the old
+	}
+	c := ct.free
+	if c != nil {
+		ct.free = c.newer
+	} else {
+		c = new(tcpConn)
+	}
+	*c = proto
 	ct.conns[c.key] = c
+	ct.pushNewest(c, now)
+	return c
 }
 
-func (ct *connTable) remove(key netsim.FlowKey) { delete(ct.conns, key) }
+func (ct *connTable) pushNewest(c *tcpConn, now sim.Time) {
+	c.lastActive = now
+	c.older, c.newer = ct.newest, nil
+	if ct.newest != nil {
+		ct.newest.newer = c
+	} else {
+		ct.oldest = c
+	}
+	ct.newest = c
+}
+
+func (ct *connTable) unlink(c *tcpConn) {
+	if c.older != nil {
+		c.older.newer = c.newer
+	} else {
+		ct.oldest = c.newer
+	}
+	if c.newer != nil {
+		c.newer.older = c.older
+	} else {
+		ct.newest = c.older
+	}
+}
+
+// touch records activity on c.
+func (ct *connTable) touch(c *tcpConn, now sim.Time) {
+	if c == ct.newest {
+		c.lastActive = now
+		return
+	}
+	ct.unlink(c)
+	ct.pushNewest(c, now)
+}
+
+func (ct *connTable) remove(c *tcpConn) {
+	delete(ct.conns, c.key)
+	ct.unlink(c)
+	c.older, c.newer = nil, ct.free
+	ct.free = c
+}
 
 func (ct *connTable) len() int { return len(ct.conns) }
+
+// reset closes every connection (the table is about to serve another
+// guest), keeping the map's buckets and the conns for reuse.
+func (ct *connTable) reset() {
+	for ct.oldest != nil {
+		ct.remove(ct.oldest)
+	}
+}
 
 // connIdleTimeout reaps half-open and abandoned connections, like a
 // server's keepalive/SYN-timeout machinery.
@@ -104,11 +164,9 @@ const connIdleTimeout = 2 * time.Minute
 // pruneIdle drops connections idle past the timeout.
 func (ct *connTable) pruneIdle(now sim.Time) int {
 	n := 0
-	for k, c := range ct.conns {
-		if now.Sub(c.lastActive) >= connIdleTimeout {
-			delete(ct.conns, k)
-			n++
-		}
+	for c := ct.oldest; c != nil && now.Sub(c.lastActive) >= connIdleTimeout; c = ct.oldest {
+		ct.remove(c)
+		n++
 	}
 	return n
 }
@@ -136,7 +194,7 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 	switch {
 	case pkt.Flags&netsim.FlagRST != 0:
 		if c != nil {
-			in.conns.remove(key)
+			in.conns.remove(c)
 		}
 		return
 
@@ -146,18 +204,18 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 			return
 		}
 		if c == nil {
-			c = &tcpConn{
+			iss := uint32(in.rng.Uint64()) | 1
+			c = in.conns.insert(now, tcpConn{
 				key:    key,
 				state:  tcpSynRcvd,
-				iss:    uint32(in.rng.Uint64()) | 1,
+				iss:    iss,
+				sndNxt: iss + 1,
 				rcvNxt: pkt.Seq + 1,
-			}
-			c.sndNxt = c.iss + 1
-			in.conns.insert(now, c)
+			})
 			in.stats.ConnsAccepted++
 		}
 		// SYN (or retransmitted SYN): (re)send SYN-ACK.
-		c.lastActive = now
+		in.conns.touch(c, now)
 		in.sendSegment(pkt.Src, pkt.DstPort, pkt.SrcPort,
 			c.iss, c.rcvNxt, netsim.FlagSYN|netsim.FlagACK, nil)
 
@@ -178,7 +236,7 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 		}
 
 	default:
-		c.lastActive = now
+		in.conns.touch(c, now)
 		switch c.state {
 		case tcpSynRcvd:
 			if pkt.Flags&netsim.FlagACK != 0 && pkt.Ack == c.sndNxt {
@@ -205,7 +263,7 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 			}
 		case tcpFinWait:
 			if pkt.Flags&netsim.FlagACK != 0 && pkt.Ack == c.sndNxt {
-				in.conns.remove(key)
+				in.conns.remove(c)
 				in.stats.ConnsClosed++
 			}
 		}
@@ -214,10 +272,10 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 
 // handleClientTCP advances an exploit dialogue this guest initiated.
 func (in *Instance) handleClientTCP(now sim.Time, c *tcpConn, pkt *netsim.Packet) {
-	c.lastActive = now
+	in.conns.touch(c, now)
 	switch {
 	case pkt.Flags&netsim.FlagRST != 0:
-		in.conns.remove(c.key)
+		in.conns.remove(c)
 	case c.state == tcpSynSent && pkt.Flags&(netsim.FlagSYN|netsim.FlagACK) == netsim.FlagSYN|netsim.FlagACK:
 		if c.canary {
 			// A canary got its SYN-ACK: something answered, so the
@@ -236,7 +294,7 @@ func (in *Instance) handleClientTCP(now sim.Time, c *tcpConn, pkt *netsim.Packet
 		in.stats.ExploitsSent++
 		// Dialogue done; drop our state (fire and forget, like the
 		// malware it models).
-		in.conns.remove(c.key)
+		in.conns.remove(c)
 	}
 }
 
@@ -244,30 +302,34 @@ func (in *Instance) handleClientTCP(now sim.Time, c *tcpConn, pkt *netsim.Packet
 func (in *Instance) openExploitDialogue(dst netsim.Addr, dstPort uint16) {
 	now := in.K.Now()
 	srcPort := in.ephemeralPort()
-	c := &tcpConn{
+	iss := uint32(in.rng.Uint64()) | 1
+	in.conns.insert(now, tcpConn{
 		key: netsim.FlowKey{
 			Src: in.IP, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
 			Proto: netsim.ProtoTCP,
 		},
 		state:  tcpSynSent,
-		iss:    uint32(in.rng.Uint64()) | 1,
+		iss:    iss,
+		sndNxt: iss + 1,
 		client: true,
-	}
-	c.sndNxt = c.iss + 1
-	in.conns.insert(now, c)
-	in.sendSegment(dst, srcPort, dstPort, c.iss, 0, netsim.FlagSYN, nil)
+	})
+	in.sendSegment(dst, srcPort, dstPort, iss, 0, netsim.FlagSYN, nil)
 }
 
 // sendSegment emits one TCP segment from this guest, stamped with the
-// profile's stack fingerprint.
+// profile's stack fingerprint. Segments are most of what a honeypot
+// says, so they are built in the instance's own storage and marked
+// Ephemeral: the sender must be done with one (or have cloned it) when
+// it returns.
 func (in *Instance) sendSegment(dst netsim.Addr, srcPort, dstPort uint16,
 	seq, ack uint32, flags byte, payload []byte) {
-	in.reply(&netsim.Packet{
+	in.seg = netsim.Packet{
 		Src: in.IP, Dst: dst, Proto: netsim.ProtoTCP, TTL: in.Profile.ttl(),
 		SrcPort: srcPort, DstPort: dstPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: in.Profile.window(),
-		Payload: payload,
-	})
+		Payload: payload, Ephemeral: true,
+	}
+	in.reply(&in.seg)
 }
 
 // sendRST answers an unacceptable segment.

@@ -44,8 +44,8 @@ func TestCowFaultIsLazyUntilRead(t *testing.T) {
 	if f.src == 0 || f.data != nil {
 		t.Fatalf("fault copied the page: src=%d data=%v", f.src, f.data != nil)
 	}
-	if f.refs != 1 || s.Refs(img.pages[2].Frame) != 1 {
-		t.Errorf("delta frame changed reference counts: frame %d, source %d", f.refs, s.Refs(img.pages[2].Frame))
+	if f.refs != 1 || s.Refs(img.pages[2]) != 1 {
+		t.Errorf("delta frame changed reference counts: frame %d, source %d", f.refs, s.Refs(img.pages[2]))
 	}
 	if got := s.Stats().CowCopies; got != 1 {
 		t.Errorf("CowCopies = %d, want 1", got)
@@ -112,6 +112,45 @@ func TestDeltaCap(t *testing.T) {
 	a.Write(0, 0, full)
 	if got := a.Read(0, 0, PageSize); !bytes.Equal(got, full) {
 		t.Error("full-page fault lost bytes")
+	}
+}
+
+// The overflow buffer is the smallest size class that holds the spilled
+// records, moves up a class only when they outgrow it, and every class
+// goes back to its own pool.
+func TestDeltaOverflowSizeClasses(t *testing.T) {
+	s := NewStore()
+	img := BuildImage(s, 8, 4, 650)
+	a := img.NewClone()
+	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 12-byte record
+	for i, wantCap := range []int{0, 0, 32, 32, 64, 64, 64, 128} {
+		a.Write(1, 16*i, touch)
+		if f := ownedFrame(t, a, 1); cap(f.delta) != wantCap || len(f.delta) != max(0, 12*(i-1)) {
+			t.Fatalf("after %d touches: overflow len=%d cap=%d, want len=%d cap=%d",
+				i+1, len(f.delta), cap(f.delta), max(0, 12*(i-1)), wantCap)
+		}
+	}
+	if n32, n64 := len(s.deltaPool[0]), len(s.deltaPool[1]); n32 != 1 || n64 != 1 {
+		t.Errorf("outgrown buffers pooled: %d of 32 B, %d of 64 B, want one each", n32, n64)
+	}
+	want := a.PeekPage(1)
+	a.Release()
+	if n := len(s.deltaPool[2]); n != 1 {
+		t.Errorf("released frame's 128 B buffer pooled %d times, want 1", n)
+	}
+	for c := range s.deltaPool {
+		for _, buf := range s.deltaPool[c] {
+			if len(buf) != 0 || cap(buf) != deltaMinClass<<c {
+				t.Errorf("class %d pool holds a buffer of len %d cap %d", c, len(buf), cap(buf))
+			}
+		}
+	}
+	b := img.NewClone()
+	for i := 0; i < 8; i++ {
+		b.Write(1, 16*i, touch)
+	}
+	if got := b.Read(1, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("records replayed through recycled class buffers differ")
 	}
 }
 
@@ -207,7 +246,8 @@ func TestDeltaFrameAfterForcedImageReleasePanics(t *testing.T) {
 	}
 }
 
-// A released clone's page table goes to the next clone, empty.
+// A released clone goes to the next NewClone, page table attached and
+// empty, with nothing of its last tenant's accounting.
 func TestPageTableRecycledEmpty(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 64, 32, 1000)
@@ -215,27 +255,43 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 	for vpn := uint64(0); vpn < 40; vpn++ {
 		a.Write(vpn, 0, []byte{byte(vpn + 1)})
 	}
+	a.Read(0, 0, 8)
 	a.Release()
-	if len(s.pageTablePool) != 1 {
-		t.Fatalf("released clone's page table not pooled (%d)", len(s.pageTablePool))
+	if len(s.spaceFree) != 1 {
+		t.Fatalf("released clone not on the store's free list (%d)", len(s.spaceFree))
 	}
 	b := img.NewClone()
-	if len(s.pageTablePool) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 32 {
-		t.Fatalf("recycled page table not empty: owned=%d resident=%d", b.OwnedPages(), b.ResidentPages())
+	if b != a {
+		t.Fatal("NewClone did not reuse the released clone")
+	}
+	if len(s.spaceFree) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 32 || b.PrivatePages() != 0 {
+		t.Fatalf("recycled clone not empty: owned=%d resident=%d private=%d", b.OwnedPages(), b.ResidentPages(), b.PrivatePages())
+	}
+	if b.Stats() != (SpaceStats{}) || b.released || b.Base() != img {
+		t.Fatalf("recycled clone carries its last tenant's state: stats=%+v released=%v", b.Stats(), b.released)
 	}
 	if got, want := b.Read(3, 0, PageSize), imagePage(img, 3); !bytes.Equal(got, want) {
-		t.Error("clone on a recycled page table sees a previous tenant's page")
+		t.Error("recycled clone sees a previous tenant's page")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		c := img.NewClone()
+		c.Write(5, 0, []byte{1})
+		c.Release()
+	}); avg != 0 {
+		t.Errorf("clone, fault, release on a warmed store allocates %.1f objects, want 0", avg)
 	}
 
 	// Scratch spaces are not clones, and a table that held a whole image
 	// is not worth clearing for every later tenant.
+	b.Release()
+	s.spaceFree = s.spaceFree[:0]
 	NewAddressSpace(s, 8).Release()
 	huge := img.NewClone()
 	for i := uint64(0); i <= pageTableMaxRecycle; i++ {
 		huge.pages[i] = PTE{Frame: s.ZeroFrame()}
 	}
 	huge.Release()
-	if len(s.pageTablePool) != 0 {
-		t.Errorf("pooled %d tables that should have been dropped", len(s.pageTablePool))
+	if len(s.spaceFree) != 0 {
+		t.Errorf("pooled %d spaces that should have been dropped", len(s.spaceFree))
 	}
 }

@@ -16,12 +16,12 @@ const (
 func (a *AddressSpace) PeekPage(vpn uint64) []byte {
 	a.checkPage(vpn)
 	out := make([]byte, PageSize)
-	pte, ok := a.pages[vpn]
-	if !ok && a.base != nil {
-		pte, ok = a.base.pages[vpn]
+	id := a.pages[vpn].Frame
+	if id == 0 && a.base != nil {
+		id = a.base.frame(vpn)
 	}
-	if ok {
-		a.store.render(a.store.must(pte.Frame), out)
+	if id != 0 {
+		a.store.render(a.store.must(id), (*[PageSize]byte)(out))
 	}
 	return out
 }

@@ -8,8 +8,13 @@ import "fmt"
 // writes it (delta virtualization). The image must outlive its clones;
 // Release enforces that.
 type Image struct {
-	store    *Store
-	pages    map[uint64]PTE // Private is always false in an image
+	store *Store
+	// pages maps vpn to the backing frame, 0 where the image has none.
+	// Images are dense from page 0, so a slice indexed by vpn is both
+	// smaller than a map and a fault's cheapest probe; it is only as
+	// long as the highest page backed.
+	pages    []FrameID
+	resident int // nonzero entries of pages
 	numPages uint64
 	clones   uint64 // total clones ever created
 	live     int64  // clones currently attached
@@ -27,14 +32,19 @@ func Snapshot(a *AddressSpace) *Image {
 	if a.base != nil {
 		panic("mem: snapshot of cloned space not supported")
 	}
+	var top uint64
+	for vpn := range a.pages {
+		top = max(top, vpn+1)
+	}
 	img := &Image{
 		store:    a.store,
-		pages:    make(map[uint64]PTE, len(a.pages)),
+		pages:    make([]FrameID, top),
+		resident: len(a.pages),
 		numPages: a.numPages,
 	}
 	for vpn, pte := range a.pages {
 		a.store.IncRef(pte.Frame)
-		img.pages[vpn] = PTE{Frame: pte.Frame}
+		img.pages[vpn] = pte.Frame
 		if pte.Private {
 			a.pages[vpn] = PTE{Frame: pte.Frame} // now shared
 		}
@@ -52,11 +62,12 @@ func BuildImage(store *Store, numPages, residentPages, seed uint64) *Image {
 	}
 	img := &Image{
 		store:    store,
-		pages:    make(map[uint64]PTE, residentPages),
+		pages:    make([]FrameID, residentPages),
+		resident: int(residentPages),
 		numPages: numPages,
 	}
-	for i := uint64(0); i < residentPages; i++ {
-		img.pages[i] = PTE{Frame: store.AllocPattern(seed + i + 1)}
+	for i := range img.pages {
+		img.pages[i] = store.AllocPattern(seed + uint64(i) + 1)
 	}
 	return img
 }
@@ -80,7 +91,15 @@ func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *Addres
 func (img *Image) NumPages() uint64 { return img.numPages }
 
 // ResidentPages returns the number of pages the image actually backs.
-func (img *Image) ResidentPages() int { return len(img.pages) }
+func (img *Image) ResidentPages() int { return img.resident }
+
+// frame returns the frame backing vpn, or 0 if the image has none.
+func (img *Image) frame(vpn uint64) FrameID {
+	if vpn < uint64(len(img.pages)) {
+		return img.pages[vpn]
+	}
+	return 0
+}
 
 // Clones returns how many address spaces have been cloned from the
 // image over its lifetime.
@@ -96,8 +115,15 @@ func (img *Image) NewClone() *AddressSpace {
 	if img.released {
 		panic("mem: clone of released image")
 	}
-	a := newSpace(img.store, img.numPages, img.store.getPageTable())
-	a.base = img
+	a, ok := pop(&img.store.spaceFree)
+	if ok {
+		// A released clone: its page table is attached and empty, its
+		// counters are whatever its last tenant left.
+		*a = AddressSpace{store: a.store, pages: a.pages}
+	} else {
+		a = &AddressSpace{store: img.store, pages: make(map[uint64]PTE)}
+	}
+	a.base, a.numPages = img, img.numPages
 	img.clones++
 	img.live++
 	return a
@@ -113,16 +139,20 @@ func (img *Image) Release() {
 	if img.live > 0 {
 		panic(fmt.Sprintf("mem: releasing image with %d live clones", img.live))
 	}
-	for vpn, pte := range img.pages {
-		img.store.DecRef(pte.Frame)
-		delete(img.pages, vpn)
+	for _, id := range img.pages {
+		if id != 0 {
+			img.store.DecRef(id)
+		}
 	}
+	img.pages, img.resident = nil, 0
 	img.released = true
 }
 
 // frameRefs accumulates the image's references per frame.
 func (img *Image) frameRefs(into map[FrameID]int64) {
-	for _, pte := range img.pages {
-		into[pte.Frame]++
+	for _, id := range img.pages {
+		if id != 0 {
+			into[id]++
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // Tests for the slab frame table: slot reuse, generation-tagged
@@ -16,6 +17,14 @@ func testPage(fill byte) []byte {
 		p[i] = fill
 	}
 	return p
+}
+
+// Every dirty page of every VM holds a slot for as long as the VM lives,
+// so the slot's size is most of what a dirty page costs the host.
+func TestFrameSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(frame{}); got > 96 {
+		t.Errorf("frame slot is %d bytes, want at most 96", got)
+	}
 }
 
 func TestSlabReusesFreedSlots(t *testing.T) {
@@ -209,9 +218,9 @@ func slowPrivatePages(a *AddressSpace) int {
 func slowResidentPages(a *AddressSpace) int {
 	n := len(a.pages)
 	if a.base != nil {
-		n = len(a.base.pages)
+		n = a.base.resident
 		for vpn := range a.pages {
-			if _, inBase := a.base.pages[vpn]; !inBase {
+			if a.base.frame(vpn) == 0 {
 				n++
 			}
 		}

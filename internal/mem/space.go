@@ -21,6 +21,11 @@ type SpaceStats struct {
 // AddressSpace is one VM's guest-physical memory: a sparse overlay of
 // owned pages over an optional base Image, on a shared Store.
 //
+// A clone is valid until Release: the store keeps the released space,
+// page table attached, and hands the same *AddressSpace to a later
+// NewClone, so a handle kept past Release comes to name another VM's
+// memory.
+//
 // A flash-cloned space starts as a pure overlay — zero owned pages, all
 // reads falling through to the reference image — so cloning costs O(1)
 // regardless of image size, exactly like attaching copy-on-write shadow
@@ -49,14 +54,10 @@ type AddressSpace struct {
 // NewAddressSpace creates an empty scratch space of numPages
 // guest-physical pages over store. All pages initially read as zero.
 func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
-	return newSpace(store, numPages, make(map[uint64]PTE))
-}
-
-func newSpace(store *Store, numPages uint64, pages map[uint64]PTE) *AddressSpace {
 	if numPages == 0 {
 		panic("mem: zero-size address space")
 	}
-	return &AddressSpace{store: store, pages: pages, numPages: numPages}
+	return &AddressSpace{store: store, pages: make(map[uint64]PTE), numPages: numPages}
 }
 
 // Store returns the backing frame store.
@@ -94,10 +95,8 @@ func (a *AddressSpace) setPage(vpn uint64, pte PTE) {
 	}
 	a.pages[vpn] = pte
 	a.store.addHolder(pte.Frame, a)
-	if a.base != nil {
-		if _, inBase := a.base.pages[vpn]; inBase {
-			a.shadowed++
-		}
+	if a.base != nil && a.base.frame(vpn) != 0 {
+		a.shadowed++
 	}
 }
 
@@ -115,8 +114,8 @@ func (a *AddressSpace) Read(vpn uint64, off, n int) []byte {
 		return out
 	}
 	if a.base != nil {
-		if pte, ok := a.base.pages[vpn]; ok {
-			copy(out, a.store.View(pte.Frame)[off:off+n])
+		if src := a.base.frame(vpn); src != 0 {
+			copy(out, a.store.View(src)[off:off+n])
 		}
 	}
 	return out
@@ -146,11 +145,19 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 		return false
 	}
 	if a.base != nil {
-		if bpte, ok := a.base.pages[vpn]; ok {
-			// CoW fault against the reference image: copy its content
-			// into a frame this space owns.
-			id := a.store.AllocCopyWrite(bpte.Frame, off, b)
-			a.setPage(vpn, PTE{Frame: id, Private: true})
+		if src := a.base.frame(vpn); src != 0 {
+			// CoW fault against the reference image: its content, with
+			// this write, in a frame this space owns. Everything setPage
+			// and addHolder would look up is known here — the page is
+			// unmapped, in the base, and the fresh frame has one
+			// reference and no holder — so the fault probes each table
+			// once.
+			id, f := a.store.allocDelta(src, off, b)
+			f.holder = a
+			f.flags |= flagPriv
+			a.private++
+			a.shadowed++
+			a.pages[vpn] = PTE{Frame: id, Private: true}
 			a.stats.CowFaults++
 			return true
 		}
@@ -195,7 +202,7 @@ func (a *AddressSpace) ResidentPages() int {
 	if a.base == nil {
 		return len(a.pages)
 	}
-	return len(a.base.pages) + len(a.pages) - a.shadowed
+	return a.base.resident + len(a.pages) - a.shadowed
 }
 
 // PrivatePages returns the number of pages backed by frames this space
@@ -213,23 +220,34 @@ func (a *AddressSpace) PrivateBytes() uint64 { return uint64(a.PrivatePages()) *
 func (a *AddressSpace) SharedPages() int { return a.ResidentPages() - a.PrivatePages() }
 
 // Release unmaps everything, dropping frame references and detaching
-// from the base image. The space is unusable afterwards.
+// from the base image. The space is unusable afterwards; a clone goes
+// back to the store to be the next one.
 func (a *AddressSpace) Release() {
 	if a.released {
 		return
 	}
+	s := a.store
 	for _, pte := range a.pages {
-		a.store.dropHolder(pte.Frame, a)
-		a.store.DecRef(pte.Frame)
+		f := s.must(pte.Frame)
+		if pte.Frame != s.zero {
+			s.removeHolder(pte.Frame.index(), f, a)
+		}
+		s.decRef(pte.Frame, f)
 	}
 	a.shadowed = 0
-	if a.base != nil {
-		a.base.live--
-		a.base = nil
-		a.store.putPageTable(a.pages) // the next clone's overlay
-	}
-	a.pages = nil
 	a.released = true
+	if a.base == nil {
+		a.pages = nil
+		return
+	}
+	a.base.live--
+	a.base = nil
+	if len(a.pages) > pageTableMaxRecycle || len(s.spaceFree) >= spacePoolCap {
+		a.pages = nil
+		return
+	}
+	clear(a.pages) // keeps the buckets, so the next clone's faults grow nothing
+	s.spaceFree = append(s.spaceFree, a)
 }
 
 // frameRefs accumulates this space's references per frame, for

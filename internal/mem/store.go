@@ -22,9 +22,9 @@
 // free-list pop (or the next slot of the last chunk), freeing is a push,
 // and FrameIDs carry a generation number so dangling IDs are caught when
 // a slot is reused. Page buffers of freed frames, delta overflow buffers
-// and the page tables of released clones are recycled through bounded
-// pools, so steady-state VM churn allocates no garbage on the alloc/CoW
-// hot paths.
+// and released clones (the address space with its page table attached)
+// are recycled through bounded free lists, so steady-state VM churn
+// allocates no garbage on the clone/CoW hot paths.
 package mem
 
 import (
@@ -51,16 +51,14 @@ func makeFrameID(idx, gen uint32) FrameID {
 func (id FrameID) index() uint32      { return uint32(id) }
 func (id FrameID) generation() uint32 { return uint32(id >> 32) }
 
-// frame is one machine page slot in the slab. Content is either explicit
-// bytes, a deterministic pattern (materialized lazily, so large synthetic
-// reference images do not occupy host RAM), a delta over another frame
-// (src != 0, likewise lazy), or all-zeroes (data == nil, pattern == 0,
-// src == 0). refs == 0 marks a free slot.
+// frame is one machine page slot in the slab, 96 bytes. Content is either
+// explicit bytes, a deterministic pattern (materialized lazily, so large
+// synthetic reference images do not occupy host RAM), a delta over
+// another frame (src != 0, likewise lazy), or all-zeroes (data == nil,
+// aux == 0, src == 0). refs == 0 marks a free slot.
 type frame struct {
-	refs    int64
-	data    []byte
-	pattern uint64 // nonzero: content is pattern-generated until materialized
-	hash    uint64 // dedup bucket key, meaningful while hashed
+	refs int64
+	data *[PageSize]byte
 
 	// Delta frame: content is src's bytes with the write records in
 	// inl[:inlLen] and then delta applied in order, until materialized.
@@ -72,33 +70,39 @@ type frame struct {
 	// the invariant is ever broken.
 	//
 	// The first records sit inline in the slot and the overflow is a
-	// pooled deltaCap buffer (nil until needed, back to the pool when
-	// the frame is freed or materialized), so a fault costs no heap
-	// object.
-	src   FrameID
+	// pooled buffer of the smallest size class that holds it (nil until
+	// needed, back to its pool when the frame is freed or materialized),
+	// so a fault costs no heap object.
+	src FrameID
+
+	// aux is the one word three exclusive states share: the seed of a
+	// pattern frame not yet materialized (nonzero, data == nil), the
+	// dedup bucket key of a hashed frame (always a data frame), and the
+	// next free slot while the slot is free.
+	aux uint64
+
 	delta []byte
 
-	// Private-page accounting (see Store.updatePrivate): holder/extra
-	// form the multiset of address spaces currently mapping this frame
-	// (one entry per mapping; the single-holder common case costs one
-	// pointer, no allocation). priv is the space currently counting this
-	// frame as private, i.e. the sole holder of a refs==1 frame.
+	// Private-page accounting (see Store.updatePrivate): the multiset of
+	// address spaces currently mapping this frame, one entry per
+	// mapping. The single-holder common case is this pointer; further
+	// holders (content sharing only) live in Store.extra while
+	// flagExtra is set. flagPriv says holder currently counts the frame
+	// as private, i.e. is the sole holder of a refs==1 frame.
 	holder *AddressSpace
-	extra  []*AddressSpace
-	priv   *AddressSpace
 
 	// gen is the slot generation FrameIDs must match; bumped on free.
-	// (The sub-word fields from here on sit together so a slot packs
-	// into 160 bytes.)
-	gen uint32
-	// nextFree links free slots (intrusive free list); meaningful only
-	// while refs == 0.
-	nextFree    uint32
-	holderCount int32
-	hashed      bool
-	inlLen      uint8
-	inl         [deltaInline]byte
+	gen    uint32
+	flags  uint8
+	inlLen uint8
+	inl    [deltaInline]byte
 }
+
+const (
+	flagHashed uint8 = 1 << iota // aux is a dedup bucket key
+	flagPriv                     // holder counts this frame as private
+	flagExtra                    // Store.extra holds further holders
+)
 
 // StoreStats counts frame-store activity.
 type StoreStats struct {
@@ -114,7 +118,7 @@ type StoreStats struct {
 // noFreeSlot terminates the intrusive free list.
 const noFreeSlot = ^uint32(0)
 
-// slabChunk is the number of frame slots the slab grows by (160 KiB): a
+// slabChunk is the number of frame slots the slab grows by (96 KiB): a
 // power of two, so addressing a slot is a shift and a mask.
 const slabChunk = 1024
 
@@ -125,12 +129,12 @@ const slabChunk = 1024
 // falls back to the allocator.
 const bufPoolCap = 1024
 
-// pageTablePoolCap bounds the pool of released clones' page tables, and
-// pageTableMaxRecycle the size of a table worth keeping: clear walks
-// every bucket a map ever grew, so a table that once held a whole image
-// would tax each later tenant.
+// spacePoolCap bounds the free list of released clones, and
+// pageTableMaxRecycle the size of a page table worth keeping: clear
+// walks every bucket a map ever grew, so a table that once held a whole
+// image would tax each later tenant.
 const (
-	pageTablePoolCap    = 4096
+	spacePoolCap        = 4096
 	pageTableMaxRecycle = 1024
 )
 
@@ -138,14 +142,27 @@ const (
 // uint16s) followed by the bytes written. deltaInline holds two of the
 // guest's 8-byte page touches; a frame whose records would pass
 // deltaCap is materialized instead, which bounds what a read has to
-// replay. Overflow buffers are recycled like page buffers, to the same
-// 4 MiB.
+// replay. Overflow buffers come in doubling size classes from
+// deltaMinClass to deltaCap, each class recycled through its own pool,
+// so a page pays for the records it has rather than for the cap.
 const (
-	deltaHdr     = 4
-	deltaInline  = 24
-	deltaCap     = 256
-	deltaPoolCap = bufPoolCap * PageSize / deltaCap
+	deltaHdr      = 4
+	deltaInline   = 24
+	deltaCap      = 256
+	deltaMinClass = 32
+	deltaClasses  = 4 // 32, 64, 128, 256
+	deltaPoolCap  = 16384
 )
+
+// deltaClass is the index of the smallest overflow size class holding n
+// bytes (1 <= n <= deltaCap).
+func deltaClass(n int) int {
+	c := 0
+	for size := deltaMinClass; size < n; size <<= 1 {
+		c++
+	}
+	return c
+}
 
 // appendDelta records a write of b at off on delta frame f. It reports
 // false, recording nothing, when the frame's records would outgrow
@@ -168,29 +185,41 @@ func (s *Store) appendDelta(f *frame, off int, b []byte) bool {
 		f.inlLen += uint8(need)
 		return true
 	}
-	if f.delta == nil {
-		var ok bool
-		if f.delta, ok = pop(&s.deltaPool); !ok {
-			f.delta = make([]byte, 0, deltaCap)
+	if n := len(f.delta) + need; n > cap(f.delta) {
+		// Move up a size class; the outgrown buffer goes back to its own.
+		c := deltaClass(n)
+		grown, ok := pop(&s.deltaPool[c])
+		if !ok {
+			grown = make([]byte, 0, deltaMinClass<<c)
 		}
+		grown = append(grown, f.delta...)
+		s.putDelta(f.delta)
+		f.delta = grown
 	}
 	f.delta = append(append(f.delta, hdr[:]...), b...)
 	return true
 }
 
-// dropLazy forgets a pattern or delta description of f's content. The
-// overflow buffer goes back to the pool at length zero, so no stale
-// record can ever be replayed.
+// putDelta returns an overflow buffer to its size class's pool at
+// length zero, so no stale record can ever be replayed.
+func (s *Store) putDelta(buf []byte) {
+	if buf == nil {
+		return
+	}
+	if pool := &s.deltaPool[deltaClass(cap(buf))]; len(*pool) < deltaPoolCap {
+		*pool = append(*pool, buf[:0])
+	}
+}
+
+// dropLazy forgets a pattern or delta description of f's content. Its
+// callers — materialize on a frame without data, free after the dedup
+// entry is gone — never hold a hash in aux they still need.
 func (s *Store) dropLazy(f *frame) {
-	f.pattern = 0
+	f.aux = 0
 	f.src = 0
 	f.inlLen = 0
-	if f.delta != nil {
-		if len(s.deltaPool) < deltaPoolCap {
-			s.deltaPool = append(s.deltaPool, f.delta[:0])
-		}
-		f.delta = nil
-	}
+	s.putDelta(f.delta)
+	f.delta = nil
 }
 
 // applyDelta replays write records onto page.
@@ -225,9 +254,16 @@ type Store struct {
 	zero  FrameID
 	dedup map[uint64][]FrameID
 
-	bufPool       [][]byte
-	deltaPool     [][]byte
-	pageTablePool []map[uint64]PTE
+	// extra holds, by slot index, the holders of a frame beyond its
+	// first (frames with flagExtra set). Only content sharing maps one
+	// frame into several spaces, so the common slot pays no word for it.
+	extra map[uint32][]*AddressSpace
+
+	bufPool   []*[PageSize]byte
+	deltaPool [deltaClasses][][]byte
+	// spaceFree are released clones, page table attached and empty,
+	// waiting to be the next clone.
+	spaceFree []*AddressSpace
 
 	stats StoreStats
 }
@@ -239,6 +275,7 @@ func NewStore() *Store {
 		slots:    1, // slot 0 reserved
 		freeHead: noFreeSlot,
 		dedup:    make(map[uint64][]FrameID),
+		extra:    make(map[uint32][]*AddressSpace),
 	}
 	// The canonical zero frame holds one permanent self-reference so VM
 	// churn can never free it.
@@ -258,7 +295,8 @@ func (s *Store) alloc() (FrameID, *frame) {
 	idx := s.freeHead
 	if idx != noFreeSlot {
 		f = s.slot(idx)
-		s.freeHead = f.nextFree
+		s.freeHead = uint32(f.aux)
+		f.aux = 0
 	} else {
 		idx = s.slots
 		if idx%slabChunk == 0 {
@@ -280,24 +318,19 @@ func (s *Store) alloc() (FrameID, *frame) {
 
 // free returns a slot to the free list, bumping its generation so stale
 // FrameIDs are caught, and recycles its page buffer.
-func (s *Store) free(idx uint32) {
-	f := s.slot(idx)
+func (s *Store) free(idx uint32, f *frame) {
 	if f.data != nil {
 		s.putBuf(f.data)
 		f.data = nil
 	}
 	s.dropLazy(f)
-	f.hash = 0
-	f.hashed = false
-	f.holder = nil
-	if f.extra != nil {
-		clear(f.extra)
-		f.extra = f.extra[:0]
+	if f.flags&flagExtra != 0 {
+		delete(s.extra, idx)
 	}
-	f.holderCount = 0
-	f.priv = nil
+	f.holder = nil
+	f.flags = 0
 	f.gen++
-	f.nextFree = s.freeHead
+	f.aux = uint64(s.freeHead)
 	s.freeHead = idx
 	s.live--
 	s.stats.Frees++
@@ -315,36 +348,17 @@ func pop[T any](pool *[]T) (item T, ok bool) {
 	return item, true
 }
 
-func (s *Store) getBuf() []byte {
+func (s *Store) getBuf() *[PageSize]byte {
 	if b, ok := pop(&s.bufPool); ok {
 		return b
 	}
-	return make([]byte, PageSize)
+	return new([PageSize]byte)
 }
 
-func (s *Store) putBuf(b []byte) {
+func (s *Store) putBuf(b *[PageSize]byte) {
 	if len(s.bufPool) < bufPoolCap {
 		s.bufPool = append(s.bufPool, b)
 	}
-}
-
-// getPageTable returns an empty page table for a new clone, recycled
-// from a released one when possible.
-func (s *Store) getPageTable() map[uint64]PTE {
-	if m, ok := pop(&s.pageTablePool); ok {
-		return m
-	}
-	return make(map[uint64]PTE)
-}
-
-// putPageTable takes a released clone's page table. clear keeps the
-// buckets, so the next clone's faults grow nothing.
-func (s *Store) putPageTable(m map[uint64]PTE) {
-	if len(m) > pageTableMaxRecycle || len(s.pageTablePool) >= pageTablePoolCap {
-		return
-	}
-	clear(m)
-	s.pageTablePool = append(s.pageTablePool, m)
 }
 
 // Stats returns a copy of the store counters.
@@ -411,17 +425,20 @@ func (s *Store) IncRef(id FrameID) {
 
 // DecRef drops a reference, freeing the frame at zero.
 func (s *Store) DecRef(id FrameID) {
-	f := s.must(id)
+	s.decRef(id, s.must(id))
+}
+
+func (s *Store) decRef(id FrameID, f *frame) {
 	f.refs--
 	if f.refs < 0 {
 		panic(fmt.Sprintf("mem: negative refcount on frame %d", id))
 	}
 	s.updatePrivate(f)
 	if f.refs == 0 {
-		if f.hashed {
-			s.dropDedup(f.hash, id)
+		if f.flags&flagHashed != 0 {
+			s.dropDedup(f.aux, id)
 		}
-		s.free(id.index())
+		s.free(id.index(), f)
 	}
 }
 
@@ -433,12 +450,12 @@ func (s *Store) addHolder(id FrameID, a *AddressSpace) {
 		return
 	}
 	f := s.must(id)
-	if f.holderCount == 0 {
+	if f.holder == nil {
 		f.holder = a
 	} else {
-		f.extra = append(f.extra, a)
+		s.extra[id.index()] = append(s.extra[id.index()], a)
+		f.flags |= flagExtra
 	}
-	f.holderCount++
 	s.updatePrivate(f)
 }
 
@@ -448,50 +465,60 @@ func (s *Store) dropHolder(id FrameID, a *AddressSpace) {
 	if id == s.zero {
 		return
 	}
-	f := s.must(id)
-	if f.holder == a {
-		if n := len(f.extra); n > 0 {
-			f.holder = f.extra[n-1]
-			f.extra[n-1] = nil
-			f.extra = f.extra[:n-1]
-		} else {
-			f.holder = nil
+	s.removeHolder(id.index(), s.must(id), a)
+}
+
+func (s *Store) removeHolder(idx uint32, f *frame, a *AddressSpace) {
+	if f.flags&flagExtra == 0 {
+		// a is the only holder; if it counts the frame as private, that
+		// ends with the mapping.
+		if f.flags&flagPriv != 0 {
+			a.private--
+			f.flags &^= flagPriv
 		}
+		f.holder = nil
+		return
+	}
+	// Several holders, so the frame is private to none of them, and
+	// cannot become so before the DecRef that follows.
+	extra := s.extra[idx]
+	n := len(extra)
+	if f.holder == a {
+		f.holder = extra[n-1]
 	} else {
-		for i, h := range f.extra {
+		for i, h := range extra {
 			if h == a {
-				n := len(f.extra)
-				f.extra[i] = f.extra[n-1]
-				f.extra[n-1] = nil
-				f.extra = f.extra[:n-1]
+				extra[i] = extra[n-1]
 				break
 			}
 		}
 	}
-	f.holderCount--
-	s.updatePrivate(f)
+	extra[n-1] = nil
+	if extra = extra[:n-1]; len(extra) == 0 {
+		delete(s.extra, idx)
+		f.flags &^= flagExtra
+	} else {
+		s.extra[idx] = extra
+	}
 }
 
 // updatePrivate maintains the per-space private-page counters: a frame
 // is private to a space exactly when that space holds the frame's only
-// reference. Called after every refcount or holder change, it moves the
-// frame's private attribution in O(1), which is what lets
-// AddressSpace.PrivatePages stop scanning.
+// reference. Called after every refcount or holder change that leaves
+// the first holder in place, it moves the frame's private attribution
+// in O(1), which is what lets AddressSpace.PrivatePages stop scanning.
 func (s *Store) updatePrivate(f *frame) {
-	var p *AddressSpace
-	if f.refs == 1 && f.holderCount == 1 {
-		p = f.holder
-	}
-	if p == f.priv {
+	private := f.refs == 1 && f.holder != nil && f.flags&flagExtra == 0
+	if private == (f.flags&flagPriv != 0) {
 		return
 	}
-	if f.priv != nil {
-		f.priv.private--
+	if private {
+		f.holder.private++
+		f.flags |= flagPriv
+	} else {
+		f.holder.private--
+		f.flags &^= flagPriv
 	}
-	if p != nil {
-		p.private++
-	}
-	f.priv = p
 }
 
 func (s *Store) dropDedup(hash uint64, id FrameID) {
@@ -510,21 +537,21 @@ func (s *Store) dropDedup(hash uint64, id FrameID) {
 	}
 }
 
-// render writes f's content into buf (PageSize long) and leaves f as it
-// found it. Recycled buffers carry stale content, so every case
-// overwrites all of buf.
-func (s *Store) render(f *frame, buf []byte) {
+// render writes f's content into buf and leaves f as it found it.
+// Recycled buffers carry stale content, so every case overwrites all of
+// buf.
+func (s *Store) render(f *frame, buf *[PageSize]byte) {
 	switch {
 	case f.data != nil:
-		copy(buf, f.data)
+		*buf = *f.data
 	case f.src != 0:
 		s.render(s.must(f.src), buf)
-		applyDelta(buf, f.inl[:f.inlLen])
-		applyDelta(buf, f.delta)
-	case f.pattern != 0:
-		fillPattern(buf, f.pattern)
+		applyDelta(buf[:], f.inl[:f.inlLen])
+		applyDelta(buf[:], f.delta)
+	case f.aux != 0: // a pattern seed: only data frames are hashed
+		fillPattern(buf[:], f.aux)
 	default:
-		clear(buf)
+		clear(buf[:])
 	}
 }
 
@@ -538,7 +565,7 @@ func (s *Store) materialize(f *frame) []byte {
 		s.dropLazy(f)
 		f.data = buf
 	}
-	return f.data
+	return f.data[:]
 }
 
 // fillPattern writes a deterministic, seed-dependent byte pattern.
@@ -594,15 +621,15 @@ func (s *Store) AllocData(b []byte) FrameID {
 		}
 		id, f := s.alloc()
 		f.data = s.getBuf()
-		copy(f.data, b)
-		f.hash = h
-		f.hashed = true
+		copy(f.data[:], b)
+		f.aux = h
+		f.flags |= flagHashed
 		s.dedup[h] = append(s.dedup[h], id)
 		return id
 	}
 	id, f := s.alloc()
 	f.data = s.getBuf()
-	copy(f.data, b)
+	copy(f.data[:], b)
 	return id
 }
 
@@ -622,15 +649,15 @@ func (s *Store) AllocZeroFill(off int, b []byte) FrameID {
 		// Dedup needs the full page bytes to hash; build it in a pooled
 		// buffer and hand it to the regular dedup path.
 		buf := s.getBuf()
-		clear(buf)
+		clear(buf[:])
 		copy(buf[off:], b)
-		id := s.AllocData(buf)
+		id := s.AllocData(buf[:])
 		s.putBuf(buf)
 		return id
 	}
 	id, f := s.alloc()
 	buf := s.getBuf()
-	clear(buf)
+	clear(buf[:])
 	copy(buf[off:], b)
 	f.data = buf
 	return id
@@ -668,13 +695,20 @@ func (s *Store) AllocCopyWrite(src FrameID, off int, b []byte) FrameID {
 		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
 	}
 	s.must(src)
-	id, nf := s.alloc()
-	s.stats.CowCopies++
-	nf.src = src
-	if !s.appendDelta(nf, off, b) {
-		copy(s.materialize(nf)[off:], b)
-	}
+	id, _ := s.allocDelta(src, off, b)
 	return id
+}
+
+// allocDelta is AllocCopyWrite for a caller that has already checked the
+// write's bounds and knows src is live.
+func (s *Store) allocDelta(src FrameID, off int, b []byte) (FrameID, *frame) {
+	id, f := s.alloc()
+	s.stats.CowCopies++
+	f.src = src
+	if !s.appendDelta(f, off, b) {
+		copy(s.materialize(f)[off:], b)
+	}
+	return id, f
 }
 
 // AllocPattern allocates a frame whose content is a deterministic
@@ -686,7 +720,7 @@ func (s *Store) AllocPattern(seed uint64) FrameID {
 		panic("mem: AllocPattern with zero seed")
 	}
 	id, f := s.alloc()
-	f.pattern = seed
+	f.aux = seed
 	return id
 }
 
@@ -695,7 +729,7 @@ func (s *Store) AllocPattern(seed uint64) FrameID {
 // are materialized on first view.
 func (s *Store) View(id FrameID) []byte {
 	f := s.must(id)
-	if f.data == nil && f.pattern == 0 && f.src == 0 {
+	if f.data == nil && f.aux == 0 && f.src == 0 {
 		return zeroPage[:]
 	}
 	return s.materialize(f)
@@ -720,16 +754,17 @@ func (s *Store) CowWrite(id FrameID, off int, b []byte) (FrameID, bool) {
 		nid, nf := s.alloc()
 		buf := s.getBuf()
 		nf.data = buf
-		copy(buf, s.View(id))
+		copy(buf[:], s.View(id))
 		copy(buf[off:], b)
 		s.stats.CowCopies++
 		return nid, true
 	}
 	// Exclusive. A frame that was registered for dedup changes content,
 	// so its hash entry must be dropped.
-	if f.hashed {
-		s.dropDedup(f.hash, id)
-		f.hashed = false
+	if f.flags&flagHashed != 0 {
+		s.dropDedup(f.aux, id)
+		f.flags &^= flagHashed
+		f.aux = 0
 	}
 	if f.src != 0 && s.appendDelta(f, off, b) {
 		return id, false

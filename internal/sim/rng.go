@@ -23,9 +23,19 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// NewRNG returns a stream seeded from seed.
+// NewRNG returns a stream seeded from seed. It is small enough to
+// inline, so a caller that only copies the result out (*dst =
+// *NewRNG(seed), re-seeding a stream in place) allocates nothing.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed stays out of line so that NewRNG fits the inliner's budget.
+//
+//go:noinline
+func (r *RNG) seed(seed uint64) {
 	for i := range r.s {
 		r.s[i] = splitmix64(&seed)
 	}
@@ -33,7 +43,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // fnv1a hashes a stream name for sub-stream derivation.

@@ -191,6 +191,7 @@ func (k *Kernel) Every(d time.Duration, fn Event) *Ticker {
 		panic("sim: Every with non-positive period")
 	}
 	t := &Ticker{k: k, period: d, fn: fn}
+	t.tick = t.fire
 	t.arm()
 	return t
 }
@@ -200,6 +201,7 @@ type Ticker struct {
 	k       *Kernel
 	period  time.Duration
 	fn      Event
+	tick    Event // t.fire, bound once so re-arming allocates nothing
 	timer   Timer
 	stopped bool
 }
@@ -212,15 +214,17 @@ func (t *Ticker) arm() {
 		t.stopped = true
 		return
 	}
-	t.timer = t.k.After(t.period, func(now Time) {
-		if t.stopped {
-			return
-		}
-		t.fn(now)
-		if !t.stopped {
-			t.arm()
-		}
-	})
+	t.timer = t.k.After(t.period, t.tick)
+}
+
+func (t *Ticker) fire(now Time) {
+	if t.stopped {
+		return
+	}
+	t.fn(now)
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels the ticker. Safe to call multiple times.

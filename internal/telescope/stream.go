@@ -102,7 +102,10 @@ func SummarizeSource(src Source) (Stats, error) {
 type StreamReplayer struct {
 	K   *sim.Kernel
 	Src Source
-	// Emit receives each packet at its (Base-offset) trace time.
+	// Emit receives each packet at its (Base-offset) trace time. The
+	// packet is marked Ephemeral: the replayer has one record in flight
+	// and builds every packet in the same storage, so a receiver that
+	// keeps one past the call must Clone it.
 	Emit func(now sim.Time, pkt *netsim.Packet)
 	// Base is added to every record time (use K.Now() at start to play
 	// a trace "from now").
@@ -114,34 +117,59 @@ type StreamReplayer struct {
 	Injected int
 	// Last is the virtual time of the final injected record.
 	Last sim.Time
+
+	// The record in flight, its packet, the zero bytes standing in for
+	// payloads the trace gives only a length for, and rp.inject bound
+	// once: replaying a record allocates nothing.
+	cur    Record
+	pkt    netsim.Packet
+	zeros  []byte
+	inject sim.Event
 }
 
 // Run replays the whole source, advancing the kernel as it goes, and
 // returns the first read error (nil on clean EOF). Records whose time
 // lags the clock (out-of-order sources) are clamped to "now".
 func (rp *StreamReplayer) Run() error {
-	var rec Record
+	if rp.inject == nil {
+		rp.inject = rp.emitCurrent
+	}
 	for {
 		if rp.Halt != nil && rp.Halt() {
 			return nil
 		}
-		err := rp.Src.Read(&rec)
+		err := rp.Src.Read(&rp.cur)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		at := rec.At + rp.Base
+		at := rp.cur.At + rp.Base
 		if at < rp.K.Now() {
 			at = rp.K.Now()
 		}
-		r := rec
-		rp.K.At(at, func(now sim.Time) {
-			rp.Injected++
-			rp.Emit(now, r.Packet())
-		})
+		rp.K.At(at, rp.inject)
 		rp.K.RunUntil(at)
 		rp.Last = at
 	}
+}
+
+// emitCurrent delivers the record in flight: what Record.Packet would
+// build, in the replayer's own storage.
+func (rp *StreamReplayer) emitCurrent(now sim.Time) {
+	r := &rp.cur
+	rp.pkt = r.header()
+	rp.pkt.Ephemeral = true
+	switch {
+	case len(r.Payload) > 0:
+		rp.pkt.Payload = r.Payload // the source keeps it intact until the next Read
+	case r.PayLen > 0:
+		if int(r.PayLen) > len(rp.zeros) {
+			rp.zeros = make([]byte, r.PayLen)
+		}
+		rp.pkt.Payload = rp.zeros[:r.PayLen]
+	}
+	rp.Injected++
+	rp.Emit(now, &rp.pkt)
 }

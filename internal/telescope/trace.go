@@ -40,15 +40,21 @@ type Record struct {
 // payload bytes are zero-filled to PayLen (telescope traces carry
 // sizes, not content).
 func (r *Record) Packet() *netsim.Packet {
-	p := &netsim.Packet{
-		Src: r.Src, Dst: r.Dst, Proto: r.Proto, TTL: 116,
-		SrcPort: r.SrcPort, DstPort: r.DstPort, Flags: r.Flags,
-	}
+	p := r.header()
 	switch {
 	case len(r.Payload) > 0:
 		p.Payload = append([]byte(nil), r.Payload...)
 	case r.PayLen > 0:
 		p.Payload = make([]byte, r.PayLen)
+	}
+	return &p
+}
+
+// header is the record's packet without its payload.
+func (r *Record) header() netsim.Packet {
+	p := netsim.Packet{
+		Src: r.Src, Dst: r.Dst, Proto: r.Proto, TTL: 116,
+		SrcPort: r.SrcPort, DstPort: r.DstPort, Flags: r.Flags,
 	}
 	if r.Proto == netsim.ProtoICMP {
 		p.ICMPType = 8
@@ -216,6 +222,12 @@ func (tr *Reader) Read(r *Record) error {
 		return fmt.Errorf("telescope: truncated record: %w", err)
 	}
 	if n := binary.LittleEndian.Uint16(stored[:]); n > 0 {
+		// The writer records a stored payload's length as the wire
+		// length, so a file where the two disagree is not one of ours,
+		// and replay (which sends the stored bytes) could not honour it.
+		if n != r.PayLen {
+			return fmt.Errorf("telescope: record stores %d payload bytes but claims %d on the wire", n, r.PayLen)
+		}
 		r.Payload = make([]byte, n)
 		if _, err := io.ReadFull(tr.r, r.Payload); err != nil {
 			return fmt.Errorf("telescope: truncated payload: %w", err)

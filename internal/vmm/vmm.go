@@ -72,7 +72,10 @@ type Image struct {
 	synthetic bool
 }
 
-// VM is one virtual machine on a Host.
+// VM is one virtual machine on a Host. A *VM is valid until the VM is
+// destroyed: the host keeps the struct (and its disk overlay) for a
+// later clone, so a handle held past Destroy reads StateDead only until
+// the next clone or boot takes it over.
 type VM struct {
 	ID    VMID
 	Image *Image
@@ -92,6 +95,16 @@ type VM struct {
 	// span covers the in-flight clone/boot; finished when the VM comes
 	// up or is destroyed mid-flight. Nil when tracing is off.
 	span *trace.Span
+
+	// The clone/boot completion event: comeUp is vm.up bound once for
+	// the struct's lifetime, ready is what it calls, and rising is set
+	// while the event is in the kernel's queue. A VM destroyed
+	// mid-flight stays off the host's free list until that event has
+	// fired (as a no-op), so a recycled struct never has one of a
+	// previous tenant's events still addressed to it.
+	comeUp sim.Event
+	ready  func(*VM)
+	rising bool
 }
 
 // Touch records guest activity for idle-reclamation decisions.
@@ -187,6 +200,9 @@ type VMHost struct {
 	store  *mem.Store
 	images map[string]*Image
 	vms    map[VMID]*VM
+	// vmFree are destroyed VMs' structs, disk overlay attached, waiting
+	// to be the next clone.
+	vmFree []*VM
 	nextID VMID
 	rng    *sim.RNG
 
@@ -357,7 +373,6 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 	h.ChargeCPU(h.K.Now(), h.Cfg.CPU.PerClone)
 	vm := h.newVM(img, ip, StateCloning)
 	vm.Mem = img.Mem.NewClone()
-	vm.Disk = NewOverlay(img.Disk)
 	if h.tr != nil {
 		vm.span = h.tr.StartChild(h.K.Now(), h.tr.Current(uint64(ip)), "clone",
 			trace.Attr{K: "server", V: h.Cfg.Name}, trace.Attr{K: "image", V: img.Name})
@@ -374,18 +389,7 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 	h.stats.Clones++
 	h.met.clones.Inc()
 
-	h.K.After(total, func(now sim.Time) {
-		if vm.State != StateCloning {
-			return // destroyed mid-clone
-		}
-		vm.State = StateRunning
-		vm.ReadyAt = now
-		vm.LastActive = now
-		vm.span.Finish(now)
-		if ready != nil {
-			ready(vm)
-		}
-	})
+	vm.rise(total, ready)
 	return vm, nil
 }
 
@@ -410,7 +414,6 @@ func (h *VMHost) FullBoot(imageName string, ip netsim.Addr, ready func(*VM)) (*V
 	}
 	vm := h.newVM(img, ip, StateBooting)
 	vm.Mem = mem.NewPatternSpace(h.store, img.NumPages, img.ResidentPages, img.Seed)
-	vm.Disk = NewOverlay(img.Disk)
 	h.stats.FullBoots++
 	h.met.fullBoots.Inc()
 	if h.tr != nil {
@@ -418,31 +421,57 @@ func (h *VMHost) FullBoot(imageName string, ip netsim.Addr, ready func(*VM)) (*V
 			trace.Attr{K: "server", V: h.Cfg.Name}, trace.Attr{K: "image", V: img.Name})
 	}
 
-	d := h.Cfg.Latency.jittered(h.Cfg.Latency.FullBoot, h.rng)
-	h.K.After(d, func(now sim.Time) {
-		if vm.State != StateBooting {
-			return
-		}
-		vm.State = StateRunning
-		vm.ReadyAt = now
-		vm.LastActive = now
-		vm.span.Finish(now)
-		if ready != nil {
-			ready(vm)
-		}
-	})
+	vm.rise(h.Cfg.Latency.jittered(h.Cfg.Latency.FullBoot, h.rng), ready)
 	return vm, nil
 }
 
+// rise schedules the VM's clone or boot to complete after d.
+func (vm *VM) rise(d time.Duration, ready func(*VM)) {
+	vm.ready, vm.rising = ready, true
+	vm.host.K.After(d, vm.comeUp)
+}
+
+// up is the completion event: the VM becomes runnable, unless it was
+// destroyed mid-flight, in which case its struct is now free for reuse.
+func (vm *VM) up(now sim.Time) {
+	vm.rising = false
+	if vm.State == StateDead {
+		vm.host.vmFree = append(vm.host.vmFree, vm)
+		return
+	}
+	vm.State = StateRunning
+	vm.ReadyAt = now
+	vm.LastActive = now
+	vm.span.Finish(now)
+	if ready := vm.ready; ready != nil {
+		vm.ready = nil
+		ready(vm)
+	}
+}
+
+// newVM registers a VM in state st over img's disk, on a recycled
+// struct when the host has one.
 func (h *VMHost) newVM(img *Image, ip netsim.Addr, st State) *VM {
-	vm := &VM{
+	var vm *VM
+	if n := len(h.vmFree); n > 0 {
+		vm, h.vmFree[n-1] = h.vmFree[n-1], nil
+		h.vmFree = h.vmFree[:n-1]
+		clear(vm.Disk.owned)
+		*vm.Disk = Overlay{Base: img.Disk, owned: vm.Disk.owned}
+	} else {
+		vm = &VM{Disk: NewOverlay(img.Disk)}
+		vm.comeUp = vm.up
+	}
+	*vm = VM{
 		ID:         h.nextID,
 		Image:      img,
+		Disk:       vm.Disk,
 		IP:         ip,
 		State:      st,
 		CreatedAt:  h.K.Now(),
 		LastActive: h.K.Now(),
 		host:       h,
+		comeUp:     vm.comeUp,
 	}
 	h.nextID++
 	h.vms[vm.ID] = vm
@@ -471,7 +500,11 @@ func (h *VMHost) Destroy(id VMID) {
 	}
 	vm.State = StateDead
 	vm.Mem.Release()
+	vm.ready = nil
 	delete(h.vms, id)
+	if !vm.rising {
+		h.vmFree = append(h.vmFree, vm)
+	}
 	h.stats.Destroys++
 	h.met.destroys.Inc()
 }
