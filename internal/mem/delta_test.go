@@ -5,10 +5,22 @@ import (
 	"testing"
 )
 
-// Tests for delta frames: a CoW fault against an image records the
-// source frame and the bytes written, and the page is produced on first
-// read. These cover the lazy states directly; model_test.go checks the
-// same behaviour against a plain model over random operation sequences.
+// Tests for lazy deltas: a CoW fault against an image is an entry in the
+// clone's page table recording the bytes written, and the page is
+// produced — the entry promoted to a slab frame — on first read. These
+// cover the lazy states directly; model_test.go checks the same
+// behaviour against a plain model over random operation sequences.
+
+// imageKinds builds the same 8-page, 4-resident image both ways, so
+// lazy deltas meet a described base page and a slab-frame one.
+var imageKinds = map[string]func(s *Store, seed uint64) *Image{
+	"synthetic": func(s *Store, seed uint64) *Image { return BuildImage(s, 8, 4, seed) },
+	"snapshot": func(s *Store, seed uint64) *Image {
+		src := NewPatternSpace(s, 8, 4, seed)
+		defer src.Release()
+		return Snapshot(src)
+	},
+}
 
 // imagePage is what a clone reads at vpn before writing anything.
 func imagePage(img *Image, vpn uint64) []byte {
@@ -17,60 +29,68 @@ func imagePage(img *Image, vpn uint64) []byte {
 	return c.Read(vpn, 0, PageSize)
 }
 
-// ownedFrame is the slab slot behind a page the space owns.
-func ownedFrame(t *testing.T, a *AddressSpace, vpn uint64) *frame {
+// ownedEntry is the page-table entry of a page the space owns.
+func ownedEntry(t *testing.T, a *AddressSpace, vpn uint64) *entry {
 	t.Helper()
-	pte, ok := a.pages[vpn]
-	if !ok {
+	e, _ := a.probe(vpn)
+	if e == nil {
 		t.Fatalf("page %d is not owned", vpn)
 	}
-	return a.store.must(pte.Frame)
+	return e
 }
 
 func TestCowFaultIsLazyUntilRead(t *testing.T) {
-	s := NewStore()
-	img := BuildImage(s, 8, 4, 500)
-	want := imagePage(img, 2)
+	for kind, build := range imageKinds {
+		s := NewStore()
+		img := build(s, 500)
+		want := imagePage(img, 2)
+		slots := s.slots
 
-	a := img.NewClone()
-	if !a.Write(2, 100, []byte{1, 2, 3}) {
-		t.Fatal("first write to an image page did not fault")
-	}
-	a.Write(2, 101, []byte{9}) // a second record, overlapping the first
-	a.Write(2, 4000, nil)      // zero-length: no record, no change
-	copy(want[100:], []byte{1, 9, 3})
+		a := img.NewClone()
+		if !a.Write(2, 100, []byte{1, 2, 3}) {
+			t.Fatalf("%s: first write to an image page did not fault", kind)
+		}
+		a.Write(2, 101, []byte{9}) // a second record, overlapping the first
+		a.Write(2, 4000, nil)      // zero-length: no record, no change
+		copy(want[100:], []byte{1, 9, 3})
 
-	f := ownedFrame(t, a, 2)
-	if f.src == 0 || f.data != nil {
-		t.Fatalf("fault copied the page: src=%d data=%v", f.src, f.data != nil)
-	}
-	if f.refs != 1 || s.Refs(img.pages[2]) != 1 {
-		t.Errorf("delta frame changed reference counts: frame %d, source %d", f.refs, s.Refs(img.pages[2]))
-	}
-	if got := s.Stats().CowCopies; got != 1 {
-		t.Errorf("CowCopies = %d, want 1", got)
-	}
-	if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 {
-		t.Errorf("accounting: private=%d frames=%d, want 1 and 6", a.PrivatePages(), s.FrameCount())
-	}
+		e := ownedEntry(t, a, 2)
+		if !e.isDelta() || s.slots != slots || s.freeHead != noFreeSlot {
+			t.Fatalf("%s: fault took a slab slot: delta=%v slots %d -> %d", kind, e.isDelta(), slots, s.slots)
+		}
+		if !img.synthetic && s.Refs(img.pages[2]) != 1 {
+			t.Errorf("%s: fault changed the source frame's reference count to %d", kind, s.Refs(img.pages[2]))
+		}
+		if got := s.Stats().CowCopies; got != 1 {
+			t.Errorf("%s: CowCopies = %d, want 1", kind, got)
+		}
+		if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 {
+			t.Errorf("%s: accounting: private=%d frames=%d, want 1 and 6", kind, a.PrivatePages(), s.FrameCount())
+		}
 
-	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
-		t.Error("read of a delta frame is not source bytes + writes")
-	}
-	if f.src != 0 || f.data == nil || f.inlLen != 0 || len(f.delta) != 0 {
-		t.Error("read did not turn the delta frame into a data frame")
-	}
-	// An ordinary frame from here on: writes land in the bytes.
-	a.Write(2, 0, []byte{0xEE})
-	want[0] = 0xEE
-	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
-		t.Error("write after materialization lost")
+		allocs := s.Stats().Allocs
+		if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
+			t.Errorf("%s: read of a lazy delta is not image bytes + writes", kind)
+		}
+		if e.isDelta() || s.must(e.frame()).data == nil {
+			t.Errorf("%s: read did not promote the delta to a data frame", kind)
+		}
+		if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 || s.Stats().Allocs != allocs {
+			t.Errorf("%s: promotion moved a count: private=%d frames=%d allocs %d -> %d",
+				kind, a.PrivatePages(), s.FrameCount(), allocs, s.Stats().Allocs)
+		}
+		// An ordinary frame from here on: writes land in the bytes.
+		a.Write(2, 0, []byte{0xEE})
+		want[0] = 0xEE
+		if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
+			t.Errorf("%s: write after promotion lost", kind)
+		}
 	}
 }
 
 // TestDeltaCap walks a page's records up to the cap: exactly deltaCap
-// bytes of records stay lazy, one more materializes, and a single write
-// too large for any delta is copied eagerly at the fault.
+// bytes of records stay lazy, one more promotes, and a single write too
+// large for any delta is copied eagerly at the fault.
 func TestDeltaCap(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 8, 4, 600)
@@ -85,14 +105,14 @@ func TestDeltaCap(t *testing.T) {
 		a.Write(1, i*40, rec)
 		copy(want[i*40:], rec)
 	}
-	f := ownedFrame(t, a, 1)
-	if f.src == 0 || int(f.inlLen)+len(f.delta) != deltaCap {
-		t.Fatalf("records filling the cap exactly: src=%d bytes=%d, want lazy with %d", f.src, int(f.inlLen)+len(f.delta), deltaCap)
+	e := ownedEntry(t, a, 1)
+	if !e.isDelta() || e.inlLen()+e.ovfLen() != deltaCap {
+		t.Fatalf("records filling the cap exactly: lazy=%v bytes=%d, want lazy with %d", e.isDelta(), e.inlLen()+e.ovfLen(), deltaCap)
 	}
 	a.Write(1, PageSize-1, []byte{0x77}) // off+len == PageSize, and over the cap
 	want[PageSize-1] = 0x77
-	if f.src != 0 || f.data == nil {
-		t.Error("a record past the cap did not materialize the frame")
+	if e.isDelta() {
+		t.Error("a record past the cap did not promote the page")
 	}
 	if got := a.Read(1, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("content wrong after outgrowing the cap")
@@ -102,7 +122,7 @@ func TestDeltaCap(t *testing.T) {
 	want = imagePage(img, 3)
 	copy(want[7:], big)
 	a.Write(3, 7, big)
-	if f := ownedFrame(t, a, 3); f.src != 0 || f.data == nil {
+	if ownedEntry(t, a, 3).isDelta() {
 		t.Error("a write larger than the cap was not copied at the fault")
 	}
 	if got := a.Read(3, 0, PageSize); !bytes.Equal(got, want) {
@@ -113,63 +133,67 @@ func TestDeltaCap(t *testing.T) {
 	if got := a.Read(0, 0, PageSize); !bytes.Equal(got, full) {
 		t.Error("full-page fault lost bytes")
 	}
+	if got, want := s.Stats().CowCopies, uint64(3); got != want {
+		t.Errorf("CowCopies = %d, want %d: an eager fault is still one copy", got, want)
+	}
 }
 
 // The overflow buffer is the smallest size class that holds the spilled
 // records, moves up a class only when they outgrow it, and every class
-// goes back to its own pool.
+// goes back to its own free list.
 func TestDeltaOverflowSizeClasses(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 8, 4, 650)
 	a := img.NewClone()
 	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 12-byte record
-	for i, wantCap := range []int{0, 0, 32, 32, 64, 64, 64, 128} {
+	for i, wantSize := range []int{0, 0, 32, 32, 64, 64, 64, 128} {
 		a.Write(1, 16*i, touch)
-		if f := ownedFrame(t, a, 1); cap(f.delta) != wantCap || len(f.delta) != max(0, 12*(i-1)) {
-			t.Fatalf("after %d touches: overflow len=%d cap=%d, want len=%d cap=%d",
-				i+1, len(f.delta), cap(f.delta), max(0, 12*(i-1)), wantCap)
+		e, size := ownedEntry(t, a, 1), 0
+		if e.ovfLen() > 0 {
+			size = overflowSize(e.overflow())
+		}
+		if size != wantSize || e.ovfLen() != max(0, 12*(i-1)) {
+			t.Fatalf("after %d touches: overflow len=%d size=%d, want len=%d size=%d",
+				i+1, e.ovfLen(), size, max(0, 12*(i-1)), wantSize)
 		}
 	}
-	if n32, n64 := len(s.deltaPool[0]), len(s.deltaPool[1]); n32 != 1 || n64 != 1 {
-		t.Errorf("outgrown buffers pooled: %d of 32 B, %d of 64 B, want one each", n32, n64)
+	if n32, n64 := len(s.overflow[0].free), len(s.overflow[1].free); n32 != 1 || n64 != 1 {
+		t.Errorf("outgrown buffers freed: %d of 32 B, %d of 64 B, want one each", n32, n64)
 	}
 	want := a.PeekPage(1)
 	a.Release()
-	if n := len(s.deltaPool[2]); n != 1 {
-		t.Errorf("released frame's 128 B buffer pooled %d times, want 1", n)
-	}
-	for c := range s.deltaPool {
-		for _, buf := range s.deltaPool[c] {
-			if len(buf) != 0 || cap(buf) != deltaMinClass<<c {
-				t.Errorf("class %d pool holds a buffer of len %d cap %d", c, len(buf), cap(buf))
-			}
-		}
+	if n := len(s.overflow[2].free); n != 1 {
+		t.Errorf("released page's 128 B buffer freed %d times, want 1", n)
 	}
 	b := img.NewClone()
 	for i := 0; i < 8; i++ {
 		b.Write(1, 16*i, touch)
+	}
+	for c := range s.overflow {
+		if got := s.overflow[c].carved; got > 1 {
+			t.Errorf("class %d carved %d buffers for one page at a time", c, got)
+		}
 	}
 	if got := b.Read(1, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("records replayed through recycled class buffers differ")
 	}
 }
 
-// A delta frame reads through its image, so it must never gain a second
-// holder that could outlive the image: IncRef materializes first.
-func TestIncRefMaterializesDeltaFrame(t *testing.T) {
+// A lazy delta reads through its image, so it never has a FrameID a
+// second holder could take. Once promoted it is an ordinary frame, and a
+// reference taken then outlives clone and image.
+func TestPromotedDeltaOutlivesImage(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 8, 4, 700)
 	a := img.NewClone()
 	a.Write(0, 8, []byte{4, 5, 6})
 	want := a.PeekPage(0)
 
-	id := a.pages[0].Frame
+	a.Read(0, 0, 1)
+	id := ownedEntry(t, a, 0).frame()
 	s.IncRef(id)
-	if f := s.must(id); f.src != 0 || f.data == nil {
-		t.Fatal("IncRef left a delta frame lazy")
-	}
 	a.Release()
-	img.Release() // the extra reference now outlives clone and image
+	img.Release()
 	if !bytes.Equal(s.View(id), want) {
 		t.Error("frame content changed once its image was gone")
 	}
@@ -179,8 +203,8 @@ func TestIncRefMaterializesDeltaFrame(t *testing.T) {
 	}
 }
 
-// SharePass compares bytes, so it materializes what it scans, and the
-// frame it keeps as canonical is a data frame both spaces can hold.
+// SharePass compares bytes, so it promotes what it scans, and the frame
+// it keeps as canonical is a data frame both spaces can hold.
 func TestSharePassMergesDeltaFrames(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 8, 4, 800)
@@ -189,22 +213,29 @@ func TestSharePassMergesDeltaFrames(t *testing.T) {
 	b.Write(1, 16, []byte{1, 1})
 	b.Write(2, 16, []byte{2})
 	want := a.PeekPage(1)
+	before := s.Stats()
 
 	res := SharePass(s, []*AddressSpace{a, b})
-	if res.PagesMerged != 1 {
-		t.Fatalf("merged %d pages, want 1", res.PagesMerged)
+	if res.PagesMerged != 1 || res.PagesScanned != 3 {
+		t.Fatalf("merged %d of %d pages scanned, want 1 of 3", res.PagesMerged, res.PagesScanned)
 	}
-	if a.pages[1].Frame != b.pages[1].Frame {
-		t.Fatal("identical delta frames were not merged")
+	if ownedEntry(t, a, 1).frame() != ownedEntry(t, b, 1).frame() {
+		t.Fatal("identical lazy deltas were not merged")
 	}
-	for vpn, pte := range b.pages {
-		if s.must(pte.Frame).src != 0 {
-			t.Errorf("page %d still lazy after a share pass", vpn)
+	for i := 0; i < b.n; i++ {
+		if e := b.at(i); e.isDelta() {
+			t.Errorf("page %d still lazy after a share pass", e.vpn)
 		}
+	}
+	if after := s.Stats(); after.Allocs != before.Allocs || after.Frees != before.Frees+1 || s.FrameCount() != 1+4+2 {
+		t.Errorf("a merge of promoted pages should free one frame and allocate none: %+v -> %+v", before, after)
 	}
 	b.Write(1, 0, []byte{0xFF}) // CoW off the merged frame
 	if got := a.Read(1, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("write through one mapping of a merged frame leaked into the other")
+	}
+	if err := s.CheckRefs(ExternalRefs([]*AddressSpace{a, b}, []*Image{img})); err != nil {
+		t.Fatal(err)
 	}
 	a.Release()
 	b.Release()
@@ -215,56 +246,59 @@ func TestSharePassMergesDeltaFrames(t *testing.T) {
 }
 
 // The lifetime rule is enforced, not assumed: if an image is torn down
-// under an attached clone, reading the clone's delta frames panics on
-// the stale source ID instead of aliasing whatever reuses the slot.
+// under an attached clone, producing the clone's lazy pages panics
+// instead of aliasing whatever reuses the image's slots.
 func TestDeltaFrameAfterForcedImageReleasePanics(t *testing.T) {
-	s := NewStore()
-	img := BuildImage(s, 8, 4, 900)
-	a := img.NewClone()
-	a.Write(0, 0, []byte{1})
+	for kind, build := range imageKinds {
+		s := NewStore()
+		img := build(s, 900)
+		a := img.NewClone()
+		a.Write(0, 0, []byte{1})
 
-	img.live = 0 // what Release refuses to do while a clone is attached
-	img.Release()
-	for i := uint64(1); i <= 4; i++ {
-		s.AllocPattern(12345 + i) // reoccupy the image's slots
-	}
-	for name, op := range map[string]func(){
-		"Read":   func() { a.Read(0, 0, 8) },
-		"IncRef": func() { s.IncRef(a.pages[0].Frame) },
-		"big Write": func() {
-			a.Write(0, 0, make([]byte, deltaCap))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a delta frame whose image is gone did not panic", name)
-				}
+		img.live = 0 // what Release refuses to do while a clone is attached
+		img.Release()
+		for i := uint64(1); i <= 4; i++ {
+			s.AllocPattern(12345 + i) // reoccupy a snapshot image's slots
+		}
+		for name, op := range map[string]func(){
+			"Read":      func() { a.Read(0, 0, 8) },
+			"SharePass": func() { SharePass(s, []*AddressSpace{a}) },
+			"big Write": func() {
+				a.Write(0, 0, make([]byte, deltaCap))
+			},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s image: %s on a page whose image is gone did not panic", kind, name)
+					}
+				}()
+				op()
 			}()
-			op()
-		}()
+		}
 	}
 }
 
-// A released clone goes to the next NewClone, page table attached and
-// empty, with nothing of its last tenant's accounting.
+// A released clone goes to the next NewClone with its index attached and
+// empty, its chunks back in the store, and nothing of its last tenant's
+// accounting.
 func TestPageTableRecycledEmpty(t *testing.T) {
 	s := NewStore()
-	img := BuildImage(s, 64, 32, 1000)
+	img := BuildImage(s, 4096, 2048, 1000)
 	a := img.NewClone()
 	for vpn := uint64(0); vpn < 40; vpn++ {
 		a.Write(vpn, 0, []byte{byte(vpn + 1)})
 	}
 	a.Read(0, 0, 8)
 	a.Release()
-	if len(s.spaceFree) != 1 {
-		t.Fatalf("released clone not on the store's free list (%d)", len(s.spaceFree))
+	if len(s.spaceFree) != 1 || len(s.chunkFree) != 2 {
+		t.Fatalf("released clone's space and two chunks not on the store's free lists (%d, %d)", len(s.spaceFree), len(s.chunkFree))
 	}
 	b := img.NewClone()
 	if b != a {
 		t.Fatal("NewClone did not reuse the released clone")
 	}
-	if len(s.spaceFree) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 32 || b.PrivatePages() != 0 {
+	if len(s.spaceFree) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 2048 || b.PrivatePages() != 0 {
 		t.Fatalf("recycled clone not empty: owned=%d resident=%d private=%d", b.OwnedPages(), b.ResidentPages(), b.PrivatePages())
 	}
 	if b.Stats() != (SpaceStats{}) || b.released || b.Base() != img {
@@ -281,17 +315,80 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 		t.Errorf("clone, fault, release on a warmed store allocates %.1f objects, want 0", avg)
 	}
 
-	// Scratch spaces are not clones, and a table that held a whole image
-	// is not worth clearing for every later tenant.
+	// Scratch spaces are not clones, and an index that grew past
+	// indexMaxRecycle is not worth clearing for every later tenant — but
+	// the chunks under it go back all the same.
 	b.Release()
-	s.spaceFree = s.spaceFree[:0]
+	s.spaceFree, s.chunkFree = s.spaceFree[:0], s.chunkFree[:0]
 	NewAddressSpace(s, 8).Release()
 	huge := img.NewClone()
-	for i := uint64(0); i <= pageTableMaxRecycle; i++ {
-		huge.pages[i] = PTE{Frame: s.ZeroFrame()}
+	for vpn := uint64(0); vpn <= indexMaxRecycle/2; vpn++ {
+		huge.Write(vpn, 0, []byte{1})
 	}
+	chunks := len(huge.chunks)
 	huge.Release()
 	if len(s.spaceFree) != 0 {
 		t.Errorf("pooled %d spaces that should have been dropped", len(s.spaceFree))
+	}
+	if len(s.chunkFree) != chunks || huge.index != nil || len(huge.chunks) != 0 {
+		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %d", len(s.chunkFree), chunks, len(huge.index))
+	}
+}
+
+// A space's index addresses whatever the space can own: a clone that
+// owns every page of the default image (a restored checkpoint can), and
+// a scratch space with more pages than 16 bits count at page numbers
+// that need all 64.
+func TestPageTableWidest(t *testing.T) {
+	s := NewStore()
+	const resident = 32768
+	img := BuildImage(s, resident, resident, 77)
+	a := img.NewClone()
+	for vpn := uint64(0); vpn < resident; vpn++ {
+		if !a.Write(vpn, int(vpn%4000), []byte{byte(vpn), byte(vpn >> 8)}) {
+			t.Fatalf("first write to page %d did not fault", vpn)
+		}
+	}
+	for vpn := uint64(0); vpn < resident; vpn++ {
+		if a.Write(vpn, 0, nil) {
+			t.Fatalf("page %d faulted twice: the index lost it", vpn)
+		}
+	}
+	if a.OwnedPages() != resident || a.PrivatePages() != resident || s.FrameCount() != 1+2*resident {
+		t.Fatalf("owned=%d private=%d frames=%d", a.OwnedPages(), a.PrivatePages(), s.FrameCount())
+	}
+	for _, vpn := range []uint64{0, 255, 256, 4095, 32767} {
+		want := make([]byte, PageSize)
+		fillPattern(want, 77+vpn+1)
+		copy(want[vpn%4000:], []byte{byte(vpn), byte(vpn >> 8)})
+		if !bytes.Equal(a.PeekPage(vpn), want) {
+			t.Errorf("page %d content wrong", vpn)
+		}
+	}
+	a.Release()
+	if s.FrameCount() != 1+resident || len(s.spaceFree) != 0 {
+		t.Errorf("after release: %d frames, %d pooled spaces", s.FrameCount(), len(s.spaceFree))
+	}
+
+	wide := NewAddressSpace(s, ^uint64(0))
+	const pages = 70000
+	vpnOf := func(i uint64) uint64 { return i<<44 | i }
+	for i := uint64(0); i < pages; i++ {
+		wide.Write(vpnOf(i), 0, []byte{0}) // maps the zero frame: no page buffer
+	}
+	if wide.OwnedPages() != pages {
+		t.Fatalf("owned %d pages, want %d", wide.OwnedPages(), pages)
+	}
+	for i := uint64(0); i < pages; i++ {
+		if e, _ := wide.probe(vpnOf(i)); e == nil || e.vpn != vpnOf(i) {
+			t.Fatalf("page %#x not found", vpnOf(i))
+		}
+		if e, _ := wide.probe(vpnOf(i) + 1<<20); e != nil {
+			t.Fatalf("page %#x found but never mapped", vpnOf(i)+1<<20)
+		}
+	}
+	wide.Release()
+	if err := s.CheckRefs(ExternalRefs(nil, []*Image{img})); err != nil {
+		t.Fatal(err)
 	}
 }

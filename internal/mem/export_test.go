@@ -10,33 +10,41 @@ const (
 	DeltaCap    = deltaCap
 )
 
-// PeekPage returns what Read(vpn, 0, PageSize) would, without
-// materializing anything: a test that looked with Read would turn every
-// lazy frame it checked into a data frame.
+// PeekPage returns what Read(vpn, 0, PageSize) would, without promoting
+// or materializing anything: a test that looked with Read would turn
+// every lazy page it checked into a data frame.
 func (a *AddressSpace) PeekPage(vpn uint64) []byte {
 	a.checkPage(vpn)
 	out := make([]byte, PageSize)
-	id := a.pages[vpn].Frame
-	if id == 0 && a.base != nil {
-		id = a.base.frame(vpn)
-	}
-	if id != 0 {
-		a.store.render(a.store.must(id), (*[PageSize]byte)(out))
+	buf := (*[PageSize]byte)(out)
+	switch e, _ := a.probe(vpn); {
+	case e == nil:
+		if a.base != nil && a.base.has(vpn) {
+			a.base.render(vpn, buf)
+		}
+	case e.isDelta():
+		a.renderDelta(e, buf)
+	default:
+		a.store.render(a.store.must(e.frame()), buf)
 	}
 	return out
 }
 
-// IsDelta reports whether vpn is owned and still a lazy delta frame.
+// IsDelta reports whether vpn is owned and still a lazy delta.
 func (a *AddressSpace) IsDelta(vpn uint64) bool {
-	pte, ok := a.pages[vpn]
-	return ok && a.store.must(pte.Frame).src != 0
+	e, _ := a.probe(vpn)
+	return e != nil && e.isDelta()
 }
 
-// Materialize gives vpn's frame its bytes now, as every fault did before
-// delta frames: a run that calls it after each write is the eager
+// Materialize gives vpn's page its bytes now, as every fault did before
+// lazy deltas: a run that calls it after each write is the eager
 // reference.
 func (a *AddressSpace) Materialize(vpn uint64) {
-	if pte, ok := a.pages[vpn]; ok {
-		a.store.View(pte.Frame)
+	switch e, _ := a.probe(vpn); {
+	case e == nil:
+	case e.isDelta():
+		a.promote(e)
+	default:
+		a.store.View(e.frame())
 	}
 }

@@ -7,14 +7,22 @@ import "fmt"
 // costs nothing per page, and a clone pays for a page only when it
 // writes it (delta virtualization). The image must outlive its clones;
 // Release enforces that.
+//
+// There are two kinds. A synthetic image (BuildImage) is described:
+// page vpn < resident reads fillPattern(seed+vpn+1), the store counts
+// its frames without holding any, and the image costs the host these
+// few words whatever its size. A Snapshot image holds a reference on
+// each frame of the space it froze.
 type Image struct {
-	store *Store
-	// pages maps vpn to the backing frame, 0 where the image has none.
-	// Images are dense from page 0, so a slice indexed by vpn is both
-	// smaller than a map and a fault's cheapest probe; it is only as
-	// long as the highest page backed.
+	store     *Store
+	synthetic bool
+	seed      uint64
+	// pages maps vpn to a Snapshot image's backing frame, 0 where it has
+	// none. Spaces are dense from page 0, so a slice indexed by vpn is
+	// both smaller than a map and a fault's cheapest probe; it is only
+	// as long as the highest page backed.
 	pages    []FrameID
-	resident int // nonzero entries of pages
+	resident int // pages backed
 	numPages uint64
 	clones   uint64 // total clones ever created
 	live     int64  // clones currently attached
@@ -33,21 +41,19 @@ func Snapshot(a *AddressSpace) *Image {
 		panic("mem: snapshot of cloned space not supported")
 	}
 	var top uint64
-	for vpn := range a.pages {
-		top = max(top, vpn+1)
+	for i := 0; i < a.n; i++ {
+		top = max(top, a.at(i).vpn+1)
 	}
 	img := &Image{
 		store:    a.store,
 		pages:    make([]FrameID, top),
-		resident: len(a.pages),
+		resident: a.n,
 		numPages: a.numPages,
 	}
-	for vpn, pte := range a.pages {
-		a.store.IncRef(pte.Frame)
-		img.pages[vpn] = pte.Frame
-		if pte.Private {
-			a.pages[vpn] = PTE{Frame: pte.Frame} // now shared
-		}
+	for i := 0; i < a.n; i++ {
+		e := a.at(i) // a frame: only a clone has lazy deltas
+		a.store.IncRef(e.frame())
+		img.pages[e.vpn] = e.frame()
 	}
 	return img
 }
@@ -55,21 +61,22 @@ func Snapshot(a *AddressSpace) *Image {
 // BuildImage synthesizes a reference image directly: residentPages
 // pattern pages (deterministic content derived from seed) out of
 // numPages total. This stands in for a booted guest OS snapshot without
-// holding its bytes in host RAM.
+// holding its bytes, or anything else per page, in host RAM.
 func BuildImage(store *Store, numPages, residentPages, seed uint64) *Image {
 	if residentPages > numPages {
 		panic(fmt.Sprintf("mem: resident %d > total %d", residentPages, numPages))
 	}
-	img := &Image{
-		store:    store,
-		pages:    make([]FrameID, residentPages),
-		resident: int(residentPages),
-		numPages: numPages,
+	if seed+residentPages < seed {
+		panic("mem: BuildImage seed wraps to a zero pattern seed")
 	}
-	for i := range img.pages {
-		img.pages[i] = store.AllocPattern(seed + uint64(i) + 1)
+	store.count(int(residentPages))
+	return &Image{
+		store:     store,
+		synthetic: true,
+		seed:      seed,
+		resident:  int(residentPages),
+		numPages:  numPages,
 	}
-	return img
 }
 
 // NewPatternSpace builds a private (unshared) scratch space with the
@@ -81,8 +88,9 @@ func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *Addres
 		panic(fmt.Sprintf("mem: resident %d > total %d", residentPages, numPages))
 	}
 	a := NewAddressSpace(store, numPages)
-	for i := uint64(0); i < residentPages; i++ {
-		a.setPage(i, PTE{Frame: store.AllocPattern(seed + i + 1), Private: true})
+	for vpn := uint64(0); vpn < residentPages; vpn++ {
+		_, i := a.probe(vpn)
+		a.mapFrame(vpn, i, store.AllocPattern(seed+vpn+1))
 	}
 	return a
 }
@@ -93,12 +101,26 @@ func (img *Image) NumPages() uint64 { return img.numPages }
 // ResidentPages returns the number of pages the image actually backs.
 func (img *Image) ResidentPages() int { return img.resident }
 
-// frame returns the frame backing vpn, or 0 if the image has none.
-func (img *Image) frame(vpn uint64) FrameID {
-	if vpn < uint64(len(img.pages)) {
-		return img.pages[vpn]
+// has reports whether the image backs vpn.
+func (img *Image) has(vpn uint64) bool {
+	if img.synthetic {
+		return vpn < uint64(img.resident)
 	}
-	return 0
+	return vpn < uint64(len(img.pages)) && img.pages[vpn] != 0
+}
+
+// render writes the content of vpn, which the image must back, into
+// buf. Clones read through their image, so it panics once the image is
+// released.
+func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
+	if img.released {
+		panic("mem: page read through a released image")
+	}
+	if img.synthetic {
+		fillPattern(buf[:], img.seed+vpn+1)
+		return
+	}
+	img.store.render(img.store.must(img.pages[vpn]), buf)
 }
 
 // Clones returns how many address spaces have been cloned from the
@@ -117,11 +139,12 @@ func (img *Image) NewClone() *AddressSpace {
 	}
 	a, ok := pop(&img.store.spaceFree)
 	if ok {
-		// A released clone: its page table is attached and empty, its
-		// counters are whatever its last tenant left.
-		*a = AddressSpace{store: a.store, pages: a.pages}
+		// A released clone: its index is attached and empty, its counters
+		// are whatever its last tenant left.
+		*a = AddressSpace{store: a.store, chunks: a.chunks, index: a.index, shift: a.shift}
 	} else {
-		a = &AddressSpace{store: img.store, pages: make(map[uint64]PTE)}
+		a = &AddressSpace{store: img.store}
+		a.setIndex(make([]uint32, indexMin))
 	}
 	a.base, a.numPages = img, img.numPages
 	img.clones++
@@ -129,7 +152,7 @@ func (img *Image) NewClone() *AddressSpace {
 	return a
 }
 
-// Release drops the image's frame references. All clones must be
+// Release drops the image's frames. All clones must be
 // released first; Release panics otherwise, because overlay clones read
 // through the image.
 func (img *Image) Release() {
@@ -138,6 +161,9 @@ func (img *Image) Release() {
 	}
 	if img.live > 0 {
 		panic(fmt.Sprintf("mem: releasing image with %d live clones", img.live))
+	}
+	if img.synthetic {
+		img.store.uncount(img.resident)
 	}
 	for _, id := range img.pages {
 		if id != 0 {
@@ -148,8 +174,12 @@ func (img *Image) Release() {
 	img.released = true
 }
 
-// frameRefs accumulates the image's references per frame.
+// frameRefs accumulates the image's references per frame; a synthetic
+// image's pages count under FrameID 0.
 func (img *Image) frameRefs(into map[FrameID]int64) {
+	if img.synthetic {
+		into[0] += int64(img.resident)
+	}
 	for _, id := range img.pages {
 		if id != 0 {
 			into[id]++

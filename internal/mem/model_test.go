@@ -3,7 +3,9 @@ package mem_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"potemkin/internal/mem"
@@ -14,18 +16,31 @@ import (
 
 // The model test: one sequence of clone / write / read / share-pass /
 // checkpoint-restore / destroy operations is applied to three things at
-// once — a host as shipped (faults are delta frames), a host where every
+// once — a host as shipped (faults are lazy deltas), a host where every
 // written page is given its bytes immediately (what every fault did
-// before delta frames), and a plain map of page arrays. After every
+// before lazy deltas), and a plain map of page arrays. After every
 // step the shipped host's content must equal the map's, and every
 // simulated statistic must equal the eager host's: laziness may move
-// host cost only.
+// host cost only. Clones come from both kinds of image, a synthetic one
+// and a snapshot of a configured full-boot VM.
 
 const (
 	modelPages    = 12 // guest-physical pages; the image backs the first 8
 	modelResident = 8
 	modelSeed     = 4077
 	modelMaxVMs   = 5
+
+	// What the snapshot image's reference VM wrote before it was frozen:
+	// snapPatch at snapOff of a page the synthetic image backs and of one
+	// it does not.
+	snapOff       = 40
+	snapPageOver  = 1
+	snapPageFresh = modelResident + 1
+)
+
+var (
+	imageNames = [2]string{"img", "snap"}
+	snapPatch  = []byte("configured")
 )
 
 // world is one host and its VMs, indexed the same way in every world.
@@ -38,13 +53,28 @@ type world struct {
 func newWorld(share, eager bool) *world {
 	cfg := vmm.DefaultHostConfig("model")
 	cfg.ShareContent = share
-	h := vmm.NewHost(sim.NewKernel(1), cfg)
-	h.RegisterImage("img", modelPages, modelResident, 4, modelSeed)
+	k := sim.NewKernel(1)
+	h := vmm.NewHost(k, cfg)
+	h.RegisterImage(imageNames[0], modelPages, modelResident, 4, modelSeed)
+	ref, err := h.FullBoot(imageNames[0], netsim.Addr(1<<16), nil)
+	if err != nil {
+		panic(err)
+	}
+	k.Run()
+	ref.Mem.Write(snapPageOver, snapOff, snapPatch)
+	ref.Mem.Write(snapPageFresh, snapOff, snapPatch)
+	if _, err := h.SnapshotVM(ref.ID, imageNames[1]); err != nil {
+		panic(err)
+	}
+	h.Destroy(ref.ID)
 	return &world{host: h, eager: eager}
 }
 
-func (w *world) clone() {
-	vm, err := w.host.FlashClone("img", netsim.Addr(len(w.vms)+1), nil)
+// imageFrames is what the two images hold once every VM is gone.
+const imageFrames = modelResident + modelResident + 1
+
+func (w *world) clone(kind int) {
+	vm, err := w.host.FlashClone(imageNames[kind], netsim.Addr(len(w.vms)+1), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -83,45 +113,55 @@ func (w *world) destroy(vm int) {
 	w.vms = append(w.vms[:vm], w.vms[vm+1:]...)
 }
 
-// model is the oracle: what each VM wrote, page by page, over the
+// model is the oracle: what each VM wrote, page by page, over its
 // image's content.
 type model struct {
-	image [modelPages][mem.PageSize]byte
-	vms   []map[uint64]*[mem.PageSize]byte
+	images [2][modelPages][mem.PageSize]byte
+	vms    []modelVM
+}
+
+type modelVM struct {
+	kind  int
+	pages map[uint64]*[mem.PageSize]byte
 }
 
 func newModel() *model {
 	m := &model{}
-	// The image's content, read from a store nothing else touches.
+	// The synthetic image's content, read from a store nothing else
+	// touches; the snapshot image's is that with the reference VM's
+	// writes.
 	witness := mem.BuildImage(mem.NewStore(), modelPages, modelResident, modelSeed).NewClone()
-	for vpn := range m.image {
-		copy(m.image[vpn][:], witness.Read(uint64(vpn), 0, mem.PageSize))
+	for vpn := range m.images[0] {
+		copy(m.images[0][vpn][:], witness.Read(uint64(vpn), 0, mem.PageSize))
 	}
+	m.images[1] = m.images[0]
+	copy(m.images[1][snapPageOver][snapOff:], snapPatch)
+	copy(m.images[1][snapPageFresh][snapOff:], snapPatch)
 	return m
 }
 
 func (m *model) page(vm int, vpn uint64) []byte {
-	if p, ok := m.vms[vm][vpn]; ok {
+	if p, ok := m.vms[vm].pages[vpn]; ok {
 		return p[:]
 	}
-	return m.image[vpn][:]
+	return m.images[m.vms[vm].kind][vpn][:]
 }
 
 func (m *model) write(vm int, vpn uint64, off int, b []byte) {
-	p, ok := m.vms[vm][vpn]
+	p, ok := m.vms[vm].pages[vpn]
 	if !ok {
 		p = new([mem.PageSize]byte)
-		*p = m.image[vpn]
-		m.vms[vm][vpn] = p
+		copy(p[:], m.page(vm, vpn))
+		m.vms[vm].pages[vpn] = p
 	}
 	copy(p[off:], b)
 }
 
 func (m *model) copyVM(vm int) {
-	c := make(map[uint64]*[mem.PageSize]byte, len(m.vms[vm]))
-	for vpn, p := range m.vms[vm] {
+	c := modelVM{kind: m.vms[vm].kind, pages: make(map[uint64]*[mem.PageSize]byte, len(m.vms[vm].pages))}
+	for vpn, p := range m.vms[vm].pages {
 		cp := *p
-		c[vpn] = &cp
+		c.pages[vpn] = &cp
 	}
 	m.vms = append(m.vms, c)
 }
@@ -162,10 +202,12 @@ func runOps(t *testing.T, ops []byte) (lazyHits int) {
 		desc := "clone"
 		switch n := len(lazy.vms); {
 		case n == 0 || (op%16 == 0 && n < modelMaxVMs):
+			kind := pick % 2
+			desc = "clone of " + imageNames[kind]
 			for _, w := range both {
-				w.clone()
+				w.clone(kind)
 			}
-			m.vms = append(m.vms, map[uint64]*[mem.PageSize]byte{})
+			m.vms = append(m.vms, modelVM{kind: kind, pages: map[uint64]*[mem.PageSize]byte{}})
 
 		case op%16 <= 9: // write
 			vm, vpn := pick%n, uint64(next()%modelPages)
@@ -202,11 +244,11 @@ func runOps(t *testing.T, ops []byte) (lazyHits int) {
 				t.Fatalf("step %d %s: read differs from the model", step, desc)
 			}
 
-		// Not under ShareContent: a pass keeps whichever of two identical
-		// frames its map walk meets first, and whether the survivor is the
-		// one registered for inline dedup decides later dedup hits — two
-		// runs of one sequence then differ, eager or not.
-		case op%16 == 12 && !share:
+		// Under ShareContent too: a pass keeps the first of two identical
+		// frames it meets, and whether the survivor is the one registered
+		// for inline dedup decides later dedup hits — so this holds only
+		// because a pass walks VMs by ID and pages in fault order.
+		case op%16 == 12:
 			desc = "share pass"
 			rl, re := lazy.host.MemorySharePass(), eager.host.MemorySharePass()
 			if rl != re {
@@ -239,8 +281,8 @@ func runOps(t *testing.T, ops []byte) (lazyHits int) {
 		if err := w.host.CheckMemoryInvariants(); err != nil {
 			t.Fatalf("after teardown: %v", err)
 		}
-		if got := w.host.Store().FrameCount(); got != 1+modelResident {
-			t.Fatalf("after teardown: %d frames live, want the zero frame and the image's %d", got, modelResident)
+		if got := w.host.Store().FrameCount(); got != 1+imageFrames {
+			t.Fatalf("after teardown: %d frames live, want the zero frame and the images' %d", got, imageFrames)
 		}
 	}
 	return lazyHits
@@ -320,4 +362,72 @@ func FuzzSpaceOps(f *testing.F) {
 		}
 		runOps(t, ops)
 	})
+}
+
+// shareContentRun is an E2DeltaContent-shaped run — one host with inline
+// content sharing on, clones of one image writing from a small content
+// alphabet so pages keep becoming identical — with periodic share
+// passes and VM churn on top, reduced to every simulated statistic and a
+// hash of every VM's every page.
+func shareContentRun() string {
+	const vms, pages, resident = 8, 48, 32
+	cfg := vmm.DefaultHostConfig("stable")
+	cfg.ShareContent = true
+	h := vmm.NewHost(sim.NewKernel(1), cfg)
+	h.RegisterImage("img", pages, resident, 4, modelSeed)
+	clone := func(i int) *vmm.VM {
+		vm, err := h.FlashClone("img", netsim.Addr(i+1), nil)
+		if err != nil {
+			panic(err)
+		}
+		return vm
+	}
+	live := make([]*vmm.VM, vms)
+	for i := range live {
+		live[i] = clone(i)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var passes mem.SharePassResult
+	for step := 1; step <= 2000; step++ {
+		i := rng.Intn(vms)
+		switch {
+		case step%97 == 0:
+			h.Destroy(live[i].ID)
+			live[i] = clone(i)
+		case step%61 == 0:
+			res := h.MemorySharePass()
+			passes.PagesScanned += res.PagesScanned
+			passes.PagesMerged += res.PagesMerged
+			passes.BytesFreed += res.BytesFreed
+		default:
+			content := []byte{byte(rng.Intn(3)), byte(rng.Intn(2))}
+			live[i].Mem.Write(uint64(rng.Intn(pages)), 64*rng.Intn(2), content)
+		}
+	}
+	digest := fmt.Sprintf("%+v %+v %+v %d", h.Store().Stats(), h.Stats(), passes, h.MemoryInUse())
+	sum := fnv.New64a()
+	for _, vm := range live {
+		for vpn := uint64(0); vpn < pages; vpn++ {
+			sum.Write(vm.Mem.PeekPage(vpn))
+		}
+		digest += fmt.Sprintf(" vm%d:%d/%d/%d", vm.ID, vm.Mem.PrivatePages(), vm.Mem.OwnedPages(), vm.Mem.ResidentPages())
+	}
+	return fmt.Sprintf("%s %x", digest, sum.Sum64())
+}
+
+// TestShareContentRunStable holds ROADMAP 5(d)'s mem half: a share pass
+// keeps the first of two identical frames it meets, so a run's dedup
+// hits — and from them every frame count — follow the order passes walk
+// VMs and pages in. That order was Go's map order; CI runs this
+// -count=20.
+func TestShareContentRunStable(t *testing.T) {
+	want := shareContentRun()
+	if strings.Contains(want, "DedupHits:0 ") || strings.Contains(want, "PagesMerged:0 ") {
+		t.Fatalf("the run no longer dedups inline and merges in passes: %s", want)
+	}
+	for i := 0; i < 2; i++ {
+		if got := shareContentRun(); got != want {
+			t.Fatalf("same run, different result:\n%s\n%s", want, got)
+		}
+	}
 }

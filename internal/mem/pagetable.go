@@ -1,0 +1,276 @@
+package mem
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// The page table of an AddressSpace is an append-only log of entries in
+// fixed-size chunks — growth never copies, iteration is fault order, and
+// a released clone's chunks go back to the store whole — plus an
+// open-addressed index from vpn to log position. Pages are never
+// unmapped one at a time, so neither structure deletes.
+
+// entry is one owned page: 40 bytes and free of Go pointers, so the
+// collector never scans a page table. ref is either the FrameID backing
+// the page or, with deltaTag set, a lazy delta: the page is the base
+// image's page vpn with write records applied in order, inl[:inlLen]
+// first and the overflow buffer after. No FrameID has the tag, because
+// the slab stops short of 2^31 slots.
+//
+// A lazy delta is a frame as far as the simulated machine can tell
+// (counted live, private to its space, a CowCopies), but it has no slab
+// slot: only its own clone can reach it, and anything that would let it
+// be shared or outlive the clone's image — a read, a share pass — sees
+// it promoted to an ordinary data frame first.
+type entry struct {
+	vpn uint64
+	ref uint64
+	inl [deltaInline]byte
+}
+
+// The delta form of entry.ref: inline record bytes in bits 0–7,
+// overflow record bytes in bits 8–23, the tag, and the overflow buffer's
+// handle (meaningful while there are overflow bytes) in the high word.
+const deltaTag = 1 << 31
+
+func deltaRef(inlLen, ovfLen int, handle uint32) uint64 {
+	return deltaTag | uint64(handle)<<32 | uint64(ovfLen)<<8 | uint64(inlLen)
+}
+
+func (e *entry) isDelta() bool    { return e.ref&deltaTag != 0 }
+func (e *entry) frame() FrameID   { return FrameID(e.ref) }
+func (e *entry) inlLen() int      { return int(e.ref & 0xff) }
+func (e *entry) ovfLen() int      { return int(e.ref >> 8 & 0xffff) }
+func (e *entry) overflow() uint32 { return uint32(e.ref >> 32) }
+
+// A delta record is a 4-byte header (offset, length; little-endian
+// uint16s) followed by the bytes written. deltaInline holds two of the
+// guest's 8-byte page touches; a page whose records would pass deltaCap
+// is promoted instead, which bounds what a read has to replay. Overflow
+// buffers come in doubling size classes from deltaMinClass to deltaCap,
+// so a page pays for the records it has rather than for the cap.
+const (
+	deltaHdr      = 4
+	deltaInline   = 24
+	deltaCap      = 256
+	deltaMinClass = 32
+	deltaClasses  = 4 // 32, 64, 128, 256
+)
+
+// deltaClass is the index of the smallest overflow size class holding n
+// bytes (1 <= n <= deltaCap).
+func deltaClass(n int) int {
+	c := 0
+	for size := deltaMinClass; size < n; size <<= 1 {
+		c++
+	}
+	return c
+}
+
+// applyDelta replays write records onto page.
+func applyDelta(page, recs []byte) {
+	for len(recs) > 0 {
+		off := int(binary.LittleEndian.Uint16(recs[0:]))
+		n := int(binary.LittleEndian.Uint16(recs[2:]))
+		copy(page[off:], recs[deltaHdr:deltaHdr+n])
+		recs = recs[deltaHdr+n:]
+	}
+}
+
+// overflowClass is the store's arena for one size class of overflow
+// buffers. A buffer is named by a handle — class in the top two bits,
+// position below — rather than held by pointer, which is what keeps
+// entries pointer-free. Like the slab, the arena grows a chunk at a
+// time, never moves a buffer, and keeps what its peak needed.
+type overflowClass struct {
+	chunks [][]byte
+	carved uint32
+	free   []uint32
+}
+
+const (
+	overflowPerChunk = 128
+	overflowPosBits  = 30
+	overflowPosMask  = 1<<overflowPosBits - 1
+)
+
+func (s *Store) overflowAlloc(class int) uint32 {
+	oc := &s.overflow[class]
+	pos, ok := pop(&oc.free)
+	if !ok {
+		pos = oc.carved
+		if pos%overflowPerChunk == 0 {
+			oc.chunks = append(oc.chunks, make([]byte, overflowPerChunk*(deltaMinClass<<class)))
+		}
+		oc.carved++
+	}
+	return uint32(class)<<overflowPosBits | pos
+}
+
+// overflowSize is the size of the buffer behind a handle.
+func overflowSize(handle uint32) int {
+	return deltaMinClass << (handle >> overflowPosBits)
+}
+
+// overflowBuf is the whole buffer behind a handle; the entry knows how
+// much of it is records.
+func (s *Store) overflowBuf(handle uint32) []byte {
+	pos, size := handle&overflowPosMask, uint32(overflowSize(handle))
+	start := pos % overflowPerChunk * size
+	return s.overflow[handle>>overflowPosBits].chunks[pos/overflowPerChunk][start : start+size]
+}
+
+func (s *Store) overflowFree(handle uint32) {
+	oc := &s.overflow[handle>>overflowPosBits]
+	oc.free = append(oc.free, handle&overflowPosMask)
+}
+
+// chunkEntries sizes a page-table chunk (1,280 bytes): a guest's start
+// burst and the touches that follow fit two.
+const chunkEntries = 32
+
+type tableChunk [chunkEntries]entry
+
+// The index holds log positions plus one (0 is an empty slot) as
+// uint32s: a space cannot own 2^32 pages, whose entries alone would be
+// 160 GiB. It is kept at most half full, so a fault — a miss, then an
+// insert at the slot the miss stopped on — probes about twice.
+// indexMaxRecycle is the largest index a released clone keeps (8 KiB,
+// 1,024 pages): Release clears all of it, so one that held a whole image
+// would tax every later tenant. chunkPoolCap bounds the chunks the store
+// keeps for reuse (20 MiB) and spacePoolCap the released clones.
+const (
+	indexMin        = 16
+	indexMaxRecycle = 2048
+	chunkPoolCap    = 16384
+	spacePoolCap    = 4096
+)
+
+// setIndex installs an index, whose length is a power of two.
+func (a *AddressSpace) setIndex(index []uint32) {
+	a.index = index
+	a.shift = uint8(64 - bits.TrailingZeros(uint(len(index))))
+}
+
+// indexSlot is where vpn's probe sequence starts (Fibonacci hashing).
+func (a *AddressSpace) indexSlot(vpn uint64) uint32 {
+	return uint32(vpn * 0x9e3779b97f4a7c15 >> a.shift)
+}
+
+// at addresses position i of the log.
+func (a *AddressSpace) at(i int) *entry {
+	return &a.chunks[i/chunkEntries][i%chunkEntries]
+}
+
+// probe looks vpn up: its entry if the space owns the page, else nil
+// and the index slot an entry for it would take.
+func (a *AddressSpace) probe(vpn uint64) (*entry, uint32) {
+	mask := uint32(len(a.index) - 1)
+	for i := a.indexSlot(vpn); ; i = (i + 1) & mask {
+		pos := a.index[i]
+		if pos == 0 {
+			return nil, i
+		}
+		if e := a.at(int(pos - 1)); e.vpn == vpn {
+			return e, i
+		}
+	}
+}
+
+// add appends an entry for vpn, which probe just found absent at index
+// slot i. The caller sets ref; whatever a previous tenant of the chunk
+// left in inl is dead because the new ref says how much of it counts.
+func (a *AddressSpace) add(vpn uint64, i uint32) *entry {
+	if a.n == len(a.chunks)*chunkEntries {
+		c, ok := pop(&a.store.chunkFree)
+		if !ok {
+			c = new(tableChunk)
+		}
+		a.chunks = append(a.chunks, c)
+	}
+	e := a.at(a.n)
+	a.n++
+	e.vpn = vpn
+	if 2*a.n <= len(a.index) {
+		a.index[i] = uint32(a.n)
+		return e
+	}
+	a.setIndex(make([]uint32, 2*len(a.index)))
+	mask := uint32(len(a.index) - 1)
+	for pos := 0; pos < a.n; pos++ {
+		i := a.indexSlot(a.at(pos).vpn)
+		for a.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		a.index[i] = uint32(pos + 1)
+	}
+	return e
+}
+
+// appendDelta records a write of b at off on lazy delta e. It reports
+// false, recording nothing, when the page's records would outgrow
+// deltaCap.
+func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	need := deltaHdr + len(b)
+	inl, ovf := e.inlLen(), e.ovfLen()
+	if inl+ovf+need > deltaCap {
+		return false
+	}
+	var hdr [deltaHdr]byte
+	binary.LittleEndian.PutUint16(hdr[0:], uint16(off))
+	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(b)))
+	// Records apply inline-first, so nothing goes inline after a spill.
+	if ovf == 0 && inl+need <= deltaInline {
+		copy(e.inl[inl:], hdr[:])
+		copy(e.inl[inl+deltaHdr:], b)
+		e.ref = deltaRef(inl+need, 0, 0)
+		return true
+	}
+	s := a.store
+	handle := e.overflow()
+	if ovf == 0 {
+		handle = s.overflowAlloc(deltaClass(need))
+	} else if ovf+need > overflowSize(handle) {
+		// Move up a size class; the outgrown buffer goes back to its own.
+		grown := s.overflowAlloc(deltaClass(ovf + need))
+		copy(s.overflowBuf(grown), s.overflowBuf(handle)[:ovf])
+		s.overflowFree(handle)
+		handle = grown
+	}
+	buf := s.overflowBuf(handle)
+	copy(buf[ovf:], hdr[:])
+	copy(buf[ovf+deltaHdr:], b)
+	e.ref = deltaRef(inl, ovf+need, handle)
+	return true
+}
+
+// renderDelta writes lazy delta e's content into buf: the image's page
+// with the records replayed. It panics if the image is gone.
+func (a *AddressSpace) renderDelta(e *entry, buf *[PageSize]byte) {
+	a.base.render(e.vpn, buf)
+	applyDelta(buf[:], e.inl[:e.inlLen()])
+	if n := e.ovfLen(); n > 0 {
+		applyDelta(buf[:], a.store.overflowBuf(e.overflow())[:n])
+	}
+}
+
+// promote turns lazy delta e into an ordinary private data frame. The
+// store and the space already count the page, so only the slot is new.
+func (a *AddressSpace) promote(e *entry) *frame {
+	s := a.store
+	buf := s.getBuf()
+	a.renderDelta(e, buf)
+	if e.ovfLen() > 0 {
+		s.overflowFree(e.overflow())
+	}
+	id, f := s.carve()
+	f.data = buf
+	f.holder = a
+	f.flags |= flagPriv
+	e.ref = uint64(id)
+	return f
+}

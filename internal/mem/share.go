@@ -19,44 +19,47 @@ type SharePassResult struct {
 	BytesFreed   uint64
 }
 
-// SharePass merges identical exclusively-owned frames across spaces.
-// Frames already shared (refcount > 1) are left alone: they are either
-// image pages or prior merge canonicals.
+// SharePass merges identical exclusively-owned frames across spaces,
+// walking the spaces in the order given and each one's pages in fault
+// order; of two identical pages the one met first is kept. Frames
+// already shared (refcount > 1) are left alone: they are either image
+// pages or prior merge canonicals. A lazy delta is promoted to a data
+// frame before it is compared, so what survives a merge is a frame any
+// space can hold.
 func SharePass(store *Store, spaces []*AddressSpace) SharePassResult {
 	var res SharePassResult
-	type canon struct {
-		frame FrameID
-	}
-	byHash := make(map[uint64][]canon)
+	byHash := make(map[uint64][]FrameID)
 
 	for _, a := range spaces {
 		if a == nil || a.released {
 			continue
 		}
-		for vpn, pte := range a.pages {
-			if store.IsZeroFrame(pte.Frame) {
+		for i := 0; i < a.n; i++ {
+			e := a.at(i)
+			if e.isDelta() {
+				a.promote(e)
+			}
+			id := e.frame()
+			if store.IsZeroFrame(id) {
 				continue
 			}
-			if store.Refs(pte.Frame) != 1 {
+			if store.Refs(id) != 1 {
 				continue // already shared
 			}
 			res.PagesScanned++
-			content := store.View(pte.Frame)
+			content := store.View(id)
 			h := contentHash(content)
 			merged := false
 			for _, c := range byHash[h] {
 				// The candidate may have been freed if its sole owner
-				// merged away; guard by liveness via refs lookup.
-				if c.frame == pte.Frame {
+				// merged away; guard by liveness.
+				if c == id || !store.alive(c) {
 					continue
 				}
-				if !store.alive(c.frame) {
-					continue
-				}
-				if bytesEqual(store.View(c.frame), content) {
-					store.IncRef(c.frame)
-					a.setPage(vpn, PTE{Frame: c.frame})
-					store.DecRef(pte.Frame)
+				if bytesEqual(store.View(c), content) {
+					store.IncRef(c)
+					a.setFrame(e, c)
+					store.DecRef(id)
 					res.PagesMerged++
 					res.BytesFreed += PageSize
 					merged = true
@@ -64,7 +67,7 @@ func SharePass(store *Store, spaces []*AddressSpace) SharePassResult {
 				}
 			}
 			if !merged {
-				byHash[h] = append(byHash[h], canon{frame: pte.Frame})
+				byHash[h] = append(byHash[h], id)
 			}
 		}
 	}

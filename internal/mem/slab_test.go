@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -19,11 +20,15 @@ func testPage(fill byte) []byte {
 	return p
 }
 
-// Every dirty page of every VM holds a slot for as long as the VM lives,
-// so the slot's size is most of what a dirty page costs the host.
+// Every dirty page of every VM holds a page-table entry for as long as
+// the VM lives, and every page something read or shared a slab slot
+// besides, so their sizes are what a dirty page costs the host.
 func TestFrameSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(frame{}); got > 96 {
-		t.Errorf("frame slot is %d bytes, want at most 96", got)
+	if got := unsafe.Sizeof(frame{}); got > 40 {
+		t.Errorf("frame slot is %d bytes, want at most 40", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got > 40 {
+		t.Errorf("page-table entry is %d bytes, want at most 40", got)
 	}
 }
 
@@ -111,67 +116,173 @@ func TestRecycledBufferHygiene(t *testing.T) {
 	}
 }
 
-// TestRecycledSlotDeltaHygiene frees a delta frame with records both
-// inline and spilled, then puts every kind of tenant in its slot: none
-// may see the old source or replay an old record, and with the overflow
-// buffer back in its pool the next such fault allocates nothing.
+// TestRecycledSlotDeltaHygiene releases a clone whose pages hold records
+// both inline and spilled, then puts every kind of tenant in the same
+// chunk and overflow buffers: a recycled chunk never replays a previous
+// tenant's records, and with everything back in its pool the next such
+// clone allocates nothing.
 func TestRecycledSlotDeltaHygiene(t *testing.T) {
 	s := NewStore()
-	srcA := s.AllocData(testPage(0xA1))
-	srcB := s.AllocData(testPage(0xB2))
+	img := BuildImage(s, 16, 8, 0xA1)
 
-	dirty := func() uint32 {
-		id := s.AllocCopyWrite(srcA, 10, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		for i := 0; i < 6; i++ { // past deltaInline: spills
-			s.CowWrite(id, 100+20*i, []byte{0xDE, 0xAD, 0xBE, 0xEF, byte(i)})
+	dirty := func() *tableChunk {
+		a := img.NewClone()
+		for vpn := uint64(0); vpn < 8; vpn++ {
+			a.Write(vpn, 10, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			for i := 0; i < 6; i++ { // past deltaInline: spills
+				a.Write(vpn, 100+20*i, []byte{0xDE, 0xAD, 0xBE, 0xEF, byte(i)})
+			}
+			if e := ownedEntry(t, a, vpn); !e.isDelta() || e.inlLen() == 0 || e.ovfLen() == 0 {
+				t.Fatalf("setup: want a lazy page with inline and spilled records, have lazy=%v inl=%d spill=%d", e.isDelta(), e.inlLen(), e.ovfLen())
+			}
 		}
-		if f := s.must(id); f.src == 0 || f.inlLen == 0 || len(f.delta) == 0 {
-			t.Fatalf("setup: want a lazy frame with inline and spilled records, have src=%d inl=%d spill=%d", f.src, f.inlLen, len(f.delta))
-		}
-		s.DecRef(id)
-		return id.index()
+		chunk := a.chunks[0]
+		a.Release()
+		return chunk
 	}
 
+	base := func(vpn uint64) []byte { return imagePage(img, vpn) }
 	tenants := map[string]struct {
-		alloc func() FrameID
+		write func(a *AddressSpace)
+		vpn   uint64
 		want  func() []byte
 	}{
 		"zero-fill": {
-			func() FrameID { return s.AllocZeroFill(3, []byte{7}) },
+			func(a *AddressSpace) { a.Write(12, 3, []byte{7}) }, 12,
 			func() []byte { p := make([]byte, PageSize); p[3] = 7; return p },
 		},
-		"data": {
-			func() FrameID { return s.AllocData(testPage(0x33)) },
-			func() []byte { return testPage(0x33) },
+		"zero frame": {
+			func(a *AddressSpace) { a.Write(12, 3, []byte{0}) }, 12,
+			func() []byte { return make([]byte, PageSize) },
 		},
-		"pattern": {
-			func() FrameID { return s.AllocPattern(4242) },
-			func() []byte { p := make([]byte, PageSize); fillPattern(p, 4242); return p },
-		},
-		"delta over another source": {
-			func() FrameID { return s.AllocCopyWrite(srcB, 4000, []byte{9}) },
-			func() []byte { p := testPage(0xB2); p[4000] = 9; return p },
+		"delta with one record": {
+			func(a *AddressSpace) { a.Write(5, 4000, []byte{9}) }, 5,
+			func() []byte { p := base(5); p[4000] = 9; return p },
 		},
 		"delta with no records": {
-			func() FrameID { return s.AllocCopyWrite(srcB, 0, nil) },
-			func() []byte { return testPage(0xB2) },
+			func(a *AddressSpace) { a.Write(5, 0, nil) }, 5,
+			func() []byte { return base(5) },
+		},
+		"delta that spills at once": {
+			func(a *AddressSpace) { a.Write(2, 50, bytes.Repeat([]byte{0x44}, 25)) }, 2,
+			func() []byte { p := base(2); copy(p[50:], bytes.Repeat([]byte{0x44}, 25)); return p },
+		},
+		"eager copy": {
+			func(a *AddressSpace) { a.Write(2, 0, bytes.Repeat([]byte{0x55}, deltaCap)) }, 2,
+			func() []byte { p := base(2); copy(p, bytes.Repeat([]byte{0x55}, deltaCap)); return p },
 		},
 	}
 	for name, tc := range tenants {
-		slot := dirty()
-		id := tc.alloc()
-		if id.index() != slot {
-			t.Fatalf("%s: test setup: slot %d not reused (got %d)", name, slot, id.index())
+		chunk := dirty()
+		a := img.NewClone()
+		tc.write(a)
+		if a.chunks[0] != chunk {
+			t.Fatalf("%s: test setup: chunk not reused", name)
 		}
-		if !bytes.Equal(s.View(id), tc.want()) {
-			t.Errorf("%s in a recycled slot shows a previous tenant's delta", name)
+		if !bytes.Equal(a.PeekPage(tc.vpn), tc.want()) || !bytes.Equal(a.Read(tc.vpn, 0, PageSize), tc.want()) {
+			t.Errorf("%s in a recycled chunk shows a previous tenant's records", name)
 		}
-		s.DecRef(id)
+		a.Release()
 	}
 
 	dirty()
 	if avg := testing.AllocsPerRun(100, func() { dirty() }); avg != 0 {
-		t.Errorf("a fault with spilled records in a recycled slot allocates %.1f objects, want 0", avg)
+		t.Errorf("a clone with spilled records in recycled chunks allocates %.1f objects, want 0", avg)
+	}
+}
+
+// A synthetic image is (seed, resident pages): building one costs the
+// host the same few words whatever its size, the store counts its frames
+// exactly as it counts an explicit image's, and clones read the pattern
+// through it.
+func TestSyntheticImageHoldsNoPerPageState(t *testing.T) {
+	const numPages, resident, seed = 32768, 8192, 7
+
+	explicit := NewStore()
+	src := NewPatternSpace(explicit, numPages, resident, seed)
+	ref := Snapshot(src)
+	src.Release()
+
+	s := NewStore()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	img := BuildImage(s, numPages, resident, seed)
+	runtime.ReadMemStats(&m1)
+	if objs, size := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; objs > 2 || size > 512 {
+		t.Errorf("BuildImage of %d resident pages allocated %d objects, %d bytes: want a constant", resident, objs, size)
+	}
+	if s.FrameCount() != explicit.FrameCount() || s.ModeledBytes() != explicit.ModeledBytes() {
+		t.Errorf("frames %d (%d bytes), explicit image %d (%d bytes)", s.FrameCount(), s.ModeledBytes(), explicit.FrameCount(), explicit.ModeledBytes())
+	}
+	if got, want := s.Stats(), explicit.Stats(); got.Allocs != want.Allocs || got.PeakFrames != want.PeakFrames || got.PeakModeled != want.PeakModeled {
+		t.Errorf("store stats %+v, explicit image %+v", got, want)
+	}
+	if img.ResidentPages() != ref.ResidentPages() || img.NumPages() != ref.NumPages() {
+		t.Errorf("resident/total %d/%d, explicit image %d/%d", img.ResidentPages(), img.NumPages(), ref.ResidentPages(), ref.NumPages())
+	}
+
+	c, rc := img.NewClone(), ref.NewClone()
+	want := make([]byte, PageSize)
+	for _, vpn := range []uint64{0, 1, 4097, resident - 1, resident, numPages - 1} {
+		clear(want)
+		if vpn < resident {
+			fillPattern(want, seed+vpn+1)
+		}
+		if !bytes.Equal(c.PeekPage(vpn), want) || !bytes.Equal(c.Read(vpn, 0, PageSize), want) {
+			t.Errorf("page %d read through the image is not its pattern", vpn)
+		}
+		if !bytes.Equal(rc.Read(vpn, 0, PageSize), want) {
+			t.Errorf("page %d differs between the two image kinds", vpn)
+		}
+	}
+	if c.ResidentPages() != resident || c.SharedPages() != resident || c.OwnedPages() != 0 {
+		t.Errorf("clone resident/shared/owned = %d/%d/%d", c.ResidentPages(), c.SharedPages(), c.OwnedPages())
+	}
+	if err := s.CheckRefs(ExternalRefs([]*AddressSpace{c}, []*Image{img})); err != nil {
+		t.Error(err)
+	}
+
+	c.Release()
+	img.Release()
+	if s.FrameCount() != 1 || s.Stats().Frees != resident {
+		t.Errorf("after release: %d frames, %d frees, want 1 and %d", s.FrameCount(), s.Stats().Frees, resident)
+	}
+	if err := s.CheckRefs(ExternalRefs(nil, nil)); err != nil {
+		t.Error(err)
+	}
+}
+
+// A clone's burst of dirty pages and its release move the store's
+// counters by the page count and the slab not at all.
+func TestCloneReleaseLeavesSlabUntouched(t *testing.T) {
+	s := NewStore()
+	img := BuildImage(s, 256, 128, 3)
+	img.NewClone().Release() // the pooled space; the slab holds the zero frame
+	slots, chunks, head, before := s.slots, len(s.slab), s.freeHead, s.Stats()
+
+	const burst = 48
+	a := img.NewClone()
+	for vpn := uint64(0); vpn < burst; vpn++ {
+		a.Write(vpn, 64, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	}
+	for vpn := uint64(0); vpn < 6; vpn++ { // touches: the third record spills
+		a.Write(vpn, 128, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		a.Write(vpn, 256, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	}
+	if got := s.Stats(); got.Allocs != before.Allocs+burst || got.CowCopies != before.CowCopies+burst || s.FrameCount() != 1+128+burst {
+		t.Errorf("burst: stats %+v -> %+v, %d frames", before, got, s.FrameCount())
+	}
+	a.Release()
+	if got := s.Stats(); got.Frees != before.Frees+burst || s.FrameCount() != 1+128 {
+		t.Errorf("release: frees %d -> %d, %d frames", before.Frees, got.Frees, s.FrameCount())
+	}
+	if s.slots != slots || len(s.slab) != chunks || s.freeHead != head {
+		t.Errorf("slab moved: slots %d -> %d, chunks %d -> %d, free head %d -> %d", slots, s.slots, chunks, len(s.slab), head, s.freeHead)
+	}
+	for c := range s.overflow {
+		if oc := &s.overflow[c]; len(oc.free) != int(oc.carved) {
+			t.Errorf("overflow class %d: %d of %d buffers back", c, len(oc.free), oc.carved)
+		}
 	}
 }
 
@@ -206,8 +317,8 @@ func TestAllocZeroFillMatchesAllocData(t *testing.T) {
 // counter.
 func slowPrivatePages(a *AddressSpace) int {
 	n := 0
-	for _, pte := range a.pages {
-		if !a.store.IsZeroFrame(pte.Frame) && a.store.Refs(pte.Frame) == 1 {
+	for i := 0; i < a.n; i++ {
+		if e := a.at(i); e.isDelta() || !a.store.IsZeroFrame(e.frame()) && a.store.Refs(e.frame()) == 1 {
 			n++
 		}
 	}
@@ -216,11 +327,11 @@ func slowPrivatePages(a *AddressSpace) int {
 
 // slowResidentPages is the pre-slab recount of ResidentPages.
 func slowResidentPages(a *AddressSpace) int {
-	n := len(a.pages)
+	n := a.n
 	if a.base != nil {
 		n = a.base.resident
-		for vpn := range a.pages {
-			if a.base.frame(vpn) == 0 {
+		for i := 0; i < a.n; i++ {
+			if !a.base.has(a.at(i).vpn) {
 				n++
 			}
 		}

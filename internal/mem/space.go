@@ -2,14 +2,6 @@ package mem
 
 import "fmt"
 
-// PTE is a page-table entry: which frame backs a virtual page and
-// whether the mapping is private (exclusively owned, writable in place)
-// or shared (writes fault and copy).
-type PTE struct {
-	Frame   FrameID
-	Private bool
-}
-
 // SpaceStats counts per-address-space memory events.
 type SpaceStats struct {
 	CowFaults  uint64 // writes that triggered a page copy
@@ -21,30 +13,36 @@ type SpaceStats struct {
 // AddressSpace is one VM's guest-physical memory: a sparse overlay of
 // owned pages over an optional base Image, on a shared Store.
 //
-// A clone is valid until Release: the store keeps the released space,
-// page table attached, and hands the same *AddressSpace to a later
-// NewClone, so a handle kept past Release comes to name another VM's
-// memory.
+// A clone is valid until Release: the store keeps the released space
+// and hands the same *AddressSpace to a later NewClone, so a handle kept
+// past Release comes to name another VM's memory.
 //
 // A flash-cloned space starts as a pure overlay — zero owned pages, all
 // reads falling through to the reference image — so cloning costs O(1)
 // regardless of image size, exactly like attaching copy-on-write shadow
 // page tables. The first write to an image-backed page copies that page
-// into the overlay (a CoW fault, charged as a frame; the store defers
-// producing the bytes until they are read); writes to pages the image
-// never populated allocate zero-filled frames on demand. Unmapped pages
-// read as zero.
+// into the overlay (a CoW fault, charged as a frame; the page table
+// records the bytes written and defers producing the page until it is
+// read); writes to pages the image never populated allocate zero-filled
+// frames on demand. Unmapped pages read as zero.
 type AddressSpace struct {
 	store    *Store
 	base     *Image // nil for scratch (non-cloned) spaces
-	pages    map[uint64]PTE
 	numPages uint64 // guest-physical size in pages
 	released bool
 
-	// Incremental accounting, maintained by setPage/dropPage and the
+	// The page table (see pagetable.go): n entries logged in chunks, and
+	// the index over them with the shift that hashes into it.
+	chunks []*tableChunk
+	n      int
+	index  []uint32
+	shift  uint8
+
+	// Incremental accounting, maintained as mappings change and by the
 	// store's updatePrivate hook so PrivatePages/ResidentPages are O(1):
-	// private counts frames this space is the sole holder of (refs ==
-	// 1); shadowed counts owned vpns that also exist in the base image.
+	// private counts pages this space is the sole holder of (lazy deltas,
+	// and frames with refs == 1); shadowed counts owned vpns that also
+	// exist in the base image.
 	private  int
 	shadowed int
 
@@ -57,7 +55,9 @@ func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
 	if numPages == 0 {
 		panic("mem: zero-size address space")
 	}
-	return &AddressSpace{store: store, pages: make(map[uint64]PTE), numPages: numPages}
+	a := &AddressSpace{store: store, numPages: numPages}
+	a.setIndex(make([]uint32, indexMin))
+	return a
 }
 
 // Store returns the backing frame store.
@@ -81,23 +81,23 @@ func (a *AddressSpace) checkPage(vpn uint64) {
 	}
 }
 
-// setPage installs or replaces the mapping for vpn, keeping holder
-// registration and the shadowed counter consistent. Reference counts
-// are the caller's business.
-func (a *AddressSpace) setPage(vpn uint64, pte PTE) {
-	if old, ok := a.pages[vpn]; ok {
-		if old.Frame != pte.Frame {
-			a.store.dropHolder(old.Frame, a)
-			a.store.addHolder(pte.Frame, a)
-		}
-		a.pages[vpn] = pte
-		return
+// mapFrame maps vpn, which probe just found absent at index slot i and
+// which the base image does not back, to frame id. Reference counts are
+// the caller's business.
+func (a *AddressSpace) mapFrame(vpn uint64, i uint32, id FrameID) {
+	a.add(vpn, i).ref = uint64(id)
+	a.store.addHolder(id, a)
+}
+
+// setFrame points an owned page that is not a lazy delta at another
+// frame, keeping holder registration consistent. Reference counts are
+// the caller's business.
+func (a *AddressSpace) setFrame(e *entry, id FrameID) {
+	if old := e.frame(); old != id {
+		a.store.dropHolder(old, a)
+		a.store.addHolder(id, a)
 	}
-	a.pages[vpn] = pte
-	a.store.addHolder(pte.Frame, a)
-	if a.base != nil && a.base.frame(vpn) != 0 {
-		a.shadowed++
-	}
+	e.ref = uint64(id)
 }
 
 // Read copies n bytes at (vpn, off) into a fresh slice. Unmapped pages
@@ -109,14 +109,18 @@ func (a *AddressSpace) Read(vpn uint64, off, n int) []byte {
 	}
 	a.stats.ReadsDone++
 	out := make([]byte, n)
-	if pte, ok := a.pages[vpn]; ok {
-		copy(out, a.store.View(pte.Frame)[off:off+n])
-		return out
-	}
-	if a.base != nil {
-		if src := a.base.frame(vpn); src != 0 {
-			copy(out, a.store.View(src)[off:off+n])
+	switch e, _ := a.probe(vpn); {
+	case e == nil:
+		if a.base != nil && a.base.has(vpn) {
+			buf := a.store.getBuf()
+			a.base.render(vpn, buf)
+			copy(out, buf[off:off+n])
+			a.store.putBuf(buf)
 		}
+	case e.isDelta():
+		copy(out, a.promote(e).data[off:off+n])
+	default:
+		copy(out, a.store.View(e.frame())[off:off+n])
 	}
 	return out
 }
@@ -132,77 +136,67 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
 	}
 	a.stats.WritesDone++
-	if pte, ok := a.pages[vpn]; ok {
-		newID, copied := a.store.CowWrite(pte.Frame, off, b)
+	e, i := a.probe(vpn)
+	if e != nil {
+		if e.isDelta() {
+			if !a.appendDelta(e, off, b) {
+				copy(a.promote(e).data[off:], b)
+			}
+			return false
+		}
+		newID, copied := a.store.CowWrite(e.frame(), off, b)
 		if copied {
-			a.setPage(vpn, PTE{Frame: newID, Private: true})
+			a.setFrame(e, newID)
 			a.stats.CowFaults++
-			return true
 		}
-		if !pte.Private {
-			a.pages[vpn] = PTE{Frame: pte.Frame, Private: true}
-		}
-		return false
+		return copied
 	}
-	if a.base != nil {
-		if src := a.base.frame(vpn); src != 0 {
-			// CoW fault against the reference image: its content, with
-			// this write, in a frame this space owns. Everything setPage
-			// and addHolder would look up is known here — the page is
-			// unmapped, in the base, and the fresh frame has one
-			// reference and no holder — so the fault probes each table
-			// once.
-			id, f := a.store.allocDelta(src, off, b)
-			f.holder = a
-			f.flags |= flagPriv
-			a.private++
-			a.shadowed++
-			a.pages[vpn] = PTE{Frame: id, Private: true}
-			a.stats.CowFaults++
-			return true
+	if a.base != nil && a.base.has(vpn) {
+		// CoW fault against the reference image: a frame of this space's
+		// own as far as every count goes, a lazy delta on the host. A
+		// write too large to record is copied now.
+		a.store.count(1)
+		a.store.stats.CowCopies++
+		a.private++
+		a.shadowed++
+		a.stats.CowFaults++
+		e = a.add(vpn, i)
+		e.ref = deltaRef(0, 0, 0)
+		if !a.appendDelta(e, off, b) {
+			copy(a.promote(e).data[off:], b)
 		}
+		return true
 	}
 	// Unmapped: writing to fresh zero-backed memory.
 	id := a.store.AllocZeroFill(off, b) // may return the zero frame for zero writes
-	private := !a.store.IsZeroFrame(id) && a.store.Refs(id) == 1
-	a.setPage(vpn, PTE{Frame: id, Private: private})
+	a.mapFrame(vpn, i, id)
 	a.stats.ZeroFills++
 	return true
 }
 
-// MapPattern maps vpn to a fresh pattern frame (synthetic image
-// content). Replaces any owned mapping and shadows any base mapping.
-func (a *AddressSpace) MapPattern(vpn, seed uint64) {
-	a.checkPage(vpn)
-	old, replaced := a.pages[vpn]
-	a.setPage(vpn, PTE{Frame: a.store.AllocPattern(seed), Private: true})
-	if replaced {
-		a.store.DecRef(old.Frame)
-	}
-}
-
 // EachOwnedPage visits every page the space maps directly (private
-// copies, zero-fills, dedup-shared frames), in unspecified order.
+// copies, zero-fills, dedup-shared frames), in the order they were first
+// faulted. fn may read and write the space's owned pages.
 // Checkpointing uses it to enumerate the VM's delta.
 func (a *AddressSpace) EachOwnedPage(fn func(vpn uint64)) {
-	for vpn := range a.pages {
-		fn(vpn)
+	for i := 0; i < a.n; i++ {
+		fn(a.at(i).vpn)
 	}
 }
 
 // OwnedPages returns the number of pages this space maps directly
 // (private copies, zero-fills, and dedup-shared frames), excluding
 // base-image fall-through.
-func (a *AddressSpace) OwnedPages() int { return len(a.pages) }
+func (a *AddressSpace) OwnedPages() int { return a.n }
 
 // ResidentPages returns the number of pages with backing content:
 // owned pages plus base pages not shadowed by an owned copy. O(1): the
 // shadow count is maintained as mappings change.
 func (a *AddressSpace) ResidentPages() int {
 	if a.base == nil {
-		return len(a.pages)
+		return a.n
 	}
-	return a.base.resident + len(a.pages) - a.shadowed
+	return a.base.resident + a.n - a.shadowed
 }
 
 // PrivatePages returns the number of pages backed by frames this space
@@ -221,45 +215,70 @@ func (a *AddressSpace) SharedPages() int { return a.ResidentPages() - a.PrivateP
 
 // Release unmaps everything, dropping frame references and detaching
 // from the base image. The space is unusable afterwards; a clone goes
-// back to the store to be the next one.
+// back to the store to be the next one. Lazy deltas have no slot to
+// free: their overflow buffers go back and the store uncounts them.
 func (a *AddressSpace) Release() {
 	if a.released {
 		return
 	}
 	s := a.store
-	for _, pte := range a.pages {
-		f := s.must(pte.Frame)
-		if pte.Frame != s.zero {
-			s.removeHolder(pte.Frame.index(), f, a)
+	deltas := 0
+	for i := 0; i < a.n; i++ {
+		e := a.at(i)
+		if e.isDelta() {
+			deltas++
+			if e.ovfLen() > 0 {
+				s.overflowFree(e.overflow())
+			}
+			continue
 		}
-		s.decRef(pte.Frame, f)
+		id := e.frame()
+		f := s.must(id)
+		if id != s.zero {
+			s.removeHolder(id.index(), f, a)
+		}
+		s.decRef(id, f)
 	}
-	a.shadowed = 0
+	s.uncount(deltas)
+	for _, c := range a.chunks {
+		if len(s.chunkFree) < chunkPoolCap {
+			s.chunkFree = append(s.chunkFree, c)
+		}
+	}
+	clear(a.chunks)
+	a.chunks = a.chunks[:0]
+	a.n, a.private, a.shadowed = 0, 0, 0
 	a.released = true
 	if a.base == nil {
-		a.pages = nil
+		a.index = nil
 		return
 	}
 	a.base.live--
 	a.base = nil
-	if len(a.pages) > pageTableMaxRecycle || len(s.spaceFree) >= spacePoolCap {
-		a.pages = nil
+	if len(a.index) > indexMaxRecycle || len(s.spaceFree) >= spacePoolCap {
+		a.index = nil
 		return
 	}
-	clear(a.pages) // keeps the buckets, so the next clone's faults grow nothing
+	clear(a.index) // the next clone's faults grow nothing
 	s.spaceFree = append(s.spaceFree, a)
 }
 
 // frameRefs accumulates this space's references per frame, for
-// CheckRefs-based leak tests.
+// CheckRefs-based leak tests; lazy deltas count under FrameID 0.
 func (a *AddressSpace) frameRefs(into map[FrameID]int64) {
-	for _, pte := range a.pages {
-		into[pte.Frame]++
+	for i := 0; i < a.n; i++ {
+		if e := a.at(i); e.isDelta() {
+			into[0]++
+		} else {
+			into[e.frame()]++
+		}
 	}
 }
 
 // ExternalRefs builds the frame-reference census across spaces and
-// images for Store.CheckRefs.
+// images for Store.CheckRefs. FrameID 0, which names no frame, carries
+// the count of described frames: synthetic images' pages and lazy
+// deltas.
 func ExternalRefs(spaces []*AddressSpace, images []*Image) map[FrameID]int64 {
 	refs := make(map[FrameID]int64)
 	for _, a := range spaces {

@@ -10,21 +10,29 @@
 // derived from the frame table — so the memory-savings experiments (E2)
 // measure mechanism behaviour, not a formula.
 //
-// What a fault costs the simulated machine (a frame, a CowCopies count,
-// PageSize of ModeledBytes) and what it costs the host are separate: a
-// CoW fault against a reference image allocates a delta frame that
-// records the source frame and the bytes written, and the page's bytes
-// are produced on first read — the same rule pattern frames follow, so
-// neither side of a fault occupies host RAM until something looks.
+// One rule decides what the frame table holds: a slab frame is something
+// that can be shared; a page only one owner can reach is described, not
+// stored. There are two kinds of reference image. A synthetic one
+// (BuildImage) is the pair (seed, resident pages): its content is a pure
+// function of seed and page number, so it holds no per-page state and
+// the store counts its frames arithmetically. A Snapshot image froze a
+// space that already had frames, and keeps references to them. Likewise
+// a clone's CoW fault against its image — a page that by construction
+// only that clone can reach — is an entry in the clone's own page table
+// recording the bytes written (see entry), and is promoted to an
+// ordinary slab frame only when something reads the page, a share pass
+// scans it, or its records outgrow deltaCap. What a fault costs the
+// simulated machine (a frame, a CowCopies count, PageSize of
+// ModeledBytes) is the same either way; only the host cost differs.
 //
 // The frame table is a slab of fixed-size chunks with an intrusive free
 // list rather than a map of heap-allocated frames: allocation is a
 // free-list pop (or the next slot of the last chunk), freeing is a push,
 // and FrameIDs carry a generation number so dangling IDs are caught when
-// a slot is reused. Page buffers of freed frames, delta overflow buffers
-// and released clones (the address space with its page table attached)
-// are recycled through bounded free lists, so steady-state VM churn
-// allocates no garbage on the clone/CoW hot paths.
+// a slot is reused. Page buffers of freed frames, page-table chunks,
+// delta overflow buffers and released clones are recycled through
+// bounded free lists, so steady-state VM churn allocates no garbage on
+// the clone/CoW hot paths.
 package mem
 
 import (
@@ -51,37 +59,19 @@ func makeFrameID(idx, gen uint32) FrameID {
 func (id FrameID) index() uint32      { return uint32(id) }
 func (id FrameID) generation() uint32 { return uint32(id >> 32) }
 
-// frame is one machine page slot in the slab, 96 bytes. Content is either
-// explicit bytes, a deterministic pattern (materialized lazily, so large
-// synthetic reference images do not occupy host RAM), a delta over
-// another frame (src != 0, likewise lazy), or all-zeroes (data == nil,
-// aux == 0, src == 0). refs == 0 marks a free slot.
+// frame is one machine page slot in the slab, 40 bytes. Content is
+// either explicit bytes, a deterministic pattern (materialized lazily,
+// so a full-boot space does not occupy host RAM), or all-zeroes (data ==
+// nil, aux == 0). refs == 0 marks a free slot.
 type frame struct {
 	refs int64
 	data *[PageSize]byte
-
-	// Delta frame: content is src's bytes with the write records in
-	// inl[:inlLen] and then delta applied in order, until materialized.
-	// The frame holds no reference on src. That is sound because only a
-	// clone's fault against its image creates one, the image cannot be
-	// released while the clone is attached, and a delta frame never
-	// outlives or leaves its clone: it has exactly one reference, and
-	// IncRef materializes before adding a second. must(src) panics if
-	// the invariant is ever broken.
-	//
-	// The first records sit inline in the slot and the overflow is a
-	// pooled buffer of the smallest size class that holds it (nil until
-	// needed, back to its pool when the frame is freed or materialized),
-	// so a fault costs no heap object.
-	src FrameID
 
 	// aux is the one word three exclusive states share: the seed of a
 	// pattern frame not yet materialized (nonzero, data == nil), the
 	// dedup bucket key of a hashed frame (always a data frame), and the
 	// next free slot while the slot is free.
 	aux uint64
-
-	delta []byte
 
 	// Private-page accounting (see Store.updatePrivate): the multiset of
 	// address spaces currently mapping this frame, one entry per
@@ -92,10 +82,8 @@ type frame struct {
 	holder *AddressSpace
 
 	// gen is the slot generation FrameIDs must match; bumped on free.
-	gen    uint32
-	flags  uint8
-	inlLen uint8
-	inl    [deltaInline]byte
+	gen   uint32
+	flags uint8
 }
 
 const (
@@ -118,133 +106,32 @@ type StoreStats struct {
 // noFreeSlot terminates the intrusive free list.
 const noFreeSlot = ^uint32(0)
 
-// slabChunk is the number of frame slots the slab grows by (96 KiB): a
-// power of two, so addressing a slot is a shift and a mask.
-const slabChunk = 1024
+// slabChunk is the number of frame slots the slab grows by (10 KiB): a
+// power of two, so addressing a slot is a shift and a mask. It is small
+// because every simulated server has a store and most hold little in
+// the slab — the zero frame, and the pages something read or shared.
+const slabChunk = 256
 
 // bufPoolCap bounds the recycled page-buffer pool (4 MiB of 4 KiB
 // pages). Only frames whose bytes something read or wrote wholesale
-// hold a buffer (delta and pattern frames do not), so the pool serves
-// checkpoints, share passes and large writes; churn beyond the cap
-// falls back to the allocator.
+// hold a buffer (lazy deltas and pattern frames do not), so the pool
+// serves checkpoints, share passes and large writes; churn beyond the
+// cap falls back to the allocator.
 const bufPoolCap = 1024
-
-// spacePoolCap bounds the free list of released clones, and
-// pageTableMaxRecycle the size of a page table worth keeping: clear
-// walks every bucket a map ever grew, so a table that once held a whole
-// image would tax each later tenant.
-const (
-	spacePoolCap        = 4096
-	pageTableMaxRecycle = 1024
-)
-
-// A delta record is a 4-byte header (offset, length; little-endian
-// uint16s) followed by the bytes written. deltaInline holds two of the
-// guest's 8-byte page touches; a frame whose records would pass
-// deltaCap is materialized instead, which bounds what a read has to
-// replay. Overflow buffers come in doubling size classes from
-// deltaMinClass to deltaCap, each class recycled through its own pool,
-// so a page pays for the records it has rather than for the cap.
-const (
-	deltaHdr      = 4
-	deltaInline   = 24
-	deltaCap      = 256
-	deltaMinClass = 32
-	deltaClasses  = 4 // 32, 64, 128, 256
-	deltaPoolCap  = 16384
-)
-
-// deltaClass is the index of the smallest overflow size class holding n
-// bytes (1 <= n <= deltaCap).
-func deltaClass(n int) int {
-	c := 0
-	for size := deltaMinClass; size < n; size <<= 1 {
-		c++
-	}
-	return c
-}
-
-// appendDelta records a write of b at off on delta frame f. It reports
-// false, recording nothing, when the frame's records would outgrow
-// deltaCap.
-func (s *Store) appendDelta(f *frame, off int, b []byte) bool {
-	if len(b) == 0 {
-		return true
-	}
-	need := deltaHdr + len(b)
-	if int(f.inlLen)+len(f.delta)+need > deltaCap {
-		return false
-	}
-	var hdr [deltaHdr]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(off))
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(b)))
-	// Records apply inline-first, so nothing goes inline after a spill.
-	if len(f.delta) == 0 && int(f.inlLen)+need <= deltaInline {
-		copy(f.inl[f.inlLen:], hdr[:])
-		copy(f.inl[int(f.inlLen)+deltaHdr:], b)
-		f.inlLen += uint8(need)
-		return true
-	}
-	if n := len(f.delta) + need; n > cap(f.delta) {
-		// Move up a size class; the outgrown buffer goes back to its own.
-		c := deltaClass(n)
-		grown, ok := pop(&s.deltaPool[c])
-		if !ok {
-			grown = make([]byte, 0, deltaMinClass<<c)
-		}
-		grown = append(grown, f.delta...)
-		s.putDelta(f.delta)
-		f.delta = grown
-	}
-	f.delta = append(append(f.delta, hdr[:]...), b...)
-	return true
-}
-
-// putDelta returns an overflow buffer to its size class's pool at
-// length zero, so no stale record can ever be replayed.
-func (s *Store) putDelta(buf []byte) {
-	if buf == nil {
-		return
-	}
-	if pool := &s.deltaPool[deltaClass(cap(buf))]; len(*pool) < deltaPoolCap {
-		*pool = append(*pool, buf[:0])
-	}
-}
-
-// dropLazy forgets a pattern or delta description of f's content. Its
-// callers — materialize on a frame without data, free after the dedup
-// entry is gone — never hold a hash in aux they still need.
-func (s *Store) dropLazy(f *frame) {
-	f.aux = 0
-	f.src = 0
-	f.inlLen = 0
-	s.putDelta(f.delta)
-	f.delta = nil
-}
-
-// applyDelta replays write records onto page.
-func applyDelta(page, recs []byte) {
-	for len(recs) > 0 {
-		off := int(binary.LittleEndian.Uint16(recs[0:]))
-		n := int(binary.LittleEndian.Uint16(recs[2:]))
-		copy(page[off:], recs[deltaHdr:deltaHdr+n])
-		recs = recs[deltaHdr+n:]
-	}
-}
 
 // Store is a machine-wide refcounted frame table shared by every VM on a
 // simulated physical host. It is not safe for concurrent use; the VMM is
 // single-threaded under the sim kernel.
 type Store struct {
 	// The slab grows a chunk at a time, so a slot never moves and growth
-	// costs the new slots only: a flat slice re-cleared and copied the
-	// whole table at every step, which was most of the bytes a replay
-	// allocated once page copies were gone. Slot 0 is a permanently-dead
-	// sentinel so index 0 (and hence FrameID 0) is never valid.
+	// costs the new slots only. Slot 0 is a permanently-dead sentinel so
+	// index 0 (and hence FrameID 0) is never valid.
 	slab     [][]frame
 	slots    uint32 // slots ever carved, including the sentinel
 	freeHead uint32
-	live     int // live frames, maintained incrementally
+	// live counts live frames: slab slots in use plus the frames that are
+	// only described (a synthetic image's pages, clones' lazy deltas).
+	live int
 
 	// ShareContent enables content-based page sharing: AllocData and
 	// snapshot registration coalesce identical pages. Zero pages are
@@ -260,9 +147,10 @@ type Store struct {
 	extra map[uint32][]*AddressSpace
 
 	bufPool   []*[PageSize]byte
-	deltaPool [deltaClasses][][]byte
-	// spaceFree are released clones, page table attached and empty,
-	// waiting to be the next clone.
+	overflow  [deltaClasses]overflowClass
+	chunkFree []*tableChunk
+	// spaceFree are released clones, index attached and empty, waiting
+	// to be the next clone.
 	spaceFree []*AddressSpace
 
 	stats StoreStats
@@ -271,7 +159,6 @@ type Store struct {
 // NewStore returns an empty store with a preallocated shared zero frame.
 func NewStore() *Store {
 	s := &Store{
-		slab:     [][]frame{make([]frame, slabChunk)},
 		slots:    1, // slot 0 reserved
 		freeHead: noFreeSlot,
 		dedup:    make(map[uint64][]FrameID),
@@ -288,9 +175,33 @@ func (s *Store) slot(idx uint32) *frame {
 	return &s.slab[idx/slabChunk][idx%slabChunk]
 }
 
-// alloc carves a fresh frame slot (free-list pop or the slab's next)
-// with refs == 1 and updates the incremental live/peak counters.
+// count records n frames coming to life. The arithmetic is the same
+// whether they take slab slots or are only described.
+func (s *Store) count(n int) {
+	s.live += n
+	s.stats.Allocs += uint64(n)
+	if s.live > s.stats.PeakFrames {
+		s.stats.PeakFrames = s.live
+		s.stats.PeakModeled = uint64(s.live) * PageSize
+	}
+}
+
+// uncount records n frames going away.
+func (s *Store) uncount(n int) {
+	s.live -= n
+	s.stats.Frees += uint64(n)
+}
+
+// alloc counts a new frame and carves its slot.
 func (s *Store) alloc() (FrameID, *frame) {
+	s.count(1)
+	return s.carve()
+}
+
+// carve takes a frame slot (free-list pop or the slab's next) with
+// refs == 1, counting nothing: promoting a described page to a slab
+// frame gives a frame the store already counts a slot.
+func (s *Store) carve() (FrameID, *frame) {
 	var f *frame
 	idx := s.freeHead
 	if idx != noFreeSlot {
@@ -299,7 +210,10 @@ func (s *Store) alloc() (FrameID, *frame) {
 		f.aux = 0
 	} else {
 		idx = s.slots
-		if idx%slabChunk == 0 {
+		if idx >= deltaTag {
+			panic("mem: frame slab full") // page-table entries tag bit 31
+		}
+		if int(idx/slabChunk) == len(s.slab) {
 			s.slab = append(s.slab, make([]frame, slabChunk))
 		}
 		s.slots++
@@ -307,12 +221,6 @@ func (s *Store) alloc() (FrameID, *frame) {
 		f.gen = 1
 	}
 	f.refs = 1
-	s.live++
-	s.stats.Allocs++
-	if s.live > s.stats.PeakFrames {
-		s.stats.PeakFrames = s.live
-		s.stats.PeakModeled = uint64(s.live) * PageSize
-	}
 	return makeFrameID(idx, f.gen), f
 }
 
@@ -323,7 +231,6 @@ func (s *Store) free(idx uint32, f *frame) {
 		s.putBuf(f.data)
 		f.data = nil
 	}
-	s.dropLazy(f)
 	if f.flags&flagExtra != 0 {
 		delete(s.extra, idx)
 	}
@@ -332,8 +239,7 @@ func (s *Store) free(idx uint32, f *frame) {
 	f.gen++
 	f.aux = uint64(s.freeHead)
 	s.freeHead = idx
-	s.live--
-	s.stats.Frees++
+	s.uncount(1)
 }
 
 // pop takes the most recently pooled item, if there is one.
@@ -412,13 +318,9 @@ func (s *Store) alive(id FrameID) bool {
 	return f.gen == id.generation() && f.refs > 0
 }
 
-// IncRef adds a reference to a frame. A delta frame is materialized
-// first: a second holder could outlive the image it reads through.
+// IncRef adds a reference to a frame.
 func (s *Store) IncRef(id FrameID) {
 	f := s.must(id)
-	if f.src != 0 {
-		s.materialize(f)
-	}
 	f.refs++
 	s.updatePrivate(f)
 }
@@ -544,10 +446,6 @@ func (s *Store) render(f *frame, buf *[PageSize]byte) {
 	switch {
 	case f.data != nil:
 		*buf = *f.data
-	case f.src != 0:
-		s.render(s.must(f.src), buf)
-		applyDelta(buf[:], f.inl[:f.inlLen])
-		applyDelta(buf[:], f.delta)
 	case f.aux != 0: // a pattern seed: only data frames are hashed
 		fillPattern(buf[:], f.aux)
 	default:
@@ -556,13 +454,13 @@ func (s *Store) render(f *frame, buf *[PageSize]byte) {
 }
 
 // materialize ensures f.data holds explicit bytes. It is the one place
-// a lazy frame (pattern or delta) turns into an ordinary data frame,
-// and every reader of a frame's bytes comes through it.
+// a pattern frame turns into an ordinary data frame, and every reader of
+// a frame's bytes comes through it.
 func (s *Store) materialize(f *frame) []byte {
 	if f.data == nil {
 		buf := s.getBuf()
 		s.render(f, buf)
-		s.dropLazy(f)
+		f.aux = 0
 		f.data = buf
 	}
 	return f.data[:]
@@ -685,36 +583,10 @@ func contentHash(b []byte) uint64 {
 
 func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
-// AllocCopyWrite allocates a new private frame whose content is src's
-// with b applied at off — the copy-on-write fault path for image-backed
-// pages. The frame is a delta over src (see frame.src for the lifetime
-// rule the caller must meet) unless b alone exceeds deltaCap. src's
-// reference count is untouched (the image keeps its reference).
-func (s *Store) AllocCopyWrite(src FrameID, off int, b []byte) FrameID {
-	if off < 0 || off+len(b) > PageSize {
-		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
-	}
-	s.must(src)
-	id, _ := s.allocDelta(src, off, b)
-	return id
-}
-
-// allocDelta is AllocCopyWrite for a caller that has already checked the
-// write's bounds and knows src is live.
-func (s *Store) allocDelta(src FrameID, off int, b []byte) (FrameID, *frame) {
-	id, f := s.alloc()
-	s.stats.CowCopies++
-	f.src = src
-	if !s.appendDelta(f, off, b) {
-		copy(s.materialize(f)[off:], b)
-	}
-	return id, f
-}
-
 // AllocPattern allocates a frame whose content is a deterministic
-// function of seed, without materializing bytes. Synthetic reference
-// images use this so a 128 MiB guest image costs a few MiB of host RAM.
-// seed must be nonzero.
+// function of seed, without materializing bytes. Full-boot spaces use
+// this so a 128 MiB guest costs no host page buffers until read. seed
+// must be nonzero.
 func (s *Store) AllocPattern(seed uint64) FrameID {
 	if seed == 0 {
 		panic("mem: AllocPattern with zero seed")
@@ -725,11 +597,11 @@ func (s *Store) AllocPattern(seed uint64) FrameID {
 }
 
 // View returns the frame's content for reading. The returned slice must
-// not be modified; use CowWrite for writes. Pattern and delta frames
-// are materialized on first view.
+// not be modified; use CowWrite for writes. Pattern frames are
+// materialized on first view.
 func (s *Store) View(id FrameID) []byte {
 	f := s.must(id)
-	if f.data == nil && f.aux == 0 && f.src == 0 {
+	if f.data == nil && f.aux == 0 {
 		return zeroPage[:]
 	}
 	return s.materialize(f)
@@ -739,9 +611,9 @@ var zeroPage [PageSize]byte
 
 // CowWrite writes b at offset off into the page, performing
 // copy-on-write: if the frame is shared (refs > 1) a private copy is
-// created and returned; otherwise the write happens in place (on a delta
-// frame, as one more record). The (possibly new) frame ID is returned
-// along with whether a copy happened.
+// created and returned; otherwise the write happens in place. The
+// (possibly new) frame ID is returned along with whether a copy
+// happened.
 func (s *Store) CowWrite(id FrameID, off int, b []byte) (FrameID, bool) {
 	if off < 0 || off+len(b) > PageSize {
 		panic(fmt.Sprintf("mem: write [%d,%d) outside page", off, off+len(b)))
@@ -766,28 +638,31 @@ func (s *Store) CowWrite(id FrameID, off int, b []byte) (FrameID, bool) {
 		f.flags &^= flagHashed
 		f.aux = 0
 	}
-	if f.src != 0 && s.appendDelta(f, off, b) {
-		return id, false
-	}
 	copy(s.materialize(f)[off:], b)
 	return id, false
 }
 
-// CheckRefs verifies that every frame's reference count equals the
+// CheckRefs verifies that every slab frame's reference count equals the
 // number of external references reported by refs (plus the zero frame's
-// permanent self-reference). It returns an error describing the first
-// discrepancy. Tests use it as the leak detector.
+// permanent self-reference), and that the slab's frames plus the
+// described ones refs reports under FrameID 0 (see ExternalRefs) are
+// exactly the frames the store counts live. It returns an error
+// describing the first discrepancy. Tests use it as the leak detector.
 func (s *Store) CheckRefs(external map[FrameID]int64) error {
 	seen := make(map[FrameID]int64, len(external))
 	for id, n := range external {
 		seen[id] = n
 	}
+	described := seen[0]
+	delete(seen, 0)
 	seen[s.zero]++ // permanent self-reference
+	inSlab := 0
 	for idx := uint32(1); idx < s.slots; idx++ {
 		f := s.slot(idx)
 		if f.refs <= 0 {
 			continue // free slot
 		}
+		inSlab++
 		id := makeFrameID(idx, f.gen)
 		if f.refs != seen[id] {
 			return fmt.Errorf("mem: frame %d has %d refs, expected %d", id, f.refs, seen[id])
@@ -798,6 +673,9 @@ func (s *Store) CheckRefs(external map[FrameID]int64) error {
 		if n != 0 {
 			return fmt.Errorf("mem: %d external refs to missing frame %d", n, id)
 		}
+	}
+	if int64(s.live) != int64(inSlab)+described {
+		return fmt.Errorf("mem: %d frames live, but %d in the slab and %d described", s.live, inSlab, described)
 	}
 	return nil
 }

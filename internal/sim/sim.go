@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -56,34 +55,71 @@ func (t Time) String() string {
 // their firing time and may schedule further events.
 type Event func(now Time)
 
-// item is a pending entry in the event heap. seq breaks ties so that events
-// scheduled for the same instant fire in scheduling order, which keeps runs
-// deterministic.
+// item is a pending event. Its seq is what a Timer checks before
+// cancelling, so a recycled item cannot be cancelled by a stale Timer.
 type item struct {
-	at     Time
 	seq    uint64
 	fn     Event
 	cancel bool
 }
 
-type eventHeap []*item
+// queued is an entry of the event heap: the ordering key (at, seq)
+// inline beside the item, so a comparison loads no pointer. seq breaks
+// ties so that events scheduled for the same instant fire in scheduling
+// order, which keeps runs deterministic.
+type queued struct {
+	at  Time
+	seq uint64
+	it  *item
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// eventHeap is a binary min-heap on (at, seq), a total order, so pop
+// order does not depend on how the sifts are written. They are written
+// out rather than driven through container/heap, whose interface costs a
+// dynamic call and two pointer loads per comparison.
+type eventHeap []queued
+
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*item)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+func (h *eventHeap) push(e queued) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() queued {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = queued{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if s.less(c, least) {
+				least = c
+			}
+		}
+		if least == i {
+			return top
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
 }
 
 // Kernel is a discrete-event scheduler. The zero value is not usable; call
@@ -157,12 +193,12 @@ func (k *Kernel) At(at Time, fn Event) Timer {
 		it = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		it.at, it.seq, it.fn, it.cancel = at, k.seq, fn, false
+		it.seq, it.fn, it.cancel = k.seq, fn, false
 	} else {
-		it = &item{at: at, seq: k.seq, fn: fn}
+		it = &item{seq: k.seq, fn: fn}
 	}
 	k.seq++
-	heap.Push(&k.queue, it)
+	k.queue.push(queued{at: at, seq: it.seq, it: it})
 	return Timer{it: it, seq: it.seq}
 }
 
@@ -245,12 +281,13 @@ func (k *Kernel) Stop() { k.stopped = true }
 // empty).
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
-		it := heap.Pop(&k.queue).(*item)
+		e := k.queue.pop()
+		it := e.it
 		if it.cancel {
 			k.recycle(it)
 			continue
 		}
-		k.now = it.at
+		k.now = e.at
 		fn := it.fn
 		// Recycle before running: the item's seq only changes when At
 		// reuses it, so a Timer held for this event still reports
@@ -293,8 +330,8 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now.Add(d)) }
 // peek returns the firing time of the earliest live event.
 func (k *Kernel) peek() (Time, bool) {
 	for len(k.queue) > 0 {
-		if k.queue[0].cancel {
-			k.recycle(heap.Pop(&k.queue).(*item))
+		if k.queue[0].it.cancel {
+			k.recycle(k.queue.pop().it)
 			continue
 		}
 		return k.queue[0].at, true

@@ -513,14 +513,30 @@ func (h *VMHost) Destroy(id VMID) {
 // crashes), in VMID order so teardown — and any trace output it emits —
 // is a pure function of the seed.
 func (h *VMHost) DestroyAll() {
-	ids := make([]VMID, 0, len(h.vms))
-	for id := range h.vms {
-		ids = append(ids, id)
+	for _, vm := range h.sortedVMs() {
+		h.Destroy(vm.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h.Destroy(id)
+}
+
+// sortedVMs returns the live VMs in VMID order: what walks them all
+// must not inherit the map's order.
+func (h *VMHost) sortedVMs() []*VM {
+	vms := make([]*VM, 0, len(h.vms))
+	for _, vm := range h.vms {
+		vms = append(vms, vm)
 	}
+	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	return vms
+}
+
+// spaces returns the live VMs' address spaces in VMID order.
+func (h *VMHost) spaces() []*mem.AddressSpace {
+	vms := h.sortedVMs()
+	spaces := make([]*mem.AddressSpace, len(vms))
+	for i, vm := range vms {
+		spaces[i] = vm.Mem
+	}
+	return spaces
 }
 
 // Pause freezes a running VM: it keeps its memory and binding but
@@ -595,12 +611,10 @@ func (h *VMHost) SnapshotVM(id VMID, name string) (*Image, error) {
 
 // MemorySharePass runs one KSM-style content-sharing scan over all live
 // VMs' owned pages (see mem.SharePass), charging the scan's CPU cost.
+// The pass keeps the first of two identical pages it meets, so it walks
+// the VMs in VMID order.
 func (h *VMHost) MemorySharePass() mem.SharePassResult {
-	spaces := make([]*mem.AddressSpace, 0, len(h.vms))
-	for _, vm := range h.vms {
-		spaces = append(spaces, vm.Mem)
-	}
-	res := mem.SharePass(h.store, spaces)
+	res := mem.SharePass(h.store, h.spaces())
 	// ~150 ns to hash-and-compare a page is a reasonable 2005-era cost.
 	h.ChargeCPU(h.K.Now(), time.Duration(res.PagesScanned)*150*time.Nanosecond)
 	return res
@@ -615,13 +629,9 @@ func (h *VMHost) StartSharePasses(interval time.Duration) *sim.Ticker {
 // CheckMemoryInvariants verifies frame refcount consistency across all
 // live VMs and images on the host. Tests call this after churn.
 func (h *VMHost) CheckMemoryInvariants() error {
-	var spaces []*mem.AddressSpace
-	for _, vm := range h.vms {
-		spaces = append(spaces, vm.Mem)
-	}
 	var images []*mem.Image
 	for _, img := range h.images {
 		images = append(images, img.Mem)
 	}
-	return h.store.CheckRefs(mem.ExternalRefs(spaces, images))
+	return h.store.CheckRefs(mem.ExternalRefs(h.spaces(), images))
 }
