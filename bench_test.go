@@ -367,20 +367,19 @@ func BenchmarkFacadeProbeLifecycle(b *testing.B) {
 
 // BenchmarkE11WireIngest measures the full wire path end to end: a
 // sender GRE-encapsulates SYN probes over a real loopback UDP socket,
-// the listener decapsulates them, and the bridge drives them through
-// the whole honeyfarm simulation (clone, deliver, reply). ns/op is the
+// the listener decapsulates them, and the wire server drives them
+// through the whole honeyfarm simulation (clone, deliver, reply). ns/op is the
 // end-to-end per-packet cost; the sender is flow-controlled so the
 // number excludes drops (lossless transport, like the determinism
 // test).
 func BenchmarkE11WireIngest(b *testing.B) {
-	hf := MustNew(Options{Seed: 1, Servers: 64})
+	hf := MustNew(Options{Seed: 1, Servers: 64, Wire: &WireOptions{Addr: "127.0.0.1:0"}})
 	defer hf.Close()
-	l, err := ingest.Listen(ingest.Config{Addr: "127.0.0.1:0", Timestamped: true})
+	srv, err := hf.StartWire()
 	if err != nil {
 		b.Fatal(err)
 	}
-	bridge := hf.WireBridge(1)
-	s, err := ingest.DialWire(l.Addr().String(), 1, true)
+	s, err := ingest.DialWire(srv.Addr().String(), 1, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,21 +402,23 @@ func BenchmarkE11WireIngest(b *testing.B) {
 				b.Error(err)
 				break
 			}
-			for s.Sent-l.Stats().Enqueued > 1024 {
+			for s.Sent-srv.Stats().Ingest.Enqueued > 1024 {
 				time.Sleep(20 * time.Microsecond)
 			}
 		}
 		deadline := time.Now().Add(30 * time.Second)
-		for l.Stats().Received < s.Sent && time.Now().Before(deadline) {
+		for srv.Stats().Ingest.Received < s.Sent && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		l.Close()
+		srv.Stop()
 	}()
-	bridge.Pump(l, 0)
+	ws, err := srv.Serve(WithEpilogue(0))
 	b.StopTimer()
-	st := l.Stats()
-	if st.Dropped != 0 || bridge.Delivered != uint64(b.N) {
-		b.Fatalf("lossy run: delivered %d of %d, stats %+v", bridge.Delivered, b.N, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ws.Ingest.Dropped != 0 || ws.Injected != b.N {
+		b.Fatalf("lossy run: injected %d of %d, stats %+v", ws.Injected, b.N, ws.Ingest)
 	}
 }
 

@@ -24,8 +24,10 @@
 //	-duration D      length of synthesized feed (default 2m)
 //	-rate PPS        synthesized feed packet rate (default 200)
 //	-servers N       physical servers (default 4)
-//	-shards N        gateway instances partitioning the monitored space
-//	-parallel        run shards on parallel epochs (needs -shards >= 2)
+//	-shards N        gateway instances partitioning the monitored space, one
+//	                 simulation domain each (needs -servers >= N)
+//	-parallel        run the shards' epochs on one goroutine each (needs
+//	                 -shards >= 2; same bytes as without it)
 //	-policy NAME     open|drop-all|reflect-source|internal-reflect
 //	-idle D          VM idle-recycling timeout (default 60s; 0 disables)
 //	-guest NAME      winxp|sqlserver|linux
@@ -75,10 +77,12 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"maps"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -350,9 +354,9 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	opts.OnDetected = func(addr string, n int) {
+	opts.Hooks = &potemkin.Hooks{OnDetected: func(addr string, n int) {
 		fmt.Printf("  !! scan detector: VM %s attempted %d distinct targets\n", addr, n)
-	}
+	}}
 	if *eventLog != "" {
 		f, err := os.Create(*eventLog)
 		if err != nil {
@@ -454,12 +458,14 @@ func main() {
 		fmt.Printf("debug endpoint on http://%s (/snapshot, /metrics, /debug/vars, /debug/pprof)\n", *debug)
 	}
 
-	// Progress reporting rides the simulation clock. In -parallel mode
-	// there is no single kernel to hang a ticker on (each shard owns
-	// its own), so progress comes only from the final report.
-	in := hf.Internals()
-	if in.Kernel != nil {
-		in.Kernel.Every(*interval, func(now sim.Time) {
+	// Progress reporting rides the simulation clock: a ticker on shard
+	// 0's kernel. Without -parallel the shards advance in turn on this
+	// goroutine, so the ticker may read them all; with it they run
+	// concurrently, nothing may, and progress comes only from the final
+	// report.
+	eng := hf.Internals().Engine
+	if !*parallel {
+		eng.Domains()[0].K.Every(*interval, func(now sim.Time) {
 			snap := hf.Snapshot()
 			line := fmt.Sprintf("  t=%-8v live=%-5d infected=%-4d bindings=%d recycled=%d pending=%d mem=%dMiB",
 				time.Duration(now).Truncate(time.Millisecond), snap.LiveVMs, snap.InfectedVMs,
@@ -585,22 +591,16 @@ func main() {
 		tab.Render(os.Stdout)
 	}
 
-	var gt guest.Stats
-	if eng := hf.Internals().Engine; eng != nil {
-		gt = eng.GuestTotals()
-	} else {
-		gt = hf.Internals().Farm.GuestTotals()
-	}
+	gt := eng.GuestTotals()
 	fmt.Printf("  guest activity (live VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
 		gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
 
-	if tr := hf.Tracer(); tr != nil {
+	if stages := hf.Snapshot().StagesMs; stages != nil {
 		tab := metrics.NewTable("\nper-stage latency (ms)",
 			"stage", "count", "mean", "p50", "p90", "p99", "max")
-		for _, name := range tr.StageNames() {
-			h := tr.Stage(name)
-			tab.AddRow(name, h.Count(), h.Mean(),
-				h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max())
+		for _, name := range slices.Sorted(maps.Keys(stages)) {
+			l := stages[name]
+			tab.AddRow(name, l.Count, l.Mean, l.P50, l.P90, l.P99, l.Max)
 		}
 		tab.Render(os.Stdout)
 	}

@@ -36,9 +36,11 @@ func Example() {
 func ExampleHoneyfarm_InjectExploit() {
 	detected := ""
 	hf := potemkin.MustNew(potemkin.Options{
-		Seed:       7,
-		Policy:     potemkin.DropAll,
-		OnDetected: func(addr string, _ int) { detected = addr },
+		Seed:   7,
+		Policy: potemkin.DropAll,
+		Hooks: &potemkin.Hooks{
+			OnDetected: func(addr string, _ int) { detected = addr },
+		},
 	})
 	defer hf.Close()
 
@@ -56,7 +58,7 @@ func ExampleHoneyfarm_InjectExploit() {
 
 // Covering an address space: replay synthetic telescope traffic and let
 // idle recycling multiplex a few VMs across many addresses.
-func ExampleHoneyfarm_ReplayTrace() {
+func ExampleHoneyfarm_Replay() {
 	hf := potemkin.MustNew(potemkin.Options{
 		Seed:        3,
 		IdleTimeout: 5 * time.Second,
@@ -67,7 +69,10 @@ func ExampleHoneyfarm_ReplayTrace() {
 	if err != nil {
 		panic(err)
 	}
-	n := hf.ReplayTrace(recs)
+	n, err := hf.Replay(potemkin.SliceSource(recs))
+	if err != nil {
+		panic(err)
+	}
 	hf.RunFor(time.Minute) // drain
 
 	st := hf.Stats()

@@ -31,11 +31,13 @@ func main() {
 	opts := potemkin.Options{
 		Seed:   7,
 		Policy: potemkin.DropAll,
-		OnInfected: func(addr string, gen int) {
-			fmt.Printf("  ** honeyfarm captured live malware on %s (chain depth %d)\n", addr, gen)
-		},
-		OnDetected: func(addr string, n int) {
-			fmt.Printf("  !! detector: %s began scanning (%d distinct targets)\n", addr, n)
+		Hooks: &potemkin.Hooks{
+			OnInfected: func(addr string, gen int) {
+				fmt.Printf("  ** honeyfarm captured live malware on %s (chain depth %d)\n", addr, gen)
+			},
+			OnDetected: func(addr string, n int) {
+				fmt.Printf("  !! detector: %s began scanning (%d distinct targets)\n", addr, n)
+			},
 		},
 	}
 	if *chromeOut != "" {
@@ -49,7 +51,9 @@ func main() {
 	}
 	hf := potemkin.MustNew(opts)
 	defer hf.Close()
-	in := hf.Internals()
+	// The default farm is one simulation domain; the epidemic shares its
+	// clock and feeds its gateway.
+	farm := hf.Internals().Engine.Domains()[0]
 
 	// An epidemic on the outside: 2,000 hosts already infected, each
 	// scanning 50 addresses per second, out of a million vulnerable.
@@ -59,9 +63,9 @@ func main() {
 	wcfg.ScanRate = 50
 	wcfg.ExploitPayload = guest.WindowsXP().ExploitPayload(0)
 	wcfg.Deliver = func(now sim.Time, pkt *netsim.Packet) {
-		in.Gateway.HandleInbound(now, pkt)
+		farm.G.HandleInbound(now, pkt)
 	}
-	e := worm.New(in.Kernel, wcfg)
+	e := worm.New(farm.K, wcfg)
 
 	fmt.Printf("outbreak begins: %d infected on the Internet, honeyfarm watching %s\n\n",
 		e.Infected(), "10.5.0.0/16")

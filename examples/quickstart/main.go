@@ -19,8 +19,10 @@ func main() {
 		Servers:        2,
 		Policy:         potemkin.ReflectSource,
 		IdleTimeout:    5 * time.Second,
-		OnEgress: func(pkt string) {
-			fmt.Printf("  [egress] %s\n", pkt)
+		Hooks: &potemkin.Hooks{
+			OnEgress: func(pkt string) {
+				fmt.Printf("  [egress] %s\n", pkt)
+			},
 		},
 	})
 	if err != nil {

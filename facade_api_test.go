@@ -2,6 +2,7 @@ package potemkin
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,7 +56,7 @@ func TestValidateReportsAllProblems(t *testing.T) {
 	}
 }
 
-// TestValidateParallelConstraints covers the Parallel-specific rules.
+// TestValidateParallelConstraints covers the shard and Parallel rules.
 func TestValidateParallelConstraints(t *testing.T) {
 	err := Options{Parallel: true}.Validate()
 	if err == nil {
@@ -73,20 +74,23 @@ func TestValidateParallelConstraints(t *testing.T) {
 		!strings.Contains(err.Error(), "EpochLog requires Parallel") {
 		t.Errorf("EpochLog without Parallel should fail: %v", err)
 	}
-	if err := (Options{Parallel: true, GatewayShards: 8}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "at least one server per shard") {
-		t.Errorf("8 shards over 4 default servers should fail: %v", err)
-	}
-	if err := (Options{Parallel: true, GatewayShards: 4}).Validate(); err != nil {
-		t.Errorf("4 shards over 4 default servers should validate: %v", err)
+	// Every shard is a domain with its own slice of the servers,
+	// Parallel or not, and the complaint joins the collect-all list.
+	for _, parallel := range []bool{false, true} {
+		err := (Options{Parallel: parallel, GatewayShards: 8, MonitoredSpace: "garbage"}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "at least one server per shard") ||
+			!strings.Contains(err.Error(), "invalid MonitoredSpace") {
+			t.Errorf("Parallel=%v: 8 shards over 4 default servers should fail alongside the bad space: %v", parallel, err)
+		}
+		if err := (Options{Parallel: parallel, GatewayShards: 4}).Validate(); err != nil {
+			t.Errorf("Parallel=%v: 4 shards over 4 default servers should validate: %v", parallel, err)
+		}
 	}
 }
 
-// TestHooksStruct checks the consolidated Hooks callbacks fire, and
-// that they win over the deprecated per-field callbacks when both are
-// set.
+// TestHooksStruct checks the consolidated Hooks callbacks fire.
 func TestHooksStruct(t *testing.T) {
-	var viaHooks, viaLegacy []string
+	var viaHooks []string
 	var infected int
 	hf := MustNew(Options{
 		Policy: ReflectSource,
@@ -94,7 +98,6 @@ func TestHooksStruct(t *testing.T) {
 			OnEgress:   func(p string) { viaHooks = append(viaHooks, p) },
 			OnInfected: func(addr string, gen int) { infected++ },
 		},
-		OnEgress: func(p string) { viaLegacy = append(viaLegacy, p) },
 	})
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
@@ -103,26 +106,8 @@ func TestHooksStruct(t *testing.T) {
 	if len(viaHooks) == 0 {
 		t.Error("Hooks.OnEgress never fired")
 	}
-	if len(viaLegacy) != 0 {
-		t.Errorf("deprecated OnEgress fired despite Hooks.OnEgress: %v", viaLegacy)
-	}
 	if infected == 0 {
 		t.Error("Hooks.OnInfected never fired")
-	}
-}
-
-// TestDeprecatedHookFieldsForwarded checks the legacy per-field
-// callbacks still work when no Hooks struct is given.
-func TestDeprecatedHookFieldsForwarded(t *testing.T) {
-	var infected []string
-	hf := MustNew(Options{
-		OnInfected: func(addr string, gen int) { infected = append(infected, addr) },
-	})
-	defer hf.Close()
-	hf.InjectExploit("198.51.100.7", "10.5.2.3")
-	hf.RunFor(time.Second)
-	if len(infected) != 1 || infected[0] != "10.5.2.3" {
-		t.Errorf("legacy OnInfected saw %v", infected)
 	}
 }
 
@@ -156,122 +141,61 @@ func TestNewErrorClosesCaptures(t *testing.T) {
 	}
 }
 
-// replayStats runs one honeyfarm over a fixed trace through the given
-// entry point and returns (injected, final stats).
-func replayStats(t *testing.T, run func(hf *Honeyfarm, recs []TraceRecord) int) (int, Stats) {
-	t.Helper()
-	hf := MustNew(Options{Seed: 5, IdleTimeout: time.Second})
-	defer hf.Close()
-	recs, err := hf.GenerateTrace(time.Second, 400)
-	if err != nil {
-		t.Fatalf("GenerateTrace: %v", err)
-	}
-	n := run(hf, recs)
-	hf.RunFor(2 * time.Second)
-	return n, hf.Stats()
-}
-
-// TestReplayMatchesLegacyEntryPoints is the facade-level equivalence
-// test: Replay with each option combination injects the same count and
-// reaches the same final Stats as the three deprecated entry points on
-// the same seed and trace.
-func TestReplayMatchesLegacyEntryPoints(t *testing.T) {
-	refN, refStats := replayStats(t, func(hf *Honeyfarm, recs []TraceRecord) int {
-		n, err := hf.Replay(SliceSource(recs))
+// TestReplayHaltStopsEarly checks WithHalt actually cuts the replay
+// short, and that a halt that never fires and an epilogue spelled out
+// at its default change nothing.
+func TestReplayHaltStopsEarly(t *testing.T) {
+	run := func(opts ...ReplayOption) (int, int, Stats) {
+		hf := MustNew(Options{Seed: 5, IdleTimeout: time.Second})
+		defer hf.Close()
+		recs, err := hf.GenerateTrace(time.Second, 400)
+		if err != nil {
+			t.Fatalf("GenerateTrace: %v", err)
+		}
+		n, err := hf.Replay(SliceSource(recs), opts...)
 		if err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
-		return n
-	})
-	if refN == 0 || refStats.InboundPackets == 0 {
-		t.Fatalf("vacuous reference run: n=%d stats=%v", refN, refStats)
-	}
-
-	cases := map[string]func(hf *Honeyfarm, recs []TraceRecord) int{
-		"ReplayTrace": func(hf *Honeyfarm, recs []TraceRecord) int {
-			return hf.ReplayTrace(recs)
-		},
-		"ReplayStream": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.ReplayStream(SliceSource(recs))
-			if err != nil {
-				t.Fatalf("ReplayStream: %v", err)
-			}
-			return n
-		},
-		"ReplayStreamHalt": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.ReplayStreamHalt(SliceSource(recs), func() bool { return false })
-			if err != nil {
-				t.Fatalf("ReplayStreamHalt: %v", err)
-			}
-			return n
-		},
-		"Replay+WithHalt": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.Replay(SliceSource(recs), WithHalt(func() bool { return false }))
-			if err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			return n
-		},
-		"Replay+WithEpilogue": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.Replay(SliceSource(recs), WithEpilogue(time.Millisecond))
-			if err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			return n
-		},
-	}
-	for name, run := range cases {
-		n, stats := replayStats(t, run)
-		if n != refN {
-			t.Errorf("%s injected %d, Replay injected %d", name, n, refN)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("%s stats diverge:\n%v\nvs Replay:\n%v", name, stats, refStats)
-		}
-	}
-}
-
-// TestReplayHaltStopsEarly checks WithHalt actually cuts the replay
-// short.
-func TestReplayHaltStopsEarly(t *testing.T) {
-	hf := MustNew(Options{Seed: 5})
-	defer hf.Close()
-	recs, err := hf.GenerateTrace(time.Second, 400)
-	if err != nil {
-		t.Fatalf("GenerateTrace: %v", err)
+		hf.RunFor(2 * time.Second)
+		return n, len(recs), hf.Stats()
 	}
 	calls := 0
-	n, err := hf.Replay(SliceSource(recs), WithHalt(func() bool {
+	n, total, _ := run(WithHalt(func() bool {
 		calls++
 		return calls > 10
 	}))
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
+	if n == 0 || n >= total {
+		t.Errorf("halt did not stop replay early: injected %d of %d", n, total)
 	}
-	if n == 0 || n >= len(recs) {
-		t.Errorf("halt did not stop replay early: injected %d of %d", n, len(recs))
+
+	refN, _, refStats := run()
+	if refN != total || refStats.InboundPackets == 0 {
+		t.Fatalf("vacuous reference run: n=%d of %d, stats=%v", refN, total, refStats)
+	}
+	n, _, stats := run(WithHalt(func() bool { return false }), WithEpilogue(time.Millisecond))
+	if n != refN || stats != refStats {
+		t.Errorf("default-valued options changed the run: injected %d, want %d\n%v\nvs\n%v", n, refN, stats, refStats)
 	}
 }
 
-// parallelFacadeRun drives the same workload through a Parallel
+// parallelFacadeRun drives the same workload through a four-shard
 // honeyfarm and returns the stats, snapshot JSON, and event-log bytes.
-// When sequentialOracle is set the shard engine runs its epochs
-// single-threaded — the byte-identity oracle.
-func parallelFacadeRun(t *testing.T, sequentialOracle bool) (Stats, []byte, []byte) {
+// Without parallel the shard engine runs its epochs single-threaded —
+// the byte-identity oracle.
+func parallelFacadeRun(t *testing.T, parallel bool) (Stats, []byte, []byte) {
 	t.Helper()
 	var ev bytes.Buffer
+	capDir := t.TempDir()
 	hf := MustNew(Options{
 		Seed:          9,
-		Parallel:      true,
+		Parallel:      parallel,
 		GatewayShards: 4,
 		Policy:        InternalReflect,
 		Guest:         GuestMultiStage,
 		IdleTimeout:   time.Second,
 		EventLog:      &ev,
+		CaptureDir:    capDir,
 	})
-	if sequentialOracle {
-		hf.Internals().Engine.SetSequential(true)
-	}
 	// One exploit is enough: the multi-stage infection resolves its
 	// rendezvous name and fetches a second stage, so the safe-resolver
 	// answer and the reflected fetch both cross the epoch barrier. A
@@ -292,16 +216,31 @@ func parallelFacadeRun(t *testing.T, sequentialOracle bool) (Stats, []byte, []by
 	if err != nil {
 		t.Fatalf("MarshalSnapshot: %v", err)
 	}
+	// Several shards buffer their logs until Close writes them in shard
+	// order: streaming them mid-run would interleave by epoch grid.
+	if ev.Len() != 0 {
+		t.Errorf("four-shard event log wrote %d bytes before Close", ev.Len())
+	}
 	hf.Close()
+	// Likewise each shard captures into its own subdirectory.
+	for i := 0; i < 4; i++ {
+		if _, err := os.Stat(filepath.Join(capDir, fmt.Sprintf("shard-%d", i), "in.potm")); err != nil {
+			t.Errorf("four-shard capture layout: %v", err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(capDir, "in.potm")); err == nil {
+		t.Error("four-shard capture also wrote a flat in.potm")
+	}
 	return stats, snap, ev.Bytes()
 }
 
-// TestParallelFacade checks the Options.Parallel path end to end: the
-// parallel run matches the single-threaded oracle byte for byte, and
-// the workload is not vacuous.
+// TestParallelFacade checks Options.Parallel end to end: GatewayShards
+// alone builds the same domains, split servers and 1 ms cross-shard
+// latency included, so the run with Parallel set matches the one
+// without byte for byte, and the workload is not vacuous.
 func TestParallelFacade(t *testing.T) {
-	seqStats, seqSnap, seqEv := parallelFacadeRun(t, true)
-	parStats, parSnap, parEv := parallelFacadeRun(t, false)
+	seqStats, seqSnap, seqEv := parallelFacadeRun(t, false)
+	parStats, parSnap, parEv := parallelFacadeRun(t, true)
 	if !reflect.DeepEqual(seqStats, parStats) {
 		t.Errorf("stats diverge:\nseq: %v\npar: %v", seqStats, parStats)
 	}
@@ -320,30 +259,23 @@ func TestParallelFacade(t *testing.T) {
 }
 
 // TestParallelInternals checks the Internals surface in Parallel mode:
-// Engine set, sequential handles nil, and WireBridge — which panicked
-// here before live parallel ingest landed — returns a usable bridge
-// routed through the engine's epoch-feeding replay path.
+// the same engine, one domain per shard, servers split between them.
 func TestParallelInternals(t *testing.T) {
 	hf := MustNew(Options{Parallel: true, GatewayShards: 2, Servers: 2})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Engine == nil {
+	eng := hf.Internals().Engine
+	if eng == nil {
 		t.Fatal("Internals.Engine nil in Parallel mode")
 	}
-	if in.Kernel != nil || in.Farm != nil || in.Gateway != nil || in.Sharded != nil {
-		t.Error("sequential internals should be nil in Parallel mode")
+	if len(eng.Domains()) != 2 {
+		t.Fatalf("domains = %d, want 2", len(eng.Domains()))
 	}
-	if hf.Resolver() == nil {
-		t.Error("Resolver() nil in Parallel mode")
+	for i, d := range eng.Domains() {
+		if len(d.F.Hosts()) != 1 {
+			t.Errorf("shard %d has %d servers, want 1", i, len(d.F.Hosts()))
+		}
 	}
-	br := hf.WireBridge(1)
-	if br == nil {
-		t.Fatal("WireBridge returned nil in Parallel mode")
-	}
-	if br.PumpFn == nil {
-		t.Error("Parallel-mode WireBridge should delegate Pump to the engine replay path")
-	}
-	if br.K != nil {
-		t.Error("Parallel-mode WireBridge must not hold a single kernel")
+	if hf.Resolver() != eng.Domains()[0].Resolver {
+		t.Error("Resolver() is not shard 0's")
 	}
 }

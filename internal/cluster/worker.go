@@ -407,7 +407,7 @@ func (w *worker) scheduleInputs(d *core.ShardDomain, ins []input) {
 		case inputCross:
 			d.K.At(in.At, func(now sim.Time) { d.G.HandleInbound(now, in.Pkt) })
 		case inputRecord:
-			d.K.At(in.At, func(now sim.Time) { d.G.HandleInbound(now, in.Rec.Packet()) })
+			d.ScheduleRecord(in.At, &in.Rec)
 		}
 	}
 }

@@ -57,7 +57,7 @@ const (
 // ShardEngineConfig parameterizes a ShardEngine.
 type ShardEngineConfig struct {
 	// Shards is the number of domains (>= 1). The monitored space is
-	// partitioned by address index mod Shards, like gateway.Sharded.
+	// partitioned by address index mod Shards.
 	Shards int
 	// Lookahead is the epoch length / minimum cross-shard latency.
 	// Zero defaults to 1 ms, the facade's internal re-injection delay.
@@ -94,18 +94,19 @@ type ShardEngineConfig struct {
 	Fault *fault.Config
 
 	// EventLog, when non-nil, receives the forensic event logs of all
-	// shards: buffered per domain during the run, written in shard
-	// order on Close, so the bytes are a pure function of the seed.
+	// shards, buffered per domain. One domain writes its buffer through
+	// at every epoch boundary (and whenever a call that can log
+	// returns); several keep theirs until Close and write them in shard
+	// order, so the bytes are a pure function of the seed either way.
 	EventLog io.Writer
-	// TraceOut likewise receives the per-domain span traces in shard
-	// order on Close.
+	// TraceOut likewise receives the per-domain span traces.
 	TraceOut io.Writer
 	// ChromeOut, when non-nil, receives the merged Chrome (Perfetto)
-	// trace: per-domain span records are buffered during the run and
-	// streamed through one ChromeWriter in shard order on Close, with
-	// trace IDs shard-tagged so rows from different domains never
-	// collide. Byte-identical between parallel and sequential runs of
-	// the same seed, like EventLog and TraceOut.
+	// trace: per-domain span records are buffered and streamed through
+	// one ChromeWriter on the same schedule as EventLog, with trace IDs
+	// shard-tagged so rows from different domains never collide.
+	// Byte-identical between parallel and sequential runs of the same
+	// seed, like EventLog and TraceOut.
 	ChromeOut io.Writer
 
 	// Metrics, when non-nil, is the shared live-telemetry registry
@@ -121,8 +122,8 @@ type ShardEngineConfig struct {
 	EpochLog io.Writer
 
 	// Capture, when non-nil, supplies a per-shard capture sink (the
-	// facade opens one capture directory per shard). Called once per
-	// shard at construction.
+	// facade opens one capture directory per shard above one shard).
+	// Called once per shard at construction.
 	Capture func(shard int) (gateway.CaptureSink, error)
 
 	// OnDetected, OnInfected, and OnEgress observe shard activity. In
@@ -165,10 +166,10 @@ func (cfg ShardEngineConfig) Validate() error {
 }
 
 // OwnerOf maps addr onto its owning shard: addresses in space partition
-// by index mod shards, addresses outside route to shard 0 (like
-// gateway.Sharded, so they are counted somewhere deterministic). The
-// cluster coordinator and every worker use this same function, which is
-// what makes remote routing agree with the in-process engine.
+// by index mod shards, addresses outside route to shard 0 (so they are
+// counted somewhere deterministic). The cluster coordinator and every
+// worker use this same function, which is what makes remote routing
+// agree with the in-process engine.
 func OwnerOf(space netsim.Prefix, shards int, addr netsim.Addr) int {
 	if !space.Contains(addr) {
 		return 0
@@ -196,8 +197,9 @@ type ShardDomain struct {
 	// EventBuf and TraceBuf hold the domain's buffered forensic event
 	// log and span trace (nil when the config does not collect them).
 	// They are grow-once arenas appended by this domain only and
-	// flushed in shard order — by ShardEngine.Close locally, or by the
-	// cluster coordinator after fetching them off workers.
+	// flushed in shard order — by the ShardEngine locally (see
+	// ShardEngineConfig.EventLog), or by the cluster coordinator after
+	// fetching them off workers.
 	EventBuf *mem.Arena
 	TraceBuf *mem.Arena
 	// ChromeRecs buffers the domain's span records for the merged
@@ -206,14 +208,18 @@ type ShardDomain struct {
 	// appends before the shard-order flush reads them.
 	ChromeRecs []trace.Record
 	tracer     *trace.Tracer
+
+	// freeEnvs is the domain's own free list of replay envelopes (see
+	// ScheduleRecord).
+	freeEnvs []*recordEnv
 }
 
 // NewShardDomain builds domain i of cfg.Shards exactly as the engine
-// does: derived seed, even farm split, per-shard host names, buffered
-// event/trace sinks, shard-local safe resolver. cross receives every
-// packet the domain emits for an address another shard owns. The caller
-// (engine or cluster worker) owns epoch advancement of the domain's
-// kernel.
+// does: derived seed, even farm split, per-shard host names (plain when
+// there is one shard), buffered event/trace sinks, shard-local safe
+// resolver. cross receives every packet the domain emits for an address
+// another shard owns. The caller (engine or cluster worker) owns epoch
+// advancement of the domain's kernel.
 func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain, error) {
 	cfg = cfg.normalized()
 	n := cfg.Shards
@@ -228,7 +234,12 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 		fc.Servers++
 	}
 	// Suffix host names per shard so spans and logs stay unambiguous.
-	fc.HostConfig.Name = fmt.Sprintf("%s-s%d", cfg.Farm.HostConfig.Name, i)
+	// One shard has nothing to disambiguate, and the name seeds the
+	// host's RNG stream: left plain, a one-shard domain is byte-equal to
+	// a hand-wired kernel + farm + gateway.
+	if n > 1 {
+		fc.HostConfig.Name = fmt.Sprintf("%s-s%d", cfg.Farm.HostConfig.Name, i)
+	}
 	fc.Metrics = cfg.Metrics
 	if cfg.OnInfected != nil {
 		fc.OnInfected = cfg.OnInfected
@@ -304,6 +315,42 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 	return d, nil
 }
 
+// recordEnv is a pooled replay envelope: one scheduled record's packet,
+// built in the envelope's own storage, and the kernel event that
+// delivers it. fire is bound once for the envelope's lifetime, so
+// scheduling a record allocates nothing once the free list is warm.
+type recordEnv struct {
+	d    *ShardDomain
+	pkt  netsim.Packet
+	fire sim.Event
+}
+
+// ScheduleRecord schedules rec's packet for delivery to the domain's
+// gateway at time at. Call it only while the domain is stopped at a
+// barrier — the single-threaded pre-epoch hook, or a cluster worker
+// between epochs: the envelope comes off the domain's own free list
+// there and goes back on it, on the domain's goroutine, when it fires,
+// and the barrier orders the two. The packet is Ephemeral (see
+// telescope.Record.PacketInto).
+func (d *ShardDomain) ScheduleRecord(at sim.Time, rec *telescope.Record) {
+	var env *recordEnv
+	if n := len(d.freeEnvs); n > 0 {
+		env, d.freeEnvs = d.freeEnvs[n-1], d.freeEnvs[:n-1]
+	} else {
+		env = &recordEnv{d: d}
+		env.fire = env.deliver
+	}
+	rec.PacketInto(&env.pkt)
+	d.K.At(at, env.fire)
+}
+
+func (env *recordEnv) deliver(now sim.Time) {
+	d := env.d
+	d.G.HandleInbound(now, &env.pkt)
+	env.pkt.Payload = nil // don't pin the record's payload
+	d.freeEnvs = append(d.freeEnvs, env)
+}
+
 // Close stops the domain's background work and finishes open spans.
 func (d *ShardDomain) Close() {
 	d.G.Close()
@@ -321,6 +368,11 @@ type ShardEngine struct {
 	prof    *metrics.EpochProfiler
 	envs    *envPool
 	closed  bool
+
+	// chrome streams ChromeOut (nil without it); sinkErr is the first
+	// error writing EventLog or TraceOut returned, for Close to report.
+	chrome  *trace.ChromeWriter
+	sinkErr error
 
 	// epochIngress counts records Replay scheduled since the last epoch
 	// observation. Incremented in the pre-epoch hook and read/reset in
@@ -398,6 +450,12 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	e.runner = sim.NewParallelRunner(kernels, cfg.Lookahead)
 	e.runner.SetSequential(!cfg.Parallel)
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
+	if cfg.ChromeOut != nil {
+		e.chrome = trace.NewChromeWriter(cfg.ChromeOut)
+	}
+	if cfg.Shards == 1 {
+		e.runner.SetAfterEpoch(e.writeSinks)
+	}
 	if cfg.Metrics != nil || cfg.EpochLog != nil {
 		e.prof = metrics.NewEpochProfiler(cfg.Metrics, cfg.EpochLog)
 		e.runner.SetEpochObserver(func(s sim.EpochStats) {
@@ -451,6 +509,53 @@ func (e *ShardEngine) Now() sim.Time { return e.runner.Now() }
 // RunUntil advances every domain to deadline.
 func (e *ShardEngine) RunUntil(deadline sim.Time) { e.runner.RunUntil(deadline) }
 
+// writeSinks writes every domain's buffered event log, span trace and
+// Chrome records to the configured writers in shard order, and empties
+// the buffers. A one-domain engine calls it at every epoch boundary and
+// after each synchronous entry point that can log, so its output
+// streams like a directly attached sink's; with several domains only
+// Close does, because interleaving their buffers mid-run would make the
+// bytes depend on the epoch grid.
+func (e *ShardEngine) writeSinks() {
+	for _, d := range e.domains {
+		e.writeSink(e.cfg.EventLog, d.EventBuf)
+	}
+	for _, d := range e.domains {
+		e.writeSink(e.cfg.TraceOut, d.TraceBuf)
+	}
+	// Every domain's tracer numbers its traces from 1, so trace IDs are
+	// tagged with the shard index to keep one domain's timeline rows
+	// from colliding with another's — the tag is applied identically in
+	// parallel and sequential runs, preserving byte-for-byte equality.
+	for _, d := range e.domains {
+		tag := uint64(d.Index) << 48
+		for _, rec := range d.ChromeRecs {
+			rec.Trace |= tag
+			e.chrome.Write(rec)
+		}
+		clear(d.ChromeRecs)
+		d.ChromeRecs = d.ChromeRecs[:0]
+	}
+}
+
+func (e *ShardEngine) writeSink(w io.Writer, buf *mem.Arena) {
+	if buf == nil || buf.Len() == 0 {
+		return
+	}
+	if _, err := w.Write(buf.Bytes()); err != nil && e.sinkErr == nil {
+		e.sinkErr = err
+	}
+	buf.Reset()
+}
+
+// writeThrough is writeSinks for the entry points that log outside an
+// epoch; only a one-domain engine streams (see writeSinks).
+func (e *ShardEngine) writeThrough() {
+	if len(e.domains) == 1 {
+		e.writeSinks()
+	}
+}
+
 // RunFor advances every domain by d.
 func (e *ShardEngine) RunFor(d time.Duration) { e.runner.RunFor(d) }
 
@@ -462,6 +567,7 @@ func (e *ShardEngine) Barrier() sim.Barrier { return e.runner }
 func (e *ShardEngine) Inject(pkt *netsim.Packet) {
 	d := e.domains[e.Owner(pkt.Dst)]
 	d.G.HandleInbound(d.K.Now(), pkt)
+	e.writeThrough()
 }
 
 // InjectBarrier schedules pkt for delivery to its owning shard through
@@ -487,6 +593,7 @@ func (e *ShardEngine) PrepareSnapshotImages(name string, warmup time.Duration) e
 		}
 	}
 	e.runner.Align()
+	e.writeThrough()
 	return nil
 }
 
@@ -527,15 +634,11 @@ func (e *ShardEngine) FaultLog() []string {
 func (e *ShardEngine) Replay(src telescope.Source, halt func() bool, epilogue time.Duration) (int, error) {
 	return ReplayOver(e.runner, src, halt, epilogue, func(at sim.Time, rec telescope.Record) {
 		e.epochIngress++
-		d := e.domains[e.Owner(rec.Dst)]
-		d.K.At(at, func(now sim.Time) {
-			d.G.HandleInbound(now, rec.Packet())
-		})
+		e.domains[e.Owner(rec.Dst)].ScheduleRecord(at, &rec)
 	})
 }
 
-// GatewayStats sums the per-domain gateway counters, mirroring
-// gateway.Sharded.Stats.
+// GatewayStats sums the per-domain gateway counters.
 func (e *ShardEngine) GatewayStats() gateway.Stats {
 	var sum gateway.Stats
 	for _, d := range e.domains {
@@ -692,6 +795,36 @@ func (e *ShardEngine) CloneLatency() metrics.Histogram {
 	return clone
 }
 
+// OpenSpans sums the unfinished spans of every domain's tracer.
+func (e *ShardEngine) OpenSpans() int {
+	n := 0
+	for _, d := range e.domains {
+		n += d.tracer.OpenSpans()
+	}
+	return n
+}
+
+// StageLatency merges the per-domain tracers' stage histograms by
+// stage name, in shard order; nil when tracing is off or nothing has
+// been observed.
+func (e *ShardEngine) StageLatency() map[string]*metrics.Histogram {
+	var stages map[string]*metrics.Histogram
+	for _, d := range e.domains {
+		for _, name := range d.tracer.StageNames() {
+			if stages == nil {
+				stages = make(map[string]*metrics.Histogram)
+			}
+			h := stages[name]
+			if h == nil {
+				h = &metrics.Histogram{}
+				stages[name] = h
+			}
+			h.Merge(d.tracer.Stage(name))
+		}
+	}
+	return stages
+}
+
 // VMAt returns the live VM bound to addr, or nil.
 func (e *ShardEngine) VMAt(addr netsim.Addr) *vmm.VM {
 	return e.domains[e.Owner(addr)].F.VMAt(addr)
@@ -705,10 +838,11 @@ func (e *ShardEngine) RecycleAll() {
 	for _, d := range e.domains {
 		d.G.RecycleAll(d.K.Now())
 	}
+	e.writeThrough()
 }
 
 // Close stops the domains' background work, finishes open spans, and
-// writes the buffered per-domain event logs and traces to the
+// writes what the per-domain event logs and traces still buffer to the
 // configured writers in shard order. Idempotent.
 func (e *ShardEngine) Close() error {
 	if e.closed {
@@ -716,28 +850,15 @@ func (e *ShardEngine) Close() error {
 	}
 	e.closed = true
 	flushT0 := time.Now()
-	var errs []error
 	e.runner.Close()
 	e.envs.domains = nil // see envPool: the runtime outlives us holding it
 	for _, d := range e.domains {
 		d.Close()
 	}
-	for _, d := range e.domains {
-		if d.EventBuf != nil {
-			if _, err := e.cfg.EventLog.Write(d.EventBuf.Bytes()); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	for _, d := range e.domains {
-		if d.TraceBuf != nil {
-			if _, err := e.cfg.TraceOut.Write(d.TraceBuf.Bytes()); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	if e.cfg.ChromeOut != nil {
-		if err := e.flushChrome(); err != nil {
+	e.writeSinks()
+	errs := []error{e.sinkErr}
+	if e.chrome != nil {
+		if err := e.chrome.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -746,22 +867,4 @@ func (e *ShardEngine) Close() error {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// flushChrome streams the buffered per-domain span records through one
-// ChromeWriter in shard order. Every domain's tracer numbers its traces
-// from 1, so trace IDs are tagged with the shard index to keep one
-// domain's timeline rows from colliding with another's — the tag is
-// applied identically in parallel and sequential runs, preserving
-// byte-for-byte equality.
-func (e *ShardEngine) flushChrome() error {
-	cw := trace.NewChromeWriter(e.cfg.ChromeOut)
-	for _, d := range e.domains {
-		tag := uint64(d.Index) << 48
-		for _, rec := range d.ChromeRecs {
-			rec.Trace |= tag
-			cw.Write(rec)
-		}
-	}
-	return cw.Close()
 }

@@ -11,6 +11,7 @@ import (
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
 	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -22,9 +23,11 @@ type shardRun struct {
 	fm       farm.Stats
 	guests   guest.Stats
 	injected int
+	now      sim.Time
 	liveVMs  int
 	memory   uint64
 	dns      uint64
+	faults   int // applied fault events (runs with a fault.Config)
 	events   []byte
 	trace    []byte
 }

@@ -98,8 +98,8 @@ type Backend interface {
 // gateway's shed mode (Config.ShedOnFull) keys off it.
 var ErrBackendFull = errors.New("backend at capacity")
 
-// Recycler is implemented by gateway frontends (Gateway and Sharded)
-// that can tear a binding down on demand. The backend calls it when it
+// Recycler is implemented by a gateway frontend (Gateway, or a
+// decorator around one) that can tear a binding down on demand. The backend calls it when it
 // loses a VM out from under a binding — a crashed server — so the
 // address is released for rebinding instead of pointing at a corpse.
 type Recycler interface {
@@ -395,10 +395,10 @@ func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
 // SetShardHooks installs the sharding hooks: owns restricts which
 // monitored addresses this instance may bind (reflection targets are
 // drawn from owned addresses only), and reinject routes internal
-// traffic for addresses it does not own back to the owning shard.
-// Sharded uses it for the in-process router; the parallel shard engine
-// uses it to hand cross-shard traffic to the epoch barrier. Call before
-// traffic flows; nil hooks restore standalone behaviour.
+// traffic for addresses it does not own back to the owning shard. The
+// shard engine uses it to hand cross-shard traffic to the epoch
+// barrier. Call before traffic flows; nil hooks restore standalone
+// behaviour.
 func (g *Gateway) SetShardHooks(owns func(netsim.Addr) bool, reinject func(now sim.Time, pkt *netsim.Packet)) {
 	g.owns = owns
 	g.reinject = reinject

@@ -5,6 +5,13 @@ import (
 	"potemkin/internal/sim"
 )
 
+// Egress is the surface VM-originated traffic enters the gateway layer
+// through: the farm sends every packet a guest emits to one, so a test
+// or benchmark can put a decorator between the farm and its Gateway.
+type Egress interface {
+	HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition
+}
+
 // Disposition is what the containment engine decided for an outbound
 // packet.
 type Disposition int

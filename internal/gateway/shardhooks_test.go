@@ -8,7 +8,14 @@ import (
 	"potemkin/internal/sim"
 )
 
-func newShardedRig(t *testing.T, n int, mutate func(*Config)) (*Sharded, *fakeBackend, *sim.Kernel) {
+// shardSet is n gateways on one kernel partitioned through
+// SetShardHooks the way core.NewShardDomain partitions its domains —
+// shard i owns the addresses whose index in the space is ≡ i (mod n) —
+// minus the epoch barrier: cross-shard internal traffic re-injects at
+// the owner synchronously. It exists to test the hooks in isolation.
+type shardSet []*Gateway
+
+func newShardedRig(t *testing.T, n int, mutate func(*Config)) (shardSet, *fakeBackend, *sim.Kernel) {
 	t.Helper()
 	k := sim.NewKernel(5)
 	fb := &fakeBackend{k: k, delay: 100 * time.Millisecond}
@@ -17,11 +24,54 @@ func newShardedRig(t *testing.T, n int, mutate func(*Config)) (*Sharded, *fakeBa
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := NewSharded(k, cfg, fb, n)
-	if err != nil {
-		t.Fatal(err)
+	s := make(shardSet, n)
+	for i := range s {
+		i := i
+		s[i] = New(k, cfg, fb)
+		s[i].SetShardHooks(func(a netsim.Addr) bool { return s.owner(a) == s[i] }, s.HandleInbound)
 	}
 	return s, fb, k
+}
+
+// owner returns the gateway owning addr; addresses outside the space
+// route to shard 0, like core.OwnerOf.
+func (s shardSet) owner(addr netsim.Addr) *Gateway {
+	space := s[0].Cfg.Space
+	if !space.Contains(addr) {
+		return s[0]
+	}
+	return s[space.Index(addr)%uint64(len(s))]
+}
+
+func (s shardSet) HandleInbound(now sim.Time, pkt *netsim.Packet) {
+	s.owner(pkt.Dst).HandleInbound(now, pkt)
+}
+
+func (s shardSet) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
+	return s.owner(pkt.Src).HandleOutbound(now, pkt)
+}
+
+func (s shardSet) Binding(addr netsim.Addr) *Binding { return s.owner(addr).Binding(addr) }
+
+func (s shardSet) NumBindings() int {
+	n := 0
+	for _, g := range s {
+		n += g.NumBindings()
+	}
+	return n
+}
+
+// checkOwnership verifies the sharding invariant: every binding lives
+// on the shard that owns its address.
+func (s shardSet) checkOwnership(t *testing.T) {
+	t.Helper()
+	for i, g := range s {
+		for addr := range g.bindings {
+			if s.owner(addr) != g {
+				t.Fatalf("binding %s on shard %d, which does not own it", addr, i)
+			}
+		}
+	}
 }
 
 func TestShardedRoutesByDestination(t *testing.T) {
@@ -34,15 +84,13 @@ func TestShardedRoutesByDestination(t *testing.T) {
 	if s.NumBindings() != 40 {
 		t.Fatalf("bindings = %d", s.NumBindings())
 	}
-	if err := s.CheckOwnership(); err != nil {
-		t.Fatal(err)
-	}
+	s.checkOwnership(t)
 	if len(fb.spawned) != 40 {
 		t.Errorf("spawned = %d", len(fb.spawned))
 	}
 	// Every shard got some share (addresses mon(0..39) are consecutive,
 	// so mod-4 spreads them evenly).
-	for i, g := range s.shards {
+	for i, g := range s {
 		if g.NumBindings() != 10 {
 			t.Errorf("shard %d bindings = %d, want 10", i, g.NumBindings())
 		}
@@ -98,9 +146,7 @@ func TestShardedCrossShardInternalTraffic(t *testing.T) {
 	if len(fb.spawned) != 2 {
 		t.Fatalf("spawned = %d, want 2", len(fb.spawned))
 	}
-	if err := s.CheckOwnership(); err != nil {
-		t.Fatal(err)
-	}
+	s.checkOwnership(t)
 	if b := s.Binding(mon(1)); b == nil {
 		t.Error("cross-shard internal delivery did not bind")
 	}
@@ -114,10 +160,8 @@ func TestShardedReflectionStaysLocal(t *testing.T) {
 		s.HandleOutbound(k.Now(), syn(mon(2), netsim.MustParseAddr("99.0.0.1")+netsim.Addr(i)))
 	}
 	k.Run()
-	if err := s.CheckOwnership(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.OutReflected == 0 {
+	s.checkOwnership(t)
+	if st := s.owner(mon(2)).Stats(); st.OutReflected == 0 {
 		t.Error("no reflections")
 	}
 }
@@ -128,22 +172,36 @@ func TestShardedStatsAggregate(t *testing.T) {
 		s.HandleInbound(k.Now(), syn(ext(0), mon(i)))
 	}
 	k.Run()
-	st := s.Stats()
-	if st.BindingsCreated != 10 || st.InboundPackets != 10 {
+	// Every packet and binding is counted on exactly one shard.
+	sum := func() (st Stats) {
+		for _, g := range s {
+			gs := g.Stats()
+			st.BindingsCreated += gs.BindingsCreated
+			st.InboundPackets += gs.InboundPackets
+			st.BindingsRecycled += gs.BindingsRecycled
+		}
+		return st
+	}
+	if st := sum(); st.BindingsCreated != 10 || st.InboundPackets != 10 {
 		t.Errorf("aggregate stats: %+v", st)
 	}
-	s.RecycleAll(k.Now())
+	for _, g := range s {
+		g.RecycleAll(k.Now())
+	}
 	if s.NumBindings() != 0 {
 		t.Error("RecycleAll incomplete")
 	}
-	if s.Stats().BindingsRecycled != 10 {
-		t.Errorf("recycled = %d", s.Stats().BindingsRecycled)
+	if st := sum(); st.BindingsRecycled != 10 {
+		t.Errorf("recycled = %d", st.BindingsRecycled)
 	}
-	s.Close()
+	for _, g := range s {
+		g.Close()
+	}
 }
 
 func TestShardedSingleShardEquivalence(t *testing.T) {
-	// A 1-shard Sharded must behave exactly like a bare Gateway.
+	// One shard with the hooks installed — what a one-domain engine
+	// runs — must behave exactly like a bare Gateway.
 	run := func(sharded bool) Stats {
 		k := sim.NewKernel(9)
 		fb := &fakeBackend{k: k, delay: 100 * time.Millisecond}
@@ -152,15 +210,11 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		cfg.Policy = PolicyDropAll
 		var in func(sim.Time, *netsim.Packet)
 		var stats func() Stats
+		g := New(k, cfg, fb)
+		in, stats = g.HandleInbound, g.Stats
 		if sharded {
-			s, err := NewSharded(k, cfg, fb, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in, stats = s.HandleInbound, s.Stats
-		} else {
-			g := New(k, cfg, fb)
-			in, stats = g.HandleInbound, g.Stats
+			g.SetShardHooks(func(netsim.Addr) bool { return true },
+				func(sim.Time, *netsim.Packet) { t.Error("one shard re-injected across shards") })
 		}
 		r := sim.NewRNG(1)
 		for i := 0; i < 500; i++ {

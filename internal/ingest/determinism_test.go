@@ -6,8 +6,8 @@ package ingest_test
 // experiments be debugged by deterministic re-simulation. It holds
 // because (a) the timestamped framing carries exact virtual
 // nanoseconds, so arrival jitter never reaches the simulation, and
-// (b) the bridge injects with the same schedule-one/run-to-it kernel
-// mechanics as telescope.StreamReplayer.
+// (b) a wire feed and an in-process replay enter the simulation
+// through the same epoch feeder (core.ReplayOver).
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 
 	potemkin "potemkin"
 	"potemkin/internal/ingest"
-	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -49,15 +48,15 @@ func statsJSON(t testing.TB, hf *potemkin.Honeyfarm) []byte {
 func runInProcess(t testing.TB, recs []telescope.Record) []byte {
 	hf := potemkin.MustNew(potemkin.Options{Seed: detSeed})
 	defer hf.Close()
-	if _, err := hf.ReplayStream(&telescope.SliceSource{Recs: recs}); err != nil {
+	if _, err := hf.Replay(&telescope.SliceSource{Recs: recs}); err != nil {
 		t.Fatal(err)
 	}
 	return statsJSON(t, hf)
 }
 
 // runOverWire converts the trace to a pcap file, replays the pcap over
-// a loopback UDP socket into a listener, and pumps the frames into an
-// identically-seeded honeyfarm. The sender is flow-controlled against
+// a loopback UDP socket into an identically-seeded honeyfarm serving
+// Options.Wire. The sender is flow-controlled against
 // the listener's progress so no queue ever overflows: determinism is
 // only claimed for lossless transport.
 func runOverWire(t testing.TB, recs []telescope.Record) []byte {
@@ -66,18 +65,23 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 		t.Fatal(err)
 	}
 
-	l, err := ingest.Listen(ingest.Config{Addr: "127.0.0.1:0", Timestamped: true})
+	hf := potemkin.MustNew(potemkin.Options{Seed: detSeed, Wire: &potemkin.WireOptions{Addr: "127.0.0.1:0"}})
+	defer hf.Close()
+	srv, err := hf.StartWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf := potemkin.MustNew(potemkin.Options{Seed: detSeed})
-	defer hf.Close()
-	bridge := hf.WireBridge(1)
+	type served struct {
+		ws  potemkin.WireStats
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		ws, err := srv.Serve()
+		done <- served{ws, err}
+	}()
 
-	pumped := make(chan sim.Time)
-	go func() { pumped <- bridge.Pump(l, time.Millisecond) }()
-
-	s, err := ingest.DialWire(l.Addr().String(), 1, true)
+	s, err := ingest.DialWire(srv.Addr().String(), 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 		// Keep at most 1024 datagrams in flight ahead of the decap
 		// workers so the bounded queues never overflow.
 		FlowControl: func(n uint64) {
-			for n-l.Stats().Enqueued > 1024 {
+			for n-srv.Stats().Ingest.Enqueued > 1024 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		},
@@ -100,22 +104,25 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 		t.Fatal(err)
 	}
 
-	// Let the listener finish receiving, then close it; Pump drains the
+	// Let the listener finish receiving, then stop it; Serve drains the
 	// queues and returns.
-	waitUntil(t, func() bool { return l.Stats().Received == sent })
-	l.Close()
+	waitUntil(t, func() bool { return srv.Stats().Ingest.Received == sent })
+	srv.Stop()
+	var res served
 	select {
-	case <-pumped:
+	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("bridge pump did not finish")
+		t.Fatal("Serve did not finish")
 	}
-
-	st := l.Stats()
+	if res.err != nil {
+		t.Fatalf("Serve: %v", res.err)
+	}
+	st := res.ws.Ingest
 	if st.Dropped != 0 || st.FrameErrors != 0 || st.SeqGaps != 0 {
 		t.Fatalf("transport was lossy, determinism void: %+v", st)
 	}
-	if bridge.Delivered != sent {
-		t.Fatalf("delivered %d of %d", bridge.Delivered, sent)
+	if st.Delivered != sent {
+		t.Fatalf("delivered %d of %d", st.Delivered, sent)
 	}
 	return statsJSON(t, hf)
 }

@@ -25,7 +25,7 @@ import (
 // "timestamped" framing — so a replayed trace maps onto *exactly* the
 // simulated instants it was recorded at, independent of wall-clock
 // jitter on the wire. Plain framing maps arrival wall time onto
-// simulated time instead (scaled by the bridge's Speedup).
+// simulated time instead (scaled by WireSource.Speedup).
 const (
 	tsPrefixLen = 8
 
@@ -41,8 +41,9 @@ const (
 )
 
 // Frame is one decapsulated datagram moving from the socket to the
-// bridge. Frames are pooled: the bridge must Release every frame it
-// receives, after which Pkt (whose Payload aliases Buf) is dead.
+// consumer (WireSource). Frames are pooled: the consumer must Release
+// every frame it receives, after which Pkt (whose Payload aliases Buf)
+// is dead.
 type Frame struct {
 	Buf [frameBufSize]byte
 	N   int // datagram length
@@ -95,7 +96,7 @@ type Stats struct {
 	Bytes       uint64 // datagram bytes read
 	FrameErrors uint64 // undecodable frames (short, bad GRE, bad inner IPv4)
 	Dropped     uint64 // frames dropped against a full shard queue
-	Enqueued    uint64 // frames handed to the bridge side
+	Enqueued    uint64 // frames handed to the consumer side
 	SeqGaps     uint64 // missing GRE sequence numbers (sender- or kernel-side loss)
 	QueueDepth  int    // current frames queued across shards
 	QueueHWM    int    // high-water mark of QueueDepth
@@ -107,7 +108,7 @@ type Listener struct {
 	cfg  Config
 	pc   *net.UDPConn
 	raw  []chan *Frame // reader -> decap workers
-	out  []chan *Frame // decap workers -> bridge
+	out  []chan *Frame // decap workers -> consumer
 	pool sync.Pool
 	wg   sync.WaitGroup
 

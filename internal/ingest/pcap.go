@@ -1,8 +1,8 @@
 // Package ingest bridges real packets into the simulated honeyfarm: a
 // GRE-over-UDP listener with bounded per-shard queues and drop
 // accounting, a classic-pcap savefile codec (no cgo, no libpcap), a
-// replayer that paces traces onto the wire, and a Bridge that maps wire
-// arrivals onto deterministic simulated time.
+// replayer that paces traces onto the wire, and a WireSource that maps
+// wire arrivals onto deterministic simulated time.
 //
 // The paper's gateway is a packet-path element fed by telescope routers
 // over GRE tunnels; this package is the reproduction's equivalent edge.

@@ -91,8 +91,8 @@ type ReplayOptions struct {
 	MaxRate bool
 	// FlowControl, when set, is called after every send with the
 	// running count; it may block to keep the sender from overrunning
-	// a receiver (the loopback determinism test gates on the bridge's
-	// progress through it).
+	// a receiver (the loopback determinism test gates on the
+	// listener's progress through it).
 	FlowControl func(sent uint64)
 }
 

@@ -110,6 +110,7 @@ type ParallelRunner struct {
 
 	sequential  bool
 	beforeEpoch func(start, end Time)
+	afterEpoch  func()
 
 	// adaptMax bounds how many lookahead cells one epoch may span
 	// (1 = fixed epochs); horizon, when set, reports the earliest
@@ -123,7 +124,9 @@ type ParallelRunner struct {
 
 	// Persistent shard workers: one goroutine per kernel, parked on its
 	// channel between epochs, so an epoch costs n channel sends and one
-	// WaitGroup wait instead of n goroutine spawns. curEnd and timed
+	// WaitGroup wait instead of n goroutine spawns. A one-kernel runner
+	// has none: there is nothing to overlap, so its kernel advances on
+	// the caller's goroutine in either mode. curEnd and timed
 	// are written by the driver before the sends (the channel send /
 	// receive pair orders them); advanceNS[i] is written only by worker
 	// i during an epoch and read by the driver after wg.Wait.
@@ -183,7 +186,9 @@ func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunn
 	// epoch: construction is the one place their setup cost can't land
 	// inside a measured run. Sequential mode leaves them parked; Close
 	// stops them either way.
-	r.startWorkers()
+	if n > 1 {
+		r.startWorkers()
+	}
 	return r
 }
 
@@ -261,6 +266,12 @@ func (r *ParallelRunner) SetHorizon(fn func() Time) { r.horizon = fn }
 // feeders use it to inject the records falling inside the epoch). Nil
 // removes the hook.
 func (r *ParallelRunner) SetBeforeEpoch(fn func(start, end Time)) { r.beforeEpoch = fn }
+
+// SetAfterEpoch installs a hook called single-threaded at the end of
+// every epoch, after every shard has stopped at the barrier (the
+// one-domain shard engine writes its buffered sinks through here). Nil
+// removes the hook.
+func (r *ParallelRunner) SetAfterEpoch(fn func()) { r.afterEpoch = fn }
 
 // SetEpochObserver installs a profiling hook invoked single-threaded at
 // the end of every epoch with that epoch's phase timings. Nil removes
@@ -414,9 +425,10 @@ func (r *ParallelRunner) epochEnd(deadline Time) Time {
 }
 
 // advance runs every kernel to end — in shard order on this thread in
-// sequential mode, on the persistent shard workers otherwise.
+// sequential mode or with a single kernel, on the persistent shard
+// workers otherwise.
 func (r *ParallelRunner) advance(end Time) {
-	if r.sequential {
+	if r.sequential || len(r.kernels) == 1 {
 		if r.timed {
 			for i, k := range r.kernels {
 				t0 := time.Now()
@@ -466,6 +478,9 @@ func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
 		r.advance(end)
 		r.now = end
 		r.epochSeq++
+		if r.afterEpoch != nil {
+			r.afterEpoch()
+		}
 		if stop != nil && stop() {
 			break
 		}
@@ -512,6 +527,9 @@ func (r *ParallelRunner) runEpochsObserved(deadline Time, stop func() bool) {
 			BarrierWaitNS: r.waitNS,
 			SlowestShard:  slowest,
 		})
+		if r.afterEpoch != nil {
+			r.afterEpoch()
+		}
 		if stop != nil && stop() {
 			break
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -149,4 +150,39 @@ func TestParallelRunnerDeliversTailMessages(t *testing.T) {
 	if !ran {
 		t.Fatal("pre-run Send not delivered")
 	}
+}
+
+// goroutineHeader returns the calling goroutine's "goroutine N" stack
+// header, its only stable identity.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Join(strings.Fields(string(buf))[:2], " ")
+}
+
+// TestOneKernelRunnerStartsNoWorker: a one-kernel runner has nothing to
+// overlap, so it parks no goroutine at construction (an un-Closed
+// default farm would pin it forever) and advances its kernel on the
+// caller's goroutine whether or not epochs are set sequential.
+func TestOneKernelRunnerStartsNoWorker(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	r := NewParallelRunner([]*Kernel{k}, time.Millisecond)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("one-kernel runner started %d goroutine(s)", after-before)
+	}
+	caller := goroutineHeader()
+	for _, seq := range []bool{false, true} {
+		r.SetSequential(seq)
+		ran := ""
+		k.After(0, func(Time) { ran = goroutineHeader() })
+		r.RunFor(time.Millisecond)
+		if ran != caller {
+			t.Errorf("sequential=%v: event ran on %q, caller is %q", seq, ran, caller)
+		}
+	}
+	if runtime.NumGoroutine() > before {
+		t.Error("advancing a one-kernel runner started a goroutine")
+	}
+	r.Close()
 }

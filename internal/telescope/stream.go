@@ -96,9 +96,9 @@ func SummarizeSource(src Source) (Stats, error) {
 // StreamReplayer injects a Source into a receiver over the sim kernel
 // while holding only one record in memory. Unlike Replayer (which
 // schedules every record up front), it alternates schedule-one /
-// run-to-it, so the kernel queue stays shallow and the record order is
-// identical to the wire-ingest bridge's At+RunUntil injection — the
-// loopback determinism test depends on that equivalence.
+// run-to-it, so the kernel queue stays shallow. It is the hand-wired
+// reference the one-shard engine's epoch feeder is proven byte-equal
+// to (core.TestOneShardEngineMatchesHandWiredPipeline).
 type StreamReplayer struct {
 	K   *sim.Kernel
 	Src Source
@@ -118,12 +118,10 @@ type StreamReplayer struct {
 	// Last is the virtual time of the final injected record.
 	Last sim.Time
 
-	// The record in flight, its packet, the zero bytes standing in for
-	// payloads the trace gives only a length for, and rp.inject bound
-	// once: replaying a record allocates nothing.
+	// The record in flight, its packet, and rp.emitCurrent bound once:
+	// replaying a record allocates nothing.
 	cur    Record
 	pkt    netsim.Packet
-	zeros  []byte
 	inject sim.Event
 }
 
@@ -155,21 +153,9 @@ func (rp *StreamReplayer) Run() error {
 	}
 }
 
-// emitCurrent delivers the record in flight: what Record.Packet would
-// build, in the replayer's own storage.
+// emitCurrent delivers the record in flight.
 func (rp *StreamReplayer) emitCurrent(now sim.Time) {
-	r := &rp.cur
-	rp.pkt = r.header()
-	rp.pkt.Ephemeral = true
-	switch {
-	case len(r.Payload) > 0:
-		rp.pkt.Payload = r.Payload // the source keeps it intact until the next Read
-	case r.PayLen > 0:
-		if int(r.PayLen) > len(rp.zeros) {
-			rp.zeros = make([]byte, r.PayLen)
-		}
-		rp.pkt.Payload = rp.zeros[:r.PayLen]
-	}
+	rp.cur.PacketInto(&rp.pkt)
 	rp.Injected++
 	rp.Emit(now, &rp.pkt)
 }

@@ -50,6 +50,27 @@ func (r *Record) Packet() *netsim.Packet {
 	return &p
 }
 
+// zeroPayload stands in for the payloads a trace gives only a length
+// for (PayLen is a uint16, so it covers every record). Nothing writes
+// it: every packet PacketInto builds for such a record aliases it.
+var zeroPayload [1<<16 - 1]byte
+
+// PacketInto builds in p what Packet would return, without allocating:
+// stored content is aliased, not copied (every Source leaves a record's
+// payload intact once read), and a length-only payload aliases a shared
+// run of zero bytes. p is marked Ephemeral, so a receiver that keeps it
+// past the dispatch it arrives in Clones it first.
+func (r *Record) PacketInto(p *netsim.Packet) {
+	*p = r.header()
+	p.Ephemeral = true
+	switch {
+	case len(r.Payload) > 0:
+		p.Payload = r.Payload
+	case r.PayLen > 0:
+		p.Payload = zeroPayload[:r.PayLen]
+	}
+}
+
 // header is the record's packet without its payload.
 func (r *Record) header() netsim.Packet {
 	p := netsim.Packet{

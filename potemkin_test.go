@@ -2,6 +2,7 @@ package potemkin
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"potemkin/internal/netsim"
 	"potemkin/internal/telescope"
 	"potemkin/internal/vmm"
 )
@@ -71,9 +73,11 @@ func TestProbeOutsideSpaceRejected(t *testing.T) {
 func TestExploitInfectsAndIsDetected(t *testing.T) {
 	var infectedAddr, detectedAddr string
 	hf := MustNew(Options{
-		Policy:     DropAll,
-		OnInfected: func(a string, gen int) { infectedAddr = a },
-		OnDetected: func(a string, n int) { detectedAddr = a },
+		Policy: DropAll,
+		Hooks: &Hooks{
+			OnInfected: func(a string, gen int) { infectedAddr = a },
+			OnDetected: func(a string, n int) { detectedAddr = a },
+		},
 	})
 	defer hf.Close()
 	if err := hf.InjectExploit("203.0.113.9", "10.5.1.2"); err != nil {
@@ -140,7 +144,10 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}
-	n := hf.ReplayTrace(recs)
+	n, err := hf.Replay(SliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != len(recs) {
 		t.Errorf("injected %d of %d", n, len(recs))
 	}
@@ -159,8 +166,8 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 func TestReplayEmptyTrace(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
-	if n := hf.ReplayTrace(nil); n != 0 {
-		t.Errorf("injected %d from empty trace", n)
+	if n, err := hf.Replay(SliceSource(nil)); n != 0 || err != nil {
+		t.Errorf("injected %d from empty trace (err %v)", n, err)
 	}
 }
 
@@ -169,7 +176,7 @@ func TestDeterminism(t *testing.T) {
 		hf := MustNew(Options{Seed: 7, IdleTimeout: 2 * time.Second})
 		defer hf.Close()
 		recs, _ := hf.GenerateTrace(30*time.Second, 100)
-		hf.ReplayTrace(recs)
+		hf.Replay(SliceSource(recs))
 		return hf.Stats()
 	}
 	a, b := run(), run()
@@ -180,7 +187,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestEgressObserved(t *testing.T) {
 	var egress []string
-	hf := MustNew(Options{Policy: ReflectSource, OnEgress: func(p string) { egress = append(egress, p) }})
+	hf := MustNew(Options{Policy: ReflectSource, Hooks: &Hooks{OnEgress: func(p string) { egress = append(egress, p) }}})
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
 	hf.RunFor(2 * time.Second)
@@ -198,12 +205,26 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// TestInternalsExposed: Internals holds only the engine, and every
+// farm has one — the default farm is one domain of it.
 func TestInternalsExposed(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Kernel == nil || in.Gateway == nil || in.Farm == nil {
-		t.Error("internals incomplete")
+	eng := hf.Internals().Engine
+	if eng == nil {
+		t.Fatal("Internals.Engine nil on the default farm")
+	}
+	if n := len(eng.Domains()); n != 1 {
+		t.Fatalf("default farm has %d domains, want 1", n)
+	}
+	d := eng.Domains()[0]
+	if d.K == nil || d.G == nil || d.F == nil || d.Resolver == nil {
+		t.Errorf("domain incomplete: %+v", d)
+	}
+	// One shard names its hosts plainly; the -s<i> suffix is for
+	// telling several shards' hosts apart.
+	if name := d.F.Hosts()[0].Cfg.Name; strings.Contains(name, "-s0") {
+		t.Errorf("one-shard host named %q, want no shard suffix", name)
 	}
 }
 
@@ -240,17 +261,43 @@ func TestPinDetectedThroughFacade(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls it passes through.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestEventLogThroughFacade: with one gateway shard the event log and
+// span trace stream — written through at epoch boundaries inside a
+// call, and complete up to the clock when the call returns — rather
+// than waiting for Close.
 func TestEventLogThroughFacade(t *testing.T) {
-	var buf bytes.Buffer
-	hf := MustNew(Options{EventLog: &buf, IdleTimeout: 2 * time.Second})
+	var buf, tr countingWriter
+	hf := MustNew(Options{EventLog: &buf, TraceOut: &tr, IdleTimeout: 2 * time.Second})
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
+	if !strings.Contains(buf.String(), `"kind":"bound"`) {
+		t.Errorf("bound event not written when InjectProbe returned:\n%s", buf.String())
+	}
+	before := buf.writes
 	hf.RunFor(time.Minute)
+	// Activation (~0.4 s) and recycling (~2 s) are epochs apart.
+	if got := buf.writes - before; got < 2 {
+		t.Errorf("one RunFor wrote the event log %d time(s), want one per epoch that logged", got)
+	}
 	log := buf.String()
 	for _, want := range []string{`"kind":"bound"`, `"kind":"active"`, `"kind":"recycled"`, `"addr":"10.5.1.2"`} {
 		if !strings.Contains(log, want) {
 			t.Errorf("event log missing %s:\n%s", want, log)
 		}
+	}
+	if tr.writes < 2 || !strings.Contains(tr.String(), `"name":"clone"`) {
+		t.Errorf("span trace not streamed before Close (%d writes):\n%s", tr.writes, tr.String())
 	}
 }
 
@@ -351,11 +398,11 @@ func TestMultiStageDNSEndToEnd(t *testing.T) {
 }
 
 func TestShardedGatewayThroughFacade(t *testing.T) {
-	hf := MustNew(Options{GatewayShards: 4, IdleTimeout: -1, Policy: ReflectSource})
+	hf := MustNew(Options{GatewayShards: 4, IdleTimeout: -1, Policy: ReflectSource, TraceOut: io.Discard})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Gateway != nil || in.Sharded == nil || in.Sharded.Shards() != 4 {
-		t.Fatalf("internals: %+v", in)
+	domains := hf.Internals().Engine.Domains()
+	if len(domains) != 4 {
+		t.Fatalf("domains = %d, want 4", len(domains))
 	}
 	for i := 0; i < 12; i++ {
 		hf.InjectProbe("203.0.113.9", "10.5.1."+strconv.Itoa(i+1), 445)
@@ -368,8 +415,29 @@ func TestShardedGatewayThroughFacade(t *testing.T) {
 	if st.OutboundToSource != 12 {
 		t.Errorf("replies = %d", st.OutboundToSource)
 	}
-	if err := in.Sharded.CheckOwnership(); err != nil {
-		t.Error(err)
+	// Twelve consecutive addresses spread evenly, every binding on the
+	// shard that owns its address.
+	for i, d := range domains {
+		if d.G.NumBindings() != 3 {
+			t.Errorf("shard %d holds %d bindings, want 3", i, d.G.NumBindings())
+		}
+		if name, want := d.F.Hosts()[0].Cfg.Name, "-s"+strconv.Itoa(i)+"-"; !strings.Contains(name, want) {
+			t.Errorf("shard %d host named %q, want shard tag %q", i, name, want)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		a := netsim.MustParseAddr("10.5.1." + strconv.Itoa(i+1))
+		if d := domains[hf.Internals().Engine.Owner(a)]; d.G.Binding(a) == nil {
+			t.Errorf("%s not bound on its owning shard %d", a, d.Index)
+		}
+	}
+	// The snapshot's stage summaries merge the four shards' tracers.
+	snap := hf.Snapshot()
+	if got := snap.StagesMs["clone"].Count; got != 12 {
+		t.Errorf("merged clone stage counts %d clones, want all 12", got)
+	}
+	if snap.OpenSpans < 12 {
+		t.Errorf("OpenSpans = %d, want the 12 live bindings' spans", snap.OpenSpans)
 	}
 }
 
@@ -398,7 +466,7 @@ func TestFullBootBaselineThroughFacade(t *testing.T) {
 	defer hf.Close()
 	var gotReply bool
 	hf2 := MustNew(Options{FullBoot: true, Policy: ReflectSource,
-		OnEgress: func(string) { gotReply = true }})
+		Hooks: &Hooks{OnEgress: func(string) { gotReply = true }}})
 	defer hf2.Close()
 	hf2.InjectProbe("203.0.113.9", "10.5.1.2", 445)
 	hf2.RunFor(2 * time.Second)

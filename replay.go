@@ -3,8 +3,6 @@ package potemkin
 import (
 	"time"
 
-	"potemkin/internal/netsim"
-	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -42,59 +40,17 @@ func WithEpilogue(d time.Duration) ReplayOption {
 
 // Replay streams a record source (a trace file reader, a pcap source,
 // an in-memory slice via SliceSource) into the honeyfarm in bounded
-// memory: one record is scheduled and run at a time, so multi-GB
-// traces stream without being slurped. Record times are offset from
-// the current clock; records that sort before the clock (out-of-order
-// traces) are injected immediately rather than in the past. After the
-// last record the simulation runs for the epilogue (1 ms unless
-// WithEpilogue says otherwise). Returns the packets injected and the
-// first source error, if any.
-//
-// Replay subsumes the deprecated ReplayTrace, ReplayStream, and
-// ReplayStreamHalt entry points, and is the only replay path that
-// works with Options.Parallel.
+// memory: records are scheduled one epoch ahead of the clock, so
+// multi-GB traces stream without being slurped. Record times are offset
+// from the current clock; records that sort before the clock
+// (out-of-order traces) are injected immediately rather than in the
+// past. After the last record the simulation runs for the epilogue
+// (1 ms unless WithEpilogue says otherwise). Returns the packets
+// injected and the first source error, if any.
 func (hf *Honeyfarm) Replay(src telescope.Source, opts ...ReplayOption) (int, error) {
 	rc := replayConfig{epilogue: time.Millisecond}
 	for _, opt := range opts {
 		opt(&rc)
 	}
-	if hf.eng != nil {
-		return hf.eng.Replay(src, rc.halt, rc.epilogue)
-	}
-	rp := &telescope.StreamReplayer{
-		K: hf.k, Src: src, Base: hf.k.Now(), Halt: rc.halt,
-		Emit: func(now sim.Time, pkt *netsim.Packet) {
-			hf.g.HandleInbound(now, pkt)
-		},
-	}
-	err := rp.Run()
-	hf.k.RunFor(rc.epilogue)
-	return rp.Injected, err
-}
-
-// ReplayTrace schedules an in-memory telescope trace into the
-// honeyfarm, then runs until it completes (plus a 1 ms epilogue). It
-// returns the number of packets injected.
-//
-// Deprecated: use Replay(SliceSource(recs)).
-func (hf *Honeyfarm) ReplayTrace(recs []TraceRecord) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	n, _ := hf.Replay(SliceSource(recs))
-	return n
-}
-
-// ReplayStream replays a record source into the honeyfarm.
-//
-// Deprecated: use Replay(src).
-func (hf *Honeyfarm) ReplayStream(src telescope.Source) (int, error) {
-	return hf.Replay(src)
-}
-
-// ReplayStreamHalt is ReplayStream with an early-exit hook.
-//
-// Deprecated: use Replay(src, WithHalt(halt)).
-func (hf *Honeyfarm) ReplayStreamHalt(src telescope.Source, halt func() bool) (int, error) {
-	return hf.Replay(src, WithHalt(halt))
+	return hf.eng.Replay(src, rc.halt, rc.epilogue)
 }

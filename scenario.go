@@ -3,9 +3,9 @@ package potemkin
 // Scenario-driven campaigns through the facade: Options.Scenario arms
 // a compiled attacker campaign, RunScenario replays it and returns the
 // effectiveness scorecard. The same (scenario, seed, options) always
-// produces a byte-identical scorecard — across the sequential engine,
-// Options.Parallel, and potemkind's cluster mode — because the plan is
-// pure data, the engines are deterministic, and the card reads only
+// produces a byte-identical scorecard — with or without
+// Options.Parallel, and in potemkind's cluster mode — because the plan
+// is pure data, the engine is deterministic, and the card reads only
 // deterministic telemetry series.
 
 import (

@@ -10,7 +10,8 @@ import (
 // to marshal to one JSON object: the live gauges an operator watches
 // (bindings, VMs, queue depths), the cumulative counters, and latency
 // summaries — clone latency merged across every server, plus the
-// tracer's per-stage histograms when tracing is on. potemkind serves it
+// tracers' per-stage histograms (merged across gateway shards) when
+// tracing is on. potemkind serves it
 // from the live debug endpoint and cmd/analyze renders it offline.
 type Snapshot struct {
 	TSeconds float64 `json:"t_seconds"` // simulated time
@@ -38,15 +39,14 @@ type Snapshot struct {
 	// (metrics.Histogram.Merge over the per-host histograms).
 	CloneMs LatencySummary `json:"clone_ms"`
 
-	// StagesMs carries the tracer's per-stage latency summaries
-	// (binding, spawn, place, clone, active, pending-wait, …), present
-	// only when tracing is on. encoding/json sorts map keys, so the
+	// StagesMs carries the per-stage latency summaries (binding, spawn,
+	// place, clone, active, pending-wait, …) of the gateway shards'
+	// tracers merged together, present only when tracing is on. encoding/json sorts map keys, so the
 	// rendered snapshot is deterministic.
 	StagesMs map[string]LatencySummary `json:"stages_ms,omitempty"`
 
 	// Ingest carries wire-listener loss accounting, present only when
-	// live wire ingest is attached (Options.Wire via StartWire, or a
-	// deprecated WireBridge pumping a listener).
+	// live wire ingest is attached (Options.Wire via StartWire).
 	Ingest *IngestSummary `json:"ingest,omitempty"`
 }
 
@@ -92,79 +92,19 @@ func summarize(h *metrics.Histogram) LatencySummary {
 	}
 }
 
-// ingestSummary builds the wire-ingest view for a snapshot: the
-// StartWire server when Options.Wire is live (either engine), else a
-// deprecated WireBridge's listener, else nil. Every counter involved is
-// atomic, so this is safe mid-serve.
-func (hf *Honeyfarm) ingestSummary() *IngestSummary {
-	if w := hf.wire; w != nil {
-		st := w.Stats()
-		return &st.Ingest
-	}
-	if br := hf.bridge; br != nil {
-		if ls, ok := br.ListenerStats(); ok {
-			return &IngestSummary{
-				Received:    ls.Received,
-				Bytes:       ls.Bytes,
-				FrameErrors: ls.FrameErrors,
-				Dropped:     ls.Dropped,
-				SeqGaps:     ls.SeqGaps,
-				Enqueued:    ls.Enqueued,
-				Delivered:   br.Delivered,
-				Clamped:     br.Clamped,
-				QueueDepth:  ls.QueueDepth,
-				QueueHWM:    ls.QueueHWM,
-			}
-		}
-	}
-	return nil
-}
-
 // Snapshot captures the current state.
 func (hf *Honeyfarm) Snapshot() Snapshot {
-	if hf.eng != nil {
-		gs := hf.eng.GatewayStats()
-		fs := hf.eng.FarmStats()
-		clone := hf.eng.CloneLatency()
-		// Per-stage tracer histograms are shard-private in Parallel
-		// mode, so OpenSpans/StagesMs stay empty here.
-		s := Snapshot{
-			TSeconds:         hf.eng.Now().Seconds(),
-			LiveVMs:          hf.eng.LiveVMs(),
-			BindingsLive:     hf.eng.NumBindings(),
-			PendingQueued:    gs.PendingQueued,
-			PeakVMs:          fs.PeakLiveVMs,
-			InfectedVMs:      hf.eng.InfectedVMs(),
-			BindingsCreated:  gs.BindingsCreated,
-			BindingsRecycled: gs.BindingsRecycled,
-			InboundPackets:   gs.InboundPackets,
-			DeliveredToVM:    gs.DeliveredToVM,
-			SpawnFailures:    gs.SpawnFailures + fs.SpawnFailures,
-			SpawnRetries:     gs.SpawnRetries + fs.SpawnRetries,
-			BindingsShed:     gs.BindingsShed,
-			DetectedInfected: gs.DetectedInfected,
-			MemoryInUseBytes: hf.eng.MemoryInUse(),
-			CloneMs:          summarize(&clone),
-		}
-		s.Ingest = hf.ingestSummary()
-		return s
-	}
-
-	gs := hf.g.Stats()
-	fs := hf.f.Stats()
-
-	var clone metrics.Histogram
-	for _, h := range hf.f.Hosts() {
-		clone.Merge(&h.CloneLatency)
-	}
-
+	gs := hf.eng.GatewayStats()
+	fs := hf.eng.FarmStats()
+	clone := hf.eng.CloneLatency()
 	s := Snapshot{
-		TSeconds:         hf.k.Now().Seconds(),
-		LiveVMs:          hf.f.LiveVMs(),
-		BindingsLive:     hf.g.NumBindings(),
+		TSeconds:         hf.eng.Now().Seconds(),
+		LiveVMs:          hf.eng.LiveVMs(),
+		BindingsLive:     hf.eng.NumBindings(),
 		PendingQueued:    gs.PendingQueued,
+		OpenSpans:        hf.eng.OpenSpans(),
 		PeakVMs:          fs.PeakLiveVMs,
-		InfectedVMs:      hf.f.InfectedVMs(),
+		InfectedVMs:      hf.eng.InfectedVMs(),
 		BindingsCreated:  gs.BindingsCreated,
 		BindingsRecycled: gs.BindingsRecycled,
 		InboundPackets:   gs.InboundPackets,
@@ -173,20 +113,20 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 		SpawnRetries:     gs.SpawnRetries + fs.SpawnRetries,
 		BindingsShed:     gs.BindingsShed,
 		DetectedInfected: gs.DetectedInfected,
-		MemoryInUseBytes: hf.f.MemoryInUse(),
+		MemoryInUseBytes: hf.eng.MemoryInUse(),
 		CloneMs:          summarize(&clone),
 	}
-	if tr := hf.tracer; tr != nil {
-		s.OpenSpans = tr.OpenSpans()
-		names := tr.StageNames()
-		if len(names) > 0 {
-			s.StagesMs = make(map[string]LatencySummary, len(names))
-			for _, n := range names {
-				s.StagesMs[n] = summarize(tr.Stage(n))
-			}
+	if stages := hf.eng.StageLatency(); stages != nil {
+		s.StagesMs = make(map[string]LatencySummary, len(stages))
+		for name, h := range stages {
+			s.StagesMs[name] = summarize(h)
 		}
 	}
-	s.Ingest = hf.ingestSummary()
+	// The wire server's counters are atomic, so this is safe mid-serve.
+	if w := hf.wire; w != nil {
+		st := w.Stats()
+		s.Ingest = &st.Ingest
+	}
 	return s
 }
 

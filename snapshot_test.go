@@ -98,7 +98,7 @@ func TestFacadeTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hf.ReplayTrace(recs)
+		hf.Replay(SliceSource(recs))
 		hf.RunFor(time.Second)
 		hf.Close()
 		return buf.String()

@@ -39,7 +39,7 @@ func TestMetricsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf.ReplayTrace(recs)
+	hf.Replay(SliceSource(recs))
 	hf.RunFor(30 * time.Second)
 
 	st := hf.Stats()
@@ -117,7 +117,7 @@ func TestMetricsDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hf.ReplayTrace(recs)
+		hf.Replay(SliceSource(recs))
 		hf.RunFor(2 * time.Second)
 		b, err := json.Marshal(filterSimMetrics(hf.Metrics().Snapshot()))
 		if err != nil {
@@ -210,7 +210,7 @@ func TestEpochLogProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf.ReplayTrace(recs)
+	hf.Replay(SliceSource(recs))
 	hf.RunFor(time.Second)
 	pts := hf.Metrics().Snapshot()
 	hf.Close() // flushes the buffered timeline
@@ -252,20 +252,22 @@ func TestEpochLogProfile(t *testing.T) {
 
 // TestSnapshotIngestSummary: after a wire replay through the
 // GRE-over-UDP listener, the facade snapshot carries the listener's
-// loss accounting — received/dropped/seq-gap counters and the bridge's
-// delivery totals.
+// loss accounting — received/dropped/seq-gap counters and the wire
+// source's delivery totals.
 func TestSnapshotIngestSummary(t *testing.T) {
-	l, err := ingest.Listen(ingest.Config{Addr: "127.0.0.1:0", Timestamped: true})
+	hf := MustNew(Options{Seed: 1, Wire: &WireOptions{Addr: "127.0.0.1:0"}})
+	defer hf.Close()
+	srv, err := hf.StartWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf := MustNew(Options{Seed: 1})
-	defer hf.Close()
-	bridge := hf.WireBridge(1)
-	pumped := make(chan sim.Time)
-	go func() { pumped <- bridge.Pump(l, time.Millisecond) }()
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve()
+		served <- err
+	}()
 
-	s, err := ingest.DialWire(l.Addr().String(), 1, true)
+	s, err := ingest.DialWire(srv.Addr().String(), 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,18 +282,15 @@ func TestSnapshotIngestSummary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for l.Stats().Received < sent {
-		if time.Now().After(deadline) {
-			t.Fatalf("listener received %d of %d", l.Stats().Received, sent)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	l.Close()
+	waitUntilWire(t, func() bool { return srv.Stats().Ingest.Received >= sent })
+	srv.Stop()
 	select {
-	case <-pumped:
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("bridge pump did not finish")
+		t.Fatal("Serve did not finish")
 	}
 
 	snap := hf.Snapshot()

@@ -2,13 +2,12 @@ package potemkin
 
 // Live wire ingest, declared like every other mode: Options.Wire names
 // the listener, StartWire opens it, Serve blocks while the feed drives
-// the honeyfarm — on either engine. Under Options.Parallel the wire
-// source is quantized onto the epoch grid through the same conservative
-// feeding machinery an offline replay uses (arrivals for epoch N become
-// visible at the N→N+1 exchange), so a live parallel run with
-// WireOptions.Capture set writes a pcap whose replay — sequential
-// oracle or parallel — reproduces the live run's merged output byte for
-// byte. See DESIGN.md "Live parallel ingest".
+// the honeyfarm. The wire source is quantized onto the epoch grid
+// through the same conservative feeding machinery an offline replay
+// uses (arrivals for epoch N become visible at the N→N+1 exchange), so
+// a live run with WireOptions.Capture set — Options.Parallel or not —
+// writes a pcap whose replay reproduces the live run's merged output
+// byte for byte. See DESIGN.md "Live parallel ingest".
 
 import (
 	"errors"
@@ -137,9 +136,8 @@ func (s *WireServer) Stop() {
 }
 
 // Serve blocks while the wire feed drives the honeyfarm: each frame is
-// injected at its virtual time through the engine's replay path —
-// epoch-aligned under Options.Parallel, schedule-one/run-to-it on the
-// sequential kernel. Virtual time advances only with arrivals (wall
+// injected at its virtual time through the engine's epoch-aligned
+// replay path. Virtual time advances only with arrivals (wall
 // silence does not age the farm — the run would not replay otherwise).
 // Serve returns after Stop or WireOptions.ListenFor ends the feed, the
 // queues drain, and the epilogue (WithEpilogue; default 1 ms) settles.

@@ -279,9 +279,9 @@ func TestWireParallelMultiShardListener(t *testing.T) {
 	}
 }
 
-// TestWireSequentialOptionsAPI covers the unified API on the sequential
-// engine: Options.Wire + StartWire/Serve replaces the WireBridge pump
-// loop with identical semantics.
+// TestWireSequentialOptionsAPI covers Options.Wire + StartWire/Serve on
+// the default one-shard farm: a live feed reaches the same state as an
+// in-process replay of the same trace.
 func TestWireSequentialOptionsAPI(t *testing.T) {
 	recs := wireTestTrace(t)
 
