@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test race vet fuzz bench bench-parallel bench-telemetry bench-all alloc-gate trace-demo apicheck api-snapshot scenarios
+.PHONY: check build test race vet fuzz bench bench-all alloc-gate trace-demo apicheck api-snapshot scenarios
 
 # The full pre-merge gate: static checks, the race detector over every
 # package, and a short pass over every fuzz target.
@@ -46,16 +46,6 @@ bench:
 		| $(GO) run ./cmd/benchjson -baseline results/bench_baseline.json -out BENCH_core.json \
 			-require BenchmarkE1FlashClone,BenchmarkE2DeltaVirt,BenchmarkAblationScrub,BenchmarkE11WireIngest,BenchmarkShardReplaySequential,BenchmarkShardReplayParallel,BenchmarkIngestDecap,BenchmarkWireSenderEncap
 
-# The multicore scaling table: the shard-replay pair at GOMAXPROCS
-# 1/2/4, merged into BENCH_core.json's "multicore" section with the
-# host CPU count recorded (the parallel/sequential ratio is only
-# meaningful when host_cpus covers the -cpu values).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardReplay(Sequential|Parallel)$$' -benchmem -benchtime 1s -cpu 1,2,4 . \
-		| $(GO) run ./cmd/benchjson -multicore -out BENCH_core.json \
-			-require BenchmarkShardReplaySequential,BenchmarkShardReplayParallel \
-			-note "shard-replay pair at GOMAXPROCS 1/2/4; ratios are only meaningful when host_cpus >= GOMAXPROCS — with fewer cores parallel pays barrier overhead without real concurrency"
-
 # The allocation gate: one measured pass over the shard-replay pair;
 # fails if parallel allocs/op exceed sequential by more than 5%, or if
 # sequential replay passes its B/op or allocs/op ceiling
@@ -63,13 +53,6 @@ bench-parallel:
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardReplay(Sequential|Parallel)$$' -benchmem -benchtime 1x -count 1 . \
 		| bash scripts/alloc_gate.sh
-
-# The telemetry-off overhead gate: the hot-path benchmarks with
-# Options.Metrics unset (the default), i.e. nil instrument handles on
-# every instrumented site. Compare against the recorded samples in
-# BENCH_trace.json — medians are expected within the noise band (≤2%).
-bench-telemetry:
-	$(GO) test -run '^$$' -bench 'BenchmarkE1FlashClone$$|BenchmarkE4GatewayMixed$$|BenchmarkShardReplaySequential$$' -benchtime 0.3s -count 5 .
 
 bench-all:
 	$(GO) test -bench . -benchmem ./...

@@ -15,11 +15,7 @@
 // side are kept, with no speedup reported.
 //
 // -require lists benchmark names that must appear in the input; the run
-// fails loudly if a rename or pattern typo silently drops one. With
-// -multicore, the input is a `go test -bench -cpu 1,2,4` run: the
-// per-GOMAXPROCS suffix is kept on each name and the results are merged
-// into the existing -out file as a "multicore" table (with the host CPU
-// count and an optional -note) instead of rewriting before/after.
+// fails loudly if a rename or pattern typo silently drops one.
 package main
 
 import (
@@ -29,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,14 +46,6 @@ type Baseline struct {
 	Benchmarks  map[string]Sample `json:"benchmarks"`
 }
 
-// MulticoreTable holds per-GOMAXPROCS samples from a `-cpu 1,2,4` run.
-// Names keep their -N suffix so the scaling curve is explicit.
-type MulticoreTable struct {
-	HostCPUs int               `json:"host_cpus"`
-	Note     string            `json:"note,omitempty"`
-	Entries  map[string]Sample `json:"entries"`
-}
-
 // Output is the merged document.
 type Output struct {
 	Description string             `json:"description"`
@@ -70,7 +57,6 @@ type Output struct {
 	Before      map[string]Sample  `json:"before"`
 	After       map[string]Sample  `json:"after"`
 	SpeedupNs   map[string]float64 `json:"speedup_ns_per_op"`
-	Multicore   *MulticoreTable    `json:"multicore,omitempty"`
 	Notes       string             `json:"notes,omitempty"`
 }
 
@@ -80,12 +66,10 @@ func main() {
 		outPath      = flag.String("out", "BENCH_core.json", "output file")
 		desc         = flag.String("description", "", "override the output description")
 		require      = flag.String("require", "", "comma-separated benchmark names that must appear in the input")
-		multicore    = flag.Bool("multicore", false, "merge a -cpu 1,2,4 run into the existing -out file's multicore table")
-		note         = flag.String("note", "", "note stored in the multicore table (host caveats etc.)")
 	)
 	flag.Parse()
 
-	parsed, meta, err := readBench(os.Stdin, *multicore)
+	parsed, meta, err := readBench(os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,11 +78,6 @@ func main() {
 	}
 	if err := checkRequired(*require, parsed); err != nil {
 		fatal(err)
-	}
-
-	if *multicore {
-		writeMulticore(*outPath, parsed, *note)
-		return
 	}
 
 	out := Output{
@@ -127,12 +106,6 @@ func main() {
 	if *desc != "" {
 		out.Description = *desc
 	}
-	// A prior `make bench-parallel` run may have stored a multicore
-	// table in the out file; regenerating before/after keeps it.
-	if prev, err := readOutput(*outPath); err == nil && prev.Multicore != nil {
-		out.Multicore = prev.Multicore
-	}
-
 	for name, after := range out.After {
 		if before, ok := out.Before[name]; ok && after.NsPerOp > 0 {
 			out.SpeedupNs[name] = math.Round(100*before.NsPerOp/after.NsPerOp) / 100
@@ -157,10 +130,9 @@ type benchMeta struct {
 }
 
 // readBench scans `go test -bench` output, echoing each line so the run
-// stays readable. keepCPUSuffix keeps the -GOMAXPROCS suffix on names
-// (multicore mode); otherwise it is stripped so names match across
-// machines.
-func readBench(f *os.File, keepCPUSuffix bool) (map[string]Sample, benchMeta, error) {
+// stays readable. The -GOMAXPROCS suffix is stripped from names so they
+// match across machines.
+func readBench(f *os.File) (map[string]Sample, benchMeta, error) {
 	parsed := map[string]Sample{}
 	var meta benchMeta
 	sc := bufio.NewScanner(f)
@@ -176,7 +148,7 @@ func readBench(f *os.File, keepCPUSuffix bool) (map[string]Sample, benchMeta, er
 		case strings.HasPrefix(line, "cpu:"):
 			meta.cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			name, s, ok := parseBenchLine(line, keepCPUSuffix)
+			name, s, ok := parseBenchLine(line)
 			if ok {
 				parsed[name] = s
 			}
@@ -186,56 +158,18 @@ func readBench(f *os.File, keepCPUSuffix bool) (map[string]Sample, benchMeta, er
 }
 
 // checkRequired fails when a required benchmark is absent from the
-// parsed set. A required name matches either exactly or with any
-// -GOMAXPROCS suffix, so the same list works in both modes.
+// parsed set.
 func checkRequired(require string, have map[string]Sample) error {
 	for _, want := range strings.Split(require, ",") {
 		want = strings.TrimSpace(want)
 		if want == "" {
 			continue
 		}
-		found := false
-		for name := range have {
-			if name == want || strings.HasPrefix(name, want+"-") {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, found := have[want]; !found {
 			return fmt.Errorf("required benchmark %q missing from input (renamed, or dropped by the -bench pattern?)", want)
 		}
 	}
 	return nil
-}
-
-// writeMulticore merges per-GOMAXPROCS entries into the existing out
-// file, replacing any previous multicore table but leaving the
-// before/after sections untouched.
-func writeMulticore(outPath string, entries map[string]Sample, note string) {
-	out, err := readOutput(outPath)
-	if err != nil {
-		fatal(fmt.Errorf("-multicore needs an existing %s (run `make bench` first): %w", outPath, err))
-	}
-	out.Multicore = &MulticoreTable{
-		HostCPUs: runtime.NumCPU(),
-		Note:     note,
-		Entries:  entries,
-	}
-	writeOutput(outPath, out)
-	fmt.Printf("\nmerged %d multicore entries into %s (host_cpus=%d)\n",
-		len(entries), outPath, runtime.NumCPU())
-}
-
-func readOutput(path string) (Output, error) {
-	var out Output
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return out, err
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return out, fmt.Errorf("%s: %w", path, err)
-	}
-	return out, nil
 }
 
 func writeOutput(path string, out Output) {
@@ -254,13 +188,13 @@ func writeOutput(path string, out Output) {
 //	BenchmarkName-8   1000   123.4 ns/op   56 B/op   7 allocs/op   0.9 custom-unit
 //
 // Custom units are ignored; only ns/op, B/op, allocs/op are kept.
-func parseBenchLine(line string, keepCPUSuffix bool) (string, Sample, bool) {
+func parseBenchLine(line string) (string, Sample, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return "", Sample{}, false
 	}
 	name := fields[0]
-	if i := strings.LastIndexByte(name, '-'); i > 0 && !keepCPUSuffix {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
 		// strip the -GOMAXPROCS suffix
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]

@@ -37,7 +37,7 @@
 //	-trace-out F     write the binding-lifecycle span trace (JSONL; see cmd/tracetool)
 //	-trace-chrome F  write the trace in Chrome trace-event format (Perfetto)
 //	-debug-addr A    serve /snapshot, /metrics, expvar and pprof on this HTTP address
-//	-epoch-log F     write the parallel engine's JSONL epoch timeline (tracetool -epochs)
+//	-epoch-log F     write the engine's JSONL epoch timeline (tracetool -epochs)
 //	-snapshot-out F  write the final JSON snapshot
 //	-scenario S      run a deterministic attacker campaign (builtin family or JSON file)
 //	-scorecard-out F write the campaign's effectiveness scorecard (JSON; cmd/scorecard renders it)
@@ -126,7 +126,7 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file")
 		traceChr  = flag.String("trace-chrome", "", "write the trace in Chrome trace-event format (Perfetto-loadable) to this file")
 		debug     = flag.String("debug-addr", "", "serve /snapshot, /metrics, /debug/vars (expvar) and /debug/pprof on this address while running")
-		epochLog  = flag.String("epoch-log", "", "write the parallel engine's JSONL epoch timeline to this file (see tracetool -epochs)")
+		epochLog  = flag.String("epoch-log", "", "write the engine's JSONL epoch timeline to this file (see tracetool -epochs)")
 		snapOut   = flag.String("snapshot-out", "", "write the final JSON snapshot to this file")
 		scenarioF = flag.String("scenario", "", "run a deterministic attacker campaign: builtin family name or scenario JSON file")
 		scoreOut  = flag.String("scorecard-out", "", "write the campaign's effectiveness scorecard (JSON) to this file (requires -scenario; see cmd/scorecard)")
@@ -190,9 +190,6 @@ func main() {
 				badFlags("%s is not supported in cluster mode", name)
 			}
 		}
-	}
-	if *epochLog != "" && !*parallel && *coordAddr == "" {
-		badFlags("-epoch-log requires -parallel or -coordinator (the timeline profiles epoch barriers)")
 	}
 	if *scoreOut != "" && *scenarioF == "" {
 		badFlags("-scorecard-out requires -scenario (the scorecard scores a campaign run)")
@@ -395,9 +392,9 @@ func main() {
 		defer f.Close()
 		opts.EpochLog = f
 	}
-	// The live /metrics scrape needs the telemetry registry; it costs
-	// one atomic add per instrumented event, so turn it on whenever the
-	// debug endpoint (its only consumer here) is requested.
+	// The live /metrics scrape needs the telemetry registry; the farm
+	// publishes its counters into it at epoch barriers, so turn it on
+	// only when the debug endpoint (its one consumer here) is requested.
 	opts.Metrics = *debug != ""
 
 	hf, err := potemkin.New(opts)
@@ -443,9 +440,9 @@ func main() {
 				w.Write([]byte("{}"))
 			}
 		})
-		// Unlike /snapshot, /metrics reads the registry live: every
-		// series is an atomic, so the scrape never touches sim state and
-		// needs no publish step.
+		// /metrics follows the same rule by itself: the engine publishes
+		// the farm's counters into the registry's atomics at epoch
+		// barriers, and the scrape reads only those.
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			w.Write(hf.MetricsText())

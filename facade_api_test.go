@@ -69,10 +69,10 @@ func TestValidateParallelConstraints(t *testing.T) {
 	if err := (Options{Parallel: true, GatewayShards: 4, TraceChrome: &bytes.Buffer{}}).Validate(); err != nil {
 		t.Errorf("Parallel+TraceChrome should validate: %v", err)
 	}
-	// The epoch timeline profiles the parallel engine only.
-	if err := (Options{EpochLog: &bytes.Buffer{}}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "EpochLog requires Parallel") {
-		t.Errorf("EpochLog without Parallel should fail: %v", err)
+	// Every farm runs the epoch loop, so the epoch timeline and the
+	// adaptive-epoch cap apply without Parallel too.
+	if err := (Options{EpochLog: &bytes.Buffer{}, AdaptiveEpochs: 1}).Validate(); err != nil {
+		t.Errorf("EpochLog and AdaptiveEpochs without Parallel should validate: %v", err)
 	}
 	// Every shard is a domain with its own slice of the servers,
 	// Parallel or not, and the complaint joins the collect-all list.

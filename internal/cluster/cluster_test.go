@@ -145,7 +145,7 @@ func runOracle(t *testing.T, seed uint64, faults *fault.Config, extra time.Durat
 	eng.RunFor(extra)
 	out := runOut{
 		gw: eng.GatewayStats(), fm: eng.FarmStats(), gs: eng.GuestTotals(),
-		live: eng.LiveVMs(), infected: eng.InfectedVMs(), bindings: eng.NumBindings(),
+		live: eng.LiveVMs(), infected: eng.InfectedVMs(), bindings: eng.GatewayStats().BindingsLive,
 		mem: eng.MemoryInUse(), dns: eng.DNSQueries(),
 		injected: injected, now: eng.Now(), faults: eng.FaultLog(),
 	}

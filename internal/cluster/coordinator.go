@@ -1012,9 +1012,9 @@ func (c *Coordinator) Results() (*Results, error) {
 			missing++
 			continue
 		}
-		core.AddGatewayStats(&res.Gateway, &sr.Gateway)
-		core.AddFarmStats(&res.Farm, &sr.Farm)
-		core.AddGuestStats(&res.Guest, &sr.Guest)
+		res.Gateway.Add(&sr.Gateway)
+		res.Farm.Add(&sr.Farm)
+		res.Guest.Add(&sr.Guest)
 		res.LiveVMs += sr.LiveVMs
 		res.InfectedVMs += sr.InfectedVMs
 		res.Bindings += sr.Bindings

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"potemkin/internal/core"
+	"potemkin/internal/guest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/telescope"
+	"potemkin/internal/vmm"
 )
 
 // filterSim drops the wall-clock epoch_* profiler series so snapshots
@@ -157,6 +159,66 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	s := samples[0]
 	if len(s.AdvanceNS) != 2 || len(s.BarrierWaitNS) != 2 {
 		t.Errorf("per-worker arrays not 2-wide: %+v", s)
+	}
+}
+
+// TestClusterRegistryEqualsStatsAtRest is the cluster twin of the
+// facade's test of the same name: the workers publish their domains'
+// Stats into their own registries and the coordinator adds those up, so
+// after Results every gateway_* and farm_* series equals its field in
+// the merged Results, and the vmm_* and guest_* series — whose structs
+// do not cross the wire — equal the one-process oracle's host sums and
+// cumulative guest totals.
+func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
+	const seed = 31
+
+	ocfg := testEngineConfig(seed, nil)
+	ocfg.Parallel = false
+	oeng, err := core.NewShardEngine(ocfg)
+	if err != nil {
+		t.Fatalf("NewShardEngine: %v", err)
+	}
+	for _, pkt := range exploitPackets(ocfg.Farm.Profile) {
+		oeng.InjectBarrier(pkt)
+	}
+	if _, err := oeng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond); err != nil {
+		t.Fatalf("oracle replay: %v", err)
+	}
+	oeng.RunFor(time.Second)
+	var hosts vmm.HostStats
+	var guests guest.Stats
+	for _, d := range oeng.Domains() {
+		h, g := d.F.HostStats(), d.F.GuestCumulative()
+		hosts.Add(&h)
+		guests.Add(&g)
+	}
+	oeng.Close()
+
+	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = metrics.NewRegistry() })
+	if _, err := h.drive(t, seed, time.Second); err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	res, err := h.c.Results()
+	if err != nil {
+		t.Fatalf("Results: %v", err)
+	}
+	h.shutdown(t)
+
+	if res.Gateway.InboundPackets == 0 || hosts.CowFaults == 0 || guests.PacketsIn == 0 {
+		t.Fatalf("vacuous run: gateway %+v, hosts %+v, guests %+v", res.Gateway, hosts, guests)
+	}
+	want := metrics.NewRegistry()
+	for _, st := range []any{&res.Gateway, &res.Farm, &hosts, &guests} {
+		metrics.NewExporter(want, st).Publish(st)
+	}
+	got := make(map[string]metrics.Point, len(res.Metrics))
+	for _, p := range res.Metrics {
+		got[p.Name] = p
+	}
+	for _, w := range want.Snapshot() {
+		if p, ok := got[w.Name]; !ok || p.Kind != w.Kind || p.Value != w.Value {
+			t.Errorf("the Stats structs hold %s %s = %d, the merged registries have %+v", w.Kind, w.Name, w.Value, p)
+		}
 	}
 }
 

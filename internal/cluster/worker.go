@@ -86,6 +86,9 @@ type worker struct {
 	id      int
 	shards  []int
 	domains map[int]*core.ShardDomain
+	// view publishes the domains' Stats into the worker's registry at
+	// epoch boundaries (nil without one).
+	view *core.StatsView
 	// outbox holds each owned shard's cross-shard emissions for the
 	// in-flight epoch. Slots are allocated at assignment and the cross
 	// closures write through their own slot pointer, so parallel domain
@@ -268,6 +271,7 @@ func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn boo
 		w.metrics.Store(reg)
 		ecfg.Metrics = reg
 	}
+	var owned []*core.ShardDomain
 	for _, s := range shards {
 		s := s
 		slot := new([]outboxEntry)
@@ -289,7 +293,9 @@ func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn boo
 			}
 		}
 		w.domains[s] = d
+		owned = append(owned, d)
 	}
+	w.view = core.NewStatsView(ecfg.Metrics, owned)
 	return nil
 }
 
@@ -439,6 +445,7 @@ func (w *worker) handleEpoch(payload []byte) error {
 	if err := w.runEpoch(m.End); err != nil {
 		return err
 	}
+	w.view.PublishDue(m.End)
 	reply := epochDoneMsg{Seq: m.Seq}
 	for _, s := range w.shards {
 		slot := w.outbox[s]
@@ -499,6 +506,7 @@ func (w *worker) runEpoch(end sim.Time) (err error) {
 // flush open trace spans, and ships everything in one reply.
 func (w *worker) handleResults() error {
 	var m resultsMsg
+	w.view.Publish()
 	m.Metrics = w.metrics.Load().Snapshot()
 	for _, s := range w.shards {
 		d := w.domains[s]

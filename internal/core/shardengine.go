@@ -109,11 +109,13 @@ type ShardEngineConfig struct {
 	// seed, like EventLog and TraceOut.
 	ChromeOut io.Writer
 
-	// Metrics, when non-nil, is the shared live-telemetry registry
-	// plumbed into every domain's gateway, farm, and VMM hosts (plus
-	// the engine's epoch profiler). One registry serves all shards: the
-	// instruments are atomic and commutative, so concurrent domains
-	// cannot perturb the exposed values.
+	// Metrics, when non-nil, is the live-telemetry registry. The
+	// domains count in their Stats structs and nowhere else; the engine
+	// publishes the cross-domain sums (see StatsView) from its
+	// after-epoch hook every second of simulated time, and whenever an
+	// entry point that advances or mutates the farm returns — so a read
+	// at rest is exact. Only the event-rate histograms and the epoch
+	// profiler record into it directly.
 	Metrics *metrics.Registry
 	// EpochLog, when non-nil, receives the JSONL epoch timeline (one
 	// metrics.EpochSample per line) for tracetool -epochs. Enables the
@@ -366,6 +368,7 @@ type ShardEngine struct {
 	runner  *sim.ParallelRunner
 	domains []*ShardDomain
 	prof    *metrics.EpochProfiler
+	view    *StatsView // nil without cfg.Metrics
 	envs    *envPool
 	closed  bool
 
@@ -453,9 +456,11 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	if cfg.ChromeOut != nil {
 		e.chrome = trace.NewChromeWriter(cfg.ChromeOut)
 	}
-	if cfg.Shards == 1 {
-		e.runner.SetAfterEpoch(e.writeSinks)
-	}
+	e.view = NewStatsView(cfg.Metrics, e.domains)
+	e.runner.SetAfterEpoch(func() {
+		e.writeThrough()
+		e.view.PublishDue(e.runner.Now())
+	})
 	if cfg.Metrics != nil || cfg.EpochLog != nil {
 		e.prof = metrics.NewEpochProfiler(cfg.Metrics, cfg.EpochLog)
 		e.runner.SetEpochObserver(func(s sim.EpochStats) {
@@ -475,6 +480,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 			})
 		})
 	}
+	e.view.Publish()
 	return e, nil
 }
 
@@ -507,7 +513,10 @@ func (e *ShardEngine) SetSequential(seq bool) { e.runner.SetSequential(seq) }
 func (e *ShardEngine) Now() sim.Time { return e.runner.Now() }
 
 // RunUntil advances every domain to deadline.
-func (e *ShardEngine) RunUntil(deadline sim.Time) { e.runner.RunUntil(deadline) }
+func (e *ShardEngine) RunUntil(deadline sim.Time) {
+	e.runner.RunUntil(deadline)
+	e.atRest()
+}
 
 // writeSinks writes every domain's buffered event log, span trace and
 // Chrome records to the configured writers in shard order, and empties
@@ -548,16 +557,23 @@ func (e *ShardEngine) writeSink(w io.Writer, buf *mem.Arena) {
 	buf.Reset()
 }
 
-// writeThrough is writeSinks for the entry points that log outside an
-// epoch; only a one-domain engine streams (see writeSinks).
+// writeThrough is writeSinks at an epoch boundary or outside an epoch;
+// only a one-domain engine streams (see writeSinks).
 func (e *ShardEngine) writeThrough() {
 	if len(e.domains) == 1 {
 		e.writeSinks()
 	}
 }
 
+// atRest ends every entry point that advances or mutates the farm: what
+// it logged is written through and the registry brought up to date.
+func (e *ShardEngine) atRest() {
+	e.writeThrough()
+	e.view.Publish()
+}
+
 // RunFor advances every domain by d.
-func (e *ShardEngine) RunFor(d time.Duration) { e.runner.RunFor(d) }
+func (e *ShardEngine) RunFor(d time.Duration) { e.RunUntil(e.runner.Now().Add(d)) }
 
 // Barrier exposes the engine's epoch coordinator.
 func (e *ShardEngine) Barrier() sim.Barrier { return e.runner }
@@ -567,7 +583,7 @@ func (e *ShardEngine) Barrier() sim.Barrier { return e.runner }
 func (e *ShardEngine) Inject(pkt *netsim.Packet) {
 	d := e.domains[e.Owner(pkt.Dst)]
 	d.G.HandleInbound(d.K.Now(), pkt)
-	e.writeThrough()
+	e.atRest()
 }
 
 // InjectBarrier schedules pkt for delivery to its owning shard through
@@ -593,7 +609,7 @@ func (e *ShardEngine) PrepareSnapshotImages(name string, warmup time.Duration) e
 		}
 	}
 	e.runner.Align()
-	e.writeThrough()
+	e.atRest()
 	return nil
 }
 
@@ -632,6 +648,7 @@ func (e *ShardEngine) FaultLog() []string {
 // record (the facade default is 1 ms). Returns packets injected and the
 // first source error.
 func (e *ShardEngine) Replay(src telescope.Source, halt func() bool, epilogue time.Duration) (int, error) {
+	defer e.atRest()
 	return ReplayOver(e.runner, src, halt, epilogue, func(at sim.Time, rec telescope.Record) {
 		e.epochIngress++
 		e.domains[e.Owner(rec.Dst)].ScheduleRecord(at, &rec)
@@ -643,41 +660,9 @@ func (e *ShardEngine) GatewayStats() gateway.Stats {
 	var sum gateway.Stats
 	for _, d := range e.domains {
 		st := d.G.Stats()
-		AddGatewayStats(&sum, &st)
+		sum.Add(&st)
 	}
 	return sum
-}
-
-// AddGatewayStats accumulates src into dst field-by-field (the shard
-// engine and the cluster coordinator merge per-domain counters with the
-// same function, so they cannot drift apart).
-func AddGatewayStats(dst, src *gateway.Stats) {
-	dst.InboundPackets += src.InboundPackets
-	dst.InboundNonIP += src.InboundNonIP
-	dst.InboundOutside += src.InboundOutside
-	dst.BindingsCreated += src.BindingsCreated
-	dst.BindingsRecycled += src.BindingsRecycled
-	dst.SpawnFailures += src.SpawnFailures
-	dst.SpawnRetries += src.SpawnRetries
-	dst.BindingsShed += src.BindingsShed
-	dst.BackendLost += src.BackendLost
-	dst.PendingDropped += src.PendingDropped
-	dst.DeliveredToVM += src.DeliveredToVM
-	dst.OutAllowedOpen += src.OutAllowedOpen
-	dst.OutToSource += src.OutToSource
-	dst.OutDNSProxied += src.OutDNSProxied
-	dst.OutInternal += src.OutInternal
-	dst.OutReflected += src.OutReflected
-	dst.OutDropped += src.OutDropped
-	dst.OutReflectDenied += src.OutReflectDenied
-	dst.DetectedInfected += src.DetectedInfected
-	dst.ScanFiltered += src.ScanFiltered
-	dst.OutRateLimited += src.OutRateLimited
-	dst.OutProxied += src.OutProxied
-	dst.ProxyReturns += src.ProxyReturns
-	dst.PeakBindings += src.PeakBindings
-	dst.ReflectionsActive += src.ReflectionsActive
-	dst.PendingQueued += src.PendingQueued
 }
 
 // FarmStats sums the per-domain farm counters.
@@ -685,21 +670,9 @@ func (e *ShardEngine) FarmStats() farm.Stats {
 	var sum farm.Stats
 	for _, d := range e.domains {
 		st := d.F.Stats()
-		AddFarmStats(&sum, &st)
+		sum.Add(&st)
 	}
 	return sum
-}
-
-// AddFarmStats accumulates src into dst (see AddGatewayStats).
-func AddFarmStats(dst, src *farm.Stats) {
-	dst.Spawns += src.Spawns
-	dst.SpawnFailures += src.SpawnFailures
-	dst.SpawnRetries += src.SpawnRetries
-	dst.Reclaims += src.Reclaims
-	dst.Infections += src.Infections
-	dst.CrashRecycles += src.CrashRecycles
-	dst.LinkDrops += src.LinkDrops
-	dst.PeakLiveVMs += src.PeakLiveVMs
 }
 
 // GuestTotals sums the per-guest counters across all live instances.
@@ -707,29 +680,9 @@ func (e *ShardEngine) GuestTotals() guest.Stats {
 	var sum guest.Stats
 	for _, d := range e.domains {
 		st := d.F.GuestTotals()
-		AddGuestStats(&sum, &st)
+		sum.Add(&st)
 	}
 	return sum
-}
-
-// AddGuestStats accumulates src into dst (see AddGatewayStats).
-func AddGuestStats(dst, src *guest.Stats) {
-	dst.PacketsIn += src.PacketsIn
-	dst.RepliesOut += src.RepliesOut
-	dst.ScansOut += src.ScansOut
-	dst.PagesDirty += src.PagesDirty
-	dst.ExploitHits += src.ExploitHits
-	dst.ConnsAccepted += src.ConnsAccepted
-	dst.ConnsEstablished += src.ConnsEstablished
-	dst.ConnsClosed += src.ConnsClosed
-	dst.ExploitsSent += src.ExploitsSent
-	dst.AppResponses += src.AppResponses
-	dst.DNSQueries += src.DNSQueries
-	dst.DNSResponses += src.DNSResponses
-	dst.Stage2Fetches += src.Stage2Fetches
-	dst.CanariesOut += src.CanariesOut
-	dst.BeaconsOut += src.BeaconsOut
-	dst.Fingerprinted += src.Fingerprinted
 }
 
 // LiveVMs sums running VMs across domains.
@@ -757,15 +710,6 @@ func (e *ShardEngine) MemoryInUse() uint64 {
 		b += d.F.MemoryInUse()
 	}
 	return b
-}
-
-// NumBindings sums live bindings across domains.
-func (e *ShardEngine) NumBindings() int {
-	n := 0
-	for _, d := range e.domains {
-		n += d.G.NumBindings()
-	}
-	return n
 }
 
 // DNSQueries sums the lookups served by every domain's safe resolver.
@@ -838,7 +782,7 @@ func (e *ShardEngine) RecycleAll() {
 	for _, d := range e.domains {
 		d.G.RecycleAll(d.K.Now())
 	}
-	e.writeThrough()
+	e.atRest()
 }
 
 // Close stops the domains' background work, finishes open spans, and
@@ -856,6 +800,7 @@ func (e *ShardEngine) Close() error {
 		d.Close()
 	}
 	e.writeSinks()
+	e.view.Publish()
 	errs := []error{e.sinkErr}
 	if e.chrome != nil {
 		if err := e.chrome.Close(); err != nil {

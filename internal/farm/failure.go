@@ -49,7 +49,6 @@ func (f *Farm) CrashServer(now sim.Time, i int) int {
 		}
 		if rec != nil && rec.RecycleBinding(now, a, "server crash: "+h.Cfg.Name) {
 			f.stats.CrashRecycles++
-			f.met.crashRecycles.Inc()
 			continue
 		}
 		fv.Destroy(now)

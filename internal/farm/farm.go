@@ -101,9 +101,9 @@ type Config struct {
 	// OnInfected observes guest compromises (experiments hook this).
 	OnInfected func(now sim.Time, in *guest.Instance)
 
-	// Metrics, when set, registers live telemetry (farm_* series,
-	// passed down to every server's VMM for the vmm_* series). Nil
-	// disables telemetry at one nil check per site.
+	// Metrics, when set, is handed to the servers' VMMs and the guests
+	// for their histograms (vmm_clone_ms, guest_deception_actions). The
+	// counters are Stats fields, published by the farm's owner.
 	Metrics *metrics.Registry
 }
 
@@ -122,16 +122,33 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates farm-level counters.
+// Stats aggregates farm-level counters, the only place they are counted;
+// a field is published as the series its metric tag names.
 type Stats struct {
-	Spawns        uint64
-	SpawnFailures uint64 // requests that exhausted their retry budget (once per request)
-	SpawnRetries  uint64 // failed clone attempts re-placed on another server
-	Reclaims      uint64
-	Infections    uint64
-	CrashRecycles uint64 // bindings stranded by server crashes, reported to the gateway
-	LinkDrops     uint64 // packets lost to farm<->gateway link outages
-	PeakLiveVMs   int
+	Spawns        uint64 `metric:"farm_spawns_total"`
+	SpawnFailures uint64 `metric:"farm_spawn_failures_total"` // requests that exhausted their retry budget (once per request)
+	SpawnRetries  uint64 `metric:"farm_spawn_retries_total"`  // failed clone attempts re-placed on another server
+	Reclaims      uint64 `metric:"farm_reclaims_total"`
+	Infections    uint64 `metric:"farm_infections_total"`
+	CrashRecycles uint64 `metric:"farm_crash_recycles_total"` // bindings stranded by server crashes, reported to the gateway
+	LinkDrops     uint64 `metric:"farm_link_drops_total"`     // packets lost to farm<->gateway link outages
+	PeakLiveVMs   int    `metric:"farm_peak_live_vms"`
+	// LiveVMs is Spawns - Reclaims: unlike Farm.LiveVMs it leaves out
+	// clones still in flight.
+	LiveVMs int `metric:"farm_live_vms"`
+}
+
+// Add accumulates src into s, field by field.
+func (s *Stats) Add(src *Stats) {
+	s.Spawns += src.Spawns
+	s.SpawnFailures += src.SpawnFailures
+	s.SpawnRetries += src.SpawnRetries
+	s.Reclaims += src.Reclaims
+	s.Infections += src.Infections
+	s.CrashRecycles += src.CrashRecycles
+	s.LinkDrops += src.LinkDrops
+	s.PeakLiveVMs += src.PeakLiveVMs
+	s.LiveVMs += src.LiveVMs
 }
 
 // ErrFarmFull reports that no healthy server could admit a VM. It
@@ -144,19 +161,6 @@ type farmFullError struct{}
 func (farmFullError) Error() string { return "farm: all servers at capacity" }
 
 func (farmFullError) Is(target error) bool { return target == gateway.ErrBackendFull }
-
-// farmMetrics are the registry handles, resolved once in New (all nil
-// — no-op — when Config.Metrics is nil).
-type farmMetrics struct {
-	spawns        *metrics.Counter
-	spawnRetries  *metrics.Counter
-	spawnFailures *metrics.Counter
-	reclaims      *metrics.Counter
-	infections    *metrics.Counter
-	crashRecycles *metrics.Counter
-	linkDrops     *metrics.Counter
-	liveVMs       *metrics.Gauge
-}
 
 // Farm is the server pool. It implements gateway.Backend.
 type Farm struct {
@@ -178,7 +182,6 @@ type Farm struct {
 	linkDown bool
 
 	stats Stats
-	met   farmMetrics
 	rr    int // round-robin cursor for tie-breaking
 
 	// What every guest is built with: the uplink sender and the hooks
@@ -215,18 +218,6 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 	f := &Farm{Cfg: cfg, K: k, byAddr: make(map[netsim.Addr]*FarmVM)}
 	f.send = f.uplink
 	f.hooks = guest.Hooks{OnInfected: f.infected, Metrics: guest.NewInstruments(cfg.Metrics)}
-	if m := cfg.Metrics; m != nil {
-		f.met = farmMetrics{
-			spawns:        m.Counter("farm_spawns_total"),
-			spawnRetries:  m.Counter("farm_spawn_retries_total"),
-			spawnFailures: m.Counter("farm_spawn_failures_total"),
-			reclaims:      m.Counter("farm_reclaims_total"),
-			infections:    m.Counter("farm_infections_total"),
-			crashRecycles: m.Counter("farm_crash_recycles_total"),
-			linkDrops:     m.Counter("farm_link_drops_total"),
-			liveVMs:       m.Gauge("farm_live_vms"),
-		}
-	}
 	for i := 0; i < cfg.Servers; i++ {
 		hc := cfg.HostConfig
 		hc.Name = fmt.Sprintf("%s-%d", cfg.HostConfig.Name, i)
@@ -267,6 +258,16 @@ func (f *Farm) Hosts() []*vmm.VMHost { return f.hosts }
 
 // Stats returns a copy of the farm counters.
 func (f *Farm) Stats() Stats { return f.stats }
+
+// HostStats sums the servers' VMM counters.
+func (f *Farm) HostStats() vmm.HostStats {
+	var sum vmm.HostStats
+	for _, h := range f.hosts {
+		st := h.Stats()
+		sum.Add(&st)
+	}
+	return sum
+}
 
 // LiveVMs returns the number of VMs currently running across servers.
 func (f *Farm) LiveVMs() int {
@@ -330,23 +331,17 @@ func (f *Farm) GuestTotals() guest.Stats {
 	var sum guest.Stats
 	for _, fv := range f.byAddr {
 		st := fv.Guest.Stats()
-		sum.PacketsIn += st.PacketsIn
-		sum.RepliesOut += st.RepliesOut
-		sum.ScansOut += st.ScansOut
-		sum.PagesDirty += st.PagesDirty
-		sum.ExploitHits += st.ExploitHits
-		sum.ConnsAccepted += st.ConnsAccepted
-		sum.ConnsEstablished += st.ConnsEstablished
-		sum.ConnsClosed += st.ConnsClosed
-		sum.ExploitsSent += st.ExploitsSent
-		sum.AppResponses += st.AppResponses
-		sum.DNSQueries += st.DNSQueries
-		sum.DNSResponses += st.DNSResponses
-		sum.Stage2Fetches += st.Stage2Fetches
-		sum.CanariesOut += st.CanariesOut
-		sum.BeaconsOut += st.BeaconsOut
-		sum.Fingerprinted += st.Fingerprinted
+		sum.Add(&st)
 	}
+	return sum
+}
+
+// GuestCumulative is GuestTotals plus the final counters of every guest
+// the farm has stopped: monotone, so what guest_*_total publishes.
+func (f *Farm) GuestCumulative() guest.Stats {
+	sum := f.hooks.Metrics.Retired
+	live := f.GuestTotals()
+	sum.Add(&live)
 	return sum
 }
 
@@ -531,8 +526,7 @@ func (req *spawnReq) cloned(vm *vmm.VM) {
 	f.finish(req)
 	fv := f.attachGuest(h, vm, req.addr)
 	f.stats.Spawns++
-	f.met.spawns.Inc()
-	f.met.liveVMs.Add(1)
+	f.stats.LiveVMs++
 	if live := f.LiveVMs(); live > f.stats.PeakLiveVMs {
 		f.stats.PeakLiveVMs = live
 	}
@@ -554,13 +548,11 @@ func (f *Farm) failOrRetry(now sim.Time, req *spawnReq, failed *vmm.VMHost, err 
 	if req.attempt >= f.Cfg.RetryBudget {
 		f.finish(req)
 		f.stats.SpawnFailures++
-		f.met.spawnFailures.Inc()
 		f.K.After(0, func(sim.Time) { req.ready(nil, err) })
 		return
 	}
 	req.attempt++
 	f.stats.SpawnRetries++
-	f.met.spawnRetries.Inc()
 	if req.parent != nil {
 		req.parent.Event(now, "clone-retry", err.Error())
 	}
@@ -626,7 +618,6 @@ func pop[T any](list *[]*T) *T {
 func (f *Farm) uplink(pkt *netsim.Packet) {
 	if f.linkDown {
 		f.stats.LinkDrops++
-		f.met.linkDrops.Inc()
 		return
 	}
 	f.K.After(f.Cfg.UplinkLatency, f.newHop(nil, pkt).fire)
@@ -635,7 +626,6 @@ func (f *Farm) uplink(pkt *netsim.Packet) {
 // infected is every guest's OnInfected hook.
 func (f *Farm) infected(in *guest.Instance) {
 	f.stats.Infections++
-	f.met.infections.Inc()
 	if f.Cfg.OnInfected != nil {
 		f.Cfg.OnInfected(f.K.Now(), in)
 	}
@@ -735,7 +725,6 @@ func (fv *FarmVM) Deliver(now sim.Time, pkt *netsim.Packet) {
 	f := fv.farm
 	if f.linkDown {
 		f.stats.LinkDrops++
-		f.met.linkDrops.Inc()
 		return
 	}
 	fv.Host.ChargeCPU(now, fv.Host.Cfg.CPU.PerPacket)
@@ -764,8 +753,7 @@ func (fv *FarmVM) Destroy(_ sim.Time) {
 		delete(f.byAddr, ip)
 	}
 	f.stats.Reclaims++
-	f.met.reclaims.Inc()
-	f.met.liveVMs.Add(-1)
+	f.stats.LiveVMs--
 	if fv.arriving == 0 {
 		f.freeVMs = append(f.freeVMs, fv)
 	}

@@ -1,0 +1,41 @@
+package farm
+
+import (
+	"testing"
+	"time"
+)
+
+// TestGuestCumulativeSurvivesRecycling: a reclaimed guest's counters
+// leave GuestTotals with it and stay in GuestCumulative, and the
+// LiveVMs gauge is spawns less reclaims.
+func TestGuestCumulativeSurvivesRecycling(t *testing.T) {
+	r := newRig(t, nil, nil)
+	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
+	r.g.HandleInbound(r.k.Now(), probe(scanner, victim+1))
+	r.k.RunFor(2 * time.Second)
+	live := r.f.GuestTotals()
+	if live.PacketsIn != 2 || r.f.GuestCumulative() != live {
+		t.Fatalf("two served probes: live %+v, cumulative %+v", live, r.f.GuestCumulative())
+	}
+	if st := r.f.Stats(); st.LiveVMs != 2 {
+		t.Errorf("LiveVMs = %d, want 2", st.LiveVMs)
+	}
+
+	r.g.RecycleBinding(r.k.Now(), victim, "test")
+	if got := r.f.GuestTotals().PacketsIn; got != 1 {
+		t.Errorf("live PacketsIn after one recycle = %d, want 1", got)
+	}
+	if got := r.f.GuestCumulative(); got != live {
+		t.Errorf("cumulative after one recycle = %+v, want the pre-recycle %+v", got, live)
+	}
+	if st := r.f.Stats(); st.LiveVMs != 1 || st.Reclaims != 1 {
+		t.Errorf("LiveVMs = %d, Reclaims = %d, want 1, 1", st.LiveVMs, st.Reclaims)
+	}
+
+	// The recycled guest struct serves the next clone from zero.
+	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
+	r.k.RunFor(2 * time.Second)
+	if got := r.f.GuestCumulative().PacketsIn; got != 3 {
+		t.Errorf("cumulative PacketsIn after a rebind = %d, want 3", got)
+	}
+}

@@ -205,12 +205,9 @@ type Config struct {
 	// CaptureSink). Nil disables capture.
 	Capture CaptureSink
 
-	// Metrics, when set, registers live telemetry counters/gauges
-	// (gateway_* series) updated alongside Stats. Nil (the default)
-	// disables telemetry; the hot paths then pay a single nil check per
-	// instrument. Shard domains share one registry — the instruments
-	// are atomic and order-independent, so concurrent shards cannot
-	// perturb the exposed values.
+	// Metrics, when set, receives the gateway_detect_time_ms histogram,
+	// the one gateway series with no Stats field behind it (the owner
+	// of the gateway publishes those; see core.StatsView).
 	Metrics *metrics.Registry
 }
 
@@ -230,40 +227,82 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts gateway activity. All counters are cumulative.
+// Stats counts gateway activity, and is the only place it is counted.
+// All counters are cumulative. The metric tag names the registry series
+// a field is published as (see metrics.Exporter); Add merges shards.
 type Stats struct {
 	// Inbound path.
-	InboundPackets   uint64
-	InboundNonIP     uint64 // undecodable frames
-	InboundOutside   uint64 // destination outside the monitored space
-	BindingsCreated  uint64
-	BindingsRecycled uint64
-	SpawnFailures    uint64
-	SpawnRetries     uint64 // failed spawns re-requested after backoff
-	BindingsShed     uint64 // new bindings refused while shedding load
-	BackendLost      uint64 // bindings recycled because the backend lost their VM
-	PendingDropped   uint64 // queue overflow during clone
-	DeliveredToVM    uint64
+	InboundPackets   uint64 `metric:"gateway_inbound_packets_total"`
+	InboundNonIP     uint64 `metric:"gateway_inbound_non_ip_total"`  // undecodable frames
+	InboundOutside   uint64 `metric:"gateway_inbound_outside_total"` // destination outside the monitored space
+	BindingsCreated  uint64 `metric:"gateway_bindings_created_total"`
+	BindingsRecycled uint64 `metric:"gateway_bindings_recycled_total"`
+	SpawnFailures    uint64 `metric:"gateway_spawn_failures_total"`
+	SpawnRetries     uint64 `metric:"gateway_spawn_retries_total"`   // failed spawns re-requested after backoff
+	BindingsShed     uint64 `metric:"gateway_bindings_shed_total"`   // new bindings refused while shedding load
+	BackendLost      uint64 `metric:"gateway_backend_lost_total"`    // bindings recycled because the backend lost their VM
+	PendingDropped   uint64 `metric:"gateway_pending_dropped_total"` // queue overflow during clone
+	DeliveredToVM    uint64 `metric:"gateway_delivered_to_vm_total"`
 
 	// Outbound path, by disposition.
-	OutAllowedOpen    uint64 // PolicyOpen pass-through
-	OutToSource       uint64 // replies to eliciting remote
-	OutDNSProxied     uint64
-	OutInternal       uint64 // dst already inside the honeyfarm
-	OutReflected      uint64 // redirected by internal reflection
-	OutDropped        uint64
-	OutReflectDenied  uint64 // reflection limit hit
-	DetectedInfected  uint64
-	ScanFiltered      uint64 // inbound probes shed by the scan filter
-	OutRateLimited    uint64 // externalized packets dropped by the rate limit
-	OutProxied        uint64 // packets NATed to sacrificial hosts
-	ProxyReturns      uint64 // sacrificial-host replies rewritten back
-	PeakBindings      int
-	ReflectionsActive int
+	OutAllowedOpen    uint64 `metric:"gateway_out_allowed_open_total"` // PolicyOpen pass-through
+	OutToSource       uint64 `metric:"gateway_out_to_source_total"`    // replies to eliciting remote
+	OutDNSProxied     uint64 `metric:"gateway_out_dns_proxied_total"`
+	OutInternal       uint64 `metric:"gateway_out_internal_total"`  // dst already inside the honeyfarm
+	OutReflected      uint64 `metric:"gateway_out_reflected_total"` // redirected by internal reflection
+	OutDropped        uint64 `metric:"gateway_out_dropped_total"`
+	OutReflectDenied  uint64 `metric:"gateway_out_reflect_denied_total"` // reflection limit hit
+	DetectedInfected  uint64 `metric:"gateway_detected_infected_total"`
+	ScanFiltered      uint64 `metric:"gateway_scan_filtered_total"`    // inbound probes shed by the scan filter
+	OutRateLimited    uint64 `metric:"gateway_out_rate_limited_total"` // externalized packets dropped by the rate limit
+	OutProxied        uint64 `metric:"gateway_out_proxied_total"`      // packets NATed to sacrificial hosts
+	ProxyReturns      uint64 `metric:"gateway_proxy_returns_total"`    // sacrificial-host replies rewritten back
+	PeakBindings      int    `metric:"gateway_peak_bindings"`
+	ReflectionsActive int    `metric:"gateway_reflections_active"`
 	// PendingQueued is the current number of packets waiting in pending
 	// queues across all bindings mid-clone — a live gauge, not a
 	// cumulative counter.
-	PendingQueued int
+	PendingQueued int `metric:"gateway_pending_queued"`
+
+	// Every outbound packet that aims outside the farm is attempted;
+	// only what the policy lets reach the world is permitted.
+	EgressAttempted uint64 `metric:"gateway_egress_attempted_total"`
+	EgressPermitted uint64 `metric:"gateway_egress_permitted_total"`
+	// BindingsLive is the current number of bindings, pending and active.
+	BindingsLive int `metric:"gateway_bindings_live"`
+}
+
+// Add accumulates src into s, field by field.
+func (s *Stats) Add(src *Stats) {
+	s.InboundPackets += src.InboundPackets
+	s.InboundNonIP += src.InboundNonIP
+	s.InboundOutside += src.InboundOutside
+	s.BindingsCreated += src.BindingsCreated
+	s.BindingsRecycled += src.BindingsRecycled
+	s.SpawnFailures += src.SpawnFailures
+	s.SpawnRetries += src.SpawnRetries
+	s.BindingsShed += src.BindingsShed
+	s.BackendLost += src.BackendLost
+	s.PendingDropped += src.PendingDropped
+	s.DeliveredToVM += src.DeliveredToVM
+	s.OutAllowedOpen += src.OutAllowedOpen
+	s.OutToSource += src.OutToSource
+	s.OutDNSProxied += src.OutDNSProxied
+	s.OutInternal += src.OutInternal
+	s.OutReflected += src.OutReflected
+	s.OutDropped += src.OutDropped
+	s.OutReflectDenied += src.OutReflectDenied
+	s.DetectedInfected += src.DetectedInfected
+	s.ScanFiltered += src.ScanFiltered
+	s.OutRateLimited += src.OutRateLimited
+	s.OutProxied += src.OutProxied
+	s.ProxyReturns += src.ProxyReturns
+	s.PeakBindings += src.PeakBindings
+	s.ReflectionsActive += src.ReflectionsActive
+	s.PendingQueued += src.PendingQueued
+	s.EgressAttempted += src.EgressAttempted
+	s.EgressPermitted += src.EgressPermitted
+	s.BindingsLive += src.BindingsLive
 }
 
 // Gateway is the honeyfarm's routing and containment engine. It is
@@ -310,34 +349,9 @@ type Gateway struct {
 	owns     func(netsim.Addr) bool
 	reinject func(now sim.Time, pkt *netsim.Packet)
 
-	// met holds the live-telemetry instrument handles (all nil when
-	// Cfg.Metrics is nil — every method on them is then a no-op).
-	met gatewayMetrics
-}
-
-// gatewayMetrics are the registry handles, resolved once in New.
-type gatewayMetrics struct {
-	inbound       *metrics.Counter
-	created       *metrics.Counter
-	recycled      *metrics.Counter
-	shed          *metrics.Counter
-	delivered     *metrics.Counter
-	spawnRetries  *metrics.Counter
-	spawnFailures *metrics.Counter
-	backendLost   *metrics.Counter
-	detected      *metrics.Counter
-	proxied       *metrics.Counter
-	proxyReturns  *metrics.Counter
-	bindingsLive  *metrics.Gauge
-	pendingQueued *metrics.Gauge
-	// Scorecard taps: every outbound packet that aims outside the farm
-	// counts as attempted; only the ones the policy actually lets reach
-	// the world count as permitted. detectTime records the sim-time (ms
-	// since start) of each scan-detector firing, so Min is the farm's
-	// time-to-first-detection.
-	outAttempted *metrics.Counter
-	outPermitted *metrics.Counter
-	detectTime   *metrics.Hist
+	// detectTime records the sim-time (ms since start) of each detector
+	// firing: Min is time to first detection. Nil without Cfg.Metrics.
+	detectTime *metrics.Hist
 }
 
 // scanKey identifies a scanner's probe signature.
@@ -367,26 +381,7 @@ func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
 		nat:         make(map[uint16]natEntry),
 		natPorts:    make(map[natEntry]uint16),
 		rng:         k.Stream("gateway"),
-	}
-	if m := cfg.Metrics; m != nil {
-		g.met = gatewayMetrics{
-			inbound:       m.Counter("gateway_inbound_packets_total"),
-			created:       m.Counter("gateway_bindings_created_total"),
-			recycled:      m.Counter("gateway_bindings_recycled_total"),
-			shed:          m.Counter("gateway_bindings_shed_total"),
-			delivered:     m.Counter("gateway_delivered_to_vm_total"),
-			spawnRetries:  m.Counter("gateway_spawn_retries_total"),
-			spawnFailures: m.Counter("gateway_spawn_failures_total"),
-			backendLost:   m.Counter("gateway_backend_lost_total"),
-			detected:      m.Counter("gateway_detected_infected_total"),
-			proxied:       m.Counter("gateway_out_proxied_total"),
-			proxyReturns:  m.Counter("gateway_proxy_returns_total"),
-			bindingsLive:  m.Gauge("gateway_bindings_live"),
-			pendingQueued: m.Gauge("gateway_pending_queued"),
-			outAttempted:  m.Counter("gateway_egress_attempted_total"),
-			outPermitted:  m.Counter("gateway_egress_permitted_total"),
-			detectTime:    m.Hist("gateway_detect_time_ms"),
-		}
+		detectTime:  cfg.Metrics.Hist("gateway_detect_time_ms"),
 	}
 	g.startScrubber()
 	return g
@@ -409,6 +404,7 @@ func (g *Gateway) Stats() Stats {
 	s := g.stats
 	s.ReflectionsActive = len(g.reflections)
 	s.PendingQueued = g.pendingDepth
+	s.BindingsLive = len(g.bindings)
 	return s
 }
 
@@ -486,7 +482,6 @@ func (g *Gateway) scrubOnce(now sim.Time) {
 func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
 	g.logEvent(now, EvRecycled, addr, 0, "")
 	g.pendingDepth -= len(b.pending)
-	g.met.pendingQueued.Add(-int64(len(b.pending)))
 	if b.VM != nil {
 		b.VM.Destroy(now)
 	}
@@ -500,8 +495,6 @@ func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
 		}
 	}
 	g.stats.BindingsRecycled++
-	g.met.recycled.Inc()
-	g.met.bindingsLive.Add(-1)
 	if tr := g.Cfg.Tracer; tr != nil && b.span != nil {
 		b.activeSpan.Finish(now)
 		if b.spawnSpan != nil && !b.spawnSpan.Done() {
@@ -528,7 +521,6 @@ func (g *Gateway) RecycleBinding(now sim.Time, addr netsim.Addr, detail string) 
 		return false
 	}
 	g.stats.BackendLost++
-	g.met.backendLost.Inc()
 	g.stats.PendingDropped += uint64(len(b.pending))
 	g.logEvent(now, EvBackendLost, addr, 0, detail)
 	g.recycle(now, addr, b)

@@ -33,7 +33,6 @@ func (g *Gateway) HandleGREFrame(now sim.Time, frame []byte) {
 // honeyfarm (or re-injected by internal reflection).
 func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 	g.stats.InboundPackets++
-	g.met.inbound.Inc()
 	g.capture(now, CapInbound, pkt)
 	if g.handleProxyReturn(now, pkt) {
 		return
@@ -67,13 +66,11 @@ func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 		}
 		b.pending = append(b.pending, pkt)
 		g.pendingDepth++
-		g.met.pendingQueued.Add(1)
 		if g.Cfg.Tracer != nil {
 			b.pendingAt = append(b.pendingAt, now)
 		}
 	case BindingActive:
 		g.stats.DeliveredToVM++
-		g.met.delivered.Inc()
 		g.capture(now, CapToVM, pkt)
 		b.VM.Deliver(now, pkt)
 	}
@@ -103,7 +100,6 @@ func (g *Gateway) filterScan(pkt *netsim.Packet) bool {
 func (g *Gateway) bind(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding {
 	if g.Cfg.ShedOnFull > 0 && now < g.shedUntil {
 		g.stats.BindingsShed++
-		g.met.shed.Inc()
 		g.logEvent(now, EvShed, addr, hint.Source, "")
 		return nil
 	}
@@ -111,8 +107,6 @@ func (g *Gateway) bind(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding 
 	g.bindings[addr] = b
 	g.scheduleExpiry(addr, b)
 	g.stats.BindingsCreated++
-	g.met.created.Inc()
-	g.met.bindingsLive.Add(1)
 	if n := len(g.bindings); n > g.stats.PeakBindings {
 		g.stats.PeakBindings = n
 	}
@@ -186,10 +180,8 @@ func (b *Binding) vmReady(vm VMRef, err error) {
 		b.pendingAt = b.pendingAt[:0]
 	}
 	g.pendingDepth -= len(b.pending)
-	g.met.pendingQueued.Add(-int64(len(b.pending)))
 	for _, queued := range b.pending {
 		g.stats.DeliveredToVM++
-		g.met.delivered.Inc()
 		g.capture(flushAt, CapToVM, queued)
 		vm.Deliver(flushAt, queued)
 	}
@@ -209,7 +201,6 @@ func (g *Gateway) spawnFailed(b *Binding, err error) {
 	}
 	if b.attempt < g.Cfg.SpawnRetryBudget {
 		g.stats.SpawnRetries++
-		g.met.spawnRetries.Inc()
 		g.logEvent(now, EvSpawnRetry, addr, 0, err.Error())
 		backoff := g.Cfg.SpawnRetryBackoff
 		if backoff <= 0 {
@@ -228,7 +219,6 @@ func (g *Gateway) spawnFailed(b *Binding, err error) {
 		return
 	}
 	g.stats.SpawnFailures++
-	g.met.spawnFailures.Inc()
 	g.stats.PendingDropped += uint64(len(b.pending))
 	g.logEvent(now, EvSpawnFail, addr, 0, err.Error())
 	if g.Cfg.ShedOnFull > 0 && errors.Is(err, ErrBackendFull) {

@@ -81,7 +81,7 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 	// egress attempt, and whichever arm emits to the real world below
 	// counts it permitted. The attempted/permitted pair is the
 	// containment leak-rate numerator and denominator.
-	g.met.outAttempted.Inc()
+	g.stats.EgressAttempted++
 
 	switch g.Cfg.Policy {
 	case PolicyOpen:
@@ -90,7 +90,7 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 			return DispDropped
 		}
 		g.stats.OutAllowedOpen++
-		g.met.outPermitted.Inc()
+		g.stats.EgressPermitted++
 		g.emit(now, pkt)
 		return DispAllowedOpen
 	case PolicyDropAll:
@@ -107,7 +107,7 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 				return DispDropped
 			}
 			g.stats.OutToSource++
-			g.met.outPermitted.Inc()
+			g.stats.EgressPermitted++
 			g.emit(now, pkt)
 			return DispToSource
 		}
@@ -203,8 +203,7 @@ func (g *Gateway) detect(now sim.Time, b *Binding, dst netsim.Addr) {
 	if len(b.outTargets) >= g.Cfg.DetectThreshold {
 		b.detected = true
 		g.stats.DetectedInfected++
-		g.met.detected.Inc()
-		g.met.detectTime.Observe(float64(now) / 1e6)
+		g.detectTime.Observe(float64(now) / 1e6)
 		g.logEvent(now, EvDetected, b.Addr, dst, "")
 		if g.Cfg.OnDetected != nil {
 			g.Cfg.OnDetected(now, b.Addr, len(b.outTargets))

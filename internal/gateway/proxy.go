@@ -62,8 +62,7 @@ func (g *Gateway) tryProxy(now sim.Time, pkt *netsim.Packet) (Disposition, bool)
 	fwd.SrcPort = gwPort
 	fwd.Dst = rule.Host
 	g.stats.OutProxied++
-	g.met.proxied.Inc()
-	g.met.outPermitted.Inc()
+	g.stats.EgressPermitted++
 	g.emit(now, fwd)
 	return DispProxied, true
 }
@@ -86,12 +85,10 @@ func (g *Gateway) handleProxyReturn(now sim.Time, pkt *netsim.Packet) bool {
 	back.Dst = entry.vmAddr
 	back.DstPort = entry.vmPort
 	g.stats.ProxyReturns++
-	g.met.proxyReturns.Inc()
 	// Deliver directly to the bound VM; a recycled binding drops it.
 	if b, ok := g.bindings[entry.vmAddr]; ok && b.State == BindingActive {
 		b.LastActive = now
 		g.stats.DeliveredToVM++
-		g.met.delivered.Inc()
 		g.capture(now, CapToVM, back)
 		b.VM.Deliver(now, back)
 	}

@@ -72,7 +72,6 @@ func (in *Instance) emitCanary() {
 	})
 	in.stats.CanariesOut++
 	in.actions++
-	in.inst.Canaries.Inc()
 	in.VM.Touch(now)
 	in.sendSegment(dst, srcPort, key.DstPort, iss, 0, netsim.FlagSYN, nil)
 
@@ -115,7 +114,6 @@ func (in *Instance) goQuiet() {
 	}
 	in.quiet = true
 	in.stats.Fingerprinted++
-	in.inst.Fingerprints.Inc()
 	in.inst.Deception.Observe(float64(in.actions))
 }
 
@@ -143,7 +141,6 @@ func (in *Instance) beaconTick(sim.Time) {
 func (in *Instance) emitBeacon() {
 	in.stats.BeaconsOut++
 	in.actions++
-	in.inst.Beacons.Inc()
 	now := in.K.Now()
 	in.VM.Touch(now)
 	b := netsim.TCPSyn(in.IP, in.Profile.C2Server, in.ephemeralPort(),

@@ -235,56 +235,72 @@ type TargetPicker func(r *sim.RNG) netsim.Addr
 type Hooks struct {
 	// OnInfected fires when the guest transitions to infected.
 	OnInfected func(in *Instance)
-	// Metrics receives deception telemetry (canaries, beacons,
-	// fingerprint events). Nil disables, at nil-handle cost.
+	// Metrics is the state the farm's instances share (see Instruments).
+	// Nil gives the instance a private one.
 	Metrics *Instruments
 }
 
 // Instruments is what every instance one farm runs shares: the
-// guest-side live telemetry handles (the registry's atomics do the
-// aggregation) and the farm's stopped instances, which New reuses. All
-// handles are nil-safe, so a zero Instruments is a valid telemetry-off
-// value. Like everything under one sim kernel it is single-threaded.
+// deception histogram, the counters of the instances that have stopped,
+// and the stopped instances themselves, which New reuses. A zero
+// Instruments is a valid telemetry-off value. Like everything under one
+// sim kernel it is single-threaded.
 type Instruments struct {
-	Canaries     *metrics.Counter // guest_canaries_total
-	Beacons      *metrics.Counter // guest_beacons_total
-	Fingerprints *metrics.Counter // guest_fingerprints_total
-	Deception    *metrics.Hist    // guest_deception_actions: attacker actions executed before going quiet
+	Deception *metrics.Hist // guest_deception_actions: attacker actions executed before going quiet
 
+	// Retired sums the final Stats of every stopped instance, so the
+	// farm's guest totals stay monotone across recycling.
+	Retired Stats
 	// free are stopped instances with no kernel event left in flight,
 	// connection table and bound callbacks attached.
 	free []*Instance
 }
 
-// NewInstruments registers the guest telemetry series on m (nil m
-// yields nil-handle no-op instruments).
+// NewInstruments registers the guest histogram on m (nil m yields a
+// no-op handle).
 func NewInstruments(m *metrics.Registry) *Instruments {
-	return &Instruments{
-		Canaries:     m.Counter("guest_canaries_total"),
-		Beacons:      m.Counter("guest_beacons_total"),
-		Fingerprints: m.Counter("guest_fingerprints_total"),
-		Deception:    m.Hist("guest_deception_actions"),
-	}
+	return &Instruments{Deception: m.Hist("guest_deception_actions")}
 }
 
-// Stats counts guest activity.
+// Stats counts guest activity, the only place it is counted; a field's
+// farm-wide total is published as the series its metric tag names.
 type Stats struct {
-	PacketsIn        uint64
-	RepliesOut       uint64
-	ScansOut         uint64
-	PagesDirty       uint64 // page-touch operations issued
-	ExploitHits      uint64 // exploit payloads received while already infected
-	ConnsAccepted    uint64 // inbound SYNs that created connection state
-	ConnsEstablished uint64 // handshakes completed by the remote
-	ConnsClosed      uint64 // graceful FIN teardowns
-	ExploitsSent     uint64 // client-side dialogues that delivered payload
-	AppResponses     uint64 // application-layer responses served
-	DNSQueries       uint64 // lookups issued (second-stage resolution)
-	DNSResponses     uint64 // answers consumed
-	Stage2Fetches    uint64 // second-stage fetch connections opened
-	CanariesOut      uint64 // fingerprinting probes issued
-	BeaconsOut       uint64 // C2 beacons issued
-	Fingerprinted    uint64 // guests that concluded they are jailed and went quiet
+	PacketsIn        uint64 `metric:"guest_packets_in_total"`
+	RepliesOut       uint64 `metric:"guest_replies_out_total"`
+	ScansOut         uint64 `metric:"guest_scans_out_total"`
+	PagesDirty       uint64 `metric:"guest_pages_dirty_total"`       // page-touch operations issued
+	ExploitHits      uint64 `metric:"guest_exploit_hits_total"`      // exploit payloads received while already infected
+	ConnsAccepted    uint64 `metric:"guest_conns_accepted_total"`    // inbound SYNs that created connection state
+	ConnsEstablished uint64 `metric:"guest_conns_established_total"` // handshakes completed by the remote
+	ConnsClosed      uint64 `metric:"guest_conns_closed_total"`      // graceful FIN teardowns
+	ExploitsSent     uint64 `metric:"guest_exploits_sent_total"`     // client-side dialogues that delivered payload
+	AppResponses     uint64 `metric:"guest_app_responses_total"`     // application-layer responses served
+	DNSQueries       uint64 `metric:"guest_dns_queries_total"`       // lookups issued (second-stage resolution)
+	DNSResponses     uint64 `metric:"guest_dns_responses_total"`     // answers consumed
+	Stage2Fetches    uint64 `metric:"guest_stage2_fetches_total"`    // second-stage fetch connections opened
+	CanariesOut      uint64 `metric:"guest_canaries_total"`          // fingerprinting probes issued
+	BeaconsOut       uint64 `metric:"guest_beacons_total"`           // C2 beacons issued
+	Fingerprinted    uint64 `metric:"guest_fingerprints_total"`      // guests that concluded they are jailed and went quiet
+}
+
+// Add accumulates src into s, field by field.
+func (s *Stats) Add(src *Stats) {
+	s.PacketsIn += src.PacketsIn
+	s.RepliesOut += src.RepliesOut
+	s.ScansOut += src.ScansOut
+	s.PagesDirty += src.PagesDirty
+	s.ExploitHits += src.ExploitHits
+	s.ConnsAccepted += src.ConnsAccepted
+	s.ConnsEstablished += src.ConnsEstablished
+	s.ConnsClosed += src.ConnsClosed
+	s.ExploitsSent += src.ExploitsSent
+	s.AppResponses += src.AppResponses
+	s.DNSQueries += src.DNSQueries
+	s.DNSResponses += src.DNSResponses
+	s.Stage2Fetches += src.Stage2Fetches
+	s.CanariesOut += src.CanariesOut
+	s.BeaconsOut += src.BeaconsOut
+	s.Fingerprinted += src.Fingerprinted
 }
 
 // Instance is one running guest bound to a VM. It is valid until Stop:
@@ -422,6 +438,7 @@ func (in *Instance) Stop() {
 		return
 	}
 	in.stopped = true
+	in.inst.Retired.Add(&in.stats)
 	in.retire()
 }
 

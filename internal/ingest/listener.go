@@ -85,8 +85,10 @@ type Config struct {
 	// ReadBuffer is the socket receive buffer size hint in bytes
 	// (SO_RCVBUF). Default 4 MiB; the OS may clamp it.
 	ReadBuffer int
-	// Metrics, when set, registers live telemetry (ingest_* series)
-	// updated alongside the atomic Stats fields. Nil disables it.
+	// Metrics, when set, is where the listener's received, frame-error,
+	// dropped and sequence-gap counters live (ingest_*_total): a scrape
+	// reads the very atomics Stats does, so give each listener its own
+	// registry. Nil keeps the counters private.
 	Metrics *metrics.Registry
 }
 
@@ -112,23 +114,15 @@ type Listener struct {
 	pool sync.Pool
 	wg   sync.WaitGroup
 
-	received    atomic.Uint64
-	bytes       atomic.Uint64
-	frameErrors atomic.Uint64
-	dropped     atomic.Uint64
-	enqueued    atomic.Uint64
-	seqGaps     atomic.Uint64
-	hwm         atomic.Int64
+	// The scraped counters are the registry's own (Config.Metrics).
+	received, frameErrors, dropped, seqGaps *metrics.Counter
+
+	bytes    atomic.Uint64
+	enqueued atomic.Uint64
+	hwm      atomic.Int64
 
 	t0   atomic.Int64 // wall nanos of first arrival (plain framing)
 	once sync.Once
-
-	// Registry handles mirroring the atomic counters above (nil/no-op
-	// without Config.Metrics).
-	metReceived    *metrics.Counter
-	metFrameErrors *metrics.Counter
-	metDropped     *metrics.Counter
-	metSeqGaps     *metrics.Counter
 }
 
 // Listen opens the UDP socket and starts the reader and decap workers.
@@ -152,12 +146,16 @@ func Listen(cfg Config) (*Listener, error) {
 		return nil, fmt.Errorf("ingest: %T is not a UDP socket", pc)
 	}
 	uc.SetReadBuffer(cfg.ReadBuffer) // best effort; the OS may clamp
-	l := &Listener{cfg: cfg, pc: uc}
-	if m := cfg.Metrics; m != nil {
-		l.metReceived = m.Counter("ingest_received_total")
-		l.metFrameErrors = m.Counter("ingest_frame_errors_total")
-		l.metDropped = m.Counter("ingest_dropped_total")
-		l.metSeqGaps = m.Counter("ingest_seq_gaps_total")
+	m := cfg.Metrics
+	if m == nil {
+		m = metrics.NewRegistry() // private: only this listener reads it
+	}
+	l := &Listener{
+		cfg: cfg, pc: uc,
+		received:    m.Counter("ingest_received_total"),
+		frameErrors: m.Counter("ingest_frame_errors_total"),
+		dropped:     m.Counter("ingest_dropped_total"),
+		seqGaps:     m.Counter("ingest_seq_gaps_total"),
 	}
 	l.pool.New = func() any { return new(Frame) }
 	l.raw = make([]chan *Frame, cfg.Shards)
@@ -249,16 +247,14 @@ func (l *Listener) readLoop() {
 			f.TS = sim.Time(now - l.t0.Load())
 		}
 		f.N = n
-		l.received.Add(1)
-		l.metReceived.Inc()
+		l.received.Inc()
 		l.bytes.Add(uint64(n))
 		f.shard = l.shardOf(f.Buf[:n])
 		select {
 		case l.raw[f.shard] <- f:
 			l.trackDepth()
 		default:
-			l.dropped.Add(1)
-			l.metDropped.Inc()
+			l.dropped.Inc()
 			l.pool.Put(f)
 		}
 	}
@@ -320,8 +316,7 @@ func (l *Listener) decapWorker(shard int) {
 	lastSeq := make(map[uint32]uint32) // GRE key -> last sequence seen
 	for f := range l.raw[shard] {
 		if !l.decode(f, lastSeq) {
-			l.frameErrors.Add(1)
-			l.metFrameErrors.Inc()
+			l.frameErrors.Inc()
 			l.pool.Put(f)
 			continue
 		}
@@ -352,7 +347,6 @@ func (l *Listener) decode(f *Frame, lastSeq map[uint32]uint32) bool {
 	if h.HasSequence {
 		if last, ok := lastSeq[h.Key]; ok && f.Seq > last+1 {
 			l.seqGaps.Add(uint64(f.Seq - last - 1))
-			l.metSeqGaps.Add(uint64(f.Seq - last - 1))
 		}
 		lastSeq[h.Key] = f.Seq
 	}

@@ -2,24 +2,24 @@ package metrics
 
 // Live telemetry registry: named counters, gauges, and histograms with
 // an atomic, allocation-free hot path. Unlike Histogram/Series (offline
-// experiment aggregation, single-threaded), the registry instruments
-// the simulator itself and is scraped concurrently by HTTP handlers
-// while shard goroutines are updating it, so every instrument is built
-// on sync/atomic and is safe to read at any time without touching sim
-// state.
+// experiment aggregation, single-threaded), the registry is scraped
+// concurrently by HTTP handlers while the simulation runs, so every
+// instrument is built on sync/atomic and is safe to read at any time
+// without touching sim state.
 //
-// Determinism contract: the registry is observability-only. Counter and
-// gauge updates are integer atomic adds and histogram sums are kept in
-// integer micro-units, so the final values are independent of the order
-// in which concurrent shard goroutines applied them — two same-seed
-// runs expose identical snapshots even though the interleavings differ.
-// Wall-clock timings recorded through EpochProfiler are the one
-// explicitly nondeterministic family; everything else is a pure
-// function of the simulated run.
+// The simulated farm's counters and gauges (gateway_*, farm_*, vmm_*,
+// guest_*) are not bumped per event: the packages count in their plain
+// Stats structs and an Exporter stores those here at epoch barriers.
+// Updated in place is only what has no struct to read from: the
+// event-rate histograms, the ingest listener's counters, EpochProfiler.
 //
-// Instrument handles are resolved once at construction (Registry is
-// nil-safe: a nil *Registry hands out nil instruments whose methods are
-// no-ops), so a telemetry-off run pays one nil check per site.
+// Determinism contract: the registry is observability-only. Published
+// values are sums of per-domain integers and histogram sums are kept in
+// integer micro-units, so two same-seed runs expose identical snapshots
+// however their shard goroutines interleaved. Wall-clock timings
+// recorded through EpochProfiler are the one nondeterministic family.
+//
+// A nil *Registry hands out nil instruments whose methods are no-ops.
 
 import (
 	"fmt"
@@ -45,6 +45,14 @@ func (c *Counter) Add(n uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// Store sets the counter to a total kept elsewhere (see Exporter).
+func (c *Counter) Store(v uint64) {
+	if c == nil {
+		return
+	}
+	c.v.Store(v)
+}
+
 // Load returns the current value (0 on nil).
 func (c *Counter) Load() uint64 {
 	if c == nil {
@@ -56,14 +64,6 @@ func (c *Counter) Load() uint64 {
 // Gauge is an instantaneous signed value. The zero value is ready; all
 // methods are safe on a nil receiver.
 type Gauge struct{ v atomic.Int64 }
-
-// Add moves the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
 
 // Set stores an absolute value.
 func (g *Gauge) Set(v int64) {

@@ -442,9 +442,6 @@ func (r *ParallelRunner) advance(end Time) {
 		}
 		return
 	}
-	if r.work == nil {
-		r.startWorkers()
-	}
 	r.curEnd = end
 	r.wg.Add(len(r.kernels))
 	for _, ch := range r.work {

@@ -67,7 +67,7 @@ func TakeCheckpoint(vm *VM) *Checkpoint {
 	vm.Disk.EachOwnedBlock(func(block uint64, firstByte byte) {
 		ck.DiskBlocks[block] = firstByte
 	})
-	vm.host.met.checkpoints.Inc()
+	vm.host.stats.Checkpoints++
 	return ck
 }
 

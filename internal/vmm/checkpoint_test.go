@@ -42,6 +42,9 @@ func TestCheckpointCapturesDelta(t *testing.T) {
 	if ck.Bytes() != 2*mem.PageSize+2*DiskBlockSize {
 		t.Errorf("Bytes = %d", ck.Bytes())
 	}
+	if n := h.Stats().Checkpoints; n != 1 {
+		t.Errorf("host counted %d checkpoints, want 1", n)
+	}
 }
 
 func TestCheckpointSerializationRoundTrip(t *testing.T) {

@@ -30,7 +30,6 @@ func (h *VMHost) Crash() int {
 	}
 	h.down = true
 	h.stats.Crashes++
-	h.met.crashes.Inc()
 	killed := len(h.vms)
 	h.stats.CrashKilledVMs += uint64(killed)
 	h.tr.Instant(h.K.Now(), "host-crash",
@@ -80,7 +79,6 @@ func (h *VMHost) checkFault() error {
 	if h.cloneFault != nil {
 		if err := h.cloneFault(); err != nil {
 			h.stats.CloneFaults++
-			h.met.cloneFaults.Inc()
 			return err
 		}
 	}

@@ -125,7 +125,6 @@ func (vm *VM) WriteMemory(vpn uint64, off int, b []byte) bool {
 	faulted := vm.Mem.Write(vpn, off, b)
 	if faulted {
 		vm.host.stats.CowFaults++
-		vm.host.met.cowFaults.Inc()
 	}
 	return faulted
 }
@@ -151,10 +150,8 @@ type HostConfig struct {
 	// accounting and admission.
 	CPU CPUModel
 
-	// Metrics, when set, registers live telemetry (vmm_* series) shared
-	// across hosts — the instruments are atomic and commutative, so
-	// many hosts (or shard domains) updating one registry is safe. Nil
-	// disables telemetry.
+	// Metrics, when set, receives the vmm_clone_ms histogram, shared
+	// across hosts. The counters are HostStats fields.
 	Metrics *metrics.Registry
 }
 
@@ -169,19 +166,37 @@ func DefaultHostConfig(name string) HostConfig {
 	}
 }
 
-// HostStats counts host-level activity.
+// HostStats counts host-level activity, the only place it is counted; a
+// field is published as the series its metric tag names.
 type HostStats struct {
-	Clones         uint64
-	FullBoots      uint64
-	Destroys       uint64
-	CloneRejects   uint64 // admission failures
-	CloneFaults    uint64 // injected transient clone failures
-	CowFaults      uint64
-	Crashes        uint64 // host failures (fault injection)
-	Recoveries     uint64
-	CrashKilledVMs uint64 // VMs lost to host crashes
-	PeakVMs        int
-	PeakMemory     uint64
+	Clones         uint64 `metric:"vmm_clones_total"`
+	FullBoots      uint64 `metric:"vmm_full_boots_total"`
+	Destroys       uint64 `metric:"vmm_destroys_total"`
+	CloneRejects   uint64 `metric:"vmm_clone_rejects_total"` // admission failures
+	CloneFaults    uint64 `metric:"vmm_clone_faults_total"`  // injected transient clone failures
+	CowFaults      uint64 `metric:"vmm_cow_faults_total"`
+	Crashes        uint64 `metric:"vmm_crashes_total"` // host failures (fault injection)
+	Recoveries     uint64 `metric:"vmm_recoveries_total"`
+	CrashKilledVMs uint64 `metric:"vmm_crash_killed_vms_total"` // VMs lost to host crashes
+	Checkpoints    uint64 `metric:"vmm_checkpoints_total"`      // delta checkpoints taken (TakeCheckpoint)
+	PeakVMs        int    `metric:"vmm_peak_vms"`
+	PeakMemory     uint64 `metric:"vmm_peak_memory_bytes"`
+}
+
+// Add accumulates src into s, field by field.
+func (s *HostStats) Add(src *HostStats) {
+	s.Clones += src.Clones
+	s.FullBoots += src.FullBoots
+	s.Destroys += src.Destroys
+	s.CloneRejects += src.CloneRejects
+	s.CloneFaults += src.CloneFaults
+	s.CowFaults += src.CowFaults
+	s.Crashes += src.Crashes
+	s.Recoveries += src.Recoveries
+	s.CrashKilledVMs += src.CrashKilledVMs
+	s.Checkpoints += src.Checkpoints
+	s.PeakVMs += src.PeakVMs
+	s.PeakMemory += src.PeakMemory
 }
 
 // Admission errors.
@@ -222,20 +237,7 @@ type VMHost struct {
 	// End-to-end clone latency distribution, in milliseconds.
 	CloneLatency metrics.Histogram
 
-	// met holds live-telemetry handles (nil/no-op without Cfg.Metrics).
-	met hostMetrics
-}
-
-// hostMetrics are the registry handles, resolved once in NewHost.
-type hostMetrics struct {
-	clones      *metrics.Counter
-	fullBoots   *metrics.Counter
-	destroys    *metrics.Counter
-	cowFaults   *metrics.Counter
-	crashes     *metrics.Counter
-	cloneFaults *metrics.Counter
-	checkpoints *metrics.Counter
-	cloneMs     *metrics.Hist
+	cloneMs *metrics.Hist // vmm_clone_ms; nil without Cfg.Metrics
 }
 
 // NewHost creates a host on kernel k.
@@ -245,7 +247,7 @@ func NewHost(k *sim.Kernel, cfg HostConfig) *VMHost {
 	}
 	store := mem.NewStore()
 	store.ShareContent = cfg.ShareContent
-	h := &VMHost{
+	return &VMHost{
 		Cfg:    cfg,
 		K:      k,
 		store:  store,
@@ -253,20 +255,9 @@ func NewHost(k *sim.Kernel, cfg HostConfig) *VMHost {
 		vms:    make(map[VMID]*VM),
 		nextID: 1,
 		rng:    k.Stream("vmm/" + cfg.Name),
+
+		cloneMs: cfg.Metrics.Hist("vmm_clone_ms"),
 	}
-	if m := cfg.Metrics; m != nil {
-		h.met = hostMetrics{
-			clones:      m.Counter("vmm_clones_total"),
-			fullBoots:   m.Counter("vmm_full_boots_total"),
-			destroys:    m.Counter("vmm_destroys_total"),
-			cowFaults:   m.Counter("vmm_cow_faults_total"),
-			crashes:     m.Counter("vmm_crashes_total"),
-			cloneFaults: m.Counter("vmm_clone_faults_total"),
-			checkpoints: m.Counter("vmm_checkpoints_total"),
-			cloneMs:     m.Hist("vmm_clone_ms"),
-		}
-	}
-	return h
 }
 
 // Store exposes the host's frame store (tests and experiments read
@@ -385,9 +376,8 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 		total += d
 	}
 	h.CloneLatency.Observe(float64(total) / float64(time.Millisecond))
-	h.met.cloneMs.Observe(float64(total) / float64(time.Millisecond))
+	h.cloneMs.Observe(float64(total) / float64(time.Millisecond))
 	h.stats.Clones++
-	h.met.clones.Inc()
 
 	vm.rise(total, ready)
 	return vm, nil
@@ -415,7 +405,6 @@ func (h *VMHost) FullBoot(imageName string, ip netsim.Addr, ready func(*VM)) (*V
 	vm := h.newVM(img, ip, StateBooting)
 	vm.Mem = mem.NewPatternSpace(h.store, img.NumPages, img.ResidentPages, img.Seed)
 	h.stats.FullBoots++
-	h.met.fullBoots.Inc()
 	if h.tr != nil {
 		vm.span = h.tr.StartChild(h.K.Now(), h.tr.Current(uint64(ip)), "boot",
 			trace.Attr{K: "server", V: h.Cfg.Name}, trace.Attr{K: "image", V: img.Name})
@@ -506,7 +495,6 @@ func (h *VMHost) Destroy(id VMID) {
 		h.vmFree = append(h.vmFree, vm)
 	}
 	h.stats.Destroys++
-	h.met.destroys.Inc()
 }
 
 // DestroyAll tears down every VM (end-of-experiment cleanup and host

@@ -137,10 +137,10 @@ type Options struct {
 	Parallel bool
 
 	// AdaptiveEpochs caps how many 1 ms lookahead cells one epoch
-	// barrier may span when the parallel engine widens quiet stretches
-	// (fewer barriers, same bytes — see DESIGN.md "Epoch exchange").
-	// 0 keeps the default of 64; 1 pins the historical fixed epoch
-	// grid; larger values widen further. Requires Parallel.
+	// barrier may span when the engine widens quiet stretches (fewer
+	// barriers, same bytes — see DESIGN.md "Epoch exchange"). 0 keeps
+	// the default of 64; 1 pins the historical fixed epoch grid; larger
+	// values widen further. Applies with or without Parallel.
 	AdaptiveEpochs int
 
 	// Policy is the containment mode. The zero value is Open, which
@@ -217,20 +217,22 @@ type Options struct {
 	TraceChrome io.Writer
 
 	// Metrics enables the live telemetry registry: named atomic
-	// counters/gauges/histograms (gateway_*, farm_*, vmm_*, ingest_*,
-	// epoch_*) instrumented across the whole farm, readable at any
-	// moment from any goroutine via Metrics()/MetricsText() without
-	// touching simulation state. Telemetry is observability-only — a
-	// same-seed run produces byte-identical output with it on or off —
-	// and when off (the default) the instrumented paths pay one nil
-	// check each.
+	// counters/gauges/histograms (gateway_*, farm_*, vmm_*, guest_*,
+	// ingest_*, epoch_*), readable at any moment from any goroutine via
+	// Metrics()/MetricsText() without touching simulation state. The
+	// farm's own counters are published into it at epoch barriers:
+	// every second of simulated time mid-run, and exactly whenever
+	// Replay, RunFor, an Inject call, Serve or RunScenario returns.
+	// Telemetry is observability-only — a same-seed run produces
+	// byte-identical output with it on or off — and when off (the
+	// default) none of it is built or run.
 	Metrics bool
 
-	// EpochLog, when non-nil, receives the parallel engine's JSONL
-	// epoch timeline — one line per epoch barrier with per-shard
-	// advance and barrier-wait wall times plus exchange cost — for
-	// `tracetool -epochs`. Requires Parallel. Wall-clock figures are
-	// observability-only and never feed back into the simulation.
+	// EpochLog, when non-nil, receives the engine's JSONL epoch
+	// timeline — one line per epoch barrier with per-shard advance and
+	// barrier-wait wall times plus exchange cost — for
+	// `tracetool -epochs`, with or without Parallel. Wall-clock figures
+	// are observability-only and never feed back into the simulation.
 	EpochLog io.Writer
 
 	// CheckpointDir, when set, saves a delta checkpoint of every VM the
@@ -325,14 +327,8 @@ func (o Options) Validate() error {
 	if o.Parallel && o.GatewayShards < 2 {
 		add("Parallel requires GatewayShards >= 2 (got %d)", o.GatewayShards)
 	}
-	if o.EpochLog != nil && !o.Parallel {
-		add("EpochLog requires Parallel (the epoch timeline profiles the parallel engine)")
-	}
 	if o.AdaptiveEpochs < 0 {
 		add("negative AdaptiveEpochs")
-	}
-	if o.AdaptiveEpochs != 0 && !o.Parallel {
-		add("AdaptiveEpochs requires Parallel (it tunes the epoch barrier)")
 	}
 	if w := o.Wire; w != nil {
 		if w.Addr == "" {
@@ -716,7 +712,9 @@ func (hf *Honeyfarm) Close() {
 // set; nil — safe to call methods on — otherwise. The registry may be
 // read (Snapshot, WriteProm) from any goroutine at any time, including
 // mid-run: every series is a plain atomic, so a scrape never touches
-// simulation state.
+// simulation state. The farm's counters are published at epoch barriers
+// (see Options.Metrics): up to a second of simulated time behind mid-run,
+// exact once the call driving the farm has returned.
 func (hf *Honeyfarm) Metrics() *metrics.Registry { return hf.metrics }
 
 // MetricsText renders the registry in the Prometheus text exposition

@@ -41,17 +41,26 @@ run=$!
 pids+=("$run")
 
 echo "== scraping /metrics mid-run"
+# The endpoint comes up before the replay starts, and the farm publishes
+# its counters every second of simulated time, so the first scrapes may
+# still read zero: keep the latest one and poll until traffic shows (the
+# assertion below fails if the run ends first).
+inbound_of() { awk '$1 == "gateway_inbound_packets_total" { print $2 }'; }
 scrape=""
-for _ in $(seq 1 100); do
-    if scrape=$(curl -sf "http://$addr/metrics" 2>/dev/null) && [ -n "$scrape" ]; then
-        break
+for _ in $(seq 1 200); do
+    if s=$(curl -sf "http://$addr/metrics" 2>/dev/null) && [ -n "$s" ]; then
+        scrape=$s
+        if [ "$(printf '%s\n' "$s" | inbound_of)" -gt 0 ] 2>/dev/null; then
+            break
+        fi
     fi
     if ! kill -0 "$run" 2>/dev/null; then
+        [ -n "$scrape" ] && break
         echo "FAIL: potemkind exited before /metrics came up" >&2
         cat "$work/telemetry.raw" >&2
         exit 1
     fi
-    sleep 0.1
+    sleep 0.05
 done
 [ -n "$scrape" ] || { echo "FAIL: /metrics never served" >&2; exit 1; }
 printf '%s\n' "$scrape" >"$work/scrape.prom"
@@ -83,6 +92,7 @@ for want in \
     "# TYPE gateway_inbound_packets_total counter" \
     "# TYPE farm_live_vms gauge" \
     "# TYPE vmm_clones_total counter" \
+    "# TYPE gateway_pending_dropped_total counter" \
     "# TYPE epoch_barrier_wait_ms summary" \
     "epochs_total"; do
     if ! grep -qF "$want" "$work/scrape.prom"; then
@@ -92,7 +102,7 @@ for want in \
     fi
 done
 # Mid-run, the farm has seen traffic: the inbound counter is positive.
-inbound=$(awk '$1 == "gateway_inbound_packets_total" { print $2 }' "$work/scrape.prom")
+inbound=$(inbound_of <"$work/scrape.prom")
 [ "${inbound:-0}" -gt 0 ] 2>/dev/null || {
     echo "FAIL: gateway_inbound_packets_total = '$inbound' mid-run" >&2
     exit 1

@@ -100,7 +100,7 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 	s := Snapshot{
 		TSeconds:         hf.eng.Now().Seconds(),
 		LiveVMs:          hf.eng.LiveVMs(),
-		BindingsLive:     hf.eng.NumBindings(),
+		BindingsLive:     gs.BindingsLive,
 		PendingQueued:    gs.PendingQueued,
 		OpenSpans:        hf.eng.OpenSpans(),
 		PeakVMs:          fs.PeakLiveVMs,

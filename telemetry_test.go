@@ -7,15 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"potemkin/internal/guest"
 	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
+	"potemkin/internal/vmm"
 )
 
 // TestMetricsOffByDefault: without Options.Metrics the farm carries no
-// registry and the nil-safe instrument handles make every record a
-// no-op — the telemetry-off path.
+// registry, builds no stats view, and its nil histogram handles make
+// every observation a no-op — the telemetry-off path.
 func TestMetricsOffByDefault(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
@@ -26,7 +28,7 @@ func TestMetricsOffByDefault(t *testing.T) {
 		t.Errorf("MetricsText = %q, want nil", b)
 	}
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
-	hf.RunFor(time.Second) // must not panic through nil instruments
+	hf.RunFor(time.Second) // must not panic through the nil view or handles
 }
 
 // TestMetricsThroughFacade: with telemetry on, the registry's live
@@ -138,6 +140,200 @@ func TestMetricsDeterminism(t *testing.T) {
 	}
 }
 
+// seriesValue returns the named counter or gauge point's value, failing
+// the test when the series is missing.
+func seriesValue(t *testing.T, pts []metrics.Point, name string) int64 {
+	t.Helper()
+	for _, p := range pts {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	t.Errorf("series %q missing from snapshot", name)
+	return -1
+}
+
+// checkPublished fails t unless got holds, under the same name and kind,
+// every point that exporting each of stats (pointers to Stats structs)
+// into a fresh registry yields.
+func checkPublished(t *testing.T, when string, got []metrics.Point, stats ...any) {
+	t.Helper()
+	want := metrics.NewRegistry()
+	for _, s := range stats {
+		metrics.NewExporter(want, s).Publish(s)
+	}
+	byName := make(map[string]metrics.Point, len(got))
+	for _, p := range got {
+		byName[p.Name] = p
+	}
+	for _, w := range want.Snapshot() {
+		if p, ok := byName[w.Name]; !ok || p.Kind != w.Kind || p.Value != w.Value {
+			t.Errorf("%s: the Stats structs hold %s %s = %d, the registry has %+v", when, w.Kind, w.Name, w.Value, p)
+		}
+	}
+}
+
+// TestRegistryEqualsStatsAtRest: once a call that drives the farm has
+// returned, every gateway_*/farm_*/vmm_*/guest_* counter and gauge in
+// the registry equals the Stats field it is a view of, summed over the
+// shard domains — in every execution mode — and the guest totals keep
+// what recycled guests counted.
+func TestRegistryEqualsStatsAtRest(t *testing.T) {
+	canary := guest.WindowsXP()
+	canary.CanaryRatePerSec = 20
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"4-shard sequential", Options{GatewayShards: 4}},
+		{"4-shard parallel", Options{GatewayShards: 4, Parallel: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Seed, opts.Metrics, opts.IdleTimeout = 7, true, time.Second
+			opts.Policy, opts.GuestProfile = DropAll, canary
+			hf := MustNew(opts)
+			defer hf.Close()
+			eng := hf.Internals().Engine
+			check := func(when string) []metrics.Point {
+				t.Helper()
+				pts := hf.Metrics().Snapshot()
+				gs, fs := eng.GatewayStats(), eng.FarmStats()
+				var hs vmm.HostStats
+				var us guest.Stats
+				for _, d := range eng.Domains() {
+					h, u := d.F.HostStats(), d.F.GuestCumulative()
+					hs.Add(&h)
+					us.Add(&u)
+				}
+				checkPublished(t, when, pts, &gs, &fs, &hs, &us)
+				return pts
+			}
+
+			check("after New")
+			if err := hf.InjectExploit("198.51.100.10", "10.5.7.20"); err != nil {
+				t.Fatal(err)
+			}
+			check("after InjectExploit")
+			recs, err := hf.GenerateTrace(2*time.Second, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each call stops between two of the engine's once-a-second
+			// publications with guests still alive and dirtying pages: only
+			// the publication on return makes the registry exact.
+			if _, err := hf.Replay(SliceSource(recs), WithEpilogue(37*time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			check("after Replay")
+			hf.RunFor(730 * time.Millisecond)
+			pts := check("after RunFor")
+			if seriesValue(t, pts, "gateway_inbound_packets_total") == 0 || seriesValue(t, pts, "gateway_out_dropped_total") == 0 ||
+				seriesValue(t, pts, "vmm_cow_faults_total") == 0 || seriesValue(t, pts, "guest_packets_in_total") == 0 {
+				t.Error("vacuous run: a series every mode must move is still zero")
+			}
+
+			// Whether the infected guest is still bound or has gone quiet
+			// and been idle-recycled, its canaries stay counted once no
+			// guest is left alive.
+			canaries := seriesValue(t, pts, "guest_canaries_total")
+			if canaries == 0 {
+				t.Fatal("the infected guest sent no canary")
+			}
+			eng.RecycleAll()
+			pts = check("after RecycleAll")
+			if got := seriesValue(t, pts, "guest_canaries_total"); got != canaries || eng.GuestTotals().CanariesOut != 0 {
+				t.Errorf("guest_canaries_total = %d after its guest was recycled (live guests hold %d), want the %d it had sent",
+					got, eng.GuestTotals().CanariesOut, canaries)
+			}
+			if seriesValue(t, pts, "farm_live_vms") != 0 || seriesValue(t, pts, "gateway_bindings_live") != 0 {
+				t.Error("gauges still count VMs or bindings after RecycleAll")
+			}
+		})
+	}
+}
+
+// TestMetricsPublishedMidRun reads the registry from a WithHalt
+// callback — the driver goroutine, consulted at a barrier before every
+// record, so what it sees is deterministic: the inbound counter never
+// falls, never runs ahead of the records handed over, and has moved by
+// the time a simulated second has been replayed. The parallel farm is
+// also scraped by a second goroutine the whole time (run under -race).
+func TestMetricsPublishedMidRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"4-shard parallel", Options{GatewayShards: 4, Parallel: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Seed, opts.Metrics, opts.IdleTimeout = 4, true, time.Second
+			hf := MustNew(opts)
+			defer hf.Close()
+			recs, err := hf.GenerateTrace(3*time.Second, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if opts.Parallel {
+				// Stopped and waited for on every way out of the subtest,
+				// before the deferred Close above runs.
+				stop, scraped := make(chan struct{}), make(chan int)
+				go func() {
+					n := 0
+					for {
+						select {
+						case <-stop:
+							scraped <- n
+							return
+						default:
+							n += len(hf.Metrics().Snapshot()) + len(hf.MetricsText())
+						}
+					}
+				}()
+				defer func() {
+					close(stop)
+					if n := <-scraped; n == 0 {
+						t.Error("the concurrent scraper never read anything")
+					}
+				}()
+			}
+
+			inbound := hf.Metrics().Counter("gateway_inbound_packets_total")
+			var asked, last uint64 // halt calls so far; the counter as last read
+			sawPositive := false
+			halt := func() bool {
+				asked++ // this call precedes record number asked: asked-1 are out
+				got := inbound.Load()
+				if got < last {
+					t.Errorf("gateway_inbound_packets_total fell from %d to %d", last, got)
+				}
+				if got > asked-1 {
+					t.Errorf("gateway_inbound_packets_total = %d with only %d records handed over", got, asked-1)
+				}
+				if hf.Now() >= time.Second && got == 0 {
+					t.Errorf("nothing published by t=%v", hf.Now())
+				}
+				sawPositive = sawPositive || got > 0
+				last = got
+				return t.Failed()
+			}
+			if _, err := hf.Replay(SliceSource(recs), WithHalt(halt)); err != nil {
+				t.Fatal(err)
+			}
+			if !sawPositive {
+				t.Error("the counter was never positive mid-run")
+			}
+			if got, want := inbound.Load(), hf.Stats().InboundPackets; got != want || int(want) != len(recs) {
+				t.Errorf("at rest: series %d, Stats %d, trace %d records", got, want, len(recs))
+			}
+		})
+	}
+}
+
 // chromeRun drives the same parallel workload with a Chrome trace
 // attached and returns the trace bytes. With oracle set the engine
 // runs its epochs single-threaded — the byte-identity baseline.
@@ -193,60 +389,68 @@ func TestTraceChromeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEpochLogProfile: a 4-shard parallel run with the epoch timeline
-// attached yields parseable per-epoch samples with 4-wide per-shard
-// arrays, and the registry's barrier-wait histogram is populated.
+// TestEpochLogProfile: a run with the epoch timeline attached yields
+// parseable per-epoch samples with one slot per shard in the per-shard
+// arrays, and the registry's barrier-wait histogram is populated — on a
+// 4-shard parallel farm and on a default one, whose one domain runs the
+// same epoch loop.
 func TestEpochLogProfile(t *testing.T) {
-	var timeline bytes.Buffer
-	hf := MustNew(Options{
-		Seed:          5,
-		Parallel:      true,
-		GatewayShards: 4,
-		Metrics:       true,
-		EpochLog:      &timeline,
-		IdleTimeout:   time.Second,
-	})
-	recs, err := hf.GenerateTrace(time.Second, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hf.Replay(SliceSource(recs))
-	hf.RunFor(time.Second)
-	pts := hf.Metrics().Snapshot()
-	hf.Close() // flushes the buffered timeline
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		shards int
+	}{
+		{"4-shard parallel", Options{Parallel: true, GatewayShards: 4}, 4},
+		{"default", Options{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var timeline bytes.Buffer
+			opts := tc.opts
+			opts.Seed, opts.Metrics, opts.EpochLog, opts.IdleTimeout = 5, true, &timeline, time.Second
+			hf := MustNew(opts)
+			recs, err := hf.GenerateTrace(time.Second, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hf.Replay(SliceSource(recs))
+			hf.RunFor(time.Second)
+			pts := hf.Metrics().Snapshot()
+			hf.Close() // flushes the buffered timeline
 
-	samples, err := metrics.ReadEpochs(&timeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("empty epoch timeline")
-	}
-	for _, s := range samples[:1] {
-		if len(s.AdvanceNS) != 4 || len(s.BarrierWaitNS) != 4 {
-			t.Errorf("per-shard arrays not 4-wide: %+v", s)
-		}
-		if s.SlowestShard < 0 || s.SlowestShard > 3 {
-			t.Errorf("slowest shard out of range: %+v", s)
-		}
-	}
-	var wait, epochs metrics.Point
-	for _, p := range pts {
-		switch p.Name {
-		case "epoch_barrier_wait_ms":
-			wait = p
-		case "epochs_total":
-			epochs = p
-		}
-	}
-	if wait.Count == 0 {
-		t.Error("epoch_barrier_wait_ms histogram empty")
-	}
-	if epochs.Value != int64(len(samples)) {
-		t.Errorf("epochs_total = %d, timeline has %d", epochs.Value, len(samples))
-	}
-	if wait.Count != uint64(4*len(samples)) {
-		t.Errorf("barrier-wait observations = %d, want %d", wait.Count, 4*len(samples))
+			samples, err := metrics.ReadEpochs(&timeline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(samples) == 0 {
+				t.Fatal("empty epoch timeline")
+			}
+			for _, s := range samples[:1] {
+				if len(s.AdvanceNS) != tc.shards || len(s.BarrierWaitNS) != tc.shards {
+					t.Errorf("per-shard arrays not %d-wide: %+v", tc.shards, s)
+				}
+				if s.SlowestShard < 0 || s.SlowestShard >= tc.shards {
+					t.Errorf("slowest shard out of range: %+v", s)
+				}
+			}
+			var wait, epochs metrics.Point
+			for _, p := range pts {
+				switch p.Name {
+				case "epoch_barrier_wait_ms":
+					wait = p
+				case "epochs_total":
+					epochs = p
+				}
+			}
+			if wait.Count == 0 {
+				t.Error("epoch_barrier_wait_ms histogram empty")
+			}
+			if epochs.Value != int64(len(samples)) {
+				t.Errorf("epochs_total = %d, timeline has %d", epochs.Value, len(samples))
+			}
+			if wait.Count != uint64(tc.shards*len(samples)) {
+				t.Errorf("barrier-wait observations = %d, want %d", wait.Count, tc.shards*len(samples))
+			}
+		})
 	}
 }
 
