@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,

@@ -130,7 +130,11 @@ func flood(s *ingest.WireSender, space netsim.Prefix, seed uint64, rate float64,
 				Seq: uint32(rng.Uint64()), Flags: netsim.FlagSYN, Window: 65535,
 			}
 			ts := sim.Time(time.Since(start))
-			if err := s.SendPacket(ts, &pkt); err != nil {
+			err := s.SendPacket(ts, &pkt)
+			if err == nil && i == batch-1 {
+				err = s.Flush() // the batch is on the wire before Pace can sleep
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "floodgen: send: %v\n", err)
 				return
 			}

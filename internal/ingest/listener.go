@@ -30,10 +30,14 @@ const (
 	tsPrefixLen = 8
 
 	// frameBufSize bounds one datagram. Telescope packets are small
-	// (probes, first exploit segments); datagrams longer than this are
-	// truncated by the socket read and then refused by the IPv4 parser
-	// as inconsistent, landing in FrameErrors.
+	// (probes, first exploit segments); a datagram longer than this is
+	// clipped when it is copied into its Frame and then refused by the
+	// IPv4 parser as inconsistent, landing in FrameErrors.
 	frameBufSize = 4096
+
+	// readBufSize holds the largest read the socket can return: one UDP
+	// datagram, or a train of them the kernel coalesced (UDP_GRO).
+	readBufSize = 64 << 10
 
 	// DefaultPort is the listener's conventional UDP port (the
 	// GRE-in-UDP destination port assigned by RFC 8086).
@@ -146,6 +150,7 @@ func Listen(cfg Config) (*Listener, error) {
 		return nil, fmt.Errorf("ingest: %T is not a UDP socket", pc)
 	}
 	uc.SetReadBuffer(cfg.ReadBuffer) // best effort; the OS may clamp
+	setGRO(uc, true)                 // best effort; without it every read is one datagram
 	m := cfg.Metrics
 	if m == nil {
 		m = metrics.NewRegistry() // private: only this listener reads it
@@ -222,8 +227,8 @@ func (l *Listener) Stats() Stats {
 	}
 }
 
-// readLoop pulls datagrams off the socket into pooled frames and
-// dispatches them to decap shards by inner destination address. It is
+// readLoop pulls trains off the socket, cuts them into datagrams, and
+// dispatches each to a decap shard by inner destination address. It is
 // the only goroutine that blocks on the socket; on queue overflow it
 // drops immediately (counted) so the socket keeps draining.
 func (l *Listener) readLoop() {
@@ -232,31 +237,59 @@ func (l *Listener) readLoop() {
 			close(l.raw[i])
 		}
 	}()
+	buf := make([]byte, readBufSize)
+	oob := make([]byte, 64) // room for the one control message UDP_GRO adds
+	var ts sim.Time
+	accept := func(seg []byte) { l.accept(seg, ts) }
 	for {
-		f := l.pool.Get().(*Frame)
-		n, _, err := l.pc.ReadFromUDPAddrPort(f.Buf[:])
+		n, oobn, _, _, err := l.pc.ReadMsgUDPAddrPort(buf, oob)
 		if err != nil {
-			l.pool.Put(f)
 			return // socket closed (or fatally broken): shut down
 		}
-		if l.cfg.Timestamped {
-			// Wire timestamps carry virtual time.
-		} else {
+		if !l.cfg.Timestamped {
+			// Every datagram of one read arrived by now; wire
+			// timestamps, when framed, carry virtual time instead.
 			now := time.Now().UnixNano()
 			l.once.Do(func() { l.t0.Store(now) })
-			f.TS = sim.Time(now - l.t0.Load())
+			ts = sim.Time(now - l.t0.Load())
 		}
-		f.N = n
-		l.received.Inc()
-		l.bytes.Add(uint64(n))
-		f.shard = l.shardOf(f.Buf[:n])
-		select {
-		case l.raw[f.shard] <- f:
-			l.trackDepth()
-		default:
-			l.dropped.Inc()
-			l.pool.Put(f)
-		}
+		splitTrain(buf[:n], oob[:oobn], accept)
+	}
+}
+
+// splitTrain cuts one socket read into the datagrams it carries and
+// hands them to each in order. oob is the read's control data: when the
+// kernel coalesced a train it reports the segment size there, and every
+// segment but possibly the last has that length. Without it the read is
+// one datagram, however short.
+func splitTrain(data, oob []byte, each func(seg []byte)) {
+	size := groSegmentSize(oob)
+	if size <= 0 {
+		size = len(data)
+	}
+	for len(data) > size {
+		each(data[:size])
+		data = data[size:]
+	}
+	each(data)
+}
+
+// accept takes one datagram through the per-frame path: a pooled Frame,
+// the received and byte counters, its shard's bounded queue or a counted
+// drop.
+func (l *Listener) accept(seg []byte, ts sim.Time) {
+	f := l.pool.Get().(*Frame)
+	f.N = copy(f.Buf[:], seg)
+	f.TS = ts
+	l.received.Inc()
+	l.bytes.Add(uint64(f.N))
+	f.shard = l.shardOf(f.Buf[:f.N])
+	select {
+	case l.raw[f.shard] <- f:
+		l.trackDepth()
+	default:
+		l.dropped.Inc()
+		l.pool.Put(f)
 	}
 }
 

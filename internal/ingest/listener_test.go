@@ -248,17 +248,17 @@ func BenchmarkIngestDecap(b *testing.B) {
 	}
 }
 
-// BenchmarkWireSenderEncap measures the sender-side encapsulation cost.
+// BenchmarkWireSenderEncap measures the sender-side encapsulation cost:
+// one frame appended to the train, with no socket behind it.
 func BenchmarkWireSenderEncap(b *testing.B) {
 	pkt := netsim.TCPSyn(netsim.MustParseAddr("1.2.3.4"), netsim.MustParseAddr("10.5.0.9"), 4444, 445, 99)
 	s := &WireSender{Key: 7, Timestamped: true}
 	raw := pkt.Marshal()
-	h := gre.Header{HasKey: true, HasSequence: true, Key: s.Key}
-	s.buf = make([]byte, tsPrefixLen+h.Len()+len(raw))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		binary.BigEndian.PutUint64(s.buf, uint64(sim.Time(i)))
-		h.Sequence = uint32(i)
-		gre.EncapInto(&h, s.buf[tsPrefixLen:], raw)
+		if s.segs == trainSegs {
+			s.train, s.segs = s.train[:0], 0
+		}
+		s.appendFrame(sim.Time(i), raw)
 	}
 }

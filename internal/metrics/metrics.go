@@ -24,18 +24,16 @@ type Histogram struct {
 
 const subBuckets = 16
 
-// bucketIndex maps v (>= 0) to its bucket.
+// bucketIndex maps v (>= 0) to its bucket, straight from the float's
+// bits: for v >= 1 the biased exponent is the octave and the top four
+// mantissa bits are the sub-bucket, so the 16 bits above bit 48 are the
+// index once the bias is taken off. Past the last octave (and at +Inf)
+// it is the last bucket.
 func bucketIndex(v float64) int {
 	if v < 1 {
 		return 0
 	}
-	exp := math.Floor(math.Log2(v))
-	base := math.Exp2(exp)
-	sub := int((v - base) / base * subBuckets)
-	if sub >= subBuckets {
-		sub = subBuckets - 1
-	}
-	idx := int(exp)*subBuckets + sub
+	idx := int(math.Float64bits(v)>>48) - 1023*subBuckets
 	if idx >= len(Histogram{}.buckets) {
 		idx = len(Histogram{}.buckets) - 1
 	}

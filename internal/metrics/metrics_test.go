@@ -265,3 +265,80 @@ func TestHistogramMergeEqualsUnionProperty(t *testing.T) {
 		}
 	}
 }
+
+// bucketIndexLog is the formula bucketIndex replaced, kept as the
+// oracle: octave by math.Log2, sub-bucket by division.
+func bucketIndexLog(v float64) int {
+	if v < 1 {
+		return 0
+	}
+	exp := math.Floor(math.Log2(v))
+	base := math.Exp2(exp)
+	sub := int((v - base) / base * subBuckets)
+	if sub >= subBuckets {
+		sub = subBuckets - 1
+	}
+	idx := int(exp)*subBuckets + sub
+	if idx >= len(Histogram{}.buckets) {
+		idx = len(Histogram{}.buckets) - 1
+	}
+	return idx
+}
+
+// TestBucketIndexMatchesLogFormula sweeps the domains the histograms
+// see — counts, nanoseconds rendered as milliseconds, and floats across
+// every octave and past the last — and requires the bit formula to file
+// each value exactly where the logarithm did.
+func TestBucketIndexMatchesLogFormula(t *testing.T) {
+	check := func(v float64) {
+		if got, want := bucketIndex(v), bucketIndexLog(v); got != want {
+			t.Fatalf("bucketIndex(%v) = %d, log formula %d", v, got, want)
+		}
+	}
+	n := 1 << 24
+	if testing.Short() {
+		n = 1 << 18
+	}
+	for i := 0; i <= n>>2; i++ {
+		check(float64(i))
+	}
+	for ns := 0; ns < n; ns++ {
+		check(float64(ns) / 1e6)
+	}
+	rng := sim.NewRNG(1)
+	for i := 0; i < n; i++ {
+		octave := rng.Uint64n(70) // the last bucket starts at 2^63
+		check(math.Float64frombits((1023+octave)<<52 | rng.Uint64()>>12))
+	}
+}
+
+// TestBucketIndexCorrections pins the two inputs on which the bit
+// formula and the logarithm differ, both in the bit formula's favour.
+func TestBucketIndexCorrections(t *testing.T) {
+	t.Run("one ulp below a power of two", func(t *testing.T) {
+		// Log2 rounds 2^k - ulp up to k, which filed the value under
+		// 2^k's first sub-bucket: a bucket whose lower bound it is below.
+		for k := 1; k < 64; k++ {
+			pow := math.Exp2(float64(k))
+			if got, want := bucketIndex(math.Nextafter(pow, 0)), bucketIndex(pow)-1; got != want {
+				t.Errorf("bucketIndex(2^%d - ulp) = %d, want %d", k, got, want)
+			}
+		}
+		if v := math.Nextafter(1024, 0); bucketIndexLog(v) != bucketIndex(1024) {
+			t.Errorf("log formula files %v under %d; the correction is no longer one", v, bucketIndexLog(v))
+		}
+	})
+	t.Run("+Inf", func(t *testing.T) {
+		// int(Floor(Log2(+Inf))) is not a bucket; Observe indexed with it.
+		last := len(Histogram{}.buckets) - 1
+		if got := bucketIndex(math.Inf(1)); got != last {
+			t.Fatalf("bucketIndex(+Inf) = %d, want the last bucket %d", got, last)
+		}
+		var h Histogram
+		h.Observe(math.Inf(1))
+		NewRegistry().Hist("inf").Observe(math.Inf(1))
+		if h.Count() != 1 {
+			t.Fatalf("Count = %d after Observe(+Inf)", h.Count())
+		}
+	})
+}
