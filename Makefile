@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test race vet fuzz bench bench-all alloc-gate trace-demo apicheck api-snapshot scenarios
+.PHONY: check build test race vet fuzz bench bench-all alloc-gate trace-demo apicheck api-snapshot scenarios results-check
 
 # The full pre-merge gate: static checks, the race detector over every
 # package, and a short pass over every fuzz target.
@@ -13,16 +13,19 @@ build:
 test:
 	$(GO) test ./...
 
+# An unformatted file fails vet: gofmt -l prints nothing on a clean tree.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
 
 # Each fuzz target needs its own invocation: `go test -fuzz` refuses to
 # run more than one target per package. FuzzSpaceOps executes whole
-# operation sequences, so minimizing each new input by the default 60 s
-# would be the entire pass; it gets an execution budget instead.
+# operation sequences (FuzzLaneOrder whole event schedules, twice), so
+# minimizing each new input by the default 60 s would be the entire
+# pass; they get an execution budget instead.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=$(FUZZTIME) ./internal/telescope
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/dns
@@ -34,18 +37,20 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
+	$(GO) test -run=^$$ -fuzz=FuzzLaneOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/sim
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,
-# flash clone, wire ingest, shard replay), compared against the
-# recorded pre-slab baseline and written to BENCH_core.json as
+# flash clone, wire ingest, shard replay, kernel heap vs lane), compared
+# against the recorded pre-slab baseline and written to BENCH_core.json as
 # before/after ns/op + allocs/op. This is the single documented way to
 # regenerate BENCH_core.json; -require makes the run fail loudly if a
 # rename or pattern typo silently drops a benchmark.
 bench:
 	( $(GO) test -run '^$$' -bench 'BenchmarkE1FlashClone$$|BenchmarkE2DeltaVirt$$|BenchmarkE4Gateway|BenchmarkAblation|BenchmarkE11WireIngest$$|BenchmarkShardReplay' -benchmem -benchtime 1s . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkIngestDecap$$|BenchmarkWireSenderEncap$$' -benchmem -benchtime 1s ./internal/ingest ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkIngestDecap$$|BenchmarkWireSenderEncap$$' -benchmem -benchtime 1s ./internal/ingest ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkKernelHeap$$|BenchmarkKernelLane$$' -benchmem -benchtime 1s ./internal/sim ) \
 		| $(GO) run ./cmd/benchjson -baseline results/bench_baseline.json -out BENCH_core.json \
-			-require BenchmarkE1FlashClone,BenchmarkE2DeltaVirt,BenchmarkAblationScrub,BenchmarkE11WireIngest,BenchmarkShardReplaySequential,BenchmarkShardReplayParallel,BenchmarkIngestDecap,BenchmarkWireSenderEncap
+			-require BenchmarkE1FlashClone,BenchmarkE2DeltaVirt,BenchmarkAblationScrub,BenchmarkE11WireIngest,BenchmarkShardReplaySequential,BenchmarkShardReplayParallel,BenchmarkIngestDecap,BenchmarkWireSenderEncap,BenchmarkKernelHeap,BenchmarkKernelLane
 
 # The allocation gate: one measured pass over the shard-replay pair;
 # fails if parallel allocs/op exceed sequential by more than 5%, or if
@@ -77,6 +82,17 @@ api-snapshot:
 # scorecards are byte-identical — the scenario engine's end-to-end gate.
 scenarios:
 	bash scripts/scenario_smoke.sh
+
+# results/*.csv are what `benchtab -csv results all` writes at the
+# default seed: regenerate them into a temp dir and diff, so a change
+# that moves an experiment's numbers shows up as a reviewed diff of the
+# committed series. e4_gateway.csv is wall-clock throughput and skipped.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/benchtab -csv "$$tmp" all > /dev/null && \
+		diff -r -x e4_gateway.csv -x README.md -x bench_baseline.json results "$$tmp" \
+		|| { echo "results-check: results/ differs from what benchtab regenerates; run 'go run ./cmd/benchtab -csv results all' and commit"; exit 1; }
+	@echo "results-check: results/*.csv match benchtab"
 
 # Produce a sample Chrome trace from the outbreak example: load
 # outbreak.trace.json in Perfetto (ui.perfetto.dev) or chrome://tracing

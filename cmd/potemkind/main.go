@@ -15,7 +15,7 @@
 //	                 (works under -parallel: arrivals are quantized onto the
 //	                 epoch grid, and the run replays exactly from -wire-pcap)
 //	-listen-for D    stop serving after this much wall time (0: until ^C)
-//	-listen-shards N decap shards/queues for -listen (default 1)
+//	-listen-shards N listener shards (queues) for -listen (default 1)
 //	-queue N         per-shard ingest queue length (default 4096)
 //	-plain-gre       -listen expects plain GRE framing (no timestamp prefix)
 //	-speedup F       wall->virtual scale for plain-framing arrivals
@@ -102,7 +102,7 @@ func main() {
 		pcapF     = flag.String("pcap", "", "pcap savefile to replay instead of a .potm trace")
 		listen    = flag.String("listen", "", "serve live GRE-over-UDP ingest on this UDP address (e.g. 127.0.0.1:4754)")
 		listenFor = flag.Duration("listen-for", 0, "stop the listener after this much wall time (0: until interrupted)")
-		shardsIn  = flag.Int("listen-shards", 1, "ingest decap shards (1 keeps wire replay deterministic)")
+		shardsIn  = flag.Int("listen-shards", 1, "ingest listener shards (1 keeps wire replay deterministic)")
 		queueLen  = flag.Int("queue", 4096, "per-shard ingest queue length (frames)")
 		plainGRE  = flag.Bool("plain-gre", false, "expect plain GRE framing on -listen (no timestamp prefix; arrival clock maps to virtual time)")
 		speedup   = flag.Float64("speedup", 1, "wall-to-virtual time scale for plain-framing arrivals")

@@ -104,7 +104,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 
 	res := ChaosResult{Table: metrics.NewTable(
 		fmt.Sprintf("Chaos: outbreak with 1-of-%d server crash at t=%v (seed %d)",
-			cfg.Servers, (cfg.Duration / 2).Truncate(time.Second), cfg.Seed),
+			cfg.Servers, (cfg.Duration/2).Truncate(time.Second), cfg.Seed),
 		"arm", "captured", "detected", "bindings", "recycled", "backend_lost",
 		"farm_retries", "shed", "spawn_failures", "crash_killed", "live_vms")}
 

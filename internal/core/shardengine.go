@@ -212,8 +212,10 @@ type ShardDomain struct {
 	tracer     *trace.Tracer
 
 	// freeEnvs is the domain's own free list of replay envelopes (see
-	// ScheduleRecord).
+	// ScheduleRecord); records, fed from a time-sorted source, is the
+	// kernel lane their events queue in.
 	freeEnvs []*recordEnv
+	records  *sim.Lane
 }
 
 // NewShardDomain builds domain i of cfg.Shards exactly as the engine
@@ -251,7 +253,7 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 		return nil, err
 	}
 
-	d := &ShardDomain{Index: i, K: k, F: f}
+	d := &ShardDomain{Index: i, K: k, F: f, records: k.NewLane()}
 	gc := cfg.Gateway
 	gc.Metrics = cfg.Metrics
 	if cfg.EventLog != nil {
@@ -343,7 +345,7 @@ func (d *ShardDomain) ScheduleRecord(at sim.Time, rec *telescope.Record) {
 		env.fire = env.deliver
 	}
 	rec.PacketInto(&env.pkt)
-	d.K.At(at, env.fire)
+	d.records.At(at, env.fire)
 }
 
 func (env *recordEnv) deliver(now sim.Time) {

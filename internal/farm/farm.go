@@ -197,6 +197,10 @@ type Farm struct {
 	freeReqs []*spawnReq
 	freeVMs  []*FarmVM
 	freeHops []*hop
+	// up and down are the kernel lanes the two directions of the
+	// intra-farm link queue their hops in: at a constant latency each
+	// direction's hops are scheduled already in firing order.
+	up, down *sim.Lane
 	// tr, when non-nil, records placement spans under the gateway's
 	// binding trace (shared via the tracer's per-address context).
 	tr *trace.Tracer
@@ -215,7 +219,7 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 	if cfg.PickTarget == nil {
 		cfg.PickTarget = func(r *sim.RNG) netsim.Addr { return netsim.Addr(r.Uint64n(1 << 32)) }
 	}
-	f := &Farm{Cfg: cfg, K: k, byAddr: make(map[netsim.Addr]*FarmVM)}
+	f := &Farm{Cfg: cfg, K: k, byAddr: make(map[netsim.Addr]*FarmVM), up: k.NewLane(), down: k.NewLane()}
 	f.send = f.uplink
 	f.hooks = guest.Hooks{OnInfected: f.infected, Metrics: guest.NewInstruments(cfg.Metrics)}
 	for i := 0; i < cfg.Servers; i++ {
@@ -620,7 +624,7 @@ func (f *Farm) uplink(pkt *netsim.Packet) {
 		f.stats.LinkDrops++
 		return
 	}
-	f.K.After(f.Cfg.UplinkLatency, f.newHop(nil, pkt).fire)
+	f.up.After(f.Cfg.UplinkLatency, f.newHop(nil, pkt).fire)
 }
 
 // infected is every guest's OnInfected hook.
@@ -734,7 +738,7 @@ func (fv *FarmVM) Deliver(now sim.Time, pkt *netsim.Packet) {
 		return
 	}
 	fv.arriving++
-	f.K.After(d, f.newHop(fv, pkt).fire)
+	f.down.After(d, f.newHop(fv, pkt).fire)
 }
 
 // Destroy implements gateway.VMRef: stop the guest and reclaim the VM.

@@ -92,10 +92,10 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 	}
 	sent, _, err := ingest.Replay(s, src, ingest.ReplayOptions{
 		MaxRate: true,
-		// Keep at most 1024 datagrams in flight ahead of the decap
-		// workers so the bounded queues never overflow.
+		// Keep at most 1024 datagrams in flight ahead of what the farm
+		// has consumed so the bounded queues never overflow.
 		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Enqueued > 1024 {
+			for n-srv.Stats().Ingest.Delivered > 1024 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		},

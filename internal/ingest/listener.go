@@ -48,9 +48,13 @@ const (
 // consumer (WireSource). Frames are pooled: the consumer must Release
 // every frame it receives, after which Pkt (whose Payload aliases Buf)
 // is dead.
+//
+// The header fields come before Buf: a telescope frame is ~60 bytes, so
+// what the reader writes and the consumer reads — the header and the
+// first bytes of Buf — then shares a page, where a header behind the
+// 4 KiB buffer cost every frame a second page and TLB entry.
 type Frame struct {
-	Buf [frameBufSize]byte
-	N   int // datagram length
+	N int // datagram length
 
 	// TS is the frame's virtual timestamp: the wire timestamp under
 	// timestamped framing, or the wall-clock offset since the first
@@ -65,7 +69,7 @@ type Frame struct {
 	// Pkt is the parsed inner packet. Payload aliases Buf.
 	Pkt netsim.Packet
 
-	shard int
+	Buf [frameBufSize]byte
 }
 
 // Config parameterizes a Listener. The zero value of every field except
@@ -73,15 +77,16 @@ type Frame struct {
 type Config struct {
 	// Addr is the UDP listen address, e.g. "127.0.0.1:4754".
 	Addr string
-	// Shards is the number of decap workers and bounded queues the
-	// feed is partitioned across (by inner destination address, so
+	// Shards is the number of bounded queues the reader partitions the
+	// decoded feed across (by inner destination address, so
 	// per-destination packet order survives). Default 1. Deterministic
 	// replay requires 1: with several shards, cross-shard arrival
 	// interleaving is scheduling-dependent.
 	Shards int
-	// QueueLen bounds each shard's queue, in frames. When a queue is
-	// full the reader drops the datagram and counts it — explicit
-	// backpressure instead of unbounded buffering. Default 4096.
+	// QueueLen sizes each shard's queue, which holds 2 × QueueLen
+	// decoded frames. When a queue is full the reader drops the frame
+	// and counts it — explicit backpressure instead of unbounded
+	// buffering. Default 4096.
 	QueueLen int
 	// Timestamped selects the 8-byte virtual-timestamp prefix framing
 	// (see the framing comment above).
@@ -102,21 +107,26 @@ type Stats struct {
 	Bytes       uint64 // datagram bytes read
 	FrameErrors uint64 // undecodable frames (short, bad GRE, bad inner IPv4)
 	Dropped     uint64 // frames dropped against a full shard queue
-	Enqueued    uint64 // frames handed to the consumer side
+	Enqueued    uint64 // decoded frames pushed onto a shard queue
 	SeqGaps     uint64 // missing GRE sequence numbers (sender- or kernel-side loss)
 	QueueDepth  int    // current frames queued across shards
 	QueueHWM    int    // high-water mark of QueueDepth
 }
 
 // Listener receives GRE-over-UDP telescope traffic and feeds
-// decapsulated frames into per-shard bounded queues.
+// decapsulated frames into per-shard bounded queues. One goroutine, the
+// reader, takes a frame from the socket to its queue; the consumer is
+// the only other goroutine that touches it.
 type Listener struct {
 	cfg  Config
 	pc   *net.UDPConn
-	raw  []chan *Frame // reader -> decap workers
-	out  []chan *Frame // decap workers -> consumer
+	out  []chan *Frame // reader -> consumer, one per shard
 	pool sync.Pool
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the reader
+
+	// lastSeq is the last GRE sequence number seen per tunnel key. The
+	// reader alone touches it, and sees every frame of every key.
+	lastSeq map[uint32]uint32
 
 	// The scraped counters are the registry's own (Config.Metrics).
 	received, frameErrors, dropped, seqGaps *metrics.Counter
@@ -129,7 +139,7 @@ type Listener struct {
 	once sync.Once
 }
 
-// Listen opens the UDP socket and starts the reader and decap workers.
+// Listen opens the UDP socket and starts the reader.
 func Listen(cfg Config) (*Listener, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -157,22 +167,20 @@ func Listen(cfg Config) (*Listener, error) {
 	}
 	l := &Listener{
 		cfg: cfg, pc: uc,
+		lastSeq:     make(map[uint32]uint32),
 		received:    m.Counter("ingest_received_total"),
 		frameErrors: m.Counter("ingest_frame_errors_total"),
 		dropped:     m.Counter("ingest_dropped_total"),
 		seqGaps:     m.Counter("ingest_seq_gaps_total"),
 	}
 	l.pool.New = func() any { return new(Frame) }
-	l.raw = make([]chan *Frame, cfg.Shards)
 	l.out = make([]chan *Frame, cfg.Shards)
-	for i := range l.raw {
-		l.raw[i] = make(chan *Frame, cfg.QueueLen)
-		l.out[i] = make(chan *Frame, cfg.QueueLen)
+	for i := range l.out {
+		// 2 × QueueLen: what the raw and decapsulated queues this one
+		// replaced held between them, so a feed that fitted still fits.
+		l.out[i] = make(chan *Frame, 2*cfg.QueueLen)
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		l.wg.Add(1)
-		go l.decapWorker(i)
-	}
+	l.wg.Add(1)
 	go l.readLoop()
 	return l, nil
 }
@@ -183,8 +191,8 @@ func (l *Listener) Addr() net.Addr { return l.pc.LocalAddr() }
 // Shards returns the shard count.
 func (l *Listener) Shards() int { return l.cfg.Shards }
 
-// Frames returns shard i's decapsulated-frame queue. The channel is
-// closed after Close once the shard drains.
+// Frames returns shard i's decapsulated-frame queue. Close closes the
+// channel; frames queued by then stay readable.
 func (l *Listener) Frames(i int) <-chan *Frame { return l.out[i] }
 
 // Release returns a frame to the pool. The frame and its packet must
@@ -194,20 +202,20 @@ func (l *Listener) Release(f *Frame) {
 	l.pool.Put(f)
 }
 
-// Close stops the reader, drains the workers, and closes the frame
-// channels. Frames already queued remain readable until consumed.
+// Close stops the reader and closes the frame channels. Frames already
+// queued remain readable until consumed.
 func (l *Listener) Close() error {
 	err := l.pc.Close()
-	l.wg.Wait() // decap workers exit once readLoop closes raw queues
+	l.wg.Wait() // the reader never blocks on a queue, so this returns
 	return err
 }
 
-// QueueDepth returns the frames currently queued across all shards
-// (raw and decapsulated).
+// QueueDepth returns the decoded frames currently queued across all
+// shards.
 func (l *Listener) QueueDepth() int {
 	depth := 0
 	for i := range l.out {
-		depth += len(l.out[i]) + len(l.raw[i])
+		depth += len(l.out[i])
 	}
 	return depth
 }
@@ -228,13 +236,14 @@ func (l *Listener) Stats() Stats {
 }
 
 // readLoop pulls trains off the socket, cuts them into datagrams, and
-// dispatches each to a decap shard by inner destination address. It is
-// the only goroutine that blocks on the socket; on queue overflow it
-// drops immediately (counted) so the socket keeps draining.
+// takes each through accept. It is the only goroutine that blocks on the
+// socket, and it blocks on nothing else: on queue overflow it drops
+// immediately (counted) so the socket keeps draining.
 func (l *Listener) readLoop() {
+	defer l.wg.Done()
 	defer func() {
-		for i := range l.raw {
-			close(l.raw[i])
+		for i := range l.out {
+			close(l.out[i])
 		}
 	}()
 	buf := make([]byte, readBufSize)
@@ -274,62 +283,38 @@ func splitTrain(data, oob []byte, each func(seg []byte)) {
 	each(data)
 }
 
-// accept takes one datagram through the per-frame path: a pooled Frame,
-// the received and byte counters, its shard's bounded queue or a counted
-// drop.
+// accept takes one datagram through the per-frame path, start to
+// finish on the reader's goroutine: a pooled Frame, the received and
+// byte counters, the decode, and its shard's bounded queue or a counted
+// drop. Shards are by inner destination address, which keeps
+// per-destination order within one queue.
 func (l *Listener) accept(seg []byte, ts sim.Time) {
 	f := l.pool.Get().(*Frame)
 	f.N = copy(f.Buf[:], seg)
 	f.TS = ts
 	l.received.Inc()
 	l.bytes.Add(uint64(f.N))
-	f.shard = l.shardOf(f.Buf[:f.N])
+	if !l.decode(f, l.lastSeq) {
+		l.frameErrors.Inc()
+		l.Release(f)
+		return
+	}
+	// Counted before the send, and uncounted on a drop, so that a frame
+	// the consumer holds is always one Stats has as enqueued.
+	l.enqueued.Add(1)
 	select {
-	case l.raw[f.shard] <- f:
+	case l.out[uint32(f.Pkt.Dst)%uint32(l.cfg.Shards)] <- f:
 		l.trackDepth()
 	default:
+		l.enqueued.Add(^uint64(0))
 		l.dropped.Inc()
-		l.pool.Put(f)
+		l.Release(f)
 	}
-}
-
-// shardOf routes a raw datagram to a shard by peeking at the inner
-// destination address, keeping per-destination order within one shard.
-// Undecodable frames go to shard 0, whose worker counts them.
-func (l *Listener) shardOf(p []byte) int {
-	if l.cfg.Shards == 1 {
-		return 0
-	}
-	if l.cfg.Timestamped {
-		if len(p) < tsPrefixLen {
-			return 0
-		}
-		p = p[tsPrefixLen:]
-	}
-	if len(p) < 4 {
-		return 0
-	}
-	// GRE header length from the flags byte, without a full parse.
-	greLen := 4
-	for _, bit := range []byte{0x80, 0x20, 0x10} {
-		if p[0]&bit != 0 {
-			greLen += 4
-		}
-	}
-	// Inner IPv4 destination lives at bytes 16..20 of the inner packet.
-	if len(p) < greLen+20 {
-		return 0
-	}
-	dst := binary.BigEndian.Uint32(p[greLen+16:])
-	return int(dst) % l.cfg.Shards
 }
 
 // trackDepth maintains the queue high-water mark.
 func (l *Listener) trackDepth() {
-	depth := int64(0)
-	for i := range l.raw {
-		depth += int64(len(l.raw[i]) + len(l.out[i]))
-	}
+	depth := int64(l.QueueDepth())
 	for {
 		old := l.hwm.Load()
 		if depth <= old || l.hwm.CompareAndSwap(old, depth) {
@@ -338,28 +323,10 @@ func (l *Listener) trackDepth() {
 	}
 }
 
-// decapWorker strips the framing and parses the inner packet for one
-// shard. Parsing is in place — the packet payload aliases the frame
-// buffer — so the steady-state decap path allocates nothing (see
-// BenchmarkIngestDecap). Pushes to the out queue block: backpressure
-// propagates to the raw queue, whose overflow the reader counts.
-func (l *Listener) decapWorker(shard int) {
-	defer l.wg.Done()
-	defer close(l.out[shard])
-	lastSeq := make(map[uint32]uint32) // GRE key -> last sequence seen
-	for f := range l.raw[shard] {
-		if !l.decode(f, lastSeq) {
-			l.frameErrors.Inc()
-			l.pool.Put(f)
-			continue
-		}
-		l.out[shard] <- f
-		l.enqueued.Add(1)
-	}
-}
-
-// decode parses a raw frame in place. It returns false on any framing,
-// GRE, or inner-IPv4 error.
+// decode parses a raw frame in place — the packet payload aliases the
+// frame buffer — so the steady-state decap path allocates nothing (see
+// BenchmarkIngestDecap). It returns false on any framing, GRE, or
+// inner-IPv4 error.
 func (l *Listener) decode(f *Frame, lastSeq map[uint32]uint32) bool {
 	p := f.Buf[:f.N]
 	if l.cfg.Timestamped {

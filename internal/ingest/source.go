@@ -14,11 +14,12 @@ package ingest
 // sequential replay of its own capture):
 //
 //  1. Monotone quantization. Wire arrivals can interleave out of order
-//     across decap shards; the source clamps every emitted record time
-//     to be >= the previous one (counted in Clamped), so downstream it
-//     is a time-sorted source. Sorted sources never clamp in the
-//     feeder, which is the precondition for adaptive epoch widening to
-//     leave the bytes unchanged (see core.ReplayOver).
+//     across the listener's shard queues; the source clamps every
+//     emitted record time to be >= the previous one (counted in
+//     Clamped), so downstream it is a time-sorted source. Sorted
+//     sources never clamp in the feeder, which is the precondition for
+//     adaptive epoch widening to leave the bytes unchanged (see
+//     core.ReplayOver).
 //  2. Record normalization. The emitted record — not the raw datagram —
 //     is the replay currency: the capture writes the record's own
 //     materialized packet, so a replay parses back precisely what the
@@ -66,11 +67,6 @@ type WireSource struct {
 	// otherwise). Bucketed by the registry's histogram, it shows whether
 	// ingest reordering or barrier wait bounds live throughput.
 	Metrics *metrics.Registry
-
-	// QueueDepth samples the listener queue depth once per frame — the
-	// E11 queue-occupancy measurement, single-threaded like the Read
-	// loop that feeds it.
-	QueueDepth metrics.Histogram
 
 	merged  <-chan *Frame
 	started bool
@@ -136,7 +132,6 @@ func (ws *WireSource) Read(rec *telescope.Record) error {
 		}
 		ws.last = ts
 	}
-	ws.QueueDepth.Observe(float64(ws.L.QueueDepth()))
 	*rec = telescope.RecordOf(ts, &f.Pkt)
 	if hasContent(f.Pkt.Payload) {
 		rec.Payload = append([]byte(nil), f.Pkt.Payload...)

@@ -65,10 +65,10 @@ type Scorecard struct {
 	EgressPermitted uint64 `json:"egress_permitted"`
 
 	// Deception: guests probing for the farm and the C2 they ran.
-	Canaries        uint64 `json:"canaries"`
-	Beacons         uint64 `json:"beacons"`
-	Fingerprints    uint64 `json:"fingerprints"`
-	DeceptionSteps  uint64 `json:"deception_steps"` // malicious actions observed before guests went quiet
+	Canaries       uint64 `json:"canaries"`
+	Beacons        uint64 `json:"beacons"`
+	Fingerprints   uint64 `json:"fingerprints"`
+	DeceptionSteps uint64 `json:"deception_steps"` // malicious actions observed before guests went quiet
 
 	// Capture: what the farm caught and what it spent.
 	Infections uint64 `json:"infections"`

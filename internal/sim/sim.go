@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, a binary-heap event queue, cancellable timers, and
-// seedable random-number streams.
+// a virtual clock, an event queue (a binary heap of cancellable timers
+// beside FIFO lanes for events scheduled already in firing order, merged
+// on one ordering key), and seedable random-number streams.
 //
 // All Potemkin substrates that model time (the VMM, simulated links, the
 // telescope feed, the worm epidemic) run on top of one Kernel. Determinism
@@ -137,6 +138,9 @@ type Kernel struct {
 	// Timer carries the seq it was issued with, so a stale Timer can
 	// never cancel the item's next occupant.
 	free []*item
+	// lanes hold the events scheduled through a Lane; next merges their
+	// heads with the heap's top.
+	lanes []*Lane
 }
 
 // NewKernel returns a kernel whose clock reads Start and whose random
@@ -151,9 +155,15 @@ func (k *Kernel) Now() Time { return k.now }
 // Seed returns the seed the kernel was created with.
 func (k *Kernel) Seed() uint64 { return k.seed }
 
-// Pending returns the number of events waiting in the queue, including
-// cancelled ones that have not yet been popped.
-func (k *Kernel) Pending() int { return len(k.queue) }
+// Pending returns the number of events waiting in the heap and the
+// lanes, including cancelled ones that have not yet been popped.
+func (k *Kernel) Pending() int {
+	n := len(k.queue)
+	for _, l := range k.lanes {
+		n += l.n
+	}
+	return n
+}
 
 // Fired returns the total number of events that have executed.
 func (k *Kernel) Fired() uint64 { return k.fired }
@@ -276,28 +286,59 @@ func (t *Ticker) Stop() {
 // queued remain queued and would run if Run were called again.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its firing time. It reports whether an event ran (false if the queue was
-// empty).
-func (k *Kernel) Step() bool {
+// next finds the earliest live event: the minimum (at, seq) over the
+// heap's top and every lane's head. l is the lane holding it, nil when
+// it is the heap's; ok is false when nothing is pending. Cancelled items
+// met at the heap's top are dropped on the way.
+func (k *Kernel) next() (l *Lane, at Time, ok bool) {
+	var seq uint64
 	for len(k.queue) > 0 {
-		e := k.queue.pop()
-		it := e.it
-		if it.cancel {
-			k.recycle(it)
+		top := &k.queue[0]
+		if top.it.cancel {
+			k.recycle(k.queue.pop().it)
 			continue
 		}
-		k.now = e.at
-		fn := it.fn
+		at, seq, ok = top.at, top.seq, true
+		break
+	}
+	for _, c := range k.lanes {
+		if c.n == 0 {
+			continue
+		}
+		if e := &c.ring[c.head]; !ok || e.at < at || e.at == at && e.seq < seq {
+			l, at, seq, ok = c, e.at, e.seq, true
+		}
+	}
+	return l, at, ok
+}
+
+// fire runs the event next found, advancing the clock to its time.
+func (k *Kernel) fire(l *Lane, at Time) {
+	var fn Event
+	if l != nil {
+		fn = l.pop()
+	} else {
+		it := k.queue.pop().it
+		fn = it.fn
 		// Recycle before running: the item's seq only changes when At
 		// reuses it, so a Timer held for this event still reports
 		// "already fired" either way.
 		k.recycle(it)
-		k.fired++
-		fn(k.now)
-		return true
 	}
-	return false
+	k.now = at
+	k.fired++
+	fn(at)
+}
+
+// Step executes the single earliest pending event, advancing the clock to
+// its firing time. It reports whether an event ran (false if the queue was
+// empty).
+func (k *Kernel) Step() bool {
+	l, at, ok := k.next()
+	if ok {
+		k.fire(l, at)
+	}
+	return ok
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -313,11 +354,11 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
 	for !k.stopped {
-		next, ok := k.peek()
-		if !ok || next > deadline {
+		l, at, ok := k.next()
+		if !ok || at > deadline {
 			break
 		}
-		k.Step()
+		k.fire(l, at)
 	}
 	if k.now < deadline {
 		k.now = deadline
@@ -327,20 +368,11 @@ func (k *Kernel) RunUntil(deadline Time) {
 // RunFor is RunUntil(Now()+d).
 func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now.Add(d)) }
 
-// peek returns the firing time of the earliest live event.
-func (k *Kernel) peek() (Time, bool) {
-	for len(k.queue) > 0 {
-		if k.queue[0].it.cancel {
-			k.recycle(k.queue.pop().it)
-			continue
-		}
-		return k.queue[0].at, true
-	}
-	return 0, false
-}
-
 // NextEvent reports the firing time of the earliest pending event, or
 // false when the queue is empty. The parallel runner's adaptive
 // lookahead consults it between epochs to bound how far the window may
 // widen; like every Kernel method it is single-threaded.
-func (k *Kernel) NextEvent() (Time, bool) { return k.peek() }
+func (k *Kernel) NextEvent() (Time, bool) {
+	_, at, ok := k.next()
+	return at, ok
+}

@@ -25,15 +25,16 @@ type WireOptions struct {
 	// Addr is the UDP listen address, e.g. "127.0.0.1:4754" (or ":0"
 	// to let the OS pick; see WireServer.Addr). Required.
 	Addr string
-	// Shards is the number of decap workers and bounded queues the feed
-	// is partitioned across (by inner destination, so per-destination
+	// Shards is the number of bounded queues the decoded feed is
+	// partitioned across (by inner destination, so per-destination
 	// order survives). Default 1. With several shards, cross-shard
 	// arrival interleaving follows goroutine scheduling; the wire
 	// source quantizes it onto a monotone virtual stream, so the run is
 	// still exactly replayable from its capture — set Capture to keep
 	// the artifact.
 	Shards int
-	// QueueLen bounds each shard's queue, in frames. Default 4096.
+	// QueueLen sizes each shard's queue, which holds 2 × QueueLen
+	// frames; past that the listener drops and counts. Default 4096.
 	QueueLen int
 	// PlainGRE expects plain GRE framing (no 8-byte virtual-timestamp
 	// prefix): arrival wall time maps onto virtual time, scaled by

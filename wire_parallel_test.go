@@ -119,11 +119,11 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards, adaptive i
 	defer s.Close()
 	sent, _, err := ingest.Replay(s, &telescope.SliceSource{Recs: recs}, ingest.ReplayOptions{
 		MaxRate: true,
-		// Keep at most 1024 datagrams in flight ahead of the decap
-		// workers so the bounded queues never overflow — byte equality
-		// is only claimed for lossless transport.
+		// Keep at most 1024 datagrams in flight ahead of what the farm
+		// has consumed so the bounded queues never overflow — byte
+		// equality is only claimed for lossless transport.
 		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Enqueued > 1024 {
+			for n-srv.Stats().Ingest.Delivered > 1024 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		},
@@ -146,11 +146,10 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards, adaptive i
 	if ig.Dropped != 0 || ig.FrameErrors != 0 {
 		t.Fatalf("transport was lossy, replayability void: %+v", ig)
 	}
-	// Sequence-gap accounting is per decap shard, so one sender's
-	// stream split across several shards reports gaps by construction;
-	// only the single-shard feed can assert none.
-	if listenShards == 1 && ig.SeqGaps != 0 {
-		t.Fatalf("unexpected sequence gaps on a 1-shard feed: %+v", ig)
+	// The reader accounts sequence numbers before it shards, so a
+	// lossless feed reports no gap however many queues it is split over.
+	if ig.SeqGaps != 0 {
+		t.Fatalf("unexpected sequence gaps on a lossless %d-shard feed: %+v", listenShards, ig)
 	}
 	if ig.Delivered != sent {
 		t.Fatalf("delivered %d of %d", ig.Delivered, sent)
@@ -262,7 +261,7 @@ func TestWireParallelAdaptiveSnapback(t *testing.T) {
 }
 
 // TestWireParallelMultiShardListener runs the live feed through two
-// decap shards. Cross-shard arrival interleaving makes the live record
+// listener shards. Cross-shard arrival interleaving makes the live record
 // order scheduling-dependent, so the run is compared against its *own*
 // capture (the replayability contract), not a fixed reference.
 func TestWireParallelMultiShardListener(t *testing.T) {
@@ -321,7 +320,7 @@ func TestWireSequentialOptionsAPI(t *testing.T) {
 	sent, _, err := ingest.Replay(s, &telescope.SliceSource{Recs: recs}, ingest.ReplayOptions{
 		MaxRate: true,
 		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Enqueued > 1024 {
+			for n-srv.Stats().Ingest.Delivered > 1024 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		},
