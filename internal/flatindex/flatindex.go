@@ -1,0 +1,130 @@
+// Package flatindex is the hash index behind the simulator's small
+// per-entity tables — a guest's connections, a binding's peers — where a
+// Go map's buckets, sized for growth, would cost more than the entries.
+//
+// An Index is open-addressed with linear probing: one flat slice of
+// handles, a power of two long and at most half full, so a miss probes
+// about twice; deletion shifts later entries of the probe run back
+// instead of leaving tombstones. It is the scheme mem's page-table index
+// uses, generalised over the key and the handle.
+package flatindex
+
+import "math/bits"
+
+// Entries is the table an Index serves. A handle names one of its
+// entries — a pointer, or a position plus one — and Key is that entry's
+// key; Hash spreads a key over 64 bits (the index mixes again, so
+// packing the key's fields is enough). The zero handle marks an empty
+// slot, so the table never hands it out.
+type Entries[K comparable, H comparable] interface {
+	Key(H) K
+	Hash(K) uint64
+}
+
+// Index maps keys to the handles of the entries that hold them. The
+// zero Index is empty and allocates on its first Insert. Every method
+// takes the table whose handles it stores.
+type Index[K comparable, H comparable, E Entries[K, H]] struct {
+	slots []H
+	shift uint8
+	n     int
+}
+
+// minSlots is the size of a first index: two entries.
+const minSlots = 4
+
+// Len returns the number of indexed entries.
+func (x *Index[K, H, E]) Len() int { return x.n }
+
+// home is where a key with hash h starts probing (Fibonacci hashing).
+func (x *Index[K, H, E]) home(h uint64) int {
+	return int(h * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// Get returns the handle indexed under k, or the zero handle.
+func (x *Index[K, H, E]) Get(e E, k K) H {
+	if x.n == 0 {
+		var none H
+		return none
+	}
+	return x.slots[x.find(e, k)]
+}
+
+// find returns the slot holding k's handle, or the empty slot where its
+// probe run ends. The index must not be empty.
+func (x *Index[K, H, E]) find(e E, k K) int {
+	var none H
+	mask := len(x.slots) - 1
+	for i := x.home(e.Hash(k)); ; i = (i + 1) & mask {
+		if h := x.slots[i]; h == none || e.Key(h) == k {
+			return i
+		}
+	}
+}
+
+// Insert indexes h under its key, which must not be indexed already.
+func (x *Index[K, H, E]) Insert(e E, h H) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow(e)
+	}
+	x.place(e, h)
+	x.n++
+}
+
+// place puts h in the first empty slot of its probe run.
+func (x *Index[K, H, E]) place(e E, h H) {
+	var none H
+	mask := len(x.slots) - 1
+	i := x.home(e.Hash(e.Key(h)))
+	for x.slots[i] != none {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = h
+}
+
+// grow doubles the index and reinserts what it held.
+func (x *Index[K, H, E]) grow(e E) {
+	old := x.slots
+	size := max(minSlots, 2*len(old))
+	x.slots = make([]H, size)
+	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	var none H
+	for _, h := range old {
+		if h != none {
+			x.place(e, h)
+		}
+	}
+}
+
+// Delete unindexes the entry under k and reports whether there was one.
+// The entries after it in its probe run move back to close the gap, so a
+// later probe stops only where it always would have.
+func (x *Index[K, H, E]) Delete(e E, k K) bool {
+	var none H
+	if x.n == 0 {
+		return false
+	}
+	i := x.find(e, k)
+	if x.slots[i] == none {
+		return false
+	}
+	// i is the hole. An entry further on may fill it only if the hole
+	// lies on its own probe path: between its home and where it sits.
+	mask := len(x.slots) - 1
+	for j := (i + 1) & mask; x.slots[j] != none; j = (j + 1) & mask {
+		h := x.slots[j]
+		if home := x.home(e.Hash(e.Key(h))); (j-home)&mask >= (j-i)&mask {
+			x.slots[i] = h
+			i = j
+		}
+	}
+	x.slots[i] = none
+	x.n--
+	return true
+}
+
+// Clear unindexes everything, keeping the slots for reuse.
+func (x *Index[K, H, E]) Clear() {
+	clear(x.slots)
+	x.n = 0
+}

@@ -1,6 +1,9 @@
 package gateway
 
 import (
+	"slices"
+
+	"potemkin/internal/flatindex"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/trace"
@@ -19,8 +22,8 @@ const (
 
 // Binding is the gateway's per-address state: the IP→VM mapping plus
 // the flow context containment decisions need. A *Binding is valid
-// until the binding is recycled: the gateway reuses the struct, maps
-// cleared, for a later address.
+// until the binding is recycled: the gateway reuses the struct, emptied,
+// for a later address.
 type Binding struct {
 	Addr  netsim.Addr
 	State BindingState
@@ -35,13 +38,11 @@ type Binding struct {
 
 	// peers are remotes that sent traffic to this binding; outbound
 	// replies to them are permitted under PolicyReflectSource and up.
-	// peerOrder tracks insertion order for oldest-first eviction.
-	peers     map[netsim.Addr]struct{}
-	peerOrder []netsim.Addr
+	peers peerSet
 
 	// outTargets are distinct remotes this VM attempted to contact —
-	// the scan detector's input.
-	outTargets map[netsim.Addr]struct{}
+	// the scan detector's input, which stops at DetectThreshold.
+	outTargets []netsim.Addr
 	detected   bool
 
 	// rate is the outbound token bucket, filled on first use (limited).
@@ -75,7 +76,7 @@ type Binding struct {
 }
 
 // newBinding returns a pending binding for addr, on a recycled struct
-// when the gateway has one: its maps are cleared and its slices
+// when the gateway has one: its peer set is emptied and its slices
 // truncated, so nothing of the last tenant — peer, target, detection,
 // span, queued packet — survives.
 func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding {
@@ -83,14 +84,10 @@ func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Bi
 	if n := len(g.freeBindings); n > 0 {
 		b, g.freeBindings[n-1] = g.freeBindings[n-1], nil
 		g.freeBindings = g.freeBindings[:n-1]
-		clear(b.peers)
-		clear(b.outTargets)
+		b.peers.reset()
 		clear(b.pending)
 	} else {
-		b = &Binding{
-			peers:      make(map[netsim.Addr]struct{}),
-			outTargets: make(map[netsim.Addr]struct{}),
-		}
+		b = &Binding{}
 		b.onReady = b.vmReady
 	}
 	*b = Binding{
@@ -101,8 +98,7 @@ func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Bi
 		LastActive: now,
 		pending:    b.pending[:0],
 		peers:      b.peers,
-		peerOrder:  b.peerOrder[:0],
-		outTargets: b.outTargets,
+		outTargets: b.outTargets[:0],
 		pendingAt:  b.pendingAt[:0],
 		g:          g,
 		onReady:    b.onReady,
@@ -119,32 +115,77 @@ func (b *Binding) release() {
 	}
 }
 
+// peerSet is a binding's remembered peers: a ring in arrival order —
+// appended to until it holds the limit, then overwritten oldest first —
+// and an index from address to ring position plus one.
+type peerSet struct {
+	ring  peerRing
+	head  int // the oldest peer's position
+	index flatindex.Index[netsim.Addr, uint32, peerRing]
+}
+
+// peerRing is what the index needs to know about a ring position.
+type peerRing []netsim.Addr
+
+func (r peerRing) Key(pos uint32) netsim.Addr { return r[pos-1] }
+
+func (peerRing) Hash(a netsim.Addr) uint64 { return uint64(a) }
+
+func (s *peerSet) has(addr netsim.Addr) bool { return s.index.Get(s.ring, addr) != 0 }
+
+func (s *peerSet) len() int { return s.index.Len() }
+
+// note adds addr, evicting the oldest peers while the set holds limit
+// or more.
+func (s *peerSet) note(addr netsim.Addr, limit int) {
+	if s.has(addr) {
+		return
+	}
+	for s.len() >= limit && s.len() > 0 {
+		if !s.index.Delete(s.ring, s.ring[s.head]) {
+			panic("gateway: peer ring and index disagree")
+		}
+		s.head = (s.head + 1) % len(s.ring)
+	}
+	n := s.len()
+	if n == len(s.ring) {
+		if s.head != 0 {
+			s.unwrap() // the limit grew after the ring wrapped
+		}
+		s.ring = append(s.ring, addr)
+	} else {
+		s.ring[(s.head+n)%len(s.ring)] = addr
+	}
+	s.index.Insert(s.ring, uint32((s.head+n)%len(s.ring)+1))
+}
+
+// unwrap rotates a full ring so that the oldest peer is at position 0,
+// and reindexes it.
+func (s *peerSet) unwrap() {
+	ring := slices.Concat(s.ring[s.head:], s.ring[:s.head])
+	s.ring, s.head = ring, 0
+	s.index.Clear()
+	for pos := range ring {
+		s.index.Insert(ring, uint32(pos+1))
+	}
+}
+
+// reset forgets every peer, keeping the ring and the index for reuse.
+func (s *peerSet) reset() {
+	s.ring, s.head = s.ring[:0], 0
+	s.index.Clear()
+}
+
 // notePeer remembers a remote that contacted this binding, evicting the
 // oldest peer when the table is full (replies answer recent contacts,
 // so recency is what fidelity needs).
-func (b *Binding) notePeer(addr netsim.Addr, limit int) {
-	if _, ok := b.peers[addr]; ok {
-		return
-	}
-	for len(b.peers) >= limit && len(b.peerOrder) > 0 {
-		oldest := b.peerOrder[0]
-		// Shift rather than reslice: the array is the binding's for
-		// good, and a resliced head would be lost to every later tenant.
-		b.peerOrder = b.peerOrder[:copy(b.peerOrder, b.peerOrder[1:])]
-		delete(b.peers, oldest)
-	}
-	b.peers[addr] = struct{}{}
-	b.peerOrder = append(b.peerOrder, addr)
-}
+func (b *Binding) notePeer(addr netsim.Addr, limit int) { b.peers.note(addr, limit) }
 
 // isPeer reports whether addr previously contacted this binding.
-func (b *Binding) isPeer(addr netsim.Addr) bool {
-	_, ok := b.peers[addr]
-	return ok
-}
+func (b *Binding) isPeer(addr netsim.Addr) bool { return b.peers.has(addr) }
 
 // Peers returns the number of remembered peers.
-func (b *Binding) Peers() int { return len(b.peers) }
+func (b *Binding) Peers() int { return b.peers.len() }
 
 // Detected reports whether the scan detector flagged this binding.
 func (b *Binding) Detected() bool { return b.detected }

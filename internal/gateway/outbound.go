@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"slices"
+
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
@@ -196,10 +198,10 @@ func (g *Gateway) pickReflectionAddr() netsim.Addr {
 // Replies to known peers are honeypot fidelity, not scanning, and do
 // not count.
 func (g *Gateway) detect(now sim.Time, b *Binding, dst netsim.Addr) {
-	if g.Cfg.DetectThreshold <= 0 || b.detected || b.isPeer(dst) {
+	if g.Cfg.DetectThreshold <= 0 || b.detected || b.isPeer(dst) || slices.Contains(b.outTargets, dst) {
 		return
 	}
-	b.outTargets[dst] = struct{}{}
+	b.outTargets = append(b.outTargets, dst)
 	if len(b.outTargets) >= g.Cfg.DetectThreshold {
 		b.detected = true
 		g.stats.DetectedInfected++

@@ -62,8 +62,8 @@ func TestRecycledBindingHygiene(t *testing.T) {
 	if b.Addr != mon(9) || b.State != BindingPending || b.VM != nil || b.Hint.Source != ext(7) {
 		t.Errorf("identity not reset: %+v", b)
 	}
-	if b.Peers() != 1 || !b.isPeer(ext(7)) || b.isPeer(ext(5)) || len(b.peerOrder) != 1 {
-		t.Errorf("peers survived: %d peers, order %v", b.Peers(), b.peerOrder)
+	if b.Peers() != 1 || !b.isPeer(ext(7)) || b.isPeer(ext(5)) || len(b.peers.ring) != 1 || b.peers.head != 0 {
+		t.Errorf("peers survived: %d peers, ring %v from %d", b.Peers(), b.peers.ring, b.peers.head)
 	}
 	if b.OutTargets() != 0 || b.Detected() || b.limited || b.attempt != 0 || b.gone {
 		t.Errorf("containment state survived: targets=%d detected=%v limited=%v attempt=%d gone=%v",

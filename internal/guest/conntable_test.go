@@ -1,0 +1,242 @@
+package guest
+
+import (
+	"testing"
+	"time"
+	"unsafe"
+
+	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
+)
+
+// Every warm flow holds a tcpConn for as long as it is tracked, so its
+// size is most of what a flow costs the host.
+func TestConnSize(t *testing.T) {
+	if got := unsafe.Sizeof(tcpConn{}); got > 64 {
+		t.Errorf("tcpConn is %d bytes, want at most 64", got)
+	}
+}
+
+// TestInsertReplacingKeyInFullTableEvictsNothingElse: a full table that
+// opens a connection under a key it already holds replaces that one and
+// evicts nothing else.
+func TestInsertReplacingKeyInFullTableEvictsNothingElse(t *testing.T) {
+	var ct connTable
+	local := netsim.MustParseAddr("10.0.0.1")
+	key := func(i int) netsim.FlowKey {
+		return netsim.FlowKey{Src: local, Dst: netsim.Addr(0x0b000000 + i), SrcPort: uint16(1024 + i), DstPort: 445, Proto: netsim.ProtoTCP}
+	}
+	for i := 0; i < maxConns; i++ {
+		ct.insert(sim.Time(i), tcpConn{key: key(i), state: tcpSynSent, client: true})
+	}
+	c := ct.insert(sim.Time(maxConns), tcpConn{key: key(maxConns - 1), state: tcpSynSent, client: true, iss: 7})
+	if ct.len() != maxConns {
+		t.Errorf("len = %d after replacing a key in a full table, want %d", ct.len(), maxConns)
+	}
+	if ct.lookup(key(0)) == nil {
+		t.Error("the oldest connection was evicted to make room for a replacement")
+	}
+	if got := ct.lookup(key(maxConns - 1)); got != c || got.iss != 7 || ct.newest != c {
+		t.Error("the replacement is not the connection indexed under its key, or not the newest")
+	}
+	if ct.clients != maxConns {
+		t.Errorf("clients = %d, want %d", ct.clients, maxConns)
+	}
+}
+
+// refConn and refConnTable are the connection table as it was before the
+// flat index: a Go map over an idle-order list. insert removes the
+// connection whose key it replaces before deciding to evict, as the
+// table under test does.
+type refConn struct {
+	key          netsim.FlowKey
+	client       bool
+	lastActive   sim.Time
+	older, newer *refConn
+}
+
+type refConnTable struct {
+	conns          map[netsim.FlowKey]*refConn
+	oldest, newest *refConn
+}
+
+func (rt *refConnTable) lookup(key netsim.FlowKey) *refConn { return rt.conns[key] }
+
+func (rt *refConnTable) lookupClient(key netsim.FlowKey) *refConn {
+	if c := rt.conns[key.Reverse()]; c != nil && c.client {
+		return c
+	}
+	return nil
+}
+
+func (rt *refConnTable) insert(now sim.Time, key netsim.FlowKey, client bool) *refConn {
+	if old := rt.conns[key]; old != nil {
+		rt.remove(old)
+	}
+	if len(rt.conns) >= maxConns {
+		rt.remove(rt.oldest)
+	}
+	c := &refConn{key: key, client: client}
+	rt.conns[key] = c
+	rt.pushNewest(c, now)
+	return c
+}
+
+func (rt *refConnTable) pushNewest(c *refConn, now sim.Time) {
+	c.lastActive = now
+	c.older, c.newer = rt.newest, nil
+	if rt.newest != nil {
+		rt.newest.newer = c
+	} else {
+		rt.oldest = c
+	}
+	rt.newest = c
+}
+
+func (rt *refConnTable) unlink(c *refConn) {
+	if c.older != nil {
+		c.older.newer = c.newer
+	} else {
+		rt.oldest = c.newer
+	}
+	if c.newer != nil {
+		c.newer.older = c.older
+	} else {
+		rt.newest = c.older
+	}
+}
+
+func (rt *refConnTable) touch(c *refConn, now sim.Time) {
+	rt.unlink(c)
+	rt.pushNewest(c, now)
+}
+
+func (rt *refConnTable) remove(c *refConn) {
+	delete(rt.conns, c.key)
+	rt.unlink(c)
+}
+
+func (rt *refConnTable) pruneIdle(now sim.Time) int {
+	n := 0
+	for c := rt.oldest; c != nil && now.Sub(c.lastActive) >= connIdleTimeout; c = rt.oldest {
+		rt.remove(c)
+		n++
+	}
+	return n
+}
+
+func (rt *refConnTable) reset() {
+	clear(rt.conns)
+	rt.oldest, rt.newest = nil, nil
+}
+
+// connOps drives a connTable and the reference model through the same
+// operations, decoded from data, and fails at the first difference in a
+// hit, in the idle order (which is where victims show: the same
+// connections must be gone, oldest first), or in the length.
+func connOps(t *testing.T, data []byte) {
+	var ct connTable
+	rt := refConnTable{conns: make(map[netsim.FlowKey]*refConn)}
+	local := netsim.MustParseAddr("10.0.0.1")
+	// Keys come from a pool of 4,096 flows in each direction: an inbound
+	// flow's key and the key of the client connection it would answer
+	// are each other's Reverse, so server and client inserts collide.
+	key := func(k uint16) netsim.FlowKey {
+		remote := netsim.Addr(0x0b000000 | uint32(k>>5))
+		port := 1024 + k&15
+		if k&16 == 0 {
+			return netsim.FlowKey{Src: remote, Dst: local, SrcPort: port, DstPort: 445, Proto: netsim.ProtoTCP}
+		}
+		return netsim.FlowKey{Src: local, Dst: remote, SrcPort: 445, DstPort: port, Proto: netsim.ProtoTCP}
+	}
+	same := func(op int, c *tcpConn, r *refConn) {
+		t.Helper()
+		if (c == nil) != (r == nil) || c != nil && (c.key != r.key || c.client != r.client || c.lastActive != r.lastActive) {
+			t.Fatalf("op %d: table hit %+v, reference %+v", op, c, r)
+		}
+	}
+	var now sim.Time
+	for op := 0; len(data) >= 3; op++ {
+		code, k := data[0], uint16(data[1])<<8|uint16(data[2])
+		data = data[3:]
+		switch code % 10 {
+		case 0, 1: // a server connection
+			same(op, ct.insert(now, tcpConn{key: key(k), state: tcpSynRcvd}), rt.insert(now, key(k), false))
+		case 2: // a client connection
+			same(op, ct.insert(now, tcpConn{key: key(k), state: tcpSynSent, client: true}), rt.insert(now, key(k), true))
+		case 3:
+			same(op, ct.lookup(key(k)), rt.lookup(key(k)))
+		case 4:
+			same(op, ct.lookupClient(key(k)), rt.lookupClient(key(k)))
+		case 5:
+			if c := ct.lookup(key(k)); c != nil {
+				ct.touch(c, now)
+			}
+			if r := rt.lookup(key(k)); r != nil {
+				rt.touch(r, now)
+			}
+		case 6:
+			if c := ct.lookup(key(k)); c != nil {
+				ct.remove(c)
+			}
+			if r := rt.lookup(key(k)); r != nil {
+				rt.remove(r)
+			}
+		case 7: // time passes: up to a quarter of the idle timeout
+			now = now.Add(time.Duration(k%256) * connIdleTimeout / 1024)
+			if a, b := ct.pruneIdle(now), rt.pruneIdle(now); a != b {
+				t.Fatalf("op %d: pruneIdle dropped %d, reference %d", op, a, b)
+			}
+		case 8: // a burst of 64 flows: the table fills and evicts
+			for i := uint16(0); i < 64; i++ {
+				kk := k + i*97
+				same(op, ct.insert(now, tcpConn{key: key(kk)}), rt.insert(now, key(kk), false))
+			}
+		case 9:
+			if k%8 == 0 {
+				ct.reset()
+				rt.reset()
+			} else {
+				now = now.Add(time.Millisecond)
+			}
+		}
+		if ct.len() != len(rt.conns) {
+			t.Fatalf("op %d: len %d, reference %d", op, ct.len(), len(rt.conns))
+		}
+		clients := 0
+		c, r := ct.oldest, rt.oldest
+		for ; c != nil && r != nil; c, r = c.newer, r.newer {
+			same(op, c, r)
+			same(op, ct.lookup(c.key), r)
+			if c.client {
+				clients++
+			}
+		}
+		if c != nil || r != nil {
+			t.Fatalf("op %d: idle lists differ in length", op)
+		}
+		if clients != ct.clients {
+			t.Fatalf("op %d: %d client connections listed, %d counted", op, clients, ct.clients)
+		}
+	}
+}
+
+// FuzzConnTable checks the flat-indexed connection table against the
+// map-based reference on arbitrary operation sequences.
+func FuzzConnTable(f *testing.F) {
+	f.Add([]byte{2, 0, 16, 0, 0, 16, 4, 0, 0, 3, 0, 16, 6, 0, 16, 4, 0, 0})
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := sim.NewRNG(seed)
+		data := make([]byte, 3*2000)
+		for i := 0; i < len(data); i += 3 {
+			data[i] = byte(rng.Uint64n(10))
+			k := uint16(rng.Uint64n(1 << 12))
+			if seed%2 == 0 {
+				k &= 0x1ff // a small pool: mostly hits and replacements
+			}
+			data[i+1], data[i+2] = byte(k>>8), byte(k)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(connOps)
+}

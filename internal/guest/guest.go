@@ -372,7 +372,6 @@ func New(k *sim.Kernel, vm *vmm.VM, profile *Profile, send Sender, pick TargetPi
 		in.conns.reset()
 	} else {
 		in = &Instance{}
-		in.conns.conns = make(map[netsim.FlowKey]*tcpConn)
 		in.onTouch, in.onScan, in.onCanary, in.onBeacon = in.touchTick, in.scanTick, in.canaryTick, in.beaconTick
 	}
 	*in = Instance{

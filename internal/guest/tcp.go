@@ -3,6 +3,7 @@ package guest
 import (
 	"time"
 
+	"potemkin/internal/flatindex"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
@@ -23,7 +24,7 @@ import (
 //     they attack, so reflected VMs observe a genuine handshake.
 
 // tcpState is a server- or client-side connection state.
-type tcpState int
+type tcpState uint8
 
 const (
 	tcpSynRcvd tcpState = iota // server: SYN seen, SYN-ACK sent
@@ -48,20 +49,22 @@ func (s tcpState) String() string {
 	}
 }
 
-// tcpConn is one tracked connection.
+// tcpConn is one tracked connection: 64 bytes, widest fields first so
+// the flags pack into what would otherwise be padding.
 type tcpConn struct {
 	key        netsim.FlowKey // remote->local for server conns, local->remote for client conns
-	state      tcpState
-	iss        uint32 // our initial sequence number
-	sndNxt     uint32 // next sequence we will send
-	rcvNxt     uint32 // next sequence we expect
 	lastActive sim.Time
-	client     bool // we initiated (exploit dialogue or canary probe)
-	canary     bool // fingerprinting probe: SYN-ACK means the world answered
 	rxBytes    int
 
 	// Idle-order links (see connTable); a free conn chains through newer.
 	older, newer *tcpConn
+
+	iss    uint32 // our initial sequence number
+	sndNxt uint32 // next sequence we will send
+	rcvNxt uint32 // next sequence we expect
+	state  tcpState
+	client bool // we initiated (exploit dialogue or canary probe)
+	canary bool // fingerprinting probe: SYN-ACK means the world answered
 }
 
 // maxConns bounds each guest's connection table, like a small server's
@@ -70,29 +73,58 @@ const maxConns = 256
 
 // connTable is the guest's connection state, keyed by the REMOTE
 // endpoint's flow key as seen in inbound packets (src=remote,
-// dst=local).
+// dst=local) for connections it accepted, and by its own outbound key
+// for the client connections it opened.
 //
-// Live connections also sit on a list in lastActive order — every write
-// of lastActive goes through touch, which moves the connection to the
-// newest end — so the oldest-idle connection is the list's head, found
-// in O(1), and connections idle equally long leave in the order they
-// were last touched. Closed connections are kept for the next open.
+// Live connections are indexed by key in a flatindex.Index of pointers
+// (8-byte slots, at most half of them full) and also sit on a list in
+// lastActive order: every write of lastActive goes through touch, which
+// moves the connection to the newest end, so the oldest-idle connection
+// is the list's head, found in O(1), and connections idle equally long
+// leave in the order they were last touched. Closed connections are kept
+// for the next open. clients counts the live client connections, so a
+// guest that has opened none skips looking for one.
 type connTable struct {
-	conns          map[netsim.FlowKey]*tcpConn
+	index          flatindex.Index[netsim.FlowKey, *tcpConn, connKeys]
 	oldest, newest *tcpConn
 	free           *tcpConn
+	clients        int
 }
 
-func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn { return ct.conns[key] }
+// connKeys is what the index needs to know about a connection.
+type connKeys struct{}
 
-// insert opens a connection with proto's fields, evicting the
-// oldest-idle one when the table is full.
-func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
-	if len(ct.conns) >= maxConns {
-		ct.remove(ct.oldest)
+func (connKeys) Key(c *tcpConn) netsim.FlowKey { return c.key }
+
+func (connKeys) Hash(k netsim.FlowKey) uint64 {
+	return uint64(k.Src)<<32 ^ uint64(k.Dst) ^
+		(uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))*0x9e3779b97f4a7c15
+}
+
+func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn { return ct.index.Get(connKeys{}, key) }
+
+// lookupClient returns the client connection an inbound packet with
+// flow key answers, if there is one.
+func (ct *connTable) lookupClient(key netsim.FlowKey) *tcpConn {
+	if ct.clients == 0 {
+		return nil
 	}
-	if old := ct.conns[proto.key]; old != nil {
-		ct.remove(old) // a reused ephemeral port: the new dialogue replaces the old
+	if c := ct.lookup(key.Reverse()); c != nil && c.client {
+		return c
+	}
+	return nil
+}
+
+// insert opens a connection with proto's fields. One under the same key
+// is replaced (a reused ephemeral port: the new dialogue replaces the
+// old); otherwise, when the table is full, the oldest-idle one is
+// evicted.
+func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
+	if old := ct.lookup(proto.key); old != nil {
+		ct.remove(old)
+	}
+	if ct.len() >= maxConns {
+		ct.remove(ct.oldest)
 	}
 	c := ct.free
 	if c != nil {
@@ -101,7 +133,10 @@ func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
 		c = new(tcpConn)
 	}
 	*c = proto
-	ct.conns[c.key] = c
+	ct.index.Insert(connKeys{}, c)
+	if c.client {
+		ct.clients++
+	}
 	ct.pushNewest(c, now)
 	return c
 }
@@ -141,20 +176,29 @@ func (ct *connTable) touch(c *tcpConn, now sim.Time) {
 }
 
 func (ct *connTable) remove(c *tcpConn) {
-	delete(ct.conns, c.key)
+	ct.index.Delete(connKeys{}, c.key)
+	if c.client {
+		ct.clients--
+	}
 	ct.unlink(c)
 	c.older, c.newer = nil, ct.free
 	ct.free = c
 }
 
-func (ct *connTable) len() int { return len(ct.conns) }
+func (ct *connTable) len() int { return ct.index.Len() }
 
 // reset closes every connection (the table is about to serve another
-// guest), keeping the map's buckets and the conns for reuse.
+// guest), keeping the index's slots and the conns for reuse.
 func (ct *connTable) reset() {
-	for ct.oldest != nil {
-		ct.remove(ct.oldest)
+	for c := ct.oldest; c != nil; {
+		next := c.newer
+		c.older, c.newer = nil, ct.free
+		ct.free = c
+		c = next
 	}
+	ct.oldest, ct.newest = nil, nil
+	ct.index.Clear()
+	ct.clients = 0
 }
 
 // connIdleTimeout reaps half-open and abandoned connections, like a
@@ -183,7 +227,7 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 	}
 
 	// Client-side dialogue: is this a reply to a connection we opened?
-	if c := in.conns.lookup(key.Reverse()); c != nil && c.client {
+	if c := in.conns.lookupClient(key); c != nil {
 		in.handleClientTCP(now, c, pkt)
 		return
 	}

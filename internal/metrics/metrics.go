@@ -14,15 +14,24 @@ import (
 // buckets (16 sub-buckets per octave), giving percentile queries with
 // bounded relative error (~±3%) in O(1) memory regardless of sample
 // count. Exact min, max, sum, and count are tracked on the side.
+//
+// Bucket storage covers only the whole octaves between the smallest and
+// the largest sample (128 bytes an octave), so an empty histogram holds
+// none. A histogram with samples must not be copied by value — the copy
+// would share its buckets; Merge into a fresh one instead.
 type Histogram struct {
-	buckets [64 * subBuckets]uint64
+	buckets []uint64 // octaves lo, lo+1, …: bucket index lo*subBuckets+i at i
+	lo      int
 	count   uint64
 	sum     float64
 	min     float64
 	max     float64
 }
 
-const subBuckets = 16
+const (
+	subBuckets = 16
+	numBuckets = 64 * subBuckets // 64 octaves
+)
 
 // bucketIndex maps v (>= 0) to its bucket, straight from the float's
 // bits: for v >= 1 the biased exponent is the octave and the top four
@@ -34,10 +43,25 @@ func bucketIndex(v float64) int {
 		return 0
 	}
 	idx := int(math.Float64bits(v)>>48) - 1023*subBuckets
-	if idx >= len(Histogram{}.buckets) {
-		idx = len(Histogram{}.buckets) - 1
+	if idx >= numBuckets {
+		idx = numBuckets - 1
 	}
 	return idx
+}
+
+// cover extends the bucket storage, if need be, to octaves lo through hi.
+func (h *Histogram) cover(lo, hi int) {
+	if len(h.buckets) == 0 {
+		h.lo = lo
+	}
+	end := h.lo + len(h.buckets)/subBuckets // one past the last octave held
+	if lo >= h.lo && hi < end {
+		return
+	}
+	lo, hi = min(lo, h.lo), max(hi, end-1)
+	buckets := make([]uint64, (hi-lo+1)*subBuckets)
+	copy(buckets[(h.lo-lo)*subBuckets:], h.buckets)
+	h.buckets, h.lo = buckets, lo
 }
 
 // bucketValue returns a representative (geometric midpoint) value for a
@@ -71,7 +95,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[bucketIndex(v)]++
+	idx := bucketIndex(v)
+	h.cover(idx/subBuckets, idx/subBuckets)
+	h.buckets[idx-h.lo*subBuckets]++
 }
 
 // Count returns the number of observed samples.
@@ -124,7 +150,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.buckets {
 		cum += c
 		if cum > target {
-			v := bucketValue(i)
+			v := bucketValue(h.lo*subBuckets + i)
 			if v < h.min {
 				v = h.min
 			}
@@ -154,8 +180,10 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count += other.count
 	h.sum += other.sum
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
+	h.cover(other.lo, other.lo+len(other.buckets)/subBuckets-1)
+	off := (other.lo - h.lo) * subBuckets
+	for i, c := range other.buckets {
+		h.buckets[off+i] += c
 	}
 }
 

@@ -279,8 +279,8 @@ func bucketIndexLog(v float64) int {
 		sub = subBuckets - 1
 	}
 	idx := int(exp)*subBuckets + sub
-	if idx >= len(Histogram{}.buckets) {
-		idx = len(Histogram{}.buckets) - 1
+	if idx >= numBuckets {
+		idx = numBuckets - 1
 	}
 	return idx
 }
@@ -330,7 +330,7 @@ func TestBucketIndexCorrections(t *testing.T) {
 	})
 	t.Run("+Inf", func(t *testing.T) {
 		// int(Floor(Log2(+Inf))) is not a bucket; Observe indexed with it.
-		last := len(Histogram{}.buckets) - 1
+		last := numBuckets - 1
 		if got := bucketIndex(math.Inf(1)); got != last {
 			t.Fatalf("bucketIndex(+Inf) = %d, want the last bucket %d", got, last)
 		}

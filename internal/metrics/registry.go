@@ -93,7 +93,7 @@ type Hist struct {
 	sumMicro atomic.Int64
 	minBits  atomic.Uint64 // float64 bits; initialized to +Inf by newHist
 	maxBits  atomic.Uint64 // float64 bits; initialized to -Inf by newHist
-	buckets  [64 * subBuckets]atomic.Uint64
+	buckets  [numBuckets]atomic.Uint64
 }
 
 func newHist() *Hist {
