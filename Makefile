@@ -14,9 +14,13 @@ test:
 	$(GO) test ./...
 
 # An unformatted file fails vet: gofmt -l prints nothing on a clean tree.
+# So does a second assembly path: outside tests, internal/farm and bench/,
+# only the shard engine builds a farm (core.NewShardDomain).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n 'farm\.New(' -- '*.go' ':!*_test.go' ':!internal/farm' ':!bench' | grep -v '^internal/core/shardengine\.go:'); \
+		[ -z "$$out" ] || { echo "vet: farm.New outside core.NewShardDomain (build on core.NewShardEngine):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...

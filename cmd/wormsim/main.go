@@ -9,10 +9,11 @@
 //	-pop N           vulnerable population (default 1048576)
 //	-scanrate R      scans/second per infected host (default 100)
 //	-initial N       initially infected hosts (default 100)
-//	-strategy NAME   uniform|local-pref|hitlist
+//	-strategy NAME   uniform|local-pref|hitlist|permutation
 //	-policy NAME     none|open|drop-all|reflect-source|internal-reflect
 //	-space CIDR      telescope space (default 10.5.0.0/16)
 //	-duration D      epidemic length (default 10m)
+//	-scancap R       aggregate scans/second cap, a bandwidth-limited worm (default 0 = none)
 //	-seed N          simulation seed
 package main
 
@@ -22,6 +23,7 @@ import (
 	"os"
 	"time"
 
+	"potemkin/internal/core"
 	"potemkin/internal/farm"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
@@ -35,7 +37,7 @@ func main() {
 		pop      = flag.Int("pop", 1<<20, "vulnerable population")
 		scanrate = flag.Float64("scanrate", 100, "scans/sec per infected host")
 		initial  = flag.Int("initial", 100, "initially infected hosts")
-		strategy = flag.String("strategy", "uniform", "scan strategy")
+		strategy = flag.String("strategy", "uniform", "scan strategy: uniform|local-pref|hitlist|permutation")
 		policy   = flag.String("policy", "internal-reflect", "containment policy (none = no honeyfarm)")
 		space    = flag.String("space", "10.5.0.0/16", "telescope space")
 		duration = flag.Duration("duration", 10*time.Minute, "epidemic duration")
@@ -49,7 +51,6 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	k := sim.NewKernel(*seed)
 	wcfg := worm.DefaultConfig()
 	wcfg.Susceptible = *pop
 	wcfg.InitialInfected = *initial
@@ -71,12 +72,19 @@ func main() {
 		fatalf("unknown strategy %q", *strategy)
 	}
 
-	e := worm.New(k, wcfg)
-
-	var g *gateway.Gateway
-	var f *farm.Farm
-	var leaked uint64
-	if *policy != "none" {
+	// Without a honeyfarm the epidemic runs alone on a bare kernel; with
+	// one it shares the clock of a one-shard engine's gateway and farm.
+	var (
+		e        *worm.Epidemic
+		k        *sim.Kernel
+		runUntil func(sim.Time)
+		d        *core.ShardDomain // nil without a honeyfarm
+		leaked   uint64
+	)
+	if *policy == "none" {
+		k = sim.NewKernel(*seed)
+		runUntil = k.RunUntil
+	} else {
 		var pol gateway.Policy
 		switch *policy {
 		case "open":
@@ -93,43 +101,43 @@ func main() {
 		fc := farm.DefaultConfig()
 		fc.Servers = 8
 		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
-		fc.OnInfected = func(now sim.Time, in *guest.Instance) {
-			fmt.Printf("  t=%-8v honeyfarm captured infection at %s (generation %d)\n",
-				time.Duration(now).Truncate(time.Millisecond), in.IP, in.Generation)
-		}
-		var err error
-		f, err = farm.New(k, fc)
-		if err != nil {
-			fatalf("%v", err)
-		}
 		gc := gateway.DefaultConfig()
 		gc.Space = prefix
 		gc.Policy = pol
 		gc.ReflectionLimit = 256
-		gc.ExternalOut = func(_ sim.Time, pkt *netsim.Packet) {
-			leaked++
-			e.InjectLeak(pkt)
+		eng, err := core.NewShardEngine(core.ShardEngineConfig{
+			Shards: 1, Seed: *seed, Farm: fc, Gateway: gc,
+			OnInfected: func(now sim.Time, in *guest.Instance) {
+				fmt.Printf("  t=%-8v honeyfarm captured infection at %s (generation %d)\n",
+					time.Duration(now).Truncate(time.Millisecond), in.IP, in.Generation)
+			},
+			OnEgress: func(_ sim.Time, pkt *netsim.Packet) {
+				leaked++
+				e.InjectLeak(pkt)
+			},
+		})
+		if err != nil {
+			fatalf("%v", err)
 		}
-		g = gateway.New(k, gc, f)
-		f.SetGateway(g)
-		e.Cfg.Deliver = func(now sim.Time, pkt *netsim.Packet) { g.HandleInbound(now, pkt) }
+		defer eng.Close()
+		d = eng.Domains()[0]
+		wcfg.Deliver = d.G.HandleInbound
+		k, runUntil = d.K, eng.RunUntil
 	}
+	e = worm.New(k, wcfg)
 
 	k.Every(time.Minute, func(now sim.Time) {
 		line := fmt.Sprintf("t=%-6v infected=%-8d", time.Duration(now).Truncate(time.Second), e.Infected())
-		if f != nil {
+		if d != nil {
 			line += fmt.Sprintf(" honeyfarm[vms=%d infected=%d leakedpkts=%d]",
-				f.LiveVMs(), f.InfectedVMs(), leaked)
+				d.F.LiveVMs(), d.F.InfectedVMs(), leaked)
 		}
 		fmt.Println(line)
 	})
 
 	e.Start()
-	k.RunUntil(sim.Start.Add(*duration))
+	runUntil(sim.Start.Add(*duration))
 	e.Stop()
-	if g != nil {
-		g.Close()
-	}
 
 	st := e.Stats()
 	fmt.Printf("\nepidemic after %v:\n", duration)
@@ -141,9 +149,9 @@ func main() {
 	} else {
 		fmt.Printf("  first telescope hit   never\n")
 	}
-	if f != nil {
-		gs := g.Stats()
-		fmt.Printf("  honeyfarm VMs         %d live, %d infected\n", f.LiveVMs(), f.InfectedVMs())
+	if d != nil {
+		gs := d.G.Stats()
+		fmt.Printf("  honeyfarm VMs         %d live, %d infected\n", d.F.LiveVMs(), d.F.InfectedVMs())
 		fmt.Printf("  leaked packets        %d (caused %d outside infections)\n", leaked, st.LeakInfections)
 		fmt.Printf("  outbound dropped      %d\n", gs.OutDropped)
 		fmt.Printf("  internal reflections  %d\n", gs.OutReflected)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"potemkin/internal/core"
 	"potemkin/internal/farm"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
@@ -45,7 +46,6 @@ func main() {
 }
 
 func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
-	k := sim.NewKernel(99)
 	payloadServer := netsim.MustParseAddr("66.6.6.6")
 
 	fc := farm.DefaultConfig()
@@ -66,27 +66,28 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 			}
 		}
 	}
-	f, err := farm.New(k, fc)
+	eng, err := core.NewShardEngine(core.ShardEngineConfig{
+		Shards: 1, Seed: 99, Farm: fc, Gateway: gc,
+		OnEgress: func(_ sim.Time, pkt *netsim.Packet) {
+			if len(pkt.Payload) > 0 { // exploit or stage-2 bytes leaving the farm
+				leaked++
+			}
+		},
+	})
 	if err != nil {
 		panic(err)
 	}
-	gc.ExternalOut = func(_ sim.Time, pkt *netsim.Packet) {
-		if len(pkt.Payload) > 0 { // exploit or stage-2 bytes leaving the farm
-			leaked++
-		}
-	}
-	g := gateway.New(k, gc, f)
-	f.SetGateway(g)
+	d := eng.Domains()[0]
 
 	// Patient zero.
 	exploit := netsim.TCPSyn(netsim.MustParseAddr("200.1.2.3"), gc.Space.Nth(99), 31337, 445, 1)
 	exploit.Flags |= netsim.FlagPSH
 	exploit.Payload = fc.Profile.ExploitPayload(0)
-	g.HandleInbound(sim.Start, exploit)
-	k.RunUntil(sim.Start.Add(60 * time.Second))
-	g.Close()
+	eng.Inject(exploit)
+	eng.RunUntil(sim.Start.Add(60 * time.Second))
+	eng.Close()
 
-	f.EachInstance(func(in *guest.Instance) {
+	d.F.EachInstance(func(in *guest.Instance) {
 		if in.Infected {
 			infected++
 			if in.Generation > maxDepth {
@@ -97,7 +98,7 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 	// Stage-2 fetches captured: reflected bindings created for the
 	// payload server's address.
 	if pol == gateway.PolicyInternalReflect {
-		stage2 = int(g.Stats().OutReflected)
+		stage2 = int(d.G.Stats().OutReflected)
 	}
 	return leaked, infected, maxDepth, stage2
 }

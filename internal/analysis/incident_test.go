@@ -35,7 +35,10 @@ func newIncidentFarm(t *testing.T, sink gateway.EventSink) (*farm.Farm, uint64) 
 			}
 		}
 	}
-	f := farm.MustNew(k, fc)
+	f, err := farm.New(k, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := gateway.New(k, gc, f)
 	f.SetGateway(g)
 

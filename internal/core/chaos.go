@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"time"
 
@@ -38,10 +40,12 @@ type ChaosConfig struct {
 	Duration time.Duration
 
 	// TraceOut, when set, receives the binding-lifecycle span trace of
-	// both arms as JSONL — baseline first, then the faulted arm, with
-	// still-open spans flushed at the end of each arm. Two runs with the
-	// same seed write byte-identical output (the determinism tests diff
-	// exactly this). Nil disables tracing.
+	// both arms as JSONL: the baseline's segment, then the faulted arm's.
+	// Each segment opens with an "arm-start" instant naming the arm,
+	// numbers its spans and traces from 1 (each arm runs on its own
+	// engine), and ends with the arm's still-open spans flushed. Two runs
+	// with the same seed write byte-identical output (the determinism
+	// tests diff exactly this). Nil disables tracing.
 	TraceOut io.Writer
 }
 
@@ -63,8 +67,10 @@ type ChaosArm struct {
 
 	FinalLiveVMs  int
 	FinalBindings int
-	// EventCount / EventHash fingerprint the gateway's forensic event
-	// log; two runs with the same seed must produce identical values.
+	// EventCount / EventHash fingerprint the arm's forensic event log,
+	// the engine's JSONL EventLog: its line count and the FNV-1a hash of
+	// its bytes. Two runs with the same seed must produce identical
+	// values.
 	EventCount int
 	EventHash  uint64
 }
@@ -108,16 +114,8 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 		"arm", "captured", "detected", "bindings", "recycled", "backend_lost",
 		"farm_retries", "shed", "spawn_failures", "crash_killed", "live_vms")}
 
-	// One tracer spans both arms so span IDs stay globally unique in the
-	// combined JSONL stream (FlushOpen drains all per-arm state between
-	// arms, so reuse is safe).
-	var tr *trace.Tracer
-	if cfg.TraceOut != nil {
-		tr = trace.New(trace.JSONL(cfg.TraceOut, nil))
-	}
-
-	res.Baseline = runChaosArm(cfg, tr, false, nil)
-	res.Faulted = runChaosArm(cfg, tr, true, &res.FaultLog)
+	res.Baseline, _ = runChaosArm(cfg, false)
+	res.Faulted, res.FaultLog = runChaosArm(cfg, true)
 	for _, a := range []ChaosArm{res.Baseline, res.Faulted} {
 		res.Table.AddRow(a.Name, a.Captured, a.Detected, a.BindingsCreated,
 			a.BindingsRecycled, a.BackendLost, a.FarmRetries, a.BindingsShed,
@@ -126,17 +124,15 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	return res
 }
 
-// runChaosArm runs one arm of the experiment.
-func runChaosArm(cfg ChaosConfig, tr *trace.Tracer, faulted bool, faultLog *[]string) ChaosArm {
-	k := sim.NewKernel(cfg.Seed)
-
+// runChaosArm runs one arm of the experiment and returns its outcome
+// and applied-fault log.
+func runChaosArm(cfg ChaosConfig, faulted bool) (ChaosArm, []string) {
 	wcfg := worm.DefaultConfig()
 	wcfg.Seed = cfg.Seed
 	wcfg.InitialInfected = 500
 	wcfg.ScanRate = 100
 	wcfg.ExploitPayload = guest.WindowsXP().ExploitPayload(0)
 	wcfg.MaxDeliverPerStep = 8
-	e := worm.New(k, wcfg)
 
 	fc := farm.DefaultConfig()
 	fc.Servers = cfg.Servers
@@ -145,7 +141,6 @@ func runChaosArm(cfg ChaosConfig, tr *trace.Tracer, faulted bool, faultLog *[]st
 	// is what exercises the farm-full and shed paths.
 	fc.HostConfig.MemoryBytes = 112 << 20
 	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
-	f := farm.MustNew(k, fc)
 
 	gc := gateway.DefaultConfig()
 	gc.Space = wcfg.Telescope
@@ -156,31 +151,12 @@ func runChaosArm(cfg ChaosConfig, tr *trace.Tracer, faulted bool, faultLog *[]st
 	gc.MaxLifetime = 40 * time.Second
 	gc.SpawnRetryBudget = 1
 	gc.ShedOnFull = 500 * time.Millisecond
-	// Fingerprint the forensic log so two same-seed runs can be proven
-	// identical without storing every event.
-	var evCount int
-	var evHash uint64 = 0xcbf29ce484222325
-	gc.EventSink = func(ev gateway.Event) {
-		evCount++
-		for _, s := range []string{fmt.Sprintf("%.6f", ev.T), string(ev.Kind), ev.Addr, ev.Peer, ev.Detail} {
-			for i := 0; i < len(s); i++ {
-				evHash ^= uint64(s[i])
-				evHash *= 0x100000001b3
-			}
-		}
-	}
-	gc.ExternalOut = func(_ sim.Time, pkt *netsim.Packet) { e.InjectLeak(pkt) }
-	gc.Tracer = tr
-	g := gateway.New(k, gc, f)
-	f.SetGateway(g)
-	f.SetTracer(tr)
-	e.Cfg.Deliver = func(now sim.Time, pkt *netsim.Packet) { g.HandleInbound(now, pkt) }
 
 	name := "baseline"
-	var inj *fault.Injector
+	var faults *fault.Config
 	if faulted {
 		name = fmt.Sprintf("crash-server-%d", cfg.CrashServer)
-		inj = fault.New(k, f, fault.Config{Script: []fault.Action{
+		faults = &fault.Config{Script: []fault.Action{
 			{
 				At:       cfg.Duration / 2,
 				Kind:     fault.KindCrash,
@@ -197,28 +173,45 @@ func runChaosArm(cfg ChaosConfig, tr *trace.Tracer, faulted bool, faultLog *[]st
 				Prob:     0.3,
 				Duration: 10 * time.Second,
 			},
-		}})
-		inj.Start()
+		}}
 	}
 
-	tr.Instant(k.Now(), "arm-start", trace.Attr{K: "arm", V: name})
-	e.Start()
-	k.RunUntil(sim.Start.Add(cfg.Duration))
-	e.Stop()
-	g.Close()
-	tr.FlushOpen(k.Now())
+	var e *worm.Epidemic
+	var events bytes.Buffer
+	eng, d := oneShard(ShardEngineConfig{
+		Seed: cfg.Seed, Farm: fc, Gateway: gc, Fault: faults,
+		EventLog: &events, TraceOut: cfg.TraceOut,
+		OnEgress: func(_ sim.Time, pkt *netsim.Packet) { e.InjectLeak(pkt) },
+	})
+	wcfg.Deliver = d.G.HandleInbound
+	e = worm.New(d.K, wcfg)
 
-	if inj != nil && faultLog != nil {
-		for _, ev := range inj.Log() {
-			*faultLog = append(*faultLog, ev.String())
+	eng.StartFaults()
+	d.tracer.Instant(d.K.Now(), "arm-start", trace.Attr{K: "arm", V: name})
+	e.Start()
+	eng.RunUntil(sim.Start.Add(cfg.Duration))
+	e.Stop()
+	// Close writes out the arm's logs. A TraceOut write error is dropped,
+	// as the trace's JSONL sink always has; EventLog is a buffer.
+	_ = eng.Close()
+
+	var faultLog []string
+	if d.Fault != nil {
+		for _, ev := range d.Fault.Log() {
+			faultLog = append(faultLog, ev.String())
 		}
 	}
 
+	g, f := d.G, d.F
 	gs, fs := g.Stats(), f.Stats()
 	var crashKilled uint64
 	for _, h := range f.Hosts() {
 		crashKilled += h.Stats().CrashKilledVMs
 	}
+	// Fingerprint the forensic log so two same-seed runs can be proven
+	// identical by comparing two numbers.
+	hash := fnv.New64a()
+	hash.Write(events.Bytes())
 	return ChaosArm{
 		Name:             name,
 		Captured:         fs.Infections,
@@ -233,7 +226,7 @@ func runChaosArm(cfg ChaosConfig, tr *trace.Tracer, faulted bool, faultLog *[]st
 		CrashKilledVMs:   crashKilled,
 		FinalLiveVMs:     f.LiveVMs(),
 		FinalBindings:    g.NumBindings(),
-		EventCount:       evCount,
-		EventHash:        evHash,
-	}
+		EventCount:       bytes.Count(events.Bytes(), []byte{'\n'}),
+		EventHash:        hash.Sum64(),
+	}, faultLog
 }

@@ -1,9 +1,36 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestChaosGolden pins RunChaos's numbers byte for byte: the table, the
+// applied-fault log and each arm's event count for one seed. Chaos has
+// no committed artifact under results/, so this is what notices a
+// change that moves them.
+func TestChaosGolden(t *testing.T) {
+	res := RunChaos(ChaosConfig{Seed: 7, Servers: 3, Duration: 30 * time.Second})
+	var b strings.Builder
+	b.WriteString(res.Table.String())
+	b.WriteString("\nFault log (faulted arm):\n")
+	for _, line := range res.FaultLog {
+		b.WriteString(line + "\n")
+	}
+	fmt.Fprintf(&b, "\nEvents: baseline %d, faulted %d\n", res.Baseline.EventCount, res.Faulted.EventCount)
+
+	const golden = "testdata/chaos_seed7.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("RunChaos output differs from %s:\n--- got\n%s--- want\n%s", golden, got, want)
+	}
+}
 
 func TestRunChaosDegradesGracefully(t *testing.T) {
 	cfg := ChaosConfig{Seed: 7, Duration: 45 * time.Second}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,7 +47,9 @@ func TestChaosTraceByteIdentical(t *testing.T) {
 // The trace must reconstruct binding lifecycles: every non-root span
 // references a parent in the same trace, and every binding root that
 // reached the VM has spawn and active children plus the folded
-// forensic events.
+// forensic events. Each arm runs on its own engine, whose tracer
+// numbers spans and traces from 1, so parents resolve within the arm's
+// segment: the records from its "arm-start" instant to the next.
 func TestChaosTraceReconstructsLifecycles(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := chaosTraceConfig()
@@ -56,32 +60,50 @@ func TestChaosTraceReconstructsLifecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	byID := make(map[uint64]*trace.Record, len(recs))
-	for i := range recs {
-		byID[recs[i].Span] = &recs[i]
-	}
-	var roots, actives, clones int
-	for i := range recs {
-		r := &recs[i]
-		if r.Parent != 0 {
-			p := byID[r.Parent]
-			if p == nil {
-				t.Fatalf("span %d (%s) has dangling parent %d", r.Span, r.Name, r.Parent)
-			}
-			if p.Trace != r.Trace {
-				t.Fatalf("span %d crosses traces: %d vs parent's %d", r.Span, r.Trace, p.Trace)
-			}
+	var arms []string
+	var segments [][]trace.Record
+	for _, r := range recs {
+		if r.Name == "arm-start" {
+			arms = append(arms, r.Attr("arm"))
+			segments = append(segments, nil)
 		}
-		switch r.Name {
-		case "binding":
-			roots++
-			if r.Attr("addr") == "" {
-				t.Fatalf("binding root without addr attr: %+v", r)
+		if len(segments) == 0 {
+			t.Fatalf("record before the first arm-start: %+v", r)
+		}
+		segments[len(segments)-1] = append(segments[len(segments)-1], r)
+	}
+	if want := []string{"baseline", fmt.Sprintf("crash-server-%d", cfg.CrashServer)}; !slices.Equal(arms, want) {
+		t.Fatalf("trace segments %q, want %q", arms, want)
+	}
+
+	var roots, actives, clones int
+	for _, seg := range segments {
+		byID := make(map[uint64]*trace.Record, len(seg))
+		for i := range seg {
+			byID[seg[i].Span] = &seg[i]
+		}
+		for i := range seg {
+			r := &seg[i]
+			if r.Parent != 0 {
+				p := byID[r.Parent]
+				if p == nil {
+					t.Fatalf("span %d (%s) has dangling parent %d", r.Span, r.Name, r.Parent)
+				}
+				if p.Trace != r.Trace {
+					t.Fatalf("span %d crosses traces: %d vs parent's %d", r.Span, r.Trace, p.Trace)
+				}
 			}
-		case "active":
-			actives++
-		case "clone":
-			clones++
+			switch r.Name {
+			case "binding":
+				roots++
+				if r.Attr("addr") == "" {
+					t.Fatalf("binding root without addr attr: %+v", r)
+				}
+			case "active":
+				actives++
+			case "clone":
+				clones++
+			}
 		}
 	}
 	if roots == 0 || actives == 0 || clones == 0 {

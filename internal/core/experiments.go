@@ -1,13 +1,23 @@
-// Package core implements the paper's experiments (E1–E8 in DESIGN.md)
-// as reusable scenarios over the substrates. cmd/benchtab prints their
-// tables; the repository-root benchmarks wrap them in testing.B; the
-// examples demonstrate slices of them through the public API.
+// Package core holds ShardEngine, the engine every honeyfarm runs on,
+// and the paper's experiments (E1–E10 in DESIGN.md) as reusable
+// scenarios over the substrates. cmd/benchtab prints their tables; the
+// repository-root benchmarks wrap them in testing.B; the examples
+// demonstrate slices of them through the public API.
+//
+// A gateway in front of a farm is assembled in one place,
+// NewShardDomain: the facade, the cluster worker and every experiment
+// that simulates a honeyfarm (E3, E5, E7, E8, chaos) run on a
+// ShardEngine and reach its layers through Domains(). Experiments of a
+// single layer keep a bare kernel: E1 and E2 a VM host, E4 and E9 a
+// gateway over an inert backend, E6, E10 and E5's control arm a worm
+// alone.
 //
 // Each Run* function is deterministic given its parameters and returns
 // metrics tables/series shaped like the corresponding paper artifact.
 package core
 
 import (
+	"strconv"
 	"time"
 
 	"potemkin/internal/farm"
@@ -59,7 +69,7 @@ func RunE1(seed uint64, clones int) E1Result {
 	}
 
 	tab := metrics.NewTable(
-		"E1: Flash-clone latency breakdown (modeled ms, n="+itoa(clones)+")",
+		"E1: Flash-clone latency breakdown (modeled ms, n="+strconv.Itoa(clones)+")",
 		"step", "mean_ms", "p50_ms", "p95_ms", "share_pct")
 	var total float64
 	for s := vmm.CloneStep(0); s < vmm.NumCloneSteps; s++ {
@@ -267,32 +277,26 @@ func RunE3(seed uint64, trace []telescope.Record, space netsim.Prefix, timeouts 
 // the live-binding series plus final gateway stats.
 func runE3Arm(seed uint64, trace []telescope.Record, traceEnd sim.Time,
 	space netsim.Prefix, timeout time.Duration, scanFilter int) (*metrics.Series, gateway.Stats) {
-	k := sim.NewKernel(seed)
 	fc := farm.DefaultConfig()
 	fc.Servers = 64 // measure demand, not capacity
 	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 32768, ResidentPages: 8192, DiskBlocks: 1024, Seed: 42}
 	fc.Profile = quietProfile()
-	f := farm.MustNew(k, fc)
 	gc := gateway.DefaultConfig()
 	gc.Space = space
 	gc.Policy = gateway.PolicyReflectSource
 	gc.IdleTimeout = timeout
 	gc.ScanFilter = scanFilter
-	g := gateway.New(k, gc, f)
-	f.SetGateway(g)
+	eng, d := oneShard(ShardEngineConfig{Seed: seed, Farm: fc, Gateway: gc})
 
 	series := &metrics.Series{Name: labelTimeout(timeout)}
-	k.Every(time.Second, func(now sim.Time) {
-		series.Add(now.Seconds(), float64(g.NumBindings()))
+	d.K.Every(time.Second, func(now sim.Time) {
+		series.Add(now.Seconds(), float64(d.G.NumBindings()))
 	})
 
-	rp := &telescope.Replayer{K: k, Recs: trace, Emit: func(now sim.Time, pkt *netsim.Packet) {
-		g.HandleInbound(now, pkt)
-	}}
-	rp.Start()
-	k.RunUntil(traceEnd.Add(time.Second))
-	g.Close()
-	return series, g.Stats()
+	_, _ = eng.Replay(&telescope.SliceSource{Recs: trace}, nil, 0) // a slice source never fails to read
+	eng.RunUntil(traceEnd.Add(time.Second))
+	eng.Close()
+	return series, d.G.Stats()
 }
 
 // RunE3ScanFilter is the E3 scan-filter ablation: same trace, fixed
@@ -315,7 +319,7 @@ func RunE3ScanFilter(seed uint64, trace []telescope.Record, space netsim.Prefix,
 	for i, filt := range filters {
 		label := "off"
 		if filt > 0 {
-			label = itoa(filt)
+			label = strconv.Itoa(filt)
 		}
 		st := results[i]
 		tab.AddRow(label, st.PeakBindings, st.BindingsCreated, st.ScanFiltered, st.DeliveredToVM)
@@ -334,31 +338,22 @@ func quietProfile() *guest.Profile {
 	return p
 }
 
+// oneShard builds the paper's shape — one gateway in front of one farm
+// on one clock — as a one-domain engine, and returns it with its
+// domain. Experiment configurations are fixed in code, so an error is a
+// bug and panics.
+func oneShard(cfg ShardEngineConfig) (*ShardEngine, *ShardDomain) {
+	cfg.Shards = 1
+	eng, err := NewShardEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return eng, eng.Domains()[0]
+}
+
 func labelTimeout(d time.Duration) string {
 	if d == 0 {
 		return "never"
 	}
 	return d.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strconv"
 	"time"
 
 	"potemkin/internal/farm"
@@ -148,7 +150,6 @@ type e5ArmResult struct {
 // runE5Arm couples one epidemic to one honeyfarm configuration. All
 // state is arm-local, so arms run concurrently under ForEach.
 func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
-	k := sim.NewKernel(seed)
 	wcfg := worm.DefaultConfig()
 	wcfg.Seed = seed
 	// A Blaster-scale outbreak already underway: hot enough that the
@@ -158,14 +159,15 @@ func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
 	wcfg.ExploitPayload = guest.WindowsXP().ExploitPayload(0)
 	wcfg.MaxDeliverPerStep = 8
 
-	var g *gateway.Gateway
-	var f *farm.Farm
-	var leakedPkts uint64
-	firstCapture := -1.0
-
-	e := worm.New(k, wcfg)
-
-	if !arm.NoHoneyfarm {
+	r := e5ArmResult{firstCapture: -1}
+	var e *worm.Epidemic
+	end := sim.Start.Add(dur)
+	if arm.NoHoneyfarm {
+		e = worm.New(sim.NewKernel(seed), wcfg)
+		e.Start()
+		e.K.RunUntil(end)
+		e.Stop()
+	} else {
 		fc := farm.DefaultConfig()
 		// A deliberately small farm: two 256 MiB servers bound the
 		// honeypot population (≈500 VMs), which keeps long epidemics
@@ -175,47 +177,37 @@ func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
 		fc.HostConfig.MemoryBytes = 256 << 20
 		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
 		fc.Profile = guest.WindowsXP()
-		fc.OnInfected = func(now sim.Time, in *guest.Instance) {
-			if firstCapture < 0 {
-				firstCapture = now.Seconds()
-			}
-		}
-		f = farm.MustNew(k, fc)
 		gc := gateway.DefaultConfig()
 		gc.Space = wcfg.Telescope
 		gc.Policy = arm.Policy
 		gc.IdleTimeout = 60 * time.Second
 		gc.MaxLifetime = 120 * time.Second // churn even busy (infected) VMs
 		gc.ReflectionLimit = 256
-		gc.ExternalOut = func(_ sim.Time, pkt *netsim.Packet) {
-			leakedPkts++
-			e.InjectLeak(pkt)
-		}
-		g = gateway.New(k, gc, f)
-		f.SetGateway(g)
-		e.Cfg.Deliver = func(now sim.Time, pkt *netsim.Packet) { g.HandleInbound(now, pkt) }
+		eng, d := oneShard(ShardEngineConfig{
+			Seed: seed, Farm: fc, Gateway: gc,
+			OnInfected: func(now sim.Time, _ *guest.Instance) {
+				if r.firstCapture < 0 {
+					r.firstCapture = now.Seconds()
+				}
+			},
+			OnEgress: func(_ sim.Time, pkt *netsim.Packet) {
+				r.leakedPkts++
+				e.InjectLeak(pkt)
+			},
+		})
+		wcfg.Deliver = d.G.HandleInbound
+		e = worm.New(d.K, wcfg)
+		e.Start()
+		eng.RunUntil(end)
+		e.Stop()
+		eng.Close()
+		r.hfInfected = d.F.InfectedVMs()
 	}
 
-	e.Start()
-	k.RunUntil(sim.Start.Add(dur))
-	e.Stop()
-	if g != nil {
-		g.Close()
-	}
-
-	curve := e.Curve.Downsample(120)
-	curve.Name = arm.Name
-	hfInfected := 0
-	if f != nil {
-		hfInfected = f.InfectedVMs()
-	}
-	return e5ArmResult{
-		st:           e.Stats(),
-		curve:        curve,
-		leakedPkts:   leakedPkts,
-		firstCapture: firstCapture,
-		hfInfected:   hfInfected,
-	}
+	r.st = e.Stats()
+	r.curve = e.Curve.Downsample(120)
+	r.curve.Name = arm.Name
+	return r
 }
 
 // E6Result holds detection-time measurements.
@@ -226,7 +218,7 @@ type E6Result struct{ Table *metrics.Table }
 // should scale inversely with both.
 func RunE6(seed uint64, prefixBits []int, scanRates []float64, trials int) E6Result {
 	tab := metrics.NewTable(
-		"E6: Time to first telescope hit vs monitored space and scan rate (s, mean of "+itoa(trials)+" trials)",
+		"E6: Time to first telescope hit vs monitored space and scan rate (s, mean of "+strconv.Itoa(trials)+" trials)",
 		append([]string{"prefix"}, func() []string {
 			var cols []string
 			for _, r := range scanRates {
@@ -273,7 +265,7 @@ func RunE6(seed uint64, prefixBits []int, scanRates []float64, trials int) E6Res
 	})
 	next := 0
 	for _, bits := range prefixBits {
-		row := []any{"/" + itoa(bits)}
+		row := []any{"/" + strconv.Itoa(bits)}
 		for range scanRates {
 			sum, n := 0.0, 0
 			for trial := 0; trial < trials; trial++ {
@@ -336,7 +328,6 @@ func RunE8(seed uint64, dur time.Duration) E8Result {
 
 	payloadServer := netsim.MustParseAddr("66.6.6.6")
 	for _, pol := range []gateway.Policy{gateway.PolicyReflectSource, gateway.PolicyInternalReflect} {
-		k := sim.NewKernel(seed)
 		fc := farm.DefaultConfig()
 		fc.Servers = 8
 		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
@@ -359,20 +350,18 @@ func RunE8(seed uint64, dur time.Duration) E8Result {
 				}
 			}
 		}
-		f := farm.MustNew(k, fc)
-		g := gateway.New(k, gc, f)
-		f.SetGateway(g)
+		eng, d := oneShard(ShardEngineConfig{Seed: seed, Farm: fc, Gateway: gc})
 
 		// Patient zero: the worm's first probe from outside.
 		exploit := netsim.TCPSyn(netsim.MustParseAddr("200.1.2.3"), gc.Space.Nth(99), 31337, 445, 1)
 		exploit.Flags |= netsim.FlagPSH
 		exploit.Payload = fc.Profile.ExploitPayload(0)
-		g.HandleInbound(sim.Start, exploit)
-		k.RunUntil(sim.Start.Add(dur))
-		g.Close()
+		eng.Inject(exploit)
+		eng.RunUntil(sim.Start.Add(dur))
+		eng.Close()
 
 		infected, maxDepth := 0, 0
-		f.EachInstance(func(in *guest.Instance) {
+		d.F.EachInstance(func(in *guest.Instance) {
 			if in.Infected {
 				infected++
 				if in.Generation > maxDepth {
@@ -380,7 +369,7 @@ func RunE8(seed uint64, dur time.Duration) E8Result {
 				}
 			}
 		})
-		st := g.Stats()
+		st := d.G.Stats()
 		if pol == gateway.PolicyInternalReflect {
 			res.MaxDepth = maxDepth
 		}
@@ -389,12 +378,9 @@ func RunE8(seed uint64, dur time.Duration) E8Result {
 	return res
 }
 
+// ftoa renders f to one decimal place, dropping a trailing ".0".
 func ftoa(f float64) string {
-	n := int(f)
-	if float64(n) == f {
-		return itoa(n)
-	}
-	return itoa(n) + "." + itoa(int(f*10)%10)
+	return strconv.FormatFloat(math.Round(f*10)/10, 'f', -1, 64)
 }
 
 // StandardTrace generates the default /16 telescope trace shared by

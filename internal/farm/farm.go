@@ -234,16 +234,6 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 	return f, nil
 }
 
-// MustNew is New that panics on error (experiments and tests whose
-// configs are hardcoded).
-func MustNew(k *sim.Kernel, cfg Config) *Farm {
-	f, err := New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // SetGateway wires the gateway (or sharded gateway set) guests send
 // their traffic through.
 func (f *Farm) SetGateway(g gateway.Egress) { f.gw = g }

@@ -366,7 +366,10 @@ func TestFarmBehindShardedGateway(t *testing.T) {
 	fc.Servers = 2
 	fc.HostConfig.MemoryBytes = 2 << 30
 	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
-	f := MustNew(k, fc)
+	f, err := New(k, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gc := gateway.DefaultConfig()
 	gc.IdleTimeout = 0
 	gc.Policy = gateway.PolicyInternalReflect
@@ -485,16 +488,5 @@ func TestFarmConfigValidation(t *testing.T) {
 			t.Errorf("bad config accepted: farm=%v err=%v", f, err)
 		}
 	}
-	// MustNew panics on the same bad configs.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustNew did not panic on bad config")
-			}
-		}()
-		cfg := DefaultConfig()
-		cfg.Servers = 0
-		MustNew(k, cfg)
-	}()
 	_ = vmm.DefaultHostConfig // keep import
 }

@@ -21,7 +21,10 @@ func TestRandomTrafficInvariants(t *testing.T) {
 		fc.Servers = 2
 		fc.HostConfig.MemoryBytes = 512 << 20 // small enough to hit capacity
 		fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
-		f := MustNew(k, fc)
+		f, err := New(k, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gc := gateway.DefaultConfig()
 		gc.Policy = gateway.PolicyInternalReflect
 		gc.IdleTimeout = 3 * time.Second

@@ -22,13 +22,17 @@ type chaosRun struct {
 	gwEvents []string
 }
 
-func runChaos(seed uint64) *chaosRun {
+func runChaos(t *testing.T, seed uint64) *chaosRun {
+	t.Helper()
 	k := sim.NewKernel(seed)
 	fc := farm.DefaultConfig()
 	fc.Servers = 3
 	fc.HostConfig.MemoryBytes = 512 << 20
 	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
-	f := farm.MustNew(k, fc)
+	f, err := farm.New(k, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cr := &chaosRun{f: f}
 	gc := gateway.DefaultConfig()
@@ -75,7 +79,7 @@ func runChaos(seed uint64) *chaosRun {
 // binding ledger must balance and the farm invariants must hold.
 func TestRandomFaultScheduleInvariants(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		cr := runChaos(seed)
+		cr := runChaos(t, seed)
 		if len(cr.inj.Log()) == 0 {
 			t.Fatalf("seed %d: no faults applied; test exercised nothing", seed)
 		}
@@ -108,7 +112,7 @@ func TestRandomFaultScheduleInvariants(t *testing.T) {
 // injector's applied-fault log and the gateway's full event log are
 // pure functions of the seed.
 func TestSameSeedSameFaultSequence(t *testing.T) {
-	a, b := runChaos(7), runChaos(7)
+	a, b := runChaos(t, 7), runChaos(t, 7)
 	al, bl := a.inj.Log(), b.inj.Log()
 	if len(al) != len(bl) {
 		t.Fatalf("fault logs differ in length: %d vs %d", len(al), len(bl))
@@ -128,7 +132,7 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 	}
 	// Different seeds produce different schedules (sanity: the stream is
 	// actually seeded).
-	c := runChaos(8)
+	c := runChaos(t, 8)
 	if len(c.inj.Log()) == len(al) {
 		same := true
 		for i := range al {
@@ -150,7 +154,10 @@ func TestScriptAppliesInOrder(t *testing.T) {
 	fc := farm.DefaultConfig()
 	fc.Servers = 2
 	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 1024, ResidentPages: 256, DiskBlocks: 64, Seed: 1}
-	f := farm.MustNew(k, fc)
+	f, err := farm.New(k, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj := New(k, f, Config{Script: []Action{
 		{At: time.Second, Kind: KindCrash, Server: 1, Duration: 2 * time.Second},
 		{At: 4 * time.Second, Kind: KindLinkDown, Server: -1, Duration: time.Second},

@@ -282,24 +282,3 @@ func Summarize(recs []Record) Stats {
 	}
 	return st
 }
-
-// Replayer injects a trace into a receiver over the sim kernel.
-type Replayer struct {
-	K    *sim.Kernel
-	Recs []Record
-	// Emit receives each packet at its trace time.
-	Emit func(now sim.Time, pkt *netsim.Packet)
-	// Injected counts packets delivered so far.
-	Injected int
-}
-
-// Start schedules every record on the kernel. Call before k.Run.
-func (rp *Replayer) Start() {
-	for i := range rp.Recs {
-		rec := &rp.Recs[i]
-		rp.K.At(rec.At, func(now sim.Time) {
-			rp.Injected++
-			rp.Emit(now, rec.Packet())
-		})
-	}
-}

@@ -94,11 +94,11 @@ func SummarizeSource(src Source) (Stats, error) {
 }
 
 // StreamReplayer injects a Source into a receiver over the sim kernel
-// while holding only one record in memory. Unlike Replayer (which
-// schedules every record up front), it alternates schedule-one /
-// run-to-it, so the kernel queue stays shallow. It is the hand-wired
-// reference the one-shard engine's epoch feeder is proven byte-equal
-// to (core.TestOneShardEngineMatchesHandWiredPipeline).
+// while holding only one record in memory. It alternates schedule-one /
+// run-to-it rather than scheduling every record up front, so the kernel
+// queue stays shallow. It is the hand-wired reference the one-shard
+// engine's epoch feeder is proven byte-equal to
+// (core.TestOneShardEngineMatchesHandWiredPipeline).
 type StreamReplayer struct {
 	K   *sim.Kernel
 	Src Source

@@ -261,26 +261,6 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestReplayerDeliversAtTraceTimes(t *testing.T) {
-	k := sim.NewKernel(1)
-	recs := []Record{
-		{At: sim.Start.Add(time.Second), Src: 1, Dst: 2, Proto: netsim.ProtoTCP, Flags: netsim.FlagSYN},
-		{At: sim.Start.Add(3 * time.Second), Src: 3, Dst: 4, Proto: netsim.ProtoTCP, Flags: netsim.FlagSYN},
-	}
-	var got []sim.Time
-	rp := &Replayer{K: k, Recs: recs, Emit: func(now sim.Time, pkt *netsim.Packet) {
-		got = append(got, now)
-	}}
-	rp.Start()
-	k.Run()
-	if len(got) != 2 || got[0] != recs[0].At || got[1] != recs[1].At {
-		t.Errorf("delivery times = %v", got)
-	}
-	if rp.Injected != 2 {
-		t.Errorf("Injected = %d", rp.Injected)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	recs := []Record{
 		{At: 0, Src: 1, Dst: 10},
