@@ -15,12 +15,16 @@ test:
 
 # An unformatted file fails vet: gofmt -l prints nothing on a clean tree.
 # So does a second assembly path: outside tests, internal/farm and bench/,
-# only the shard engine builds a farm (core.NewShardDomain).
+# only the shard engine builds a farm (core.NewShardDomain). So does a
+# second epoch loop: outside tests and bench/, only sim.ParallelRunner
+# defines RunEpochs (a new way to move shards' data is a sim.Transport).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'farm\.New(' -- '*.go' ':!*_test.go' ':!internal/farm' ':!bench' | grep -v '^internal/core/shardengine\.go:'); \
 		[ -z "$$out" ] || { echo "vet: farm.New outside core.NewShardDomain (build on core.NewShardEngine):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n 'func (.*) RunEpochs(' -- '*.go' ':!*_test.go' ':!bench' | grep -v '^internal/sim/parallel\.go:'); \
+		[ -z "$$out" ] || { echo "vet: an epoch loop outside sim.ParallelRunner (implement sim.Transport instead):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -37,6 +41,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecap -fuzztime=$(FUZZTIME) ./internal/gre
 	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmm
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzEpochDone -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest

@@ -18,6 +18,7 @@ import (
 	"potemkin/internal/fault"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
+	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
@@ -126,7 +127,13 @@ type runOut struct {
 // ShardEngine — the byte-equality baseline.
 func runOracle(t *testing.T, seed uint64, faults *fault.Config, extra time.Duration) runOut {
 	t.Helper()
-	cfg := testEngineConfig(seed, faults)
+	return runOracleConfig(t, testEngineConfig(seed, faults), extra)
+}
+
+// runOracleConfig is runOracle over a given scenario configuration.
+func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Duration) runOut {
+	t.Helper()
+	seed := cfg.Seed
 	cfg.Parallel = false
 	var ev, tr bytes.Buffer
 	cfg.EventLog, cfg.TraceOut = &ev, &tr
@@ -303,6 +310,90 @@ func TestClusterMatchesSequential(t *testing.T) {
 	}
 }
 
+// epochBounds is the (start, end) sequence of a run's epochs.
+type epochBounds [][2]sim.Time
+
+// TestClusterEpochGridMatchesEngine: the cluster's epochs are the
+// engine's — one runner loop over two transports — at the default
+// adaptive lookahead and on the fixed grid, and the outputs stay
+// byte-equal to the sequential oracle at both settings.
+func TestClusterEpochGridMatchesEngine(t *testing.T) {
+	const seed = 7
+	for _, adaptive := range []int{64, 1} {
+		t.Run(fmt.Sprintf("adaptive=%d", adaptive), func(t *testing.T) {
+			cfg := testEngineConfig(seed, nil)
+			cfg.AdaptiveEpochs = adaptive
+			var timeline bytes.Buffer
+			cfg.EpochLog = &timeline
+			oracle := runOracleConfig(t, cfg, 2*time.Second)
+			samples, err := metrics.ReadEpochs(&timeline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want epochBounds
+			for _, s := range samples {
+				want = append(want, [2]sim.Time{sim.Time(s.StartNS), sim.Time(s.EndNS)})
+			}
+
+			var got epochBounds
+			h := startCluster(t, seed, nil, 2, 0, func(c *Config) {
+				c.Engine.AdaptiveEpochs = adaptive
+				c.OnEpoch = func(_ uint64, start, end sim.Time) { got = append(got, [2]sim.Time{start, end}) }
+			})
+			out, err := h.drive(t, seed, 2*time.Second)
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			h.shutdown(t)
+			compareRuns(t, oracle, out, "cluster vs sequential")
+			if len(want) == 0 {
+				t.Fatal("the engine ran no epochs")
+			}
+			if !reflect.DeepEqual(want, got) {
+				i := 0
+				for i < len(want) && i < len(got) && want[i] == got[i] {
+					i++
+				}
+				t.Errorf("cluster ran %d epochs, the engine %d; they part at epoch %d", len(got), len(want), i)
+			}
+		})
+	}
+}
+
+// TestClusterKillWorkerRecoveryWidened is TestClusterKillWorkerRecovery
+// at adaptive lookahead, checking that the restored shards' logs held
+// widened epochs: a checkpoint replays whatever grid the runner chose.
+func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
+	const seed = 17
+	faults := killFaults(300*time.Millisecond, 0)
+	oracle := runOracle(t, seed, faults, time.Second)
+
+	h := startCluster(t, seed, faults, 2, 1, func(c *Config) { c.Engine.AdaptiveEpochs = 64 })
+	got, err := h.drive(t, seed, time.Second)
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	// The shard logs only grow, so the epochs logged before the kill are
+	// the ones the standby replayed.
+	widened := 0
+	for _, s := range h.c.shardsOf(0) {
+		for _, ep := range h.c.logs[s].epochs {
+			if ep.End-ep.Start > sim.Time(h.c.lookahead) && ep.End <= sim.Time(300*time.Millisecond) {
+				widened++
+			}
+		}
+	}
+	h.shutdown(t)
+
+	compareRuns(t, oracle, got, "cluster-with-kill vs sequential")
+	if h.c.Recoveries() < 1 {
+		t.Fatalf("expected at least one recovery, got %d", h.c.Recoveries())
+	}
+	if widened == 0 {
+		t.Fatal("no logged epoch before the kill spans more than one lookahead cell; nothing widened was restored")
+	}
+}
+
 // chaosFaults is a fault schedule touching every injector path:
 // scripted crash/recovery, clone failure and latency windows, a link
 // cut, and Poisson background crashes.
@@ -469,9 +560,10 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 		Logf:              t.Logf,
 	}
 	// SIGKILL worker 0's process mid-run, from the epoch dispatch hook
-	// so the kill always lands while epochs are in flight.
+	// so the kill always lands while epochs are in flight: at the first
+	// epoch opening 150 ms into the run, wherever the grid puts it.
 	cfg.OnEpoch = func(seq uint64, start, end sim.Time) {
-		if seq == 150 {
+		if start >= sim.Time(150*time.Millisecond) {
 			killOnce.Do(func() {
 				if victim != nil && victim.Process != nil {
 					t.Logf("SIGKILL worker process pid %d at epoch %d", victim.Process.Pid, seq)

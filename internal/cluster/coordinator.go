@@ -142,8 +142,10 @@ type wevent struct {
 	err error
 }
 
-// Coordinator runs the epoch barrier over remote workers. It implements
-// sim.Barrier; all methods are for a single driver goroutine.
+// Coordinator is the cluster's sim.Transport: it carries each epoch's
+// inputs to the workers and their outboxes back, under the same
+// sim.ParallelRunner loop the in-process engine runs. All methods are
+// for a single driver goroutine.
 type Coordinator struct {
 	cfg       Config
 	shards    int
@@ -161,22 +163,26 @@ type Coordinator struct {
 
 	assigned []*wconn
 	logs     []*shardLog
-	now      sim.Time
 	base     sim.Time
 	seq      uint64
-	ready    bool
+	runner   *sim.ParallelRunner // drives the epochs over c; nil until WaitReady
 
-	beforeEpoch func(start, end sim.Time)
-	curInputs   [][]byte // live only inside the beforeEpoch hook
+	pendingCross []outboxEntry // decoded-valid, delivered at the next barrier
 
-	pendingCross  []outboxEntry    // decoded-valid, delivered at the next barrier
-	pendingInject []*netsim.Packet // queued by Inject, delivered at the next barrier
+	// inputs holds each shard's encoded inputs for the epoch about to
+	// open (cross-shard packets, injected ones, records), shipped and
+	// logged by Advance; inputsNext is the earliest time in them. next is
+	// each shard's earliest pending event as its worker last reported it.
+	inputs     [][]byte
+	inputsNext sim.Time
+	next       []sim.Time
 
 	// In-flight epoch state.
-	curStart, curEnd sim.Time
-	curShardInputs   [][]byte
-	donePending      map[int]bool
-	doneOutbox       []outboxEntry
+	curEnd      sim.Time
+	donePending map[int]bool
+	doneOutbox  []outboxEntry
+	dispatched  time.Time
+	advanceNS   []int64
 
 	err        error
 	recoveries int
@@ -184,15 +190,14 @@ type Coordinator struct {
 	closed     bool
 
 	// Telemetry. reg/prof come from Engine.Metrics / Engine.EpochLog;
-	// the profiler times each epoch with workers in the shard role. The
+	// the runner profiles each epoch with workers in the shard role. The
 	// pub* atomics and the published worker list are the driver's health
 	// mirror, refreshed at epoch boundaries and recovery events so the
 	// HTTP endpoints never read driver-owned state.
 	reg           *metrics.Registry
 	prof          *metrics.EpochProfiler
-	epochT0       time.Time
-	epochDoneNS   []int64
-	epochInBytes  int64
+	epochIngress  int
+	epochBytes    int64
 	pubSeq        atomic.Uint64
 	pubNow        atomic.Int64
 	pubRecoveries atomic.Int64
@@ -210,10 +215,8 @@ type workerRef struct {
 // New builds a coordinator (call Start to listen).
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
+	cfg.Engine = cfg.Engine.Normalized()
 	ecfg := cfg.Engine
-	if ecfg.Lookahead <= 0 {
-		ecfg.Lookahead = time.Millisecond
-	}
 	var errs []error
 	if err := ecfg.Validate(); err != nil {
 		errs = append(errs, err)
@@ -232,6 +235,9 @@ func New(cfg Config) (*Coordinator, error) {
 		hash:       configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, ecfg.Lookahead),
 		events:     make(chan wevent, 1024),
 		standbySig: make(chan struct{}, 1),
+		inputs:     make([][]byte, ecfg.Shards),
+		inputsNext: sim.End,
+		next:       make([]sim.Time, ecfg.Shards),
 	}
 	c.workers = cfg.Workers
 	if c.workers > c.shards {
@@ -240,8 +246,9 @@ func New(cfg Config) (*Coordinator, error) {
 	c.reg = ecfg.Metrics
 	if c.reg != nil || ecfg.EpochLog != nil {
 		c.prof = metrics.NewEpochProfiler(c.reg, ecfg.EpochLog)
-		c.epochDoneNS = make([]int64, c.workers)
 	}
+	c.donePending = make(map[int]bool, c.workers)
+	c.advanceNS = make([]int64, c.workers)
 	c.assigned = make([]*wconn, c.workers)
 	c.logs = make([]*shardLog, c.shards)
 	for i := range c.logs {
@@ -425,7 +432,7 @@ func (c *Coordinator) markDead(w *wconn, reason string) {
 		c.assigned[w.id] = nil
 		if !c.closed { // deliberate shutdown is not a crash
 			c.recoveryf("epoch=%d t=%s event=crash-detected worker=%d name=%q shards=%v reason=%q",
-				c.seq, c.now, w.id, w.name, c.shardsOf(w.id), reason)
+				c.seq, c.now(), w.id, w.name, c.shardsOf(w.id), reason)
 		}
 	}
 }
@@ -474,36 +481,28 @@ func (c *Coordinator) processEvent(ev wevent) (frame, bool) {
 	return ev.fr, true
 }
 
-// handleEpochDone records a worker's epoch completion and validates its
-// outbox (a malformed outbox is a protocol violation, treated as death).
+// handleEpochDone records a worker's epoch completion: its outbox and
+// its shards' next events (a report decodeEpochDone rejects is a
+// protocol violation, treated as death).
 func (c *Coordinator) handleEpochDone(w *wconn, payload []byte) {
 	if w.id < 0 || c.assigned[w.id] != w || !c.donePending[w.id] {
 		return // stale completion from a retired epoch or connection
 	}
-	var m epochDoneMsg
-	if err := unmarshal(payload, &m); err != nil {
+	owned := c.shardsOf(w.id)
+	m, err := decodeEpochDone(payload, c.shards, owned, c.curEnd)
+	if err != nil {
 		c.markDead(w, "bad epoch-done: "+err.Error())
 		return
 	}
 	if m.Seq != c.seq {
 		return
 	}
-	for _, e := range m.Outbox {
-		if e.Dst < 0 || e.Dst >= c.shards || e.At < c.curEnd {
-			c.markDead(w, fmt.Sprintf("outbox entry dst=%d at=%v violates barrier (epoch end %v)", e.Dst, e.At, c.curEnd))
-			return
-		}
-		br := &byteReader{b: e.Pkt}
-		if _, err := decodePacket(br); err != nil || !br.done() {
-			c.markDead(w, "undecodable outbox packet")
-			return
-		}
-	}
 	c.doneOutbox = append(c.doneOutbox, m.Outbox...)
-	delete(c.donePending, w.id)
-	if c.prof != nil && w.id < len(c.epochDoneNS) {
-		c.epochDoneNS[w.id] = time.Since(c.epochT0).Nanoseconds()
+	for i, s := range owned {
+		c.next[s] = m.Next[i]
 	}
+	delete(c.donePending, w.id)
+	c.advanceNS[w.id] = time.Since(c.dispatched).Nanoseconds()
 }
 
 // awaitFrom waits for a specific frame type from a specific worker,
@@ -572,8 +571,9 @@ func (c *Coordinator) waitStandby(deadline time.Time) *wconn {
 }
 
 // WaitReady blocks until every worker slot is assigned, warmed up, and
-// aligned on a common base clock; the run may then be driven through
-// the Barrier methods. The timeout falls back to Config.AcceptTimeout.
+// aligned on a common base clock, then builds the epoch runner; the run
+// may then be driven through Inject, Replay and RunFor. The timeout
+// falls back to Config.AcceptTimeout.
 func (c *Coordinator) WaitReady(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = c.cfg.AcceptTimeout
@@ -645,146 +645,150 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 			c.fail(err)
 			return err
 		}
-		if _, err := c.awaitFrom(w, msgReady, deadline); err != nil {
+		fr, err := c.awaitFrom(w, msgReady, deadline)
+		var m readyMsg
+		if err == nil {
+			err = errors.Join(unmarshal(fr.payload, &m), checkNext(m.Next, c.shardsOf(id), c.base))
+		}
+		if err != nil {
 			c.fail(err)
 			return err
 		}
+		for i, s := range c.shardsOf(id) {
+			c.next[s] = m.Next[i]
+		}
 	}
-	c.now = c.base
 	for _, l := range c.logs {
 		l.through = c.base
 	}
-	c.ready = true
+	c.runner = sim.NewRunner(c, c.base, c.lookahead)
+	c.runner.SetAdaptive(c.cfg.Engine.AdaptiveEpochs)
+	if c.prof != nil {
+		c.runner.SetEpochObserver(func(s sim.EpochStats) {
+			c.prof.Record(core.EpochSample(s, c.epochIngress, c.epochBytes))
+			c.epochIngress = 0
+		})
+	}
 	c.publishHealth()
 	c.logf("cluster: %d workers ready, %d shards, base clock %v", c.workers, c.shards, c.base)
 	return nil
 }
 
-// Barrier interface.
-
-// Now returns the barrier clock.
-func (c *Coordinator) Now() sim.Time { return c.now }
-
-// Lookahead returns the epoch length.
-func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
-
-// SetBeforeEpoch installs the single-threaded pre-epoch hook (replay
-// feeders schedule through it via ScheduleRecord).
-func (c *Coordinator) SetBeforeEpoch(fn func(start, end sim.Time)) { c.beforeEpoch = fn }
-
-// RunUntil advances every worker to deadline in epochs of at most the
-// lookahead. On worker death it recovers onto a standby; if recovery is
-// impossible it stops advancing and records the terminal error (Err).
-func (c *Coordinator) RunUntil(deadline sim.Time) { c.RunEpochs(deadline, nil) }
-
-// RunEpochs advances like RunUntil but consults stop (when non-nil)
-// after each committed epoch and returns once it reports true. The
-// cluster keeps fixed lookahead-sized epochs — every skipped barrier an
-// adaptive in-process run proves empty is an epoch the fixed schedule
-// executes as a no-op, so the merged output stays byte-identical either
-// way.
-func (c *Coordinator) RunEpochs(deadline sim.Time, stop func() bool) {
-	if !c.ready {
-		c.fail(errors.New("cluster: RunUntil before WaitReady"))
-		return
+// now is the barrier clock: the aligned base until the runner exists.
+func (c *Coordinator) now() sim.Time {
+	if c.runner == nil {
+		return c.base
 	}
-	for c.err == nil && c.now < deadline {
-		end := c.now.Add(c.lookahead)
-		if end > deadline {
-			end = deadline
-		}
-		if !c.runEpoch(c.now, end) {
-			return
-		}
-		c.now = end
-		if stop != nil && stop() {
-			return
-		}
+	return c.runner.Now()
+}
+
+// started reports whether WaitReady has built the runner; driving the
+// cluster before that is recorded as the terminal error.
+func (c *Coordinator) started() bool {
+	if c.runner == nil {
+		c.fail(errors.New("cluster: run before WaitReady"))
+		return false
+	}
+	return true
+}
+
+// RunFor advances every worker by d. On worker death it recovers onto a
+// standby; if recovery is impossible it stops advancing and records the
+// terminal error (Err).
+func (c *Coordinator) RunFor(d time.Duration) {
+	if c.started() {
+		c.runner.RunFor(d)
 	}
 }
 
-// RunFor is RunUntil(Now()+d).
-func (c *Coordinator) RunFor(d time.Duration) { c.RunUntil(c.now.Add(d)) }
-
-// ScheduleRecord routes a telescope record to its owning shard for the
-// epoch being opened. Only valid inside the pre-epoch hook (Replay
-// wires it up).
-func (c *Coordinator) ScheduleRecord(at sim.Time, rec telescope.Record) {
-	if c.curInputs == nil {
-		panic("cluster: ScheduleRecord outside the pre-epoch hook")
-	}
+// scheduleRecord routes a telescope record to its owning shard's inputs
+// for the epoch being opened (Replay's pre-epoch hook).
+func (c *Coordinator) scheduleRecord(at sim.Time, rec telescope.Record) {
 	s := core.OwnerOf(c.space, c.shards, rec.Dst)
-	c.curInputs[s] = appendRecord(c.curInputs[s], at, rec)
+	c.inputs[s] = appendRecord(c.inputs[s], at, rec)
+	c.epochIngress++
 }
 
-// Inject queues pkt for delivery to its owning shard at the opening
-// barrier of the next epoch, ahead of cross-shard deliveries and
-// freshly fed records. ShardEngine.InjectBarrier is the single-process
-// equivalent with identical event ordering — use that as the oracle
-// when comparing runs. Call between runs (driver goroutine).
+// Inject schedules pkt for delivery to its owning shard at the barrier
+// clock, through the opening barrier of the next epoch: behind the
+// cross-shard deliveries already due there, ahead of freshly fed
+// records. ShardEngine.InjectBarrier is the single-process equivalent
+// with identical event ordering — use that as the oracle when comparing
+// runs. Call between runs, after WaitReady (driver goroutine).
 func (c *Coordinator) Inject(pkt *netsim.Packet) {
-	c.pendingInject = append(c.pendingInject, pkt)
+	if c.started() {
+		now := c.runner.Now()
+		s := core.OwnerOf(c.space, c.shards, pkt.Dst)
+		c.inputs[s] = appendCross(c.inputs[s], now, pkt)
+		c.inputsNext = min(c.inputsNext, now)
+	}
 }
 
 // Replay streams src through the cluster with the exact semantics of
 // ShardEngine.Replay. Returns packets injected and the first error
 // (source error, or the coordinator's terminal error).
 func (c *Coordinator) Replay(src telescope.Source, halt func() bool, epilogue time.Duration) (int, error) {
-	n, err := core.ReplayOver(c, src, halt, epilogue, c.ScheduleRecord)
+	if !c.started() {
+		return 0, c.err
+	}
+	n, err := core.ReplayOver(c.runner, src, halt, epilogue, c.scheduleRecord)
 	if err == nil {
 		err = c.err
 	}
 	return n, err
 }
 
-// runEpoch drives one epoch [start, end): deliver pending cross-shard
-// packets and freshly fed records at the opening barrier, run every
-// worker, collect outboxes, commit the epoch to the shard logs. False
-// means the run degraded.
-func (c *Coordinator) runEpoch(start, end sim.Time) bool {
+// Exchange stages the cross-shard outboxes the last epoch returned as
+// inputs of the epoch about to open and returns how many packets it
+// staged (sim.Transport).
+func (c *Coordinator) Exchange() int {
+	n := len(c.pendingCross)
+	for _, e := range c.pendingCross {
+		c.inputs[e.Dst] = appendCrossRaw(c.inputs[e.Dst], e.At, e.Pkt)
+		c.inputsNext = min(c.inputsNext, e.At)
+	}
+	c.pendingCross = c.pendingCross[:0]
+	return n
+}
+
+// NextEvent is the earliest of the staged inputs and every shard's next
+// event as its worker last reported it (sim.Transport).
+func (c *Coordinator) NextEvent() sim.Time {
+	h := c.inputsNext
+	for _, t := range c.next {
+		h = min(h, t)
+	}
+	return h
+}
+
+// Advance runs the epoch [Now, end) on every worker (sim.Transport),
+// recovering a dead one onto a standby, then logs the inputs and keeps
+// the outboxes for the next Exchange. It returns each worker's
+// dispatch-to-done wall time, or false once the run has degraded (Err).
+func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
+	if c.err != nil {
+		return nil, false
+	}
+	start := c.runner.Now()
 	if c.cfg.OnEpoch != nil {
 		c.cfg.OnEpoch(c.seq, start, end)
-	}
-	if c.prof != nil {
-		c.epochT0 = time.Now()
-		for i := range c.epochDoneNS {
-			c.epochDoneNS[i] = 0
-		}
 	}
 	// Fill worker slots emptied by deaths noticed between epochs.
 	for id := 0; id < c.workers; id++ {
 		if c.assigned[id] == nil {
 			if !c.recover(id, false) {
-				return false
+				return nil, false
 			}
 		}
 	}
 
-	inputs := make([][]byte, c.shards)
-	for _, pkt := range c.pendingInject {
-		s := core.OwnerOf(c.space, c.shards, pkt.Dst)
-		inputs[s] = appendCross(inputs[s], start, pkt)
-	}
-	c.pendingInject = nil
-	for _, e := range c.pendingCross {
-		inputs[e.Dst] = appendCrossRaw(inputs[e.Dst], e.At, e.Pkt)
-	}
-	c.pendingCross = nil
-	if c.beforeEpoch != nil {
-		c.curInputs = inputs
-		c.beforeEpoch(start, end)
-		c.curInputs = nil
-	}
-
-	c.curStart, c.curEnd, c.curShardInputs = start, end, inputs
-	c.donePending = make(map[int]bool, c.workers)
+	c.curEnd = end
 	c.doneOutbox = c.doneOutbox[:0]
-	if c.prof != nil {
-		c.epochInBytes = 0
-		for _, in := range inputs {
-			c.epochInBytes += int64(len(in))
-		}
+	c.epochBytes = 0
+	for _, in := range c.inputs {
+		c.epochBytes += int64(len(in))
 	}
+	c.dispatched = time.Now()
 	for id := 0; id < c.workers; id++ {
 		c.donePending[id] = true
 		c.sendEpoch(id)
@@ -797,7 +801,7 @@ func (c *Coordinator) runEpoch(start, end sim.Time) bool {
 		for id := range c.donePending {
 			if c.assigned[id] == nil {
 				if !c.recover(id, true) {
-					return false
+					return nil, false
 				}
 			}
 		}
@@ -814,53 +818,20 @@ func (c *Coordinator) runEpoch(start, end sim.Time) bool {
 		c.processEvent(ev)
 	}
 
-	for s := range inputs {
-		c.logs[s].commit(start, end, inputs[s])
+	for s, in := range c.inputs {
+		c.logs[s].commit(start, end, in)
+		c.inputs[s] = nil // the log owns it now
 	}
+	c.inputsNext = sim.End
 	// Stable sort restores the global (source shard, send order)
 	// delivery order the in-process runner's exchange produces: each
 	// worker reports its outbox grouped by source shard in send order,
 	// and source shards are disjoint across workers.
 	sort.SliceStable(c.doneOutbox, func(i, j int) bool { return c.doneOutbox[i].Src < c.doneOutbox[j].Src })
-	c.pendingCross = append([]outboxEntry(nil), c.doneOutbox...)
-	c.curShardInputs = nil
+	c.pendingCross, c.doneOutbox = c.doneOutbox, c.pendingCross
 	c.seq++
-	if c.prof != nil {
-		c.recordEpoch(start, end, len(c.doneOutbox))
-	}
 	c.publishHealth()
-	return true
-}
-
-// recordEpoch folds the finished epoch into the profiler, workers in
-// the shard role: AdvanceNS[i] is worker i's dispatch-to-completion
-// wall time, barrier wait the idle tail behind the slowest worker, and
-// ExchangeBytes the encoded epoch-input payloads shipped.
-func (c *Coordinator) recordEpoch(start, end sim.Time, outMsgs int) {
-	wall := time.Since(c.epochT0).Nanoseconds()
-	adv := append([]int64(nil), c.epochDoneNS...)
-	var maxAdv int64
-	slowest := 0
-	for i, ns := range adv {
-		if ns > maxAdv {
-			maxAdv, slowest = ns, i
-		}
-	}
-	wait := make([]int64, len(adv))
-	for i, ns := range adv {
-		wait[i] = maxAdv - ns
-	}
-	c.prof.Record(metrics.EpochSample{
-		Seq:     c.seq, // 1-based: runEpoch already advanced it
-		StartNS: int64(start), EndNS: int64(end),
-		WallNS:        wall,
-		ExchangeNS:    wall - maxAdv, // input encode/ship + outbox merge around the advances
-		ExchangeMsgs:  outMsgs,
-		ExchangeBytes: c.epochInBytes,
-		AdvanceNS:     adv,
-		BarrierWaitNS: wait,
-		SlowestShard:  slowest,
-	})
+	return c.advanceNS, true
 }
 
 // publishHealth refreshes the atomic mirror the HTTP /cluster endpoint
@@ -868,7 +839,7 @@ func (c *Coordinator) recordEpoch(start, end sim.Time, outMsgs int) {
 // goroutine only; called at every epoch boundary and recovery.
 func (c *Coordinator) publishHealth() {
 	c.pubSeq.Store(c.seq)
-	c.pubNow.Store(int64(c.now))
+	c.pubNow.Store(int64(c.now()))
 	c.pubRecoveries.Store(int64(c.recoveries))
 	c.pubDegraded.Store(c.err != nil)
 	refs := make([]workerRef, c.workers)
@@ -881,7 +852,7 @@ func (c *Coordinator) publishHealth() {
 	c.pubWorkers.Store(&refs)
 }
 
-// sendEpoch ships the current epoch to worker id (its shards' inputs
+// sendEpoch ships the in-flight epoch to worker id (its shards' inputs
 // only). A write failure marks the connection dead; the await loop
 // recovers it.
 func (c *Coordinator) sendEpoch(id int) {
@@ -889,10 +860,10 @@ func (c *Coordinator) sendEpoch(id int) {
 	if w == nil {
 		return
 	}
-	msg := epochMsg{Seq: c.seq, Start: c.curStart, End: c.curEnd}
+	msg := epochMsg{Seq: c.seq, Start: c.runner.Now(), End: c.curEnd}
 	for _, s := range c.shardsOf(id) {
-		if len(c.curShardInputs[s]) > 0 {
-			msg.Inputs = append(msg.Inputs, shardInputs{Shard: s, Inputs: c.curShardInputs[s]})
+		if len(c.inputs[s]) > 0 {
+			msg.Inputs = append(msg.Inputs, shardInputs{Shard: s, Inputs: c.inputs[s]})
 		}
 	}
 	if err := w.send(msgEpoch, msg); err != nil {
@@ -915,7 +886,7 @@ func (c *Coordinator) recover(id int, resend bool) bool {
 		cks[i] = ck.Encode()
 	}
 	c.recoveryf("epoch=%d t=%s event=restore-begin worker=%d shards=%v logged_epochs=%d resend=%v",
-		c.seq, c.now, id, shards, epochs, resend)
+		c.seq, c.now(), id, shards, epochs, resend)
 
 	deadline := time.Now().Add(c.cfg.RecoveryWait)
 	for {
@@ -943,7 +914,7 @@ func (c *Coordinator) recover(id int, resend bool) bool {
 			c.assigned[id] = nil
 			continue
 		}
-		c.recoveryf("epoch=%d t=%s event=restore-done worker=%d name=%q", c.seq, c.now, id, w.name)
+		c.recoveryf("epoch=%d t=%s event=restore-done worker=%d name=%q", c.seq, c.now(), id, w.name)
 		c.publishHealth()
 		if resend {
 			c.sendEpoch(id)
@@ -966,7 +937,7 @@ func (c *Coordinator) Checkpoints() []*Checkpoint {
 // a degraded run it returns whatever the surviving workers report,
 // alongside Err's terminal error.
 func (c *Coordinator) Results() (*Results, error) {
-	res := &Results{Now: c.now, Recoveries: c.recoveries}
+	res := &Results{Now: c.now(), Recoveries: c.recoveries}
 	perShard := make([]*shardResult, c.shards)
 	for id := 0; id < c.workers; id++ {
 		w := c.assigned[id]
@@ -1064,10 +1035,6 @@ func (c *Coordinator) Close() error {
 	}
 	return nil
 }
-
-// Profiler exposes the coordinator's epoch profiler (nil without
-// Engine.Metrics / Engine.EpochLog).
-func (c *Coordinator) Profiler() *metrics.EpochProfiler { return c.prof }
 
 // MetricsText renders the farm-wide metric view in the Prometheus text
 // exposition format: the coordinator's own registry (epoch_* series)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +15,10 @@ import (
 	"potemkin/internal/vmm"
 )
 
-// filterSim drops the wall-clock epoch_* profiler series so snapshots
-// can be compared across execution modes.
+// filterSim drops the epoch_* profiler series so snapshots can be
+// compared across execution modes: their timings are wall-clock, and a
+// cluster's are the coordinator's, not the workers' (its counters are
+// checked by TestClusterEpochProfileMatchesEngine).
 func filterSim(pts []metrics.Point) []metrics.Point {
 	var out []metrics.Point
 	for _, p := range pts {
@@ -159,6 +162,57 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	s := samples[0]
 	if len(s.AdvanceNS) != 2 || len(s.BarrierWaitNS) != 2 {
 		t.Errorf("per-worker arrays not 2-wide: %+v", s)
+	}
+}
+
+// TestClusterEpochProfileMatchesEngine: the deterministic half of the
+// epoch profile — how many epochs ran, how many cross-shard messages
+// entered them, how many records were fed into them — reads the same
+// from the coordinator's registry as from the in-process parallel
+// engine's, because both come from one runner loop.
+func TestClusterEpochProfileMatchesEngine(t *testing.T) {
+	const seed = 23
+	counters := func(reg *metrics.Registry) map[string]int64 {
+		out := map[string]int64{}
+		for _, p := range reg.Snapshot() {
+			switch p.Name {
+			case "epochs_total", "epoch_exchange_msgs_total", "epoch_ingress_frames_total":
+				out[p.Name] = p.Value
+			}
+		}
+		return out
+	}
+
+	cfg := testEngineConfig(seed, nil)
+	engReg := metrics.NewRegistry()
+	cfg.Metrics = engReg
+	eng, err := core.NewShardEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewShardEngine: %v", err)
+	}
+	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
+		eng.InjectBarrier(pkt)
+	}
+	if _, err := eng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond); err != nil {
+		t.Fatalf("engine replay: %v", err)
+	}
+	eng.RunFor(time.Second)
+	eng.Close()
+	want := counters(engReg)
+
+	clusterReg := metrics.NewRegistry()
+	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = clusterReg })
+	if _, err := h.drive(t, seed, time.Second); err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	h.shutdown(t)
+	got := counters(clusterReg)
+
+	if len(want) != 3 || want["epoch_exchange_msgs_total"] == 0 || want["epoch_ingress_frames_total"] == 0 {
+		t.Fatalf("vacuous engine profile: %v", want)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("epoch profile differs:\nengine  %v\ncluster %v", want, got)
 	}
 }
 

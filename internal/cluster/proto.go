@@ -1,10 +1,10 @@
 // Package cluster distributes core.ShardEngine domains across worker
-// processes under a coordinator that runs the conservative epoch
-// barrier over TCP. The coordinator implements sim.Barrier, so replay
-// drivers and experiment code run unchanged whether the shards live on
-// goroutines (sim.ParallelRunner) or in other processes; with the same
-// configuration and seed the merged stats, event log, and trace bytes
-// are identical to a single-process sequential run.
+// processes. The coordinator is a sim.Transport over TCP: the epoch loop
+// is the same sim.ParallelRunner the in-process engine runs, so epoch
+// bounds, adaptive widening and replay feeding are one code path
+// whether the shards live on goroutines or in other processes; with the
+// same configuration and seed the merged stats, event log, and trace
+// bytes are identical to a single-process sequential run.
 //
 // Robustness is the point of the package: every worker connection
 // carries heartbeats with deadlines, dial/handshake retries with
@@ -19,10 +19,12 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"potemkin/internal/farm"
@@ -39,8 +41,10 @@ import (
 // worker heartbeats carry a registry snapshot and results frames carry
 // the final one, feeding the coordinator's farm-wide /metrics. v3
 // extends replay-record inputs with payload content so scenario
-// exploit packets cross the cluster boundary losslessly.
-const ProtoVersion = 3
+// exploit packets cross the cluster boundary losslessly. v4 adds each
+// owned shard's next pending event to ready and epoch-done, the horizon
+// the coordinator's runner widens epochs against.
+const ProtoVersion = 4
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -191,7 +195,9 @@ type alignMsg struct {
 	Base sim.Time
 }
 
-type readyMsg struct{}
+type readyMsg struct {
+	Next []sim.Time // per owned shard, its earliest pending event once aligned or restored
+}
 
 type epochMsg struct {
 	Seq    uint64
@@ -208,6 +214,42 @@ type shardInputs struct {
 type epochDoneMsg struct {
 	Seq    uint64
 	Outbox []outboxEntry
+	Next   []sim.Time // per owned shard, its earliest pending event after the epoch
+}
+
+// decodeEpochDone parses the epoch-done payload of the worker owning
+// owned, for the epoch ending at end. Any outbox entry from a shard it
+// does not own, to no shard, due before end or with a packet that does
+// not decode exactly is an error, as is a bad next-event report.
+func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epochDoneMsg, error) {
+	var m epochDoneMsg
+	if err := unmarshal(payload, &m); err != nil {
+		return m, err
+	}
+	for _, e := range m.Outbox {
+		if !slices.Contains(owned, e.Src) || e.Dst < 0 || e.Dst >= shards || e.At < end {
+			return m, fmt.Errorf("outbox entry src=%d dst=%d at=%v violates barrier (epoch end %v)", e.Src, e.Dst, e.At, end)
+		}
+		br := &byteReader{b: e.Pkt}
+		if _, err := decodePacket(br); err != nil || !br.done() {
+			return m, errors.New("undecodable outbox packet")
+		}
+	}
+	return m, checkNext(m.Next, owned, end)
+}
+
+// checkNext validates a next-event report at barrier end: one time per
+// owned shard, none negative or before the barrier.
+func checkNext(next []sim.Time, owned []int, end sim.Time) error {
+	if len(next) != len(owned) {
+		return fmt.Errorf("%d next-event times for %d owned shards", len(next), len(owned))
+	}
+	for i, at := range next {
+		if at < 0 || at < end {
+			return fmt.Errorf("shard %d next event at %v is before the barrier at %v", owned[i], at, end)
+		}
+	}
+	return nil
 }
 
 // heartbeatMsg is the worker->coordinator heartbeat payload: the last

@@ -116,10 +116,7 @@ type worker struct {
 // transport or protocol error otherwise.
 func RunWorker(cfg WorkerConfig) error {
 	cfg = cfg.withDefaults()
-	ecfg := cfg.Engine
-	if ecfg.Lookahead <= 0 {
-		ecfg.Lookahead = time.Millisecond
-	}
+	ecfg := cfg.Engine.Normalized()
 	if err := ecfg.Validate(); err != nil {
 		return err
 	}
@@ -352,7 +349,22 @@ func (w *worker) handleAlign(payload []byte) error {
 		w.domains[s].K.RunUntil(m.Base)
 	}
 	w.armFaults(true)
-	return w.cn.send(msgReady, readyMsg{})
+	return w.cn.send(msgReady, readyMsg{Next: w.nextEvents()})
+}
+
+// nextEvents reports each owned shard's earliest pending event, in
+// assignment order: the horizon the coordinator's runner widens the
+// next epoch against.
+func (w *worker) nextEvents() []sim.Time {
+	next := make([]sim.Time, len(w.shards))
+	for i, s := range w.shards {
+		at, ok := w.domains[s].K.NextEvent()
+		if !ok {
+			at = sim.End
+		}
+		next[i] = at
+	}
+	return next
 }
 
 // handleRestore adopts a crashed worker's shards: rebuild the domains
@@ -401,7 +413,7 @@ func (w *worker) handleRestore(payload []byte) error {
 		d.K.RunUntil(ck.Through)
 		w.logf("cluster: restored shard %d through %v (%d logged epochs)", s, ck.Through, len(ck.Epochs))
 	}
-	return w.cn.send(msgReady, readyMsg{})
+	return w.cn.send(msgReady, readyMsg{Next: w.nextEvents()})
 }
 
 // scheduleInputs schedules decoded barrier inputs on a domain's kernel
@@ -446,7 +458,7 @@ func (w *worker) handleEpoch(payload []byte) error {
 		return err
 	}
 	w.view.PublishDue(m.End)
-	reply := epochDoneMsg{Seq: m.Seq}
+	reply := epochDoneMsg{Seq: m.Seq, Next: w.nextEvents()}
 	for _, s := range w.shards {
 		slot := w.outbox[s]
 		reply.Outbox = append(reply.Outbox, *slot...)

@@ -1,8 +1,8 @@
 package core
 
-// Replay feeding, factored out of the shard engine so any sim.Barrier
-// implementation — the in-process parallel runner or the cluster
-// coordinator — replays a telescope source with byte-identical
+// Replay feeding, factored out of the shard engine so every epoch
+// runner — the engine's over its kernels, the cluster coordinator's
+// over its workers — replays a telescope source with byte-identical
 // semantics: records are batched one epoch ahead (bounded memory),
 // out-of-order records clamp forward, and the run extends past the last
 // record by an epilogue.
@@ -114,24 +114,24 @@ func (f *ReplayFeeder) Last() sim.Time { return f.last }
 // the adaptive-lookahead cell cap for widening to pay off.
 const replayStrideEpochs = 256
 
-// ReplayOver streams src into any barrier-driven executor: schedule is
-// called single-threaded from the pre-epoch hook for every record
-// falling inside the upcoming epoch, in trace order; then the epoch
-// runs. After the last record the run extends by epilogue past the
-// final record time. Returns the number of records scheduled and the
-// first source error.
+// ReplayOver streams src through an epoch runner: schedule is called
+// single-threaded from the pre-epoch hook for every record falling
+// inside the upcoming epoch, in trace order; then the epoch runs. After
+// the last record the run extends by epilogue past the final record
+// time. Returns the number of records scheduled and the first source
+// error.
 //
-// When the barrier supports adaptive lookahead (the in-process runner),
-// the feeder's read-ahead is installed as the injection horizon so
-// quiet stretches of the trace pay one barrier per widened window
-// instead of one per lookahead cell. For time-sorted sources — which is
-// what telescope.Generate and every capture-order pcap produce — the
-// widened run is byte-identical to fixed lookahead: a record never
-// clamps, so epoch bounds cannot influence record times. An unsorted
+// The feeder's read-ahead is installed as the runner's injection
+// horizon, so under adaptive lookahead quiet stretches of the trace pay
+// one barrier per widened window instead of one per lookahead cell. For
+// time-sorted sources — which is what telescope.Generate and every
+// capture-order pcap produce — the widened run is byte-identical to
+// fixed lookahead: a record never clamps, so epoch bounds cannot
+// influence record times. An unsorted
 // source still replays deterministically per mode, but its forward
 // clamps depend on the epoch grid, so only fixed lookahead reproduces
 // the historical fixed-epoch bytes for it.
-func ReplayOver(b sim.Barrier, src telescope.Source, halt func() bool, epilogue time.Duration,
+func ReplayOver(b *sim.ParallelRunner, src telescope.Source, halt func() bool, epilogue time.Duration,
 	schedule func(at sim.Time, rec telescope.Record)) (int, error) {
 	f := NewReplayFeeder(src, halt, b.Now())
 	n := 0
@@ -141,10 +141,8 @@ func ReplayOver(b sim.Barrier, src telescope.Source, halt func() bool, epilogue 
 			schedule(at, rec)
 		})
 	})
-	if hb, ok := b.(interface{ SetHorizon(func() sim.Time) }); ok {
-		hb.SetHorizon(f.NextAt)
-		defer hb.SetHorizon(nil)
-	}
+	b.SetHorizon(f.NextAt)
+	defer b.SetHorizon(nil)
 	stride := time.Duration(replayStrideEpochs) * b.Lookahead()
 	stalled := false
 	f.NextAt() // prime, so an empty source is known before the first epoch
@@ -157,8 +155,8 @@ func ReplayOver(b sim.Barrier, src telescope.Source, halt func() bool, epilogue 
 		before := b.Now()
 		b.RunEpochs(before.Add(stride), f.Done)
 		if b.Now() == before {
-			// The barrier refused to advance — a degraded cluster
-			// coordinator stops here rather than hanging the feed.
+			// The runner's transport failed to advance — a degraded
+			// cluster stops here rather than hanging the feed.
 			stalled = true
 			break
 		}

@@ -22,8 +22,9 @@ package core
 // Domain construction is factored out as NewShardDomain so that
 // internal/cluster workers can build exactly the domains they own (same
 // seeds, same sinks, same farm split) in a separate process, with
-// cross-shard traffic routed through the coordinator instead of the
-// in-process runner — see DESIGN.md "Cluster execution".
+// cross-shard traffic routed through the coordinator — the transport
+// the same runner loop drives there — instead of the in-process outbox
+// rings; see DESIGN.md "Cluster execution".
 
 import (
 	"errors"
@@ -139,8 +140,9 @@ type ShardEngineConfig struct {
 	OnEgress   func(now sim.Time, pkt *netsim.Packet)
 }
 
-// normalized returns cfg with defaults applied.
-func (cfg ShardEngineConfig) normalized() ShardEngineConfig {
+// Normalized returns cfg with defaults applied: the engine, the cluster
+// coordinator and its workers all run on these values.
+func (cfg ShardEngineConfig) Normalized() ShardEngineConfig {
 	if cfg.Lookahead <= 0 {
 		cfg.Lookahead = time.Millisecond
 	}
@@ -225,7 +227,7 @@ type ShardDomain struct {
 // another shard owns. The caller (engine or cluster worker) owns epoch
 // advancement of the domain's kernel.
 func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	n := cfg.Shards
 	// Golden-ratio stride keeps per-domain seeds distinct and
 	// deterministic; shard 0 keeps the caller's seed.
@@ -428,7 +430,7 @@ func newEnvPool() *envPool {
 
 // NewShardEngine builds the domains and their runner.
 func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -466,29 +468,33 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	if cfg.Metrics != nil || cfg.EpochLog != nil {
 		e.prof = metrics.NewEpochProfiler(cfg.Metrics, cfg.EpochLog)
 		e.runner.SetEpochObserver(func(s sim.EpochStats) {
-			ingress := e.epochIngress
+			e.prof.Record(EpochSample(s, e.epochIngress, 0))
 			e.epochIngress = 0
-			e.prof.Record(metrics.EpochSample{
-				Seq:           s.Seq,
-				StartNS:       int64(s.Start),
-				EndNS:         int64(s.End),
-				WallNS:        s.WallNS,
-				ExchangeNS:    s.ExchangeNS,
-				ExchangeMsgs:  s.ExchangeMsgs,
-				AdvanceNS:     s.AdvanceNS,
-				BarrierWaitNS: s.BarrierWaitNS,
-				SlowestShard:  s.SlowestShard,
-				IngressFrames: ingress,
-			})
 		})
 	}
 	e.view.Publish()
 	return e, nil
 }
 
-// Profiler returns the engine's epoch profiler (nil unless the config
-// enabled Metrics or EpochLog).
-func (e *ShardEngine) Profiler() *metrics.EpochProfiler { return e.prof }
+// EpochSample is the profiler's record of one runner epoch, for the
+// engine and the cluster coordinator alike: ingress counts the records
+// the pre-epoch hook scheduled into it, and bytes the encoded inputs a
+// coordinator shipped to its workers for it (zero in process).
+func EpochSample(s sim.EpochStats, ingress int, bytes int64) metrics.EpochSample {
+	return metrics.EpochSample{
+		Seq:           s.Seq,
+		StartNS:       int64(s.Start),
+		EndNS:         int64(s.End),
+		WallNS:        s.WallNS,
+		ExchangeNS:    s.ExchangeNS,
+		ExchangeMsgs:  s.ExchangeMsgs,
+		ExchangeBytes: bytes,
+		AdvanceNS:     s.AdvanceNS,
+		BarrierWaitNS: s.BarrierWaitNS,
+		SlowestShard:  s.SlowestShard,
+		IngressFrames: ingress,
+	}
+}
 
 // Owner returns the shard index owning addr.
 func (e *ShardEngine) Owner(addr netsim.Addr) int {
@@ -577,8 +583,9 @@ func (e *ShardEngine) atRest() {
 // RunFor advances every domain by d.
 func (e *ShardEngine) RunFor(d time.Duration) { e.RunUntil(e.runner.Now().Add(d)) }
 
-// Barrier exposes the engine's epoch coordinator.
-func (e *ShardEngine) Barrier() sim.Barrier { return e.runner }
+// Barrier exposes the engine's epoch runner as what is read through it:
+// how many epochs it has run.
+func (e *ShardEngine) Barrier() interface{ Epochs() uint64 } { return e.runner }
 
 // Inject delivers pkt to its owning shard synchronously at the current
 // time. Call only between runs (the facade's single-probe entry points).

@@ -1,12 +1,13 @@
 package metrics
 
 // Epoch profiler: per-epoch phase timings for the conservative parallel
-// engine (and the cluster coordinator, which runs the same barrier
-// protocol over TCP). Each epoch yields one EpochSample — how long each
-// shard spent advancing, how long it then idled at the barrier waiting
-// for the slowest shard, and what the single-threaded outbox exchange
-// cost — feeding registry histograms for live /metrics scraping plus an
-// optional JSONL timeline for offline analysis (`tracetool -epochs`).
+// engine and the cluster coordinator, whose epochs come from the same
+// runner loop (sim.ParallelRunner). Each epoch yields one EpochSample —
+// how long each shard spent advancing, how long it then idled at the
+// barrier waiting for the slowest shard, and what the single-threaded
+// outbox exchange cost — feeding registry histograms for live /metrics
+// scraping plus an optional JSONL timeline for offline analysis
+// (`tracetool -epochs`).
 //
 // All figures are wall-clock and observability-only: nothing recorded
 // here ever feeds back into simulation state, so a profiled run stays
@@ -19,11 +20,13 @@ import (
 )
 
 // EpochSample is one epoch's phase timings. StartNS/EndNS are the
-// epoch's *simulated* time bounds; every other field is wall-clock.
-// BarrierWaitNS[i] is how long shard i sat idle at the barrier after
-// finishing its own advance (max advance minus own advance). For the
-// cluster coordinator, "shards" are workers and ExchangeBytes counts
-// encoded epoch-input frame bytes.
+// epoch's *simulated* time bounds; ExchangeMsgs (cross-shard messages
+// delivered entering the epoch) and IngressFrames count; every other
+// field is wall-clock. BarrierWaitNS[i] is how long shard i sat idle at
+// the barrier after finishing its own advance (max advance minus own
+// advance). For the cluster coordinator, "shards" are workers and
+// ExchangeBytes counts encoded epoch-input frame bytes; the bounds and
+// counts equal the in-process engine's for the same seed.
 type EpochSample struct {
 	Seq           uint64  `json:"seq"`
 	StartNS       int64   `json:"start_ns"`

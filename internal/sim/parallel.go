@@ -1,41 +1,39 @@
 package sim
 
-// Conservative parallel discrete-event execution over a set of Kernels.
+// Conservative parallel discrete-event execution over a set of shards.
 //
-// ParallelRunner advances N kernels in lockstep epochs of length
+// ParallelRunner advances N shards in lockstep epochs of length
 // `lookahead`, the classic conservative-synchronization scheme: during
-// an epoch every kernel runs its own events on its own goroutine and
-// may not touch any other kernel's state; all cross-kernel interaction
-// is expressed as messages handed to Send, which are delivered only at
-// the epoch barrier, in a fixed (source index, send order) merge order.
-// Because a message sent at time t is delivered no earlier than t +
-// lookahead — and every epoch is at most lookahead long — a message can
-// never land inside the epoch that produced it, so each kernel's event
-// stream is a pure function of the barrier-merged inputs and the run is
-// byte-identical whether the epochs execute on goroutines or
-// sequentially on one thread (SetSequential). That equivalence is what
+// an epoch every shard runs its own events and may not touch any other
+// shard's state; all cross-shard interaction is expressed as messages,
+// which are delivered only at the epoch barrier, in a fixed (source
+// index, send order) merge order. Because a message sent at time t is
+// delivered no earlier than t + lookahead — and every epoch is at most
+// lookahead long — a message can never land inside the epoch that
+// produced it, so each shard's event stream is a pure function of the
+// barrier-merged inputs and the run is byte-identical whether the
+// epochs execute on goroutines, sequentially on one thread
+// (SetSequential), or in other processes. That equivalence is what
 // makes the parallel engine testable: the single-threaded mode is the
 // oracle.
+//
+// The runner owns the one epoch loop in the tree; what moves between
+// shards is a Transport's job. NewParallelRunner drives in-process
+// kernels, NewRunner any other Transport — internal/cluster's
+// coordinator is one, over TCP.
 //
 // # Adaptive lookahead
 //
 // SetAdaptive lets one epoch span several lookahead-sized cells when
 // the runner can prove the extra barriers would have been no-ops. The
 // widened window is derived purely from simulation state — the
-// earliest pending kernel event plus the injection horizon installed
-// with SetHorizon — never from wall clock, so a widened run stays
-// byte-identical to the fixed-lookahead oracle: epochs only ever end on
-// the same lookahead grid, and a grid cell is skipped only when no
-// event, no injection, and therefore no cross-shard send could have
-// occurred in it. See DESIGN.md "Epoch exchange" for the full argument.
-//
-// # Epoch exchange
-//
-// The per-(src,dst) outboxes are flat preallocated rings: Send appends
-// into the source's cells during the epoch, and the barrier swaps each
-// cell's live slice against a drained spare — no per-epoch allocation,
-// and the slice being delivered into destination kernels is never the
-// one a subsequent epoch appends to.
+// earliest pending event the transport reports plus the injection
+// horizon installed with SetHorizon — never from wall clock, so a
+// widened run stays byte-identical to the fixed-lookahead oracle:
+// epochs only ever end on the same lookahead grid, and a grid cell is
+// skipped only when no event, no injection, and therefore no
+// cross-shard send could have occurred in it. See DESIGN.md "Epoch
+// exchange" for the full argument.
 //
 // The control methods (RunUntil, RunEpochs, RunFor, Send from outside
 // an epoch, SetBeforeEpoch) are for a single driver goroutine. During
@@ -45,40 +43,27 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Barrier is the epoch-coordination surface a shard executor runs on: a
-// shared clock, epoch-wise advancement, and a single-threaded pre-epoch
-// injection hook. The in-process implementation is *ParallelRunner;
-// internal/cluster's Coordinator implements the same surface over
-// remote worker processes, which is what lets replay drivers and
-// experiment code run unchanged whether the shards live on goroutines
-// or on other machines.
-type Barrier interface {
-	// Now returns the barrier clock; every shard has run to exactly
-	// this time whenever no epoch is in flight.
-	Now() Time
-	// Lookahead returns the epoch length / minimum cross-shard latency.
-	Lookahead() time.Duration
-	// RunUntil advances every shard to deadline in epochs of at most
-	// the lookahead (or wider when adaptive lookahead proves it safe).
-	RunUntil(deadline Time)
-	// RunEpochs advances like RunUntil but consults stop (when non-nil)
-	// at each epoch barrier and returns early once it reports true —
-	// replay drivers use it to hand the barrier a wide deadline while
-	// still stopping at the first barrier after source exhaustion.
-	RunEpochs(deadline Time, stop func() bool)
-	// RunFor is RunUntil(Now()+d).
-	RunFor(d time.Duration)
-	// SetBeforeEpoch installs a hook called single-threaded at the
-	// start of every epoch with the epoch bounds [start, end), before
-	// any shard runs. Nil removes the hook.
-	SetBeforeEpoch(fn func(start, end Time))
+// Transport moves an epoch round's data between the runner and its
+// shards. The runner calls it from its driver goroutine only, once per
+// method per epoch, in the order Exchange, NextEvent, Advance.
+type Transport interface {
+	// Exchange delivers the cross-shard messages pending at the barrier
+	// into their destination shards and returns how many it delivered.
+	Exchange() int
+	// NextEvent reports the earliest pending event across every shard,
+	// delivered messages included, or End when nothing is pending.
+	NextEvent() Time
+	// Advance runs every shard to end. When timed, advanceNS[i] is unit
+	// i's wall-clock advance time (a unit is a kernel in process, a
+	// worker in a cluster) in a slice the transport reuses. ok is false
+	// when the shards could not be advanced: the run stops there.
+	Advance(end Time, timed bool) (advanceNS []int64, ok bool)
 }
-
-var _ Barrier = (*ParallelRunner)(nil)
 
 // crossMsg is one scheduled cross-shard delivery.
 type crossMsg struct {
@@ -94,21 +79,14 @@ type outCell struct {
 	spare []crossMsg
 }
 
-// ParallelRunner synchronizes kernels with conservative epoch barriers.
+// ParallelRunner is the epoch driver: it synchronizes a Transport's
+// shards with conservative epoch barriers.
 type ParallelRunner struct {
-	kernels   []*Kernel
+	t         Transport
+	local     *inProcess // t when the shards are this process's kernels, else nil
 	lookahead time.Duration
 	now       Time
 
-	// outbox holds the n*n (src,dst) cells in src-major order — cell
-	// (src,dst) lives at index src*n+dst, so iterating the flat slice
-	// reproduces the (source index, send order) merge the equivalence
-	// proof rests on. Only shard src's goroutine appends to src's row;
-	// the barrier (WaitGroup) orders those appends before the exchange
-	// reads them.
-	outbox []outCell
-
-	sequential  bool
 	beforeEpoch func(start, end Time)
 	afterEpoch  func()
 
@@ -122,32 +100,20 @@ type ParallelRunner struct {
 	adaptMax int
 	horizon  func() Time
 
-	// Persistent shard workers: one goroutine per kernel, parked on its
-	// channel between epochs, so an epoch costs n channel sends and one
-	// WaitGroup wait instead of n goroutine spawns. A one-kernel runner
-	// has none: there is nothing to overlap, so its kernel advances on
-	// the caller's goroutine in either mode. curEnd and timed
-	// are written by the driver before the sends (the channel send /
-	// receive pair orders them); advanceNS[i] is written only by worker
-	// i during an epoch and read by the driver after wg.Wait.
-	work      []chan struct{}
-	wg        sync.WaitGroup
-	curEnd    Time
-	timed     bool
-	warm      bool
-	advanceNS []int64
+	// delivered counts messages Exchange has delivered that no epoch has
+	// reported yet: the exchange closing a run delivers into the epoch
+	// that opens the next one.
+	delivered int
+	epochSeq  uint64
+	observer  func(EpochStats)
 	waitNS    []int64
-	closed    bool
-
-	epochSeq uint64
-	observer func(EpochStats)
 }
 
 // EpochStats is one epoch's wall-clock phase breakdown, reported to the
 // observer installed with SetEpochObserver. Start/End are the epoch's
 // simulated-time bounds; everything else is wall-clock. AdvanceNS[i] is
-// shard i's kernel-advance duration and BarrierWaitNS[i] the time it
-// then idled waiting for the slowest shard (max advance minus its own).
+// unit i's advance duration and BarrierWaitNS[i] the time it then idled
+// waiting for the slowest unit (max advance minus its own).
 // ExchangeMsgs counts cross-shard messages delivered entering the
 // epoch. These figures are observability-only — they never influence
 // event order, so an observed run is byte-identical to an unobserved
@@ -164,50 +130,56 @@ type EpochStats struct {
 	SlowestShard  int
 }
 
-// NewParallelRunner builds a runner over kernels with the given
-// lookahead (the minimum cross-shard latency; must be positive). The
-// runner's clock starts at the latest kernel clock and the lagging
+// NewParallelRunner builds a runner over in-process kernels with the
+// given lookahead (the minimum cross-shard latency; must be positive).
+// The runner's clock starts at the latest kernel clock and the lagging
 // kernels are run forward to it, so pre-run setup (snapshot warmup)
 // that advanced the kernels unevenly is tolerated.
 func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunner {
 	if len(kernels) == 0 {
 		panic("sim: ParallelRunner with no kernels")
 	}
-	if lookahead <= 0 {
-		panic("sim: ParallelRunner with non-positive lookahead")
-	}
-	r := &ParallelRunner{kernels: kernels, lookahead: lookahead, adaptMax: 1}
 	n := len(kernels)
-	r.outbox = make([]outCell, n*n)
-	r.advanceNS = make([]int64, n)
-	r.waitNS = make([]int64, n)
-	r.Align()
+	p := &inProcess{kernels: kernels, outbox: make([]outCell, n*n), advanceNS: make([]int64, n)}
 	// Workers start (and warm up) here rather than lazily at the first
 	// epoch: construction is the one place their setup cost can't land
 	// inside a measured run. Sequential mode leaves them parked; Close
 	// stops them either way.
 	if n > 1 {
-		r.startWorkers()
+		p.startWorkers()
 	}
+	r := NewRunner(p, 0, lookahead)
+	r.local = p
+	r.Align()
 	return r
+}
+
+// NewRunner builds a runner that drives t's shards from clock now with
+// the given lookahead (must be positive). Epochs are fixed until
+// SetAdaptive widens them.
+func NewRunner(t Transport, now Time, lookahead time.Duration) *ParallelRunner {
+	if lookahead <= 0 {
+		panic("sim: ParallelRunner with non-positive lookahead")
+	}
+	return &ParallelRunner{t: t, lookahead: lookahead, now: now, adaptMax: 1}
 }
 
 // Align advances the runner clock to the latest kernel clock and runs
 // every lagging kernel forward to it (single-threaded). Call it after
 // advancing kernels outside the runner's control, e.g. per-shard image
-// preparation at construction time.
+// preparation at construction time. In-process runners only.
 func (r *ParallelRunner) Align() {
-	for _, k := range r.kernels {
+	for _, k := range r.local.kernels {
 		if k.Now() > r.now {
 			r.now = k.Now()
 		}
 	}
-	for _, k := range r.kernels {
+	for _, k := range r.local.kernels {
 		k.RunUntil(r.now)
 	}
 }
 
-// Now returns the runner clock: every kernel has run to exactly this
+// Now returns the runner clock: every shard has run to exactly this
 // time whenever no epoch is in flight.
 func (r *ParallelRunner) Now() Time { return r.now }
 
@@ -215,23 +187,14 @@ func (r *ParallelRunner) Now() Time { return r.now }
 // latency; an adaptive epoch may span several cells).
 func (r *ParallelRunner) Lookahead() time.Duration { return r.lookahead }
 
-// Shards returns the number of kernels.
-func (r *ParallelRunner) Shards() int { return len(r.kernels) }
-
-// Kernel returns shard i's kernel. Outside an epoch the caller may
-// schedule on it directly; during an epoch only shard i's goroutine may.
-func (r *ParallelRunner) Kernel(i int) *Kernel { return r.kernels[i] }
-
 // Epochs returns the number of epochs completed so far (the adaptive
 // lookahead tests assert a widened run pays fewer barriers).
 func (r *ParallelRunner) Epochs() uint64 { return r.epochSeq }
 
 // SetSequential switches epoch execution to a single thread in shard
 // order — the determinism oracle the equivalence tests compare against.
-func (r *ParallelRunner) SetSequential(seq bool) { r.sequential = seq }
-
-// Sequential reports whether epochs run single-threaded.
-func (r *ParallelRunner) Sequential() bool { return r.sequential }
+// In-process runners only.
+func (r *ParallelRunner) SetSequential(seq bool) { r.local.sequential = seq }
 
 // SetAdaptive bounds adaptive lookahead: one epoch may span up to
 // maxCells lookahead-sized grid cells when the pending-event horizon
@@ -248,9 +211,6 @@ func (r *ParallelRunner) SetAdaptive(maxCells int) {
 	r.adaptMax = maxCells
 }
 
-// Adaptive returns the adaptive-lookahead cell bound (1 = fixed).
-func (r *ParallelRunner) Adaptive() int { return r.adaptMax }
-
 // SetHorizon installs the injection horizon for adaptive lookahead: fn
 // reports the earliest simulated time the pre-epoch hook may still
 // schedule work at (End when its source is exhausted). With a
@@ -262,7 +222,7 @@ func (r *ParallelRunner) SetHorizon(fn func() Time) { r.horizon = fn }
 // SetBeforeEpoch installs a hook called at the start of every epoch
 // with the epoch bounds [start, end), after pending cross-shard
 // messages have been delivered and before any shard runs. The hook runs
-// single-threaded and may schedule directly on any kernel (replay
+// single-threaded and may schedule directly on any shard (replay
 // feeders use it to inject the records falling inside the epoch). Nil
 // removes the hook.
 func (r *ParallelRunner) SetBeforeEpoch(fn func(start, end Time)) { r.beforeEpoch = fn }
@@ -279,116 +239,39 @@ func (r *ParallelRunner) SetAfterEpoch(fn func()) { r.afterEpoch = fn }
 // timestamps and allocates nothing extra.
 func (r *ParallelRunner) SetEpochObserver(fn func(EpochStats)) { r.observer = fn }
 
-// Close stops the persistent shard worker goroutines (no-ops if they
-// were never started or are already stopped). After Close the runner
-// must not be advanced in parallel mode again; the engine calls it from
-// its own Close.
+// Close stops the persistent shard worker goroutines of an in-process
+// runner (a no-op if they were never started, are already stopped, or
+// the shards live elsewhere). After Close the runner must not be
+// advanced in parallel mode again; the engine calls it from its own
+// Close.
 func (r *ParallelRunner) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	for _, ch := range r.work {
-		close(ch)
+	if p := r.local; p != nil && !p.closed {
+		p.closed = true
+		for _, ch := range p.work {
+			close(ch)
+		}
 	}
 }
 
-// startWorkers launches one persistent goroutine per kernel. Each parks
-// on its channel between epochs and advances its kernel to curEnd when
-// poked — the channel send/receive pair publishes curEnd and timed, and
-// wg.Done publishes the kernel state and advanceNS back to the driver.
-// A warm-up round (the warm flag makes workers skip their kernels)
-// pushes one no-op poke through every worker so the runtime structures
-// backing the barrier — park/unpark records, semaphore entries — are
-// allocated here at construction rather than inside the first epoch,
-// keeping steady-state epochs allocation-free.
-func (r *ParallelRunner) startWorkers() {
-	r.work = make([]chan struct{}, len(r.kernels))
-	for i := range r.kernels {
-		ch := make(chan struct{}, 1)
-		r.work[i] = ch
-		i, k := i, r.kernels[i]
-		go func() {
-			for range ch {
-				if r.warm {
-					r.wg.Done()
-					continue
-				}
-				if r.timed {
-					t0 := time.Now()
-					k.RunUntil(r.curEnd)
-					r.advanceNS[i] = time.Since(t0).Nanoseconds()
-				} else {
-					k.RunUntil(r.curEnd)
-				}
-				r.wg.Done()
-			}
-		}()
-	}
-	r.warm = true
-	r.wg.Add(len(r.kernels))
-	for _, ch := range r.work {
-		ch <- struct{}{}
-	}
-	r.wg.Wait()
-	r.warm = false
-}
-
-// pendingMsgs counts cross-shard messages queued for the next exchange.
-func (r *ParallelRunner) pendingMsgs() int {
-	n := 0
-	for i := range r.outbox {
-		n += len(r.outbox[i].live)
-	}
-	return n
-}
-
-// Send schedules fn to run on shard dst's kernel at time at. During an
-// epoch it may only be called from shard src's goroutine; at must be at
-// least the sending shard's current time plus the lookahead, or the
-// barrier delivery will panic. Delivery happens at the next epoch
-// boundary, merged deterministically by (src, send order).
+// Send schedules fn to run on kernel dst at time at. During an epoch it
+// may only be called from shard src's goroutine; at must be at least
+// the sending shard's current time plus the lookahead, or the barrier
+// delivery will panic. Delivery happens at the next epoch boundary,
+// merged deterministically by (src, send order). In-process runners
+// only.
 func (r *ParallelRunner) Send(src, dst int, at Time, fn Event) {
 	if fn == nil {
 		panic("sim: Send nil event")
 	}
-	c := &r.outbox[src*len(r.kernels)+dst]
+	p := r.local
+	c := &p.outbox[src*len(p.kernels)+dst]
 	c.live = append(c.live, crossMsg{at: at, fn: fn})
-}
-
-// exchange drains every outbox into the destination kernels in (src,
-// send order) — the deterministic merge the equivalence proof rests on.
-// Each cell's live slice is swapped against its drained spare rather
-// than reallocated: capacity is reused across epochs, and the slice
-// being delivered is never the one the next epoch appends to. Drained
-// slots are cleared so the rings don't pin delivered closures.
-func (r *ParallelRunner) exchange() {
-	n := len(r.kernels)
-	for idx := range r.outbox {
-		c := &r.outbox[idx]
-		msgs := c.live
-		c.live, c.spare = c.spare[:0], msgs
-		if len(msgs) == 0 {
-			continue
-		}
-		k := r.kernels[idx%n]
-		for i := range msgs {
-			m := &msgs[i]
-			if m.at < k.Now() {
-				panic(fmt.Sprintf(
-					"sim: cross-shard message %d->%d at %v violates lookahead (destination clock %v)",
-					idx/n, idx%n, m.at, k.Now()))
-			}
-			k.At(m.at, m.fn)
-			*m = crossMsg{}
-		}
-	}
 }
 
 // epochEnd picks the next epoch's end: one lookahead cell by default,
 // or — when adaptive lookahead is enabled and every injection source is
 // covered by the horizon — as many whole cells as provably hold no
-// work. The pending-work horizon h is the minimum over every kernel's
+// work. The pending-work horizon h is the minimum over the transport's
 // next event and the injection horizon; since nothing can execute
 // before h, and a cross-shard send made at time t is delivered at
 // t+lookahead or later, every cell strictly before h's cell is a no-op
@@ -398,14 +281,9 @@ func (r *ParallelRunner) exchange() {
 func (r *ParallelRunner) epochEnd(deadline Time) Time {
 	end := r.now.Add(r.lookahead)
 	if r.adaptMax > 1 && (r.beforeEpoch == nil || r.horizon != nil) {
-		h := End
+		h := r.t.NextEvent()
 		if r.horizon != nil {
-			h = r.horizon()
-		}
-		for _, k := range r.kernels {
-			if t, ok := k.NextEvent(); ok && t < h {
-				h = t
-			}
+			h = min(h, r.horizon())
 		}
 		if h == End {
 			// No pending work anywhere: a single epoch to the deadline.
@@ -424,34 +302,8 @@ func (r *ParallelRunner) epochEnd(deadline Time) Time {
 	return end
 }
 
-// advance runs every kernel to end — in shard order on this thread in
-// sequential mode or with a single kernel, on the persistent shard
-// workers otherwise.
-func (r *ParallelRunner) advance(end Time) {
-	if r.sequential || len(r.kernels) == 1 {
-		if r.timed {
-			for i, k := range r.kernels {
-				t0 := time.Now()
-				k.RunUntil(end)
-				r.advanceNS[i] = time.Since(t0).Nanoseconds()
-			}
-			return
-		}
-		for _, k := range r.kernels {
-			k.RunUntil(end)
-		}
-		return
-	}
-	r.curEnd = end
-	r.wg.Add(len(r.kernels))
-	for _, ch := range r.work {
-		ch <- struct{}{}
-	}
-	r.wg.Wait()
-}
-
-// RunUntil advances every kernel to deadline, exchanging cross-shard
-// messages at each barrier. On return, every kernel's clock reads
+// RunUntil advances every shard to deadline, exchanging cross-shard
+// messages at each barrier. On return, every shard's clock reads
 // exactly deadline (when deadline is ahead of the runner clock) and all
 // messages sent by completed epochs have been delivered.
 func (r *ParallelRunner) RunUntil(deadline Time) { r.RunEpochs(deadline, nil) }
@@ -460,70 +312,43 @@ func (r *ParallelRunner) RunUntil(deadline Time) { r.RunEpochs(deadline, nil) }
 // after each completed epoch and returns once it reports true. Replay
 // drivers hand the barrier a wide deadline and stop at the first
 // barrier after source exhaustion, which keeps the final clock
-// identical across fixed, adaptive, and cluster execution.
+// identical across fixed, adaptive, and cluster execution. A transport
+// that fails to advance ends the run where it stands.
 func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
-	if r.observer != nil {
-		r.runEpochsObserved(deadline, stop)
-		return
-	}
+	timed := r.observer != nil
 	for r.now < deadline {
-		r.exchange()
-		end := r.epochEnd(deadline)
-		if r.beforeEpoch != nil {
-			r.beforeEpoch(r.now, end)
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
 		}
-		r.advance(end)
-		r.now = end
-		r.epochSeq++
-		if r.afterEpoch != nil {
-			r.afterEpoch()
+		r.delivered += r.t.Exchange()
+		var exchangeNS int64
+		if timed {
+			exchangeNS = time.Since(t0).Nanoseconds()
 		}
-		if stop != nil && stop() {
-			break
-		}
-	}
-	r.exchange()
-}
-
-// runEpochsObserved is RunEpochs with per-phase wall timing. Identical
-// event execution — only timestamps are added around each phase and the
-// observer is invoked at each barrier.
-func (r *ParallelRunner) runEpochsObserved(deadline Time, stop func() bool) {
-	r.timed = true
-	defer func() { r.timed = false }()
-	for r.now < deadline {
-		epochT0 := time.Now()
-		msgs := r.pendingMsgs()
-		r.exchange()
-		exchangeNS := time.Since(epochT0).Nanoseconds()
-		end := r.epochEnd(deadline)
-		start := r.now
+		start, end := r.now, r.epochEnd(deadline)
 		if r.beforeEpoch != nil {
 			r.beforeEpoch(start, end)
 		}
-		r.advance(end)
+		adv, ok := r.t.Advance(end, timed)
+		if !ok {
+			return
+		}
 		r.now = end
 		r.epochSeq++
-		slowest, maxAdv := 0, int64(0)
-		for i, ns := range r.advanceNS {
-			if ns > maxAdv {
-				slowest, maxAdv = i, ns
+		msgs := r.delivered
+		r.delivered = 0
+		if timed {
+			// A unit's barrier idle is its lag behind the slowest one.
+			maxAdv := slices.Max(adv)
+			r.waitNS = r.waitNS[:0]
+			for _, ns := range adv {
+				r.waitNS = append(r.waitNS, maxAdv-ns)
 			}
+			r.observer(EpochStats{Seq: r.epochSeq, Start: start, End: end, WallNS: time.Since(t0).Nanoseconds(),
+				ExchangeNS: exchangeNS, ExchangeMsgs: msgs, AdvanceNS: adv, BarrierWaitNS: r.waitNS,
+				SlowestShard: slices.Index(adv, maxAdv)})
 		}
-		for i, ns := range r.advanceNS {
-			r.waitNS[i] = maxAdv - ns
-		}
-		r.observer(EpochStats{
-			Seq:           r.epochSeq,
-			Start:         start,
-			End:           end,
-			WallNS:        time.Since(epochT0).Nanoseconds(),
-			ExchangeNS:    exchangeNS,
-			ExchangeMsgs:  msgs,
-			AdvanceNS:     r.advanceNS,
-			BarrierWaitNS: r.waitNS,
-			SlowestShard:  slowest,
-		})
 		if r.afterEpoch != nil {
 			r.afterEpoch()
 		}
@@ -531,8 +356,145 @@ func (r *ParallelRunner) runEpochsObserved(deadline Time, stop func() bool) {
 			break
 		}
 	}
-	r.exchange()
+	r.delivered += r.t.Exchange()
 }
 
 // RunFor is RunUntil(Now()+d).
 func (r *ParallelRunner) RunFor(d time.Duration) { r.RunUntil(r.now.Add(d)) }
+
+// inProcess is the Transport over this process's kernels: outbox rings
+// exchanged at the barrier, and one persistent goroutine per kernel
+// (none with a single kernel) advancing it in parallel mode. Nothing in
+// it allocates per epoch.
+type inProcess struct {
+	kernels []*Kernel
+
+	// outbox holds the n*n (src,dst) cells in src-major order — cell
+	// (src,dst) lives at index src*n+dst, so iterating the flat slice
+	// reproduces the (source index, send order) merge the equivalence
+	// proof rests on. Only shard src's goroutine appends to src's row;
+	// the barrier (WaitGroup) orders those appends before the exchange
+	// reads them.
+	outbox     []outCell
+	sequential bool
+
+	// Persistent shard workers: one goroutine per kernel, parked on its
+	// channel between epochs, so an epoch costs n channel sends and one
+	// WaitGroup wait instead of n goroutine spawns. A one-kernel
+	// transport has none: there is nothing to overlap, so its kernel
+	// advances on the caller's goroutine in either mode. curEnd and
+	// timed are written by the driver before the sends (the channel
+	// send / receive pair orders them); advanceNS[i] is written only by
+	// worker i during an epoch and read by the driver after wg.Wait.
+	work      []chan struct{}
+	wg        sync.WaitGroup
+	curEnd    Time
+	timed     bool
+	warm      bool
+	advanceNS []int64
+	closed    bool
+}
+
+// startWorkers launches one persistent goroutine per kernel. Each parks
+// on its channel between epochs and advances its kernel to curEnd when
+// poked — the channel send/receive pair publishes curEnd and timed, and
+// wg.Done publishes the kernel state and advanceNS back to the driver.
+// A warm-up round (the warm flag makes workers skip their kernels)
+// pushes one no-op poke through every worker so the runtime structures
+// backing the barrier — park/unpark records, semaphore entries — are
+// allocated here at construction rather than inside the first epoch,
+// keeping steady-state epochs allocation-free.
+func (p *inProcess) startWorkers() {
+	p.work = make([]chan struct{}, len(p.kernels))
+	for i := range p.kernels {
+		ch := make(chan struct{}, 1)
+		p.work[i] = ch
+		go func() {
+			for range ch {
+				if !p.warm {
+					p.run(i)
+				}
+				p.wg.Done()
+			}
+		}()
+	}
+	p.warm = true
+	p.wg.Add(len(p.kernels))
+	for _, ch := range p.work {
+		ch <- struct{}{}
+	}
+	p.wg.Wait()
+	p.warm = false
+}
+
+// run advances kernel i to curEnd, timing it when asked to.
+func (p *inProcess) run(i int) {
+	if !p.timed {
+		p.kernels[i].RunUntil(p.curEnd)
+		return
+	}
+	t0 := time.Now()
+	p.kernels[i].RunUntil(p.curEnd)
+	p.advanceNS[i] = time.Since(t0).Nanoseconds()
+}
+
+// Exchange drains every outbox into the destination kernels in (src,
+// send order) — the deterministic merge the equivalence proof rests on.
+// Each cell's live slice is swapped against its drained spare rather
+// than reallocated: capacity is reused across epochs, and the slice
+// being delivered is never the one the next epoch appends to. Drained
+// slots are cleared so the rings don't pin delivered closures.
+func (p *inProcess) Exchange() int {
+	n, delivered := len(p.kernels), 0
+	for idx := range p.outbox {
+		c := &p.outbox[idx]
+		msgs := c.live
+		c.live, c.spare = c.spare[:0], msgs
+		if len(msgs) == 0 {
+			continue
+		}
+		k := p.kernels[idx%n]
+		for i := range msgs {
+			m := &msgs[i]
+			if m.at < k.Now() {
+				panic(fmt.Sprintf(
+					"sim: cross-shard message %d->%d at %v violates lookahead (destination clock %v)",
+					idx/n, idx%n, m.at, k.Now()))
+			}
+			k.At(m.at, m.fn)
+			*m = crossMsg{}
+		}
+		delivered += len(msgs)
+	}
+	return delivered
+}
+
+// NextEvent is the earliest pending event over every kernel.
+func (p *inProcess) NextEvent() Time {
+	h := End
+	for _, k := range p.kernels {
+		if t, ok := k.NextEvent(); ok && t < h {
+			h = t
+		}
+	}
+	return h
+}
+
+// Advance runs every kernel to end — in shard order on this thread in
+// sequential mode or with a single kernel, on the persistent shard
+// workers otherwise.
+func (p *inProcess) Advance(end Time, timed bool) ([]int64, bool) {
+	p.curEnd, p.timed = end, timed
+	if p.sequential || len(p.kernels) == 1 {
+		for i := range p.kernels {
+			p.run(i)
+		}
+		return p.advanceNS, true
+	}
+	p.wg.Add(len(p.kernels))
+	for _, ch := range p.work {
+		ch <- struct{}{}
+	}
+	p.wg.Wait()
+	return p.advanceNS, true
+}

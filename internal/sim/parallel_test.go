@@ -152,6 +152,71 @@ func TestParallelRunnerDeliversTailMessages(t *testing.T) {
 	}
 }
 
+// scriptedTransport is a Transport with no shards behind it: a fixed
+// next event, one message sent by every epoch, two units with fixed
+// advance times, and a failure for any epoch ending past failAt.
+type scriptedTransport struct {
+	next, failAt Time
+	pending      int
+	advanced     []Time
+}
+
+func (s *scriptedTransport) Exchange() int {
+	n := s.pending
+	s.pending = 0
+	return n
+}
+
+func (s *scriptedTransport) NextEvent() Time { return s.next }
+
+func (s *scriptedTransport) Advance(end Time, timed bool) ([]int64, bool) {
+	if end > s.failAt {
+		return nil, false
+	}
+	s.advanced = append(s.advanced, end)
+	s.pending = 1
+	return []int64{1, 3}, true
+}
+
+// TestRunnerOverTransport: the one epoch loop over a transport it does
+// not own. Epochs widen against the transport's next event, a message
+// the exchange closing one run delivered is counted by the epoch that
+// opens the next, the observer sees per-unit barrier waits, and a
+// transport that fails to advance ends the run where it stands.
+func TestRunnerOverTransport(t *testing.T) {
+	ms := func(n int64) Time { return Time(n) * Time(time.Millisecond) }
+	tr := &scriptedTransport{next: ms(5), failAt: ms(8)}
+	r := NewRunner(tr, ms(1), time.Millisecond)
+	r.SetAdaptive(64)
+	var bounds [][2]Time
+	var msgs []int
+	var wait []int64
+	r.SetEpochObserver(func(s EpochStats) {
+		bounds = append(bounds, [2]Time{s.Start, s.End})
+		msgs = append(msgs, s.ExchangeMsgs)
+		if wait == nil {
+			wait = append(wait, s.BarrierWaitNS...)
+			wait = append(wait, int64(s.SlowestShard))
+		}
+	})
+	r.RunUntil(ms(3))
+	r.RunUntil(ms(20))
+
+	wantBounds := [][2]Time{{ms(1), ms(3)}, {ms(3), ms(6)}, {ms(6), ms(7)}, {ms(7), ms(8)}}
+	if fmt.Sprint(bounds) != fmt.Sprint(wantBounds) {
+		t.Errorf("epochs = %v, want %v", bounds, wantBounds)
+	}
+	if fmt.Sprint(msgs) != fmt.Sprint([]int{0, 1, 1, 1}) {
+		t.Errorf("exchanged messages per epoch = %v, want [0 1 1 1]", msgs)
+	}
+	if fmt.Sprint(wait) != fmt.Sprint([]int64{2, 0, 1}) {
+		t.Errorf("barrier waits and slowest unit = %v, want [2 0 1]", wait)
+	}
+	if r.Now() != ms(8) || r.Epochs() != 4 || len(tr.advanced) != 4 {
+		t.Errorf("after the failed advance: clock %v, %d epochs, %d advances; want 8ms, 4, 4", r.Now(), r.Epochs(), len(tr.advanced))
+	}
+}
+
 // goroutineHeader returns the calling goroutine's "goroutine N" stack
 // header, its only stable identity.
 func goroutineHeader() string {
