@@ -18,6 +18,10 @@ test:
 # only the shard engine builds a farm (core.NewShardDomain). So does a
 # second epoch loop: outside tests and bench/, only sim.ParallelRunner
 # defines RunEpochs (a new way to move shards' data is a sim.Transport).
+# So does a third histogram path: outside tests and bench/, a registry
+# histogram is resolved only by internal/metrics, the wire source's
+# arrival lag and core.StatsView (a layer records into a Histogram it
+# owns, and the view publishes it).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -25,6 +29,8 @@ vet:
 		[ -z "$$out" ] || { echo "vet: farm.New outside core.NewShardDomain (build on core.NewShardEngine):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'func (.*) RunEpochs(' -- '*.go' ':!*_test.go' ':!bench' | grep -v '^internal/sim/parallel\.go:'); \
 		[ -z "$$out" ] || { echo "vet: an epoch loop outside sim.ParallelRunner (implement sim.Transport instead):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n '\.Hist(' -- '*.go' ':!*_test.go' ':!bench' | grep -v -e '^internal/metrics/' -e '^internal/ingest/source\.go:' -e '^internal/core/statsview\.go:'); \
+		[ -z "$$out" ] || { echo "vet: a registry histogram outside metrics, the wire source and core.StatsView (record into a Histogram the layer owns):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -50,16 +56,16 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLaneOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/sim
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,
-# flash clone, wire ingest, shard replay, kernel heap vs lane), compared
-# against the recorded pre-slab baseline and written to BENCH_core.json as
-# before/after ns/op + allocs/op. This is the single documented way to
-# regenerate BENCH_core.json; -require makes the run fail loudly if a
-# rename or pattern typo silently drops a benchmark.
+# flash clone, wire ingest, shard replay, kernel heap vs lane), written to
+# BENCH_core.json as ns/op, B/op and allocs/op. This is the single
+# documented way to regenerate BENCH_core.json; -require makes the run
+# fail loudly if a rename or pattern typo silently drops a benchmark.
 bench:
 	( $(GO) test -run '^$$' -bench 'BenchmarkE1FlashClone$$|BenchmarkE2DeltaVirt$$|BenchmarkE4Gateway|BenchmarkAblation|BenchmarkE11WireIngest$$|BenchmarkShardReplay' -benchmem -benchtime 1s . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkIngestDecap$$|BenchmarkWireSenderEncap$$' -benchmem -benchtime 1s ./internal/ingest ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKernelHeap$$|BenchmarkKernelLane$$' -benchmem -benchtime 1s ./internal/sim ) \
-		| $(GO) run ./cmd/benchjson -baseline results/bench_baseline.json -out BENCH_core.json \
+		| $(GO) run ./cmd/benchjson -out BENCH_core.json \
+			-description "Core fast-path benchmarks: store alloc, CoW write (E2 delta virtualization), gateway scrub, flash clone, wire ingest, shard replay, kernel heap vs lane." \
 			-require BenchmarkE1FlashClone,BenchmarkE2DeltaVirt,BenchmarkAblationScrub,BenchmarkE11WireIngest,BenchmarkShardReplaySequential,BenchmarkShardReplayParallel,BenchmarkIngestDecap,BenchmarkWireSenderEncap,BenchmarkKernelHeap,BenchmarkKernelLane
 
 # The allocation gate: one measured pass over the shard-replay pair;
@@ -100,7 +106,7 @@ scenarios:
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) run ./cmd/benchtab -csv "$$tmp" all > /dev/null && \
-		diff -r -x e4_gateway.csv -x README.md -x bench_baseline.json results "$$tmp" \
+		diff -r -x e4_gateway.csv -x README.md results "$$tmp" \
 		|| { echo "results-check: results/ differs from what benchtab regenerates; run 'go run ./cmd/benchtab -csv results all' and commit"; exit 1; }
 	@echo "results-check: results/*.csv match benchtab"
 

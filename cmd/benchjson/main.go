@@ -1,18 +1,12 @@
 // Command benchjson turns `go test -bench` output into the repository's
-// BENCH_*.json before/after format. It reads benchmark output on stdin,
-// parses ns/op, B/op, and allocs/op per benchmark, merges a recorded
-// baseline ("before") file, and writes a single JSON document with both
-// sides plus the ns/op speedup factor.
+// BENCH_*.json format. It reads benchmark output on stdin, parses ns/op,
+// B/op, and allocs/op per benchmark, and writes them as one JSON
+// document with the host they were measured on.
 //
 // Usage:
 //
 //	go test -run '^$' -bench PATTERN -benchmem . | benchjson \
-//	    -baseline results/bench_baseline.json -out BENCH_core.json \
-//	    -require BenchmarkE1FlashClone,BenchmarkShardReplayParallel
-//
-// The baseline file is the same shape as the output's "before" section
-// (see results/bench_baseline.json); benchmarks present only on one
-// side are kept, with no speedup reported.
+//	    -out BENCH_core.json -require BenchmarkE1FlashClone,BenchmarkShardReplayParallel
 //
 // -require lists benchmark names that must appear in the input; the run
 // fails loudly if a rename or pattern typo silently drops one.
@@ -23,9 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -37,35 +29,21 @@ type Sample struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Baseline is the recorded "before" side.
-type Baseline struct {
-	Description string            `json:"description,omitempty"`
-	CPU         string            `json:"cpu,omitempty"`
-	Benchtime   string            `json:"benchtime,omitempty"`
-	Notes       string            `json:"notes,omitempty"`
-	Benchmarks  map[string]Sample `json:"benchmarks"`
-}
-
-// Output is the merged document.
+// Output is the written document.
 type Output struct {
-	Description string             `json:"description"`
-	Goos        string             `json:"goos,omitempty"`
-	Goarch      string             `json:"goarch,omitempty"`
-	CPU         string             `json:"cpu,omitempty"`
-	Benchtime   string             `json:"benchtime,omitempty"`
-	Unit        string             `json:"unit"`
-	Before      map[string]Sample  `json:"before"`
-	After       map[string]Sample  `json:"after"`
-	SpeedupNs   map[string]float64 `json:"speedup_ns_per_op"`
-	Notes       string             `json:"notes,omitempty"`
+	Description string            `json:"description"`
+	Goos        string            `json:"goos,omitempty"`
+	Goarch      string            `json:"goarch,omitempty"`
+	CPU         string            `json:"cpu,omitempty"`
+	Unit        string            `json:"unit"`
+	After       map[string]Sample `json:"after"`
 }
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "JSON file with the recorded 'before' numbers")
-		outPath      = flag.String("out", "BENCH_core.json", "output file")
-		desc         = flag.String("description", "", "override the output description")
-		require      = flag.String("require", "", "comma-separated benchmark names that must appear in the input")
+		outPath = flag.String("out", "BENCH_core.json", "output file")
+		desc    = flag.String("description", "", "the output description")
+		require = flag.String("require", "", "comma-separated benchmark names that must appear in the input")
 	)
 	flag.Parse()
 
@@ -79,50 +57,15 @@ func main() {
 	if err := checkRequired(*require, parsed); err != nil {
 		fatal(err)
 	}
-
-	out := Output{
-		Unit:      "ns/op",
-		Before:    map[string]Sample{},
-		After:     parsed,
-		SpeedupNs: map[string]float64{},
-		Goos:      meta.goos,
-		Goarch:    meta.goarch,
-		CPU:       meta.cpu,
-	}
-	if *baselinePath != "" {
-		raw, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var base Baseline
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fatal(fmt.Errorf("%s: %w", *baselinePath, err))
-		}
-		out.Before = base.Benchmarks
-		out.Description = base.Description
-		out.Benchtime = base.Benchtime
-		out.Notes = base.Notes
-	}
-	if *desc != "" {
-		out.Description = *desc
-	}
-	for name, after := range out.After {
-		if before, ok := out.Before[name]; ok && after.NsPerOp > 0 {
-			out.SpeedupNs[name] = math.Round(100*before.NsPerOp/after.NsPerOp) / 100
-		}
-	}
-
-	writeOutput(*outPath, out)
-	fmt.Printf("\nwrote %s (%d benchmarks", *outPath, len(out.After))
-	var names []string
-	for name := range out.SpeedupNs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("; %s %.2fx", strings.TrimPrefix(name, "Benchmark"), out.SpeedupNs[name])
-	}
-	fmt.Println(")")
+	writeOutput(*outPath, Output{
+		Description: *desc,
+		Goos:        meta.goos,
+		Goarch:      meta.goarch,
+		CPU:         meta.cpu,
+		Unit:        "ns/op",
+		After:       parsed,
+	})
+	fmt.Printf("\nwrote %s (%d benchmarks)\n", *outPath, len(parsed))
 }
 
 type benchMeta struct {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,7 +223,10 @@ func TestClusterEpochProfileMatchesEngine(t *testing.T) {
 // after Results every gateway_* and farm_* series equals its field in
 // the merged Results, and the vmm_* and guest_* series — whose structs
 // do not cross the wire — equal the one-process oracle's host sums and
-// cumulative guest totals.
+// cumulative guest totals. Each histogram equals the shard-order merge
+// of the oracle's Histograms: its count, min, max and buckets, and a sum
+// rounded to micro-units per source, which is what makes the workers'
+// partial sums add up to the oracle's.
 func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	const seed = 31
 
@@ -241,10 +245,16 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	oeng.RunFor(time.Second)
 	var hosts vmm.HostStats
 	var guests guest.Stats
+	srcs := map[string][]*metrics.Histogram{}
 	for _, d := range oeng.Domains() {
 		h, g := d.F.HostStats(), d.F.GuestCumulative()
 		hosts.Add(&h)
 		guests.Add(&g)
+		for _, h := range d.F.Hosts() {
+			srcs["vmm_clone_ms"] = append(srcs["vmm_clone_ms"], &h.CloneLatency)
+		}
+		srcs["gateway_detect_time_ms"] = append(srcs["gateway_detect_time_ms"], d.G.DetectTime())
+		srcs["guest_deception_actions"] = append(srcs["guest_deception_actions"], d.F.Deception())
 	}
 	oeng.Close()
 
@@ -273,6 +283,25 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 		if p, ok := got[w.Name]; !ok || p.Kind != w.Kind || p.Value != w.Value {
 			t.Errorf("the Stats structs hold %s %s = %d, the merged registries have %+v", w.Kind, w.Name, w.Value, p)
 		}
+	}
+	for name, hs := range srcs {
+		var merged metrics.Histogram
+		var sumMicro int64
+		for _, h := range hs {
+			merged.Merge(h)
+			sumMicro += int64(math.Round(h.Sum() * 1e6))
+		}
+		stored := metrics.NewRegistry()
+		stored.Hist(name).Store(hs)
+		p, w := got[name], stored.Snapshot()[0]
+		if p.Kind != "hist" || p.Count != merged.Count() || p.Min != merged.Min() || p.Max != merged.Max() ||
+			p.SumMicro != sumMicro || !reflect.DeepEqual(p.Buckets, w.Buckets) {
+			t.Errorf("the oracle's %d sources merge to %s count %d min %v max %v sum_micro %d buckets %v, the merged registries have %+v",
+				len(hs), name, merged.Count(), merged.Min(), merged.Max(), sumMicro, w.Buckets, p)
+		}
+	}
+	if got["vmm_clone_ms"].Count == 0 {
+		t.Error("vacuous run: no clone latency published")
 	}
 }
 

@@ -111,12 +111,12 @@ type ShardEngineConfig struct {
 	ChromeOut io.Writer
 
 	// Metrics, when non-nil, is the live-telemetry registry. The
-	// domains count in their Stats structs and nowhere else; the engine
-	// publishes the cross-domain sums (see StatsView) from its
-	// after-epoch hook every second of simulated time, and whenever an
-	// entry point that advances or mutates the farm returns — so a read
-	// at rest is exact. Only the event-rate histograms and the epoch
-	// profiler record into it directly.
+	// domains count in their Stats structs and Histograms and nowhere
+	// else; the engine publishes the cross-domain merges (see StatsView)
+	// from its after-epoch hook every second of simulated time, and
+	// whenever an entry point that advances or mutates the farm returns —
+	// so a read at rest is exact. Only the epoch profiler records into it
+	// directly.
 	Metrics *metrics.Registry
 	// EpochLog, when non-nil, receives the JSONL epoch timeline (one
 	// metrics.EpochSample per line) for tracetool -epochs. Enables the
@@ -246,7 +246,6 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 	if n > 1 {
 		fc.HostConfig.Name = fmt.Sprintf("%s-s%d", cfg.Farm.HostConfig.Name, i)
 	}
-	fc.Metrics = cfg.Metrics
 	if cfg.OnInfected != nil {
 		fc.OnInfected = cfg.OnInfected
 	}
@@ -257,7 +256,6 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 
 	d := &ShardDomain{Index: i, K: k, F: f, records: k.NewLane()}
 	gc := cfg.Gateway
-	gc.Metrics = cfg.Metrics
 	if cfg.EventLog != nil {
 		d.EventBuf = mem.NewArena(sinkArenaCap)
 		gc.EventSink = gateway.ArenaSink(d.EventBuf)

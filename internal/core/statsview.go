@@ -18,13 +18,15 @@ import (
 const publishEvery = time.Second
 
 // StatsView makes the registry's gateway_*, farm_*, vmm_* and guest_*
-// counters and gauges a view over the Stats structs of a set of shard
-// domains — the engine's, or a cluster worker's: nothing counts into the
-// registry per event, Publish stores the sums. They are summed in the
-// view's own fields so that publishing allocates nothing.
+// series a view over what a set of shard domains count — the engine's,
+// or a cluster worker's: nothing records into the registry per event.
+// Publish stores the sums of the domains' Stats structs, summed in the
+// view's own fields, and their Histograms, merged in shard order, so
+// that publishing allocates nothing.
 type StatsView struct {
 	domains                    []*ShardDomain
 	gateway, farm, host, guest *metrics.Exporter
+	hists                      []histView
 
 	next sim.Time // the barrier clock PublishDue next acts at
 	gs   gateway.Stats
@@ -33,11 +35,27 @@ type StatsView struct {
 	us   guest.Stats
 }
 
-// NewStatsView resolves the four Stats types' series on reg. A nil
-// registry yields a nil view, whose methods do nothing.
+// histView is one registry histogram and the domains' Histograms it is
+// the merge of, in shard order.
+type histView struct {
+	h    *metrics.Hist
+	srcs []*metrics.Histogram
+}
+
+// NewStatsView resolves the four Stats types' series and the three
+// histograms on reg. A nil registry yields a nil view, whose methods do
+// nothing.
 func NewStatsView(reg *metrics.Registry, domains []*ShardDomain) *StatsView {
 	if reg == nil {
 		return nil
+	}
+	var clone, detect, deception []*metrics.Histogram
+	for _, d := range domains {
+		for _, h := range d.F.Hosts() {
+			clone = append(clone, &h.CloneLatency)
+		}
+		detect = append(detect, d.G.DetectTime())
+		deception = append(deception, d.F.Deception())
 	}
 	return &StatsView{
 		domains: domains,
@@ -45,6 +63,11 @@ func NewStatsView(reg *metrics.Registry, domains []*ShardDomain) *StatsView {
 		farm:    metrics.NewExporter(reg, farm.Stats{}),
 		host:    metrics.NewExporter(reg, vmm.HostStats{}),
 		guest:   metrics.NewExporter(reg, guest.Stats{}),
+		hists: []histView{
+			{reg.Hist("vmm_clone_ms"), clone},
+			{reg.Hist("gateway_detect_time_ms"), detect},
+			{reg.Hist("guest_deception_actions"), deception},
+		},
 	}
 }
 
@@ -67,6 +90,9 @@ func (v *StatsView) Publish() {
 	v.farm.Publish(&v.fs)
 	v.host.Publish(&v.hs)
 	v.guest.Publish(&v.us)
+	for _, hv := range v.hists {
+		hv.h.Store(hv.srcs)
+	}
 }
 
 // PublishDue is Publish at the first barrier at or past each

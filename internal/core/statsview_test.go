@@ -41,13 +41,15 @@ func checkStats[T any](t *testing.T, add func(dst, src *T)) []string {
 // TestStatsExportedMergedUnique: a counter cannot be added to one of the
 // four Stats types without being exported (a metric tag) and merged (its
 // type's Add), and — they publish into one registry — no two fields
-// anywhere may claim one series name.
+// anywhere, nor a field and one of the view's histograms, may claim one
+// series name.
 func TestStatsExportedMergedUnique(t *testing.T) {
 	var names []string
 	names = append(names, checkStats(t, (*gateway.Stats).Add)...)
 	names = append(names, checkStats(t, (*farm.Stats).Add)...)
 	names = append(names, checkStats(t, (*vmm.HostStats).Add)...)
 	names = append(names, checkStats(t, (*guest.Stats).Add)...)
+	names = append(names, "vmm_clone_ms", "gateway_detect_time_ms", "guest_deception_actions")
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
 		if seen[name] {
@@ -58,14 +60,14 @@ func TestStatsExportedMergedUnique(t *testing.T) {
 	reg := metrics.NewRegistry()
 	NewStatsView(reg, nil)
 	if got := len(reg.Snapshot()); got != len(names) || got == 0 {
-		t.Errorf("a StatsView registers %d series, the four types tag %d fields", got, len(names))
+		t.Errorf("a StatsView registers %d series, the four types tag %d fields besides its 3 histograms", got, len(names)-3)
 	}
 }
 
 // TestStatsViewPublishCadence: mid-run the view publishes at the first
 // barrier at or past each publishEvery of simulated time and at none
-// between; Publish is unconditional; neither allocates; a nil view does
-// nothing.
+// between; Publish is unconditional; once warm neither allocates, with
+// every histogram holding samples; a nil view does nothing.
 func TestStatsViewPublishCadence(t *testing.T) {
 	reg := metrics.NewRegistry()
 	gc := gateway.DefaultConfig()
@@ -107,6 +109,16 @@ func TestStatsViewPublishCadence(t *testing.T) {
 		t.Errorf("Publish between barriers left the registry at %d probes, want 6", inbound.Load())
 	}
 
+	// Every histogram has samples, so a publication merges real buckets.
+	d.F.Hosts()[0].CloneLatency.Observe(3)
+	d.G.DetectTime().Observe(1500)
+	d.F.Deception().Observe(7)
+	v.Publish()
+	for _, p := range reg.Snapshot() {
+		if p.Kind == "hist" && p.Count == 0 {
+			t.Errorf("%s published empty", p.Name)
+		}
+	}
 	now := sim.Time(3 * publishEvery)
 	if n := testing.AllocsPerRun(50, func() {
 		now += sim.Time(publishEvery)

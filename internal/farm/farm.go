@@ -101,9 +101,9 @@ type Config struct {
 	// OnInfected observes guest compromises (experiments hook this).
 	OnInfected func(now sim.Time, in *guest.Instance)
 
-	// Metrics, when set, is handed to the servers' VMMs and the guests
-	// for their histograms (vmm_clone_ms, guest_deception_actions). The
-	// counters are Stats fields, published by the farm's owner.
+	// Metrics is ignored. The farm, its servers and its guests count in
+	// Stats structs and Histograms, which the farm's owner publishes (see
+	// core.StatsView).
 	Metrics *metrics.Registry
 }
 
@@ -221,11 +221,10 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 	}
 	f := &Farm{Cfg: cfg, K: k, byAddr: make(map[netsim.Addr]*FarmVM), up: k.NewLane(), down: k.NewLane()}
 	f.send = f.uplink
-	f.hooks = guest.Hooks{OnInfected: f.infected, Metrics: guest.NewInstruments(cfg.Metrics)}
+	f.hooks = guest.Hooks{OnInfected: f.infected, Metrics: &guest.Instruments{}}
 	for i := 0; i < cfg.Servers; i++ {
 		hc := cfg.HostConfig
 		hc.Name = fmt.Sprintf("%s-%d", cfg.HostConfig.Name, i)
-		hc.Metrics = cfg.Metrics
 		h := vmm.NewHost(k, hc)
 		h.RegisterImage(cfg.Image.Name, cfg.Image.NumPages, cfg.Image.ResidentPages,
 			cfg.Image.DiskBlocks, cfg.Image.Seed)
@@ -318,6 +317,10 @@ func (f *Farm) EachInstance(fn func(*guest.Instance)) {
 		fn(fv.Guest)
 	}
 }
+
+// Deception is the distribution of attacker actions the farm's guests
+// executed before going quiet: guest_deception_actions.
+func (f *Farm) Deception() *metrics.Histogram { return &f.hooks.Metrics.Deception }
 
 // GuestTotals sums the per-guest counters across live instances
 // (recycled guests' counters leave with them).

@@ -1,12 +1,14 @@
 // Package flatindex is the hash index behind the simulator's small
-// per-entity tables — a guest's connections, a binding's peers — where a
-// Go map's buckets, sized for growth, would cost more than the entries.
+// per-entity tables — a guest's connections, a binding's peers, a
+// clone's page table — where a Go map's buckets, sized for growth, would
+// cost more than the entries.
 //
-// An Index is open-addressed with linear probing: one flat slice of
-// handles, a power of two long and at most half full, so a miss probes
-// about twice; deletion shifts later entries of the probe run back
-// instead of leaving tombstones. It is the scheme mem's page-table index
-// uses, generalised over the key and the handle.
+// An Index is open-addressed with linear probing from a Fibonacci hash:
+// one flat slice of handles, a power of two long and at most half full,
+// so a miss probes about twice; deletion shifts later entries of the
+// probe run back instead of leaving tombstones. A caller that inserts
+// what it just failed to find (a page fault) probes once: Find reports
+// the slot where the miss stopped and InsertAt fills it.
 package flatindex
 
 import "math/bits"
@@ -47,17 +49,21 @@ func (x *Index[K, H, E]) Get(e E, k K) H {
 		var none H
 		return none
 	}
-	return x.slots[x.find(e, k)]
+	h, _ := x.Find(e, k)
+	return h
 }
 
-// find returns the slot holding k's handle, or the empty slot where its
-// probe run ends. The index must not be empty.
-func (x *Index[K, H, E]) find(e E, k K) int {
+// Find is Get that also returns the slot its probe stopped at: on a
+// miss, the slot InsertAt takes.
+func (x *Index[K, H, E]) Find(e E, k K) (H, int) {
 	var none H
+	if len(x.slots) == 0 {
+		return none, 0
+	}
 	mask := len(x.slots) - 1
 	for i := x.home(e.Hash(k)); ; i = (i + 1) & mask {
 		if h := x.slots[i]; h == none || e.Key(h) == k {
-			return i
+			return h, i
 		}
 	}
 }
@@ -68,6 +74,18 @@ func (x *Index[K, H, E]) Insert(e E, h H) {
 		x.grow(e)
 	}
 	x.place(e, h)
+	x.n++
+}
+
+// InsertAt is Insert for a handle whose key Find just missed at slot i,
+// with the index unchanged since.
+func (x *Index[K, H, E]) InsertAt(e E, h H, i int) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow(e)
+		x.place(e, h)
+	} else {
+		x.slots[i] = h
+	}
 	x.n++
 }
 
@@ -101,11 +119,8 @@ func (x *Index[K, H, E]) grow(e E) {
 // later probe stops only where it always would have.
 func (x *Index[K, H, E]) Delete(e E, k K) bool {
 	var none H
-	if x.n == 0 {
-		return false
-	}
-	i := x.find(e, k)
-	if x.slots[i] == none {
+	h, i := x.Find(e, k)
+	if h == none {
 		return false
 	}
 	// i is the hole. An entry further on may fill it only if the hole

@@ -24,7 +24,8 @@ func (s *slab) Hash(k uint64) uint64 {
 
 // TestIndexMatchesMap inserts, looks up and deletes random keys in an
 // index and a Go map side by side, with good and with colliding hashes,
-// and checks every key of the pool after every operation.
+// and checks every key of the pool after every operation. Every other
+// insert is a miss from Find filled by InsertAt, as a page fault does.
 func TestIndexMatchesMap(t *testing.T) {
 	for _, coarse := range []bool{false, true} {
 		rng := rand.New(rand.NewPCG(1, 2))
@@ -39,7 +40,13 @@ func TestIndexMatchesMap(t *testing.T) {
 				if _, ok := model[k]; !ok {
 					s.keys = append(s.keys, k)
 					h := uint32(len(s.keys))
-					x.Insert(s, h)
+					if op%2 == 0 {
+						x.Insert(s, h)
+					} else if miss, i := x.Find(s, k); miss != 0 {
+						t.Fatalf("coarse=%v op %d: Find(%d) = %d before it was inserted", coarse, op, k, miss)
+					} else {
+						x.InsertAt(s, h, i)
+					}
 					model[k] = h
 				}
 			case 2, 3:

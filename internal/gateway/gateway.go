@@ -205,9 +205,8 @@ type Config struct {
 	// CaptureSink). Nil disables capture.
 	Capture CaptureSink
 
-	// Metrics, when set, receives the gateway_detect_time_ms histogram,
-	// the one gateway series with no Stats field behind it (the owner
-	// of the gateway publishes those; see core.StatsView).
+	// Metrics is ignored. The gateway counts in Stats and DetectTime,
+	// which the gateway's owner publishes (see core.StatsView).
 	Metrics *metrics.Registry
 }
 
@@ -350,8 +349,8 @@ type Gateway struct {
 	reinject func(now sim.Time, pkt *netsim.Packet)
 
 	// detectTime records the sim-time (ms since start) of each detector
-	// firing: Min is time to first detection. Nil without Cfg.Metrics.
-	detectTime *metrics.Hist
+	// firing: Min is time to first detection.
+	detectTime metrics.Histogram
 }
 
 // scanKey identifies a scanner's probe signature.
@@ -381,7 +380,6 @@ func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
 		nat:         make(map[uint16]natEntry),
 		natPorts:    make(map[natEntry]uint16),
 		rng:         k.Stream("gateway"),
-		detectTime:  cfg.Metrics.Hist("gateway_detect_time_ms"),
 	}
 	g.startScrubber()
 	return g
@@ -407,6 +405,10 @@ func (g *Gateway) Stats() Stats {
 	s.BindingsLive = len(g.bindings)
 	return s
 }
+
+// DetectTime is the distribution of detector firings over simulated
+// time, in milliseconds since the start: gateway_detect_time_ms.
+func (g *Gateway) DetectTime() *metrics.Histogram { return &g.detectTime }
 
 // NumBindings returns the number of live bindings (pending + active).
 func (g *Gateway) NumBindings() int { return len(g.bindings) }

@@ -242,11 +242,11 @@ type Hooks struct {
 
 // Instruments is what every instance one farm runs shares: the
 // deception histogram, the counters of the instances that have stopped,
-// and the stopped instances themselves, which New reuses. A zero
-// Instruments is a valid telemetry-off value. Like everything under one
-// sim kernel it is single-threaded.
+// and the stopped instances themselves, which New reuses. The zero
+// Instruments is ready. Like everything under one sim kernel it is
+// single-threaded.
 type Instruments struct {
-	Deception *metrics.Hist // guest_deception_actions: attacker actions executed before going quiet
+	Deception metrics.Histogram // guest_deception_actions: attacker actions executed before going quiet
 
 	// Retired sums the final Stats of every stopped instance, so the
 	// farm's guest totals stay monotone across recycling.
@@ -254,12 +254,6 @@ type Instruments struct {
 	// free are stopped instances with no kernel event left in flight,
 	// connection table and bound callbacks attached.
 	free []*Instance
-}
-
-// NewInstruments registers the guest histogram on m (nil m yields a
-// no-op handle).
-func NewInstruments(m *metrics.Registry) *Instruments {
-	return &Instruments{Deception: m.Hist("guest_deception_actions")}
 }
 
 // Stats counts guest activity, the only place it is counted; a field's

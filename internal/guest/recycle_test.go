@@ -28,7 +28,7 @@ func newRecycleRig(t *testing.T) *recycleRig {
 	k := sim.NewKernel(7)
 	h := vmm.NewHost(k, vmm.DefaultHostConfig("recycle"))
 	h.RegisterImage("winxp", 8192, 1024, 128, 11)
-	return &recycleRig{k: k, h: h, shared: NewInstruments(nil)}
+	return &recycleRig{k: k, h: h, shared: &Instruments{}}
 }
 
 // guest clones a VM for ip, waits for it to come up and binds p to it.

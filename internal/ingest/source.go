@@ -64,8 +64,8 @@ type WireSource struct {
 	// Metrics, when non-nil, registers the ingest_arrival_lag_ms
 	// histogram: how far behind the already-emitted virtual stream each
 	// frame arrived (0 for in-order arrivals, the clamp magnitude
-	// otherwise). Bucketed by the registry's histogram, it shows whether
-	// ingest reordering or barrier wait bounds live throughput.
+	// otherwise). Recorded per record on the driver goroutine, it shows
+	// whether ingest reordering or barrier wait bounds live throughput.
 	Metrics *metrics.Registry
 
 	merged  <-chan *Frame
@@ -95,9 +95,7 @@ func (ws *WireSource) Read(rec *telescope.Record) error {
 	if !ws.started {
 		ws.started = true
 		ws.merged = mergeFrames(ws.L)
-		if ws.Metrics != nil {
-			ws.lag = ws.Metrics.Hist("ingest_arrival_lag_ms")
-		}
+		ws.lag = ws.Metrics.Hist("ingest_arrival_lag_ms") // nil, a no-op, without Metrics
 	}
 	if ws.err != nil {
 		return ws.err
@@ -120,18 +118,15 @@ func (ws *WireSource) Read(rec *telescope.Record) error {
 	if !ws.L.cfg.Timestamped && speed != 1 {
 		ts = sim.Time(float64(ts) * speed)
 	}
+	lag := 0.0
 	if ts < ws.last {
-		if ws.lag != nil {
-			ws.lag.Observe(float64(ws.last-ts) / 1e6)
-		}
+		lag = float64(ws.last-ts) / 1e6
 		ts = ws.last
 		ws.clamped.Add(1)
 	} else {
-		if ws.lag != nil {
-			ws.lag.Observe(0)
-		}
 		ws.last = ts
 	}
+	ws.lag.Observe(lag)
 	*rec = telescope.RecordOf(ts, &f.Pkt)
 	if hasContent(f.Pkt.Payload) {
 		rec.Payload = append([]byte(nil), f.Pkt.Payload...)

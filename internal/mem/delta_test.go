@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -330,8 +331,8 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 	if len(s.spaceFree) != 0 {
 		t.Errorf("pooled %d spaces that should have been dropped", len(s.spaceFree))
 	}
-	if len(s.chunkFree) != chunks || huge.index != nil || len(huge.chunks) != 0 {
-		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %d", len(s.chunkFree), chunks, len(huge.index))
+	if len(s.chunkFree) != chunks || !reflect.DeepEqual(huge.index, pageIndex{}) || len(huge.chunks) != 0 {
+		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %+v", len(s.chunkFree), chunks, huge.index)
 	}
 }
 

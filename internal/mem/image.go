@@ -141,10 +141,9 @@ func (img *Image) NewClone() *AddressSpace {
 	if ok {
 		// A released clone: its index is attached and empty, its counters
 		// are whatever its last tenant left.
-		*a = AddressSpace{store: a.store, chunks: a.chunks, index: a.index, shift: a.shift}
+		*a = AddressSpace{store: a.store, chunks: a.chunks, index: a.index}
 	} else {
 		a = &AddressSpace{store: img.store}
-		a.setIndex(make([]uint32, indexMin))
 	}
 	a.base, a.numPages = img, img.numPages
 	img.clones++

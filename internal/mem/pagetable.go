@@ -2,14 +2,15 @@ package mem
 
 import (
 	"encoding/binary"
-	"math/bits"
+
+	"potemkin/internal/flatindex"
 )
 
 // The page table of an AddressSpace is an append-only log of entries in
 // fixed-size chunks — growth never copies, iteration is fault order, and
-// a released clone's chunks go back to the store whole — plus an
-// open-addressed index from vpn to log position. Pages are never
-// unmapped one at a time, so neither structure deletes.
+// a released clone's chunks go back to the store whole — plus a
+// flatindex.Index from vpn to log position. Pages are never unmapped one
+// at a time, so neither structure deletes.
 
 // entry is one owned page: 40 bytes and free of Go pointers, so the
 // collector never scans a page table. ref is either the FrameID backing
@@ -132,31 +133,29 @@ const chunkEntries = 32
 
 type tableChunk [chunkEntries]entry
 
-// The index holds log positions plus one (0 is an empty slot) as
-// uint32s: a space cannot own 2^32 pages, whose entries alone would be
-// 160 GiB. It is kept at most half full, so a fault — a miss, then an
-// insert at the slot the miss stopped on — probes about twice.
+// tableLog is the log's chunks, which is what the index reads: a handle
+// is a log position plus one (0 is an empty slot) as a uint32 — a space
+// cannot own 2^32 pages, whose entries alone would be 160 GiB — and its
+// key is the entry's vpn, hashed as it is (the index mixes it).
+type tableLog []*tableChunk
+
+func (l tableLog) Key(pos uint32) uint64 { return l[(pos-1)/chunkEntries][(pos-1)%chunkEntries].vpn }
+
+func (tableLog) Hash(vpn uint64) uint64 { return vpn }
+
+// pageIndex maps an owned vpn to its log position plus one. A fault
+// probes it once: the slot a miss stopped at is where add inserts.
+type pageIndex = flatindex.Index[uint64, uint32, tableLog]
+
 // indexMaxRecycle is the largest index a released clone keeps (8 KiB,
 // 1,024 pages): Release clears all of it, so one that held a whole image
 // would tax every later tenant. chunkPoolCap bounds the chunks the store
 // keeps for reuse (20 MiB) and spacePoolCap the released clones.
 const (
-	indexMin        = 16
 	indexMaxRecycle = 2048
 	chunkPoolCap    = 16384
 	spacePoolCap    = 4096
 )
-
-// setIndex installs an index, whose length is a power of two.
-func (a *AddressSpace) setIndex(index []uint32) {
-	a.index = index
-	a.shift = uint8(64 - bits.TrailingZeros(uint(len(index))))
-}
-
-// indexSlot is where vpn's probe sequence starts (Fibonacci hashing).
-func (a *AddressSpace) indexSlot(vpn uint64) uint32 {
-	return uint32(vpn * 0x9e3779b97f4a7c15 >> a.shift)
-}
 
 // at addresses position i of the log.
 func (a *AddressSpace) at(i int) *entry {
@@ -165,23 +164,18 @@ func (a *AddressSpace) at(i int) *entry {
 
 // probe looks vpn up: its entry if the space owns the page, else nil
 // and the index slot an entry for it would take.
-func (a *AddressSpace) probe(vpn uint64) (*entry, uint32) {
-	mask := uint32(len(a.index) - 1)
-	for i := a.indexSlot(vpn); ; i = (i + 1) & mask {
-		pos := a.index[i]
-		if pos == 0 {
-			return nil, i
-		}
-		if e := a.at(int(pos - 1)); e.vpn == vpn {
-			return e, i
-		}
+func (a *AddressSpace) probe(vpn uint64) (*entry, int) {
+	pos, i := a.index.Find(a.chunks, vpn)
+	if pos == 0 {
+		return nil, i
 	}
+	return a.at(int(pos - 1)), i
 }
 
 // add appends an entry for vpn, which probe just found absent at index
 // slot i. The caller sets ref; whatever a previous tenant of the chunk
 // left in inl is dead because the new ref says how much of it counts.
-func (a *AddressSpace) add(vpn uint64, i uint32) *entry {
+func (a *AddressSpace) add(vpn uint64, i int) *entry {
 	if a.n == len(a.chunks)*chunkEntries {
 		c, ok := pop(&a.store.chunkFree)
 		if !ok {
@@ -192,19 +186,7 @@ func (a *AddressSpace) add(vpn uint64, i uint32) *entry {
 	e := a.at(a.n)
 	a.n++
 	e.vpn = vpn
-	if 2*a.n <= len(a.index) {
-		a.index[i] = uint32(a.n)
-		return e
-	}
-	a.setIndex(make([]uint32, 2*len(a.index)))
-	mask := uint32(len(a.index) - 1)
-	for pos := 0; pos < a.n; pos++ {
-		i := a.indexSlot(a.at(pos).vpn)
-		for a.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		a.index[i] = uint32(pos + 1)
-	}
+	a.index.InsertAt(a.chunks, uint32(a.n), i)
 	return e
 }
 

@@ -32,11 +32,10 @@ type AddressSpace struct {
 	released bool
 
 	// The page table (see pagetable.go): n entries logged in chunks, and
-	// the index over them with the shift that hashes into it.
-	chunks []*tableChunk
+	// the index over them.
+	chunks tableLog
 	n      int
-	index  []uint32
-	shift  uint8
+	index  pageIndex
 
 	// Incremental accounting, maintained as mappings change and by the
 	// store's updatePrivate hook so PrivatePages/ResidentPages are O(1):
@@ -55,9 +54,7 @@ func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
 	if numPages == 0 {
 		panic("mem: zero-size address space")
 	}
-	a := &AddressSpace{store: store, numPages: numPages}
-	a.setIndex(make([]uint32, indexMin))
-	return a
+	return &AddressSpace{store: store, numPages: numPages}
 }
 
 // Store returns the backing frame store.
@@ -84,7 +81,7 @@ func (a *AddressSpace) checkPage(vpn uint64) {
 // mapFrame maps vpn, which probe just found absent at index slot i and
 // which the base image does not back, to frame id. Reference counts are
 // the caller's business.
-func (a *AddressSpace) mapFrame(vpn uint64, i uint32, id FrameID) {
+func (a *AddressSpace) mapFrame(vpn uint64, i int, id FrameID) {
 	a.add(vpn, i).ref = uint64(id)
 	a.store.addHolder(id, a)
 }
@@ -247,19 +244,21 @@ func (a *AddressSpace) Release() {
 	}
 	clear(a.chunks)
 	a.chunks = a.chunks[:0]
+	// The index is a kept one of at most indexMaxRecycle slots or the
+	// smallest power of two at least 2n long, so it passes the cap
+	// exactly when 2n does.
+	keep := a.base != nil && 2*a.n <= indexMaxRecycle && len(s.spaceFree) < spacePoolCap
 	a.n, a.private, a.shadowed = 0, 0, 0
 	a.released = true
-	if a.base == nil {
-		a.index = nil
+	if a.base != nil {
+		a.base.live--
+		a.base = nil
+	}
+	if !keep {
+		a.index = pageIndex{}
 		return
 	}
-	a.base.live--
-	a.base = nil
-	if len(a.index) > indexMaxRecycle || len(s.spaceFree) >= spacePoolCap {
-		a.index = nil
-		return
-	}
-	clear(a.index) // the next clone's faults grow nothing
+	a.index.Clear() // the next clone's faults grow nothing
 	s.spaceFree = append(s.spaceFree, a)
 }
 

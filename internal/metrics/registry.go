@@ -1,23 +1,24 @@
 package metrics
 
-// Live telemetry registry: named counters, gauges, and histograms with
-// an atomic, allocation-free hot path. Unlike Histogram/Series (offline
-// experiment aggregation, single-threaded), the registry is scraped
-// concurrently by HTTP handlers while the simulation runs, so every
-// instrument is built on sync/atomic and is safe to read at any time
-// without touching sim state.
+// Live telemetry registry: named counters, gauges, and histograms that
+// HTTP handlers scrape while the simulation runs, so every instrument is
+// safe to read at any time without touching sim state: counters and
+// gauges are atomics, a histogram is a Histogram behind a mutex.
 //
-// The simulated farm's counters and gauges (gateway_*, farm_*, vmm_*,
-// guest_*) are not bumped per event: the packages count in their plain
-// Stats structs and an Exporter stores those here at epoch barriers.
-// Updated in place is only what has no struct to read from: the
-// event-rate histograms, the ingest listener's counters, EpochProfiler.
+// The simulated farm's series (gateway_*, farm_*, vmm_*, guest_*) are
+// not recorded per event: the packages count in their plain Stats
+// structs and Histograms, and core.StatsView stores those here at epoch
+// barriers. Updated in place is only what has no struct to read from:
+// the ingest listener's counters, its arrival-lag histogram, and
+// EpochProfiler.
 //
 // Determinism contract: the registry is observability-only. Published
-// values are sums of per-domain integers and histogram sums are kept in
-// integer micro-units, so two same-seed runs expose identical snapshots
-// however their shard goroutines interleaved. Wall-clock timings
-// recorded through EpochProfiler are the one nondeterministic family.
+// values are sums of per-domain integers, a histogram's sum is kept in
+// integer micro-units (rounded once per source a view stores), and a
+// point's quantiles follow Histogram's one rank rule, so two same-seed
+// runs expose identical snapshots however their shard goroutines
+// interleaved. Wall-clock timings recorded through EpochProfiler are the
+// one nondeterministic family.
 //
 // A nil *Registry hands out nil instruments whose methods are no-ops.
 
@@ -81,50 +82,50 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Hist is the registry's concurrency-safe histogram: the same
-// log-bucket layout as Histogram (16 sub-buckets per octave, ~±3%
-// relative error) with atomic bucket counts. The running sum is kept in
-// integer micro-units so that — unlike a floating-point accumulator —
-// the total is exactly independent of the order concurrent observers
-// interleaved in. Min/max are monotone CAS loops (order-independent by
-// construction). All methods are nil-safe.
+// Hist is the registry's histogram: a Histogram behind a mutex, with
+// its sum also kept in integer micro-units, so that the published total
+// is exact however its parts were added up. It is written one of two
+// ways. Observe is for a recorder with no struct to read from
+// (EpochProfiler, the wire source's arrival lag); Store is for a view
+// over Histograms kept elsewhere (core.StatsView). All methods are
+// nil-safe.
 type Hist struct {
-	count    atomic.Uint64
-	sumMicro atomic.Int64
-	minBits  atomic.Uint64 // float64 bits; initialized to +Inf by newHist
-	maxBits  atomic.Uint64 // float64 bits; initialized to -Inf by newHist
-	buckets  [numBuckets]atomic.Uint64
+	mu       sync.Mutex
+	h        Histogram
+	sumMicro int64
 }
 
-func newHist() *Hist {
-	h := &Hist{}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
+// micro is v in integer micro-units.
+func micro(v float64) int64 { return int64(math.Round(v * 1e6)) }
 
 // Observe records one sample. Negative values are clamped to zero.
 func (h *Hist) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
+	h.mu.Lock()
+	h.h.Observe(v)
+	h.sumMicro += micro(max(v, 0))
+	h.mu.Unlock()
+}
+
+// Store replaces the samples with the merge of srcs, in order. The sum
+// is each source's rounded to micro-units, then added: sources split
+// across registries (a cluster's workers) add up to the same integer as
+// one registry holding them all. Once the histogram has covered the
+// sources' range, Store allocates nothing.
+func (h *Hist) Store(srcs []*Histogram) {
+	if h == nil {
+		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sumMicro.Add(int64(math.Round(v * 1e6)))
-	for {
-		o := h.minBits.Load()
-		if math.Float64frombits(o) <= v || h.minBits.CompareAndSwap(o, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		o := h.maxBits.Load()
-		if math.Float64frombits(o) >= v || h.maxBits.CompareAndSwap(o, math.Float64bits(v)) {
-			break
-		}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	clear(h.h.buckets)
+	h.h = Histogram{buckets: h.h.buckets, lo: h.h.lo}
+	h.sumMicro = 0
+	for _, src := range srcs {
+		h.h.Merge(src)
+		h.sumMicro += micro(src.sum)
 	}
 }
 
@@ -133,7 +134,16 @@ func (h *Hist) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.count
+}
+
+// point is the histogram's snapshot Point.
+func (h *Hist) point(name string) Point {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return histPoint(name, &h.h, h.sumMicro)
 }
 
 // Bucket is one non-empty histogram bucket in a snapshot Point.
@@ -167,38 +177,36 @@ func (p Point) Mean() float64 {
 	return p.Sum() / float64(p.Count)
 }
 
-// Quantile returns the approximate q-quantile (0 <= q <= 1) of a
-// histogram point from its buckets, 0 when empty. Like
-// Histogram.Quantile, results are clamped to the exact [Min, Max] so
-// bucket rounding never reports a value outside the observed range.
-func (p Point) Quantile(q float64) float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(p.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for _, b := range p.Buckets {
-		seen += b.N
-		if seen >= rank {
-			v := bucketValue(b.Idx)
-			if v < p.Min {
-				v = p.Min
-			}
-			if v > p.Max {
-				v = p.Max
-			}
-			return v
+// histPoint is h as a snapshot Point whose sum is sumMicro.
+func histPoint(name string, h *Histogram, sumMicro int64) Point {
+	p := Point{Name: name, Kind: "hist", Count: h.count, SumMicro: sumMicro, Min: h.Min(), Max: h.Max()}
+	for i, n := range h.buckets {
+		if n > 0 {
+			p.Buckets = append(p.Buckets, Bucket{Idx: h.lo*subBuckets + i, N: n})
 		}
 	}
-	return p.Max
+	return p
+}
+
+// Histogram rebuilds the distribution a histogram point was taken from,
+// with its sum to the micro-unit: a point's quantiles are that
+// Histogram's. Buckets outside the layout are dropped, so a malformed
+// point cannot fault the reader.
+func (p Point) Histogram() Histogram {
+	h := Histogram{count: p.Count, sum: p.Sum(), min: p.Min, max: p.Max}
+	for _, b := range p.Buckets {
+		if b.Idx >= 0 && b.Idx < numBuckets {
+			h.cover(b.Idx/subBuckets, b.Idx/subBuckets)
+			h.buckets[b.Idx-h.lo*subBuckets] += b.N
+		}
+	}
+	return h
 }
 
 // Registry is a namespace of instruments. Get-or-create accessors are
 // mutex-guarded (call them at construction time, not on hot paths);
-// the instruments themselves are lock-free. A nil *Registry is a valid
+// counters and gauges are lock-free, a histogram takes only its own
+// mutex. A nil *Registry is a valid
 // "telemetry off" registry: it hands out nil instruments and empty
 // snapshots.
 type Registry struct {
@@ -259,7 +267,7 @@ func (r *Registry) Hist(name string) *Hist {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHist()
+		h = &Hist{}
 		r.hists[name] = h
 	}
 	return h
@@ -268,8 +276,8 @@ func (r *Registry) Hist(name string) *Hist {
 // Snapshot returns every instrument's current state sorted by name
 // (counters, then gauges, then histograms on a name tie — names are
 // expected to be unique across kinds). Safe to call concurrently with
-// updates; each instrument is read atomically field by field, so a
-// snapshot taken mid-run is a consistent-enough live view, and a
+// updates; each instrument is read whole (a histogram under its mutex),
+// so a snapshot taken mid-run is a consistent-enough live view, and a
 // snapshot taken when no updaters are running is exact. Nil-safe.
 func (r *Registry) Snapshot() []Point {
 	if r == nil {
@@ -285,17 +293,7 @@ func (r *Registry) Snapshot() []Point {
 		pts = append(pts, Point{Name: name, Kind: "gauge", Value: g.Load()})
 	}
 	for name, h := range r.hists {
-		p := Point{Name: name, Kind: "hist", Count: h.count.Load(), SumMicro: h.sumMicro.Load()}
-		if p.Count > 0 {
-			p.Min = math.Float64frombits(h.minBits.Load())
-			p.Max = math.Float64frombits(h.maxBits.Load())
-		}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
-				p.Buckets = append(p.Buckets, Bucket{Idx: i, N: n})
-			}
-		}
-		pts = append(pts, p)
+		pts = append(pts, h.point(name))
 	}
 	sort.Slice(pts, func(i, j int) bool {
 		if pts[i].Name != pts[j].Name {
@@ -307,8 +305,8 @@ func (r *Registry) Snapshot() []Point {
 }
 
 // MergePoints folds src into dst by (name, kind): counters and gauges
-// add, histograms add counts/sums, widen min/max, and union-add
-// buckets. Both inputs must be Snapshot-style sorted; the result is
+// add, histograms merge as Histograms do with their micro-unit sums
+// added. Both inputs must be Snapshot-style sorted; the result is
 // sorted the same way. Neither input is modified.
 func MergePoints(dst, src []Point) []Point {
 	byKey := make(map[[2]string]int, len(dst))
@@ -329,15 +327,9 @@ func MergePoints(dst, src []Point) []Point {
 		case "counter", "gauge":
 			d.Value += p.Value
 		case "hist":
-			if d.Count == 0 {
-				d.Min, d.Max = p.Min, p.Max
-			} else if p.Count > 0 {
-				d.Min = math.Min(d.Min, p.Min)
-				d.Max = math.Max(d.Max, p.Max)
-			}
-			d.Count += p.Count
-			d.SumMicro += p.SumMicro
-			d.Buckets = mergeBuckets(d.Buckets, p.Buckets)
+			a, b := d.Histogram(), p.Histogram()
+			a.Merge(&b)
+			*d = histPoint(d.Name, &a, d.SumMicro+p.SumMicro)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -346,27 +338,6 @@ func MergePoints(dst, src []Point) []Point {
 		}
 		return out[i].Kind < out[j].Kind
 	})
-	return out
-}
-
-func mergeBuckets(a, b []Bucket) []Bucket {
-	out := make([]Bucket, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Idx < b[j].Idx:
-			out = append(out, a[i])
-			i++
-		case a[i].Idx > b[j].Idx:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, Bucket{Idx: a[i].Idx, N: a[i].N + b[j].N})
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }
 
@@ -383,12 +354,11 @@ func WriteProm(w io.Writer, pts []Point) error {
 		case "gauge":
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", p.Name, p.Name, p.Value)
 		case "hist":
+			h := p.Histogram()
 			_, err = fmt.Fprintf(w, "# TYPE %s summary\n", p.Name)
-			if err == nil {
-				for _, q := range [...]float64{0.5, 0.9, 0.99} {
-					if _, err = fmt.Fprintf(w, "%s{quantile=\"%g\"} %g\n", p.Name, q, p.Quantile(q)); err != nil {
-						break
-					}
+			for _, q := range [...]float64{0.5, 0.9, 0.99} {
+				if err == nil {
+					_, err = fmt.Fprintf(w, "%s{quantile=\"%g\"} %g\n", p.Name, q, h.Quantile(q))
 				}
 			}
 			if err == nil {

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +76,9 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 }
 
 // TestHistPointRoundTrip: a histogram's snapshot Point reproduces
-// count, sum, min, max and a sane quantile from the sparse buckets.
+// count, sum, min, max and buckets, and its quantiles are the source
+// Histogram's at every q — one rank rule, whether the samples were
+// observed into the registry or stored from a Histogram kept elsewhere.
 func TestHistPointRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	h := r.Hist("lat_ms")
@@ -93,14 +97,101 @@ func TestHistPointRoundTrip(t *testing.T) {
 	if p.Min != 0 || p.Max != 100 {
 		t.Errorf("min/max = %v/%v", p.Min, p.Max)
 	}
-	if q := p.Quantile(0.5); q < 1 || q > 8 {
+	ph := p.Histogram()
+	if q := ph.Quantile(0.5); q < 1 || q > 8 {
 		t.Errorf("p50 = %v", q)
 	}
-	if q := p.Quantile(1); q != 100 {
+	if q := ph.Quantile(1); q != 100 {
 		t.Errorf("p100 = %v, want max", q)
 	}
 	if len(p.Buckets) == 0 {
 		t.Error("no sparse buckets in snapshot")
+	}
+
+	for _, samples := range [][]float64{{1, 100}, {1, 2, 4, 8, 100, -5}, {0.25, 3, 3, 3, 7e6}, {42}} {
+		var src Histogram
+		r := NewRegistry()
+		for _, v := range samples {
+			src.Observe(v)
+			r.Hist("observed").Observe(v)
+		}
+		r.Hist("stored").Store([]*Histogram{&src})
+		for _, p := range r.Snapshot() {
+			ph := p.Histogram()
+			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+				if got, want := ph.Quantile(q), src.Quantile(q); got != want {
+					t.Errorf("%v, %s: the point's q%v is %v, the source Histogram's %v", samples, p.Name, q, got, want)
+				}
+			}
+			if p.Count != src.Count() || p.Min != src.Min() || p.Max != src.Max() || p.SumMicro != micro(src.Sum()) {
+				t.Errorf("%v, %s: point %+v, source count %d min %v max %v sum %v", samples, p.Name, p, src.Count(), src.Min(), src.Max(), src.Sum())
+			}
+		}
+	}
+}
+
+// TestHistStoreMergesSources: Store replaces what the histogram held
+// with the merge of its sources, rounds each source's sum to micro-units
+// before adding, so sources split across registries merge back to the
+// same point, and allocates nothing once it has covered their range.
+func TestHistStoreMergesSources(t *testing.T) {
+	var a, b, empty Histogram
+	for _, v := range []float64{0.0000004, 3.5, 17} {
+		a.Observe(v)
+	}
+	for _, v := range []float64{0.0000004, 0.0000004, 1e4} {
+		b.Observe(v)
+	}
+	var merged Histogram
+	merged.Merge(&a)
+	merged.Merge(&b)
+
+	r := NewRegistry()
+	h := r.Hist("ms")
+	h.Observe(1e9) // replaced, not added to
+	h.Store([]*Histogram{&a, &empty, &b})
+	p := r.Snapshot()[0]
+	if want := micro(a.Sum()) + micro(b.Sum()); p.SumMicro != want {
+		t.Errorf("SumMicro = %d, want %d (rounded per source)", p.SumMicro, want)
+	}
+	got := p.Histogram()
+	if got.count != merged.count || got.min != merged.min || got.max != merged.max || !reflect.DeepEqual(got.buckets, merged.buckets) {
+		t.Errorf("stored %+v, merged sources %+v", got, merged)
+	}
+
+	split := func(srcs ...*Histogram) []Point {
+		r := NewRegistry()
+		r.Hist("ms").Store(srcs)
+		return r.Snapshot()
+	}
+	if whole, parts := split(&a, &b), MergePoints(split(&a), split(&b)); !reflect.DeepEqual(whole, parts) {
+		t.Errorf("one registry holds %+v, two merged %+v", whole, parts)
+	}
+
+	if n := testing.AllocsPerRun(50, func() { h.Store([]*Histogram{&a, &empty, &b}) }); n != 0 {
+		t.Errorf("a warm Store allocates %v objects, want 0", n)
+	}
+	h.Store(nil)
+	if p := r.Snapshot()[0]; p.Count != 0 || p.SumMicro != 0 || len(p.Buckets) != 0 {
+		t.Errorf("storing no sources left %+v", p)
+	}
+}
+
+// TestHistPointOutOfLayoutBuckets: a point decoded from a cluster
+// worker's message may carry any bucket index. Reading, merging and
+// rendering it never faults; buckets outside the layout are dropped.
+func TestHistPointOutOfLayoutBuckets(t *testing.T) {
+	p := Point{Name: "h", Kind: "hist", Count: 4, Min: 20, Max: 30,
+		Buckets: []Bucket{{Idx: -1, N: 1}, {Idx: bucketIndex(24), N: 2}, {Idx: numBuckets, N: 1}}}
+	h := p.Histogram()
+	if q := h.Quantile(0.5); q < 20 || q > 30 {
+		t.Errorf("p50 = %v, want within [min, max]", q)
+	}
+	if m := MergePoints([]Point{p}, []Point{p}); len(m) != 1 || m[0].Count != 8 || len(m[0].Buckets) != 1 {
+		t.Errorf("merged %+v", m)
+	}
+	if err := WriteProm(io.Discard, []Point{p}); err != nil {
+		t.Error(err)
 	}
 }
 

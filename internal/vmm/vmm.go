@@ -149,10 +149,6 @@ type HostConfig struct {
 	// CPU models per-host compute; the zero value disables CPU
 	// accounting and admission.
 	CPU CPUModel
-
-	// Metrics, when set, receives the vmm_clone_ms histogram, shared
-	// across hosts. The counters are HostStats fields.
-	Metrics *metrics.Registry
 }
 
 // DefaultHostConfig matches the experiments' standard server: 16 GiB of
@@ -234,10 +230,9 @@ type VMHost struct {
 
 	// Per-step clone latency distributions (E1).
 	StepLatency [NumCloneSteps]metrics.Histogram
-	// End-to-end clone latency distribution, in milliseconds.
+	// End-to-end clone latency distribution, in milliseconds: what
+	// vmm_clone_ms publishes (see core.StatsView).
 	CloneLatency metrics.Histogram
-
-	cloneMs *metrics.Hist // vmm_clone_ms; nil without Cfg.Metrics
 }
 
 // NewHost creates a host on kernel k.
@@ -255,8 +250,6 @@ func NewHost(k *sim.Kernel, cfg HostConfig) *VMHost {
 		vms:    make(map[VMID]*VM),
 		nextID: 1,
 		rng:    k.Stream("vmm/" + cfg.Name),
-
-		cloneMs: cfg.Metrics.Hist("vmm_clone_ms"),
 	}
 }
 
@@ -376,7 +369,6 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 		total += d
 	}
 	h.CloneLatency.Observe(float64(total) / float64(time.Millisecond))
-	h.cloneMs.Observe(float64(total) / float64(time.Millisecond))
 	h.stats.Clones++
 
 	vm.rise(total, ready)

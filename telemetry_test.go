@@ -3,10 +3,13 @@ package potemkin
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"potemkin/internal/core"
 	"potemkin/internal/guest"
 	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
@@ -173,11 +176,54 @@ func checkPublished(t *testing.T, when string, got []metrics.Point, stats ...any
 	}
 }
 
+// histSources are, in shard order, the Histograms each registry
+// histogram of a StatsView is the merge of.
+func histSources(domains []*core.ShardDomain) map[string][]*metrics.Histogram {
+	srcs := map[string][]*metrics.Histogram{}
+	for _, d := range domains {
+		for _, h := range d.F.Hosts() {
+			srcs["vmm_clone_ms"] = append(srcs["vmm_clone_ms"], &h.CloneLatency)
+		}
+		srcs["gateway_detect_time_ms"] = append(srcs["gateway_detect_time_ms"], d.G.DetectTime())
+		srcs["guest_deception_actions"] = append(srcs["guest_deception_actions"], d.F.Deception())
+	}
+	return srcs
+}
+
+// checkHists fails t unless got publishes each histogram of srcs as the
+// merge of its sources: the count, min and max of their Histogram.Merge,
+// the buckets storing them yields, and a sum rounded to micro-units one
+// source at a time.
+func checkHists(t *testing.T, when string, got []metrics.Point, srcs map[string][]*metrics.Histogram) {
+	t.Helper()
+	byName := make(map[string]metrics.Point, len(got))
+	for _, p := range got {
+		byName[p.Name] = p
+	}
+	for name, hs := range srcs {
+		var merged metrics.Histogram
+		var sumMicro int64
+		for _, h := range hs {
+			merged.Merge(h)
+			sumMicro += int64(math.Round(h.Sum() * 1e6))
+		}
+		stored := metrics.NewRegistry()
+		stored.Hist(name).Store(hs)
+		p, want := byName[name], stored.Snapshot()[0]
+		if p.Kind != "hist" || p.Count != merged.Count() || p.Min != merged.Min() || p.Max != merged.Max() ||
+			p.SumMicro != sumMicro || !reflect.DeepEqual(p.Buckets, want.Buckets) {
+			t.Errorf("%s: %d sources merge to %s count %d min %v max %v sum_micro %d buckets %v, the registry has %+v",
+				when, len(hs), name, merged.Count(), merged.Min(), merged.Max(), sumMicro, want.Buckets, p)
+		}
+	}
+}
+
 // TestRegistryEqualsStatsAtRest: once a call that drives the farm has
 // returned, every gateway_*/farm_*/vmm_*/guest_* counter and gauge in
 // the registry equals the Stats field it is a view of, summed over the
-// shard domains — in every execution mode — and the guest totals keep
-// what recycled guests counted.
+// shard domains, and every histogram the shard-order merge of the
+// domains' Histograms — in every execution mode — and the guest totals
+// keep what recycled guests counted.
 func TestRegistryEqualsStatsAtRest(t *testing.T) {
 	canary := guest.WindowsXP()
 	canary.CanaryRatePerSec = 20
@@ -208,6 +254,7 @@ func TestRegistryEqualsStatsAtRest(t *testing.T) {
 					us.Add(&u)
 				}
 				checkPublished(t, when, pts, &gs, &fs, &hs, &us)
+				checkHists(t, when, pts, histSources(eng.Domains()))
 				return pts
 			}
 
@@ -243,6 +290,11 @@ func TestRegistryEqualsStatsAtRest(t *testing.T) {
 			}
 			eng.RecycleAll()
 			pts = check("after RecycleAll")
+			for _, p := range pts {
+				if p.Name == "guest_deception_actions" && p.Count == 0 {
+					t.Error("no canary-probing guest went quiet: guest_deception_actions is empty")
+				}
+			}
 			if got := seriesValue(t, pts, "guest_canaries_total"); got != canaries || eng.GuestTotals().CanariesOut != 0 {
 				t.Errorf("guest_canaries_total = %d after its guest was recycled (live guests hold %d), want the %d it had sent",
 					got, eng.GuestTotals().CanariesOut, canaries)
