@@ -21,7 +21,10 @@ test:
 # So does a third histogram path: outside tests and bench/, a registry
 # histogram is resolved only by internal/metrics, the wire source's
 # arrival lag and core.StatsView (a layer records into a Histogram it
-# owns, and the view publishes it).
+# owns, and the view publishes it). So does a second Options -> engine
+# translation: potemkind's cluster roles run on
+# potemkin.Options.EngineConfig, so its non-test code builds no farm or
+# gateway config of its own.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -31,6 +34,8 @@ vet:
 		[ -z "$$out" ] || { echo "vet: an epoch loop outside sim.ParallelRunner (implement sim.Transport instead):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n '\.Hist(' -- '*.go' ':!*_test.go' ':!bench' | grep -v -e '^internal/metrics/' -e '^internal/ingest/source\.go:' -e '^internal/core/statsview\.go:'); \
 		[ -z "$$out" ] || { echo "vet: a registry histogram outside metrics, the wire source and core.StatsView (record into a Histogram the layer owns):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n -e 'farm\.DefaultConfig()' -e 'gateway\.DefaultConfig()' -- 'cmd/potemkind/*.go' ':!*_test.go'); \
+		[ -z "$$out" ] || { echo "vet: potemkind builds an engine config by hand (use potemkin.Options.EngineConfig):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -60,6 +65,7 @@ fuzz:
 # BENCH_core.json as ns/op, B/op and allocs/op. This is the single
 # documented way to regenerate BENCH_core.json; -require makes the run
 # fail loudly if a rename or pattern typo silently drops a benchmark.
+# EXPERIMENTS.md's E11 hot-path table is then rendered from it.
 bench:
 	( $(GO) test -run '^$$' -bench 'BenchmarkE1FlashClone$$|BenchmarkE2DeltaVirt$$|BenchmarkE4Gateway|BenchmarkAblation|BenchmarkE11WireIngest$$|BenchmarkShardReplay' -benchmem -benchtime 1s . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkIngestDecap$$|BenchmarkWireSenderEncap$$' -benchmem -benchtime 1s ./internal/ingest ; \
@@ -67,6 +73,7 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json \
 			-description "Core fast-path benchmarks: store alloc, CoW write (E2 delta virtualization), gateway scrub, flash clone, wire ingest, shard replay, kernel heap vs lane." \
 			-require BenchmarkE1FlashClone,BenchmarkE2DeltaVirt,BenchmarkAblationScrub,BenchmarkE11WireIngest,BenchmarkShardReplaySequential,BenchmarkShardReplayParallel,BenchmarkIngestDecap,BenchmarkWireSenderEncap,BenchmarkKernelHeap,BenchmarkKernelLane
+	$(GO) test -count=1 -run '^TestExperimentsHotPathTable$$' ./cmd/benchjson -update
 
 # The allocation gate: one measured pass over the shard-replay pair;
 # fails if parallel allocs/op exceed sequential by more than 5%, or if

@@ -1,380 +1,89 @@
 package main
 
 // Cluster mode: -coordinator runs the epoch barrier and feed driver;
-// -worker hosts a subset of the shard domains. Both sides are launched
-// with the same scenario flags (SPMD) and verify agreement during the
-// handshake, so a worker started with a different seed or policy is
-// rejected instead of silently diverging. The merged results are
-// byte-identical to a single-process run of the same scenario.
+// -worker hosts a subset of the shard domains. Both roles build their
+// engine configuration from the same Options a single-process run
+// would (SPMD) and verify agreement during the handshake, so a worker
+// started with a different seed or policy is rejected instead of
+// silently diverging. The merged results are byte-identical to a
+// single-process run of the same scenario.
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"potemkin"
 	"potemkin/internal/cluster"
 	"potemkin/internal/core"
-	"potemkin/internal/farm"
-	"potemkin/internal/gateway"
-	"potemkin/internal/guest"
-	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
-	"potemkin/internal/netsim"
-	"potemkin/internal/scenario"
-	"potemkin/internal/score"
 	"potemkin/internal/telescope"
 )
 
-// clusterScenario is everything both cluster roles must agree on.
-type clusterScenario struct {
-	Space    string
-	Servers  int
-	Shards   int
-	Parallel bool // workers run their domains on goroutines
-	Policy   string
-	Idle     time.Duration
-	Profile  *guest.Profile
-	Seed     uint64
-	// Campaign, when non-nil, runs a deterministic attacker scenario
-	// (-scenario): it derives the guest profile and lateral-movement
-	// topology, the coordinator feeds its compiled packet plan, and the
-	// run is scored into an effectiveness scorecard. Both roles compile
-	// the same plan from the same flags (SPMD).
-	Campaign *potemkin.Scenario
-}
-
-// compile builds the campaign's packet plan. Deterministic: both roles,
-// and every retry, compile identical plans from the same scenario.
-func (sc clusterScenario) compile() (*scenario.Plan, error) {
-	space, err := netsim.ParsePrefix(sc.Space)
-	if err != nil {
-		return nil, fmt.Errorf("invalid -space %q: %v", sc.Space, err)
-	}
-	return scenario.Compile(sc.Campaign, sc.Seed, space)
-}
-
-// engineConfig builds the shard engine configuration exactly as the
-// potemkin facade would for the same Options, so cluster results stay
-// byte-comparable with single-process runs.
-func (sc clusterScenario) engineConfig() (core.ShardEngineConfig, error) {
-	space, err := netsim.ParsePrefix(sc.Space)
-	if err != nil {
-		return core.ShardEngineConfig{}, fmt.Errorf("invalid -space %q: %v", sc.Space, err)
-	}
-	fc := farm.DefaultConfig()
-	fc.Servers = sc.Servers
-	fc.Profile = sc.Profile
-	gc := gateway.DefaultConfig()
-	gc.Space = space
-	switch sc.Policy {
-	case "open":
-		gc.Policy = gateway.PolicyOpen
-	case "drop-all":
-		gc.Policy = gateway.PolicyDropAll
-	case "reflect-source":
-		gc.Policy = gateway.PolicyReflectSource
-	case "internal-reflect":
-		gc.Policy = gateway.PolicyInternalReflect
-	default:
-		return core.ShardEngineConfig{}, fmt.Errorf("unknown policy %q", sc.Policy)
-	}
-	gc.IdleTimeout = sc.Idle // 0 disables, matching Options.IdleTimeout < 0
-	if sc.Campaign != nil {
-		// Match the facade's scenario wiring exactly: the campaign
-		// derives the guest personality and the P2P target picker.
-		plan, err := sc.compile()
-		if err != nil {
-			return core.ShardEngineConfig{}, err
-		}
-		fc.Profile = plan.Profile
-		fc.PickTargetFor = plan.PickTargetFor()
-	}
-	return core.ShardEngineConfig{
-		Shards:   sc.Shards,
-		Parallel: sc.Parallel,
-		Seed:     sc.Seed,
-		Gateway:  gc,
-		Farm:     fc,
-	}, nil
-}
-
-// tag canonically renders the scenario; coordinator and workers must
-// produce the same string or the handshake fails.
-func (sc clusterScenario) tag() string {
+// configTag canonically renders what both cluster roles must agree on;
+// a worker whose tag differs from the coordinator's fails the handshake.
+func configTag(opts potemkin.Options, ec core.ShardEngineConfig) string {
 	t := fmt.Sprintf("space=%s servers=%d shards=%d policy=%s idle=%s guest=%s seed=%d",
-		sc.Space, sc.Servers, sc.Shards, sc.Policy, sc.Idle, sc.Profile.Name, sc.Seed)
-	if sc.Campaign != nil {
+		ec.Gateway.Space, ec.Farm.Servers, ec.Shards, opts.Policy, ec.Gateway.IdleTimeout,
+		ec.Farm.Profile.Name, ec.Seed)
+	if opts.Scenario != nil {
 		// The content hash catches roles launched with divergent scenario
 		// files that happen to share a name.
-		t += fmt.Sprintf(" scenario=%s#%016x", sc.Campaign.Name, sc.Campaign.Hash())
+		t += fmt.Sprintf(" scenario=%s#%016x", opts.Scenario.Name, opts.Scenario.Hash())
 	}
 	return t
 }
 
-// clusterLogf writes cluster progress to stderr, keeping stdout clean
-// for -json output.
-func clusterLogf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "potemkind: "+format+"\n", args...)
+// coordinator is a farm whose shards run on worker processes.
+type coordinator struct {
+	c    *cluster.Coordinator
+	opts potemkin.Options
+	res  *cluster.Results
 }
 
-type coordinatorRun struct {
-	scenario clusterScenario
-	addr     string
-	workers  int
-
-	heartbeat        time.Duration
-	heartbeatTimeout time.Duration
-	recoveryWait     time.Duration
-
-	// Feed selection (mirrors the single-process modes minus -listen).
-	traceFile string
-	pcapFile  string
-	duration  time.Duration
-	rate      float64
-
-	eventLog *os.File
-	traceOut *os.File
-	epochLog *os.File
-	jsonOut  bool
-	snapOut  string
-	// scorecardOut receives the campaign scorecard (JSON) when the run
-	// carries a -scenario.
-	scorecardOut string
-	// debugAddr serves the farm-wide /metrics and /cluster health views
-	// (plus expvar/pprof) while the run is live.
-	debugAddr string
-}
-
-// runClusterCoordinator drives one cluster run end to end and returns
-// the process exit code. A SIGINT/SIGTERM halts the feed at the next
-// epoch boundary and still merges and flushes everything collected so
-// far — same graceful-flush contract as single-process mode.
-func runClusterCoordinator(r coordinatorRun) int {
-	ec, err := r.scenario.engineConfig()
+// replay feeds the workers, then fetches and merges their results and
+// writes the event log and trace they collected — even when the run
+// degraded: partial results are the whole point of the clean-degrade
+// path.
+func (co *coordinator) replay(src telescope.Source, epilogue time.Duration, halt func() bool) (int, error) {
+	n, err := co.c.Replay(src, halt, epilogue)
 	if err != nil {
-		clusterLogf("%v", err)
-		return 1
+		err = fmt.Errorf("replay: %w", err)
 	}
-	if r.eventLog != nil {
-		ec.EventLog = r.eventLog
+	res, rerr := co.c.Results()
+	if rerr != nil && err == nil {
+		err = fmt.Errorf("results: %w", rerr)
 	}
-	if r.traceOut != nil {
-		ec.TraceOut = r.traceOut
-	}
-	if r.epochLog != nil {
-		ec.EpochLog = r.epochLog
-	}
-	var plan *scenario.Plan
-	if r.scenario.Campaign != nil {
-		plan, err = r.scenario.compile()
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
+	co.res = res
+	for _, out := range []struct {
+		w io.Writer
+		b []byte
+	}{{co.opts.EventLog, res.Events}, {co.opts.TraceOut, res.Trace}} {
+		if out.w == nil {
+			continue
+		}
+		if _, werr := out.w.Write(out.b); werr != nil && err == nil {
+			err = werr
 		}
 	}
-	if r.debugAddr != "" || r.epochLog != nil || plan != nil {
-		// The registry turns on worker-side telemetry too (the assign
-		// message carries the flag); heartbeats piggyback the snapshots
-		// the farm-wide /metrics merge is built from. A scenario run
-		// needs it unconditionally: the scorecard is computed from the
-		// workers' merged final snapshots.
-		ec.Metrics = metrics.NewRegistry()
+	for _, ev := range co.c.RecoveryEvents() {
+		logf("recovery: %s", ev)
 	}
-	c, err := cluster.New(cluster.Config{
-		Engine:            ec,
-		ConfigTag:         r.scenario.tag(),
-		ListenAddr:        r.addr,
-		Workers:           r.workers,
-		HeartbeatInterval: r.heartbeat,
-		HeartbeatTimeout:  r.heartbeatTimeout,
-		RecoveryWait:      r.recoveryWait,
-		RecoveryLog:       os.Stderr,
-		Logf:              clusterLogf,
-	})
-	if err != nil {
-		clusterLogf("%v", err)
-		return 1
-	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		clusterLogf("%v", err)
-		return 1
-	}
-	fmt.Printf("coordinator on %s: %d shards across %d workers, scenario %q\n",
-		c.Addr(), r.scenario.Shards, r.workers, r.scenario.tag())
-	if r.debugAddr != "" {
-		// Both handlers read only atomics published by the driver and
-		// read loops, so serving them from HTTP goroutines mid-run is
-		// safe (same rule as the single-process /metrics).
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write(c.MetricsText())
-		})
-		http.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(c.HealthJSON())
-		})
-		go func() {
-			if err := http.ListenAndServe(r.debugAddr, nil); err != nil {
-				clusterLogf("debug endpoint: %v", err)
-			}
-		}()
-		fmt.Printf("debug endpoint on http://%s (/metrics, /cluster, /debug/pprof)\n", r.debugAddr)
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	var interrupted atomic.Bool
-	go func() {
-		<-ctx.Done()
-		interrupted.Store(true)
-	}()
-
-	if err := c.WaitReady(5 * time.Minute); err != nil {
-		clusterLogf("%v", err)
-		return 1
-	}
-	fmt.Printf("workers ready; starting feed\n")
-
-	var src telescope.Source
-	// The feed epilogue: how long the farm keeps simulating after the
-	// last packet. Scenario runs use the campaign's settle window so the
-	// scorecard sees the same horizon as a facade run.
-	epilogue := time.Millisecond
-	switch {
-	case plan != nil:
-		src = &telescope.SliceSource{Recs: plan.Records}
-		epilogue = plan.Settle
-		fmt.Printf("scenario %q: replaying %d campaign packets, settling %v\n",
-			r.scenario.Campaign.Name, len(plan.Records), plan.Settle)
-	case r.traceFile != "":
-		f, err := os.Open(r.traceFile)
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		defer f.Close()
-		tr, err := telescope.NewReader(f)
-		if err != nil {
-			clusterLogf("reading %s: %v", r.traceFile, err)
-			return 1
-		}
-		src = tr
-		fmt.Printf("streaming replay from %s\n", r.traceFile)
-	case r.pcapFile != "":
-		f, err := os.Open(r.pcapFile)
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		defer f.Close()
-		ps, err := ingest.NewPcapSource(f)
-		if err != nil {
-			clusterLogf("reading %s: %v", r.pcapFile, err)
-			return 1
-		}
-		src = ps
-		fmt.Printf("streaming replay from %s\n", r.pcapFile)
-	default:
-		gcfg := telescope.DefaultGenConfig()
-		gcfg.Space = ec.Gateway.Space
-		gcfg.Duration = r.duration
-		gcfg.Rate = r.rate
-		gcfg.Seed = r.scenario.Seed
-		recs, err := telescope.Generate(gcfg)
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		fmt.Printf("synthesized %d packets over %v at %.0f pps\n", len(recs), r.duration, r.rate)
-		src = &telescope.SliceSource{Recs: recs}
-	}
-
-	injected, rerr := c.Replay(src, interrupted.Load, epilogue)
-	if interrupted.Load() {
-		fmt.Println("\ninterrupted: flushing writers and reporting partial results")
-	}
-	res, err := c.Results()
-	if res == nil {
-		clusterLogf("%v", err)
-		return 1
-	}
-	// Flush collected output even when the run degraded: partial
-	// results are the whole point of the clean-degrade path.
-	if r.eventLog != nil {
-		r.eventLog.Write(res.Events)
-	}
-	if r.traceOut != nil {
-		r.traceOut.Write(res.Trace)
-	}
-	exit := 0
-	if rerr != nil {
-		clusterLogf("replay: %v", rerr)
-		exit = 1
-	} else if err != nil {
-		clusterLogf("results: %v", err)
-		exit = 1
-	}
-	for _, ev := range c.RecoveryEvents() {
-		fmt.Fprintf(os.Stderr, "potemkind: recovery: %s\n", ev)
-	}
-	if plan != nil {
-		// The merged worker snapshots carry the same counters a single
-		// process would have accumulated, so this card is byte-identical
-		// to the facade's for the same scenario, seed, and shard count.
-		card := score.Compute(plan.Facts(r.scenario.Policy), res.Metrics)
-		if err := emitScorecard(card, r.scorecardOut, r.jsonOut); err != nil {
-			clusterLogf("%v", err)
-			exit = 1
-		}
-	}
-
-	st := clusterStats(res)
-	if r.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		return exit
-	}
-	fmt.Printf("\nfinal after %v simulated (%d recoveries):\n", st.Now.Truncate(time.Millisecond), c.Recoveries())
-	fmt.Printf("  injected packets      %d\n", injected)
-	fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
-	fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
-	fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
-	fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
-	fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
-	fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
-	fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
-		st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
-	fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
-	fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, r.scenario.Servers)
-	if r.snapOut != "" {
-		b, err := json.MarshalIndent(st, "", "  ")
-		if err == nil {
-			err = os.WriteFile(r.snapOut, b, 0o644)
-		}
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		fmt.Printf("\n[snapshot] %s\n", r.snapOut)
-	}
-	return exit
+	return n, err
 }
 
-// clusterStats shapes merged cluster results as the facade's Stats so
-// -json output is directly comparable with a single-process run.
-func clusterStats(res *cluster.Results) potemkin.Stats {
+// points is the workers' final registry snapshots merged: the same
+// counters one process would have accumulated.
+func (co *coordinator) points() []metrics.Point { return co.res.Metrics }
+
+// stats shapes the merged results as the facade's Stats, so -json
+// output is directly comparable with a single-process run.
+func (co *coordinator) stats() potemkin.Stats {
+	res := co.res
 	return potemkin.Stats{
 		Now:               time.Duration(res.Now),
 		LiveVMs:           res.LiveVMs,
@@ -395,17 +104,88 @@ func clusterStats(res *cluster.Results) potemkin.Stats {
 	}
 }
 
-// runClusterWorker serves shards until the coordinator shuts the run
-// down, and returns the process exit code. The first SIGINT/SIGTERM is
-// deferred to the coordinator (which owns the run's lifecycle and the
-// flush of everything this worker has buffered); a second one forces
-// exit.
-func runClusterWorker(scenario clusterScenario, addr, name string, heartbeat time.Duration) int {
-	ec, err := scenario.engineConfig()
+// runCoordinator drives one cluster run end to end and returns the
+// process exit code. A SIGINT/SIGTERM halts the feed at the next epoch
+// boundary and still merges and flushes everything collected so far —
+// same graceful-flush contract as single-process mode.
+func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
+	ec, err := opts.EngineConfig()
 	if err != nil {
-		clusterLogf("%v", err)
+		logf("%v", err)
 		return 1
 	}
+	ec.EventLog, ec.TraceOut, ec.EpochLog = opts.EventLog, opts.TraceOut, opts.EpochLog
+	if opts.Metrics || opts.EpochLog != nil || opts.Scenario != nil {
+		// The registry turns on worker-side telemetry too (the assign
+		// message carries the flag); heartbeats piggyback the snapshots
+		// the farm-wide /metrics merge is built from. A scenario run
+		// needs it unconditionally: the scorecard is computed from the
+		// workers' merged final snapshots.
+		ec.Metrics = metrics.NewRegistry()
+	}
+	tag := configTag(opts, ec)
+	c, err := cluster.New(cluster.Config{
+		Engine:            ec,
+		ConfigTag:         tag,
+		ListenAddr:        f.coordinator,
+		Workers:           f.workers,
+		HeartbeatInterval: f.heartbeat,
+		HeartbeatTimeout:  f.hbTimeout,
+		RecoveryWait:      f.recoveryWait,
+		RecoveryLog:       os.Stderr,
+		Logf:              logf,
+	})
+	if err != nil {
+		logf("%v", err)
+		return 1
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		logf("%v", err)
+		return 1
+	}
+	fmt.Printf("coordinator on %s: %d shards across %d workers, scenario %q\n",
+		c.Addr(), ec.Shards, f.workers, tag)
+	if f.debugAddr != "" {
+		// Both handlers read only atomics published by the driver and
+		// read loops, so serving them from HTTP goroutines mid-run is
+		// safe (same rule as the single-process /metrics).
+		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			w.Write(c.MetricsText())
+		})
+		http.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(c.HealthJSON())
+		})
+		serveDebug(f.debugAddr, "/metrics, /cluster, /debug/pprof")
+	}
+	if err := c.WaitReady(5 * time.Minute); err != nil {
+		logf("%v", err)
+		return 1
+	}
+	fmt.Printf("workers ready; starting feed\n")
+	fd, err := openFeed(f, opts, ec.Gateway.Space)
+	if err != nil {
+		logf("%v", err)
+		return 1
+	}
+	co := &coordinator{c: c, opts: opts}
+	injected, card, err := fd.run(co, opts.Policy, halt)
+	return conclude(co, f, injected, card, err, halt())
+}
+
+// runWorker serves shards until the coordinator shuts the run down, and
+// returns the process exit code. The first SIGINT/SIGTERM is deferred
+// to the coordinator (which owns the run's lifecycle and the flush of
+// everything this worker has buffered); a second one forces exit.
+func runWorker(f *flags, opts potemkin.Options) int {
+	ec, err := opts.EngineConfig()
+	if err != nil {
+		logf("%v", err)
+		return 1
+	}
+	name := f.name
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -414,28 +194,28 @@ func runClusterWorker(scenario clusterScenario, addr, name string, heartbeat tim
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
-		clusterLogf("worker %s: interrupt deferred — the coordinator drives shutdown and flushes buffered output; ^C again to force", name)
+		logf("worker %s: interrupt deferred — the coordinator drives shutdown and flushes buffered output; ^C again to force", name)
 		<-sigs
 		os.Exit(1)
 	}()
 	err = cluster.RunWorker(cluster.WorkerConfig{
-		Addr:              addr,
+		Addr:              f.worker,
 		Engine:            ec,
-		ConfigTag:         scenario.tag(),
+		ConfigTag:         configTag(opts, ec),
 		Name:              name,
-		HeartbeatInterval: heartbeat,
+		HeartbeatInterval: f.heartbeat,
 		// Die as abruptly as a SIGKILL: the whole point of the injected
 		// fault is exercising the coordinator's crash recovery.
 		OnKill: func(worker int) {
-			clusterLogf("worker %s: killed by injected fault (worker slot %d)", name, worker)
+			logf("worker %s: killed by injected fault (worker slot %d)", name, worker)
 			os.Exit(137)
 		},
-		Logf: clusterLogf,
+		Logf: logf,
 	})
 	if err != nil {
-		clusterLogf("worker %s: %v", name, err)
+		logf("worker %s: %v", name, err)
 		return 1
 	}
-	clusterLogf("worker %s: clean shutdown", name)
+	logf("worker %s: clean shutdown", name)
 	return 0
 }

@@ -71,8 +71,12 @@ func TestValidateParallelConstraints(t *testing.T) {
 	}
 	// Every farm runs the epoch loop, so the epoch timeline and the
 	// adaptive-epoch cap apply without Parallel too.
-	if err := (Options{EpochLog: &bytes.Buffer{}, AdaptiveEpochs: 1}).Validate(); err != nil {
-		t.Errorf("EpochLog and AdaptiveEpochs without Parallel should validate: %v", err)
+	if hf, err := New(Options{EpochLog: &bytes.Buffer{}}); err != nil {
+		t.Errorf("EpochLog without Parallel should validate: %v", err)
+	} else {
+		hf.Internals().Engine.SetAdaptive(1)
+		hf.RunFor(10 * time.Millisecond)
+		hf.Close()
 	}
 	// Every shard is a domain with its own slice of the servers,
 	// Parallel or not, and the complaint joins the collect-all list.

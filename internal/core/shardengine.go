@@ -119,7 +119,7 @@ type ShardEngineConfig struct {
 	// directly.
 	Metrics *metrics.Registry
 	// EpochLog, when non-nil, receives the JSONL epoch timeline (one
-	// metrics.EpochSample per line) for tracetool -epochs. Enables the
+	// metrics.EpochSample per line) for inspect epochs. Enables the
 	// epoch profiler even without Metrics. Wall-clock timings are
 	// observability-only — they never feed back into sim state.
 	EpochLog io.Writer
@@ -514,6 +514,11 @@ func (e *ShardEngine) Lookahead() time.Duration { return e.cfg.Lookahead }
 // SetSequential switches epoch execution to the single-threaded oracle
 // (equivalence tests). Call only between runs.
 func (e *ShardEngine) SetSequential(seq bool) { e.runner.SetSequential(seq) }
+
+// SetAdaptive caps how many lookahead cells one epoch may span, as
+// ShardEngineConfig.AdaptiveEpochs does at construction (1 pins the
+// fixed grid). Call only between runs.
+func (e *ShardEngine) SetAdaptive(maxCells int) { e.runner.SetAdaptive(maxCells) }
 
 // Now returns the engine clock.
 func (e *ShardEngine) Now() sim.Time { return e.runner.Now() }

@@ -7,7 +7,7 @@ package metrics
 // barrier waiting for the slowest shard, and what the single-threaded
 // outbox exchange cost — feeding registry histograms for live /metrics
 // scraping plus an optional JSONL timeline for offline analysis
-// (`tracetool -epochs`).
+// (`inspect epochs`).
 //
 // All figures are wall-clock and observability-only: nothing recorded
 // here ever feeds back into simulation state, so a profiled run stays

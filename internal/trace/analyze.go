@@ -10,7 +10,7 @@ import (
 
 // Analysis is the offline view of a recorded trace: per-stage latency
 // distributions keyed by span name, and the span trees reassembled per
-// trace ID. cmd/tracetool renders it; tests drive it directly.
+// trace ID. inspect trace renders it; tests drive it directly.
 type Analysis struct {
 	Spans  int
 	Traces int

@@ -48,7 +48,7 @@ func JSONL(w io.Writer, errFn func(error)) Sink {
 	}
 }
 
-// ReadAll parses a JSONL trace back into records (cmd/tracetool).
+// ReadAll parses a JSONL trace back into records (inspect trace).
 func ReadAll(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)

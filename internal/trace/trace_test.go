@@ -217,7 +217,7 @@ func TestChromeExport(t *testing.T) {
 	}
 
 	// Converting the JSONL back through a second ChromeWriter must give
-	// identical bytes (tracetool's conversion path).
+	// identical bytes (inspect trace -chrome's conversion path).
 	recs, err := ReadAll(bytes.NewReader(jsonl.Bytes()))
 	if err != nil {
 		t.Fatal(err)

@@ -136,13 +136,6 @@ type Options struct {
 	// its own pcap.
 	Parallel bool
 
-	// AdaptiveEpochs caps how many 1 ms lookahead cells one epoch
-	// barrier may span when the engine widens quiet stretches (fewer
-	// barriers, same bytes — see DESIGN.md "Epoch exchange"). 0 keeps
-	// the default of 64; 1 pins the historical fixed epoch grid; larger
-	// values widen further. Applies with or without Parallel.
-	AdaptiveEpochs int
-
 	// Policy is the containment mode. The zero value is Open, which
 	// forwards everything a guest sends; set InternalReflect for the
 	// paper's containment.
@@ -231,7 +224,7 @@ type Options struct {
 	// EpochLog, when non-nil, receives the engine's JSONL epoch
 	// timeline — one line per epoch barrier with per-shard advance and
 	// barrier-wait wall times plus exchange cost — for
-	// `tracetool -epochs`, with or without Parallel. Wall-clock figures
+	// `inspect epochs`, with or without Parallel. Wall-clock figures
 	// are observability-only and never feed back into the simulation.
 	EpochLog io.Writer
 
@@ -327,9 +320,6 @@ func (o Options) Validate() error {
 	if o.Parallel && o.GatewayShards < 2 {
 		add("Parallel requires GatewayShards >= 2 (got %d)", o.GatewayShards)
 	}
-	if o.AdaptiveEpochs < 0 {
-		add("negative AdaptiveEpochs")
-	}
 	if w := o.Wire; w != nil {
 		if w.Addr == "" {
 			add("Wire.Addr is required (the UDP listen address)")
@@ -404,7 +394,6 @@ func (s Stats) String() string {
 // Honeyfarm is a running simulated honeyfarm.
 type Honeyfarm struct {
 	opts    Options
-	space   netsim.Prefix
 	profile *guest.Profile
 	// plan is the compiled attacker campaign when Options.Scenario is
 	// set; RunScenario replays and scores it.
@@ -422,42 +411,39 @@ type Honeyfarm struct {
 	captures []*captureFile
 }
 
-// New constructs a honeyfarm from opts.
-func New(opts Options) (*Honeyfarm, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, err
+// EngineConfig translates o into the shard engine's configuration — one
+// domain per gateway shard, with the policy, idle recycling, guest, and
+// a scenario's guest and target picker — after validating it. New adds
+// sinks, hooks and capture to it; potemkind's cluster roles run on it
+// as it is.
+func (o Options) EngineConfig() (core.ShardEngineConfig, error) {
+	ec, _, err := o.engineConfig()
+	return ec, err
+}
+
+// engineConfig is EngineConfig plus the compiled scenario plan, if any.
+func (o Options) engineConfig() (core.ShardEngineConfig, *scenario.Plan, error) {
+	o = o.withDefaults()
+	if err := o.Validate(); err != nil {
+		return core.ShardEngineConfig{}, nil, err
 	}
-	space, _ := netsim.ParsePrefix(opts.MonitoredSpace)
-	var plan *scenario.Plan
-	if opts.Scenario != nil {
-		var err error
-		plan, err = scenario.Compile(opts.Scenario, opts.Seed, space)
-		if err != nil {
-			return nil, err
-		}
-		// A scenario run is always scored, and the scorecard is computed
-		// from the telemetry registry.
-		opts.Metrics = true
-	}
-	hf := &Honeyfarm{opts: opts, space: space, plan: plan}
-	if plan != nil {
-		hf.profile = plan.Profile
-	} else {
-		hf.profile = opts.guestProfile()
-	}
-	if opts.Metrics {
-		hf.metrics = metrics.NewRegistry()
-	}
+	space, _ := netsim.ParsePrefix(o.MonitoredSpace)
 
 	fc := farm.DefaultConfig()
-	fc.Servers = opts.Servers
-	fc.HostConfig.MemoryBytes = opts.ServerMemory
-	fc.FullBoot = opts.FullBoot
-	fc.Profile = hf.profile
-	if plan != nil {
+	fc.Servers = o.Servers
+	fc.HostConfig.MemoryBytes = o.ServerMemory
+	fc.FullBoot = o.FullBoot
+	var plan *scenario.Plan
+	if o.Scenario == nil {
+		fc.Profile = o.guestProfile()
+	} else {
+		var err error
+		if plan, err = scenario.Compile(o.Scenario, o.Seed, space); err != nil {
+			return core.ShardEngineConfig{}, nil, err
+		}
+		fc.Profile = plan.Profile
 		fc.PickTargetFor = plan.PickTargetFor()
-		if opts.GatewayShards == 1 {
+		if o.GatewayShards == 1 {
 			// A one-shard domain names its hosts plainly, but PR 9's
 			// committed scorecards and bench/seams.go's hand-wired
 			// scenario pipeline both hard-code the "-s0" name the
@@ -470,35 +456,49 @@ func New(opts Options) (*Honeyfarm, error) {
 
 	gc := gateway.DefaultConfig()
 	gc.Space = space
-	gc.Policy = gateway.Policy(opts.Policy)
-	gc.ScanFilter = opts.ScanFilter
-	gc.PinDetected = opts.PinDetected
+	gc.Policy = gateway.Policy(o.Policy)
+	gc.ScanFilter = o.ScanFilter
+	gc.PinDetected = o.PinDetected
 	switch {
-	case opts.IdleTimeout < 0:
+	case o.IdleTimeout < 0:
 		gc.IdleTimeout = 0
-	case opts.IdleTimeout == 0:
+	case o.IdleTimeout == 0:
 		gc.IdleTimeout = 60 * time.Second
 	default:
-		gc.IdleTimeout = opts.IdleTimeout
+		gc.IdleTimeout = o.IdleTimeout
 	}
 
 	// One domain (kernel + gateway + farm slice + resolver) per gateway
 	// shard, epochs synchronized by core.ShardEngine: on one goroutine
 	// each with Parallel, in shard order on the caller's without — same
 	// bytes either way.
-	ec := core.ShardEngineConfig{
-		Shards:         opts.GatewayShards,
-		Parallel:       opts.Parallel,
-		AdaptiveEpochs: opts.AdaptiveEpochs,
-		Seed:           opts.Seed,
-		Gateway:        gc,
-		Farm:           fc,
-		EventLog:       opts.EventLog,
-		TraceOut:       opts.TraceOut,
-		ChromeOut:      opts.TraceChrome,
-		Metrics:        hf.metrics,
-		EpochLog:       opts.EpochLog,
+	return core.ShardEngineConfig{
+		Shards:   o.GatewayShards,
+		Parallel: o.Parallel,
+		Seed:     o.Seed,
+		Gateway:  gc,
+		Farm:     fc,
+	}, plan, nil
+}
+
+// New constructs a honeyfarm from opts.
+func New(opts Options) (*Honeyfarm, error) {
+	ec, plan, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
 	}
+	opts = opts.withDefaults()
+	hf := &Honeyfarm{opts: opts, profile: ec.Farm.Profile, plan: plan}
+	// A scenario run is always scored, and the scorecard is computed
+	// from the telemetry registry.
+	if opts.Metrics || plan != nil {
+		hf.metrics = metrics.NewRegistry()
+	}
+	ec.EventLog = opts.EventLog
+	ec.TraceOut = opts.TraceOut
+	ec.ChromeOut = opts.TraceChrome
+	ec.Metrics = hf.metrics
+	ec.EpochLog = opts.EpochLog
 	var hooks Hooks
 	if opts.Hooks != nil {
 		hooks = *opts.Hooks
@@ -540,7 +540,7 @@ func New(opts Options) (*Honeyfarm, error) {
 	}
 	hf.eng = eng
 	if opts.SnapshotWarmup > 0 {
-		if err := eng.PrepareSnapshotImages(fc.Image.Name+"-settled", opts.SnapshotWarmup); err != nil {
+		if err := eng.PrepareSnapshotImages(ec.Farm.Image.Name+"-settled", opts.SnapshotWarmup); err != nil {
 			eng.Close() // stop the shard workers; the warmup error is the one to report
 			return hf.fail(err)
 		}
@@ -645,8 +645,8 @@ func (hf *Honeyfarm) parsePair(src, dst string) (netsim.Addr, netsim.Addr, error
 	if err != nil {
 		return 0, 0, err
 	}
-	if !hf.space.Contains(d) {
-		return 0, 0, fmt.Errorf("potemkin: %s outside monitored space %s", dst, hf.space)
+	if space := hf.eng.Space(); !space.Contains(d) {
+		return 0, 0, fmt.Errorf("potemkin: %s outside monitored space %s", dst, space)
 	}
 	return s, d, nil
 }
@@ -655,7 +655,7 @@ func (hf *Honeyfarm) parsePair(src, dst string) (netsim.Addr, netsim.Addr, error
 // honeyfarm's monitored space.
 func (hf *Honeyfarm) GenerateTrace(dur time.Duration, pps float64) ([]TraceRecord, error) {
 	cfg := telescope.DefaultGenConfig()
-	cfg.Space = hf.space
+	cfg.Space = hf.eng.Space()
 	cfg.Duration = dur
 	cfg.Rate = pps
 	cfg.Seed = hf.opts.Seed

@@ -5,7 +5,7 @@
 # present. Then prove telemetry does not perturb the simulation: two
 # same-seed runs, one with the full telemetry stack and one without,
 # must emit byte-identical final JSON stats. Finally the epoch
-# timeline must feed tracetool -epochs a barrier-wait profile.
+# timeline must feed inspect epochs a barrier-wait profile.
 #
 # Usage: scripts/metrics_smoke.sh [workdir]
 set -euo pipefail
@@ -22,9 +22,9 @@ port=$((48640 + RANDOM % 1000))
 addr="127.0.0.1:$port"
 common=(-parallel -shards "$shards" -seed "$seed" -duration "$dur" -rate "$rate")
 
-echo "== building potemkind and tracetool"
+echo "== building potemkind and inspect"
 go build -o "$work/potemkind" ./cmd/potemkind
-go build -o "$work/tracetool" ./cmd/tracetool
+go build -o "$work/inspect" ./cmd/inspect
 
 pids=()
 cleanup() {
@@ -130,12 +130,12 @@ if ! diff -u "$work/plain.json" "$work/telemetry.json"; then
     exit 1
 fi
 
-echo "== tracetool -epochs over the run's timeline"
+echo "== inspect epochs over the run's timeline"
 [ -s "$work/epochs.jsonl" ] || { echo "FAIL: empty epoch timeline" >&2; exit 1; }
-"$work/tracetool" -epochs -top 3 "$work/epochs.jsonl" >"$work/epochs.out"
+"$work/inspect" epochs -top 3 "$work/epochs.jsonl" >"$work/epochs.out"
 for want in "barrier wait" "p99=" "slowest 3 epochs"; do
     if ! grep -qF "$want" "$work/epochs.out"; then
-        echo "FAIL: tracetool -epochs output missing '$want'" >&2
+        echo "FAIL: inspect epochs output missing '$want'" >&2
         cat "$work/epochs.out" >&2
         exit 1
     fi

@@ -74,8 +74,8 @@ for family in multistage fingerprint p2p; do
     echo "   $family: sequential = parallel = cluster"
 done
 
-echo "== rendering with cmd/scorecard"
-go run ./cmd/scorecard "$work"/multistage.seq.json >/dev/null
-go run ./cmd/scorecard -merge -json "$work"/p2p.seq.json "$work"/p2p.seq.json >/dev/null
+echo "== rendering with inspect scorecard"
+go run ./cmd/inspect scorecard "$work"/multistage.seq.json >/dev/null
+go run ./cmd/inspect scorecard -merge -json "$work"/p2p.seq.json "$work"/p2p.seq.json >/dev/null
 
 echo "PASS: all scenario families score byte-identically across execution modes"

@@ -6,7 +6,7 @@
 # parallel honeyfarm. The final JSON stats of the live run and its
 # replay must be byte-identical — a live parallel run is exactly
 # re-simulable from its capture artifact. The live run's epoch timeline
-# must also show the ingress-frame accounting in tracetool -epochs.
+# must also show the ingress-frame accounting in inspect epochs.
 #
 # Usage: scripts/wire_parallel_smoke.sh [workdir]
 set -euo pipefail
@@ -22,10 +22,10 @@ port=$((49640 + RANDOM % 1000))
 addr="127.0.0.1:$port"
 common=(-parallel -shards "$shards" -servers "$servers" -seed "$seed")
 
-echo "== building potemkind, floodgen, and tracetool"
+echo "== building potemkind, floodgen, and inspect"
 go build -o "$work/potemkind" ./cmd/potemkind
 go build -o "$work/floodgen" ./cmd/floodgen
-go build -o "$work/tracetool" ./cmd/tracetool
+go build -o "$work/inspect" ./cmd/inspect
 
 pids=()
 cleanup() {
@@ -97,11 +97,11 @@ inbound=$(awk -F'[:,]' '/"InboundPackets"/ { gsub(/[^0-9]/, "", $2); print $2 }'
     exit 1
 }
 
-echo "== tracetool -epochs shows ingress accounting"
+echo "== inspect epochs shows ingress accounting"
 [ -s "$work/epochs.jsonl" ] || { echo "FAIL: empty epoch timeline" >&2; exit 1; }
-"$work/tracetool" -epochs -top 3 "$work/epochs.jsonl" >"$work/epochs.out"
+"$work/inspect" epochs -top 3 "$work/epochs.jsonl" >"$work/epochs.out"
 grep -q "ingress:" "$work/epochs.out" || {
-    echo "FAIL: tracetool -epochs missing ingress line" >&2
+    echo "FAIL: inspect epochs missing ingress line" >&2
     cat "$work/epochs.out" >&2
     exit 1
 }

@@ -12,7 +12,7 @@ import (
 // summaries — clone latency merged across every server, plus the
 // tracers' per-stage histograms (merged across gateway shards) when
 // tracing is on. potemkind serves it
-// from the live debug endpoint and cmd/analyze renders it offline.
+// from the live debug endpoint and inspect snapshot renders it offline.
 type Snapshot struct {
 	TSeconds float64 `json:"t_seconds"` // simulated time
 
@@ -131,7 +131,7 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 }
 
 // MarshalSnapshot renders the snapshot as indented JSON — the exact
-// bytes potemkind's debug endpoint serves and cmd/analyze -snapshot
+// bytes potemkind's debug endpoint serves and inspect snapshot
 // reads.
 func (hf *Honeyfarm) MarshalSnapshot() ([]byte, error) {
 	return json.MarshalIndent(hf.Snapshot(), "", "  ")

@@ -71,26 +71,25 @@ func wireTestTrace(t testing.TB) []telescope.Record {
 
 // wireOpts builds the shared honeyfarm configuration: every run —
 // live or replay — must be identically configured for byte equality.
-func wireOpts(adaptive int, ev *bytes.Buffer) Options {
+func wireOpts(ev *bytes.Buffer) Options {
 	return Options{
-		Seed:           wireSeed,
-		Parallel:       true,
-		GatewayShards:  4,
-		Servers:        4,
-		AdaptiveEpochs: adaptive,
-		Policy:         InternalReflect,
-		IdleTimeout:    time.Second,
-		EventLog:       ev,
+		Seed:          wireSeed,
+		Parallel:      true,
+		GatewayShards: 4,
+		Servers:       4,
+		Policy:        InternalReflect,
+		IdleTimeout:   time.Second,
+		EventLog:      ev,
 	}
 }
 
 // liveWireRun serves recs over a real loopback UDP socket into a
 // parallel honeyfarm via Options.Wire, capturing the feed to pcapPath.
 // Returns the final stats and event-log bytes.
-func liveWireRun(t *testing.T, recs []telescope.Record, listenShards, adaptive int, pcapPath string) (Stats, []byte) {
+func liveWireRun(t *testing.T, recs []telescope.Record, listenShards int, pcapPath string) (Stats, []byte) {
 	t.Helper()
 	var ev bytes.Buffer
-	opts := wireOpts(adaptive, &ev)
+	opts := wireOpts(&ev)
 	opts.Wire = &WireOptions{
 		Addr:    "127.0.0.1:0",
 		Shards:  listenShards,
@@ -165,12 +164,16 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards, adaptive i
 // replayWireRun replays a live run's capture pcap on an identically
 // configured honeyfarm. oracle switches the engine to single-threaded
 // epochs — the strongest equality claim: live parallel wire traffic
-// reproduced by a sequential offline re-simulation.
+// reproduced by a sequential offline re-simulation. A non-zero
+// adaptive caps the epoch width (ShardEngine.SetAdaptive).
 func replayWireRun(t *testing.T, pcapPath string, adaptive int, oracle bool) (Stats, []byte) {
 	t.Helper()
 	var ev bytes.Buffer
-	hf := MustNew(wireOpts(adaptive, &ev))
+	hf := MustNew(wireOpts(&ev))
 	defer hf.Close()
+	if adaptive != 0 {
+		hf.Internals().Engine.SetAdaptive(adaptive)
+	}
 	if oracle {
 		hf.Internals().Engine.SetSequential(true)
 	}
@@ -212,7 +215,7 @@ func waitUntilWire(t testing.TB, cond func() bool) {
 func TestWireParallelLiveReplay(t *testing.T) {
 	recs := wireTestTrace(t)
 	pcap := filepath.Join(t.TempDir(), "live.pcap")
-	liveStats, liveEv := liveWireRun(t, recs, 1, 0, pcap)
+	liveStats, liveEv := liveWireRun(t, recs, 1, pcap)
 
 	if liveStats.InfectedVMs == 0 && liveStats.DetectedInfected == 0 {
 		t.Errorf("vacuous live run, exploit never landed: %+v", liveStats)
@@ -247,15 +250,15 @@ func TestWireParallelLiveReplay(t *testing.T) {
 func TestWireParallelAdaptiveSnapback(t *testing.T) {
 	recs := wireTestTrace(t)
 	pcap := filepath.Join(t.TempDir(), "live.pcap")
-	liveStats, liveEv := liveWireRun(t, recs, 1, 0, pcap)
+	liveStats, liveEv := liveWireRun(t, recs, 1, pcap)
 
 	for _, adaptive := range []int{1, 64} {
 		stats, ev := replayWireRun(t, pcap, adaptive, false)
 		if !reflect.DeepEqual(liveStats, stats) {
-			t.Errorf("AdaptiveEpochs=%d replay diverges from live run:\nlive:   %+v\nreplay: %+v", adaptive, liveStats, stats)
+			t.Errorf("SetAdaptive(%d) replay diverges from live run:\nlive:   %+v\nreplay: %+v", adaptive, liveStats, stats)
 		}
 		if !bytes.Equal(liveEv, ev) {
-			t.Errorf("AdaptiveEpochs=%d event log diverges (live %d bytes, replay %d bytes)", adaptive, len(liveEv), len(ev))
+			t.Errorf("SetAdaptive(%d) event log diverges (live %d bytes, replay %d bytes)", adaptive, len(liveEv), len(ev))
 		}
 	}
 }
@@ -267,7 +270,7 @@ func TestWireParallelAdaptiveSnapback(t *testing.T) {
 func TestWireParallelMultiShardListener(t *testing.T) {
 	recs := wireTestTrace(t)
 	pcap := filepath.Join(t.TempDir(), "live.pcap")
-	liveStats, liveEv := liveWireRun(t, recs, 2, 0, pcap)
+	liveStats, liveEv := liveWireRun(t, recs, 2, pcap)
 
 	oracleStats, oracleEv := replayWireRun(t, pcap, 0, true)
 	if !reflect.DeepEqual(liveStats, oracleStats) {
