@@ -24,7 +24,9 @@ test:
 # owns, and the view publishes it). So does a second Options -> engine
 # translation: potemkind's cluster roles run on
 # potemkin.Options.EngineConfig, so its non-test code builds no farm or
-# gateway config of its own.
+# gateway config of its own. So does a recover() outside tests, bench/
+# and the engine's shard-panic capture (internal/core/parallel.go):
+# panics are not control flow.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -36,6 +38,8 @@ vet:
 		[ -z "$$out" ] || { echo "vet: a registry histogram outside metrics, the wire source and core.StatsView (record into a Histogram the layer owns):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n -e 'farm\.DefaultConfig()' -e 'gateway\.DefaultConfig()' -- 'cmd/potemkind/*.go' ':!*_test.go'); \
 		[ -z "$$out" ] || { echo "vet: potemkind builds an engine config by hand (use potemkin.Options.EngineConfig):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n 'recover()' -- '*.go' ':!*_test.go' ':!bench' | grep -v '^internal/core/parallel\.go:'); \
+		[ -z "$$out" ] || { echo "vet: recover() outside internal/core/parallel.go (return an error instead of panicking):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -53,6 +57,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmm
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzEpochDone -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzWorkerEpoch -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest

@@ -56,8 +56,14 @@ type Checkpoint struct {
 	Epochs     []EpochInputs
 }
 
-// WriteTo serializes the checkpoint.
+// WriteTo writes the serialized checkpoint to w.
 func (ck *Checkpoint) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(ck.Encode())
+	return int64(n), err
+}
+
+// Encode returns the serialized checkpoint bytes.
+func (ck *Checkpoint) Encode() []byte {
 	var b []byte
 	b = binary.BigEndian.AppendUint32(b, checkpointMagic)
 	b = binary.BigEndian.AppendUint32(b, checkpointVersion)
@@ -74,22 +80,7 @@ func (ck *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(ep.Inputs)))
 		b = append(b, ep.Inputs...)
 	}
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// Encode returns the serialized checkpoint bytes.
-func (ck *Checkpoint) Encode() []byte {
-	var buf countingBuffer
-	ck.WriteTo(&buf)
-	return buf.b
-}
-
-type countingBuffer struct{ b []byte }
-
-func (c *countingBuffer) Write(p []byte) (int, error) {
-	c.b = append(c.b, p...)
-	return len(p), nil
+	return b
 }
 
 // ReadCheckpoint parses a serialized shard checkpoint, validating
@@ -215,7 +206,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 // shardLog accumulates one shard's completed-epoch inputs during a run
 // — the live form of a Checkpoint. The coordinator keeps one per shard
-// and snapshots them on demand (worker crash, shutdown flush).
+// and snapshots a dead worker's into the checkpoints its replacement
+// restores from.
 type shardLog struct {
 	epochs  []EpochInputs
 	through sim.Time

@@ -172,7 +172,7 @@ type Coordinator struct {
 	// inputs holds each shard's encoded inputs for the epoch about to
 	// open (cross-shard packets, injected ones, records), shipped and
 	// logged by Advance; inputsNext is the earliest time in them. next is
-	// each shard's earliest pending event as its worker last reported it.
+	// each worker slot's earliest pending event as it last reported it.
 	inputs     [][]byte
 	inputsNext sim.Time
 	next       []sim.Time
@@ -237,16 +237,13 @@ func New(cfg Config) (*Coordinator, error) {
 		standbySig: make(chan struct{}, 1),
 		inputs:     make([][]byte, ecfg.Shards),
 		inputsNext: sim.End,
-		next:       make([]sim.Time, ecfg.Shards),
 	}
-	c.workers = cfg.Workers
-	if c.workers > c.shards {
-		c.workers = c.shards
-	}
+	c.workers = min(cfg.Workers, c.shards)
 	c.reg = ecfg.Metrics
 	if c.reg != nil || ecfg.EpochLog != nil {
 		c.prof = metrics.NewEpochProfiler(c.reg, ecfg.EpochLog)
 	}
+	c.next = make([]sim.Time, c.workers)
 	c.donePending = make(map[int]bool, c.workers)
 	c.advanceNS = make([]int64, c.workers)
 	c.assigned = make([]*wconn, c.workers)
@@ -270,15 +267,6 @@ func (c *Coordinator) Start() error {
 
 // Addr returns the listen address (useful with ListenAddr ":0").
 func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
-
-// Shards returns the total shard count.
-func (c *Coordinator) Shards() int { return c.shards }
-
-// Workers returns the assigned worker-slot count.
-func (c *Coordinator) Workers() int { return c.workers }
-
-// Space returns the monitored prefix.
-func (c *Coordinator) Space() netsim.Prefix { return c.space }
 
 // shardsOf lists the global shard indices worker id owns (round-robin,
 // like the in-process engine splits farm servers).
@@ -482,14 +470,13 @@ func (c *Coordinator) processEvent(ev wevent) (frame, bool) {
 }
 
 // handleEpochDone records a worker's epoch completion: its outbox and
-// its shards' next events (a report decodeEpochDone rejects is a
-// protocol violation, treated as death).
+// its next event (a report decodeEpochDone rejects is a protocol
+// violation, treated as death).
 func (c *Coordinator) handleEpochDone(w *wconn, payload []byte) {
 	if w.id < 0 || c.assigned[w.id] != w || !c.donePending[w.id] {
 		return // stale completion from a retired epoch or connection
 	}
-	owned := c.shardsOf(w.id)
-	m, err := decodeEpochDone(payload, c.shards, owned, c.curEnd)
+	m, err := decodeEpochDone(payload, c.shards, c.shardsOf(w.id), c.curEnd)
 	if err != nil {
 		c.markDead(w, "bad epoch-done: "+err.Error())
 		return
@@ -498,9 +485,7 @@ func (c *Coordinator) handleEpochDone(w *wconn, payload []byte) {
 		return
 	}
 	c.doneOutbox = append(c.doneOutbox, m.Outbox...)
-	for i, s := range owned {
-		c.next[s] = m.Next[i]
-	}
+	c.next[w.id] = m.Next
 	delete(c.donePending, w.id)
 	c.advanceNS[w.id] = time.Since(c.dispatched).Nanoseconds()
 }
@@ -605,19 +590,13 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 				continue
 			}
 			var p preparedMsg
-			if err := unmarshal(fr.payload, &p); err != nil || len(p.Clocks) != len(msg.Shards) {
+			if err := unmarshal(fr.payload, &p); err != nil {
 				c.markDead(w, "bad prepared reply")
 				c.assigned[id] = nil
 				continue
 			}
-			var clock sim.Time
-			for _, t := range p.Clocks {
-				if t > clock {
-					clock = t
-				}
-			}
-			c.logf("cluster: worker %d (%q) prepared shards %v, clock %v", id, w.name, msg.Shards, clock)
-			return w, clock, nil
+			c.logf("cluster: worker %d (%q) prepared shards %v, clock %v", id, w.name, msg.Shards, p.Clock)
+			return w, p.Clock, nil
 		}
 	}
 
@@ -648,15 +627,16 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 		fr, err := c.awaitFrom(w, msgReady, deadline)
 		var m readyMsg
 		if err == nil {
-			err = errors.Join(unmarshal(fr.payload, &m), checkNext(m.Next, c.shardsOf(id), c.base))
+			err = unmarshal(fr.payload, &m)
+		}
+		if err == nil && m.Next < c.base {
+			err = fmt.Errorf("cluster: worker %d next event at %v is before the base clock %v", id, m.Next, c.base)
 		}
 		if err != nil {
 			c.fail(err)
 			return err
 		}
-		for i, s := range c.shardsOf(id) {
-			c.next[s] = m.Next[i]
-		}
+		c.next[id] = m.Next
 	}
 	for _, l := range c.logs {
 		l.through = c.base
@@ -751,8 +731,8 @@ func (c *Coordinator) Exchange() int {
 	return n
 }
 
-// NextEvent is the earliest of the staged inputs and every shard's next
-// event as its worker last reported it (sim.Transport).
+// NextEvent is the earliest of the staged inputs and every worker's next
+// event as it last reported it (sim.Transport).
 func (c *Coordinator) NextEvent() sim.Time {
 	h := c.inputsNext
 	for _, t := range c.next {
@@ -923,16 +903,6 @@ func (c *Coordinator) recover(id int, resend bool) bool {
 	}
 }
 
-// Checkpoints snapshots every shard's input log as of the last
-// completed epoch boundary (the daemon flushes these on shutdown).
-func (c *Coordinator) Checkpoints() []*Checkpoint {
-	out := make([]*Checkpoint, c.shards)
-	for s := range c.logs {
-		out[s] = c.logs[s].checkpoint(s, c.shards, c.cfg.Engine.Seed, c.hash, c.base)
-	}
-	return out
-}
-
 // Results fetches and merges every worker's output in shard order. With
 // a degraded run it returns whatever the surviving workers report,
 // alongside Err's terminal error.
@@ -978,7 +948,7 @@ func (c *Coordinator) Results() (*Results, error) {
 		}
 	}
 	missing := 0
-	for s, sr := range perShard {
+	for _, sr := range perShard {
 		if sr == nil {
 			missing++
 			continue
@@ -994,7 +964,6 @@ func (c *Coordinator) Results() (*Results, error) {
 		res.FaultLog = append(res.FaultLog, sr.FaultLog...)
 		res.Events = append(res.Events, sr.Events...)
 		res.Trace = append(res.Trace, sr.Trace...)
-		_ = s
 	}
 	if missing > 0 && c.err == nil {
 		c.fail(fmt.Errorf("cluster: results missing for %d of %d shards", missing, c.shards))
@@ -1125,13 +1094,4 @@ func (c *Coordinator) HealthJSON() []byte {
 		return []byte("{}")
 	}
 	return b
-}
-
-// appendCrossRaw appends a cross input whose packet is already encoded
-// (validated at epoch-done receipt; appendPacket framing is
-// self-delimiting so straight concatenation is safe).
-func appendCrossRaw(b []byte, at sim.Time, pkt []byte) []byte {
-	b = append(b, inputCross)
-	b = appendU64(b, uint64(at))
-	return append(b, pkt...)
 }

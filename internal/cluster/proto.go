@@ -43,8 +43,11 @@ import (
 // extends replay-record inputs with payload content so scenario
 // exploit packets cross the cluster boundary losslessly. v4 adds each
 // owned shard's next pending event to ready and epoch-done, the horizon
-// the coordinator's runner widens epochs against.
-const ProtoVersion = 4
+// the coordinator's runner widens epochs against. v5 shows the
+// coordinator only the worker's aggregate, as the in-process transport
+// reports it: prepared carries the worker's one latest clock, ready and
+// epoch-done its one earliest next event.
+const ProtoVersion = 5
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -60,7 +63,7 @@ const (
 	msgHello     msgType = 1  // worker -> coordinator: version, config hash, name
 	msgAssign    msgType = 2  // coordinator -> worker: id, shards, warmup
 	msgRestore   msgType = 3  // coordinator -> worker: id, shards, checkpoints
-	msgPrepared  msgType = 4  // worker -> coordinator: per-shard kernel clocks
+	msgPrepared  msgType = 4  // worker -> coordinator: latest kernel clock
 	msgAlign     msgType = 5  // coordinator -> worker: run every kernel to base
 	msgReady     msgType = 6  // worker -> coordinator: domains aligned / restored
 	msgEpoch     msgType = 7  // coordinator -> worker: epoch bounds + inputs
@@ -144,9 +147,6 @@ func readFrame(r io.Reader) (frame, error) {
 // unmarshal decodes a JSON control payload.
 func unmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }
 
-// appendU64 appends a big-endian uint64 (codec shorthand).
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
 // writeMsg JSON-encodes v and writes it as one frame.
 func writeMsg(w io.Writer, typ msgType, v any) error {
 	payload, err := json.Marshal(v)
@@ -188,7 +188,7 @@ type restoreMsg struct {
 }
 
 type preparedMsg struct {
-	Clocks []sim.Time // per owned shard, after local warmup
+	Clock sim.Time // the latest owned kernel clock, after local warmup
 }
 
 type alignMsg struct {
@@ -196,7 +196,7 @@ type alignMsg struct {
 }
 
 type readyMsg struct {
-	Next []sim.Time // per owned shard, its earliest pending event once aligned or restored
+	Next sim.Time // the earliest pending event on any owned shard once aligned or restored
 }
 
 type epochMsg struct {
@@ -214,13 +214,13 @@ type shardInputs struct {
 type epochDoneMsg struct {
 	Seq    uint64
 	Outbox []outboxEntry
-	Next   []sim.Time // per owned shard, its earliest pending event after the epoch
+	Next   sim.Time // the earliest pending event on any owned shard after the epoch
 }
 
 // decodeEpochDone parses the epoch-done payload of the worker owning
 // owned, for the epoch ending at end. Any outbox entry from a shard it
 // does not own, to no shard, due before end or with a packet that does
-// not decode exactly is an error, as is a bad next-event report.
+// not decode exactly is an error, as is a next event before end.
 func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epochDoneMsg, error) {
 	var m epochDoneMsg
 	if err := unmarshal(payload, &m); err != nil {
@@ -235,21 +235,10 @@ func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epo
 			return m, errors.New("undecodable outbox packet")
 		}
 	}
-	return m, checkNext(m.Next, owned, end)
-}
-
-// checkNext validates a next-event report at barrier end: one time per
-// owned shard, none negative or before the barrier.
-func checkNext(next []sim.Time, owned []int, end sim.Time) error {
-	if len(next) != len(owned) {
-		return fmt.Errorf("%d next-event times for %d owned shards", len(next), len(owned))
+	if m.Next < end {
+		return m, fmt.Errorf("next event at %v is before the barrier at %v", m.Next, end)
 	}
-	for i, at := range next {
-		if at < 0 || at < end {
-			return fmt.Errorf("shard %d next event at %v is before the barrier at %v", owned[i], at, end)
-		}
-	}
-	return nil
+	return m, nil
 }
 
 // heartbeatMsg is the worker->coordinator heartbeat payload: the last
@@ -339,9 +328,16 @@ type input struct {
 
 // appendCross appends a cross-delivery input.
 func appendCross(b []byte, at sim.Time, pkt *netsim.Packet) []byte {
+	return appendPacket(appendCrossRaw(b, at, nil), pkt)
+}
+
+// appendCrossRaw appends a cross input whose packet is already encoded
+// (validated at epoch-done receipt; appendPacket framing is
+// self-delimiting so straight concatenation is safe).
+func appendCrossRaw(b []byte, at sim.Time, pkt []byte) []byte {
 	b = append(b, inputCross)
 	b = binary.BigEndian.AppendUint64(b, uint64(at))
-	return appendPacket(b, pkt)
+	return append(b, pkt...)
 }
 
 // appendRecord appends a replay-record input. The stored-payload
@@ -603,12 +599,6 @@ func (w *conn) send(typ msgType, v any) error {
 	<-w.writeMu
 	defer func() { w.writeMu <- struct{}{} }()
 	return writeMsg(w.c, typ, v)
-}
-
-func (w *conn) sendRaw(typ msgType, payload []byte) error {
-	<-w.writeMu
-	defer func() { w.writeMu <- struct{}{} }()
-	return writeFrame(w.c, typ, payload)
 }
 
 func (w *conn) close() { w.c.Close() }

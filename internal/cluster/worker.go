@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,8 +46,8 @@ type WorkerConfig struct {
 	HeartbeatInterval time.Duration
 	IdleTimeout       time.Duration
 
-	// OnKill, when non-nil, replaces the default kill behaviour (abort
-	// the epoch, close the connection, return ErrKilled). The daemon
+	// OnKill, when non-nil, replaces the default kill behaviour (stop the
+	// kernel, close the connection, return ErrKilled). The daemon
 	// installs os.Exit so the process dies as abruptly as a SIGKILL.
 	OnKill func(worker int)
 
@@ -72,10 +71,6 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	return cfg
 }
 
-// killPanic is the sentinel a fault-injected kill raises to abort the
-// in-flight epoch from inside a kernel event.
-type killPanic struct{ worker int }
-
 // worker is the run state behind RunWorker.
 type worker struct {
 	cfg       WorkerConfig
@@ -86,18 +81,24 @@ type worker struct {
 	id      int
 	shards  []int
 	domains map[int]*core.ShardDomain
+	// local advances the owned domains' kernels, in assignment order, on
+	// the engine's in-process transport: on its persistent goroutines
+	// when the scenario asks for parallelism, else in turn on the serve
+	// goroutine (the bytes are the same either way). Nil until assigned.
+	local *sim.Local
 	// view publishes the domains' Stats into the worker's registry at
 	// epoch boundaries (nil without one).
 	view *core.StatsView
 	// outbox holds each owned shard's cross-shard emissions for the
 	// in-flight epoch. Slots are allocated at assignment and the cross
-	// closures write through their own slot pointer, so parallel domain
+	// closures write through their own slot pointer, so the transport's
 	// goroutines never touch the map itself.
 	outbox map[int]*[]outboxEntry
 
 	replaying bool
 	// killed is atomic: under Parallel every owned domain runs its kill
-	// action in the same epoch, so multiple goroutines set it at once.
+	// action in the same epoch, so several transport goroutines set it at
+	// once.
 	killed atomic.Bool
 
 	// metrics is the worker's live registry (one across all owned
@@ -115,16 +116,10 @@ type worker struct {
 // ErrKilled when an injected kill-worker fault aborted it, and the
 // transport or protocol error otherwise.
 func RunWorker(cfg WorkerConfig) error {
-	cfg = cfg.withDefaults()
-	ecfg := cfg.Engine.Normalized()
-	if err := ecfg.Validate(); err != nil {
+	w, err := newWorker(cfg)
+	if err != nil {
 		return err
 	}
-	w := &worker{
-		cfg: cfg, ecfg: ecfg, lookahead: ecfg.Lookahead,
-		id: -1, domains: map[int]*core.ShardDomain{}, outbox: map[int]*[]outboxEntry{},
-	}
-
 	nc, err := w.dial()
 	if err != nil {
 		return err
@@ -134,8 +129,8 @@ func RunWorker(cfg WorkerConfig) error {
 
 	hello := helloMsg{
 		Version:    ProtoVersion,
-		ConfigHash: configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, ecfg.Lookahead),
-		Name:       cfg.Name,
+		ConfigHash: configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, w.lookahead),
+		Name:       w.cfg.Name,
 	}
 	if err := w.cn.send(msgHello, hello); err != nil {
 		return fmt.Errorf("cluster: handshake: %w", err)
@@ -144,8 +139,26 @@ func RunWorker(cfg WorkerConfig) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	go w.heartbeatLoop(stop)
+	defer func() {
+		if w.local != nil {
+			w.local.Close() // its shard goroutines end with the worker, however it ends
+		}
+	}()
 
 	return w.serve()
+}
+
+// newWorker validates cfg and returns an unassigned, unconnected worker.
+func newWorker(cfg WorkerConfig) (*worker, error) {
+	cfg = cfg.withDefaults()
+	ecfg := cfg.Engine.Normalized()
+	if err := ecfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &worker{
+		cfg: cfg, ecfg: ecfg, lookahead: ecfg.Lookahead,
+		id: -1, domains: map[int]*core.ShardDomain{}, outbox: map[int]*[]outboxEntry{},
+	}, nil
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -269,6 +282,7 @@ func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn boo
 		ecfg.Metrics = reg
 	}
 	var owned []*core.ShardDomain
+	var kernels []*sim.Kernel
 	for _, s := range shards {
 		s := s
 		slot := new([]outboxEntry)
@@ -291,8 +305,11 @@ func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn boo
 		}
 		w.domains[s] = d
 		owned = append(owned, d)
+		kernels = append(kernels, d.K)
 	}
 	w.view = core.NewStatsView(ecfg.Metrics, owned)
+	w.local = sim.NewLocal(kernels)
+	w.local.SetSequential(!ecfg.Parallel)
 	return nil
 }
 
@@ -308,13 +325,18 @@ func (w *worker) armFaults(withKillHook bool) {
 		}
 		if withKillHook {
 			d.Fault.OnKillWorker = func(now sim.Time, target int) {
-				if target == w.id {
-					if w.cfg.OnKill != nil {
-						w.cfg.OnKill(target)
-						return
-					}
-					panic(killPanic{worker: target})
+				if target != w.id {
+					return
 				}
+				if w.cfg.OnKill != nil {
+					w.cfg.OnKill(target)
+					return
+				}
+				// Stop this kernel where it stands; handleEpoch drops the
+				// connection once the epoch's advance returns.
+				w.killed.Store(true)
+				d.K.Stop()
+				w.logf("cluster: worker %d killed by injected fault at %v", target, now)
 			}
 		}
 		d.Fault.Start()
@@ -329,12 +351,8 @@ func (w *worker) handleAssign(payload []byte) error {
 	if err := w.buildDomains(m.Worker, m.Shards, m.Events, m.Trace, m.Metrics, m.SnapName, time.Duration(m.WarmupNs)); err != nil {
 		return err
 	}
-	reply := preparedMsg{}
-	for _, s := range w.shards {
-		reply.Clocks = append(reply.Clocks, w.domains[s].K.Now())
-	}
 	w.logf("cluster: assigned worker %d, shards %v", w.id, w.shards)
-	return w.cn.send(msgPrepared, reply)
+	return w.cn.send(msgPrepared, preparedMsg{Clock: w.local.Now()})
 }
 
 func (w *worker) handleAlign(payload []byte) error {
@@ -342,29 +360,24 @@ func (w *worker) handleAlign(payload []byte) error {
 	if err := unmarshal(payload, &m); err != nil {
 		return err
 	}
-	if len(w.domains) == 0 {
+	if w.local == nil {
 		return errors.New("cluster: align before assignment")
 	}
-	for _, s := range w.shards {
-		w.domains[s].K.RunUntil(m.Base)
+	if err := w.checkNotBefore("align base", m.Base); err != nil {
+		return err
 	}
+	w.local.Advance(m.Base, false)
 	w.armFaults(true)
-	return w.cn.send(msgReady, readyMsg{Next: w.nextEvents()})
+	return w.cn.send(msgReady, readyMsg{Next: w.local.NextEvent()})
 }
 
-// nextEvents reports each owned shard's earliest pending event, in
-// assignment order: the horizon the coordinator's runner widens the
-// next epoch against.
-func (w *worker) nextEvents() []sim.Time {
-	next := make([]sim.Time, len(w.shards))
-	for i, s := range w.shards {
-		at, ok := w.domains[s].K.NextEvent()
-		if !ok {
-			at = sim.End
-		}
-		next[i] = at
+// checkNotBefore rejects a coordinator time the owned kernels have
+// already run past: scheduling there would reorder simulated time.
+func (w *worker) checkNotBefore(what string, at sim.Time) error {
+	if now := w.local.Now(); at < now {
+		return fmt.Errorf("cluster: %s %v is before the worker's clock %v", what, at, now)
 	}
-	return next
+	return nil
 }
 
 // handleRestore adopts a crashed worker's shards: rebuild the domains
@@ -384,9 +397,10 @@ func (w *worker) handleRestore(payload []byte) error {
 	if err := w.buildDomains(m.Worker, m.Shards, m.Events, m.Trace, m.Metrics, m.SnapName, time.Duration(m.WarmupNs)); err != nil {
 		return err
 	}
-	for _, s := range w.shards {
-		w.domains[s].K.RunUntil(m.Base)
+	if err := w.checkNotBefore("restore base", m.Base); err != nil {
+		return err
 	}
+	w.local.Advance(m.Base, false)
 	w.armFaults(false)
 
 	w.replaying = true
@@ -399,6 +413,9 @@ func (w *worker) handleRestore(payload []byte) error {
 		}
 		if ck.Shard != s || ck.Shards != w.ecfg.Shards || ck.ConfigHash != hash {
 			return fmt.Errorf("cluster: shard %d checkpoint identity mismatch (shard=%d shards=%d)", s, ck.Shard, ck.Shards)
+		}
+		if ck.Base != m.Base {
+			return fmt.Errorf("cluster: shard %d checkpoint base %v is not the restore base %v", s, ck.Base, m.Base)
 		}
 		d := w.domains[s]
 		for _, ep := range ck.Epochs {
@@ -413,7 +430,7 @@ func (w *worker) handleRestore(payload []byte) error {
 		d.K.RunUntil(ck.Through)
 		w.logf("cluster: restored shard %d through %v (%d logged epochs)", s, ck.Through, len(ck.Epochs))
 	}
-	return w.cn.send(msgReady, readyMsg{Next: w.nextEvents()})
+	return w.cn.send(msgReady, readyMsg{Next: w.local.NextEvent()})
 }
 
 // scheduleInputs schedules decoded barrier inputs on a domain's kernel
@@ -435,8 +452,11 @@ func (w *worker) handleEpoch(payload []byte) error {
 	if err := unmarshal(payload, &m); err != nil {
 		return err
 	}
-	if len(w.domains) == 0 {
+	if w.local == nil {
 		return errors.New("cluster: epoch before assignment")
+	}
+	if err := w.checkNotBefore("epoch start", m.Start); err != nil {
+		return err
 	}
 	for _, si := range m.Inputs {
 		d := w.domains[si.Shard]
@@ -454,11 +474,15 @@ func (w *worker) handleEpoch(payload []byte) error {
 		}
 		w.scheduleInputs(d, ins)
 	}
-	if err := w.runEpoch(m.End); err != nil {
-		return err
+	w.local.Advance(m.End, false)
+	if w.killed.Load() {
+		// Die like the real thing: drop the connection mid-epoch with no
+		// farewell; the coordinator's crash detection takes it from here.
+		w.cn.close()
+		return ErrKilled
 	}
 	w.view.PublishDue(m.End)
-	reply := epochDoneMsg{Seq: m.Seq, Next: w.nextEvents()}
+	reply := epochDoneMsg{Seq: m.Seq, Next: w.local.NextEvent()}
 	for _, s := range w.shards {
 		slot := w.outbox[s]
 		reply.Outbox = append(reply.Outbox, *slot...)
@@ -466,51 +490,6 @@ func (w *worker) handleEpoch(payload []byte) error {
 	}
 	w.lastSeq.Store(m.Seq)
 	return w.cn.send(msgEpochDone, reply)
-}
-
-// runEpoch advances every owned domain to end — on goroutines when the
-// scenario asks for parallelism, else sequentially in shard order (the
-// result is byte-identical either way; see sim.ParallelRunner). A
-// fault-injected kill aborts the epoch mid-event via the sentinel
-// panic and surfaces as ErrKilled.
-func (w *worker) runEpoch(end sim.Time) (err error) {
-	run := func(d *core.ShardDomain) {
-		defer func() {
-			if r := recover(); r != nil {
-				if kp, ok := r.(killPanic); ok {
-					w.killed.Store(true)
-					w.logf("cluster: worker %d killed by injected fault at %v", kp.worker, d.K.Now())
-					return
-				}
-				panic(r)
-			}
-		}()
-		d.K.RunUntil(end)
-	}
-	if w.ecfg.Parallel && len(w.shards) > 1 {
-		var wg sync.WaitGroup
-		for _, s := range w.shards {
-			d := w.domains[s]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(d)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, s := range w.shards {
-			run(w.domains[s])
-		}
-	}
-	if w.killed.Load() {
-		// Die like the real thing: drop the connection mid-epoch with
-		// no farewell; the coordinator's crash detection takes it from
-		// here.
-		w.cn.close()
-		return ErrKilled
-	}
-	return nil
 }
 
 // handleResults snapshots stats (pre-close, matching when a

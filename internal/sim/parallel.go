@@ -18,9 +18,11 @@ package sim
 // oracle.
 //
 // The runner owns the one epoch loop in the tree; what moves between
-// shards is a Transport's job. NewParallelRunner drives in-process
-// kernels, NewRunner any other Transport — internal/cluster's
-// coordinator is one, over TCP.
+// shards is a Transport's job. Local is the in-process one, and it has
+// two callers: NewParallelRunner drives it under the runner, and a
+// cluster worker drives it directly, one Advance per epoch frame, over
+// the shards it hosts. NewRunner takes any other Transport —
+// internal/cluster's coordinator is one, over TCP.
 //
 // # Adaptive lookahead
 //
@@ -83,7 +85,7 @@ type outCell struct {
 // shards with conservative epoch barriers.
 type ParallelRunner struct {
 	t         Transport
-	local     *inProcess // t when the shards are this process's kernels, else nil
+	local     *Local // t when the shards are this process's kernels, else nil
 	lookahead time.Duration
 	now       Time
 
@@ -139,15 +141,7 @@ func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunn
 	if len(kernels) == 0 {
 		panic("sim: ParallelRunner with no kernels")
 	}
-	n := len(kernels)
-	p := &inProcess{kernels: kernels, outbox: make([]outCell, n*n), advanceNS: make([]int64, n)}
-	// Workers start (and warm up) here rather than lazily at the first
-	// epoch: construction is the one place their setup cost can't land
-	// inside a measured run. Sequential mode leaves them parked; Close
-	// stops them either way.
-	if n > 1 {
-		p.startWorkers()
-	}
+	p := NewLocal(kernels)
 	r := NewRunner(p, 0, lookahead)
 	r.local = p
 	r.Align()
@@ -169,11 +163,7 @@ func NewRunner(t Transport, now Time, lookahead time.Duration) *ParallelRunner {
 // advancing kernels outside the runner's control, e.g. per-shard image
 // preparation at construction time. In-process runners only.
 func (r *ParallelRunner) Align() {
-	for _, k := range r.local.kernels {
-		if k.Now() > r.now {
-			r.now = k.Now()
-		}
-	}
+	r.now = max(r.now, r.local.Now())
 	for _, k := range r.local.kernels {
 		k.RunUntil(r.now)
 	}
@@ -194,7 +184,7 @@ func (r *ParallelRunner) Epochs() uint64 { return r.epochSeq }
 // SetSequential switches epoch execution to a single thread in shard
 // order — the determinism oracle the equivalence tests compare against.
 // In-process runners only.
-func (r *ParallelRunner) SetSequential(seq bool) { r.local.sequential = seq }
+func (r *ParallelRunner) SetSequential(seq bool) { r.local.SetSequential(seq) }
 
 // SetAdaptive bounds adaptive lookahead: one epoch may span up to
 // maxCells lookahead-sized grid cells when the pending-event horizon
@@ -245,28 +235,14 @@ func (r *ParallelRunner) SetEpochObserver(fn func(EpochStats)) { r.observer = fn
 // advanced in parallel mode again; the engine calls it from its own
 // Close.
 func (r *ParallelRunner) Close() {
-	if p := r.local; p != nil && !p.closed {
-		p.closed = true
-		for _, ch := range p.work {
-			close(ch)
-		}
+	if r.local != nil {
+		r.local.Close()
 	}
 }
 
-// Send schedules fn to run on kernel dst at time at. During an epoch it
-// may only be called from shard src's goroutine; at must be at least
-// the sending shard's current time plus the lookahead, or the barrier
-// delivery will panic. Delivery happens at the next epoch boundary,
-// merged deterministically by (src, send order). In-process runners
-// only.
-func (r *ParallelRunner) Send(src, dst int, at Time, fn Event) {
-	if fn == nil {
-		panic("sim: Send nil event")
-	}
-	p := r.local
-	c := &p.outbox[src*len(p.kernels)+dst]
-	c.live = append(c.live, crossMsg{at: at, fn: fn})
-}
+// Send schedules fn to run on kernel dst at time at (see Local.Send).
+// In-process runners only.
+func (r *ParallelRunner) Send(src, dst int, at Time, fn Event) { r.local.Send(src, dst, at, fn) }
 
 // epochEnd picks the next epoch's end: one lookahead cell by default,
 // or — when adaptive lookahead is enabled and every injection source is
@@ -362,11 +338,12 @@ func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
 // RunFor is RunUntil(Now()+d).
 func (r *ParallelRunner) RunFor(d time.Duration) { r.RunUntil(r.now.Add(d)) }
 
-// inProcess is the Transport over this process's kernels: outbox rings
+// Local is the Transport over this process's kernels: outbox rings
 // exchanged at the barrier, and one persistent goroutine per kernel
 // (none with a single kernel) advancing it in parallel mode. Nothing in
-// it allocates per epoch.
-type inProcess struct {
+// it allocates per epoch. Its methods are for one driver goroutine,
+// except Send (see there).
+type Local struct {
 	kernels []*Kernel
 
 	// outbox holds the n*n (src,dst) cells in src-major order — cell
@@ -395,6 +372,59 @@ type inProcess struct {
 	closed    bool
 }
 
+// NewLocal builds the in-process transport over kernels (at least one),
+// in parallel mode. Its shard goroutines start (and warm up) here
+// rather than lazily at the first epoch: construction is the one place
+// their setup cost can't land inside a measured run. Sequential mode
+// leaves them parked; Close stops them either way.
+func NewLocal(kernels []*Kernel) *Local {
+	n := len(kernels)
+	p := &Local{kernels: kernels, outbox: make([]outCell, n*n), advanceNS: make([]int64, n)}
+	if n > 1 {
+		p.startWorkers()
+	}
+	return p
+}
+
+// SetSequential switches Advance to a single thread in kernel order —
+// the determinism oracle; the bytes are the same either way.
+func (p *Local) SetSequential(seq bool) { p.sequential = seq }
+
+// Now is the latest kernel clock: the earliest time that may be
+// scheduled on every kernel.
+func (p *Local) Now() Time {
+	var now Time
+	for _, k := range p.kernels {
+		now = max(now, k.Now())
+	}
+	return now
+}
+
+// Close stops the persistent shard goroutines (a no-op if there are
+// none or they are already stopped). The transport must not Advance in
+// parallel mode after it.
+func (p *Local) Close() {
+	if !p.closed {
+		p.closed = true
+		for _, ch := range p.work {
+			close(ch)
+		}
+	}
+}
+
+// Send schedules fn to run on kernel dst at time at. During an epoch it
+// may only be called from kernel src's goroutine; at must be at least
+// the sending kernel's current time plus the lookahead, or the barrier
+// delivery will panic. Delivery happens at the next Exchange, merged
+// deterministically by (src, send order).
+func (p *Local) Send(src, dst int, at Time, fn Event) {
+	if fn == nil {
+		panic("sim: Send nil event")
+	}
+	c := &p.outbox[src*len(p.kernels)+dst]
+	c.live = append(c.live, crossMsg{at: at, fn: fn})
+}
+
 // startWorkers launches one persistent goroutine per kernel. Each parks
 // on its channel between epochs and advances its kernel to curEnd when
 // poked — the channel send/receive pair publishes curEnd and timed, and
@@ -404,7 +434,7 @@ type inProcess struct {
 // backing the barrier — park/unpark records, semaphore entries — are
 // allocated here at construction rather than inside the first epoch,
 // keeping steady-state epochs allocation-free.
-func (p *inProcess) startWorkers() {
+func (p *Local) startWorkers() {
 	p.work = make([]chan struct{}, len(p.kernels))
 	for i := range p.kernels {
 		ch := make(chan struct{}, 1)
@@ -428,7 +458,7 @@ func (p *inProcess) startWorkers() {
 }
 
 // run advances kernel i to curEnd, timing it when asked to.
-func (p *inProcess) run(i int) {
+func (p *Local) run(i int) {
 	if !p.timed {
 		p.kernels[i].RunUntil(p.curEnd)
 		return
@@ -444,7 +474,7 @@ func (p *inProcess) run(i int) {
 // than reallocated: capacity is reused across epochs, and the slice
 // being delivered is never the one the next epoch appends to. Drained
 // slots are cleared so the rings don't pin delivered closures.
-func (p *inProcess) Exchange() int {
+func (p *Local) Exchange() int {
 	n, delivered := len(p.kernels), 0
 	for idx := range p.outbox {
 		c := &p.outbox[idx]
@@ -470,7 +500,7 @@ func (p *inProcess) Exchange() int {
 }
 
 // NextEvent is the earliest pending event over every kernel.
-func (p *inProcess) NextEvent() Time {
+func (p *Local) NextEvent() Time {
 	h := End
 	for _, k := range p.kernels {
 		if t, ok := k.NextEvent(); ok && t < h {
@@ -483,7 +513,7 @@ func (p *inProcess) NextEvent() Time {
 // Advance runs every kernel to end — in shard order on this thread in
 // sequential mode or with a single kernel, on the persistent shard
 // workers otherwise.
-func (p *inProcess) Advance(end Time, timed bool) ([]int64, bool) {
+func (p *Local) Advance(end Time, timed bool) ([]int64, bool) {
 	p.curEnd, p.timed = end, timed
 	if p.sequential || len(p.kernels) == 1 {
 		for i := range p.kernels {

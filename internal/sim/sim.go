@@ -8,6 +8,12 @@
 // is a hard requirement: two runs with the same seed and the same sequence
 // of Schedule calls produce identical event orders, which the test suite
 // relies on.
+//
+// Several kernels advance together in conservative epochs: a
+// ParallelRunner owns the epoch loop and a Transport moves each epoch's
+// data. Local, the in-process transport, is the one way kernels advance
+// in parallel; the shard engine drives it under a runner, and a cluster
+// worker drives it directly over the shards it hosts (parallel.go).
 package sim
 
 import (

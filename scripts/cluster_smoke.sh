@@ -3,7 +3,9 @@
 # one hot standby run a 4-shard scenario over real TCP; one assigned
 # worker is SIGKILLed mid-feed; the run must recover onto the standby
 # and the merged -json stats must be byte-identical to the
-# single-process oracle at the same seed.
+# single-process oracle at the same seed. The workers run -parallel, so
+# each advances its two shards on the engine's persistent transport
+# goroutines in a real process.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -40,7 +42,7 @@ coord=$!
 pids+=("$coord")
 
 start_worker() {
-    "$work/potemkind" -worker "$addr" -name "$1" "${common[@]}" \
+    "$work/potemkind" -worker "$addr" -name "$1" -parallel "${common[@]}" \
         >"$work/$1.out" 2>&1 &
     pids+=("$!")
     echo "$!"
