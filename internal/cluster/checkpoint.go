@@ -51,7 +51,7 @@ type Checkpoint struct {
 	Shards     int
 	Seed       uint64
 	ConfigHash uint64
-	Base       sim.Time // aligned clock at which traffic started
+	Base       sim.Time // clock at which traffic started: 0, where every kernel starts
 	Through    sim.Time // last completed epoch boundary
 	Epochs     []EpochInputs
 }

@@ -531,6 +531,15 @@ func TestClusterDegradesWithoutStandby(t *testing.T) {
 	if !strings.Contains(events, "event=degraded") {
 		t.Errorf("recovery log missing degraded event:\n%s", events)
 	}
+	// Nothing was recovered, and the health view says so: the crashed
+	// slot is not live, beside the degraded flag.
+	if n := h.c.Recoveries(); n != 0 || res.Recoveries != 0 {
+		t.Errorf("Recoveries() = %d, Results.Recoveries = %d; no replacement ever connected", n, res.Recoveries)
+	}
+	health := h.c.Health()
+	if !health.Degraded || health.Recoveries != 0 || len(health.Workers) != 2 || health.Workers[0].Live {
+		t.Errorf("health after an unrecovered crash of slot 0: %+v", health)
+	}
 	h.shutdown(t)
 }
 

@@ -43,18 +43,10 @@ type Config struct {
 	// this count form the standby pool for crash recovery.
 	Workers int
 
-	// SnapshotName and SnapshotWarmup run the paper's image-preparation
-	// flow on every domain before traffic (empty name skips it).
-	SnapshotName   string
-	SnapshotWarmup time.Duration
-
 	// Heartbeat/deadline knobs (zero takes the default).
 	HeartbeatInterval time.Duration // outgoing ping period (1s)
 	HeartbeatTimeout  time.Duration // silence that declares a worker dead (5s)
-	EpochTimeout      time.Duration // wall-clock bound on one epoch (2m)
-	RestoreTimeout    time.Duration // wall-clock bound on a checkpoint restore (2m)
 	RecoveryWait      time.Duration // how long to wait for a replacement worker (10s)
-	AcceptTimeout     time.Duration // WaitReady bound on initial worker arrival (30s)
 
 	// RecoveryLog, when non-nil, receives one line per crash-detection
 	// and recovery step (also kept in memory; see RecoveryEvents).
@@ -69,6 +61,14 @@ type Config struct {
 	OnEpoch func(seq uint64, start, end sim.Time)
 }
 
+// replyTimeout bounds the wall time of any one reply: an epoch, a
+// recovery's replay, the results. acceptTimeout bounds WaitReady when
+// its caller passes no timeout.
+const (
+	replyTimeout  = 2 * time.Minute
+	acceptTimeout = 30 * time.Second
+)
+
 func (cfg Config) withDefaults() Config {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
@@ -76,17 +76,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 5 * time.Second
 	}
-	if cfg.EpochTimeout <= 0 {
-		cfg.EpochTimeout = 2 * time.Minute
-	}
-	if cfg.RestoreTimeout <= 0 {
-		cfg.RestoreTimeout = 2 * time.Minute
-	}
 	if cfg.RecoveryWait <= 0 {
 		cfg.RecoveryWait = 10 * time.Second
-	}
-	if cfg.AcceptTimeout <= 0 {
-		cfg.AcceptTimeout = 30 * time.Second
 	}
 	return cfg
 }
@@ -118,28 +109,28 @@ type Results struct {
 type wconn struct {
 	*conn
 	name string
-	id   int // assigned worker slot, or -1 while standby
-	dead bool
-	stop chan struct{} // closed on death; stops the heartbeat sender
-	// stash holds frames that arrived from this worker while the driver
-	// was awaiting a different worker (e.g. broadcast results replies
-	// completing out of order). Driver goroutine only.
-	stash []frame
+	id   int           // assigned worker slot, or -1 while standby
+	dead bool          // driver goroutine only
+	stop chan struct{} // closed on death; stops the heartbeat sender and the read loop
+	// inbox hands the connection's frames, heartbeats aside, from its
+	// read loop to the driver, which awaits one reply at a time. It is
+	// unbuffered: a frame is stamped when read, not when taken. The read
+	// loop closes it when a read fails, after storing the error in readErr.
+	inbox   chan arrival
+	readErr error
 
 	// Telemetry mirrors, written by the read loop and read by the HTTP
 	// health/metrics endpoints — atomics only, never the driver state.
 	lastRecv    atomic.Int64                    // wall nanos of the last frame
 	lastSeq     atomic.Uint64                   // last epoch the worker completed
 	lastMetrics atomic.Pointer[[]metrics.Point] // latest registry snapshot
-	stashN      atomic.Int64                    // live mirror of len(stash)
 }
 
-// wevent is one item on the coordinator's single event stream: a frame
-// from a worker, or its read error (death).
-type wevent struct {
-	w   *wconn
-	fr  frame
-	err error
+// arrival is one frame off a worker connection, stamped with the time
+// it was read.
+type arrival struct {
+	frame
+	at time.Time
 }
 
 // Coordinator is the cluster's sim.Transport: it carries each epoch's
@@ -154,16 +145,14 @@ type Coordinator struct {
 	space     netsim.Prefix
 	hash      uint64
 
-	ln     net.Listener
-	events chan wevent
+	ln net.Listener
 
-	mu         sync.Mutex // guards standby (appended from accept goroutines)
+	mu         sync.Mutex // guards standby and closed against the accept goroutines
 	standby    []*wconn
 	standbySig chan struct{}
 
 	assigned []*wconn
 	logs     []*shardLog
-	base     sim.Time
 	seq      uint64
 	runner   *sim.ParallelRunner // drives the epochs over c; nil until WaitReady
 
@@ -178,11 +167,10 @@ type Coordinator struct {
 	next       []sim.Time
 
 	// In-flight epoch state.
-	curEnd      sim.Time
-	donePending map[int]bool
-	doneOutbox  []outboxEntry
-	dispatched  time.Time
-	advanceNS   []int64
+	curEnd     sim.Time
+	doneOutbox []outboxEntry
+	dispatched time.Time
+	advanceNS  []int64
 
 	err        error
 	recoveries int
@@ -233,7 +221,6 @@ func New(cfg Config) (*Coordinator, error) {
 		lookahead:  ecfg.Lookahead,
 		space:      ecfg.Gateway.Space,
 		hash:       configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, ecfg.Lookahead),
-		events:     make(chan wevent, 1024),
 		standbySig: make(chan struct{}, 1),
 		inputs:     make([][]byte, ecfg.Shards),
 		inputsNext: sim.End,
@@ -244,7 +231,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.prof = metrics.NewEpochProfiler(c.reg, ecfg.EpochLog)
 	}
 	c.next = make([]sim.Time, c.workers)
-	c.donePending = make(map[int]bool, c.workers)
 	c.advanceNS = make([]int64, c.workers)
 	c.assigned = make([]*wconn, c.workers)
 	c.logs = make([]*shardLog, c.shards)
@@ -308,8 +294,8 @@ func (c *Coordinator) Err() error { return c.err }
 func (c *Coordinator) fail(err error) {
 	if c.err == nil {
 		c.err = err
-		c.pubDegraded.Store(true)
 		c.recoveryf("event=degraded err=%q", err.Error())
+		c.publishHealth()
 	}
 }
 
@@ -326,7 +312,7 @@ func (c *Coordinator) acceptLoop() {
 }
 
 func (c *Coordinator) handshake(nc net.Conn) {
-	w := &wconn{conn: newConn(nc), id: -1, stop: make(chan struct{})}
+	w := &wconn{conn: newConn(nc), id: -1, stop: make(chan struct{}), inbox: make(chan arrival)}
 	w.lastRecv.Store(time.Now().UnixNano())
 	nc.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
 	fr, err := readFrame(nc)
@@ -352,6 +338,11 @@ func (c *Coordinator) handshake(nc net.Conn) {
 	c.logf("cluster: worker %q connected from %v", w.name, nc.RemoteAddr())
 
 	c.mu.Lock()
+	if c.closed { // arrived while Close ran: nobody will assign or close it
+		c.mu.Unlock()
+		nc.Close()
+		return
+	}
 	c.standby = append(c.standby, w)
 	c.mu.Unlock()
 	select {
@@ -363,19 +354,21 @@ func (c *Coordinator) handshake(nc net.Conn) {
 	c.readLoop(w)
 }
 
-// readLoop pumps decoded frames onto the coordinator's event stream.
-// Heartbeats refresh the read deadline and unload their telemetry
-// piggyback (epoch progress + registry snapshot) into the connection's
-// atomic mirrors without ever reaching the driver.
+// readLoop pushes the connection's frames onto its inbox, stamped on
+// arrival. Heartbeats refresh the read deadline and unload their
+// telemetry piggyback (epoch progress + registry snapshot) into the
+// connection's atomic mirrors without ever reaching the driver.
 func (c *Coordinator) readLoop(w *wconn) {
+	defer close(w.inbox)
 	for {
 		w.c.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
 		fr, err := readFrame(w.c)
 		if err != nil {
-			c.events <- wevent{w: w, err: err}
+			w.readErr = err
 			return
 		}
-		w.lastRecv.Store(time.Now().UnixNano())
+		at := time.Now()
+		w.lastRecv.Store(at.UnixNano())
 		if fr.typ == msgHeartbeat {
 			var hb heartbeatMsg
 			if unmarshal(fr.payload, &hb) == nil {
@@ -386,7 +379,11 @@ func (c *Coordinator) readLoop(w *wconn) {
 			}
 			continue
 		}
-		c.events <- wevent{w: w, fr: fr}
+		select {
+		case w.inbox <- arrival{fr, at}:
+		case <-w.stop:
+			return
+		}
 	}
 }
 
@@ -407,8 +404,9 @@ func (c *Coordinator) heartbeatLoop(w *wconn) {
 	}
 }
 
-// markDead retires a connection: the heartbeat sender stops, the socket
-// closes, and an assigned slot empties (recovery fills it).
+// markDead retires a connection: the heartbeat sender and the read loop
+// stop, the socket closes, and an assigned slot empties (recovery fills
+// it) and shows so in the health view.
 func (c *Coordinator) markDead(w *wconn, reason string) {
 	if w.dead {
 		return
@@ -421,227 +419,128 @@ func (c *Coordinator) markDead(w *wconn, reason string) {
 		if !c.closed { // deliberate shutdown is not a crash
 			c.recoveryf("epoch=%d t=%s event=crash-detected worker=%d name=%q shards=%v reason=%q",
 				c.seq, c.now(), w.id, w.name, c.shardsOf(w.id), reason)
+			c.publishHealth()
 		}
 	}
 }
 
-// nextEvent pops one event, or false on deadline.
-func (c *Coordinator) nextEvent(deadline time.Time) (wevent, bool) {
-	select {
-	case ev := <-c.events:
-		return ev, true
-	default:
-	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return wevent{}, false
-	}
-	t := time.NewTimer(wait)
+// await returns w's next frame, which must be of type typ, by deadline.
+// A frame of another type answers a request the driver gave up on (an
+// epoch a degraded run cut short) and is skipped. An error frame, a
+// failed read or the deadline marks w dead and returns why.
+func (c *Coordinator) await(w *wconn, typ msgType, deadline time.Time) (arrival, error) {
+	t := time.NewTimer(time.Until(deadline))
 	defer t.Stop()
-	select {
-	case ev := <-c.events:
-		return ev, true
-	case <-t.C:
-		return wevent{}, false
+	var reason string
+	for reason == "" {
+		select {
+		case a, ok := <-w.inbox:
+			switch {
+			case !ok:
+				reason = fmt.Sprintf("connection lost awaiting %v: %v", typ, w.readErr)
+			case a.typ == msgError:
+				var em errorMsg
+				unmarshal(a.payload, &em)
+				reason = "worker error: " + em.Text
+			case a.typ == typ:
+				return a, nil
+			}
+		case <-t.C:
+			reason = fmt.Sprintf("timed out awaiting %v", typ)
+		}
 	}
+	c.markDead(w, reason)
+	return arrival{}, fmt.Errorf("cluster: worker %q: %s", w.name, reason)
 }
 
-// processEvent handles bookkeeping events (deaths, epoch completions,
-// worker-fatal errors); frames the caller should match are returned.
-func (c *Coordinator) processEvent(ev wevent) (frame, bool) {
-	if ev.w.dead {
-		return frame{}, false
-	}
-	if ev.err != nil {
-		c.markDead(ev.w, ev.err.Error())
-		return frame{}, false
-	}
-	switch ev.fr.typ {
-	case msgError:
-		var em errorMsg
-		unmarshal(ev.fr.payload, &em)
-		c.markDead(ev.w, "worker error: "+em.Text)
-		return frame{}, false
-	case msgEpochDone:
-		c.handleEpochDone(ev.w, ev.fr.payload)
-		return frame{}, false
-	}
-	return ev.fr, true
-}
-
-// handleEpochDone records a worker's epoch completion: its outbox and
-// its next event (a report decodeEpochDone rejects is a protocol
-// violation, treated as death).
-func (c *Coordinator) handleEpochDone(w *wconn, payload []byte) {
-	if w.id < 0 || c.assigned[w.id] != w || !c.donePending[w.id] {
-		return // stale completion from a retired epoch or connection
-	}
-	m, err := decodeEpochDone(payload, c.shards, c.shardsOf(w.id), c.curEnd)
+// recordEpochDone keeps w's report on the epoch in flight: its outbox,
+// its next event, and its advance time to the report's arrival. A report
+// decodeEpochDone rejects is a protocol violation that marks w dead.
+func (c *Coordinator) recordEpochDone(w *wconn, a arrival) bool {
+	m, err := decodeEpochDone(a.payload, c.shards, c.shardsOf(w.id), c.curEnd)
 	if err != nil {
 		c.markDead(w, "bad epoch-done: "+err.Error())
-		return
-	}
-	if m.Seq != c.seq {
-		return
+		return false
 	}
 	c.doneOutbox = append(c.doneOutbox, m.Outbox...)
 	c.next[w.id] = m.Next
-	delete(c.donePending, w.id)
-	c.advanceNS[w.id] = time.Since(c.dispatched).Nanoseconds()
+	c.advanceNS[w.id] = a.at.Sub(c.dispatched).Nanoseconds()
+	return true
 }
 
-// awaitFrom waits for a specific frame type from a specific worker,
-// processing unrelated events (deaths, epoch completions) as they
-// arrive. Returns an error on the worker's death or the deadline.
-func (c *Coordinator) awaitFrom(w *wconn, typ msgType, deadline time.Time) (frame, error) {
-	for {
-		for i, fr := range w.stash {
-			if fr.typ == typ {
-				w.stash = append(w.stash[:i], w.stash[i+1:]...)
-				w.stashN.Store(int64(len(w.stash)))
-				return fr, nil
-			}
-		}
-		if w.dead {
-			return frame{}, fmt.Errorf("cluster: worker %q died awaiting %v", w.name, typ)
-		}
-		ev, ok := c.nextEvent(deadline)
-		if !ok {
-			return frame{}, fmt.Errorf("cluster: timed out awaiting %v from worker %q", typ, w.name)
-		}
-		fr, match := c.processEvent(ev)
-		if !match {
-			continue
-		}
-		if ev.w == w && fr.typ == typ {
-			return fr, nil
-		}
-		// A reply meant for a different pending await (broadcasts
-		// complete out of order) — keep it for its own connection
-		// rather than dropping it on the floor.
-		ev.w.stash = append(ev.w.stash, fr)
-		ev.w.stashN.Store(int64(len(ev.w.stash)))
-	}
-}
-
-// waitStandby pulls the next live standby connection, draining events
-// while it waits. Returns nil at the deadline.
+// waitStandby pulls the next standby connection, or nil at the deadline.
 func (c *Coordinator) waitStandby(deadline time.Time) *wconn {
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
 	for {
 		c.mu.Lock()
-		for len(c.standby) > 0 {
+		if len(c.standby) > 0 {
 			w := c.standby[0]
 			c.standby = c.standby[1:]
-			if !w.dead {
-				c.mu.Unlock()
-				return w
-			}
+			c.mu.Unlock()
+			return w
 		}
 		c.mu.Unlock()
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return nil
-		}
-		t := time.NewTimer(wait)
 		select {
 		case <-c.standbySig:
-		case ev := <-c.events:
-			c.processEvent(ev)
 		case <-t.C:
-			t.Stop()
 			return nil
 		}
-		t.Stop()
 	}
 }
 
-// WaitReady blocks until every worker slot is assigned, warmed up, and
-// aligned on a common base clock, then builds the epoch runner; the run
-// may then be driven through Inject, Replay and RunFor. The timeout
-// falls back to Config.AcceptTimeout.
-func (c *Coordinator) WaitReady(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = c.cfg.AcceptTimeout
+// assign fills worker slot id with a standby that connects by deadline:
+// it sends the assign — carrying cks, the slot's checkpoints, for a
+// recovery — and waits for ready. A standby that dies on the way is
+// skipped; false means none was left in time.
+func (c *Coordinator) assign(id int, cks [][]byte, deadline time.Time) bool {
+	msg := assignMsg{
+		Worker: id, Shards: c.shardsOf(id),
+		Events: c.cfg.Engine.EventLog != nil, Trace: c.cfg.Engine.TraceOut != nil,
+		Metrics: c.reg != nil, Checkpoints: cks,
 	}
-	deadline := time.Now().Add(timeout)
-
-	assign := func(id int) (*wconn, sim.Time, error) {
-		for {
-			w := c.waitStandby(deadline)
-			if w == nil {
-				return nil, 0, fmt.Errorf("cluster: worker slot %d: no worker connected in time", id)
-			}
-			msg := assignMsg{
-				Worker: id, Shards: c.shardsOf(id),
-				WarmupNs: int64(c.cfg.SnapshotWarmup), SnapName: c.cfg.SnapshotName,
-				Events: c.cfg.Engine.EventLog != nil, Trace: c.cfg.Engine.TraceOut != nil,
-				Metrics: c.reg != nil,
-			}
-			if err := w.send(msgAssign, msg); err != nil {
-				c.markDead(w, "assign write: "+err.Error())
-				continue
-			}
-			w.id = id
-			c.assigned[id] = w
-			fr, err := c.awaitFrom(w, msgPrepared, deadline)
-			if err != nil {
-				c.markDead(w, err.Error())
-				c.assigned[id] = nil
-				continue
-			}
-			var p preparedMsg
-			if err := unmarshal(fr.payload, &p); err != nil {
-				c.markDead(w, "bad prepared reply")
-				c.assigned[id] = nil
-				continue
-			}
-			c.logf("cluster: worker %d (%q) prepared shards %v, clock %v", id, w.name, msg.Shards, p.Clock)
-			return w, p.Clock, nil
-		}
-	}
-
-	for id := 0; id < c.workers; id++ {
-		_, clock, err := assign(id)
-		if err != nil {
-			c.fail(err)
-			return err
-		}
-		if clock > c.base {
-			c.base = clock
-		}
-	}
-	// Align every worker on the common base and wait for readiness.
-	for id := 0; id < c.workers; id++ {
-		w := c.assigned[id]
-		if err := w.send(msgAlign, alignMsg{Base: c.base}); err != nil {
-			c.markDead(w, "align write: "+err.Error())
-		}
-	}
-	for id := 0; id < c.workers; id++ {
-		w := c.assigned[id]
+	for {
+		w := c.waitStandby(deadline)
 		if w == nil {
-			err := fmt.Errorf("cluster: worker %d died during alignment", id)
-			c.fail(err)
-			return err
+			return false
 		}
-		fr, err := c.awaitFrom(w, msgReady, deadline)
-		var m readyMsg
-		if err == nil {
-			err = unmarshal(fr.payload, &m)
+		w.id = id
+		c.assigned[id] = w
+		if err := w.send(msgAssign, msg); err != nil {
+			c.markDead(w, "assign write: "+err.Error())
+			continue
 		}
-		if err == nil && m.Next < c.base {
-			err = fmt.Errorf("cluster: worker %d next event at %v is before the base clock %v", id, m.Next, c.base)
-		}
+		a, err := c.await(w, msgReady, time.Now().Add(replyTimeout))
 		if err != nil {
-			c.fail(err)
-			return err
+			continue
+		}
+		var m readyMsg
+		if err := unmarshal(a.payload, &m); err != nil || m.Next < c.now() {
+			c.markDead(w, fmt.Sprintf("bad ready %s", a.payload))
+			continue
 		}
 		c.next[id] = m.Next
+		c.logf("cluster: worker %d (%q) ready with shards %v", id, w.name, msg.Shards)
+		return true
 	}
-	for _, l := range c.logs {
-		l.through = c.base
+}
+
+// WaitReady blocks until every worker slot is assigned, then builds the
+// epoch runner from clock 0; the run may then be driven through Inject,
+// Replay and RunFor. A non-positive timeout waits 30s.
+func (c *Coordinator) WaitReady(timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = acceptTimeout
 	}
-	c.runner = sim.NewRunner(c, c.base, c.lookahead)
+	deadline := time.Now().Add(timeout)
+	for id := 0; id < c.workers; id++ {
+		if !c.assign(id, nil, deadline) {
+			err := fmt.Errorf("cluster: worker slot %d: no worker connected in time", id)
+			c.fail(err)
+			return err
+		}
+	}
+	c.runner = sim.NewRunner(c, 0, c.lookahead)
 	c.runner.SetAdaptive(c.cfg.Engine.AdaptiveEpochs)
 	if c.prof != nil {
 		c.runner.SetEpochObserver(func(s sim.EpochStats) {
@@ -650,14 +549,14 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 		})
 	}
 	c.publishHealth()
-	c.logf("cluster: %d workers ready, %d shards, base clock %v", c.workers, c.shards, c.base)
+	c.logf("cluster: %d workers ready, %d shards", c.workers, c.shards)
 	return nil
 }
 
-// now is the barrier clock: the aligned base until the runner exists.
+// now is the barrier clock: 0 until the runner exists.
 func (c *Coordinator) now() sim.Time {
 	if c.runner == nil {
-		return c.base
+		return 0
 	}
 	return c.runner.Now()
 }
@@ -742,9 +641,10 @@ func (c *Coordinator) NextEvent() sim.Time {
 }
 
 // Advance runs the epoch [Now, end) on every worker (sim.Transport),
-// recovering a dead one onto a standby, then logs the inputs and keeps
-// the outboxes for the next Exchange. It returns each worker's
-// dispatch-to-done wall time, or false once the run has degraded (Err).
+// awaiting each slot's epoch-done in slot order and recovering a dead
+// worker onto a standby, then logs the inputs and keeps the outboxes for
+// the next Exchange. It returns each worker's dispatch-to-done wall
+// time, or false once the run has degraded (Err).
 func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 	if c.err != nil {
 		return nil, false
@@ -753,15 +653,6 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 	if c.cfg.OnEpoch != nil {
 		c.cfg.OnEpoch(c.seq, start, end)
 	}
-	// Fill worker slots emptied by deaths noticed between epochs.
-	for id := 0; id < c.workers; id++ {
-		if c.assigned[id] == nil {
-			if !c.recover(id, false) {
-				return nil, false
-			}
-		}
-	}
-
 	c.curEnd = end
 	c.doneOutbox = c.doneOutbox[:0]
 	c.epochBytes = 0
@@ -769,33 +660,17 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 		c.epochBytes += int64(len(in))
 	}
 	c.dispatched = time.Now()
-	for id := 0; id < c.workers; id++ {
-		c.donePending[id] = true
+	for id := range c.assigned {
 		c.sendEpoch(id)
 	}
-
-	deadline := time.Now().Add(c.cfg.EpochTimeout)
-	for len(c.donePending) > 0 {
-		// Recover any pending worker whose connection died; the
-		// replacement replays its checkpoint and reruns this epoch.
-		for id := range c.donePending {
-			if c.assigned[id] == nil {
-				if !c.recover(id, true) {
-					return nil, false
-				}
+	for id := range c.assigned {
+		// The replacement replays its checkpoint and reruns this epoch.
+		for !c.epochDone(id) {
+			if !c.recover(id) {
+				return nil, false
 			}
+			c.sendEpoch(id)
 		}
-		ev, ok := c.nextEvent(deadline)
-		if !ok {
-			for id := range c.donePending {
-				if w := c.assigned[id]; w != nil {
-					c.markDead(w, "epoch timeout")
-				}
-			}
-			deadline = time.Now().Add(c.cfg.EpochTimeout)
-			continue
-		}
-		c.processEvent(ev)
 	}
 
 	for s, in := range c.inputs {
@@ -812,6 +687,17 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 	c.seq++
 	c.publishHealth()
 	return c.advanceNS, true
+}
+
+// epochDone awaits worker slot id's epoch-done and records it. False
+// means the slot is empty: its worker died or broke the barrier.
+func (c *Coordinator) epochDone(id int) bool {
+	w := c.assigned[id]
+	if w == nil {
+		return false
+	}
+	a, err := c.await(w, msgEpochDone, time.Now().Add(replyTimeout))
+	return err == nil && c.recordEpochDone(w, a)
 }
 
 // publishHealth refreshes the atomic mirror the HTTP /cluster endpoint
@@ -851,56 +737,30 @@ func (c *Coordinator) sendEpoch(id int) {
 	}
 }
 
-// recover restores worker id's shards onto a standby (or a restarted
-// worker dialing back in) from the last epoch-boundary checkpoint.
-// resend re-ships the in-flight epoch after the restore. False means no
-// replacement appeared in time and the run has degraded.
-func (c *Coordinator) recover(id int, resend bool) bool {
-	c.recoveries++
+// recover restores worker slot id's shards onto a standby (or a
+// restarted worker dialing back in) from the last epoch-boundary
+// checkpoint. False means no replacement appeared in time and the run
+// has degraded.
+func (c *Coordinator) recover(id int) bool {
 	shards := c.shardsOf(id)
 	cks := make([][]byte, len(shards))
 	epochs := 0
 	for i, s := range shards {
-		ck := c.logs[s].checkpoint(s, c.shards, c.cfg.Engine.Seed, c.hash, c.base)
+		ck := c.logs[s].checkpoint(s, c.shards, c.cfg.Engine.Seed, c.hash, 0)
 		epochs += len(ck.Epochs)
 		cks[i] = ck.Encode()
 	}
-	c.recoveryf("epoch=%d t=%s event=restore-begin worker=%d shards=%v logged_epochs=%d resend=%v",
-		c.seq, c.now(), id, shards, epochs, resend)
-
-	deadline := time.Now().Add(c.cfg.RecoveryWait)
-	for {
-		w := c.waitStandby(deadline)
-		if w == nil {
-			c.fail(fmt.Errorf("cluster: worker %d (shards %v) crashed at epoch %d and no replacement connected within %v",
-				id, shards, c.seq, c.cfg.RecoveryWait))
-			return false
-		}
-		msg := restoreMsg{
-			Worker: id, Shards: shards,
-			WarmupNs: int64(c.cfg.SnapshotWarmup), SnapName: c.cfg.SnapshotName,
-			Events: c.cfg.Engine.EventLog != nil, Trace: c.cfg.Engine.TraceOut != nil,
-			Metrics: c.reg != nil,
-			Base:    c.base, Seq: c.seq, Checkpoints: cks,
-		}
-		if err := w.send(msgRestore, msg); err != nil {
-			c.markDead(w, "restore write: "+err.Error())
-			continue
-		}
-		w.id = id
-		c.assigned[id] = w
-		if _, err := c.awaitFrom(w, msgReady, time.Now().Add(c.cfg.RestoreTimeout)); err != nil {
-			c.markDead(w, err.Error())
-			c.assigned[id] = nil
-			continue
-		}
-		c.recoveryf("epoch=%d t=%s event=restore-done worker=%d name=%q", c.seq, c.now(), id, w.name)
-		c.publishHealth()
-		if resend {
-			c.sendEpoch(id)
-		}
-		return true
+	c.recoveryf("epoch=%d t=%s event=restore-begin worker=%d shards=%v logged_epochs=%d",
+		c.seq, c.now(), id, shards, epochs)
+	if !c.assign(id, cks, time.Now().Add(c.cfg.RecoveryWait)) {
+		c.fail(fmt.Errorf("cluster: worker %d (shards %v) crashed at epoch %d and no replacement connected within %v",
+			id, shards, c.seq, c.cfg.RecoveryWait))
+		return false
 	}
+	c.recoveries++
+	c.recoveryf("epoch=%d t=%s event=restore-done worker=%d name=%q", c.seq, c.now(), id, c.assigned[id].name)
+	c.publishHealth()
+	return true
 }
 
 // Results fetches and merges every worker's output in shard order. With
@@ -909,8 +769,7 @@ func (c *Coordinator) recover(id int, resend bool) bool {
 func (c *Coordinator) Results() (*Results, error) {
 	res := &Results{Now: c.now(), Recoveries: c.recoveries}
 	perShard := make([]*shardResult, c.shards)
-	for id := 0; id < c.workers; id++ {
-		w := c.assigned[id]
+	for _, w := range c.assigned {
 		if w == nil {
 			continue
 		}
@@ -918,19 +777,18 @@ func (c *Coordinator) Results() (*Results, error) {
 			c.markDead(w, "results write: "+err.Error())
 		}
 	}
-	deadline := time.Now().Add(c.cfg.EpochTimeout)
-	for id := 0; id < c.workers; id++ {
-		w := c.assigned[id]
+	deadline := time.Now().Add(replyTimeout)
+	for _, w := range c.assigned {
 		if w == nil {
 			continue
 		}
-		fr, err := c.awaitFrom(w, msgResults, deadline)
+		a, err := c.await(w, msgResults, deadline)
 		if err != nil {
 			c.fail(err)
 			continue
 		}
 		var m resultsMsg
-		if err := unmarshal(fr.payload, &m); err != nil {
+		if err := unmarshal(a.payload, &m); err != nil {
 			c.markDead(w, "bad results: "+err.Error())
 			continue
 		}
@@ -977,23 +835,15 @@ func (c *Coordinator) Close() error {
 	if c.closed {
 		return nil
 	}
+	c.mu.Lock()
 	c.closed = true
-	for _, w := range c.assigned {
+	conns := append(c.standby, c.assigned...)
+	c.standby = nil
+	c.mu.Unlock()
+	for _, w := range conns {
 		if w != nil && !w.dead {
 			w.send(msgShutdown, struct{}{})
 			c.markDead(w, "shutdown")
-		}
-	}
-	c.mu.Lock()
-	standby := append([]*wconn(nil), c.standby...)
-	c.standby = nil
-	c.mu.Unlock()
-	for _, w := range standby {
-		if !w.dead {
-			w.send(msgShutdown, struct{}{})
-			w.dead = true
-			close(w.stop)
-			w.close()
 		}
 	}
 	if c.ln != nil {
@@ -1038,8 +888,6 @@ type WorkerHealth struct {
 	EpochLag uint64 `json:"epoch_lag"`
 	// HeartbeatAgeMs is wall milliseconds since the worker's last frame.
 	HeartbeatAgeMs int64 `json:"heartbeat_age_ms"`
-	// StashDepth counts out-of-order frames parked for this connection.
-	StashDepth int64 `json:"stash_depth"`
 }
 
 // ClusterHealth is the /cluster health document.
@@ -1079,7 +927,6 @@ func (c *Coordinator) Health() ClusterHealth {
 				wh.EpochLag = h.Epoch - wh.LastSeq
 			}
 			wh.HeartbeatAgeMs = (now - ref.w.lastRecv.Load()) / 1e6
-			wh.StashDepth = ref.w.stashN.Load()
 		}
 		h.Workers = append(h.Workers, wh)
 	}

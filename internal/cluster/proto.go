@@ -45,9 +45,12 @@ import (
 // owned shard's next pending event to ready and epoch-done, the horizon
 // the coordinator's runner widens epochs against. v5 shows the
 // coordinator only the worker's aggregate, as the in-process transport
-// reports it: prepared carries the worker's one latest clock, ready and
-// epoch-done its one earliest next event.
-const ProtoVersion = 5
+// reports it: ready and epoch-done carry its one earliest next event. v6
+// drops the clock negotiation (prepared, align) and the second
+// assignment path (restore): every kernel starts at 0, and one assign →
+// ready exchange takes a fresh slot or, carrying checkpoints, a
+// recovery.
+const ProtoVersion = 6
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -56,16 +59,14 @@ const maxFrame = 256 << 20
 
 // Message types. The payload of every control message is JSON; epoch
 // input lists and packets use the binary codec below (nested in JSON as
-// base64 []byte fields).
+// base64 []byte fields). Numbers are never reused, so a frame from
+// another version is never misread before the hello is refused.
 type msgType byte
 
 const (
 	msgHello     msgType = 1  // worker -> coordinator: version, config hash, name
-	msgAssign    msgType = 2  // coordinator -> worker: id, shards, warmup
-	msgRestore   msgType = 3  // coordinator -> worker: id, shards, checkpoints
-	msgPrepared  msgType = 4  // worker -> coordinator: latest kernel clock
-	msgAlign     msgType = 5  // coordinator -> worker: run every kernel to base
-	msgReady     msgType = 6  // worker -> coordinator: domains aligned / restored
+	msgAssign    msgType = 2  // coordinator -> worker: id, shards, checkpoints for a recovery
+	msgReady     msgType = 6  // worker -> coordinator: domains built (and restored)
 	msgEpoch     msgType = 7  // coordinator -> worker: epoch bounds + inputs
 	msgEpochDone msgType = 8  // worker -> coordinator: epoch outbox
 	msgHeartbeat msgType = 9  // both directions, empty payload
@@ -80,12 +81,6 @@ func (t msgType) String() string {
 		return "hello"
 	case msgAssign:
 		return "assign"
-	case msgRestore:
-		return "restore"
-	case msgPrepared:
-		return "prepared"
-	case msgAlign:
-		return "align"
 	case msgReady:
 		return "ready"
 	case msgEpoch:
@@ -165,38 +160,18 @@ type helloMsg struct {
 }
 
 type assignMsg struct {
-	Worker   int
-	Shards   []int
-	WarmupNs int64  // snapshot-image warmup to run before aligning
-	SnapName string // snapshot image name
-	Events   bool   // collect per-domain event logs for the coordinator
-	Trace    bool   // collect per-domain span traces
-	Metrics  bool   // run a live telemetry registry, piggyback on heartbeats
-}
-
-type restoreMsg struct {
-	Worker      int
-	Shards      []int
-	WarmupNs    int64
-	SnapName    string
-	Events      bool
-	Trace       bool
-	Metrics     bool
-	Base        sim.Time
-	Seq         uint64   // next epoch the worker will receive
-	Checkpoints [][]byte // one serialized Checkpoint per entry of Shards
-}
-
-type preparedMsg struct {
-	Clock sim.Time // the latest owned kernel clock, after local warmup
-}
-
-type alignMsg struct {
-	Base sim.Time
+	Worker  int
+	Shards  []int
+	Events  bool // collect per-domain event logs for the coordinator
+	Trace   bool // collect per-domain span traces
+	Metrics bool // run a live telemetry registry, piggyback on heartbeats
+	// Checkpoints holds one serialized Checkpoint per entry of Shards for
+	// a recovery, and nothing for a fresh slot.
+	Checkpoints [][]byte
 }
 
 type readyMsg struct {
-	Next sim.Time // the earliest pending event on any owned shard once aligned or restored
+	Next sim.Time // the earliest pending event on any owned shard once built (and restored)
 }
 
 type epochMsg struct {

@@ -51,12 +51,11 @@ func FuzzEpochDone(f *testing.F) {
 		w := &wconn{conn: newConn(pa), id: 0, stop: make(chan struct{})}
 		c := &Coordinator{
 			shards: shards, workers: 2, seq: seq, curEnd: end,
-			assigned:    []*wconn{w, nil},
-			donePending: map[int]bool{0: true},
-			next:        make([]sim.Time, 2),
-			advanceNS:   make([]int64, 2),
+			assigned:  []*wconn{w, nil},
+			next:      make([]sim.Time, 2),
+			advanceNS: make([]int64, 2),
 		}
-		c.handleEpochDone(w, payload)
+		c.recordEpochDone(w, arrival{frame: frame{typ: msgEpochDone, payload: payload}})
 
 		m, err := decodeEpochDone(payload, shards, owned, end)
 		if err != nil {
@@ -76,7 +75,7 @@ func FuzzEpochDone(f *testing.F) {
 		if m.Next < end {
 			t.Fatalf("accepted next event %v before the barrier at %v", m.Next, end)
 		}
-		if m.Seq == seq && (c.donePending[0] || c.next[0] != m.Next || len(c.doneOutbox) != len(m.Outbox)) {
+		if c.next[0] != m.Next || len(c.doneOutbox) != len(m.Outbox) {
 			t.Fatal("an accepted epoch-done was not recorded")
 		}
 	})

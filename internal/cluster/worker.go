@@ -34,17 +34,8 @@ type WorkerConfig struct {
 	// Name identifies the worker in logs and recovery events.
 	Name string
 
-	// DialAttempts bounds connection retries (default 8), starting at
-	// DialBackoff (default 200ms) and doubling up to 3s per wait.
-	DialAttempts int
-	DialBackoff  time.Duration
-
-	// HeartbeatInterval is the outgoing ping period (default 1s);
-	// IdleTimeout declares the coordinator dead after that much read
-	// silence (default 2m — epochs ship continuously, and the
-	// coordinator pings while idle).
+	// HeartbeatInterval is the outgoing ping period (default 1s).
 	HeartbeatInterval time.Duration
-	IdleTimeout       time.Duration
 
 	// OnKill, when non-nil, replaces the default kill behaviour (stop the
 	// kernel, close the connection, return ErrKilled). The daemon
@@ -55,18 +46,19 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// Dialing retries dialAttempts times, starting at dialBackoff and
+// doubling up to 3s per wait. idleTimeout declares the coordinator dead
+// after that much read silence: epochs ship continuously, and the
+// coordinator pings while idle.
+const (
+	dialAttempts = 8
+	dialBackoff  = 200 * time.Millisecond
+	idleTimeout  = 2 * time.Minute
+)
+
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 8
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 200 * time.Millisecond
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
 	}
 	return cfg
 }
@@ -172,9 +164,9 @@ func (w *worker) logf(format string, args ...any) {
 // cluster) resolve themselves; a persistently absent coordinator is an
 // error, not a hang.
 func (w *worker) dial() (net.Conn, error) {
-	backoff := w.cfg.DialBackoff
+	backoff := dialBackoff
 	var lastErr error
-	for attempt := 0; attempt < w.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
@@ -187,7 +179,7 @@ func (w *worker) dial() (net.Conn, error) {
 			return nc, nil
 		}
 		lastErr = err
-		w.logf("cluster: dial %s attempt %d/%d: %v", w.cfg.Addr, attempt+1, w.cfg.DialAttempts, err)
+		w.logf("cluster: dial %s attempt %d/%d: %v", w.cfg.Addr, attempt+1, dialAttempts, err)
 	}
 	return nil, fmt.Errorf("cluster: dialing coordinator %s: %w", w.cfg.Addr, lastErr)
 }
@@ -216,7 +208,7 @@ func (w *worker) heartbeatLoop(stop chan struct{}) {
 // serve is the worker's message loop.
 func (w *worker) serve() error {
 	for {
-		w.cn.c.SetReadDeadline(time.Now().Add(w.cfg.IdleTimeout))
+		w.cn.c.SetReadDeadline(time.Now().Add(idleTimeout))
 		fr, err := readFrame(w.cn.c)
 		if err != nil {
 			if w.killed.Load() {
@@ -229,10 +221,6 @@ func (w *worker) serve() error {
 			continue
 		case msgAssign:
 			err = w.handleAssign(fr.payload)
-		case msgRestore:
-			err = w.handleRestore(fr.payload)
-		case msgAlign:
-			err = w.handleAlign(fr.payload)
 		case msgEpoch:
 			err = w.handleEpoch(fr.payload)
 		case msgResults:
@@ -259,31 +247,31 @@ func (w *worker) serve() error {
 // buildDomains constructs the owned shard domains exactly as the
 // in-process engine would, with cross-shard emissions serialized into
 // the per-shard epoch outbox instead of a runner send.
-func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn bool, snapName string, warmup time.Duration) error {
+func (w *worker) buildDomains(m assignMsg) error {
 	if len(w.domains) > 0 {
 		return errors.New("cluster: worker assigned twice")
 	}
-	w.id = id
-	w.shards = append([]int(nil), shards...)
+	w.id = m.Worker
+	w.shards = append([]int(nil), m.Shards...)
 	ecfg := w.ecfg
 	// The writers only mark that output should be collected; the
 	// domains buffer and the coordinator merges. The registry is the
 	// worker's own — the coordinator's cannot cross the wire.
 	ecfg.EventLog, ecfg.TraceOut, ecfg.Metrics, ecfg.EpochLog = nil, nil, nil, nil
-	if events {
+	if m.Events {
 		ecfg.EventLog = io.Discard
 	}
-	if trace {
+	if m.Trace {
 		ecfg.TraceOut = io.Discard
 	}
-	if metricsOn {
+	if m.Metrics {
 		reg := metrics.NewRegistry()
 		w.metrics.Store(reg)
 		ecfg.Metrics = reg
 	}
 	var owned []*core.ShardDomain
 	var kernels []*sim.Kernel
-	for _, s := range shards {
+	for _, s := range w.shards {
 		s := s
 		slot := new([]outboxEntry)
 		w.outbox[s] = slot
@@ -297,11 +285,6 @@ func (w *worker) buildDomains(id int, shards []int, events, trace, metricsOn boo
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: building shard %d: %w", s, err)
-		}
-		if snapName != "" {
-			if err := d.F.PrepareSnapshotImages(snapName, warmup); err != nil {
-				return fmt.Errorf("cluster: preparing shard %d: %w", s, err)
-			}
 		}
 		w.domains[s] = d
 		owned = append(owned, d)
@@ -343,79 +326,54 @@ func (w *worker) armFaults(withKillHook bool) {
 	}
 }
 
+// handleAssign takes a worker slot: build the owned domains from the
+// shared configuration, run every kernel through the common start
+// clock, arm faults, and answer ready. A fresh slot carries no
+// checkpoints and arms the kill hook. A recovery carries one checkpoint
+// per shard and replays it (restore); its kill hook stays unarmed.
 func (w *worker) handleAssign(payload []byte) error {
 	var m assignMsg
 	if err := unmarshal(payload, &m); err != nil {
 		return err
 	}
-	if err := w.buildDomains(m.Worker, m.Shards, m.Events, m.Trace, m.Metrics, m.SnapName, time.Duration(m.WarmupNs)); err != nil {
+	recovery := len(m.Checkpoints) > 0
+	if recovery && len(m.Checkpoints) != len(m.Shards) {
+		return fmt.Errorf("cluster: assign with %d checkpoints for %d shards", len(m.Checkpoints), len(m.Shards))
+	}
+	if err := w.buildDomains(m); err != nil {
 		return err
+	}
+	w.local.Advance(w.local.Now(), false)
+	w.armFaults(!recovery)
+	if recovery {
+		if err := w.restore(m.Checkpoints); err != nil {
+			return err
+		}
 	}
 	w.logf("cluster: assigned worker %d, shards %v", w.id, w.shards)
-	return w.cn.send(msgPrepared, preparedMsg{Clock: w.local.Now()})
-}
-
-func (w *worker) handleAlign(payload []byte) error {
-	var m alignMsg
-	if err := unmarshal(payload, &m); err != nil {
-		return err
-	}
-	if w.local == nil {
-		return errors.New("cluster: align before assignment")
-	}
-	if err := w.checkNotBefore("align base", m.Base); err != nil {
-		return err
-	}
-	w.local.Advance(m.Base, false)
-	w.armFaults(true)
 	return w.cn.send(msgReady, readyMsg{Next: w.local.NextEvent()})
 }
 
-// checkNotBefore rejects a coordinator time the owned kernels have
-// already run past: scheduling there would reorder simulated time.
-func (w *worker) checkNotBefore(what string, at sim.Time) error {
-	if now := w.local.Now(); at < now {
-		return fmt.Errorf("cluster: %s %v is before the worker's clock %v", what, at, now)
-	}
-	return nil
-}
-
-// handleRestore adopts a crashed worker's shards: rebuild the domains
-// from the shared configuration, run the warmup, align to the recorded
-// base, arm faults (sans kill hook), then replay the checkpointed epoch
-// inputs — each epoch's inputs scheduled while the kernel sits at that
-// epoch's opening barrier, reproducing event-heap insertion order — up
-// to the last completed boundary.
-func (w *worker) handleRestore(payload []byte) error {
-	var m restoreMsg
-	if err := unmarshal(payload, &m); err != nil {
-		return err
-	}
-	if len(m.Checkpoints) != len(m.Shards) {
-		return fmt.Errorf("cluster: restore with %d checkpoints for %d shards", len(m.Checkpoints), len(m.Shards))
-	}
-	if err := w.buildDomains(m.Worker, m.Shards, m.Events, m.Trace, m.Metrics, m.SnapName, time.Duration(m.WarmupNs)); err != nil {
-		return err
-	}
-	if err := w.checkNotBefore("restore base", m.Base); err != nil {
-		return err
-	}
-	w.local.Advance(m.Base, false)
-	w.armFaults(false)
-
+// restore replays a crashed worker's checkpointed epoch inputs onto the
+// owned domains, one checkpoint per shard in assignment order — each
+// epoch's inputs scheduled while the kernel sits at that epoch's opening
+// barrier, reproducing event-heap insertion order — up to the last
+// completed boundary. A checkpoint must start at the worker's clock.
+func (w *worker) restore(cks [][]byte) error {
 	w.replaying = true
 	defer func() { w.replaying = false }()
 	hash := configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, w.lookahead)
-	for i, s := range m.Shards {
-		ck, err := DecodeCheckpoint(m.Checkpoints[i])
+	clock := w.local.Now()
+	for i, s := range w.shards {
+		ck, err := DecodeCheckpoint(cks[i])
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d checkpoint: %w", s, err)
 		}
 		if ck.Shard != s || ck.Shards != w.ecfg.Shards || ck.ConfigHash != hash {
 			return fmt.Errorf("cluster: shard %d checkpoint identity mismatch (shard=%d shards=%d)", s, ck.Shard, ck.Shards)
 		}
-		if ck.Base != m.Base {
-			return fmt.Errorf("cluster: shard %d checkpoint base %v is not the restore base %v", s, ck.Base, m.Base)
+		if ck.Base != clock {
+			return fmt.Errorf("cluster: shard %d checkpoint base %v is not the worker's clock %v", s, ck.Base, clock)
 		}
 		d := w.domains[s]
 		for _, ep := range ck.Epochs {
@@ -430,7 +388,7 @@ func (w *worker) handleRestore(payload []byte) error {
 		d.K.RunUntil(ck.Through)
 		w.logf("cluster: restored shard %d through %v (%d logged epochs)", s, ck.Through, len(ck.Epochs))
 	}
-	return w.cn.send(msgReady, readyMsg{Next: w.local.NextEvent()})
+	return nil
 }
 
 // scheduleInputs schedules decoded barrier inputs on a domain's kernel
@@ -455,8 +413,8 @@ func (w *worker) handleEpoch(payload []byte) error {
 	if w.local == nil {
 		return errors.New("cluster: epoch before assignment")
 	}
-	if err := w.checkNotBefore("epoch start", m.Start); err != nil {
-		return err
+	if now := w.local.Now(); m.Start < now {
+		return fmt.Errorf("cluster: epoch start %v is before the worker's clock %v", m.Start, now)
 	}
 	for _, si := range m.Inputs {
 		d := w.domains[si.Shard]

@@ -86,14 +86,10 @@ func (fc *fakeCoordinator) expect(typ msgType) frame {
 	return fr
 }
 
-// assign hands the worker shards 0 and 2 as worker 0 and aligns it on
-// its prepared clock.
+// assign hands the worker shards 0 and 2 as worker 0, a fresh slot.
 func (fc *fakeCoordinator) assign() {
 	fc.t.Helper()
 	fc.send(msgAssign, assignMsg{Worker: 0, Shards: []int{0, 2}})
-	var p preparedMsg
-	unmarshal(fc.expect(msgPrepared).payload, &p)
-	fc.send(msgAlign, alignMsg{Base: p.Clock})
 	fc.expect(msgReady)
 }
 
@@ -112,9 +108,9 @@ func (fc *fakeCoordinator) finish() error {
 }
 
 // TestWorkerRejectsTimesBeforeItsClock: a coordinator frame naming a
-// time the worker's kernels have already run past — an epoch opening
-// before the last one closed, an align base below the prepared clock, a
-// checkpoint based elsewhere than its restore — is a protocol error. The
+// time the worker's kernels are not at — an epoch opening before the
+// last one closed, a recovery checkpoint based away from the worker's
+// clock — is a protocol error. The
 // worker reports it, drops the connection and returns, where scheduling
 // the frame's inputs used to panic the process.
 func TestWorkerRejectsTimesBeforeItsClock(t *testing.T) {
@@ -129,24 +125,15 @@ func TestWorkerRejectsTimesBeforeItsClock(t *testing.T) {
 			fc.send(msgEpoch, epochMsg{Seq: 1, Start: ms, End: 2 * ms,
 				Inputs: []shardInputs{{Shard: 0, Inputs: crossTo(ms, "10.5.0.4")}}})
 		}},
-		{"align", func(fc *fakeCoordinator) {
-			fc.send(msgAssign, assignMsg{Worker: 0, Shards: []int{0, 2}, SnapName: "settled", WarmupNs: int64(time.Second)})
-			var p preparedMsg
-			unmarshal(fc.expect(msgPrepared).payload, &p)
-			if p.Clock == 0 {
-				fc.t.Fatal("the snapshot warmup left the clock at zero")
-			}
-			fc.send(msgAlign, alignMsg{Base: 0})
-		}},
 		{"restore", func(fc *fakeCoordinator) {
 			cfg := testEngineConfig(3, nil)
 			ck := &Checkpoint{
 				Shard: 0, Shards: cfg.Shards, Seed: cfg.Seed,
 				ConfigHash: configHash(testTag, cfg.Shards, cfg.Seed, cfg.Normalized().Lookahead),
-				Base:       0, Through: 2 * ms,
-				Epochs: []EpochInputs{{Start: ms, End: 2 * ms, Inputs: crossTo(ms, "10.5.0.4")}},
+				Base:       10 * ms, Through: 12 * ms,
+				Epochs: []EpochInputs{{Start: 11 * ms, End: 12 * ms, Inputs: crossTo(11*ms, "10.5.0.4")}},
 			}
-			fc.send(msgRestore, restoreMsg{Worker: 0, Shards: []int{0}, Base: 10 * ms, Checkpoints: [][]byte{ck.Encode()}})
+			fc.send(msgAssign, assignMsg{Worker: 0, Shards: []int{0}, Checkpoints: [][]byte{ck.Encode()}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,7 +141,7 @@ func TestWorkerRejectsTimesBeforeItsClock(t *testing.T) {
 			tc.run(fc)
 			var em errorMsg
 			unmarshal(fc.expect(msgError).payload, &em)
-			if !strings.Contains(em.Text, "before the worker's clock") && !strings.Contains(em.Text, "is not the restore base") {
+			if !strings.Contains(em.Text, "before the worker's clock") && !strings.Contains(em.Text, "is not the worker's clock") {
 				t.Errorf("error frame %q does not name the clock", em.Text)
 			}
 			if err := fc.finish(); err == nil || errors.Is(err, ErrKilled) {
@@ -260,9 +247,6 @@ func FuzzWorkerEpoch(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer w.local.Close()
-		if err := w.handleAlign(mustJSON(t, alignMsg{})); err != nil {
-			t.Fatal(err)
-		}
 		if err := w.handleEpoch(first); err != nil {
 			t.Fatal(err)
 		}
