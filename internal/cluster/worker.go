@@ -76,8 +76,9 @@ type worker struct {
 	// local advances the owned domains' kernels, in assignment order, on
 	// the engine's in-process transport: on its persistent goroutines
 	// when the scenario asks for parallelism, else in turn on the serve
-	// goroutine (the bytes are the same either way). Nil until assigned.
-	local *sim.Local
+	// goroutine (the bytes are the same either way). Nothing is sent on
+	// it: cross-shard packets go through the coordinator. Nil until assigned.
+	local *sim.Local[*netsim.Packet]
 	// view publishes the domains' Stats into the worker's registry at
 	// epoch boundaries (nil without one).
 	view *core.StatsView
@@ -291,7 +292,7 @@ func (w *worker) buildDomains(m assignMsg) error {
 		kernels = append(kernels, d.K)
 	}
 	w.view = core.NewStatsView(ecfg.Metrics, owned)
-	w.local = sim.NewLocal(kernels)
+	w.local = sim.NewLocal[*netsim.Packet](kernels, nil)
 	w.local.SetSequential(!ecfg.Parallel)
 	return nil
 }
@@ -395,10 +396,9 @@ func (w *worker) restore(cks [][]byte) error {
 // in delivery order.
 func (w *worker) scheduleInputs(d *core.ShardDomain, ins []input) {
 	for _, in := range ins {
-		in := in
 		switch in.Kind {
 		case inputCross:
-			d.K.At(in.At, func(now sim.Time) { d.G.HandleInbound(now, in.Pkt) })
+			d.Deliver(in.At, in.Pkt)
 		case inputRecord:
 			d.ScheduleRecord(in.At, &in.Rec)
 		}

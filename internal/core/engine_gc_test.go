@@ -14,10 +14,11 @@ import (
 	"potemkin/internal/sim"
 )
 
-// closedEngine runs a two-shard engine until cross-shard envelopes have
-// been through the pool, closes it, and returns the only thing left of
-// it: a weak pointer. It is its own function so no frame of the test
-// holds the engine when the collector runs.
+// closedEngine runs a two-shard engine until packets have crossed shards
+// through the exchange and the domains' envelope free lists, closes it,
+// and returns the only thing left of it: a weak pointer. It is its own
+// function so no frame of the test holds the engine when the collector
+// runs.
 //
 //go:noinline
 func closedEngine(t *testing.T) (wp weak.Pointer[ShardEngine], crossed int) {
@@ -46,17 +47,21 @@ func closedEngine(t *testing.T) (wp weak.Pointer[ShardEngine], crossed int) {
 }
 
 // TestClosedEngineCollectedByOneGC: a closed engine nothing refers to
-// is garbage at the next collection. It used not to be — the envelope
-// pool was a sync.Pool inside the engine whose envelopes pointed back at
-// it, and the runtime keeps pools and their contents for two cycles —
-// so a multi-gigabyte farm outlived its Close by one collection.
+// is garbage at the next collection, because nothing process-global
+// holds any part of it: cross-shard packets wait in the engine's own
+// exchange rings and ride envelopes off each domain's own free list.
+// (When cross-shard envelopes came from a sync.Pool, which the runtime
+// keeps with its contents for a further cycle, a multi-gigabyte farm
+// outlived its Close by one collection; make vet now keeps sync.Pool
+// out of the engine.)
 func TestClosedEngineCollectedByOneGC(t *testing.T) {
 	// One collection means the one below: a background cycle mid-run
-	// would age the pool's contents by the very cycle under test. And
-	// one P: on several, about one collection in three leaves a dropped
-	// engine marked for a further cycle whatever its pool holds (a heap
-	// dump taken after such a cycle shows no root reaching it), and this
-	// test is about references, not about floating garbage.
+	// would age anything the runtime holds for a cycle by the very
+	// cycle under test. And one P: on several, about one collection in
+	// three leaves a dropped engine marked for a further cycle whatever
+	// refers to it (a heap dump taken after such a cycle shows no root
+	// reaching it), and this test is about references, not about
+	// floating garbage.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	wp, crossed := closedEngine(t)

@@ -275,3 +275,55 @@ func TestReplayScheduleAllocs(t *testing.T) {
 			extra, extra/10, more, more/float64(extra))
 	}
 }
+
+// TestBarrierDeliveryAllocs is the same floor for a packet scheduled
+// into a domain between epochs (InjectBarrier, as the cluster
+// coordinator seeds exploits): on warm flows across two shards,
+// injecting more SYNs allocates nothing more. The envelope the packet
+// rides comes off the owning domain's free list, like a record's.
+func TestBarrierDeliveryAllocs(t *testing.T) {
+	gc := gateway.DefaultConfig()
+	gc.Policy = gateway.PolicyReflectSource
+	gc.IdleTimeout = 0 // warm means warm: nothing recycles mid-measurement
+	fc := farm.DefaultConfig()
+	eng, err := NewShardEngine(ShardEngineConfig{Shards: 2, Seed: 1, Gateway: gc, Farm: fc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	// 32 flows to each of 16 addresses, eight on each shard.
+	const dests, flows, gap = 16, 32, 100 * time.Microsecond
+	recs := make([]telescope.Record, 500)
+	syns := make([]*netsim.Packet, len(recs))
+	for i := range recs {
+		recs[i] = telescope.Record{
+			At:  sim.Time(i) * sim.Time(gap),
+			Src: netsim.MustParseAddr("198.51.100.1") + netsim.Addr(i%flows), Dst: gc.Space.Nth(uint64(i % dests)),
+			Proto: netsim.ProtoTCP, SrcPort: uint16(1024 + i%flows), DstPort: 445, Flags: netsim.FlagSYN,
+		}
+		syns[i] = recs[i].Packet()
+	}
+	if n, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil || n != len(recs) {
+		t.Fatalf("replayed %d of %d records: %v", n, len(recs), err)
+	}
+	eng.RunFor(2 * time.Second) // bind, clone, establish every flow
+	inject := func(n int) {
+		for _, p := range syns[:n] {
+			eng.InjectBarrier(p)
+		}
+		eng.RunFor(time.Millisecond)
+	}
+	inject(len(syns)) // fill the free lists
+	delivered := eng.GatewayStats().DeliveredToVM
+
+	perSmall := testing.AllocsPerRun(5, func() { inject(100) })
+	perLarge := testing.AllocsPerRun(5, func() { inject(500) })
+	if got, want := eng.GatewayStats().DeliveredToVM-delivered, uint64(6*(100+500)); got != want {
+		t.Fatalf("measured injections delivered %d packets to VMs, want %d: the flows are not warm", got, want)
+	}
+	if more := perLarge - perSmall; more > 16 {
+		t.Fatalf("injecting 400 more warm SYNs at the barrier allocates %.0f more objects (%.3f per packet), want 0",
+			more, more/400)
+	}
+}

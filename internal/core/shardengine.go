@@ -13,6 +13,10 @@ package core
 // shard-local) and recycler messages stay inside the domain that owns
 // both the binding and the server, so neither needs the barrier.
 //
+// A cross-shard packet is data on the engine's sim.Local, handed at the
+// barrier to the destination's ShardDomain.Deliver: the one way a packet
+// enters a domain's gateway through the event heap.
+//
 // With identical configuration and seed, the engine produces
 // byte-identical output (stats, event log, trace) whether the epochs
 // run on goroutines or sequentially on one thread — see
@@ -30,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"potemkin/internal/dns"
@@ -182,8 +185,8 @@ func OwnerOf(space netsim.Prefix, shards int, addr netsim.Addr) int {
 }
 
 // CrossSend delivers a cross-shard packet emitted by a domain at now,
-// destined for shard dst. The in-process engine routes it through the
-// parallel runner's barrier; a cluster worker serializes it into the
+// destined for shard dst. The in-process engine queues it on its
+// transport for the barrier; a cluster worker serializes it into the
 // epoch outbox for the coordinator to exchange.
 type CrossSend func(now sim.Time, dst int, pkt *netsim.Packet)
 
@@ -213,10 +216,10 @@ type ShardDomain struct {
 	ChromeRecs []trace.Record
 	tracer     *trace.Tracer
 
-	// freeEnvs is the domain's own free list of replay envelopes (see
-	// ScheduleRecord); records, fed from a time-sorted source, is the
-	// kernel lane their events queue in.
-	freeEnvs []*recordEnv
+	// freeEnvs is the domain's own free list of delivery envelopes (see
+	// Deliver); records, fed from a time-sorted source, is the kernel
+	// lane a replayed record's event queues in.
+	freeEnvs []*packetEnv
 	records  *sim.Lane
 }
 
@@ -292,9 +295,7 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 			if resp := d.Resolver.ServePacket(p); resp != nil {
 				// The answer returns to the querying VM, which this
 				// domain owns — shard-local, no barrier needed.
-				d.K.After(time.Millisecond, func(then sim.Time) {
-					d.G.HandleInbound(then, resp)
-				})
+				d.Deliver(now.Add(time.Millisecond), resp)
 			}
 			return
 		}
@@ -319,39 +320,57 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 	return d, nil
 }
 
-// recordEnv is a pooled replay envelope: one scheduled record's packet,
-// built in the envelope's own storage, and the kernel event that
-// delivers it. fire is bound once for the envelope's lifetime, so
-// scheduling a record allocates nothing once the free list is warm.
-type recordEnv struct {
+// packetEnv is a delivery envelope: one packet scheduled into the
+// domain's gateway and the kernel event that hands it over, bound once,
+// so scheduling allocates nothing once the free list is warm. pkt points
+// at a sender's packet (never a copy: the gateway may keep a packet that
+// is not Ephemeral) or at rec, where a replayed record's is built.
+type packetEnv struct {
 	d    *ShardDomain
-	pkt  netsim.Packet
+	pkt  *netsim.Packet
+	rec  netsim.Packet
 	fire sim.Event
 }
 
-// ScheduleRecord schedules rec's packet for delivery to the domain's
-// gateway at time at. Call it only while the domain is stopped at a
-// barrier — the single-threaded pre-epoch hook, or a cluster worker
-// between epochs: the envelope comes off the domain's own free list
-// there and goes back on it, on the domain's goroutine, when it fires,
-// and the barrier orders the two. The packet is Ephemeral (see
-// telescope.Record.PacketInto).
-func (d *ShardDomain) ScheduleRecord(at sim.Time, rec *telescope.Record) {
-	var env *recordEnv
+// envelope takes an envelope off the domain's free list, where fire
+// puts it back; the barrier orders the two.
+func (d *ShardDomain) envelope() (env *packetEnv) {
 	if n := len(d.freeEnvs); n > 0 {
 		env, d.freeEnvs = d.freeEnvs[n-1], d.freeEnvs[:n-1]
-	} else {
-		env = &recordEnv{d: d}
-		env.fire = env.deliver
+		return env
 	}
-	rec.PacketInto(&env.pkt)
+	env = &packetEnv{d: d}
+	env.fire = env.deliver
+	return env
+}
+
+// Deliver schedules pkt, as it is, for the domain's gateway at time at
+// through the event heap: cross-shard packets, InjectBarrier, the safe
+// resolver's answers and a cluster worker's inputs. Call it while the
+// domain is stopped at a barrier or from its own goroutine.
+func (d *ShardDomain) Deliver(at sim.Time, pkt *netsim.Packet) {
+	env := d.envelope()
+	env.pkt = pkt
+	d.K.At(at, env.fire)
+}
+
+// ScheduleRecord schedules rec's packet for delivery to the domain's
+// gateway at time at, on the records lane. Call it only while the
+// domain is stopped at a barrier — the single-threaded pre-epoch hook,
+// or a cluster worker between epochs. The packet is built in the
+// envelope and is Ephemeral (see telescope.Record.PacketInto).
+func (d *ShardDomain) ScheduleRecord(at sim.Time, rec *telescope.Record) {
+	env := d.envelope()
+	rec.PacketInto(&env.rec)
+	env.pkt = &env.rec
 	d.records.At(at, env.fire)
 }
 
-func (env *recordEnv) deliver(now sim.Time) {
+func (env *packetEnv) deliver(now sim.Time) {
 	d := env.d
-	d.G.HandleInbound(now, &env.pkt)
-	env.pkt.Payload = nil // don't pin the record's payload
+	d.G.HandleInbound(now, env.pkt)
+	// Pin neither the sender's packet nor the record's payload.
+	env.pkt, env.rec.Payload = nil, nil
 	d.freeEnvs = append(d.freeEnvs, env)
 }
 
@@ -367,11 +386,11 @@ func (d *ShardDomain) Close() {
 type ShardEngine struct {
 	cfg     ShardEngineConfig
 	space   netsim.Prefix
+	local   *sim.Local[*netsim.Packet] // the runner's transport: cross-shard packets
 	runner  *sim.ParallelRunner
 	domains []*ShardDomain
 	prof    *metrics.EpochProfiler
 	view    *StatsView // nil without cfg.Metrics
-	envs    *envPool
 	closed  bool
 
 	// chrome streams ChromeOut (nil without it); sinkErr is the first
@@ -386,64 +405,21 @@ type ShardEngine struct {
 	epochIngress int
 }
 
-// crossEnv is a pooled cross-shard delivery envelope. Its fn closure is
-// bound once at pool construction and captures only the envelope, so
-// routing a cross-shard packet allocates nothing on the steady-state
-// path: the envelope is checked out at Send, rides the runner's ring to
-// the destination kernel, and returns itself to the pool the moment its
-// payload has been copied out — before the gateway call, so a reflected
-// re-send inside HandleInbound can reuse it immediately.
-type crossEnv struct {
-	dst int
-	pkt *netsim.Packet
-	fn  sim.Event
-}
-
-// envPool recycles crossEnvs. The runtime keeps every sync.Pool it has
-// seen, and what the pool holds, reachable until the second collection
-// after their last use. So the pool is an allocation of its own rather
-// than a field of the engine, envelopes reach the domains only through
-// it, and Close clears domains: what the runtime then retains of a
-// closed engine is this struct and a few empty envelopes, not the farm.
-type envPool struct {
-	sync.Pool // of *crossEnv
-	domains   []*ShardDomain
-}
-
-func newEnvPool() *envPool {
-	p := &envPool{}
-	p.New = func() any {
-		env := &crossEnv{}
-		env.fn = func(then sim.Time) {
-			d := p.domains[env.dst]
-			pkt := env.pkt
-			env.pkt = nil
-			p.Put(env)
-			d.G.HandleInbound(then, pkt)
-		}
-		return env
-	}
-	return p
-}
-
 // NewShardEngine builds the domains and their runner.
 func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &ShardEngine{cfg: cfg, space: cfg.Gateway.Space, envs: newEnvPool()}
+	e := &ShardEngine{cfg: cfg, space: cfg.Gateway.Space}
 	kernels := make([]*sim.Kernel, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		src := i
-		// Cross-shard internal traffic: deliver to the owner at the
-		// next barrier, paying the minimum internal latency. The
-		// envelope fires only during runs, after e.runner and e.domains
-		// are fully wired.
+		// Cross-shard internal traffic: queued for the owner's Deliver
+		// at the next barrier, paying the minimum internal latency. It
+		// is sent only during runs, after e.local is wired.
 		d, err := NewShardDomain(cfg, i, func(now sim.Time, dst int, pkt *netsim.Packet) {
-			env := e.envs.Get().(*crossEnv)
-			env.dst, env.pkt = dst, pkt
-			e.runner.Send(src, dst, now.Add(e.cfg.Lookahead), env.fn)
+			e.local.Send(src, dst, now.Add(e.cfg.Lookahead), pkt)
 		})
 		if err != nil {
 			return nil, err
@@ -451,8 +427,10 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		e.domains = append(e.domains, d)
 		kernels[i] = d.K
 	}
-	e.envs.domains = e.domains
-	e.runner = sim.NewParallelRunner(kernels, cfg.Lookahead)
+	e.local = sim.NewLocal(kernels, func(dst int, at sim.Time, pkt *netsim.Packet) {
+		e.domains[dst].Deliver(at, pkt)
+	})
+	e.runner = sim.NewRunner(e.local, 0, cfg.Lookahead) // every kernel starts at 0
 	e.runner.SetSequential(!cfg.Parallel)
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
 	if cfg.ChromeOut != nil {
@@ -605,10 +583,7 @@ func (e *ShardEngine) Inject(pkt *netsim.Packet) {
 // only act at barriers), so cross-mode byte comparisons seed exploits
 // through this entry point. Call only between runs.
 func (e *ShardEngine) InjectBarrier(pkt *netsim.Packet) {
-	d := e.domains[e.Owner(pkt.Dst)]
-	d.K.At(e.runner.Now(), func(now sim.Time) {
-		d.G.HandleInbound(now, pkt)
-	})
+	e.domains[e.Owner(pkt.Dst)].Deliver(e.runner.Now(), pkt)
 }
 
 // PrepareSnapshotImages runs the paper's image-preparation flow on every
@@ -807,7 +782,6 @@ func (e *ShardEngine) Close() error {
 	e.closed = true
 	flushT0 := time.Now()
 	e.runner.Close()
-	e.envs.domains = nil // see envPool: the runtime outlives us holding it
 	for _, d := range e.domains {
 		d.Close()
 	}

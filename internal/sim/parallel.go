@@ -18,10 +18,11 @@ package sim
 // oracle.
 //
 // The runner owns the one epoch loop in the tree; what moves between
-// shards is a Transport's job. Local is the in-process one, and it has
-// two callers: NewParallelRunner drives it under the runner, and a
-// cluster worker drives it directly, one Advance per epoch frame, over
-// the shards it hosts. NewRunner takes any other Transport —
+// shards is a Transport's job. Local is the in-process one: its
+// messages are data, handed at the barrier to the one deliver function
+// its owner installed (NewParallelRunner's are Events, run on arrival).
+// A cluster worker drives a Local directly, one Advance per epoch frame,
+// over the shards it hosts. NewRunner takes any Transport —
 // internal/cluster's coordinator is one, over TCP.
 //
 // # Adaptive lookahead
@@ -37,11 +38,11 @@ package sim
 // cross-shard send could have occurred in it. See DESIGN.md "Epoch
 // exchange" for the full argument.
 //
-// The control methods (RunUntil, RunEpochs, RunFor, Send from outside
-// an epoch, SetBeforeEpoch) are for a single driver goroutine. During
-// an epoch, Send(src, ...) may only be called from shard src's
-// goroutine — the per-pair outboxes are sharded by source exactly so
-// that rule needs no locks.
+// The control methods (RunUntil, RunEpochs, RunFor, SetBeforeEpoch,
+// and Local.Send from outside an epoch) are for a single driver
+// goroutine. During an epoch, Local.Send(src, ...) may only be called
+// from shard src's goroutine — the per-pair outboxes are sharded by
+// source exactly so that rule needs no locks.
 
 import (
 	"fmt"
@@ -67,25 +68,34 @@ type Transport interface {
 	Advance(end Time, timed bool) (advanceNS []int64, ok bool)
 }
 
-// crossMsg is one scheduled cross-shard delivery.
-type crossMsg struct {
+// message is one cross-shard message, due at its destination at at.
+type message[M any] struct {
 	at Time
-	fn Event
+	m  M
 }
 
 // outCell is one (src,dst) outbox: a live slice the source appends to
 // during the epoch and a spare the barrier swaps in after draining, so
 // capacity is reused forever and a draining slice is never appended to.
-type outCell struct {
-	live  []crossMsg
-	spare []crossMsg
+type outCell[M any] struct {
+	live  []message[M]
+	spare []message[M]
+}
+
+// kernelSet is what the runner's in-process controls (Align,
+// SetSequential, Close) reach of a Local, whatever its message type.
+type kernelSet interface {
+	Transport
+	Now() Time
+	SetSequential(seq bool)
+	Close()
 }
 
 // ParallelRunner is the epoch driver: it synchronizes a Transport's
 // shards with conservative epoch barriers.
 type ParallelRunner struct {
 	t         Transport
-	local     *Local // t when the shards are this process's kernels, else nil
+	local     kernelSet // t when it is a Local, else nil
 	lookahead time.Duration
 	now       Time
 
@@ -133,40 +143,38 @@ type EpochStats struct {
 }
 
 // NewParallelRunner builds a runner over in-process kernels with the
-// given lookahead (the minimum cross-shard latency; must be positive).
+// given lookahead (the minimum cross-shard latency; must be positive)
+// whose messages are Events, each run on its destination at its time.
 // The runner's clock starts at the latest kernel clock and the lagging
 // kernels are run forward to it, so pre-run setup (snapshot warmup)
 // that advanced the kernels unevenly is tolerated.
 func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunner {
-	if len(kernels) == 0 {
-		panic("sim: ParallelRunner with no kernels")
-	}
-	p := NewLocal(kernels)
-	r := NewRunner(p, 0, lookahead)
-	r.local = p
+	r := NewRunner(NewLocal(kernels, func(dst int, at Time, fn Event) {
+		kernels[dst].At(at, fn)
+	}), 0, lookahead)
 	r.Align()
 	return r
 }
 
 // NewRunner builds a runner that drives t's shards from clock now with
 // the given lookahead (must be positive). Epochs are fixed until
-// SetAdaptive widens them.
+// SetAdaptive widens them. When t is a Local, the in-process controls
+// (Align, SetSequential, Close) act on its kernels.
 func NewRunner(t Transport, now Time, lookahead time.Duration) *ParallelRunner {
 	if lookahead <= 0 {
 		panic("sim: ParallelRunner with non-positive lookahead")
 	}
-	return &ParallelRunner{t: t, lookahead: lookahead, now: now, adaptMax: 1}
+	local, _ := t.(kernelSet)
+	return &ParallelRunner{t: t, local: local, lookahead: lookahead, now: now, adaptMax: 1}
 }
 
 // Align advances the runner clock to the latest kernel clock and runs
-// every lagging kernel forward to it (single-threaded). Call it after
-// advancing kernels outside the runner's control, e.g. per-shard image
-// preparation at construction time. In-process runners only.
+// every lagging kernel forward to it. Call it after advancing kernels
+// outside the runner's control, e.g. per-shard image preparation at
+// construction time. In-process runners only.
 func (r *ParallelRunner) Align() {
 	r.now = max(r.now, r.local.Now())
-	for _, k := range r.local.kernels {
-		k.RunUntil(r.now)
-	}
+	r.local.Advance(r.now, false)
 }
 
 // Now returns the runner clock: every shard has run to exactly this
@@ -231,18 +239,13 @@ func (r *ParallelRunner) SetEpochObserver(fn func(EpochStats)) { r.observer = fn
 
 // Close stops the persistent shard worker goroutines of an in-process
 // runner (a no-op if they were never started, are already stopped, or
-// the shards live elsewhere). After Close the runner must not be
-// advanced in parallel mode again; the engine calls it from its own
-// Close.
+// the shards live elsewhere); it advances on the calling goroutine
+// after. The engine calls it from its own Close.
 func (r *ParallelRunner) Close() {
 	if r.local != nil {
 		r.local.Close()
 	}
 }
-
-// Send schedules fn to run on kernel dst at time at (see Local.Send).
-// In-process runners only.
-func (r *ParallelRunner) Send(src, dst int, at Time, fn Event) { r.local.Send(src, dst, at, fn) }
 
 // epochEnd picks the next epoch's end: one lookahead cell by default,
 // or — when adaptive lookahead is enabled and every injection source is
@@ -338,13 +341,14 @@ func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
 // RunFor is RunUntil(Now()+d).
 func (r *ParallelRunner) RunFor(d time.Duration) { r.RunUntil(r.now.Add(d)) }
 
-// Local is the Transport over this process's kernels: outbox rings
-// exchanged at the barrier, and one persistent goroutine per kernel
-// (none with a single kernel) advancing it in parallel mode. Nothing in
-// it allocates per epoch. Its methods are for one driver goroutine,
-// except Send (see there).
-type Local struct {
+// Local is the Transport over this process's kernels: outbox rings of
+// messages exchanged at the barrier, and one persistent goroutine per
+// kernel (none with a single kernel) advancing it in parallel mode.
+// Nothing in it allocates per epoch. Its methods are for one driver
+// goroutine, except Send (see there).
+type Local[M any] struct {
 	kernels []*Kernel
+	deliver func(dst int, at Time, m M)
 
 	// outbox holds the n*n (src,dst) cells in src-major order — cell
 	// (src,dst) lives at index src*n+dst, so iterating the flat slice
@@ -352,7 +356,7 @@ type Local struct {
 	// proof rests on. Only shard src's goroutine appends to src's row;
 	// the barrier (WaitGroup) orders those appends before the exchange
 	// reads them.
-	outbox     []outCell
+	outbox     []outCell[M]
 	sequential bool
 
 	// Persistent shard workers: one goroutine per kernel, parked on its
@@ -373,13 +377,17 @@ type Local struct {
 }
 
 // NewLocal builds the in-process transport over kernels (at least one),
-// in parallel mode. Its shard goroutines start (and warm up) here
+// in parallel mode, whose Exchange hands each message to deliver (nil if
+// nothing is ever sent). Its shard goroutines start (and warm up) here
 // rather than lazily at the first epoch: construction is the one place
 // their setup cost can't land inside a measured run. Sequential mode
 // leaves them parked; Close stops them either way.
-func NewLocal(kernels []*Kernel) *Local {
+func NewLocal[M any](kernels []*Kernel, deliver func(dst int, at Time, m M)) *Local[M] {
 	n := len(kernels)
-	p := &Local{kernels: kernels, outbox: make([]outCell, n*n), advanceNS: make([]int64, n)}
+	if n == 0 {
+		panic("sim: Local with no kernels")
+	}
+	p := &Local[M]{kernels: kernels, deliver: deliver, outbox: make([]outCell[M], n*n), advanceNS: make([]int64, n)}
 	if n > 1 {
 		p.startWorkers()
 	}
@@ -388,11 +396,11 @@ func NewLocal(kernels []*Kernel) *Local {
 
 // SetSequential switches Advance to a single thread in kernel order —
 // the determinism oracle; the bytes are the same either way.
-func (p *Local) SetSequential(seq bool) { p.sequential = seq }
+func (p *Local[M]) SetSequential(seq bool) { p.sequential = seq }
 
 // Now is the latest kernel clock: the earliest time that may be
 // scheduled on every kernel.
-func (p *Local) Now() Time {
+func (p *Local[M]) Now() Time {
 	var now Time
 	for _, k := range p.kernels {
 		now = max(now, k.Now())
@@ -401,9 +409,9 @@ func (p *Local) Now() Time {
 }
 
 // Close stops the persistent shard goroutines (a no-op if there are
-// none or they are already stopped). The transport must not Advance in
-// parallel mode after it.
-func (p *Local) Close() {
+// none or they are already stopped). Advance then runs on the caller's
+// goroutine.
+func (p *Local[M]) Close() {
 	if !p.closed {
 		p.closed = true
 		for _, ch := range p.work {
@@ -412,17 +420,14 @@ func (p *Local) Close() {
 	}
 }
 
-// Send schedules fn to run on kernel dst at time at. During an epoch it
-// may only be called from kernel src's goroutine; at must be at least
-// the sending kernel's current time plus the lookahead, or the barrier
-// delivery will panic. Delivery happens at the next Exchange, merged
+// Send queues m for kernel dst at time at. During an epoch it may only
+// be called from kernel src's goroutine; at must be at least the
+// sending kernel's current time plus the lookahead, or the barrier
+// delivery will panic. The next Exchange hands it to deliver, merged
 // deterministically by (src, send order).
-func (p *Local) Send(src, dst int, at Time, fn Event) {
-	if fn == nil {
-		panic("sim: Send nil event")
-	}
+func (p *Local[M]) Send(src, dst int, at Time, m M) {
 	c := &p.outbox[src*len(p.kernels)+dst]
-	c.live = append(c.live, crossMsg{at: at, fn: fn})
+	c.live = append(c.live, message[M]{at: at, m: m})
 }
 
 // startWorkers launches one persistent goroutine per kernel. Each parks
@@ -434,7 +439,7 @@ func (p *Local) Send(src, dst int, at Time, fn Event) {
 // backing the barrier — park/unpark records, semaphore entries — are
 // allocated here at construction rather than inside the first epoch,
 // keeping steady-state epochs allocation-free.
-func (p *Local) startWorkers() {
+func (p *Local[M]) startWorkers() {
 	p.work = make([]chan struct{}, len(p.kernels))
 	for i := range p.kernels {
 		ch := make(chan struct{}, 1)
@@ -458,7 +463,7 @@ func (p *Local) startWorkers() {
 }
 
 // run advances kernel i to curEnd, timing it when asked to.
-func (p *Local) run(i int) {
+func (p *Local[M]) run(i int) {
 	if !p.timed {
 		p.kernels[i].RunUntil(p.curEnd)
 		return
@@ -468,13 +473,13 @@ func (p *Local) run(i int) {
 	p.advanceNS[i] = time.Since(t0).Nanoseconds()
 }
 
-// Exchange drains every outbox into the destination kernels in (src,
-// send order) — the deterministic merge the equivalence proof rests on.
-// Each cell's live slice is swapped against its drained spare rather
-// than reallocated: capacity is reused across epochs, and the slice
-// being delivered is never the one the next epoch appends to. Drained
-// slots are cleared so the rings don't pin delivered closures.
-func (p *Local) Exchange() int {
+// Exchange hands every queued message to deliver in (src, send order) —
+// the deterministic merge the equivalence proof rests on. Each cell's
+// live slice is swapped against its drained spare rather than
+// reallocated: capacity is reused across epochs, and the slice being
+// delivered is never the one the next epoch appends to. Drained slots
+// are cleared so the rings don't pin delivered messages.
+func (p *Local[M]) Exchange() int {
 	n, delivered := len(p.kernels), 0
 	for idx := range p.outbox {
 		c := &p.outbox[idx]
@@ -483,24 +488,24 @@ func (p *Local) Exchange() int {
 		if len(msgs) == 0 {
 			continue
 		}
-		k := p.kernels[idx%n]
-		for i := range msgs {
-			m := &msgs[i]
+		dst := idx % n
+		k := p.kernels[dst]
+		for _, m := range msgs {
 			if m.at < k.Now() {
 				panic(fmt.Sprintf(
 					"sim: cross-shard message %d->%d at %v violates lookahead (destination clock %v)",
-					idx/n, idx%n, m.at, k.Now()))
+					idx/n, dst, m.at, k.Now()))
 			}
-			k.At(m.at, m.fn)
-			*m = crossMsg{}
+			p.deliver(dst, m.at, m.m)
 		}
+		clear(msgs)
 		delivered += len(msgs)
 	}
 	return delivered
 }
 
 // NextEvent is the earliest pending event over every kernel.
-func (p *Local) NextEvent() Time {
+func (p *Local[M]) NextEvent() Time {
 	h := End
 	for _, k := range p.kernels {
 		if t, ok := k.NextEvent(); ok && t < h {
@@ -511,11 +516,11 @@ func (p *Local) NextEvent() Time {
 }
 
 // Advance runs every kernel to end — in shard order on this thread in
-// sequential mode or with a single kernel, on the persistent shard
-// workers otherwise.
-func (p *Local) Advance(end Time, timed bool) ([]int64, bool) {
+// sequential mode, with a single kernel or once closed, on the
+// persistent shard workers otherwise.
+func (p *Local[M]) Advance(end Time, timed bool) ([]int64, bool) {
 	p.curEnd, p.timed = end, timed
-	if p.sequential || len(p.kernels) == 1 {
+	if p.sequential || p.closed || len(p.kernels) == 1 {
 		for i := range p.kernels {
 			p.run(i)
 		}

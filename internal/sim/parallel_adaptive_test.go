@@ -23,7 +23,8 @@ func newBurstHarness(n int, lookahead time.Duration, bursts []Time) *burstHarnes
 		logs[i] = &strings.Builder{}
 	}
 	h := &burstHarness{logs: logs}
-	h.r = NewParallelRunner(kernels, lookahead)
+	var local *Local[Event]
+	h.r, local = newEventRunner(kernels, lookahead)
 	for i := range kernels {
 		i := i
 		k := kernels[i]
@@ -35,7 +36,7 @@ func newBurstHarness(n int, lookahead time.Duration, bursts []Time) *burstHarnes
 					fmt.Fprintf(logs[i], "s%d local t=%v r=%d\n", i, now, rng.Uint64n(1000))
 					if j%2 == 0 {
 						dst := (i + 1) % n
-						h.r.Send(i, dst, now.Add(lookahead), func(then Time) {
+						local.Send(i, dst, now.Add(lookahead), func(then Time) {
 							fmt.Fprintf(logs[dst], "s%d recv from s%d t=%v\n", dst, i, then)
 						})
 					}
@@ -104,7 +105,7 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 func TestAdaptiveWidensAndSnapsBack(t *testing.T) {
 	la := time.Millisecond
 	k0, k1 := NewKernel(1), NewKernel(2)
-	r := NewParallelRunner([]*Kernel{k0, k1}, la)
+	r, local := newEventRunner([]*Kernel{k0, k1}, la)
 	r.SetAdaptive(8)
 	r.SetHorizon(func() Time { return End })
 
@@ -113,7 +114,7 @@ func TestAdaptiveWidensAndSnapsBack(t *testing.T) {
 		// Cross-shard burst out of the quiet stretch: lands at 10ms+la.
 	})
 	k0.At(Time(10*time.Millisecond), func(now Time) {
-		r.Send(0, 1, now.Add(la), func(then Time) { crossAt = then })
+		local.Send(0, 1, now.Add(la), func(then Time) { crossAt = then })
 	})
 
 	var got [][2]Time
@@ -185,7 +186,7 @@ func TestExchangeRingNoAliasing(t *testing.T) {
 	for i := range kernels {
 		kernels[i] = NewKernel(uint64(i + 1))
 	}
-	r := NewParallelRunner(kernels, la)
+	r, local := newEventRunner(kernels, la)
 	defer r.Close()
 
 	// Per-destination delivery channels: the delivering shard goroutine
@@ -213,7 +214,7 @@ func TestExchangeRingNoAliasing(t *testing.T) {
 					seq := i<<24 | sent[i]
 					sent[i]++
 					dst := dst
-					r.Send(i, dst, now.Add(la), func(Time) {
+					local.Send(i, dst, now.Add(la), func(Time) {
 						recvCh[dst] <- seq
 					})
 				}
@@ -266,13 +267,13 @@ func TestExchangeRingNoAliasing(t *testing.T) {
 func TestExchangeRingSurvivesMutateAfterExchange(t *testing.T) {
 	la := time.Millisecond
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	r := NewParallelRunner(kernels, la)
+	r, local := newEventRunner(kernels, la)
 
 	var fired []string
 	// Epoch [0,1ms): shard 0 sends three messages due next epoch.
 	for i := 0; i < 3; i++ {
 		i := i
-		r.Send(0, 1, Time(time.Millisecond).Add(time.Duration(i)*100*time.Microsecond),
+		local.Send(0, 1, Time(time.Millisecond).Add(time.Duration(i)*100*time.Microsecond),
 			func(Time) { fired = append(fired, fmt.Sprintf("old%d", i)) })
 	}
 	// Shard 0's first epoch refills the same (0,1) ring — the appends
@@ -280,7 +281,7 @@ func TestExchangeRingSurvivesMutateAfterExchange(t *testing.T) {
 	kernels[0].At(Time(100*time.Microsecond), func(now Time) {
 		for i := 0; i < 3; i++ {
 			i := i
-			r.Send(0, 1, now.Add(la), func(Time) { fired = append(fired, fmt.Sprintf("new%d", i)) })
+			local.Send(0, 1, now.Add(la), func(Time) { fired = append(fired, fmt.Sprintf("new%d", i)) })
 		}
 	})
 	r.SetSequential(true)
@@ -308,13 +309,13 @@ func sendTrampoline(Time) {}
 func TestEpochExchangeAllocs(t *testing.T) {
 	la := time.Millisecond
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	r := NewParallelRunner(kernels, la)
+	r, local := newEventRunner(kernels, la)
 	r.SetSequential(true) // measure the exchange, not goroutine scheduling
 
 	now := Time(0)
 	cycle := func() {
-		r.Send(0, 1, now.Add(la), sendTrampoline)
-		r.Send(1, 0, now.Add(la), sendTrampoline)
+		local.Send(0, 1, now.Add(la), sendTrampoline)
+		local.Send(1, 0, now.Add(la), sendTrampoline)
 		now = now.Add(la)
 		r.RunUntil(now)
 	}

@@ -25,7 +25,8 @@ func newParallelHarness(n int, lookahead time.Duration) *parallelHarness {
 		logs[i] = &strings.Builder{}
 	}
 	h := &parallelHarness{logs: logs}
-	h.r = NewParallelRunner(kernels, lookahead)
+	var local *Local[Event]
+	h.r, local = newEventRunner(kernels, lookahead)
 	for i := range kernels {
 		i := i
 		k := kernels[i]
@@ -39,7 +40,7 @@ func newParallelHarness(n int, lookahead time.Duration) *parallelHarness {
 				dst := (i + 1) % n
 				src := i
 				at := now.Add(lookahead)
-				h.r.Send(src, dst, at, func(then Time) {
+				local.Send(src, dst, at, func(then Time) {
 					fmt.Fprintf(logs[dst], "s%d recv from s%d t=%v\n", dst, src, then)
 				})
 			}
@@ -48,6 +49,15 @@ func newParallelHarness(n int, lookahead time.Duration) *parallelHarness {
 		k.After(0, step)
 	}
 	return h
+}
+
+// newEventRunner is NewParallelRunner with the Local it drives in hand,
+// for the tests to send their Events on.
+func newEventRunner(kernels []*Kernel, lookahead time.Duration) (*ParallelRunner, *Local[Event]) {
+	local := NewLocal(kernels, func(dst int, at Time, fn Event) { kernels[dst].At(at, fn) })
+	r := NewRunner(local, 0, lookahead)
+	r.Align()
+	return r, local
 }
 
 func (h *parallelHarness) dump() string {
@@ -109,11 +119,11 @@ func TestParallelRunnerEpochBounds(t *testing.T) {
 
 func TestParallelRunnerLookaheadViolationPanics(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	r := NewParallelRunner(kernels, time.Millisecond)
+	r, local := newEventRunner(kernels, time.Millisecond)
 	r.RunUntil(Time(5 * time.Millisecond))
 	// A message into the past of the destination shard must be rejected
 	// loudly: silently reordering time would corrupt the simulation.
-	r.Send(0, 1, Time(time.Millisecond), func(Time) {})
+	local.Send(0, 1, Time(time.Millisecond), func(Time) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected lookahead-violation panic")
@@ -141,11 +151,11 @@ func TestParallelRunnerAlignsClocks(t *testing.T) {
 
 func TestParallelRunnerDeliversTailMessages(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	r := NewParallelRunner(kernels, time.Millisecond)
+	r, local := newEventRunner(kernels, time.Millisecond)
 	// A message sent outside any epoch is delivered by the exchange at
 	// the head of the next run.
 	ran := false
-	r.Send(0, 1, r.Now().Add(time.Millisecond), func(Time) { ran = true })
+	local.Send(0, 1, r.Now().Add(time.Millisecond), func(Time) { ran = true })
 	r.RunFor(2 * time.Millisecond)
 	if !ran {
 		t.Fatal("pre-run Send not delivered")
