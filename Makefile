@@ -60,7 +60,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzResolverServe -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzDecap -fuzztime=$(FUZZTIME) ./internal/gre
 	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmm
-	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRead -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzEpochDone -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzWorkerEpoch -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim

@@ -1,7 +1,7 @@
 // Command inspect renders the artifacts a honeyfarm run leaves behind:
 // the gateway's event log, a JSON snapshot, effectiveness scorecards, a
-// binding-lifecycle span trace, the engine's epoch timeline, and VM or
-// cluster checkpoints.
+// binding-lifecycle span trace, the engine's epoch timeline, and VM
+// checkpoints.
 //
 // Usage:
 //
@@ -19,9 +19,9 @@
 //	inspect epochs [-top N] [-csv FILE] [FILE]
 //	    shard advance, barrier wait and exchange wall time from an epoch
 //	    timeline (potemkind -epoch-log), plus the N slowest epochs
-//	inspect ckpt info FILE | dump FILE PAGE | diff FILE1 FILE2 | cluster FILE
+//	inspect ckpt info FILE | dump FILE PAGE | diff FILE1 FILE2
 //	    VM delta checkpoints (potemkind -checkpoints): summary, page hex
-//	    dump, comparison; or a cluster shard replay checkpoint
+//	    dump, comparison
 //
 // Where FILE is optional, inspect reads stdin without it.
 package main
@@ -41,7 +41,6 @@ import (
 
 	"potemkin"
 	"potemkin/internal/analysis"
-	"potemkin/internal/cluster"
 	"potemkin/internal/metrics"
 	"potemkin/internal/score"
 	"potemkin/internal/trace"
@@ -376,10 +375,9 @@ func epochs(args []string, s stdio) error {
 	return writeCSV(*csvOut, tab, s)
 }
 
-// ckpt inspects and compares VM delta checkpoints, and summarizes
-// cluster shard replay checkpoints.
+// ckpt inspects and compares VM delta checkpoints.
 func ckpt(args []string, s stdio) error {
-	ckUsage := fmt.Errorf("%w\n       inspect ckpt {info FILE | dump FILE PAGE | diff FILE1 FILE2 | cluster FILE}", errUsage)
+	ckUsage := fmt.Errorf("%w\n       inspect ckpt {info FILE | dump FILE PAGE | diff FILE1 FILE2}", errUsage)
 	if len(args) < 2 {
 		return ckUsage
 	}
@@ -390,43 +388,8 @@ func ckpt(args []string, s stdio) error {
 		return ckptDump(args[1], args[2], s.out)
 	case args[0] == "diff" && len(args) >= 3:
 		return ckptDiff(args[1], args[2], s.out)
-	case args[0] == "cluster":
-		return ckptCluster(args[1], s.out)
 	}
 	return ckUsage
-}
-
-// ckptCluster summarizes a cluster shard replay checkpoint (the
-// epoch-boundary input logs the coordinator uses to restore a crashed
-// worker's shards; see internal/cluster).
-func ckptCluster(path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	ck, err := cluster.ReadCheckpoint(f)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	fmt.Fprintf(w, "shard:       %d of %d\n", ck.Shard, ck.Shards)
-	fmt.Fprintf(w, "seed:        %#x\n", ck.Seed)
-	fmt.Fprintf(w, "config hash: %#x\n", ck.ConfigHash)
-	fmt.Fprintf(w, "base:        %v\n", ck.Base)
-	fmt.Fprintf(w, "through:     %v\n", ck.Through)
-	inputBytes := 0
-	for _, ep := range ck.Epochs {
-		inputBytes += len(ep.Inputs)
-	}
-	fmt.Fprintf(w, "epochs:      %d non-empty (%d input bytes)\n", len(ck.Epochs), inputBytes)
-	for i, ep := range ck.Epochs {
-		if i == 10 {
-			fmt.Fprintf(w, "  … (+%d more)\n", len(ck.Epochs)-10)
-			break
-		}
-		fmt.Fprintf(w, "  [%v, %v) %d bytes\n", ep.Start, ep.End, len(ep.Inputs))
-	}
-	return nil
 }
 
 func loadCheckpoint(path string) (*vmm.Checkpoint, error) {

@@ -13,8 +13,7 @@ import (
 // with -eventlog, -trace-out, -epoch-log (its first 24 epochs),
 // -snapshot-out, -checkpoints (two, cut to a few pages) and
 // -scorecard-out; card-seed4.json is the same campaign at seed 4, and
-// stats.json that run's -json stats. shard-0.pclu is a cluster shard
-// checkpoint of a short two-shard run. testdata/golden holds what the
+// stats.json that run's -json stats. testdata/golden holds what the
 // analyze, scorecard, tracetool and ckpt commands that inspect replaced
 // printed for the same arguments, and the files they wrote: inspect
 // must print the same bytes.
@@ -41,7 +40,6 @@ var goldenCases = []struct {
 	{"ckpt-info", "", []string{"ckpt", "info", "a.ckpt"}},
 	{"ckpt-dump", "", []string{"ckpt", "dump", "a.ckpt", "1"}},
 	{"ckpt-diff", "", []string{"ckpt", "diff", "a.ckpt", "b.ckpt"}},
-	{"ckpt-cluster", "", []string{"ckpt", "cluster", "shard-0.pclu"}},
 }
 
 // inTestdata copies the testdata inputs into a fresh directory and makes
@@ -177,7 +175,6 @@ func TestErrors(t *testing.T) {
 		{[]string{"ckpt", "info", "card.json"}, 1, "inspect ckpt: card.json: vmm: not a checkpoint"},
 		{[]string{"scorecard", "-merge", "card.json", "card-seed4.json"}, 1, "inspect scorecard: "},
 		{[]string{"trace", "missing.jsonl"}, 1, "inspect trace: open missing.jsonl: no such file or directory"},
-		{[]string{"ckpt", "cluster", "a.ckpt"}, 1, "inspect ckpt: a.ckpt: cluster: bad checkpoint magic"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			inTestdata(t)

@@ -59,11 +59,12 @@
 // coordinator and workers must be launched with the same scenario
 // flags (space/servers/shards/policy/idle/guest/seed); the handshake
 // rejects mismatches. Extra workers beyond -workers register as hot
-// standbys and adopt a crashed worker's shards from the coordinator's
-// epoch-boundary checkpoints. With -debug-addr the coordinator serves
-// the farm-wide /metrics (its epoch profile merged with the registry
-// snapshots workers piggyback on heartbeats) and /cluster (per-worker
-// epoch lag, heartbeat age, recovery count) while the run is live.
+// standbys and adopt a crashed worker's shards by replaying the epoch
+// frames the coordinator logged for its slot. With -debug-addr the
+// coordinator serves the farm-wide /metrics (its epoch profile merged
+// with the registry snapshots workers piggyback on heartbeats) and
+// /cluster (per-worker epoch lag, heartbeat age, recovery count) while
+// the run is live.
 //
 // SIGINT/SIGTERM stop the feed cleanly: the replay or listener winds
 // down, and every open writer (trace, capture, event log, snapshot) is

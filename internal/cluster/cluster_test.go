@@ -286,28 +286,56 @@ func compareRuns(t *testing.T, want, got runOut, label string) {
 }
 
 // TestClusterMatchesSequential is the tentpole equivalence proof: the
-// same scenario split across two worker processes (in-process here,
-// but over real TCP and the real protocol) produces byte-identical
-// stats, event log, and trace to the single-process sequential oracle.
+// same scenario on one worker process or split across two (in-process
+// here, but over real TCP and the real protocol) produces
+// byte-identical stats, event log, and trace to the single-process
+// sequential oracle. One worker hosts every shard, so no cross-shard
+// packet crosses the wire: the worker exchanges them all itself.
 func TestClusterMatchesSequential(t *testing.T) {
 	const seed = 7
 	oracle := runOracle(t, seed, nil, 2*time.Second)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			h := startCluster(t, seed, nil, workers, 0, nil)
+			got, err := h.drive(t, seed, 2*time.Second)
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			h.shutdown(t)
+			for i, werr := range h.errs {
+				if werr != nil {
+					t.Errorf("worker %d: %v", i, werr)
+				}
+			}
+			compareRuns(t, oracle, got, "cluster vs sequential")
+			if h.c.Recoveries() != 0 {
+				t.Errorf("unexpected recoveries: %d", h.c.Recoveries())
+			}
+			if workers == 1 {
+				for _, m := range loggedFrames(t, h.c, 0) {
+					for _, in := range m.Inputs {
+						if in.Kind == inputCross {
+							t.Fatalf("epoch %d shipped a cross input from shard %d to shard %d to the only worker", m.Seq, in.Src, in.Dst)
+						}
+					}
+				}
+			}
+		})
+	}
+}
 
-	h := startCluster(t, seed, nil, 2, 0, nil)
-	got, err := h.drive(t, seed, 2*time.Second)
-	if err != nil {
-		t.Fatalf("cluster run: %v", err)
-	}
-	h.shutdown(t)
-	for i, werr := range h.errs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
+// loggedFrames decodes worker slot id's frame log.
+func loggedFrames(t *testing.T, c *Coordinator, id int) []epochMsg {
+	t.Helper()
+	var out []epochMsg
+	for _, f := range c.log[id] {
+		m, err := decodeEpoch(f, c.shards)
+		if err != nil {
+			t.Fatalf("logged frame: %v", err)
 		}
+		out = append(out, m)
 	}
-	compareRuns(t, oracle, got, "cluster vs sequential")
-	if h.c.Recoveries() != 0 {
-		t.Errorf("unexpected recoveries: %d", h.c.Recoveries())
-	}
+	return out
 }
 
 // epochBounds is the (start, end) sequence of a run's epochs.
@@ -361,8 +389,8 @@ func TestClusterEpochGridMatchesEngine(t *testing.T) {
 }
 
 // TestClusterKillWorkerRecoveryWidened is TestClusterKillWorkerRecovery
-// at adaptive lookahead, checking that the restored shards' logs held
-// widened epochs: a checkpoint replays whatever grid the runner chose.
+// at adaptive lookahead, checking that the slot's frame log held widened
+// epochs: a recovery replays whatever grid the runner chose.
 func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
 	const seed = 17
 	faults := killFaults(300*time.Millisecond, 0)
@@ -373,14 +401,12 @@ func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
-	// The shard logs only grow, so the epochs logged before the kill are
+	// The frame log only grows, so the frames logged before the kill are
 	// the ones the standby replayed.
 	widened := 0
-	for _, s := range h.c.shardsOf(0) {
-		for _, ep := range h.c.logs[s].epochs {
-			if ep.End-ep.Start > sim.Time(h.c.lookahead) && ep.End <= sim.Time(300*time.Millisecond) {
-				widened++
-			}
+	for _, m := range loggedFrames(t, h.c, 0) {
+		if m.End-m.Start > sim.Time(h.c.lookahead) && m.End <= sim.Time(300*time.Millisecond) {
+			widened++
 		}
 	}
 	h.shutdown(t)
@@ -463,40 +489,49 @@ func killFaults(at time.Duration, worker int) *fault.Config {
 }
 
 // TestClusterKillWorkerRecovery injects a kill-worker fault: worker 0
-// dies mid-epoch, the standby adopts its shards from the epoch-boundary
-// checkpoint, and the finished run still matches the sequential oracle
-// byte for byte (where the kill is the recorded no-op it is everywhere
-// outside a cluster).
+// dies mid-epoch, the standby adopts its shards by replaying the slot's
+// epoch frames, and the finished run still matches the sequential
+// oracle byte for byte (where the kill is the recorded no-op it is
+// everywhere outside a cluster). The early kill comes before any
+// reflection; by the late one the dead worker's shards have sent each
+// other packets that never crossed the wire, which the replay rebuilds.
 func TestClusterKillWorkerRecovery(t *testing.T) {
 	const seed = 17
-	faults := killFaults(300*time.Millisecond, 0)
-	oracle := runOracle(t, seed, faults, time.Second)
+	for _, tc := range []struct{ at, extra time.Duration }{
+		{300 * time.Millisecond, time.Second},
+		{1800 * time.Millisecond, 2 * time.Second},
+	} {
+		t.Run(fmt.Sprintf("kill=%v", tc.at), func(t *testing.T) {
+			faults := killFaults(tc.at, 0)
+			oracle := runOracle(t, seed, faults, tc.extra)
 
-	h := startCluster(t, seed, faults, 2, 1, nil)
-	got, err := h.drive(t, seed, time.Second)
-	if err != nil {
-		t.Fatalf("cluster run: %v", err)
-	}
-	h.shutdown(t)
+			h := startCluster(t, seed, faults, 2, 1, nil)
+			got, err := h.drive(t, seed, tc.extra)
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			h.shutdown(t)
 
-	compareRuns(t, oracle, got, "cluster-with-kill vs sequential")
-	if h.c.Recoveries() < 1 {
-		t.Fatalf("expected at least one recovery, got %d", h.c.Recoveries())
-	}
-	events := strings.Join(h.c.RecoveryEvents(), "\n")
-	for _, want := range []string{"event=crash-detected", "event=restore-begin", "event=restore-done"} {
-		if !strings.Contains(events, want) {
-			t.Errorf("recovery log missing %q:\n%s", want, events)
-		}
-	}
-	killed := 0
-	for _, werr := range h.errs {
-		if errors.Is(werr, ErrKilled) {
-			killed++
-		}
-	}
-	if killed != 1 {
-		t.Errorf("expected exactly one worker killed, got %d (errs %v)", killed, h.errs)
+			compareRuns(t, oracle, got, "cluster-with-kill vs sequential")
+			if h.c.Recoveries() < 1 {
+				t.Fatalf("expected at least one recovery, got %d", h.c.Recoveries())
+			}
+			events := strings.Join(h.c.RecoveryEvents(), "\n")
+			for _, want := range []string{"event=crash-detected", "event=restore-begin", "event=restore-done"} {
+				if !strings.Contains(events, want) {
+					t.Errorf("recovery log missing %q:\n%s", want, events)
+				}
+			}
+			killed := 0
+			for _, werr := range h.errs {
+				if errors.Is(werr, ErrKilled) {
+					killed++
+				}
+			}
+			if killed != 1 {
+				t.Errorf("expected exactly one worker killed, got %d (errs %v)", killed, h.errs)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,7 +133,7 @@ type arrival struct {
 }
 
 // Coordinator is the cluster's sim.Transport: it carries each epoch's
-// inputs to the workers and their outboxes back, under the same
+// frame to the workers and forwards their outboxes, under the same
 // sim.ParallelRunner loop the in-process engine runs. All methods are
 // for a single driver goroutine.
 type Coordinator struct {
@@ -152,23 +151,26 @@ type Coordinator struct {
 	standbySig chan struct{}
 
 	assigned []*wconn
-	logs     []*shardLog
 	seq      uint64
 	runner   *sim.ParallelRunner // drives the epochs over c; nil until WaitReady
 
-	pendingCross []outboxEntry // decoded-valid, delivered at the next barrier
-
-	// inputs holds each shard's encoded inputs for the epoch about to
-	// open (cross-shard packets, injected ones, records), shipped and
-	// logged by Advance; inputsNext is the earliest time in them. next is
-	// each worker slot's earliest pending event as it last reported it.
+	// inputs holds each worker slot's encoded inputs for the epoch about
+	// to open (cross-shard packets from other slots, injected ones,
+	// records); inputsNext is the earliest time in them. sent counts the
+	// cross-shard packets the last epoch sent, forwarded or co-located,
+	// for the next Exchange to report. next is each slot's earliest
+	// pending event as it last reported it.
 	inputs     [][]byte
 	inputsNext sim.Time
+	sent       int
 	next       []sim.Time
 
-	// In-flight epoch state.
+	// In-flight epoch state: each slot's frame, built once and resent
+	// unchanged to a recovery. A completed frame joins its slot's log,
+	// which a recovery replays.
+	frames     [][]byte
+	log        [][][]byte
 	curEnd     sim.Time
-	doneOutbox []outboxEntry
 	dispatched time.Time
 	advanceNS  []int64
 
@@ -222,7 +224,6 @@ func New(cfg Config) (*Coordinator, error) {
 		space:      ecfg.Gateway.Space,
 		hash:       configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, ecfg.Lookahead),
 		standbySig: make(chan struct{}, 1),
-		inputs:     make([][]byte, ecfg.Shards),
 		inputsNext: sim.End,
 	}
 	c.workers = min(cfg.Workers, c.shards)
@@ -230,13 +231,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.reg != nil || ecfg.EpochLog != nil {
 		c.prof = metrics.NewEpochProfiler(c.reg, ecfg.EpochLog)
 	}
+	c.inputs = make([][]byte, c.workers)
 	c.next = make([]sim.Time, c.workers)
+	c.frames = make([][]byte, c.workers)
+	c.log = make([][][]byte, c.workers)
 	c.advanceNS = make([]int64, c.workers)
 	c.assigned = make([]*wconn, c.workers)
-	c.logs = make([]*shardLog, c.shards)
-	for i := range c.logs {
-		c.logs[i] = &shardLog{}
-	}
 	return c, nil
 }
 
@@ -263,6 +263,9 @@ func (c *Coordinator) shardsOf(id int) []int {
 	}
 	return out
 }
+
+// slotOf is the worker slot owning shard s.
+func (c *Coordinator) slotOf(s int) int { return s % c.workers }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -453,16 +456,23 @@ func (c *Coordinator) await(w *wconn, typ msgType, deadline time.Time) (arrival,
 	return arrival{}, fmt.Errorf("cluster: worker %q: %s", w.name, reason)
 }
 
-// recordEpochDone keeps w's report on the epoch in flight: its outbox,
-// its next event, and its advance time to the report's arrival. A report
-// decodeEpochDone rejects is a protocol violation that marks w dead.
+// recordEpochDone keeps w's report on the epoch in flight: its outbox
+// entries, forwarded as they are into the next frames of the slots
+// owning their destinations, its send count, its next event, and its
+// advance time to the report's arrival. A report decodeEpochDone
+// rejects is a protocol violation that marks w dead.
 func (c *Coordinator) recordEpochDone(w *wconn, a arrival) bool {
 	m, err := decodeEpochDone(a.payload, c.shards, c.shardsOf(w.id), c.curEnd)
 	if err != nil {
 		c.markDead(w, "bad epoch-done: "+err.Error())
 		return false
 	}
-	c.doneOutbox = append(c.doneOutbox, m.Outbox...)
+	for _, e := range m.Outbox {
+		id := c.slotOf(e.dst)
+		c.inputs[id] = append(c.inputs[id], e.raw...)
+		c.inputsNext = min(c.inputsNext, e.at)
+	}
+	c.sent += len(m.Outbox) + m.Colocated
 	c.next[w.id] = m.Next
 	c.advanceNS[w.id] = a.at.Sub(c.dispatched).Nanoseconds()
 	return true
@@ -490,14 +500,18 @@ func (c *Coordinator) waitStandby(deadline time.Time) *wconn {
 }
 
 // assign fills worker slot id with a standby that connects by deadline:
-// it sends the assign — carrying cks, the slot's checkpoints, for a
-// recovery — and waits for ready. A standby that dies on the way is
+// it sends the assign — followed, for a recovery, by the slot's logged
+// epoch frames — and waits for ready. A standby that dies on the way is
 // skipped; false means none was left in time.
-func (c *Coordinator) assign(id int, cks [][]byte, deadline time.Time) bool {
+func (c *Coordinator) assign(id int, recovery bool, deadline time.Time) bool {
+	var replay [][]byte
+	if recovery {
+		replay = c.log[id]
+	}
 	msg := assignMsg{
 		Worker: id, Shards: c.shardsOf(id),
 		Events: c.cfg.Engine.EventLog != nil, Trace: c.cfg.Engine.TraceOut != nil,
-		Metrics: c.reg != nil, Checkpoints: cks,
+		Metrics: c.reg != nil, Recovery: recovery, Replay: len(replay),
 	}
 	for {
 		w := c.waitStandby(deadline)
@@ -506,7 +520,11 @@ func (c *Coordinator) assign(id int, cks [][]byte, deadline time.Time) bool {
 		}
 		w.id = id
 		c.assigned[id] = w
-		if err := w.send(msgAssign, msg); err != nil {
+		err := w.send(msgAssign, msg)
+		for i := 0; err == nil && i < len(replay); i++ {
+			err = w.write(msgEpoch, replay[i])
+		}
+		if err != nil {
 			c.markDead(w, "assign write: "+err.Error())
 			continue
 		}
@@ -534,7 +552,7 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 	}
 	deadline := time.Now().Add(timeout)
 	for id := 0; id < c.workers; id++ {
-		if !c.assign(id, nil, deadline) {
+		if !c.assign(id, false, deadline) {
 			err := fmt.Errorf("cluster: worker slot %d: no worker connected in time", id)
 			c.fail(err)
 			return err
@@ -580,11 +598,12 @@ func (c *Coordinator) RunFor(d time.Duration) {
 	}
 }
 
-// scheduleRecord routes a telescope record to its owning shard's inputs
+// scheduleRecord routes a telescope record to its owning shard's slot
 // for the epoch being opened (Replay's pre-epoch hook).
 func (c *Coordinator) scheduleRecord(at sim.Time, rec telescope.Record) {
 	s := core.OwnerOf(c.space, c.shards, rec.Dst)
-	c.inputs[s] = appendRecord(c.inputs[s], at, rec)
+	id := c.slotOf(s)
+	c.inputs[id] = appendRecord(c.inputs[id], s, at, rec)
 	c.epochIngress++
 }
 
@@ -598,7 +617,8 @@ func (c *Coordinator) Inject(pkt *netsim.Packet) {
 	if c.started() {
 		now := c.runner.Now()
 		s := core.OwnerOf(c.space, c.shards, pkt.Dst)
-		c.inputs[s] = appendCross(c.inputs[s], now, pkt)
+		id := c.slotOf(s)
+		c.inputs[id] = appendInject(c.inputs[id], s, now, pkt)
 		c.inputsNext = min(c.inputsNext, now)
 	}
 }
@@ -617,16 +637,12 @@ func (c *Coordinator) Replay(src telescope.Source, halt func() bool, epilogue ti
 	return n, err
 }
 
-// Exchange stages the cross-shard outboxes the last epoch returned as
-// inputs of the epoch about to open and returns how many packets it
-// staged (sim.Transport).
+// Exchange returns how many cross-shard packets the last epoch sent
+// (sim.Transport): those its epoch-dones forwarded into the frames
+// about to open, and those each worker exchanges among its own shards.
 func (c *Coordinator) Exchange() int {
-	n := len(c.pendingCross)
-	for _, e := range c.pendingCross {
-		c.inputs[e.Dst] = appendCrossRaw(c.inputs[e.Dst], e.At, e.Pkt)
-		c.inputsNext = min(c.inputsNext, e.At)
-	}
-	c.pendingCross = c.pendingCross[:0]
+	n := c.sent
+	c.sent = 0
 	return n
 }
 
@@ -640,11 +656,11 @@ func (c *Coordinator) NextEvent() sim.Time {
 	return h
 }
 
-// Advance runs the epoch [Now, end) on every worker (sim.Transport),
-// awaiting each slot's epoch-done in slot order and recovering a dead
-// worker onto a standby, then logs the inputs and keeps the outboxes for
-// the next Exchange. It returns each worker's dispatch-to-done wall
-// time, or false once the run has degraded (Err).
+// Advance runs the epoch [Now, end) on every worker (sim.Transport):
+// it builds each slot's frame from the staged inputs, awaits each
+// slot's epoch-done in slot order, recovering a dead worker onto a
+// standby, then logs the frames. It returns each worker's
+// dispatch-to-done wall time, or false once the run has degraded (Err).
 func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 	if c.err != nil {
 		return nil, false
@@ -654,17 +670,19 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 		c.cfg.OnEpoch(c.seq, start, end)
 	}
 	c.curEnd = end
-	c.doneOutbox = c.doneOutbox[:0]
 	c.epochBytes = 0
-	for _, in := range c.inputs {
+	for id, in := range c.inputs {
 		c.epochBytes += int64(len(in))
+		c.frames[id] = appendEpoch(nil, c.seq, start, end, in)
+		c.inputs[id] = in[:0]
 	}
+	c.inputsNext = sim.End
 	c.dispatched = time.Now()
 	for id := range c.assigned {
 		c.sendEpoch(id)
 	}
 	for id := range c.assigned {
-		// The replacement replays its checkpoint and reruns this epoch.
+		// The replacement replays the slot's log and reruns this epoch.
 		for !c.epochDone(id) {
 			if !c.recover(id) {
 				return nil, false
@@ -672,18 +690,9 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 			c.sendEpoch(id)
 		}
 	}
-
-	for s, in := range c.inputs {
-		c.logs[s].commit(start, end, in)
-		c.inputs[s] = nil // the log owns it now
+	for id, f := range c.frames {
+		c.log[id] = append(c.log[id], f)
 	}
-	c.inputsNext = sim.End
-	// Stable sort restores the global (source shard, send order)
-	// delivery order the in-process runner's exchange produces: each
-	// worker reports its outbox grouped by source shard in send order,
-	// and source shards are disjoint across workers.
-	sort.SliceStable(c.doneOutbox, func(i, j int) bool { return c.doneOutbox[i].Src < c.doneOutbox[j].Src })
-	c.pendingCross, c.doneOutbox = c.doneOutbox, c.pendingCross
 	c.seq++
 	c.publishHealth()
 	return c.advanceNS, true
@@ -718,41 +727,27 @@ func (c *Coordinator) publishHealth() {
 	c.pubWorkers.Store(&refs)
 }
 
-// sendEpoch ships the in-flight epoch to worker id (its shards' inputs
-// only). A write failure marks the connection dead; the await loop
-// recovers it.
+// sendEpoch ships the in-flight epoch's frame to worker id. A write
+// failure marks the connection dead; the await loop recovers it.
 func (c *Coordinator) sendEpoch(id int) {
 	w := c.assigned[id]
 	if w == nil {
 		return
 	}
-	msg := epochMsg{Seq: c.seq, Start: c.runner.Now(), End: c.curEnd}
-	for _, s := range c.shardsOf(id) {
-		if len(c.inputs[s]) > 0 {
-			msg.Inputs = append(msg.Inputs, shardInputs{Shard: s, Inputs: c.inputs[s]})
-		}
-	}
-	if err := w.send(msgEpoch, msg); err != nil {
+	if err := w.write(msgEpoch, c.frames[id]); err != nil {
 		c.markDead(w, "epoch write: "+err.Error())
 	}
 }
 
-// recover restores worker slot id's shards onto a standby (or a
-// restarted worker dialing back in) from the last epoch-boundary
-// checkpoint. False means no replacement appeared in time and the run
+// recover rebuilds worker slot id's shards on a standby (or a restarted
+// worker dialing back in) by replaying every epoch frame the slot
+// completed. False means no replacement appeared in time and the run
 // has degraded.
 func (c *Coordinator) recover(id int) bool {
 	shards := c.shardsOf(id)
-	cks := make([][]byte, len(shards))
-	epochs := 0
-	for i, s := range shards {
-		ck := c.logs[s].checkpoint(s, c.shards, c.cfg.Engine.Seed, c.hash, 0)
-		epochs += len(ck.Epochs)
-		cks[i] = ck.Encode()
-	}
 	c.recoveryf("epoch=%d t=%s event=restore-begin worker=%d shards=%v logged_epochs=%d",
-		c.seq, c.now(), id, shards, epochs)
-	if !c.assign(id, cks, time.Now().Add(c.cfg.RecoveryWait)) {
+		c.seq, c.now(), id, shards, len(c.log[id]))
+	if !c.assign(id, true, time.Now().Add(c.cfg.RecoveryWait)) {
 		c.fail(fmt.Errorf("cluster: worker %d (shards %v) crashed at epoch %d and no replacement connected within %v",
 			id, shards, c.seq, c.cfg.RecoveryWait))
 		return false

@@ -10,16 +10,16 @@
 // carries heartbeats with deadlines, dial/handshake retries with
 // bounded backoff, and the coordinator detects a crashed worker (EOF,
 // missed heartbeat, stalled epoch, or a fault-injected kill via
-// internal/fault), restores its shards from the last epoch-boundary
-// checkpoint onto a standby or restarted worker, and resumes the run —
+// internal/fault), replays the epoch frames its slot completed onto a
+// standby or restarted worker, and resumes the run —
 // or, when no replacement appears, fails cleanly with partial results
 // instead of hanging the barrier. See DESIGN.md "Cluster execution".
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -48,9 +48,12 @@ import (
 // reports it: ready and epoch-done carry its one earliest next event. v6
 // drops the clock negotiation (prepared, align) and the second
 // assignment path (restore): every kernel starts at 0, and one assign →
-// ready exchange takes a fresh slot or, carrying checkpoints, a
-// recovery.
-const ProtoVersion = 6
+// ready exchange takes a fresh slot or a recovery. v7 makes epoch and
+// epoch-done frames binary, every input naming its destination shard:
+// a worker exchanges its own shards' packets in process, the coordinator
+// forwards the rest, and a recovery replays the slot's logged epoch
+// frames instead of per-shard checkpoints.
+const ProtoVersion = 7
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -58,17 +61,17 @@ const ProtoVersion = 6
 const maxFrame = 256 << 20
 
 // Message types. The payload of every control message is JSON; epoch
-// input lists and packets use the binary codec below (nested in JSON as
-// base64 []byte fields). Numbers are never reused, so a frame from
-// another version is never misread before the hello is refused.
+// and epoch-done frames are binary (the codec below). Numbers are never
+// reused, so a frame from another version is never misread before the
+// hello is refused.
 type msgType byte
 
 const (
 	msgHello     msgType = 1  // worker -> coordinator: version, config hash, name
-	msgAssign    msgType = 2  // coordinator -> worker: id, shards, checkpoints for a recovery
-	msgReady     msgType = 6  // worker -> coordinator: domains built (and restored)
+	msgAssign    msgType = 2  // coordinator -> worker: id, shards, frames a recovery replays
+	msgReady     msgType = 6  // worker -> coordinator: domains built (and replayed)
 	msgEpoch     msgType = 7  // coordinator -> worker: epoch bounds + inputs
-	msgEpochDone msgType = 8  // worker -> coordinator: epoch outbox
+	msgEpochDone msgType = 8  // worker -> coordinator: co-located count + outbox
 	msgHeartbeat msgType = 9  // both directions, empty payload
 	msgResults   msgType = 10 // coordinator -> worker (request, empty) and reply
 	msgShutdown  msgType = 11 // coordinator -> worker: run over, exit cleanly
@@ -121,35 +124,29 @@ func writeFrame(w io.Writer, typ msgType, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, rejecting oversized payloads before
-// allocating.
+// readFrame reads one frame, rejecting oversized payloads. The payload
+// grows as its bytes arrive, from at most 64 KiB up front: a header
+// alone, which anyone may send before the hello is checked, claims
+// nothing. The MinRead slack lets a payload that fits end without a
+// regrow.
 func readFrame(r io.Reader) (frame, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
 	}
-	f := frame{typ: msgType(hdr[4]), payload: make([]byte, n)}
-	if _, err := io.ReadFull(r, f.payload); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, min(int(n), 64<<10)+bytes.MinRead))
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
 		return frame{}, err
 	}
-	return f, nil
+	return frame{typ: msgType(hdr[4]), payload: buf.Bytes()}, nil
 }
 
 // unmarshal decodes a JSON control payload.
 func unmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }
-
-// writeMsg JSON-encodes v and writes it as one frame.
-func writeMsg(w io.Writer, typ msgType, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, typ, payload)
-}
 
 // Control message payloads.
 
@@ -165,50 +162,99 @@ type assignMsg struct {
 	Events  bool // collect per-domain event logs for the coordinator
 	Trace   bool // collect per-domain span traces
 	Metrics bool // run a live telemetry registry, piggyback on heartbeats
-	// Checkpoints holds one serialized Checkpoint per entry of Shards for
-	// a recovery, and nothing for a fresh slot.
-	Checkpoints [][]byte
+	// Recovery marks a slot taken over from a dead worker: its kill hook
+	// stays unarmed. Replay epoch frames, the slot's log, follow the
+	// assign; the worker runs them and answers ready after the last.
+	Recovery bool
+	Replay   int
 }
 
 type readyMsg struct {
-	Next sim.Time // the earliest pending event on any owned shard once built (and restored)
+	Next sim.Time // the earliest pending event on any owned shard once built (and replayed)
 }
 
+// epochMsg is a decoded epoch frame: u64 seq, start and end, then the
+// inputs of the worker's shards (appendCross, appendInject,
+// appendRecord) to the end of the payload.
 type epochMsg struct {
-	Seq    uint64
-	Start  sim.Time
-	End    sim.Time
-	Inputs []shardInputs // only shards with inputs appear
+	Seq        uint64
+	Start, End sim.Time
+	Inputs     []input
 }
 
-type shardInputs struct {
-	Shard  int
-	Inputs []byte // binary input-list codec
+// appendEpoch appends an epoch frame: the header, then inputs as they
+// were encoded.
+func appendEpoch(b []byte, seq uint64, start, end sim.Time, inputs []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(start))
+	b = binary.BigEndian.AppendUint64(b, uint64(end))
+	return append(b, inputs...)
 }
 
+// decodeEpoch parses an epoch frame of a run over shards.
+func decodeEpoch(payload []byte, shards int) (epochMsg, error) {
+	r := &byteReader{b: payload}
+	m := epochMsg{Seq: r.u64(), Start: sim.Time(r.u64()), End: sim.Time(r.u64())}
+	for !r.done() {
+		in, err := decodeInput(r, shards)
+		if err != nil {
+			return m, err
+		}
+		m.Inputs = append(m.Inputs, in)
+	}
+	return m, r.err
+}
+
+// epochDoneMsg is a decoded epoch-done frame: u64 seq and next event
+// (the earliest pending event on any owned shard after the epoch, its
+// unexchanged co-located packets included), u32 count of co-located
+// sends, then the cross inputs for other workers' shards, grouped by
+// source shard in send order.
 type epochDoneMsg struct {
-	Seq    uint64
-	Outbox []outboxEntry
-	Next   sim.Time // the earliest pending event on any owned shard after the epoch
+	Seq       uint64
+	Next      sim.Time
+	Colocated int
+	Outbox    []outboxEntry
+}
+
+// outboxEntry is one cross input of an epoch-done frame: raw, its
+// encoded bytes, go unchanged into the frame of the worker owning dst.
+type outboxEntry struct {
+	dst int
+	at  sim.Time
+	raw []byte
+}
+
+// appendEpochDone appends an epoch-done frame's header; the outbox
+// entries follow it as they were encoded.
+func appendEpochDone(b []byte, seq uint64, next sim.Time, colocated int) []byte {
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(next))
+	return binary.BigEndian.AppendUint32(b, uint32(colocated))
 }
 
 // decodeEpochDone parses the epoch-done payload of the worker owning
-// owned, for the epoch ending at end. Any outbox entry from a shard it
-// does not own, to no shard, due before end or with a packet that does
-// not decode exactly is an error, as is a next event before end.
+// owned, for the epoch ending at end. An outbox entry that is not a
+// cross input, comes from a shard the worker does not own, goes to one
+// it does, is due before end or does not decode exactly is an error, as
+// is a next event before end.
 func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epochDoneMsg, error) {
-	var m epochDoneMsg
-	if err := unmarshal(payload, &m); err != nil {
-		return m, err
+	r := &byteReader{b: payload}
+	m := epochDoneMsg{Seq: r.u64(), Next: sim.Time(r.u64()), Colocated: int(r.u32())}
+	if r.err != nil {
+		return m, r.err
 	}
-	for _, e := range m.Outbox {
-		if !slices.Contains(owned, e.Src) || e.Dst < 0 || e.Dst >= shards || e.At < end {
-			return m, fmt.Errorf("outbox entry src=%d dst=%d at=%v violates barrier (epoch end %v)", e.Src, e.Dst, e.At, end)
+	for !r.done() {
+		from := r.off
+		in, err := decodeInput(r, shards)
+		if err != nil {
+			return m, err
 		}
-		br := &byteReader{b: e.Pkt}
-		if _, err := decodePacket(br); err != nil || !br.done() {
-			return m, errors.New("undecodable outbox packet")
+		if in.Kind != inputCross || !slices.Contains(owned, in.Src) || slices.Contains(owned, in.Dst) || in.At < end {
+			return m, fmt.Errorf("outbox entry kind=%d src=%d dst=%d at=%v violates barrier (epoch end %v)",
+				in.Kind, in.Src, in.Dst, in.At, end)
 		}
+		m.Outbox = append(m.Outbox, outboxEntry{dst: in.Dst, at: in.At, raw: payload[from:r.off]})
 	}
 	if m.Next < end {
 		return m, fmt.Errorf("next event at %v is before the barrier at %v", m.Next, end)
@@ -224,17 +270,6 @@ func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epo
 type heartbeatMsg struct {
 	Seq     uint64          `json:",omitempty"`
 	Metrics []metrics.Point `json:",omitempty"`
-}
-
-// outboxEntry is one cross-shard packet emitted during an epoch. Src
-// entries from one worker arrive grouped by source shard in send order;
-// the coordinator's stable merge across workers reproduces the
-// in-process (src, send order) delivery order exactly.
-type outboxEntry struct {
-	Src int
-	Dst int
-	At  sim.Time
-	Pkt []byte // binary packet codec
 }
 
 type shardResult struct {
@@ -279,49 +314,57 @@ func configHash(tag string, shards int, seed uint64, lookahead time.Duration) ui
 	return h.Sum64()
 }
 
-// Binary input codec. An input is one packet the coordinator injects
-// into a shard at an epoch barrier: either a cross-shard delivery
-// (full packet) or a telescope replay record. The same encoding is the
-// checkpoint payload, so the fuzz target covers both paths.
+// Binary input codec. An input is one packet scheduled into a shard at
+// an epoch barrier, named by its kind, u32 destination shard and u64
+// time: a cross-shard packet from a shard another worker hosts (after a
+// u32 source shard), a packet injected at the barrier, or a telescope
+// replay record.
 
 const (
-	inputCross  = 1
-	inputRecord = 2
+	inputCross  = 1 // src, dst, at, packet
+	inputRecord = 2 // dst, at, record
+	inputInject = 3 // dst, at, packet
 )
 
-// maxPayload bounds a cross-packet payload (the wire layer never
+// maxPayload bounds a packet input's payload (the wire layer never
 // carries more than 64 KiB either).
 const maxPayload = 1 << 20
 
-// input is one decoded barrier injection.
+// input is one decoded barrier input.
 type input struct {
-	Kind byte
-	At   sim.Time
-	Pkt  *netsim.Packet   // Kind == inputCross
-	Rec  telescope.Record // Kind == inputRecord
+	Kind     byte
+	Src, Dst int // Src: inputCross only
+	At       sim.Time
+	Pkt      *netsim.Packet   // inputCross, inputInject
+	Rec      telescope.Record // inputRecord
 }
 
-// appendCross appends a cross-delivery input.
-func appendCross(b []byte, at sim.Time, pkt *netsim.Packet) []byte {
-	return appendPacket(appendCrossRaw(b, at, nil), pkt)
-}
-
-// appendCrossRaw appends a cross input whose packet is already encoded
-// (validated at epoch-done receipt; appendPacket framing is
-// self-delimiting so straight concatenation is safe).
-func appendCrossRaw(b []byte, at sim.Time, pkt []byte) []byte {
+// appendCross appends a cross input: pkt, sent by shard src for shard
+// dst, due at at. The encoding is self-delimiting, so entries forwarded
+// as raw bytes concatenate safely.
+func appendCross(b []byte, src, dst int, at sim.Time, pkt *netsim.Packet) []byte {
 	b = append(b, inputCross)
-	b = binary.BigEndian.AppendUint64(b, uint64(at))
-	return append(b, pkt...)
+	b = binary.BigEndian.AppendUint32(b, uint32(src))
+	return appendPacket(appendTarget(b, dst, at), pkt)
 }
 
-// appendRecord appends a replay-record input. The stored-payload
-// length is separate from PayLen: most telescope records carry only a
-// size, but scenario exploit records carry content that must survive
-// the trip to the owning worker.
-func appendRecord(b []byte, at sim.Time, rec telescope.Record) []byte {
-	b = append(b, inputRecord)
-	b = binary.BigEndian.AppendUint64(b, uint64(at))
+// appendInject appends an injected packet for shard dst at at.
+func appendInject(b []byte, dst int, at sim.Time, pkt *netsim.Packet) []byte {
+	return appendPacket(appendTarget(append(b, inputInject), dst, at), pkt)
+}
+
+// appendTarget appends an input's destination shard and time.
+func appendTarget(b []byte, dst int, at sim.Time) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(dst))
+	return binary.BigEndian.AppendUint64(b, uint64(at))
+}
+
+// appendRecord appends a replay-record input for shard dst. The
+// stored-payload length is separate from PayLen: most telescope records
+// carry only a size, but scenario exploit records carry content that
+// must survive the trip to the owning worker.
+func appendRecord(b []byte, dst int, at sim.Time, rec telescope.Record) []byte {
+	b = appendTarget(append(b, inputRecord), dst, at)
 	b = binary.BigEndian.AppendUint32(b, uint32(rec.Src))
 	b = binary.BigEndian.AppendUint32(b, uint32(rec.Dst))
 	b = append(b, byte(rec.Proto), rec.Flags)
@@ -351,203 +394,113 @@ func appendPacket(b []byte, p *netsim.Packet) []byte {
 	return append(b, p.Payload...)
 }
 
-// byteReader tracks a decode offset with bounds checking.
+// byteReader reads big-endian fields with bounds checking. The first
+// short read sticks in err, and every read after it returns zero, so a
+// decoder checks err once, after the fields it reads.
 type byteReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *byteReader) take(n int) ([]byte, error) {
+func (r *byteReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
 	if n < 0 || len(r.b)-r.off < n {
-		return nil, fmt.Errorf("cluster: truncated input at offset %d (want %d of %d)", r.off, n, len(r.b))
+		r.err = fmt.Errorf("cluster: truncated input at offset %d (want %d of %d)", r.off, n, len(r.b))
+		return nil
 	}
 	s := r.b[r.off : r.off+n]
 	r.off += n
-	return s, nil
+	return s
 }
 
-func (r *byteReader) u8() (byte, error) {
-	s, err := r.take(1)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u8() byte {
+	if s := r.take(1); s != nil {
+		return s[0]
 	}
-	return s[0], nil
+	return 0
 }
 
-func (r *byteReader) u16() (uint16, error) {
-	s, err := r.take(2)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u16() uint16 {
+	if s := r.take(2); s != nil {
+		return binary.BigEndian.Uint16(s)
 	}
-	return binary.BigEndian.Uint16(s), nil
+	return 0
 }
 
-func (r *byteReader) u32() (uint32, error) {
-	s, err := r.take(4)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u32() uint32 {
+	if s := r.take(4); s != nil {
+		return binary.BigEndian.Uint32(s)
 	}
-	return binary.BigEndian.Uint32(s), nil
+	return 0
 }
 
-func (r *byteReader) u64() (uint64, error) {
-	s, err := r.take(8)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u64() uint64 {
+	if s := r.take(8); s != nil {
+		return binary.BigEndian.Uint64(s)
 	}
-	return binary.BigEndian.Uint64(s), nil
+	return 0
 }
 
-func (r *byteReader) done() bool { return r.off >= len(r.b) }
+// done reports whether nothing is left to read: the end, or an error.
+func (r *byteReader) done() bool { return r.err != nil || r.off >= len(r.b) }
 
-// decodePacket reads one packet encoded by appendPacket.
+// decodePacket reads one packet encoded by appendPacket. The fields are
+// read in the order the literal lists them.
 func decodePacket(r *byteReader) (*netsim.Packet, error) {
-	p := &netsim.Packet{}
-	src, err := r.u32()
-	if err != nil {
-		return nil, err
+	p := &netsim.Packet{
+		Src: netsim.Addr(r.u32()), Dst: netsim.Addr(r.u32()),
+		Proto: netsim.Proto(r.u8()), TTL: r.u8(), ID: r.u16(),
+		SrcPort: r.u16(), DstPort: r.u16(), Seq: r.u32(), Ack: r.u32(),
+		Flags: r.u8(), Window: r.u16(), ICMPType: r.u8(), ICMPCode: r.u8(),
 	}
-	dst, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	p.Src, p.Dst = netsim.Addr(src), netsim.Addr(dst)
-	proto, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	p.Proto = netsim.Proto(proto)
-	if p.TTL, err = r.u8(); err != nil {
-		return nil, err
-	}
-	if p.ID, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if p.SrcPort, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if p.DstPort, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if p.Seq, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if p.Ack, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if p.Flags, err = r.u8(); err != nil {
-		return nil, err
-	}
-	if p.Window, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if p.ICMPType, err = r.u8(); err != nil {
-		return nil, err
-	}
-	if p.ICMPCode, err = r.u8(); err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	n := r.u32()
 	if n > maxPayload {
 		return nil, fmt.Errorf("cluster: packet payload %d exceeds limit", n)
 	}
 	if n > 0 {
-		s, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		p.Payload = append([]byte(nil), s...)
+		p.Payload = bytes.Clone(r.take(int(n)))
 	}
-	return p, nil
+	return p, r.err
 }
 
-// decodeInput reads one input encoded by appendCross / appendRecord.
-func decodeInput(r *byteReader) (input, error) {
-	var in input
-	kind, err := r.u8()
-	if err != nil {
+// decodeInput reads one input encoded by appendCross, appendInject or
+// appendRecord in a run over shards.
+func decodeInput(r *byteReader, shards int) (input, error) {
+	in := input{Kind: r.u8()}
+	var src uint32
+	if in.Kind == inputCross {
+		src = r.u32()
+	}
+	dst, at := r.u32(), sim.Time(r.u64())
+	switch {
+	case r.err != nil:
+		return in, r.err
+	case src >= uint32(shards) || dst >= uint32(shards):
+		return in, fmt.Errorf("cluster: input from shard %d for shard %d of %d", src, dst, shards)
+	case at < 0:
+		return in, fmt.Errorf("cluster: input with negative time %d", at)
+	}
+	in.Src, in.Dst, in.At = int(src), int(dst), at
+	switch in.Kind {
+	case inputCross, inputInject:
+		var err error
+		in.Pkt, err = decodePacket(r)
 		return in, err
-	}
-	at, err := r.u64()
-	if err != nil {
-		return in, err
-	}
-	in.Kind, in.At = kind, sim.Time(at)
-	if in.At < 0 {
-		return in, fmt.Errorf("cluster: input with negative time %d", in.At)
-	}
-	switch kind {
-	case inputCross:
-		if in.Pkt, err = decodePacket(r); err != nil {
-			return in, err
-		}
 	case inputRecord:
-		src, err := r.u32()
-		if err != nil {
-			return in, err
-		}
-		dst, err := r.u32()
-		if err != nil {
-			return in, err
-		}
-		proto, err := r.u8()
-		if err != nil {
-			return in, err
-		}
-		flags, err := r.u8()
-		if err != nil {
-			return in, err
-		}
-		sport, err := r.u16()
-		if err != nil {
-			return in, err
-		}
-		dport, err := r.u16()
-		if err != nil {
-			return in, err
-		}
-		paylen, err := r.u16()
-		if err != nil {
-			return in, err
-		}
-		stored, err := r.u16()
-		if err != nil {
-			return in, err
-		}
-		var payload []byte
-		if stored > 0 {
-			s, err := r.take(int(stored))
-			if err != nil {
-				return in, err
-			}
-			payload = append([]byte(nil), s...)
-		}
 		in.Rec = telescope.Record{
-			At: in.At, Src: netsim.Addr(src), Dst: netsim.Addr(dst),
-			Proto: netsim.Proto(proto), Flags: flags,
-			SrcPort: sport, DstPort: dport, PayLen: paylen, Payload: payload,
+			At: at, Src: netsim.Addr(r.u32()), Dst: netsim.Addr(r.u32()),
+			Proto: netsim.Proto(r.u8()), Flags: r.u8(),
+			SrcPort: r.u16(), DstPort: r.u16(), PayLen: r.u16(),
 		}
-	default:
-		return in, fmt.Errorf("cluster: unknown input kind %d", kind)
-	}
-	return in, nil
-}
-
-// decodeInputs decodes a whole input list.
-func decodeInputs(b []byte) ([]input, error) {
-	r := &byteReader{b: b}
-	var ins []input
-	for !r.done() {
-		in, err := decodeInput(r)
-		if err != nil {
-			return nil, err
+		if stored := r.u16(); stored > 0 {
+			in.Rec.Payload = bytes.Clone(r.take(int(stored)))
 		}
-		ins = append(ins, in)
+		return in, r.err
 	}
-	return ins, nil
+	return in, fmt.Errorf("cluster: unknown input kind %d", in.Kind)
 }
 
 // conn wraps a worker connection with serialized writes and heartbeat
@@ -570,10 +523,21 @@ func newConn(c net.Conn) *conn {
 	return w
 }
 
+// send JSON-encodes a control message and writes it as one frame.
 func (w *conn) send(typ msgType, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return w.write(typ, payload)
+}
+
+// write writes one frame, serialized against the connection's other
+// writers.
+func (w *conn) write(typ msgType, payload []byte) error {
 	<-w.writeMu
 	defer func() { w.writeMu <- struct{}{} }()
-	return writeMsg(w.c, typ, v)
+	return writeFrame(w.c, typ, payload)
 }
 
 func (w *conn) close() { w.c.Close() }

@@ -70,25 +70,30 @@ type worker struct {
 	lookahead time.Duration
 	cn        *conn
 
-	id      int
-	shards  []int
-	domains map[int]*core.ShardDomain
-	// local advances the owned domains' kernels, in assignment order, on
-	// the engine's in-process transport: on its persistent goroutines
-	// when the scenario asks for parallelism, else in turn on the serve
-	// goroutine (the bytes are the same either way). Nothing is sent on
-	// it: cross-shard packets go through the coordinator. Nil until assigned.
+	id     int
+	shards []int
+	// domains is indexed by shard, nil where another worker owns it.
+	domains []*core.ShardDomain
+	// local is the engine's in-process transport over every shard of the
+	// run, hosting the owned domains' kernels: it advances them (on its
+	// persistent goroutines when the scenario asks for parallelism, else
+	// in turn on the serve goroutine; the bytes are the same either way)
+	// and exchanges their packets to each other at the barrier, exactly
+	// as the engine does. Packets from other workers' shards are sent
+	// from those shards' rows. Nil until assigned.
 	local *sim.Local[*netsim.Packet]
 	// view publishes the domains' Stats into the worker's registry at
 	// epoch boundaries (nil without one).
 	view *core.StatsView
-	// outbox holds each owned shard's cross-shard emissions for the
-	// in-flight epoch. Slots are allocated at assignment and the cross
-	// closures write through their own slot pointer, so the transport's
-	// goroutines never touch the map itself.
-	outbox map[int]*[]outboxEntry
+	// out holds each owned shard's sends of the in-flight epoch, indexed
+	// by shard. Only that shard's goroutine writes its entry.
+	out []shardOut
+	// replay counts the logged frames a recovery has still to run. Their
+	// epoch-dones are dropped: the coordinator forwarded those sends
+	// once already.
+	replay int
+	reply  []byte // the epoch-done payload, reused
 
-	replaying bool
 	// killed is atomic: under Parallel every owned domain runs its kill
 	// action in the same epoch, so several transport goroutines set it at
 	// once.
@@ -104,7 +109,7 @@ type worker struct {
 }
 
 // RunWorker dials the coordinator (bounded retry with backoff), offers
-// itself for shard assignment — fresh or restored-from-checkpoint — and
+// itself for shard assignment — fresh or a recovery — and
 // serves epochs until shutdown. It returns nil on a clean shutdown,
 // ErrKilled when an injected kill-worker fault aborted it, and the
 // transport or protocol error otherwise.
@@ -150,8 +155,16 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 	}
 	return &worker{
 		cfg: cfg, ecfg: ecfg, lookahead: ecfg.Lookahead,
-		id: -1, domains: map[int]*core.ShardDomain{}, outbox: map[int]*[]outboxEntry{},
+		id: -1,
 	}, nil
+}
+
+// shardOut is one owned shard's sends of the in-flight epoch: encoded
+// cross inputs for other workers' shards, and a count of the packets
+// sent to this worker's own.
+type shardOut struct {
+	remote    []byte
+	colocated int
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -246,14 +259,18 @@ func (w *worker) serve() error {
 }
 
 // buildDomains constructs the owned shard domains exactly as the
-// in-process engine would, with cross-shard emissions serialized into
-// the per-shard epoch outbox instead of a runner send.
+// in-process engine would, over a transport of all the run's shards: a
+// packet for an owned shard is sent on it, one for another worker's is
+// encoded into the source shard's outbox.
 func (w *worker) buildDomains(m assignMsg) error {
-	if len(w.domains) > 0 {
+	if w.local != nil {
 		return errors.New("cluster: worker assigned twice")
 	}
+	n := w.ecfg.Shards
 	w.id = m.Worker
 	w.shards = append([]int(nil), m.Shards...)
+	w.domains = make([]*core.ShardDomain, n)
+	w.out = make([]shardOut, n)
 	ecfg := w.ecfg
 	// The writers only mark that output should be collected; the
 	// domains buffer and the coordinator merges. The registry is the
@@ -271,35 +288,39 @@ func (w *worker) buildDomains(m assignMsg) error {
 		ecfg.Metrics = reg
 	}
 	var owned []*core.ShardDomain
-	var kernels []*sim.Kernel
+	kernels := make([]*sim.Kernel, n)
 	for _, s := range w.shards {
-		s := s
-		slot := new([]outboxEntry)
-		w.outbox[s] = slot
+		if s < 0 || s >= n || w.domains[s] != nil {
+			return fmt.Errorf("cluster: assigned shard %d of %d twice or out of range", s, n)
+		}
+		out := &w.out[s]
 		d, err := core.NewShardDomain(ecfg, s, func(now sim.Time, dst int, pkt *netsim.Packet) {
-			if w.replaying {
-				return // the coordinator already delivered these once
+			at := now.Add(w.lookahead)
+			if w.domains[dst] != nil {
+				w.local.Send(s, dst, at, pkt)
+				out.colocated++
+			} else {
+				out.remote = appendCross(out.remote, s, dst, at, pkt)
 			}
-			*slot = append(*slot, outboxEntry{
-				Src: s, Dst: dst, At: now.Add(w.lookahead), Pkt: appendPacket(nil, pkt),
-			})
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: building shard %d: %w", s, err)
 		}
 		w.domains[s] = d
 		owned = append(owned, d)
-		kernels = append(kernels, d.K)
+		kernels[s] = d.K
 	}
 	w.view = core.NewStatsView(ecfg.Metrics, owned)
-	w.local = sim.NewLocal[*netsim.Packet](kernels, nil)
+	w.local = sim.NewLocal(kernels, func(dst int, at sim.Time, pkt *netsim.Packet) {
+		w.domains[dst].Deliver(at, pkt)
+	})
 	w.local.SetSequential(!ecfg.Parallel)
 	return nil
 }
 
 // armFaults starts the per-domain fault injectors. The kill hook only
-// arms on fresh assignment: restored domains replay any kill action as
-// the recorded no-op it is everywhere else, so the fault log stays
+// arms on fresh assignment: a recovery replays any kill action as the
+// recorded no-op it is everywhere else, so the fault log stays
 // byte-identical without crash-looping the recovery.
 func (w *worker) armFaults(withKillHook bool) {
 	for _, s := range w.shards {
@@ -329,110 +350,51 @@ func (w *worker) armFaults(withKillHook bool) {
 
 // handleAssign takes a worker slot: build the owned domains from the
 // shared configuration, run every kernel through the common start
-// clock, arm faults, and answer ready. A fresh slot carries no
-// checkpoints and arms the kill hook. A recovery carries one checkpoint
-// per shard and replays it (restore); its kill hook stays unarmed.
+// clock, arm faults, and answer ready. A fresh slot arms the kill hook.
+// A recovery leaves it unarmed and answers ready only once the Replay
+// logged epoch frames that follow the assign have run.
 func (w *worker) handleAssign(payload []byte) error {
 	var m assignMsg
 	if err := unmarshal(payload, &m); err != nil {
 		return err
 	}
-	recovery := len(m.Checkpoints) > 0
-	if recovery && len(m.Checkpoints) != len(m.Shards) {
-		return fmt.Errorf("cluster: assign with %d checkpoints for %d shards", len(m.Checkpoints), len(m.Shards))
+	if m.Replay < 0 || m.Replay > 0 && !m.Recovery {
+		return fmt.Errorf("cluster: assign replaying %d frames (recovery %v)", m.Replay, m.Recovery)
 	}
 	if err := w.buildDomains(m); err != nil {
 		return err
 	}
 	w.local.Advance(w.local.Now(), false)
-	w.armFaults(!recovery)
-	if recovery {
-		if err := w.restore(m.Checkpoints); err != nil {
-			return err
-		}
+	w.armFaults(!m.Recovery)
+	w.replay = m.Replay
+	w.logf("cluster: assigned worker %d, shards %v, replaying %d frames", w.id, w.shards, w.replay)
+	if w.replay > 0 {
+		return nil
 	}
-	w.logf("cluster: assigned worker %d, shards %v", w.id, w.shards)
+	return w.ready()
+}
+
+// ready reports the worker's earliest pending event.
+func (w *worker) ready() error {
 	return w.cn.send(msgReady, readyMsg{Next: w.local.NextEvent()})
 }
 
-// restore replays a crashed worker's checkpointed epoch inputs onto the
-// owned domains, one checkpoint per shard in assignment order — each
-// epoch's inputs scheduled while the kernel sits at that epoch's opening
-// barrier, reproducing event-heap insertion order — up to the last
-// completed boundary. A checkpoint must start at the worker's clock.
-func (w *worker) restore(cks [][]byte) error {
-	w.replaying = true
-	defer func() { w.replaying = false }()
-	hash := configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, w.lookahead)
-	clock := w.local.Now()
-	for i, s := range w.shards {
-		ck, err := DecodeCheckpoint(cks[i])
-		if err != nil {
-			return fmt.Errorf("cluster: shard %d checkpoint: %w", s, err)
-		}
-		if ck.Shard != s || ck.Shards != w.ecfg.Shards || ck.ConfigHash != hash {
-			return fmt.Errorf("cluster: shard %d checkpoint identity mismatch (shard=%d shards=%d)", s, ck.Shard, ck.Shards)
-		}
-		if ck.Base != clock {
-			return fmt.Errorf("cluster: shard %d checkpoint base %v is not the worker's clock %v", s, ck.Base, clock)
-		}
-		d := w.domains[s]
-		for _, ep := range ck.Epochs {
-			d.K.RunUntil(ep.Start)
-			ins, err := decodeInputs(ep.Inputs)
-			if err != nil {
-				return fmt.Errorf("cluster: shard %d replay: %w", s, err)
-			}
-			w.scheduleInputs(d, ins)
-			d.K.RunUntil(ep.End)
-		}
-		d.K.RunUntil(ck.Through)
-		w.logf("cluster: restored shard %d through %v (%d logged epochs)", s, ck.Through, len(ck.Epochs))
-	}
-	return nil
-}
-
-// scheduleInputs schedules decoded barrier inputs on a domain's kernel
-// in delivery order.
-func (w *worker) scheduleInputs(d *core.ShardDomain, ins []input) {
-	for _, in := range ins {
-		switch in.Kind {
-		case inputCross:
-			d.Deliver(in.At, in.Pkt)
-		case inputRecord:
-			d.ScheduleRecord(in.At, &in.Rec)
-		}
-	}
-}
-
+// handleEpoch runs one epoch frame and answers epoch-done — or, for a
+// recovery's logged frame, nothing until the last, which answers ready:
+// a replay drops only the sends to other workers' shards, and the
+// co-located ones rebuild the traffic the dead worker's shards had sent
+// each other.
 func (w *worker) handleEpoch(payload []byte) error {
-	var m epochMsg
-	if err := unmarshal(payload, &m); err != nil {
-		return err
-	}
 	if w.local == nil {
 		return errors.New("cluster: epoch before assignment")
 	}
-	if now := w.local.Now(); m.Start < now {
-		return fmt.Errorf("cluster: epoch start %v is before the worker's clock %v", m.Start, now)
+	m, err := decodeEpoch(payload, w.ecfg.Shards)
+	if err != nil {
+		return fmt.Errorf("cluster: epoch frame: %w", err)
 	}
-	for _, si := range m.Inputs {
-		d := w.domains[si.Shard]
-		if d == nil {
-			return fmt.Errorf("cluster: epoch inputs for shard %d this worker does not own", si.Shard)
-		}
-		ins, err := decodeInputs(si.Inputs)
-		if err != nil {
-			return fmt.Errorf("cluster: epoch %d shard %d inputs: %w", m.Seq, si.Shard, err)
-		}
-		for _, in := range ins {
-			if in.At < m.Start {
-				return fmt.Errorf("cluster: epoch %d input at %v before epoch start %v", m.Seq, in.At, m.Start)
-			}
-		}
-		w.scheduleInputs(d, ins)
+	if err := w.runEpoch(m); err != nil {
+		return err
 	}
-	w.local.Advance(m.End, false)
 	if w.killed.Load() {
 		// Die like the real thing: drop the connection mid-epoch with no
 		// farewell; the coordinator's crash detection takes it from here.
@@ -440,14 +402,63 @@ func (w *worker) handleEpoch(payload []byte) error {
 		return ErrKilled
 	}
 	w.view.PublishDue(m.End)
-	reply := epochDoneMsg{Seq: m.Seq, Next: w.local.NextEvent()}
+	colocated := 0
 	for _, s := range w.shards {
-		slot := w.outbox[s]
-		reply.Outbox = append(reply.Outbox, *slot...)
-		*slot = (*slot)[:0]
+		colocated += w.out[s].colocated
+	}
+	w.reply = appendEpochDone(w.reply[:0], m.Seq, w.local.NextEvent(), colocated)
+	for _, s := range w.shards {
+		out := &w.out[s]
+		w.reply = append(w.reply, out.remote...)
+		out.remote, out.colocated = out.remote[:0], 0
+	}
+	if w.replay > 0 {
+		if w.replay--; w.replay > 0 {
+			return nil
+		}
+		w.logf("cluster: worker %d replayed through %v", w.id, m.End)
+		return w.ready()
 	}
 	w.lastSeq.Store(m.Seq)
-	return w.cn.send(msgEpochDone, reply)
+	return w.cn.write(msgEpochDone, w.reply)
+}
+
+// runEpoch runs one epoch the engine's way: the packets other workers'
+// shards sent are exchanged with the owned shards' own, then injected
+// packets and records are scheduled in frame order, and the kernels
+// advance to the epoch's end. A frame opening before the worker's
+// clock, an input before the epoch, for a shard the worker does not
+// own, or sent by one it does is an error.
+func (w *worker) runEpoch(m epochMsg) error {
+	if now := w.local.Now(); m.Start < now {
+		return fmt.Errorf("cluster: epoch start %v is before the worker's clock %v", m.Start, now)
+	}
+	for _, in := range m.Inputs {
+		switch {
+		case in.At < m.Start:
+			return fmt.Errorf("cluster: epoch %d input at %v before epoch start %v", m.Seq, in.At, m.Start)
+		case w.domains[in.Dst] == nil:
+			return fmt.Errorf("cluster: epoch %d input for shard %d this worker does not own", m.Seq, in.Dst)
+		case in.Kind == inputCross && w.domains[in.Src] != nil:
+			return fmt.Errorf("cluster: epoch %d cross input from shard %d this worker owns", m.Seq, in.Src)
+		}
+	}
+	for _, in := range m.Inputs {
+		if in.Kind == inputCross {
+			w.local.Send(in.Src, in.Dst, in.At, in.Pkt)
+		}
+	}
+	w.local.Exchange()
+	for i := range m.Inputs {
+		switch in := &m.Inputs[i]; in.Kind {
+		case inputInject:
+			w.domains[in.Dst].Deliver(in.At, in.Pkt)
+		case inputRecord:
+			w.domains[in.Dst].ScheduleRecord(in.At, &in.Rec)
+		}
+	}
+	w.local.Advance(m.End, false)
+	return nil
 }
 
 // handleResults snapshots stats (pre-close, matching when a

@@ -25,10 +25,10 @@ package core
 //
 // Domain construction is factored out as NewShardDomain so that
 // internal/cluster workers can build exactly the domains they own (same
-// seeds, same sinks, same farm split) in a separate process, with
-// cross-shard traffic routed through the coordinator — the transport
-// the same runner loop drives there — instead of the in-process outbox
-// rings; see DESIGN.md "Cluster execution".
+// seeds, same sinks, same farm split) in a separate process. A worker
+// exchanges its own shards' cross-shard traffic on the same in-process
+// transport and hands the rest to the coordinator — the transport the
+// same runner loop drives there; see DESIGN.md "Cluster execution".
 
 import (
 	"errors"
@@ -186,8 +186,9 @@ func OwnerOf(space netsim.Prefix, shards int, addr netsim.Addr) int {
 
 // CrossSend delivers a cross-shard packet emitted by a domain at now,
 // destined for shard dst. The in-process engine queues it on its
-// transport for the barrier; a cluster worker serializes it into the
-// epoch outbox for the coordinator to exchange.
+// transport for the barrier; a cluster worker does too when it owns
+// dst, and otherwise serializes it into the epoch outbox for the
+// coordinator to forward.
 type CrossSend func(now sim.Time, dst int, pkt *netsim.Packet)
 
 // ShardDomain is one shard's isolated simulation domain.

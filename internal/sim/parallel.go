@@ -21,9 +21,11 @@ package sim
 // shards is a Transport's job. Local is the in-process one: its
 // messages are data, handed at the barrier to the one deliver function
 // its owner installed (NewParallelRunner's are Events, run on arrival).
-// A cluster worker drives a Local directly, one Advance per epoch frame,
-// over the shards it hosts. NewRunner takes any Transport —
-// internal/cluster's coordinator is one, over TCP.
+// A cluster worker drives a Local directly, one Exchange and Advance per
+// epoch frame, over every shard of the run: a nil kernel is a shard
+// another process hosts, whose messages the worker Sends from its row.
+// NewRunner takes any Transport — internal/cluster's coordinator is one,
+// over TCP.
 //
 // # Adaptive lookahead
 //
@@ -343,11 +345,14 @@ func (r *ParallelRunner) RunFor(d time.Duration) { r.RunUntil(r.now.Add(d)) }
 
 // Local is the Transport over this process's kernels: outbox rings of
 // messages exchanged at the barrier, and one persistent goroutine per
-// kernel (none with a single kernel) advancing it in parallel mode.
-// Nothing in it allocates per epoch. Its methods are for one driver
-// goroutine, except Send (see there).
+// hosted kernel (none with a single one) advancing it in parallel mode.
+// A nil kernel is a shard hosted elsewhere: only its row of outbox cells
+// is used, by a driver that Sends its messages between epochs. Nothing
+// in it allocates per epoch. Its methods are for one driver goroutine,
+// except Send (see there).
 type Local[M any] struct {
 	kernels []*Kernel
+	hosted  []int // indices of the non-nil kernels, ascending
 	deliver func(dst int, at Time, m M)
 
 	// outbox holds the n*n (src,dst) cells in src-major order — cell
@@ -359,14 +364,15 @@ type Local[M any] struct {
 	outbox     []outCell[M]
 	sequential bool
 
-	// Persistent shard workers: one goroutine per kernel, parked on its
-	// channel between epochs, so an epoch costs n channel sends and one
-	// WaitGroup wait instead of n goroutine spawns. A one-kernel
+	// Persistent shard workers: one goroutine per hosted kernel, parked
+	// on its channel between epochs, so an epoch costs n channel sends
+	// and one WaitGroup wait instead of n goroutine spawns. A one-kernel
 	// transport has none: there is nothing to overlap, so its kernel
 	// advances on the caller's goroutine in either mode. curEnd and
 	// timed are written by the driver before the sends (the channel
 	// send / receive pair orders them); advanceNS[i] is written only by
-	// worker i during an epoch and read by the driver after wg.Wait.
+	// kernel i's worker during an epoch and read by the driver after
+	// wg.Wait.
 	work      []chan struct{}
 	wg        sync.WaitGroup
 	curEnd    Time
@@ -376,19 +382,25 @@ type Local[M any] struct {
 	closed    bool
 }
 
-// NewLocal builds the in-process transport over kernels (at least one),
-// in parallel mode, whose Exchange hands each message to deliver (nil if
-// nothing is ever sent). Its shard goroutines start (and warm up) here
-// rather than lazily at the first epoch: construction is the one place
-// their setup cost can't land inside a measured run. Sequential mode
-// leaves them parked; Close stops them either way.
+// NewLocal builds the in-process transport over kernels (at least one
+// non-nil; nil ones are hosted elsewhere), in parallel mode, whose
+// Exchange hands each message to deliver. Its shard goroutines start
+// (and warm up) here rather than lazily at the first epoch:
+// construction is the one place their setup cost can't land inside a
+// measured run. Sequential mode leaves them parked; Close stops them
+// either way.
 func NewLocal[M any](kernels []*Kernel, deliver func(dst int, at Time, m M)) *Local[M] {
 	n := len(kernels)
-	if n == 0 {
+	p := &Local[M]{kernels: kernels, deliver: deliver, outbox: make([]outCell[M], n*n), advanceNS: make([]int64, n)}
+	for i, k := range kernels {
+		if k != nil {
+			p.hosted = append(p.hosted, i)
+		}
+	}
+	if len(p.hosted) == 0 {
 		panic("sim: Local with no kernels")
 	}
-	p := &Local[M]{kernels: kernels, deliver: deliver, outbox: make([]outCell[M], n*n), advanceNS: make([]int64, n)}
-	if n > 1 {
+	if len(p.hosted) > 1 {
 		p.startWorkers()
 	}
 	return p
@@ -398,12 +410,12 @@ func NewLocal[M any](kernels []*Kernel, deliver func(dst int, at Time, m M)) *Lo
 // the determinism oracle; the bytes are the same either way.
 func (p *Local[M]) SetSequential(seq bool) { p.sequential = seq }
 
-// Now is the latest kernel clock: the earliest time that may be
+// Now is the latest hosted kernel clock: the earliest time that may be
 // scheduled on every kernel.
 func (p *Local[M]) Now() Time {
 	var now Time
-	for _, k := range p.kernels {
-		now = max(now, k.Now())
+	for _, i := range p.hosted {
+		now = max(now, p.kernels[i].Now())
 	}
 	return now
 }
@@ -420,9 +432,10 @@ func (p *Local[M]) Close() {
 	}
 }
 
-// Send queues m for kernel dst at time at. During an epoch it may only
-// be called from kernel src's goroutine; at must be at least the
-// sending kernel's current time plus the lookahead, or the barrier
+// Send queues m for hosted kernel dst at time at. During an epoch it may
+// only be called from kernel src's goroutine; between epochs the driver
+// may send from any row, a hosted-elsewhere one included. at must be at
+// least the destination's clock at the next Exchange, or the barrier
 // delivery will panic. The next Exchange hands it to deliver, merged
 // deterministically by (src, send order).
 func (p *Local[M]) Send(src, dst int, at Time, m M) {
@@ -440,10 +453,10 @@ func (p *Local[M]) Send(src, dst int, at Time, m M) {
 // allocated here at construction rather than inside the first epoch,
 // keeping steady-state epochs allocation-free.
 func (p *Local[M]) startWorkers() {
-	p.work = make([]chan struct{}, len(p.kernels))
-	for i := range p.kernels {
+	p.work = make([]chan struct{}, len(p.hosted))
+	for j, i := range p.hosted {
 		ch := make(chan struct{}, 1)
-		p.work[i] = ch
+		p.work[j] = ch
 		go func() {
 			for range ch {
 				if !p.warm {
@@ -454,7 +467,7 @@ func (p *Local[M]) startWorkers() {
 		}()
 	}
 	p.warm = true
-	p.wg.Add(len(p.kernels))
+	p.wg.Add(len(p.work))
 	for _, ch := range p.work {
 		ch <- struct{}{}
 	}
@@ -504,29 +517,37 @@ func (p *Local[M]) Exchange() int {
 	return delivered
 }
 
-// NextEvent is the earliest pending event over every kernel.
+// NextEvent is the earliest pending event over every hosted kernel and
+// every message not yet exchanged: a cell's first message is its
+// earliest, since a source's clock never runs backwards. Right after
+// Exchange, every cell is empty.
 func (p *Local[M]) NextEvent() Time {
 	h := End
-	for _, k := range p.kernels {
-		if t, ok := k.NextEvent(); ok && t < h {
+	for _, i := range p.hosted {
+		if t, ok := p.kernels[i].NextEvent(); ok && t < h {
 			h = t
+		}
+	}
+	for idx := range p.outbox {
+		if live := p.outbox[idx].live; len(live) > 0 {
+			h = min(h, live[0].at)
 		}
 	}
 	return h
 }
 
-// Advance runs every kernel to end — in shard order on this thread in
-// sequential mode, with a single kernel or once closed, on the
+// Advance runs every hosted kernel to end — in shard order on this
+// thread in sequential mode, with a single kernel or once closed, on the
 // persistent shard workers otherwise.
 func (p *Local[M]) Advance(end Time, timed bool) ([]int64, bool) {
 	p.curEnd, p.timed = end, timed
-	if p.sequential || p.closed || len(p.kernels) == 1 {
-		for i := range p.kernels {
+	if p.sequential || p.closed || p.work == nil {
+		for _, i := range p.hosted {
 			p.run(i)
 		}
 		return p.advanceNS, true
 	}
-	p.wg.Add(len(p.kernels))
+	p.wg.Add(len(p.work))
 	for _, ch := range p.work {
 		ch <- struct{}{}
 	}

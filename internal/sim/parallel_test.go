@@ -261,3 +261,50 @@ func TestOneKernelRunnerStartsNoWorker(t *testing.T) {
 	}
 	r.Close()
 }
+
+// TestLocalHostedElsewhere: a nil kernel is a shard another process
+// hosts. Its row carries what a driver sends for it between epochs,
+// merged with the hosted rows in (source, send order); a message not yet
+// exchanged is pending work; and no clock, advance or goroutine is its.
+func TestLocalHostedElsewhere(t *testing.T) {
+	ms := func(n int64) Time { return Time(n) * Time(time.Millisecond) }
+	before := runtime.NumGoroutine()
+	k0, k2 := NewKernel(1), NewKernel(2)
+	var got []string
+	local := NewLocal([]*Kernel{k0, nil, k2}, func(dst int, at Time, m string) {
+		got = append(got, fmt.Sprintf("%s>%d@%v", m, dst, at))
+	})
+	defer local.Close()
+	if n := runtime.NumGoroutine() - before; n != 2 {
+		t.Fatalf("%d shard goroutines for two hosted kernels, want 2", n)
+	}
+	k0.At(ms(1), func(now Time) { local.Send(0, 2, now+ms(2), "a") })
+	k2.At(ms(1), func(now Time) { local.Send(2, 0, now+ms(2), "c") })
+	for _, seq := range []bool{false, true} {
+		local.SetSequential(seq)
+		local.Advance(ms(2), false)
+		local.Advance(ms(2), true)
+	}
+	if now := local.Now(); now != ms(2) {
+		t.Fatalf("Now = %v, want 2ms", now)
+	}
+	if next := local.NextEvent(); next != ms(3) {
+		t.Fatalf("NextEvent = %v with two messages due at 3ms unexchanged", next)
+	}
+	local.Send(1, 2, ms(4), "b1")
+	local.Send(1, 0, ms(2), "b2")
+	local.Send(1, 2, ms(5), "b3")
+	if next := local.NextEvent(); next != ms(2) {
+		t.Fatalf("NextEvent = %v with a message due at 2ms unexchanged", next)
+	}
+	if n := local.Exchange(); n != 5 {
+		t.Fatalf("Exchange delivered %d messages, want 5", n)
+	}
+	want := "[a>2@3ms b2>0@2ms b1>2@4ms b3>2@5ms c>0@3ms]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("delivered %v, want %s", got, want)
+	}
+	if next := local.NextEvent(); next != End {
+		t.Errorf("NextEvent = %v after the exchange, want End", next)
+	}
+}
