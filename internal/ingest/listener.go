@@ -31,8 +31,7 @@ const (
 
 	// frameBufSize bounds one datagram. Telescope packets are small
 	// (probes, first exploit segments); a datagram longer than this is
-	// clipped when it is copied into its Frame and then refused by the
-	// IPv4 parser as inconsistent, landing in FrameErrors.
+	// a frame error, and Bytes counts frameBufSize of it.
 	frameBufSize = 4096
 
 	// readBufSize holds the largest read the socket can return: one UDP
@@ -44,15 +43,8 @@ const (
 	DefaultPort = 4754
 )
 
-// Frame is one decapsulated datagram moving from the socket to the
-// consumer (WireSource). Frames are pooled: the consumer must Release
-// every frame it receives, after which Pkt (whose Payload aliases Buf)
-// is dead.
-//
-// The header fields come before Buf: a telescope frame is ~60 bytes, so
-// what the reader writes and the consumer reads — the header and the
-// first bytes of Buf — then shares a page, where a header behind the
-// 4 KiB buffer cost every frame a second page and TLB entry.
+// Frame is one decapsulated datagram: its GRE envelope and parsed inner
+// packet. Frames travel in a Batch and live as long as it does.
 type Frame struct {
 	N int // datagram length
 
@@ -66,10 +58,26 @@ type Frame struct {
 	Seq    uint32
 	HasSeq bool
 
-	// Pkt is the parsed inner packet. Payload aliases Buf.
+	// Pkt is the parsed inner packet. Payload aliases the batch's copy
+	// of the datagram.
 	Pkt netsim.Packet
+}
 
-	Buf [frameBufSize]byte
+// Batch is the unit that moves from the reader to the consumer: the
+// frames one socket read brought for one shard, in arrival order, their
+// datagram bytes back to back in one slice sized to the read. Batches
+// are recycled: the consumer must Release every batch it receives, after
+// which its frames and their packets are dead.
+//
+// A batch holds one frame until a consumer that walks whole batches —
+// WireSource — starts reading the listener; from then on it holds
+// everything a read brought for its shard (up to 64 frames under
+// UDP_GRO). So a consumer that takes Frames(i) a receive at a time, and
+// counts receives, counts frames.
+type Batch struct {
+	Frames []Frame
+	data   []byte
+	shard  int
 }
 
 // Config parameterizes a Listener. The zero value of every field except
@@ -84,9 +92,11 @@ type Config struct {
 	// interleaving is scheduling-dependent.
 	Shards int
 	// QueueLen sizes each shard's queue, which holds 2 × QueueLen
-	// decoded frames. When a queue is full the reader drops the frame
-	// and counts it — explicit backpressure instead of unbounded
-	// buffering. Default 4096.
+	// decoded frames, counted frame by frame whatever the batches they
+	// ride in: a frame the consumer has received but not yet released
+	// still counts. When a queue is full the reader drops the frame and
+	// counts it — explicit backpressure instead of unbounded buffering.
+	// Default 4096.
 	QueueLen int
 	// Timestamped selects the 8-byte virtual-timestamp prefix framing
 	// (see the framing comment above).
@@ -109,24 +119,41 @@ type Stats struct {
 	Dropped     uint64 // frames dropped against a full shard queue
 	Enqueued    uint64 // decoded frames pushed onto a shard queue
 	SeqGaps     uint64 // missing GRE sequence numbers (sender- or kernel-side loss)
-	QueueDepth  int    // current frames queued across shards
+	QueueDepth  int    // frames queued or held unreleased across shards
 	QueueHWM    int    // high-water mark of QueueDepth
 }
 
 // Listener receives GRE-over-UDP telescope traffic and feeds
 // decapsulated frames into per-shard bounded queues. One goroutine, the
-// reader, takes a frame from the socket to its queue; the consumer is
-// the only other goroutine that touches it.
+// reader, takes each socket read to the queues, one Batch per shard the
+// read touched; the consumer is the only other goroutine that touches a
+// batch.
 type Listener struct {
 	cfg  Config
 	pc   *net.UDPConn
-	out  []chan *Frame // reader -> consumer, one per shard
-	pool sync.Pool
+	out  []chan *Batch  // reader -> consumer, one per shard
+	free chan *Batch    // released batches, for the reader to refill
 	wg   sync.WaitGroup // the reader
 
-	// lastSeq is the last GRE sequence number seen per tunnel key. The
-	// reader alone touches it, and sees every frame of every key.
+	// queued counts, per shard, the frames pushed and not yet released:
+	// what the queue bound and QueueDepth are measured in.
+	queued []atomic.Int64
+
+	// trains is set by a consumer that walks whole batches; until then
+	// the reader pushes every frame in a batch of its own.
+	trains atomic.Bool
+
+	// The reader alone touches these. lastSeq is the last GRE sequence
+	// number seen per tunnel key (the reader sees every frame of every
+	// key); cur is the batch each shard is filling from the current read,
+	// which is readLen bytes long and pushes a batch per shard when
+	// perRead (trains, as of the read) or per frame otherwise; f is the
+	// datagram being decoded.
 	lastSeq map[uint32]uint32
+	cur     []*Batch
+	readLen int
+	perRead bool
+	f       Frame
 
 	// The scraped counters are the registry's own (Config.Metrics).
 	received, frameErrors, dropped, seqGaps *metrics.Counter
@@ -161,28 +188,41 @@ func Listen(cfg Config) (*Listener, error) {
 	}
 	uc.SetReadBuffer(cfg.ReadBuffer) // best effort; the OS may clamp
 	setGRO(uc, true)                 // best effort; without it every read is one datagram
+	l := newListener(cfg)
+	l.pc = uc
+	l.wg.Add(1)
+	go l.readLoop()
+	return l, nil
+}
+
+// newListener builds everything of a listener but its socket; cfg has
+// its defaults.
+func newListener(cfg Config) *Listener {
 	m := cfg.Metrics
 	if m == nil {
 		m = metrics.NewRegistry() // private: only this listener reads it
 	}
 	l := &Listener{
-		cfg: cfg, pc: uc,
+		cfg:         cfg,
+		queued:      make([]atomic.Int64, cfg.Shards),
 		lastSeq:     make(map[uint32]uint32),
+		cur:         make([]*Batch, cfg.Shards),
 		received:    m.Counter("ingest_received_total"),
 		frameErrors: m.Counter("ingest_frame_errors_total"),
 		dropped:     m.Counter("ingest_dropped_total"),
 		seqGaps:     m.Counter("ingest_seq_gaps_total"),
 	}
-	l.pool.New = func() any { return new(Frame) }
-	l.out = make([]chan *Frame, cfg.Shards)
+	l.out = make([]chan *Batch, cfg.Shards)
 	for i := range l.out {
-		// 2 × QueueLen: what the raw and decapsulated queues this one
-		// replaced held between them, so a feed that fitted still fits.
-		l.out[i] = make(chan *Frame, 2*cfg.QueueLen)
+		// Every queued batch holds at least one of the 2 × QueueLen
+		// frames the shard may hold, so a push never finds it full.
+		l.out[i] = make(chan *Batch, 2*cfg.QueueLen)
 	}
-	l.wg.Add(1)
-	go l.readLoop()
-	return l, nil
+	// Room for every batch that can exist at once — those the queues
+	// hold, and one per shard the reader is filling — so a release
+	// never finds it full either.
+	l.free = make(chan *Batch, cfg.Shards*(2*cfg.QueueLen+1))
+	return l
 }
 
 // Addr returns the bound socket address (useful with ":0").
@@ -191,18 +231,20 @@ func (l *Listener) Addr() net.Addr { return l.pc.LocalAddr() }
 // Shards returns the shard count.
 func (l *Listener) Shards() int { return l.cfg.Shards }
 
-// Frames returns shard i's decapsulated-frame queue. Close closes the
-// channel; frames queued by then stay readable.
-func (l *Listener) Frames(i int) <-chan *Frame { return l.out[i] }
+// Frames returns shard i's batch queue. Close closes the channel;
+// batches queued by then stay readable.
+func (l *Listener) Frames(i int) <-chan *Batch { return l.out[i] }
 
-// Release returns a frame to the pool. The frame and its packet must
-// not be touched afterwards.
-func (l *Listener) Release(f *Frame) {
-	f.Pkt = netsim.Packet{}
-	l.pool.Put(f)
+// Release returns a batch to the reader and its frames to the queue
+// bound. The batch, its frames and their packets must not be touched
+// afterwards.
+func (l *Listener) Release(b *Batch) {
+	l.queued[b.shard].Add(-int64(len(b.Frames)))
+	b.Frames, b.data = b.Frames[:0], b.data[:0]
+	l.free <- b // never blocks: see newListener
 }
 
-// Close stops the reader and closes the frame channels. Frames already
+// Close stops the reader and closes the batch channels. Batches already
 // queued remain readable until consumed.
 func (l *Listener) Close() error {
 	err := l.pc.Close()
@@ -210,14 +252,14 @@ func (l *Listener) Close() error {
 	return err
 }
 
-// QueueDepth returns the decoded frames currently queued across all
-// shards.
+// QueueDepth returns the decoded frames currently queued, or received
+// and not yet released, across all shards.
 func (l *Listener) QueueDepth() int {
-	depth := 0
-	for i := range l.out {
-		depth += len(l.out[i])
+	depth := int64(0)
+	for i := range l.queued {
+		depth += l.queued[i].Load()
 	}
-	return depth
+	return int(depth)
 }
 
 // Stats returns a snapshot of the counters.
@@ -235,10 +277,10 @@ func (l *Listener) Stats() Stats {
 	}
 }
 
-// readLoop pulls trains off the socket, cuts them into datagrams, and
-// takes each through accept. It is the only goroutine that blocks on the
-// socket, and it blocks on nothing else: on queue overflow it drops
-// immediately (counted) so the socket keeps draining.
+// readLoop pulls trains off the socket and takes each through
+// acceptRead. It is the only goroutine that blocks on the socket, and it
+// blocks on nothing else: on queue overflow it drops immediately
+// (counted) so the socket keeps draining.
 func (l *Listener) readLoop() {
 	defer l.wg.Done()
 	defer func() {
@@ -249,7 +291,6 @@ func (l *Listener) readLoop() {
 	buf := make([]byte, readBufSize)
 	oob := make([]byte, 64) // room for the one control message UDP_GRO adds
 	var ts sim.Time
-	accept := func(seg []byte) { l.accept(seg, ts) }
 	for {
 		n, oobn, _, _, err := l.pc.ReadMsgUDPAddrPort(buf, oob)
 		if err != nil {
@@ -262,7 +303,7 @@ func (l *Listener) readLoop() {
 			l.once.Do(func() { l.t0.Store(now) })
 			ts = sim.Time(now - l.t0.Load())
 		}
-		splitTrain(buf[:n], oob[:oobn], accept)
+		l.acceptRead(buf[:n], oob[:oobn], ts)
 	}
 }
 
@@ -283,33 +324,89 @@ func splitTrain(data, oob []byte, each func(seg []byte)) {
 	each(data)
 }
 
-// accept takes one datagram through the per-frame path, start to
-// finish on the reader's goroutine: a pooled Frame, the received and
-// byte counters, the decode, and its shard's bounded queue or a counted
-// drop. Shards are by inner destination address, which keeps
-// per-destination order within one queue.
-func (l *Listener) accept(seg []byte, ts sim.Time) {
-	f := l.pool.Get().(*Frame)
-	f.N = copy(f.Buf[:], seg)
-	f.TS = ts
+// acceptRead takes one socket read, received at ts, through the
+// reader's path: each datagram is counted and accepted into its shard's
+// batch, and then each batch the read filled changes hands once. The
+// read buffer is free again when it returns: no frame aliases it.
+func (l *Listener) acceptRead(data, oob []byte, ts sim.Time) {
+	l.f.TS, l.readLen, l.perRead = ts, len(data), l.trains.Load()
+	splitTrain(data, oob, l.accept)
+	for s, b := range l.cur {
+		if b != nil {
+			l.push(s)
+		}
+	}
+}
+
+// accept takes one datagram of the current read: the received and byte
+// counters, the decode where the datagram sits in the read buffer, and
+// then either a counted drop against its shard's bound or a copy into
+// the shard's batch. Shards are by inner destination address, which
+// keeps per-destination order within one queue.
+func (l *Listener) accept(seg []byte) {
 	l.received.Inc()
-	l.bytes.Add(uint64(f.N))
-	if !l.decode(f, l.lastSeq) {
+	if len(seg) > frameBufSize {
+		l.bytes.Add(frameBufSize)
 		l.frameErrors.Inc()
-		l.Release(f)
 		return
 	}
-	// Counted before the send, and uncounted on a drop, so that a frame
-	// the consumer holds is always one Stats has as enqueued.
-	l.enqueued.Add(1)
-	select {
-	case l.out[uint32(f.Pkt.Dst)%uint32(l.cfg.Shards)] <- f:
-		l.trackDepth()
-	default:
-		l.enqueued.Add(^uint64(0))
-		l.dropped.Inc()
-		l.Release(f)
+	l.bytes.Add(uint64(len(seg)))
+	// Capped at its own length, the datagram tells a payload's offset in
+	// it by the payload's capacity.
+	seg = seg[:len(seg):len(seg)]
+	f := &l.f
+	if !l.decode(f, seg, l.lastSeq) {
+		l.frameErrors.Inc()
+		return
 	}
+	s := int(uint32(f.Pkt.Dst) % uint32(l.cfg.Shards))
+	b := l.cur[s]
+	held := l.queued[s].Load()
+	if b != nil {
+		held += int64(len(b.Frames))
+	}
+	if held >= int64(2*l.cfg.QueueLen) {
+		l.dropped.Inc()
+		return
+	}
+	if b == nil {
+		size := len(seg)
+		if l.perRead {
+			size = l.readLen
+		}
+		select {
+		case b = <-l.free:
+		default:
+			b = new(Batch)
+		}
+		if cap(b.data) < size {
+			b.data = make([]byte, 0, size)
+		}
+		b.shard = s
+		l.cur[s] = b
+	}
+	at := len(b.data)
+	b.data = append(b.data, seg...) // within the capacity: nothing moves
+	if p := f.Pkt.Payload; p != nil {
+		at += len(seg) - cap(p)
+		f.Pkt.Payload = b.data[at : at+len(p) : at+len(p)]
+	}
+	b.Frames = append(b.Frames, *f)
+	// Counted before the push, so that a frame the consumer holds is
+	// always one Stats has as enqueued.
+	l.enqueued.Add(1)
+	if !l.perRead {
+		l.push(s)
+	}
+}
+
+// push hands shard s's current batch to its queue.
+func (l *Listener) push(s int) {
+	b := l.cur[s]
+	l.cur[s] = nil
+	l.queued[s].Add(int64(len(b.Frames)))
+	l.out[s] <- b // never blocks: see newListener
+	l.trackDepth()
 }
 
 // trackDepth maintains the queue high-water mark.
@@ -323,12 +420,12 @@ func (l *Listener) trackDepth() {
 	}
 }
 
-// decode parses a raw frame in place — the packet payload aliases the
-// frame buffer — so the steady-state decap path allocates nothing (see
+// decode parses datagram p into f in place — the packet payload aliases
+// p — so the steady-state decap path allocates nothing (see
 // BenchmarkIngestDecap). It returns false on any framing, GRE, or
 // inner-IPv4 error.
-func (l *Listener) decode(f *Frame, lastSeq map[uint32]uint32) bool {
-	p := f.Buf[:f.N]
+func (l *Listener) decode(f *Frame, p []byte, lastSeq map[uint32]uint32) bool {
+	f.N = len(p)
 	if l.cfg.Timestamped {
 		if len(p) < tsPrefixLen {
 			return false

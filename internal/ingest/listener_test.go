@@ -11,9 +11,9 @@ import (
 	"potemkin/internal/telescope"
 )
 
-// collect reads exactly n frames from the listener (all shards) or
+// collect reads at least n frames from the listener (all shards) or
 // fails the test after a deadline. Frames are cloned to records and
-// released.
+// their batches released.
 func collect(t *testing.T, l *Listener, n int) []telescope.Record {
 	t.Helper()
 	var out []telescope.Record
@@ -21,12 +21,14 @@ func collect(t *testing.T, l *Listener, n int) []telescope.Record {
 	for len(out) < n {
 		for i := 0; i < l.Shards(); i++ {
 			select {
-			case f, ok := <-l.Frames(i):
+			case b, ok := <-l.Frames(i):
 				if !ok {
 					t.Fatalf("frames channel closed after %d of %d", len(out), n)
 				}
-				out = append(out, telescope.RecordOf(f.TS, &f.Pkt))
-				l.Release(f)
+				for _, f := range b.Frames {
+					out = append(out, telescope.RecordOf(f.TS, &f.Pkt))
+				}
+				l.Release(b)
 			case <-deadline:
 				t.Fatalf("timed out after %d of %d frames", len(out), n)
 			case <-time.After(10 * time.Millisecond):
@@ -94,10 +96,12 @@ func TestWireLoopbackSharded(t *testing.T) {
 		for len(out) < len(recs) {
 			for i := 0; i < l.Shards(); i++ {
 				select {
-				case f := <-l.Frames(i):
-					if f != nil {
-						out = append(out, telescope.RecordOf(f.TS, &f.Pkt))
-						l.Release(f)
+				case b := <-l.Frames(i):
+					if b != nil {
+						for _, f := range b.Frames {
+							out = append(out, telescope.RecordOf(f.TS, &f.Pkt))
+						}
+						l.Release(b)
 					}
 				default:
 				}
@@ -210,14 +214,12 @@ func TestDecapZeroAllocs(t *testing.T) {
 	wire := buildWireFrame(12345, 7, 0, pkt)
 	l := &Listener{cfg: Config{Timestamped: true, Shards: 1}}
 	f := &Frame{}
-	copy(f.Buf[:], wire)
-	f.N = len(wire)
 	lastSeq := map[uint32]uint32{7: 0} // pre-seeded, as in steady state
-	if !l.decode(f, lastSeq) {
+	if !l.decode(f, wire, lastSeq) {
 		t.Fatal("decode failed")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if !l.decode(f, lastSeq) {
+		if !l.decode(f, wire, lastSeq) {
 			t.Fatal("decode failed")
 		}
 	})
@@ -236,13 +238,11 @@ func BenchmarkIngestDecap(b *testing.B) {
 	wire := buildWireFrame(12345, 7, 0, pkt)
 	l := &Listener{cfg: Config{Timestamped: true, Shards: 1}}
 	f := &Frame{}
-	copy(f.Buf[:], wire)
-	f.N = len(wire)
 	lastSeq := map[uint32]uint32{7: 0}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(wire)))
 	for i := 0; i < b.N; i++ {
-		if !l.decode(f, lastSeq) {
+		if !l.decode(f, wire, lastSeq) {
 			b.Fatal("decode failed")
 		}
 	}

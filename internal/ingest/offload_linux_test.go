@@ -3,12 +3,15 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"slices"
 	"syscall"
 	"testing"
 	"time"
 
 	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
+	"potemkin/internal/telescope"
 )
 
 // groControl builds the control data the kernel attaches to a coalesced
@@ -88,10 +91,10 @@ func TestSplitTrainZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestOverlongSegment: a segment longer than a Frame is clipped on the
-// copy, counted as received, and refused by the IPv4 parser — the
-// outcome a truncated socket read had. The frames after it in the same
-// train are untouched.
+// TestOverlongSegment: a segment longer than frameBufSize is counted as
+// received, with frameBufSize bytes, and as a frame error — the outcome
+// a truncated socket read had. The frames after it in the same train are
+// untouched.
 func TestOverlongSegment(t *testing.T) {
 	l, err := Listen(Config{Addr: "127.0.0.1:0", Timestamped: true})
 	if err != nil {
@@ -105,7 +108,7 @@ func TestOverlongSegment(t *testing.T) {
 	if len(train) != segLen+60 {
 		t.Fatalf("built a %d-byte train, want %d", len(train), segLen+60)
 	}
-	splitTrain(train, groControl(segLen), func(seg []byte) { l.accept(seg, 0) })
+	l.acceptRead(train, groControl(segLen), 0)
 	got := collectArrivals(t, l, 1)
 	if got[0].Seq != 1 || got[0].N != 60 {
 		t.Fatalf("surviving frame = %+v", got[0])
@@ -125,7 +128,7 @@ func TestOverlongSegment(t *testing.T) {
 // sender to deliver the same train one datagram per segment, once each,
 // and to stop asking.
 func TestSegmentRefusedFallsBack(t *testing.T) {
-	l, s := wireShapes[0].pair(t, true)
+	l, s := wireShapes[0].pair(t, Config{Timestamped: true})
 	rc, err := s.conn.SyscallConn()
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +187,125 @@ func FuzzSplitTrain(f *testing.F) {
 		}
 		if segs > max(1, len(data)) {
 			t.Fatalf("%d segments from %d bytes", segs, len(data))
+		}
+	})
+}
+
+// TestListenerSteadyStateAllocs: once its free list is warm, the reader's
+// per-read path and WireSource.Read move a timestamped train from the
+// read buffer to records without allocating per train or per frame —
+// pushing 1,000 trains allocates no more than pushing 100.
+func TestListenerSteadyStateAllocs(t *testing.T) {
+	l := newListener(Config{Timestamped: true, Shards: 1, QueueLen: 4096})
+	ws := &WireSource{L: l}
+	var train []byte
+	for i := 0; i < trainSegs; i++ {
+		train = append(train, buildWireFrame(sim.Time(i+1), 7, uint32(i), syn(i, 0))...)
+	}
+	read, oob := make([]byte, len(train)), groControl(len(train)/trainSegs)
+	var rec telescope.Record
+	push := func(trains int) {
+		for i := 0; i < trains; i++ {
+			copy(read, train)
+			l.acceptRead(read, oob, 0)
+			for k := 0; k < trainSegs; k++ {
+				if err := ws.Read(&rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	push(100) // fill the free list; the first Read starts walking trains
+	emitted := ws.Emitted()
+	perSmall := testing.AllocsPerRun(5, func() { push(100) })
+	perLarge := testing.AllocsPerRun(5, func() { push(1000) })
+	if got, want := ws.Emitted()-emitted, uint64(6*(100+1000)*trainSegs); got != want {
+		t.Fatalf("measured pushes emitted %d records, want %d", got, want)
+	}
+	if st := l.Stats(); st.Dropped != 0 || st.FrameErrors != 0 || st.QueueDepth != 0 {
+		t.Fatalf("stats = %+v, want every frame emitted and released", st)
+	}
+	if more := perLarge - perSmall; more > 4 {
+		t.Fatalf("900 more trains allocate %.0f more objects (%.4f per frame), want 0", more, more/(900*trainSegs))
+	}
+}
+
+// FuzzAcceptTrain: arbitrary read bytes and a GRO segment size through
+// the reader's per-read path. Every datagram is counted once — one over
+// frameBufSize as a frame error of frameBufSize bytes, a zero-length one
+// as a received frame and a frame error — and every queued frame equals
+// what its datagram decodes to from a private copy, re-marshalled, after
+// the read buffer has been overwritten: nothing queued aliases it.
+func FuzzAcceptTrain(f *testing.F) {
+	frame := buildWireFrame(1, 7, 0, syn(0, 12))
+	f.Add(bytes.Repeat(frame, 3), len(frame), true)
+	f.Add(bytes.Repeat(frame, 3), len(frame), false)
+	f.Add(frame, 0, true)
+	f.Add([]byte(nil), 60, true)
+	big := buildWireFrame(1, 7, 0, syn(0, frameBufSize))
+	f.Add(append(big, frame...), len(big), true)
+	f.Fuzz(func(t *testing.T, data []byte, size int, trains bool) {
+		data = data[:min(len(data), readBufSize)]
+		cfg := Config{Timestamped: true, Shards: 2, QueueLen: 4096}
+		l, ref := newListener(cfg), newListener(cfg)
+		l.trains.Store(trains)
+		oob := groControl(size)
+
+		// What each datagram should come to, decoded from its own copy.
+		var want Stats
+		wantFrames := make([][]Frame, cfg.Shards)
+		splitTrain(data, oob, func(seg []byte) {
+			want.Received++
+			want.Bytes += uint64(min(len(seg), frameBufSize))
+			var f Frame
+			if len(seg) > frameBufSize || !ref.decode(&f, bytes.Clone(seg), ref.lastSeq) {
+				want.FrameErrors++
+				return
+			}
+			want.Enqueued++
+			s := uint32(f.Pkt.Dst) % uint32(cfg.Shards)
+			wantFrames[s] = append(wantFrames[s], f)
+		})
+		if len(data) == 0 && (want.Received != 1 || want.FrameErrors != 1) {
+			t.Fatalf("a zero-length read counts %+v, want one received frame and one frame error", want)
+		}
+
+		read := bytes.Clone(data)
+		l.acceptRead(read, oob, 0)
+		for i := range read {
+			read[i] = 0xa5
+		}
+		want.SeqGaps = ref.seqGaps.Load()
+		want.QueueDepth = int(want.Enqueued)
+		want.QueueHWM = want.QueueDepth // nothing is released while the read is taken
+		if st := l.Stats(); st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
+		}
+		for s := range wantFrames {
+			n := 0
+			for len(l.Frames(s)) > 0 {
+				b := <-l.Frames(s)
+				if !trains && len(b.Frames) != 1 {
+					t.Fatalf("a batch of %d frames before any consumer walks trains", len(b.Frames))
+				}
+				for i := range b.Frames {
+					if n == len(wantFrames[s]) {
+						t.Fatalf("shard %d queued more than the %d frames its datagrams decode to", s, n)
+					}
+					g, w := &b.Frames[i], &wantFrames[s][n]
+					if !reflect.DeepEqual(g, w) || !bytes.Equal(g.Pkt.Marshal(), w.Pkt.Marshal()) {
+						t.Fatalf("shard %d frame %d: got %+v, want %+v", s, n, *g, *w)
+					}
+					n++
+				}
+				l.Release(b)
+			}
+			if n != len(wantFrames[s]) {
+				t.Fatalf("shard %d queued %d frames, want %d", s, n, len(wantFrames[s]))
+			}
+		}
+		if d := l.QueueDepth(); d != 0 {
+			t.Fatalf("queue depth %d after releasing every batch", d)
 		}
 	})
 }

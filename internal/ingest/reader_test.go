@@ -1,10 +1,10 @@
 package ingest
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -17,14 +17,6 @@ func eventually(t *testing.T, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached in 10s")
 		}
-	}
-}
-
-// TestFrameHeaderBeforeBuf: the fields every frame's reader and consumer
-// touch sit ahead of the 4 KiB buffer, not a page behind it.
-func TestFrameHeaderBeforeBuf(t *testing.T) {
-	if unsafe.Offsetof(Frame{}.Buf) <= unsafe.Offsetof(Frame{}.Pkt) {
-		t.Fatalf("Frame.Buf at offset %d is ahead of Frame.Pkt at %d", unsafe.Offsetof(Frame{}.Buf), unsafe.Offsetof(Frame{}.Pkt))
 	}
 }
 
@@ -41,6 +33,7 @@ func TestShardedFeedReportsNoFalseGaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		l.trains.Store(true)
 		s, err := DialWire(l.Addr().String(), 7, true)
 		if err != nil {
 			l.Close()
@@ -58,15 +51,17 @@ func TestShardedFeedReportsNoFalseGaps(t *testing.T) {
 		l.Close()
 		for q := 0; q < shards; q++ {
 			last := -1
-			for f := range l.Frames(q) {
-				if got := int(uint32(f.Pkt.Dst) % uint32(shards)); got != q {
-					t.Fatalf("shards=%d: queue %d holds a frame for %s, which belongs to queue %d", shards, q, f.Pkt.Dst, got)
+			for b := range l.Frames(q) {
+				for _, f := range b.Frames {
+					if got := int(uint32(f.Pkt.Dst) % uint32(shards)); got != q {
+						t.Fatalf("shards=%d: queue %d holds a frame for %s, which belongs to queue %d", shards, q, f.Pkt.Dst, got)
+					}
+					if int(f.Seq) <= last {
+						t.Fatalf("shards=%d: queue %d delivered GRE sequence %d after %d", shards, q, f.Seq, last)
+					}
+					last = int(f.Seq)
 				}
-				if int(f.Seq) <= last {
-					t.Fatalf("shards=%d: queue %d delivered GRE sequence %d after %d", shards, q, f.Seq, last)
-				}
-				last = int(f.Seq)
-				l.Release(f)
+				l.Release(b)
 			}
 		}
 		st := l.Stats()
@@ -91,6 +86,7 @@ func TestReaderNeverBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.trains.Store(true)
 	s, err := DialWire(l.Addr().String(), 7, true)
 	if err != nil {
 		l.Close()
@@ -128,15 +124,74 @@ func TestReaderNeverBlocks(t *testing.T) {
 		t.Fatal("Close did not return with the consumer stalled")
 	}
 	n := 0
-	for f := range l.Frames(0) {
-		if int(f.Seq) != n {
-			t.Fatalf("queued frame %d has GRE sequence %d: the queue kept the oldest frames, in order", n, f.Seq)
+	for b := range l.Frames(0) {
+		for _, f := range b.Frames {
+			if int(f.Seq) != n {
+				t.Fatalf("queued frame %d has GRE sequence %d: the queue kept the oldest frames, in order", n, f.Seq)
+			}
+			n++
 		}
-		l.Release(f)
-		n++
+		l.Release(b)
 	}
 	if n != held {
 		t.Fatalf("%d frames readable after Close, want the %d queued", n, held)
 	}
 	eventually(t, func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestQueueBoundCountsFrames: a shard's bound is 2 × QueueLen frames,
+// not batches. With the consumer stalled, 64-frame trains leave exactly
+// the oldest 16 frames queued — in every shape a train can cross the
+// socket in, and whether a read's frames ride one batch or one batch
+// each — and drop the rest.
+func TestQueueBoundCountsFrames(t *testing.T) {
+	const (
+		queueLen = 8
+		held     = 2 * queueLen
+		frames   = 3 * trainSegs
+	)
+	for _, w := range wireShapes {
+		for _, trains := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/trains=%v", w.name, trains), func(t *testing.T) {
+				l, s := w.pair(t, Config{Timestamped: true, QueueLen: queueLen})
+				l.trains.Store(trains)
+				pkts := make([]*netsim.Packet, frames)
+				for i := range pkts {
+					pkts[i] = syn(i, 0)
+				}
+				sendAll(t, s, pkts)
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				var st Stats
+				eventually(t, func() bool {
+					st = l.Stats()
+					return st.Received == frames
+				})
+				want := Stats{Received: frames, Bytes: 60 * frames, Enqueued: held, Dropped: frames - held, QueueDepth: held, QueueHWM: held}
+				if st != want {
+					t.Fatalf("stalled consumer: %+v, want %+v", st, want)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for b := range l.Frames(0) {
+					if !trains && len(b.Frames) != 1 {
+						t.Fatalf("a batch of %d frames before any consumer walks trains", len(b.Frames))
+					}
+					for _, f := range b.Frames {
+						if int(f.Seq) != n {
+							t.Fatalf("queued frame %d has GRE sequence %d, want the oldest frames in order", n, f.Seq)
+						}
+						n++
+					}
+					l.Release(b)
+				}
+				if n != held || l.QueueDepth() != 0 {
+					t.Fatalf("%d frames queued, depth %d after releasing them; want %d and 0", n, l.QueueDepth(), held)
+				}
+			})
+		}
+	}
 }

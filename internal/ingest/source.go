@@ -68,7 +68,9 @@ type WireSource struct {
 	// whether ingest reordering or barrier wait bounds live throughput.
 	Metrics *metrics.Registry
 
-	merged  <-chan *Frame
+	merged  <-chan *Batch
+	cur     *Batch // the batch being walked; nil between batches
+	next    int    // cur's next frame
 	started bool
 	last    sim.Time
 	lag     *metrics.Hist
@@ -86,30 +88,38 @@ func (ws *WireSource) Emitted() uint64 { return ws.emitted.Load() }
 // stream and were quantized forward to keep the source time-sorted.
 func (ws *WireSource) Clamped() uint64 { return ws.clamped.Load() }
 
-// Read implements telescope.Source: it blocks for the next frame, maps
-// its timestamp onto the monotone virtual stream, and emits it as a
-// record (copying any payload content out of the pooled frame). The
-// capture, when configured, is written before the record is returned,
-// so a record the simulation saw is always in the artifact.
+// Read implements telescope.Source: it takes the next frame of the batch
+// it holds — blocking for the next batch after the last — maps its
+// timestamp onto the monotone virtual stream, and emits it as a record
+// (copying any payload content out of the recycled batch, which it
+// releases after its last frame). The capture, when configured, is
+// written before the record is returned, so a record the simulation saw
+// is always in the artifact.
 func (ws *WireSource) Read(rec *telescope.Record) error {
 	if !ws.started {
 		ws.started = true
+		ws.L.trains.Store(true)
 		ws.merged = mergeFrames(ws.L)
 		ws.lag = ws.Metrics.Hist("ingest_arrival_lag_ms") // nil, a no-op, without Metrics
 	}
 	if ws.err != nil {
 		return ws.err
 	}
-	f, ok := <-ws.merged
-	if !ok {
-		if ws.Capture != nil {
-			if err := ws.Capture.Flush(); err != nil {
-				ws.err = err
-				return err
+	if ws.cur == nil {
+		b, ok := <-ws.merged
+		if !ok {
+			if ws.Capture != nil {
+				if err := ws.Capture.Flush(); err != nil {
+					ws.err = err
+					return err
+				}
 			}
+			return io.EOF
 		}
-		return io.EOF
+		ws.cur, ws.next = b, 0
 	}
+	f := &ws.cur.Frames[ws.next]
+	ws.next++
 	speed := ws.Speedup
 	if speed <= 0 {
 		speed = 1
@@ -131,7 +141,10 @@ func (ws *WireSource) Read(rec *telescope.Record) error {
 	if hasContent(f.Pkt.Payload) {
 		rec.Payload = append([]byte(nil), f.Pkt.Payload...)
 	}
-	ws.L.Release(f)
+	if ws.next == len(ws.cur.Frames) {
+		ws.L.Release(ws.cur)
+		ws.cur = nil
+	}
 	ws.emitted.Add(1)
 	if ws.Capture != nil {
 		pkt := rec.Packet()
@@ -164,22 +177,23 @@ func hasContent(p []byte) bool {
 	return false
 }
 
-// mergeFrames fans the listener's shard queues into one channel. With
-// one shard this is a direct handoff; with several, interleaving across
-// shards follows goroutine scheduling (per-destination order is still
-// preserved, because the listener shards by destination).
-func mergeFrames(l *Listener) <-chan *Frame {
+// mergeFrames fans the listener's shard queues into one channel of
+// batches. With one shard this is a direct handoff; with several,
+// interleaving across shards follows goroutine scheduling
+// (per-destination order is still preserved, because the listener
+// shards by destination).
+func mergeFrames(l *Listener) <-chan *Batch {
 	if l.Shards() == 1 {
 		return l.Frames(0)
 	}
-	merged := make(chan *Frame, l.Shards())
+	merged := make(chan *Batch, l.Shards())
 	var wg sync.WaitGroup
 	for i := 0; i < l.Shards(); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for f := range l.Frames(i) {
-				merged <- f
+			for b := range l.Frames(i) {
+				merged <- b
 			}
 		}(i)
 	}

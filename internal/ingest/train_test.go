@@ -18,20 +18,23 @@ type arrival struct {
 	Pkt netsim.Packet
 }
 
-// collectArrivals reads n frames off shard 0, failing the test when they
-// have not all come within a deadline far above trainDelay.
+// collectArrivals reads the batches off shard 0 until they have brought
+// at least n frames, failing the test when they have not all come within
+// a deadline far above trainDelay.
 func collectArrivals(t *testing.T, l *Listener, n int) []arrival {
 	t.Helper()
 	out := make([]arrival, 0, n)
 	deadline := time.After(5 * time.Second)
 	for len(out) < n {
 		select {
-		case f, ok := <-l.Frames(0):
+		case b, ok := <-l.Frames(0):
 			if !ok {
 				t.Fatalf("frames channel closed after %d of %d", len(out), n)
 			}
-			out = append(out, arrival{N: f.N, TS: f.TS, Seq: f.Seq, Pkt: *f.Pkt.Clone()})
-			l.Release(f)
+			for _, f := range b.Frames {
+				out = append(out, arrival{N: f.N, TS: f.TS, Seq: f.Seq, Pkt: *f.Pkt.Clone()})
+			}
+			l.Release(b)
 		case <-deadline:
 			t.Fatalf("timed out after %d of %d frames", len(out), n)
 		}
@@ -52,15 +55,17 @@ var wireShapes = []wireShape{
 	{"per-datagram", true, false},
 }
 
-// pair opens a listener and a sender to it in the given shape.
-func (w wireShape) pair(t *testing.T, timestamped bool) (*Listener, *WireSender) {
+// pair opens a listener on loopback with cfg, and a sender to it in the
+// given shape.
+func (w wireShape) pair(t *testing.T, cfg Config) (*Listener, *WireSender) {
 	t.Helper()
-	l, err := Listen(Config{Addr: "127.0.0.1:0", Timestamped: timestamped})
+	cfg.Addr = "127.0.0.1:0"
+	l, err := Listen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	s, err := DialWire(l.Addr().String(), 7, timestamped)
+	s, err := DialWire(l.Addr().String(), 7, cfg.Timestamped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +76,7 @@ func (w wireShape) pair(t *testing.T, timestamped bool) (*Listener, *WireSender)
 	if !w.gro {
 		l.DisableGRO()
 	}
+	l.trains.Store(true) // a read is one batch, as under a WireSource
 	return l, s
 }
 
@@ -144,7 +150,7 @@ func TestTrains(t *testing.T) {
 		run  func(t *testing.T, w wireShape) outcome
 	}{
 		{"mixed lengths arrive in order", func(t *testing.T, w wireShape) outcome {
-			l, s := w.pair(t, true)
+			l, s := w.pair(t, Config{Timestamped: true})
 			var pkts []*netsim.Packet
 			for i, pay := range []int{0, 0, 12, 0, 12, 12, 12, 0, 0, 0, 400, 0} {
 				pkts = append(pkts, syn(i, pay))
@@ -161,7 +167,7 @@ func TestTrains(t *testing.T) {
 			return outcome{got, l.Stats()}
 		}},
 		{"130 equal frames are two full trains and a tail", func(t *testing.T, w wireShape) outcome {
-			l, s := w.pair(t, true)
+			l, s := w.pair(t, Config{Timestamped: true})
 			pkts := make([]*netsim.Packet, 2*trainSegs+2)
 			for i := range pkts {
 				pkts[i] = syn(i, 0)
@@ -175,7 +181,7 @@ func TestTrains(t *testing.T) {
 			return outcome{got, l.Stats()}
 		}},
 		{"the backstop sends what nobody flushed", func(t *testing.T, w wireShape) outcome {
-			l, s := w.pair(t, true)
+			l, s := w.pair(t, Config{Timestamped: true})
 			pkts := []*netsim.Packet{syn(0, 0), syn(1, 0), syn(2, 0)}
 			sendAll(t, s, pkts)
 			got := collectArrivals(t, l, len(pkts)) // no Flush, no Close
@@ -183,7 +189,7 @@ func TestTrains(t *testing.T) {
 			return outcome{got, l.Stats()}
 		}},
 		{"Close flushes", func(t *testing.T, w wireShape) outcome {
-			l, s := w.pair(t, true)
+			l, s := w.pair(t, Config{Timestamped: true})
 			pkts := []*netsim.Packet{syn(0, 0), syn(1, 12), syn(2, 12)}
 			sendAll(t, s, pkts)
 			if err := s.Close(); err != nil {
@@ -197,7 +203,7 @@ func TestTrains(t *testing.T) {
 			return outcome{got, l.Stats()}
 		}},
 		{"plain framing never waits", func(t *testing.T, w wireShape) outcome {
-			l, s := w.pair(t, false)
+			l, s := w.pair(t, Config{})
 			var got []arrival
 			for i := 0; i < 3; i++ {
 				if err := s.SendPacket(0, syn(i, 0)); err != nil {
@@ -246,7 +252,7 @@ func TestTrains(t *testing.T) {
 // every frame arrives once, in order. Run under -race it is the check
 // on the one piece of concurrency the sender has.
 func TestTrainOwnerAgainstTimer(t *testing.T) {
-	l, s := wireShapes[0].pair(t, true)
+	l, s := wireShapes[0].pair(t, Config{Timestamped: true})
 	const frames = 3000
 	sendErr := make(chan error, 1)
 	go func() {
