@@ -29,7 +29,10 @@ test:
 # panics are not control flow. So does a sync.Pool outside tests and
 # bench/: the runtime keeps a pool's contents for a further collection,
 # a packet into a shard rides its domain's own free list of envelopes,
-# and the wire listener's batches ride the listener's.
+# and the wire listener's batches ride the listener's. So does a
+# netsim.TCPSyn or netsim.UDPDatagram in non-test internal/guest: every
+# packet a guest originates is built in the instance's own storage
+# (Instance.outgoing), so a send allocates nothing.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -45,6 +48,8 @@ vet:
 		[ -z "$$out" ] || { echo "vet: recover() outside internal/core/parallel.go (return an error instead of panicking):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'sync\.Pool' -- '*.go' ':!*_test.go' ':!bench'); \
 		[ -z "$$out" ] || { echo "vet: sync.Pool (use a free list the owner keeps):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n -e 'netsim\.TCPSyn(' -e 'netsim\.UDPDatagram(' -- 'internal/guest/*.go' ':!*_test.go'); \
+		[ -z "$$out" ] || { echo "vet: a guest packet built on the heap (build it in the instance's own storage, Instance.outgoing):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...

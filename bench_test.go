@@ -78,6 +78,14 @@ func BenchmarkE2FullCopyBaseline(b *testing.B) {
 	benchE2(b, true)
 }
 
+// benchE2 clones a VM, writes 100 single bytes at random across its
+// resident set and destroys it, b.N times, without running the kernel.
+// Its allocations (5 a VM, 378 B, for delta virtualization) are the
+// harness's, not the fault path's, which allocates nothing
+// (TestCloneBurstDestroyAllocs): a VM destroyed mid-clone goes back to
+// its host only when its clone-completion event fires, which here never
+// happens, so every VM is a fresh VM and disk Overlay from vmm.newVM
+// (4 allocations) and a fresh kernel event (Kernel.At, 1).
 func benchE2(b *testing.B, fullCopy bool) {
 	k := sim.NewKernel(1)
 	cfg := vmm.DefaultHostConfig("bench")

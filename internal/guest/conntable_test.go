@@ -17,6 +17,14 @@ func TestConnSize(t *testing.T) {
 	}
 }
 
+// TestInstanceSize: an Instance stays in the 480-byte size class. Every
+// live VM holds one, and the next class up is 512 bytes.
+func TestInstanceSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instance{}); got > 480 {
+		t.Errorf("Instance is %d bytes, want at most 480", got)
+	}
+}
+
 // TestInsertReplacingKeyInFullTableEvictsNothingElse: a full table that
 // opens a connection under a key it already holds replaces that one and
 // evicts nothing else.

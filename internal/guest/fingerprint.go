@@ -143,9 +143,15 @@ func (in *Instance) emitBeacon() {
 	in.actions++
 	now := in.K.Now()
 	in.VM.Touch(now)
-	b := netsim.TCPSyn(in.IP, in.Profile.C2Server, in.ephemeralPort(),
-		in.Profile.c2Port(), uint32(in.rng.Uint64()))
-	b.Flags |= netsim.FlagPSH
-	b.Payload = []byte("C2 beacon gen" + string([]byte{byte('0' + in.Generation%10)}))
-	in.reply(b)
+	in.reply(in.synPSH(in.Profile.C2Server, in.ephemeralPort(), in.Profile.c2Port(),
+		uint32(in.rng.Uint64()), beaconPayloads[in.Generation%10]))
 }
+
+// beaconPayloads are the beacon markers by generation mod 10, shared
+// read-only by every guest.
+var beaconPayloads = func() (b [10][]byte) {
+	for i := range b {
+		b[i] = []byte("C2 beacon gen" + string(rune('0'+i)))
+	}
+	return b
+}()

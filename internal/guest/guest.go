@@ -12,6 +12,7 @@
 package guest
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -202,6 +203,12 @@ func (p *Profile) openPort(proto netsim.Proto, port uint16) bool {
 // so chain depth is measurable end to end. It returns nil if p has no
 // vulnerability.
 func (p *Profile) ExploitPayload(generation int) []byte {
+	return p.appendExploit(nil, generation)
+}
+
+// appendExploit appends ExploitPayload(generation) to dst, growing it
+// at most once. With no vulnerability it returns nil.
+func (p *Profile) appendExploit(dst []byte, generation int) []byte {
 	v := p.vulnerable()
 	if v == nil {
 		return nil
@@ -209,9 +216,9 @@ func (p *Profile) ExploitPayload(generation int) []byte {
 	if generation < 0 || generation > 255 {
 		generation = 255
 	}
-	out := make([]byte, 0, len(v.ExploitSig)+1)
-	out = append(out, v.ExploitSig...)
-	return append(out, byte(generation))
+	dst = slices.Grow(dst, len(v.ExploitSig)+1)
+	dst = append(dst, v.ExploitSig...)
+	return append(dst, byte(generation))
 }
 
 // parseGeneration extracts the generation tag from an exploit payload.
@@ -223,9 +230,10 @@ func parseGeneration(sig, payload []byte) int {
 }
 
 // Sender transmits a packet originated by the guest. The farm wires this
-// to the host's uplink toward the gateway. A packet marked Ephemeral is
-// the guest's own storage, rewritten by its next segment: a sender that
-// keeps one past the call must Clone it.
+// to the host's uplink toward the gateway. Every packet the guest sends
+// is marked Ephemeral: it is the guest's own storage, rewritten by its
+// next send, and so may its payload be (or bytes every guest shares), so
+// a sender that keeps one past the call must Clone it.
 type Sender func(pkt *netsim.Packet)
 
 // TargetPicker chooses a scan destination for an infected guest.
@@ -321,11 +329,14 @@ type Instance struct {
 	inst    *Instruments
 	rng     sim.RNG
 	stats   Stats
-	stopped bool
-	ipid    uint16
 	conns   connTable
 	tcpSeen uint64
-	seg     netsim.Packet // the TCP segment being sent (see sendSegment)
+
+	// seg is the packet being sent (see outgoing), and exploit the payload
+	// the infected guest's attacks carry, built once on infection; both
+	// keep their storage when the struct is reused.
+	seg     netsim.Packet
+	exploit []byte
 
 	// The periodic processes' kernel callbacks, bound once for the
 	// struct's lifetime so that scheduling the next one allocates
@@ -337,16 +348,20 @@ type Instance struct {
 	onTouch, onScan, onCanary, onBeacon sim.Event
 	events                              int
 
+	// Fingerprinting state: consecutive unanswered canaries, the
+	// attacker actions (scans, canaries, beacons) executed so far — the
+	// deception survival clock — and (quiet, below) whether the guest
+	// has concluded it is jailed.
+	suspicion int
+	actions   uint64
+
+	// The narrow fields share one word, which keeps the struct in its
+	// 480-byte size class (TestInstanceSize).
+	stopped bool
+	quiet   bool
+	ipid    uint16
 	// dnsPending is the outstanding second-stage lookup ID (0 = none).
 	dnsPending uint16
-
-	// Fingerprinting state: consecutive unanswered canaries, whether
-	// the guest has concluded it is jailed, and the attacker actions
-	// (scans, canaries, beacons) executed so far — the deception
-	// survival clock.
-	suspicion int
-	quiet     bool
-	actions   uint64
 }
 
 // New binds a guest instance to a VM. send must be non-nil; pick may be
@@ -371,7 +386,7 @@ func New(k *sim.Kernel, vm *vmm.VM, profile *Profile, send Sender, pick TargetPi
 	*in = Instance{
 		K: k, VM: vm, Profile: profile, IP: vm.IP,
 		send: send, pick: pick, hooks: hooks, inst: inst,
-		conns:   in.conns,
+		conns: in.conns, exploit: in.exploit[:0],
 		onTouch: in.onTouch, onScan: in.onScan, onCanary: in.onCanary, onBeacon: in.onBeacon,
 	}
 	in.seedRNG()

@@ -18,10 +18,8 @@ func (in *Instance) HandlePacket(now sim.Time, pkt *netsim.Packet) {
 	in.VM.Touch(now)
 	switch pkt.Proto {
 	case netsim.ProtoICMP:
-		if pkt.ICMPType == 8 { // echo request
-			echo := netsim.ICMPEcho(in.IP, pkt.Src, false)
-			echo.TTL = in.Profile.ttl()
-			in.reply(echo)
+		if pkt.ICMPType == 8 { // echo request: reply, type 0
+			in.reply(in.outgoing(netsim.Packet{Dst: pkt.Src, Proto: netsim.ProtoICMP, TTL: in.Profile.ttl()}))
 		}
 	case netsim.ProtoTCP:
 		in.handleTCP(pkt)
@@ -38,10 +36,10 @@ func (in *Instance) handleUDP(pkt *netsim.Packet) {
 	}
 	if !in.Profile.openPort(netsim.ProtoUDP, pkt.DstPort) {
 		// Port unreachable.
-		in.reply(&netsim.Packet{
-			Src: in.IP, Dst: pkt.Src, Proto: netsim.ProtoICMP, TTL: in.Profile.ttl(),
+		in.reply(in.outgoing(netsim.Packet{
+			Dst: pkt.Src, Proto: netsim.ProtoICMP, TTL: in.Profile.ttl(),
 			ICMPType: 3, ICMPCode: 3,
-		})
+		}))
 		return
 	}
 	if len(pkt.Payload) > 0 {
@@ -69,6 +67,7 @@ func (in *Instance) becomeInfected(generation int) {
 	in.Infected = true
 	in.InfectedAt = in.K.Now()
 	in.Generation = generation
+	in.exploit = in.Profile.appendExploit(in.exploit[:0], generation)
 
 	// The worm unpacks: a burst of dirty pages.
 	for i := 0; i < in.Profile.InfectionBurstPages; i++ {
@@ -132,8 +131,7 @@ func (in *Instance) emitScan() {
 	in.VM.Touch(in.K.Now())
 	switch {
 	case proto == netsim.ProtoUDP:
-		in.send(netsim.UDPDatagram(in.IP, dst, in.ephemeralPort(),
-			in.Profile.ScanDstPort, in.Profile.ExploitPayload(in.Generation)))
+		in.send(in.datagram(dst, in.ephemeralPort(), in.Profile.ScanDstPort, in.exploit))
 	case in.Profile.FullDialogue:
 		// Blaster-style: complete a real handshake before delivering the
 		// payload (handleClientTCP finishes the dialogue when the
@@ -141,10 +139,7 @@ func (in *Instance) emitScan() {
 		in.openExploitDialogue(dst, in.Profile.ScanDstPort)
 	default:
 		// Single-packet abstraction of the completed dialogue.
-		probe := netsim.TCPSyn(in.IP, dst, in.ephemeralPort(), in.Profile.ScanDstPort, uint32(in.rng.Uint64()))
-		probe.Flags |= netsim.FlagPSH
-		probe.Payload = in.Profile.ExploitPayload(in.Generation)
-		in.send(probe)
+		in.send(in.synPSH(dst, in.ephemeralPort(), in.Profile.ScanDstPort, uint32(in.rng.Uint64()), in.exploit))
 	}
 }
 
@@ -161,7 +156,7 @@ func (in *Instance) sendStage2Query() {
 	}
 	in.dnsPending = id
 	in.stats.DNSQueries++
-	in.reply(netsim.UDPDatagram(in.IP, server, in.ephemeralPort(), 53, q))
+	in.reply(in.datagram(server, in.ephemeralPort(), 53, q))
 }
 
 // handleDNSResponse consumes the answer to a pending stage-2 lookup.
@@ -188,14 +183,50 @@ func (in *Instance) fetchStage2(server netsim.Addr) {
 		port = 80
 	}
 	in.stats.Stage2Fetches++
-	req := netsim.TCPSyn(in.IP, server, in.ephemeralPort(), port, uint32(in.rng.Uint64()))
-	req.Payload = []byte("GET /stage2")
-	req.Flags |= netsim.FlagPSH
-	in.reply(req)
+	in.reply(in.synPSH(server, in.ephemeralPort(), port, uint32(in.rng.Uint64()), stage2Request))
 }
+
+// stage2Request is the second-stage fetch's payload, shared read-only
+// by every guest.
+var stage2Request = []byte("GET /stage2")
 
 func (in *Instance) ephemeralPort() uint16 {
 	return uint16(49152 + in.rng.Intn(16384))
+}
+
+// The header of the SYN|PSH probes and UDP datagrams the guest sends,
+// whatever its profile's stack: TTL 64 and, on a SYN, a window of 65535.
+const (
+	probeTTL    = 64
+	probeWindow = 65535
+)
+
+// outgoing builds p, from this guest, in the instance's own storage and
+// marks it Ephemeral. Every packet the guest sends is built here, so a
+// send allocates no packet; the next send rewrites it (see Sender).
+func (in *Instance) outgoing(p netsim.Packet) *netsim.Packet {
+	in.seg = p
+	in.seg.Src = in.IP
+	in.seg.Ephemeral = true
+	return &in.seg
+}
+
+// synPSH builds the single-packet abstraction of a dialogue: a SYN|PSH
+// carrying payload.
+func (in *Instance) synPSH(dst netsim.Addr, srcPort, dstPort uint16, seq uint32, payload []byte) *netsim.Packet {
+	return in.outgoing(netsim.Packet{
+		Dst: dst, Proto: netsim.ProtoTCP, TTL: probeTTL,
+		SrcPort: srcPort, DstPort: dstPort, Seq: seq,
+		Flags: netsim.FlagSYN | netsim.FlagPSH, Window: probeWindow, Payload: payload,
+	})
+}
+
+// datagram builds a UDP datagram carrying payload.
+func (in *Instance) datagram(dst netsim.Addr, srcPort, dstPort uint16, payload []byte) *netsim.Packet {
+	return in.outgoing(netsim.Packet{
+		Dst: dst, Proto: netsim.ProtoUDP, TTL: probeTTL,
+		SrcPort: srcPort, DstPort: dstPort, Payload: payload,
+	})
 }
 
 func (in *Instance) reply(pkt *netsim.Packet) {

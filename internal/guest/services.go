@@ -41,7 +41,7 @@ func (in *Instance) serveApp(c *tcpConn, pkt *netsim.Packet) {
 		c.sndNxt += uint32(len(resp))
 		return
 	}
-	in.reply(netsim.UDPDatagram(in.IP, pkt.Src, pkt.DstPort, pkt.SrcPort, resp))
+	in.reply(in.datagram(pkt.Src, pkt.DstPort, pkt.SrcPort, resp))
 }
 
 // httpResponse answers an HTTP/1.x request. GET and HEAD get 200 with

@@ -331,7 +331,7 @@ func (in *Instance) handleClientTCP(now sim.Time, c *tcpConn, pkt *netsim.Packet
 		// Handshake completes: ACK and fire the exploit payload.
 		c.state = tcpEstablished
 		c.rcvNxt = pkt.Seq + 1
-		payload := in.Profile.ExploitPayload(in.Generation)
+		payload := in.exploit
 		in.sendSegment(pkt.Src, c.key.SrcPort, c.key.DstPort,
 			c.sndNxt, c.rcvNxt, netsim.FlagACK|netsim.FlagPSH, payload)
 		c.sndNxt += uint32(len(payload))
@@ -360,20 +360,16 @@ func (in *Instance) openExploitDialogue(dst netsim.Addr, dstPort uint16) {
 	in.sendSegment(dst, srcPort, dstPort, iss, 0, netsim.FlagSYN, nil)
 }
 
-// sendSegment emits one TCP segment from this guest, stamped with the
-// profile's stack fingerprint. Segments are most of what a honeypot
-// says, so they are built in the instance's own storage and marked
-// Ephemeral: the sender must be done with one (or have cloned it) when
-// it returns.
+// sendSegment replies with one TCP segment from this guest, stamped
+// with the profile's stack fingerprint.
 func (in *Instance) sendSegment(dst netsim.Addr, srcPort, dstPort uint16,
 	seq, ack uint32, flags byte, payload []byte) {
-	in.seg = netsim.Packet{
-		Src: in.IP, Dst: dst, Proto: netsim.ProtoTCP, TTL: in.Profile.ttl(),
+	in.reply(in.outgoing(netsim.Packet{
+		Dst: dst, Proto: netsim.ProtoTCP, TTL: in.Profile.ttl(),
 		SrcPort: srcPort, DstPort: dstPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: in.Profile.window(),
-		Payload: payload, Ephemeral: true,
-	}
-	in.reply(&in.seg)
+		Payload: payload,
+	}))
 }
 
 // sendRST answers an unacceptable segment.

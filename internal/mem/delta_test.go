@@ -147,7 +147,7 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	img := BuildImage(s, 8, 4, 650)
 	a := img.NewClone()
 	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 12-byte record
-	for i, wantSize := range []int{0, 0, 32, 32, 64, 64, 64, 128} {
+	for i, wantSize := range []int{0, 0, 16, 32, 48, 48, 64, 80} {
 		a.Write(1, 16*i, touch)
 		e, size := ownedEntry(t, a, 1), 0
 		if e.ovfLen() > 0 {
@@ -158,13 +158,15 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 				i+1, e.ovfLen(), size, max(0, 12*(i-1)), wantSize)
 		}
 	}
-	if n32, n64 := len(s.overflow[0].free), len(s.overflow[1].free); n32 != 1 || n64 != 1 {
-		t.Errorf("outgrown buffers freed: %d of 32 B, %d of 64 B, want one each", n32, n64)
+	for c, size := range []int{16, 32, 48, 64} {
+		if n := len(s.overflow[c].free); n != 1 {
+			t.Errorf("outgrown %d B buffers freed: %d, want one", size, n)
+		}
 	}
 	want := a.PeekPage(1)
 	a.Release()
-	if n := len(s.overflow[2].free); n != 1 {
-		t.Errorf("released page's 128 B buffer freed %d times, want 1", n)
+	if n := len(s.overflow[4].free); n != 1 {
+		t.Errorf("released page's 80 B buffer freed %d times, want 1", n)
 	}
 	b := img.NewClone()
 	for i := 0; i < 8; i++ {

@@ -32,7 +32,8 @@ type entry struct {
 
 // The delta form of entry.ref: inline record bytes in bits 0–7,
 // overflow record bytes in bits 8–23, the tag, and the overflow buffer's
-// handle (meaningful while there are overflow bytes) in the high word.
+// handle (meaningful while there are overflow bytes; its size class in
+// the top four bits) in the high word.
 const deltaTag = 1 << 31
 
 func deltaRef(inlLen, ovfLen int, handle uint32) uint64 {
@@ -49,25 +50,20 @@ func (e *entry) overflow() uint32 { return uint32(e.ref >> 32) }
 // uint16s) followed by the bytes written. deltaInline holds two of the
 // guest's 8-byte page touches; a page whose records would pass deltaCap
 // is promoted instead, which bounds what a read has to replay. Overflow
-// buffers come in doubling size classes from deltaMinClass to deltaCap,
-// so a page pays for the records it has rather than for the cap.
+// buffers come in size classes deltaStep bytes apart, up to deltaCap,
+// so a page pays for the records it has (to within 15 bytes) rather
+// than for the cap.
 const (
-	deltaHdr      = 4
-	deltaInline   = 24
-	deltaCap      = 256
-	deltaMinClass = 32
-	deltaClasses  = 4 // 32, 64, 128, 256
+	deltaHdr     = 4
+	deltaInline  = 24
+	deltaCap     = 256
+	deltaStep    = 16
+	deltaClasses = deltaCap / deltaStep // 16, 32, ..., 256
 )
 
 // deltaClass is the index of the smallest overflow size class holding n
 // bytes (1 <= n <= deltaCap).
-func deltaClass(n int) int {
-	c := 0
-	for size := deltaMinClass; size < n; size <<= 1 {
-		c++
-	}
-	return c
-}
+func deltaClass(n int) int { return (n - 1) / deltaStep }
 
 // applyDelta replays write records onto page.
 func applyDelta(page, recs []byte) {
@@ -80,7 +76,7 @@ func applyDelta(page, recs []byte) {
 }
 
 // overflowClass is the store's arena for one size class of overflow
-// buffers. A buffer is named by a handle — class in the top two bits,
+// buffers. A buffer is named by a handle — class in the top four bits,
 // position below — rather than held by pointer, which is what keeps
 // entries pointer-free. Like the slab, the arena grows a chunk at a
 // time, never moves a buffer, and keeps what its peak needed.
@@ -90,9 +86,13 @@ type overflowClass struct {
 	free   []uint32
 }
 
+// A chunk is overflowPerChunk buffers of one class, 1–16 KiB. A store
+// holds the uncarved tail of one chunk for every class it has used, so
+// chunks stay small: at 128 buffers the sixteen classes' tails cost
+// wire-warm half a MiB of live heap.
 const (
-	overflowPerChunk = 128
-	overflowPosBits  = 30
+	overflowPerChunk = 64
+	overflowPosBits  = 28
 	overflowPosMask  = 1<<overflowPosBits - 1
 )
 
@@ -101,8 +101,11 @@ func (s *Store) overflowAlloc(class int) uint32 {
 	pos, ok := pop(&oc.free)
 	if !ok {
 		pos = oc.carved
+		if pos > overflowPosMask {
+			panic("mem: overflow arena full") // the handle has 28 bits of position
+		}
 		if pos%overflowPerChunk == 0 {
-			oc.chunks = append(oc.chunks, make([]byte, overflowPerChunk*(deltaMinClass<<class)))
+			oc.chunks = append(oc.chunks, make([]byte, overflowPerChunk*(class+1)*deltaStep))
 		}
 		oc.carved++
 	}
@@ -111,7 +114,7 @@ func (s *Store) overflowAlloc(class int) uint32 {
 
 // overflowSize is the size of the buffer behind a handle.
 func overflowSize(handle uint32) int {
-	return deltaMinClass << (handle >> overflowPosBits)
+	return int(handle>>overflowPosBits+1) * deltaStep
 }
 
 // overflowBuf is the whole buffer behind a handle; the entry knows how
