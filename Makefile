@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzAcceptTrain -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzConnTable -fuzztime=$(FUZZTIME) ./internal/guest
+	$(GO) test -run=^$$ -fuzz=FuzzIndexOps -fuzztime=$(FUZZTIME) ./internal/flatindex
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzLaneOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/sim
 

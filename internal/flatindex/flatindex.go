@@ -4,11 +4,13 @@
 // cost more than the entries.
 //
 // An Index is open-addressed with linear probing from a Fibonacci hash:
-// one flat slice of handles, a power of two long and at most half full,
-// so a miss probes about twice; deletion shifts later entries of the
-// probe run back instead of leaving tombstones. A caller that inserts
-// what it just failed to find (a page fault) probes once: Find reports
-// the slot where the miss stopped and InsertAt fills it.
+// one flat slice of handles, a power of two long and at most three
+// quarters full, so at the limit a hit probes 2.5 slots and a miss 8.5 on
+// average (1.3 and 1.8 just after the index doubles); deletion shifts
+// later entries of the probe run back instead of leaving tombstones. A
+// caller that inserts what it just failed to find (a page fault) probes
+// once: Find reports the slot where the miss stopped and InsertAt fills
+// it.
 package flatindex
 
 import "math/bits"
@@ -32,11 +34,19 @@ type Index[K comparable, H comparable, E Entries[K, H]] struct {
 	n     int
 }
 
-// minSlots is the size of a first index: two entries.
+// minSlots is the size of a first index: three entries.
 const minSlots = 4
 
 // Len returns the number of indexed entries.
 func (x *Index[K, H, E]) Len() int { return x.n }
+
+// Slots returns the index's length in slots: what it costs, and what
+// Clear has to zero.
+func (x *Index[K, H, E]) Slots() int { return len(x.slots) }
+
+// full reports whether one more entry would leave the index more than
+// three quarters full.
+func (x *Index[K, H, E]) full() bool { return 4*(x.n+1) > 3*len(x.slots) }
 
 // home is where a key with hash h starts probing (Fibonacci hashing).
 func (x *Index[K, H, E]) home(h uint64) int {
@@ -70,7 +80,7 @@ func (x *Index[K, H, E]) Find(e E, k K) (H, int) {
 
 // Insert indexes h under its key, which must not be indexed already.
 func (x *Index[K, H, E]) Insert(e E, h H) {
-	if 2*(x.n+1) > len(x.slots) {
+	if x.full() {
 		x.grow(e)
 	}
 	x.place(e, h)
@@ -80,7 +90,7 @@ func (x *Index[K, H, E]) Insert(e E, h H) {
 // InsertAt is Insert for a handle whose key Find just missed at slot i,
 // with the index unchanged since.
 func (x *Index[K, H, E]) InsertAt(e E, h H, i int) {
-	if 2*(x.n+1) > len(x.slots) {
+	if x.full() {
 		x.grow(e)
 		x.place(e, h)
 	} else {

@@ -61,19 +61,83 @@ func TestIndexMatchesMap(t *testing.T) {
 					clear(model)
 				}
 			}
-			if x.Len() != len(model) {
-				t.Fatalf("coarse=%v op %d: Len = %d, want %d", coarse, op, x.Len(), len(model))
-			}
-			if 2*x.Len() > len(x.slots) && x.Len() > 0 {
-				t.Fatalf("coarse=%v op %d: %d entries in %d slots", coarse, op, x.Len(), len(x.slots))
-			}
-			for k := uint64(0); k < pool; k++ {
-				if got := x.Get(s, k); got != model[k] {
-					t.Fatalf("coarse=%v op %d: Get(%d) = %d, want %d", coarse, op, k, got, model[k])
-				}
-			}
+			checkIndex(t, s, &x, model, pool)
 		}
 	}
+}
+
+// checkIndex fails unless x holds exactly model, every key below pool
+// looked up, and is at most three quarters full.
+func checkIndex(t *testing.T, s *slab, x *Index[uint64, uint32, *slab], model map[uint64]uint32, pool uint64) {
+	t.Helper()
+	if x.Len() != len(model) {
+		t.Fatalf("coarse=%v: Len = %d, want %d", s.coarse, x.Len(), len(model))
+	}
+	if 4*x.Len() > 3*x.Slots() {
+		t.Fatalf("coarse=%v: %d entries in %d slots, more than three quarters full", s.coarse, x.Len(), x.Slots())
+	}
+	for k := uint64(0); k < pool; k++ {
+		if got := x.Get(s, k); got != model[k] {
+			t.Fatalf("coarse=%v: Get(%d) = %d, want %d", s.coarse, k, got, model[k])
+		}
+	}
+}
+
+// FuzzIndexOps decodes bytes into index operations — Insert, Find then
+// InsertAt, Delete, Clear — on a pool of 256 keys, hashed finely or
+// coarsely as the first byte says, and checks the index against a Go
+// map after every one.
+func FuzzIndexOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 0, 1, 4, 0})
+	f.Add([]byte{1, 0, 1, 0, 4, 0, 7, 1, 10, 2, 1, 3, 0, 1, 13})
+	for seed := uint64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 3))
+		data := []byte{byte(seed)}
+		for range 2000 {
+			data = append(data, byte(rng.IntN(8)), byte(rng.IntN(64)))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		s := &slab{coarse: data[0]&1 != 0}
+		var x Index[uint64, uint32, *slab]
+		model := map[uint64]uint32{}
+		const pool = 256
+		for data = data[1:]; len(data) >= 2; data = data[2:] {
+			op, k := data[0], uint64(data[1])
+			switch op % 8 {
+			case 0, 1, 2: // Insert
+				if _, ok := model[k]; !ok {
+					s.keys = append(s.keys, k)
+					model[k] = uint32(len(s.keys))
+					x.Insert(s, model[k])
+				}
+			case 3, 4: // Find, then InsertAt on a miss
+				h, i := x.Find(s, k)
+				if h != model[k] {
+					t.Fatalf("Find(%d) = %d, want %d", k, h, model[k])
+				}
+				if h == 0 {
+					s.keys = append(s.keys, k)
+					model[k] = uint32(len(s.keys))
+					x.InsertAt(s, model[k], i)
+				}
+			case 5, 6:
+				_, ok := model[k]
+				if got := x.Delete(s, k); got != ok {
+					t.Fatalf("Delete(%d) = %v, want %v", k, got, ok)
+				}
+				delete(model, k)
+			case 7:
+				x.Clear()
+				clear(model)
+			}
+			checkIndex(t, s, &x, model, pool)
+		}
+	})
 }
 
 func TestZeroIndex(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // Every warm flow holds a tcpConn for as long as it is tracked, so its
 // size is most of what a flow costs the host.
 func TestConnSize(t *testing.T) {
-	if got := unsafe.Sizeof(tcpConn{}); got > 64 {
-		t.Errorf("tcpConn is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(tcpConn{}); got > 48 {
+		t.Errorf("tcpConn is %d bytes, want at most 48", got)
 	}
 }
 
@@ -44,11 +44,48 @@ func TestInsertReplacingKeyInFullTableEvictsNothingElse(t *testing.T) {
 	if ct.lookup(key(0)) == nil {
 		t.Error("the oldest connection was evicted to make room for a replacement")
 	}
-	if got := ct.lookup(key(maxConns - 1)); got != c || got.iss != 7 || ct.newest != c {
+	if got := ct.lookup(key(maxConns - 1)); got != c || got.iss != 7 || ct.newest != c.self {
 		t.Error("the replacement is not the connection indexed under its key, or not the newest")
 	}
 	if ct.clients != maxConns {
 		t.Errorf("clients = %d, want %d", ct.clients, maxConns)
+	}
+}
+
+// TestConnTableSteadyStateAllocs: a table that was full once keeps its
+// slab and its index's slots across reset, so a recycled guest serves a
+// fresh full table — inserts, touches and oldest-idle evictions —
+// without allocating.
+func TestConnTableSteadyStateAllocs(t *testing.T) {
+	var ct connTable
+	local := netsim.MustParseAddr("10.0.0.1")
+	key := func(i int) netsim.FlowKey {
+		return netsim.FlowKey{Src: netsim.Addr(0x0b000000 + i), Dst: local, SrcPort: uint16(1024 + i), DstPort: 445, Proto: netsim.ProtoTCP}
+	}
+	// serve fills the table with flows from base on, touches every other
+	// one, then opens a quarter more, each evicting the oldest-idle.
+	serve := func(base int) {
+		for i := 0; i < maxConns; i++ {
+			ct.insert(sim.Time(i), tcpConn{key: key(base + i), state: tcpSynRcvd})
+		}
+		for i := 0; i < maxConns; i += 2 {
+			ct.touch(ct.lookup(key(base+i)), sim.Time(maxConns+i))
+		}
+		for i := 0; i < maxConns/4; i++ {
+			ct.insert(sim.Time(2*maxConns+i), tcpConn{key: key(base + maxConns + i), state: tcpSynRcvd})
+		}
+	}
+	serve(0)
+	base := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		ct.reset()
+		base += 2 * maxConns
+		serve(base)
+	}); avg != 0 {
+		t.Errorf("a recycled table serving a full table allocates %.1f objects, want 0", avg)
+	}
+	if ct.len() != maxConns || ct.lookup(key(base+1)) != nil || ct.lookup(key(base)) == nil {
+		t.Errorf("len = %d; evictions did not take the untouched flows first", ct.len())
 	}
 }
 
@@ -212,18 +249,22 @@ func connOps(t *testing.T, data []byte) {
 			t.Fatalf("op %d: len %d, reference %d", op, ct.len(), len(rt.conns))
 		}
 		clients := 0
-		c, r := ct.oldest, rt.oldest
-		for ; c != nil && r != nil; c, r = c.newer, r.newer {
+		h, r := ct.oldest, rt.oldest
+		for ; h != 0 && r != nil; h, r = ct.at(h).newer, r.newer {
+			c := ct.at(h)
 			same(op, c, r)
 			same(op, ct.lookup(c.key), r)
+			if c.self != h {
+				t.Fatalf("op %d: the conn at handle %d names itself %d", op, h, c.self)
+			}
 			if c.client {
 				clients++
 			}
 		}
-		if c != nil || r != nil {
+		if h != 0 || r != nil {
 			t.Fatalf("op %d: idle lists differ in length", op)
 		}
-		if clients != ct.clients {
+		if clients != int(ct.clients) {
 			t.Fatalf("op %d: %d client connections listed, %d counted", op, clients, ct.clients)
 		}
 	}

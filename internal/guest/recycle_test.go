@@ -203,7 +203,8 @@ func TestSynFloodSameTickDigest(t *testing.T) {
 			h.Write(b[:])
 		}
 		n := 0
-		for c := r.in.conns.oldest; c != nil; c = c.newer {
+		for h := r.in.conns.oldest; h != 0; h = r.in.conns.at(h).newer {
+			c := r.in.conns.at(h)
 			put(uint64(c.key.Src)<<16 | uint64(c.key.SrcPort))
 			put(uint64(c.iss))
 			n++

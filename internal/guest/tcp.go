@@ -49,15 +49,18 @@ func (s tcpState) String() string {
 	}
 }
 
-// tcpConn is one tracked connection: 64 bytes, widest fields first so
-// the flags pack into what would otherwise be padding.
+// tcpConn is one tracked connection: 48 bytes, widest fields first so
+// the flags pack into what would otherwise be padding. It lives in its
+// table's slab, which insert may move, so a *tcpConn is good only until
+// the table's next insert: hold its key across one, not the pointer.
 type tcpConn struct {
 	key        netsim.FlowKey // remote->local for server conns, local->remote for client conns
 	lastActive sim.Time
-	rxBytes    int
 
-	// Idle-order links (see connTable); a free conn chains through newer.
-	older, newer *tcpConn
+	// self is the conn's own handle, its slab position plus one; older
+	// and newer are the idle-order links (see connTable), handles too,
+	// 0 at either end. A free conn chains through newer.
+	self, older, newer uint16
 
 	iss    uint32 // our initial sequence number
 	sndNxt uint32 // next sequence we will send
@@ -76,32 +79,44 @@ const maxConns = 256
 // dst=local) for connections it accepted, and by its own outbound key
 // for the client connections it opened.
 //
-// Live connections are indexed by key in a flatindex.Index of pointers
-// (8-byte slots, at most half of them full) and also sit on a list in
-// lastActive order: every write of lastActive goes through touch, which
-// moves the connection to the newest end, so the oldest-idle connection
-// is the list's head, found in O(1), and connections idle equally long
-// leave in the order they were last touched. Closed connections are kept
-// for the next open. clients counts the live client connections, so a
-// guest that has opened none skips looking for one.
+// The connections sit in one slab, grown by append up to maxConns and
+// kept when the table is reset for another guest, and are named by
+// handle: a slab position plus one, in 16 bits. Live connections are
+// indexed by key in a flatindex.Index of handles (2-byte slots, at most
+// three quarters of them full) and also sit on a list in lastActive
+// order: every write of lastActive goes through touch, which moves the
+// connection to the newest end, so the oldest-idle connection is the
+// list's head, found in O(1), and connections idle equally long leave in
+// the order they were last touched. Closed connections are kept for the
+// next open. clients counts the live client connections, so a guest that
+// has opened none skips looking for one.
 type connTable struct {
-	index          flatindex.Index[netsim.FlowKey, *tcpConn, connKeys]
-	oldest, newest *tcpConn
-	free           *tcpConn
-	clients        int
+	slab                 connSlab
+	index                flatindex.Index[netsim.FlowKey, uint16, connSlab]
+	oldest, newest, free uint16
+	clients              uint16
 }
 
-// connKeys is what the index needs to know about a connection.
-type connKeys struct{}
+// connSlab is the table's connections, which is what the index reads:
+// a handle is a position plus one, and its key the connection's.
+type connSlab []tcpConn
 
-func (connKeys) Key(c *tcpConn) netsim.FlowKey { return c.key }
+func (s connSlab) Key(h uint16) netsim.FlowKey { return s[h-1].key }
 
-func (connKeys) Hash(k netsim.FlowKey) uint64 {
+func (connSlab) Hash(k netsim.FlowKey) uint64 {
 	return uint64(k.Src)<<32 ^ uint64(k.Dst) ^
 		(uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))*0x9e3779b97f4a7c15
 }
 
-func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn { return ct.index.Get(connKeys{}, key) }
+// at returns the connection with handle h, which must not be 0.
+func (ct *connTable) at(h uint16) *tcpConn { return &ct.slab[h-1] }
+
+func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn {
+	if h := ct.index.Get(ct.slab, key); h != 0 {
+		return ct.at(h)
+	}
+	return nil
+}
 
 // lookupClient returns the client connection an inbound packet with
 // flow key answers, if there is one.
@@ -124,16 +139,19 @@ func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
 		ct.remove(old)
 	}
 	if ct.len() >= maxConns {
-		ct.remove(ct.oldest)
+		ct.remove(ct.at(ct.oldest))
 	}
-	c := ct.free
-	if c != nil {
-		ct.free = c.newer
+	h := ct.free
+	if h != 0 {
+		ct.free = ct.at(h).newer
 	} else {
-		c = new(tcpConn)
+		ct.slab = append(ct.slab, tcpConn{})
+		h = uint16(len(ct.slab))
 	}
+	c := ct.at(h)
 	*c = proto
-	ct.index.Insert(connKeys{}, c)
+	c.self = h
+	ct.index.Insert(ct.slab, h)
 	if c.client {
 		ct.clients++
 	}
@@ -143,23 +161,23 @@ func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
 
 func (ct *connTable) pushNewest(c *tcpConn, now sim.Time) {
 	c.lastActive = now
-	c.older, c.newer = ct.newest, nil
-	if ct.newest != nil {
-		ct.newest.newer = c
+	c.older, c.newer = ct.newest, 0
+	if ct.newest != 0 {
+		ct.at(ct.newest).newer = c.self
 	} else {
-		ct.oldest = c
+		ct.oldest = c.self
 	}
-	ct.newest = c
+	ct.newest = c.self
 }
 
 func (ct *connTable) unlink(c *tcpConn) {
-	if c.older != nil {
-		c.older.newer = c.newer
+	if c.older != 0 {
+		ct.at(c.older).newer = c.newer
 	} else {
 		ct.oldest = c.newer
 	}
-	if c.newer != nil {
-		c.newer.older = c.older
+	if c.newer != 0 {
+		ct.at(c.newer).older = c.older
 	} else {
 		ct.newest = c.older
 	}
@@ -167,7 +185,7 @@ func (ct *connTable) unlink(c *tcpConn) {
 
 // touch records activity on c.
 func (ct *connTable) touch(c *tcpConn, now sim.Time) {
-	if c == ct.newest {
+	if c.self == ct.newest {
 		c.lastActive = now
 		return
 	}
@@ -176,27 +194,22 @@ func (ct *connTable) touch(c *tcpConn, now sim.Time) {
 }
 
 func (ct *connTable) remove(c *tcpConn) {
-	ct.index.Delete(connKeys{}, c.key)
+	ct.index.Delete(ct.slab, c.key)
 	if c.client {
 		ct.clients--
 	}
 	ct.unlink(c)
-	c.older, c.newer = nil, ct.free
-	ct.free = c
+	c.older, c.newer = 0, ct.free
+	ct.free = c.self
 }
 
 func (ct *connTable) len() int { return ct.index.Len() }
 
 // reset closes every connection (the table is about to serve another
-// guest), keeping the index's slots and the conns for reuse.
+// guest), keeping the slab and the index's slots for reuse.
 func (ct *connTable) reset() {
-	for c := ct.oldest; c != nil; {
-		next := c.newer
-		c.older, c.newer = nil, ct.free
-		ct.free = c
-		c = next
-	}
-	ct.oldest, ct.newest = nil, nil
+	ct.slab = ct.slab[:0]
+	ct.oldest, ct.newest, ct.free = 0, 0, 0
 	ct.index.Clear()
 	ct.clients = 0
 }
@@ -208,7 +221,11 @@ const connIdleTimeout = 2 * time.Minute
 // pruneIdle drops connections idle past the timeout.
 func (ct *connTable) pruneIdle(now sim.Time) int {
 	n := 0
-	for c := ct.oldest; c != nil && now.Sub(c.lastActive) >= connIdleTimeout; c = ct.oldest {
+	for ct.oldest != 0 {
+		c := ct.at(ct.oldest)
+		if now.Sub(c.lastActive) < connIdleTimeout {
+			break
+		}
 		ct.remove(c)
 		n++
 	}
@@ -267,7 +284,6 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 		// the worm simulator's single-packet abstraction.
 		if len(pkt.Payload) > 0 {
 			c.state = tcpEstablished
-			c.rxBytes += len(pkt.Payload)
 			in.checkExploit(netsim.ProtoTCP, pkt)
 			in.serveApp(c, pkt)
 		}
@@ -291,7 +307,6 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 		case tcpEstablished:
 			if len(pkt.Payload) > 0 && pkt.Seq == c.rcvNxt {
 				c.rcvNxt += uint32(len(pkt.Payload))
-				c.rxBytes += len(pkt.Payload)
 				in.sendSegment(pkt.Src, pkt.DstPort, pkt.SrcPort,
 					c.sndNxt, c.rcvNxt, netsim.FlagACK, nil)
 				in.checkExploit(netsim.ProtoTCP, pkt)

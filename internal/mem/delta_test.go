@@ -318,23 +318,39 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 		t.Errorf("clone, fault, release on a warmed store allocates %.1f objects, want 0", avg)
 	}
 
-	// Scratch spaces are not clones, and an index that grew past
-	// indexMaxRecycle is not worth clearing for every later tenant — but
-	// the chunks under it go back all the same.
+	// Scratch spaces are not clones. A clone whose index stays within
+	// indexMaxRecycle slots is kept; one that grew past it is not worth
+	// clearing for every later tenant — but the chunks under it go back
+	// all the same. over owns one page more than an index at the cap
+	// holds, under one page fewer than over.
 	b.Release()
 	s.spaceFree, s.chunkFree = s.spaceFree[:0], s.chunkFree[:0]
 	NewAddressSpace(s, 8).Release()
-	huge := img.NewClone()
-	for vpn := uint64(0); vpn <= indexMaxRecycle/2; vpn++ {
-		huge.Write(vpn, 0, []byte{1})
+	over := img.NewClone()
+	pages := uint64(0)
+	for ; over.index.Slots() <= indexMaxRecycle; pages++ {
+		over.Write(pages, 0, []byte{1})
 	}
-	chunks := len(huge.chunks)
-	huge.Release()
+	if pages-1 != 3*indexMaxRecycle/4 {
+		t.Errorf("an index of %d slots holds %d pages, want three quarters of it", indexMaxRecycle, pages-1)
+	}
+	under := img.NewClone()
+	for vpn := uint64(0); vpn < pages-1; vpn++ {
+		under.Write(vpn, 0, []byte{1})
+	}
+	under.Release()
+	if len(s.spaceFree) != 1 || s.spaceFree[0] != under || under.index.Slots() != indexMaxRecycle || under.index.Len() != 0 {
+		t.Errorf("a clone whose index is at the cap was not kept with its cleared index: pooled %d, %d slots, %d entries",
+			len(s.spaceFree), under.index.Slots(), under.index.Len())
+	}
+	s.spaceFree, s.chunkFree = s.spaceFree[:0], s.chunkFree[:0]
+	chunks := len(over.chunks)
+	over.Release()
 	if len(s.spaceFree) != 0 {
 		t.Errorf("pooled %d spaces that should have been dropped", len(s.spaceFree))
 	}
-	if len(s.chunkFree) != chunks || !reflect.DeepEqual(huge.index, pageIndex{}) || len(huge.chunks) != 0 {
-		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %+v", len(s.chunkFree), chunks, huge.index)
+	if len(s.chunkFree) != chunks || !reflect.DeepEqual(over.index, pageIndex{}) || len(over.chunks) != 0 {
+		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %+v", len(s.chunkFree), chunks, over.index)
 	}
 }
 

@@ -150,10 +150,11 @@ func (tableLog) Hash(vpn uint64) uint64 { return vpn }
 // probes it once: the slot a miss stopped at is where add inserts.
 type pageIndex = flatindex.Index[uint64, uint32, tableLog]
 
-// indexMaxRecycle is the largest index a released clone keeps (8 KiB,
-// 1,024 pages): Release clears all of it, so one that held a whole image
-// would tax every later tenant. chunkPoolCap bounds the chunks the store
-// keeps for reuse (20 MiB) and spacePoolCap the released clones.
+// indexMaxRecycle is the largest index, in slots, a released clone
+// keeps (8 KiB, up to 1,536 pages): Release clears all of it, so one
+// that held a whole image would tax every later tenant. chunkPoolCap
+// bounds the chunks the store keeps for reuse (20 MiB) and spacePoolCap
+// the released clones.
 const (
 	indexMaxRecycle = 2048
 	chunkPoolCap    = 16384

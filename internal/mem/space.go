@@ -244,10 +244,7 @@ func (a *AddressSpace) Release() {
 	}
 	clear(a.chunks)
 	a.chunks = a.chunks[:0]
-	// The index is a kept one of at most indexMaxRecycle slots or the
-	// smallest power of two at least 2n long, so it passes the cap
-	// exactly when 2n does.
-	keep := a.base != nil && 2*a.n <= indexMaxRecycle && len(s.spaceFree) < spacePoolCap
+	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && len(s.spaceFree) < spacePoolCap
 	a.n, a.private, a.shadowed = 0, 0, 0
 	a.released = true
 	if a.base != nil {
