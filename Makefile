@@ -133,8 +133,10 @@ results-check:
 		|| { echo "results-check: results/ differs from what benchtab regenerates; run 'go run ./cmd/benchtab -csv results all' and commit"; exit 1; }
 	@echo "results-check: results/*.csv match benchtab"
 
-# Produce a sample Chrome trace from the outbreak example: load
-# outbreak.trace.json in Perfetto (ui.perfetto.dev) or chrome://tracing
-# to see every binding's bind -> clone -> active -> recycle timeline.
+# Produce a sample Chrome trace from the outbreak example: its span
+# trace, rendered by inspect trace -chrome. Load outbreak.trace.json in
+# Perfetto (ui.perfetto.dev) or chrome://tracing to see every binding's
+# bind -> clone -> active -> recycle timeline.
 trace-demo:
-	$(GO) run ./examples/outbreak -chrome-trace outbreak.trace.json
+	$(GO) run ./examples/outbreak -trace-out outbreak.trace.jsonl
+	$(GO) run ./cmd/inspect trace -chrome outbreak.trace.json outbreak.trace.jsonl

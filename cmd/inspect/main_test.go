@@ -16,7 +16,9 @@ import (
 // stats.json that run's -json stats. testdata/golden holds what the
 // analyze, scorecard, tracetool and ckpt commands that inspect replaced
 // printed for the same arguments, and the files they wrote: inspect
-// must print the same bytes.
+// must print the same bytes. The trace goldens are inspect's own, from
+// a trace whose IDs are unique across the run's two shards; its Chrome
+// rendering equals the file the engine once wrote live for that run.
 
 // goldenCases are the subcommand invocations pinned by a golden, with
 // the file each writes, if any.

@@ -32,7 +32,7 @@ type flags struct {
 	capturePcap                        bool
 	checkpoints                        string
 	jsonOut                            bool
-	traceOut, traceChrome, debugAddr   string
+	traceOut, debugAddr                string
 	epochLog, snapshotOut              string
 	scenario, scorecardOut             string
 	coordinator, worker                string
@@ -70,8 +70,7 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&f.capturePcap, "capture-pcap", false, "write -capture files as pcap savefiles instead of .potm")
 	fs.StringVar(&f.checkpoints, "checkpoints", "", "save delta checkpoints of detected VMs into this directory")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the final stats as JSON on stdout")
-	fs.StringVar(&f.traceOut, "trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file (see inspect trace)")
-	fs.StringVar(&f.traceChrome, "trace-chrome", "", "write the trace in Chrome trace-event format (Perfetto-loadable) to this file")
+	fs.StringVar(&f.traceOut, "trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file (see inspect trace; inspect trace -chrome renders it for Perfetto)")
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /snapshot, /metrics, /debug/vars (expvar) and /debug/pprof on this address while running")
 	fs.StringVar(&f.epochLog, "epoch-log", "", "write the engine's JSONL epoch timeline to this file (see inspect epochs)")
 	fs.StringVar(&f.snapshotOut, "snapshot-out", "", "write the final JSON snapshot to this file (see inspect snapshot)")
@@ -143,7 +142,7 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 		}
 	}
 	if coordinator || worker {
-		for _, name := range []string{"capture", "checkpoints", "trace-chrome"} {
+		for _, name := range []string{"capture", "checkpoints"} {
 			if set[name] {
 				bad("-%s is not supported in cluster mode", name)
 			}

@@ -34,8 +34,8 @@
 //	-seed N          simulation seed
 //	-interval D      progress report interval in simulated time (default 10s)
 //	-capture DIR     record gateway traffic (.potm, or .pcap with -capture-pcap)
-//	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace)
-//	-trace-chrome F  write the trace in Chrome trace-event format (Perfetto)
+//	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace,
+//	                 and inspect trace -chrome for Perfetto, in every mode)
 //	-debug-addr A    serve /snapshot, /metrics, expvar and pprof on this HTTP address
 //	-epoch-log F     write the engine's JSONL epoch timeline (inspect epochs)
 //	-snapshot-out F  write the final JSON snapshot (inspect snapshot)
@@ -147,7 +147,7 @@ func openOutputs(f *flags, opts *potemkin.Options) (func() error, error) {
 		w    *io.Writer
 	}{
 		{f.eventLog, &opts.EventLog}, {f.traceOut, &opts.TraceOut},
-		{f.traceChrome, &opts.TraceChrome}, {f.epochLog, &opts.EpochLog},
+		{f.epochLog, &opts.EpochLog},
 	} {
 		if out.path == "" {
 			continue

@@ -3,12 +3,13 @@
 // infection within seconds, and its detector flags the compromised VM —
 // while containment keeps every worm byte inside.
 //
-//	go run ./examples/outbreak [-chrome-trace FILE]
+//	go run ./examples/outbreak [-trace-out FILE]
 //
-// With -chrome-trace, the run's binding-lifecycle trace is written in
-// the Chrome trace-event format — load it in Perfetto (ui.perfetto.dev)
-// or chrome://tracing to see every binding's bind → clone → active →
-// recycle timeline. `make trace-demo` produces one.
+// With -trace-out, the run's binding-lifecycle span trace is written as
+// JSON lines; `go run ./cmd/inspect trace -chrome OUT.json FILE` renders
+// it for Perfetto (ui.perfetto.dev) or chrome://tracing, where every
+// binding's bind → clone → active → recycle timeline is a row.
+// `make trace-demo` does both.
 package main
 
 import (
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace-event file of all binding lifecycles")
+	traceOut := flag.String("trace-out", "", "write the span trace (JSONL) of all binding lifecycles to this file")
 	flag.Parse()
 
 	opts := potemkin.Options{
@@ -40,14 +41,14 @@ func main() {
 			},
 		},
 	}
-	if *chromeOut != "" {
-		f, err := os.Create(*chromeOut)
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "outbreak: %v\n", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		opts.TraceChrome = f
+		opts.TraceOut = f
 	}
 	hf := potemkin.MustNew(opts)
 	defer hf.Close()
@@ -86,8 +87,8 @@ func main() {
 		st.OutboundDropped)
 	fmt.Printf("first capture happened %v after patient zero's scan hit the telescope\n",
 		time.Duration(e.Stats().FirstTelescopeHit).Truncate(time.Millisecond))
-	if *chromeOut != "" {
-		hf.Close() // flush open spans, terminate the trace array
-		fmt.Printf("\n[trace] %s — open in Perfetto (ui.perfetto.dev) or chrome://tracing\n", *chromeOut)
+	if *traceOut != "" {
+		hf.Close() // flush open spans
+		fmt.Printf("\n[trace] %s — render it with inspect trace -chrome\n", *traceOut)
 	}
 }

@@ -65,10 +65,6 @@ func TestValidateParallelConstraints(t *testing.T) {
 	if !strings.Contains(err.Error(), "GatewayShards >= 2") {
 		t.Errorf("error missing %q:\n%v", "GatewayShards >= 2", err)
 	}
-	// TraceChrome under Parallel is supported (buffered per shard).
-	if err := (Options{Parallel: true, GatewayShards: 4, TraceChrome: &bytes.Buffer{}}).Validate(); err != nil {
-		t.Errorf("Parallel+TraceChrome should validate: %v", err)
-	}
 	// Every farm runs the epoch loop, so the epoch timeline and the
 	// adaptive-epoch cap apply without Parallel too.
 	if hf, err := New(Options{EpochLog: &bytes.Buffer{}}); err != nil {

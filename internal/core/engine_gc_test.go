@@ -34,7 +34,7 @@ func closedEngine(t *testing.T) (wp weak.Pointer[ShardEngine], crossed int) {
 	}
 	eng.runner.SetEpochObserver(func(s sim.EpochStats) { crossed += s.ExchangeMsgs })
 	for i := 0; i < 4; i++ {
-		pkt := netsim.TCPSyn(netsim.Addr(0xc6336400+i), netsim.MustParseAddr("10.5.7.20")+netsim.Addr(i), 40000, fc.Profile.ScanDstPort, 1)
+		pkt := netsim.TCPSyn(0xc6336400+netsim.Addr(i), netsim.MustParseAddr("10.5.7.20")+netsim.Addr(i), 40000, fc.Profile.ScanDstPort, 1)
 		pkt.Flags |= netsim.FlagPSH
 		pkt.Payload = fc.Profile.ExploitPayload(0)
 		eng.Inject(pkt)

@@ -41,7 +41,7 @@ func NewE4Workload(seed uint64, warm, frames int, hitRatio float64) *E4Workload 
 	r := sim.NewRNG(seed)
 
 	for i := 0; i < warm; i++ {
-		g.HandleInbound(k.Now(), netsim.TCPSyn(netsim.Addr(0xc0000000+i), cfg.Space.Nth(uint64(i)), 1, 445, 1))
+		g.HandleInbound(k.Now(), netsim.TCPSyn(0xc0000000+netsim.Addr(i), cfg.Space.Nth(uint64(i)), 1, 445, 1))
 	}
 	k.Run() // all bindings active
 

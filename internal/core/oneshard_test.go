@@ -78,7 +78,7 @@ func runHandWired(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := trace.New(trace.JSONL(&tr, nil))
+	tracer := trace.New(trace.JSONL(&tr, nil), 0)
 	f.SetTracer(tracer)
 	gc.Tracer = tracer
 	gc.EventSink = gateway.JSONLSink(&ev, nil)

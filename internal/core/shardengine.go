@@ -50,13 +50,10 @@ import (
 	"potemkin/internal/vmm"
 )
 
-// Initial capacities for per-domain buffered sinks: big enough that a
-// typical benchmark run never regrows, small enough not to matter when
-// the sink goes unused.
-const (
-	sinkArenaCap  = 64 << 10
-	chromeRecsCap = 1024
-)
+// sinkArenaCap is the initial capacity of a per-domain buffered sink:
+// big enough that a typical benchmark run never regrows, small enough
+// not to matter when the sink goes unused.
+const sinkArenaCap = 64 << 10
 
 // ShardEngineConfig parameterizes a ShardEngine.
 type ShardEngineConfig struct {
@@ -103,15 +100,9 @@ type ShardEngineConfig struct {
 	// returns); several keep theirs until Close and write them in shard
 	// order, so the bytes are a pure function of the seed either way.
 	EventLog io.Writer
-	// TraceOut likewise receives the per-domain span traces.
+	// TraceOut likewise receives the per-domain span traces, whose
+	// trace and span IDs are unique across shards (see package trace).
 	TraceOut io.Writer
-	// ChromeOut, when non-nil, receives the merged Chrome (Perfetto)
-	// trace: per-domain span records are buffered and streamed through
-	// one ChromeWriter on the same schedule as EventLog, with trace IDs
-	// shard-tagged so rows from different domains never collide.
-	// Byte-identical between parallel and sequential runs of the same
-	// seed, like EventLog and TraceOut.
-	ChromeOut io.Writer
 
 	// Metrics, when non-nil, is the live-telemetry registry. The
 	// domains count in their Stats structs and Histograms and nowhere
@@ -210,12 +201,7 @@ type ShardDomain struct {
 	// fetching them off workers.
 	EventBuf *mem.Arena
 	TraceBuf *mem.Arena
-	// ChromeRecs buffers the domain's span records for the merged
-	// Chrome export (only when the config sets ChromeOut). Appended
-	// solely by this domain's epoch goroutine; the barrier orders those
-	// appends before the shard-order flush reads them.
-	ChromeRecs []trace.Record
-	tracer     *trace.Tracer
+	tracer   *trace.Tracer
 
 	// freeEnvs is the domain's own free list of delivery envelopes (see
 	// Deliver); records, fed from a time-sorted source, is the kernel
@@ -264,19 +250,9 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 		d.EventBuf = mem.NewArena(sinkArenaCap)
 		gc.EventSink = gateway.ArenaSink(d.EventBuf)
 	}
-	if cfg.TraceOut != nil || cfg.ChromeOut != nil {
-		var sinks []trace.Sink
-		if cfg.TraceOut != nil {
-			d.TraceBuf = mem.NewArena(sinkArenaCap)
-			sinks = append(sinks, trace.JSONL(d.TraceBuf, nil))
-		}
-		if cfg.ChromeOut != nil {
-			d.ChromeRecs = make([]trace.Record, 0, chromeRecsCap)
-			sinks = append(sinks, func(rec trace.Record) {
-				d.ChromeRecs = append(d.ChromeRecs, rec)
-			})
-		}
-		d.tracer = trace.New(sinks...)
+	if cfg.TraceOut != nil {
+		d.TraceBuf = mem.NewArena(sinkArenaCap)
+		d.tracer = trace.New(trace.JSONL(d.TraceBuf, nil), i)
 		gc.Tracer = d.tracer
 		f.SetTracer(d.tracer)
 	}
@@ -394,9 +370,8 @@ type ShardEngine struct {
 	view    *StatsView // nil without cfg.Metrics
 	closed  bool
 
-	// chrome streams ChromeOut (nil without it); sinkErr is the first
-	// error writing EventLog or TraceOut returned, for Close to report.
-	chrome  *trace.ChromeWriter
+	// sinkErr is the first error writing EventLog or TraceOut returned,
+	// for Close to report.
 	sinkErr error
 
 	// epochIngress counts records Replay scheduled since the last epoch
@@ -434,9 +409,6 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	e.runner = sim.NewRunner(e.local, 0, cfg.Lookahead) // every kernel starts at 0
 	e.runner.SetSequential(!cfg.Parallel)
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
-	if cfg.ChromeOut != nil {
-		e.chrome = trace.NewChromeWriter(cfg.ChromeOut)
-	}
 	e.view = NewStatsView(cfg.Metrics, e.domains)
 	e.runner.SetAfterEpoch(func() {
 		e.writeThrough()
@@ -508,32 +480,19 @@ func (e *ShardEngine) RunUntil(deadline sim.Time) {
 	e.atRest()
 }
 
-// writeSinks writes every domain's buffered event log, span trace and
-// Chrome records to the configured writers in shard order, and empties
-// the buffers. A one-domain engine calls it at every epoch boundary and
-// after each synchronous entry point that can log, so its output
-// streams like a directly attached sink's; with several domains only
-// Close does, because interleaving their buffers mid-run would make the
-// bytes depend on the epoch grid.
+// writeSinks writes every domain's buffered event log and span trace to
+// the configured writers in shard order, and empties the buffers. A
+// one-domain engine calls it at every epoch boundary and after each
+// synchronous entry point that can log, so its output streams like a
+// directly attached sink's; with several domains only Close does,
+// because interleaving their buffers mid-run would make the bytes
+// depend on the epoch grid.
 func (e *ShardEngine) writeSinks() {
 	for _, d := range e.domains {
 		e.writeSink(e.cfg.EventLog, d.EventBuf)
 	}
 	for _, d := range e.domains {
 		e.writeSink(e.cfg.TraceOut, d.TraceBuf)
-	}
-	// Every domain's tracer numbers its traces from 1, so trace IDs are
-	// tagged with the shard index to keep one domain's timeline rows
-	// from colliding with another's — the tag is applied identically in
-	// parallel and sequential runs, preserving byte-for-byte equality.
-	for _, d := range e.domains {
-		tag := uint64(d.Index) << 48
-		for _, rec := range d.ChromeRecs {
-			rec.Trace |= tag
-			e.chrome.Write(rec)
-		}
-		clear(d.ChromeRecs)
-		d.ChromeRecs = d.ChromeRecs[:0]
 	}
 }
 
@@ -788,15 +747,6 @@ func (e *ShardEngine) Close() error {
 	}
 	e.writeSinks()
 	e.view.Publish()
-	errs := []error{e.sinkErr}
-	if e.chrome != nil {
-		if err := e.chrome.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	e.prof.RecordFlush(time.Since(flushT0).Nanoseconds())
-	if err := e.prof.FlushTimeline(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return errors.Join(e.sinkErr, e.prof.FlushTimeline())
 }

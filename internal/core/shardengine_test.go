@@ -17,6 +17,7 @@ import (
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
+	"potemkin/internal/trace"
 )
 
 // shardRun is everything observable a shard-engine run produces: the
@@ -236,6 +237,26 @@ func TestShardEngineCrossShardGolden(t *testing.T) {
 	}
 	if crossed == 0 {
 		t.Fatal("no message crossed shards: the golden pins nothing of the exchange")
+	}
+	// Each domain numbers its traces and spans from shard<<48 | 1, so in
+	// the merged trace every span ID occurs once and every trace has
+	// exactly one root.
+	recs, err := trace.ReadAll(bytes.NewReader(tr.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, traces, roots := make(map[uint64]bool), make(map[uint64]bool), 0
+	for _, r := range recs {
+		if spans[r.Span] {
+			t.Errorf("span ID %#x repeats in the merged trace", r.Span)
+		}
+		spans[r.Span], traces[r.Trace] = true, true
+		if r.Parent == 0 {
+			roots++
+		}
+	}
+	if len(traces) != roots {
+		t.Errorf("%d distinct trace IDs for %d root spans", len(traces), roots)
 	}
 
 	sum := func(b []byte) uint64 {

@@ -18,7 +18,7 @@ import (
 // queued packets with their arrival times — recycles it, and checks the
 // next address bound on the same struct sees none of it.
 func TestRecycledBindingHygiene(t *testing.T) {
-	tr := trace.New(func(trace.Record) {})
+	tr := trace.New(func(trace.Record) {}, 0)
 	g, fb, k := newTestGateway(t, func(c *Config) {
 		c.Tracer = tr
 		c.Policy = PolicyOpen

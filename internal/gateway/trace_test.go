@@ -12,7 +12,7 @@ import (
 func tracedGateway(t *testing.T, mutate func(*Config)) (*Gateway, *fakeBackend, *[]trace.Record, func()) {
 	t.Helper()
 	var recs []trace.Record
-	tr := trace.New(func(r trace.Record) { recs = append(recs, r) })
+	tr := trace.New(func(r trace.Record) { recs = append(recs, r) }, 0)
 	g, fb, k := newTestGateway(t, func(cfg *Config) {
 		cfg.Tracer = tr
 		if mutate != nil {

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"slices"
 	"syscall"
@@ -171,7 +172,7 @@ func FuzzSplitTrain(f *testing.F) {
 	f.Add([]byte(nil), groControl(60))
 	f.Add(bytes.Repeat(frame, 2)[:100], append(otherControl(), groControl(1)...))
 	huge := groControl(60)
-	putCmsgLen(huge, 1<<40)
+	putCmsgLen(huge, math.MaxInt32) // far past the buffer on every word size
 	f.Add(frame, huge)
 	f.Fuzz(func(t *testing.T, data, oob []byte) {
 		segs, at := 0, 0

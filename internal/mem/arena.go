@@ -1,7 +1,7 @@
 package mem
 
 // Arena is a grow-once append buffer for the shard engine's buffered
-// sinks (event log, span trace, Chrome records). Unlike bytes.Buffer it
+// sinks (event log, span trace). Unlike bytes.Buffer it
 // exposes its backing slice, so encoders can append records in place
 // with zero per-record allocations: capacity grows amortized-once to
 // the run's high-water mark and is reused for the rest of the run.

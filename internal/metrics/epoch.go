@@ -121,7 +121,7 @@ func (p *EpochProfiler) Record(s EpochSample) {
 	}
 }
 
-// RecordFlush records the sink-flush phase (event/trace/Chrome buffers
+// RecordFlush records the sink-flush phase (event-log and trace buffers
 // written in shard order at engine Close). Nil-safe.
 func (p *EpochProfiler) RecordFlush(ns int64) {
 	if p == nil {

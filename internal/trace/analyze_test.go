@@ -10,7 +10,7 @@ import (
 func buildAnalysis(t *testing.T) *Analysis {
 	t.Helper()
 	var recs []Record
-	tr := New(func(r Record) { recs = append(recs, r) })
+	tr := New(func(r Record) { recs = append(recs, r) }, 0)
 
 	fast := tr.StartTrace(0, "binding", Attr{K: "addr", V: "10.5.0.1"})
 	fs := tr.StartChild(0, fast, "spawn")

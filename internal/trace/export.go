@@ -92,9 +92,6 @@ func NewChromeWriter(w io.Writer) *ChromeWriter {
 	return cw
 }
 
-// Sink adapts the writer for Tracer sinks.
-func (cw *ChromeWriter) Sink() Sink { return func(rec Record) { cw.Write(rec) } }
-
 // chromeEvent is one trace-event object. Timestamps are microseconds;
 // they are emitted as exact decimals of the nanosecond clock so output
 // stays byte-stable.

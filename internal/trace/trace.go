@@ -9,15 +9,19 @@
 //     come from the sim clock, and attributes are ordered slices, so a
 //     run with a fixed seed produces a byte-identical trace. Chaos
 //     replays (internal/fault) can therefore be diffed span-by-span.
+//   - Unique at every shard count. The tracer of shard s numbers both
+//     its traces and its spans from s<<48 | 1, so the traces of several
+//     simulation domains, concatenated, name every span and every
+//     binding lifecycle once; shard 0 counts 1, 2, 3, ...
 //   - Zero overhead when off. Every method is safe on a nil *Tracer and
 //     a nil *Span and returns immediately; instrumentation sites pay one
 //     nil check when tracing is disabled.
-//   - One source of truth. The gateway's forensic event log is folded
-//     into span events (gateway.logEvent feeds both sinks), so the
-//     trace subsumes the flat log rather than drifting from it.
 //
-// Finished spans stream to a Sink in finish order; exporters for JSONL
-// and the Chrome trace-event format live in export.go. Per-stage
+// The gateway records each forensic event as a span event too, but its
+// event log stays a writer of its own (gateway.EventSink).
+//
+// Finished spans stream to a Sink in finish order; the JSONL exporter
+// and the Chrome trace-event renderer live in export.go. Per-stage
 // latencies (one metrics.Histogram per span name, plus explicit
 // ObserveStage calls like the gateway's pending-queue wait) accumulate
 // on the tracer for live snapshots and end-of-run tables.
@@ -72,11 +76,11 @@ type Span struct {
 // Sink consumes finished spans, already flattened to Records.
 type Sink func(Record)
 
-// Tracer mints spans and streams finished ones to its sinks. The zero
+// Tracer mints spans and streams finished ones to its sink. The zero
 // value is not usable; a nil *Tracer is the "tracing off" state and
 // every method on it is a no-op.
 type Tracer struct {
-	sinks []Sink
+	sink Sink
 
 	nextSpan  SpanID
 	nextTrace TraceID
@@ -92,12 +96,14 @@ type Tracer struct {
 	stages map[string]*metrics.Histogram
 }
 
-// New returns a tracer streaming finished spans to the given sinks.
-func New(sinks ...Sink) *Tracer {
+// New returns shard's tracer, streaming finished spans to sink. Its
+// trace and span IDs count up from shard<<48 | 1.
+func New(sink Sink, shard int) *Tracer {
+	first := uint64(shard)<<48 | 1
 	return &Tracer{
-		sinks:     sinks,
-		nextSpan:  1,
-		nextTrace: 1,
+		sink:      sink,
+		nextSpan:  SpanID(first),
+		nextTrace: TraceID(first),
 		current:   make(map[uint64]*Span),
 		open:      make(map[SpanID]*Span),
 		stages:    make(map[string]*metrics.Histogram),
@@ -221,7 +227,7 @@ func (s *Span) Event(now sim.Time, name, detail string) {
 func (s *Span) Done() bool { return s == nil || s.done }
 
 // Finish ends the span at now, records its duration into the tracer's
-// stage histogram named after the span, and streams it to the sinks.
+// stage histogram named after the span, and streams it to the sink.
 // Finishing twice is a no-op, so teardown races (a binding recycled
 // while its clone is in flight) stay simple at the call sites.
 func (s *Span) Finish(now sim.Time) {
@@ -233,10 +239,7 @@ func (s *Span) Finish(now sim.Time) {
 	t := s.tracer
 	delete(t.open, s.ID)
 	t.ObserveStage(s.Name, float64(now.Sub(s.Start))/float64(time.Millisecond))
-	rec := s.Record()
-	for _, sink := range t.sinks {
-		sink(rec)
-	}
+	t.sink(s.Record())
 }
 
 // Record flattens the span for export.

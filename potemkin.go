@@ -198,16 +198,9 @@ type Options struct {
 	// forensic events folded on. Deterministic: the same seed writes the
 	// same bytes. Call Close to flush spans still open at shutdown.
 	// Written through or buffered until Close exactly as EventLog is.
+	// Trace and span IDs are unique across shards, and
+	// `inspect trace -chrome` renders the file for Perfetto.
 	TraceOut io.Writer
-
-	// TraceChrome, when non-nil, receives the same trace in the Chrome
-	// trace-event format — load the file in Perfetto or chrome://tracing
-	// to see binding lifecycles on a timeline, one track per trace.
-	// Call Close to terminate the JSON array. With several gateway
-	// shards the records are buffered per shard and merged in shard
-	// order on Close, with trace IDs shard-tagged so rows never
-	// collide; the bytes are identical with Parallel on or off.
-	TraceChrome io.Writer
 
 	// Metrics enables the live telemetry registry: named atomic
 	// counters/gauges/histograms (gateway_*, farm_*, vmm_*, guest_*,
@@ -496,7 +489,6 @@ func New(opts Options) (*Honeyfarm, error) {
 	}
 	ec.EventLog = opts.EventLog
 	ec.TraceOut = opts.TraceOut
-	ec.ChromeOut = opts.TraceChrome
 	ec.Metrics = hf.metrics
 	ec.EpochLog = opts.EpochLog
 	var hooks Hooks
@@ -699,8 +691,7 @@ func (hf *Honeyfarm) closeCaptures() {
 
 // Close stops background activity (recycling timers), finishes spans
 // still open in the trace, writes whatever the event log and traces
-// still buffer, terminates the Chrome trace array, and flushes capture
-// files.
+// still buffer, and flushes capture files.
 func (hf *Honeyfarm) Close() {
 	if err := hf.eng.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "potemkin: close: %v\n", err)

@@ -49,8 +49,8 @@ func TestSnapshotReflectsActivity(t *testing.T) {
 }
 
 func TestFacadeTraceExport(t *testing.T) {
-	var jsonl, chrome bytes.Buffer
-	hf := MustNew(Options{Seed: 3, TraceOut: &jsonl, TraceChrome: &chrome})
+	var jsonl bytes.Buffer
+	hf := MustNew(Options{Seed: 3, TraceOut: &jsonl})
 	if err := hf.InjectProbe("203.0.113.9", "10.5.1.2", 445); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,15 @@ func TestFacadeTraceExport(t *testing.T) {
 		}
 	}
 
-	// The Chrome export must be a closed, valid JSON array.
+	// Rendered for Chrome, it must be a closed, valid JSON array.
+	var chrome bytes.Buffer
+	cw := trace.NewChromeWriter(&chrome)
+	for _, r := range recs {
+		cw.Write(r)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var events []map[string]any
 	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
 		t.Fatalf("chrome trace invalid: %v", err)

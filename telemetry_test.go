@@ -15,6 +15,7 @@ import (
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
+	"potemkin/internal/trace"
 	"potemkin/internal/vmm"
 )
 
@@ -386,12 +387,12 @@ func TestMetricsPublishedMidRun(t *testing.T) {
 	}
 }
 
-// chromeRun drives the same parallel workload with a Chrome trace
+// traceRun drives the same parallel workload with the span trace
 // attached and returns the trace bytes. With oracle set the engine
 // runs its epochs single-threaded — the byte-identity baseline.
-func chromeRun(t *testing.T, oracle bool) []byte {
+func traceRun(t *testing.T, oracle bool) []byte {
 	t.Helper()
-	var chrome bytes.Buffer
+	var out bytes.Buffer
 	hf := MustNew(Options{
 		Seed:          11,
 		Parallel:      true,
@@ -399,7 +400,7 @@ func chromeRun(t *testing.T, oracle bool) []byte {
 		Policy:        InternalReflect,
 		Guest:         GuestMultiStage,
 		IdleTimeout:   time.Second,
-		TraceChrome:   &chrome,
+		TraceOut:      &out,
 	})
 	if oracle {
 		hf.Internals().Engine.SetSequential(true)
@@ -415,29 +416,33 @@ func chromeRun(t *testing.T, oracle bool) []byte {
 		t.Fatal(err)
 	}
 	hf.RunFor(1500 * time.Millisecond)
-	hf.Close() // Chrome buffers flush in shard order at Close
-	return chrome.Bytes()
+	hf.Close() // the shards' buffers flush in shard order at Close
+	return out.Bytes()
 }
 
-// TestTraceChromeParallelMatchesSequential: Chrome trace output under
-// the parallel engine is buffered per shard and flushed in shard
-// order, so a same-seed parallel run emits byte-identical trace JSON
-// to the single-threaded oracle.
-func TestTraceChromeParallelMatchesSequential(t *testing.T) {
-	seq := chromeRun(t, true)
-	par := chromeRun(t, false)
-	if len(par) == 0 {
-		t.Fatal("parallel run produced no Chrome trace")
-	}
+// TestTraceParallelMatchesSequential: the span trace under the parallel
+// engine is buffered per shard and flushed in shard order, so a
+// same-seed parallel run emits byte-identical JSONL to the
+// single-threaded oracle, and no span ID repeats across its shards.
+func TestTraceParallelMatchesSequential(t *testing.T) {
+	seq := traceRun(t, true)
+	par := traceRun(t, false)
 	if !bytes.Equal(seq, par) {
-		t.Errorf("Chrome traces diverge (seq %d bytes, par %d bytes)", len(seq), len(par))
+		t.Errorf("traces diverge (seq %d bytes, par %d bytes)", len(seq), len(par))
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(par, &events); err != nil {
-		t.Fatalf("Chrome trace not valid JSON: %v", err)
+	recs, err := trace.ReadAll(bytes.NewReader(par))
+	if err != nil {
+		t.Fatalf("trace not valid JSONL: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("Chrome trace has no events")
+	if len(recs) == 0 {
+		t.Fatal("parallel run produced no spans")
+	}
+	seen := make(map[uint64]bool, len(recs))
+	for _, r := range recs {
+		if seen[r.Span] {
+			t.Fatalf("span ID %#x repeats", r.Span)
+		}
+		seen[r.Span] = true
 	}
 }
 
