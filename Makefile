@@ -32,7 +32,11 @@ test:
 # and the wire listener's batches ride the listener's. So does a
 # netsim.TCPSyn or netsim.UDPDatagram in non-test internal/guest: every
 # packet a guest originates is built in the instance's own storage
-# (Instance.outgoing), so a send allocates nothing.
+# (Instance.outgoing), so a send allocates nothing. So does a fused
+# floating-point multiply-add in what arm64 compiles outside bench/: the
+# spec lets a compiler fuse x*y+z, arm64's does and amd64's does not, so
+# a fused site makes a digest depend on the host. An explicit float64(...)
+# around the product rounds it and keeps the two apart.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -50,6 +54,11 @@ vet:
 		[ -z "$$out" ] || { echo "vet: sync.Pool (use a free list the owner keeps):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n -e 'netsim\.TCPSyn(' -e 'netsim\.UDPDatagram(' -- 'internal/guest/*.go' ':!*_test.go'); \
 		[ -z "$$out" ] || { echo "vet: a guest packet built on the heap (build it in the instance's own storage, Instance.outgoing):"; echo "$$out"; exit 1; }
+	@asm=$$(mktemp) && trap 'rm -f "$$asm"' EXIT && \
+		{ GOARCH=arm64 $(GO) build -gcflags=-S $$($(GO) list ./... | grep -v '^potemkin/bench$$') > "$$asm" 2>&1 \
+			|| { echo "vet: GOARCH=arm64 go build failed"; exit 1; }; } && \
+		out=$$(grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$asm" | grep -o '[^ (]*\.go:[0-9]*' | sort | uniq -c); \
+		[ -z "$$out" ] || { echo "vet: arm64 fuses a multiply-add at (round the product with an explicit float64(...)):"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...

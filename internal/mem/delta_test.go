@@ -182,6 +182,75 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	}
 }
 
+// A class's buffers sit side by side in a chunk, and a class that
+// outgrows its chunk starts another. With every class holding two
+// chunks' worth of full buffers and one more at once, every page must
+// still read back what was written to it.
+func TestDeltaOverflowChunkBoundaries(t *testing.T) {
+	const pages = 2<<6 + 1 // the 16-byte class holds 64 buffers a chunk
+	s := NewStore()
+	img := BuildImage(s, pages, pages, 900)
+	want := make([][]byte, pages)
+	for vpn := range want {
+		want[vpn] = imagePage(img, uint64(vpn))
+	}
+	clones := make([]*AddressSpace, deltaClasses)
+	wants := make([][][]byte, deltaClasses)
+	for c := range clones {
+		a := img.NewClone()
+		clones[c], wants[c] = a, make([][]byte, pages)
+		perChunk := 1 << overflowShift[c]
+		for vpn := 0; vpn < 2*perChunk+1; vpn++ {
+			page := bytes.Clone(want[vpn])
+			write := func(off, n int) {
+				b := make([]byte, n)
+				for i := range b {
+					b[i] = byte(c*31 + vpn*7 + i + 1)
+				}
+				a.Write(uint64(vpn), off, b)
+				copy(page[off:], b)
+			}
+			// Each page's buffer is filled to its last byte: a 16-byte
+			// spill behind a 12-byte inline record in class 0, one record
+			// the class's size in the others.
+			off := vpn * 29 % (PageSize - deltaCap)
+			if c == 0 {
+				write(off, 8)
+				write(off+100, 12)
+			} else {
+				write(off, (c+1)*deltaStep-deltaHdr)
+			}
+			e := ownedEntry(t, a, uint64(vpn))
+			if h := e.overflow(); int(h>>overflowPosBits) != c || e.ovfLen() != overflowSize(h) {
+				t.Fatalf("class %d page %d: overflow len %d in a %d B buffer of class %d",
+					c, vpn, e.ovfLen(), overflowSize(h), h>>overflowPosBits)
+			}
+			wants[c][vpn] = page
+		}
+		if n := len(s.overflow[c].chunks); n != 3 {
+			t.Fatalf("class %d carved %d chunks for %d buffers, want 3", c, n, 2*perChunk+1)
+		}
+	}
+	for c, a := range clones {
+		for vpn, page := range wants[c] {
+			if page == nil {
+				page = want[vpn]
+			}
+			if !bytes.Equal(a.PeekPage(uint64(vpn)), page) {
+				t.Fatalf("class %d page %d: records read back differ", c, vpn)
+			}
+			if !bytes.Equal(a.Read(uint64(vpn), 0, PageSize), page) {
+				t.Fatalf("class %d page %d: promoted page differs", c, vpn)
+			}
+		}
+		a.Release()
+	}
+	img.Release()
+	if err := s.CheckRefs(ExternalRefs(nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A lazy delta reads through its image, so it never has a FrameID a
 // second holder could take. Once promoted it is an ordinary frame, and a
 // reference taken then outlives clone and image.

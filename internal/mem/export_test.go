@@ -1,5 +1,7 @@
 package mem
 
+import "unsafe"
+
 // Views for model_test.go, which is an external test package because it
 // drives checkpoints through vmm, and vmm imports this package.
 
@@ -47,4 +49,18 @@ func (a *AddressSpace) Materialize(vpn uint64) {
 	default:
 		a.store.View(e.frame())
 	}
+}
+
+// ChunkBytes is what a store's arenas have carved, whatever they hold:
+// the slab's chunks in all, and each overflow class's chunks one by one.
+func (s *Store) ChunkBytes() (slab int, overflow [deltaClasses][]int) {
+	for _, c := range s.slab {
+		slab += cap(c) * int(unsafe.Sizeof(frame{}))
+	}
+	for i := range s.overflow {
+		for _, c := range s.overflow[i].chunks {
+			overflow[i] = append(overflow[i], cap(c))
+		}
+	}
+	return slab, overflow
 }

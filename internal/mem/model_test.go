@@ -28,7 +28,10 @@ const (
 	modelPages    = 12 // guest-physical pages; the image backs the first 8
 	modelResident = 8
 	modelSeed     = 4077
-	modelMaxVMs   = 5
+	// Eight snapshot clones own 72 delta pages between them: room for 65
+	// buffers of the 16-byte overflow class at once, one more than its
+	// chunk holds.
+	modelMaxVMs = 8
 
 	// What the snapshot image's reference VM wrote before it was frozen:
 	// snapPatch at snapOff of a page the synthetic image backs and of one

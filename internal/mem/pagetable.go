@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"potemkin/internal/flatindex"
 )
@@ -86,15 +87,25 @@ type overflowClass struct {
 	free   []uint32
 }
 
-// A chunk is overflowPerChunk buffers of one class, 1–16 KiB. A store
-// holds the uncarved tail of one chunk for every class it has used, so
-// chunks stay small: at 128 buffers the sixteen classes' tails cost
-// wire-warm half a MiB of live heap.
+// A chunk is at most overflowChunkBytes: as many buffers of its class as
+// fit, rounded down to a power of two (64 of 16 B, 32 of 32 B, 16 of 48
+// or 64 B, 8 of 80–128 B, 4 of 144–256 B), so locating a buffer is a
+// shift and a mask. A store holds the uncarved tail of one chunk for
+// every class it has used, and every simulated server has a store, so
+// the tails are paid per server: at a kilobyte a chunk, under 16 KiB.
 const (
-	overflowPerChunk = 64
-	overflowPosBits  = 28
-	overflowPosMask  = 1<<overflowPosBits - 1
+	overflowChunkBytes = 1024
+	overflowPosBits    = 28
+	overflowPosMask    = 1<<overflowPosBits - 1
 )
+
+// overflowShift is, by class, log2 of the buffers in one chunk.
+var overflowShift = func() (shift [deltaClasses]uint8) {
+	for c := range shift {
+		shift[c] = uint8(bits.Len(uint(overflowChunkBytes/((c+1)*deltaStep))) - 1)
+	}
+	return shift
+}()
 
 func (s *Store) overflowAlloc(class int) uint32 {
 	oc := &s.overflow[class]
@@ -104,8 +115,8 @@ func (s *Store) overflowAlloc(class int) uint32 {
 		if pos > overflowPosMask {
 			panic("mem: overflow arena full") // the handle has 28 bits of position
 		}
-		if pos%overflowPerChunk == 0 {
-			oc.chunks = append(oc.chunks, make([]byte, overflowPerChunk*(class+1)*deltaStep))
+		if shift := overflowShift[class]; pos&(1<<shift-1) == 0 {
+			oc.chunks = append(oc.chunks, make([]byte, (class+1)*deltaStep<<shift))
 		}
 		oc.carved++
 	}
@@ -120,9 +131,10 @@ func overflowSize(handle uint32) int {
 // overflowBuf is the whole buffer behind a handle; the entry knows how
 // much of it is records.
 func (s *Store) overflowBuf(handle uint32) []byte {
-	pos, size := handle&overflowPosMask, uint32(overflowSize(handle))
-	start := pos % overflowPerChunk * size
-	return s.overflow[handle>>overflowPosBits].chunks[pos/overflowPerChunk][start : start+size]
+	class, pos, size := handle>>overflowPosBits, handle&overflowPosMask, uint32(overflowSize(handle))
+	shift := overflowShift[class]
+	start := pos & (1<<shift - 1) * size
+	return s.overflow[class].chunks[pos>>shift][start : start+size]
 }
 
 func (s *Store) overflowFree(handle uint32) {

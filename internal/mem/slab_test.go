@@ -31,6 +31,42 @@ func TestFrameSlotSize(t *testing.T) {
 	}
 }
 
+// Every simulated server has a store, so what a store's arenas carve
+// before they hold much is paid per server, however few VMs it runs: the
+// slab's first chunk, which holds the zero frame, and a chunk of every
+// overflow class a page's records pass through, most of it unused.
+func TestStoreHostBytes(t *testing.T) {
+	s := NewStore()
+	if slab, _ := s.ChunkBytes(); slab > 1024 {
+		t.Errorf("a fresh store holds %d B of slab, want at most 1 KiB", slab)
+	}
+	a := BuildImage(s, 8, 4, 800).NewClone()
+	defer a.Release()
+	// A 9-byte record stays inline, each 16-byte one spills the page into
+	// the next class, and a last 7-byte one brings it to the cap.
+	a.Write(1, 0, []byte{1, 2, 3, 4, 5})
+	for c := 0; c < deltaClasses; c++ {
+		b := bytes.Repeat([]byte{byte(c + 1)}, 12)
+		if c == deltaClasses-1 {
+			b = b[:3]
+		}
+		a.Write(1, 16*(c+1), b)
+		if e := ownedEntry(t, a, 1); !e.isDelta() || e.ovfLen() == 0 || int(e.overflow()>>overflowPosBits) != c {
+			t.Fatalf("write %d: the page is not a delta in overflow class %d", c+2, c)
+		}
+	}
+	slab, overflow := s.ChunkBytes()
+	if slab > 1024 {
+		t.Errorf("after one page's walk the store holds %d B of slab, want at most 1 KiB", slab)
+	}
+	for c, chunks := range overflow {
+		if len(chunks) != 1 || chunks[0] > 1024 {
+			t.Errorf("class %d (%d B buffers) holds chunks of %v B, want one of at most 1 KiB",
+				c, (c+1)*deltaStep, chunks)
+		}
+	}
+}
+
 func TestSlabReusesFreedSlots(t *testing.T) {
 	s := NewStore()
 	id1 := s.AllocData(testPage(1))

@@ -106,11 +106,12 @@ type StoreStats struct {
 // noFreeSlot terminates the intrusive free list.
 const noFreeSlot = ^uint32(0)
 
-// slabChunk is the number of frame slots the slab grows by (10 KiB): a
+// slabChunk is the number of frame slots the slab grows by (640 B): a
 // power of two, so addressing a slot is a shift and a mask. It is small
 // because every simulated server has a store and most hold little in
-// the slab — the zero frame, and the pages something read or shared.
-const slabChunk = 256
+// the slab — the zero frame, and the pages something read or shared — so
+// a chunk is paid per server, not per VM.
+const slabChunk = 16
 
 // bufPoolCap bounds the recycled page-buffer pool (4 MiB of 4 KiB
 // pages). Only frames whose bytes something read or wrote wholesale

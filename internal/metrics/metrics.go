@@ -73,8 +73,9 @@ func bucketValue(idx int) float64 {
 	exp := idx / subBuckets
 	sub := idx % subBuckets
 	base := math.Exp2(float64(exp))
-	lo := base + base*float64(sub)/subBuckets
-	hi := base + base*float64(sub+1)/subBuckets
+	// float64 rounds each product: no fused multiply-add (make vet).
+	lo := base + float64(base*float64(sub)/subBuckets)
+	hi := base + float64(base*float64(sub+1)/subBuckets)
 	return (lo + hi) / 2
 }
 

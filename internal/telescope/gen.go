@@ -226,9 +226,9 @@ func Generate(cfg GenConfig) ([]Record, error) {
 		for emitted := 0; emitted < vertPkts; {
 			src := randomExternal(vt, cfg.Space)
 			dst := cfg.Space.Nth(vt.Uint64n(cfg.Space.Size()))
-			start := vt.Float64() * cfg.Duration.Seconds()
+			start := float64(vt.Float64() * cfg.Duration.Seconds()) // float64 rounds the product: no fused multiply-add (make vet)
 			for i := 0; i < portsPerScan && emitted < vertPkts; i++ {
-				at := start + float64(i)*0.02
+				at := start + float64(float64(i)*0.02) // float64 rounds the product: no fused multiply-add (make vet)
 				if at > cfg.Duration.Seconds() {
 					break
 				}

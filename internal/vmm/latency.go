@@ -96,7 +96,8 @@ func (m *LatencyModel) jittered(d time.Duration, r *sim.RNG) time.Duration {
 	if m.Jitter <= 0 || d <= 0 {
 		return d
 	}
-	f := 1 + m.Jitter*(2*r.Float64()-1)
+	// float64 rounds each product: no fused multiply-add (make vet).
+	f := 1 + float64(m.Jitter*(2*float64(r.Float64())-1))
 	return time.Duration(float64(d) * f)
 }
 

@@ -321,7 +321,7 @@ func (e *Epidemic) step(now sim.Time) {
 	if cap := e.Cfg.AggregateScanCap; cap > 0 && scanRate > cap {
 		scanRate = cap
 	}
-	scans := scanRate * dt
+	scans := float64(scanRate * dt) // float64 rounds the product: no fused multiply-add (make vet)
 	if scans <= 0 {
 		return
 	}
@@ -330,7 +330,7 @@ func (e *Epidemic) step(now sim.Time) {
 	globalScans := scans
 	localScans := 0.0
 	if e.Cfg.Strategy == LocalPref {
-		localScans = scans * e.Cfg.LocalFraction
+		localScans = float64(scans * e.Cfg.LocalFraction) // float64 rounds the product: no fused multiply-add (make vet)
 		globalScans = scans - localScans
 	}
 
