@@ -69,7 +69,6 @@ race:
 # minimizing each new input by the default 60 s would be the entire
 # pass; they get an execution budget instead.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=$(FUZZTIME) ./internal/telescope
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzResolverServe -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzDecap -fuzztime=$(FUZZTIME) ./internal/gre

@@ -13,7 +13,7 @@ import (
 
 // flags is potemkind's command line.
 type flags struct {
-	space, traceF, pcapF, listen       string
+	space, pcapF, listen               string
 	listenFor                          time.Duration
 	listenShards, queueLen             int
 	plainGRE                           bool
@@ -29,7 +29,6 @@ type flags struct {
 	seed                               uint64
 	interval                           time.Duration
 	eventLog, capture                  string
-	capturePcap                        bool
 	checkpoints                        string
 	jsonOut                            bool
 	traceOut, debugAddr                string
@@ -45,8 +44,7 @@ type flags struct {
 func defineFlags(fs *flag.FlagSet) *flags {
 	f := new(flags)
 	fs.StringVar(&f.space, "space", "10.5.0.0/16", "monitored address space (CIDR)")
-	fs.StringVar(&f.traceF, "trace", "", "trace file to replay (default: synthesize)")
-	fs.StringVar(&f.pcapF, "pcap", "", "pcap savefile to replay instead of a .potm trace")
+	fs.StringVar(&f.pcapF, "pcap", "", "pcap savefile to replay (default: synthesize)")
 	fs.StringVar(&f.listen, "listen", "", "serve live GRE-over-UDP ingest on this UDP address (e.g. 127.0.0.1:4754)")
 	fs.DurationVar(&f.listenFor, "listen-for", 0, "stop the listener after this much wall time (0: until interrupted)")
 	fs.IntVar(&f.listenShards, "listen-shards", 1, "ingest listener shards (1 keeps wire replay deterministic)")
@@ -66,8 +64,7 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed")
 	fs.DurationVar(&f.interval, "interval", 10*time.Second, "progress interval (simulated)")
 	fs.StringVar(&f.eventLog, "eventlog", "", "write the gateway's forensic event log (JSONL) to this file")
-	fs.StringVar(&f.capture, "capture", "", "record all gateway traffic into trace files under this directory")
-	fs.BoolVar(&f.capturePcap, "capture-pcap", false, "write -capture files as pcap savefiles instead of .potm")
+	fs.StringVar(&f.capture, "capture", "", "record all gateway traffic into pcap savefiles (in, tovm, out) under this directory")
 	fs.StringVar(&f.checkpoints, "checkpoints", "", "save delta checkpoints of detected VMs into this directory")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the final stats as JSON on stdout")
 	fs.StringVar(&f.traceOut, "trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file (see inspect trace; inspect trace -chrome renders it for Perfetto)")
@@ -111,8 +108,8 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
 	coordinator, worker := f.coordinator != "", f.worker != ""
-	if moreThanOne(f.traceF != "", f.pcapF != "", f.listen != "") {
-		bad("-trace, -pcap, and -listen are mutually exclusive")
+	if f.pcapF != "" && f.listen != "" {
+		bad("-pcap and -listen are mutually exclusive")
 	}
 	if f.wirePcap != "" && f.listen == "" {
 		bad("-wire-pcap requires -listen (it captures the live wire feed)")
@@ -135,7 +132,7 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 		bad("-snapshot-out is not supported with -coordinator (use -json for the merged stats)")
 	}
 	if worker {
-		for _, name := range []string{"trace", "pcap", "json", "eventlog", "trace-out", "snapshot-out", "debug-addr", "epoch-log", "scorecard-out"} {
+		for _, name := range []string{"pcap", "json", "eventlog", "trace-out", "snapshot-out", "debug-addr", "epoch-log", "scorecard-out"} {
 			if set[name] {
 				bad("-%s is a coordinator flag; the worker ships its output over the cluster protocol", name)
 			}
@@ -152,7 +149,7 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 		bad("-scorecard-out requires -scenario (the scorecard scores a campaign run)")
 	}
 	if f.scenario != "" {
-		for _, name := range []string{"trace", "pcap", "listen", "profile", "guest", "rate", "duration"} {
+		for _, name := range []string{"pcap", "listen", "profile", "guest", "rate", "duration"} {
 			if set[name] {
 				bad("-%s conflicts with -scenario (the scenario defines the feed and the guest)", name)
 			}
@@ -167,7 +164,6 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 		Parallel:       f.parallel,
 		IdleTimeout:    f.idle,
 		CaptureDir:     f.capture,
-		CapturePcap:    f.capturePcap,
 		CheckpointDir:  f.checkpoints,
 		// The live /metrics scrape is the registry's one consumer here.
 		Metrics: f.debugAddr != "",
@@ -226,15 +222,4 @@ func loadProfile(path string) (*guest.Profile, error) {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return p, nil
-}
-
-// moreThanOne reports whether more than one of the flags is set.
-func moreThanOne(flags ...bool) bool {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n > 1
 }

@@ -33,8 +33,8 @@ func TestFlagProblems(t *testing.T) {
 		{"clean single-process run", "", nil},
 		{"clean coordinator", "-coordinator 127.0.0.1:0 -shards 2", nil},
 		{"clean scenario", "-scenario multistage -space 10.5.0.0/22 -shards 2 -scorecard-out card.json", nil},
-		{"one feed", "-trace a.potm -pcap b.pcap",
-			[]string{"-trace, -pcap, and -listen are mutually exclusive"}},
+		{"one feed", "-pcap a.pcap -listen 127.0.0.1:4754",
+			[]string{"-pcap and -listen are mutually exclusive"}},
 		{"wire capture needs the wire", "-wire-pcap live.pcap",
 			[]string{"-wire-pcap requires -listen (it captures the live wire feed)"}},
 		{"one cluster role", "-coordinator A -worker B -shards 2",
@@ -67,10 +67,10 @@ func TestFlagProblems(t *testing.T) {
 			[]string{"potemkin: GatewayShards needs at least one server per shard (4 servers, 8 shards)"}},
 		{"Options.Validate in cluster mode", "-worker A -servers -1",
 			[]string{"potemkin: negative server count"}},
-		{"every problem at once", "-trace a -pcap b -policy bogus -guest bogus -servers -1 -worker A -json -capture dir",
+		{"every problem at once", "-pcap a -listen b -policy bogus -guest bogus -servers -1 -worker A -json -capture dir",
 			[]string{
-				"-trace, -pcap, and -listen are mutually exclusive",
-				"-trace is a coordinator flag; the worker ships its output over the cluster protocol",
+				"-pcap and -listen are mutually exclusive",
+				"cluster mode does not support -listen (wire arrivals defeat conservative lookahead)",
 				"-pcap is a coordinator flag; the worker ships its output over the cluster protocol",
 				"-json is a coordinator flag; the worker ships its output over the cluster protocol",
 				"-capture is not supported in cluster mode",

@@ -1,16 +1,16 @@
 // Command potemkind runs a simulated Potemkin honeyfarm against a
-// telescope feed — a trace file recorded by cmd/telescope, a pcap
-// capture, live GRE-over-UDP wire traffic, or a freshly synthesized
-// feed — and reports the gateway, farm, and memory statistics the
-// paper's scalability argument is made of.
+// telescope feed — a pcap savefile (from cmd/telescope, a -capture or
+// -wire-pcap run, or any packet capture tool), live GRE-over-UDP wire
+// traffic, or a freshly synthesized feed — and reports the gateway,
+// farm, and memory statistics the paper's scalability argument is made
+// of.
 //
 // Usage:
 //
 //	potemkind [flags]
 //
 //	-space CIDR      monitored address space (default 10.5.0.0/16)
-//	-trace FILE      replay a recorded .potm trace (streamed; bounded memory)
-//	-pcap FILE       replay a pcap savefile instead
+//	-pcap FILE       replay a pcap savefile (streamed; bounded memory)
 //	-listen ADDR     serve live GRE-over-UDP wire ingest on this UDP address
 //	                 (works under -parallel: arrivals are quantized onto the
 //	                 epoch grid, and the run replays exactly from -wire-pcap)
@@ -33,7 +33,7 @@
 //	-guest NAME      winxp|sqlserver|linux
 //	-seed N          simulation seed
 //	-interval D      progress report interval in simulated time (default 10s)
-//	-capture DIR     record gateway traffic (.potm, or .pcap with -capture-pcap)
+//	-capture DIR     record gateway traffic, payloads included, as pcap savefiles
 //	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace,
 //	                 and inspect trace -chrome for Perfetto, in every mode)
 //	-debug-addr A    serve /snapshot, /metrics, expvar and pprof on this HTTP address
@@ -370,7 +370,7 @@ type feed struct {
 }
 
 // openFeed selects the feed: the campaign's compiled packet plan, a
-// recorded .potm trace or pcap, or traffic synthesized for space.
+// pcap savefile, or traffic synthesized for space.
 func openFeed(f *flags, opts potemkin.Options, space netsim.Prefix) (*feed, error) {
 	fd := &feed{epilogue: time.Millisecond}
 	switch {
@@ -384,26 +384,17 @@ func openFeed(f *flags, opts potemkin.Options, space netsim.Prefix) (*feed, erro
 		fd.src, fd.epilogue, fd.plan = &telescope.SliceSource{Recs: plan.Records}, plan.Settle, plan
 		fmt.Printf("scenario %q: replaying %d campaign packets, settling %v\n",
 			plan.Scenario.Name, len(plan.Records), plan.Settle)
-	case f.traceF != "" || f.pcapF != "":
-		name := f.traceF
-		if f.pcapF != "" {
-			name = f.pcapF
-		}
-		file, err := os.Open(name)
+	case f.pcapF != "":
+		file, err := os.Open(f.pcapF)
 		if err != nil {
 			return nil, err
 		}
-		if f.pcapF != "" {
-			fd.src, err = ingest.NewPcapSource(file)
-		} else {
-			fd.src, err = telescope.NewReader(file)
-		}
-		if err != nil {
+		if fd.src, err = ingest.NewPcapSource(file); err != nil {
 			file.Close()
-			return nil, fmt.Errorf("reading %s: %v", name, err)
+			return nil, fmt.Errorf("reading %s: %v", f.pcapF, err)
 		}
 		fd.file = file
-		fmt.Printf("streaming replay from %s\n", name)
+		fmt.Printf("streaming replay from %s\n", f.pcapF)
 	default:
 		gen := telescope.DefaultGenConfig()
 		gen.Space, gen.Duration, gen.Rate, gen.Seed = space, f.duration, f.rate, opts.Seed

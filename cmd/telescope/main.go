@@ -1,17 +1,15 @@
-// Command telescope generates, inspects, converts, and replays
-// network-telescope traces. It speaks the repository's binary trace
-// format (.potm) and classic pcap savefiles, so captures can round-trip
-// between the simulation and the tools every network operator already
-// runs (tcpdump, Wireshark, tcpreplay).
+// Command telescope generates, inspects, and replays network-telescope
+// traces. Every trace is a classic pcap savefile, so the simulation's
+// traces and gateway captures open in the tools every network operator
+// already runs (tcpdump, Wireshark, tcpreplay), and their captures
+// replay here.
 //
 // Usage:
 //
 //	telescope gen    [-out FILE] [-space CIDR] [-duration D] [-rate PPS] [-seed N]
-//	telescope info   [-in FILE]                (format auto-detected)
+//	telescope info   [-in FILE]
 //	telescope dump   [-in FILE] [-n N]         (human-readable records)
 //	telescope csv    [-in FILE]                (CSV to stdout)
-//	telescope import [-in FILE.pcap] [-out FILE.potm]
-//	telescope export [-in FILE.potm] [-out FILE.pcap]
 //	telescope replay [-in FILE] -to ADDR [-speedup F | -maxrate] [-key N] [-plain-gre]
 //
 // All subcommands stream record-at-a-time: multi-GB traces are
@@ -43,10 +41,6 @@ func main() {
 		cmdDump(os.Args[2:])
 	case "csv":
 		cmdCSV(os.Args[2:])
-	case "import":
-		cmdImport(os.Args[2:])
-	case "export":
-		cmdExport(os.Args[2:])
 	case "replay":
 		cmdReplay(os.Args[2:])
 	default:
@@ -55,7 +49,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: telescope {gen|info|dump|csv|import|export|replay} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: telescope {gen|info|dump|csv|replay} [flags]")
 	os.Exit(2)
 }
 
@@ -66,7 +60,7 @@ func fatalf(format string, args ...any) {
 
 func cmdGen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	out := fs.String("out", "trace.potm", "output file")
+	out := fs.String("out", "trace.pcap", "output pcap savefile")
 	space := fs.String("space", "10.5.0.0/16", "monitored space")
 	duration := fs.Duration("duration", 10*time.Minute, "trace duration")
 	rate := fs.Float64("rate", 200, "aggregate packets/second")
@@ -94,7 +88,7 @@ func cmdGen(args []string) {
 		fatalf("%v", err)
 	}
 	defer f.Close()
-	if err := telescope.WriteAll(f, recs); err != nil {
+	if _, err := ingest.WritePcap(f, &telescope.SliceSource{Recs: recs}); err != nil {
 		fatalf("writing: %v", err)
 	}
 	st := telescope.Summarize(recs)
@@ -103,29 +97,22 @@ func cmdGen(args []string) {
 		st.Duration.Truncate(time.Second), st.RatePPS)
 }
 
-// openSource opens a trace in either format, sniffing the magic number,
-// and returns a streaming record source.
+// openSource opens a pcap savefile as a streaming record source.
 func openSource(path string) (telescope.Source, *os.File) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if src, err := telescope.NewReader(f); err == nil {
-		return src, f
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		fatalf("%v", err)
-	}
 	src, err := ingest.NewPcapSource(f)
 	if err != nil {
-		fatalf("%s: neither a .potm trace nor a pcap savefile", path)
+		fatalf("reading %s: %v", path, err)
 	}
 	return src, f
 }
 
 func cmdInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("in", "trace.potm", "input file (.potm or .pcap)")
+	in := fs.String("in", "trace.pcap", "input pcap savefile")
 	fs.Parse(args)
 	src, f := openSource(*in)
 	defer f.Close()
@@ -178,7 +165,7 @@ func cmdInfo(args []string) {
 
 func cmdDump(args []string) {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
-	in := fs.String("in", "trace.potm", "input file (.potm or .pcap)")
+	in := fs.String("in", "trace.pcap", "input pcap savefile")
 	n := fs.Int("n", 20, "records to dump")
 	fs.Parse(args)
 	src, f := openSource(*in)
@@ -207,7 +194,7 @@ func cmdDump(args []string) {
 
 func cmdCSV(args []string) {
 	fs := flag.NewFlagSet("csv", flag.ExitOnError)
-	in := fs.String("in", "trace.potm", "input file (.potm or .pcap)")
+	in := fs.String("in", "trace.pcap", "input pcap savefile")
 	fs.Parse(args)
 	src, f := openSource(*in)
 	defer f.Close()
@@ -227,78 +214,9 @@ func cmdCSV(args []string) {
 	}
 }
 
-func cmdImport(args []string) {
-	fs := flag.NewFlagSet("import", flag.ExitOnError)
-	in := fs.String("in", "trace.pcap", "input pcap savefile")
-	out := fs.String("out", "trace.potm", "output .potm trace")
-	fs.Parse(args)
-	inF, err := os.Open(*in)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer inF.Close()
-	src, err := ingest.NewPcapSource(inF)
-	if err != nil {
-		fatalf("reading %s: %v", *in, err)
-	}
-	outF, err := os.Create(*out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer outF.Close()
-	tw, err := telescope.NewWriter(outF)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var rec telescope.Record
-	for {
-		err := src.Read(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fatalf("reading %s: %v", *in, err)
-		}
-		if err := tw.Write(&rec); err != nil {
-			fatalf("writing %s: %v", *out, err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("imported %d packets from %s to %s (%d frames skipped)\n",
-		tw.Count(), *in, *out, src.Skipped)
-}
-
-func cmdExport(args []string) {
-	fs := flag.NewFlagSet("export", flag.ExitOnError)
-	in := fs.String("in", "trace.potm", "input .potm trace (e.g. a gateway -capture file)")
-	out := fs.String("out", "trace.pcap", "output pcap savefile")
-	fs.Parse(args)
-	inF, err := os.Open(*in)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer inF.Close()
-	src, err := telescope.NewReader(inF)
-	if err != nil {
-		fatalf("reading %s: %v", *in, err)
-	}
-	outF, err := os.Create(*out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer outF.Close()
-	n, err := ingest.WritePcap(outF, src)
-	if err != nil {
-		fatalf("writing %s: %v", *out, err)
-	}
-	fmt.Printf("exported %d packets from %s to %s\n", n, *in, *out)
-}
-
 func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	in := fs.String("in", "trace.potm", "input file (.potm or .pcap)")
+	in := fs.String("in", "trace.pcap", "input pcap savefile")
 	to := fs.String("to", fmt.Sprintf("127.0.0.1:%d", ingest.DefaultPort), "listener UDP address")
 	speedup := fs.Float64("speedup", 1, "replay this many times faster than recorded")
 	maxrate := fs.Bool("maxrate", false, "replay back to back, ignoring recorded timing")

@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 
 	"potemkin"
 	"potemkin/internal/analysis"
+	"potemkin/internal/ingest"
 	"potemkin/internal/telescope"
 	"potemkin/internal/vmm"
 )
@@ -57,19 +59,31 @@ func main() {
 	}
 	rep.Render(os.Stdout)
 
-	// 2. The packet capture shows what the malware actually sent.
-	f, err := os.Open(filepath.Join(workdir, "capture", "tovm.potm"))
+	// 2. The packet capture (tovm.pcap) shows what the malware actually sent.
+	f, err := os.Open(filepath.Join(workdir, "capture", "tovm.pcap"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := telescope.ReadAll(f)
+	src, err := ingest.NewPcapSource(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var first []string
+	n := 0
+	for rec := new(telescope.Record); ; n++ {
+		if err := src.Read(rec); err == io.EOF {
+			break
+		} else if err != nil {
+			log.Fatal(err)
+		}
+		if n < 5 {
+			first = append(first, fmt.Sprintf("  t=%-10v %s", time.Duration(rec.At).Truncate(time.Microsecond), rec.Packet()))
+		}
+	}
 	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\npacket capture: %d packets delivered to VMs; first five:\n", len(recs))
-	for i := 0; i < len(recs) && i < 5; i++ {
-		fmt.Printf("  t=%-10v %s\n", time.Duration(recs[i].At).Truncate(time.Microsecond), recs[i].Packet())
+	fmt.Printf("\npacket capture: %d packets delivered to VMs; first five:\n", n)
+	for _, line := range first {
+		fmt.Println(line)
 	}
 
 	// 3. The checkpoints preserve each compromised VM's memory delta.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"potemkin/internal/ingest"
 	"potemkin/internal/telescope"
 )
 
@@ -126,12 +127,12 @@ func TestNewErrorClosesCaptures(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected New to fail (reference boot cannot fit in 1 KiB)")
 	}
-	for _, name := range []string{"in.potm", "tovm.potm", "out.potm"} {
+	for _, name := range []string{"in.pcap", "tovm.pcap", "out.pcap"} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("capture %s missing: %v", name, err)
 		}
-		r, err := telescope.NewReader(f)
+		r, err := ingest.NewPcapSource(f)
 		if err != nil {
 			t.Errorf("capture %s not flushed: %v", name, err)
 		} else if err := r.Read(&telescope.Record{}); err == nil {
@@ -224,12 +225,12 @@ func parallelFacadeRun(t *testing.T, parallel bool) (Stats, []byte, []byte) {
 	hf.Close()
 	// Likewise each shard captures into its own subdirectory.
 	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(filepath.Join(capDir, fmt.Sprintf("shard-%d", i), "in.potm")); err != nil {
+		if _, err := os.Stat(filepath.Join(capDir, fmt.Sprintf("shard-%d", i), "in.pcap")); err != nil {
 			t.Errorf("four-shard capture layout: %v", err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(capDir, "in.potm")); err == nil {
-		t.Error("four-shard capture also wrote a flat in.potm")
+	if _, err := os.Stat(filepath.Join(capDir, "in.pcap")); err == nil {
+		t.Error("four-shard capture also wrote a flat in.pcap")
 	}
 	return stats, snap, ev.Bytes()
 }

@@ -405,7 +405,7 @@ func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
 	// the ones the standby replayed.
 	widened := 0
 	for _, m := range loggedFrames(t, h.c, 0) {
-		if m.End-m.Start > sim.Time(h.c.lookahead) && m.End <= sim.Time(300*time.Millisecond) {
+		if m.End-m.Start > sim.Time(core.Lookahead) && m.End <= sim.Time(300*time.Millisecond) {
 			widened++
 		}
 	}

@@ -137,12 +137,11 @@ type arrival struct {
 // sim.ParallelRunner loop the in-process engine runs. All methods are
 // for a single driver goroutine.
 type Coordinator struct {
-	cfg       Config
-	shards    int
-	workers   int
-	lookahead time.Duration
-	space     netsim.Prefix
-	hash      uint64
+	cfg     Config
+	shards  int
+	workers int
+	space   netsim.Prefix
+	hash    uint64
 
 	ln net.Listener
 
@@ -220,9 +219,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		shards:     ecfg.Shards,
-		lookahead:  ecfg.Lookahead,
 		space:      ecfg.Gateway.Space,
-		hash:       configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, ecfg.Lookahead),
+		hash:       configHash(cfg.ConfigTag, ecfg.Shards, ecfg.Seed, core.Lookahead),
 		standbySig: make(chan struct{}, 1),
 		inputsNext: sim.End,
 	}
@@ -558,7 +556,7 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 			return err
 		}
 	}
-	c.runner = sim.NewRunner(c, 0, c.lookahead)
+	c.runner = sim.NewRunner(c, 0, core.Lookahead)
 	c.runner.SetAdaptive(c.cfg.Engine.AdaptiveEpochs)
 	if c.prof != nil {
 		c.runner.SetEpochObserver(func(s sim.EpochStats) {

@@ -65,10 +65,9 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 
 // worker is the run state behind RunWorker.
 type worker struct {
-	cfg       WorkerConfig
-	ecfg      core.ShardEngineConfig
-	lookahead time.Duration
-	cn        *conn
+	cfg  WorkerConfig
+	ecfg core.ShardEngineConfig
+	cn   *conn
 
 	id     int
 	shards []int
@@ -127,7 +126,7 @@ func RunWorker(cfg WorkerConfig) error {
 
 	hello := helloMsg{
 		Version:    ProtoVersion,
-		ConfigHash: configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, w.lookahead),
+		ConfigHash: configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, core.Lookahead),
 		Name:       w.cfg.Name,
 	}
 	if err := w.cn.send(msgHello, hello); err != nil {
@@ -153,10 +152,7 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 	if err := ecfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &worker{
-		cfg: cfg, ecfg: ecfg, lookahead: ecfg.Lookahead,
-		id: -1,
-	}, nil
+	return &worker{cfg: cfg, ecfg: ecfg, id: -1}, nil
 }
 
 // shardOut is one owned shard's sends of the in-flight epoch: encoded
@@ -295,7 +291,7 @@ func (w *worker) buildDomains(m assignMsg) error {
 		}
 		out := &w.out[s]
 		d, err := core.NewShardDomain(ecfg, s, func(now sim.Time, dst int, pkt *netsim.Packet) {
-			at := now.Add(w.lookahead)
+			at := now.Add(core.Lookahead)
 			if w.domains[dst] != nil {
 				w.local.Send(s, dst, at, pkt)
 				out.colocated++

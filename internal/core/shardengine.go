@@ -55,14 +55,15 @@ import (
 // not to matter when the sink goes unused.
 const sinkArenaCap = 64 << 10
 
+// Lookahead is the epoch length and the minimum cross-shard latency:
+// the honeyfarm's one-millisecond internal re-injection delay.
+const Lookahead = time.Millisecond
+
 // ShardEngineConfig parameterizes a ShardEngine.
 type ShardEngineConfig struct {
 	// Shards is the number of domains (>= 1). The monitored space is
 	// partitioned by address index mod Shards.
 	Shards int
-	// Lookahead is the epoch length / minimum cross-shard latency.
-	// Zero defaults to 1 ms, the facade's internal re-injection delay.
-	Lookahead time.Duration
 	// Parallel runs each domain's epoch on its own goroutine; false is
 	// the single-threaded oracle that produces identical bytes.
 	Parallel bool
@@ -137,9 +138,6 @@ type ShardEngineConfig struct {
 // Normalized returns cfg with defaults applied: the engine, the cluster
 // coordinator and its workers all run on these values.
 func (cfg ShardEngineConfig) Normalized() ShardEngineConfig {
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = time.Millisecond
-	}
 	if cfg.AdaptiveEpochs == 0 {
 		cfg.AdaptiveEpochs = 64
 	}
@@ -395,7 +393,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		// at the next barrier, paying the minimum internal latency. It
 		// is sent only during runs, after e.local is wired.
 		d, err := NewShardDomain(cfg, i, func(now sim.Time, dst int, pkt *netsim.Packet) {
-			e.local.Send(src, dst, now.Add(e.cfg.Lookahead), pkt)
+			e.local.Send(src, dst, now.Add(Lookahead), pkt)
 		})
 		if err != nil {
 			return nil, err
@@ -406,7 +404,7 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	e.local = sim.NewLocal(kernels, func(dst int, at sim.Time, pkt *netsim.Packet) {
 		e.domains[dst].Deliver(at, pkt)
 	})
-	e.runner = sim.NewRunner(e.local, 0, cfg.Lookahead) // every kernel starts at 0
+	e.runner = sim.NewRunner(e.local, 0, Lookahead) // every kernel starts at 0
 	e.runner.SetSequential(!cfg.Parallel)
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
 	e.view = NewStatsView(cfg.Metrics, e.domains)
@@ -458,9 +456,6 @@ func (e *ShardEngine) Shards() int { return len(e.domains) }
 
 // Space returns the monitored prefix.
 func (e *ShardEngine) Space() netsim.Prefix { return e.space }
-
-// Lookahead returns the epoch length.
-func (e *ShardEngine) Lookahead() time.Duration { return e.cfg.Lookahead }
 
 // SetSequential switches epoch execution to the single-threaded oracle
 // (equivalence tests). Call only between runs.

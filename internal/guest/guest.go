@@ -426,10 +426,6 @@ func (in *Instance) seedRNG() {
 // Stats returns a copy of the counters.
 func (in *Instance) Stats() Stats { return in.stats }
 
-// Quiet reports whether the guest has fingerprinted the farm and shut
-// its attacker behaviour down.
-func (in *Instance) Quiet() bool { return in.quiet }
-
 // Start begins the guest's memory workload: an initial burst of dirty
 // pages followed by a steady touch process.
 func (in *Instance) Start() {

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"potemkin/internal/netsim"
@@ -10,9 +11,12 @@ import (
 )
 
 // FuzzPcapRead: pcap files come from outside the trust boundary (any
-// capture a user imports). Hostile headers and record lengths must
+// capture a user replays). Hostile headers and record lengths must
 // neither panic, nor hang, nor allocate absurd buffers — the oversize
 // guard refuses length fields beyond maxPcapPacket before allocating.
+// And every record the source accepts survives WritePcap and a second
+// read exactly: pcap is the one trace format, so a trace read, written
+// and read again must be the same trace.
 func FuzzPcapRead(f *testing.F) {
 	// Seed with a valid file...
 	var valid bytes.Buffer
@@ -54,11 +58,34 @@ func FuzzPcapRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var rec telescope.Record
+		var recs []telescope.Record
 		for i := 0; i <= len(data); i++ {
+			var rec telescope.Record
 			if err := src.Read(&rec); err != nil {
 				break
 			}
+			recs = append(recs, rec)
+		}
+
+		var out bytes.Buffer
+		if _, err := WritePcap(&out, &telescope.SliceSource{Recs: recs}); err != nil {
+			t.Fatalf("re-write of %d accepted records: %v", len(recs), err)
+		}
+		again, err := NewPcapSource(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			var rec telescope.Record
+			if err := again.Read(&rec); err != nil {
+				t.Fatalf("re-read record %d of %d: %v", i, len(recs), err)
+			}
+			if !rec.Equal(&recs[i]) {
+				t.Fatalf("record %d diverged: read %+v, re-read %+v", i, recs[i], rec)
+			}
+		}
+		if err := again.Read(new(telescope.Record)); err != io.EOF {
+			t.Fatalf("after %d records: %v, want io.EOF", len(recs), err)
 		}
 	})
 }

@@ -60,6 +60,7 @@ var (
 	ErrPcapVersion  = errors.New("ingest: unsupported pcap version")
 	ErrPcapLink     = errors.New("ingest: unsupported pcap link type")
 	ErrPcapOversize = errors.New("ingest: pcap record exceeds sane length")
+	ErrPcapTime     = errors.New("ingest: pcap record's sub-second field is a second or more")
 )
 
 // PcapWriter streams packets into a classic pcap savefile
@@ -189,12 +190,15 @@ func (pr *PcapReader) Next() (sim.Time, []byte, error) {
 	if _, err := io.ReadFull(pr.r, pr.buf); err != nil {
 		return 0, nil, fmt.Errorf("ingest: truncated pcap record: %w", err)
 	}
-	ts := sec * 1e9
-	if pr.nanos {
-		ts += sub
-	} else {
-		ts += sub * 1e3
+	// A fraction of a second or more is no timestamp a capture tool
+	// writes, and its carry into the seconds could overflow them.
+	if !pr.nanos {
+		sub *= 1e3
 	}
+	if sub >= 1e9 {
+		return 0, nil, ErrPcapTime
+	}
+	ts := sec*1e9 + sub
 	pr.n++
 	return sim.Time(ts), pr.buf, nil
 }
@@ -230,7 +234,7 @@ func (pr *PcapReader) innerIPv4(frame []byte) ([]byte, bool) {
 // are not parseable IPv4 (foreign link protocols, truncated captures,
 // packets with IP/TCP options the codec rejects) are skipped and
 // counted in Skipped, so real telescope captures with stray noise still
-// import.
+// replay.
 type PcapSource struct {
 	pr *PcapReader
 	// Skipped counts frames that could not be converted.
@@ -278,8 +282,8 @@ func (ps *PcapSource) Read(rec *telescope.Record) error {
 
 // WritePcap converts a whole record Source into a pcap savefile,
 // materializing each record as wire bytes. It returns the packet count.
-// This is how gateway -capture output and generated traces become files
-// tcpdump and Wireshark open directly.
+// This is how generated traces become files tcpdump and Wireshark open
+// directly.
 func WritePcap(w io.Writer, src telescope.Source) (uint64, error) {
 	pw, err := NewPcapWriter(w)
 	if err != nil {

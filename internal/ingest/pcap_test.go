@@ -258,9 +258,41 @@ func TestPcapRejects(t *testing.T) {
 		t.Fatalf("oversize: %v", err)
 	}
 
+	// A sub-second field of a second or more is no timestamp, and its
+	// carry could overflow the seconds the writer stores.
+	for _, magic := range []uint32{pcapMagicNS, pcapMagicUS} {
+		binary.LittleEndian.PutUint32(hdr[0:], magic)
+		binary.LittleEndian.PutUint32(rec[4:], 1e9)
+		binary.LittleEndian.PutUint32(rec[8:], 0)
+		pr, err := NewPcapReader(bytes.NewReader(append(hdr, rec...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pr.Next(); !errors.Is(err, ErrPcapTime) {
+			t.Fatalf("magic %#x, sub-second field 1e9: %v", magic, err)
+		}
+	}
+
 	var wbuf bytes.Buffer
 	pw, _ := NewPcapWriter(&wbuf)
 	if err := pw.WritePacket(0, make([]byte, maxPcapPacket+1)); !errors.Is(err, ErrPcapOversize) {
 		t.Fatalf("oversize write: %v", err)
+	}
+
+	// A file cut inside its last record is an error, not a clean end.
+	wbuf.Reset()
+	pw, _ = NewPcapWriter(&wbuf)
+	pw.WritePacket(1, []byte{0x45, 1, 2, 3})
+	pw.WritePacket(2, []byte{0x45, 1, 2, 3})
+	pw.Flush()
+	pr, err = NewPcapReader(bytes.NewReader(wbuf.Bytes()[:wbuf.Len()-2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pr.Next(); err == nil || err == io.EOF {
+		t.Fatalf("truncated record: %v", err)
 	}
 }

@@ -127,9 +127,6 @@ func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
 // image over its lifetime.
 func (img *Image) Clones() uint64 { return img.clones }
 
-// LiveClones returns how many clones are currently attached.
-func (img *Image) LiveClones() int64 { return img.live }
-
 // NewClone attaches a new overlay address space to the image. This is
 // the memory half of flash cloning: O(1) work, zero frame copies, zero
 // new page-table entries until the clone writes.

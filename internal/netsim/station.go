@@ -66,17 +66,3 @@ func (s *Station) Arrive(pkt *Packet) bool {
 	})
 	return true
 }
-
-// Utilization estimates the busy fraction so far: served work over
-// elapsed time.
-func (s *Station) Utilization() float64 {
-	elapsed := s.K.Now().Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(s.Stats.Served+1) * s.Service.Seconds() / elapsed
-	if u > 1 {
-		return 1
-	}
-	return u
-}

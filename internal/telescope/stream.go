@@ -1,12 +1,10 @@
 package telescope
 
-// Streaming trace plumbing: the original Reader/Writer pair already
-// stream record-at-a-time, but every consumer (cmd/telescope, the
-// potemkind -trace path) slurped whole traces through ReadAll. The types
-// here let multi-GB traces flow through summaries and replays in bounded
-// memory: Source is the record iterator everything consumes, Summary
-// accumulates trace statistics incrementally, and StreamReplayer drives
-// a Source through the sim kernel one record ahead.
+// Streaming trace plumbing: multi-GB traces flow through summaries and
+// replays in bounded memory. Source is the record iterator everything
+// consumes, Summary accumulates trace statistics incrementally, and
+// StreamReplayer drives a Source through the sim kernel one record
+// ahead.
 
 import (
 	"io"
@@ -17,9 +15,8 @@ import (
 )
 
 // Source yields trace records in non-decreasing time order. Read fills
-// *rec and returns io.EOF after the last record. *Reader implements it;
-// SliceSource adapts in-memory traces; ingest.PcapSource adapts pcap
-// files.
+// *rec and returns io.EOF after the last record. SliceSource adapts
+// in-memory traces; ingest.PcapSource adapts pcap files.
 type Source interface {
 	Read(rec *Record) error
 }
@@ -75,22 +72,6 @@ func (a *Summary) Stats() Stats {
 		st.RatePPS = float64(a.count) / st.Duration.Seconds()
 	}
 	return st
-}
-
-// SummarizeSource folds a whole Source into statistics.
-func SummarizeSource(src Source) (Stats, error) {
-	var acc Summary
-	var rec Record
-	for {
-		err := src.Read(&rec)
-		if err == io.EOF {
-			return acc.Stats(), nil
-		}
-		if err != nil {
-			return acc.Stats(), err
-		}
-		acc.Add(&rec)
-	}
 }
 
 // StreamReplayer injects a Source into a receiver over the sim kernel

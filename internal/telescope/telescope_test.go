@@ -1,116 +1,12 @@
 package telescope
 
 import (
-	"bytes"
-	"io"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
-
-func TestTraceRoundTrip(t *testing.T) {
-	recs := []Record{
-		{At: 0, Src: 1, Dst: 2, Proto: netsim.ProtoTCP, SrcPort: 3, DstPort: 4, Flags: netsim.FlagSYN},
-		{At: 100, Src: 5, Dst: 6, Proto: netsim.ProtoUDP, SrcPort: 7, DstPort: 8, PayLen: 99},
-		{At: 100, Src: 9, Dst: 10, Proto: netsim.ProtoICMP},
-	}
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range recs {
-		if !got[i].Equal(&recs[i]) {
-			t.Errorf("record %d: %+v != %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTraceRoundTripProperty(t *testing.T) {
-	err := quick.Check(func(raw []uint64) bool {
-		recs := make([]Record, len(raw))
-		var at sim.Time
-		for i, v := range raw {
-			at += sim.Time(v % 1e9)
-			recs[i] = Record{
-				At:  at,
-				Src: netsim.Addr(v), Dst: netsim.Addr(v >> 16),
-				Proto:   netsim.ProtoTCP,
-				SrcPort: uint16(v >> 8), DstPort: uint16(v >> 24),
-				Flags: byte(v>>3) & 0x3f, PayLen: uint16(v % 1400),
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteAll(&buf, recs); err != nil {
-			return false
-		}
-		got, err := ReadAll(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if !got[i].Equal(&recs[i]) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWriterRejectsOutOfOrder(t *testing.T) {
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Write(&Record{At: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Write(&Record{At: 50}); err != ErrOutOfOrder {
-		t.Errorf("err = %v, want ErrOutOfOrder", err)
-	}
-}
-
-func TestReaderRejectsBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a trace file"))); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
-	}
-	if _, err := NewReader(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Error("short header accepted")
-	}
-}
-
-func TestReaderDetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	WriteAll(&buf, []Record{{At: 1}, {At: 2}})
-	data := buf.Bytes()[:buf.Len()-5]
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Record
-	if err := tr.Read(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Read(&rec); err == nil || err == io.EOF {
-		t.Errorf("truncated read err = %v", err)
-	}
-}
 
 func TestRecordPacket(t *testing.T) {
 	rec := Record{

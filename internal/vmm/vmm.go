@@ -309,15 +309,6 @@ func (h *VMHost) RegisterImage(name string, numPages, residentPages, diskBlocks,
 	return img
 }
 
-// ImageNames returns the registered image names.
-func (h *VMHost) ImageNames() []string {
-	names := make([]string, 0, len(h.images))
-	for n := range h.images {
-		names = append(names, n)
-	}
-	return names
-}
-
 // admit checks capacity for one more VM with the given incremental
 // memory need.
 func (h *VMHost) admit(extraBytes uint64) error {

@@ -226,18 +226,12 @@ type Options struct {
 	// <dir>/<addr>-<t>.ckpt before the VM can be recycled.
 	CheckpointDir string
 
-	// CaptureDir, when set, records every packet crossing the gateway
-	// into three trace files (in.potm, tovm.potm, out.potm) readable
-	// with cmd/telescope. Call Close to flush them. With several
-	// gateway shards each captures into its own subdirectory (shard-0,
-	// shard-1, …) so shard goroutines never share a file.
+	// CaptureDir, when set, records every packet crossing the gateway,
+	// payloads included, into the pcap savefiles in.pcap, tovm.pcap and
+	// out.pcap (potemkind -pcap replays them). Call Close to flush them.
+	// With several gateway shards each captures into its own
+	// subdirectory (shard-0, shard-1, …): shards never share a file.
 	CaptureDir string
-
-	// CapturePcap switches CaptureDir to classic pcap savefiles
-	// (in.pcap, tovm.pcap, out.pcap, nanosecond precision, raw IPv4),
-	// openable directly in tcpdump/Wireshark. `telescope export`
-	// converts existing .potm captures to the same format.
-	CapturePcap bool
 
 	// Hooks bundles the observation callbacks.
 	Hooks *Hooks
@@ -719,33 +713,23 @@ func (hf *Honeyfarm) MetricsText() []byte {
 	return buf.Bytes()
 }
 
-// captureFile is one open capture trace, in either the native .potm
-// format (record sizes only) or classic pcap (full marshaled packets).
+// captureFile is one open capture savefile: full marshaled packets,
+// classic pcap.
 type captureFile struct {
 	f   *os.File
-	w   *telescope.Writer  // .potm mode
-	pw  *ingest.PcapWriter // .pcap mode
-	buf []byte             // pcap marshal scratch
+	pw  *ingest.PcapWriter
+	buf []byte // marshal scratch
 }
 
 func (cf *captureFile) flush() {
-	if cf.w != nil {
-		cf.w.Flush()
-	}
-	if cf.pw != nil {
-		cf.pw.Flush()
-	}
+	cf.pw.Flush()
 	cf.f.Close()
 }
 
-// openCapture creates the per-direction trace writers.
+// openCapture creates the per-direction pcap writers.
 func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
-	}
-	ext := ".potm"
-	if hf.opts.CapturePcap {
-		ext = ".pcap"
 	}
 	byDir := make(map[gateway.Direction]*captureFile, 3)
 	for d, name := range map[gateway.Direction]string{
@@ -753,20 +737,16 @@ func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
 		gateway.CapToVM:    "tovm",
 		gateway.CapEgress:  "out",
 	} {
-		f, err := os.Create(filepath.Join(dir, name+ext))
+		f, err := os.Create(filepath.Join(dir, name+".pcap"))
 		if err != nil {
 			return nil, err
 		}
-		cf := &captureFile{f: f}
-		if hf.opts.CapturePcap {
-			cf.pw, err = ingest.NewPcapWriter(f)
-		} else {
-			cf.w, err = telescope.NewWriter(f)
-		}
+		pw, err := ingest.NewPcapWriter(f)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
+		cf := &captureFile{f: f, pw: pw}
 		byDir[d] = cf
 		hf.captures = append(hf.captures, cf)
 	}
@@ -775,20 +755,13 @@ func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
 		if !ok {
 			return
 		}
-		var err error
-		if cf.pw != nil {
-			if n := pkt.WireLen(); cap(cf.buf) < n {
-				cf.buf = make([]byte, n)
-			} else {
-				cf.buf = cf.buf[:n]
-			}
-			pkt.MarshalInto(cf.buf)
-			err = cf.pw.WritePacket(now, cf.buf)
+		if n := pkt.WireLen(); cap(cf.buf) < n {
+			cf.buf = make([]byte, n)
 		} else {
-			rec := telescope.RecordOf(now, pkt)
-			err = cf.w.Write(&rec)
+			cf.buf = cf.buf[:n]
 		}
-		if err != nil {
+		pkt.MarshalInto(cf.buf)
+		if err := cf.pw.WritePacket(now, cf.buf); err != nil {
 			fmt.Fprintf(os.Stderr, "potemkin: capture: %v\n", err)
 		}
 	}, nil

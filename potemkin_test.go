@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"potemkin/internal/ingest"
 	"potemkin/internal/netsim"
 	"potemkin/internal/telescope"
 	"potemkin/internal/vmm"
@@ -339,21 +340,9 @@ func TestCaptureThroughFacade(t *testing.T) {
 	hf.RunFor(2 * time.Second)
 	hf.Close()
 
-	read := func(name string) []telescope.Record {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		recs, err := telescope.ReadAll(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-	in := read("in.potm")
-	tovm := read("tovm.potm")
-	out := read("out.potm")
+	in := readCapture(t, filepath.Join(dir, "in.pcap"))
+	tovm := readCapture(t, filepath.Join(dir, "tovm.pcap"))
+	out := readCapture(t, filepath.Join(dir, "out.pcap"))
 	if len(in) != 1 || len(tovm) != 1 || len(out) != 1 {
 		t.Fatalf("capture counts in=%d tovm=%d out=%d", len(in), len(tovm), len(out))
 	}
@@ -367,6 +356,75 @@ func TestCaptureThroughFacade(t *testing.T) {
 	// Delivery happened ~0.5 s after arrival (the clone).
 	if out[0].At <= in[0].At {
 		t.Error("capture timestamps not ordered")
+	}
+}
+
+// readCapture reads a whole pcap capture file as trace records.
+func readCapture(t *testing.T, path string) []telescope.Record {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := ingest.NewPcapSource(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var recs []telescope.Record
+	for {
+		var rec telescope.Record
+		if err := src.Read(&rec); err == io.EOF {
+			return recs
+		} else if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestCaptureReplaysExploit: the inbound capture keeps what the
+// attacker sent, so replaying it on a fresh farm with the same options
+// infects the same target.
+func TestCaptureReplaysExploit(t *testing.T) {
+	dir := t.TempDir()
+	const attacker, target = "198.51.100.7", "10.5.2.3"
+	hf := MustNew(Options{CaptureDir: dir, IdleTimeout: -1})
+	if err := hf.InjectExploit(attacker, target); err != nil {
+		t.Fatal(err)
+	}
+	hf.RunFor(2 * time.Second)
+	want := hf.profile.ExploitPayload(0)
+	hf.Close()
+
+	in := readCapture(t, filepath.Join(dir, "in.pcap"))
+	if len(in) == 0 {
+		t.Fatal("in.pcap holds no records")
+	}
+	if ex := in[0]; ex.Src.String() != attacker || ex.Dst.String() != target || !bytes.Equal(ex.Payload, want) {
+		t.Fatalf("exploit record %s > %s payload %q, want %s > %s payload %q", ex.Src, ex.Dst, ex.Payload, attacker, target, want)
+	}
+
+	var infected []string
+	replay := MustNew(Options{IdleTimeout: -1, Hooks: &Hooks{
+		OnInfected: func(addr string, _ int) { infected = append(infected, addr) },
+	}})
+	defer replay.Close()
+	f, err := os.Open(filepath.Join(dir, "in.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := ingest.NewPcapSource(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := replay.Replay(src); err != nil || n != len(in) {
+		t.Fatalf("Replay: %d of %d records (%v)", n, len(in), err)
+	}
+	replay.RunFor(2 * time.Second)
+	if len(infected) == 0 || infected[0] != target {
+		t.Errorf("replayed capture infected %v, want %s first", infected, target)
 	}
 }
 
