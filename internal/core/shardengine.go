@@ -298,8 +298,8 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 // packetEnv is a delivery envelope: one packet scheduled into the
 // domain's gateway and the kernel event that hands it over, bound once,
 // so scheduling allocates nothing once the free list is warm. pkt points
-// at a sender's packet (never a copy: the gateway may keep a packet that
-// is not Ephemeral) or at rec, where a replayed record's is built.
+// at a sender's packet (never a copy: the gateway copies whatever it
+// keeps) or at rec, where a replayed record's is built.
 type packetEnv struct {
 	d    *ShardDomain
 	pkt  *netsim.Packet

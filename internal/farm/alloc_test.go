@@ -24,7 +24,17 @@ import (
 // -race (how CI runs the allocation floors) the runtime's own
 // bookkeeping costs a few objects a run, while anything the lifecycle
 // allocates costs at least one per arrival.
+//
+// The arrivals come two ways: as the caller's packets, not Ephemeral,
+// and as Ephemeral packets carrying a payload, which is how a replayed
+// record or a wire frame arrives. The gateway queues a copy of either
+// in a packet it holds.
 func TestColdBindRecycleAllocs(t *testing.T) {
+	t.Run("caller", func(t *testing.T) { testColdBindRecycleAllocs(t, false) })
+	t.Run("ephemeral", func(t *testing.T) { testColdBindRecycleAllocs(t, true) })
+}
+
+func testColdBindRecycleAllocs(t *testing.T, ephemeral bool) {
 	const batch = 64
 	replies := 0
 	r := newRig(t, nil, func(c *gateway.Config) {
@@ -32,11 +42,15 @@ func TestColdBindRecycleAllocs(t *testing.T) {
 		c.IdleTimeout = time.Second
 		c.ExternalOut = func(sim.Time, *netsim.Packet) { replies++ }
 	})
-	// The arrivals are the caller's packets (not Ephemeral), as a trace
-	// replay's are not once the gateway has queued its own copy.
 	probes := make([]*netsim.Packet, batch)
 	for i := range probes {
 		probes[i] = probe(scanner+netsim.Addr(i), victim+netsim.Addr(i))
+		if ephemeral {
+			// A replayed record's payload: zeros, which no service
+			// answers, so each arrival still draws one SYN-ACK.
+			probes[i].Payload = make([]byte, 40)
+			probes[i].Ephemeral = true
+		}
 	}
 	cycle := func() {
 		for _, p := range probes {

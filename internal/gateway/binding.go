@@ -33,7 +33,9 @@ type Binding struct {
 	CreatedAt  sim.Time
 	LastActive sim.Time
 
-	// pending queues inbound packets while the clone is in flight.
+	// pending queues inbound packets while the clone is in flight, each
+	// copied into a packet the gateway holds (see held.go): the flush
+	// and recycle return them to the gateway's free list.
 	pending []*netsim.Packet
 
 	// peers are remotes that sent traffic to this binding; outbound
@@ -78,14 +80,11 @@ type Binding struct {
 // newBinding returns a pending binding for addr, on a recycled struct
 // when the gateway has one: its peer set is emptied and its slices
 // truncated, so nothing of the last tenant — peer, target, detection,
-// span, queued packet — survives.
+// span, queued packet (recycle returned those) — survives.
 func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Binding {
-	var b *Binding
-	if n := len(g.freeBindings); n > 0 {
-		b, g.freeBindings[n-1] = g.freeBindings[n-1], nil
-		g.freeBindings = g.freeBindings[:n-1]
+	b := pop(&g.freeBindings)
+	if b != nil {
 		b.peers.reset()
-		clear(b.pending)
 	} else {
 		b = &Binding{}
 		b.onReady = b.vmReady

@@ -71,7 +71,8 @@ func (p Policy) String() string {
 
 // VMRef is the gateway's handle on a farm VM.
 type VMRef interface {
-	// Deliver hands the VM an inbound packet.
+	// Deliver hands the VM an inbound packet. A packet marked Ephemeral
+	// is good only for the call: to keep it, Clone it.
 	Deliver(now sim.Time, pkt *netsim.Packet)
 	// Destroy reclaims the VM.
 	Destroy(now sim.Time)
@@ -331,10 +332,12 @@ type Gateway struct {
 	expiry    expiryHeap
 	expirySeq uint64
 	// scrubbed and requeued are scrubOnce's working lists, kept between
-	// ticks; freeBindings are recycled bindings' structs, maps attached.
+	// ticks; freeBindings are recycled bindings' structs, maps attached;
+	// freeHeld are spare held packets (see held.go).
 	scrubbed     []netsim.Addr
 	requeued     []*Binding
 	freeBindings []*Binding
+	freeHeld     []*netsim.Packet
 	// pendingDepth is the live count of packets queued across all
 	// pending bindings (the Stats.PendingQueued gauge).
 	pendingDepth int
@@ -488,6 +491,11 @@ func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
 		b.VM.Destroy(now)
 	}
 	delete(g.bindings, addr)
+	for _, h := range b.pending {
+		g.drop(h)
+	}
+	clear(b.pending)
+	b.pending = b.pending[:0]
 	if b.Hint.Reflected {
 		// Drop the reflection route so a later contact re-instantiates.
 		for ext, internal := range g.reflections {

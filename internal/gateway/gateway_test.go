@@ -9,15 +9,26 @@ import (
 	"potemkin/internal/sim"
 )
 
-// fakeVM records deliveries and destruction.
+// fakeVM records deliveries and destruction. ephemeral[i] is the flag
+// delivered[i] arrived with.
 type fakeVM struct {
 	addr      netsim.Addr
 	delivered []*netsim.Packet
+	ephemeral []bool
 	destroyed bool
 }
 
-func (f *fakeVM) Deliver(_ sim.Time, pkt *netsim.Packet) { f.delivered = append(f.delivered, pkt) }
-func (f *fakeVM) Destroy(_ sim.Time)                     { f.destroyed = true }
+// Deliver keeps the packet, cloning it first when it is marked Ephemeral,
+// as every consumer of gateway traffic must.
+func (f *fakeVM) Deliver(_ sim.Time, pkt *netsim.Packet) {
+	f.ephemeral = append(f.ephemeral, pkt.Ephemeral)
+	if pkt.Ephemeral {
+		pkt = pkt.Clone()
+	}
+	f.delivered = append(f.delivered, pkt)
+}
+
+func (f *fakeVM) Destroy(_ sim.Time) { f.destroyed = true }
 
 // fakeBackend spawns fakeVMs after a configurable clone delay.
 type fakeBackend struct {
@@ -312,7 +323,7 @@ func TestDNSProxied(t *testing.T) {
 	g, _, k := newTestGateway(t, func(c *Config) {
 		c.Policy = PolicyReflectSource
 		c.AllowDNS = true
-		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p) }
+		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p.Clone()) }
 	})
 	outboundFrom(t, g, k, mon(0))
 	q := netsim.UDPDatagram(mon(0), netsim.MustParseAddr("4.4.4.4"), 5353, 53, []byte("query"))
@@ -468,7 +479,7 @@ func TestNoEscapeUnderContainmentProperty(t *testing.T) {
 		g, _, k := newTestGateway(t, func(c *Config) {
 			c.Policy = pol
 			c.AllowDNS = false
-			c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { escaped = append(escaped, p) }
+			c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { escaped = append(escaped, p.Clone()) }
 		})
 		r := sim.NewRNG(99)
 		// 20 bindings elicited by known sources.

@@ -61,10 +61,7 @@ func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 			g.stats.PendingDropped++
 			return
 		}
-		if pkt.Ephemeral {
-			pkt = pkt.Clone() // queued past this dispatch: own the bytes
-		}
-		b.pending = append(b.pending, pkt)
+		b.pending = append(b.pending, g.hold(pkt)) // queued past this dispatch: own the bytes
 		g.pendingDepth++
 		if g.Cfg.Tracer != nil {
 			b.pendingAt = append(b.pendingAt, now)
@@ -184,6 +181,7 @@ func (b *Binding) vmReady(vm VMRef, err error) {
 		g.stats.DeliveredToVM++
 		g.capture(flushAt, CapToVM, queued)
 		vm.Deliver(flushAt, queued)
+		g.drop(queued)
 	}
 	clear(b.pending)
 	b.pending = b.pending[:0]

@@ -161,12 +161,16 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// logging reports whether logEvent records anything: a caller whose
+// detail costs an allocation builds it only then.
+func (g *Gateway) logging() bool { return g.Cfg.EventSink != nil || g.Cfg.Tracer != nil }
+
 // logEvent emits a record if a sink is configured, and folds the same
 // event onto the address's binding span when tracing is on — one source
 // of truth, two views. Events with no live binding (a shed refusal)
 // become standalone instant spans so the trace fully subsumes the log.
 func (g *Gateway) logEvent(now sim.Time, kind EventKind, addr netsim.Addr, peer netsim.Addr, detail string) {
-	if g.Cfg.EventSink == nil && g.Cfg.Tracer == nil {
+	if !g.logging() {
 		return
 	}
 	if g.Cfg.EventSink != nil {

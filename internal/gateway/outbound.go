@@ -70,7 +70,10 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 		g.stats.OutInternal++
 		if g.reinject != nil && g.owns != nil && !g.owns(pkt.Dst) {
 			if pkt.Ephemeral {
-				pkt = pkt.Clone() // it rides the shard router past this dispatch
+				// It rides the shard router past this dispatch. A clone, not
+				// a held packet: the barrier hands it to the owning domain's
+				// goroutine, which cannot return it to this gateway's list.
+				pkt = pkt.Clone()
 			}
 			g.reinject(now, pkt)
 		} else {
@@ -135,11 +138,12 @@ func (g *Gateway) tryDNS(now sim.Time, pkt *netsim.Packet) (Disposition, bool) {
 	if !g.Cfg.AllowDNS || pkt.Proto != netsim.ProtoUDP || pkt.DstPort != 53 {
 		return DispDropped, false
 	}
-	q := pkt.Clone()
+	q := g.hold(pkt)
 	q.Dst = g.Cfg.Resolver
 	g.stats.OutDNSProxied++
 	g.logEvent(now, EvDNSProxied, pkt.Src, pkt.Dst, "")
 	g.emit(now, q)
+	g.drop(q)
 	return DispDNSProxied, true
 }
 
@@ -163,17 +167,20 @@ func (g *Gateway) reflect(now sim.Time, pkt *netsim.Packet) Disposition {
 		}
 		g.reflections[pkt.Dst] = internal
 	}
-	r := pkt.Clone()
-	r.Dst = internal
 	g.stats.OutReflected++
-	g.logEvent(now, EvReflected, pkt.Src, pkt.Dst, "to "+internal.String())
+	if g.logging() {
+		g.logEvent(now, EvReflected, pkt.Src, pkt.Dst, "to "+internal.String())
+	}
 	// Mark the new binding as reflected so stats and recycling know.
 	if _, exists := g.bindings[internal]; !exists {
 		if b := g.bind(now, internal, SpawnHint{Reflected: true, Source: pkt.Src}); b == nil {
 			return DispDropped
 		}
 	}
+	r := g.hold(pkt)
+	r.Dst = internal
 	g.HandleInbound(now, r)
+	g.drop(r)
 	return DispReflected
 }
 

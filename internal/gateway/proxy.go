@@ -57,13 +57,14 @@ func (g *Gateway) tryProxy(now sim.Time, pkt *netsim.Packet) (Disposition, bool)
 		g.natPorts[key] = gwPort
 		g.nat[gwPort] = key
 	}
-	fwd := pkt.Clone()
+	fwd := g.hold(pkt)
 	fwd.Src = g.Cfg.ProxyAddr
 	fwd.SrcPort = gwPort
 	fwd.Dst = rule.Host
 	g.stats.OutProxied++
 	g.stats.EgressPermitted++
 	g.emit(now, fwd)
+	g.drop(fwd)
 	return DispProxied, true
 }
 
@@ -79,18 +80,19 @@ func (g *Gateway) handleProxyReturn(now sim.Time, pkt *netsim.Packet) bool {
 		g.stats.InboundOutside++
 		return true // addressed to us but unknown flow: swallow
 	}
-	back := pkt.Clone()
-	back.Src = entry.origDst // the address the malware thinks it reached
-	back.SrcPort = entry.dstPort
-	back.Dst = entry.vmAddr
-	back.DstPort = entry.vmPort
 	g.stats.ProxyReturns++
 	// Deliver directly to the bound VM; a recycled binding drops it.
 	if b, ok := g.bindings[entry.vmAddr]; ok && b.State == BindingActive {
+		back := g.hold(pkt)
+		back.Src = entry.origDst // the address the malware thinks it reached
+		back.SrcPort = entry.dstPort
+		back.Dst = entry.vmAddr
+		back.DstPort = entry.vmPort
 		b.LastActive = now
 		g.stats.DeliveredToVM++
 		g.capture(now, CapToVM, back)
 		b.VM.Deliver(now, back)
+		g.drop(back)
 	}
 	return true
 }

@@ -20,7 +20,7 @@ func proxyGateway(t *testing.T) (*Gateway, *fakeBackend, *sim.Kernel, *[]*netsim
 		c.Policy = PolicyReflectSource
 		c.ProxyAddr = proxyNAT
 		c.ProxyRules = map[uint16]ProxyRule{25: {Host: proxyHost}}
-		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p) }
+		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p.Clone()) }
 	})
 	return g, fb, k, &out
 }

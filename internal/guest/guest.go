@@ -12,6 +12,7 @@
 package guest
 
 import (
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"time"
@@ -504,10 +505,7 @@ func (in *Instance) touchPage() {
 	}
 	off := in.rng.Intn(mem.PageSize - 8)
 	var buf [8]byte
-	v := in.rng.Uint64()
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[:], in.rng.Uint64())
 	in.VM.WriteMemory(vpn, off, buf[:])
 	in.stats.PagesDirty++
 	in.VM.Touch(in.K.Now())

@@ -218,13 +218,9 @@ func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
 	if inl+ovf+need > deltaCap {
 		return false
 	}
-	var hdr [deltaHdr]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(off))
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(b)))
 	// Records apply inline-first, so nothing goes inline after a spill.
 	if ovf == 0 && inl+need <= deltaInline {
-		copy(e.inl[inl:], hdr[:])
-		copy(e.inl[inl+deltaHdr:], b)
+		putRecord(e.inl[inl:], off, b)
 		e.ref = deltaRef(inl+need, 0, 0)
 		return true
 	}
@@ -239,11 +235,22 @@ func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
 		s.overflowFree(handle)
 		handle = grown
 	}
-	buf := s.overflowBuf(handle)
-	copy(buf[ovf:], hdr[:])
-	copy(buf[ovf+deltaHdr:], b)
+	putRecord(s.overflowBuf(handle)[ovf:], off, b)
 	e.ref = deltaRef(inl, ovf+need, handle)
 	return true
+}
+
+// putRecord writes the record of a write of b at off to the front of
+// dst, which has room for it. The header is one store, and so is the
+// body of an 8-byte write (a guest's touch): a variable-length copy
+// would cost a call to memmove.
+func putRecord(dst []byte, off int, b []byte) {
+	binary.LittleEndian.PutUint32(dst, uint32(uint16(off))|uint32(uint16(len(b)))<<16)
+	if len(b) == 8 {
+		binary.LittleEndian.PutUint64(dst[deltaHdr:], binary.LittleEndian.Uint64(b))
+		return
+	}
+	copy(dst[deltaHdr:], b)
 }
 
 // renderDelta writes lazy delta e's content into buf: the image's page
