@@ -36,7 +36,10 @@ test:
 # floating-point multiply-add in what arm64 compiles outside bench/: the
 # spec lets a compiler fuse x*y+z, arm64's does and amd64's does not, so
 # a fused site makes a digest depend on the host. An explicit float64(...)
-# around the product rounds it and keeps the two apart.
+# around the product rounds it and keeps the two apart. And so does a
+# field of gateway.Config, farm.Config or vmm.HostConfig that no non-test
+# code sets (TestEveryConfigFieldIsSet): a knob nothing turns is dead
+# code or a constant.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -59,6 +62,7 @@ vet:
 			|| { echo "vet: GOARCH=arm64 go build failed"; exit 1; }; } && \
 		out=$$(grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$asm" | grep -o '[^ (]*\.go:[0-9]*' | sort | uniq -c); \
 		[ -z "$$out" ] || { echo "vet: arm64 fuses a multiply-add at (round the product with an explicit float64(...)):"; echo "$$out"; exit 1; }
+	$(GO) test -count=1 -run '^TestEveryConfigFieldIsSet$$' ./internal/core
 
 race:
 	$(GO) test -race ./...

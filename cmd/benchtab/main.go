@@ -177,7 +177,7 @@ func (r *runner) e2() {
 	r.footprint = res.MeanFootprintMB
 	r.haveE2Foot = true
 
-	cpu := core.RunE2c(r.seed, []float64{0.1, 1, 10, 100, 1000})
+	cpu := core.RunE2c([]float64{0.1, 1, 10, 100, 1000})
 	r.print(cpu.Table)
 	r.writeCSV("e2c_cpu_density", cpu.Table)
 }

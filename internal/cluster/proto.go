@@ -52,8 +52,10 @@ import (
 // epoch-done frames binary, every input naming its destination shard:
 // a worker exchanges its own shards' packets in process, the coordinator
 // forwards the rest, and a recovery replays the slot's logged epoch
-// frames instead of per-shard checkpoints.
-const ProtoVersion = 7
+// frames instead of per-shard checkpoints. v8 drops the gateway's
+// OutRateLimited, OutProxied and ProxyReturns counters from the
+// gateway.Stats a shard result ships.
+const ProtoVersion = 8
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is

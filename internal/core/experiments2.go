@@ -300,7 +300,7 @@ func RunE7(seed uint64, trace []telescope.Record, space netsim.Prefix,
 		"idle_timeout", "peak_live_vms", "per_vm_MiB", "servers_16GiB")
 	const MiB = 1 << 20
 	imageBytes := uint64(farm.DefaultImage().ResidentPages * 4096)
-	perVM := uint64(perVMFootprintMB*MiB) + vmm.DefaultHostConfig("ref").PerVMOverheadBytes
+	perVM := uint64(perVMFootprintMB*MiB) + vmm.PerVMOverheadBytes
 	for _, timeout := range timeouts {
 		peak := e3.PeakByTimeout[timeout]
 		servers := farm.ServersNeeded(peak, perVM, imageBytes, 16<<30)

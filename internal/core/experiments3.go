@@ -206,9 +206,9 @@ type E2cResult struct{ Table *metrics.Table }
 
 // RunE2c reports the paper's second provisioning axis: how many
 // *active* VMs one server's CPU sustains as a function of per-VM
-// traffic, from the CPU model's analytic bound, cross-checked with a
-// measured utilization run at one operating point.
-func RunE2c(seed uint64, perVMRates []float64) E2cResult {
+// traffic. The table is the CPU model's analytic bound alone; no
+// simulation runs.
+func RunE2c(perVMRates []float64) E2cResult {
 	m := vmm.DefaultCPUModel()
 	tab := metrics.NewTable(
 		"E2c: CPU-bound active-VM density (4 cores, "+m.PerPacket.String()+"/pkt)",

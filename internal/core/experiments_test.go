@@ -288,7 +288,7 @@ func TestE10ResponseShrinksEpidemic(t *testing.T) {
 }
 
 func TestE2cAnalyticBound(t *testing.T) {
-	res := RunE2c(1, []float64{1, 10, 100})
+	res := RunE2c([]float64{1, 10, 100})
 	if res.Table.NumRows() != 3 {
 		t.Fatalf("rows = %d", res.Table.NumRows())
 	}

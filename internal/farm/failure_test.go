@@ -76,22 +76,26 @@ func TestCrashServerRecyclesBindings(t *testing.T) {
 }
 
 func TestCrashWhileClonePendingRetriesOnSurvivor(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.Placement = PlaceFirstFit }, nil)
+	r := newRig(t, nil, nil)
 	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
-	// First-fit sends the clone to server 0; crash it mid-flight.
+	// Crash whichever server the clone went to, mid-flight.
 	r.k.RunFor(50 * time.Millisecond)
+	dead := 0
 	if r.f.Hosts()[0].NumVMs() == 0 {
-		t.Fatal("no clone in flight on server 0")
+		dead = 1
 	}
-	r.f.CrashServer(r.k.Now(), 0)
+	if r.f.Hosts()[dead].NumVMs() != 1 {
+		t.Fatal("no clone in flight")
+	}
+	r.f.CrashServer(r.k.Now(), dead)
 	r.k.RunFor(5 * time.Second)
 
 	// The in-flight request was re-placed on the survivor; the late
 	// ready from the dead host resurrected nothing.
-	if got := r.f.Hosts()[0].NumVMs(); got != 0 {
+	if got := r.f.Hosts()[dead].NumVMs(); got != 0 {
 		t.Errorf("dead server hosts %d VMs", got)
 	}
-	if got := r.f.Hosts()[1].NumVMs(); got != 1 {
+	if got := r.f.Hosts()[1-dead].NumVMs(); got != 1 {
 		t.Errorf("survivor hosts %d VMs, want the re-placed clone", got)
 	}
 	if r.f.Stats().SpawnRetries == 0 {
@@ -111,8 +115,6 @@ func TestCrashWhileClonePendingRetriesOnSurvivor(t *testing.T) {
 func TestCrashWithNoSurvivorFailsOnce(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Servers = 1
-		c.Placement = PlaceFirstFit
-		c.RetryBudget = 3
 	}, nil)
 	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
 	r.k.RunFor(50 * time.Millisecond)

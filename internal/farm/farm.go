@@ -43,49 +43,15 @@ func DefaultImage() ImageSpec {
 	}
 }
 
-// Placement selects how VMs map onto servers.
-type Placement int
-
-// Placement policies.
-const (
-	// PlaceLeastLoaded puts each VM on the server with the most free
-	// memory.
-	PlaceLeastLoaded Placement = iota
-	// PlaceFirstFit fills servers in order.
-	PlaceFirstFit
-)
-
 // Config parameterizes a farm.
 type Config struct {
 	Servers    int
 	HostConfig vmm.HostConfig // template; Name is suffixed per server
 	Image      ImageSpec
 	Profile    *guest.Profile
-	// Profiles, when non-empty, runs a heterogeneous population:
-	// each address deterministically picks one of these personalities
-	// (by address hash), overriding Profile. The paper's farm mixed
-	// guest images the same way to present a believable population.
-	Profiles  []*guest.Profile
-	Placement Placement
 
 	// FullBoot switches to the no-flash-cloning baseline.
 	FullBoot bool
-
-	// UplinkLatency delays guest-originated packets on their way to the
-	// gateway (intra-farm network hop).
-	UplinkLatency time.Duration
-	// DownlinkLatency delays gateway-to-VM delivery (the same hop,
-	// inbound).
-	DownlinkLatency time.Duration
-
-	// RetryBudget is how many extra clone attempts a VM request gets on
-	// other healthy servers after a failed spawn before the failure is
-	// reported to the gateway. Zero disables retries.
-	RetryBudget int
-	// RetryBackoff is the delay before the first retry; it doubles on
-	// each subsequent attempt. Zero defaults to 100 ms when RetryBudget
-	// is positive.
-	RetryBackoff time.Duration
 
 	// PickTarget chooses scan destinations for infected guests; nil
 	// defaults to uniform over the IPv4 space.
@@ -111,16 +77,28 @@ type Config struct {
 // default image with the Windows XP personality.
 func DefaultConfig() Config {
 	return Config{
-		Servers:         4,
-		HostConfig:      vmm.DefaultHostConfig("server"),
-		Image:           DefaultImage(),
-		Profile:         guest.WindowsXP(),
-		UplinkLatency:   100 * time.Microsecond,
-		DownlinkLatency: 100 * time.Microsecond,
-		RetryBudget:     2,
-		RetryBackoff:    100 * time.Millisecond,
+		Servers:    4,
+		HostConfig: vmm.DefaultHostConfig("server"),
+		Image:      DefaultImage(),
+		Profile:    guest.WindowsXP(),
 	}
 }
+
+// The intra-farm network hop: UplinkLatency delays guest-originated
+// packets on their way to the gateway, DownlinkLatency gateway-to-VM
+// delivery.
+const (
+	UplinkLatency   = 100 * time.Microsecond
+	DownlinkLatency = 100 * time.Microsecond
+)
+
+// A failed spawn is retried on another healthy server up to retryBudget
+// times before the failure is reported to the gateway, the first retry
+// after retryBackoff, doubling on each one after.
+const (
+	retryBudget  = 2
+	retryBackoff = 100 * time.Millisecond
+)
 
 // Stats aggregates farm-level counters, the only place they are counted;
 // a field is published as the series its metric tag names.
@@ -213,7 +191,7 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 	if cfg.Servers <= 0 {
 		return nil, errors.New("farm: no servers")
 	}
-	if cfg.Profile == nil && len(cfg.Profiles) == 0 {
+	if cfg.Profile == nil {
 		return nil, errors.New("farm: nil guest profile")
 	}
 	if cfg.PickTarget == nil {
@@ -356,36 +334,24 @@ func (f *Farm) pickHost(avoid *vmm.VMHost) *vmm.VMHost {
 	return nil
 }
 
-// pickFrom applies the placement policy over up servers, skipping avoid.
+// pickFrom puts the VM on the up server with the most free memory,
+// skipping avoid.
 func (f *Farm) pickFrom(avoid *vmm.VMHost) *vmm.VMHost {
-	switch f.Cfg.Placement {
-	case PlaceFirstFit:
-		for _, h := range f.hosts {
-			if h == avoid || h.Down() {
-				continue
-			}
-			if h.MemoryFree() > h.Cfg.PerVMOverheadBytes {
-				return h
-			}
+	var best *vmm.VMHost
+	for i := range f.hosts {
+		h := f.hosts[(f.rr+i)%len(f.hosts)]
+		if h == avoid || h.Down() {
+			continue
 		}
-		return nil
-	default: // least loaded
-		var best *vmm.VMHost
-		for i := range f.hosts {
-			h := f.hosts[(f.rr+i)%len(f.hosts)]
-			if h == avoid || h.Down() {
-				continue
-			}
-			if best == nil || h.MemoryFree() > best.MemoryFree() {
-				best = h
-			}
+		if best == nil || h.MemoryFree() > best.MemoryFree() {
+			best = h
 		}
-		f.rr++
-		if best != nil && best.MemoryFree() <= best.Cfg.PerVMOverheadBytes {
-			return nil
-		}
-		return best
 	}
+	f.rr++
+	if best != nil && best.MemoryFree() <= vmm.PerVMOverheadBytes {
+		return nil
+	}
+	return best
 }
 
 // PrepareSnapshotImages runs the paper's image-preparation flow on
@@ -413,13 +379,9 @@ func (f *Farm) PrepareSnapshotImages(name string, warmup time.Duration) error {
 		preps = append(preps, prep{h: h, vm: vm})
 	}
 	// Let every boot complete, then run the guest workload to settle.
-	f.K.RunFor(f.Cfg.HostConfig.Latency.FullBoot * 2)
+	f.K.RunFor(vmm.DefaultLatencies().FullBoot * 2)
 	for i := range preps {
-		profile := f.Cfg.Profile
-		if profile == nil {
-			profile = f.Cfg.Profiles[0]
-		}
-		preps[i].in = guest.New(f.K, preps[i].vm, profile, func(*netsim.Packet) {}, nil, guest.Hooks{})
+		preps[i].in = guest.New(f.K, preps[i].vm, f.Cfg.Profile, func(*netsim.Packet) {}, nil, guest.Hooks{})
 		preps[i].in.Start()
 	}
 	f.K.RunFor(warmup)
@@ -459,7 +421,7 @@ type spawnReq struct {
 // RequestVM implements gateway.Backend: flash-clone (or full-boot) a VM
 // for addr and hand the gateway a reference when it is runnable. A
 // failed clone is retried on another healthy server with exponential
-// backoff, up to Cfg.RetryBudget extra attempts; ready fires exactly
+// backoff, up to retryBudget extra attempts; ready fires exactly
 // once either way.
 func (f *Farm) RequestVM(now sim.Time, addr netsim.Addr, hint gateway.SpawnHint, ready func(gateway.VMRef, error)) {
 	req := pop(&f.freeReqs)
@@ -542,7 +504,7 @@ func (f *Farm) failOrRetry(now sim.Time, req *spawnReq, failed *vmm.VMHost, err 
 		req.span.Event(now, "place-fail", err.Error())
 		req.span.Finish(now)
 	}
-	if req.attempt >= f.Cfg.RetryBudget {
+	if req.attempt >= retryBudget {
 		f.finish(req)
 		f.stats.SpawnFailures++
 		f.K.After(0, func(sim.Time) { req.ready(nil, err) })
@@ -553,11 +515,7 @@ func (f *Farm) failOrRetry(now sim.Time, req *spawnReq, failed *vmm.VMHost, err 
 	if req.parent != nil {
 		req.parent.Event(now, "clone-retry", err.Error())
 	}
-	backoff := f.Cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	f.K.After(backoff<<(req.attempt-1), func(then sim.Time) {
+	f.K.After(retryBackoff<<(req.attempt-1), func(then sim.Time) {
 		if req.done {
 			return
 		}
@@ -587,7 +545,7 @@ func (f *Farm) attachGuest(h *vmm.VMHost, vm *vmm.VM, addr netsim.Addr) *FarmVM 
 	if f.Cfg.PickTargetFor != nil {
 		pick = f.Cfg.PickTargetFor(addr)
 	}
-	fv.Guest = guest.New(f.K, vm, f.profileFor(addr), f.send, pick, f.hooks)
+	fv.Guest = guest.New(f.K, vm, f.Cfg.Profile, f.send, pick, f.hooks)
 	fv.Guest.Start()
 	// A late clone for a recycled-and-rebound address must not displace
 	// the current holder's registration; it will be destroyed right after
@@ -617,7 +575,7 @@ func (f *Farm) uplink(pkt *netsim.Packet) {
 		f.stats.LinkDrops++
 		return
 	}
-	f.up.After(f.Cfg.UplinkLatency, f.newHop(nil, pkt).fire)
+	f.up.After(UplinkLatency, f.newHop(nil, pkt).fire)
 }
 
 // infected is every guest's OnInfected hook.
@@ -684,19 +642,6 @@ func (hp *hop) arrive(now sim.Time) {
 	}
 }
 
-// profileFor picks the guest personality for an address: the fixed
-// Profile, or — for heterogeneous populations — a deterministic,
-// address-keyed choice from Profiles (the same address always presents
-// the same personality, as a real population would).
-func (f *Farm) profileFor(addr netsim.Addr) *guest.Profile {
-	if len(f.Cfg.Profiles) == 0 {
-		return f.Cfg.Profile
-	}
-	h := uint64(addr) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return f.Cfg.Profiles[h%uint64(len(f.Cfg.Profiles))]
-}
-
 // FarmVM adapts a (VM, guest) pair to gateway.VMRef. It is valid until
 // Destroy: the farm reuses the struct for a later clone.
 type FarmVM struct {
@@ -724,14 +669,8 @@ func (fv *FarmVM) Deliver(now sim.Time, pkt *netsim.Packet) {
 		f.stats.LinkDrops++
 		return
 	}
-	fv.Host.ChargeCPU(now, fv.Host.Cfg.CPU.PerPacket)
-	d := f.Cfg.DownlinkLatency
-	if d <= 0 {
-		fv.Guest.HandlePacket(now, pkt)
-		return
-	}
 	fv.arriving++
-	f.down.After(d, f.newHop(fv, pkt).fire)
+	f.down.After(DownlinkLatency, f.newHop(fv, pkt).fire)
 }
 
 // Destroy implements gateway.VMRef: stop the guest and reclaim the VM.

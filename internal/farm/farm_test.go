@@ -135,7 +135,7 @@ func TestVMsShareMemoryAcrossFarm(t *testing.T) {
 }
 
 func TestPlacementSpreadsLoad(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.Placement = PlaceLeastLoaded }, nil)
+	r := newRig(t, nil, nil)
 	for i := 0; i < 20; i++ {
 		r.g.HandleInbound(r.k.Now(), probe(scanner, victim+netsim.Addr(i)))
 	}
@@ -149,22 +149,10 @@ func TestPlacementSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestFirstFitFillsInOrder(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.Placement = PlaceFirstFit }, nil)
-	for i := 0; i < 10; i++ {
-		r.g.HandleInbound(r.k.Now(), probe(scanner, victim+netsim.Addr(i)))
-	}
-	r.k.RunFor(2 * time.Second)
-	if r.f.Hosts()[0].NumVMs() != 10 || r.f.Hosts()[1].NumVMs() != 0 {
-		t.Errorf("first-fit spread: %d/%d", r.f.Hosts()[0].NumVMs(), r.f.Hosts()[1].NumVMs())
-	}
-}
-
 func TestFarmFullFailsSpawn(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Servers = 1
 		c.HostConfig.MemoryBytes = 16 << 20 // tiny: image 8 MiB + ~8 VMs
-		c.HostConfig.PerVMOverheadBytes = 1 << 20
 	}, nil)
 	for i := 0; i < 50; i++ {
 		r.g.HandleInbound(r.k.Now(), probe(scanner, victim+netsim.Addr(i)))
@@ -348,7 +336,7 @@ func TestDefaultHostOverheadCounted(t *testing.T) {
 	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
 	r.k.RunFor(2 * time.Second)
 	grew := r.f.MemoryInUse() - base
-	if grew < r.f.Cfg.HostConfig.PerVMOverheadBytes {
+	if grew < vmm.PerVMOverheadBytes {
 		t.Errorf("memory grew %d, less than per-VM overhead", grew)
 	}
 }
@@ -447,32 +435,6 @@ func TestPrepareSnapshotImages(t *testing.T) {
 	// Preparing twice after traffic is rejected.
 	if err := r.f.PrepareSnapshotImages("again", time.Second); err == nil {
 		t.Error("re-prepare after traffic accepted")
-	}
-}
-
-func TestHeterogeneousPopulation(t *testing.T) {
-	r := newRig(t, func(c *Config) {
-		c.Profile = nil
-		c.Profiles = []*guest.Profile{guest.WindowsXP(), guest.LinuxServer(), guest.SQLServer()}
-	}, nil)
-	// Probe many addresses; the population should include more than one
-	// personality, and the same address must always present the same one.
-	for i := 0; i < 60; i++ {
-		r.g.HandleInbound(r.k.Now(), probe(scanner, victim+netsim.Addr(i)))
-	}
-	r.k.RunFor(2 * time.Second)
-	seen := map[string]bool{}
-	r.f.EachInstance(func(in *guest.Instance) { seen[in.Profile.Name] = true })
-	if len(seen) < 2 {
-		t.Errorf("population not heterogeneous: %v", seen)
-	}
-	// Stability: recycle and re-probe one address; same personality.
-	name := r.f.Instance(victim).Profile.Name
-	r.g.RecycleAll(r.k.Now())
-	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
-	r.k.RunFor(2 * time.Second)
-	if got := r.f.Instance(victim).Profile.Name; got != name {
-		t.Errorf("personality changed across recycle: %q -> %q", name, got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"slices"
-
 	"potemkin/internal/flatindex"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -46,10 +44,6 @@ type Binding struct {
 	// the scan detector's input, which stops at DetectThreshold.
 	outTargets []netsim.Addr
 	detected   bool
-
-	// rate is the outbound token bucket, filled on first use (limited).
-	rate    bucket
-	limited bool
 
 	// Tracing state (nil/empty when Config.Tracer is unset). span is the
 	// binding's root span; spawnSpan covers the current clone request;
@@ -115,7 +109,7 @@ func (b *Binding) release() {
 }
 
 // peerSet is a binding's remembered peers: a ring in arrival order —
-// appended to until it holds the limit, then overwritten oldest first —
+// appended to until it holds maxPeers, then overwritten oldest first —
 // and an index from address to ring position plus one.
 type peerSet struct {
 	ring  peerRing
@@ -134,13 +128,14 @@ func (s *peerSet) has(addr netsim.Addr) bool { return s.index.Get(s.ring, addr) 
 
 func (s *peerSet) len() int { return s.index.Len() }
 
-// note adds addr, evicting the oldest peers while the set holds limit
-// or more.
-func (s *peerSet) note(addr netsim.Addr, limit int) {
+// note adds addr, evicting the oldest peer when the set is full. The
+// ring is appended to only before its first eviction, so head is 0
+// whenever it grows.
+func (s *peerSet) note(addr netsim.Addr) {
 	if s.has(addr) {
 		return
 	}
-	for s.len() >= limit && s.len() > 0 {
+	if s.len() == maxPeers {
 		if !s.index.Delete(s.ring, s.ring[s.head]) {
 			panic("gateway: peer ring and index disagree")
 		}
@@ -148,25 +143,11 @@ func (s *peerSet) note(addr netsim.Addr, limit int) {
 	}
 	n := s.len()
 	if n == len(s.ring) {
-		if s.head != 0 {
-			s.unwrap() // the limit grew after the ring wrapped
-		}
 		s.ring = append(s.ring, addr)
 	} else {
 		s.ring[(s.head+n)%len(s.ring)] = addr
 	}
 	s.index.Insert(s.ring, uint32((s.head+n)%len(s.ring)+1))
-}
-
-// unwrap rotates a full ring so that the oldest peer is at position 0,
-// and reindexes it.
-func (s *peerSet) unwrap() {
-	ring := slices.Concat(s.ring[s.head:], s.ring[:s.head])
-	s.ring, s.head = ring, 0
-	s.index.Clear()
-	for pos := range ring {
-		s.index.Insert(ring, uint32(pos+1))
-	}
 }
 
 // reset forgets every peer, keeping the ring and the index for reuse.
@@ -178,7 +159,7 @@ func (s *peerSet) reset() {
 // notePeer remembers a remote that contacted this binding, evicting the
 // oldest peer when the table is full (replies answer recent contacts,
 // so recency is what fidelity needs).
-func (b *Binding) notePeer(addr netsim.Addr, limit int) { b.peers.note(addr, limit) }
+func (b *Binding) notePeer(addr netsim.Addr) { b.peers.note(addr) }
 
 // isPeer reports whether addr previously contacted this binding.
 func (b *Binding) isPeer(addr netsim.Addr) bool { return b.peers.has(addr) }

@@ -71,16 +71,13 @@ func TestSpawnRetryExhaustionCountsFailureOnce(t *testing.T) {
 }
 
 func TestRetryBackoffSpacing(t *testing.T) {
-	g, fb, k := newTestGateway(t, func(c *Config) {
-		c.SpawnRetryBudget = 2
-		c.SpawnRetryBackoff = 200 * time.Millisecond
-	})
+	g, fb, k := newTestGateway(t, func(c *Config) { c.SpawnRetryBudget = 2 })
 	fb.failN = 10
 	fb.delay = 0 // isolate the backoff from the clone delay
 	g.HandleInbound(k.Now(), syn(ext(0), mon(0)))
 	k.Run()
-	// Attempts at 0, +200ms, +200+400ms; the final failure lands at 600ms.
-	if got, want := k.Now(), sim.Start.Add(600*time.Millisecond); got != want {
+	// Attempts at 0, +100ms, +100+200ms; the final failure lands at 300ms.
+	if got, want := k.Now(), sim.Start.Add(3*spawnRetryBackoff); got != want {
 		t.Errorf("final failure at %v, want %v (exponential backoff)", got, want)
 	}
 	if g.Stats().SpawnFailures != 1 {
@@ -89,13 +86,10 @@ func TestRetryBackoffSpacing(t *testing.T) {
 }
 
 func TestRecycleDuringRetryBackoffStopsRetry(t *testing.T) {
-	g, fb, k := newTestGateway(t, func(c *Config) {
-		c.SpawnRetryBudget = 2
-		c.SpawnRetryBackoff = time.Second
-	})
+	g, fb, k := newTestGateway(t, func(c *Config) { c.SpawnRetryBudget = 2 })
 	fb.failNext = true
 	g.HandleInbound(k.Now(), syn(ext(0), mon(0)))
-	k.RunFor(600 * time.Millisecond) // first attempt failed, retry pending
+	k.RunFor(fb.delay + spawnRetryBackoff/2) // first attempt failed, retry pending
 	if g.Stats().SpawnRetries != 1 {
 		t.Fatalf("SpawnRetries = %d, want 1", g.Stats().SpawnRetries)
 	}

@@ -114,8 +114,8 @@ type Config struct {
 
 	Policy Policy
 
-	// AllowDNS permits VM-originated UDP/53, rewritten to Resolver.
-	AllowDNS bool
+	// Resolver is where VM-originated UDP/53 is rewritten to, under
+	// every policy but PolicyOpen.
 	Resolver netsim.Addr
 
 	// IdleTimeout recycles a binding after this much inactivity.
@@ -125,10 +125,6 @@ type Config struct {
 	// disables the cap.
 	MaxLifetime time.Duration
 
-	// PendingLimit bounds packets queued per binding during cloning.
-	PendingLimit int
-	// MaxPeers bounds remembered remote peers per binding.
-	MaxPeers int
 	// ReflectionLimit bounds live internally-reflected bindings.
 	ReflectionLimit int
 
@@ -147,10 +143,6 @@ type Config struct {
 	// binding is torn down. Zero disables retries (every failure is
 	// final, the pre-fault behaviour).
 	SpawnRetryBudget int
-	// SpawnRetryBackoff is the delay before the first spawn retry; it
-	// doubles on each subsequent attempt. Zero defaults to 100 ms when
-	// SpawnRetryBudget is positive.
-	SpawnRetryBackoff time.Duration
 
 	// ShedOnFull enables graceful degradation under farm exhaustion:
 	// after a spawn fails with ErrBackendFull, new bindings are refused
@@ -177,20 +169,6 @@ type Config struct {
 	// OnDetected fires when the scan detector flags a binding.
 	OnDetected func(now sim.Time, addr netsim.Addr, distinctTargets int)
 
-	// ProxyRules forwards VM-originated traffic on specific destination
-	// ports to sacrificial hosts (NATed through ProxyAddr), the paper's
-	// containment option for protocols too rich to fake. Applies under
-	// ReflectSource and InternalReflect before reflection/drop.
-	ProxyRules map[uint16]ProxyRule
-	// ProxyAddr is the gateway-owned external address proxy flows are
-	// NATed through; returns addressed to it are rewritten back.
-	ProxyAddr netsim.Addr
-
-	// OutboundLimit rate-limits externalized packets per binding (the
-	// containment middle ground: worms throttle to uselessness, real
-	// sessions barely notice). The zero value disables limiting.
-	OutboundLimit RateLimit
-
 	// EventSink, when set, receives the forensic event log (see
 	// JSONLSink). Nil disables logging.
 	EventSink EventSink
@@ -212,20 +190,28 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard experiment configuration: a /16,
-// internal reflection, DNS allowed, 60 s idle recycling.
+// internal reflection, 60 s idle recycling.
 func DefaultConfig() Config {
 	return Config{
 		Space:           netsim.MustParsePrefix("10.5.0.0/16"),
 		Policy:          PolicyInternalReflect,
-		AllowDNS:        true,
 		Resolver:        netsim.MustParseAddr("172.16.0.53"),
 		IdleTimeout:     60 * time.Second,
-		PendingLimit:    64,
-		MaxPeers:        64,
 		ReflectionLimit: 4096,
 		DetectThreshold: 5,
 	}
 }
+
+// Fixed per-binding bounds.
+const (
+	// pendingLimit bounds packets queued per binding during cloning.
+	pendingLimit = 64
+	// maxPeers bounds remembered remote peers per binding.
+	maxPeers = 64
+	// spawnRetryBackoff is the delay before the first spawn retry; it
+	// doubles on each subsequent attempt.
+	spawnRetryBackoff = 100 * time.Millisecond
+)
 
 // Stats counts gateway activity, and is the only place it is counted.
 // All counters are cumulative. The metric tag names the registry series
@@ -253,10 +239,7 @@ type Stats struct {
 	OutDropped        uint64 `metric:"gateway_out_dropped_total"`
 	OutReflectDenied  uint64 `metric:"gateway_out_reflect_denied_total"` // reflection limit hit
 	DetectedInfected  uint64 `metric:"gateway_detected_infected_total"`
-	ScanFiltered      uint64 `metric:"gateway_scan_filtered_total"`    // inbound probes shed by the scan filter
-	OutRateLimited    uint64 `metric:"gateway_out_rate_limited_total"` // externalized packets dropped by the rate limit
-	OutProxied        uint64 `metric:"gateway_out_proxied_total"`      // packets NATed to sacrificial hosts
-	ProxyReturns      uint64 `metric:"gateway_proxy_returns_total"`    // sacrificial-host replies rewritten back
+	ScanFiltered      uint64 `metric:"gateway_scan_filtered_total"` // inbound probes shed by the scan filter
 	PeakBindings      int    `metric:"gateway_peak_bindings"`
 	ReflectionsActive int    `metric:"gateway_reflections_active"`
 	// PendingQueued is the current number of packets waiting in pending
@@ -294,9 +277,6 @@ func (s *Stats) Add(src *Stats) {
 	s.OutReflectDenied += src.OutReflectDenied
 	s.DetectedInfected += src.DetectedInfected
 	s.ScanFiltered += src.ScanFiltered
-	s.OutRateLimited += src.OutRateLimited
-	s.OutProxied += src.OutProxied
-	s.ProxyReturns += src.ProxyReturns
 	s.PeakBindings += src.PeakBindings
 	s.ReflectionsActive += src.ReflectionsActive
 	s.PendingQueued += src.PendingQueued
@@ -321,9 +301,6 @@ type Gateway struct {
 	// scanSeen counts serviced probes per (source, dstPort) for the
 	// scan filter.
 	scanSeen map[scanKey]int
-	// Proxy NAT state: gateway port <-> proxied flow.
-	nat      map[uint16]natEntry
-	natPorts map[natEntry]uint16
 	rng      *sim.RNG
 	stats    Stats
 	scrub    *sim.Ticker
@@ -364,12 +341,6 @@ type scanKey struct {
 
 // New creates a gateway over backend.
 func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
-	if cfg.PendingLimit <= 0 {
-		cfg.PendingLimit = 64
-	}
-	if cfg.MaxPeers <= 0 {
-		cfg.MaxPeers = 64
-	}
 	if cfg.ReflectionLimit <= 0 {
 		cfg.ReflectionLimit = 4096
 	}
@@ -380,8 +351,6 @@ func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
 		bindings:    make(map[netsim.Addr]*Binding),
 		reflections: make(map[netsim.Addr]netsim.Addr),
 		scanSeen:    make(map[scanKey]int),
-		nat:         make(map[uint16]natEntry),
-		natPorts:    make(map[natEntry]uint16),
 		rng:         k.Stream("gateway"),
 	}
 	g.startScrubber()

@@ -137,8 +137,8 @@ func TestInboundOutsideSpaceIgnored(t *testing.T) {
 }
 
 func TestPendingQueueOverflow(t *testing.T) {
-	g, _, k := newTestGateway(t, func(c *Config) { c.PendingLimit = 3 })
-	for i := 0; i < 10; i++ {
+	g, _, k := newTestGateway(t, nil)
+	for i := 0; i < pendingLimit+7; i++ {
 		g.HandleInbound(k.Now(), syn(ext(i), mon(0)))
 	}
 	if got := g.Stats().PendingDropped; got != 7 {
@@ -284,7 +284,6 @@ func TestPolicyDropAllContains(t *testing.T) {
 	var leaked int
 	g, _, k := newTestGateway(t, func(c *Config) {
 		c.Policy = PolicyDropAll
-		c.AllowDNS = false
 		c.ExternalOut = func(sim.Time, *netsim.Packet) { leaked++ }
 	})
 	outboundFrom(t, g, k, mon(0))
@@ -322,7 +321,6 @@ func TestDNSProxied(t *testing.T) {
 	var out []*netsim.Packet
 	g, _, k := newTestGateway(t, func(c *Config) {
 		c.Policy = PolicyReflectSource
-		c.AllowDNS = true
 		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p.Clone()) }
 	})
 	outboundFrom(t, g, k, mon(0))
@@ -452,16 +450,16 @@ func TestScanDetector(t *testing.T) {
 }
 
 func TestPeerTableBounded(t *testing.T) {
-	g, _, k := newTestGateway(t, func(c *Config) { c.MaxPeers = 3 })
-	for i := 0; i < 10; i++ {
+	g, _, k := newTestGateway(t, nil)
+	for i := 0; i <= maxPeers; i++ {
 		g.HandleInbound(k.Now(), syn(ext(i), mon(0)))
 	}
-	if got := g.Binding(mon(0)).Peers(); got != 3 {
-		t.Errorf("peers = %d, want 3", got)
+	if got := g.Binding(mon(0)).Peers(); got != maxPeers {
+		t.Errorf("peers = %d, want %d", got, maxPeers)
 	}
 	// Most recent peers retained (oldest-first eviction).
 	b := g.Binding(mon(0))
-	for i := 7; i < 10; i++ {
+	for i := 1; i <= maxPeers; i++ {
 		if !b.isPeer(ext(i)) {
 			t.Errorf("recent peer %d evicted", i)
 		}
@@ -472,13 +470,12 @@ func TestPeerTableBounded(t *testing.T) {
 }
 
 func TestNoEscapeUnderContainmentProperty(t *testing.T) {
-	// Property: under every non-open policy with DNS disabled, no packet
-	// reaches ExternalOut except replies to eliciting sources.
+	// Property: under every non-open policy, no TCP packet reaches
+	// ExternalOut except replies to eliciting sources.
 	for _, pol := range []Policy{PolicyDropAll, PolicyReflectSource, PolicyInternalReflect} {
 		var escaped []*netsim.Packet
 		g, _, k := newTestGateway(t, func(c *Config) {
 			c.Policy = pol
-			c.AllowDNS = false
 			c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { escaped = append(escaped, p.Clone()) }
 		})
 		r := sim.NewRNG(99)

@@ -4,16 +4,15 @@ import "potemkin/internal/netsim"
 
 // Held packets: every packet the gateway keeps past the call that handed
 // it over — an arrival queued on a pending binding — or builds itself —
-// a scan rewritten by reflection, a lookup rewritten to the resolver, a
-// flow NATed to or from a sacrificial host — is a copy in a packet off
-// the gateway's free list. Each keeps its struct and its payload
-// capacity across tenants, so once the list is warm holding a packet
-// allocates nothing. A held packet goes out marked Ephemeral: its
+// a scan rewritten by reflection, a lookup rewritten to the resolver —
+// is a copy in a packet off the gateway's free list. Each keeps its
+// struct and its payload capacity across tenants, so once the list is
+// warm holding a packet allocates nothing. A held packet goes out marked Ephemeral: its
 // storage is reused once the gateway is done with it, so a consumer
 // that keeps it must Clone it (the farm's link hop copies it).
 //
 // The free list keeps at most one spare per live binding: a warm-up that
-// queued PendingLimit packets on each of many pending bindings would
+// queued pendingLimit packets on each of many pending bindings would
 // otherwise pin all of them for the rest of the run.
 
 // hold copies pkt into a packet off the free list, marked Ephemeral.

@@ -68,12 +68,12 @@ func TestReflectAllocs(t *testing.T) {
 
 // TestHeldSparesBoundedByBindings: the free list of held packets keeps
 // at most one spare per live binding. Bindings that each queued a full
-// PendingLimit of packets while their clones were in flight return all
+// pendingLimit of packets while their clones were in flight return all
 // of them at the flush, and the list must not keep them all.
 func TestHeldSparesBoundedByBindings(t *testing.T) {
 	g, _, k := newTestGateway(t, nil)
 	const n = 8
-	limit := g.Cfg.PendingLimit
+	const limit = pendingLimit
 	for i := 0; i < n; i++ {
 		for j := 0; j < limit; j++ {
 			g.HandleInbound(k.Now(), syn(ext(j), mon(i)))

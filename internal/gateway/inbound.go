@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"strconv"
-	"time"
 
 	"potemkin/internal/gre"
 	"potemkin/internal/netsim"
@@ -34,9 +33,6 @@ func (g *Gateway) HandleGREFrame(now sim.Time, frame []byte) {
 func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 	g.stats.InboundPackets++
 	g.capture(now, CapInbound, pkt)
-	if g.handleProxyReturn(now, pkt) {
-		return
-	}
 	if !g.Cfg.Space.Contains(pkt.Dst) {
 		g.stats.InboundOutside++
 		return
@@ -53,11 +49,11 @@ func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 		}
 	}
 	b.LastActive = now
-	b.notePeer(pkt.Src, g.Cfg.MaxPeers)
+	b.notePeer(pkt.Src)
 
 	switch b.State {
 	case BindingPending:
-		if len(b.pending) >= g.Cfg.PendingLimit {
+		if len(b.pending) >= pendingLimit {
 			g.stats.PendingDropped++
 			return
 		}
@@ -200,12 +196,8 @@ func (g *Gateway) spawnFailed(b *Binding, err error) {
 	if b.attempt < g.Cfg.SpawnRetryBudget {
 		g.stats.SpawnRetries++
 		g.logEvent(now, EvSpawnRetry, addr, 0, err.Error())
-		backoff := g.Cfg.SpawnRetryBackoff
-		if backoff <= 0 {
-			backoff = 100 * time.Millisecond
-		}
 		b.waiting = true
-		g.K.After(backoff<<b.attempt, func(then sim.Time) {
+		g.K.After(spawnRetryBackoff<<b.attempt, func(then sim.Time) {
 			b.waiting = false
 			if b.gone {
 				b.release() // recycled while backing off

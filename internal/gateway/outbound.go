@@ -26,7 +26,6 @@ const (
 	DispDNSProxied
 	DispInternal  // destination already inside the honeyfarm
 	DispReflected // rewritten to a honeyfarm address
-	DispProxied   // NATed to a sacrificial host
 )
 
 // String names the disposition.
@@ -44,8 +43,6 @@ func (d Disposition) String() string {
 		return "internal"
 	case DispReflected:
 		return "reflected"
-	case DispProxied:
-		return "proxied"
 	default:
 		return "unknown"
 	}
@@ -90,16 +87,12 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 
 	switch g.Cfg.Policy {
 	case PolicyOpen:
-		if !g.allowOutbound(now, b) {
-			g.stats.OutDropped++
-			return DispDropped
-		}
 		g.stats.OutAllowedOpen++
 		g.stats.EgressPermitted++
 		g.emit(now, pkt)
 		return DispAllowedOpen
 	case PolicyDropAll:
-		// Even drop-all lets DNS through if explicitly configured.
+		// Even drop-all lets DNS through, to the resolver.
 		if d, ok := g.tryDNS(now, pkt); ok {
 			return d
 		}
@@ -107,19 +100,12 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 		return DispDropped
 	case PolicyReflectSource, PolicyInternalReflect:
 		if b != nil && b.isPeer(pkt.Dst) {
-			if !g.allowOutbound(now, b) {
-				g.stats.OutDropped++
-				return DispDropped
-			}
 			g.stats.OutToSource++
 			g.stats.EgressPermitted++
 			g.emit(now, pkt)
 			return DispToSource
 		}
 		if d, ok := g.tryDNS(now, pkt); ok {
-			return d
-		}
-		if d, ok := g.tryProxy(now, pkt); ok {
 			return d
 		}
 		if g.Cfg.Policy == PolicyInternalReflect {
@@ -133,9 +119,9 @@ func (g *Gateway) HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition {
 	}
 }
 
-// tryDNS proxies UDP/53 to the configured resolver when allowed.
+// tryDNS proxies UDP/53 to the configured resolver.
 func (g *Gateway) tryDNS(now sim.Time, pkt *netsim.Packet) (Disposition, bool) {
-	if !g.Cfg.AllowDNS || pkt.Proto != netsim.ProtoUDP || pkt.DstPort != 53 {
+	if pkt.Proto != netsim.ProtoUDP || pkt.DstPort != 53 {
 		return DispDropped, false
 	}
 	q := g.hold(pkt)

@@ -14,8 +14,8 @@ import (
 // backend answer or retry timer addressed to it is outstanding.
 
 // TestRecycledBindingHygiene gives a binding every kind of per-tenant
-// state — peers, outbound targets, a detection, a token bucket, spans,
-// queued packets with their arrival times — recycles it, and checks the
+// state — peers, outbound targets, a detection, spans, queued packets
+// with their arrival times — recycles it, and checks the
 // next address bound on the same struct sees none of it.
 func TestRecycledBindingHygiene(t *testing.T) {
 	tr := trace.New(func(trace.Record) {}, 0)
@@ -23,21 +23,19 @@ func TestRecycledBindingHygiene(t *testing.T) {
 		c.Tracer = tr
 		c.Policy = PolicyOpen
 		c.DetectThreshold = 3
-		c.OutboundLimit = DefaultOutboundLimit()
-		c.MaxPeers = 4
 	})
-	for i := 0; i < 6; i++ { // more peers than MaxPeers: the order list evicts
+	for i := 0; i <= maxPeers; i++ { // more peers than maxPeers: the ring evicts
 		g.HandleInbound(k.Now(), syn(ext(i), mon(0)))
 	}
 	first := g.Binding(mon(0))
-	if len(first.pending) != 6 || len(first.pendingAt) != 6 {
-		t.Fatalf("setup: %d packets queued with %d arrival times, want 6", len(first.pending), len(first.pendingAt))
+	if len(first.pending) != pendingLimit || len(first.pendingAt) != pendingLimit {
+		t.Fatalf("setup: %d packets queued with %d arrival times, want %d", len(first.pending), len(first.pendingAt), pendingLimit)
 	}
 	k.Run()
 	for i := 0; i < 5; i++ {
 		g.HandleOutbound(k.Now(), syn(mon(0), ext(100+i)))
 	}
-	if !first.Detected() || first.OutTargets() == 0 || first.Peers() != 4 || !first.limited || first.span == nil || first.activeSpan == nil {
+	if !first.Detected() || first.OutTargets() == 0 || first.Peers() != maxPeers || first.span == nil || first.activeSpan == nil {
 		t.Fatalf("setup: binding not fully dressed: %+v", first)
 	}
 	// A second batch of queued packets on a pending binding that is
@@ -65,9 +63,9 @@ func TestRecycledBindingHygiene(t *testing.T) {
 	if b.Peers() != 1 || !b.isPeer(ext(7)) || b.isPeer(ext(5)) || len(b.peers.ring) != 1 || b.peers.head != 0 {
 		t.Errorf("peers survived: %d peers, ring %v from %d", b.Peers(), b.peers.ring, b.peers.head)
 	}
-	if b.OutTargets() != 0 || b.Detected() || b.limited || b.attempt != 0 || b.gone {
-		t.Errorf("containment state survived: targets=%d detected=%v limited=%v attempt=%d gone=%v",
-			b.OutTargets(), b.Detected(), b.limited, b.attempt, b.gone)
+	if b.OutTargets() != 0 || b.Detected() || b.attempt != 0 || b.gone {
+		t.Errorf("containment state survived: targets=%d detected=%v attempt=%d gone=%v",
+			b.OutTargets(), b.Detected(), b.attempt, b.gone)
 	}
 	if b.span == nil || b.span == first.activeSpan || b.activeSpan != nil || b.span.Done() {
 		t.Error("spans survived: want a fresh root span, no active span")
@@ -98,13 +96,10 @@ func TestRecycledBindingHygiene(t *testing.T) {
 // timer is pending and rebinds the same address at once. The timer must
 // not re-request on the new tenant's behalf.
 func TestRebindSameAddressMidRetry(t *testing.T) {
-	g, fb, k := newTestGateway(t, func(c *Config) {
-		c.SpawnRetryBudget = 2
-		c.SpawnRetryBackoff = time.Second
-	})
+	g, fb, k := newTestGateway(t, func(c *Config) { c.SpawnRetryBudget = 2 })
 	fb.failNext = true
 	g.HandleInbound(k.Now(), syn(ext(0), mon(0)))
-	k.RunFor(600 * time.Millisecond) // the failure is in; the retry is queued
+	k.RunFor(fb.delay + spawnRetryBackoff/2) // the failure is in; the retry is queued
 	first := g.Binding(mon(0))
 	if first == nil || !first.waiting || fb.requests != 1 {
 		t.Fatalf("setup: want a binding backing off after 1 request, have %+v after %d", first, fb.requests)

@@ -98,7 +98,6 @@ func TestTraceBindingLifecycle(t *testing.T) {
 func TestTraceSpawnRetry(t *testing.T) {
 	g, fb, recs, run := tracedGateway(t, func(cfg *Config) {
 		cfg.SpawnRetryBudget = 2
-		cfg.SpawnRetryBackoff = 50 * time.Millisecond
 	})
 	fb.failN = 1
 	g.HandleInbound(g.K.Now(), syn(ext(0), mon(0)))

@@ -483,7 +483,6 @@ func (in *Instance) touchTick(sim.Time) {
 	if in.VM.State == vmm.StateRunning {
 		in.touchPage()
 	}
-	// Paused VMs make no progress but resume where they left off.
 	in.scheduleTouch()
 }
 

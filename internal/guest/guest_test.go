@@ -312,40 +312,6 @@ func TestForceInfect(t *testing.T) {
 	}
 }
 
-func TestPauseFreezesGuestActivity(t *testing.T) {
-	r := newRig(t, WindowsXP(), Hooks{})
-	r.in.Start()
-	r.in.ForceInfect(0)
-	r.k.RunFor(time.Second)
-	scans := r.in.Stats().ScansOut
-	dirty := r.in.Stats().PagesDirty
-	if scans == 0 || dirty == 0 {
-		t.Fatal("no activity before pause")
-	}
-	if err := r.h.Pause(r.vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	r.k.RunFor(10 * time.Second)
-	if r.in.Stats().ScansOut != scans || r.in.Stats().PagesDirty != dirty {
-		t.Error("paused VM made progress")
-	}
-	// Resume: activity continues.
-	if err := r.h.Resume(r.vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	r.k.RunFor(2 * time.Second)
-	if r.in.Stats().ScansOut <= scans {
-		t.Error("resumed VM never scanned again")
-	}
-	// State errors.
-	if err := r.h.Resume(r.vm.ID); err == nil {
-		t.Error("resume of running VM accepted")
-	}
-	if err := r.h.Pause(9999); err == nil {
-		t.Error("pause of missing VM accepted")
-	}
-}
-
 func TestScanStopsWhenStopped(t *testing.T) {
 	r := newRig(t, WindowsXP(), Hooks{})
 	r.in.ForceInfect(0)

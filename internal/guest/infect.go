@@ -116,7 +116,6 @@ func (in *Instance) scanTick(sim.Time) {
 	if in.VM.State == vmm.StateRunning {
 		in.emitScan()
 	}
-	// Paused VMs stop scanning but resume when unfrozen.
 	in.scheduleScan()
 }
 

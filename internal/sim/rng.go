@@ -123,16 +123,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Pareto returns a Pareto(shape alpha, scale xmin) value. Heavy-tailed
-// per-address popularity and on-time distributions use this.
-func (r *RNG) Pareto(alpha, xmin float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xmin / math.Pow(u, 1/alpha)
-}
-
 // Normal returns a normally distributed value (Box–Muller).
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	u1 := r.Float64()
@@ -155,14 +145,12 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent s > 0
-// via inverse-CDF on a precomputed table is avoided; instead it uses
-// rejection-free approximation adequate for workload skew: it draws a
-// Pareto rank and clamps. For exact Zipf sampling use NewZipf.
+// Zipf draws exactly from a Zipf distribution over ranks [0, n) with
+// exponent s > 0, by inverse CDF: NewZipf precomputes the cumulative
+// table and Draw binary-searches it for a uniform draw.
 type Zipf struct {
 	r    *RNG
 	cdf  []float64
-	n    int
 	imax int
 }
 
@@ -182,7 +170,7 @@ func NewZipf(r *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{r: r, cdf: cdf, n: n, imax: n - 1}
+	return &Zipf{r: r, cdf: cdf, imax: n - 1}
 }
 
 // Draw returns a rank in [0, n); rank 0 is the most popular.

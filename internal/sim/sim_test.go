@@ -275,15 +275,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGParetoMinimum(t *testing.T) {
-	r := NewRNG(17)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(1.5, 2.0); v < 2.0 {
-			t.Fatalf("Pareto below xmin: %v", v)
-		}
-	}
-}
-
 func TestRNGNormalMoments(t *testing.T) {
 	r := NewRNG(19)
 	const n = 200000

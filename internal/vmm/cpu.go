@@ -1,117 +1,23 @@
 package vmm
 
-import (
-	"errors"
-	"time"
-
-	"potemkin/internal/sim"
-)
+import "time"
 
 // Memory bounds how many *idle* VMs a server holds; CPU bounds how many
-// *active* ones. The CPU model charges per-packet and per-clone costs
-// against a per-host core budget in virtual time, exposes a utilization
-// gauge, and (optionally) rejects clones when the host is saturated —
-// the second axis of the paper's provisioning argument.
+// *active* ones — the second axis of the paper's provisioning argument,
+// which E2c tabulates from this model analytically.
 
 // CPUModel parameterizes per-host compute.
 type CPUModel struct {
-	// Cores is the host's parallelism. Zero disables CPU accounting.
+	// Cores is the host's parallelism.
 	Cores int
 	// PerPacket is guest-side service time per delivered packet.
 	PerPacket time.Duration
-	// PerClone is the control-plane compute of a flash clone.
-	PerClone time.Duration
-	// MaxUtil, when positive, rejects clones while utilization exceeds
-	// it (admission control; 0 disables).
-	MaxUtil float64
 }
 
 // DefaultCPUModel matches the era's servers: 4 cores, ~40 µs of
-// processing per honeypot packet, ~30 ms of control-plane CPU per clone.
+// processing per honeypot packet.
 func DefaultCPUModel() CPUModel {
-	return CPUModel{Cores: 4, PerPacket: 40 * time.Microsecond, PerClone: 30 * time.Millisecond}
-}
-
-// ErrNoCPU reports clone rejection due to CPU saturation.
-var ErrNoCPU = errors.New("vmm: host CPU saturated")
-
-// cpuAccount tracks busy time in one-second buckets: the previous
-// complete second is the utilization gauge (stable within a bucket,
-// cheap to maintain, no decay math).
-type cpuAccount struct {
-	curSec   int64
-	curBusy  time.Duration
-	prevBusy time.Duration
-	total    time.Duration
-}
-
-func (c *cpuAccount) charge(now sim.Time, d time.Duration) {
-	sec := int64(now / sim.Time(time.Second))
-	switch {
-	case sec == c.curSec:
-		c.curBusy += d
-	case sec == c.curSec+1:
-		c.prevBusy = c.curBusy
-		c.curSec = sec
-		c.curBusy = d
-	default: // skipped ahead: the missed seconds were idle
-		c.prevBusy = 0
-		c.curSec = sec
-		c.curBusy = d
-	}
-	c.total += d
-}
-
-// utilization returns busy fraction of the last complete second.
-func (c *cpuAccount) utilization(now sim.Time, cores int) float64 {
-	if cores <= 0 {
-		return 0
-	}
-	sec := int64(now / sim.Time(time.Second))
-	busy := c.prevBusy
-	switch {
-	case sec == c.curSec:
-		// prevBusy is the gauge.
-	case sec == c.curSec+1:
-		busy = c.curBusy
-	default:
-		busy = 0
-	}
-	u := busy.Seconds() / float64(cores)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// ChargeCPU accounts d of compute against the host at virtual time now.
-// The farm charges per-packet costs through this.
-func (h *VMHost) ChargeCPU(now sim.Time, d time.Duration) {
-	if h.Cfg.CPU.Cores <= 0 || d <= 0 {
-		return
-	}
-	h.cpu.charge(now, d)
-}
-
-// CPUUtilization returns the host's busy fraction over the last
-// complete second (0 when accounting is disabled).
-func (h *VMHost) CPUUtilization() float64 {
-	return h.cpu.utilization(h.K.Now(), h.Cfg.CPU.Cores)
-}
-
-// CPUSeconds returns total compute consumed since host creation.
-func (h *VMHost) CPUSeconds() float64 { return h.cpu.total.Seconds() }
-
-// cpuAdmit rejects clones on saturated hosts.
-func (h *VMHost) cpuAdmit() error {
-	m := h.Cfg.CPU
-	if m.Cores <= 0 || m.MaxUtil <= 0 {
-		return nil
-	}
-	if h.CPUUtilization() > m.MaxUtil {
-		return ErrNoCPU
-	}
-	return nil
+	return CPUModel{Cores: 4, PerPacket: 40 * time.Microsecond}
 }
 
 // MaxActiveVMs is the analytic CPU bound the paper's provisioning

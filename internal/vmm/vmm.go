@@ -33,7 +33,6 @@ const (
 	StateCloning State = iota // flash clone in progress
 	StateBooting              // full boot in progress
 	StateRunning
-	StatePaused // frozen: holds resources, makes no progress
 	StateDead
 )
 
@@ -46,8 +45,6 @@ func (s State) String() string {
 		return "booting"
 	case StateRunning:
 		return "running"
-	case StatePaused:
-		return "paused"
 	case StateDead:
 		return "dead"
 	default:
@@ -129,36 +126,32 @@ func (vm *VM) WriteMemory(vpn uint64, off int, b []byte) bool {
 	return faulted
 }
 
-// HostConfig sizes a simulated physical server.
+// HostConfig sizes a simulated physical server. Every host charges
+// PerVMOverheadBytes per VM and the DefaultLatencies model.
 type HostConfig struct {
 	Name        string
 	MemoryBytes uint64 // machine memory capacity
-	MaxVMs      int    // domain descriptor limit; 0 = unlimited
-
-	// PerVMOverheadBytes models fixed per-VM hypervisor state (shadow
-	// page tables, descriptor, device state) counted against capacity.
-	PerVMOverheadBytes uint64
 
 	// ShareContent enables content-based page sharing in the frame store
 	// (delta virtualization always shares image pages; this additionally
 	// coalesces identical private pages).
 	ShareContent bool
-
-	Latency LatencyModel
-
-	// CPU models per-host compute; the zero value disables CPU
-	// accounting and admission.
-	CPU CPUModel
 }
 
+// PerVMOverheadBytes models fixed per-VM hypervisor state (shadow page
+// tables, descriptor, device state) counted against a host's capacity:
+// Xen-era overhead.
+const PerVMOverheadBytes = 1 << 20
+
+// hostLatency is the control-plane cost model every host charges.
+var hostLatency = DefaultLatencies()
+
 // DefaultHostConfig matches the experiments' standard server: 16 GiB of
-// RAM and Xen-era per-VM overhead.
+// RAM.
 func DefaultHostConfig(name string) HostConfig {
 	return HostConfig{
-		Name:               name,
-		MemoryBytes:        16 << 30,
-		PerVMOverheadBytes: 1 << 20,
-		Latency:            DefaultLatencies(),
+		Name:        name,
+		MemoryBytes: 16 << 30,
 	}
 }
 
@@ -198,7 +191,6 @@ func (s *HostStats) Add(src *HostStats) {
 // Admission errors.
 var (
 	ErrNoMemory = errors.New("vmm: host memory exhausted")
-	ErrTooMany  = errors.New("vmm: VM descriptor limit reached")
 	ErrNoImage  = errors.New("vmm: unknown image")
 )
 
@@ -218,7 +210,6 @@ type VMHost struct {
 	rng    *sim.RNG
 
 	stats HostStats
-	cpu   cpuAccount
 	// tr, when non-nil, records clone/boot spans and lifecycle events
 	// under the binding trace registered for the VM's address.
 	tr *trace.Tracer
@@ -280,7 +271,7 @@ func (h *VMHost) Lookup(id VMID) *VM { return h.vms[id] }
 // MemoryInUse returns modeled machine-memory consumption: shared frames
 // plus fixed per-VM overhead.
 func (h *VMHost) MemoryInUse() uint64 {
-	return h.store.ModeledBytes() + uint64(len(h.vms))*h.Cfg.PerVMOverheadBytes
+	return h.store.ModeledBytes() + uint64(len(h.vms))*PerVMOverheadBytes
 }
 
 // MemoryFree returns remaining capacity (0 when overcommitted).
@@ -312,10 +303,7 @@ func (h *VMHost) RegisterImage(name string, numPages, residentPages, diskBlocks,
 // admit checks capacity for one more VM with the given incremental
 // memory need.
 func (h *VMHost) admit(extraBytes uint64) error {
-	if h.Cfg.MaxVMs > 0 && len(h.vms) >= h.Cfg.MaxVMs {
-		return ErrTooMany
-	}
-	if h.MemoryInUse()+extraBytes+h.Cfg.PerVMOverheadBytes > h.Cfg.MemoryBytes {
+	if h.MemoryInUse()+extraBytes+PerVMOverheadBytes > h.Cfg.MemoryBytes {
 		return ErrNoMemory
 	}
 	return nil
@@ -341,11 +329,6 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 		h.stats.CloneRejects++
 		return nil, err
 	}
-	if err := h.cpuAdmit(); err != nil {
-		h.stats.CloneRejects++
-		return nil, err
-	}
-	h.ChargeCPU(h.K.Now(), h.Cfg.CPU.PerClone)
 	vm := h.newVM(img, ip, StateCloning)
 	vm.Mem = img.Mem.NewClone()
 	if h.tr != nil {
@@ -355,7 +338,7 @@ func (h *VMHost) FlashClone(imageName string, ip netsim.Addr, ready func(*VM)) (
 
 	var total time.Duration
 	for step := CloneStep(0); step < NumCloneSteps; step++ {
-		d := h.slowed(h.Cfg.Latency.cloneStepCost(step, img.Mem.ResidentPages(), h.rng))
+		d := h.slowed(hostLatency.cloneStepCost(step, img.Mem.ResidentPages(), h.rng))
 		h.StepLatency[step].Observe(float64(d) / float64(time.Millisecond))
 		total += d
 	}
@@ -393,7 +376,7 @@ func (h *VMHost) FullBoot(imageName string, ip netsim.Addr, ready func(*VM)) (*V
 			trace.Attr{K: "server", V: h.Cfg.Name}, trace.Attr{K: "image", V: img.Name})
 	}
 
-	vm.rise(h.Cfg.Latency.jittered(h.Cfg.Latency.FullBoot, h.rng), ready)
+	vm.rise(hostLatency.jittered(hostLatency.FullBoot, h.rng), ready)
 	return vm, nil
 }
 
@@ -510,45 +493,6 @@ func (h *VMHost) spaces() []*mem.AddressSpace {
 	return spaces
 }
 
-// Pause freezes a running VM: it keeps its memory and binding but
-// receives no packets and makes no guest progress until Resume — how an
-// analyst holds a compromised VM still while inspecting it.
-func (h *VMHost) Pause(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return fmt.Errorf("vmm: no VM %d", id)
-	}
-	if vm.State != StateRunning {
-		return fmt.Errorf("vmm: VM %d is %v, not running", id, vm.State)
-	}
-	vm.State = StatePaused
-	if h.tr != nil {
-		if sp := h.tr.Current(uint64(vm.IP)); sp != nil {
-			sp.Event(h.K.Now(), "vm-paused", h.Cfg.Name)
-		}
-	}
-	return nil
-}
-
-// Resume unfreezes a paused VM.
-func (h *VMHost) Resume(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return fmt.Errorf("vmm: no VM %d", id)
-	}
-	if vm.State != StatePaused {
-		return fmt.Errorf("vmm: VM %d is %v, not paused", id, vm.State)
-	}
-	vm.State = StateRunning
-	vm.LastActive = h.K.Now()
-	if h.tr != nil {
-		if sp := h.tr.Current(uint64(vm.IP)); sp != nil {
-			sp.Event(h.K.Now(), "vm-resumed", h.Cfg.Name)
-		}
-	}
-	return nil
-}
-
 // SnapshotVM freezes a running VM's current state as a new reference
 // image named name — the paper's actual image-preparation flow: boot a
 // reference VM once, install and configure the personality, then
@@ -581,14 +525,10 @@ func (h *VMHost) SnapshotVM(id VMID, name string) (*Image, error) {
 }
 
 // MemorySharePass runs one KSM-style content-sharing scan over all live
-// VMs' owned pages (see mem.SharePass), charging the scan's CPU cost.
-// The pass keeps the first of two identical pages it meets, so it walks
-// the VMs in VMID order.
+// VMs' owned pages (see mem.SharePass). The pass keeps the first of two
+// identical pages it meets, so it walks the VMs in VMID order.
 func (h *VMHost) MemorySharePass() mem.SharePassResult {
-	res := mem.SharePass(h.store, h.spaces())
-	// ~150 ns to hash-and-compare a page is a reasonable 2005-era cost.
-	h.ChargeCPU(h.K.Now(), time.Duration(res.PagesScanned)*150*time.Nanosecond)
-	return res
+	return mem.SharePass(h.store, h.spaces())
 }
 
 // StartSharePasses runs MemorySharePass every interval until the

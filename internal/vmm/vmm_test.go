@@ -133,7 +133,6 @@ func TestAdmissionMemoryLimit(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultHostConfig("small")
 	cfg.MemoryBytes = 64 << 20 // 64 MiB
-	cfg.PerVMOverheadBytes = 1 << 20
 	h := NewHost(k, cfg)
 	h.RegisterImage("img", 8192, 2048, 512, 1) // 8 MiB resident
 
@@ -161,22 +160,6 @@ func TestAdmissionMemoryLimit(t *testing.T) {
 	}
 }
 
-func TestAdmissionMaxVMs(t *testing.T) {
-	k := sim.NewKernel(1)
-	cfg := DefaultHostConfig("capped")
-	cfg.MaxVMs = 3
-	h := NewHost(k, cfg)
-	h.RegisterImage("img", 1024, 128, 16, 1)
-	for i := 0; i < 3; i++ {
-		if _, err := h.FlashClone("img", 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := h.FlashClone("img", 1, nil); err != ErrTooMany {
-		t.Errorf("err = %v, want ErrTooMany", err)
-	}
-}
-
 func TestCloneUnknownImage(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
@@ -199,7 +182,7 @@ func TestDestroyReclaimsMemory(t *testing.T) {
 		t.Error("VM still listed")
 	}
 	reclaimed := used - h.MemoryInUse()
-	if want := uint64(100*mem.PageSize) + h.Cfg.PerVMOverheadBytes; reclaimed != want {
+	if want := uint64(100*mem.PageSize) + PerVMOverheadBytes; reclaimed != want {
 		t.Errorf("reclaimed %d, want %d", reclaimed, want)
 	}
 	if err := h.CheckMemoryInvariants(); err != nil {
