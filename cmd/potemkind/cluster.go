@@ -76,32 +76,8 @@ func (co *coordinator) replay(src telescope.Source, epilogue time.Duration, halt
 	return n, err
 }
 
-// points is the workers' final registry snapshots merged: the same
-// counters one process would have accumulated.
-func (co *coordinator) points() []metrics.Point { return co.res.Metrics }
-
-// stats shapes the merged results as the facade's Stats, so -json
-// output is directly comparable with a single-process run.
-func (co *coordinator) stats() potemkin.Stats {
-	res := co.res
-	return potemkin.Stats{
-		Now:               time.Duration(res.Now),
-		LiveVMs:           res.LiveVMs,
-		PeakVMs:           res.Farm.PeakLiveVMs,
-		InfectedVMs:       res.InfectedVMs,
-		BindingsCreated:   res.Gateway.BindingsCreated,
-		BindingsRecycled:  res.Gateway.BindingsRecycled,
-		InboundPackets:    res.Gateway.InboundPackets,
-		DeliveredToVM:     res.Gateway.DeliveredToVM,
-		OutboundDropped:   res.Gateway.OutDropped,
-		OutboundToSource:  res.Gateway.OutToSource,
-		OutboundReflected: res.Gateway.OutReflected,
-		DNSProxied:        res.Gateway.OutDNSProxied,
-		SpawnFailures:     res.Gateway.SpawnFailures + res.Farm.SpawnFailures,
-		DetectedInfected:  res.Gateway.DetectedInfected,
-		ScanFiltered:      res.Gateway.ScanFiltered,
-		MemoryInUse:       res.Memory,
-	}
+func (co *coordinator) totals() (time.Duration, *core.Totals) {
+	return time.Duration(co.res.Now), &co.res.Totals
 }
 
 // runCoordinator drives one cluster run end to end and returns the
@@ -115,12 +91,12 @@ func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
 		return 1
 	}
 	ec.EventLog, ec.TraceOut, ec.EpochLog = opts.EventLog, opts.TraceOut, opts.EpochLog
-	if opts.Metrics || opts.EpochLog != nil || opts.Scenario != nil {
+	if opts.Metrics || opts.EpochLog != nil {
 		// The registry turns on worker-side telemetry too (the assign
 		// message carries the flag); heartbeats piggyback the snapshots
-		// the farm-wide /metrics merge is built from. A scenario run
-		// needs it unconditionally: the scorecard is computed from the
-		// workers' merged final snapshots.
+		// the farm-wide /metrics merge is built from. A scenario's
+		// scorecard needs none of it: it is computed from the shard
+		// Totals the workers ship with their results.
 		ec.Metrics = metrics.NewRegistry()
 	}
 	tag := configTag(opts, ec)

@@ -93,6 +93,7 @@ import (
 	"time"
 
 	"potemkin"
+	"potemkin/internal/core"
 	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
@@ -182,15 +183,14 @@ func run(f *flags, opts potemkin.Options) int {
 }
 
 // farm is what a run drives: the in-process honeyfarm, or the cluster
-// coordinator over its workers. Both take the same feed and answer in
-// the facade's Stats, so one feed path and one final report serve
-// every mode.
+// coordinator over its workers. Both take the same feed and answer with
+// their shards' summed counters, so one feed path, one scorecard and
+// one final report serve every mode.
 type farm interface {
 	// replay feeds src to the farm, then simulates epilogue more.
 	replay(src telescope.Source, epilogue time.Duration, halt func() bool) (int, error)
-	// points is the final telemetry a campaign is scored from.
-	points() []metrics.Point
-	stats() potemkin.Stats
+	// totals is the farm's clock and its shards' summed counters.
+	totals() (time.Duration, *core.Totals)
 }
 
 // local is a farm in this process.
@@ -200,9 +200,11 @@ func (l local) replay(src telescope.Source, epilogue time.Duration, halt func() 
 	return l.hf.Replay(src, potemkin.WithEpilogue(epilogue), potemkin.WithHalt(halt))
 }
 
-func (l local) points() []metrics.Point { return l.hf.Metrics().Snapshot() }
-
-func (l local) stats() potemkin.Stats { return l.hf.Stats() }
+func (l local) totals() (time.Duration, *core.Totals) {
+	eng := l.hf.Internals().Engine
+	t := eng.Totals()
+	return time.Duration(eng.Now()), &t
+}
 
 // runLocal runs the farm in this process.
 func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() bool) int {
@@ -308,8 +310,8 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 			ig.SeqGaps, ig.Delivered, ig.Clamped, ig.QueueHWM)
 		tab.Render(os.Stdout)
 	}
-	gt := eng.GuestTotals()
-	fmt.Printf("  guest activity (live VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
+	gt := eng.Totals().Guest
+	fmt.Printf("  guest activity (all VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
 		gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
 	if stages := hf.Snapshot().StagesMs; stages != nil {
 		tab := metrics.NewTable("\nper-stage latency (ms)",
@@ -409,7 +411,7 @@ func openFeed(f *flags, opts potemkin.Options, space netsim.Prefix) (*feed, erro
 }
 
 // run drives fm with the feed and closes it. A campaign is scored from
-// the farm's final telemetry, the same way Honeyfarm.RunScenario scores
+// the farm's final counters, the same way Honeyfarm.RunScenario scores
 // it, so every mode writes the same card.
 func (fd *feed) run(fm farm, policy potemkin.Policy, halt func() bool) (int, *potemkin.Scorecard, error) {
 	n, err := fm.replay(fd.src, fd.epilogue, halt)
@@ -419,7 +421,8 @@ func (fd *feed) run(fm farm, policy potemkin.Policy, halt func() bool) (int, *po
 	if fd.plan == nil {
 		return n, nil, err
 	}
-	return n, score.Compute(fd.plan.Facts(policy.String()), fm.points()), err
+	_, t := fm.totals()
+	return n, score.Compute(fd.plan.Facts(policy.String()), t), err
 }
 
 // conclude reports a finished run the same way in every mode — the
@@ -441,7 +444,7 @@ func conclude(fm farm, f *flags, injected int, card *potemkin.Scorecard, runErr 
 			code = 1
 		}
 	}
-	st := fm.stats()
+	st := potemkin.StatsOf(fm.totals())
 	if f.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

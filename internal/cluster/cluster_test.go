@@ -108,14 +108,7 @@ func testRecords(t *testing.T, seed uint64) []telescope.Record {
 
 // runOut is everything observable a run produces, cluster or oracle.
 type runOut struct {
-	gw       gateway.Stats
-	fm       farm.Stats
-	gs       guest.Stats
-	live     int
-	infected int
-	bindings int
-	mem      uint64
-	dns      uint64
+	totals   core.Totals
 	injected int
 	now      sim.Time
 	faults   []string
@@ -151,10 +144,7 @@ func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Durati
 	}
 	eng.RunFor(extra)
 	out := runOut{
-		gw: eng.GatewayStats(), fm: eng.FarmStats(), gs: eng.GuestTotals(),
-		live: eng.LiveVMs(), infected: eng.InfectedVMs(), bindings: eng.GatewayStats().BindingsLive,
-		mem: eng.MemoryInUse(), dns: eng.DNSQueries(),
-		injected: injected, now: eng.Now(), faults: eng.FaultLog(),
+		totals: eng.Totals(), injected: injected, now: eng.Now(), faults: eng.FaultLog(),
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("oracle close: %v", err)
@@ -234,10 +224,7 @@ func (h *clusterHarness) drive(t *testing.T, seed uint64, extra time.Duration) (
 		return runOut{}, err
 	}
 	return runOut{
-		gw: res.Gateway, fm: res.Farm, gs: res.Guest,
-		live: res.LiveVMs, infected: res.InfectedVMs, bindings: res.Bindings,
-		mem: res.Memory, dns: res.DNSQueries,
-		injected: injected, now: res.Now, faults: res.FaultLog,
+		totals: res.Totals, injected: injected, now: res.Now, faults: res.FaultLog,
 		events: res.Events, trace: res.Trace,
 	}, nil
 }
@@ -252,21 +239,8 @@ func (h *clusterHarness) shutdown(t *testing.T) {
 // included.
 func compareRuns(t *testing.T, want, got runOut, label string) {
 	t.Helper()
-	if !reflect.DeepEqual(want.gw, got.gw) {
-		t.Errorf("%s: gateway stats differ:\nwant %+v\ngot  %+v", label, want.gw, got.gw)
-	}
-	if !reflect.DeepEqual(want.fm, got.fm) {
-		t.Errorf("%s: farm stats differ:\nwant %+v\ngot  %+v", label, want.fm, got.fm)
-	}
-	if !reflect.DeepEqual(want.gs, got.gs) {
-		t.Errorf("%s: guest totals differ:\nwant %+v\ngot  %+v", label, want.gs, got.gs)
-	}
-	if want.live != got.live || want.infected != got.infected || want.bindings != got.bindings {
-		t.Errorf("%s: live/infected/bindings differ: want %d/%d/%d got %d/%d/%d", label,
-			want.live, want.infected, want.bindings, got.live, got.infected, got.bindings)
-	}
-	if want.mem != got.mem || want.dns != got.dns {
-		t.Errorf("%s: memory/dns differ: want %d/%d got %d/%d", label, want.mem, want.dns, got.mem, got.dns)
+	if want.totals != got.totals {
+		t.Errorf("%s: totals differ:\nwant %+v\ngot  %+v", label, want.totals, got.totals)
 	}
 	if want.injected != got.injected {
 		t.Errorf("%s: injected packets differ: want %d got %d", label, want.injected, got.injected)
@@ -668,10 +642,7 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 		t.Fatalf("expected a recovery after SIGKILL, got none (events: %v)", c.RecoveryEvents())
 	}
 	got := runOut{
-		gw: res.Gateway, fm: res.Farm, gs: res.Guest,
-		live: res.LiveVMs, infected: res.InfectedVMs, bindings: res.Bindings,
-		mem: res.Memory, dns: res.DNSQueries,
-		injected: injected, now: res.Now, faults: res.FaultLog,
+		totals: res.Totals, injected: injected, now: res.Now, faults: res.FaultLog,
 		events: res.Events, trace: res.Trace,
 	}
 	compareRuns(t, oracle, got, "SIGKILL-recovered cluster vs sequential")

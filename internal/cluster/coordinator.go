@@ -12,9 +12,6 @@ import (
 	"time"
 
 	"potemkin/internal/core"
-	"potemkin/internal/farm"
-	"potemkin/internal/gateway"
-	"potemkin/internal/guest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -85,19 +82,14 @@ func (cfg Config) withDefaults() Config {
 // totals, event-log bytes, and trace bytes a single-process run of the
 // same scenario produces.
 type Results struct {
-	Gateway     gateway.Stats
-	Farm        farm.Stats
-	Guest       guest.Stats
-	LiveVMs     int
-	InfectedVMs int
-	Bindings    int
-	Memory      uint64
-	DNSQueries  uint64
-	FaultLog    []string
-	Events      []byte
-	Trace       []byte
-	Now         sim.Time
-	Recoveries  int
+	// Totals is the sum of every shard's counters, as the engine's
+	// Totals sums its domains'.
+	core.Totals
+	FaultLog   []string
+	Events     []byte
+	Trace      []byte
+	Now        sim.Time
+	Recoveries int
 	// Metrics is every worker's final registry snapshot merged (empty
 	// when the scenario ran without telemetry). The same merge feeds
 	// MetricsText, so a post-run scrape equals these points exactly.
@@ -804,14 +796,7 @@ func (c *Coordinator) Results() (*Results, error) {
 			missing++
 			continue
 		}
-		res.Gateway.Add(&sr.Gateway)
-		res.Farm.Add(&sr.Farm)
-		res.Guest.Add(&sr.Guest)
-		res.LiveVMs += sr.LiveVMs
-		res.InfectedVMs += sr.InfectedVMs
-		res.Bindings += sr.Bindings
-		res.Memory += sr.Memory
-		res.DNSQueries += sr.DNSQueries
+		res.Totals.Add(&sr.Totals)
 		res.FaultLog = append(res.FaultLog, sr.FaultLog...)
 		res.Events = append(res.Events, sr.Events...)
 		res.Trace = append(res.Trace, sr.Trace...)

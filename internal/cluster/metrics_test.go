@@ -117,9 +117,9 @@ func TestClusterMetricsAggregation(t *testing.T) {
 			inbound = p.Value
 		}
 	}
-	if uint64(inbound) != got.gw.InboundPackets || got.gw.InboundPackets != oracleGw.InboundPackets {
+	if uint64(inbound) != got.totals.Gateway.InboundPackets || got.totals.Gateway.InboundPackets != oracleGw.InboundPackets {
 		t.Errorf("inbound: metrics=%d cluster-stats=%d oracle=%d",
-			inbound, got.gw.InboundPackets, oracleGw.InboundPackets)
+			inbound, got.totals.Gateway.InboundPackets, oracleGw.InboundPackets)
 	}
 
 	// Cluster health: both workers live, caught up, no recoveries.
@@ -247,7 +247,8 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	var guests guest.Stats
 	srcs := map[string][]*metrics.Histogram{}
 	for _, d := range oeng.Domains() {
-		h, g := d.F.HostStats(), d.F.GuestCumulative()
+		h := d.F.HostStats()
+		g, _ := d.F.GuestCumulative()
 		hosts.Add(&h)
 		guests.Add(&g)
 		for _, h := range d.F.Hosts() {

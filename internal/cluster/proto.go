@@ -27,9 +27,7 @@ import (
 	"slices"
 	"time"
 
-	"potemkin/internal/farm"
-	"potemkin/internal/gateway"
-	"potemkin/internal/guest"
+	"potemkin/internal/core"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -54,8 +52,10 @@ import (
 // forwards the rest, and a recovery replays the slot's logged epoch
 // frames instead of per-shard checkpoints. v8 drops the gateway's
 // OutRateLimited, OutProxied and ProxyReturns counters from the
-// gateway.Stats a shard result ships.
-const ProtoVersion = 8
+// gateway.Stats a shard result ships. v9 ships a shard result's counters
+// as one core.Totals: the host and cumulative guest counters, the first
+// detection and the deception actions join it, and Bindings leaves it.
+const ProtoVersion = 9
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -275,18 +275,11 @@ type heartbeatMsg struct {
 }
 
 type shardResult struct {
-	Shard       int
-	Gateway     gateway.Stats
-	Farm        farm.Stats
-	Guest       guest.Stats
-	LiveVMs     int
-	InfectedVMs int
-	Bindings    int
-	Memory      uint64
-	DNSQueries  uint64
-	FaultLog    []string
-	Events      []byte
-	Trace       []byte
+	Shard    int
+	Totals   core.Totals
+	FaultLog []string
+	Events   []byte
+	Trace    []byte
 }
 
 type resultsMsg struct {

@@ -10,7 +10,6 @@ import (
 	"potemkin/internal/core"
 	"potemkin/internal/farm"
 	"potemkin/internal/gateway"
-	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/scenario"
 	"potemkin/internal/score"
@@ -53,12 +52,12 @@ func scenarioEngineConfig(t *testing.T, sc *scenario.Scenario) (core.ShardEngine
 
 // startScenarioCluster is startCluster for campaign runs: both the
 // coordinator and the workers build the scenario engine config (SPMD,
-// like potemkind's cluster mode).
+// like potemkind's cluster mode). Telemetry stays off: the card is
+// scored from the shard Totals the workers ship.
 func startScenarioCluster(t *testing.T, name string) *clusterHarness {
 	t.Helper()
 	const workers = 2
 	ec, _ := scenarioEngineConfig(t, scenario.Builtin(name))
-	ec.Metrics = metrics.NewRegistry()
 	tag := "scenario-test-" + name
 	c, err := New(Config{
 		Engine:            ec,
@@ -143,7 +142,7 @@ func TestClusterScorecardMatchesFacade(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster results: %v", err)
 			}
-			card := score.Compute(plan.Facts("internal-reflect"), res.Metrics)
+			card := score.Compute(plan.Facts("internal-reflect"), &res.Totals)
 			var got bytes.Buffer
 			if err := card.WriteJSON(&got); err != nil {
 				t.Fatal(err)

@@ -466,17 +466,7 @@ func (w *worker) handleResults() error {
 	m.Metrics = w.metrics.Load().Snapshot()
 	for _, s := range w.shards {
 		d := w.domains[s]
-		sr := shardResult{
-			Shard:       s,
-			Gateway:     d.G.Stats(),
-			Farm:        d.F.Stats(),
-			Guest:       d.F.GuestTotals(),
-			LiveVMs:     d.F.LiveVMs(),
-			InfectedVMs: d.F.InfectedVMs(),
-			Bindings:    d.G.NumBindings(),
-			Memory:      d.F.MemoryInUse(),
-			DNSQueries:  d.Resolver.Queries,
-		}
+		sr := shardResult{Shard: s, Totals: d.Totals()}
 		if d.Fault != nil {
 			for _, ev := range d.Fault.Log() {
 				sr.FaultLog = append(sr.FaultLog, fmt.Sprintf("shard=%d %s", s, ev))

@@ -105,8 +105,9 @@ func runHandWired(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 	}
 	k.RunFor(time.Millisecond)
 	k.RunFor(oneShardTail)
+	guests, _ := f.GuestCumulative()
 	run := shardRun{
-		gw: g.Stats(), fm: f.Stats(), guests: f.GuestTotals(), injected: rp.Injected,
+		gw: g.Stats(), fm: f.Stats(), guests: guests, injected: rp.Injected,
 		now: k.Now(), liveVMs: f.LiveVMs(), memory: f.MemoryInUse(), dns: resolver.Queries,
 	}
 	if inj != nil {
@@ -141,9 +142,10 @@ func runOneShard(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 		t.Errorf("one-shard sinks still buffered after Replay returned: events %d bytes, trace %d bytes", ev.Len(), tr.Len())
 	}
 	eng.RunFor(oneShardTail)
+	tot := eng.Totals()
 	run := shardRun{
-		gw: eng.GatewayStats(), fm: eng.FarmStats(), guests: eng.GuestTotals(), injected: injected,
-		now: eng.Now(), liveVMs: eng.LiveVMs(), memory: eng.MemoryInUse(), dns: eng.DNSQueries(),
+		gw: tot.Gateway, fm: tot.Farm, guests: tot.Guest, injected: injected,
+		now: eng.Now(), liveVMs: tot.LiveVMs, memory: tot.Memory, dns: tot.DNSQueries,
 		faults: len(eng.FaultLog()),
 	}
 	if err := eng.Close(); err != nil {

@@ -451,9 +451,6 @@ func (e *ShardEngine) Owner(addr netsim.Addr) int {
 // Domains exposes the per-shard simulation domains (tests, Internals).
 func (e *ShardEngine) Domains() []*ShardDomain { return e.domains }
 
-// Shards returns the domain count.
-func (e *ShardEngine) Shards() int { return len(e.domains) }
-
 // Space returns the monitored prefix.
 func (e *ShardEngine) Space() netsim.Prefix { return e.space }
 
@@ -597,71 +594,20 @@ func (e *ShardEngine) Replay(src telescope.Source, halt func() bool, epilogue ti
 	})
 }
 
-// GatewayStats sums the per-domain gateway counters.
-func (e *ShardEngine) GatewayStats() gateway.Stats {
-	var sum gateway.Stats
-	for _, d := range e.domains {
-		st := d.G.Stats()
-		sum.Add(&st)
-	}
-	return sum
-}
+// Totals sums every domain's counters.
+func (e *ShardEngine) Totals() Totals { return sumTotals(e.domains) }
 
-// FarmStats sums the per-domain farm counters.
-func (e *ShardEngine) FarmStats() farm.Stats {
-	var sum farm.Stats
-	for _, d := range e.domains {
-		st := d.F.Stats()
-		sum.Add(&st)
-	}
-	return sum
-}
+// GatewayStats is Totals().Gateway.
+func (e *ShardEngine) GatewayStats() gateway.Stats { return e.Totals().Gateway }
 
-// GuestTotals sums the per-guest counters across all live instances.
-func (e *ShardEngine) GuestTotals() guest.Stats {
-	var sum guest.Stats
-	for _, d := range e.domains {
-		st := d.F.GuestTotals()
-		sum.Add(&st)
-	}
-	return sum
-}
+// FarmStats is Totals().Farm.
+func (e *ShardEngine) FarmStats() farm.Stats { return e.Totals().Farm }
 
-// LiveVMs sums running VMs across domains.
-func (e *ShardEngine) LiveVMs() int {
-	n := 0
-	for _, d := range e.domains {
-		n += d.F.LiveVMs()
-	}
-	return n
-}
+// LiveVMs is Totals().LiveVMs.
+func (e *ShardEngine) LiveVMs() int { return e.Totals().LiveVMs }
 
-// InfectedVMs sums compromised live guests across domains.
-func (e *ShardEngine) InfectedVMs() int {
-	n := 0
-	for _, d := range e.domains {
-		n += d.F.InfectedVMs()
-	}
-	return n
-}
-
-// MemoryInUse sums modeled memory across all servers of all domains.
-func (e *ShardEngine) MemoryInUse() uint64 {
-	var b uint64
-	for _, d := range e.domains {
-		b += d.F.MemoryInUse()
-	}
-	return b
-}
-
-// DNSQueries sums the lookups served by every domain's safe resolver.
-func (e *ShardEngine) DNSQueries() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.Resolver.Queries
-	}
-	return n
-}
+// MemoryInUse is Totals().Memory.
+func (e *ShardEngine) MemoryInUse() uint64 { return e.Totals().Memory }
 
 // Hosts returns every server across domains, in shard order.
 func (e *ShardEngine) Hosts() []*vmm.VMHost {
@@ -715,9 +661,6 @@ func (e *ShardEngine) StageLatency() map[string]*metrics.Histogram {
 func (e *ShardEngine) VMAt(addr netsim.Addr) *vmm.VM {
 	return e.domains[e.Owner(addr)].F.VMAt(addr)
 }
-
-// Profile returns the guest personality the farms run.
-func (e *ShardEngine) Profile() *guest.Profile { return e.cfg.Farm.Profile }
 
 // RecycleAll destroys every binding on every domain, in shard order.
 func (e *ShardEngine) RecycleAll() {

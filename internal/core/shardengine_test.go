@@ -90,14 +90,15 @@ func runShardWorkload(t *testing.T, parallel bool, seed uint64) shardRun {
 		t.Fatalf("Replay: %v", err)
 	}
 	eng.RunFor(3 * time.Second) // let infections scan and bindings recycle
+	tot := eng.Totals()
 	run := shardRun{
-		gw:       eng.GatewayStats(),
-		fm:       eng.FarmStats(),
-		guests:   eng.GuestTotals(),
+		gw:       tot.Gateway,
+		fm:       tot.Farm,
+		guests:   tot.Guest,
 		injected: injected,
-		liveVMs:  eng.LiveVMs(),
-		memory:   eng.MemoryInUse(),
-		dns:      eng.DNSQueries(),
+		liveVMs:  tot.LiveVMs,
+		memory:   tot.Memory,
+		dns:      tot.DNSQueries,
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -231,7 +232,8 @@ func TestShardEngineCrossShardGolden(t *testing.T) {
 		eng.InjectBarrier(pkt)
 	}
 	eng.RunFor(3 * time.Second)
-	gw, fm, guests := eng.GatewayStats(), eng.FarmStats(), eng.GuestTotals()
+	tot := eng.Totals()
+	gw, fm, guests := tot.Gateway, tot.Farm, tot.Guest
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,22 +17,92 @@ import (
 // of a scenario run with 4,000 of them, every second it is below 1%.
 const publishEvery = time.Second
 
+// Totals is the one sum of a set of shard domains' counters: what the
+// registry's gateway_*, farm_*, vmm_* and guest_* series publish, what
+// the facade's Stats and Snapshot report, what a cluster worker ships
+// per shard, and what a scorecard is computed from.
+type Totals struct {
+	Gateway gateway.Stats
+	Farm    farm.Stats
+	Host    vmm.HostStats
+	// Guest is cumulative: the live guests' counters plus the final ones
+	// of every guest the farms have stopped (guest_*_total).
+	Guest guest.Stats
+
+	LiveVMs     int
+	InfectedVMs int
+	Memory      uint64 // modeled bytes across servers
+	DNSQueries  uint64 // lookups the safe resolvers served
+
+	// FirstDetectMS is the earliest detector firing in simulated
+	// milliseconds, the min of the gateways' DetectTime; it means
+	// something only when Gateway.DetectedInfected > 0.
+	FirstDetectMS float64
+	// Deception is the attacker actions guests executed before going
+	// quiet, the sum of the farms' Deception histograms.
+	Deception uint64
+}
+
+// Add accumulates o into t: every counter adds, and the first detection
+// is the earlier of the two. Peaks add too (farm.Stats.PeakLiveVMs,
+// gateway.Stats.PeakBindings): summed over shards, a peak is the sum of
+// per-shard peaks, an upper bound on the farm-wide peak above one shard.
+func (t *Totals) Add(o *Totals) {
+	if o.Gateway.DetectedInfected > 0 && (t.Gateway.DetectedInfected == 0 || o.FirstDetectMS < t.FirstDetectMS) {
+		t.FirstDetectMS = o.FirstDetectMS
+	}
+	t.Gateway.Add(&o.Gateway)
+	t.Farm.Add(&o.Farm)
+	t.Host.Add(&o.Host)
+	t.Guest.Add(&o.Guest)
+	t.LiveVMs += o.LiveVMs
+	t.InfectedVMs += o.InfectedVMs
+	t.Memory += o.Memory
+	t.DNSQueries += o.DNSQueries
+	t.Deception += o.Deception
+}
+
+// Totals reads the domain's counters, with one walk over its live
+// guests.
+func (d *ShardDomain) Totals() Totals {
+	t := Totals{
+		Gateway:       d.G.Stats(),
+		Farm:          d.F.Stats(),
+		Host:          d.F.HostStats(),
+		LiveVMs:       d.F.LiveVMs(),
+		Memory:        d.F.MemoryInUse(),
+		DNSQueries:    d.Resolver.Queries,
+		FirstDetectMS: d.G.DetectTime().Min(),
+		// Each sample is a whole number of actions, so the sum is exact.
+		Deception: uint64(d.F.Deception().Sum()),
+	}
+	t.Guest, t.InfectedVMs = d.F.GuestCumulative()
+	return t
+}
+
+// sumTotals sums the domains' Totals.
+func sumTotals(domains []*ShardDomain) Totals {
+	var sum Totals
+	for _, d := range domains {
+		t := d.Totals()
+		sum.Add(&t)
+	}
+	return sum
+}
+
 // StatsView makes the registry's gateway_*, farm_*, vmm_* and guest_*
 // series a view over what a set of shard domains count — the engine's,
 // or a cluster worker's: nothing records into the registry per event.
-// Publish stores the sums of the domains' Stats structs, summed in the
-// view's own fields, and their Histograms, merged in shard order, so
-// that publishing allocates nothing.
+// Publish stores the domains' Totals, summed into the view's own field,
+// and their Histograms, merged in shard order, so that publishing
+// allocates nothing.
 type StatsView struct {
 	domains                    []*ShardDomain
 	gateway, farm, host, guest *metrics.Exporter
 	hists                      []histView
 
 	next sim.Time // the barrier clock PublishDue next acts at
-	gs   gateway.Stats
-	fs   farm.Stats
-	hs   vmm.HostStats
-	us   guest.Stats
+	sum  Totals
 }
 
 // histView is one registry histogram and the domains' Histograms it is
@@ -78,18 +148,11 @@ func (v *StatsView) Publish() {
 	if v == nil {
 		return
 	}
-	v.gs, v.fs, v.hs, v.us = gateway.Stats{}, farm.Stats{}, vmm.HostStats{}, guest.Stats{}
-	for _, d := range v.domains {
-		gs, fs, hs, us := d.G.Stats(), d.F.Stats(), d.F.HostStats(), d.F.GuestCumulative()
-		v.gs.Add(&gs)
-		v.fs.Add(&fs)
-		v.hs.Add(&hs)
-		v.us.Add(&us)
-	}
-	v.gateway.Publish(&v.gs)
-	v.farm.Publish(&v.fs)
-	v.host.Publish(&v.hs)
-	v.guest.Publish(&v.us)
+	v.sum = sumTotals(v.domains)
+	v.gateway.Publish(&v.sum.Gateway)
+	v.farm.Publish(&v.sum.Farm)
+	v.host.Publish(&v.sum.Host)
+	v.guest.Publish(&v.sum.Guest)
 	for _, hv := range v.hists {
 		hv.h.Store(hv.srcs)
 	}

@@ -110,7 +110,7 @@ type Stats struct {
 	Infections    uint64 `metric:"farm_infections_total"`
 	CrashRecycles uint64 `metric:"farm_crash_recycles_total"` // bindings stranded by server crashes, reported to the gateway
 	LinkDrops     uint64 `metric:"farm_link_drops_total"`     // packets lost to farm<->gateway link outages
-	PeakLiveVMs   int    `metric:"farm_peak_live_vms"`
+	PeakLiveVMs   int    `metric:"farm_peak_live_vms"`        // summed over shards, the sum of per-shard peaks: above one shard, an upper bound on the farm-wide peak
 	// LiveVMs is Spawns - Reclaims: unlike Farm.LiveVMs it leaves out
 	// clones still in flight.
 	LiveVMs int `metric:"farm_live_vms"`
@@ -300,24 +300,20 @@ func (f *Farm) EachInstance(fn func(*guest.Instance)) {
 // executed before going quiet: guest_deception_actions.
 func (f *Farm) Deception() *metrics.Histogram { return &f.hooks.Metrics.Deception }
 
-// GuestTotals sums the per-guest counters across live instances
-// (recycled guests' counters leave with them).
-func (f *Farm) GuestTotals() guest.Stats {
-	var sum guest.Stats
+// GuestCumulative sums the counters of every guest the farm has run:
+// the live ones' and the final ones of every guest it has stopped, so
+// the sum is monotone. infected counts the live guests in the infected
+// state, read on the same walk.
+func (f *Farm) GuestCumulative() (sum guest.Stats, infected int) {
+	sum = f.hooks.Metrics.Retired
 	for _, fv := range f.byAddr {
 		st := fv.Guest.Stats()
 		sum.Add(&st)
+		if fv.Guest.Infected {
+			infected++
+		}
 	}
-	return sum
-}
-
-// GuestCumulative is GuestTotals plus the final counters of every guest
-// the farm has stopped: monotone, so what guest_*_total publishes.
-func (f *Farm) GuestCumulative() guest.Stats {
-	sum := f.hooks.Metrics.Retired
-	live := f.GuestTotals()
-	sum.Add(&live)
-	return sum
+	return sum, infected
 }
 
 // pickHost selects a healthy server with capacity, preferring one

@@ -240,7 +240,7 @@ type Stats struct {
 	OutReflectDenied  uint64 `metric:"gateway_out_reflect_denied_total"` // reflection limit hit
 	DetectedInfected  uint64 `metric:"gateway_detected_infected_total"`
 	ScanFiltered      uint64 `metric:"gateway_scan_filtered_total"` // inbound probes shed by the scan filter
-	PeakBindings      int    `metric:"gateway_peak_bindings"`
+	PeakBindings      int    `metric:"gateway_peak_bindings"`       // summed over shards, the sum of per-shard peaks: above one shard, an upper bound on the farm-wide peak
 	ReflectionsActive int    `metric:"gateway_reflections_active"`
 	// PendingQueued is the current number of packets waiting in pending
 	// queues across all bindings mid-clone — a live gauge, not a

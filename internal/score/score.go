@@ -1,12 +1,13 @@
-// Package score turns a scenario run's deterministic telemetry into an
-// effectiveness scorecard: how fast the farm detected the campaign, how
-// much egress the containment policy leaked, how long the deception
-// survived before guests fingerprinted the farm, and what the capture
-// cost in cloned VMs. The card is computed from metrics snapshots only
-// — never from wall-clock series — so the same seed yields the same
-// bytes under sequential, parallel, and cluster execution, and cluster
-// runs score identically because metrics.MergePoints is a union over
-// the same deterministic counters.
+// Package score turns a scenario run's counters into an effectiveness
+// scorecard: how fast the farm detected the campaign, how much egress
+// the containment policy leaked, how long the deception survived before
+// guests fingerprinted the farm, and what the capture cost in cloned
+// VMs. The card is computed from the shard domains' summed counters
+// (core.Totals) — never from the telemetry registry, and never from
+// wall-clock figures — so the same seed yields the same bytes under
+// sequential, parallel, and cluster execution, with telemetry on or
+// off: a cluster's coordinator sums its workers' per-shard Totals as
+// the engine sums its domains'.
 package score
 
 import (
@@ -14,24 +15,7 @@ import (
 	"fmt"
 	"io"
 
-	"potemkin/internal/metrics"
-)
-
-// The deterministic series a scorecard reads. Everything else in a
-// snapshot — epoch_* wall-clock profiles especially — is execution-mode
-// detail and must never leak into the card, or the byte-identity
-// guarantee across sequential/parallel/cluster dies.
-const (
-	seriesDetections      = "gateway_detected_infected_total"
-	seriesDetectTime      = "gateway_detect_time_ms"
-	seriesEgressAttempted = "gateway_egress_attempted_total"
-	seriesEgressPermitted = "gateway_egress_permitted_total"
-	seriesFingerprints    = "guest_fingerprints_total"
-	seriesDeception       = "guest_deception_actions"
-	seriesCanaries        = "guest_canaries_total"
-	seriesBeacons         = "guest_beacons_total"
-	seriesInfections      = "farm_infections_total"
-	seriesClones          = "vmm_clones_total"
+	"potemkin/internal/core"
 )
 
 // Facts identifies the run being scored: scenario, seed, space, policy,
@@ -80,54 +64,24 @@ type Scorecard struct {
 	ClonesPerCapture float64 `json:"clones_per_capture"` // clones per detected sample
 }
 
-// counterOf returns the value of a named counter in a Snapshot-style
-// point list, 0 when absent (telemetry off or path never taken).
-func counterOf(pts []metrics.Point, name string) uint64 {
-	for _, p := range pts {
-		if p.Name == name && p.Kind == "counter" {
-			return uint64(p.Value)
-		}
-	}
-	return 0
-}
-
-// histOf returns a named histogram point and whether it was found.
-func histOf(pts []metrics.Point, name string) (metrics.Point, bool) {
-	for _, p := range pts {
-		if p.Name == name && p.Kind == "hist" {
-			return p, true
-		}
-	}
-	return metrics.Point{}, false
-}
-
-// Compute builds a scorecard from a metrics snapshot. pts may come from
-// a live Registry.Snapshot, or from cluster.Results.Metrics (already a
-// MergePoints union of every worker's final snapshot) — both score
-// identically because only deterministic event-driven series are read.
-func Compute(facts Facts, pts []metrics.Point) *Scorecard {
+// Compute builds a scorecard from the run's summed counters: the
+// engine's Totals, or a cluster's Results.Totals.
+func Compute(facts Facts, t *core.Totals) *Scorecard {
 	c := &Scorecard{
 		Facts:           facts,
-		Detections:      counterOf(pts, seriesDetections),
+		Detections:      t.Gateway.DetectedInfected,
 		FirstDetectMS:   -1,
-		EgressAttempted: counterOf(pts, seriesEgressAttempted),
-		EgressPermitted: counterOf(pts, seriesEgressPermitted),
-		Canaries:        counterOf(pts, seriesCanaries),
-		Beacons:         counterOf(pts, seriesBeacons),
-		Fingerprints:    counterOf(pts, seriesFingerprints),
-		Infections:      counterOf(pts, seriesInfections),
-		Clones:          counterOf(pts, seriesClones),
+		EgressAttempted: t.Gateway.EgressAttempted,
+		EgressPermitted: t.Gateway.EgressPermitted,
+		Canaries:        t.Guest.CanariesOut,
+		Beacons:         t.Guest.BeaconsOut,
+		Fingerprints:    t.Guest.Fingerprinted,
+		DeceptionSteps:  t.Deception,
+		Infections:      t.Farm.Infections,
+		Clones:          t.Host.Clones,
 	}
-	if h, ok := histOf(pts, seriesDetectTime); ok && h.Count > 0 {
-		// Min of the detect-time histogram is the first detection: the
-		// observed values are simulated milliseconds, and MergePoints
-		// takes the min across shards/workers, so this is mode-stable.
-		c.FirstDetectMS = h.Min
-	}
-	if h, ok := histOf(pts, seriesDeception); ok {
-		// Observed values are integer action counts, so SumMicro is an
-		// exact integer multiple of 1e6 — no float drift across merges.
-		c.DeceptionSteps = uint64(h.SumMicro / 1e6)
+	if c.Detections > 0 {
+		c.FirstDetectMS = t.FirstDetectMS
 	}
 	c.derive()
 	return c
@@ -148,7 +102,7 @@ func (c *Scorecard) derive() {
 }
 
 // Merge unions cards from partitions of one logical run (the
-// MergePoints analogue at scorecard level): counters add, first
+// core.Totals.Add analogue at scorecard level): counters add, first
 // detection takes the earliest, rates are rederived from the merged
 // sums. All cards must describe the same run — identical Facts.
 func Merge(cards ...*Scorecard) (*Scorecard, error) {

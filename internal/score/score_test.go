@@ -5,38 +5,28 @@ import (
 	"strings"
 	"testing"
 
-	"potemkin/internal/metrics"
+	"potemkin/internal/core"
 )
 
-// snapshotFor builds a registry snapshot with the scorecard's series
-// populated from small synthetic runs.
-func snapshotFor(detectAtMS float64, detections, attempted, permitted, fp int, acts []float64) []metrics.Point {
-	r := metrics.NewRegistry()
-	for i := 0; i < detections; i++ {
-		r.Counter("gateway_detected_infected_total").Inc()
-	}
-	if detections > 0 {
-		r.Hist("gateway_detect_time_ms").Observe(detectAtMS)
-	}
-	r.Counter("gateway_egress_attempted_total").Add(uint64(attempted))
-	r.Counter("gateway_egress_permitted_total").Add(uint64(permitted))
-	for i := 0; i < fp; i++ {
-		r.Counter("guest_fingerprints_total").Inc()
-	}
+// totalsFor builds the summed counters of a small synthetic run.
+func totalsFor(detectAtMS float64, detections, attempted, permitted, fp int, acts []float64) *core.Totals {
+	t := &core.Totals{FirstDetectMS: detectAtMS}
+	t.Gateway.DetectedInfected = uint64(detections)
+	t.Gateway.EgressAttempted = uint64(attempted)
+	t.Gateway.EgressPermitted = uint64(permitted)
+	t.Guest.Fingerprinted = uint64(fp)
 	for _, a := range acts {
-		r.Hist("guest_deception_actions").Observe(a)
+		t.Deception += uint64(a)
 	}
-	r.Counter("guest_canaries_total").Add(7)
-	r.Counter("farm_infections_total").Add(3)
-	r.Counter("vmm_clones_total").Add(12)
-	// A wall-clock series the scorecard must ignore.
-	r.Hist("epoch_advance_ms").Observe(123.456)
-	return r.Snapshot()
+	t.Guest.CanariesOut = 7
+	t.Farm.Infections = 3
+	t.Host.Clones = 12
+	return t
 }
 
-func TestComputeReadsOnlyNamedSeries(t *testing.T) {
+func TestComputeReadsTotals(t *testing.T) {
 	facts := Facts{Scenario: "t", Version: 1, Seed: 9, Space: "10.5.0.0/16", Policy: "internal-reflect", Guest: "winxp", Steps: 10, HorizonMS: 5000}
-	c := Compute(facts, snapshotFor(250, 2, 40, 8, 1, []float64{30}))
+	c := Compute(facts, totalsFor(250, 2, 40, 8, 1, []float64{30}))
 	if c.Detections != 2 || c.FirstDetectMS != 250 {
 		t.Fatalf("detection: %+v", c)
 	}
@@ -46,13 +36,13 @@ func TestComputeReadsOnlyNamedSeries(t *testing.T) {
 	if c.Fingerprints != 1 || c.DeceptionSteps != 30 || c.MeanSurvivalActs != 30 {
 		t.Fatalf("deception: %+v", c)
 	}
-	if c.Clones != 12 || c.ClonesPerCapture != 6 {
+	if c.Canaries != 7 || c.Infections != 3 || c.Clones != 12 || c.ClonesPerCapture != 6 {
 		t.Fatalf("capture: %+v", c)
 	}
 }
 
 func TestNoDetectionsScoresMinusOne(t *testing.T) {
-	c := Compute(Facts{Scenario: "quiet"}, snapshotFor(0, 0, 0, 0, 0, nil))
+	c := Compute(Facts{Scenario: "quiet"}, totalsFor(0, 0, 0, 0, 0, nil))
 	if c.FirstDetectMS != -1 {
 		t.Fatalf("FirstDetectMS = %v, want -1", c.FirstDetectMS)
 	}
@@ -61,20 +51,29 @@ func TestNoDetectionsScoresMinusOne(t *testing.T) {
 	}
 }
 
-// The MergePoints-union property the cluster path relies on: scoring a
-// merged snapshot equals merging per-partition scorecards.
-func TestMergeMatchesMergedSnapshot(t *testing.T) {
+// The property the cluster path relies on: scoring the sum of
+// partitions' Totals equals merging per-partition scorecards, whichever
+// partition detected first and whether or not one detected nothing.
+func TestMergeMatchesSummedTotals(t *testing.T) {
 	facts := Facts{Scenario: "u", Version: 1, Seed: 4}
-	a := snapshotFor(400, 1, 30, 3, 1, []float64{12})
-	b := snapshotFor(150, 1, 10, 2, 2, []float64{5, 9})
-
-	fromMergedPoints := Compute(facts, metrics.MergePoints(a, b))
-	merged, err := Merge(Compute(facts, a), Compute(facts, b))
+	parts := []*core.Totals{
+		totalsFor(0, 0, 5, 1, 0, nil),
+		totalsFor(400, 1, 30, 3, 1, []float64{12}),
+		totalsFor(150, 1, 10, 2, 2, []float64{5, 9}),
+	}
+	var sum core.Totals
+	cards := make([]*Scorecard, len(parts))
+	for i, p := range parts {
+		sum.Add(p)
+		cards[i] = Compute(facts, p)
+	}
+	fromSum := Compute(facts, &sum)
+	merged, err := Merge(cards...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *merged != *fromMergedPoints {
-		t.Fatalf("Merge(cards) = %+v\nCompute(MergePoints) = %+v", merged, fromMergedPoints)
+	if *merged != *fromSum {
+		t.Fatalf("Merge(cards) = %+v\nCompute(summed Totals) = %+v", merged, fromSum)
 	}
 	if merged.FirstDetectMS != 150 {
 		t.Fatalf("first detect should take the earliest partition: %v", merged.FirstDetectMS)
@@ -82,8 +81,8 @@ func TestMergeMatchesMergedSnapshot(t *testing.T) {
 }
 
 func TestMergeRejectsDifferentRuns(t *testing.T) {
-	a := Compute(Facts{Scenario: "a"}, nil)
-	b := Compute(Facts{Scenario: "b"}, nil)
+	a := Compute(Facts{Scenario: "a"}, &core.Totals{})
+	b := Compute(Facts{Scenario: "b"}, &core.Totals{})
 	if _, err := Merge(a, b); err == nil {
 		t.Fatal("merging cards with different facts should fail")
 	}
@@ -93,7 +92,7 @@ func TestMergeRejectsDifferentRuns(t *testing.T) {
 }
 
 func TestWriteJSONDeterministicAndRenders(t *testing.T) {
-	c := Compute(Facts{Scenario: "t", Version: 1}, snapshotFor(250, 2, 40, 8, 1, []float64{30}))
+	c := Compute(Facts{Scenario: "t", Version: 1}, totalsFor(250, 2, 40, 8, 1, []float64{30}))
 	var b1, b2 bytes.Buffer
 	if err := c.WriteJSON(&b1); err != nil {
 		t.Fatal(err)

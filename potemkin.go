@@ -160,8 +160,8 @@ type Options struct {
 	// Scenario, when non-nil, arms a deterministic attacker campaign:
 	// the scenario derives the guest personality (Guest and
 	// GuestProfile must be unset) and RunScenario replays its compiled
-	// packet plan and scores the run. Telemetry is forced on — the
-	// scorecard is computed from the metrics registry. Load one with
+	// packet plan and scores the run from the farm's own counters, so
+	// telemetry stays off unless Metrics asks for it. Load one with
 	// LoadScenario (builtin family name or JSON file path).
 	Scenario *Scenario
 
@@ -353,7 +353,7 @@ func (o Options) guestProfile() *guest.Profile {
 type Stats struct {
 	Now               time.Duration // simulated time elapsed
 	LiveVMs           int
-	PeakVMs           int
+	PeakVMs           int // sum of per-shard peaks: above one shard, an upper bound on the farm-wide peak
 	InfectedVMs       int
 	BindingsCreated   uint64
 	BindingsRecycled  uint64
@@ -476,9 +476,7 @@ func New(opts Options) (*Honeyfarm, error) {
 	}
 	opts = opts.withDefaults()
 	hf := &Honeyfarm{opts: opts, profile: ec.Farm.Profile, plan: plan}
-	// A scenario run is always scored, and the scorecard is computed
-	// from the telemetry registry.
-	if opts.Metrics || plan != nil {
+	if opts.Metrics {
 		hf.metrics = metrics.NewRegistry()
 	}
 	ec.EventLog = opts.EventLog
@@ -650,13 +648,20 @@ func (hf *Honeyfarm) GenerateTrace(dur time.Duration, pps float64) ([]TraceRecor
 
 // Stats returns the aggregate state.
 func (hf *Honeyfarm) Stats() Stats {
-	gs := hf.eng.GatewayStats()
-	fs := hf.eng.FarmStats()
+	t := hf.eng.Totals()
+	return StatsOf(time.Duration(hf.eng.Now()), &t)
+}
+
+// StatsOf shapes the shard domains' summed counters at simulated time
+// now as Stats: Honeyfarm.Stats and potemkind's cluster coordinator
+// report through it, so their -json output compares byte for byte.
+func StatsOf(now time.Duration, t *core.Totals) Stats {
+	gs, fs := &t.Gateway, &t.Farm
 	return Stats{
-		Now:               time.Duration(hf.eng.Now()),
-		LiveVMs:           hf.eng.LiveVMs(),
+		Now:               now,
+		LiveVMs:           t.LiveVMs,
 		PeakVMs:           fs.PeakLiveVMs,
-		InfectedVMs:       hf.eng.InfectedVMs(),
+		InfectedVMs:       t.InfectedVMs,
 		BindingsCreated:   gs.BindingsCreated,
 		BindingsRecycled:  gs.BindingsRecycled,
 		InboundPackets:    gs.InboundPackets,
@@ -668,7 +673,7 @@ func (hf *Honeyfarm) Stats() Stats {
 		SpawnFailures:     gs.SpawnFailures + fs.SpawnFailures,
 		DetectedInfected:  gs.DetectedInfected,
 		ScanFiltered:      gs.ScanFiltered,
-		MemoryInUse:       hf.eng.MemoryInUse(),
+		MemoryInUse:       t.Memory,
 	}
 }
 

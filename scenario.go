@@ -6,7 +6,7 @@ package potemkin
 // produces a byte-identical scorecard — with or without
 // Options.Parallel, and in potemkind's cluster mode — because the plan
 // is pure data, the engine is deterministic, and the card reads only
-// deterministic telemetry series.
+// the farm's own counters (core.Totals), never the telemetry registry.
 
 import (
 	"errors"
@@ -58,7 +58,8 @@ func (hf *Honeyfarm) RunScenario(opts ...ReplayOption) (*Scorecard, error) {
 	if _, err := hf.Replay(SliceSource(hf.plan.Records), ropts...); err != nil {
 		return nil, err
 	}
-	return score.Compute(hf.plan.Facts(hf.opts.Policy.String()), hf.metrics.Snapshot()), nil
+	t := hf.eng.Totals()
+	return score.Compute(hf.plan.Facts(hf.opts.Policy.String()), &t), nil
 }
 
 // RunScenario builds a honeyfarm from opts (which must set Scenario),

@@ -2,10 +2,15 @@ package potemkin
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"potemkin/internal/guest"
 )
+
+var updateCards = flag.Bool("update", false, "rewrite testdata/scorecards from this run")
 
 // scenarioCard runs one scenario end to end and returns the rendered
 // scorecard JSON.
@@ -62,6 +67,78 @@ func TestScenarioSequentialMatchesParallel(t *testing.T) {
 				t.Error("same-seed rerun changed the scorecard")
 			}
 		})
+	}
+}
+
+// goldenOptions is the configuration the committed scorecards were
+// written with, the one TestClusterScorecardMatchesFacade runs in
+// internal/cluster.
+func goldenOptions(t *testing.T, name string) Options {
+	t.Helper()
+	sc, err := LoadScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{
+		Seed:           9,
+		MonitoredSpace: "10.5.0.0/22",
+		Servers:        4,
+		GatewayShards:  2,
+		Policy:         InternalReflect,
+		Scenario:       sc,
+	}
+}
+
+// TestScenarioScorecardGolden pins every builtin family's scorecard to
+// the bytes in testdata/scorecards: a change to how the card is summed
+// or read must leave it byte-equal. -update rewrites the files.
+func TestScenarioScorecardGolden(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		t.Run(name, func(t *testing.T) {
+			_, got := scenarioCard(t, goldenOptions(t, name))
+			path := filepath.Join("testdata", "scorecards", name+".json")
+			if *updateCards {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("scorecard differs from %s:\n--- want\n%s--- got\n%s", path, want, got)
+			}
+		})
+	}
+}
+
+// TestScenarioLeavesTelemetryOff: a scenario run builds no registry
+// unless Options.Metrics asks for one, and the card it scores is the
+// same bytes either way.
+func TestScenarioLeavesTelemetryOff(t *testing.T) {
+	opts := goldenOptions(t, "multistage")
+	hf, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hf.Close()
+	if hf.Metrics() != nil {
+		t.Fatal("a scenario run without Options.Metrics built a telemetry registry")
+	}
+	card, err := hf.RunScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off bytes.Buffer
+	if err := card.WriteJSON(&off); err != nil {
+		t.Fatal(err)
+	}
+	opts.Metrics = true
+	_, on := scenarioCard(t, opts)
+	if !bytes.Equal(off.Bytes(), on) {
+		t.Errorf("telemetry changed the scorecard:\n--- off\n%s--- on\n%s", off.Bytes(), on)
 	}
 }
 

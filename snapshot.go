@@ -23,7 +23,7 @@ type Snapshot struct {
 	OpenSpans     int `json:"open_spans,omitempty"`
 
 	// Cumulative counters.
-	PeakVMs          int    `json:"peak_vms"`
+	PeakVMs          int    `json:"peak_vms"` // sum of per-shard peaks: above one shard, an upper bound on the farm-wide peak
 	InfectedVMs      int    `json:"infected_vms"`
 	BindingsCreated  uint64 `json:"bindings_created"`
 	BindingsRecycled uint64 `json:"bindings_recycled"`
@@ -94,17 +94,17 @@ func summarize(h *metrics.Histogram) LatencySummary {
 
 // Snapshot captures the current state.
 func (hf *Honeyfarm) Snapshot() Snapshot {
-	gs := hf.eng.GatewayStats()
-	fs := hf.eng.FarmStats()
+	t := hf.eng.Totals()
+	gs, fs := &t.Gateway, &t.Farm
 	clone := hf.eng.CloneLatency()
 	s := Snapshot{
 		TSeconds:         hf.eng.Now().Seconds(),
-		LiveVMs:          hf.eng.LiveVMs(),
+		LiveVMs:          t.LiveVMs,
 		BindingsLive:     gs.BindingsLive,
 		PendingQueued:    gs.PendingQueued,
 		OpenSpans:        hf.eng.OpenSpans(),
 		PeakVMs:          fs.PeakLiveVMs,
-		InfectedVMs:      hf.eng.InfectedVMs(),
+		InfectedVMs:      t.InfectedVMs,
 		BindingsCreated:  gs.BindingsCreated,
 		BindingsRecycled: gs.BindingsRecycled,
 		InboundPackets:   gs.InboundPackets,
@@ -113,7 +113,7 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 		SpawnRetries:     gs.SpawnRetries + fs.SpawnRetries,
 		BindingsShed:     gs.BindingsShed,
 		DetectedInfected: gs.DetectedInfected,
-		MemoryInUseBytes: hf.eng.MemoryInUse(),
+		MemoryInUseBytes: t.Memory,
 		CloneMs:          summarize(&clone),
 	}
 	if stages := hf.eng.StageLatency(); stages != nil {

@@ -250,7 +250,8 @@ func TestRegistryEqualsStatsAtRest(t *testing.T) {
 				var hs vmm.HostStats
 				var us guest.Stats
 				for _, d := range eng.Domains() {
-					h, u := d.F.HostStats(), d.F.GuestCumulative()
+					h := d.F.HostStats()
+					u, _ := d.F.GuestCumulative()
 					hs.Add(&h)
 					us.Add(&u)
 				}
@@ -296,9 +297,8 @@ func TestRegistryEqualsStatsAtRest(t *testing.T) {
 					t.Error("no canary-probing guest went quiet: guest_deception_actions is empty")
 				}
 			}
-			if got := seriesValue(t, pts, "guest_canaries_total"); got != canaries || eng.GuestTotals().CanariesOut != 0 {
-				t.Errorf("guest_canaries_total = %d after its guest was recycled (live guests hold %d), want the %d it had sent",
-					got, eng.GuestTotals().CanariesOut, canaries)
+			if got := seriesValue(t, pts, "guest_canaries_total"); got != canaries {
+				t.Errorf("guest_canaries_total = %d after its guest was recycled, want the %d it had sent", got, canaries)
 			}
 			if seriesValue(t, pts, "farm_live_vms") != 0 || seriesValue(t, pts, "gateway_bindings_live") != 0 {
 				t.Error("gauges still count VMs or bindings after RecycleAll")
