@@ -1,9 +1,16 @@
 package flatindex
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
+
+// table is a test table that also hands out the handle of a new entry.
+type table[H Handle] interface {
+	Entries[uint64, H]
+	add(k uint64) H
+}
 
 // slab is a test table: handles are positions plus one into keys.
 // coarse hashes every key into one of a few values, so probe runs are
@@ -22,75 +29,209 @@ func (s *slab) Hash(k uint64) uint64 {
 	return k
 }
 
+func (s *slab) add(k uint64) uint32 {
+	s.keys = append(s.keys, k)
+	return uint32(len(s.keys))
+}
+
+// tagged is a test table laid out like a guest's connection table:
+// 16-bit handles of which the low 9 name the entry, leaving 7 for the
+// index's tag. A key below 511 is its own position, its handle the key
+// plus one. weak hashes every key into one of five values, so few tags
+// and few homes serve many keys: tags match on different keys, probe
+// runs wrap around the end of the index, and Delete shifts tagged
+// slots back.
+type tagged struct{ weak bool }
+
+func (tagged) Key(h uint16) uint64 { return uint64(h - 1) }
+
+func (t tagged) Hash(k uint64) uint64 {
+	if t.weak {
+		return k % 5 * 0xbf58476d1ce4e5b9
+	}
+	return k
+}
+
+func (tagged) HandleBits() int { return 9 }
+
+func (tagged) add(k uint64) uint16 { return uint16(k + 1) }
+
+// model runs an index and a Go map side by side over the keys below
+// pool, failing the test the moment they disagree.
+type model[H Handle, E table[H]] struct {
+	t    *testing.T
+	name string
+	e    E
+	x    Index[uint64, H, E]
+	m    map[uint64]H
+	pool uint64
+}
+
+func newModel[H Handle, E table[H]](t *testing.T, name string, e E, pool uint64) *model[H, E] {
+	return &model[H, E]{t: t, name: name, e: e, m: map[uint64]H{}, pool: pool}
+}
+
+// insert indexes k unless it is indexed already: with Insert, or with
+// Find then InsertAt on the slot the miss stopped at, as a page fault
+// does.
+func (r *model[H, E]) insert(k uint64, viaFind bool) {
+	if _, ok := r.m[k]; ok {
+		return
+	}
+	h := r.e.add(k)
+	if !viaFind {
+		r.x.Insert(r.e, h)
+	} else if miss, i := r.x.Find(r.e, k); miss != 0 {
+		r.t.Fatalf("%s: Find(%d) = %d before it was inserted", r.name, k, miss)
+	} else {
+		r.x.InsertAt(r.e, h, i)
+	}
+	r.m[k] = h
+}
+
+func (r *model[H, E]) find(k uint64) {
+	if h, _ := r.x.Find(r.e, k); h != r.m[k] {
+		r.t.Fatalf("%s: Find(%d) = %d, want %d", r.name, k, h, r.m[k])
+	}
+}
+
+func (r *model[H, E]) delete(k uint64) {
+	_, ok := r.m[k]
+	if got := r.x.Delete(r.e, k); got != ok {
+		r.t.Fatalf("%s: Delete(%d) = %v, want %v", r.name, k, got, ok)
+	}
+	delete(r.m, k)
+}
+
+func (r *model[H, E]) clear() {
+	r.x.Clear()
+	clear(r.m)
+}
+
+// check fails unless the index holds exactly the model, every key of the
+// pool looked up, and is at most three quarters full.
+func (r *model[H, E]) check() {
+	r.t.Helper()
+	if r.x.Len() != len(r.m) {
+		r.t.Fatalf("%s: Len = %d, want %d", r.name, r.x.Len(), len(r.m))
+	}
+	if 4*r.x.Len() > 3*r.x.Slots() {
+		r.t.Fatalf("%s: %d entries in %d slots, more than three quarters full", r.name, r.x.Len(), r.x.Slots())
+	}
+	for k := uint64(0); k < r.pool; k++ {
+		if got := r.x.Get(r.e, k); got != r.m[k] {
+			r.t.Fatalf("%s: Get(%d) = %d, want %d", r.name, k, got, r.m[k])
+		}
+	}
+}
+
+// sharedTag reports whether two slots hold different keys under one tag.
+func (r *model[H, E]) sharedTag() bool {
+	tags, seen := r.x.tags, map[H]H{}
+	for _, s := range r.x.slots {
+		if s == 0 {
+			continue
+		}
+		if h, ok := seen[s&tags]; ok && h != s&^tags {
+			return true
+		}
+		seen[s&tags] = s &^ tags
+	}
+	return false
+}
+
+// wraps reports whether a probe run crosses the end of the index.
+func (r *model[H, E]) wraps() bool {
+	n := len(r.x.slots)
+	return n > 0 && r.x.slots[0] != 0 && r.x.slots[n-1] != 0
+}
+
 // TestIndexMatchesMap inserts, looks up and deletes random keys in an
 // index and a Go map side by side, with good and with colliding hashes,
-// and checks every key of the pool after every operation. Every other
-// insert is a miss from Find filled by InsertAt, as a page fault does.
+// untagged and tagged, and checks every key of the pool after every
+// operation. Every other insert is a miss from Find filled by InsertAt,
+// as a page fault does.
 func TestIndexMatchesMap(t *testing.T) {
 	for _, coarse := range []bool{false, true} {
-		rng := rand.New(rand.NewPCG(1, 2))
-		s := &slab{coarse: coarse}
-		var x Index[uint64, uint32, *slab]
-		model := map[uint64]uint32{}
-		const pool = 96
-		for op := 0; op < 20000; op++ {
-			k := rng.Uint64N(pool)
-			switch rng.IntN(5) {
-			case 0, 1:
-				if _, ok := model[k]; !ok {
-					s.keys = append(s.keys, k)
-					h := uint32(len(s.keys))
-					if op%2 == 0 {
-						x.Insert(s, h)
-					} else if miss, i := x.Find(s, k); miss != 0 {
-						t.Fatalf("coarse=%v op %d: Find(%d) = %d before it was inserted", coarse, op, k, miss)
-					} else {
-						x.InsertAt(s, h, i)
-					}
-					model[k] = h
-				}
-			case 2, 3:
-				_, ok := model[k]
-				if got := x.Delete(s, k); got != ok {
-					t.Fatalf("coarse=%v op %d: Delete(%d) = %v, want %v", coarse, op, k, got, ok)
-				}
-				delete(model, k)
-			case 4:
-				if rng.IntN(50) == 0 {
-					x.Clear()
-					clear(model)
-				}
-			}
-			checkIndex(t, s, &x, model, pool)
+		r := newModel[uint32](t, fmt.Sprintf("coarse=%v", coarse), &slab{coarse: coarse}, 96)
+		matchMap(r)
+	}
+	for _, weak := range []bool{false, true} {
+		r := newModel[uint16](t, fmt.Sprintf("tagged weak=%v", weak), tagged{weak: weak}, 96)
+		shared, wrapped := matchMap(r)
+		if weak && (!shared || !wrapped) {
+			t.Errorf("tagged weak hash: a tag shared by different keys %v, a probe run wrapped %v; want both", shared, wrapped)
 		}
 	}
 }
 
-// checkIndex fails unless x holds exactly model, every key below pool
-// looked up, and is at most three quarters full.
-func checkIndex(t *testing.T, s *slab, x *Index[uint64, uint32, *slab], model map[uint64]uint32, pool uint64) {
-	t.Helper()
-	if x.Len() != len(model) {
-		t.Fatalf("coarse=%v: Len = %d, want %d", s.coarse, x.Len(), len(model))
+// matchMap drives r through 20000 random operations and reports whether
+// the index ever held a tag shared by different keys, and a probe run
+// wrapping around its end.
+func matchMap[H Handle, E table[H]](r *model[H, E]) (shared, wrapped bool) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for op := 0; op < 20000; op++ {
+		k := rng.Uint64N(r.pool)
+		switch rng.IntN(5) {
+		case 0, 1:
+			r.insert(k, op%2 != 0)
+		case 2, 3:
+			r.delete(k)
+		case 4:
+			if rng.IntN(50) == 0 {
+				r.clear()
+			}
+		}
+		r.check()
+		shared = shared || r.sharedTag()
+		wrapped = wrapped || r.wraps()
 	}
-	if 4*x.Len() > 3*x.Slots() {
-		t.Fatalf("coarse=%v: %d entries in %d slots, more than three quarters full", s.coarse, x.Len(), x.Slots())
+	return shared, wrapped
+}
+
+// TestTaggedProbeLoadsOneEntry: with a good hash, a tagged index calls
+// Key on little more than the entry each lookup returns, where an
+// untagged one confirms every slot its probe passes.
+func TestTaggedProbeLoadsOneEntry(t *testing.T) {
+	c := &countKeys{}
+	var x Index[uint64, uint16, *countKeys]
+	const n = 384 // three quarters of 512 slots: the fullest the index gets
+	for k := uint64(0); k < n; k++ {
+		x.Insert(c, uint16(k+1))
 	}
-	for k := uint64(0); k < pool; k++ {
-		if got := x.Get(s, k); got != model[k] {
-			t.Fatalf("coarse=%v: Get(%d) = %d, want %d", s.coarse, k, got, model[k])
+	c.calls = 0
+	for k := uint64(0); k < n; k++ {
+		if h := x.Get(c, k); h != uint16(k+1) {
+			t.Fatalf("Get(%d) = %d", k, h)
 		}
 	}
+	// A hit probes 2.5 slots on average at this load; 1 in 128 of the
+	// slots it passes shares its tag.
+	if c.calls > n+n/16 {
+		t.Errorf("%d lookups called Key %d times, want at most %d", n, c.calls, n+n/16)
+	}
 }
+
+// countKeys is tagged, with a good hash, counting its Key calls.
+type countKeys struct{ calls int }
+
+func (c *countKeys) Key(h uint16) uint64 {
+	c.calls++
+	return uint64(h - 1)
+}
+
+func (*countKeys) Hash(k uint64) uint64 { return k }
+
+func (*countKeys) HandleBits() int { return 9 }
 
 // FuzzIndexOps decodes bytes into index operations — Insert, Find then
-// InsertAt, Delete, Clear — on a pool of 256 keys, hashed finely or
-// coarsely as the first byte says, and checks the index against a Go
-// map after every one.
+// InsertAt, Delete, Clear — on a pool of 256 keys, and checks the index
+// against a Go map after every one. The first byte picks the table: bit
+// 0 a coarse (or weak) hash, bit 1 the tagged table.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 0, 1, 4, 0})
 	f.Add([]byte{1, 0, 1, 0, 4, 0, 7, 1, 10, 2, 1, 3, 0, 1, 13})
-	for seed := uint64(1); seed <= 2; seed++ {
+	for seed := uint64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		data := []byte{byte(seed)}
 		for range 2000 {
@@ -102,42 +243,31 @@ func FuzzIndexOps(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		s := &slab{coarse: data[0]&1 != 0}
-		var x Index[uint64, uint32, *slab]
-		model := map[uint64]uint32{}
-		const pool = 256
-		for data = data[1:]; len(data) >= 2; data = data[2:] {
-			op, k := data[0], uint64(data[1])
-			switch op % 8 {
-			case 0, 1, 2: // Insert
-				if _, ok := model[k]; !ok {
-					s.keys = append(s.keys, k)
-					model[k] = uint32(len(s.keys))
-					x.Insert(s, model[k])
-				}
-			case 3, 4: // Find, then InsertAt on a miss
-				h, i := x.Find(s, k)
-				if h != model[k] {
-					t.Fatalf("Find(%d) = %d, want %d", k, h, model[k])
-				}
-				if h == 0 {
-					s.keys = append(s.keys, k)
-					model[k] = uint32(len(s.keys))
-					x.InsertAt(s, model[k], i)
-				}
-			case 5, 6:
-				_, ok := model[k]
-				if got := x.Delete(s, k); got != ok {
-					t.Fatalf("Delete(%d) = %v, want %v", k, got, ok)
-				}
-				delete(model, k)
-			case 7:
-				x.Clear()
-				clear(model)
-			}
-			checkIndex(t, s, &x, model, pool)
+		hard := data[0]&1 != 0
+		if data[0]&2 != 0 {
+			fuzzOps(newModel[uint16](t, fmt.Sprintf("tagged weak=%v", hard), tagged{weak: hard}, 256), data[1:])
+		} else {
+			fuzzOps(newModel[uint32](t, fmt.Sprintf("coarse=%v", hard), &slab{coarse: hard}, 256), data[1:])
 		}
 	})
+}
+
+func fuzzOps[H Handle, E table[H]](r *model[H, E], data []byte) {
+	for ; len(data) >= 2; data = data[2:] {
+		op, k := data[0], uint64(data[1])
+		switch op % 8 {
+		case 0, 1, 2:
+			r.insert(k, false)
+		case 3, 4:
+			r.find(k)
+			r.insert(k, true)
+		case 5, 6:
+			r.delete(k)
+		case 7:
+			r.clear()
+		}
+		r.check()
+	}
 }
 
 func TestZeroIndex(t *testing.T) {

@@ -108,51 +108,64 @@ func (b *Binding) release() {
 	}
 }
 
-// peerSet is a binding's remembered peers: a ring in arrival order —
-// appended to until it holds maxPeers, then overwritten oldest first —
-// and an index from address to ring position plus one.
+// peerSet is a binding's remembered peers: an index of the addresses
+// themselves, so a lookup reads its index slots and nothing else, and a
+// ring in arrival order — appended to until it holds maxPeers, then
+// overwritten oldest first — which only says whom to evict. Address 0
+// marks an empty index slot, so 0.0.0.0, which a source may be, is
+// held in zero instead.
 type peerSet struct {
-	ring  peerRing
-	head  int // the oldest peer's position
-	index flatindex.Index[netsim.Addr, uint32, peerRing]
+	ring  []netsim.Addr
+	head  int  // the oldest peer's position
+	zero  bool // 0.0.0.0 is a peer
+	index flatindex.Index[netsim.Addr, netsim.Addr, peerAddrs]
 }
 
-// peerRing is what the index needs to know about a ring position.
-type peerRing []netsim.Addr
+// peerAddrs is the index's table: a handle is the address it indexes.
+type peerAddrs struct{}
 
-func (r peerRing) Key(pos uint32) netsim.Addr { return r[pos-1] }
+func (peerAddrs) Key(a netsim.Addr) netsim.Addr { return a }
 
-func (peerRing) Hash(a netsim.Addr) uint64 { return uint64(a) }
+func (peerAddrs) Hash(a netsim.Addr) uint64 { return uint64(a) }
 
-func (s *peerSet) has(addr netsim.Addr) bool { return s.index.Get(s.ring, addr) != 0 }
+func (s *peerSet) has(addr netsim.Addr) bool {
+	if addr == 0 {
+		return s.zero
+	}
+	return s.index.Get(peerAddrs{}, addr) != 0
+}
 
-func (s *peerSet) len() int { return s.index.Len() }
+// len is the ring's: it grows to maxPeers and stays full.
+func (s *peerSet) len() int { return len(s.ring) }
 
-// note adds addr, evicting the oldest peer when the set is full. The
+// note adds addr, overwriting the oldest peer when the set is full. The
 // ring is appended to only before its first eviction, so head is 0
 // whenever it grows.
 func (s *peerSet) note(addr netsim.Addr) {
 	if s.has(addr) {
 		return
 	}
-	if s.len() == maxPeers {
-		if !s.index.Delete(s.ring, s.ring[s.head]) {
-			panic("gateway: peer ring and index disagree")
-		}
-		s.head = (s.head + 1) % len(s.ring)
-	}
-	n := s.len()
-	if n == len(s.ring) {
+	if len(s.ring) < maxPeers {
 		s.ring = append(s.ring, addr)
 	} else {
-		s.ring[(s.head+n)%len(s.ring)] = addr
+		if old := s.ring[s.head]; old == 0 {
+			s.zero = false
+		} else if !s.index.Delete(peerAddrs{}, old) {
+			panic("gateway: peer ring and index disagree")
+		}
+		s.ring[s.head] = addr
+		s.head = (s.head + 1) % maxPeers
 	}
-	s.index.Insert(s.ring, uint32((s.head+n)%len(s.ring)+1))
+	if addr == 0 {
+		s.zero = true
+	} else {
+		s.index.Insert(peerAddrs{}, addr)
+	}
 }
 
 // reset forgets every peer, keeping the ring and the index for reuse.
 func (s *peerSet) reset() {
-	s.ring, s.head = s.ring[:0], 0
+	s.ring, s.head, s.zero = s.ring[:0], 0, false
 	s.index.Clear()
 }
 

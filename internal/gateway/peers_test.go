@@ -37,11 +37,21 @@ func (s *peerSet) arrivals() []netsim.Addr {
 	return out
 }
 
+// poolAddr is the pth address of TestPeerSetMatchesMapModel's arrival
+// pool: 0.0.0.0 first, which a peer set cannot index as itself.
+func poolAddr(p int) netsim.Addr {
+	if p == 0 {
+		return 0
+	}
+	return ext(p)
+}
+
 // TestPeerSetMatchesMapModel feeds one binding's peer set and the map
 // model the same arrivals, through HandleInbound, and requires the same
 // members and the same arrival order after every packet: so the same
-// peers are evicted, in the same order. Three tenants in turn use the
-// same recycled binding. The subtest is named for the limit, maxPeers.
+// peers are evicted, in the same order. The pool of sources includes
+// 0.0.0.0. Three tenants in turn use the same recycled binding. The
+// subtest is named for the limit, maxPeers.
 func TestPeerSetMatchesMapModel(t *testing.T) {
 	t.Run(fmt.Sprint(maxPeers), func(t *testing.T) {
 		g, _, k := newTestGateway(t, nil)
@@ -51,7 +61,7 @@ func TestPeerSetMatchesMapModel(t *testing.T) {
 		for tenant := 0; tenant < 3; tenant++ {
 			ref := refPeers{peers: map[netsim.Addr]struct{}{}}
 			for i := 0; i < 4*maxPeers+20; i++ {
-				src := ext(int(rng.Uint64n(pool)))
+				src := poolAddr(int(rng.Uint64n(pool)))
 				g.HandleInbound(k.Now(), syn(src, mon(tenant)))
 				ref.note(src, maxPeers)
 				b := g.Binding(mon(tenant))
@@ -62,9 +72,9 @@ func TestPeerSetMatchesMapModel(t *testing.T) {
 					t.Fatalf("tenant %d: Peers = %d, model %d", tenant, b.Peers(), len(ref.peers))
 				}
 				for p := 0; p < pool && i%8 == 0; p++ { // the index, against the whole pool
-					_, want := ref.peers[ext(p)]
-					if b.isPeer(ext(p)) != want {
-						t.Fatalf("tenant %d, packet %d: isPeer(ext(%d)) = %v", tenant, i, p, !want)
+					_, want := ref.peers[poolAddr(p)]
+					if b.isPeer(poolAddr(p)) != want {
+						t.Fatalf("tenant %d, packet %d: isPeer(%v) = %v", tenant, i, poolAddr(p), !want)
 					}
 				}
 			}
@@ -78,4 +88,36 @@ func TestPeerSetMatchesMapModel(t *testing.T) {
 			g.RecycleAll(k.Now())
 		}
 	})
+}
+
+// TestReflectSourceRepliesToZeroAddress: under reflect-source a guest may
+// answer 0.0.0.0 once that address has contacted it, and not after it
+// has been evicted from the binding's peers.
+func TestReflectSourceRepliesToZeroAddress(t *testing.T) {
+	var out []*netsim.Packet
+	g, _, k := newTestGateway(t, func(c *Config) {
+		c.Policy = PolicyReflectSource
+		c.ExternalOut = func(_ sim.Time, p *netsim.Packet) { out = append(out, p) }
+	})
+	if d := g.HandleOutbound(k.Now(), syn(mon(0), 0)); d != DispDropped {
+		t.Errorf("reply to 0.0.0.0 before it made contact: disposition %v, want %v", d, DispDropped)
+	}
+	g.HandleInbound(k.Now(), syn(0, mon(0)))
+	k.Run()
+	if d := g.HandleOutbound(k.Now(), syn(mon(0), 0)); d != DispToSource {
+		t.Errorf("reply to 0.0.0.0: disposition %v, want %v", d, DispToSource)
+	}
+	if d := g.HandleOutbound(k.Now(), syn(mon(0), ext(1))); d != DispDropped {
+		t.Errorf("reply to a non-peer: disposition %v, want %v", d, DispDropped)
+	}
+	if len(out) != 1 || out[0].Dst != 0 {
+		t.Errorf("externalized %v, want the one reply to 0.0.0.0", out)
+	}
+	for i := 1; i <= maxPeers; i++ {
+		g.HandleInbound(k.Now(), syn(ext(i), mon(0)))
+	}
+	k.Run()
+	if d := g.HandleOutbound(k.Now(), syn(mon(0), 0)); d != DispDropped {
+		t.Errorf("reply to 0.0.0.0 after its eviction: disposition %v, want %v", d, DispDropped)
+	}
 }

@@ -74,6 +74,15 @@ type tcpConn struct {
 // backlog; the oldest-idle connection is evicted when full.
 const maxConns = 256
 
+// connHandleBits is the width of a connection's handle, 1 to maxConns,
+// in its index slot: the index keeps a hash tag in the 7 bits above. The
+// constant below overflows, and the package fails to build, if maxConns
+// outgrows it.
+const (
+	connHandleBits = 9
+	_              = uint(1<<connHandleBits - 1 - maxConns)
+)
+
 // connTable is the guest's connection state, keyed by the REMOTE
 // endpoint's flow key as seen in inbound packets (src=remote,
 // dst=local) for connections it accepted, and by its own outbound key
@@ -83,13 +92,15 @@ const maxConns = 256
 // kept when the table is reset for another guest, and are named by
 // handle: a slab position plus one, in 16 bits. Live connections are
 // indexed by key in a flatindex.Index of handles (2-byte slots, at most
-// three quarters of them full) and also sit on a list in lastActive
-// order: every write of lastActive goes through touch, which moves the
-// connection to the newest end, so the oldest-idle connection is the
-// list's head, found in O(1), and connections idle equally long leave in
-// the order they were last touched. Closed connections are kept for the
-// next open. clients counts the live client connections, so a guest that
-// has opened none skips looking for one.
+// three quarters of them full, each tagged with 7 bits of its key's
+// hash, so a probe loads only the connection it finds) and also sit on
+// a list in lastActive order: every write of lastActive goes through
+// touch, which moves the connection to the newest end, so the
+// oldest-idle connection is the list's head, found in O(1), and
+// connections idle equally long leave in the order they were last
+// touched. Closed connections are kept for the next open. clients counts
+// the live client connections, so a guest that has opened none skips
+// looking for one.
 type connTable struct {
 	slab                 connSlab
 	index                flatindex.Index[netsim.FlowKey, uint16, connSlab]
@@ -102,6 +113,8 @@ type connTable struct {
 type connSlab []tcpConn
 
 func (s connSlab) Key(h uint16) netsim.FlowKey { return s[h-1].key }
+
+func (connSlab) HandleBits() int { return connHandleBits }
 
 func (connSlab) Hash(k netsim.FlowKey) uint64 {
 	return uint64(k.Src)<<32 ^ uint64(k.Dst) ^
