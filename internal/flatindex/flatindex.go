@@ -10,7 +10,9 @@
 // later entries of the probe run back instead of leaving tombstones. A
 // caller that inserts what it just failed to find (a page fault) probes
 // once: Find reports the slot where the miss stopped and InsertAt fills
-// it.
+// it. An index grows by doubling, into slots it makes; Resize moves it
+// into slots the caller supplies and hands back the ones it leaves, for
+// a caller that sizes an index ahead of a burst or recycles its arrays.
 //
 // A probe reads a slot, then the entry it names to confirm the key: a
 // second, dependent cache line. A table whose handles leave spare high
@@ -66,9 +68,9 @@ func (x *Index[K, H, E]) Len() int { return x.n }
 // Clear has to zero.
 func (x *Index[K, H, E]) Slots() int { return len(x.slots) }
 
-// full reports whether one more entry would leave the index more than
-// three quarters full.
-func (x *Index[K, H, E]) full() bool { return 4*(x.n+1) > 3*len(x.slots) }
+// Full reports whether one more entry would leave the index more than
+// three quarters full: whether the next insert grows it.
+func (x *Index[K, H, E]) Full() bool { return 4*(x.n+1) > 3*len(x.slots) }
 
 // mix spreads a table's hash (Fibonacci hashing): its top bits pick the
 // key's home slot, and the bits just below them its tag, so the entries
@@ -114,7 +116,7 @@ func (x *Index[K, H, E]) Find(e E, k K) (H, int) {
 
 // Insert indexes h under its key, which must not be indexed already.
 func (x *Index[K, H, E]) Insert(e E, h H) {
-	if x.full() {
+	if x.Full() {
 		x.grow(e)
 	}
 	x.place(e, h)
@@ -126,7 +128,7 @@ func (x *Index[K, H, E]) Insert(e E, h H) {
 func (x *Index[K, H, E]) InsertAt(e E, h H, i int) {
 	var none H
 	switch {
-	case x.full():
+	case x.Full():
 		x.grow(e)
 		x.place(e, h)
 	case x.tags != none:
@@ -148,9 +150,24 @@ func (x *Index[K, H, E]) place(e E, h H) {
 	x.slots[i] = h | x.tag(m)
 }
 
-// grow doubles the index and reinserts what it held, retagged: a tag
-// is cut from the bits below the home's, which move as the index grows.
+// grow doubles the index.
 func (x *Index[K, H, E]) grow(e E) {
+	x.Resize(e, make([]H, max(minSlots, 2*len(x.slots))))
+}
+
+// SlotsFor is the length of the smallest index that holds n entries at
+// most three quarters full.
+func SlotsFor(n int) int {
+	need := (4*n + 2) / 3 // the slots n entries fill three quarters of
+	return max(minSlots, 1<<bits.Len(uint(max(need, 1)-1)))
+}
+
+// Resize moves the index into slots, which must be zeroed, a power of two
+// long and at least SlotsFor(Len()), reinserting what it held, retagged:
+// a tag is cut from the bits below the home's, which move with the
+// index's size. It returns the slots it leaves, still holding their
+// handles, for the caller to clear and reuse.
+func (x *Index[K, H, E]) Resize(e E, slots []H) []H {
 	old, tags := x.slots, x.tags
 	if len(old) == 0 {
 		var zero E
@@ -158,9 +175,8 @@ func (x *Index[K, H, E]) grow(e E) {
 			x.tags = ^H(0) << t.HandleBits()
 		}
 	}
-	size := max(minSlots, 2*len(old))
-	x.slots = make([]H, size)
-	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	x.slots = slots
+	x.shift = uint8(64 - bits.TrailingZeros(uint(len(slots))))
 	x.tagShift = x.shift - uint8(bits.Len64(uint64(^H(0))))
 	var none H
 	for _, s := range old {
@@ -168,6 +184,7 @@ func (x *Index[K, H, E]) grow(e E) {
 			x.place(e, s&^tags)
 		}
 	}
+	return old
 }
 
 // Delete unindexes the entry under k and reports whether there was one.

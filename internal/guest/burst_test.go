@@ -1,0 +1,168 @@
+package guest
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"potemkin/internal/flatindex"
+	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
+	"potemkin/internal/vmm"
+)
+
+// TestBurstSizesIndexOnce: a guest's dirty-page bursts size the VM's
+// page index before they fault, so a fresh clone's start burst makes
+// one index array (one-at-a-time growth makes five: 4, 8, 16, 32 and 64
+// slots), an infection burst at most one, and none when the store has a
+// spare array of the size it needs. The bound the burst reserves for
+// (no more pages than touches, nor than the working set and the touches
+// expected outside it) can overshoot what the burst turns out to own by
+// one doubling, but never what the guest's steady touches reach: after
+// a minute of them, every reserved index is no larger than
+// one-at-a-time growth leaves it.
+func TestBurstSizesIndexOnce(t *testing.T) {
+	t.Run("allocations", func(t *testing.T) {
+		for _, p := range stockProfiles() {
+			h, k := burstHost(p, false)
+			a := burstClone(t, h, k, p, 1)
+			if n := indexAllocs(a.Start); n != 1 {
+				t.Errorf("%s: a fresh clone's start burst makes %d page-index arrays, want 1", p.Name, n)
+			}
+			if p.InfectionBurstPages == 0 {
+				continue
+			}
+			if n := indexAllocs(func() { a.ForceInfect(1) }); n > 1 {
+				t.Errorf("%s: an infection burst makes %d page-index arrays, want at most 1", p.Name, n)
+			}
+			// Outgrow a's index so that the store holds a spare of its
+			// size as well as the one its infection burst outgrew: the
+			// next clone's bursts find both.
+			a.VM.Mem.Reserve(indexSlots(a.VM))
+			b := burstClone(t, h, k, p, 2)
+			if n := indexAllocs(b.Start); n != 0 {
+				t.Errorf("%s: a start burst makes %d page-index arrays with a spare of its size pooled, want 0", p.Name, n)
+			}
+			if n := indexAllocs(func() { b.ForceInfect(1) }); n != 0 {
+				t.Errorf("%s: an infection burst makes %d page-index arrays with a spare of its size pooled, want 0", p.Name, n)
+			}
+		}
+	})
+	t.Run("size", func(t *testing.T) {
+		const clones = 256
+		for _, p := range stockProfiles() {
+			h, k := burstHost(p, true)
+			var ins []*Instance
+			for i := range clones {
+				ins = append(ins, burstClone(t, h, k, p, netsim.Addr(i+1)))
+			}
+			for _, in := range ins {
+				in.Start()
+				if p.InfectionBurstPages > 0 {
+					in.ForceInfect(1)
+				}
+				if got, least := indexSlots(in.VM), flatindex.SlotsFor(in.VM.Mem.OwnedPages()); got > 2*least {
+					t.Fatalf("%s: after its bursts %s owns %d pages in %d index slots, more than a doubling past %d",
+						p.Name, in.IP, in.VM.Mem.OwnedPages(), got, least)
+				}
+			}
+			k.RunFor(time.Minute)
+			for _, in := range ins {
+				if got, grown := indexSlots(in.VM), flatindex.SlotsFor(in.VM.Mem.OwnedPages()); got > grown {
+					t.Fatalf("%s: after a minute of touches %s owns %d pages in %d index slots; one-at-a-time growth leaves %d",
+						p.Name, in.IP, in.VM.Mem.OwnedPages(), got, grown)
+				}
+			}
+		}
+	})
+}
+
+// stockProfiles are the memory workloads of the stock personalities
+// (the multi-stage ones share WindowsXP's).
+func stockProfiles() []*Profile {
+	return []*Profile{WindowsXP(), SQLServer(), LinuxServer()}
+}
+
+// burstHost is a host with p's image, the size of the farm's default
+// one; without touches, p's guests dirty pages only in their bursts.
+func burstHost(p *Profile, touches bool) (*vmm.VMHost, *sim.Kernel) {
+	if !touches {
+		p.TouchRatePerSec = 0
+	}
+	k := sim.NewKernel(7)
+	h := vmm.NewHost(k, vmm.DefaultHostConfig("burst"))
+	h.RegisterImage(p.Name, 32768, 8192, 128, 11)
+	return h, k
+}
+
+// burstClone flash-clones a VM for a guest of p at ip and returns the
+// guest, not started.
+func burstClone(t *testing.T, h *vmm.VMHost, k *sim.Kernel, p *Profile, ip netsim.Addr) *Instance {
+	t.Helper()
+	vm, err := h.FlashClone(p.Name, ip, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(time.Second) // the clone comes up
+	return New(k, vm, p, func(*netsim.Packet) {}, nil, Hooks{})
+}
+
+// indexSlots is the length of vm's page index: what its faults have
+// grown it to.
+func indexSlots(vm *vmm.VM) int {
+	return reflect.ValueOf(vm.Mem).Elem().FieldByName("index").FieldByName("slots").Len()
+}
+
+// indexAllocs counts the page-index arrays f allocates, from a heap
+// profile that records every allocation: those made in the mem package
+// under a flatindex call or in its index growth.
+func indexAllocs(f func()) int {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := indexAllocsSoFar()
+	f()
+	return indexAllocsSoFar() - before
+}
+
+func indexAllocsSoFar() int {
+	// A record is published by the second collection after its
+	// allocation.
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:min(n, len(recs))]
+	}
+	total := 0
+	for _, r := range recs {
+		if growsPageIndex(r.Stack()) {
+			total += int(r.AllocObjects)
+		}
+	}
+	return total
+}
+
+// growsPageIndex reports whether an allocation's stack is a page index
+// growing: in mem's growIndex, or in flatindex called from mem.
+func growsPageIndex(stack []uintptr) bool {
+	frames := runtime.CallersFrames(stack)
+	inIndex := false
+	for {
+		fr, more := frames.Next()
+		switch fn := fr.Function; {
+		case strings.HasSuffix(fn, "internal/mem.(*AddressSpace).growIndex"):
+			return true
+		case strings.Contains(fn, "internal/flatindex."):
+			inIndex = true
+		case inIndex && strings.Contains(fn, "internal/mem."):
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}

@@ -72,7 +72,6 @@ func (in *Instance) emitCanary() {
 	})
 	in.stats.CanariesOut++
 	in.actions++
-	in.VM.Touch(now)
 	in.sendSegment(dst, srcPort, key.DstPort, iss, 0, netsim.FlagSYN, nil)
 
 	in.after(in.Profile.canaryTimeout(), func(sim.Time) {
@@ -141,8 +140,6 @@ func (in *Instance) beaconTick(sim.Time) {
 func (in *Instance) emitBeacon() {
 	in.stats.BeaconsOut++
 	in.actions++
-	now := in.K.Now()
-	in.VM.Touch(now)
 	in.reply(in.synPSH(in.Profile.C2Server, in.ephemeralPort(), in.Profile.c2Port(),
 		uint32(in.rng.Uint64()), beaconPayloads[in.Generation%10]))
 }

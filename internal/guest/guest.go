@@ -13,6 +13,7 @@ package guest
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -430,9 +431,7 @@ func (in *Instance) Stats() Stats { return in.stats }
 // Start begins the guest's memory workload: an initial burst of dirty
 // pages followed by a steady touch process.
 func (in *Instance) Start() {
-	for i := 0; i < in.Profile.InitialBurstPages; i++ {
-		in.touchPage()
-	}
+	in.touchBurst(in.Profile.InitialBurstPages)
 	in.scheduleTouch()
 }
 
@@ -486,15 +485,36 @@ func (in *Instance) touchTick(sim.Time) {
 	in.scheduleTouch()
 }
 
-func (in *Instance) touchPage() {
-	p := in.Profile
-	resident := int(in.VM.Image.ResidentPages)
-	if resident == 0 {
-		return
-	}
-	ws := p.WorkingSetPages
+// pages returns the pages a touch picks from: the image's resident
+// pages, and the working set among them.
+func (in *Instance) pages() (resident, ws int) {
+	resident = int(in.VM.Image.ResidentPages)
+	ws = in.Profile.WorkingSetPages
 	if ws <= 0 || ws > resident {
 		ws = resident
+	}
+	return resident, ws
+}
+
+// touchBurst dirties n pages at once. It first sizes the VM's page
+// index for the pages the burst can add, so the burst grows it at most
+// once: no more than one per touch, nor more than the working set and
+// the touches expected to land outside it.
+func (in *Instance) touchBurst(n int) {
+	if resident, ws := in.pages(); n > 0 && resident > 0 {
+		wide := int(math.Ceil(float64(n) * in.Profile.WidePageProb))
+		in.VM.Mem.Reserve(min(n, ws+wide))
+	}
+	for i := 0; i < n; i++ {
+		in.touchPage()
+	}
+}
+
+func (in *Instance) touchPage() {
+	p := in.Profile
+	resident, ws := in.pages()
+	if resident == 0 {
+		return
 	}
 	var vpn uint64
 	if p.WidePageProb > 0 && in.rng.Bool(p.WidePageProb) {
@@ -507,5 +527,4 @@ func (in *Instance) touchPage() {
 	binary.LittleEndian.PutUint64(buf[:], in.rng.Uint64())
 	in.VM.WriteMemory(vpn, off, buf[:])
 	in.stats.PagesDirty++
-	in.VM.Touch(in.K.Now())
 }

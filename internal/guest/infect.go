@@ -15,7 +15,6 @@ import (
 // vulnerable service, transitioning to the infected state.
 func (in *Instance) HandlePacket(now sim.Time, pkt *netsim.Packet) {
 	in.stats.PacketsIn++
-	in.VM.Touch(now)
 	switch pkt.Proto {
 	case netsim.ProtoICMP:
 		if pkt.ICMPType == 8 { // echo request: reply, type 0
@@ -70,9 +69,7 @@ func (in *Instance) becomeInfected(generation int) {
 	in.exploit = in.Profile.appendExploit(in.exploit[:0], generation)
 
 	// The worm unpacks: a burst of dirty pages.
-	for i := 0; i < in.Profile.InfectionBurstPages; i++ {
-		in.touchPage()
-	}
+	in.touchBurst(in.Profile.InfectionBurstPages)
 
 	// Multi-stage malware: fetch the second stage from a third party,
 	// resolving a hostname first when the profile names one.
@@ -127,7 +124,6 @@ func (in *Instance) emitScan() {
 	}
 	in.stats.ScansOut++
 	in.actions++
-	in.VM.Touch(in.K.Now())
 	switch {
 	case proto == netsim.ProtoUDP:
 		in.send(in.datagram(dst, in.ephemeralPort(), in.Profile.ScanDstPort, in.exploit))

@@ -15,13 +15,14 @@ import (
 )
 
 // The model test: one sequence of clone / write / read / share-pass /
-// checkpoint-restore / destroy operations is applied to three things at
-// once — a host as shipped (faults are lazy deltas), a host where every
-// written page is given its bytes immediately (what every fault did
-// before lazy deltas), and a plain map of page arrays. After every
-// step the shipped host's content must equal the map's, and every
-// simulated statistic must equal the eager host's: laziness may move
-// host cost only. Clones come from both kinds of image, a synthetic one
+// checkpoint-restore / reserve / destroy operations is applied to three
+// things at once — a host as shipped (faults are lazy deltas), a host
+// where every written page is given its bytes immediately (what every
+// fault did before lazy deltas) and whose clones never reserve index
+// room, and a plain map of page arrays. After every step the shipped
+// host's content must equal the map's, and every simulated statistic
+// must equal the eager host's: laziness and reserving may move host
+// cost only. Clones come from both kinds of image, a synthetic one
 // and a snapshot of a configured full-boot VM.
 
 const (
@@ -257,6 +258,13 @@ func runOps(t *testing.T, ops []byte) (lazyHits int) {
 			if rl != re {
 				t.Fatalf("step %d share pass: %+v, eager run %+v", step, rl, re)
 			}
+
+		// Only the shipped world reserves, so the eager one is also the
+		// unreserved twin: reserving changes nothing either reads back.
+		case op%16 == 15:
+			vm, room := pick%n, next()
+			desc = fmt.Sprintf("reserve vm%d for %d pages", vm, room)
+			lazy.vms[vm].Mem.Reserve(room)
 
 		case op%16 == 13 && n < modelMaxVMs:
 			vm := pick % n

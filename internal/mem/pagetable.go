@@ -164,11 +164,14 @@ type pageIndex = flatindex.Index[uint64, uint32, tableLog]
 
 // indexMaxRecycle is the largest index, in slots, a released clone
 // keeps (8 KiB, up to 1,536 pages): Release clears all of it, so one
-// that held a whole image would tax every later tenant. chunkPoolCap
-// bounds the chunks the store keeps for reuse (20 MiB) and spacePoolCap
-// the released clones.
+// that held a whole image would tax every later tenant. It bounds the
+// store's spare index arrays too, one per power-of-two size up to it
+// (indexSpares classes, at most 16 KiB in all). chunkPoolCap bounds the
+// chunks the store keeps for reuse (20 MiB) and spacePoolCap the
+// released clones.
 const (
 	indexMaxRecycle = 2048
+	indexSpares     = 12 // log2(indexMaxRecycle) + 1
 	chunkPoolCap    = 16384
 	spacePoolCap    = 4096
 )
@@ -202,8 +205,38 @@ func (a *AddressSpace) add(vpn uint64, i int) *entry {
 	e := a.at(a.n)
 	a.n++
 	e.vpn = vpn
-	a.index.InsertAt(a.chunks, uint32(a.n), i)
+	if a.index.Full() {
+		a.growIndex(a.n)
+		a.index.Insert(a.chunks, uint32(a.n)) // slot i went with the old slots
+	} else {
+		a.index.InsertAt(a.chunks, uint32(a.n), i)
+	}
 	return e
+}
+
+// growIndex moves the page index to the smallest size that holds n
+// entries, if it is smaller. The new slots come from the store's spare
+// of their size when it has one, and the outgrown ones, cleared, become
+// the spare of theirs.
+func (a *AddressSpace) growIndex(n int) {
+	size := flatindex.SlotsFor(n)
+	if size <= a.index.Slots() {
+		return
+	}
+	s := a.store
+	var slots []uint32
+	if size <= indexMaxRecycle {
+		c := bits.TrailingZeros(uint(size))
+		slots, s.indexSpare[c] = s.indexSpare[c], nil
+	}
+	if slots == nil {
+		slots = make([]uint32, size)
+	}
+	old := a.index.Resize(a.chunks, slots)
+	if outgrown := len(old); outgrown > 0 && outgrown <= indexMaxRecycle {
+		clear(old)
+		s.indexSpare[bits.TrailingZeros(uint(outgrown))] = old
+	}
 }
 
 // appendDelta records a write of b at off on lazy delta e. It reports

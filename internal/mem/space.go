@@ -171,6 +171,16 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 	return true
 }
 
+// Reserve sizes the page table's index for n more owned pages, so that
+// a burst of faults adding up to n pages grows it at most here, once.
+// It never shrinks the index, and changes nothing the space reads back.
+func (a *AddressSpace) Reserve(n int) {
+	if a.released {
+		panic("mem: use of released address space")
+	}
+	a.growIndex(a.n + n)
+}
+
 // EachOwnedPage visits every page the space maps directly (private
 // copies, zero-fills, dedup-shared frames), in the order they were first
 // faulted. fn may read and write the space's owned pages.

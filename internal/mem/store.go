@@ -30,7 +30,8 @@
 // free-list pop (or the next slot of the last chunk), freeing is a push,
 // and FrameIDs carry a generation number so dangling IDs are caught when
 // a slot is reused. Page buffers of freed frames, page-table chunks,
-// delta overflow buffers and released clones are recycled through
+// delta overflow buffers, released clones and the arrays a growing page
+// index leaves behind (one spare of each size) are recycled through
 // bounded free lists, so steady-state VM churn allocates no garbage on
 // the clone/CoW hot paths.
 package mem
@@ -153,6 +154,9 @@ type Store struct {
 	// spaceFree are released clones, index attached and empty, waiting
 	// to be the next clone.
 	spaceFree []*AddressSpace
+	// indexSpare holds, by log2 of its length, one zeroed page-index
+	// array for the next index that grows to that size (growIndex).
+	indexSpare [indexSpares][]uint32
 
 	stats StoreStats
 }

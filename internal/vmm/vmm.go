@@ -81,9 +81,8 @@ type VM struct {
 	IP    netsim.Addr
 	State State
 
-	CreatedAt  sim.Time
-	ReadyAt    sim.Time // when the clone/boot completed
-	LastActive sim.Time
+	CreatedAt sim.Time
+	ReadyAt   sim.Time // when the clone/boot completed
 
 	// Tag is free-form owner state (the farm stores its binding here).
 	Tag any
@@ -103,12 +102,6 @@ type VM struct {
 	ready  func(*VM)
 	rising bool
 }
-
-// Touch records guest activity for idle-reclamation decisions.
-func (vm *VM) Touch(now sim.Time) { vm.LastActive = now }
-
-// Idle returns how long the VM has been inactive.
-func (vm *VM) Idle(now sim.Time) time.Duration { return now.Sub(vm.LastActive) }
 
 // PrivateBytes returns the VM's incremental memory cost (private frames).
 func (vm *VM) PrivateBytes() uint64 { return vm.Mem.PrivateBytes() }
@@ -396,7 +389,6 @@ func (vm *VM) up(now sim.Time) {
 	}
 	vm.State = StateRunning
 	vm.ReadyAt = now
-	vm.LastActive = now
 	vm.span.Finish(now)
 	if ready := vm.ready; ready != nil {
 		vm.ready = nil
@@ -418,15 +410,14 @@ func (h *VMHost) newVM(img *Image, ip netsim.Addr, st State) *VM {
 		vm.comeUp = vm.up
 	}
 	*vm = VM{
-		ID:         h.nextID,
-		Image:      img,
-		Disk:       vm.Disk,
-		IP:         ip,
-		State:      st,
-		CreatedAt:  h.K.Now(),
-		LastActive: h.K.Now(),
-		host:       h,
-		comeUp:     vm.comeUp,
+		ID:        h.nextID,
+		Image:     img,
+		Disk:      vm.Disk,
+		IP:        ip,
+		State:     st,
+		CreatedAt: h.K.Now(),
+		host:      h,
+		comeUp:    vm.comeUp,
 	}
 	h.nextID++
 	h.vms[vm.ID] = vm

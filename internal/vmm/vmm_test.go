@@ -306,22 +306,6 @@ func TestOverlayBounds(t *testing.T) {
 	o.ReadBlockByte(10)
 }
 
-func TestVMIdle(t *testing.T) {
-	k := sim.NewKernel(1)
-	h := newTestHost(t, k)
-	vm, _ := h.FlashClone("winxp", 1, nil)
-	k.Run()
-	start := k.Now()
-	k.RunUntil(start.Add(5 * time.Second))
-	if vm.Idle(k.Now()) != 5*time.Second {
-		t.Errorf("Idle = %v", vm.Idle(k.Now()))
-	}
-	vm.Touch(k.Now())
-	if vm.Idle(k.Now()) != 0 {
-		t.Errorf("Idle after touch = %v", vm.Idle(k.Now()))
-	}
-}
-
 func TestPeakStats(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
