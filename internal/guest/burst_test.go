@@ -14,10 +14,11 @@ import (
 )
 
 // TestBurstSizesIndexOnce: a guest's dirty-page bursts size the VM's
-// page index before they fault, so a fresh clone's start burst makes
-// one index array (one-at-a-time growth makes five: 4, 8, 16, 32 and 64
-// slots), an infection burst at most one, and none when the store has a
-// spare array of the size it needs. The bound the burst reserves for
+// page index and its page table's chunk list before they fault, so a
+// fresh clone's start burst makes one index array (one-at-a-time growth
+// makes five: 4, 8, 16, 32 and 64 slots) and one chunk list, an
+// infection burst at most one of each, and no index array when the
+// store has a spare of the size it needs. The bound the burst reserves for
 // (no more pages than touches, nor than the working set and the touches
 // expected outside it) can overshoot what the burst turns out to own by
 // one doubling, but never what the guest's steady touches reach: after
@@ -28,24 +29,24 @@ func TestBurstSizesIndexOnce(t *testing.T) {
 		for _, p := range stockProfiles() {
 			h, k := burstHost(p, false)
 			a := burstClone(t, h, k, p, 1)
-			if n := indexAllocs(a.Start); n != 1 {
-				t.Errorf("%s: a fresh clone's start burst makes %d page-index arrays, want 1", p.Name, n)
+			if n, list := burstAllocs(a.Start); n != 1 || list != 1 {
+				t.Errorf("%s: a fresh clone's start burst makes %d page-index arrays and %d chunk lists, want 1 and 1", p.Name, n, list)
 			}
 			if p.InfectionBurstPages == 0 {
 				continue
 			}
-			if n := indexAllocs(func() { a.ForceInfect(1) }); n > 1 {
-				t.Errorf("%s: an infection burst makes %d page-index arrays, want at most 1", p.Name, n)
+			if n, list := burstAllocs(func() { a.ForceInfect(1) }); n > 1 || list > 1 {
+				t.Errorf("%s: an infection burst makes %d page-index arrays and %d chunk lists, want at most 1 and 1", p.Name, n, list)
 			}
 			// Outgrow a's index so that the store holds a spare of its
 			// size as well as the one its infection burst outgrew: the
 			// next clone's bursts find both.
 			a.VM.Mem.Reserve(indexSlots(a.VM))
 			b := burstClone(t, h, k, p, 2)
-			if n := indexAllocs(b.Start); n != 0 {
+			if n, _ := burstAllocs(b.Start); n != 0 {
 				t.Errorf("%s: a start burst makes %d page-index arrays with a spare of its size pooled, want 0", p.Name, n)
 			}
-			if n := indexAllocs(func() { b.ForceInfect(1) }); n != 0 {
+			if n, _ := burstAllocs(func() { b.ForceInfect(1) }); n != 0 {
 				t.Errorf("%s: an infection burst makes %d page-index arrays with a spare of its size pooled, want 0", p.Name, n)
 			}
 		}
@@ -115,18 +116,18 @@ func indexSlots(vm *vmm.VM) int {
 	return reflect.ValueOf(vm.Mem).Elem().FieldByName("index").FieldByName("slots").Len()
 }
 
-// indexAllocs counts the page-index arrays f allocates, from a heap
-// profile that records every allocation: those made in the mem package
-// under a flatindex call or in its index growth.
-func indexAllocs(f func()) int {
+// burstAllocs counts the page-index arrays and page-table chunk lists f
+// allocates, from a heap profile that records every allocation.
+func burstAllocs(f func()) (index, chunkList int) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := indexAllocsSoFar()
+	index0, list0 := burstAllocsSoFar()
 	f()
-	return indexAllocsSoFar() - before
+	index1, list1 := burstAllocsSoFar()
+	return index1 - index0, list1 - list0
 }
 
-func indexAllocsSoFar() int {
+func burstAllocsSoFar() (index, chunkList int) {
 	// A record is published by the second collection after its
 	// allocation.
 	runtime.GC()
@@ -137,13 +138,15 @@ func indexAllocsSoFar() int {
 		n, ok = runtime.MemProfile(recs, true)
 		recs = recs[:min(n, len(recs))]
 	}
-	total := 0
 	for _, r := range recs {
-		if growsPageIndex(r.Stack()) {
-			total += int(r.AllocObjects)
+		switch {
+		case growsPageIndex(r.Stack()):
+			index += int(r.AllocObjects)
+		case growsChunkList(r.Stack()):
+			chunkList += int(r.AllocObjects)
 		}
 	}
-	return total
+	return index, chunkList
 }
 
 // growsPageIndex reports whether an allocation's stack is a page index
@@ -165,4 +168,13 @@ func growsPageIndex(stack []uintptr) bool {
 			return false
 		}
 	}
+}
+
+// growsChunkList reports whether an allocation's stack is a page
+// table's chunk list growing: made in mem's add (an append) or Reserve
+// itself. Chunks are made in newChunk and index arrays in growIndex.
+func growsChunkList(stack []uintptr) bool {
+	fr, _ := runtime.CallersFrames(stack).Next()
+	return strings.HasSuffix(fr.Function, "internal/mem.(*AddressSpace).add") ||
+		strings.HasSuffix(fr.Function, "internal/mem.(*AddressSpace).Reserve")
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -98,7 +99,7 @@ func TestDeltaCap(t *testing.T) {
 
 	a := img.NewClone()
 	want := imagePage(img, 1)
-	rec := make([]byte, 28) // 32-byte records: 8 of them are deltaCap
+	rec := make([]byte, 28) // 32-byte records: 10 of them are deltaCap
 	for i := 0; i < deltaCap/(deltaHdr+len(rec)); i++ {
 		for j := range rec {
 			rec[j] = byte(i + 1)
@@ -146,27 +147,34 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, 8, 4, 650)
 	a := img.NewClone()
-	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 12-byte record
-	for i, wantSize := range []int{0, 0, 16, 32, 48, 48, 64, 80} {
+	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 10-byte record
+	for i, wantSize := range []int{0, 0, 20, 30, 40, 50, 60, 70} {
 		a.Write(1, 16*i, touch)
 		e, size := ownedEntry(t, a, 1), 0
 		if e.ovfLen() > 0 {
 			size = overflowSize(e.overflow())
 		}
-		if size != wantSize || e.ovfLen() != max(0, 12*(i-1)) {
-			t.Fatalf("after %d touches: overflow len=%d size=%d, want len=%d size=%d",
-				i+1, e.ovfLen(), size, max(0, 12*(i-1)), wantSize)
+		wantInl, wantOvf := 10*(i+1), 0
+		if i >= 2 {
+			wantInl, wantOvf = 10, 10*i
+		}
+		if size != wantSize || e.ovfLen() != wantOvf || e.inlLen() != wantInl {
+			t.Fatalf("after %d touches: inline len=%d, overflow len=%d size=%d, want inline len=%d, overflow len=%d size=%d",
+				i+1, e.inlLen(), e.ovfLen(), size, wantInl, wantOvf, wantSize)
 		}
 	}
-	for c, size := range []int{16, 32, 48, 64} {
-		if n := len(s.overflow[c].free); n != 1 {
+	for c, size := range []int{20, 30, 40, 50, 60} {
+		if n := len(s.overflow[c+1].free); n != 1 {
 			t.Errorf("outgrown %d B buffers freed: %d, want one", size, n)
 		}
 	}
+	if n := len(s.overflow[0].free) + int(s.overflow[0].carved); n != 0 {
+		t.Errorf("the 10 B class was used %d times, want never: a spill moves a touch with it", n)
+	}
 	want := a.PeekPage(1)
 	a.Release()
-	if n := len(s.overflow[4].free); n != 1 {
-		t.Errorf("released page's 80 B buffer freed %d times, want 1", n)
+	if n := len(s.overflow[6].free); n != 1 {
+		t.Errorf("released page's 70 B buffer freed %d times, want 1", n)
 	}
 	b := img.NewClone()
 	for i := 0; i < 8; i++ {
@@ -182,12 +190,81 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	}
 }
 
+// A spill keeps the records in the order they were written: the inline
+// ones that still fit behind the overflow handle stay, and the rest go
+// to the front of the buffer. Every touch lands on bytes the one before
+// wrote, so applying them out of order reads back wrong. A page takes
+// deltaCap/10 touches lazily, in a buffer of exactly its overflow
+// records, and is promoted at the next.
+func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
+	s := NewStore()
+	img := BuildImage(s, 8, 4, 660)
+	a := img.NewClone()
+	want := imagePage(img, 1)
+	check := func(at string, vpn uint64) {
+		t.Helper()
+		if !bytes.Equal(a.PeekPage(vpn), want) {
+			t.Fatalf("%s: page %d reads back differently from its writes in order", at, vpn)
+		}
+	}
+	touches := deltaCap / recordSize(8)
+	for k := 1; k <= touches+1; k++ {
+		off := 100 + 3*k // each touch overwrites five bytes of the last
+		touch := make([]byte, 8)
+		for i := range touch {
+			touch[i] = byte(k*8 + i)
+		}
+		a.Write(1, off, touch)
+		copy(want[off:], touch)
+		at := fmt.Sprintf("after %d touches", k)
+		check(at, 1)
+		e := ownedEntry(t, a, 1)
+		if k > touches {
+			if e.isDelta() {
+				t.Fatalf("%s: the page is still a lazy delta with %d bytes of records", at, e.inlLen()+e.ovfLen())
+			}
+			break
+		}
+		wantInl, wantOvf := 10*k, 0
+		if k > 2 {
+			wantInl, wantOvf = 10, 10*(k-1)
+		}
+		if !e.isDelta() || e.inlLen() != wantInl || e.ovfLen() != wantOvf {
+			t.Fatalf("%s: lazy=%v with %d bytes inline and %d overflow, want %d and %d",
+				at, e.isDelta(), e.inlLen(), e.ovfLen(), wantInl, wantOvf)
+		}
+		if wantOvf > 0 && overflowSize(e.overflow()) != wantOvf {
+			t.Fatalf("%s: %d bytes of overflow in a %d B buffer", at, wantOvf, overflowSize(e.overflow()))
+		}
+	}
+
+	// A 15-byte write's 17-byte record is inline when the page spills: it
+	// cannot stay behind the handle, so it goes first in the buffer.
+	want = imagePage(img, 2)
+	long := bytes.Repeat([]byte{0xE1}, 15)
+	a.Write(2, 40, long)
+	copy(want[40:], long)
+	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	a.Write(2, 50, touch)
+	copy(want[50:], touch)
+	check("a touch after a 15-byte write", 2)
+	if e := ownedEntry(t, a, 2); e.inlLen() != 0 || e.ovfLen() != 27 {
+		t.Fatalf("spill behind a 17-byte record: %d bytes inline and %d overflow, want 0 and 27", e.inlLen(), e.ovfLen())
+	}
+	a.Write(2, 44, touch)
+	copy(want[44:], touch)
+	check("a second touch after the spill", 2)
+	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("promoted page differs from its writes in order")
+	}
+}
+
 // A class's buffers sit side by side in a chunk, and a class that
 // outgrows its chunk starts another. With every class holding two
 // chunks' worth of full buffers and one more at once, every page must
 // still read back what was written to it.
 func TestDeltaOverflowChunkBoundaries(t *testing.T) {
-	const pages = 2<<6 + 1 // the 16-byte class holds 64 buffers a chunk
+	const pages = 2<<6 + 1 // the 10-byte class holds 64 buffers a chunk
 	s := NewStore()
 	img := BuildImage(s, pages, pages, 900)
 	want := make([][]byte, pages)
@@ -210,14 +287,20 @@ func TestDeltaOverflowChunkBoundaries(t *testing.T) {
 				a.Write(uint64(vpn), off, b)
 				copy(page[off:], b)
 			}
-			// Each page's buffer is filled to its last byte: a 16-byte
-			// spill behind a 12-byte inline record in class 0, one record
-			// the class's size in the others.
+			// Each page's buffer is filled to its last byte: in class 0 a
+			// touch spilled behind an 11-byte record, which stays inline;
+			// in class 1 a third touch, which takes the second with it;
+			// in the others one record the class's size.
 			off := vpn * 29 % (PageSize - deltaCap)
-			if c == 0 {
+			switch c {
+			case 0:
+				write(off, 9)
+				write(off+100, 8)
+			case 1:
 				write(off, 8)
-				write(off+100, 12)
-			} else {
+				write(off+4, 8)
+				write(off+100, 8)
+			default:
 				write(off, (c+1)*deltaStep-deltaHdr)
 			}
 			e := ownedEntry(t, a, uint64(vpn))

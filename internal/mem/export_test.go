@@ -7,10 +7,19 @@ import "unsafe"
 
 // The delta record geometry, so generated writes can straddle its edges.
 const (
-	DeltaHdr    = deltaHdr
-	DeltaInline = deltaInline
-	DeltaCap    = deltaCap
+	DeltaHdr      = deltaHdr
+	DeltaShortMax = deltaShortMax
+	DeltaInline   = deltaInline
+	DeltaCap      = deltaCap
 )
+
+// Clones returns how many address spaces have been cloned from the
+// image over its lifetime.
+func (img *Image) Clones() uint64 { return img.clones }
+
+// SharedPages returns the number of resident pages backed by shared
+// frames (base-image pages, the zero frame, dedup hits).
+func (a *AddressSpace) SharedPages() int { return a.ResidentPages() - a.PrivatePages() }
 
 // PeekPage returns what Read(vpn, 0, PageSize) would, without promoting
 // or materializing anything: a test that looked with Read would turn

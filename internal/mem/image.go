@@ -123,10 +123,6 @@ func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
 	img.store.render(img.store.must(img.pages[vpn]), buf)
 }
 
-// Clones returns how many address spaces have been cloned from the
-// image over its lifetime.
-func (img *Image) Clones() uint64 { return img.clones }
-
 // NewClone attaches a new overlay address space to the image. This is
 // the memory half of flash cloning: O(1) work, zero frame copies, zero
 // new page-table entries until the clone writes.

@@ -30,7 +30,7 @@ const (
 	modelResident = 8
 	modelSeed     = 4077
 	// Eight snapshot clones own 72 delta pages between them: room for 65
-	// buffers of the 16-byte overflow class at once, one more than its
+	// buffers of the 10-byte overflow class at once, one more than its
 	// chunk holds.
 	modelMaxVMs = 8
 
@@ -171,10 +171,15 @@ func (m *model) copyVM(vm int) {
 }
 
 // writeLens are the lengths a generated write picks from: nothing, one
-// byte, the guest's 8-byte touch, the edges of the inline area and of
-// the cap (a record is its bytes plus a header), and whole pages.
+// byte, the guest's 8-byte touch, the edges of the record forms, of the
+// inline area and of the cap (a record is its bytes plus a header), and
+// whole pages. 14 and 15 bytes are a 16- and a 17-byte record, at the
+// edge of what stays inline behind an overflow handle; 15 and 16 are
+// the last short and the first long record; 16 and 17 are a 20- and a
+// 21-byte record, at the edge of the inline area.
 var writeLens = []int{
 	0, 1, 8,
+	mem.DeltaShortMax - 1, mem.DeltaShortMax,
 	mem.DeltaInline - mem.DeltaHdr, mem.DeltaInline - mem.DeltaHdr + 1,
 	100,
 	mem.DeltaCap - mem.DeltaHdr, mem.DeltaCap - mem.DeltaHdr + 1,
@@ -360,13 +365,27 @@ func FuzzSpaceOps(f *testing.F) {
 	// on another page three touches (two inline, one spilled); then a
 	// checkpoint, a restore, and a read of the restored page.
 	f.Add([]byte{0, 0, 0,
-		1, 0, 3, 6, 0, 1,
+		1, 0, 3, 8, 0, 1,
 		1, 0, 3, 1, 0, 2,
 		1, 0, 4, 2, 2, 3,
 		1, 0, 4, 2, 0, 4,
 		1, 0, 4, 2, 0, 5,
 		13, 0,
 		10, 1, 4, 0, 0, 255})
+	// One VM, each page a write at an edge of the record layout and a
+	// touch after it: a 16-byte record, which stays behind the overflow
+	// handle when the touch spills the page; a 17-byte one, which cannot
+	// and goes first in the buffer; a 20-byte (long) one, filling the
+	// inline area; a 21-byte one, which spills at once. Then a checkpoint,
+	// a restore, and reads that promote each page.
+	f.Add([]byte{0, 0, 0,
+		1, 0, 1, 3, 2, 1, 1, 0, 1, 2, 1, 0, 6, 2,
+		1, 0, 2, 4, 2, 3, 1, 0, 2, 2, 1, 0, 8, 4,
+		1, 0, 3, 5, 2, 5, 1, 0, 3, 2, 1, 0, 10, 6,
+		1, 0, 4, 6, 2, 7, 1, 0, 4, 2, 1, 0, 12, 8,
+		13, 0,
+		10, 0, 1, 0, 0, 255, 10, 0, 2, 0, 0, 255,
+		10, 1, 3, 0, 0, 255, 10, 1, 4, 0, 0, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip("long sequences only repeat what short ones reach")

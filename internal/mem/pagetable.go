@@ -13,12 +13,18 @@ import (
 // flatindex.Index from vpn to log position. Pages are never unmapped one
 // at a time, so neither structure deletes.
 
-// entry is one owned page: 40 bytes and free of Go pointers, so the
-// collector never scans a page table. ref is either the FrameID backing
-// the page or, with deltaTag set, a lazy delta: the page is the base
-// image's page vpn with write records applied in order, inl[:inlLen]
-// first and the overflow buffer after. No FrameID has the tag, because
-// the slab stops short of 2^31 slots.
+// entry is one owned page: 32 bytes and free of Go pointers, so the
+// collector never scans a page table. With deltaTag clear in lo, the
+// page is a frame: lo is its FrameID's low word and hi[0:4] the high
+// one, the generation. With deltaTag set it is a lazy delta: the page
+// is the base image's page vpn with write records applied in order,
+// the inline ones first and the overflow buffer's after. No FrameID has
+// the tag, because the slab stops short of 2^31 slots.
+//
+// A lazy delta's lo holds inline record bytes in bits 0–7 and overflow
+// record bytes from bit 8. Until it spills, its records are hi[:inlLen];
+// once it has overflow bytes, hi[0:4] is the overflow buffer's handle
+// and its inline records follow it.
 //
 // A lazy delta is a frame as far as the simulated machine can tell
 // (counted live, private to its space, a CowCopies), but it has no slab
@@ -27,57 +33,98 @@ import (
 // it promoted to an ordinary data frame first.
 type entry struct {
 	vpn uint64
-	ref uint64
-	inl [deltaInline]byte
+	lo  uint32
+	hi  [deltaInline]byte
 }
 
-// The delta form of entry.ref: inline record bytes in bits 0–7,
-// overflow record bytes in bits 8–23, the tag, and the overflow buffer's
-// handle (meaningful while there are overflow bytes; its size class in
-// the top four bits) in the high word.
 const deltaTag = 1 << 31
 
-func deltaRef(inlLen, ovfLen int, handle uint32) uint64 {
-	return deltaTag | uint64(handle)<<32 | uint64(ovfLen)<<8 | uint64(inlLen)
+func (e *entry) isDelta() bool { return e.lo&deltaTag != 0 }
+func (e *entry) inlLen() int   { return int(e.lo & 0xff) }
+func (e *entry) ovfLen() int   { return int(e.lo &^ deltaTag >> 8) }
+
+func (e *entry) frame() FrameID {
+	return FrameID(uint64(binary.LittleEndian.Uint32(e.hi[:]))<<32 | uint64(e.lo))
 }
 
-func (e *entry) isDelta() bool    { return e.ref&deltaTag != 0 }
-func (e *entry) frame() FrameID   { return FrameID(e.ref) }
-func (e *entry) inlLen() int      { return int(e.ref & 0xff) }
-func (e *entry) ovfLen() int      { return int(e.ref >> 8 & 0xffff) }
-func (e *entry) overflow() uint32 { return uint32(e.ref >> 32) }
+func (e *entry) setFrame(id FrameID) {
+	e.lo = uint32(id)
+	binary.LittleEndian.PutUint32(e.hi[:], uint32(id>>32))
+}
 
-// A delta record is a 4-byte header (offset, length; little-endian
-// uint16s) followed by the bytes written. deltaInline holds two of the
-// guest's 8-byte page touches; a page whose records would pass deltaCap
-// is promoted instead, which bounds what a read has to replay. Overflow
-// buffers come in size classes deltaStep bytes apart, up to deltaCap,
-// so a page pays for the records it has (to within 15 bytes) rather
-// than for the cap.
+func (e *entry) setDelta(inlLen, ovfLen int) {
+	e.lo = deltaTag | uint32(ovfLen)<<8 | uint32(inlLen)
+}
+
+// overflow is a spilled delta's overflow handle.
+func (e *entry) overflow() uint32 { return binary.LittleEndian.Uint32(e.hi[:]) }
+
+// inline is a lazy delta's inline records.
+func (e *entry) inline() []byte {
+	if e.ovfLen() > 0 {
+		return e.hi[overflowHandle : overflowHandle+e.inlLen()]
+	}
+	return e.hi[:e.inlLen()]
+}
+
+// A delta record is a header and the bytes written. A write of 1 to
+// deltaShortMax bytes (a guest's 8-byte touch is one) has a 2-byte
+// header, off | n<<12 as a little-endian uint16; a longer one has a
+// 4-byte header, off and n as two. off < PageSize = 1<<12, so the first
+// uint16 of the long form has its top four bits clear, which is how a
+// reader tells the forms apart.
+//
+// deltaInline holds two touches; once a page spills, at most
+// deltaInline - overflowHandle bytes of records stay inline behind the
+// handle. A page whose records would pass deltaCap (32 touches) is
+// promoted instead, which bounds what a read has to replay. Overflow
+// buffers come in size classes deltaStep bytes apart — one touch — up
+// to deltaCap, so a page pays for the records it has (to within 9
+// bytes) rather than for the cap.
 const (
-	deltaHdr     = 4
-	deltaInline  = 24
-	deltaCap     = 256
-	deltaStep    = 16
-	deltaClasses = deltaCap / deltaStep // 16, 32, ..., 256
+	deltaShortHdr  = 2
+	deltaHdr       = 4
+	deltaShortMax  = 15
+	deltaInline    = 20
+	overflowHandle = 4
+	deltaCap       = 320
+	deltaStep      = 10
+	deltaClasses   = deltaCap / deltaStep // 10, 20, 30, ..., 320
 )
+
+// recordSize is the size of the record of an n-byte write.
+func recordSize(n int) int {
+	if n <= deltaShortMax {
+		return deltaShortHdr + n
+	}
+	return deltaHdr + n
+}
 
 // deltaClass is the index of the smallest overflow size class holding n
 // bytes (1 <= n <= deltaCap).
 func deltaClass(n int) int { return (n - 1) / deltaStep }
 
+// nextRecord reads the record at the front of recs: where its bytes go,
+// and where in recs they are.
+func nextRecord(recs []byte) (off, start, end int) {
+	h := int(binary.LittleEndian.Uint16(recs))
+	if n := h >> 12; n > 0 {
+		return h & (PageSize - 1), deltaShortHdr, deltaShortHdr + n
+	}
+	return h, deltaHdr, deltaHdr + int(binary.LittleEndian.Uint16(recs[2:]))
+}
+
 // applyDelta replays write records onto page.
 func applyDelta(page, recs []byte) {
 	for len(recs) > 0 {
-		off := int(binary.LittleEndian.Uint16(recs[0:]))
-		n := int(binary.LittleEndian.Uint16(recs[2:]))
-		copy(page[off:], recs[deltaHdr:deltaHdr+n])
-		recs = recs[deltaHdr+n:]
+		off, start, end := nextRecord(recs)
+		copy(page[off:], recs[start:end])
+		recs = recs[end:]
 	}
 }
 
 // overflowClass is the store's arena for one size class of overflow
-// buffers. A buffer is named by a handle — class in the top four bits,
+// buffers. A buffer is named by a handle — class in the top five bits,
 // position below — rather than held by pointer, which is what keeps
 // entries pointer-free. Like the slab, the arena grows a chunk at a
 // time, never moves a buffer, and keeps what its peak needed.
@@ -88,14 +135,15 @@ type overflowClass struct {
 }
 
 // A chunk is at most overflowChunkBytes: as many buffers of its class as
-// fit, rounded down to a power of two (64 of 16 B, 32 of 32 B, 16 of 48
-// or 64 B, 8 of 80–128 B, 4 of 144–256 B), so locating a buffer is a
-// shift and a mask. A store holds the uncarved tail of one chunk for
-// every class it has used, and every simulated server has a store, so
-// the tails are paid per server: at a kilobyte a chunk, under 16 KiB.
+// fit, rounded down to a power of two (64 of 10 B, 32 of 20 or 30 B, 16
+// of 40–60 B, 8 of 70–120 B, 4 of 130–250 B, 2 of 260–320 B), so
+// locating a buffer is a shift and a mask. A store holds the uncarved
+// tail of one chunk for every class it has used, and every simulated
+// server has a store, so the tails are paid per server: a chunk less
+// one buffer in each of 32 classes, at most 17,860 B.
 const (
 	overflowChunkBytes = 1024
-	overflowPosBits    = 28
+	overflowPosBits    = 27
 	overflowPosMask    = 1<<overflowPosBits - 1
 )
 
@@ -113,7 +161,7 @@ func (s *Store) overflowAlloc(class int) uint32 {
 	if !ok {
 		pos = oc.carved
 		if pos > overflowPosMask {
-			panic("mem: overflow arena full") // the handle has 28 bits of position
+			panic("mem: overflow arena full") // the handle has 27 bits of position
 		}
 		if shift := overflowShift[class]; pos&(1<<shift-1) == 0 {
 			oc.chunks = append(oc.chunks, make([]byte, (class+1)*deltaStep<<shift))
@@ -142,7 +190,7 @@ func (s *Store) overflowFree(handle uint32) {
 	oc.free = append(oc.free, handle&overflowPosMask)
 }
 
-// chunkEntries sizes a page-table chunk (1,280 bytes): a guest's start
+// chunkEntries sizes a page-table chunk (1 KiB): a guest's start
 // burst and the touches that follow fit two.
 const chunkEntries = 32
 
@@ -150,7 +198,7 @@ type tableChunk [chunkEntries]entry
 
 // tableLog is the log's chunks, which is what the index reads: a handle
 // is a log position plus one (0 is an empty slot) as a uint32 — a space
-// cannot own 2^32 pages, whose entries alone would be 160 GiB — and its
+// cannot own 2^32 pages, whose entries alone would be 128 GiB — and its
 // key is the entry's vpn, hashed as it is (the index mixes it).
 type tableLog []*tableChunk
 
@@ -192,15 +240,11 @@ func (a *AddressSpace) probe(vpn uint64) (*entry, int) {
 }
 
 // add appends an entry for vpn, which probe just found absent at index
-// slot i. The caller sets ref; whatever a previous tenant of the chunk
-// left in inl is dead because the new ref says how much of it counts.
+// slot i. The caller sets the rest; whatever a previous tenant of the
+// chunk left in hi is dead because the new lo says how much of it counts.
 func (a *AddressSpace) add(vpn uint64, i int) *entry {
 	if a.n == len(a.chunks)*chunkEntries {
-		c, ok := pop(&a.store.chunkFree)
-		if !ok {
-			c = new(tableChunk)
-		}
-		a.chunks = append(a.chunks, c)
+		a.chunks = append(a.chunks, a.store.newChunk())
 	}
 	e := a.at(a.n)
 	a.n++
@@ -212,6 +256,14 @@ func (a *AddressSpace) add(vpn uint64, i int) *entry {
 		a.index.InsertAt(a.chunks, uint32(a.n), i)
 	}
 	return e
+}
+
+// newChunk is a page-table chunk from the store's pool, or a new one.
+func (s *Store) newChunk() *tableChunk {
+	if c, ok := pop(&s.chunkFree); ok {
+		return c
+	}
+	return new(tableChunk)
 }
 
 // growIndex moves the page index to the smallest size that holds n
@@ -246,30 +298,51 @@ func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
 	if len(b) == 0 {
 		return true
 	}
-	need := deltaHdr + len(b)
+	need := recordSize(len(b))
 	inl, ovf := e.inlLen(), e.ovfLen()
 	if inl+ovf+need > deltaCap {
 		return false
 	}
 	// Records apply inline-first, so nothing goes inline after a spill.
 	if ovf == 0 && inl+need <= deltaInline {
-		putRecord(e.inl[inl:], off, b)
-		e.ref = deltaRef(inl+need, 0, 0)
+		putRecord(e.hi[inl:], off, b)
+		e.setDelta(inl+need, 0)
 		return true
 	}
 	s := a.store
-	handle := e.overflow()
 	if ovf == 0 {
-		handle = s.overflowAlloc(deltaClass(need))
-	} else if ovf+need > overflowSize(handle) {
+		// The first spill. The handle takes the front of hi: the records
+		// that fit behind it move back, and the rest go first in the
+		// buffer, ahead of this one.
+		keep := 0
+		for keep < inl {
+			_, _, end := nextRecord(e.hi[keep:])
+			if keep+end > deltaInline-overflowHandle {
+				break
+			}
+			keep += end
+		}
+		moved := inl - keep
+		handle := s.overflowAlloc(deltaClass(moved + need))
+		buf := s.overflowBuf(handle)
+		copy(buf, e.hi[keep:inl])
+		copy(e.hi[overflowHandle:], e.hi[:keep])
+		binary.LittleEndian.PutUint32(e.hi[:], handle)
+		putRecord(buf[moved:], off, b)
+		e.setDelta(keep, moved+need)
+		return true
+	}
+	handle := e.overflow()
+	if ovf+need > overflowSize(handle) {
 		// Move up a size class; the outgrown buffer goes back to its own.
 		grown := s.overflowAlloc(deltaClass(ovf + need))
 		copy(s.overflowBuf(grown), s.overflowBuf(handle)[:ovf])
 		s.overflowFree(handle)
 		handle = grown
+		binary.LittleEndian.PutUint32(e.hi[:], handle)
 	}
 	putRecord(s.overflowBuf(handle)[ovf:], off, b)
-	e.ref = deltaRef(inl, ovf+need, handle)
+	e.setDelta(inl, ovf+need)
 	return true
 }
 
@@ -278,19 +351,25 @@ func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
 // body of an 8-byte write (a guest's touch): a variable-length copy
 // would cost a call to memmove.
 func putRecord(dst []byte, off int, b []byte) {
-	binary.LittleEndian.PutUint32(dst, uint32(uint16(off))|uint32(uint16(len(b)))<<16)
+	hdr := deltaHdr
+	if len(b) <= deltaShortMax {
+		binary.LittleEndian.PutUint16(dst, uint16(off|len(b)<<12))
+		hdr = deltaShortHdr
+	} else {
+		binary.LittleEndian.PutUint32(dst, uint32(uint16(off))|uint32(uint16(len(b)))<<16)
+	}
 	if len(b) == 8 {
-		binary.LittleEndian.PutUint64(dst[deltaHdr:], binary.LittleEndian.Uint64(b))
+		binary.LittleEndian.PutUint64(dst[hdr:], binary.LittleEndian.Uint64(b))
 		return
 	}
-	copy(dst[deltaHdr:], b)
+	copy(dst[hdr:], b)
 }
 
 // renderDelta writes lazy delta e's content into buf: the image's page
 // with the records replayed. It panics if the image is gone.
 func (a *AddressSpace) renderDelta(e *entry, buf *[PageSize]byte) {
 	a.base.render(e.vpn, buf)
-	applyDelta(buf[:], e.inl[:e.inlLen()])
+	applyDelta(buf[:], e.inline())
 	if n := e.ovfLen(); n > 0 {
 		applyDelta(buf[:], a.store.overflowBuf(e.overflow())[:n])
 	}
@@ -309,6 +388,6 @@ func (a *AddressSpace) promote(e *entry) *frame {
 	f.data = buf
 	f.holder = a
 	f.flags |= flagPriv
-	e.ref = uint64(id)
+	e.setFrame(id)
 	return f
 }

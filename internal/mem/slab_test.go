@@ -26,8 +26,8 @@ func TestFrameSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(frame{}); got > 40 {
 		t.Errorf("frame slot is %d bytes, want at most 40", got)
 	}
-	if got := unsafe.Sizeof(entry{}); got > 40 {
-		t.Errorf("page-table entry is %d bytes, want at most 40", got)
+	if got := unsafe.Sizeof(entry{}); got > 32 {
+		t.Errorf("page-table entry is %d bytes, want at most 32", got)
 	}
 }
 
@@ -42,28 +42,43 @@ func TestStoreHostBytes(t *testing.T) {
 	}
 	a := BuildImage(s, 8, 4, 800).NewClone()
 	defer a.Release()
-	// A 9-byte record stays inline, each 16-byte one spills the page into
-	// the next class, and a last 7-byte one brings it to the cap.
-	a.Write(1, 0, []byte{1, 2, 3, 4, 5})
+	// An 11-byte record stays inline, each touch spills the page into the
+	// next class, and a last 9-byte record brings it to the cap in class
+	// 30. No page that passes through class 0 can reach class 31 (its
+	// inline record is more than 10 bytes, and the cap counts it), so a
+	// second page's single 320-byte record starts there.
+	a.Write(1, 0, bytes.Repeat([]byte{0xAA}, 9))
 	for c := 0; c < deltaClasses; c++ {
-		b := bytes.Repeat([]byte{byte(c + 1)}, 12)
-		if c == deltaClasses-1 {
-			b = b[:3]
+		vpn, b := uint64(1), bytes.Repeat([]byte{byte(c + 1)}, 8)
+		switch c {
+		case deltaClasses - 2:
+			b = b[:7]
+		case deltaClasses - 1:
+			vpn, b = 2, bytes.Repeat([]byte{0xBB}, deltaCap-deltaHdr)
 		}
-		a.Write(1, 16*(c+1), b)
-		if e := ownedEntry(t, a, 1); !e.isDelta() || e.ovfLen() == 0 || int(e.overflow()>>overflowPosBits) != c {
-			t.Fatalf("write %d: the page is not a delta in overflow class %d", c+2, c)
+		a.Write(vpn, 10*(c+2), b)
+		if e := ownedEntry(t, a, vpn); !e.isDelta() || e.ovfLen() == 0 || int(e.overflow()>>overflowPosBits) != c {
+			t.Fatalf("write %d: page %d is not a delta in overflow class %d", c+2, vpn, c)
 		}
+	}
+	if e := ownedEntry(t, a, 1); e.inlLen()+e.ovfLen() != deltaCap {
+		t.Fatalf("the walk ends with %d bytes of records, want the cap", e.inlLen()+e.ovfLen())
 	}
 	slab, overflow := s.ChunkBytes()
 	if slab > 1024 {
 		t.Errorf("after one page's walk the store holds %d B of slab, want at most 1 KiB", slab)
 	}
+	tails := 0
 	for c, chunks := range overflow {
 		if len(chunks) != 1 || chunks[0] > 1024 {
 			t.Errorf("class %d (%d B buffers) holds chunks of %v B, want one of at most 1 KiB",
 				c, (c+1)*deltaStep, chunks)
+			continue
 		}
+		tails += chunks[0] - (c+1)*deltaStep
+	}
+	if tails != 17860 {
+		t.Errorf("uncarved tails of one buffer in every class add to %d B, want 17,860", tails)
 	}
 }
 

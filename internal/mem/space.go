@@ -82,7 +82,7 @@ func (a *AddressSpace) checkPage(vpn uint64) {
 // which the base image does not back, to frame id. Reference counts are
 // the caller's business.
 func (a *AddressSpace) mapFrame(vpn uint64, i int, id FrameID) {
-	a.add(vpn, i).ref = uint64(id)
+	a.add(vpn, i).setFrame(id)
 	a.store.addHolder(id, a)
 }
 
@@ -94,7 +94,7 @@ func (a *AddressSpace) setFrame(e *entry, id FrameID) {
 		a.store.dropHolder(old, a)
 		a.store.addHolder(id, a)
 	}
-	e.ref = uint64(id)
+	e.setFrame(id)
 }
 
 // Read copies n bytes at (vpn, off) into a fresh slice. Unmapped pages
@@ -158,7 +158,7 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 		a.shadowed++
 		a.stats.CowFaults++
 		e = a.add(vpn, i)
-		e.ref = deltaRef(0, 0, 0)
+		e.setDelta(0, 0)
 		if !a.appendDelta(e, off, b) {
 			copy(a.promote(e).data[off:], b)
 		}
@@ -171,14 +171,20 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 	return true
 }
 
-// Reserve sizes the page table's index for n more owned pages, so that
-// a burst of faults adding up to n pages grows it at most here, once.
-// It never shrinks the index, and changes nothing the space reads back.
+// Reserve sizes the page table's index and its chunk list for n more
+// owned pages, so that a burst of faults adding up to n pages grows
+// each at most here, once. It never shrinks either, and changes nothing
+// the space reads back.
 func (a *AddressSpace) Reserve(n int) {
 	if a.released {
 		panic("mem: use of released address space")
 	}
 	a.growIndex(a.n + n)
+	if chunks := (a.n + n + chunkEntries - 1) / chunkEntries; chunks > cap(a.chunks) {
+		grown := make(tableLog, len(a.chunks), chunks)
+		copy(grown, a.chunks)
+		a.chunks = grown
+	}
 }
 
 // EachOwnedPage visits every page the space maps directly (private
@@ -215,10 +221,6 @@ func (a *AddressSpace) PrivatePages() int { return a.private }
 
 // PrivateBytes is PrivatePages in bytes.
 func (a *AddressSpace) PrivateBytes() uint64 { return uint64(a.PrivatePages()) * PageSize }
-
-// SharedPages returns the number of resident pages backed by shared
-// frames (base-image pages, the zero frame, dedup hits).
-func (a *AddressSpace) SharedPages() int { return a.ResidentPages() - a.PrivatePages() }
 
 // Release unmaps everything, dropping frame references and detaching
 // from the base image. The space is unusable afterwards; a clone goes
