@@ -148,7 +148,7 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	img := BuildImage(s, 8, 4, 650)
 	a := img.NewClone()
 	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 10-byte record
-	for i, wantSize := range []int{0, 0, 20, 30, 40, 50, 60, 70} {
+	for i, wantSize := range []int{0, 0, 10, 20, 30, 40, 50, 60} {
 		a.Write(1, 16*i, touch)
 		e, size := ownedEntry(t, a, 1), 0
 		if e.ovfLen() > 0 {
@@ -156,25 +156,25 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 		}
 		wantInl, wantOvf := 10*(i+1), 0
 		if i >= 2 {
-			wantInl, wantOvf = 10, 10*i
+			wantInl, wantOvf = 20, 10*(i-1)
 		}
 		if size != wantSize || e.ovfLen() != wantOvf || e.inlLen() != wantInl {
 			t.Fatalf("after %d touches: inline len=%d, overflow len=%d size=%d, want inline len=%d, overflow len=%d size=%d",
 				i+1, e.inlLen(), e.ovfLen(), size, wantInl, wantOvf, wantSize)
 		}
 	}
-	for c, size := range []int{20, 30, 40, 50, 60} {
-		if n := len(s.overflow[c+1].free); n != 1 {
+	for c, size := range []int{10, 20, 30, 40, 50} {
+		if n := len(s.overflow[c].free); n != 1 {
 			t.Errorf("outgrown %d B buffers freed: %d, want one", size, n)
 		}
 	}
-	if n := len(s.overflow[0].free) + int(s.overflow[0].carved); n != 0 {
-		t.Errorf("the 10 B class was used %d times, want never: a spill moves a touch with it", n)
+	if n := len(s.overflow[6].free) + int(s.overflow[6].carved); n != 0 {
+		t.Errorf("the 70 B class was used %d times, want never: a spill leaves both inline touches inline", n)
 	}
 	want := a.PeekPage(1)
 	a.Release()
-	if n := len(s.overflow[6].free); n != 1 {
-		t.Errorf("released page's 70 B buffer freed %d times, want 1", n)
+	if n := len(s.overflow[5].free); n != 1 {
+		t.Errorf("released page's 60 B buffer freed %d times, want 1", n)
 	}
 	b := img.NewClone()
 	for i := 0; i < 8; i++ {
@@ -191,9 +191,9 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 }
 
 // A spill keeps the records in the order they were written: the inline
-// ones that still fit behind the overflow handle stay, and the rest go
-// to the front of the buffer. Every touch lands on bytes the one before
-// wrote, so applying them out of order reads back wrong. A page takes
+// ones stay, and the buffer takes the ones after them. Every touch
+// lands on bytes the one before wrote, so applying them out of order
+// reads back wrong. A page takes
 // deltaCap/10 touches lazily, in a buffer of exactly its overflow
 // records, and is promoted at the next.
 func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
@@ -227,7 +227,7 @@ func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
 		}
 		wantInl, wantOvf := 10*k, 0
 		if k > 2 {
-			wantInl, wantOvf = 10, 10*(k-1)
+			wantInl, wantOvf = 20, 10*(k-2)
 		}
 		if !e.isDelta() || e.inlLen() != wantInl || e.ovfLen() != wantOvf {
 			t.Fatalf("%s: lazy=%v with %d bytes inline and %d overflow, want %d and %d",
@@ -239,7 +239,7 @@ func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
 	}
 
 	// A 15-byte write's 17-byte record is inline when the page spills: it
-	// cannot stay behind the handle, so it goes first in the buffer.
+	// stays there, and the touch starts the buffer.
 	want = imagePage(img, 2)
 	long := bytes.Repeat([]byte{0xE1}, 15)
 	a.Write(2, 40, long)
@@ -248,14 +248,121 @@ func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
 	a.Write(2, 50, touch)
 	copy(want[50:], touch)
 	check("a touch after a 15-byte write", 2)
-	if e := ownedEntry(t, a, 2); e.inlLen() != 0 || e.ovfLen() != 27 {
-		t.Fatalf("spill behind a 17-byte record: %d bytes inline and %d overflow, want 0 and 27", e.inlLen(), e.ovfLen())
+	if e := ownedEntry(t, a, 2); e.inlLen() != 17 || e.ovfLen() != 10 {
+		t.Fatalf("spill behind a 17-byte record: %d bytes inline and %d overflow, want 17 and 10", e.inlLen(), e.ovfLen())
 	}
 	a.Write(2, 44, touch)
 	copy(want[44:], touch)
 	check("a second touch after the spill", 2)
+	if e := ownedEntry(t, a, 2); e.inlLen() != 17 || e.ovfLen() != 20 {
+		t.Fatalf("a second touch after the spill: %d bytes inline and %d overflow, want 17 and 20", e.inlLen(), e.ovfLen())
+	}
 	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("promoted page differs from its writes in order")
+	}
+}
+
+// A spilled page keeps both inline touches: its overflow handle sits in
+// the high word of the entry's vpn, where a lazy delta's page number
+// (an image's, below 2^32) leaves room, so hi stays all records. Each
+// touch from the third on goes to a buffer of exactly its overflow, and
+// the index, which keys on the page number, still finds the page.
+func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
+	s := NewStore()
+	img := BuildImage(s, 8, 4, 670)
+	a := img.NewClone()
+	// Another page spills first, so that no handle of the page under test
+	// is the all-zero one the high word holds before a spill.
+	for i := 0; i < 3; i++ {
+		a.Write(0, 10*i, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	}
+	const vpn = 3
+	want := imagePage(img, vpn)
+	var inline [deltaInline]byte
+	for k := 1; k <= deltaCap/recordSize(8); k++ {
+		off := 200 + 5*k
+		touch := make([]byte, 8)
+		for i := range touch {
+			touch[i] = byte(k*16 + i)
+		}
+		a.Write(vpn, off, touch)
+		copy(want[off:], touch)
+		at := fmt.Sprintf("after %d touches", k)
+		if !bytes.Equal(a.PeekPage(vpn), want) {
+			t.Fatalf("%s: page reads back differently from its writes", at)
+		}
+		e := ownedEntry(t, a, vpn)
+		if k == 2 {
+			inline = e.hi
+		}
+		if k < 3 {
+			continue
+		}
+		wantOvf := 10 * (k - 2)
+		if !e.isDelta() || e.inlLen() != deltaInline || e.hi != inline || e.ovfLen() != wantOvf {
+			t.Fatalf("%s: lazy=%v with %d bytes inline (unmoved: %v) and %d overflow, want %d unmoved and %d",
+				at, e.isDelta(), e.inlLen(), e.hi == inline, e.ovfLen(), deltaInline, wantOvf)
+		}
+		h := e.overflow()
+		if overflowSize(h) != wantOvf || int(h>>overflowPosBits) != deltaClass(wantOvf) {
+			t.Fatalf("%s: %d bytes of overflow in a %d B buffer, want one of exactly that class", at, wantOvf, overflowSize(h))
+		}
+		if e.vpn>>32 != uint64(h) || h == 0 || e.page() != vpn {
+			t.Fatalf("%s: vpn %#x, want handle %#x over page %d", at, e.vpn, h, vpn)
+		}
+		if found, _ := a.probe(vpn); found != e || a.OwnedPages() != 2 {
+			t.Fatalf("%s: the index lost the page (found %p, want %p; %d pages owned)", at, found, e, a.OwnedPages())
+		}
+	}
+	// Growing the index rehashes every entry by its key: a spilled page
+	// must move to the home of its page number, not of its vpn.
+	a.Reserve(64)
+	if e, _ := a.probe(vpn); e == nil || e.ovfLen() == 0 {
+		t.Fatal("a spilled page was lost when the index grew")
+	}
+	var owned []uint64
+	a.EachOwnedPage(func(p uint64) { owned = append(owned, p) })
+	if !reflect.DeepEqual(owned, []uint64{0, vpn}) {
+		t.Errorf("owned pages %v, want [0 %d]", owned, vpn)
+	}
+	// The next touch passes the cap, and the promoted frame's vpn is the
+	// page number alone.
+	a.Write(vpn, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	copy(want, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if e := ownedEntry(t, a, vpn); e.isDelta() || e.vpn != vpn {
+		t.Fatalf("past the cap: lazy=%v vpn %#x, want a frame at page %d", e.isDelta(), e.vpn, vpn)
+	}
+	if got := a.Read(vpn, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("promoted page differs from its writes in order")
+	}
+	a.Release()
+	img.Release()
+	if err := s.CheckRefs(ExternalRefs(nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// No image backs a page at or above 2^32, which is what lets a lazy
+// delta keep its overflow handle above its page number. Image specs are
+// compiled in, so both kinds of image panic rather than return an error.
+func TestImagePagesBelow2To32(t *testing.T) {
+	s := NewStore()
+	BuildImage(s, 1<<33, 1<<32, 1).Release() // backs pages up to 2^32 - 1
+	wide := NewAddressSpace(s, 1<<33)
+	defer wide.Release()
+	wide.Write(1<<32, 0, []byte{1})
+	for name, op := range map[string]func(){
+		"BuildImage": func() { BuildImage(s, 1<<33, 1<<32+1, 1) },
+		"Snapshot":   func() { Snapshot(wide) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of an image backing page 2^32 did not panic", name)
+				}
+			}()
+			op()
+		}()
 	}
 }
 
@@ -289,8 +396,9 @@ func TestDeltaOverflowChunkBoundaries(t *testing.T) {
 			}
 			// Each page's buffer is filled to its last byte: in class 0 a
 			// touch spilled behind an 11-byte record, which stays inline;
-			// in class 1 a third touch, which takes the second with it;
-			// in the others one record the class's size.
+			// in class 1 the third and fourth touches behind two inline
+			// ones, the fourth moving the buffer up from class 0; in the
+			// others one record the class's size.
 			off := vpn * 29 % (PageSize - deltaCap)
 			switch c {
 			case 0:
@@ -300,6 +408,7 @@ func TestDeltaOverflowChunkBoundaries(t *testing.T) {
 				write(off, 8)
 				write(off+4, 8)
 				write(off+100, 8)
+				write(off+104, 8)
 			default:
 				write(off, (c+1)*deltaStep-deltaHdr)
 			}
@@ -379,7 +488,7 @@ func TestSharePassMergesDeltaFrames(t *testing.T) {
 	}
 	for i := 0; i < b.n; i++ {
 		if e := b.at(i); e.isDelta() {
-			t.Errorf("page %d still lazy after a share pass", e.vpn)
+			t.Errorf("page %d still lazy after a share pass", e.page())
 		}
 	}
 	if after := s.Stats(); after.Allocs != before.Allocs || after.Frees != before.Frees+1 || s.FrameCount() != 1+4+2 {

@@ -29,6 +29,12 @@ type Image struct {
 	released bool
 }
 
+// maxImagePages bounds the pages an image backs: a lazy delta keeps its
+// image page's number in the low word of its entry's vpn (see entry).
+// Image specs are compiled in, so exceeding it is a bug, not an input
+// error, and panics.
+const maxImagePages = 1 << 32
+
 // Snapshot freezes the current contents of a scratch address space as
 // an Image. The source space remains usable; its pages become shared,
 // so its next write to each page will CoW. Snapshotting an overlay
@@ -42,7 +48,10 @@ func Snapshot(a *AddressSpace) *Image {
 	}
 	var top uint64
 	for i := 0; i < a.n; i++ {
-		top = max(top, a.at(i).vpn+1)
+		top = max(top, a.at(i).page()+1)
+	}
+	if top > maxImagePages {
+		panic(fmt.Sprintf("mem: snapshot of page %d: an image backs pages below 2^32", top-1))
 	}
 	img := &Image{
 		store:    a.store,
@@ -53,7 +62,7 @@ func Snapshot(a *AddressSpace) *Image {
 	for i := 0; i < a.n; i++ {
 		e := a.at(i) // a frame: only a clone has lazy deltas
 		a.store.IncRef(e.frame())
-		img.pages[e.vpn] = e.frame()
+		img.pages[e.page()] = e.frame()
 	}
 	return img
 }
@@ -65,6 +74,9 @@ func Snapshot(a *AddressSpace) *Image {
 func BuildImage(store *Store, numPages, residentPages, seed uint64) *Image {
 	if residentPages > numPages {
 		panic(fmt.Sprintf("mem: resident %d > total %d", residentPages, numPages))
+	}
+	if residentPages > maxImagePages {
+		panic(fmt.Sprintf("mem: resident %d: an image backs pages below 2^32", residentPages))
 	}
 	if seed+residentPages < seed {
 		panic("mem: BuildImage seed wraps to a zero pattern seed")

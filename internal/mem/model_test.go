@@ -173,10 +173,10 @@ func (m *model) copyVM(vm int) {
 // writeLens are the lengths a generated write picks from: nothing, one
 // byte, the guest's 8-byte touch, the edges of the record forms, of the
 // inline area and of the cap (a record is its bytes plus a header), and
-// whole pages. 14 and 15 bytes are a 16- and a 17-byte record, at the
-// edge of what stays inline behind an overflow handle; 15 and 16 are
-// the last short and the first long record; 16 and 17 are a 20- and a
-// 21-byte record, at the edge of the inline area.
+// whole pages. 14 and 15 bytes are a 16- and a 17-byte record, which
+// leave the inline area less room than a touch and spill the page at
+// the next; 15 and 16 are the last short and the first long record; 16
+// and 17 are a 20- and a 21-byte record, at the edge of the inline area.
 var writeLens = []int{
 	0, 1, 8,
 	mem.DeltaShortMax - 1, mem.DeltaShortMax,
@@ -373,11 +373,10 @@ func FuzzSpaceOps(f *testing.F) {
 		13, 0,
 		10, 1, 4, 0, 0, 255})
 	// One VM, each page a write at an edge of the record layout and a
-	// touch after it: a 16-byte record, which stays behind the overflow
-	// handle when the touch spills the page; a 17-byte one, which cannot
-	// and goes first in the buffer; a 20-byte (long) one, filling the
-	// inline area; a 21-byte one, which spills at once. Then a checkpoint,
-	// a restore, and reads that promote each page.
+	// touch after it: a 16- and a 17-byte record, which stay inline when
+	// the touch spills the page; a 20-byte (long) one, filling the inline
+	// area; a 21-byte one, which spills at once. Then a checkpoint, a
+	// restore, and reads that promote each page.
 	f.Add([]byte{0, 0, 0,
 		1, 0, 1, 3, 2, 1, 1, 0, 1, 2, 1, 0, 6, 2,
 		1, 0, 2, 4, 2, 3, 1, 0, 2, 2, 1, 0, 8, 4,

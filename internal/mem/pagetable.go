@@ -17,14 +17,17 @@ import (
 // collector never scans a page table. With deltaTag clear in lo, the
 // page is a frame: lo is its FrameID's low word and hi[0:4] the high
 // one, the generation. With deltaTag set it is a lazy delta: the page
-// is the base image's page vpn with write records applied in order,
-// the inline ones first and the overflow buffer's after. No FrameID has
+// is the base image's page with write records applied in order, the
+// inline ones first and the overflow buffer's after. No FrameID has
 // the tag, because the slab stops short of 2^31 slots.
 //
 // A lazy delta's lo holds inline record bytes in bits 0–7 and overflow
-// record bytes from bit 8. Until it spills, its records are hi[:inlLen];
-// once it has overflow bytes, hi[0:4] is the overflow buffer's handle
-// and its inline records follow it.
+// record bytes from bit 8, and its records are hi[:inlLen] whether or
+// not it has spilled. Its page is an image's, and no image backs a page
+// at or above 2^32 (BuildImage and Snapshot enforce it), so its page
+// number is vpn's low word: once it has overflow bytes, the high word is
+// the overflow buffer's handle. A frame's page number is all of vpn;
+// page reads either kind's.
 //
 // A lazy delta is a frame as far as the simulated machine can tell
 // (counted live, private to its space, a CowCopies), but it has no slab
@@ -56,15 +59,19 @@ func (e *entry) setDelta(inlLen, ovfLen int) {
 	e.lo = deltaTag | uint32(ovfLen)<<8 | uint32(inlLen)
 }
 
-// overflow is a spilled delta's overflow handle.
-func (e *entry) overflow() uint32 { return binary.LittleEndian.Uint32(e.hi[:]) }
-
-// inline is a lazy delta's inline records.
-func (e *entry) inline() []byte {
-	if e.ovfLen() > 0 {
-		return e.hi[overflowHandle : overflowHandle+e.inlLen()]
+// page is the entry's page number: vpn, less a lazy delta's high word.
+func (e *entry) page() uint64 {
+	if e.isDelta() {
+		return uint64(uint32(e.vpn))
 	}
-	return e.hi[:e.inlLen()]
+	return e.vpn
+}
+
+// overflow is a spilled delta's overflow handle.
+func (e *entry) overflow() uint32 { return uint32(e.vpn >> 32) }
+
+func (e *entry) setOverflow(handle uint32) {
+	e.vpn = uint64(handle)<<32 | uint64(uint32(e.vpn))
 }
 
 // A delta record is a header and the bytes written. A write of 1 to
@@ -74,22 +81,20 @@ func (e *entry) inline() []byte {
 // uint16 of the long form has its top four bits clear, which is how a
 // reader tells the forms apart.
 //
-// deltaInline holds two touches; once a page spills, at most
-// deltaInline - overflowHandle bytes of records stay inline behind the
-// handle. A page whose records would pass deltaCap (32 touches) is
-// promoted instead, which bounds what a read has to replay. Overflow
+// deltaInline holds two touches, and they stay when a page spills. A
+// page whose records would pass deltaCap (32 touches) is promoted
+// instead, which bounds what a read has to replay. Overflow
 // buffers come in size classes deltaStep bytes apart — one touch — up
 // to deltaCap, so a page pays for the records it has (to within 9
 // bytes) rather than for the cap.
 const (
-	deltaShortHdr  = 2
-	deltaHdr       = 4
-	deltaShortMax  = 15
-	deltaInline    = 20
-	overflowHandle = 4
-	deltaCap       = 320
-	deltaStep      = 10
-	deltaClasses   = deltaCap / deltaStep // 10, 20, 30, ..., 320
+	deltaShortHdr = 2
+	deltaHdr      = 4
+	deltaShortMax = 15
+	deltaInline   = 20
+	deltaCap      = 320
+	deltaStep     = 10
+	deltaClasses  = deltaCap / deltaStep // 10, 20, 30, ..., 320
 )
 
 // recordSize is the size of the record of an n-byte write.
@@ -199,10 +204,10 @@ type tableChunk [chunkEntries]entry
 // tableLog is the log's chunks, which is what the index reads: a handle
 // is a log position plus one (0 is an empty slot) as a uint32 — a space
 // cannot own 2^32 pages, whose entries alone would be 128 GiB — and its
-// key is the entry's vpn, hashed as it is (the index mixes it).
+// key is the entry's page, hashed as it is (the index mixes it).
 type tableLog []*tableChunk
 
-func (l tableLog) Key(pos uint32) uint64 { return l[(pos-1)/chunkEntries][(pos-1)%chunkEntries].vpn }
+func (l tableLog) Key(pos uint32) uint64 { return l[(pos-1)/chunkEntries][(pos-1)%chunkEntries].page() }
 
 func (tableLog) Hash(vpn uint64) uint64 { return vpn }
 
@@ -311,37 +316,17 @@ func (a *AddressSpace) appendDelta(e *entry, off int, b []byte) bool {
 	}
 	s := a.store
 	if ovf == 0 {
-		// The first spill. The handle takes the front of hi: the records
-		// that fit behind it move back, and the rest go first in the
-		// buffer, ahead of this one.
-		keep := 0
-		for keep < inl {
-			_, _, end := nextRecord(e.hi[keep:])
-			if keep+end > deltaInline-overflowHandle {
-				break
-			}
-			keep += end
-		}
-		moved := inl - keep
-		handle := s.overflowAlloc(deltaClass(moved + need))
-		buf := s.overflowBuf(handle)
-		copy(buf, e.hi[keep:inl])
-		copy(e.hi[overflowHandle:], e.hi[:keep])
-		binary.LittleEndian.PutUint32(e.hi[:], handle)
-		putRecord(buf[moved:], off, b)
-		e.setDelta(keep, moved+need)
-		return true
-	}
-	handle := e.overflow()
-	if ovf+need > overflowSize(handle) {
+		// The first spill: the inline records stay, and this one starts
+		// the buffer.
+		e.setOverflow(s.overflowAlloc(deltaClass(need)))
+	} else if old := e.overflow(); ovf+need > overflowSize(old) {
 		// Move up a size class; the outgrown buffer goes back to its own.
 		grown := s.overflowAlloc(deltaClass(ovf + need))
-		copy(s.overflowBuf(grown), s.overflowBuf(handle)[:ovf])
-		s.overflowFree(handle)
-		handle = grown
-		binary.LittleEndian.PutUint32(e.hi[:], handle)
+		copy(s.overflowBuf(grown), s.overflowBuf(old)[:ovf])
+		s.overflowFree(old)
+		e.setOverflow(grown)
 	}
-	putRecord(s.overflowBuf(handle)[ovf:], off, b)
+	putRecord(s.overflowBuf(e.overflow())[ovf:], off, b)
 	e.setDelta(inl, ovf+need)
 	return true
 }
@@ -368,8 +353,8 @@ func putRecord(dst []byte, off int, b []byte) {
 // renderDelta writes lazy delta e's content into buf: the image's page
 // with the records replayed. It panics if the image is gone.
 func (a *AddressSpace) renderDelta(e *entry, buf *[PageSize]byte) {
-	a.base.render(e.vpn, buf)
-	applyDelta(buf[:], e.inline())
+	a.base.render(e.page(), buf)
+	applyDelta(buf[:], e.hi[:e.inlLen()])
 	if n := e.ovfLen(); n > 0 {
 		applyDelta(buf[:], a.store.overflowBuf(e.overflow())[:n])
 	}
@@ -388,6 +373,7 @@ func (a *AddressSpace) promote(e *entry) *frame {
 	f.data = buf
 	f.holder = a
 	f.flags |= flagPriv
+	e.vpn = e.page() // a frame's page number is all of vpn
 	e.setFrame(id)
 	return f
 }

@@ -42,11 +42,13 @@ func TestStoreHostBytes(t *testing.T) {
 	}
 	a := BuildImage(s, 8, 4, 800).NewClone()
 	defer a.Release()
-	// An 11-byte record stays inline, each touch spills the page into the
-	// next class, and a last 9-byte record brings it to the cap in class
-	// 30. No page that passes through class 0 can reach class 31 (its
-	// inline record is more than 10 bytes, and the cap counts it), so a
-	// second page's single 320-byte record starts there.
+	// An 11-byte record leaves the inline area no room for a touch, so
+	// the first touch spills the page into class 0 and each after it
+	// moves the page up a class, the record staying inline throughout; a
+	// last 9-byte record brings it to the cap in class 30. No page that
+	// passes through class 0 can reach class 31 (its inline records are
+	// more than 10 bytes, and the cap counts them), so a second page's
+	// single 320-byte record starts there.
 	a.Write(1, 0, bytes.Repeat([]byte{0xAA}, 9))
 	for c := 0; c < deltaClasses; c++ {
 		vpn, b := uint64(1), bytes.Repeat([]byte{byte(c + 1)}, 8)
@@ -59,6 +61,9 @@ func TestStoreHostBytes(t *testing.T) {
 		a.Write(vpn, 10*(c+2), b)
 		if e := ownedEntry(t, a, vpn); !e.isDelta() || e.ovfLen() == 0 || int(e.overflow()>>overflowPosBits) != c {
 			t.Fatalf("write %d: page %d is not a delta in overflow class %d", c+2, vpn, c)
+		}
+		if e := ownedEntry(t, a, 1); e.inlLen() != recordSize(9) {
+			t.Fatalf("write %d: page 1 holds %d bytes inline, want its first record's %d", c+2, e.inlLen(), recordSize(9))
 		}
 	}
 	if e := ownedEntry(t, a, 1); e.inlLen()+e.ovfLen() != deltaCap {
@@ -386,7 +391,7 @@ func slowResidentPages(a *AddressSpace) int {
 	if a.base != nil {
 		n = a.base.resident
 		for i := 0; i < a.n; i++ {
-			if !a.base.has(a.at(i).vpn) {
+			if !a.base.has(a.at(i).page()) {
 				n++
 			}
 		}

@@ -193,7 +193,7 @@ func (a *AddressSpace) Reserve(n int) {
 // Checkpointing uses it to enumerate the VM's delta.
 func (a *AddressSpace) EachOwnedPage(fn func(vpn uint64)) {
 	for i := 0; i < a.n; i++ {
-		fn(a.at(i).vpn)
+		fn(a.at(i).page())
 	}
 }
 
