@@ -39,9 +39,12 @@ test:
 # around the product rounds it and keeps the two apart. And so does a
 # field of gateway.Config, farm.Config or vmm.HostConfig that no non-test
 # code sets (TestEveryConfigFieldIsSet): a knob nothing turns is dead
-# code or a constant. And so does internal/score importing
-# internal/metrics: the scorecard reads the domains' totals
-# (core.Totals), never the registry.
+# code or a constant. And so does an exported identifier or method in
+# internal/ that no non-test code uses (TestEveryExportHasACaller): what
+# only tests reach is deleted or moved into its package's
+# export_test.go, or named with its reason in the test's allowlist. And
+# so does internal/score importing internal/metrics: the scorecard
+# reads the domains' totals (core.Totals), never the registry.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "vet: gofmt -l lists:"; echo "$$out"; exit 1; }
@@ -66,7 +69,7 @@ vet:
 		[ -z "$$out" ] || { echo "vet: arm64 fuses a multiply-add at (round the product with an explicit float64(...)):"; echo "$$out"; exit 1; }
 	@out=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/score | grep -x 'potemkin/internal/metrics'); \
 		[ -z "$$out" ] || { echo "vet: internal/score imports internal/metrics (score from core.Totals, not the registry)"; exit 1; }
-	$(GO) test -count=1 -run '^TestEveryConfigFieldIsSet$$' ./internal/core
+	$(GO) test -count=1 -run '^TestEvery(ConfigFieldIsSet|ExportHasACaller)$$' ./internal/core
 
 race:
 	$(GO) test -race ./...

@@ -35,7 +35,7 @@ func BenchmarkE1FlashClone(b *testing.B) {
 	cfg.MemoryBytes = 1 << 42
 	h := vmm.NewHost(k, cfg)
 	img := farm.DefaultImage()
-	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm, err := h.FlashClone(img.Name, netsim.Addr(i+1), nil)
@@ -53,7 +53,7 @@ func BenchmarkE1FullBootBaseline(b *testing.B) {
 	cfg.MemoryBytes = 1 << 42
 	h := vmm.NewHost(k, cfg)
 	img := farm.DefaultImage()
-	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm, err := h.FullBoot(img.Name, netsim.Addr(i+1), nil)
@@ -80,19 +80,20 @@ func BenchmarkE2FullCopyBaseline(b *testing.B) {
 
 // benchE2 clones a VM, writes 100 single bytes at random across its
 // resident set and destroys it, b.N times, without running the kernel.
-// Its allocations (5 a VM, 378 B, for delta virtualization) are the
+// Its allocations (3 a VM, 234 B, for delta virtualization) are the
 // harness's, not the fault path's, which allocates nothing
 // (TestCloneBurstDestroyAllocs): a VM destroyed mid-clone goes back to
 // its host only when its clone-completion event fires, which here never
-// happens, so every VM is a fresh VM and disk Overlay from vmm.newVM
-// (4 allocations) and a fresh kernel event (Kernel.At, 1).
+// happens, so every VM is a fresh VM from vmm.newVM (2 allocations: the
+// struct and its bound completion event) and a fresh kernel event
+// (Kernel.At, 1).
 func benchE2(b *testing.B, fullCopy bool) {
 	k := sim.NewKernel(1)
 	cfg := vmm.DefaultHostConfig("bench")
 	cfg.MemoryBytes = 1 << 42
 	h := vmm.NewHost(k, cfg)
 	img := farm.DefaultImage()
-	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 	r := sim.NewRNG(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -413,7 +413,6 @@ func ckptInfo(path string, w io.Writer) error {
 	fmt.Fprintf(w, "image:       %s\n", ck.ImageName)
 	fmt.Fprintf(w, "address:     %s\n", ck.IP)
 	fmt.Fprintf(w, "delta pages: %d (%d KiB)\n", len(ck.Pages), len(ck.Pages)*4)
-	fmt.Fprintf(w, "disk blocks: %d (%d KiB)\n", len(ck.DiskBlocks), len(ck.DiskBlocks)*64)
 	fmt.Fprintf(w, "total delta: %d KiB\n", ck.Bytes()>>10)
 	pages := slices.Sorted(maps.Keys(ck.Pages))
 	fmt.Fprintf(w, "pages:      ")
@@ -466,8 +465,8 @@ func ckptDump(path, page string, w io.Writer) error {
 	return nil
 }
 
-// ckptDiff reports the pages and disk blocks present in or differing
-// between two checkpoints.
+// ckptDiff reports the pages present in or differing between two
+// checkpoints.
 func ckptDiff(pathA, pathB string, w io.Writer) error {
 	a, err := loadCheckpoint(pathA)
 	if err != nil {
@@ -497,14 +496,5 @@ func ckptDiff(pathA, pathB string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "pages: %d same, %d differ, %d only in %s, %d only in %s\n",
 		same, differ, onlyA, pathA, onlyB, pathB)
-
-	blockChanges := 0
-	for blk, va := range a.DiskBlocks {
-		if vb, ok := b.DiskBlocks[blk]; ok && va != vb {
-			blockChanges++
-		}
-	}
-	fmt.Fprintf(w, "disk:  %d blocks in %s, %d in %s, %d changed\n",
-		len(a.DiskBlocks), pathA, len(b.DiskBlocks), pathB, blockChanges)
 	return nil
 }

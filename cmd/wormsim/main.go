@@ -100,7 +100,7 @@ func main() {
 		}
 		fc := farm.DefaultConfig()
 		fc.Servers = 8
-		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 		gc := gateway.DefaultConfig()
 		gc.Space = prefix
 		gc.Policy = pol

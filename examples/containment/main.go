@@ -50,7 +50,7 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 
 	fc := farm.DefaultConfig()
 	fc.Servers = 4
-	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 	fc.Profile = guest.MultiStage(payloadServer) // fetches stage 2 after compromise
 	gc := gateway.DefaultConfig()
 	gc.Policy = pol

@@ -44,14 +44,6 @@ func (tl *Timeline) Lifetime() float64 {
 	return tl.RecycledAt - tl.BoundAt
 }
 
-// DetectLatency returns active→detected, or -1 if not detected.
-func (tl *Timeline) DetectLatency() float64 {
-	if tl.DetectedAt < 0 || tl.ActiveAt < 0 {
-		return -1
-	}
-	return tl.DetectedAt - tl.ActiveAt
-}
-
 // ChainEdge is one reflected attack: the VM at From contacted the
 // external address Ext, which the gateway impersonated at To.
 type ChainEdge struct {

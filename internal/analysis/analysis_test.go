@@ -38,8 +38,8 @@ func TestAnalyzeTimeline(t *testing.T) {
 	if tl.Lifetime() != 8.0 {
 		t.Errorf("lifetime = %v", tl.Lifetime())
 	}
-	if tl.DetectLatency() != 1.5 {
-		t.Errorf("detect latency = %v", tl.DetectLatency())
+	if tl.DetectedAt-tl.ActiveAt != 1.5 {
+		t.Errorf("detect latency = %v", tl.DetectedAt-tl.ActiveAt)
 	}
 	if rep.MeanLifetime() != 8.0 {
 		t.Errorf("mean lifetime = %v", rep.MeanLifetime())

@@ -19,7 +19,7 @@ func newIncidentFarm(t *testing.T, sink gateway.EventSink) (*farm.Farm, uint64) 
 	k := sim.NewKernel(17)
 	fc := farm.DefaultConfig()
 	fc.Servers = 4
-	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 	fc.Profile = guest.WindowsXP()
 	gc := gateway.DefaultConfig()
 	gc.Policy = gateway.PolicyInternalReflect

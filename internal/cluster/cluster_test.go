@@ -525,7 +525,7 @@ func TestClusterDegradesWithoutStandby(t *testing.T) {
 	if !strings.Contains(err.Error(), "no replacement") {
 		t.Errorf("unexpected degrade error: %v", err)
 	}
-	if h.c.Err() == nil {
+	if h.c.err == nil {
 		t.Error("coordinator has no terminal error")
 	}
 	// Partial results from the surviving worker are still reachable.

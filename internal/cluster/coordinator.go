@@ -281,9 +281,6 @@ func (c *Coordinator) RecoveryEvents() []string {
 // Recoveries returns how many worker crashes were recovered.
 func (c *Coordinator) Recoveries() int { return c.recoveries }
 
-// Err returns the terminal error, if the run degraded.
-func (c *Coordinator) Err() error { return c.err }
-
 func (c *Coordinator) fail(err error) {
 	if c.err == nil {
 		c.err = err
@@ -595,22 +592,6 @@ func (c *Coordinator) scheduleRecord(at sim.Time, rec telescope.Record) {
 	id := c.slotOf(s)
 	c.inputs[id] = appendRecord(c.inputs[id], s, at, rec)
 	c.epochIngress++
-}
-
-// Inject schedules pkt for delivery to its owning shard at the barrier
-// clock, through the opening barrier of the next epoch: behind the
-// cross-shard deliveries already due there, ahead of freshly fed
-// records. ShardEngine.InjectBarrier is the single-process equivalent
-// with identical event ordering — use that as the oracle when comparing
-// runs. Call between runs, after WaitReady (driver goroutine).
-func (c *Coordinator) Inject(pkt *netsim.Packet) {
-	if c.started() {
-		now := c.runner.Now()
-		s := core.OwnerOf(c.space, c.shards, pkt.Dst)
-		id := c.slotOf(s)
-		c.inputs[id] = appendInject(c.inputs[id], s, now, pkt)
-		c.inputsNext = min(c.inputsNext, now)
-	}
 }
 
 // Replay streams src through the cluster with the exact semantics of

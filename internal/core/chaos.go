@@ -140,7 +140,7 @@ func runChaosArm(cfg ChaosConfig, faulted bool) (ChaosArm, []string) {
 	// headroom: losing one pushes the survivors into saturation, which
 	// is what exercises the farm-full and shed paths.
 	fc.HostConfig.MemoryBytes = 112 << 20
-	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 
 	gc := gateway.DefaultConfig()
 	gc.Space = wcfg.Telescope

@@ -46,7 +46,7 @@ func RunE1(seed uint64, clones int) E1Result {
 	cfg.MemoryBytes = 64 << 30
 	h := vmm.NewHost(k, cfg)
 	img := farm.DefaultImage()
-	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+	h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 
 	for i := 0; i < clones; i++ {
 		vm, err := h.FlashClone(img.Name, netsim.Addr(i+1), nil)
@@ -150,7 +150,7 @@ func RunE2(seed uint64, vms int, dur time.Duration) E2Result {
 		cfg.MemoryBytes = 1 << 40 // measure footprint, not admission
 		cfg.ShareContent = mode == E2DeltaContent
 		h := vmm.NewHost(k, cfg)
-		h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+		h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 		if mode == E2DeltaKSM {
 			defer h.StartSharePasses(20 * time.Second).Stop()
 		}
@@ -205,7 +205,7 @@ func RunE2(seed uint64, vms int, dur time.Duration) E2Result {
 			cfg := vmm.DefaultHostConfig("e2b")
 			cfg.MemoryBytes = memBytes
 			h := vmm.NewHost(k, cfg)
-			h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, img.DiskBlocks, img.Seed)
+			h.RegisterImage(img.Name, img.NumPages, img.ResidentPages, 0, img.Seed)
 			admitted := 0
 			for {
 				var err error
@@ -279,7 +279,7 @@ func runE3Arm(seed uint64, trace []telescope.Record, traceEnd sim.Time,
 	space netsim.Prefix, timeout time.Duration, scanFilter int) (*metrics.Series, gateway.Stats) {
 	fc := farm.DefaultConfig()
 	fc.Servers = 64 // measure demand, not capacity
-	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 32768, ResidentPages: 8192, DiskBlocks: 1024, Seed: 42}
+	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 32768, ResidentPages: 8192, Seed: 42}
 	fc.Profile = quietProfile()
 	gc := gateway.DefaultConfig()
 	gc.Space = space

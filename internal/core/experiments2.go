@@ -175,7 +175,7 @@ func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
 		// under-provisioned farm would.
 		fc.Servers = 2
 		fc.HostConfig.MemoryBytes = 256 << 20
-		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 		fc.Profile = guest.WindowsXP()
 		gc := gateway.DefaultConfig()
 		gc.Space = wcfg.Telescope
@@ -330,7 +330,7 @@ func RunE8(seed uint64, dur time.Duration) E8Result {
 	for _, pol := range []gateway.Policy{gateway.PolicyReflectSource, gateway.PolicyInternalReflect} {
 		fc := farm.DefaultConfig()
 		fc.Servers = 8
-		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 256, Seed: 42}
+		fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 		fc.Profile = guest.MultiStage(payloadServer)
 		gc := gateway.DefaultConfig()
 		gc.Policy = pol

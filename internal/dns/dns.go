@@ -41,11 +41,8 @@ const (
 	FlagRA = 1 << 7  // recursion available
 )
 
-// RCode values.
-const (
-	RCodeOK       = 0
-	RCodeNXDomain = 3
-)
+// RCodeNXDomain is the response code for a name that does not exist.
+const RCodeNXDomain = 3
 
 // Question is one query entry.
 type Question struct {
@@ -72,9 +69,6 @@ type Message struct {
 
 // Response reports whether the message is a response.
 func (m *Message) Response() bool { return m.Flags&FlagQR != 0 }
-
-// RCode extracts the response code.
-func (m *Message) RCode() int { return int(m.Flags & 0xf) }
 
 // encodeName appends a DNS-encoded name (no compression on output).
 func encodeName(b []byte, name string) ([]byte, error) {

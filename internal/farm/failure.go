@@ -71,17 +71,6 @@ func (f *Farm) CrashServer(now sim.Time, i int) int {
 // sees it again immediately.
 func (f *Farm) RecoverServer(i int) { f.hosts[i].Recover() }
 
-// UpServers counts servers currently in service.
-func (f *Farm) UpServers() int {
-	n := 0
-	for _, h := range f.hosts {
-		if !h.Down() {
-			n++
-		}
-	}
-	return n
-}
-
 // SetLinkDown cuts (true) or restores (false) the farm<->gateway data
 // link. While cut, guest-originated packets and gateway-to-VM
 // deliveries are dropped and counted as LinkDrops. The control channel

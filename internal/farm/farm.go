@@ -26,8 +26,10 @@ type ImageSpec struct {
 	Name          string
 	NumPages      uint64
 	ResidentPages uint64
-	DiskBlocks    uint64
-	Seed          uint64
+	// DiskBlocks is ignored: VMs have no disk. It is held only for
+	// bench/, which reads it.
+	DiskBlocks uint64
+	Seed       uint64
 }
 
 // DefaultImage is a 128 MiB guest of which 32 MiB is resident after
@@ -38,7 +40,6 @@ func DefaultImage() ImageSpec {
 		Name:          "winxp",
 		NumPages:      32768, // 128 MiB
 		ResidentPages: 8192,  // 32 MiB
-		DiskBlocks:    16384, // 1 GiB
 		Seed:          42,
 	}
 }
@@ -204,8 +205,7 @@ func New(k *sim.Kernel, cfg Config) (*Farm, error) {
 		hc := cfg.HostConfig
 		hc.Name = fmt.Sprintf("%s-%d", cfg.HostConfig.Name, i)
 		h := vmm.NewHost(k, hc)
-		h.RegisterImage(cfg.Image.Name, cfg.Image.NumPages, cfg.Image.ResidentPages,
-			cfg.Image.DiskBlocks, cfg.Image.Seed)
+		h.RegisterImage(cfg.Image.Name, cfg.Image.NumPages, cfg.Image.ResidentPages, 0, cfg.Image.Seed)
 		f.hosts = append(f.hosts, h)
 	}
 	return f, nil
@@ -267,17 +267,6 @@ func (f *Farm) InfectedVMs() int {
 		}
 	}
 	return n
-}
-
-// Instance returns the live guest bound to addr, or nil. Like VMAt's and
-// EachInstance's, the handle is good until the VM is reclaimed: the
-// farm, the VMM and the guest layer all reuse a reclaimed VM's structs
-// for a later clone.
-func (f *Farm) Instance(addr netsim.Addr) *guest.Instance {
-	if fv, ok := f.byAddr[addr]; ok {
-		return fv.Guest
-	}
-	return nil
 }
 
 // VMAt returns the live VM bound to addr, or nil (checkpointing and
@@ -689,16 +678,6 @@ func (fv *FarmVM) Destroy(_ sim.Time) {
 	if fv.arriving == 0 {
 		f.freeVMs = append(f.freeVMs, fv)
 	}
-}
-
-// CheckInvariants verifies memory refcount consistency on every server.
-func (f *Farm) CheckInvariants() error {
-	for _, h := range f.hosts {
-		if err := h.CheckMemoryInvariants(); err != nil {
-			return fmt.Errorf("%s: %w", h.Cfg.Name, err)
-		}
-	}
-	return nil
 }
 
 // ServersNeeded is the provisioning arithmetic the paper's scalability

@@ -6,6 +6,7 @@ import (
 
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
+	"potemkin/internal/mem"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/vmm"
@@ -24,7 +25,7 @@ func newRig(t *testing.T, mutateFarm func(*Config), mutateGW func(*gateway.Confi
 	fc := DefaultConfig()
 	fc.Servers = 2
 	fc.HostConfig.MemoryBytes = 2 << 30
-	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
+	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 	if mutateFarm != nil {
 		mutateFarm(&fc)
 	}
@@ -322,11 +323,11 @@ func TestGuestWorkloadRunsOnFarmVMs(t *testing.T) {
 	if fv == nil {
 		t.Fatal("no VM")
 	}
-	if fv.VM.PrivateBytes() == 0 {
+	if fv.VM.Mem.PrivatePages() == 0 {
 		t.Error("guest workload dirtied no memory")
 	}
-	if fv.VM.PrivateBytes() > 8<<20 {
-		t.Errorf("private footprint %d suspiciously large", fv.VM.PrivateBytes())
+	if fv.VM.Mem.PrivatePages()*mem.PageSize > 8<<20 {
+		t.Errorf("private footprint of %d pages suspiciously large", fv.VM.Mem.PrivatePages())
 	}
 }
 
@@ -353,7 +354,7 @@ func TestFarmBehindShardedGateway(t *testing.T) {
 	fc := DefaultConfig()
 	fc.Servers = 2
 	fc.HostConfig.MemoryBytes = 2 << 30
-	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
+	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 	f, err := New(k, fc)
 	if err != nil {
 		t.Fatal(err)
@@ -426,8 +427,8 @@ func TestPrepareSnapshotImages(t *testing.T) {
 	// The snapshot contains the warmed-up guest's dirtied pages (the
 	// settled working set), visible as image content beyond what the
 	// synthetic image had: cloning it costs no private pages.
-	if fv.VM.Mem.PrivateBytes() > 1<<20 {
-		t.Errorf("snapshot clone started with %d private bytes", fv.VM.Mem.PrivateBytes())
+	if fv.VM.Mem.PrivatePages()*mem.PageSize > 1<<20 {
+		t.Errorf("snapshot clone started with %d private pages", fv.VM.Mem.PrivatePages())
 	}
 	if err := r.f.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"potemkin/internal/gateway"
+	"potemkin/internal/mem"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
@@ -20,7 +21,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 		fc := DefaultConfig()
 		fc.Servers = 2
 		fc.HostConfig.MemoryBytes = 512 << 20 // small enough to hit capacity
-		fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
+		fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 		f, err := New(k, fc)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +89,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 		}
 		// All memory except images + zero frames reclaimed.
 		for _, h := range f.Hosts() {
-			if got := h.Store().FrameCount(); got > 2048+1+64 {
+			if got := h.Store().ModeledBytes() / mem.PageSize; got > 2048+1+64 {
 				t.Errorf("seed %d: %s holds %d frames after drain", seed, h.Cfg.Name, got)
 			}
 		}

@@ -176,12 +176,3 @@ func (b *Binding) notePeer(addr netsim.Addr) { b.peers.note(addr) }
 
 // isPeer reports whether addr previously contacted this binding.
 func (b *Binding) isPeer(addr netsim.Addr) bool { return b.peers.has(addr) }
-
-// Peers returns the number of remembered peers.
-func (b *Binding) Peers() int { return b.peers.len() }
-
-// Detected reports whether the scan detector flagged this binding.
-func (b *Binding) Detected() bool { return b.detected }
-
-// OutTargets returns the number of distinct outbound targets attempted.
-func (b *Binding) OutTargets() int { return len(b.outTargets) }

@@ -9,3 +9,11 @@ import "potemkin/internal/netsim"
 func (in *Instance) EmitScan()                      { in.emitScan() }
 func (in *Instance) EmitBeacon()                    { in.emitBeacon() }
 func (in *Instance) FetchStage2(server netsim.Addr) { in.fetchStage2(server) }
+
+// ForceInfect compromises the guest directly, as an exploit would.
+func (in *Instance) ForceInfect(generation int) {
+	if in.Infected {
+		return
+	}
+	in.becomeInfected(generation)
+}

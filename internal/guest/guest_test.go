@@ -99,7 +99,7 @@ func TestExploitInfectsAndScans(t *testing.T) {
 		t.Errorf("generation = %d, want 1", r.in.Generation)
 	}
 	// Infection burst dirtied pages.
-	if r.vm.PrivateBytes() == 0 {
+	if r.vm.Mem.PrivatePages() == 0 {
 		t.Error("infection did not dirty memory")
 	}
 	// Let the scanner run for 2s of sim time: WindowsXP scans 20/s.

@@ -87,15 +87,6 @@ func (in *Instance) becomeInfected(generation int) {
 	in.startDeception()
 }
 
-// ForceInfect compromises the guest directly (the worm simulator's
-// patient zero, and tests).
-func (in *Instance) ForceInfect(generation int) {
-	if in.Infected {
-		return
-	}
-	in.becomeInfected(generation)
-}
-
 func (in *Instance) scheduleScan() {
 	if in.Profile.ScanRatePerSec <= 0 || in.pick == nil {
 		return

@@ -37,7 +37,7 @@ func TestInfectedGuestSendsAllocs(t *testing.T) {
 	fc := farm.DefaultConfig()
 	fc.Servers = 1
 	fc.HostConfig.MemoryBytes = 1 << 30
-	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
+	fc.Image = farm.ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, Seed: 42}
 	fc.Profile = p
 	f, err := farm.New(k, fc)
 	if err != nil {
@@ -69,7 +69,12 @@ func TestInfectedGuestSendsAllocs(t *testing.T) {
 	addr := netsim.MustParseAddr("10.5.1.2")
 	f.RequestVM(k.Now(), addr, gateway.SpawnHint{}, func(gateway.VMRef, error) {})
 	k.RunFor(5 * time.Second)
-	in := f.Instance(addr)
+	var in *guest.Instance
+	f.EachInstance(func(g *guest.Instance) {
+		if g.IP == addr {
+			in = g
+		}
+	})
 	if in == nil {
 		t.Fatal("no guest after the clone")
 	}

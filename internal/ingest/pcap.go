@@ -121,7 +121,6 @@ type PcapReader struct {
 	link  uint32
 	buf   []byte
 	hdr   [pcapRecordHeaderLen]byte
-	n     uint64
 }
 
 // NewPcapReader validates the file header of r and returns a reader.
@@ -159,12 +158,6 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 	return pr, nil
 }
 
-// LinkType returns the file's link-layer type.
-func (pr *PcapReader) LinkType() uint32 { return pr.link }
-
-// Count returns the number of records read so far.
-func (pr *PcapReader) Count() uint64 { return pr.n }
-
 // Next returns the next record's capture timestamp and its bytes, or
 // io.EOF at end of file. The returned slice is reused by the following
 // Next call. Captured bytes are returned as stored — possibly truncated
@@ -199,7 +192,6 @@ func (pr *PcapReader) Next() (sim.Time, []byte, error) {
 		return 0, nil, ErrPcapTime
 	}
 	ts := sec*1e9 + sub
-	pr.n++
 	return sim.Time(ts), pr.buf, nil
 }
 

@@ -17,6 +17,16 @@ const (
 // image over its lifetime.
 func (img *Image) Clones() uint64 { return img.clones }
 
+// NumPages returns the guest-physical size in pages.
+func (img *Image) NumPages() uint64 { return img.numPages }
+
+// Stats returns a copy of the space's counters.
+func (a *AddressSpace) Stats() SpaceStats { return a.stats }
+
+// FrameCount returns the number of live frames (including the zero
+// frame).
+func (s *Store) FrameCount() int { return s.live }
+
 // SharedPages returns the number of resident pages backed by shared
 // frames (base-image pages, the zero frame, dedup hits).
 func (a *AddressSpace) SharedPages() int { return a.ResidentPages() - a.PrivatePages() }

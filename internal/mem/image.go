@@ -5,8 +5,8 @@ import "fmt"
 // Image is an immutable memory snapshot — the "reference image" flash
 // cloning starts from. Clones attach to it as overlays: creating one
 // costs nothing per page, and a clone pays for a page only when it
-// writes it (delta virtualization). The image must outlive its clones;
-// Release enforces that.
+// writes it (delta virtualization). An image is never released: it
+// lives as long as its store, so it outlives its clones.
 //
 // There are two kinds. A synthetic image (BuildImage) is described:
 // page vpn < resident reads fillPattern(seed+vpn+1), the store counts
@@ -25,8 +25,6 @@ type Image struct {
 	resident int // pages backed
 	numPages uint64
 	clones   uint64 // total clones ever created
-	live     int64  // clones currently attached
-	released bool
 }
 
 // maxImagePages bounds the pages an image backs: a lazy delta keeps its
@@ -107,9 +105,6 @@ func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *Addres
 	return a
 }
 
-// NumPages returns the guest-physical size in pages.
-func (img *Image) NumPages() uint64 { return img.numPages }
-
 // ResidentPages returns the number of pages the image actually backs.
 func (img *Image) ResidentPages() int { return img.resident }
 
@@ -122,12 +117,8 @@ func (img *Image) has(vpn uint64) bool {
 }
 
 // render writes the content of vpn, which the image must back, into
-// buf. Clones read through their image, so it panics once the image is
-// released.
+// buf.
 func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
-	if img.released {
-		panic("mem: page read through a released image")
-	}
 	if img.synthetic {
 		fillPattern(buf[:], img.seed+vpn+1)
 		return
@@ -139,9 +130,6 @@ func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
 // the memory half of flash cloning: O(1) work, zero frame copies, zero
 // new page-table entries until the clone writes.
 func (img *Image) NewClone() *AddressSpace {
-	if img.released {
-		panic("mem: clone of released image")
-	}
 	a, ok := pop(&img.store.spaceFree)
 	if ok {
 		// A released clone: its index is attached and empty, its counters
@@ -152,30 +140,7 @@ func (img *Image) NewClone() *AddressSpace {
 	}
 	a.base, a.numPages = img, img.numPages
 	img.clones++
-	img.live++
 	return a
-}
-
-// Release drops the image's frames. All clones must be
-// released first; Release panics otherwise, because overlay clones read
-// through the image.
-func (img *Image) Release() {
-	if img.released {
-		return
-	}
-	if img.live > 0 {
-		panic(fmt.Sprintf("mem: releasing image with %d live clones", img.live))
-	}
-	if img.synthetic {
-		img.store.uncount(img.resident)
-	}
-	for _, id := range img.pages {
-		if id != 0 {
-			img.store.DecRef(id)
-		}
-	}
-	img.pages, img.resident = nil, 0
-	img.released = true
 }
 
 // frameRefs accumulates the image's references per frame; a synthetic

@@ -57,17 +57,11 @@ func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
 	return &AddressSpace{store: store, numPages: numPages}
 }
 
-// Store returns the backing frame store.
-func (a *AddressSpace) Store() *Store { return a.store }
-
 // NumPages returns the guest-physical size in pages.
 func (a *AddressSpace) NumPages() uint64 { return a.numPages }
 
 // Base returns the reference image this space overlays, or nil.
 func (a *AddressSpace) Base() *Image { return a.base }
-
-// Stats returns a copy of the space's counters.
-func (a *AddressSpace) Stats() SpaceStats { return a.stats }
 
 func (a *AddressSpace) checkPage(vpn uint64) {
 	if a.released {
@@ -219,9 +213,6 @@ func (a *AddressSpace) ResidentPages() int {
 // this in a loop (E2 does) no longer scans the page table.
 func (a *AddressSpace) PrivatePages() int { return a.private }
 
-// PrivateBytes is PrivatePages in bytes.
-func (a *AddressSpace) PrivateBytes() uint64 { return uint64(a.PrivatePages()) * PageSize }
-
 // Release unmaps everything, dropping frame references and detaching
 // from the base image. The space is unusable afterwards; a clone goes
 // back to the store to be the next one. Lazy deltas have no slot to
@@ -259,10 +250,7 @@ func (a *AddressSpace) Release() {
 	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && len(s.spaceFree) < spacePoolCap
 	a.n, a.private, a.shadowed = 0, 0, 0
 	a.released = true
-	if a.base != nil {
-		a.base.live--
-		a.base = nil
-	}
+	a.base = nil
 	if !keep {
 		a.index = pageIndex{}
 		return
@@ -295,7 +283,7 @@ func ExternalRefs(spaces []*AddressSpace, images []*Image) map[FrameID]int64 {
 		}
 	}
 	for _, img := range images {
-		if img != nil && !img.released {
+		if img != nil {
 			img.frameRefs(refs)
 		}
 	}

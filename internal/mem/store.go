@@ -285,10 +285,6 @@ func (s *Store) ZeroFrame() FrameID {
 // IsZeroFrame reports whether id is the canonical zero frame.
 func (s *Store) IsZeroFrame(id FrameID) bool { return id == s.zero }
 
-// FrameCount returns the number of live frames (including the zero
-// frame). O(1): the count is maintained as frames come and go.
-func (s *Store) FrameCount() int { return s.live }
-
 // ModeledBytes returns the machine memory the frames would occupy on real
 // hardware: one PageSize per live frame. This is the quantity the
 // paper's VMs-per-server arithmetic is about. O(1): derived from the

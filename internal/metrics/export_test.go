@@ -78,3 +78,19 @@ func TestExporterPublishAllocs(t *testing.T) {
 		t.Errorf("Publish allocates %v objects a call, want 0", n)
 	}
 }
+
+// Reset discards all samples.
+func (h *Histogram) Reset() { *h = Histogram{} }
+
+// Len returns the number of samples.
+func (s *Series) Len() int { return len(s.T) }
+
+// Count returns the number of samples (0 on nil).
+func (h *Hist) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.count
+}

@@ -188,9 +188,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset discards all samples.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Summary formats count/mean/p50/p95/p99/max on one line.
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f",
@@ -208,40 +205,6 @@ type Series struct {
 func (s *Series) Add(t, v float64) {
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.T) }
-
-// Last returns the most recent value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
-// Max returns the largest value, or 0 if empty.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, v := range s.V {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean of the values, or 0 if empty.
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
 }
 
 // Quantile returns the exact q-quantile of the values (nearest-rank).

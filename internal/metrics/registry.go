@@ -129,16 +129,6 @@ func (h *Hist) Store(srcs []*Histogram) {
 	}
 }
 
-// Count returns the number of samples (0 on nil).
-func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.count
-}
-
 // point is the histogram's snapshot Point.
 func (h *Hist) point(name string) Point {
 	h.mu.Lock()
@@ -168,14 +158,6 @@ type Point struct {
 
 // Sum returns a histogram point's sample sum in original units.
 func (p Point) Sum() float64 { return float64(p.SumMicro) / 1e6 }
-
-// Mean returns a histogram point's sample mean (0 when empty).
-func (p Point) Mean() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Sum() / float64(p.Count)
-}
 
 // histPoint is h as a snapshot Point whose sum is sumMicro.
 func histPoint(name string, h *Histogram, sumMicro int64) Point {

@@ -36,7 +36,6 @@ const (
 	FlagRST = 1 << 2
 	FlagPSH = 1 << 3
 	FlagACK = 1 << 4
-	FlagURG = 1 << 5
 )
 
 // FlagString renders TCP flags as "SA", "R", etc.

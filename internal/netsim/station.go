@@ -35,9 +35,6 @@ type StationStats struct {
 	Dropped  uint64 // queue overflow
 }
 
-// Depth returns the number of packets waiting (excluding in service).
-func (s *Station) Depth() int { return s.waiting }
-
 // Arrive offers a packet to the station, returning false if the queue
 // is full. The completion callback fires at now + wait + Service.
 func (s *Station) Arrive(pkt *Packet) bool {

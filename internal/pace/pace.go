@@ -51,6 +51,3 @@ func (g *Governor) Pace() {
 		time.Sleep(d)
 	}
 }
-
-// Sent returns how many events the governor has paced.
-func (g *Governor) Sent() uint64 { return g.n }

@@ -200,13 +200,6 @@ func LoadFile(path string) (*Scenario, error) {
 	return s, nil
 }
 
-// Save writes the scenario as indented JSON (the same form Load reads).
-func Save(w io.Writer, s *Scenario) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // Lookup resolves arg as a builtin family name first, then as a file
 // path — so `-scenario multistage` and `-scenario ./my.json` both work.
 func Lookup(arg string) (*Scenario, error) {

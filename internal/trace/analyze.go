@@ -49,9 +49,6 @@ func Analyze(recs []Record) *Analysis {
 	return a
 }
 
-// Children returns the direct children of span id, in stream order.
-func (a *Analysis) Children(id uint64) []*Record { return a.children[id] }
-
 // StageNames returns the span names seen, sorted.
 func (a *Analysis) StageNames() []string {
 	names := make([]string, 0, len(a.stages))
@@ -61,10 +58,6 @@ func (a *Analysis) StageNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Stage returns the latency histogram (milliseconds) for the named
-// span, or nil.
-func (a *Analysis) Stage(name string) *metrics.Histogram { return a.stages[name] }
 
 // StageTable renders the per-stage latency percentiles, one row per
 // span name, sorted by name.

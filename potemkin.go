@@ -222,7 +222,7 @@ type Options struct {
 	EpochLog io.Writer
 
 	// CheckpointDir, when set, saves a delta checkpoint of every VM the
-	// scan detector flags (its dirtied memory pages and disk blocks) to
+	// scan detector flags (its dirtied memory pages) to
 	// <dir>/<addr>-<t>.ckpt before the VM can be recycled.
 	CheckpointDir string
 
@@ -564,9 +564,11 @@ func (hf *Honeyfarm) checkpointVM(now sim.Time, addr netsim.Addr) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = ck.WriteTo(f)
-	return err
+	if _, err := ck.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // MustNew is New that panics on error (examples, tests).
