@@ -100,7 +100,7 @@ func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *Addres
 	a := NewAddressSpace(store, numPages)
 	for vpn := uint64(0); vpn < residentPages; vpn++ {
 		_, i := a.probe(vpn)
-		a.mapFrame(vpn, i, store.AllocPattern(seed+vpn+1))
+		a.add(vpn, i).setFrame(store.AllocPattern(seed + vpn + 1))
 	}
 	return a
 }

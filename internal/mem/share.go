@@ -58,7 +58,7 @@ func SharePass(store *Store, spaces []*AddressSpace) SharePassResult {
 				}
 				if bytesEqual(store.View(c), content) {
 					store.IncRef(c)
-					a.setFrame(e, c)
+					e.setFrame(c)
 					store.DecRef(id)
 					res.PagesMerged++
 					res.BytesFreed += PageSize
