@@ -24,6 +24,7 @@ import (
 	"sort"
 	"time"
 
+	"potemkin/internal/free"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -313,8 +314,8 @@ type Gateway struct {
 	// freeHeld are spare held packets (see held.go).
 	scrubbed     []netsim.Addr
 	requeued     []*Binding
-	freeBindings []*Binding
-	freeHeld     []*netsim.Packet
+	freeBindings free.List[*Binding]
+	freeHeld     free.List[*netsim.Packet]
 	// pendingDepth is the live count of packets queued across all
 	// pending bindings (the Stats.PendingQueued gauge).
 	pendingDepth int

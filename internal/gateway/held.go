@@ -20,8 +20,8 @@ import "potemkin/internal/netsim"
 // guest that replies synchronously may reach a site that holds another
 // packet while this one is still in use.
 func (g *Gateway) hold(pkt *netsim.Packet) *netsim.Packet {
-	h := pop(&g.freeHeld)
-	if h == nil {
+	h, ok := g.freeHeld.Get()
+	if !ok {
 		h = new(netsim.Packet)
 	}
 	buf := h.Payload[:0]
@@ -34,21 +34,6 @@ func (g *Gateway) hold(pkt *netsim.Packet) *netsim.Packet {
 // drop returns h to the free list, or leaves it to the collector when
 // the list already holds a spare for every live binding.
 func (g *Gateway) drop(h *netsim.Packet) {
-	if len(g.freeHeld) >= len(g.bindings) {
-		return
-	}
 	*h = netsim.Packet{Payload: h.Payload[:0]}
-	g.freeHeld = append(g.freeHeld, h)
-}
-
-// pop takes the most recently freed item off a free list, or returns nil.
-func pop[T any](list *[]*T) *T {
-	n := len(*list)
-	if n == 0 {
-		return nil
-	}
-	item := (*list)[n-1]
-	(*list)[n-1] = nil
-	*list = (*list)[:n-1]
-	return item
+	g.freeHeld.PutBelow(h, len(g.bindings))
 }
