@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"potemkin/internal/free"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
 	"potemkin/internal/metrics"
@@ -173,9 +174,9 @@ type Farm struct {
 	// crossing the intra-farm hop costs a timer callback holding it;
 	// each comes from here and returns when its last user is done, so
 	// clone → serve → reclaim allocates nothing on a warmed farm.
-	freeReqs []*spawnReq
-	freeVMs  []*FarmVM
-	freeHops []*hop
+	freeReqs free.List[*spawnReq]
+	freeVMs  free.List[*FarmVM]
+	freeHops free.List[*hop]
 	// up and down are the kernel lanes the two directions of the
 	// intra-farm link queue their hops in: at a constant latency each
 	// direction's hops are scheduled already in firing order.
@@ -409,8 +410,8 @@ type spawnReq struct {
 // backoff, up to retryBudget extra attempts; ready fires exactly
 // once either way.
 func (f *Farm) RequestVM(now sim.Time, addr netsim.Addr, hint gateway.SpawnHint, ready func(gateway.VMRef, error)) {
-	req := pop(&f.freeReqs)
-	if req == nil {
+	req, ok := f.freeReqs.Get()
+	if !ok {
 		req = &spawnReq{f: f}
 		req.onCloned = req.cloned
 	}
@@ -476,7 +477,7 @@ func (req *spawnReq) cloned(vm *vmm.VM) {
 	}
 	ready := req.ready
 	*req = spawnReq{f: f, onCloned: req.onCloned}
-	f.freeReqs = append(f.freeReqs, req)
+	f.freeReqs.Put(req)
 	ready(fv, nil)
 }
 
@@ -521,8 +522,8 @@ func (f *Farm) finish(req *spawnReq) {
 
 // attachGuest builds the guest instance for a freshly-ready VM.
 func (f *Farm) attachGuest(h *vmm.VMHost, vm *vmm.VM, addr netsim.Addr) *FarmVM {
-	fv := pop(&f.freeVMs)
-	if fv == nil {
+	fv, ok := f.freeVMs.Get()
+	if !ok {
 		fv = new(FarmVM)
 	}
 	*fv = FarmVM{farm: f, VM: vm, Host: h}
@@ -539,18 +540,6 @@ func (f *Farm) attachGuest(h *vmm.VMHost, vm *vmm.VM, addr netsim.Addr) *FarmVM 
 		f.byAddr[addr] = fv
 	}
 	return fv
-}
-
-// pop takes the most recently freed item off a free list, or returns nil.
-func pop[T any](list *[]*T) *T {
-	n := len(*list)
-	if n == 0 {
-		return nil
-	}
-	item := (*list)[n-1]
-	(*list)[n-1] = nil
-	*list = (*list)[:n-1]
-	return item
 }
 
 // uplink is every guest's Sender: the packet crosses the intra-farm hop
@@ -591,8 +580,8 @@ type hop struct {
 
 // newHop puts pkt on the link toward fv (nil: toward the gateway).
 func (f *Farm) newHop(fv *FarmVM, pkt *netsim.Packet) *hop {
-	hp := pop(&f.freeHops)
-	if hp == nil {
+	hp, ok := f.freeHops.Get()
+	if !ok {
 		hp = &hop{f: f}
 		hp.fire = hp.arrive
 	}
@@ -619,10 +608,10 @@ func (hp *hop) arrive(now sim.Time) {
 		fv.Guest.HandlePacket(now, hp.pkt)
 	}
 	hp.to, hp.pkt = nil, nil
-	f.freeHops = append(f.freeHops, hp)
+	f.freeHops.Put(hp)
 	if fv != nil {
 		if fv.arriving--; fv.dead && fv.arriving == 0 {
-			f.freeVMs = append(f.freeVMs, fv)
+			f.freeVMs.Put(fv)
 		}
 	}
 }
@@ -676,7 +665,7 @@ func (fv *FarmVM) Destroy(_ sim.Time) {
 	f.stats.Reclaims++
 	f.stats.LiveVMs--
 	if fv.arriving == 0 {
-		f.freeVMs = append(f.freeVMs, fv)
+		f.freeVMs.Put(fv)
 	}
 }
 
