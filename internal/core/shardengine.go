@@ -39,6 +39,7 @@ import (
 	"potemkin/internal/dns"
 	"potemkin/internal/farm"
 	"potemkin/internal/fault"
+	"potemkin/internal/free"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
 	"potemkin/internal/mem"
@@ -204,7 +205,7 @@ type ShardDomain struct {
 	// freeEnvs is the domain's own free list of delivery envelopes (see
 	// Deliver); records, fed from a time-sorted source, is the kernel
 	// lane a replayed record's event queues in.
-	freeEnvs []*packetEnv
+	freeEnvs free.List[*packetEnv]
 	records  *sim.Lane
 }
 
@@ -309,12 +310,11 @@ type packetEnv struct {
 
 // envelope takes an envelope off the domain's free list, where fire
 // puts it back; the barrier orders the two.
-func (d *ShardDomain) envelope() (env *packetEnv) {
-	if n := len(d.freeEnvs); n > 0 {
-		env, d.freeEnvs = d.freeEnvs[n-1], d.freeEnvs[:n-1]
+func (d *ShardDomain) envelope() *packetEnv {
+	if env, ok := d.freeEnvs.Get(); ok {
 		return env
 	}
-	env = &packetEnv{d: d}
+	env := &packetEnv{d: d}
 	env.fire = env.deliver
 	return env
 }
@@ -346,7 +346,7 @@ func (env *packetEnv) deliver(now sim.Time) {
 	d.G.HandleInbound(now, env.pkt)
 	// Pin neither the sender's packet nor the record's payload.
 	env.pkt, env.rec.Payload = nil, nil
-	d.freeEnvs = append(d.freeEnvs, env)
+	d.freeEnvs.Put(env)
 }
 
 // Close stops the domain's background work and finishes open spans.
