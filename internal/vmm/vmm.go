@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"potemkin/internal/free"
 	"potemkin/internal/mem"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
@@ -192,7 +193,7 @@ type VMHost struct {
 	images map[string]*Image
 	vms    map[VMID]*VM
 	// vmFree are destroyed VMs' structs, waiting to be the next clone.
-	vmFree []*VM
+	vmFree free.List[*VM]
 	nextID VMID
 	rng    *sim.RNG
 
@@ -369,7 +370,7 @@ func (vm *VM) rise(d time.Duration, ready func(*VM)) {
 func (vm *VM) up(now sim.Time) {
 	vm.rising = false
 	if vm.State == StateDead {
-		vm.host.vmFree = append(vm.host.vmFree, vm)
+		vm.host.vmFree.Put(vm)
 		return
 	}
 	vm.State = StateRunning
@@ -384,11 +385,8 @@ func (vm *VM) up(now sim.Time) {
 // newVM registers a VM of img in state st, on a recycled struct when
 // the host has one.
 func (h *VMHost) newVM(img *Image, ip netsim.Addr, st State) *VM {
-	var vm *VM
-	if n := len(h.vmFree); n > 0 {
-		vm, h.vmFree[n-1] = h.vmFree[n-1], nil
-		h.vmFree = h.vmFree[:n-1]
-	} else {
+	vm, ok := h.vmFree.Get()
+	if !ok {
 		vm = &VM{}
 		vm.comeUp = vm.up
 	}
@@ -431,7 +429,7 @@ func (h *VMHost) Destroy(id VMID) {
 	vm.ready = nil
 	delete(h.vms, id)
 	if !vm.rising {
-		h.vmFree = append(h.vmFree, vm)
+		h.vmFree.Put(vm)
 	}
 	h.stats.Destroys++
 }
