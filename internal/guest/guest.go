@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"time"
 
+	"potemkin/internal/free"
 	"potemkin/internal/mem"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
@@ -262,7 +263,7 @@ type Instruments struct {
 	Retired Stats
 	// free are stopped instances with no kernel event left in flight,
 	// connection table and bound callbacks attached.
-	free []*Instance
+	free free.List[*Instance]
 }
 
 // Stats counts guest activity, the only place it is counted; a field's
@@ -375,10 +376,8 @@ func New(k *sim.Kernel, vm *vmm.VM, profile *Profile, send Sender, pick TargetPi
 	if inst == nil {
 		inst = &Instruments{}
 	}
-	var in *Instance
-	if n := len(inst.free); n > 0 {
-		in, inst.free[n-1] = inst.free[n-1], nil
-		inst.free = inst.free[:n-1]
+	in, ok := inst.free.Get()
+	if ok {
 		in.conns.reset()
 	} else {
 		in = &Instance{}
@@ -462,7 +461,7 @@ func (in *Instance) fired() {
 // of its events has fired.
 func (in *Instance) retire() {
 	if in.stopped && in.events == 0 {
-		in.inst.free = append(in.inst.free, in)
+		in.inst.free.Put(in)
 	}
 }
 
