@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"potemkin/internal/free"
 )
 
 // Time is a point in virtual time, measured in nanoseconds from the start
@@ -143,7 +145,7 @@ type Kernel struct {
 	// scheduling allocates nothing. Recycled items get a fresh seq, and
 	// Timer carries the seq it was issued with, so a stale Timer can
 	// never cancel the item's next occupant.
-	free []*item
+	free free.List[*item]
 	// lanes hold the events scheduled through a Lane; next merges their
 	// heads with the heap's top.
 	lanes []*Lane
@@ -204,11 +206,8 @@ func (k *Kernel) At(at Time, fn Event) Timer {
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	var it *item
-	if n := len(k.free); n > 0 {
-		it = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
+	it, ok := k.free.Get()
+	if ok {
 		it.seq, it.fn, it.cancel = k.seq, fn, false
 	} else {
 		it = &item{seq: k.seq, fn: fn}
@@ -224,7 +223,7 @@ func (k *Kernel) At(at Time, fn Event) Timer {
 func (k *Kernel) recycle(it *item) {
 	it.fn = nil
 	it.cancel = false
-	k.free = append(k.free, it)
+	k.free.Put(it)
 }
 
 // After schedules fn to run d from now. Negative d means "immediately"
