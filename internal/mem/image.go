@@ -130,7 +130,7 @@ func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
 // the memory half of flash cloning: O(1) work, zero frame copies, zero
 // new page-table entries until the clone writes.
 func (img *Image) NewClone() *AddressSpace {
-	a, ok := pop(&img.store.spaceFree)
+	a, ok := img.store.spaceFree.Get()
 	if ok {
 		// A released clone: its index is attached and empty, its counters
 		// are whatever its last tenant left.

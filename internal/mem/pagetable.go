@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"potemkin/internal/flatindex"
+	"potemkin/internal/free"
 )
 
 // The page table of an AddressSpace is an append-only log of entries in
@@ -138,7 +139,7 @@ func applyDelta(page, recs []byte) {
 type overflowClass struct {
 	chunks [][]byte
 	carved uint32
-	free   []uint32
+	free   free.List[uint32]
 }
 
 // A chunk is at most overflowChunkBytes: as many buffers of its class as
@@ -164,7 +165,7 @@ var overflowShift = func() (shift [deltaClasses]uint8) {
 
 func (s *Store) overflowAlloc(class int) uint32 {
 	oc := &s.overflow[class]
-	pos, ok := pop(&oc.free)
+	pos, ok := oc.free.Get()
 	if !ok {
 		pos = oc.carved
 		if pos > overflowPosMask {
@@ -194,7 +195,7 @@ func (s *Store) overflowBuf(handle uint32) []byte {
 
 func (s *Store) overflowFree(handle uint32) {
 	oc := &s.overflow[handle>>overflowPosBits]
-	oc.free = append(oc.free, handle&overflowPosMask)
+	oc.free.Put(handle & overflowPosMask)
 }
 
 // chunkEntries sizes a page-table chunk (1 KiB): a guest's start
@@ -299,7 +300,7 @@ func (a *AddressSpace) add(vpn uint64, i int) *entry {
 
 // newChunk is a page-table chunk from the store's pool, or a new one.
 func (s *Store) newChunk() *tableChunk {
-	if c, ok := pop(&s.chunkFree); ok {
+	if c, ok := s.chunkFree.Get(); ok {
 		return c
 	}
 	return new(tableChunk)

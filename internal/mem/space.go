@@ -235,13 +235,11 @@ func (a *AddressSpace) Release() {
 	}
 	s.uncount(deltas)
 	for _, c := range a.chunks {
-		if len(s.chunkFree) < chunkPoolCap {
-			s.chunkFree = append(s.chunkFree, c)
-		}
+		s.chunkFree.PutBelow(c, chunkPoolCap)
 	}
 	clear(a.chunks)
 	a.chunks = a.chunks[:0]
-	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && len(s.spaceFree) < spacePoolCap
+	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && s.spaceFree.Len() < spacePoolCap
 	a.n, a.shadowed = 0, 0
 	a.released = true
 	a.base = nil
@@ -250,7 +248,7 @@ func (a *AddressSpace) Release() {
 		return
 	}
 	a.index.Clear() // the next clone's faults grow nothing
-	s.spaceFree = append(s.spaceFree, a)
+	s.spaceFree.Put(a)
 }
 
 // frameRefs accumulates this space's references per frame, for

@@ -47,6 +47,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"potemkin/internal/free"
 )
 
 // PageSize is the page granularity in bytes, matching x86.
@@ -138,12 +140,12 @@ type Store struct {
 	zero  FrameID
 	dedup map[uint64][]FrameID
 
-	bufPool   []*[PageSize]byte
+	bufPool   free.List[*[PageSize]byte]
 	overflow  [deltaClasses]overflowClass
-	chunkFree []*tableChunk
+	chunkFree free.List[*tableChunk]
 	// spaceFree are released clones, index attached and empty, waiting
 	// to be the next clone.
-	spaceFree []*AddressSpace
+	spaceFree free.List[*AddressSpace]
 	// indexSpare holds, by log2 of its length, one zeroed page-index
 	// array for the next index that grows to that size (growIndex).
 	indexSpare [indexSpares][]uint32
@@ -232,29 +234,15 @@ func (s *Store) free(idx uint32, f *frame) {
 	s.uncount(1)
 }
 
-// pop takes the most recently pooled item, if there is one.
-func pop[T any](pool *[]T) (item T, ok bool) {
-	n := len(*pool)
-	if n == 0 {
-		return item, false
-	}
-	item = (*pool)[n-1]
-	clear((*pool)[n-1:]) // the pool must not keep what it handed out alive
-	*pool = (*pool)[:n-1]
-	return item, true
-}
-
 func (s *Store) getBuf() *[PageSize]byte {
-	if b, ok := pop(&s.bufPool); ok {
+	if b, ok := s.bufPool.Get(); ok {
 		return b
 	}
 	return new([PageSize]byte)
 }
 
 func (s *Store) putBuf(b *[PageSize]byte) {
-	if len(s.bufPool) < bufPoolCap {
-		s.bufPool = append(s.bufPool, b)
-	}
+	s.bufPool.PutBelow(b, bufPoolCap)
 }
 
 // Stats returns a copy of the store counters.
