@@ -3,6 +3,7 @@ package cluster
 import (
 	"potemkin/internal/core"
 	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
 )
 
 // Inject schedules pkt for delivery to its owning shard at the barrier
@@ -19,4 +20,9 @@ func (c *Coordinator) Inject(pkt *netsim.Packet) {
 		c.inputs[id] = appendInject(c.inputs[id], s, now, pkt)
 		c.inputsNext = min(c.inputsNext, now)
 	}
+}
+
+// appendInject appends an injected packet for shard dst at at.
+func appendInject(b []byte, dst int, at sim.Time, pkt *netsim.Packet) []byte {
+	return appendPacket(appendTarget(append(b, inputInject), dst, at), pkt)
 }

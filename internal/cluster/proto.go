@@ -343,11 +343,6 @@ func appendCross(b []byte, src, dst int, at sim.Time, pkt *netsim.Packet) []byte
 	return appendPacket(appendTarget(b, dst, at), pkt)
 }
 
-// appendInject appends an injected packet for shard dst at at.
-func appendInject(b []byte, dst int, at sim.Time, pkt *netsim.Packet) []byte {
-	return appendPacket(appendTarget(append(b, inputInject), dst, at), pkt)
-}
-
 // appendTarget appends an input's destination shard and time.
 func appendTarget(b []byte, dst int, at sim.Time) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(dst))

@@ -11,3 +11,6 @@ func (b *Binding) Detected() bool { return b.detected }
 
 // OutTargets returns the number of distinct outbound targets attempted.
 func (b *Binding) OutTargets() int { return len(b.outTargets) }
+
+// len is the ring's: it grows to maxPeers and stays full.
+func (s *peerSet) len() int { return len(s.ring) }
