@@ -24,9 +24,12 @@ test:
 # owns, and the view publishes it). So does a second Options -> engine
 # translation: potemkind's cluster roles run on
 # potemkin.Options.EngineConfig, so its non-test code builds no farm or
-# gateway config of its own. So does a recover() outside tests, bench/
-# and the engine's shard-panic capture (internal/core/parallel.go):
-# panics are not control flow. So does a sync.Pool outside tests and
+# gateway config of its own. So does a call of Honeyfarm.Internals
+# outside tests, bench/ and examples/outbreak: the facade is the way in
+# (Stats, Totals, Snapshot, the WithProgress observer at the epoch
+# barrier), and ROADMAP items 1(l) and 25 move those two. So does a
+# recover() outside tests, bench/ and the engine's shard-panic capture
+# (internal/core/parallel.go): panics are not control flow. So does a sync.Pool outside tests and
 # bench/: the runtime keeps a pool's contents for a further collection,
 # so every struct the simulator recycles (a packet into a shard rides
 # its domain's envelopes) is parked on its owner's free.List, and the
@@ -43,7 +46,8 @@ test:
 # field of gateway.Config, farm.Config or vmm.HostConfig that no non-test
 # code sets (TestEveryConfigFieldIsSet): a knob nothing turns is dead
 # code or a constant. And so does an exported identifier or method, or
-# an unexported function or method, in internal/ that no non-test code
+# an unexported function or method, in internal/, or an exported
+# function, type or method of the root package, that no non-test code
 # uses (TestEveryExportHasACaller): what only tests reach is deleted or
 # moved into its package's export_test.go, or named with its reason in
 # the test's allowlist. And so does internal/score importing
@@ -60,6 +64,8 @@ vet:
 		[ -z "$$out" ] || { echo "vet: a registry histogram outside metrics, the wire source and core.StatsView (record into a Histogram the layer owns):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n -e 'farm\.DefaultConfig()' -e 'gateway\.DefaultConfig()' -- 'cmd/potemkind/*.go' ':!*_test.go'); \
 		[ -z "$$out" ] || { echo "vet: potemkind builds an engine config by hand (use potemkin.Options.EngineConfig):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n '\.Internals()' -- '*.go' ':!*_test.go' ':!bench' ':!examples/outbreak'); \
+		[ -z "$$out" ] || { echo "vet: Internals() outside bench/ and examples/outbreak (read the farm through the facade):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'recover()' -- '*.go' ':!*_test.go' ':!bench' | grep -v '^internal/core/parallel\.go:'); \
 		[ -z "$$out" ] || { echo "vet: recover() outside internal/core/parallel.go (return an error instead of panicking):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'sync\.Pool' -- '*.go' ':!*_test.go' ':!bench'); \

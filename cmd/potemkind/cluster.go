@@ -21,6 +21,7 @@ import (
 	"potemkin/internal/cluster"
 	"potemkin/internal/core"
 	"potemkin/internal/metrics"
+	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -76,8 +77,8 @@ func (co *coordinator) replay(src telescope.Source, epilogue time.Duration, halt
 	return n, err
 }
 
-func (co *coordinator) totals() (time.Duration, *core.Totals) {
-	return time.Duration(co.res.Now), &co.res.Totals
+func (co *coordinator) totals() (time.Duration, core.Totals) {
+	return time.Duration(co.res.Now), co.res.Totals
 }
 
 // runCoordinator drives one cluster run end to end and returns the
@@ -146,6 +147,9 @@ func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
 		logf("%v", err)
 		return 1
 	}
+	c.SetProgress(f.interval, func(now sim.Time, t core.Totals) {
+		printProgress(potemkin.StatsOf(time.Duration(now), t))
+	})
 	co := &coordinator{c: c, opts: opts}
 	injected, card, err := fd.run(co, opts.Policy, halt)
 	return conclude(co, f, injected, card, err, halt())

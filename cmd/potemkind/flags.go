@@ -145,6 +145,9 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 			}
 		}
 	}
+	if f.interval <= 0 {
+		bad("-interval must be positive (got %v)", f.interval)
+	}
 	if f.scorecardOut != "" && f.scenario == "" {
 		bad("-scorecard-out requires -scenario (the scorecard scores a campaign run)")
 	}

@@ -51,6 +51,8 @@ func TestFlagProblems(t *testing.T) {
 			[]string{"-json is a coordinator flag; the worker ships its output over the cluster protocol"}},
 		{"cluster-only sinks", "-coordinator A -shards 2 -capture dir",
 			[]string{"-capture is not supported in cluster mode"}},
+		{"progress interval", "-interval 0",
+			[]string{"-interval must be positive (got 0s)"}},
 		{"scorecard needs a campaign", "-scorecard-out card.json",
 			[]string{"-scorecard-out requires -scenario (the scorecard scores a campaign run)"}},
 		{"scenario owns the feed", "-scenario multistage -rate 5",

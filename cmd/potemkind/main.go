@@ -32,7 +32,10 @@
 //	-idle D          VM idle-recycling timeout (default 60s; 0 disables)
 //	-guest NAME      winxp|sqlserver|linux
 //	-seed N          simulation seed
-//	-interval D      progress report interval in simulated time (default 10s)
+//	-interval D      progress interval in simulated time (default 10s; must be
+//	                 positive): one line of Stats (t, live and infected VMs,
+//	                 bindings created and recycled, memory in MiB) at the first
+//	                 epoch barrier at or past each multiple, alike in every mode
 //	-capture DIR     record gateway traffic, payloads included, as pcap savefiles
 //	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace,
 //	                 and inspect trace -chrome for Perfetto, in every mode)
@@ -99,7 +102,6 @@ import (
 	"potemkin/internal/netsim"
 	"potemkin/internal/scenario"
 	"potemkin/internal/score"
-	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -183,27 +185,35 @@ func run(f *flags, opts potemkin.Options) int {
 }
 
 // farm is what a run drives: the in-process honeyfarm, or the cluster
-// coordinator over its workers. Both take the same feed and answer with
-// their shards' summed counters, so one feed path, one scorecard and
-// one final report serve every mode.
+// coordinator over its workers. Both take the same feed, report progress
+// at the same epoch barriers and answer with their shards' summed
+// counters, so one feed path, one progress line, one scorecard and one
+// final report serve every mode.
 type farm interface {
 	// replay feeds src to the farm, then simulates epilogue more.
 	replay(src telescope.Source, epilogue time.Duration, halt func() bool) (int, error)
 	// totals is the farm's clock and its shards' summed counters.
-	totals() (time.Duration, *core.Totals)
+	totals() (time.Duration, core.Totals)
 }
 
-// local is a farm in this process.
-type local struct{ hf *potemkin.Honeyfarm }
+// local is a farm in this process; progress observes its replays.
+type local struct {
+	hf       *potemkin.Honeyfarm
+	progress potemkin.ReplayOption
+}
 
 func (l local) replay(src telescope.Source, epilogue time.Duration, halt func() bool) (int, error) {
-	return l.hf.Replay(src, potemkin.WithEpilogue(epilogue), potemkin.WithHalt(halt))
+	return l.hf.Replay(src, potemkin.WithEpilogue(epilogue), potemkin.WithHalt(halt), l.progress)
 }
 
-func (l local) totals() (time.Duration, *core.Totals) {
-	eng := l.hf.Internals().Engine
-	t := eng.Totals()
-	return time.Duration(eng.Now()), &t
+func (l local) totals() (time.Duration, core.Totals) { return l.hf.Totals() }
+
+// printProgress writes the progress line for st: the farm's state at an
+// epoch barrier, the same bytes in every mode.
+func printProgress(st potemkin.Stats) {
+	fmt.Printf("  t=%-8v live=%-5d infected=%-4d bindings=%d recycled=%d mem=%dMiB\n",
+		st.Now.Truncate(time.Millisecond), st.LiveVMs, st.InfectedVMs,
+		st.BindingsCreated, st.BindingsRecycled, st.MemoryInUse>>20)
 }
 
 // runLocal runs the farm in this process.
@@ -219,9 +229,10 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 	defer hf.Close()
 
 	// The live debug endpoint must never touch simulation state from the
-	// HTTP goroutine (the sim is single-threaded): the periodic progress
-	// callback below marshals a snapshot on the sim thread and stores the
-	// bytes in an atomic pointer; HTTP handlers serve the stored bytes.
+	// HTTP goroutine: the progress observer marshals a snapshot at an
+	// epoch barrier, on the goroutine driving the run while every shard
+	// is stopped, and stores the bytes in an atomic pointer; HTTP
+	// handlers serve the stored bytes.
 	var lastSnap atomic.Pointer[[]byte]
 	publishSnap := func() {
 		if b, err := hf.MarshalSnapshot(); err == nil {
@@ -254,28 +265,13 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 		serveDebug(f.debugAddr, "/snapshot, /metrics, /debug/vars, /debug/pprof")
 	}
 
-	// Progress reporting rides the simulation clock: a ticker on shard
-	// 0's kernel. Without -parallel the shards advance in turn on this
-	// goroutine, so the ticker may read them all; with it they run
-	// concurrently, nothing may, and progress comes only from the final
-	// report.
-	eng := hf.Internals().Engine
-	if !f.parallel {
-		eng.Domains()[0].K.Every(f.interval, func(now sim.Time) {
-			snap := hf.Snapshot()
-			line := fmt.Sprintf("  t=%-8v live=%-5d infected=%-4d bindings=%d recycled=%d pending=%d mem=%dMiB",
-				time.Duration(now).Truncate(time.Millisecond), snap.LiveVMs, snap.InfectedVMs,
-				snap.BindingsCreated, snap.BindingsRecycled, snap.PendingQueued,
-				snap.MemoryInUseBytes>>20)
-			if snap.CloneMs.Count > 0 {
-				line += fmt.Sprintf(" clone[p50=%.1fms p99=%.1fms]", snap.CloneMs.P50, snap.CloneMs.P99)
-			}
-			fmt.Println(line)
-			publishSnap()
-		})
-	}
+	progress := potemkin.WithProgress(f.interval, func(st potemkin.Stats) {
+		printProgress(st)
+		publishSnap()
+	})
 
 	var (
+		fm        = local{hf, progress}
 		injected  int
 		card      *potemkin.Scorecard
 		wireStats *potemkin.WireStats
@@ -286,18 +282,23 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 			logf("%v", serr)
 			return 1
 		}
-		ws, serr := serveWire(ctx, srv, f, halt)
+		ws, serr := serveWire(ctx, srv, f, halt, progress)
 		injected, wireStats, err = ws.Injected, &ws, serr
 	} else {
-		fd, ferr := openFeed(f, opts, eng.Space())
+		ec, eerr := opts.EngineConfig()
+		if eerr != nil {
+			logf("%v", eerr)
+			return 1
+		}
+		fd, ferr := openFeed(f, opts, ec.Gateway.Space)
 		if ferr != nil {
 			logf("%v", ferr)
 			return 1
 		}
-		injected, card, err = fd.run(local{hf}, opts.Policy, halt)
+		injected, card, err = fd.run(fm, opts.Policy, halt)
 	}
 	publishSnap()
-	code := conclude(local{hf}, f, injected, card, err, halt())
+	code := conclude(fm, f, injected, card, err, halt())
 	if f.jsonOut {
 		return code
 	}
@@ -310,7 +311,8 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 			ig.SeqGaps, ig.Delivered, ig.Clamped, ig.QueueHWM)
 		tab.Render(os.Stdout)
 	}
-	gt := eng.Totals().Guest
+	_, t := fm.totals()
+	gt := t.Guest
 	fmt.Printf("  guest activity (all VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
 		gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
 	if stages := hf.Snapshot().StagesMs; stages != nil {
@@ -338,7 +340,7 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 
 // serveWire serves the live GRE-over-UDP feed until a signal or
 // -listen-for stops it.
-func serveWire(ctx context.Context, srv *potemkin.WireServer, f *flags, halt func() bool) (potemkin.WireStats, error) {
+func serveWire(ctx context.Context, srv *potemkin.WireServer, f *flags, halt func() bool, progress potemkin.ReplayOption) (potemkin.WireStats, error) {
 	framing := "timestamped GRE"
 	if f.plainGRE {
 		framing = "plain GRE"
@@ -355,7 +357,7 @@ func serveWire(ctx context.Context, srv *potemkin.WireServer, f *flags, halt fun
 		<-ctx.Done()
 		srv.Stop()
 	}()
-	ws, err := srv.Serve(potemkin.WithHalt(halt))
+	ws, err := srv.Serve(potemkin.WithHalt(halt), progress)
 	if err != nil {
 		err = fmt.Errorf("wire serve: %w", err)
 	}
@@ -422,7 +424,7 @@ func (fd *feed) run(fm farm, policy potemkin.Policy, halt func() bool) (int, *po
 		return n, nil, err
 	}
 	_, t := fm.totals()
-	return n, score.Compute(fd.plan.Facts(policy.String()), t), err
+	return n, score.Compute(fd.plan.Facts(policy.String()), &t), err
 }
 
 // conclude reports a finished run the same way in every mode — the

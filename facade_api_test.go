@@ -276,7 +276,4 @@ func TestParallelInternals(t *testing.T) {
 			t.Errorf("shard %d has %d servers, want 1", i, len(d.F.Hosts()))
 		}
 	}
-	if hf.Resolver() != eng.Domains()[0].Resolver {
-		t.Error("Resolver() is not shard 0's")
-	}
 }

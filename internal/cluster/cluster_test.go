@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"reflect"
@@ -114,6 +115,24 @@ type runOut struct {
 	faults   []string
 	events   []byte
 	trace    []byte
+	ticks    []tick
+}
+
+// progressEvery is the progress observer's interval on both sides of
+// every cluster-vs-oracle comparison, so compareRuns compares the ticks
+// too.
+const progressEvery = 100 * time.Millisecond
+
+// tick is one progress observation: the barrier clock and the summed
+// totals there.
+type tick struct {
+	now    sim.Time
+	totals core.Totals
+}
+
+// observe returns a progress observer appending to ticks.
+func observe(ticks *[]tick) func(sim.Time, core.Totals) {
+	return func(now sim.Time, t core.Totals) { *ticks = append(*ticks, tick{now, t}) }
 }
 
 // runOracle executes the scenario on a single-process sequential
@@ -138,13 +157,15 @@ func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Durati
 	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
 		eng.InjectBarrier(pkt)
 	}
+	var ticks []tick
+	eng.SetProgress(progressEvery, observe(&ticks))
 	injected, err := eng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond)
 	if err != nil {
 		t.Fatalf("oracle replay: %v", err)
 	}
 	eng.RunFor(extra)
 	out := runOut{
-		totals: eng.Totals(), injected: injected, now: eng.Now(), faults: eng.FaultLog(),
+		totals: eng.Totals(), injected: injected, now: eng.Now(), faults: eng.FaultLog(), ticks: ticks,
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("oracle close: %v", err)
@@ -154,15 +175,30 @@ func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Durati
 }
 
 // clusterHarness runs a coordinator plus in-process workers over TCP
-// loopback.
+// loopback. errs holds each worker's return, in the order addWorker
+// started them; read it after shutdown.
 type clusterHarness struct {
 	c       *Coordinator
 	wg      sync.WaitGroup
+	mu      sync.Mutex // orders the workers' writes to errs
 	errs    []error
 	workers int
+	logf    func(format string, args ...any)
 }
 
 func startCluster(t *testing.T, seed uint64, faults *fault.Config, workers, standbys int, tweak func(cfg *Config)) *clusterHarness {
+	t.Helper()
+	h := newCluster(t, seed, faults, workers, tweak)
+	for i := 0; i < workers+standbys; i++ {
+		h.addWorker(seed, faults, h.c.Addr().String())
+	}
+	h.waitReady(t)
+	return h
+}
+
+// newCluster starts a coordinator for workers worker slots; addWorker
+// connects the workers and waitReady assigns them.
+func newCluster(t *testing.T, seed uint64, faults *fault.Config, workers int, tweak func(cfg *Config)) *clusterHarness {
 	t.Helper()
 	cfg := Config{
 		Engine:            testEngineConfig(seed, faults),
@@ -184,27 +220,40 @@ func startCluster(t *testing.T, seed uint64, faults *fault.Config, workers, stan
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	h := &clusterHarness{c: c, errs: make([]error, workers+standbys), workers: workers}
-	for i := 0; i < workers+standbys; i++ {
-		i := i
-		wc := WorkerConfig{
-			Addr:              c.Addr().String(),
-			Engine:            testEngineConfig(seed, faults),
-			ConfigTag:         testTag,
-			Name:              fmt.Sprintf("w%d", i),
-			HeartbeatInterval: 50 * time.Millisecond,
-			Logf:              t.Logf,
-		}
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			h.errs[i] = RunWorker(wc)
-		}()
+	return &clusterHarness{c: c, workers: workers, logf: t.Logf}
+}
+
+// addWorker runs one more in-process worker, dialing addr; its error
+// lands in h.errs once it returns.
+func (h *clusterHarness) addWorker(seed uint64, faults *fault.Config, addr string) {
+	h.mu.Lock()
+	i := len(h.errs)
+	h.errs = append(h.errs, nil)
+	h.mu.Unlock()
+	wc := WorkerConfig{
+		Addr:              addr,
+		Engine:            testEngineConfig(seed, faults),
+		ConfigTag:         testTag,
+		Name:              fmt.Sprintf("w%d", i),
+		HeartbeatInterval: 50 * time.Millisecond,
+		Logf:              h.logf,
 	}
-	if err := c.WaitReady(30 * time.Second); err != nil {
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		err := RunWorker(wc)
+		h.mu.Lock()
+		h.errs[i] = err
+		h.mu.Unlock()
+	}()
+}
+
+// waitReady assigns the connected workers to the slots.
+func (h *clusterHarness) waitReady(t *testing.T) {
+	t.Helper()
+	if err := h.c.WaitReady(30 * time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	return h
 }
 
 // drive runs the standard scenario through the cluster and merges the
@@ -214,6 +263,8 @@ func (h *clusterHarness) drive(t *testing.T, seed uint64, extra time.Duration) (
 	for _, pkt := range exploitPackets(testEngineConfig(seed, nil).Farm.Profile) {
 		h.c.Inject(pkt)
 	}
+	var ticks []tick
+	h.c.SetProgress(progressEvery, observe(&ticks))
 	injected, err := h.c.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond)
 	if err != nil {
 		return runOut{}, err
@@ -225,7 +276,7 @@ func (h *clusterHarness) drive(t *testing.T, seed uint64, extra time.Duration) (
 	}
 	return runOut{
 		totals: res.Totals, injected: injected, now: res.Now, faults: res.FaultLog,
-		events: res.Events, trace: res.Trace,
+		events: res.Events, trace: res.Trace, ticks: ticks,
 	}, nil
 }
 
@@ -256,6 +307,13 @@ func compareRuns(t *testing.T, want, got runOut, label string) {
 	}
 	if !bytes.Equal(want.trace, got.trace) {
 		t.Errorf("%s: trace bytes differ (%d vs %d bytes)", label, len(want.trace), len(got.trace))
+	}
+	if !reflect.DeepEqual(want.ticks, got.ticks) {
+		i := 0
+		for i < len(want.ticks) && i < len(got.ticks) && want.ticks[i] == got.ticks[i] {
+			i++
+		}
+		t.Errorf("%s: progress ticks differ: %d vs %d ticks, parting at tick %d", label, len(want.ticks), len(got.ticks), i)
 	}
 }
 
@@ -360,6 +418,96 @@ func TestClusterEpochGridMatchesEngine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterProgressMatchesEngine: the coordinator's progress observer
+// ticks at the engine's barriers with the engine's totals, on the grid
+// TestClusterEpochGridMatchesEngine pins — on a clean run, across a
+// worker killed mid-feed, and when a worker is lost while the
+// coordinator awaits its totals, which recovers the slot onto the
+// standby and asks again.
+func TestClusterProgressMatchesEngine(t *testing.T) {
+	const seed = 17
+	for _, tc := range []struct {
+		name       string
+		faults     *fault.Config
+		lostTotals bool
+	}{
+		{"clean", nil, false},
+		{"killed mid-feed", killFaults(300*time.Millisecond, 0), false},
+		{"lost awaiting totals", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oracle := runOracle(t, seed, tc.faults, time.Second)
+			if len(oracle.ticks) < 10 {
+				t.Fatalf("the engine ticked %d times in %v at every %v", len(oracle.ticks), oracle.now, progressEvery)
+			}
+			h := newCluster(t, seed, tc.faults, 2, nil)
+			addr := h.c.Addr().String()
+			workers := 3 // two slots and a standby
+			if tc.lostTotals {
+				// The first worker to connect takes slot 0.
+				h.addWorker(seed, tc.faults, cutAtTotals(t, addr))
+				for standbys := 0; standbys == 0; time.Sleep(time.Millisecond) {
+					h.c.mu.Lock()
+					standbys = len(h.c.standby)
+					h.c.mu.Unlock()
+				}
+				workers--
+			}
+			for i := 0; i < workers; i++ {
+				h.addWorker(seed, tc.faults, addr)
+			}
+			h.waitReady(t)
+			got, err := h.drive(t, seed, time.Second)
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			h.shutdown(t)
+			compareRuns(t, oracle, got, "cluster vs sequential")
+			events := strings.Join(h.c.RecoveryEvents(), "\n")
+			if recovered := h.c.Recoveries() > 0; recovered != (tc.faults != nil || tc.lostTotals) {
+				t.Errorf("%d recoveries:\n%s", h.c.Recoveries(), events)
+			}
+			if tc.lostTotals && !strings.Contains(events, "awaiting totals") {
+				t.Errorf("no worker was lost awaiting totals:\n%s", events)
+			}
+		})
+	}
+}
+
+// cutAtTotals relays one worker connection to the coordinator at addr
+// and cuts it both ways when the coordinator's first totals request
+// reaches it, so the worker is lost while the coordinator awaits the
+// reply. It returns the address for the worker to dial.
+func cutAtTotals(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		wc, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		defer wc.Close()
+		cc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer cc.Close()
+		go io.Copy(cc, wc)
+		for {
+			fr, err := readFrame(cc)
+			if err != nil || fr.typ == msgTotals || writeFrame(wc, fr.typ, fr.payload) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestClusterKillWorkerRecoveryWidened is TestClusterKillWorkerRecovery
@@ -629,6 +777,8 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 	for _, pkt := range exploitPackets(testEngineConfig(seed, nil).Farm.Profile) {
 		c.Inject(pkt)
 	}
+	var ticks []tick
+	c.SetProgress(progressEvery, observe(&ticks))
 	injected, err := c.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond)
 	if err != nil {
 		t.Fatalf("cluster replay: %v", err)
@@ -643,7 +793,7 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 	}
 	got := runOut{
 		totals: res.Totals, injected: injected, now: res.Now, faults: res.FaultLog,
-		events: res.Events, trace: res.Trace,
+		events: res.Events, trace: res.Trace, ticks: ticks,
 	}
 	compareRuns(t, oracle, got, "SIGKILL-recovered cluster vs sequential")
 	events := strings.Join(c.RecoveryEvents(), "\n")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,6 +165,11 @@ type Coordinator struct {
 	curEnd     sim.Time
 	dispatched time.Time
 	advanceNS  []int64
+
+	// progress, when set, observes the run at the barriers pace picks
+	// (SetProgress).
+	progress func(now sim.Time, t core.Totals)
+	pace     core.Pace
 
 	err        error
 	recoveries int
@@ -547,6 +553,7 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 	}
 	c.runner = sim.NewRunner(c, 0, core.Lookahead)
 	c.runner.SetAdaptive(c.cfg.Engine.AdaptiveEpochs)
+	c.runner.SetAfterEpoch(c.reportProgress)
 	if c.prof != nil {
 		c.runner.SetEpochObserver(func(s sim.EpochStats) {
 			c.prof.Record(core.EpochSample(s, c.epochIngress, c.epochBytes))
@@ -606,6 +613,75 @@ func (c *Coordinator) Replay(src telescope.Source, halt func() bool, epilogue ti
 		err = c.err
 	}
 	return n, err
+}
+
+// SetProgress installs a read-only progress observer, as
+// core.ShardEngine.SetProgress does: fn gets the barrier clock and every
+// shard's Totals, summed in shard order, at the first epoch barrier at
+// or past each multiple of every after the current clock. The epochs
+// are the engine's, so the calls are too. every <= 0 or a nil fn
+// removes it. Call only between runs.
+func (c *Coordinator) SetProgress(every time.Duration, fn func(now sim.Time, t core.Totals)) {
+	c.progress = nil
+	if every > 0 && fn != nil {
+		c.progress, c.pace = fn, core.NewPace(every, c.now())
+	}
+}
+
+// reportProgress is the runner's after-epoch hook: at a barrier the
+// progress observer is due at, it gathers the workers' totals and hands
+// their sum on. A degraded run reports nothing more.
+func (c *Coordinator) reportProgress() {
+	now := c.runner.Now()
+	if c.progress == nil || !c.pace.Due(now) {
+		return
+	}
+	perShard := make([]core.Totals, c.shards)
+	for id := range c.assigned {
+		// A replacement replays the slot's log, this epoch included, and
+		// is asked again.
+		for !c.shardTotals(id, perShard) {
+			if !c.recover(id) {
+				return
+			}
+		}
+	}
+	var sum core.Totals
+	for i := range perShard {
+		sum.Add(&perShard[i])
+	}
+	c.progress(now, sum)
+}
+
+// shardTotals asks worker slot id for its shards' Totals at the barrier
+// and stores them by shard in perShard. False means the slot is empty:
+// its worker died, or answered for shards other than its own.
+func (c *Coordinator) shardTotals(id int, perShard []core.Totals) bool {
+	w := c.assigned[id]
+	if w == nil {
+		return false
+	}
+	if err := w.send(msgTotals, struct{}{}); err != nil {
+		c.markDead(w, "totals write: "+err.Error())
+		return false
+	}
+	a, err := c.await(w, msgTotals, time.Now().Add(replyTimeout))
+	if err != nil {
+		return false
+	}
+	var m resultsMsg
+	if err := unmarshal(a.payload, &m); err != nil {
+		c.markDead(w, "bad totals: "+err.Error())
+		return false
+	}
+	if !slices.EqualFunc(m.Shards, c.shardsOf(id), func(sr shardResult, s int) bool { return sr.Shard == s }) {
+		c.markDead(w, "totals for shards other than its own")
+		return false
+	}
+	for _, sr := range m.Shards {
+		perShard[sr.Shard] = sr.Totals
+	}
+	return true
 }
 
 // Exchange returns how many cross-shard packets the last epoch sent

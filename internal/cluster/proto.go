@@ -55,7 +55,9 @@ import (
 // gateway.Stats a shard result ships. v9 ships a shard result's counters
 // as one core.Totals: the host and cumulative guest counters, the first
 // detection and the deception actions join it, and Bindings leaves it.
-const ProtoVersion = 9
+// v10 adds totals: at a barrier the progress observer is due at, the
+// coordinator asks each worker for its shards' core.Totals.
+const ProtoVersion = 10
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -78,6 +80,7 @@ const (
 	msgResults   msgType = 10 // coordinator -> worker (request, empty) and reply
 	msgShutdown  msgType = 11 // coordinator -> worker: run over, exit cleanly
 	msgError     msgType = 12 // either direction: fatal error text, then close
+	msgTotals    msgType = 13 // coordinator -> worker (request, empty) and reply, at a barrier
 )
 
 func (t msgType) String() string {
@@ -100,6 +103,8 @@ func (t msgType) String() string {
 		return "shutdown"
 	case msgError:
 		return "error"
+	case msgTotals:
+		return "totals"
 	}
 	return fmt.Sprintf("msg(%d)", byte(t))
 }
@@ -282,6 +287,8 @@ type shardResult struct {
 	Trace    []byte
 }
 
+// resultsMsg answers results, and totals with only each shard's Shard
+// and Totals set.
 type resultsMsg struct {
 	Shards []shardResult
 	// Metrics is the worker's final registry snapshot (the worker runs

@@ -235,6 +235,8 @@ func (w *worker) serve() error {
 			err = w.handleEpoch(fr.payload)
 		case msgResults:
 			err = w.handleResults()
+		case msgTotals:
+			err = w.handleTotals()
 		case msgShutdown:
 			return nil
 		case msgError:
@@ -455,6 +457,20 @@ func (w *worker) runEpoch(m epochMsg) error {
 	}
 	w.local.Advance(m.End, false)
 	return nil
+}
+
+// handleTotals answers a totals request with the owned shards'
+// counters, in shard order. The coordinator asks only at a barrier,
+// once the worker is ready.
+func (w *worker) handleTotals() error {
+	if w.local == nil || w.replay > 0 {
+		return errors.New("cluster: totals before ready")
+	}
+	var m resultsMsg
+	for _, s := range w.shards {
+		m.Shards = append(m.Shards, shardResult{Shard: s, Totals: w.domains[s].Totals()})
+	}
+	return w.cn.send(msgTotals, m)
 }
 
 // handleResults snapshots stats (pre-close, matching when a

@@ -174,11 +174,12 @@ func collectSetFields(f *ast.File, set map[string]bool) {
 	})
 }
 
-// exportAllowlist names the exports in internal/ that no non-test code
-// uses and that stay anyway, each with the test in another package or
-// the ROADMAP item that needs it. Keys are "pkg.Name" for a top-level
-// identifier and "pkg.Type.Method" for a method, pkg being the
-// directory under internal/.
+// exportAllowlist names the exports in internal/ and the root package
+// that no non-test code uses and that stay anyway, each with the test in
+// another package or the ROADMAP item that needs it. Keys are
+// "pkg.Name" for a top-level identifier and "pkg.Type.Method" for a
+// method, pkg being the directory under internal/, or potemkin for the
+// root package.
 var exportAllowlist = map[string]string{
 	"core.ShardEngine.FaultLog":        "cluster's TestFaultScheduleAcrossModes compares the cluster's fault log with the engine's",
 	"core.ShardEngine.InjectBarrier":   "cluster's runOracleConfig (TestFaultScheduleAcrossModes, metrics_test.go) seeds the single-process oracle with it",
@@ -201,8 +202,12 @@ var exportAllowlist = map[string]string{
 // unexported function or method there, that no non-test code in the
 // module uses: a capability only its own tests reach is deleted, or
 // moved into its package's export_test.go when the package's tests of
-// other behaviour need it. It type-checks every non-test package of the
-// module (bench/, cmd/, examples/ and the root count as callers). A
+// other behaviour need it. The facade is held to the same rule for its
+// exported functions, types and their exported methods (Options fields
+// are out of scope): an export only the root package's tests call goes,
+// and those tests read Stats or the unexported fields instead. It
+// type-checks every non-test package of the module (bench/, cmd/,
+// examples/ and the root count as callers). A
 // method counts as used when it is selected anywhere, or when it puts
 // its type (or a pointer to it) in an interface declared in the module,
 // in a standard library package the module's packages load, or the
@@ -308,18 +313,25 @@ func TestEveryExportHasACaller(t *testing.T) {
 	internal := module + "/internal/"
 	for path, p := range l.pkgs {
 		dir, ok := strings.CutPrefix(path, internal)
-		if !ok {
+		facade := path == module
+		if facade {
+			dir = module
+		} else if !ok {
 			continue
 		}
 		scope := p.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			_, fn := obj.(*types.Func)
-			if (obj.Exported() || fn && name != "init" && name != "main") && !used[obj] {
+			tn, typ := obj.(*types.TypeName)
+			checked := obj.Exported() || fn && name != "init" && name != "main"
+			if facade {
+				checked = obj.Exported() && (fn || typ)
+			}
+			if checked && !used[obj] {
 				unused = append(unused, dir+"."+name)
 			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
+			if !typ || tn.IsAlias() {
 				continue
 			}
 			n, ok := tn.Type().(*types.Named)
@@ -331,7 +343,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 				// An unexported type's exported method is there for an
 				// interface the checker cannot see: a type parameter's
 				// constraint, or errors.Is.
-				if (tn.Exported() || !m.Exported()) && !used[m] && !satisfies(n, m) {
+				checked := tn.Exported() || !m.Exported()
+				if facade {
+					checked = tn.Exported() && m.Exported()
+				}
+				if checked && !used[m] && !satisfies(n, m) {
 					unused = append(unused, dir+"."+name+"."+m.Name())
 				}
 			}

@@ -368,6 +368,11 @@ type ShardEngine struct {
 	view    *StatsView // nil without cfg.Metrics
 	closed  bool
 
+	// progress, when set, observes the run at the barriers pace picks
+	// (SetProgress).
+	progress func(now sim.Time, t Totals)
+	pace     Pace
+
 	// sinkErr is the first error writing EventLog or TraceOut returned,
 	// for Close to report.
 	sinkErr error
@@ -409,8 +414,12 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
 	e.view = NewStatsView(cfg.Metrics, e.domains)
 	e.runner.SetAfterEpoch(func() {
+		now := e.runner.Now()
 		e.writeThrough()
-		e.view.PublishDue(e.runner.Now())
+		e.view.PublishDue(now)
+		if e.progress != nil && e.pace.Due(now) {
+			e.progress(now, e.Totals())
+		}
 	})
 	if cfg.Metrics != nil || cfg.EpochLog != nil {
 		e.prof = metrics.NewEpochProfiler(cfg.Metrics, cfg.EpochLog)
@@ -465,6 +474,18 @@ func (e *ShardEngine) SetAdaptive(maxCells int) { e.runner.SetAdaptive(maxCells)
 
 // Now returns the engine clock.
 func (e *ShardEngine) Now() sim.Time { return e.runner.Now() }
+
+// SetProgress installs a read-only progress observer: fn gets the
+// barrier clock and the domains' summed Totals at the first epoch
+// barrier at or past each multiple of every after the current clock, on
+// the goroutine driving the run while every domain is stopped. every <=
+// 0 or a nil fn removes it. Call only between runs.
+func (e *ShardEngine) SetProgress(every time.Duration, fn func(now sim.Time, t Totals)) {
+	e.progress = nil
+	if every > 0 && fn != nil {
+		e.progress, e.pace = fn, NewPace(every, e.Now())
+	}
+}
 
 // RunUntil advances every domain to deadline.
 func (e *ShardEngine) RunUntil(deadline sim.Time) {

@@ -101,7 +101,7 @@ type StatsView struct {
 	gateway, farm, host, guest *metrics.Exporter
 	hists                      []histView
 
-	next sim.Time // the barrier clock PublishDue next acts at
+	pace Pace // due from clock 0: a run's first barrier publishes
 	sum  Totals
 }
 
@@ -129,6 +129,7 @@ func NewStatsView(reg *metrics.Registry, domains []*ShardDomain) *StatsView {
 	}
 	return &StatsView{
 		domains: domains,
+		pace:    Pace{period: sim.Time(publishEvery)},
 		gateway: metrics.NewExporter(reg, gateway.Stats{}),
 		farm:    metrics.NewExporter(reg, farm.Stats{}),
 		host:    metrics.NewExporter(reg, vmm.HostStats{}),
@@ -161,9 +162,38 @@ func (v *StatsView) Publish() {
 // PublishDue is Publish at the first barrier at or past each
 // publishEvery of simulated time, and nothing at the barriers between.
 func (v *StatsView) PublishDue(now sim.Time) {
-	if v == nil || now < v.next {
-		return
+	if v != nil && v.pace.Due(now) {
+		v.Publish()
 	}
-	v.next = now - now%sim.Time(publishEvery) + sim.Time(publishEvery)
-	v.Publish()
 }
+
+// Pace picks the epoch barriers a periodic observer acts at: the first
+// at or past each multiple of its period of simulated time. The
+// telemetry view publishes on one and the progress observer reports on
+// another (ShardEngine.SetProgress, the cluster coordinator's), so
+// neither puts an event on any kernel.
+type Pace struct {
+	period sim.Time
+	next   sim.Time // the barrier clock Due next reports at
+}
+
+// NewPace returns a pace whose first due barrier is the first at or
+// past the first multiple of period after from.
+func NewPace(period time.Duration, from sim.Time) Pace {
+	p := Pace{period: sim.Time(period)}
+	p.next = p.after(from)
+	return p
+}
+
+// Due reports whether the barrier at now is due and, when it is, moves
+// the pace on to the first multiple of the period past now.
+func (p *Pace) Due(now sim.Time) bool {
+	if now < p.next {
+		return false
+	}
+	p.next = p.after(now)
+	return true
+}
+
+// after is the first multiple of the period past t.
+func (p *Pace) after(t sim.Time) sim.Time { return t - t%p.period + p.period }

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"potemkin/internal/core"
-	"potemkin/internal/dns"
 	"potemkin/internal/farm"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
@@ -205,7 +204,7 @@ type Options struct {
 	// Metrics enables the live telemetry registry: named atomic
 	// counters/gauges/histograms (gateway_*, farm_*, vmm_*, guest_*,
 	// ingest_*, epoch_*), readable at any moment from any goroutine via
-	// Metrics()/MetricsText() without touching simulation state. The
+	// MetricsText() without touching simulation state. The
 	// farm's own counters are published into it at epoch barriers:
 	// every second of simulated time mid-run, and exactly whenever
 	// Replay, RunFor, an Inject call, Serve or RunScenario returns.
@@ -541,13 +540,6 @@ func (hf *Honeyfarm) fail(err error) (*Honeyfarm, error) {
 	return nil, err
 }
 
-// Resolver exposes the built-in safe DNS resolver (to add zone entries
-// or inspect query counts). Each gateway shard runs its own resolver
-// (name synthesis is deterministic by name, so all shards agree on
-// every answer); this returns shard 0's — use Internals().Engine for
-// the rest.
-func (hf *Honeyfarm) Resolver() *dns.Resolver { return hf.eng.Domains()[0].Resolver }
-
 // checkpointVM saves the delta state of the VM bound to addr into
 // CheckpointDir.
 func (hf *Honeyfarm) checkpointVM(now sim.Time, addr netsim.Addr) error {
@@ -579,9 +571,6 @@ func MustNew(opts Options) *Honeyfarm {
 	}
 	return hf
 }
-
-// Now returns elapsed simulated time.
-func (hf *Honeyfarm) Now() time.Duration { return time.Duration(hf.eng.Now()) }
 
 // RunFor advances the simulation by d.
 func (hf *Honeyfarm) RunFor(d time.Duration) { hf.eng.RunFor(d) }
@@ -649,15 +638,20 @@ func (hf *Honeyfarm) GenerateTrace(dur time.Duration, pps float64) ([]TraceRecor
 }
 
 // Stats returns the aggregate state.
-func (hf *Honeyfarm) Stats() Stats {
-	t := hf.eng.Totals()
-	return StatsOf(time.Duration(hf.eng.Now()), &t)
+func (hf *Honeyfarm) Stats() Stats { return StatsOf(hf.Totals()) }
+
+// Totals returns the simulated time elapsed and the shard domains'
+// summed counters, the pair a cluster run's results carry as Now and
+// Totals.
+func (hf *Honeyfarm) Totals() (time.Duration, core.Totals) {
+	return time.Duration(hf.eng.Now()), hf.eng.Totals()
 }
 
 // StatsOf shapes the shard domains' summed counters at simulated time
-// now as Stats: Honeyfarm.Stats and potemkind's cluster coordinator
-// report through it, so their -json output compares byte for byte.
-func StatsOf(now time.Duration, t *core.Totals) Stats {
+// now as Stats: Honeyfarm.Stats, the progress observer (WithProgress)
+// and potemkind's cluster coordinator report through it, so their
+// output compares byte for byte.
+func StatsOf(now time.Duration, t core.Totals) Stats {
 	gs, fs := &t.Gateway, &t.Farm
 	return Stats{
 		Now:               now,
@@ -679,9 +673,6 @@ func StatsOf(now time.Duration, t *core.Totals) Stats {
 	}
 }
 
-// LiveVMs returns the current VM count (convenience for sampling loops).
-func (hf *Honeyfarm) LiveVMs() int { return hf.eng.LiveVMs() }
-
 // closeCaptures flushes and closes every open capture file.
 func (hf *Honeyfarm) closeCaptures() {
 	for _, c := range hf.captures {
@@ -700,17 +691,13 @@ func (hf *Honeyfarm) Close() {
 	hf.closeCaptures()
 }
 
-// Metrics exposes the live telemetry registry when Options.Metrics is
-// set; nil — safe to call methods on — otherwise. The registry may be
-// read (Snapshot, WriteProm) from any goroutine at any time, including
-// mid-run: every series is a plain atomic, so a scrape never touches
-// simulation state. The farm's counters are published at epoch barriers
-// (see Options.Metrics): up to a second of simulated time behind mid-run,
+// MetricsText renders the live telemetry registry in the Prometheus
+// text exposition format (empty when Options.Metrics is off). It may be
+// called from any goroutine at any time, including mid-run: every
+// series is a plain atomic, so a scrape never touches simulation state.
+// The farm's counters are published at epoch barriers (see
+// Options.Metrics): up to a second of simulated time behind mid-run,
 // exact once the call driving the farm has returned.
-func (hf *Honeyfarm) Metrics() *metrics.Registry { return hf.metrics }
-
-// MetricsText renders the registry in the Prometheus text exposition
-// format (empty when Options.Metrics is off).
 func (hf *Honeyfarm) MetricsText() []byte {
 	if hf.metrics == nil {
 		return nil
@@ -775,8 +762,11 @@ func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
 }
 
 // Internals exposes the underlying components for advanced use. The
-// types live in internal packages: importable by code in this module
-// (cmd/, examples/, experiments), visible as opaque handles elsewhere.
+// types live in internal packages: importable by code in this module,
+// visible as opaque handles elsewhere. Outside tests only bench/ (until
+// ROADMAP item 1(l)) and examples/outbreak (until item 25) call it, and
+// make vet refuses a new caller: read the farm through Stats, Totals,
+// Snapshot and WithProgress.
 type Internals struct {
 	// Engine is the shard engine every Honeyfarm runs on. Its Domains
 	// — one per gateway shard — hold the kernel, gateway, farm slice

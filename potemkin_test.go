@@ -22,8 +22,8 @@ func TestNewDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-	if hf.Now() != 0 {
-		t.Errorf("Now = %v", hf.Now())
+	if hf.Stats().Now != 0 {
+		t.Errorf("Now = %v", hf.Stats().Now)
 	}
 	st := hf.Stats()
 	if st.LiveVMs != 0 || st.InboundPackets != 0 {
@@ -113,12 +113,12 @@ func TestRecyclingThroughFacade(t *testing.T) {
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 80)
 	hf.RunFor(time.Second)
-	if hf.LiveVMs() != 1 {
-		t.Fatalf("LiveVMs = %d", hf.LiveVMs())
+	if hf.Stats().LiveVMs != 1 {
+		t.Fatalf("LiveVMs = %d", hf.Stats().LiveVMs)
 	}
 	hf.RunFor(30 * time.Second)
-	if hf.LiveVMs() != 0 {
-		t.Errorf("idle VM survived: %d", hf.LiveVMs())
+	if hf.Stats().LiveVMs != 0 {
+		t.Errorf("idle VM survived: %d", hf.Stats().LiveVMs)
 	}
 	if hf.Stats().BindingsRecycled != 1 {
 		t.Errorf("recycled = %d", hf.Stats().BindingsRecycled)
@@ -130,8 +130,8 @@ func TestNegativeIdleTimeoutDisablesRecycling(t *testing.T) {
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 80)
 	hf.RunFor(5 * time.Minute)
-	if hf.LiveVMs() != 1 {
-		t.Errorf("LiveVMs = %d, want 1 (no recycling)", hf.LiveVMs())
+	if hf.Stats().LiveVMs != 1 {
+		t.Errorf("LiveVMs = %d, want 1 (no recycling)", hf.Stats().LiveVMs)
 	}
 }
 
@@ -254,8 +254,8 @@ func TestPinDetectedThroughFacade(t *testing.T) {
 	defer hf.Close()
 	hf.InjectExploit("203.0.113.9", "10.5.1.2")
 	hf.RunFor(2 * time.Minute)
-	if hf.LiveVMs() != 1 {
-		t.Errorf("LiveVMs = %d, want 1 (quarantined)", hf.LiveVMs())
+	if hf.Stats().LiveVMs != 1 {
+		t.Errorf("LiveVMs = %d, want 1 (quarantined)", hf.Stats().LiveVMs)
 	}
 	if hf.Stats().InfectedVMs != 1 {
 		t.Errorf("InfectedVMs = %d", hf.Stats().InfectedVMs)
@@ -442,7 +442,7 @@ func TestMultiStageDNSEndToEnd(t *testing.T) {
 
 	// The infected guest looked its payload host up via the built-in
 	// safe resolver...
-	if hf.Resolver().Queries == 0 {
+	if _, tot := hf.Totals(); tot.DNSQueries == 0 {
 		t.Error("safe resolver never consulted")
 	}
 	if hf.Stats().DNSProxied == 0 {
@@ -450,8 +450,8 @@ func TestMultiStageDNSEndToEnd(t *testing.T) {
 	}
 	// ...and the sinkholed stage-2 fetch landed on a fresh honeypot VM
 	// inside the monitored space.
-	if hf.LiveVMs() < 2 {
-		t.Errorf("LiveVMs = %d, want >= 2 (victim + sinkhole target)", hf.LiveVMs())
+	if hf.Stats().LiveVMs < 2 {
+		t.Errorf("LiveVMs = %d, want >= 2 (victim + sinkhole target)", hf.Stats().LiveVMs)
 	}
 }
 
@@ -503,14 +503,14 @@ func TestSnapshotWarmupThroughFacade(t *testing.T) {
 	hf := MustNew(Options{SnapshotWarmup: 30 * time.Second, IdleTimeout: -1})
 	defer hf.Close()
 	// Boot+warmup already elapsed.
-	if hf.Now() < 30*time.Second {
-		t.Errorf("Now = %v, want boot+warmup elapsed", hf.Now())
+	if hf.Stats().Now < 30*time.Second {
+		t.Errorf("Now = %v, want boot+warmup elapsed", hf.Stats().Now)
 	}
-	before := hf.Now()
+	before := hf.Stats().Now
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
 	hf.RunFor(2 * time.Second)
-	if hf.LiveVMs() != 1 {
-		t.Fatalf("LiveVMs = %d", hf.LiveVMs())
+	if hf.Stats().LiveVMs != 1 {
+		t.Fatalf("LiveVMs = %d", hf.Stats().LiveVMs)
 	}
 	_ = before
 	// Incompatible with FullBoot.

@@ -3,6 +3,8 @@ package potemkin
 import (
 	"time"
 
+	"potemkin/internal/core"
+	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -19,6 +21,8 @@ func SliceSource(recs []TraceRecord) telescope.Source {
 type replayConfig struct {
 	halt     func() bool
 	epilogue time.Duration
+	every    time.Duration
+	progress func(Stats)
 }
 
 // ReplayOption customizes a Replay call.
@@ -38,6 +42,18 @@ func WithEpilogue(d time.Duration) ReplayOption {
 	return func(rc *replayConfig) { rc.epilogue = d }
 }
 
+// WithProgress installs a read-only progress observer: fn gets the
+// farm's Stats at the first epoch barrier at or past each multiple of
+// every of simulated time after the clock the call starts at, on the
+// goroutine driving the run while every shard is stopped. The
+// barriers are the same with or without Options.Parallel, and in a
+// cluster run, so the calls are too. fn may read the Honeyfarm (a
+// Snapshot, say) but must not drive it. every <= 0 or a nil fn installs
+// nothing. Replay, RunScenario and WireServer.Serve honour it.
+func WithProgress(every time.Duration, fn func(Stats)) ReplayOption {
+	return func(rc *replayConfig) { rc.every, rc.progress = every, fn }
+}
+
 // Replay streams a record source (a trace file reader, a pcap source,
 // an in-memory slice via SliceSource) into the honeyfarm in bounded
 // memory: records are scheduled one epoch ahead of the clock, so
@@ -51,6 +67,12 @@ func (hf *Honeyfarm) Replay(src telescope.Source, opts ...ReplayOption) (int, er
 	rc := replayConfig{epilogue: time.Millisecond}
 	for _, opt := range opts {
 		opt(&rc)
+	}
+	if rc.every > 0 && rc.progress != nil {
+		hf.eng.SetProgress(rc.every, func(now sim.Time, t core.Totals) {
+			rc.progress(StatsOf(time.Duration(now), t))
+		})
+		defer hf.eng.SetProgress(0, nil)
 	}
 	return hf.eng.Replay(src, rc.halt, rc.epilogue)
 }

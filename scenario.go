@@ -26,23 +26,10 @@ type Scenario = scenario.Scenario
 // cost per captured sample. See internal/score.
 type Scorecard = score.Scorecard
 
-// ScorecardFacts identifies the run a Scorecard describes.
-type ScorecardFacts = score.Facts
-
-// LoadScenario resolves arg as a builtin scenario family
-// (ScenarioNames lists them) or as a path to a scenario JSON file.
+// LoadScenario resolves arg as a builtin scenario family (an unknown
+// name's error lists them) or as a path to a scenario JSON file.
 func LoadScenario(arg string) (*Scenario, error) {
 	return scenario.Lookup(arg)
-}
-
-// ScenarioNames lists the builtin scenario families, sorted.
-func ScenarioNames() []string { return scenario.Names() }
-
-// MergeScorecards unions cards from partitions of one logical run
-// (counters add, first detection takes the earliest, rates rederive).
-// All cards must carry identical Facts.
-func MergeScorecards(cards ...*Scorecard) (*Scorecard, error) {
-	return score.Merge(cards...)
 }
 
 // RunScenario replays the farm's compiled campaign — every packet
@@ -60,16 +47,4 @@ func (hf *Honeyfarm) RunScenario(opts ...ReplayOption) (*Scorecard, error) {
 	}
 	t := hf.eng.Totals()
 	return score.Compute(hf.plan.Facts(hf.opts.Policy.String()), &t), nil
-}
-
-// RunScenario builds a honeyfarm from opts (which must set Scenario),
-// runs the campaign end to end, closes the farm, and returns the
-// scorecard.
-func RunScenario(opts Options) (*Scorecard, error) {
-	hf, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer hf.Close()
-	return hf.RunScenario()
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"potemkin/internal/guest"
+	"potemkin/internal/scenario"
 )
 
 var updateCards = flag.Bool("update", false, "rewrite testdata/scorecards from this run")
@@ -37,7 +38,7 @@ func scenarioCard(t *testing.T, opts Options) (*Scorecard, []byte) {
 // count — the facade half of the acceptance criterion (the cluster
 // half lives in internal/cluster).
 func TestScenarioSequentialMatchesParallel(t *testing.T) {
-	for _, name := range ScenarioNames() {
+	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
 			sc, err := LoadScenario(name)
 			if err != nil {
@@ -93,7 +94,7 @@ func goldenOptions(t *testing.T, name string) Options {
 // the bytes in testdata/scorecards: a change to how the card is summed
 // or read must leave it byte-equal. -update rewrites the files.
 func TestScenarioScorecardGolden(t *testing.T) {
-	for _, name := range ScenarioNames() {
+	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
 			_, got := scenarioCard(t, goldenOptions(t, name))
 			path := filepath.Join("testdata", "scorecards", name+".json")
@@ -124,7 +125,7 @@ func TestScenarioLeavesTelemetryOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-	if hf.Metrics() != nil {
+	if hf.metrics != nil {
 		t.Fatal("a scenario run without Options.Metrics built a telemetry registry")
 	}
 	card, err := hf.RunScenario()

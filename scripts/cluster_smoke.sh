@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Cluster-mode smoke test: a coordinator and two worker processes plus
 # one hot standby run a 4-shard scenario over real TCP; one assigned
-# worker is SIGKILLed mid-feed; the run must recover onto the standby
-# and the merged -json stats must be byte-identical to the
-# single-process oracle at the same seed. The workers run -parallel, so
-# each advances its two shards on the engine's persistent transport
-# goroutines in a real process.
+# worker is SIGKILLed mid-feed; the run must recover onto the standby,
+# the merged -json stats must be byte-identical to the single-process
+# oracle at the same seed, and so must the progress lines both print
+# (one per -interval of simulated time, at the same epoch barriers).
+# The workers run -parallel, so each advances its two shards on the
+# engine's persistent transport goroutines in a real process.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -18,8 +19,9 @@ seed=5
 shards=4
 dur=30s
 rate=200
+interval=5s
 addr="127.0.0.1:$((47540 + RANDOM % 1000))"
-common=(-shards "$shards" -seed "$seed" -duration "$dur" -rate "$rate")
+common=(-shards "$shards" -seed "$seed" -duration "$dur" -rate "$rate" -interval "$interval")
 
 echo "== building potemkind"
 go build -o "$work/potemkind" ./cmd/potemkind
@@ -99,4 +101,16 @@ if ! diff -u "$work/oracle.json" "$work/cluster.json"; then
 fi
 [ -s "$work/oracle.json" ] || { echo "FAIL: empty oracle JSON" >&2; exit 1; }
 
-echo "PASS: recovered from SIGKILL; stats byte-identical to the oracle"
+echo "== diffing progress lines against the oracle"
+for side in oracle cluster; do
+    grep '^  t=' "$work/$side.raw" >"$work/$side.progress" || {
+        echo "FAIL: the $side printed no progress lines" >&2
+        exit 1
+    }
+done
+if ! diff -u "$work/oracle.progress" "$work/cluster.progress"; then
+    echo "FAIL: cluster progress lines differ from the single-process oracle" >&2
+    exit 1
+fi
+
+echo "PASS: recovered from SIGKILL; stats and progress lines byte-identical to the oracle"

@@ -25,7 +25,7 @@ import (
 func TestMetricsOffByDefault(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
-	if hf.Metrics() != nil {
+	if hf.metrics != nil {
 		t.Error("registry present without Options.Metrics")
 	}
 	if b := hf.MetricsText(); b != nil {
@@ -49,7 +49,7 @@ func TestMetricsThroughFacade(t *testing.T) {
 	hf.RunFor(30 * time.Second)
 
 	st := hf.Stats()
-	pts := hf.Metrics().Snapshot()
+	pts := hf.metrics.Snapshot()
 	get := func(name string) int64 {
 		for _, p := range pts {
 			if p.Name == name {
@@ -125,7 +125,7 @@ func TestMetricsDeterminism(t *testing.T) {
 		}
 		hf.Replay(SliceSource(recs))
 		hf.RunFor(2 * time.Second)
-		b, err := json.Marshal(filterSimMetrics(hf.Metrics().Snapshot()))
+		b, err := json.Marshal(filterSimMetrics(hf.metrics.Snapshot()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestRegistryEqualsStatsAtRest(t *testing.T) {
 			eng := hf.Internals().Engine
 			check := func(when string) []metrics.Point {
 				t.Helper()
-				pts := hf.Metrics().Snapshot()
+				pts := hf.metrics.Snapshot()
 				gs, fs := eng.GatewayStats(), eng.FarmStats()
 				var hs vmm.HostStats
 				var us guest.Stats
@@ -343,7 +343,7 @@ func TestMetricsPublishedMidRun(t *testing.T) {
 							scraped <- n
 							return
 						default:
-							n += len(hf.Metrics().Snapshot()) + len(hf.MetricsText())
+							n += len(hf.metrics.Snapshot()) + len(hf.MetricsText())
 						}
 					}
 				}()
@@ -355,7 +355,7 @@ func TestMetricsPublishedMidRun(t *testing.T) {
 				}()
 			}
 
-			inbound := hf.Metrics().Counter("gateway_inbound_packets_total")
+			inbound := hf.metrics.Counter("gateway_inbound_packets_total")
 			var asked, last uint64 // halt calls so far; the counter as last read
 			sawPositive := false
 			halt := func() bool {
@@ -367,8 +367,8 @@ func TestMetricsPublishedMidRun(t *testing.T) {
 				if got > asked-1 {
 					t.Errorf("gateway_inbound_packets_total = %d with only %d records handed over", got, asked-1)
 				}
-				if hf.Now() >= time.Second && got == 0 {
-					t.Errorf("nothing published by t=%v", hf.Now())
+				if time.Duration(hf.eng.Now()) >= time.Second && got == 0 {
+					t.Errorf("nothing published by t=%v", time.Duration(hf.eng.Now()))
 				}
 				sawPositive = sawPositive || got > 0
 				last = got
@@ -471,7 +471,7 @@ func TestEpochLogProfile(t *testing.T) {
 			}
 			hf.Replay(SliceSource(recs))
 			hf.RunFor(time.Second)
-			pts := hf.Metrics().Snapshot()
+			pts := hf.metrics.Snapshot()
 			hf.Close() // flushes the buffered timeline
 
 			samples, err := metrics.ReadEpochs(&timeline)

@@ -95,6 +95,14 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards int, pcapPa
 		Shards:  listenShards,
 		Capture: pcapPath,
 	}
+	return serveLive(t, opts, recs), ev.Bytes()
+}
+
+// serveLive serves recs losslessly over a real loopback UDP socket into
+// a honeyfarm built from opts, which declare the wire, passing serveOpts
+// to Serve. It returns the final stats, read before the farm closes.
+func serveLive(t *testing.T, opts Options, recs []telescope.Record, serveOpts ...ReplayOption) Stats {
+	t.Helper()
 	hf := MustNew(opts)
 	defer hf.Close()
 	srv, err := hf.StartWire()
@@ -107,7 +115,7 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards int, pcapPa
 	}
 	done := make(chan serveResult, 1)
 	go func() {
-		ws, err := srv.Serve()
+		ws, err := srv.Serve(serveOpts...)
 		done <- serveResult{ws, err}
 	}()
 
@@ -148,7 +156,7 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards int, pcapPa
 	// The reader accounts sequence numbers before it shards, so a
 	// lossless feed reports no gap however many queues it is split over.
 	if ig.SeqGaps != 0 {
-		t.Fatalf("unexpected sequence gaps on a lossless %d-shard feed: %+v", listenShards, ig)
+		t.Fatalf("unexpected sequence gaps on a lossless %d-shard feed: %+v", opts.Wire.Shards, ig)
 	}
 	if ig.Delivered != sent {
 		t.Fatalf("delivered %d of %d", ig.Delivered, sent)
@@ -158,7 +166,7 @@ func liveWireRun(t *testing.T, recs []telescope.Record, listenShards int, pcapPa
 	}
 	stats := hf.Stats()
 	hf.Close()
-	return stats, ev.Bytes()
+	return stats
 }
 
 // replayWireRun replays a live run's capture pcap on an identically
