@@ -25,9 +25,12 @@ test:
 # translation: potemkind's cluster roles run on
 # potemkin.Options.EngineConfig, so its non-test code builds no farm or
 # gateway config of its own. So does a call of Honeyfarm.Internals
-# outside tests, bench/ and examples/outbreak: the facade is the way in
-# (Stats, Totals, Snapshot, the WithProgress observer at the epoch
-# barrier), and ROADMAP items 1(l) and 25 move those two. So does a
+# outside tests and bench/: the facade is the way in (Stats, Totals,
+# Snapshot, the WithProgress observer at the epoch barrier, Replay of any
+# source, the worm epidemic's included), and ROADMAP item 1(l) moves
+# bench/. So does a Domains()[0] outside tests, internal/core and
+# bench/: a farm of any shard count is read through the engine's totals
+# and hooks, never through its first shard. So does a
 # recover() outside tests, bench/ and the engine's shard-panic capture
 # (internal/core/parallel.go): panics are not control flow. So does a sync.Pool outside tests and
 # bench/: the runtime keeps a pool's contents for a further collection,
@@ -64,8 +67,10 @@ vet:
 		[ -z "$$out" ] || { echo "vet: a registry histogram outside metrics, the wire source and core.StatsView (record into a Histogram the layer owns):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n -e 'farm\.DefaultConfig()' -e 'gateway\.DefaultConfig()' -- 'cmd/potemkind/*.go' ':!*_test.go'); \
 		[ -z "$$out" ] || { echo "vet: potemkind builds an engine config by hand (use potemkin.Options.EngineConfig):"; echo "$$out"; exit 1; }
-	@out=$$(git grep -n '\.Internals()' -- '*.go' ':!*_test.go' ':!bench' ':!examples/outbreak'); \
-		[ -z "$$out" ] || { echo "vet: Internals() outside bench/ and examples/outbreak (read the farm through the facade):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n '\.Internals()' -- '*.go' ':!*_test.go' ':!bench'); \
+		[ -z "$$out" ] || { echo "vet: Internals() outside bench/ (read the farm through the facade):"; echo "$$out"; exit 1; }
+	@out=$$(git grep -n 'Domains()\[0\]' -- '*.go' ':!*_test.go' ':!internal/core' ':!bench'); \
+		[ -z "$$out" ] || { echo "vet: Domains()[0] outside internal/core and bench/ (read every shard: Totals, OnInfected, OnEgress):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'recover()' -- '*.go' ':!*_test.go' ':!bench' | grep -v '^internal/core/parallel\.go:'); \
 		[ -z "$$out" ] || { echo "vet: recover() outside internal/core/parallel.go (return an error instead of panicking):"; echo "$$out"; exit 1; }
 	@out=$$(git grep -n 'sync\.Pool' -- '*.go' ':!*_test.go' ':!bench'); \

@@ -68,6 +68,10 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 	}
 	eng, err := core.NewShardEngine(core.ShardEngineConfig{
 		Shards: 1, Seed: 99, Farm: fc, Gateway: gc,
+		OnInfected: func(_ sim.Time, in *guest.Instance) {
+			infected++
+			maxDepth = max(maxDepth, in.Generation)
+		},
 		OnEgress: func(_ sim.Time, pkt *netsim.Packet) {
 			if len(pkt.Payload) > 0 { // exploit or stage-2 bytes leaving the farm
 				leaked++
@@ -77,7 +81,6 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 	if err != nil {
 		panic(err)
 	}
-	d := eng.Domains()[0]
 
 	// Patient zero.
 	exploit := netsim.TCPSyn(netsim.MustParseAddr("200.1.2.3"), gc.Space.Nth(99), 31337, 445, 1)
@@ -87,18 +90,10 @@ func run(pol gateway.Policy) (leaked uint64, infected, maxDepth, stage2 int) {
 	eng.RunUntil(sim.Start.Add(60 * time.Second))
 	eng.Close()
 
-	d.F.EachInstance(func(in *guest.Instance) {
-		if in.Infected {
-			infected++
-			if in.Generation > maxDepth {
-				maxDepth = in.Generation
-			}
-		}
-	})
 	// Stage-2 fetches captured: reflected bindings created for the
 	// payload server's address.
 	if pol == gateway.PolicyInternalReflect {
-		stage2 = int(d.G.Stats().OutReflected)
+		stage2 = int(eng.Totals().Gateway.OutReflected)
 	}
 	return leaked, infected, maxDepth, stage2
 }

@@ -20,7 +20,6 @@ import (
 
 	"potemkin"
 	"potemkin/internal/guest"
-	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/worm"
 )
@@ -52,40 +51,38 @@ func main() {
 	}
 	hf := potemkin.MustNew(opts)
 	defer hf.Close()
-	// The default farm is one simulation domain; the epidemic shares its
-	// clock and feeds its gateway.
-	farm := hf.Internals().Engine.Domains()[0]
 
 	// An epidemic on the outside: 2,000 hosts already infected, each
 	// scanning 50 addresses per second, out of a million vulnerable.
+	// Its scans into the telescope are a replay source, routed to the
+	// farm like any trace.
 	wcfg := worm.DefaultConfig()
 	wcfg.Seed = 7
 	wcfg.InitialInfected = 2000
 	wcfg.ScanRate = 50
 	wcfg.ExploitPayload = guest.WindowsXP().ExploitPayload(0)
-	wcfg.Deliver = func(now sim.Time, pkt *netsim.Packet) {
-		farm.G.HandleInbound(now, pkt)
-	}
-	e := worm.New(farm.K, wcfg)
+	e := worm.New(wcfg)
 
 	fmt.Printf("outbreak begins: %d infected on the Internet, honeyfarm watching %s\n\n",
-		e.Infected(), "10.5.0.0/16")
-	e.Start()
-
-	for minute := 1; minute <= 5; minute++ {
-		hf.RunFor(time.Minute)
-		st := hf.Stats()
-		fmt.Printf("t=%dm: internet infected=%d | honeyfarm: vms=%d infected=%d dropped=%d\n",
-			minute, e.Infected(), st.LiveVMs, st.InfectedVMs, st.OutboundDropped)
+		e.Infected(), wcfg.Telescope)
+	// The epidemic reads ahead of the farm by at most one scan, so the
+	// Internet count a progress line shows can run slightly ahead of it.
+	_, err := hf.Replay(e.Source(sim.Start.Add(5*time.Minute)),
+		potemkin.WithProgress(time.Minute, func(st potemkin.Stats) {
+			fmt.Printf("t=%v: internet infected=%d | honeyfarm: vms=%d infected=%d dropped=%d\n",
+				st.Now.Truncate(time.Second), e.Infected(), st.LiveVMs, st.InfectedVMs, st.OutboundDropped)
+		}))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "outbreak: %v\n", err)
+		os.Exit(1)
 	}
-	e.Stop()
 
 	st := hf.Stats()
 	fmt.Printf("\ncaptures: %d infected honeypots, %d flagged by the scan detector\n",
 		st.InfectedVMs, st.DetectedInfected)
 	fmt.Printf("containment: %d worm packets dropped at the gateway, zero escaped\n",
 		st.OutboundDropped)
-	fmt.Printf("first capture happened %v after patient zero's scan hit the telescope\n",
+	fmt.Printf("the worm's first scan hit the telescope %v into the outbreak\n",
 		time.Duration(e.Stats().FirstTelescopeHit).Truncate(time.Millisecond))
 	if *traceOut != "" {
 		hf.Close() // flush open spans

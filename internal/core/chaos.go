@@ -176,21 +176,19 @@ func runChaosArm(cfg ChaosConfig, faulted bool) (ChaosArm, []string) {
 		}}
 	}
 
-	var e *worm.Epidemic
+	e := worm.New(wcfg)
 	var events bytes.Buffer
 	eng, d := oneShard(ShardEngineConfig{
 		Seed: cfg.Seed, Farm: fc, Gateway: gc, Fault: faults,
 		EventLog: &events, TraceOut: cfg.TraceOut,
 		OnEgress: func(_ sim.Time, pkt *netsim.Packet) { e.InjectLeak(pkt) },
 	})
-	wcfg.Deliver = d.G.HandleInbound
-	e = worm.New(d.K, wcfg)
 
 	eng.StartFaults()
 	d.tracer.Instant(d.K.Now(), "arm-start", trace.Attr{K: "arm", V: name})
-	e.Start()
-	eng.RunUntil(sim.Start.Add(cfg.Duration))
-	e.Stop()
+	end := sim.Start.Add(cfg.Duration)
+	_, _ = eng.Replay(e.Source(end), nil, 0) // an epidemic's source returns no error but io.EOF
+	eng.RunUntil(end)
 	// Close writes out the arm's logs. A TraceOut write error is dropped,
 	// as the trace's JSONL sink always has; EventLog is a buffer.
 	_ = eng.Close()

@@ -143,6 +143,7 @@ type e5ArmResult struct {
 	st           worm.Stats
 	curve        *metrics.Series
 	leakedPkts   uint64
+	reflected    uint64 // the gateway's internal reflections
 	firstCapture float64
 	hfInfected   int
 }
@@ -160,13 +161,10 @@ func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
 	wcfg.MaxDeliverPerStep = 8
 
 	r := e5ArmResult{firstCapture: -1}
-	var e *worm.Epidemic
+	e := worm.New(wcfg)
 	end := sim.Start.Add(dur)
 	if arm.NoHoneyfarm {
-		e = worm.New(sim.NewKernel(seed), wcfg)
-		e.Start()
-		e.K.RunUntil(end)
-		e.Stop()
+		e.RunUntil(end)
 	} else {
 		fc := farm.DefaultConfig()
 		// A deliberately small farm: two 256 MiB servers bound the
@@ -195,13 +193,11 @@ func runE5Arm(seed uint64, arm E5Arm, dur time.Duration) e5ArmResult {
 				e.InjectLeak(pkt)
 			},
 		})
-		wcfg.Deliver = d.G.HandleInbound
-		e = worm.New(d.K, wcfg)
-		e.Start()
+		_, _ = eng.Replay(e.Source(end), nil, 0) // an epidemic's source returns no error but io.EOF
 		eng.RunUntil(end)
-		e.Stop()
 		eng.Close()
 		r.hfInfected = d.F.InfectedVMs()
+		r.reflected = d.G.Stats().OutReflected
 	}
 
 	r.st = e.Stats()
@@ -246,18 +242,14 @@ func RunE6(seed uint64, prefixBits []int, scanRates []float64, trials int) E6Res
 	}
 	ForEach(len(runs), func(i int) {
 		r := &runs[i]
-		k := sim.NewKernel(seed + uint64(r.trial)*1000 + uint64(r.bits))
 		cfg := worm.DefaultConfig()
 		cfg.Seed = seed + uint64(r.trial)
 		cfg.Telescope = netsim.Prefix{Base: netsim.MustParseAddr("10.0.0.0"), Bits: r.bits}
 		cfg.InitialInfected = 10
 		cfg.ScanRate = r.rate
 		cfg.Susceptible = 1 << 20
-		cfg.Deliver = nil
-		e := worm.New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(2 * time.Hour))
-		e.Stop()
+		e := worm.New(cfg)
+		e.RunUntil(sim.Start.Add(2 * time.Hour))
 		if e.Stats().SeenTelescope {
 			r.hit = true
 			r.hitAt = e.Stats().FirstTelescopeHit.Seconds()

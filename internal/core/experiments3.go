@@ -137,37 +137,43 @@ func RunE10(seed uint64, arms []E10Arm, dur time.Duration, patchRate float64) E1
 	results := make([]armResult, len(arms))
 	ForEach(len(arms), func(i int) {
 		arm := arms[i]
-		k := sim.NewKernel(seed)
 		cfg := worm.DefaultConfig()
 		cfg.Seed = seed
 		cfg.Susceptible = 1 << 20
 		cfg.InitialInfected = 10
 		cfg.ScanRate = 30
-		cfg.Deliver = nil
 		if arm.TelescopeBits > 0 {
 			cfg.Telescope = netsim.Prefix{Base: netsim.MustParseAddr("10.0.0.0"), Bits: arm.TelescopeBits}
 		}
-		e := worm.New(k, cfg)
-		e.Start()
+		e := worm.New(cfg)
+		end := sim.Start.Add(dur)
 
 		captureAt, responseAt := -1.0, -1.0
-		if arm.TelescopeBits > 0 {
-			var watch *sim.Ticker
-			watch = k.Every(time.Second, func(now sim.Time) {
-				if !e.Stats().SeenTelescope {
-					return
-				}
-				captureAt = e.Stats().FirstTelescopeHit.Add(captureOverhead).Seconds()
-				deployAt := e.Stats().FirstTelescopeHit.Add(captureOverhead + arm.ReactionDelay)
-				k.At(maxTime(deployAt, now), func(then sim.Time) {
-					responseAt = then.Seconds()
-					e.StartResponse(patchRate)
-				})
-				watch.Stop()
-			})
+		// Once a second the operator looks for a telescope hit in the
+		// state just before that second's step. The response deploys
+		// captureOverhead + ReactionDelay after the first hit, and not
+		// before the hit is seen: then it follows that second's step.
+		for now := sim.Start.Add(time.Second); arm.TelescopeBits > 0 && now <= end; now = now.Add(time.Second) {
+			e.RunUntil(now - 1)
+			st := e.Stats()
+			if !st.SeenTelescope {
+				continue
+			}
+			captureAt = st.FirstTelescopeHit.Add(captureOverhead).Seconds()
+			deployAt := st.FirstTelescopeHit.Add(captureOverhead + arm.ReactionDelay)
+			if deployAt <= now {
+				deployAt = now
+				e.RunUntil(now)
+			} else if deployAt <= end {
+				e.RunUntil(deployAt - 1)
+			}
+			if deployAt <= end {
+				responseAt = deployAt.Seconds()
+				e.StartResponse(patchRate)
+			}
+			break
 		}
-		k.RunUntil(sim.Start.Add(dur))
-		e.Stop()
+		e.RunUntil(end)
 
 		curve := e.Curve.Downsample(120)
 		curve.Name = arm.Name
@@ -192,13 +198,6 @@ func RunE10(seed uint64, arms []E10Arm, dur time.Duration, patchRate float64) E1
 		res.Table.AddRow(arm.Name, capCell, respCell, r.infected, r.immunized)
 	}
 	return res
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E2cResult holds the CPU-bound density table.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,6 +203,37 @@ func TestE5ContainmentShape(t *testing.T) {
 	}
 	if len(res.Curves) != 5 {
 		t.Errorf("curves = %d", len(res.Curves))
+	}
+}
+
+// TestE5ArmIsDeterministic: a small, fast outbreak at seed 3 reruns to
+// the same arm result under drop-all and under internal-reflect.
+func TestE5ArmIsDeterministic(t *testing.T) {
+	for _, pol := range []gateway.Policy{gateway.PolicyDropAll, gateway.PolicyInternalReflect} {
+		arm := E5Arm{Name: pol.String(), Policy: pol}
+		a, b := runE5Arm(3, arm, 20*time.Second), runE5Arm(3, arm, 20*time.Second)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: two runs at seed 3 differ:\n%+v\n%+v", pol, a, b)
+		}
+	}
+}
+
+// TestE5ArmContainment: on a small, fast outbreak at seed 3, drop-all
+// lets no packet out; internal-reflect turns the captured worm's scans
+// into internal reflections and infects nobody outside.
+func TestE5ArmContainment(t *testing.T) {
+	run := func(pol gateway.Policy) e5ArmResult {
+		return runE5Arm(3, E5Arm{Name: pol.String(), Policy: pol}, 20*time.Second)
+	}
+	if r := run(gateway.PolicyDropAll); r.leakedPkts != 0 {
+		t.Errorf("drop-all leaked %d packets", r.leakedPkts)
+	}
+	r := run(gateway.PolicyInternalReflect)
+	if r.reflected == 0 {
+		t.Errorf("internal-reflect made no internal reflections: %+v", r)
+	}
+	if r.st.LeakInfections != 0 {
+		t.Errorf("internal-reflect caused %d outside infections", r.st.LeakInfections)
 	}
 }
 

@@ -34,6 +34,12 @@ func LoadProfile(r io.Reader) (*Profile, error) {
 	return &p, nil
 }
 
+// maxRatePerSec bounds a profile's event rates: a timer waits an
+// exponential interval of mean 1e9/rate ns, truncated to whole
+// nanoseconds. Above one event a nanosecond nearly every wait truncates
+// to 0, so the timer refires at one instant and simulated time stops.
+const maxRatePerSec = 1e9
+
 // Validate checks a profile for internal consistency.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
@@ -64,8 +70,25 @@ func (p *Profile) Validate() error {
 	if vulns > 1 {
 		return fmt.Errorf("guest: profile %q has %d vulnerable services; at most one is supported", p.Name, vulns)
 	}
-	if p.TouchRatePerSec < 0 || p.ScanRatePerSec < 0 || p.WidePageProb < 0 || p.WidePageProb > 1 {
-		return fmt.Errorf("guest: profile %q has out-of-range rates", p.Name)
+	for _, r := range []struct {
+		field string
+		v     float64
+	}{
+		{"TouchRatePerSec", p.TouchRatePerSec},
+		{"ScanRatePerSec", p.ScanRatePerSec},
+		{"CanaryRatePerSec", p.CanaryRatePerSec},
+	} {
+		if !(r.v >= 0 && r.v <= maxRatePerSec) { // NaN fails both
+			return fmt.Errorf("guest: profile %q has out-of-range %s %v (want 0 to %g per second)",
+				p.Name, r.field, r.v, maxRatePerSec)
+		}
+	}
+	if !(p.WidePageProb >= 0 && p.WidePageProb <= 1) {
+		return fmt.Errorf("guest: profile %q has out-of-range WidePageProb %v", p.Name, p.WidePageProb)
+	}
+	if p.InitialBurstPages < 0 || p.WorkingSetPages < 0 || p.InfectionBurstPages < 0 {
+		return fmt.Errorf("guest: profile %q has a negative page count (InitialBurstPages %d, WorkingSetPages %d, InfectionBurstPages %d)",
+			p.Name, p.InitialBurstPages, p.WorkingSetPages, p.InfectionBurstPages)
 	}
 	if p.ScanRatePerSec > 0 {
 		if p.ScanDstPort == 0 {
@@ -78,7 +101,7 @@ func (p *Profile) Validate() error {
 	if p.PayloadHost != "" && p.PayloadServer != 0 {
 		return fmt.Errorf("guest: profile %q sets both PayloadHost and PayloadServer", p.Name)
 	}
-	if p.CanaryRatePerSec < 0 || p.CanaryTimeoutMS < 0 || p.FingerprintThreshold < 0 {
+	if p.CanaryTimeoutMS < 0 || p.FingerprintThreshold < 0 {
 		return fmt.Errorf("guest: profile %q has negative fingerprinting parameters", p.Name)
 	}
 	if p.BeaconPeriodMS < 0 {

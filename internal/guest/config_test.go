@@ -2,6 +2,7 @@ package guest
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -56,7 +57,16 @@ func TestValidateRejects(t *testing.T) {
 			p.Services[0].ExploitSig = []byte("x")
 		}, "at most one"},
 		{"negative rate", func(p *Profile) { p.TouchRatePerSec = -1 }, "out-of-range"},
+		{"touch rate past 1/ns", func(p *Profile) { p.TouchRatePerSec = 1e12 }, "out-of-range TouchRatePerSec"},
+		{"scan rate NaN", func(p *Profile) { p.ScanRatePerSec = math.NaN() }, "out-of-range ScanRatePerSec"},
+		{"scan rate infinite", func(p *Profile) { p.ScanRatePerSec = math.Inf(1) }, "out-of-range ScanRatePerSec"},
+		{"canary rate past 1/ns", func(p *Profile) { p.CanaryRatePerSec = 2e9 }, "out-of-range CanaryRatePerSec"},
+		{"negative canary rate", func(p *Profile) { p.CanaryRatePerSec = -1 }, "out-of-range CanaryRatePerSec"},
 		{"bad prob", func(p *Profile) { p.WidePageProb = 1.5 }, "out-of-range"},
+		{"NaN prob", func(p *Profile) { p.WidePageProb = math.NaN() }, "out-of-range"},
+		{"negative initial burst", func(p *Profile) { p.InitialBurstPages = -5 }, "negative page count"},
+		{"negative working set", func(p *Profile) { p.WorkingSetPages = -1 }, "negative page count"},
+		{"negative infection burst", func(p *Profile) { p.InfectionBurstPages = -1 }, "negative page count"},
 		{"scan no port", func(p *Profile) { p.ScanDstPort = 0 }, "no scan port"},
 		{"both payload fields", func(p *Profile) {
 			p.PayloadHost = "a.b"
@@ -68,6 +78,31 @@ func TestValidateRejects(t *testing.T) {
 		c.mutate(p)
 		err := p.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestLoadProfileRejectsRunawayInput: a profile dumped from winxp with
+// one field changed used to load and then hang the run (a touch every
+// 1e-3 ns truncates to a touch every 0 ns) or run without a word on a
+// negative burst. Both now fail at load.
+func TestLoadProfileRejectsRunawayInput(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Profile)
+		want   string
+	}{
+		{"TouchRatePerSec 1e12", func(p *Profile) { p.TouchRatePerSec = 1e12 }, "TouchRatePerSec"},
+		{"InitialBurstPages -5", func(p *Profile) { p.InitialBurstPages = -5 }, "InitialBurstPages -5"},
+	} {
+		p := WindowsXP()
+		c.mutate(p)
+		var buf bytes.Buffer
+		if err := SaveProfile(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadProfile(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
 		}
 	}

@@ -2,10 +2,13 @@
 // the honeyfarm — the substrate for the paper's containment and
 // detection-time experiments. The susceptible population is modeled in
 // aggregate (an SI process advanced in small time steps with binomially
-// sampled infections), while every scan that lands inside the monitored
-// telescope prefix is materialized as a real packet and delivered to the
-// gateway, so the honeyfarm side runs the genuine binding / cloning /
-// containment machinery.
+// sampled infections) on the epidemic's own clock. Every scan that lands
+// inside the monitored telescope prefix is materialized as a trace
+// record carrying the exploit: Source hands them to a replay
+// (core.ShardEngine.Replay, potemkin.Honeyfarm.Replay), which routes
+// each to its owner shard, so the honeyfarm side runs the genuine
+// binding / cloning / containment machinery in every execution mode.
+// RunUntil advances the model alone, for runs without a farm.
 //
 // Coupling in the other direction is what the containment experiment
 // measures: packets the gateway lets escape (leaks) carry the exploit to
@@ -14,12 +17,14 @@
 package worm
 
 import (
+	"io"
 	"math"
 	"time"
 
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
+	"potemkin/internal/telescope"
 )
 
 // Strategy is a worm target-selection strategy.
@@ -160,17 +165,14 @@ type Config struct {
 	LocalDensityBoost float64
 
 	// Telescope is the honeyfarm's monitored space; scans landing there
-	// become packets delivered to Deliver.
+	// become the records Source yields.
 	Telescope netsim.Prefix
-	// Deliver receives materialized telescope-bound scans. Nil for
-	// pure-epidemic runs.
-	Deliver func(now sim.Time, pkt *netsim.Packet)
-	// MaxDeliverPerStep caps materialized packets per step so a huge
+	// MaxDeliverPerStep caps materialized records per step so a huge
 	// epidemic cannot melt the gateway simulation; the overflow is
 	// counted, not silently lost.
 	MaxDeliverPerStep int
 
-	// ExploitPayload is carried by scan packets (so honeyfarm guests
+	// ExploitPayload is carried by scan records (so honeyfarm guests
 	// actually get infected). Port/proto describe the probe.
 	ExploitPayload []byte
 	Port           uint16
@@ -210,29 +212,30 @@ type Stats struct {
 	Infected          int
 	Susceptible       int
 	TelescopeHits     uint64
-	DeliveredPackets  uint64
-	SuppressedPackets uint64 // telescope hits over the per-step cap
+	DeliveredPackets  uint64 // records Source has yielded
+	SuppressedPackets uint64 // telescope hits over Source's per-step cap
 	LeakInfections    uint64 // infections caused by honeyfarm leakage
 	FirstTelescopeHit sim.Time
 	SeenTelescope     bool
 }
 
-// Epidemic is a running worm outbreak.
+// Epidemic is a worm outbreak on its own clock, which starts at 0: a
+// step every Cfg.Step and a Curve sample every Cfg.SampleEvery. A
+// sample falling on a step's instant records the state before that
+// step. Source and RunUntil advance it.
 type Epidemic struct {
 	Cfg Config
-	K   *sim.Kernel
 
 	// Curve records (seconds, infected count) over time.
 	Curve metrics.Series
 
+	nextStep    sim.Time
+	nextSample  sim.Time
 	susceptible float64
 	infected    float64
 	stats       Stats
 	rng         *sim.RNG
 	targeter    Targeter
-	srcSeq      uint32
-	ticker      *sim.Ticker
-	sampler     *sim.Ticker
 
 	// Permutation-scanning state: total scans issued and the
 	// susceptible pool at start (coverage-based infection accounting).
@@ -245,8 +248,8 @@ type Epidemic struct {
 	immunized float64
 }
 
-// New prepares an epidemic on kernel k. Call Start to begin.
-func New(k *sim.Kernel, cfg Config) *Epidemic {
+// New prepares an epidemic at time 0. Drive it with Source or RunUntil.
+func New(cfg Config) *Epidemic {
 	if cfg.Susceptible <= 0 || cfg.InitialInfected <= 0 {
 		panic("worm: empty population")
 	}
@@ -270,7 +273,7 @@ func New(k *sim.Kernel, cfg Config) *Epidemic {
 	}
 	e := &Epidemic{
 		Cfg:         cfg,
-		K:           k,
+		nextStep:    sim.Start.Add(cfg.Step),
 		susceptible: float64(cfg.Susceptible - initial),
 		infected:    float64(initial),
 		rng:         sim.NewRNG(cfg.Seed ^ 0x776f726d),
@@ -292,30 +295,72 @@ func (e *Epidemic) Stats() Stats {
 // Infected returns the current infected count.
 func (e *Epidemic) Infected() int { return int(e.infected) }
 
-// Start begins stepping the epidemic.
-func (e *Epidemic) Start() {
-	e.Curve.Add(e.K.Now().Seconds(), e.infected)
-	e.ticker = e.K.Every(e.Cfg.Step, e.step)
-	e.sampler = e.K.Every(e.Cfg.SampleEvery, func(now sim.Time) {
-		e.Curve.Add(now.Seconds(), e.infected)
-	})
+// RunUntil advances the model through every step and sample at or
+// before t, materializing no scans.
+func (e *Epidemic) RunUntil(t sim.Time) {
+	for min(e.nextSample, e.nextStep) <= t {
+		e.tick()
+	}
 }
 
-// Stop halts the epidemic.
-func (e *Epidemic) Stop() {
-	if e.ticker != nil {
-		e.ticker.Stop()
+// tick runs the model's next instant — a Curve sample, or else a step —
+// and returns it with the step's telescope hits.
+func (e *Epidemic) tick() (at sim.Time, hits int) {
+	if e.nextSample <= e.nextStep {
+		at = e.nextSample
+		e.Curve.Add(at.Seconds(), e.infected)
+		e.nextSample = at.Add(e.Cfg.SampleEvery)
+		return at, 0
 	}
-	if e.sampler != nil {
-		e.sampler.Stop()
+	at = e.nextStep
+	e.nextStep = at.Add(e.Cfg.Step)
+	return at, e.step(at)
+}
+
+// Source returns the epidemic's telescope-bound scans as a replay
+// source: one record per scan, at its step's time, carrying the exploit
+// payload, and io.EOF once the model has run through end (RunUntil's
+// bound). Each step yields at most Cfg.MaxDeliverPerStep records; the
+// rest count as SuppressedPackets. Reading advances the model, so a
+// replay that reads ahead steps it ahead of the farm it feeds.
+func (e *Epidemic) Source(end sim.Time) telescope.Source {
+	return &scanSource{e: e, end: end}
+}
+
+// scanSource is Source's reader: the step it is in and how many of that
+// step's records it has still to yield.
+type scanSource struct {
+	e    *Epidemic
+	end  sim.Time
+	at   sim.Time
+	left int
+}
+
+func (s *scanSource) Read(rec *telescope.Record) error {
+	e := s.e
+	for s.left == 0 {
+		if min(e.nextSample, e.nextStep) > s.end {
+			return io.EOF
+		}
+		var hits int
+		s.at, hits = e.tick()
+		if hits > e.Cfg.MaxDeliverPerStep {
+			e.stats.SuppressedPackets += uint64(hits - e.Cfg.MaxDeliverPerStep)
+			hits = e.Cfg.MaxDeliverPerStep
+		}
+		s.left = hits
 	}
+	s.left--
+	e.stats.DeliveredPackets++
+	e.scan(s.at, rec)
+	return nil
 }
 
 const universe = float64(1 << 32)
 
-// step advances the SI process by one interval and materializes
-// telescope-bound scans.
-func (e *Epidemic) step(now sim.Time) {
+// step advances the SI process by one interval and returns how many
+// scans hit the telescope.
+func (e *Epidemic) step(now sim.Time) int {
 	dt := e.Cfg.Step.Seconds()
 	scanRate := e.infected * e.Cfg.ScanRate
 	if cap := e.Cfg.AggregateScanCap; cap > 0 && scanRate > cap {
@@ -323,7 +368,7 @@ func (e *Epidemic) step(now sim.Time) {
 	}
 	scans := float64(scanRate * dt) // float64 rounds the product: no fused multiply-add (make vet)
 	if scans <= 0 {
-		return
+		return 0
 	}
 
 	// Partition scans between global and local targeting.
@@ -375,30 +420,18 @@ func (e *Epidemic) step(now sim.Time) {
 	// Telescope hits come only from globally-targeted scans — and a
 	// completed permutation sweep stops scanning altogether.
 	if sweepDone {
-		return
+		return 0
 	}
 	pTel := float64(e.Cfg.Telescope.Size()) / universe
 	hits := int(e.sampleCount(globalScans * pTel))
-	if hits == 0 {
-		return
+	if hits > 0 {
+		e.stats.TelescopeHits += uint64(hits)
+		if !e.stats.SeenTelescope {
+			e.stats.SeenTelescope = true
+			e.stats.FirstTelescopeHit = now
+		}
 	}
-	e.stats.TelescopeHits += uint64(hits)
-	if !e.stats.SeenTelescope {
-		e.stats.SeenTelescope = true
-		e.stats.FirstTelescopeHit = now
-	}
-	if e.Cfg.Deliver == nil {
-		return
-	}
-	deliver := hits
-	if deliver > e.Cfg.MaxDeliverPerStep {
-		e.stats.SuppressedPackets += uint64(deliver - e.Cfg.MaxDeliverPerStep)
-		deliver = e.Cfg.MaxDeliverPerStep
-	}
-	for i := 0; i < deliver; i++ {
-		e.stats.DeliveredPackets++
-		e.Cfg.Deliver(now, e.scanPacket())
-	}
+	return hits
 }
 
 // sampleCount draws an integer-valued realization of a rate with mean m
@@ -425,22 +458,23 @@ func (e *Epidemic) sampleCount(m float64) float64 {
 	}
 }
 
-// scanPacket materializes one telescope-bound probe from a random
-// infected host, with the destination drawn by the strategy's targeter.
-func (e *Epidemic) scanPacket() *netsim.Packet {
+// scan materializes into rec one telescope-bound probe at time at from
+// a random infected host, with the destination drawn by the strategy's
+// targeter.
+func (e *Epidemic) scan(at sim.Time, rec *telescope.Record) {
 	src := e.randomExternal()
 	dst := e.targeter.Next(e.rng)
-	e.srcSeq++
-	switch e.Cfg.Proto {
-	case netsim.ProtoUDP:
-		return netsim.UDPDatagram(src, dst, uint16(1024+e.rng.Intn(60000)), e.Cfg.Port, e.Cfg.ExploitPayload)
-	default:
-		p := netsim.TCPSyn(src, dst, uint16(1024+e.rng.Intn(60000)), e.Cfg.Port, e.srcSeq)
+	*rec = telescope.Record{
+		At: at, Src: src, Dst: dst, Proto: e.Cfg.Proto,
+		SrcPort: uint16(1024 + e.rng.Intn(60000)), DstPort: e.Cfg.Port,
+		PayLen: uint16(len(e.Cfg.ExploitPayload)), Payload: e.Cfg.ExploitPayload,
+	}
+	if e.Cfg.Proto != netsim.ProtoUDP {
+		rec.Proto = netsim.ProtoTCP
+		rec.Flags = netsim.FlagSYN
 		if len(e.Cfg.ExploitPayload) > 0 {
-			p.Flags |= netsim.FlagPSH
-			p.Payload = e.Cfg.ExploitPayload
+			rec.Flags |= netsim.FlagPSH
 		}
-		return p
 	}
 }
 
@@ -468,7 +502,10 @@ func (e *Epidemic) Immunized() int { return int(e.immunized) }
 // InjectLeak feeds a packet that escaped the honeyfarm back into the
 // outside world. A leaked exploit hits a susceptible host with the
 // global density probability; that is how an open honeyfarm accelerates
-// the epidemic it is meant to observe.
+// the epidemic it is meant to observe. It draws from the epidemic's
+// RNG, so call it only on the goroutine that reads Source: a farm's
+// egress callback qualifies when the engine runs its shards on the
+// driving goroutine (sequentially), never under Parallel.
 func (e *Epidemic) InjectLeak(pkt *netsim.Packet) {
 	if len(pkt.Payload) == 0 || e.Cfg.Telescope.Contains(pkt.Dst) {
 		return

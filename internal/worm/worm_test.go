@@ -1,24 +1,43 @@
 package worm
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 	"time"
 
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
+	"potemkin/internal/telescope"
 )
 
+// scans reads e's Source through end and returns every record.
+func scans(t *testing.T, e *Epidemic, end sim.Time) []telescope.Record {
+	t.Helper()
+	src := e.Source(end)
+	var recs []telescope.Record
+	for {
+		var rec telescope.Record
+		err := src.Read(&rec)
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestEpidemicGrowsLogistically(t *testing.T) {
-	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
 	cfg.Susceptible = 1 << 20
 	cfg.InitialInfected = 100
 	cfg.ScanRate = 100
-	e := New(k, cfg)
-	e.Start()
-	k.RunUntil(sim.Start.Add(10 * time.Minute))
-	e.Stop()
+	e := New(cfg)
+	e.RunUntil(sim.Start.Add(10 * time.Minute))
 
 	st := e.Stats()
 	if st.Infected <= cfg.InitialInfected {
@@ -41,16 +60,12 @@ func TestEpidemicGrowsLogistically(t *testing.T) {
 func TestEpidemicMatchesAnalyticEarlyGrowth(t *testing.T) {
 	// Early phase: I(t) ≈ I0 * exp(r*S0/2^32 * t). With S0 = 2^24,
 	// r = 256 scans/s: rate const = 256 * 2^24 / 2^32 = 1 per second.
-	k := sim.NewKernel(2)
 	cfg := DefaultConfig()
 	cfg.Susceptible = 1 << 24
 	cfg.InitialInfected = 1000
 	cfg.ScanRate = 256
-	cfg.Deliver = nil
-	e := New(k, cfg)
-	e.Start()
-	k.RunUntil(sim.Start.Add(4 * time.Second))
-	e.Stop()
+	e := New(cfg)
+	e.RunUntil(sim.Start.Add(4 * time.Second))
 	got := float64(e.Infected())
 	want := 1000 * math.Exp(4)
 	if got < want*0.7 || got > want*1.4 {
@@ -60,19 +75,14 @@ func TestEpidemicMatchesAnalyticEarlyGrowth(t *testing.T) {
 
 func TestTelescopeHitRate(t *testing.T) {
 	// 1000 infected × 100 scans/s × (2^16/2^32) = ~1.5 hits/s.
-	k := sim.NewKernel(3)
 	cfg := DefaultConfig()
 	cfg.Susceptible = 1 << 20
 	cfg.InitialInfected = 1000
 	cfg.ScanRate = 100
 	// Freeze growth to keep the rate interpretable.
 	cfg.Susceptible = cfg.InitialInfected + 1
-	var delivered int
-	cfg.Deliver = func(_ sim.Time, _ *netsim.Packet) { delivered++ }
-	e := New(k, cfg)
-	e.Start()
-	k.RunUntil(sim.Start.Add(100 * time.Second))
-	e.Stop()
+	e := New(cfg)
+	delivered := len(scans(t, e, sim.Start.Add(100*time.Second)))
 	want := 1000.0 * 100 * 100 * float64(cfg.Telescope.Size()) / (1 << 32)
 	got := float64(e.Stats().TelescopeHits)
 	if got < want*0.7 || got > want*1.3 {
@@ -84,21 +94,16 @@ func TestTelescopeHitRate(t *testing.T) {
 }
 
 func TestDeliveredPacketsAreValidProbes(t *testing.T) {
-	k := sim.NewKernel(4)
 	cfg := DefaultConfig()
 	cfg.InitialInfected = 5000
 	cfg.ScanRate = 500
 	cfg.ExploitPayload = []byte("sig\x00")
-	var pkts []*netsim.Packet
-	cfg.Deliver = func(_ sim.Time, p *netsim.Packet) { pkts = append(pkts, p) }
-	e := New(k, cfg)
-	e.Start()
-	k.RunUntil(sim.Start.Add(20 * time.Second))
-	e.Stop()
-	if len(pkts) == 0 {
+	recs := scans(t, New(cfg), sim.Start.Add(20*time.Second))
+	if len(recs) == 0 {
 		t.Fatal("no packets")
 	}
-	for _, p := range pkts {
+	for i := range recs {
+		p := recs[i].Packet()
 		if !cfg.Telescope.Contains(p.Dst) {
 			t.Fatalf("probe dst %s outside telescope", p.Dst)
 		}
@@ -117,16 +122,13 @@ func TestDeliveredPacketsAreValidProbes(t *testing.T) {
 
 func TestFirstTelescopeHitScalesWithTelescopeSize(t *testing.T) {
 	detect := func(bits int) sim.Time {
-		k := sim.NewKernel(5)
 		cfg := DefaultConfig()
 		cfg.Telescope = netsim.Prefix{Base: netsim.MustParseAddr("10.0.0.0"), Bits: bits}
 		cfg.InitialInfected = 10
 		cfg.ScanRate = 10
 		cfg.Susceptible = 1 << 20
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(time.Hour))
-		e.Stop()
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(time.Hour))
 		if !e.Stats().SeenTelescope {
 			return sim.End
 		}
@@ -142,15 +144,12 @@ func TestFirstTelescopeHitScalesWithTelescopeSize(t *testing.T) {
 
 func TestHitlistHeadStart(t *testing.T) {
 	run := func(s Strategy) int {
-		k := sim.NewKernel(6)
 		cfg := DefaultConfig()
 		cfg.Strategy = s
 		cfg.InitialInfected = 50
 		cfg.ScanRate = 50
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(time.Minute))
-		e.Stop()
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(time.Minute))
 		return e.Infected()
 	}
 	if uni, hl := run(Uniform), run(Hitlist); hl <= uni {
@@ -160,16 +159,13 @@ func TestHitlistHeadStart(t *testing.T) {
 
 func TestLocalPrefSpreadsFaster(t *testing.T) {
 	run := func(s Strategy) int {
-		k := sim.NewKernel(7)
 		cfg := DefaultConfig()
 		cfg.Strategy = s
 		cfg.Susceptible = 1 << 22
 		cfg.InitialInfected = 500
 		cfg.ScanRate = 100
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(2 * time.Minute))
-		e.Stop()
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(2 * time.Minute))
 		return e.Infected()
 	}
 	if uni, lp := run(Uniform), run(LocalPref); lp <= uni {
@@ -182,16 +178,13 @@ func TestLocalPrefHitsTelescopeLessPerScan(t *testing.T) {
 	// local fraction of local-pref scans never reaches the (dark)
 	// telescope, so its hit count should be roughly halved.
 	run := func(s Strategy) uint64 {
-		k := sim.NewKernel(7)
 		cfg := DefaultConfig()
 		cfg.Strategy = s
 		cfg.InitialInfected = 2000
 		cfg.Susceptible = cfg.InitialInfected + 1
 		cfg.ScanRate = 100
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(time.Minute))
-		e.Stop()
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(time.Minute))
 		return e.Stats().TelescopeHits
 	}
 	uni, lp := run(Uniform), run(LocalPref)
@@ -206,19 +199,16 @@ func TestPermutationScanning(t *testing.T) {
 	// 2^32 addresses: 100k infected × 1000 scans/s = 1e8/s → full sweep
 	// in ~43 s. After the sweep: saturation and telescope silence.
 	run := func(s Strategy) (int, uint64, uint64) {
-		k := sim.NewKernel(13)
 		cfg := DefaultConfig()
 		cfg.Strategy = s
 		cfg.Susceptible = 1 << 20
 		cfg.InitialInfected = 100000
 		cfg.ScanRate = 1000
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(50 * time.Second))
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(50 * time.Second))
 		infAt50 := e.Infected()
 		hitsAt50 := e.Stats().TelescopeHits
-		k.RunUntil(sim.Start.Add(2 * time.Minute))
-		e.Stop()
+		e.RunUntil(sim.Start.Add(2 * time.Minute))
 		return infAt50, hitsAt50, e.Stats().TelescopeHits
 	}
 	permAt50Inf, permAt50, permFinal := run(Permutation)
@@ -244,19 +234,16 @@ func TestPermutationScanning(t *testing.T) {
 
 func TestAggregateScanCapLinearizesGrowth(t *testing.T) {
 	run := func(cap float64) (early, late int) {
-		k := sim.NewKernel(13)
 		cfg := DefaultConfig()
 		cfg.Susceptible = 1 << 22
 		cfg.InitialInfected = 1000
 		cfg.ScanRate = 50
 		cfg.AggregateScanCap = cap
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(30 * time.Second))
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(30 * time.Second))
 		early = e.Infected()
-		k.RunUntil(sim.Start.Add(60 * time.Second))
+		e.RunUntil(sim.Start.Add(60 * time.Second))
 		late = e.Infected()
-		e.Stop()
 		return early, late
 	}
 	// Uncapped: exponential — far more growth in the second half-minute.
@@ -281,17 +268,12 @@ func TestAggregateScanCapLinearizesGrowth(t *testing.T) {
 }
 
 func TestDeliveryCapSuppresses(t *testing.T) {
-	k := sim.NewKernel(8)
 	cfg := DefaultConfig()
 	cfg.InitialInfected = 100000
 	cfg.ScanRate = 1000
 	cfg.MaxDeliverPerStep = 5
-	delivered := 0
-	cfg.Deliver = func(sim.Time, *netsim.Packet) { delivered++ }
-	e := New(k, cfg)
-	e.Start()
-	k.RunUntil(sim.Start.Add(5 * time.Second))
-	e.Stop()
+	e := New(cfg)
+	delivered := len(scans(t, e, sim.Start.Add(5*time.Second)))
 	if e.Stats().SuppressedPackets == 0 {
 		t.Error("no suppression under extreme load")
 	}
@@ -306,11 +288,10 @@ func TestDeliveryCapSuppresses(t *testing.T) {
 }
 
 func TestInjectLeakInfects(t *testing.T) {
-	k := sim.NewKernel(9)
 	cfg := DefaultConfig()
 	cfg.Susceptible = 1 << 30 // dense: leaks likely to land
 	cfg.InitialInfected = 10
-	e := New(k, cfg)
+	e := New(cfg)
 	before := e.Infected()
 	leak := netsim.TCPSyn(netsim.MustParseAddr("10.5.0.1"), netsim.MustParseAddr("99.0.0.1"), 1, 445, 1)
 	leak.Payload = []byte("sig")
@@ -326,10 +307,9 @@ func TestInjectLeakInfects(t *testing.T) {
 }
 
 func TestInjectLeakIgnoresBenignAndInternal(t *testing.T) {
-	k := sim.NewKernel(10)
 	cfg := DefaultConfig()
 	cfg.Susceptible = 1 << 30
-	e := New(k, cfg)
+	e := New(cfg)
 	before := e.Infected()
 	// No payload: not an exploit.
 	for i := 0; i < 1000; i++ {
@@ -348,14 +328,11 @@ func TestInjectLeakIgnoresBenignAndInternal(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (int, uint64) {
-		k := sim.NewKernel(11)
 		cfg := DefaultConfig()
 		cfg.InitialInfected = 200
 		cfg.ScanRate = 200
-		e := New(k, cfg)
-		e.Start()
-		k.RunUntil(sim.Start.Add(time.Minute))
-		e.Stop()
+		e := New(cfg)
+		e.RunUntil(sim.Start.Add(time.Minute))
 		return e.Infected(), e.Stats().TelescopeHits
 	}
 	i1, h1 := run()
@@ -366,11 +343,49 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	k := sim.NewKernel(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	New(k, Config{Susceptible: 0, InitialInfected: 1})
+	New(Config{Susceptible: 0, InitialInfected: 1})
+}
+
+// TestSourceScanStreamPinned pins the first scans the source yields at
+// seed 1 — time, addresses, ports and payload — for the uniform and the
+// peer-table targeters. The values were taken from the epidemic's
+// stream when it still delivered packets from kernel ticks: the source
+// keeps its draw order.
+func TestSourceScanStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		s    Strategy
+		want uint64
+	}{
+		{Uniform, 0xc74d675446d9d7be},
+		{P2P, 0xcd00bcb77265a1c2},
+	} {
+		cfg := DefaultConfig()
+		cfg.Strategy = tc.s
+		cfg.InitialInfected = 5000
+		cfg.ScanRate = 500
+		cfg.ExploitPayload = []byte("sig\x00")
+		recs := scans(t, New(cfg), sim.Start.Add(30*time.Second))
+		if len(recs) < 500 {
+			t.Fatalf("%v: %d scans, want at least 500", tc.s, len(recs))
+		}
+		h := fnv.New64a()
+		var b [20]byte
+		for _, r := range recs[:500] {
+			binary.LittleEndian.PutUint64(b[0:], uint64(r.At))
+			binary.LittleEndian.PutUint32(b[8:], uint32(r.Src))
+			binary.LittleEndian.PutUint32(b[12:], uint32(r.Dst))
+			binary.LittleEndian.PutUint16(b[16:], r.SrcPort)
+			binary.LittleEndian.PutUint16(b[18:], r.DstPort)
+			h.Write(b[:])
+			h.Write(r.Payload)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%v: scan stream FNV = %#x, want %#x", tc.s, got, tc.want)
+		}
+	}
 }

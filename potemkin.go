@@ -763,10 +763,10 @@ func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
 
 // Internals exposes the underlying components for advanced use. The
 // types live in internal packages: importable by code in this module,
-// visible as opaque handles elsewhere. Outside tests only bench/ (until
-// ROADMAP item 1(l)) and examples/outbreak (until item 25) call it, and
-// make vet refuses a new caller: read the farm through Stats, Totals,
-// Snapshot and WithProgress.
+// visible as opaque handles elsewhere. Outside tests only bench/ calls
+// it (until ROADMAP item 1(l)), and make vet refuses a new caller: read
+// the farm through Stats, Totals, Snapshot and WithProgress, and feed it
+// through Replay.
 type Internals struct {
 	// Engine is the shard engine every Honeyfarm runs on. Its Domains
 	// — one per gateway shard — hold the kernel, gateway, farm slice

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"potemkin/internal/guest"
+	"potemkin/internal/sim"
+	"potemkin/internal/worm"
 )
 
 // progressRun drives a honeyfarm built from opts once, passing the
@@ -14,7 +18,8 @@ type progressRun func(t *testing.T, opts Options, progress ReplayOption) Stats
 // TestWithProgressMatchesAcrossModes: the progress observer's ticks —
 // barrier times and Stats — are the same sequentially and under
 // Parallel, at two and four shards, through each entry point that
-// honours WithProgress. It fires at the first barrier at or past each
+// honours WithProgress, and for a drop-all worm outbreak replayed from
+// the epidemic's source. It fires at the first barrier at or past each
 // multiple of its interval, and it only reads: the final Stats equal a
 // run without it.
 func TestWithProgressMatchesAcrossModes(t *testing.T) {
@@ -37,6 +42,24 @@ func TestWithProgressMatchesAcrossModes(t *testing.T) {
 				}
 				return hf.Stats()
 			}},
+		{"Outbreak", 5 * time.Second, func(_ *testing.T, shards int) Options {
+			return Options{Seed: 7, GatewayShards: shards, Policy: DropAll}
+		}, func(t *testing.T, opts Options, progress ReplayOption) Stats {
+			wcfg := worm.DefaultConfig()
+			wcfg.InitialInfected = 2000
+			wcfg.ScanRate = 50
+			wcfg.ExploitPayload = guest.WindowsXP().ExploitPayload(0)
+			hf := MustNew(opts)
+			defer hf.Close()
+			if _, err := hf.Replay(worm.New(wcfg).Source(sim.Start.Add(20*time.Second)), progress); err != nil {
+				t.Fatal(err)
+			}
+			st := hf.Stats()
+			if st.InfectedVMs == 0 || st.OutboundDropped == 0 {
+				t.Errorf("the outbreak infected no honeypot or dropped nothing: %+v", st)
+			}
+			return st
+		}},
 		{"RunScenario", time.Second, func(t *testing.T, shards int) Options {
 			opts := goldenOptions(t, "multistage")
 			opts.Servers, opts.GatewayShards = 4, shards
