@@ -46,9 +46,16 @@ test:
 # spec lets a compiler fuse x*y+z, arm64's does and amd64's does not, so
 # a fused site makes a digest depend on the host. An explicit float64(...)
 # around the product rounds it and keeps the two apart. And so does a
-# field of gateway.Config, farm.Config or vmm.HostConfig that no non-test
-# code sets (TestEveryConfigFieldIsSet): a knob nothing turns is dead
-# code or a constant. And so does an exported identifier or method, or
+# field of the facade's Options, WireOptions or Hooks, of
+# core.ShardEngineConfig, gateway.Config, farm.Config or vmm.HostConfig
+# that no non-test code sets (TestEveryConfigFieldIsSet, which resolves
+# each setting to its field, so a forward from one config to another
+# does not count for the first): a knob nothing turns is dead code or a
+# constant. And so does a test or fuzz name in a -run or -fuzz pattern
+# of this Makefile or of CI that no func Test or func Fuzz starts with
+# (TestEveryRunPatternNamesATest): go test runs nothing for a dead name
+# and passes, so a deleted or renamed test would leave CI unseen. And
+# so does an exported identifier or method, or
 # an unexported function or method, in internal/, or an exported
 # function, type or method of the root package, that no non-test code
 # uses (TestEveryExportHasACaller): what only tests reach is deleted or
@@ -86,7 +93,7 @@ vet:
 		[ -z "$$out" ] || { echo "vet: arm64 fuses a multiply-add at (round the product with an explicit float64(...)):"; echo "$$out"; exit 1; }
 	@out=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/score | grep -x 'potemkin/internal/metrics'); \
 		[ -z "$$out" ] || { echo "vet: internal/score imports internal/metrics (score from core.Totals, not the registry)"; exit 1; }
-	$(GO) test -count=1 -run '^TestEvery(ConfigFieldIsSet|ExportHasACaller)$$' ./internal/core
+	$(GO) test -count=1 -run '^TestEvery(ConfigFieldIsSet|ExportHasACaller|RunPatternNamesATest)$$' ./internal/core
 
 race:
 	$(GO) test -race ./...

@@ -21,8 +21,7 @@ func TestValidateReportsAllProblems(t *testing.T) {
 	bad := Options{
 		Servers:        -3,
 		MonitoredSpace: "garbage",
-		SnapshotWarmup: time.Second,
-		FullBoot:       true,
+		Parallel:       true,
 	}
 	err := bad.Validate()
 	if err == nil {
@@ -32,7 +31,7 @@ func TestValidateReportsAllProblems(t *testing.T) {
 	for _, want := range []string{
 		"negative server count",
 		"invalid MonitoredSpace",
-		"SnapshotWarmup requires flash cloning",
+		"Parallel requires GatewayShards >= 2",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error missing %q:\n%s", want, msg)
@@ -116,27 +115,27 @@ func TestHooksStruct(t *testing.T) {
 // leak: when New fails after openCapture already created the trace
 // files, the files must be flushed and closed on the way out — a valid
 // (empty) capture, not a zero-byte file with its header stuck in a
-// buffer.
+// buffer. Shard 0 opens its capture; shard 1's cannot, because a
+// regular file stands where its directory would go.
 func TestNewErrorClosesCaptures(t *testing.T) {
 	dir := t.TempDir()
-	_, err := New(Options{
-		CaptureDir:     dir,
-		SnapshotWarmup: 500 * time.Millisecond,
-		ServerMemory:   1 << 10, // far too small to boot the reference VM
-	})
-	if err == nil {
-		t.Fatal("expected New to fail (reference boot cannot fit in 1 KiB)")
+	if err := os.WriteFile(filepath.Join(dir, "shard-1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Options{CaptureDir: dir, GatewayShards: 2})
+	if err == nil || !strings.Contains(err.Error(), "shard-1") {
+		t.Fatalf("New = %v, want shard 1's capture to fail (its directory is a file)", err)
 	}
 	for _, name := range []string{"in.pcap", "tovm.pcap", "out.pcap"} {
-		f, err := os.Open(filepath.Join(dir, name))
+		f, err := os.Open(filepath.Join(dir, "shard-0", name))
 		if err != nil {
-			t.Fatalf("capture %s missing: %v", name, err)
+			t.Fatalf("capture shard-0/%s missing: %v", name, err)
 		}
 		r, err := ingest.NewPcapSource(f)
 		if err != nil {
-			t.Errorf("capture %s not flushed: %v", name, err)
+			t.Errorf("capture shard-0/%s not flushed: %v", name, err)
 		} else if err := r.Read(&telescope.Record{}); err == nil {
-			t.Errorf("capture %s unexpectedly has records", name)
+			t.Errorf("capture shard-0/%s unexpectedly has records", name)
 		}
 		f.Close()
 	}

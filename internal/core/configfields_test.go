@@ -12,73 +12,79 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestEveryConfigFieldIsSet fails on a field of the layer configs that
-// no non-test code in the module sets: a knob nothing can turn is either
-// dead code or a constant. A field counts as set when it is a key of a
-// composite literal (DefaultConfig's included) or a name in the selector
-// chain on an assignment's left-hand side, in a file of the declaring
-// package or one that imports it.
+// TestEveryConfigFieldIsSet fails on a field of the layer configs or of
+// the facade's options that no non-test code in the module sets: a knob
+// nothing can turn is either dead code or a constant. The type checker
+// resolves each setting to the very field it names, so the facade's
+// forward fc.FullBoot = o.FullBoot sets farm.Config's field, not
+// Options'. A field counts as set where non-test code names it as a key
+// of a composite literal (DefaultConfig's included), as the target of an
+// assignment or an increment, or as the operand of & (potemkind sets
+// Options.EpochLog through &opts.EpochLog).
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	root, module := moduleRoot(t)
+	l := loadModule(t)
+	set := map[*types.Var]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := l.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				set[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := l.info.Uses[key].(*types.Var); ok && v.IsField() {
+						set[v.Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			}
+			return true
+		})
+	}
+
 	configs := []struct{ pkg, typ string }{
+		{"", "Options"},
+		{"", "WireOptions"},
+		{"", "Hooks"},
+		{"internal/core", "ShardEngineConfig"},
 		{"internal/gateway", "Config"},
 		{"internal/farm", "Config"},
 		{"internal/vmm", "HostConfig"},
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		dirs = append(dirs, filepath.ToSlash(rel))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, c := range configs {
-		var fields []string
-		set := map[string]bool{}
-		for i, f := range files {
-			if dirs[i] == c.pkg {
-				fields = append(fields, structFields(f, c.typ)...)
-			} else if !imports(f, module+"/"+c.pkg) {
-				continue
+		path, name := l.module, "potemkin"
+		if c.pkg != "" {
+			path, name = path+"/"+c.pkg, filepath.Base(c.pkg)
+		}
+		var st *types.Struct
+		if p := l.pkgs[path]; p != nil {
+			if tn, ok := p.Scope().Lookup(c.typ).(*types.TypeName); ok {
+				st, _ = tn.Type().Underlying().(*types.Struct)
 			}
-			collectSetFields(f, set)
 		}
-		if len(fields) == 0 {
-			t.Fatalf("no struct %s declared in %s", c.typ, c.pkg)
+		if st == nil {
+			t.Fatalf("no struct %s declared in %s", c.typ, path)
 		}
-		for _, name := range fields {
-			if !set[name] {
-				t.Errorf("%s.%s: nothing outside tests sets it (delete it, or make it a constant)", filepath.Base(c.pkg), c.typ+"."+name)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); !set[f] {
+				t.Errorf("%s.%s.%s: nothing outside tests sets it (delete it, or make it a constant)", name, c.typ, f.Name())
 			}
 		}
 	}
@@ -110,70 +116,6 @@ func moduleRoot(t *testing.T) (dir, module string) {
 	}
 }
 
-// structFields lists the field names of the struct type typ declared in f.
-func structFields(f *ast.File, typ string) []string {
-	var names []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != typ {
-			return true
-		}
-		if st, ok := ts.Type.(*ast.StructType); ok {
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					names = append(names, name.Name)
-				}
-			}
-		}
-		return false
-	})
-	return names
-}
-
-// imports reports whether f imports path.
-func imports(f *ast.File, path string) bool {
-	return slices.ContainsFunc(f.Imports, func(spec *ast.ImportSpec) bool {
-		p, err := strconv.Unquote(spec.Path.Value)
-		return err == nil && p == path
-	})
-}
-
-// collectSetFields adds to set every composite-literal key and every
-// selector name on an assignment's left-hand side in f.
-func collectSetFields(f *ast.File, set map[string]bool) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						set[key.Name] = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				for e := lhs; e != nil; {
-					switch x := e.(type) {
-					case *ast.SelectorExpr:
-						set[x.Sel.Name] = true
-						e = x.X
-					case *ast.IndexExpr:
-						e = x.X
-					case *ast.StarExpr:
-						e = x.X
-					case *ast.ParenExpr:
-						e = x.X
-					default:
-						e = nil
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
 // exportAllowlist names the exports in internal/ and the root package
 // that no non-test code uses and that stay anyway, each with the test in
 // another package or the ROADMAP item that needs it. Keys are
@@ -203,54 +145,18 @@ var exportAllowlist = map[string]string{
 // module uses: a capability only its own tests reach is deleted, or
 // moved into its package's export_test.go when the package's tests of
 // other behaviour need it. The facade is held to the same rule for its
-// exported functions, types and their exported methods (Options fields
-// are out of scope): an export only the root package's tests call goes,
-// and those tests read Stats or the unexported fields instead. It
-// type-checks every non-test package of the module (bench/, cmd/,
-// examples/ and the root count as callers). A
+// exported functions, types and their exported methods (the fields of
+// Options and its companions are TestEveryConfigFieldIsSet's): an export
+// only the root package's tests call goes, and those tests read Stats or
+// the unexported fields instead. bench/, cmd/, examples/ and the root
+// count as callers. A
 // method counts as used when it is selected anywhere, or when it puts
 // its type (or a pointer to it) in an interface declared in the module,
 // in a standard library package the module's packages load, or the
 // universe's error.
 func TestEveryExportHasACaller(t *testing.T) {
-	root, module := moduleRoot(t)
-	l := &exportLoader{
-		root:      root,
-		module:    module,
-		fset:      token.NewFileSet(),
-		pkgs:      map[string]*types.Package{},
-		receivers: map[*ast.Ident]bool{},
-		info: &types.Info{
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		importPath := module
-		if rel != "." {
-			importPath += "/" + filepath.ToSlash(rel)
-		}
-		_, err = l.load(importPath)
-		if errors.Is(err, errNoGoFiles) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	l := loadModule(t)
+	module := l.module
 	used := map[types.Object]bool{}
 	for id, obj := range l.info.Uses {
 		if !l.receivers[id] {
@@ -380,14 +286,59 @@ func origin(obj types.Object) types.Object {
 
 var errNoGoFiles = errors.New("no buildable non-test Go files")
 
+// loadModule type-checks every non-test package of the module from
+// source.
+func loadModule(t *testing.T) *exportLoader {
+	t.Helper()
+	root, module := moduleRoot(t)
+	l := &exportLoader{
+		root:      root,
+		module:    module,
+		fset:      token.NewFileSet(),
+		pkgs:      map[string]*types.Package{},
+		receivers: map[*ast.Ident]bool{},
+		info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		importPath := module
+		if rel != "." {
+			importPath += "/" + filepath.ToSlash(rel)
+		}
+		_, err = l.load(importPath)
+		if errors.Is(err, errNoGoFiles) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // exportLoader type-checks the module's non-test packages from source,
-// recording every use into one types.Info. The standard library comes
-// from the source importer.
+// keeping their files and recording every use into one types.Info. The
+// standard library comes from the source importer.
 type exportLoader struct {
 	root, module string
 	fset         *token.FileSet
 	std          types.Importer
 	pkgs         map[string]*types.Package
+	files        []*ast.File
 	info         *types.Info
 	// receivers marks the type names in methods' receivers: a type
 	// whose only mention is its own methods' receivers is not used.
@@ -451,5 +402,6 @@ func (l *exportLoader) load(path string) (*types.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = p
+	l.files = append(l.files, files...)
 	return p, nil
 }

@@ -137,15 +137,7 @@ func RunE10(seed uint64, arms []E10Arm, dur time.Duration, patchRate float64) E1
 	results := make([]armResult, len(arms))
 	ForEach(len(arms), func(i int) {
 		arm := arms[i]
-		cfg := worm.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Susceptible = 1 << 20
-		cfg.InitialInfected = 10
-		cfg.ScanRate = 30
-		if arm.TelescopeBits > 0 {
-			cfg.Telescope = netsim.Prefix{Base: netsim.MustParseAddr("10.0.0.0"), Bits: arm.TelescopeBits}
-		}
-		e := worm.New(cfg)
+		e := e10Epidemic(seed, arm.TelescopeBits)
 		end := sim.Start.Add(dur)
 
 		captureAt, responseAt := -1.0, -1.0
@@ -198,6 +190,20 @@ func RunE10(seed uint64, arms []E10Arm, dur time.Duration, patchRate float64) E1
 		res.Table.AddRow(arm.Name, capCell, respCell, r.infected, r.immunized)
 	}
 	return res
+}
+
+// e10Epidemic is the outbreak every E10 arm runs, seen by a telescope
+// of telescopeBits (none when 0).
+func e10Epidemic(seed uint64, telescopeBits int) *worm.Epidemic {
+	cfg := worm.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Susceptible = 1 << 20
+	cfg.InitialInfected = 10
+	cfg.ScanRate = 30
+	if telescopeBits > 0 {
+		cfg.Telescope = netsim.Prefix{Base: netsim.MustParseAddr("10.0.0.0"), Bits: telescopeBits}
+	}
+	return worm.New(cfg)
 }
 
 // E2cResult holds the CPU-bound density table.

@@ -9,6 +9,7 @@ import (
 
 	"potemkin/internal/gateway"
 	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 )
 
@@ -316,6 +317,47 @@ func TestE10ResponseShrinksEpidemic(t *testing.T) {
 	// Control arm never captured or responded.
 	if res.Table.Row(0)[1] != "n/a" || res.Table.Row(0)[2] != "n/a" {
 		t.Errorf("control arm row: %v", res.Table.Row(0))
+	}
+}
+
+// TestE10WatchSeesWholeSecondHitAfterItsStep pins RunE10's watch rule:
+// once a second the operator looks at the state just before that
+// second's step. A first telescope hit on a whole second is therefore
+// seen a second later; with no reaction delay the response is due
+// captureOverhead (one second) after the hit, at that same second, and
+// deploys after its step. Had the operator looked after the step, the
+// hit would be seen at once and the response would deploy before the
+// step, immunizing one step more.
+func TestE10WatchSeesWholeSecondHitAfterItsStep(t *testing.T) {
+	const seed, bits, patch = 10, 12, 0.01
+	end := sim.Start.Add(2 * time.Minute)
+	probe := e10Epidemic(seed, bits)
+	probe.RunUntil(end)
+	hit := probe.Stats().FirstTelescopeHit
+	if !probe.Stats().SeenTelescope || time.Duration(hit)%time.Second != 0 {
+		t.Fatalf("first telescope hit at %v: the case needs one on a whole second", hit)
+	}
+
+	res := RunE10(seed, []E10Arm{{Name: "instant", TelescopeBits: bits}}, end.Sub(sim.Start), patch)
+	deploy := hit.Add(captureOverhead)
+	ref := e10Epidemic(seed, bits)
+	ref.RunUntil(deploy)
+	ref.StartResponse(patch)
+	ref.RunUntil(end)
+
+	row := res.Table.Row(0)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"capture_s", parseF(t, row[1]), deploy.Seconds()},
+		{"response_s", parseF(t, row[2]), deploy.Seconds()},
+		{"final_infected", parseF(t, row[3]), float64(ref.Infected())},
+		{"immunized", parseF(t, row[4]), float64(ref.Immunized())},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v (hit at %v)", c.name, c.got, c.want, hit)
+		}
 	}
 }
 

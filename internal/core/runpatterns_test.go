@@ -1,0 +1,143 @@
+package core
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestEveryRunPatternNamesATest fails when a -run or -fuzz pattern in
+// the Makefile or .github/workflows/ci.yml names a test that no
+// func Test… or func Fuzz… in the module starts with: go test with a
+// dead name in -run passes and runs nothing, so a deleted or renamed
+// test would drop out of CI unseen. A pattern is literal names joined by
+// |, with ( ) groups and ^ $ anchors; a name anchored with $ must be a
+// whole test name.
+func TestEveryRunPatternNamesATest(t *testing.T) {
+	root, _ := moduleRoot(t)
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	var tests []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRE.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flagRE := regexp.MustCompile(`(?:^|\s)-(?:run|fuzz)[= ](?:'([^']*)'|"([^"]*)"|(\S+))`)
+	checked := 0
+	for _, file := range []string{"Makefile", filepath.Join(".github", "workflows", "ci.yml")} {
+		src, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		if file == "Makefile" {
+			text = strings.ReplaceAll(text, "$$", "$") // make's escape for $
+		}
+		for i, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue // a comment in either file
+			}
+			for _, m := range flagRE.FindAllStringSubmatch(line, -1) {
+				pattern := m[1] + m[2] + m[3]
+				names, err := expandRunPattern(pattern)
+				if err != nil {
+					t.Errorf("%s:%d: %v", file, i+1, err)
+					continue
+				}
+				for _, name := range names {
+					name, _, _ = strings.Cut(strings.TrimPrefix(name, "^"), "/")
+					whole := strings.HasSuffix(name, "$")
+					name = strings.TrimSuffix(name, "$")
+					if name == "" {
+						continue // ^$ runs no test
+					}
+					checked++
+					if !slices.ContainsFunc(tests, func(test string) bool {
+						return test == name || !whole && strings.HasPrefix(test, name)
+					}) {
+						t.Errorf("%s:%d: -run or -fuzz names %q, which no func Test… or func Fuzz… in the module starts with", file, i+1, name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("found no -run or -fuzz pattern to check")
+	}
+}
+
+// expandRunPattern returns every alternative a -run pattern spells out:
+// "^A(B|C)$" is "^AB$" and "^AC$". It accepts name characters, the
+// anchors ^ and $, the subtest separator /, | and ( ) groups, and
+// refuses any other regular-expression syntax.
+func expandRunPattern(p string) ([]string, error) {
+	alts, rest, err := expandAlts(p)
+	if err == nil && rest != "" {
+		err = fmt.Errorf("unbalanced ) in -run pattern %q", p)
+	}
+	return alts, err
+}
+
+// expandAlts expands p up to its end or an unmatched ), which it
+// returns with what follows.
+func expandAlts(p string) (alts []string, rest string, err error) {
+	seq := []string{""}
+	for p != "" {
+		switch c := p[0]; {
+		case c == '|':
+			alts, seq, p = append(alts, seq...), []string{""}, p[1:]
+		case c == ')':
+			return append(alts, seq...), p, nil
+		case c == '(':
+			inner, r, err := expandAlts(p[1:])
+			if err != nil {
+				return nil, "", err
+			}
+			if r == "" {
+				return nil, "", fmt.Errorf("unclosed ( in -run pattern")
+			}
+			var next []string
+			for _, a := range seq {
+				for _, b := range inner {
+					next = append(next, a+b)
+				}
+			}
+			seq, p = next, r[1:]
+		case c == '^' || c == '$' || c == '/' || c == '_' ||
+			'0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+			for i := range seq {
+				seq[i] += string(c)
+			}
+			p = p[1:]
+		default:
+			return nil, "", fmt.Errorf("-run pattern has %q, which is not a literal name: spell the test names out", c)
+		}
+	}
+	return append(alts, seq...), "", nil
+}

@@ -559,24 +559,10 @@ func (e *ShardEngine) InjectBarrier(pkt *netsim.Packet) {
 	e.domains[e.Owner(pkt.Dst)].Deliver(e.runner.Now(), pkt)
 }
 
-// PrepareSnapshotImages runs the paper's image-preparation flow on every
-// domain (each advances its kernel by roughly boot+warmup), then
-// realigns the runner clock. Must run before traffic flows.
-func (e *ShardEngine) PrepareSnapshotImages(name string, warmup time.Duration) error {
-	for _, d := range e.domains {
-		if err := d.F.PrepareSnapshotImages(name, warmup); err != nil {
-			return err
-		}
-	}
-	e.runner.Align()
-	e.atRest()
-	return nil
-}
-
 // StartFaults arms every domain's fault injector (no-op without
-// cfg.Fault). Call once, after PrepareSnapshotImages and before any
-// traffic — the same point every execution mode uses — so the fault
-// schedule stays a pure function of the seed.
+// cfg.Fault). Call once, before any traffic — the same point every
+// execution mode uses — so the fault schedule stays a pure function of
+// the seed.
 func (e *ShardEngine) StartFaults() {
 	for _, d := range e.domains {
 		if d.Fault != nil {

@@ -52,9 +52,6 @@ type Config struct {
 	Image      ImageSpec
 	Profile    *guest.Profile
 
-	// FullBoot switches to the no-flash-cloning baseline.
-	FullBoot bool
-
 	// PickTarget chooses scan destinations for infected guests; nil
 	// defaults to uniform over the IPv4 space.
 	PickTarget guest.TargetPicker
@@ -340,48 +337,6 @@ func (f *Farm) pickFrom(avoid *vmm.VMHost) *vmm.VMHost {
 	return best
 }
 
-// PrepareSnapshotImages runs the paper's image-preparation flow on
-// every server: full-boot a reference VM, run the guest personality's
-// workload for warmup (so the snapshot contains a *settled* system, not
-// a freshly-booted one), snapshot it as name, destroy the reference VM,
-// and switch the farm to clone from the snapshot. It must run before
-// traffic flows and advances the simulation clock by roughly
-// boot+warmup.
-func (f *Farm) PrepareSnapshotImages(name string, warmup time.Duration) error {
-	if len(f.byAddr) != 0 {
-		return errors.New("farm: PrepareSnapshotImages after traffic started")
-	}
-	type prep struct {
-		h  *vmm.VMHost
-		vm *vmm.VM
-		in *guest.Instance
-	}
-	var preps []prep
-	for _, h := range f.hosts {
-		vm, err := h.FullBoot(f.Cfg.Image.Name, 0, nil)
-		if err != nil {
-			return fmt.Errorf("farm: reference boot on %s: %w", h.Cfg.Name, err)
-		}
-		preps = append(preps, prep{h: h, vm: vm})
-	}
-	// Let every boot complete, then run the guest workload to settle.
-	f.K.RunFor(vmm.DefaultLatencies().FullBoot * 2)
-	for i := range preps {
-		preps[i].in = guest.New(f.K, preps[i].vm, f.Cfg.Profile, func(*netsim.Packet) {}, nil, guest.Hooks{})
-		preps[i].in.Start()
-	}
-	f.K.RunFor(warmup)
-	for _, p := range preps {
-		p.in.Stop()
-		if _, err := p.h.SnapshotVM(p.vm.ID, name); err != nil {
-			return fmt.Errorf("farm: snapshot on %s: %w", p.h.Cfg.Name, err)
-		}
-		p.h.Destroy(p.vm.ID)
-	}
-	f.Cfg.Image.Name = name
-	return nil
-}
-
 // spawnReq tracks one gateway VM request through retries and server
 // failures until its ready callback has fired. A request that ends in a
 // VM goes back to the farm's free list; onCloned is req.cloned, bound
@@ -404,11 +359,10 @@ type spawnReq struct {
 	span   *trace.Span
 }
 
-// RequestVM implements gateway.Backend: flash-clone (or full-boot) a VM
-// for addr and hand the gateway a reference when it is runnable. A
-// failed clone is retried on another healthy server with exponential
-// backoff, up to retryBudget extra attempts; ready fires exactly
-// once either way.
+// RequestVM implements gateway.Backend: flash-clone a VM for addr and
+// hand the gateway a reference when it is runnable. A failed clone is
+// retried on another healthy server with exponential backoff, up to
+// retryBudget extra attempts; ready fires exactly once either way.
 func (f *Farm) RequestVM(now sim.Time, addr netsim.Addr, hint gateway.SpawnHint, ready func(gateway.VMRef, error)) {
 	req, ok := f.freeReqs.Get()
 	if !ok {
@@ -440,12 +394,7 @@ func (f *Farm) trySpawn(now sim.Time, req *spawnReq, avoid *vmm.VMHost) {
 	req.host = h
 	// The VMM parents its clone span under this attempt's placement span.
 	f.tr.Push(uint64(req.addr), ps)
-	var err error
-	if f.Cfg.FullBoot {
-		_, err = h.FullBoot(f.Cfg.Image.Name, req.addr, req.onCloned)
-	} else {
-		_, err = h.FlashClone(f.Cfg.Image.Name, req.addr, req.onCloned)
-	}
+	_, err := h.FlashClone(f.Cfg.Image.Name, req.addr, req.onCloned)
 	f.tr.Pop(uint64(req.addr), ps)
 	if err != nil {
 		req.host = nil

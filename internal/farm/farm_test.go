@@ -263,19 +263,6 @@ func TestInternalReflectionSpreadsInsideFarm(t *testing.T) {
 	}
 }
 
-func TestFullBootBaselineSlow(t *testing.T) {
-	var replyAt sim.Time
-	r := newRig(t, func(c *Config) { c.FullBoot = true }, func(c *gateway.Config) {
-		c.Policy = gateway.PolicyReflectSource
-		c.ExternalOut = func(now sim.Time, _ *netsim.Packet) { replyAt = now }
-	})
-	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
-	r.k.RunFor(60 * time.Second)
-	if replyAt < sim.Start.Add(10*time.Second) {
-		t.Errorf("full-boot reply at %v, want tens of seconds", replyAt)
-	}
-}
-
 func TestServersNeeded(t *testing.T) {
 	const MiB = 1 << 20
 	cases := []struct {
@@ -398,44 +385,6 @@ func TestFarmBehindShardedGateway(t *testing.T) {
 	}
 	if bindings != f.LiveVMs() {
 		t.Errorf("bindings %d != live VMs %d", bindings, f.LiveVMs())
-	}
-}
-
-func TestPrepareSnapshotImages(t *testing.T) {
-	r := newRig(t, nil, nil)
-	if err := r.f.PrepareSnapshotImages("winxp-settled", 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Reference VMs are gone; the farm now clones from the snapshot.
-	if r.f.LiveVMs() != 0 {
-		t.Fatalf("reference VMs leaked: %d", r.f.LiveVMs())
-	}
-	if r.f.Cfg.Image.Name != "winxp-settled" {
-		t.Errorf("image name = %q", r.f.Cfg.Image.Name)
-	}
-	start := r.k.Now()
-	r.g.HandleInbound(r.k.Now(), probe(scanner, victim))
-	r.k.RunFor(2 * time.Second)
-	if r.f.LiveVMs() != 1 {
-		t.Fatalf("clone from snapshot failed: live = %d", r.f.LiveVMs())
-	}
-	// It was a flash clone (sub-second), not a boot.
-	fv := r.f.byAddr[victim]
-	if lat := fv.VM.ReadyAt.Sub(start); lat > time.Second {
-		t.Errorf("clone from snapshot took %v", lat)
-	}
-	// The snapshot contains the warmed-up guest's dirtied pages (the
-	// settled working set), visible as image content beyond what the
-	// synthetic image had: cloning it costs no private pages.
-	if fv.VM.Mem.PrivatePages()*mem.PageSize > 1<<20 {
-		t.Errorf("snapshot clone started with %d private pages", fv.VM.Mem.PrivatePages())
-	}
-	if err := r.f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Preparing twice after traffic is rejected.
-	if err := r.f.PrepareSnapshotImages("again", time.Second); err == nil {
-		t.Error("re-prepare after traffic accepted")
 	}
 }
 

@@ -23,10 +23,6 @@ import (
 //     against g.bindings by pointer and tenant generation (Binding
 //     structs are reused); entries for recycled (or rebound — the
 //     address may carry a new binding) bindings are dropped.
-//   - Entries for pinned-detected bindings are dropped permanently:
-//     Binding.detected is sticky, so such a binding can never become
-//     scrubbable again (RecycleAll and backend-loss recycling don't
-//     consult the heap).
 //
 // seq breaks deadline ties in insertion order, keeping pop order — and
 // therefore the recycle event log — a pure function of the seed.

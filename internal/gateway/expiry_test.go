@@ -18,9 +18,6 @@ func scrubOracle(g *Gateway, now sim.Time) []netsim.Addr {
 		if b.State != BindingActive {
 			continue
 		}
-		if g.Cfg.PinDetected && b.detected {
-			continue
-		}
 		idleOut := g.Cfg.IdleTimeout > 0 && now.Sub(b.LastActive) >= g.Cfg.IdleTimeout
 		lifeOut := g.Cfg.MaxLifetime > 0 && now.Sub(b.CreatedAt) >= g.Cfg.MaxLifetime
 		if idleOut || lifeOut {
@@ -46,7 +43,6 @@ func TestExpiryHeapMatchesFullScan(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.IdleTimeout = idleChoices[rng.Intn(len(idleChoices))]
 		cfg.MaxLifetime = lifeChoices[rng.Intn(len(lifeChoices))]
-		cfg.PinDetected = rng.Intn(2) == 0
 		cfg.DetectThreshold = 0
 
 		var recycled []netsim.Addr
@@ -72,7 +68,7 @@ func TestExpiryHeapMatchesFullScan(t *testing.T) {
 			case 2: // backend loses a VM: recycle outside the scrub path (stale heap entry)
 				g.RecycleBinding(k.Now(), addrs[rng.Intn(len(addrs))], "crash")
 				recycled = nil
-			case 3: // detector flags a binding (sticky, like detect() sets it)
+			case 3: // detector flags a binding (sticky, like detect() sets it; the scrub ignores it)
 				if b := g.Binding(addrs[rng.Intn(len(addrs))]); b != nil {
 					b.detected = true
 				}
@@ -85,8 +81,8 @@ func TestExpiryHeapMatchesFullScan(t *testing.T) {
 			recycled = nil
 			g.Scrub(k.Now())
 			if len(recycled) != len(want) {
-				t.Fatalf("trial %d step %d (idle=%v life=%v pin=%v): scrub recycled %v, oracle wants %v",
-					trial, step, cfg.IdleTimeout, cfg.MaxLifetime, cfg.PinDetected, recycled, want)
+				t.Fatalf("trial %d step %d (idle=%v life=%v): scrub recycled %v, oracle wants %v",
+					trial, step, cfg.IdleTimeout, cfg.MaxLifetime, recycled, want)
 			}
 			for i := range want {
 				if recycled[i] != want[i] {

@@ -134,11 +134,6 @@ type Config struct {
 	// detection.
 	DetectThreshold int
 
-	// PinDetected exempts bindings flagged by the scan detector from
-	// idle/lifetime recycling, quarantining the infected VM for
-	// analysis instead of destroying the evidence.
-	PinDetected bool
-
 	// SpawnRetryBudget re-requests a VM from the backend after a failed
 	// spawn, up to this many extra attempts per binding, before the
 	// binding is torn down. Zero disables retries (every failure is
@@ -427,9 +422,6 @@ func (g *Gateway) scrubOnce(now sim.Time) {
 		b, ok := g.bindings[e.addr]
 		if !ok || b != e.b || b.gen != e.gen {
 			continue // stale: recycled, or the address was rebound
-		}
-		if g.Cfg.PinDetected && b.detected {
-			continue // quarantined for analysis; detected is sticky
 		}
 		at, _ := g.bindingDeadline(b)
 		if b.State != BindingActive || at > now {

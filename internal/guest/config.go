@@ -40,6 +40,15 @@ func LoadProfile(r io.Reader) (*Profile, error) {
 // to 0, so the timer refires at one instant and simulated time stops.
 const maxRatePerSec = 1e9
 
+// maxBurstPages bounds a profile's burst sizes: a burst draws and writes
+// one touch per page it asks for, at every clone (InitialBurstPages) and
+// every infection (InfectionBurstPages), so a JSON profile asking for
+// 10^9 would cost 10^9 draws and writes each time. The default image
+// (farm.DefaultImage) has 32,768 pages, so a larger burst asks for more
+// touches than there are pages to dirty; builtin profiles ask for 24 to
+// 220.
+const maxBurstPages = 32768
+
 // Validate checks a profile for internal consistency.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
@@ -89,6 +98,18 @@ func (p *Profile) Validate() error {
 	if p.InitialBurstPages < 0 || p.WorkingSetPages < 0 || p.InfectionBurstPages < 0 {
 		return fmt.Errorf("guest: profile %q has a negative page count (InitialBurstPages %d, WorkingSetPages %d, InfectionBurstPages %d)",
 			p.Name, p.InitialBurstPages, p.WorkingSetPages, p.InfectionBurstPages)
+	}
+	for _, b := range []struct {
+		field string
+		n     int
+	}{
+		{"InitialBurstPages", p.InitialBurstPages},
+		{"InfectionBurstPages", p.InfectionBurstPages},
+	} {
+		if b.n > maxBurstPages {
+			return fmt.Errorf("guest: profile %q has out-of-range %s %d (want at most %d pages)",
+				p.Name, b.field, b.n, maxBurstPages)
+		}
 	}
 	if p.ScanRatePerSec > 0 {
 		if p.ScanDstPort == 0 {

@@ -67,6 +67,8 @@ func TestValidateRejects(t *testing.T) {
 		{"negative initial burst", func(p *Profile) { p.InitialBurstPages = -5 }, "negative page count"},
 		{"negative working set", func(p *Profile) { p.WorkingSetPages = -1 }, "negative page count"},
 		{"negative infection burst", func(p *Profile) { p.InfectionBurstPages = -1 }, "negative page count"},
+		{"initial burst past the image", func(p *Profile) { p.InitialBurstPages = maxBurstPages + 1 }, "out-of-range InitialBurstPages"},
+		{"infection burst past the image", func(p *Profile) { p.InfectionBurstPages = 1e9 }, "out-of-range InfectionBurstPages"},
 		{"scan no port", func(p *Profile) { p.ScanDstPort = 0 }, "no scan port"},
 		{"both payload fields", func(p *Profile) {
 			p.PayloadHost = "a.b"
@@ -85,8 +87,9 @@ func TestValidateRejects(t *testing.T) {
 
 // TestLoadProfileRejectsRunawayInput: a profile dumped from winxp with
 // one field changed used to load and then hang the run (a touch every
-// 1e-3 ns truncates to a touch every 0 ns) or run without a word on a
-// negative burst. Both now fail at load.
+// 1e-3 ns truncates to a touch every 0 ns), run without a word on a
+// negative burst, or draw and write 10^9 touches at every clone. All
+// now fail at load.
 func TestLoadProfileRejectsRunawayInput(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -95,6 +98,7 @@ func TestLoadProfileRejectsRunawayInput(t *testing.T) {
 	}{
 		{"TouchRatePerSec 1e12", func(p *Profile) { p.TouchRatePerSec = 1e12 }, "TouchRatePerSec"},
 		{"InitialBurstPages -5", func(p *Profile) { p.InitialBurstPages = -5 }, "InitialBurstPages -5"},
+		{"InitialBurstPages 1e9", func(p *Profile) { p.InitialBurstPages = 1e9 }, "InitialBurstPages 1000000000"},
 	} {
 		p := WindowsXP()
 		c.mutate(p)

@@ -13,17 +13,6 @@ import (
 // cover the lazy states directly; model_test.go checks the same
 // behaviour against a plain model over random operation sequences.
 
-// imageKinds builds the same 8-page, 4-resident image both ways, so
-// lazy deltas meet a described base page and a slab-frame one.
-var imageKinds = map[string]func(s *Store, seed uint64) *Image{
-	"synthetic": func(s *Store, seed uint64) *Image { return BuildImage(s, 8, 4, seed) },
-	"snapshot": func(s *Store, seed uint64) *Image {
-		src := NewPatternSpace(s, 8, 4, seed)
-		defer src.Release()
-		return Snapshot(src)
-	},
-}
-
 // imagePage is what a clone reads at vpn before writing anything.
 func imagePage(img *Image, vpn uint64) []byte {
 	c := img.NewClone()
@@ -42,51 +31,46 @@ func ownedEntry(t *testing.T, a *AddressSpace, vpn uint64) *entry {
 }
 
 func TestCowFaultIsLazyUntilRead(t *testing.T) {
-	for kind, build := range imageKinds {
-		s := NewStore()
-		img := build(s, 500)
-		want := imagePage(img, 2)
-		slots := s.slots
+	s := NewStore()
+	img := BuildImage(s, 8, 4, 500)
+	want := imagePage(img, 2)
+	slots := s.slots
 
-		a := img.NewClone()
-		if !a.Write(2, 100, []byte{1, 2, 3}) {
-			t.Fatalf("%s: first write to an image page did not fault", kind)
-		}
-		a.Write(2, 101, []byte{9}) // a second record, overlapping the first
-		a.Write(2, 4000, nil)      // zero-length: no record, no change
-		copy(want[100:], []byte{1, 9, 3})
+	a := img.NewClone()
+	if !a.Write(2, 100, []byte{1, 2, 3}) {
+		t.Fatal("first write to an image page did not fault")
+	}
+	a.Write(2, 101, []byte{9}) // a second record, overlapping the first
+	a.Write(2, 4000, nil)      // zero-length: no record, no change
+	copy(want[100:], []byte{1, 9, 3})
 
-		e := ownedEntry(t, a, 2)
-		if !e.isDelta() || s.slots != slots || s.freeHead != noFreeSlot {
-			t.Fatalf("%s: fault took a slab slot: delta=%v slots %d -> %d", kind, e.isDelta(), slots, s.slots)
-		}
-		if !img.synthetic && s.Refs(img.pages[2]) != 1 {
-			t.Errorf("%s: fault changed the source frame's reference count to %d", kind, s.Refs(img.pages[2]))
-		}
-		if got := s.Stats().CowCopies; got != 1 {
-			t.Errorf("%s: CowCopies = %d, want 1", kind, got)
-		}
-		if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 {
-			t.Errorf("%s: accounting: private=%d frames=%d, want 1 and 6", kind, a.PrivatePages(), s.FrameCount())
-		}
+	e := ownedEntry(t, a, 2)
+	if !e.isDelta() || s.slots != slots || s.freeHead != noFreeSlot {
+		t.Fatalf("fault took a slab slot: delta=%v slots %d -> %d", e.isDelta(), slots, s.slots)
+	}
+	if got := s.Stats().CowCopies; got != 1 {
+		t.Errorf("CowCopies = %d, want 1", got)
+	}
+	if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 {
+		t.Errorf("accounting: private=%d frames=%d, want 1 and 6", a.PrivatePages(), s.FrameCount())
+	}
 
-		allocs := s.Stats().Allocs
-		if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
-			t.Errorf("%s: read of a lazy delta is not image bytes + writes", kind)
-		}
-		if e.isDelta() || s.must(e.frame()).data == nil {
-			t.Errorf("%s: read did not promote the delta to a data frame", kind)
-		}
-		if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 || s.Stats().Allocs != allocs {
-			t.Errorf("%s: promotion moved a count: private=%d frames=%d allocs %d -> %d",
-				kind, a.PrivatePages(), s.FrameCount(), allocs, s.Stats().Allocs)
-		}
-		// An ordinary frame from here on: writes land in the bytes.
-		a.Write(2, 0, []byte{0xEE})
-		want[0] = 0xEE
-		if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
-			t.Errorf("%s: write after promotion lost", kind)
-		}
+	allocs := s.Stats().Allocs
+	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("read of a lazy delta is not image bytes + writes")
+	}
+	if e.isDelta() || s.must(e.frame()).data == nil {
+		t.Error("read did not promote the delta to a data frame")
+	}
+	if a.PrivatePages() != 1 || s.FrameCount() != 1+4+1 || s.Stats().Allocs != allocs {
+		t.Errorf("promotion moved a count: private=%d frames=%d allocs %d -> %d",
+			a.PrivatePages(), s.FrameCount(), allocs, s.Stats().Allocs)
+	}
+	// An ordinary frame from here on: writes land in the bytes.
+	a.Write(2, 0, []byte{0xEE})
+	want[0] = 0xEE
+	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("write after promotion lost")
 	}
 }
 
@@ -347,26 +331,16 @@ func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
 
 // No image backs a page at or above 2^32, which is what lets a lazy
 // delta keep its overflow handle above its page number. Image specs are
-// compiled in, so both kinds of image panic rather than return an error.
+// compiled in, so BuildImage panics rather than return an error.
 func TestImagePagesBelow2To32(t *testing.T) {
 	s := NewStore()
 	BuildImage(s, 1<<33, 1<<32, 1) // backs pages up to 2^32 - 1
-	wide := NewAddressSpace(s, 1<<33)
-	defer wide.Release()
-	wide.Write(1<<32, 0, []byte{1})
-	for name, op := range map[string]func(){
-		"BuildImage": func() { BuildImage(s, 1<<33, 1<<32+1, 1) },
-		"Snapshot":   func() { Snapshot(wide) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s of an image backing page 2^32 did not panic", name)
-				}
-			}()
-			op()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BuildImage of an image backing page 2^32 did not panic")
+		}
+	}()
+	BuildImage(s, 1<<33, 1<<32+1, 1)
 }
 
 // A class's buffers sit side by side in a chunk, and a class that
@@ -537,7 +511,7 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 	if len(s.spaceFree) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 2048 || b.PrivatePages() != 0 {
 		t.Fatalf("recycled clone not empty: owned=%d resident=%d private=%d", b.OwnedPages(), b.ResidentPages(), b.PrivatePages())
 	}
-	if b.Stats() != (SpaceStats{}) || b.released || b.Base() != img {
+	if b.Stats() != (SpaceStats{}) || b.released || b.base != img {
 		t.Fatalf("recycled clone carries its last tenant's state: stats=%+v released=%v", b.Stats(), b.released)
 	}
 	if b.window != [windowPages]uint8{} || b.index.Len() != 0 {

@@ -24,6 +24,16 @@ func (img *Image) Clones() uint64 { return img.clones }
 // NumPages returns the guest-physical size in pages.
 func (img *Image) NumPages() uint64 { return img.numPages }
 
+// ResidentPages returns the number of pages with backing content:
+// owned pages plus base pages not shadowed by an owned copy. O(1): the
+// shadow count is maintained as mappings change.
+func (a *AddressSpace) ResidentPages() int {
+	if a.base == nil {
+		return a.n
+	}
+	return a.base.resident + a.n - a.shadowed
+}
+
 // OwnedPages returns the number of pages this space maps directly
 // (private copies, zero-fills, and dedup-shared frames), excluding
 // base-image fall-through.

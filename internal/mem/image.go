@@ -8,21 +8,13 @@ import "fmt"
 // writes it (delta virtualization). An image is never released: it
 // lives as long as its store, so it outlives its clones.
 //
-// There are two kinds. A synthetic image (BuildImage) is described:
-// page vpn < resident reads fillPattern(seed+vpn+1), the store counts
-// its frames without holding any, and the image costs the host these
-// few words whatever its size. A Snapshot image holds a reference on
-// each frame of the space it froze.
+// An image is described, not stored: page vpn < resident reads
+// fillPattern(seed+vpn+1), the store counts its frames without holding
+// any, and the image costs the host these few words whatever its size.
 type Image struct {
-	store     *Store
-	synthetic bool
-	seed      uint64
-	// pages maps vpn to a Snapshot image's backing frame, 0 where it has
-	// none. Spaces are dense from page 0, so a slice indexed by vpn is
-	// both smaller than a map and a fault's cheapest probe; it is only
-	// as long as the highest page backed.
-	pages    []FrameID
-	resident int // pages backed
+	store    *Store
+	seed     uint64
+	resident int // pages backed, from page 0
 	numPages uint64
 	clones   uint64 // total clones ever created
 }
@@ -32,38 +24,6 @@ type Image struct {
 // Image specs are compiled in, so exceeding it is a bug, not an input
 // error, and panics.
 const maxImagePages = 1 << 32
-
-// Snapshot freezes the current contents of a scratch address space as
-// an Image. The source space remains usable; its pages become shared,
-// so its next write to each page will CoW. Snapshotting an overlay
-// (cloned) space is not supported.
-func Snapshot(a *AddressSpace) *Image {
-	if a.released {
-		panic("mem: snapshot of released space")
-	}
-	if a.base != nil {
-		panic("mem: snapshot of cloned space not supported")
-	}
-	var top uint64
-	for i := 0; i < a.n; i++ {
-		top = max(top, a.at(i).page()+1)
-	}
-	if top > maxImagePages {
-		panic(fmt.Sprintf("mem: snapshot of page %d: an image backs pages below 2^32", top-1))
-	}
-	img := &Image{
-		store:    a.store,
-		pages:    make([]FrameID, top),
-		resident: a.n,
-		numPages: a.numPages,
-	}
-	for i := 0; i < a.n; i++ {
-		e := a.at(i) // a frame: only a clone has lazy deltas
-		a.store.IncRef(e.frame())
-		img.pages[e.page()] = e.frame()
-	}
-	return img
-}
 
 // BuildImage synthesizes a reference image directly: residentPages
 // pattern pages (deterministic content derived from seed) out of
@@ -81,16 +41,15 @@ func BuildImage(store *Store, numPages, residentPages, seed uint64) *Image {
 	}
 	store.count(int(residentPages))
 	return &Image{
-		store:     store,
-		synthetic: true,
-		seed:      seed,
-		resident:  int(residentPages),
-		numPages:  numPages,
+		store:    store,
+		seed:     seed,
+		resident: int(residentPages),
+		numPages: numPages,
 	}
 }
 
 // NewPatternSpace builds a private (unshared) scratch space with the
-// same synthetic content BuildImage(store, numPages, residentPages,
+// same content BuildImage(store, numPages, residentPages,
 // seed) would produce. It is the full-copy baseline against which delta
 // virtualization is compared: every resident page costs a frame.
 func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *AddressSpace {
@@ -109,21 +68,12 @@ func NewPatternSpace(store *Store, numPages, residentPages, seed uint64) *Addres
 func (img *Image) ResidentPages() int { return img.resident }
 
 // has reports whether the image backs vpn.
-func (img *Image) has(vpn uint64) bool {
-	if img.synthetic {
-		return vpn < uint64(img.resident)
-	}
-	return vpn < uint64(len(img.pages)) && img.pages[vpn] != 0
-}
+func (img *Image) has(vpn uint64) bool { return vpn < uint64(img.resident) }
 
 // render writes the content of vpn, which the image must back, into
 // buf.
 func (img *Image) render(vpn uint64, buf *[PageSize]byte) {
-	if img.synthetic {
-		fillPattern(buf[:], img.seed+vpn+1)
-		return
-	}
-	img.store.render(img.store.must(img.pages[vpn]), buf)
+	fillPattern(buf[:], img.seed+vpn+1)
 }
 
 // NewClone attaches a new overlay address space to the image. This is
@@ -143,15 +93,8 @@ func (img *Image) NewClone() *AddressSpace {
 	return a
 }
 
-// frameRefs accumulates the image's references per frame; a synthetic
-// image's pages count under FrameID 0.
+// frameRefs accumulates the image's references per frame: its pages,
+// which it describes, count under FrameID 0.
 func (img *Image) frameRefs(into map[FrameID]int64) {
-	if img.synthetic {
-		into[0] += int64(img.resident)
-	}
-	for _, id := range img.pages {
-		if id != 0 {
-			into[id]++
-		}
-	}
+	into[0] += int64(img.resident)
 }

@@ -230,55 +230,40 @@ func TestSpaceBoundsPanic(t *testing.T) {
 	}
 }
 
+// Clones of a reference image share it: cloning takes no frame, and a
+// clone's write faults a page of its own that neither a sibling nor the
+// image sees.
 func TestSnapshotCloneSharing(t *testing.T) {
 	s := NewStore()
-	src := NewAddressSpace(s, 64)
-	for vpn := uint64(0); vpn < 8; vpn++ {
-		src.Write(vpn, 0, page(byte(vpn+1)))
-	}
-	img := Snapshot(src)
-	framesAfterSnap := s.FrameCount()
+	img := BuildImage(s, 64, 8, 11)
+	framesAfterBuild := s.FrameCount()
+	want := imagePage(img, 3)
 
 	c1 := img.NewClone()
 	c2 := img.NewClone()
-	if s.FrameCount() != framesAfterSnap {
-		t.Errorf("cloning allocated frames: %d -> %d", framesAfterSnap, s.FrameCount())
+	if s.FrameCount() != framesAfterBuild {
+		t.Errorf("cloning allocated frames: %d -> %d", framesAfterBuild, s.FrameCount())
 	}
 	if c1.ResidentPages() != 8 || c1.PrivatePages() != 0 {
 		t.Errorf("clone resident=%d private=%d", c1.ResidentPages(), c1.PrivatePages())
 	}
 	// Clone reads see image content.
-	if got := c1.Read(3, 0, 4); !bytes.Equal(got, []byte{4, 4, 4, 4}) {
-		t.Errorf("clone read %v", got)
+	if got := c1.Read(3, 0, PageSize); !bytes.Equal(got, want) {
+		t.Error("clone read is not the image's page")
 	}
 	// Clone write CoWs without touching the other clone or the image.
-	c1.Write(3, 0, []byte{0xAA})
-	if c2.Read(3, 0, 1)[0] != 4 {
+	c1.Write(3, 0, []byte{^want[0]})
+	if c2.Read(3, 0, 1)[0] != want[0] {
 		t.Error("clone write leaked to sibling")
 	}
-	if src.Read(3, 0, 1)[0] != 4 {
-		t.Error("clone write leaked to source")
+	if !bytes.Equal(imagePage(img, 3), want) {
+		t.Error("clone write leaked to the image")
 	}
 	if c1.PrivatePages() != 1 {
 		t.Errorf("private = %d after one write", c1.PrivatePages())
 	}
 	if c1.Stats().CowFaults != 1 {
 		t.Errorf("CowFaults = %d", c1.Stats().CowFaults)
-	}
-}
-
-func TestSnapshotMakesSourceCow(t *testing.T) {
-	s := NewStore()
-	src := NewAddressSpace(s, 16)
-	src.Write(0, 0, []byte{1})
-	img := Snapshot(src)
-	src.Write(0, 0, []byte{2}) // must CoW, not mutate the image
-	c := img.NewClone()
-	if c.Read(0, 0, 1)[0] != 1 {
-		t.Error("source write after snapshot mutated image")
-	}
-	if src.Read(0, 0, 1)[0] != 2 {
-		t.Error("source lost its own write")
 	}
 }
 

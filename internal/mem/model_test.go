@@ -25,43 +25,39 @@ import (
 // room, and a plain map of page arrays. After every step the shipped
 // host's content must equal the map's, and every simulated statistic
 // must equal the eager host's: laziness and reserving may move host
-// cost only. Clones come from both kinds of image, a synthetic one
-// and a snapshot of a configured full-boot VM.
+// cost only. Clones come from two images of different content and size.
 
 const (
-	// Guest-physical pages; the synthetic image backs the first
+	// Guest-physical pages; the first image backs the first
 	// modelResident, which straddle the page-table window's edge, so
 	// faults land in the window and in the index.
 	modelPages    = mem.WindowPages + 5
 	modelResident = mem.WindowPages + 2
 	modelSeed     = 4077
-	// Eight synthetic-image clones own 72 delta pages between them: room
-	// for 65 buffers of the 10-byte overflow class at once, one more than
-	// its chunk holds.
+	// Eight clones of the first image own 72 delta pages between them:
+	// room for 65 buffers of the 10-byte overflow class at once, one more
+	// than its chunk holds.
 	modelMaxVMs = 8
 
-	// The snapshot image's reference VM boots an image of the same pages
-	// and content that backs only the first bootResident, so the snapshot
-	// holds few frames and the census every step takes stays small. It
-	// writes snapPatch at snapOff of a page both images back and of one
-	// neither does, past the window.
-	bootResident  = 8
-	snapOff       = 40
-	snapPageOver  = 1
-	snapPageFresh = modelResident + 1
+	// The second image backs only its first smallResident pages, of
+	// another seed's content, so its clones fault fresh pages where the
+	// first image's clones fault image pages, and the census every step
+	// takes stays small.
+	smallResident = 8
+	smallSeed     = 5099
 )
 
 var (
-	imageNames = [2]string{"img", "snap"}
-	snapPatch  = []byte("configured")
+	imageNames = [2]string{"img", "small"}
+	imageSizes = [2]struct{ resident, seed uint64 }{{modelResident, modelSeed}, {smallResident, smallSeed}}
 
-	// modelVPNs are the pages operations address: nine the synthetic
-	// image backs (seven in the window, the last two at its edge, and two
-	// past it) and three it does not, snapPageFresh among them. Few pages
-	// keep a sequence's writes meeting the pages earlier ones faulted.
+	// modelVPNs are the pages operations address: nine the first image
+	// backs (seven in the window, the last two at its edge, and two past
+	// it) and three it does not. Few pages keep a sequence's writes
+	// meeting the pages earlier ones faulted.
 	modelVPNs = [...]uint64{
 		0, 1, 2, 3, 4, mem.WindowPages - 2, mem.WindowPages - 1, mem.WindowPages, mem.WindowPages + 1,
-		modelResident, snapPageFresh, modelResident + 2,
+		modelResident, modelResident + 1, modelResident + 2,
 	}
 )
 
@@ -75,27 +71,16 @@ type world struct {
 func newWorld(share, eager bool) *world {
 	cfg := vmm.DefaultHostConfig("model")
 	cfg.ShareContent = share
-	k := sim.NewKernel(1)
-	h := vmm.NewHost(k, cfg)
-	h.RegisterImage(imageNames[0], modelPages, modelResident, 4, modelSeed)
-	h.RegisterImage("boot", modelPages, bootResident, 4, modelSeed)
-	ref, err := h.FullBoot("boot", netsim.Addr(1<<16), nil)
-	if err != nil {
-		panic(err)
+	h := vmm.NewHost(sim.NewKernel(1), cfg)
+	for i, name := range imageNames {
+		h.RegisterImage(name, modelPages, imageSizes[i].resident, 4, imageSizes[i].seed)
 	}
-	k.Run()
-	ref.Mem.Write(snapPageOver, snapOff, snapPatch)
-	ref.Mem.Write(snapPageFresh, snapOff, snapPatch)
-	if _, err := h.SnapshotVM(ref.ID, imageNames[1]); err != nil {
-		panic(err)
-	}
-	h.Destroy(ref.ID)
 	return &world{host: h, eager: eager}
 }
 
-// imageFrames is what the images hold once every VM is gone: the
-// synthetic ones' described pages, and the snapshot's frames.
-const imageFrames = modelResident + bootResident + bootResident + 1
+// imageFrames is what the images hold once every VM is gone: their
+// described pages.
+const imageFrames = modelResident + smallResident
 
 func (w *world) clone(kind int) {
 	vm, err := w.host.FlashClone(imageNames[kind], netsim.Addr(len(w.vms)+1), nil)
@@ -150,20 +135,14 @@ type modelVM struct {
 }
 
 func newModel() *model {
-	// The synthetic image's content, read from a store nothing else
-	// touches; the snapshot image's is the boot image's, its first pages,
-	// with the reference VM's writes.
+	// Each image's content, read from a store nothing else touches.
 	m := &model{images: [2]map[uint64][]byte{{}, {}}}
-	witness := mem.BuildImage(mem.NewStore(), modelPages, modelResident, modelSeed).NewClone()
-	for _, vpn := range modelVPNs {
-		m.images[0][vpn] = witness.Read(vpn, 0, mem.PageSize)
-		m.images[1][vpn] = make([]byte, mem.PageSize)
-		if vpn < bootResident {
-			copy(m.images[1][vpn], m.images[0][vpn])
+	for i, size := range imageSizes {
+		witness := mem.BuildImage(mem.NewStore(), modelPages, size.resident, size.seed).NewClone()
+		for _, vpn := range modelVPNs {
+			m.images[i][vpn] = witness.Read(vpn, 0, mem.PageSize)
 		}
 	}
-	copy(m.images[1][snapPageOver][snapOff:], snapPatch)
-	copy(m.images[1][snapPageFresh][snapOff:], snapPatch)
 	return m
 }
 

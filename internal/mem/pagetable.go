@@ -27,7 +27,7 @@ import (
 // A lazy delta's lo holds inline record bytes in bits 0–7 and overflow
 // record bytes from bit 8, and its records are hi[:inlLen] whether or
 // not it has spilled. Its page is an image's, and no image backs a page
-// at or above 2^32 (BuildImage and Snapshot enforce it), so its page
+// at or above 2^32 (BuildImage enforces it), so its page
 // number is vpn's low word: once it has overflow bytes, the high word is
 // the overflow buffer's handle. A frame's page number is all of vpn;
 // page reads either kind's.

@@ -246,10 +246,10 @@ func TestRecycledSlotDeltaHygiene(t *testing.T) {
 	}
 }
 
-// A synthetic image is (seed, resident pages): building one costs the
-// host the same few words whatever its size — no per-page slice, no slab
-// slot, one object — the store counts its frames exactly as it counts an
-// explicit image's, and clones read the pattern through it. Only the
+// An image is (seed, resident pages): building one costs the host the
+// same few words whatever its size — no slab slot, one object — the
+// store counts its frames exactly as it counts the full copy's
+// (NewPatternSpace), and clones read the pattern through it. Only the
 // image's and the store's own state is asserted on, and objects are
 // counted by AllocsPerRun, so allocations made elsewhere in the process
 // cannot fail the test.
@@ -257,31 +257,29 @@ func TestSyntheticImageHoldsNoPerPageState(t *testing.T) {
 	const numPages, resident, seed = 32768, 8192, 7
 
 	explicit := NewStore()
-	src := NewPatternSpace(explicit, numPages, resident, seed)
-	ref := Snapshot(src)
-	src.Release()
+	ref := NewPatternSpace(explicit, numPages, resident, seed)
 
 	s := NewStore()
 	carved := s.slots
 	img := BuildImage(s, numPages, resident, seed)
-	if img.pages != nil || s.slots != carved {
-		t.Errorf("BuildImage of %d resident pages holds %d per-page frame IDs and carved %d slab slots: want none", resident, len(img.pages), s.slots-carved)
+	if s.slots != carved {
+		t.Errorf("BuildImage of %d resident pages carved %d slab slots: want none", resident, s.slots-carved)
 	}
 	other := NewStore()
 	if n := testing.AllocsPerRun(20, func() { BuildImage(other, numPages, resident, seed) }); n > 1 {
 		t.Errorf("BuildImage of %d resident pages allocates %v objects: want the image alone", resident, n)
 	}
 	if s.FrameCount() != explicit.FrameCount() || s.ModeledBytes() != explicit.ModeledBytes() {
-		t.Errorf("frames %d (%d bytes), explicit image %d (%d bytes)", s.FrameCount(), s.ModeledBytes(), explicit.FrameCount(), explicit.ModeledBytes())
+		t.Errorf("frames %d (%d bytes), full copy %d (%d bytes)", s.FrameCount(), s.ModeledBytes(), explicit.FrameCount(), explicit.ModeledBytes())
 	}
 	if got, want := s.Stats(), explicit.Stats(); got.Allocs != want.Allocs || got.PeakFrames != want.PeakFrames || got.PeakModeled != want.PeakModeled {
-		t.Errorf("store stats %+v, explicit image %+v", got, want)
+		t.Errorf("store stats %+v, full copy %+v", got, want)
 	}
 	if img.ResidentPages() != ref.ResidentPages() || img.NumPages() != ref.NumPages() {
-		t.Errorf("resident/total %d/%d, explicit image %d/%d", img.ResidentPages(), img.NumPages(), ref.ResidentPages(), ref.NumPages())
+		t.Errorf("resident/total %d/%d, full copy %d/%d", img.ResidentPages(), img.NumPages(), ref.ResidentPages(), ref.NumPages())
 	}
 
-	c, rc := img.NewClone(), ref.NewClone()
+	c := img.NewClone()
 	want := make([]byte, PageSize)
 	for _, vpn := range []uint64{0, 1, 4097, resident - 1, resident, numPages - 1} {
 		clear(want)
@@ -291,8 +289,8 @@ func TestSyntheticImageHoldsNoPerPageState(t *testing.T) {
 		if !bytes.Equal(c.PeekPage(vpn), want) || !bytes.Equal(c.Read(vpn, 0, PageSize), want) {
 			t.Errorf("page %d read through the image is not its pattern", vpn)
 		}
-		if !bytes.Equal(rc.Read(vpn, 0, PageSize), want) {
-			t.Errorf("page %d differs between the two image kinds", vpn)
+		if !bytes.Equal(ref.Read(vpn, 0, PageSize), want) {
+			t.Errorf("page %d differs between the image and the full copy", vpn)
 		}
 	}
 	if c.ResidentPages() != resident || c.SharedPages() != resident || c.OwnedPages() != 0 {
@@ -387,9 +385,9 @@ func slowResidentPages(a *AddressSpace) int {
 
 // TestIncrementalAccountingMatchesRecount is the accounting property
 // test: across random clone/write/share/release workloads — including
-// inline dedup, KSM-style merge passes, and snapshotting, all of which
-// move frames between private and shared from *outside* the owning
-// space — the O(1) counters (resident pages, modeled bytes) must always
+// inline dedup and KSM-style merge passes, both of which move frames
+// between private and shared from *outside* the owning space — the
+// O(1) counters (resident pages, modeled bytes) must always
 // equal the brute-force recount.
 func TestIncrementalAccountingMatchesRecount(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
@@ -448,26 +446,12 @@ func TestIncrementalAccountingMatchesRecount(t *testing.T) {
 			check(step)
 		}
 
-		// Snapshot a scratch space mid-life: its private pages all become
-		// shared in one external stroke.
-		scratch := NewAddressSpace(s, numPages)
-		spaces = append(spaces, scratch)
-		for i := 0; i < 10; i++ {
-			scratch.Write(uint64(i), 0, []byte{byte(100 + i)})
-		}
-		check(-1)
-		snap := Snapshot(scratch)
-		check(-2)
-		if got := scratch.PrivatePages(); got != 0 {
-			t.Fatalf("trial %d: snapshot left %d private pages in source", trial, got)
-		}
-
 		// Drain and verify the refcount census end-to-end: every live
-		// frame is the zero frame or one of the two images'.
+		// frame is the zero frame or the image's.
 		for _, a := range spaces {
 			a.Release()
 		}
-		if err := s.CheckRefs(ExternalRefs(nil, []*Image{img, snap})); err != nil {
+		if err := s.CheckRefs(ExternalRefs(nil, []*Image{img})); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -57,9 +57,6 @@ func NewAddressSpace(store *Store, numPages uint64) *AddressSpace {
 // NumPages returns the guest-physical size in pages.
 func (a *AddressSpace) NumPages() uint64 { return a.numPages }
 
-// Base returns the reference image this space overlays, or nil.
-func (a *AddressSpace) Base() *Image { return a.base }
-
 func (a *AddressSpace) checkPage(vpn uint64) {
 	if a.released {
 		panic("mem: use of released address space")
@@ -187,16 +184,6 @@ func (a *AddressSpace) EachOwnedPage(fn func(vpn uint64)) {
 	}
 }
 
-// ResidentPages returns the number of pages with backing content:
-// owned pages plus base pages not shadowed by an owned copy. O(1): the
-// shadow count is maintained as mappings change.
-func (a *AddressSpace) ResidentPages() int {
-	if a.base == nil {
-		return a.n
-	}
-	return a.base.resident + a.n - a.shadowed
-}
-
 // PrivatePages returns the number of pages backed by frames this space
 // holds exclusively — the VM's incremental memory cost, the quantity
 // delta virtualization minimizes: its lazy deltas, and the frames other
@@ -265,8 +252,7 @@ func (a *AddressSpace) frameRefs(into map[FrameID]int64) {
 
 // ExternalRefs builds the frame-reference census across spaces and
 // images for Store.CheckRefs. FrameID 0, which names no frame, carries
-// the count of described frames: synthetic images' pages and lazy
-// deltas.
+// the count of described frames: images' pages and lazy deltas.
 func ExternalRefs(spaces []*AddressSpace, images []*Image) map[FrameID]int64 {
 	refs := make(map[FrameID]int64)
 	for _, a := range spaces {

@@ -12,12 +12,10 @@
 //
 // One rule decides what the frame table holds: a slab frame is something
 // that can be shared; a page only one owner can reach is described, not
-// stored. There are two kinds of reference image. A synthetic one
-// (BuildImage) is the pair (seed, resident pages): its content is a pure
-// function of seed and page number, so it holds no per-page state and
-// the store counts its frames arithmetically. A Snapshot image froze a
-// space that already had frames, and keeps references to them. Likewise
-// a clone's CoW fault against its image — a page that by construction
+// stored. A reference image (BuildImage) is the pair (seed, resident
+// pages): its content is a pure function of seed and page number, so it
+// holds no per-page state and the store counts its frames
+// arithmetically. Likewise a clone's CoW fault against its image — a page that by construction
 // only that clone can reach — is an entry in the clone's own page table
 // recording the bytes written (see entry), and is promoted to an
 // ordinary slab frame only when something reads the page, a share pass
@@ -129,12 +127,12 @@ type Store struct {
 	slots    uint32 // slots ever carved, including the sentinel
 	freeHead uint32
 	// live counts live frames: slab slots in use plus the frames that are
-	// only described (a synthetic image's pages, clones' lazy deltas).
+	// only described (an image's pages, clones' lazy deltas).
 	live int
 
-	// ShareContent enables content-based page sharing: AllocData and
-	// snapshot registration coalesce identical pages. Zero pages are
-	// always shared regardless.
+	// ShareContent enables content-based page sharing: AllocData
+	// coalesces identical pages. Zero pages are always shared
+	// regardless.
 	ShareContent bool
 
 	zero  FrameID

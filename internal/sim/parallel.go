@@ -148,8 +148,8 @@ type EpochStats struct {
 // given lookahead (the minimum cross-shard latency; must be positive)
 // whose messages are Events, each run on its destination at its time.
 // The runner's clock starts at the latest kernel clock and the lagging
-// kernels are run forward to it, so pre-run setup (snapshot warmup)
-// that advanced the kernels unevenly is tolerated.
+// kernels are run forward to it, so pre-run setup that advanced the
+// kernels unevenly is tolerated.
 func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunner {
 	r := NewRunner(NewLocal(kernels, func(dst int, at Time, fn Event) {
 		kernels[dst].At(at, fn)
@@ -172,8 +172,7 @@ func NewRunner(t Transport, now Time, lookahead time.Duration) *ParallelRunner {
 
 // Align advances the runner clock to the latest kernel clock and runs
 // every lagging kernel forward to it. Call it after advancing kernels
-// outside the runner's control, e.g. per-shard image preparation at
-// construction time. In-process runners only.
+// outside the runner's control. In-process runners only.
 func (r *ParallelRunner) Align() {
 	r.now = max(r.now, r.local.Now())
 	r.local.Advance(r.now, false)

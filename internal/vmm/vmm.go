@@ -53,20 +53,17 @@ func (s State) String() string {
 	}
 }
 
-// Image is a cloneable reference snapshot: memory image + the
-// synthetic-content parameters needed to build full-copy baselines.
+// Image is a cloneable reference snapshot: memory image + the content
+// parameters needed to build full-copy baselines.
 type Image struct {
 	Name string
 	Mem  *mem.Image
 
-	// Synthetic-content parameters (page counts and seed) so the
-	// full-boot baseline can reconstruct private content.
+	// Content parameters (page counts and seed) so the full-boot
+	// baseline can reconstruct private content.
 	NumPages      uint64
 	ResidentPages uint64
 	Seed          uint64
-	// synthetic marks images whose content is reproducible from Seed
-	// (RegisterImage); only those support the FullBoot baseline.
-	synthetic bool
 }
 
 // VM is one virtual machine on a Host. A *VM is valid until the VM is
@@ -273,7 +270,6 @@ func (h *VMHost) RegisterImage(name string, numPages, residentPages, diskBlocks,
 		NumPages:      numPages,
 		ResidentPages: residentPages,
 		Seed:          seed,
-		synthetic:     true,
 	}
 	h.images[name] = img
 	return img
@@ -335,9 +331,6 @@ func (h *VMHost) FullBoot(imageName string, ip netsim.Addr, ready func(*VM)) (*V
 	img, ok := h.images[imageName]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoImage, imageName)
-	}
-	if !img.synthetic {
-		return nil, fmt.Errorf("vmm: image %q is a VM snapshot; full boot requires a synthetic image", imageName)
 	}
 	if err := h.checkFault(); err != nil {
 		return nil, err
@@ -462,36 +455,6 @@ func (h *VMHost) spaces() []*mem.AddressSpace {
 		spaces[i] = vm.Mem
 	}
 	return spaces
-}
-
-// SnapshotVM freezes a running VM's current state as a new reference
-// image named name — the paper's actual image-preparation flow: boot a
-// reference VM once, install and configure the personality, then
-// snapshot it and flash-clone the whole farm from the result. The
-// source VM keeps running (its memory pages become copy-on-write).
-//
-// The source must be a scratch (full-boot) VM: snapshotting a clone
-// would chain memory images, which the substrate does not support.
-func (h *VMHost) SnapshotVM(id VMID, name string) (*Image, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return nil, fmt.Errorf("vmm: no VM %d", id)
-	}
-	if vm.State != StateRunning {
-		return nil, fmt.Errorf("vmm: VM %d is %v, not running", id, vm.State)
-	}
-	if vm.Mem.Base() != nil {
-		return nil, fmt.Errorf("vmm: VM %d is a clone; snapshot a full-boot VM", id)
-	}
-	img := &Image{
-		Name:          name,
-		Mem:           mem.Snapshot(vm.Mem),
-		NumPages:      vm.Mem.NumPages(),
-		ResidentPages: uint64(vm.Mem.ResidentPages()),
-		Seed:          vm.Image.Seed,
-	}
-	h.images[name] = img
-	return img, nil
 }
 
 // MemorySharePass runs one KSM-style content-sharing scan over all live

@@ -164,24 +164,6 @@ type Options struct {
 	// LoadScenario (builtin family name or JSON file path).
 	Scenario *Scenario
 
-	// FullBoot disables flash cloning (baseline mode).
-	FullBoot bool
-
-	// SnapshotWarmup, when positive, prepares images the way the paper
-	// deployed them: each server boots a reference VM, runs the guest
-	// workload for this long, and snapshots the settled system as the
-	// clone source. New returns with the simulation clock already
-	// advanced past boot+warmup.
-	SnapshotWarmup time.Duration
-
-	// ScanFilter, when positive, sheds probes from sources whose scans
-	// have already been serviced this many times per destination port,
-	// without instantiating VMs for them. See gateway.Config.ScanFilter.
-	ScanFilter int
-	// PinDetected quarantines VMs flagged by the scan detector instead
-	// of recycling them, preserving the infection for analysis.
-	PinDetected bool
-
 	// EventLog, when non-nil, receives the gateway's forensic event log
 	// as JSON lines (bound/active/recycled/detected/reflected/…). With
 	// one gateway shard the log is written through at every epoch
@@ -292,12 +274,6 @@ func (o Options) Validate() error {
 		if o.Guest != GuestWindowsXP {
 			add("Scenario and Guest are mutually exclusive (the scenario derives the guest)")
 		}
-	}
-	if o.SnapshotWarmup < 0 {
-		add("negative SnapshotWarmup")
-	}
-	if o.SnapshotWarmup > 0 && o.FullBoot {
-		add("SnapshotWarmup requires flash cloning (FullBoot off)")
 	}
 	if o.Servers > 0 && o.GatewayShards > 1 && o.Servers < o.GatewayShards {
 		add("GatewayShards needs at least one server per shard (%d servers, %d shards)",
@@ -418,7 +394,6 @@ func (o Options) engineConfig() (core.ShardEngineConfig, *scenario.Plan, error) 
 	fc := farm.DefaultConfig()
 	fc.Servers = o.Servers
 	fc.HostConfig.MemoryBytes = o.ServerMemory
-	fc.FullBoot = o.FullBoot
 	var plan *scenario.Plan
 	if o.Scenario == nil {
 		fc.Profile = o.guestProfile()
@@ -443,8 +418,6 @@ func (o Options) engineConfig() (core.ShardEngineConfig, *scenario.Plan, error) 
 	gc := gateway.DefaultConfig()
 	gc.Space = space
 	gc.Policy = gateway.Policy(o.Policy)
-	gc.ScanFilter = o.ScanFilter
-	gc.PinDetected = o.PinDetected
 	switch {
 	case o.IdleTimeout < 0:
 		gc.IdleTimeout = 0
@@ -519,25 +492,14 @@ func New(opts Options) (*Honeyfarm, error) {
 	}
 	eng, err := core.NewShardEngine(ec)
 	if err != nil {
-		return hf.fail(err)
+		// Capture files opened before the failure are flushed and
+		// closed: a failed New leaks no file handles or unflushed
+		// buffers.
+		hf.closeCaptures()
+		return nil, err
 	}
 	hf.eng = eng
-	if opts.SnapshotWarmup > 0 {
-		if err := eng.PrepareSnapshotImages(ec.Farm.Image.Name+"-settled", opts.SnapshotWarmup); err != nil {
-			eng.Close() // stop the shard workers; the warmup error is the one to report
-			return hf.fail(err)
-		}
-	}
 	return hf, nil
-}
-
-// fail is the single error exit: whatever partial state New built —
-// in particular capture files already opened by openCapture — is
-// flushed and closed before the error is returned, so a failed New
-// never leaks open file handles or unflushed buffers.
-func (hf *Honeyfarm) fail(err error) (*Honeyfarm, error) {
-	hf.closeCaptures()
-	return nil, err
 }
 
 // checkpointVM saves the delta state of the VM bound to addr into

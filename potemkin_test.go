@@ -229,39 +229,6 @@ func TestInternalsExposed(t *testing.T) {
 	}
 }
 
-func TestScanFilterThroughFacade(t *testing.T) {
-	hf := MustNew(Options{ScanFilter: 2, IdleTimeout: -1})
-	defer hf.Close()
-	for i := 0; i < 20; i++ {
-		hf.InjectProbe("203.0.113.9", "10.5.1."+strconv.Itoa(i+1), 445)
-	}
-	hf.RunFor(2 * time.Second)
-	st := hf.Stats()
-	if st.LiveVMs != 2 {
-		t.Errorf("LiveVMs = %d, want 2", st.LiveVMs)
-	}
-	if st.ScanFiltered != 18 {
-		t.Errorf("ScanFiltered = %d, want 18", st.ScanFiltered)
-	}
-}
-
-func TestPinDetectedThroughFacade(t *testing.T) {
-	hf := MustNew(Options{
-		Policy:      DropAll,
-		IdleTimeout: 2 * time.Second,
-		PinDetected: true,
-	})
-	defer hf.Close()
-	hf.InjectExploit("203.0.113.9", "10.5.1.2")
-	hf.RunFor(2 * time.Minute)
-	if hf.Stats().LiveVMs != 1 {
-		t.Errorf("LiveVMs = %d, want 1 (quarantined)", hf.Stats().LiveVMs)
-	}
-	if hf.Stats().InfectedVMs != 1 {
-		t.Errorf("InfectedVMs = %d", hf.Stats().InfectedVMs)
-	}
-}
-
 // countingWriter counts the Write calls it passes through.
 type countingWriter struct {
 	bytes.Buffer
@@ -497,43 +464,4 @@ func TestShardedGatewayThroughFacade(t *testing.T) {
 	if snap.OpenSpans < 12 {
 		t.Errorf("OpenSpans = %d, want the 12 live bindings' spans", snap.OpenSpans)
 	}
-}
-
-func TestSnapshotWarmupThroughFacade(t *testing.T) {
-	hf := MustNew(Options{SnapshotWarmup: 30 * time.Second, IdleTimeout: -1})
-	defer hf.Close()
-	// Boot+warmup already elapsed.
-	if hf.Stats().Now < 30*time.Second {
-		t.Errorf("Now = %v, want boot+warmup elapsed", hf.Stats().Now)
-	}
-	before := hf.Stats().Now
-	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
-	hf.RunFor(2 * time.Second)
-	if hf.Stats().LiveVMs != 1 {
-		t.Fatalf("LiveVMs = %d", hf.Stats().LiveVMs)
-	}
-	_ = before
-	// Incompatible with FullBoot.
-	if _, err := New(Options{SnapshotWarmup: time.Second, FullBoot: true}); err == nil {
-		t.Error("SnapshotWarmup+FullBoot accepted")
-	}
-}
-
-func TestFullBootBaselineThroughFacade(t *testing.T) {
-	hf := MustNew(Options{FullBoot: true, Policy: ReflectSource})
-	defer hf.Close()
-	var gotReply bool
-	hf2 := MustNew(Options{FullBoot: true, Policy: ReflectSource,
-		Hooks: &Hooks{OnEgress: func(string) { gotReply = true }}})
-	defer hf2.Close()
-	hf2.InjectProbe("203.0.113.9", "10.5.1.2", 445)
-	hf2.RunFor(2 * time.Second)
-	if gotReply {
-		t.Error("full-boot VM replied within 2s; boot should take ~24s")
-	}
-	hf2.RunFor(60 * time.Second)
-	if !gotReply {
-		t.Error("full-boot VM never replied")
-	}
-	_ = hf
 }
