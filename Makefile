@@ -47,11 +47,13 @@ test:
 # a fused site makes a digest depend on the host. An explicit float64(...)
 # around the product rounds it and keeps the two apart. And so does a
 # field of the facade's Options, WireOptions or Hooks, of
-# core.ShardEngineConfig, gateway.Config, farm.Config or vmm.HostConfig
-# that no non-test code sets (TestEveryConfigFieldIsSet, which resolves
-# each setting to its field, so a forward from one config to another
-# does not count for the first): a knob nothing turns is dead code or a
-# constant. And so does a test or fuzz name in a -run or -fuzz pattern
+# core.ShardEngineConfig, gateway.Config, farm.Config, vmm.HostConfig,
+# fault.Config, ingest.Config, ingest.ReplayOptions, cluster.Config,
+# cluster.WorkerConfig or telescope.GenConfig that no non-test code sets
+# (TestEveryConfigFieldIsSet, which resolves each setting to its field,
+# so a forward from one config to another does not count for the first,
+# and a function filling in defaults on a config it was handed does not
+# count at all): a knob nothing turns is dead code or a constant. And so does a test or fuzz name in a -run or -fuzz pattern
 # of this Makefile or of CI that no func Test or func Fuzz starts with
 # (TestEveryRunPatternNamesATest): go test runs nothing for a dead name
 # and passes, so a deleted or renamed test would leave CI unseen. And

@@ -400,7 +400,6 @@ func (r *runner) e13() {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)
 		}
-		eng.StartFaults()
 		start := time.Now()
 		if _, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)

@@ -139,11 +139,13 @@ func observe(ticks *[]tick) func(sim.Time, core.Totals) {
 // ShardEngine — the byte-equality baseline.
 func runOracle(t *testing.T, seed uint64, faults *fault.Config, extra time.Duration) runOut {
 	t.Helper()
-	return runOracleConfig(t, testEngineConfig(seed, faults), extra)
+	return runOracleConfig(t, testEngineConfig(seed, faults), 64, extra)
 }
 
-// runOracleConfig is runOracle over a given scenario configuration.
-func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Duration) runOut {
+// runOracleConfig is runOracle over a given scenario configuration, at
+// adaptive lookahead cells per epoch at most (64 is the runner's
+// default).
+func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, adaptive int, extra time.Duration) runOut {
 	t.Helper()
 	seed := cfg.Seed
 	cfg.Parallel = false
@@ -153,7 +155,7 @@ func runOracleConfig(t *testing.T, cfg core.ShardEngineConfig, extra time.Durati
 	if err != nil {
 		t.Fatalf("NewShardEngine: %v", err)
 	}
-	eng.StartFaults()
+	eng.SetAdaptive(adaptive)
 	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
 		eng.InjectBarrier(pkt)
 	}
@@ -382,10 +384,9 @@ func TestClusterEpochGridMatchesEngine(t *testing.T) {
 	for _, adaptive := range []int{64, 1} {
 		t.Run(fmt.Sprintf("adaptive=%d", adaptive), func(t *testing.T) {
 			cfg := testEngineConfig(seed, nil)
-			cfg.AdaptiveEpochs = adaptive
 			var timeline bytes.Buffer
 			cfg.EpochLog = &timeline
-			oracle := runOracleConfig(t, cfg, 2*time.Second)
+			oracle := runOracleConfig(t, cfg, adaptive, 2*time.Second)
 			samples, err := metrics.ReadEpochs(&timeline)
 			if err != nil {
 				t.Fatal(err)
@@ -397,9 +398,9 @@ func TestClusterEpochGridMatchesEngine(t *testing.T) {
 
 			var got epochBounds
 			h := startCluster(t, seed, nil, 2, 0, func(c *Config) {
-				c.Engine.AdaptiveEpochs = adaptive
 				c.OnEpoch = func(_ uint64, start, end sim.Time) { got = append(got, [2]sim.Time{start, end}) }
 			})
+			h.c.runner.SetAdaptive(adaptive)
 			out, err := h.drive(t, seed, 2*time.Second)
 			if err != nil {
 				t.Fatalf("cluster run: %v", err)
@@ -518,7 +519,7 @@ func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
 	faults := killFaults(300*time.Millisecond, 0)
 	oracle := runOracle(t, seed, faults, time.Second)
 
-	h := startCluster(t, seed, faults, 2, 1, func(c *Config) { c.Engine.AdaptiveEpochs = 64 })
+	h := startCluster(t, seed, faults, 2, 1, nil)
 	got, err := h.drive(t, seed, time.Second)
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
@@ -543,18 +544,18 @@ func TestClusterKillWorkerRecoveryWidened(t *testing.T) {
 }
 
 // chaosFaults is a fault schedule touching every injector path:
-// scripted crash/recovery, clone failure and latency windows, a link
-// cut, and Poisson background crashes.
+// crashes with their recoveries, clone failure and latency windows, and
+// a link cut.
 func chaosFaults() *fault.Config {
 	return &fault.Config{
 		Script: []fault.Action{
 			{At: 100 * time.Millisecond, Kind: fault.KindCloneFail, Prob: 0.5, Duration: 300 * time.Millisecond},
 			{At: 200 * time.Millisecond, Kind: fault.KindCrash, Server: 1, Duration: 500 * time.Millisecond},
+			{At: 350 * time.Millisecond, Kind: fault.KindCrash, Server: 0, Duration: 250 * time.Millisecond},
 			{At: 400 * time.Millisecond, Kind: fault.KindLinkDown, Duration: 100 * time.Millisecond},
 			{At: 600 * time.Millisecond, Kind: fault.KindCloneSlow, Factor: 4, Duration: 200 * time.Millisecond},
+			{At: 800 * time.Millisecond, Kind: fault.KindCrash, Server: 1, Duration: 300 * time.Millisecond},
 		},
-		CrashRate:  0.2,
-		MeanOutage: time.Second,
 	}
 }
 
@@ -578,7 +579,6 @@ func TestFaultScheduleAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardEngine: %v", err)
 	}
-	eng.StartFaults()
 	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
 		eng.InjectBarrier(pkt)
 	}

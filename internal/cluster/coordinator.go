@@ -202,7 +202,6 @@ type workerRef struct {
 // New builds a coordinator (call Start to listen).
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	cfg.Engine = cfg.Engine.Normalized()
 	ecfg := cfg.Engine
 	var errs []error
 	if err := ecfg.Validate(); err != nil {
@@ -552,7 +551,6 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 		}
 	}
 	c.runner = sim.NewRunner(c, 0, core.Lookahead)
-	c.runner.SetAdaptive(c.cfg.Engine.AdaptiveEpochs)
 	c.runner.SetAfterEpoch(c.reportProgress)
 	if c.prof != nil {
 		c.runner.SetEpochObserver(func(s sim.EpochStats) {

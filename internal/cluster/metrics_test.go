@@ -48,7 +48,6 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardEngine: %v", err)
 	}
-	oeng.StartFaults()
 	for _, pkt := range exploitPackets(ocfg.Farm.Profile) {
 		oeng.InjectBarrier(pkt)
 	}

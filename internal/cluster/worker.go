@@ -65,9 +65,8 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 
 // worker is the run state behind RunWorker.
 type worker struct {
-	cfg  WorkerConfig
-	ecfg core.ShardEngineConfig
-	cn   *conn
+	cfg WorkerConfig
+	cn  *conn
 
 	id     int
 	shards []int
@@ -126,7 +125,7 @@ func RunWorker(cfg WorkerConfig) error {
 
 	hello := helloMsg{
 		Version:    ProtoVersion,
-		ConfigHash: configHash(w.cfg.ConfigTag, w.ecfg.Shards, w.ecfg.Seed, core.Lookahead),
+		ConfigHash: configHash(w.cfg.ConfigTag, w.cfg.Engine.Shards, w.cfg.Engine.Seed, core.Lookahead),
 		Name:       w.cfg.Name,
 	}
 	if err := w.cn.send(msgHello, hello); err != nil {
@@ -148,11 +147,10 @@ func RunWorker(cfg WorkerConfig) error {
 // newWorker validates cfg and returns an unassigned, unconnected worker.
 func newWorker(cfg WorkerConfig) (*worker, error) {
 	cfg = cfg.withDefaults()
-	ecfg := cfg.Engine.Normalized()
-	if err := ecfg.Validate(); err != nil {
+	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
 	}
-	return &worker{cfg: cfg, ecfg: ecfg, id: -1}, nil
+	return &worker{cfg: cfg, id: -1}, nil
 }
 
 // shardOut is one owned shard's sends of the in-flight epoch: encoded
@@ -264,12 +262,12 @@ func (w *worker) buildDomains(m assignMsg) error {
 	if w.local != nil {
 		return errors.New("cluster: worker assigned twice")
 	}
-	n := w.ecfg.Shards
+	n := w.cfg.Engine.Shards
 	w.id = m.Worker
 	w.shards = append([]int(nil), m.Shards...)
 	w.domains = make([]*core.ShardDomain, n)
 	w.out = make([]shardOut, n)
-	ecfg := w.ecfg
+	ecfg := w.cfg.Engine
 	// The writers only mark that output should be collected; the
 	// domains buffer and the coordinator merges. The registry is the
 	// worker's own — the coordinator's cannot cross the wire.
@@ -316,41 +314,39 @@ func (w *worker) buildDomains(m assignMsg) error {
 	return nil
 }
 
-// armFaults starts the per-domain fault injectors. The kill hook only
-// arms on fresh assignment: a recovery replays any kill action as the
-// recorded no-op it is everywhere else, so the fault log stays
-// byte-identical without crash-looping the recovery.
-func (w *worker) armFaults(withKillHook bool) {
+// armKillHook hooks the per-domain fault injectors, whose scripts
+// NewShardDomain scheduled, into this process: a kill action naming this
+// worker stops it. Only a fresh assignment arms it: a recovery replays
+// any kill action as the recorded no-op it is everywhere else, so the
+// fault log stays byte-identical without crash-looping the recovery.
+func (w *worker) armKillHook() {
 	for _, s := range w.shards {
 		d := w.domains[s]
 		if d.Fault == nil {
 			continue
 		}
-		if withKillHook {
-			d.Fault.OnKillWorker = func(now sim.Time, target int) {
-				if target != w.id {
-					return
-				}
-				if w.cfg.OnKill != nil {
-					w.cfg.OnKill(target)
-					return
-				}
-				// Stop this kernel where it stands; handleEpoch drops the
-				// connection once the epoch's advance returns.
-				w.killed.Store(true)
-				d.K.Stop()
-				w.logf("cluster: worker %d killed by injected fault at %v", target, now)
+		d.Fault.OnKillWorker = func(now sim.Time, target int) {
+			if target != w.id {
+				return
 			}
+			if w.cfg.OnKill != nil {
+				w.cfg.OnKill(target)
+				return
+			}
+			// Stop this kernel where it stands; handleEpoch drops the
+			// connection once the epoch's advance returns.
+			w.killed.Store(true)
+			d.K.Stop()
+			w.logf("cluster: worker %d killed by injected fault at %v", target, now)
 		}
-		d.Fault.Start()
 	}
 }
 
 // handleAssign takes a worker slot: build the owned domains from the
-// shared configuration, run every kernel through the common start
-// clock, arm faults, and answer ready. A fresh slot arms the kill hook.
-// A recovery leaves it unarmed and answers ready only once the Replay
-// logged epoch frames that follow the assign have run.
+// shared configuration, arm the kill hook (a fresh slot only), run
+// every kernel through the common start clock, and answer ready. A
+// recovery answers ready only once the Replay logged epoch frames that
+// follow the assign have run.
 func (w *worker) handleAssign(payload []byte) error {
 	var m assignMsg
 	if err := unmarshal(payload, &m); err != nil {
@@ -362,8 +358,10 @@ func (w *worker) handleAssign(payload []byte) error {
 	if err := w.buildDomains(m); err != nil {
 		return err
 	}
+	if !m.Recovery {
+		w.armKillHook() // before the start clock runs, so a kill at 0 lands
+	}
 	w.local.Advance(w.local.Now(), false)
-	w.armFaults(!m.Recovery)
 	w.replay = m.Replay
 	w.logf("cluster: assigned worker %d, shards %v, replaying %d frames", w.id, w.shards, w.replay)
 	if w.replay > 0 {
@@ -386,7 +384,7 @@ func (w *worker) handleEpoch(payload []byte) error {
 	if w.local == nil {
 		return errors.New("cluster: epoch before assignment")
 	}
-	m, err := decodeEpoch(payload, w.ecfg.Shards)
+	m, err := decodeEpoch(payload, w.cfg.Engine.Shards)
 	if err != nil {
 		return fmt.Errorf("cluster: epoch frame: %w", err)
 	}

@@ -62,17 +62,19 @@ func runBurstGapWorkload(t *testing.T, parallel bool, adaptive int, seed uint64)
 	fc.Servers = 4
 	fc.Profile = guest.MultiStageDNS("update.evil.example")
 	eng, err := NewShardEngine(ShardEngineConfig{
-		Shards:         4,
-		Parallel:       parallel,
-		AdaptiveEpochs: adaptive,
-		Seed:           seed,
-		Gateway:        gc,
-		Farm:           fc,
-		EventLog:       &ev,
-		TraceOut:       &tr,
+		Shards:   4,
+		Parallel: parallel,
+		Seed:     seed,
+		Gateway:  gc,
+		Farm:     fc,
+		EventLog: &ev,
+		TraceOut: &tr,
 	})
 	if err != nil {
 		t.Fatalf("NewShardEngine: %v", err)
+	}
+	if adaptive != 0 { // 0 keeps the runner's default cap
+		eng.SetAdaptive(adaptive)
 	}
 
 	// Seed one exploit so infections generate cross-shard reflections

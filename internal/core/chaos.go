@@ -184,7 +184,6 @@ func runChaosArm(cfg ChaosConfig, faulted bool) (ChaosArm, []string) {
 		OnEgress: func(_ sim.Time, pkt *netsim.Packet) { e.InjectLeak(pkt) },
 	})
 
-	eng.StartFaults()
 	d.tracer.Instant(d.K.Now(), "arm-start", trace.Attr{K: "arm", V: name})
 	end := sim.Start.Add(cfg.Duration)
 	_, _ = eng.Replay(e.Source(end), nil, 0) // an epidemic's source returns no error but io.EOF

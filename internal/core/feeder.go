@@ -135,14 +135,12 @@ func ReplayOver(b *sim.ParallelRunner, src telescope.Source, halt func() bool, e
 	schedule func(at sim.Time, rec telescope.Record)) (int, error) {
 	f := NewReplayFeeder(src, halt, b.Now())
 	n := 0
-	b.SetBeforeEpoch(func(start, end sim.Time) {
+	b.SetFeed(func(start, end sim.Time) {
 		f.Feed(start, end, func(at sim.Time, rec telescope.Record) {
 			n++
 			schedule(at, rec)
 		})
-	})
-	b.SetHorizon(f.NextAt)
-	defer b.SetHorizon(nil)
+	}, f.NextAt)
 	stride := time.Duration(replayStrideEpochs) * b.Lookahead()
 	stalled := false
 	f.NextAt() // prime, so an empty source is known before the first epoch
@@ -161,7 +159,7 @@ func ReplayOver(b *sim.ParallelRunner, src telescope.Source, halt func() bool, e
 			break
 		}
 	}
-	b.SetBeforeEpoch(nil)
+	b.SetFeed(nil, nil)
 	if target := f.Last().Add(epilogue); !stalled && target > b.Now() {
 		b.RunUntil(target)
 	}

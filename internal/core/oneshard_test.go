@@ -96,7 +96,6 @@ func runHandWired(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 	var inj *fault.Injector
 	if faults != nil {
 		inj = fault.New(k, f, *faults)
-		inj.Start()
 	}
 
 	rp := &telescope.StreamReplayer{K: k, Src: &telescope.SliceSource{Recs: recs}, Base: k.Now(), Emit: g.HandleInbound}
@@ -131,7 +130,6 @@ func runOneShard(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.StartFaults()
 	injected, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -160,16 +158,17 @@ func runOneShard(t *testing.T, seed uint64, faults *fault.Config) shardRun {
 // default Honeyfarm now runs on — is byte-identical to the classic
 // single-kernel pipeline it replaced, assembled here by hand as the
 // reference: stats, forensic event log and span trace, on radiation
-// traces at three seeds and under a chaos schedule of scripted and
-// Poisson server crashes and clone failures.
+// traces at three seeds and under a chaos schedule of scripted server
+// crashes and clone failures.
 func TestOneShardEngineMatchesHandWiredPipeline(t *testing.T) {
 	chaos := &fault.Config{
 		Script: []fault.Action{
+			{At: 240 * time.Millisecond, Kind: fault.KindCrash, Server: 1, Duration: 350 * time.Millisecond},
 			{At: 613 * time.Millisecond, Kind: fault.KindCrash, Server: 0, Duration: 700 * time.Millisecond},
 			{At: 911 * time.Millisecond, Kind: fault.KindCloneFail, Prob: 0.3, Duration: 500 * time.Millisecond},
+			{At: 1400 * time.Millisecond, Kind: fault.KindCrash, Server: 1, Duration: 250 * time.Millisecond},
+			{At: 1650 * time.Millisecond, Kind: fault.KindCrash, Server: 0, Duration: 300 * time.Millisecond},
 		},
-		CrashRate:  0.5,
-		MeanOutage: 300 * time.Millisecond,
 	}
 	cases := []struct {
 		name   string

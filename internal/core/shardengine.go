@@ -68,14 +68,6 @@ type ShardEngineConfig struct {
 	// Parallel runs each domain's epoch on its own goroutine; false is
 	// the single-threaded oracle that produces identical bytes.
 	Parallel bool
-	// AdaptiveEpochs caps how many lookahead cells a single epoch may
-	// span when the runner widens the window against the pending
-	// cross-shard and injection horizon (see sim.ParallelRunner
-	// SetAdaptive). Zero defaults to 64; 1 pins the historical fixed
-	// grid. For time-sorted replay sources — what telescope.Generate
-	// and capture-order pcaps produce — every setting yields the same
-	// bytes, so the default is safe for oracle comparisons.
-	AdaptiveEpochs int
 	// Seed derives every domain's kernel seed deterministically.
 	Seed uint64
 
@@ -89,11 +81,11 @@ type ShardEngineConfig struct {
 	Farm farm.Config
 
 	// Fault, when non-nil, attaches a fault injector to every domain —
-	// same script and rates each, every random draw from the domain's
-	// own seeded "fault" stream — so the fault schedule is a pure
+	// the same script each, every random draw from the domain's own
+	// seeded "fault" stream — so the fault schedule is a pure
 	// function of the seed in sequential, parallel, and cluster runs
-	// alike. Script server indices address the domain's farm slice.
-	// Arm the injectors with StartFaults after any snapshot warmup.
+	// alike. Script server indices address the domain's farm slice, and
+	// script offsets count from the domain's construction at clock 0.
 	Fault *fault.Config
 
 	// EventLog, when non-nil, receives the forensic event logs of all
@@ -134,15 +126,6 @@ type ShardEngineConfig struct {
 	OnDetected func(now sim.Time, addr netsim.Addr, distinctTargets int)
 	OnInfected func(now sim.Time, in *guest.Instance)
 	OnEgress   func(now sim.Time, pkt *netsim.Packet)
-}
-
-// Normalized returns cfg with defaults applied: the engine, the cluster
-// coordinator and its workers all run on these values.
-func (cfg ShardEngineConfig) Normalized() ShardEngineConfig {
-	if cfg.AdaptiveEpochs == 0 {
-		cfg.AdaptiveEpochs = 64
-	}
-	return cfg
 }
 
 // Validate reports every structural problem with the config.
@@ -216,7 +199,6 @@ type ShardDomain struct {
 // another shard owns. The caller (engine or cluster worker) owns epoch
 // advancement of the domain's kernel.
 func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain, error) {
-	cfg = cfg.Normalized()
 	n := cfg.Shards
 	// Golden-ratio stride keeps per-domain seeds distinct and
 	// deterministic; shard 0 keeps the caller's seed.
@@ -386,7 +368,6 @@ type ShardEngine struct {
 
 // NewShardEngine builds the domains and their runner.
 func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
-	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -411,7 +392,6 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 	})
 	e.runner = sim.NewRunner(e.local, 0, Lookahead) // every kernel starts at 0
 	e.runner.SetSequential(!cfg.Parallel)
-	e.runner.SetAdaptive(cfg.AdaptiveEpochs)
 	e.view = NewStatsView(cfg.Metrics, e.domains)
 	e.runner.SetAfterEpoch(func() {
 		now := e.runner.Now()
@@ -467,9 +447,9 @@ func (e *ShardEngine) Space() netsim.Prefix { return e.space }
 // (equivalence tests). Call only between runs.
 func (e *ShardEngine) SetSequential(seq bool) { e.runner.SetSequential(seq) }
 
-// SetAdaptive caps how many lookahead cells one epoch may span, as
-// ShardEngineConfig.AdaptiveEpochs does at construction (1 pins the
-// fixed grid). Call only between runs.
+// SetAdaptive caps how many lookahead cells one epoch may span (the
+// runner's default is 64; 1 pins the fixed grid). Call only between
+// runs.
 func (e *ShardEngine) SetAdaptive(maxCells int) { e.runner.SetAdaptive(maxCells) }
 
 // Now returns the engine clock.
@@ -557,18 +537,6 @@ func (e *ShardEngine) Inject(pkt *netsim.Packet) {
 // through this entry point. Call only between runs.
 func (e *ShardEngine) InjectBarrier(pkt *netsim.Packet) {
 	e.domains[e.Owner(pkt.Dst)].Deliver(e.runner.Now(), pkt)
-}
-
-// StartFaults arms every domain's fault injector (no-op without
-// cfg.Fault). Call once, before any traffic — the same point every
-// execution mode uses — so the fault schedule stays a pure function of
-// the seed.
-func (e *ShardEngine) StartFaults() {
-	for _, d := range e.domains {
-		if d.Fault != nil {
-			d.Fault.Start()
-		}
-	}
 }
 
 // FaultLog returns every applied fault across all domains, in shard

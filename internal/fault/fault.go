@@ -3,17 +3,16 @@
 // flash-clone failures, clone-latency spikes, and farm<->gateway link
 // outages against a running farm, entirely on the simulation clock.
 //
-// Determinism is the point. Every random choice (Poisson crash gaps,
-// outage lengths, per-clone failure coin flips) draws from one named
-// sim.RNG stream derived from the kernel seed, and every state change
-// rides the event queue — so a chaotic run replays identically under
-// the same seed, which is what makes failures debuggable.
+// Determinism is the point. Every random choice (per-clone failure coin
+// flips) draws from one named sim.RNG stream derived from the kernel
+// seed, and every state change rides the event queue — so a chaotic run
+// replays identically under the same seed, which is what makes failures
+// debuggable.
 //
-// Faults come from three sources, freely combined:
+// Faults come from two sources, freely combined:
 //
 //   - a Script of fixed-time Actions ("crash server 2 at t=30s for
-//     20s"),
-//   - Poisson background crashes (Config.CrashRate / MeanOutage),
+//     20s"), scheduled when the injector is built,
 //   - direct calls (Crash, FailClones, CutLink, ...) from experiment
 //     code.
 package fault
@@ -68,7 +67,8 @@ func (e Event) String() string {
 	return s
 }
 
-// Action is one scripted fault: apply Kind at offset At from Start.
+// Action is one scripted fault: apply Kind at offset At from the clock
+// at New.
 type Action struct {
 	At     time.Duration
 	Kind   Kind // KindCrash, KindRecover, KindCloneFail, KindCloneSlow, KindLinkDown, KindLinkUp
@@ -85,21 +85,15 @@ type Action struct {
 
 // Config parameterizes an Injector.
 type Config struct {
-	// Script is a list of fixed-time faults, applied relative to Start.
+	// Script is a list of fixed-time faults, applied relative to the
+	// clock at New.
 	Script []Action
-
-	// CrashRate, when positive, crashes each server independently at
-	// this Poisson rate (crashes/second), with Exp-distributed outages
-	// of mean MeanOutage (default 30s) before automatic recovery.
-	CrashRate  float64
-	MeanOutage time.Duration
 }
 
 // Injector drives faults into a farm on the simulation clock.
 type Injector struct {
-	K   *sim.Kernel
-	F   *farm.Farm
-	Cfg Config
+	K *sim.Kernel
+	F *farm.Farm
 
 	// OnEvent observes every applied fault (nil to ignore).
 	OnEvent func(Event)
@@ -116,29 +110,16 @@ type Injector struct {
 	log []Event
 }
 
-// New builds an injector over f. Randomness comes from the kernel's
-// "fault" stream, so adding the injector never perturbs the draws any
-// other component sees.
+// New builds an injector over f and schedules its script, offsets
+// relative to k's clock now. Randomness comes from the kernel's "fault"
+// stream, so adding the injector never perturbs the draws any other
+// component sees.
 func New(k *sim.Kernel, f *farm.Farm, cfg Config) *Injector {
-	return &Injector{K: k, F: f, Cfg: cfg, rng: k.Stream("fault")}
-}
-
-// Start schedules the script and the Poisson crash processes. Offsets
-// are relative to the clock at the call.
-func (in *Injector) Start() {
-	for _, a := range in.Cfg.Script {
-		a := a
-		in.K.After(a.At, func(now sim.Time) { in.apply(now, a) })
+	in := &Injector{K: k, F: f, rng: k.Stream("fault")}
+	for _, a := range cfg.Script {
+		k.After(a.At, func(now sim.Time) { in.apply(now, a) })
 	}
-	if in.Cfg.CrashRate > 0 {
-		mean := in.Cfg.MeanOutage
-		if mean <= 0 {
-			mean = 30 * time.Second
-		}
-		for i := range in.F.Hosts() {
-			in.scheduleCrash(i, mean)
-		}
-	}
+	return in
 }
 
 // Log returns the applied-fault record in order.
@@ -266,16 +247,6 @@ func (in *Injector) RestoreLink(now sim.Time) {
 	}
 	in.F.SetLinkDown(false)
 	in.record(now, KindLinkUp, -1, "")
-}
-
-// scheduleCrash arms server i's next Poisson crash.
-func (in *Injector) scheduleCrash(i int, meanOutage time.Duration) {
-	gap := time.Duration(in.rng.Exp(1/in.Cfg.CrashRate) * float64(time.Second))
-	in.K.After(gap, func(now sim.Time) {
-		outage := time.Duration(in.rng.Exp(meanOutage.Seconds()) * float64(time.Second))
-		in.Crash(now, i, outage)
-		in.scheduleCrash(i, meanOutage)
-	})
 }
 
 // record appends to the log and notifies the observer.

@@ -11,8 +11,8 @@ import (
 )
 
 // chaosRun storms a farm+gateway stack with traffic while the injector
-// crashes servers at random, then returns the stack and fault record
-// for inspection.
+// crashes servers on a random schedule, then returns the stack and fault
+// record for inspection.
 type chaosRun struct {
 	f   *farm.Farm
 	g   *gateway.Gateway
@@ -48,18 +48,12 @@ func runChaos(t *testing.T, seed uint64) *chaosRun {
 	f.SetGateway(g)
 	cr.g = g
 
-	cr.inj = New(k, f, Config{
-		// Aggressive background chaos: each server crashes about every
-		// 10 s and stays down about 3 s.
-		CrashRate:  0.1,
-		MeanOutage: 3 * time.Second,
-		Script: []Action{
-			{At: 5 * time.Second, Kind: KindCloneFail, Server: -1, Prob: 0.2, Duration: 4 * time.Second},
-			{At: 12 * time.Second, Kind: KindCloneSlow, Server: -1, Factor: 5, Duration: 4 * time.Second},
-			{At: 20 * time.Second, Kind: KindLinkDown, Server: -1, Duration: 2 * time.Second},
-		},
-	})
-	cr.inj.Start()
+	script := append(crashScript(seed, fc.Servers, 30*time.Second),
+		Action{At: 5 * time.Second, Kind: KindCloneFail, Server: -1, Prob: 0.2, Duration: 4 * time.Second},
+		Action{At: 12 * time.Second, Kind: KindCloneSlow, Server: -1, Factor: 5, Duration: 4 * time.Second},
+		Action{At: 20 * time.Second, Kind: KindLinkDown, Server: -1, Duration: 2 * time.Second},
+	)
+	cr.inj = New(k, f, Config{Script: script})
 
 	r := sim.NewRNG(seed * 131)
 	for i := 0; i < 1500; i++ {
@@ -71,6 +65,25 @@ func runChaos(t *testing.T, seed uint64) *chaosRun {
 	k.RunFor(5 * time.Second)
 	g.Close()
 	return cr
+}
+
+// crashScript draws aggressive background chaos from a seeded stream:
+// each server crashes about every 10 s (exponential gaps) and stays down
+// about 3 s, until horizon.
+func crashScript(seed uint64, servers int, horizon time.Duration) []Action {
+	r := sim.NewRNG(seed)
+	var script []Action
+	for i := 0; i < servers; i++ {
+		for at := time.Duration(0); ; {
+			at += time.Duration(r.Exp(10) * float64(time.Second))
+			if at >= horizon {
+				break
+			}
+			outage := time.Duration(r.Exp(3) * float64(time.Second))
+			script = append(script, Action{At: at, Kind: KindCrash, Server: i, Duration: outage})
+		}
+	}
+	return script
 }
 
 // TestRandomFaultScheduleInvariants is the failure-model analogue of
@@ -90,7 +103,7 @@ func TestRandomFaultScheduleInvariants(t *testing.T) {
 			}
 		}
 		if crashes == 0 {
-			t.Errorf("seed %d: Poisson process produced no crashes", seed)
+			t.Errorf("seed %d: the drawn schedule produced no crashes", seed)
 		}
 		st := cr.g.Stats()
 		if st.BindingsCreated != uint64(cr.g.NumBindings())+st.BindingsRecycled {
@@ -165,7 +178,6 @@ func TestScriptAppliesInOrder(t *testing.T) {
 		{At: 4 * time.Second, Kind: KindLinkDown, Server: -1, Duration: time.Second},
 		{At: 6 * time.Second, Kind: KindCloneSlow, Server: -1, Factor: 3, Duration: time.Second},
 	}})
-	inj.Start()
 
 	k.RunUntil(sim.Start.Add(1500 * time.Millisecond))
 	if f.Hosts()[0].Down() || !f.Hosts()[1].Down() {

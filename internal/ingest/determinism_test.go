@@ -12,6 +12,7 @@ package ingest_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 	"time"
 
@@ -56,9 +57,9 @@ func runInProcess(t testing.TB, recs []telescope.Record) []byte {
 
 // runOverWire converts the trace to a pcap file, replays the pcap over
 // a loopback UDP socket into an identically-seeded honeyfarm serving
-// Options.Wire. The sender is flow-controlled against
-// the listener's progress so no queue ever overflows: determinism is
-// only claimed for lossless transport.
+// Options.Wire. The sender waits for the farm to consume each chunk it
+// sends, so no queue ever overflows: determinism is only claimed for
+// lossless transport.
 func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 	var pcap bytes.Buffer
 	if _, err := ingest.WritePcap(&pcap, &telescope.SliceSource{Recs: recs}); err != nil {
@@ -90,18 +91,19 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent, _, err := ingest.Replay(s, src, ingest.ReplayOptions{
-		MaxRate: true,
-		// Keep at most 1024 datagrams in flight ahead of what the farm
-		// has consumed so the bounded queues never overflow.
-		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Delivered > 1024 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Send in chunks of 1024 datagrams, each consumed by the farm before
+	// the next leaves, so the bounded queues never overflow.
+	var sent uint64
+	for {
+		n, _, err := ingest.Replay(s, &chunkSource{src: src, left: 1024}, ingest.ReplayOptions{MaxRate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+		if n < 1024 {
+			break
+		}
+		waitUntil(t, func() bool { return srv.Stats().Ingest.Delivered == sent })
 	}
 
 	// Let the listener finish receiving, then stop it; Serve drains the
@@ -125,6 +127,20 @@ func runOverWire(t testing.TB, recs []telescope.Record) []byte {
 		t.Fatalf("delivered %d of %d", st.Delivered, sent)
 	}
 	return statsJSON(t, hf)
+}
+
+// chunkSource reads at most left records of src, then reports io.EOF.
+type chunkSource struct {
+	src  telescope.Source
+	left int
+}
+
+func (c *chunkSource) Read(rec *telescope.Record) error {
+	if c.left == 0 {
+		return io.EOF
+	}
+	c.left--
+	return c.src.Read(rec)
 }
 
 func waitUntil(t testing.TB, cond func() bool) {

@@ -101,9 +101,6 @@ type Config struct {
 	// Timestamped selects the 8-byte virtual-timestamp prefix framing
 	// (see the framing comment above).
 	Timestamped bool
-	// ReadBuffer is the socket receive buffer size hint in bytes
-	// (SO_RCVBUF). Default 4 MiB; the OS may clamp it.
-	ReadBuffer int
 	// Metrics, when set, is where the listener's received, frame-error,
 	// dropped and sequence-gap counters live (ingest_*_total): a scrape
 	// reads the very atomics Stats does, so give each listener its own
@@ -166,6 +163,10 @@ type Listener struct {
 	once sync.Once
 }
 
+// readBuffer is the socket receive buffer size hint in bytes
+// (SO_RCVBUF).
+const readBuffer = 4 << 20
+
 // Listen opens the UDP socket and starts the reader.
 func Listen(cfg Config) (*Listener, error) {
 	if cfg.Shards <= 0 {
@@ -173,9 +174,6 @@ func Listen(cfg Config) (*Listener, error) {
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 4096
-	}
-	if cfg.ReadBuffer <= 0 {
-		cfg.ReadBuffer = 4 << 20
 	}
 	pc, err := net.ListenPacket("udp", cfg.Addr)
 	if err != nil {
@@ -186,8 +184,8 @@ func Listen(cfg Config) (*Listener, error) {
 		pc.Close()
 		return nil, fmt.Errorf("ingest: %T is not a UDP socket", pc)
 	}
-	uc.SetReadBuffer(cfg.ReadBuffer) // best effort; the OS may clamp
-	setGRO(uc, true)                 // best effort; without it every read is one datagram
+	uc.SetReadBuffer(readBuffer) // best effort; the OS may clamp
+	setGRO(uc, true)             // best effort; without it every read is one datagram
 	l := newListener(cfg)
 	l.pc = uc
 	l.wg.Add(1)

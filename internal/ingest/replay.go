@@ -214,11 +214,6 @@ type ReplayOptions struct {
 	Speedup float64
 	// MaxRate disables pacing entirely: packets leave back to back.
 	MaxRate bool
-	// FlowControl, when set, is called after every send with the
-	// running count; it may block to keep the sender from overrunning
-	// a receiver (the loopback determinism test gates on the
-	// listener's progress through it).
-	FlowControl func(sent uint64)
 }
 
 // Replay paces a record source onto the wire. Each record is
@@ -270,11 +265,5 @@ func Replay(s *WireSender, src telescope.Source, opt ReplayOptions) (uint64, sim
 		}
 		n++
 		last = rec.At
-		if opt.FlowControl != nil {
-			if err := s.Flush(); err != nil {
-				return n, last, err
-			}
-			opt.FlowControl(n)
-		}
 	}
 }

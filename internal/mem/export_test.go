@@ -25,13 +25,19 @@ func (img *Image) Clones() uint64 { return img.clones }
 func (img *Image) NumPages() uint64 { return img.numPages }
 
 // ResidentPages returns the number of pages with backing content:
-// owned pages plus base pages not shadowed by an owned copy. O(1): the
-// shadow count is maintained as mappings change.
+// owned pages plus base pages not shadowed by an owned copy. It walks
+// the page table, O(owned pages).
 func (a *AddressSpace) ResidentPages() int {
 	if a.base == nil {
 		return a.n
 	}
-	return a.base.resident + a.n - a.shadowed
+	shadowed := 0
+	for i := 0; i < a.n; i++ {
+		if a.base.has(a.at(i).page()) {
+			shadowed++
+		}
+	}
+	return a.base.resident + a.n - shadowed
 }
 
 // OwnedPages returns the number of pages this space maps directly

@@ -38,10 +38,6 @@ type AddressSpace struct {
 	index  pageIndex
 	window [windowPages]uint8
 
-	// shadowed counts owned vpns that also exist in the base image,
-	// maintained as mappings change so ResidentPages is O(1).
-	shadowed int
-
 	stats SpaceStats
 }
 
@@ -123,7 +119,6 @@ func (a *AddressSpace) Write(vpn uint64, off int, b []byte) bool {
 		// write too large to record is copied now.
 		a.store.count(1)
 		a.store.stats.CowCopies++
-		a.shadowed++
 		a.stats.CowFaults++
 		e = a.add(vpn, i)
 		e.setDelta(0, 0)
@@ -227,7 +222,7 @@ func (a *AddressSpace) Release() {
 	clear(a.chunks)
 	a.chunks = a.chunks[:0]
 	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && s.spaceFree.Len() < spacePoolCap
-	a.n, a.shadowed = 0, 0
+	a.n = 0
 	a.released = true
 	a.base = nil
 	if !keep {

@@ -18,6 +18,10 @@ import (
 // farm would monitor in practice, and checked against the space).
 const attackerBase = netsim.Addr(0xC6120000)
 
+// attackerPool is how many addresses attackerBase's /16 holds: a stage
+// draws its distinct sources from them, so it can ask for no more.
+const attackerPool = 1 << 16
+
 // seedSalt separates the scenario compiler's stream from every other
 // consumer of the run seed ("scen" in ASCII).
 const seedSalt = 0x7363656e
@@ -132,7 +136,7 @@ func attackerSources(rng *sim.RNG, n int) []netsim.Addr {
 	srcs := make([]netsim.Addr, 0, n)
 	seen := make(map[netsim.Addr]bool, n)
 	for len(srcs) < n {
-		a := attackerBase + netsim.Addr(rng.Uint64n(1<<16))
+		a := attackerBase + netsim.Addr(rng.Uint64n(attackerPool))
 		if seen[a] {
 			continue
 		}

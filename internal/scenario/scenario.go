@@ -17,9 +17,11 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
 	"potemkin/internal/guest"
 	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
 )
 
 // Version is the scenario format version this package reads and the
@@ -92,6 +94,10 @@ type Scenario struct {
 	SettleMS int64 `json:"settle_ms,omitempty"`
 }
 
+// maxMS is the latest millisecond whose nanoseconds fit in sim.Time: a
+// later one would wrap negative and fire at the campaign's start.
+const maxMS = int64(sim.End) / int64(time.Millisecond)
+
 // Validate reports every problem with the scenario at once, one per
 // line, in the collect-all style of potemkin.Options.Validate.
 func (s *Scenario) Validate() error {
@@ -119,9 +125,11 @@ func (s *Scenario) Validate() error {
 		}
 		if st.AtMS < 0 || st.SpreadMS < 0 {
 			add("%q stage %d has negative timing", s.Name, i)
+		} else if st.AtMS > maxMS || st.SpreadMS > maxMS-st.AtMS {
+			add("%q stage %d ends past the simulated clock (at_ms + spread_ms above %d)", s.Name, i, maxMS)
 		}
-		if st.Sources < 0 {
-			add("%q stage %d has negative sources", s.Name, i)
+		if st.Sources < 0 || st.Sources > attackerPool {
+			add("%q stage %d has sources %d (want 0..%d)", s.Name, i, st.Sources, attackerPool)
 		}
 		if st.Kind == "exploit" && st.Port != 0 {
 			add("%q stage %d sets a port on an exploit stage (the vulnerable service decides)", s.Name, i)
@@ -149,8 +157,8 @@ func (s *Scenario) Validate() error {
 	if g.P2PPeers < 0 || g.P2PPeers > 64 {
 		add("%q has p2p_peers %d (want 0..64)", s.Name, g.P2PPeers)
 	}
-	if s.SettleMS < 0 {
-		add("%q has negative settle_ms", s.Name)
+	if s.SettleMS < 0 || s.SettleMS > maxMS {
+		add("%q has settle_ms %d (want 0..%d)", s.Name, s.SettleMS, maxMS)
 	}
 	return errors.Join(errs...)
 }

@@ -122,10 +122,23 @@ func TestLoadRoundTripAndRejects(t *testing.T) {
 		"bad base":      `{"version":1,"name":"x","guest":{"base":"plan9"},"stages":[{"at_ms":0,"kind":"recon","count":1}]}`,
 		"c2-less port":  `{"version":1,"name":"x","guest":{"c2_port":443},"stages":[{"at_ms":0,"kind":"recon","count":1}]}`,
 		"too many p2p":  `{"version":1,"name":"x","guest":{"p2p_peers":900},"stages":[{"at_ms":0,"kind":"recon","count":1}]}`,
+		// More distinct sources than the attacker pool holds: Compile
+		// would draw forever.
+		"sources past the pool": `{"version":1,"name":"x","stages":[{"at_ms":0,"kind":"recon","count":1,"sources":70000}]}`,
+		// Milliseconds whose nanoseconds overflow sim.Time would wrap
+		// negative and fire at t=0.
+		"at_ms past the clock":     `{"version":1,"name":"x","stages":[{"at_ms":9300000000000,"kind":"recon","count":1}]}`,
+		"spread_ms past the clock": `{"version":1,"name":"x","stages":[{"at_ms":0,"kind":"recon","count":1,"spread_ms":9300000000000}]}`,
+		"stage end past the clock": `{"version":1,"name":"x","stages":[{"at_ms":5000000000000,"kind":"recon","count":2,"spread_ms":5000000000000}]}`,
+		"settle_ms past the clock": `{"version":1,"name":"x","stages":[{"at_ms":0,"kind":"recon","count":1}],"settle_ms":9300000000000}`,
 	} {
 		if _, err := Load(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: Load accepted %s", name, body)
 		}
+	}
+	edge := `{"version":1,"name":"x","stages":[{"at_ms":9223372036854,"kind":"recon","count":1,"sources":65536}],"settle_ms":9223372036854}`
+	if _, err := Load(strings.NewReader(edge)); err != nil {
+		t.Errorf("Load rejected the bounds themselves: %v", err)
 	}
 }
 

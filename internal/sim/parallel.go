@@ -33,14 +33,14 @@ package sim
 // the runner can prove the extra barriers would have been no-ops. The
 // widened window is derived purely from simulation state — the
 // earliest pending event the transport reports plus the injection
-// horizon installed with SetHorizon — never from wall clock, so a
+// horizon installed with SetFeed — never from wall clock, so a
 // widened run stays byte-identical to the fixed-lookahead oracle:
 // epochs only ever end on the same lookahead grid, and a grid cell is
 // skipped only when no event, no injection, and therefore no
 // cross-shard send could have occurred in it. See DESIGN.md "Epoch
 // exchange" for the full argument.
 //
-// The control methods (RunUntil, RunEpochs, RunFor, SetBeforeEpoch,
+// The control methods (RunUntil, RunEpochs, RunFor, SetFeed,
 // and Local.Send from outside an epoch) are for a single driver
 // goroutine. During an epoch, Local.Send(src, ...) may only be called
 // from shard src's goroutine — the per-pair outboxes are sharded by
@@ -101,18 +101,16 @@ type ParallelRunner struct {
 	lookahead time.Duration
 	now       Time
 
-	beforeEpoch func(start, end Time)
-	afterEpoch  func()
+	// feed, when set, injects work at the start of every epoch, and
+	// next reports the earliest simulated time it may still schedule
+	// work at (the replay feeder's read-ahead).
+	feed       func(start, end Time)
+	next       func() Time
+	afterEpoch func()
 
 	// adaptMax bounds how many lookahead cells one epoch may span
-	// (1 = fixed epochs); horizon, when set, reports the earliest
-	// simulated time an external injector (the replay feeder) may still
-	// schedule work at. Widening is only attempted when the horizon
-	// covers every injection source: with a beforeEpoch hook installed
-	// but no horizon the runner cannot see what the hook would inject,
-	// so it stays on fixed epochs.
+	// (1 = fixed epochs).
 	adaptMax int
-	horizon  func() Time
 
 	// delivered counts messages Exchange has delivered that no epoch has
 	// reported yet: the exchange closing a run delivers into the epoch
@@ -158,16 +156,22 @@ func NewParallelRunner(kernels []*Kernel, lookahead time.Duration) *ParallelRunn
 	return r
 }
 
+// defaultAdaptive is how many lookahead cells one epoch may span unless
+// SetAdaptive says otherwise: the engine and the cluster coordinator
+// both run on it, so their epoch grids agree.
+const defaultAdaptive = 64
+
 // NewRunner builds a runner that drives t's shards from clock now with
-// the given lookahead (must be positive). Epochs are fixed until
-// SetAdaptive widens them. When t is a Local, the in-process controls
-// (Align, SetSequential, Close) act on its kernels.
+// the given lookahead (must be positive). An epoch may span up to
+// defaultAdaptive cells until SetAdaptive says otherwise. When t is a
+// Local, the in-process controls (Align, SetSequential, Close) act on
+// its kernels.
 func NewRunner(t Transport, now Time, lookahead time.Duration) *ParallelRunner {
 	if lookahead <= 0 {
 		panic("sim: ParallelRunner with non-positive lookahead")
 	}
 	local, _ := t.(kernelSet)
-	return &ParallelRunner{t: t, local: local, lookahead: lookahead, now: now, adaptMax: 1}
+	return &ParallelRunner{t: t, local: local, lookahead: lookahead, now: now, adaptMax: defaultAdaptive}
 }
 
 // Align advances the runner clock to the latest kernel clock and runs
@@ -198,7 +202,7 @@ func (r *ParallelRunner) SetSequential(seq bool) { r.local.SetSequential(seq) }
 // SetAdaptive bounds adaptive lookahead: one epoch may span up to
 // maxCells lookahead-sized grid cells when the pending-event horizon
 // proves the skipped barriers would have been no-ops. maxCells <= 1
-// restores fixed epochs (the default). Call only between runs.
+// pins fixed epochs. Call only between runs.
 func (r *ParallelRunner) SetAdaptive(maxCells int) {
 	const bound = 1 << 16 // keep cells*lookahead far from overflow
 	if maxCells < 1 {
@@ -210,21 +214,18 @@ func (r *ParallelRunner) SetAdaptive(maxCells int) {
 	r.adaptMax = maxCells
 }
 
-// SetHorizon installs the injection horizon for adaptive lookahead: fn
-// reports the earliest simulated time the pre-epoch hook may still
-// schedule work at (End when its source is exhausted). With a
-// beforeEpoch hook installed but no horizon, epochs stay fixed — the
-// runner must assume the hook could inject into any cell. Nil removes
-// the horizon. Call only between runs.
-func (r *ParallelRunner) SetHorizon(fn func() Time) { r.horizon = fn }
-
-// SetBeforeEpoch installs a hook called at the start of every epoch
-// with the epoch bounds [start, end), after pending cross-shard
-// messages have been delivered and before any shard runs. The hook runs
-// single-threaded and may schedule directly on any shard (replay
-// feeders use it to inject the records falling inside the epoch). Nil
-// removes the hook.
-func (r *ParallelRunner) SetBeforeEpoch(fn func(start, end Time)) { r.beforeEpoch = fn }
+// SetFeed installs an injector: feed is called at the start of every
+// epoch with the epoch bounds [start, end), after pending cross-shard
+// messages have been delivered and before any shard runs. It runs
+// single-threaded and may schedule directly on any shard (the replay
+// feeder injects the records falling inside the epoch). next is its
+// injection horizon for adaptive lookahead: the earliest simulated time
+// feed may still schedule work at, End when its source is exhausted.
+// next must be set whenever feed is; SetFeed(nil, nil) removes both.
+// Call only between runs.
+func (r *ParallelRunner) SetFeed(feed func(start, end Time), next func() Time) {
+	r.feed, r.next = feed, next
+}
 
 // SetAfterEpoch installs a hook called single-threaded at the end of
 // every epoch, after every shard has stopped at the barrier (the
@@ -248,10 +249,9 @@ func (r *ParallelRunner) Close() {
 	}
 }
 
-// epochEnd picks the next epoch's end: one lookahead cell by default,
-// or — when adaptive lookahead is enabled and every injection source is
-// covered by the horizon — as many whole cells as provably hold no
-// work. The pending-work horizon h is the minimum over the transport's
+// epochEnd picks the next epoch's end: one lookahead cell, or — when
+// adaptive lookahead is enabled — as many whole cells as provably hold
+// no work. The pending-work horizon h is the minimum over the transport's
 // next event and the injection horizon; since nothing can execute
 // before h, and a cross-shard send made at time t is delivered at
 // t+lookahead or later, every cell strictly before h's cell is a no-op
@@ -260,10 +260,10 @@ func (r *ParallelRunner) Close() {
 // is what keeps widened and fixed runs on the same epoch anchors.
 func (r *ParallelRunner) epochEnd(deadline Time) Time {
 	end := r.now.Add(r.lookahead)
-	if r.adaptMax > 1 && (r.beforeEpoch == nil || r.horizon != nil) {
+	if r.adaptMax > 1 {
 		h := r.t.NextEvent()
-		if r.horizon != nil {
-			h = min(h, r.horizon())
+		if r.next != nil {
+			h = min(h, r.next())
 		}
 		if h == End {
 			// No pending work anywhere: a single epoch to the deadline.
@@ -307,8 +307,8 @@ func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
 			exchangeNS = time.Since(t0).Nanoseconds()
 		}
 		start, end := r.now, r.epochEnd(deadline)
-		if r.beforeEpoch != nil {
-			r.beforeEpoch(start, end)
+		if r.feed != nil {
+			r.feed(start, end)
 		}
 		adv, ok := r.t.Advance(end, timed)
 		if !ok {

@@ -99,15 +99,13 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 // TestAdaptiveWidensAndSnapsBack pins the exact epoch bounds of an
 // adaptive run: the window widens across a quiet gap (bounded by the
 // cell cap), snaps back to single cells around a cross-shard burst, and
-// jumps to the deadline once nothing is pending. The horizon here
-// reports End (no external injection), which is what arms widening
-// alongside the bounds-recording hook.
+// jumps to the deadline once nothing is pending. The bounds-recording
+// feed injects nothing, so its horizon reports End.
 func TestAdaptiveWidensAndSnapsBack(t *testing.T) {
 	la := time.Millisecond
 	k0, k1 := NewKernel(1), NewKernel(2)
 	r, local := newEventRunner([]*Kernel{k0, k1}, la)
 	r.SetAdaptive(8)
-	r.SetHorizon(func() Time { return End })
 
 	crossAt := Time(0)
 	k0.At(Time(500*time.Microsecond), func(now Time) {
@@ -118,7 +116,7 @@ func TestAdaptiveWidensAndSnapsBack(t *testing.T) {
 	})
 
 	var got [][2]Time
-	r.SetBeforeEpoch(func(start, end Time) { got = append(got, [2]Time{start, end}) })
+	r.SetFeed(func(start, end Time) { got = append(got, [2]Time{start, end}) }, func() Time { return End })
 	deadline := Time(16 * time.Millisecond)
 	r.RunUntil(deadline)
 
@@ -143,24 +141,11 @@ func TestAdaptiveWidensAndSnapsBack(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStaysFixedWithoutHorizon: a pre-epoch hook with no
-// installed horizon must disable widening — the runner cannot prove the
-// hook would not inject into a skipped cell.
-func TestAdaptiveStaysFixedWithoutHorizon(t *testing.T) {
-	r := NewParallelRunner([]*Kernel{NewKernel(1), NewKernel(2)}, time.Millisecond)
-	r.SetAdaptive(64)
-	var bounds [][2]Time
-	r.SetBeforeEpoch(func(start, end Time) { bounds = append(bounds, [2]Time{start, end}) })
-	r.RunUntil(Time(5 * time.Millisecond))
-	if len(bounds) != 5 {
-		t.Fatalf("expected 5 fixed epochs, got %d: %v", len(bounds), bounds)
-	}
-}
-
 // TestRunEpochsStops: the stop predicate ends the run at the first
 // barrier after it turns true, leaving the clock on that barrier.
 func TestRunEpochsStops(t *testing.T) {
 	r := NewParallelRunner([]*Kernel{NewKernel(1), NewKernel(2)}, time.Millisecond)
+	r.SetAdaptive(1)
 	epochs := 0
 	r.RunEpochs(Time(100*time.Millisecond), func() bool {
 		epochs++

@@ -91,8 +91,9 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 func TestParallelRunnerEpochBounds(t *testing.T) {
 	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
 	r := NewParallelRunner(kernels, time.Millisecond)
+	r.SetAdaptive(1)
 	var got [][2]Time
-	r.SetBeforeEpoch(func(start, end Time) { got = append(got, [2]Time{start, end}) })
+	r.SetFeed(func(start, end Time) { got = append(got, [2]Time{start, end}) }, func() Time { return End })
 	r.RunUntil(Time(2500 * time.Microsecond))
 	want := [][2]Time{
 		{0, Time(time.Millisecond)},

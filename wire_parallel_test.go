@@ -124,20 +124,7 @@ func serveLive(t *testing.T, opts Options, recs []telescope.Record, serveOpts ..
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sent, _, err := ingest.Replay(s, &telescope.SliceSource{Recs: recs}, ingest.ReplayOptions{
-		MaxRate: true,
-		// Keep at most 1024 datagrams in flight ahead of what the farm
-		// has consumed so the bounded queues never overflow — byte
-		// equality is only claimed for lossless transport.
-		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Delivered > 1024 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sent := sendChunked(t, s, srv, recs)
 	waitUntilWire(t, func() bool { return srv.Stats().Ingest.Received == sent })
 	srv.Stop()
 	var res serveResult
@@ -203,6 +190,26 @@ func replayWireRun(t *testing.T, pcapPath string, adaptive int, oracle bool) (St
 	stats := hf.Stats()
 	hf.Close()
 	return stats, ev.Bytes()
+}
+
+// sendChunked sends recs unpaced to srv in chunks of 1024 records,
+// waiting after each until the farm has consumed it, so the bounded
+// queues never overflow: byte equality is only claimed for lossless
+// transport. It returns how many records it sent.
+func sendChunked(t *testing.T, s *ingest.WireSender, srv *WireServer, recs []telescope.Record) uint64 {
+	t.Helper()
+	var sent uint64
+	for len(recs) > 0 {
+		chunk := recs[:min(len(recs), 1024)]
+		recs = recs[len(chunk):]
+		n, _, err := ingest.Replay(s, &telescope.SliceSource{Recs: chunk}, ingest.ReplayOptions{MaxRate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+		waitUntilWire(t, func() bool { return srv.Stats().Ingest.Delivered == sent })
+	}
+	return sent
 }
 
 func waitUntilWire(t testing.TB, cond func() bool) {
@@ -328,17 +335,7 @@ func TestWireSequentialOptionsAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sent, _, err := ingest.Replay(s, &telescope.SliceSource{Recs: recs}, ingest.ReplayOptions{
-		MaxRate: true,
-		FlowControl: func(n uint64) {
-			for n-srv.Stats().Ingest.Delivered > 1024 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sent := sendChunked(t, s, srv, recs)
 	waitUntilWire(t, func() bool { return srv.Stats().Ingest.Received == sent })
 	srv.Stop()
 	var ws WireStats
