@@ -104,7 +104,8 @@ race:
 # run more than one target per package. FuzzSpaceOps executes whole
 # operation sequences (FuzzLaneOrder whole event schedules, twice), so
 # minimizing each new input by the default 60 s would be the entire
-# pass; they get an execution budget instead.
+# pass; they get an execution budget instead, and so does
+# FuzzHistogramDecode, whose JSON inputs minimize a byte at a time.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzResolverServe -fuzztime=$(FUZZTIME) ./internal/dns
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/vmm
 	$(GO) test -run=^$$ -fuzz=FuzzEpochDone -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzWorkerEpoch -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzHistogramDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/metrics
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzPcapRead -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzSplitTrain -fuzztime=$(FUZZTIME) ./internal/ingest

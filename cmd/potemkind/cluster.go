@@ -81,6 +81,8 @@ func (co *coordinator) totals() (time.Duration, core.Totals) {
 	return time.Duration(co.res.Now), co.res.Totals
 }
 
+func (co *coordinator) snapshot() ([]byte, error) { return marshalSnapshot(co.totals()) }
+
 // runCoordinator drives one cluster run end to end and returns the
 // process exit code. A SIGINT/SIGTERM halts the feed at the next epoch
 // boundary and still merges and flushes everything collected so far —
@@ -92,12 +94,11 @@ func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
 		return 1
 	}
 	ec.EventLog, ec.TraceOut, ec.EpochLog = opts.EventLog, opts.TraceOut, opts.EpochLog
-	if opts.Metrics || opts.EpochLog != nil {
-		// The registry turns on worker-side telemetry too (the assign
-		// message carries the flag); heartbeats piggyback the snapshots
-		// the farm-wide /metrics merge is built from. A scenario's
-		// scorecard needs none of it: it is computed from the shard
-		// Totals the workers ship with their results.
+	if opts.Metrics {
+		// The coordinator publishes the workers' totals into it, as the
+		// engine publishes its domains'. A scenario's scorecard needs
+		// none of it: it is computed from the shard Totals the workers
+		// ship with their results.
 		ec.Metrics = metrics.NewRegistry()
 	}
 	tag := configTag(opts, ec)
@@ -124,18 +125,13 @@ func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
 	fmt.Printf("coordinator on %s: %d shards across %d workers, scenario %q\n",
 		c.Addr(), ec.Shards, f.workers, tag)
 	if f.debugAddr != "" {
-		// Both handlers read only atomics published by the driver and
-		// read loops, so serving them from HTTP goroutines mid-run is
-		// safe (same rule as the single-process /metrics).
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write(c.MetricsText())
-		})
+		// /cluster reads only atomics published by the driver and read
+		// loops, so serving it from HTTP goroutines mid-run is safe.
 		http.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(c.HealthJSON())
 		})
-		serveDebug(f.debugAddr, "/metrics, /cluster, /debug/pprof")
+		serveRun(f.debugAddr, c.MetricsText, "/snapshot, /metrics, /cluster, /debug/vars, /debug/pprof")
 	}
 	if err := c.WaitReady(5 * time.Minute); err != nil {
 		logf("%v", err)
@@ -149,10 +145,11 @@ func runCoordinator(f *flags, opts potemkin.Options, halt func() bool) int {
 	}
 	c.SetProgress(f.interval, func(now sim.Time, t core.Totals) {
 		printProgress(potemkin.StatsOf(time.Duration(now), t))
+		publishSnapshot(marshalSnapshot(time.Duration(now), t))
 	})
 	co := &coordinator{c: c, opts: opts}
 	injected, card, err := fd.run(co, opts.Policy, halt)
-	return conclude(co, f, injected, card, err, halt())
+	return conclude(co, f, injected, card, nil, err, halt())
 }
 
 // runWorker serves shards until the coordinator shuts the run down, and
@@ -169,6 +166,13 @@ func runWorker(f *flags, opts potemkin.Options) int {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	if f.debugAddr != "" {
+		// The worker's farm state is read through the coordinator; its
+		// own endpoint profiles the process.
+		pprof := http.NewServeMux()
+		pprof.Handle("/debug/pprof/", http.DefaultServeMux)
+		serveDebug(f.debugAddr, pprof, "/debug/pprof")
 	}
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

@@ -68,9 +68,9 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.checkpoints, "checkpoints", "", "save delta checkpoints of detected VMs into this directory")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the final stats as JSON on stdout")
 	fs.StringVar(&f.traceOut, "trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file (see inspect trace; inspect trace -chrome renders it for Perfetto)")
-	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /snapshot, /metrics, /debug/vars (expvar) and /debug/pprof on this address while running")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /snapshot, /metrics, /debug/vars (expvar) and /debug/pprof on this address while running (a worker serves /debug/pprof only)")
 	fs.StringVar(&f.epochLog, "epoch-log", "", "write the engine's JSONL epoch timeline to this file (see inspect epochs)")
-	fs.StringVar(&f.snapshotOut, "snapshot-out", "", "write the final JSON snapshot to this file (see inspect snapshot)")
+	fs.StringVar(&f.snapshotOut, "snapshot-out", "", "write the final JSON snapshot to this file, the same bytes in every mode (see inspect snapshot)")
 	fs.StringVar(&f.scenario, "scenario", "", "run a deterministic attacker campaign: builtin family name or scenario JSON file")
 	fs.StringVar(&f.scorecardOut, "scorecard-out", "", "write the campaign's effectiveness scorecard (JSON) to this file (requires -scenario; see inspect scorecard)")
 
@@ -126,13 +126,8 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 	if coordinator && f.workers < 1 {
 		bad("-workers must be >= 1 (got %d)", f.workers)
 	}
-	if coordinator && f.snapshotOut != "" {
-		// The snapshot's gauges live on the workers; -json prints the
-		// merged Stats, which is what a cluster run can report.
-		bad("-snapshot-out is not supported with -coordinator (use -json for the merged stats)")
-	}
 	if worker {
-		for _, name := range []string{"pcap", "json", "eventlog", "trace-out", "snapshot-out", "debug-addr", "epoch-log", "scorecard-out"} {
+		for _, name := range []string{"pcap", "json", "eventlog", "trace-out", "snapshot-out", "epoch-log", "scorecard-out"} {
 			if set[name] {
 				bad("-%s is a coordinator flag; the worker ships its output over the cluster protocol", name)
 			}

@@ -45,8 +45,8 @@ func TestFlagProblems(t *testing.T) {
 			[]string{"-coordinator requires -shards >= 2 (got 1)"}},
 		{"coordinator workers", "-coordinator A -shards 2 -workers 0",
 			[]string{"-workers must be >= 1 (got 0)"}},
-		{"coordinator snapshot", "-coordinator A -shards 2 -snapshot-out snap.json",
-			[]string{"-snapshot-out is not supported with -coordinator (use -json for the merged stats)"}},
+		{"coordinator snapshot", "-coordinator A -shards 2 -snapshot-out snap.json", nil},
+		{"worker profiling", "-worker A -debug-addr 127.0.0.1:0", nil},
 		{"worker output", "-worker A -json",
 			[]string{"-json is a coordinator flag; the worker ships its output over the cluster protocol"}},
 		{"cluster-only sinks", "-coordinator A -shards 2 -capture dir",
@@ -87,6 +87,31 @@ func TestFlagProblems(t *testing.T) {
 				t.Errorf("potemkind %s:\n got %q\nwant %q", tc.args, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestClusterRefusals: every refusal left for a cluster role fires. A
+// worker writes none of the run's outputs (the coordinator does), and
+// neither role writes -capture or -checkpoints.
+func TestClusterRefusals(t *testing.T) {
+	for _, name := range []string{"pcap", "json", "eventlog", "trace-out", "snapshot-out", "epoch-log", "scorecard-out"} {
+		args := []string{"-worker", "A", "-" + name}
+		if name != "json" {
+			args = append(args, "out")
+		}
+		_, got := parseOptions(t, args...)
+		if want := "-" + name + " is a coordinator flag; the worker ships its output over the cluster protocol"; !slices.Contains(got, want) {
+			t.Errorf("potemkind %q:\n got %q\nwant %q among them", args, got, want)
+		}
+	}
+	for _, role := range [][]string{{"-worker", "A"}, {"-coordinator", "A", "-shards", "2"}} {
+		for _, name := range []string{"capture", "checkpoints"} {
+			args := append(slices.Clone(role), "-"+name, "dir")
+			_, got := parseOptions(t, args...)
+			if want := []string{"-" + name + " is not supported in cluster mode"}; !slices.Equal(got, want) {
+				t.Errorf("potemkind %q:\n got %q\nwant %q", args, got, want)
+			}
+		}
 	}
 }
 

@@ -40,8 +40,10 @@
 //	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace,
 //	                 and inspect trace -chrome for Perfetto, in every mode)
 //	-debug-addr A    serve /snapshot, /metrics, expvar and pprof on this HTTP address
+//	                 (a cluster worker serves pprof only)
 //	-epoch-log F     write the engine's JSONL epoch timeline (inspect epochs)
-//	-snapshot-out F  write the final JSON snapshot (inspect snapshot)
+//	-snapshot-out F  write the final JSON snapshot, the same bytes in every mode
+//	                 (inspect snapshot)
 //	-scenario S      run a deterministic attacker campaign (builtin family or JSON file)
 //	-scorecard-out F write the campaign's effectiveness scorecard (JSON; inspect scorecard)
 //
@@ -64,10 +66,11 @@
 // rejects mismatches. Extra workers beyond -workers register as hot
 // standbys and adopt a crashed worker's shards by replaying the epoch
 // frames the coordinator logged for its slot. With -debug-addr the
-// coordinator serves the farm-wide /metrics (its epoch profile merged
-// with the registry snapshots workers piggyback on heartbeats) and
-// /cluster (per-worker epoch lag, heartbeat age, recovery count) while
-// the run is live.
+// coordinator serves the farm-wide /metrics and /snapshot (read from the
+// totals it gathers from the workers at the engine's epoch barriers, so
+// the same bytes a single process serves there, next to its epoch
+// profile) and /cluster (per-worker epoch lag, heartbeat age, recovery
+// count) while the run is live; a worker serves /debug/pprof.
 //
 // SIGINT/SIGTERM stop the feed cleanly: the replay or listener winds
 // down, and every open writer (trace, capture, event log, snapshot) is
@@ -187,13 +190,16 @@ func run(f *flags, opts potemkin.Options) int {
 // farm is what a run drives: the in-process honeyfarm, or the cluster
 // coordinator over its workers. Both take the same feed, report progress
 // at the same epoch barriers and answer with their shards' summed
-// counters, so one feed path, one progress line, one scorecard and one
-// final report serve every mode.
+// counters and histograms, so one feed path, one progress line, one
+// snapshot, one scorecard and one final report serve every mode.
 type farm interface {
 	// replay feeds src to the farm, then simulates epilogue more.
 	replay(src telescope.Source, epilogue time.Duration, halt func() bool) (int, error)
-	// totals is the farm's clock and its shards' summed counters.
+	// totals is the farm's clock and its shards' summed counters and
+	// histograms.
 	totals() (time.Duration, core.Totals)
+	// snapshot is the farm's Snapshot JSON, wire ingest accounting included.
+	snapshot() ([]byte, error)
 }
 
 // local is a farm in this process; progress observes its replays.
@@ -207,6 +213,50 @@ func (l local) replay(src telescope.Source, epilogue time.Duration, halt func() 
 }
 
 func (l local) totals() (time.Duration, core.Totals) { return l.hf.Totals() }
+
+func (l local) snapshot() ([]byte, error) { return l.hf.MarshalSnapshot() }
+
+// marshalSnapshot is Honeyfarm.MarshalSnapshot's bytes for totals t at now.
+func marshalSnapshot(now time.Duration, t core.Totals) ([]byte, error) {
+	return json.MarshalIndent(potemkin.SnapshotOf(now, t), "", "  ")
+}
+
+// lastSnapshot is the snapshot JSON the run last published, for the
+// debug endpoint: the progress observer publishes at an epoch barrier,
+// on the goroutine driving the run while every shard is stopped, and
+// HTTP handlers serve only the stored bytes, never simulation state.
+var lastSnapshot atomic.Pointer[[]byte]
+
+func publishSnapshot(b []byte, err error) {
+	if err == nil {
+		lastSnapshot.Store(&b)
+	}
+}
+
+// serveRun serves a run's debug endpoint on addr, alike in every mode:
+// /snapshot and expvar's potemkin variable from lastSnapshot ({} before
+// the first), /metrics from metricsText, pprof, and whatever else the
+// caller registered (paths lists it all).
+func serveRun(addr string, metricsText func() []byte, paths string) {
+	latest := func() []byte {
+		if b := lastSnapshot.Load(); b != nil {
+			return *b
+		}
+		return []byte("{}")
+	}
+	expvar.Publish("potemkin", expvar.Func(func() any { return json.RawMessage(latest()) }))
+	http.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(latest())
+	})
+	// The farm's series are published into the registry's atomics at
+	// epoch barriers, and the scrape reads only those.
+	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Write(metricsText())
+	})
+	serveDebug(addr, nil, paths)
+}
 
 // printProgress writes the progress line for st: the farm's state at an
 // epoch barrier, the same bytes in every mode.
@@ -228,46 +278,12 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 	}
 	defer hf.Close()
 
-	// The live debug endpoint must never touch simulation state from the
-	// HTTP goroutine: the progress observer marshals a snapshot at an
-	// epoch barrier, on the goroutine driving the run while every shard
-	// is stopped, and stores the bytes in an atomic pointer; HTTP
-	// handlers serve the stored bytes.
-	var lastSnap atomic.Pointer[[]byte]
-	publishSnap := func() {
-		if b, err := hf.MarshalSnapshot(); err == nil {
-			lastSnap.Store(&b)
-		}
-	}
-	publishSnap()
 	if f.debugAddr != "" {
-		expvar.Publish("potemkin", varFunc(func() string {
-			if b := lastSnap.Load(); b != nil {
-				return string(*b)
-			}
-			return "{}"
-		}))
-		http.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if b := lastSnap.Load(); b != nil {
-				w.Write(*b)
-			} else {
-				w.Write([]byte("{}"))
-			}
-		})
-		// /metrics follows the same rule by itself: the engine publishes
-		// the farm's counters into the registry's atomics at epoch
-		// barriers, and the scrape reads only those.
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write(hf.MetricsText())
-		})
-		serveDebug(f.debugAddr, "/snapshot, /metrics, /debug/vars, /debug/pprof")
+		serveRun(f.debugAddr, hf.MetricsText, "/snapshot, /metrics, /debug/vars, /debug/pprof")
 	}
-
 	progress := potemkin.WithProgress(f.interval, func(st potemkin.Stats) {
 		printProgress(st)
-		publishSnap()
+		publishSnapshot(hf.MarshalSnapshot())
 	})
 
 	var (
@@ -297,45 +313,7 @@ func runLocal(ctx context.Context, f *flags, opts potemkin.Options, halt func() 
 		}
 		injected, card, err = fd.run(fm, opts.Policy, halt)
 	}
-	publishSnap()
-	code := conclude(fm, f, injected, card, err, halt())
-	if f.jsonOut {
-		return code
-	}
-
-	if wireStats != nil {
-		ig := wireStats.Ingest
-		tab := metrics.NewTable("\nwire ingest",
-			"datagrams", "decap-errors", "queue-drops", "seq-gaps", "delivered", "clamped", "queue-hwm")
-		tab.AddRow(ig.Received, ig.FrameErrors, ig.Dropped,
-			ig.SeqGaps, ig.Delivered, ig.Clamped, ig.QueueHWM)
-		tab.Render(os.Stdout)
-	}
-	_, t := fm.totals()
-	gt := t.Guest
-	fmt.Printf("  guest activity (all VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
-		gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
-	if stages := hf.Snapshot().StagesMs; stages != nil {
-		tab := metrics.NewTable("\nper-stage latency (ms)",
-			"stage", "count", "mean", "p50", "p90", "p99", "max")
-		for _, name := range slices.Sorted(maps.Keys(stages)) {
-			l := stages[name]
-			tab.AddRow(name, l.Count, l.Mean, l.P50, l.P90, l.P99, l.Max)
-		}
-		tab.Render(os.Stdout)
-	}
-	if f.snapshotOut != "" {
-		b, err := hf.MarshalSnapshot()
-		if err == nil {
-			err = os.WriteFile(f.snapshotOut, b, 0o644)
-		}
-		if err != nil {
-			logf("%v", err)
-			return 1
-		}
-		fmt.Printf("\n[snapshot] %s\n", f.snapshotOut)
-	}
-	return code
+	return conclude(fm, f, injected, card, wireStats, err, halt())
 }
 
 // serveWire serves the live GRE-over-UDP feed until a signal or
@@ -428,10 +406,13 @@ func (fd *feed) run(fm farm, policy potemkin.Policy, halt func() bool) (int, *po
 }
 
 // conclude reports a finished run the same way in every mode — the
-// campaign's scorecard, then the final stats — and returns the exit
-// code: 1 when the run hit an error, which is reported after whatever
-// it collected.
-func conclude(fm farm, f *flags, injected int, card *potemkin.Scorecard, runErr error, interrupted bool) int {
+// campaign's scorecard, the final stats and, unless -json owns stdout,
+// the wire listener's accounting (ws, nil without -listen), the guest
+// activity and the per-stage latencies — then publishes the final
+// snapshot and writes -snapshot-out. It returns the exit code: 1 when
+// the run hit an error, which is reported after whatever it collected,
+// or an output could not be written.
+func conclude(fm farm, f *flags, injected int, card *potemkin.Scorecard, ws *potemkin.WireStats, runErr error, interrupted bool) int {
 	code := 0
 	if runErr != nil {
 		logf("%v", runErr)
@@ -446,28 +427,63 @@ func conclude(fm farm, f *flags, injected int, card *potemkin.Scorecard, runErr 
 			code = 1
 		}
 	}
-	st := potemkin.StatsOf(fm.totals())
+	now, t := fm.totals()
+	st := potemkin.StatsOf(now, t)
 	if f.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(st); err != nil {
 			logf("%v", err)
+			code = 1
+		}
+	} else {
+		fmt.Printf("\nfinal after %v simulated:\n", st.Now.Truncate(time.Millisecond))
+		fmt.Printf("  injected packets      %d\n", injected)
+		fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
+		fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
+		fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
+		fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
+		fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
+		fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
+		fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
+			st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
+		fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
+		fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, f.servers)
+		if ws != nil {
+			ig := ws.Ingest
+			tab := metrics.NewTable("\nwire ingest",
+				"datagrams", "decap-errors", "queue-drops", "seq-gaps", "delivered", "clamped", "queue-hwm")
+			tab.AddRow(ig.Received, ig.FrameErrors, ig.Dropped,
+				ig.SeqGaps, ig.Delivered, ig.Clamped, ig.QueueHWM)
+			tab.Render(os.Stdout)
+		}
+		gt := t.Guest
+		fmt.Printf("  guest activity (all VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
+			gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
+		if stages := potemkin.SnapshotOf(now, t).StagesMs; stages != nil {
+			tab := metrics.NewTable("\nper-stage latency (ms)",
+				"stage", "count", "mean", "p50", "p90", "p99", "max")
+			for _, name := range slices.Sorted(maps.Keys(stages)) {
+				l := stages[name]
+				tab.AddRow(name, l.Count, l.Mean, l.P50, l.P90, l.P99, l.Max)
+			}
+			tab.Render(os.Stdout)
+		}
+	}
+	b, err := fm.snapshot()
+	publishSnapshot(b, err)
+	if f.snapshotOut != "" {
+		if err == nil {
+			err = os.WriteFile(f.snapshotOut, b, 0o644)
+		}
+		if err != nil {
+			logf("%v", err)
 			return 1
 		}
-		return code
+		if !f.jsonOut {
+			fmt.Printf("\n[snapshot] %s\n", f.snapshotOut)
+		}
 	}
-	fmt.Printf("\nfinal after %v simulated:\n", st.Now.Truncate(time.Millisecond))
-	fmt.Printf("  injected packets      %d\n", injected)
-	fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
-	fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
-	fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
-	fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
-	fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
-	fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
-	fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
-		st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
-	fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
-	fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, f.servers)
 	return code
 }
 
@@ -498,22 +514,16 @@ func emitScorecard(card *potemkin.Scorecard, path string, jsonOut bool) error {
 	return nil
 }
 
-// serveDebug serves the default mux's debug endpoint on addr in the
+// serveDebug serves h, or the default mux when h is nil, on addr in the
 // background.
-func serveDebug(addr, paths string) {
+func serveDebug(addr string, h http.Handler, paths string) {
 	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := http.ListenAndServe(addr, h); err != nil {
 			logf("debug endpoint: %v", err)
 		}
 	}()
 	fmt.Printf("debug endpoint on http://%s (%s)\n", addr, paths)
 }
-
-// varFunc adapts a closure to expvar.Var, returning pre-marshaled JSON
-// (expvar.Func would re-marshal, and must not touch sim state).
-type varFunc func() string
-
-func (f varFunc) String() string { return f() }
 
 // logf writes to stderr, keeping stdout clean for -json output.
 func logf(format string, args ...any) {

@@ -292,7 +292,7 @@ func (h *clusterHarness) shutdown(t *testing.T) {
 // included.
 func compareRuns(t *testing.T, want, got runOut, label string) {
 	t.Helper()
-	if want.totals != got.totals {
+	if !reflect.DeepEqual(want.totals, got.totals) {
 		t.Errorf("%s: totals differ:\nwant %+v\ngot  %+v", label, want.totals, got.totals)
 	}
 	if want.injected != got.injected {
@@ -312,7 +312,7 @@ func compareRuns(t *testing.T, want, got runOut, label string) {
 	}
 	if !reflect.DeepEqual(want.ticks, got.ticks) {
 		i := 0
-		for i < len(want.ticks) && i < len(got.ticks) && want.ticks[i] == got.ticks[i] {
+		for i < len(want.ticks) && i < len(got.ticks) && reflect.DeepEqual(want.ticks[i], got.ticks[i]) {
 			i++
 		}
 		t.Errorf("%s: progress ticks differ: %d vs %d ticks, parting at tick %d", label, len(want.ticks), len(got.ticks), i)
@@ -504,6 +504,77 @@ func cutAtTotals(t *testing.T, addr string) string {
 		for {
 			fr, err := readFrame(cc)
 			if err != nil || fr.typ == msgTotals || writeFrame(wc, fr.typ, fr.payload) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterRetiresWorkerSendingBadHistogram: a totals reply whose
+// histogram does not fit the 64-octave layout is a bad reply like any
+// other. The coordinator retires the worker and recovers its slot onto
+// the standby, and the run still matches the oracle.
+func TestClusterRetiresWorkerSendingBadHistogram(t *testing.T) {
+	const seed = 17
+	oracle := runOracle(t, seed, nil, time.Second)
+	h := newCluster(t, seed, nil, 2, nil)
+	defer h.shutdown(t)
+	addr := h.c.Addr().String()
+	// The first worker to connect takes slot 0.
+	h.addWorker(seed, nil, corruptTotals(t, addr))
+	for standbys := 0; standbys == 0; time.Sleep(time.Millisecond) {
+		h.c.mu.Lock()
+		standbys = len(h.c.standby)
+		h.c.mu.Unlock()
+	}
+	h.addWorker(seed, nil, addr)
+	h.addWorker(seed, nil, addr)
+	h.waitReady(t)
+	got, err := h.drive(t, seed, time.Second)
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	compareRuns(t, oracle, got, "cluster vs sequential")
+	if events := strings.Join(h.c.RecoveryEvents(), "\n"); h.c.Recoveries() != 1 || !strings.Contains(events, "bad totals") {
+		t.Errorf("%d recoveries, none for a bad totals reply:\n%s", h.c.Recoveries(), events)
+	}
+}
+
+// corruptTotals relays one worker connection to the coordinator at addr
+// and replaces the first totals reply the worker sends with one whose
+// clone histogram starts below octave 0. It returns the address for the
+// worker to dial.
+func corruptTotals(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	bad := []byte(`{"Shards":[{"Shard":0,"Totals":{"Clone":[{"lo":-1,"n":1,"sum":1,"min":1,"max":1,"b":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}]}}]}`)
+	go func() {
+		wc, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		defer wc.Close()
+		cc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer cc.Close()
+		go io.Copy(wc, cc)
+		for corrupted := false; ; {
+			fr, err := readFrame(wc)
+			if err != nil {
+				return
+			}
+			if fr.typ == msgTotals && !corrupted {
+				fr.payload, corrupted = bad, true
+			}
+			if writeFrame(cc, fr.typ, fr.payload) != nil {
 				return
 			}
 		}
@@ -745,6 +816,7 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
+	defer c.Close()
 	spawn := func(name string) *exec.Cmd {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(),
@@ -756,19 +828,18 @@ func TestClusterWorkerSIGKILLRecovery(t *testing.T) {
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting worker %s: %v", name, err)
 		}
+		// However the test ends, even at a later spawn's Fatalf, the
+		// process is gone before it does.
+		t.Cleanup(func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		})
 		procs[name] = cmd
 		return cmd
 	}
 	for _, name := range []string{"w0", "w1", "w2"} {
 		spawn(name)
 	}
-	defer func() {
-		c.Close()
-		for _, cmd := range procs {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
 	if err := c.WaitReady(60 * time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}

@@ -91,10 +91,6 @@ type Results struct {
 	Trace      []byte
 	Now        sim.Time
 	Recoveries int
-	// Metrics is every worker's final registry snapshot merged (empty
-	// when the scenario ran without telemetry). The same merge feeds
-	// MetricsText, so a post-run scrape equals these points exactly.
-	Metrics []metrics.Point
 }
 
 // wconn is the coordinator's view of one worker connection.
@@ -111,11 +107,10 @@ type wconn struct {
 	inbox   chan arrival
 	readErr error
 
-	// Telemetry mirrors, written by the read loop and read by the HTTP
-	// health/metrics endpoints — atomics only, never the driver state.
-	lastRecv    atomic.Int64                    // wall nanos of the last frame
-	lastSeq     atomic.Uint64                   // last epoch the worker completed
-	lastMetrics atomic.Pointer[[]metrics.Point] // latest registry snapshot
+	// Health mirrors, written by the read loop and read by the HTTP
+	// health endpoint — atomics only, never the driver state.
+	lastRecv atomic.Int64  // wall nanos of the last frame
+	lastSeq  atomic.Uint64 // last epoch the worker completed
 }
 
 // arrival is one frame off a worker connection, stamped with the time
@@ -177,11 +172,13 @@ type Coordinator struct {
 	closed     bool
 
 	// Telemetry. reg/prof come from Engine.Metrics / Engine.EpochLog;
-	// the runner profiles each epoch with workers in the shard role. The
-	// pub* atomics and the published worker list are the driver's health
-	// mirror, refreshed at epoch boundaries and recovery events so the
-	// HTTP endpoints never read driver-owned state.
+	// the runner profiles each epoch with workers in the shard role, and
+	// view publishes the workers' totals into reg. The pub* atomics and
+	// the published worker list are the driver's health mirror, refreshed
+	// at epoch boundaries and recovery events so the HTTP endpoints never
+	// read driver-owned state.
 	reg           *metrics.Registry
+	view          *core.StatsView
 	prof          *metrics.EpochProfiler
 	epochIngress  int
 	epochBytes    int64
@@ -223,6 +220,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.workers = min(cfg.Workers, c.shards)
 	c.reg = ecfg.Metrics
+	c.view = core.NewStatsView(c.reg, nil)
 	if c.reg != nil || ecfg.EpochLog != nil {
 		c.prof = metrics.NewEpochProfiler(c.reg, ecfg.EpochLog)
 	}
@@ -350,9 +348,9 @@ func (c *Coordinator) handshake(nc net.Conn) {
 }
 
 // readLoop pushes the connection's frames onto its inbox, stamped on
-// arrival. Heartbeats refresh the read deadline and unload their
-// telemetry piggyback (epoch progress + registry snapshot) into the
-// connection's atomic mirrors without ever reaching the driver.
+// arrival. Heartbeats refresh the read deadline and unload their epoch
+// progress into the connection's atomic mirror without ever reaching
+// the driver.
 func (c *Coordinator) readLoop(w *wconn) {
 	defer close(w.inbox)
 	for {
@@ -368,9 +366,6 @@ func (c *Coordinator) readLoop(w *wconn) {
 			var hb heartbeatMsg
 			if unmarshal(fr.payload, &hb) == nil {
 				w.lastSeq.Store(hb.Seq)
-				if hb.Metrics != nil {
-					w.lastMetrics.Store(&hb.Metrics)
-				}
 			}
 			continue
 		}
@@ -503,7 +498,7 @@ func (c *Coordinator) assign(id int, recovery bool, deadline time.Time) bool {
 	msg := assignMsg{
 		Worker: id, Shards: c.shardsOf(id),
 		Events: c.cfg.Engine.EventLog != nil, Trace: c.cfg.Engine.TraceOut != nil,
-		Metrics: c.reg != nil, Recovery: recovery, Replay: len(replay),
+		Recovery: recovery, Replay: len(replay),
 	}
 	for {
 		w := c.waitStandby(deadline)
@@ -551,7 +546,7 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 		}
 	}
 	c.runner = sim.NewRunner(c, 0, core.Lookahead)
-	c.runner.SetAfterEpoch(c.reportProgress)
+	c.runner.SetAfterEpoch(c.afterEpoch)
 	if c.prof != nil {
 		c.runner.SetEpochObserver(func(s sim.EpochStats) {
 			c.prof.Record(core.EpochSample(s, c.epochIngress, c.epochBytes))
@@ -626,12 +621,15 @@ func (c *Coordinator) SetProgress(every time.Duration, fn func(now sim.Time, t c
 	}
 }
 
-// reportProgress is the runner's after-epoch hook: at a barrier the
-// progress observer is due at, it gathers the workers' totals and hands
-// their sum on. A degraded run reports nothing more.
-func (c *Coordinator) reportProgress() {
+// afterEpoch is the runner's after-epoch hook: at a barrier the
+// registry's view or the progress observer is due at, it gathers the
+// workers' totals and hands their sum to whichever is. A degraded run
+// reports nothing more.
+func (c *Coordinator) afterEpoch() {
 	now := c.runner.Now()
-	if c.progress == nil || !c.pace.Due(now) {
+	publish := c.view.Due(now)
+	report := c.progress != nil && c.pace.Due(now)
+	if !publish && !report {
 		return
 	}
 	perShard := make([]core.Totals, c.shards)
@@ -648,12 +646,18 @@ func (c *Coordinator) reportProgress() {
 	for i := range perShard {
 		sum.Add(&perShard[i])
 	}
-	c.progress(now, sum)
+	if publish {
+		c.view.Store(&sum)
+	}
+	if report {
+		c.progress(now, sum)
+	}
 }
 
 // shardTotals asks worker slot id for its shards' Totals at the barrier
 // and stores them by shard in perShard. False means the slot is empty:
-// its worker died, or answered for shards other than its own.
+// its worker died, answered for shards other than its own, or sent a
+// reply that does not decode.
 func (c *Coordinator) shardTotals(id int, perShard []core.Totals) bool {
 	w := c.assigned[id]
 	if w == nil {
@@ -667,8 +671,8 @@ func (c *Coordinator) shardTotals(id int, perShard []core.Totals) bool {
 	if err != nil {
 		return false
 	}
-	var m resultsMsg
-	if err := unmarshal(a.payload, &m); err != nil {
+	m, err := decodeResults(a.payload)
+	if err != nil {
 		c.markDead(w, "bad totals: "+err.Error())
 		return false
 	}
@@ -827,16 +831,10 @@ func (c *Coordinator) Results() (*Results, error) {
 			c.fail(err)
 			continue
 		}
-		var m resultsMsg
-		if err := unmarshal(a.payload, &m); err != nil {
+		m, err := decodeResults(a.payload)
+		if err != nil {
 			c.markDead(w, "bad results: "+err.Error())
 			continue
-		}
-		if m.Metrics != nil {
-			// Supersede the heartbeat-lagged snapshot with the final
-			// one, so a post-run /metrics scrape equals Results.Metrics.
-			w.lastMetrics.Store(&m.Metrics)
-			res.Metrics = metrics.MergePoints(res.Metrics, m.Metrics)
 		}
 		for i := range m.Shards {
 			sr := &m.Shards[i]
@@ -859,6 +857,7 @@ func (c *Coordinator) Results() (*Results, error) {
 	if missing > 0 && c.err == nil {
 		c.fail(fmt.Errorf("cluster: results missing for %d of %d shards", missing, c.shards))
 	}
+	c.view.Store(&res.Totals)
 	return res, c.err
 }
 
@@ -888,25 +887,13 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// MetricsText renders the farm-wide metric view in the Prometheus text
-// exposition format: the coordinator's own registry (epoch_* series)
-// merged with the latest snapshot each worker piggybacked on its
-// heartbeats — or its final results snapshot once the run ended. Safe
-// from any goroutine at any time; reads atomics only.
+// MetricsText renders the coordinator's registry in the Prometheus
+// text exposition format: its epoch profile, and the farm's series
+// published from the workers' totals at the engine's barriers and at
+// Results. Safe from any goroutine at any time; reads atomics only.
 func (c *Coordinator) MetricsText() []byte {
-	merged := c.reg.Snapshot()
-	if refs := c.pubWorkers.Load(); refs != nil {
-		for _, ref := range *refs {
-			if ref.w == nil {
-				continue
-			}
-			if pts := ref.w.lastMetrics.Load(); pts != nil {
-				merged = metrics.MergePoints(merged, *pts)
-			}
-		}
-	}
 	var buf bytes.Buffer
-	metrics.WriteProm(&buf, merged)
+	c.reg.WriteProm(&buf)
 	return buf.Bytes()
 }
 

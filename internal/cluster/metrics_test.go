@@ -12,6 +12,7 @@ import (
 	"potemkin/internal/core"
 	"potemkin/internal/guest"
 	"potemkin/internal/metrics"
+	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 	"potemkin/internal/vmm"
 )
@@ -32,10 +33,10 @@ func filterSim(pts []metrics.Point) []metrics.Point {
 }
 
 // TestClusterMetricsAggregation is the farm-wide telemetry acceptance
-// test: with a registry on the coordinator, workers piggyback their
-// snapshots on heartbeats, the merged /metrics view equals the merged
-// end-of-run Results.Metrics, and both equal what a single sequential
-// registry would have recorded for the same seed.
+// test: with a registry on the coordinator, which publishes the
+// workers' totals into it, the registry after Results equals what a
+// single sequential registry would have recorded for the same seed, and
+// /metrics renders it.
 func TestClusterMetricsAggregation(t *testing.T) {
 	const seed = 23
 
@@ -64,32 +65,27 @@ func TestClusterMetricsAggregation(t *testing.T) {
 
 	// Cluster: two workers, coordinator registry + epoch timeline.
 	var timeline bytes.Buffer
+	clusterReg := metrics.NewRegistry()
 	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) {
-		cfg.Engine.Metrics = metrics.NewRegistry()
+		cfg.Engine.Metrics = clusterReg
 		cfg.Engine.EpochLog = &timeline
 	})
 	got, err := h.drive(t, seed, time.Second)
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
-	res, err := h.c.Results()
-	if err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-	_ = got
 
-	// Merged worker registries must equal the oracle registry exactly:
-	// counters, gauges, and histogram buckets are all order-independent
-	// integer accumulations over the same simulated run.
-	clusterPts := filterSim(res.Metrics)
+	// The coordinator's registry must equal the oracle registry exactly:
+	// counters, gauges, and histogram buckets are all integer
+	// accumulations over the same simulated run.
+	clusterPts := filterSim(clusterReg.Snapshot())
 	a, _ := json.Marshal(oraclePts)
 	b, _ := json.Marshal(clusterPts)
 	if !bytes.Equal(a, b) {
 		t.Errorf("cluster metrics diverge from sequential oracle:\noracle:  %s\ncluster: %s", a, b)
 	}
 
-	// The live scrape after the run reflects the exact final snapshots
-	// (results supersede the heartbeat-lagged copies).
+	// The live scrape after the run reflects the final totals.
 	text := string(h.c.MetricsText())
 	for _, want := range []string{
 		"# TYPE gateway_inbound_packets_total counter",
@@ -111,7 +107,7 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	// Scraped counter equals the merged gateway stats.
 	var inbound int64 = -1
-	for _, p := range metrics.MergePoints(nil, res.Metrics) {
+	for _, p := range clusterReg.Snapshot() {
 		if p.Name == "gateway_inbound_packets_total" {
 			inbound = p.Value
 		}
@@ -217,15 +213,13 @@ func TestClusterEpochProfileMatchesEngine(t *testing.T) {
 }
 
 // TestClusterRegistryEqualsStatsAtRest is the cluster twin of the
-// facade's test of the same name: the workers publish their domains'
-// Stats into their own registries and the coordinator adds those up, so
-// after Results every gateway_* and farm_* series equals its field in
-// the merged Results, and the vmm_* and guest_* series — whose structs
-// do not cross the wire — equal the one-process oracle's host sums and
+// facade's test of the same name: the coordinator publishes the
+// workers' totals into its registry, so after Results every gateway_*
+// and farm_* series equals its field in the merged Results, and the
+// vmm_* and guest_* series equal the one-process oracle's host sums and
 // cumulative guest totals. Each histogram equals the shard-order merge
 // of the oracle's Histograms: its count, min, max and buckets, and a sum
-// rounded to micro-units per source, which is what makes the workers'
-// partial sums add up to the oracle's.
+// rounded to micro-units per source.
 func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	const seed = 31
 
@@ -258,7 +252,8 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	}
 	oeng.Close()
 
-	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = metrics.NewRegistry() })
+	reg := metrics.NewRegistry()
+	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = reg })
 	if _, err := h.drive(t, seed, time.Second); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
@@ -275,13 +270,13 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	for _, st := range []any{&res.Gateway, &res.Farm, &hosts, &guests} {
 		metrics.NewExporter(want, st).Publish(st)
 	}
-	got := make(map[string]metrics.Point, len(res.Metrics))
-	for _, p := range res.Metrics {
+	got := make(map[string]metrics.Point)
+	for _, p := range reg.Snapshot() {
 		got[p.Name] = p
 	}
 	for _, w := range want.Snapshot() {
 		if p, ok := got[w.Name]; !ok || p.Kind != w.Kind || p.Value != w.Value {
-			t.Errorf("the Stats structs hold %s %s = %d, the merged registries have %+v", w.Kind, w.Name, w.Value, p)
+			t.Errorf("the Stats structs hold %s %s = %d, the coordinator's registry has %+v", w.Kind, w.Name, w.Value, p)
 		}
 	}
 	for name, hs := range srcs {
@@ -296,7 +291,7 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 		p, w := got[name], stored.Snapshot()[0]
 		if p.Kind != "hist" || p.Count != merged.Count() || p.Min != merged.Min() || p.Max != merged.Max() ||
 			p.SumMicro != sumMicro || !reflect.DeepEqual(p.Buckets, w.Buckets) {
-			t.Errorf("the oracle's %d sources merge to %s count %d min %v max %v sum_micro %d buckets %v, the merged registries have %+v",
+			t.Errorf("the oracle's %d sources merge to %s count %d min %v max %v sum_micro %d buckets %v, the coordinator's registry has %+v",
 				len(hs), name, merged.Count(), merged.Min(), merged.Max(), sumMicro, w.Buckets, p)
 		}
 	}
@@ -305,9 +300,75 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsOffByDefault: without a coordinator registry no
-// metric bytes cross the wire and the scrape endpoints degrade
-// gracefully.
+// TestClusterRegistryMatchesEngineMidRun: the coordinator publishes the
+// workers' totals into its registry at the barriers the engine's view
+// publishes its domains' at, so a progress observer on the registry's
+// period reads, epoch_* aside, the same registry from the coordinator as
+// from the in-process engine at every barrier it reports at — mid-run,
+// not only once the run is at rest.
+func TestClusterRegistryMatchesEngineMidRun(t *testing.T) {
+	const seed = 23
+	const every = time.Second // core's publication period
+	type reading struct {
+		now sim.Time
+		reg string
+	}
+	read := func(reg *metrics.Registry, readings *[]reading) func(sim.Time, core.Totals) {
+		return func(now sim.Time, _ core.Totals) {
+			b, err := json.Marshal(filterSim(reg.Snapshot()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			*readings = append(*readings, reading{now, string(b)})
+		}
+	}
+	recs := testRecords(t, seed)
+
+	var want []reading
+	cfg := testEngineConfig(seed, nil)
+	cfg.Parallel = false
+	engReg := metrics.NewRegistry()
+	cfg.Metrics = engReg
+	eng, err := core.NewShardEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewShardEngine: %v", err)
+	}
+	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
+		eng.InjectBarrier(pkt)
+	}
+	eng.SetProgress(every, read(engReg, &want))
+	if _, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil {
+		t.Fatalf("engine replay: %v", err)
+	}
+	eng.RunFor(3 * time.Second)
+	eng.Close()
+
+	var got []reading
+	clusterReg := metrics.NewRegistry()
+	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = clusterReg })
+	defer h.shutdown(t)
+	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
+		h.c.Inject(pkt)
+	}
+	h.c.SetProgress(every, read(clusterReg, &got))
+	if _, err := h.c.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil {
+		t.Fatalf("cluster replay: %v", err)
+	}
+	h.c.RunFor(3 * time.Second)
+	if _, err := h.c.Results(); err != nil {
+		t.Fatalf("Results: %v", err)
+	}
+
+	if len(want) < 3 || want[0].reg == want[len(want)-1].reg {
+		t.Fatalf("vacuous: the engine's registry read the same at its %d barriers", len(want))
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("registries differ at the progress barriers:\nengine  %v\ncluster %v", want, got)
+	}
+}
+
+// TestClusterMetricsOffByDefault: without a coordinator registry the
+// scrape endpoints degrade gracefully.
 func TestClusterMetricsOffByDefault(t *testing.T) {
 	const seed = 29
 	h := startCluster(t, seed, nil, 2, 0, nil)
@@ -315,12 +376,8 @@ func TestClusterMetricsOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
-	res, err := h.c.Results()
-	if err != nil {
+	if _, err := h.c.Results(); err != nil {
 		t.Fatalf("Results: %v", err)
-	}
-	if res.Metrics != nil {
-		t.Errorf("metrics shipped without a registry: %d points", len(res.Metrics))
 	}
 	if text := h.c.MetricsText(); len(text) != 0 {
 		t.Errorf("MetricsText without registry: %q", text)

@@ -23,12 +23,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"time"
 
 	"potemkin/internal/core"
-	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
@@ -56,8 +56,11 @@ import (
 // as one core.Totals: the host and cumulative guest counters, the first
 // detection and the deception actions join it, and Bindings leaves it.
 // v10 adds totals: at a barrier the progress observer is due at, the
-// coordinator asks each worker for its shards' core.Totals.
-const ProtoVersion = 10
+// coordinator asks each worker for its shards' core.Totals. v11 puts
+// each shard's histograms in its Totals and takes the metric piggybacks
+// out: the coordinator publishes its registry from the totals replies,
+// and a worker runs no registry.
+const ProtoVersion = 11
 
 // maxFrame bounds a single frame payload. Results frames carry whole
 // buffered event logs, so the bound is generous; everything else is
@@ -164,11 +167,10 @@ type helloMsg struct {
 }
 
 type assignMsg struct {
-	Worker  int
-	Shards  []int
-	Events  bool // collect per-domain event logs for the coordinator
-	Trace   bool // collect per-domain span traces
-	Metrics bool // run a live telemetry registry, piggyback on heartbeats
+	Worker int
+	Shards []int
+	Events bool // collect per-domain event logs for the coordinator
+	Trace  bool // collect per-domain span traces
 	// Recovery marks a slot taken over from a dead worker: its kill hook
 	// stays unarmed. Replay epoch frames, the slot's log, follow the
 	// assign; the worker runs them and answers ready after the last.
@@ -270,13 +272,11 @@ func decodeEpochDone(payload []byte, shards int, owned []int, end sim.Time) (epo
 }
 
 // heartbeatMsg is the worker->coordinator heartbeat payload: the last
-// epoch the worker completed plus a live registry snapshot (empty
-// without metrics). Coordinator->worker heartbeats stay empty; the
-// worker ignores the payload either way, so the frame doubles as the
+// epoch the worker completed. Coordinator->worker heartbeats stay empty;
+// the worker ignores the payload either way, so the frame doubles as the
 // liveness signal it always was.
 type heartbeatMsg struct {
-	Seq     uint64          `json:",omitempty"`
-	Metrics []metrics.Point `json:",omitempty"`
+	Seq uint64 `json:",omitempty"`
 }
 
 type shardResult struct {
@@ -291,10 +291,23 @@ type shardResult struct {
 // and Totals set.
 type resultsMsg struct {
 	Shards []shardResult
-	// Metrics is the worker's final registry snapshot (the worker runs
-	// one registry across its domains), so the coordinator's end-of-run
-	// aggregation is exact rather than heartbeat-lagged.
-	Metrics []metrics.Point
+}
+
+// decodeResults parses a results or totals reply; a histogram that does
+// not decode (metrics.Histogram.UnmarshalJSON), or is null, fails it.
+func decodeResults(payload []byte) (resultsMsg, error) {
+	var m resultsMsg
+	err := unmarshal(payload, &m)
+	for _, sr := range m.Shards {
+		hists := slices.Concat(sr.Totals.Clone, sr.Totals.Detect, sr.Totals.Deception)
+		for _, stages := range sr.Totals.Stages {
+			hists = slices.AppendSeq(hists, maps.Values(stages))
+		}
+		if err == nil && slices.Contains(hists, nil) {
+			err = fmt.Errorf("shard %d: a null histogram", sr.Shard)
+		}
+	}
+	return m, err
 }
 
 type errorMsg struct {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"potemkin/internal/core"
-	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
 )
@@ -80,9 +79,6 @@ type worker struct {
 	// as the engine does. Packets from other workers' shards are sent
 	// from those shards' rows. Nil until assigned.
 	local *sim.Local[*netsim.Packet]
-	// view publishes the domains' Stats into the worker's registry at
-	// epoch boundaries (nil without one).
-	view *core.StatsView
 	// out holds each owned shard's sends of the in-flight epoch, indexed
 	// by shard. Only that shard's goroutine writes its entry.
 	out []shardOut
@@ -97,12 +93,8 @@ type worker struct {
 	// once.
 	killed atomic.Bool
 
-	// metrics is the worker's live registry (one across all owned
-	// domains; nil unless the coordinator asked for telemetry). It is
-	// an atomic pointer because buildDomains publishes it on the serve
-	// goroutine while the heartbeat goroutine snapshots it. lastSeq is
-	// the last completed epoch, read by the heartbeat goroutine.
-	metrics atomic.Pointer[metrics.Registry]
+	// lastSeq is the last completed epoch, read by the heartbeat
+	// goroutine.
 	lastSeq atomic.Uint64
 }
 
@@ -200,13 +192,9 @@ func (w *worker) heartbeatLoop(stop chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			// Piggyback the live registry snapshot and epoch progress on
-			// the liveness ping: the coordinator's farm-wide /metrics and
-			// /cluster health view are fed entirely by frames it already
-			// needs. Snapshot reads atomics only, so racing the domain
-			// goroutines is safe.
-			hb := heartbeatMsg{Seq: w.lastSeq.Load(), Metrics: w.metrics.Load().Snapshot()}
-			if err := w.cn.send(msgHeartbeat, hb); err != nil {
+			// Piggyback epoch progress on the liveness ping for the
+			// coordinator's /cluster health view.
+			if err := w.cn.send(msgHeartbeat, heartbeatMsg{Seq: w.lastSeq.Load()}); err != nil {
 				return
 			}
 		}
@@ -269,8 +257,8 @@ func (w *worker) buildDomains(m assignMsg) error {
 	w.out = make([]shardOut, n)
 	ecfg := w.cfg.Engine
 	// The writers only mark that output should be collected; the
-	// domains buffer and the coordinator merges. The registry is the
-	// worker's own — the coordinator's cannot cross the wire.
+	// domains buffer and the coordinator merges. The farm's telemetry is
+	// the coordinator's, published from the totals the worker answers.
 	ecfg.EventLog, ecfg.TraceOut, ecfg.Metrics, ecfg.EpochLog = nil, nil, nil, nil
 	if m.Events {
 		ecfg.EventLog = io.Discard
@@ -278,12 +266,6 @@ func (w *worker) buildDomains(m assignMsg) error {
 	if m.Trace {
 		ecfg.TraceOut = io.Discard
 	}
-	if m.Metrics {
-		reg := metrics.NewRegistry()
-		w.metrics.Store(reg)
-		ecfg.Metrics = reg
-	}
-	var owned []*core.ShardDomain
 	kernels := make([]*sim.Kernel, n)
 	for _, s := range w.shards {
 		if s < 0 || s >= n || w.domains[s] != nil {
@@ -303,10 +285,8 @@ func (w *worker) buildDomains(m assignMsg) error {
 			return fmt.Errorf("cluster: building shard %d: %w", s, err)
 		}
 		w.domains[s] = d
-		owned = append(owned, d)
 		kernels[s] = d.K
 	}
-	w.view = core.NewStatsView(ecfg.Metrics, owned)
 	w.local = sim.NewLocal(kernels, func(dst int, at sim.Time, pkt *netsim.Packet) {
 		w.domains[dst].Deliver(at, pkt)
 	})
@@ -397,7 +377,6 @@ func (w *worker) handleEpoch(payload []byte) error {
 		w.cn.close()
 		return ErrKilled
 	}
-	w.view.PublishDue(m.End)
 	colocated := 0
 	for _, s := range w.shards {
 		colocated += w.out[s].colocated
@@ -458,8 +437,8 @@ func (w *worker) runEpoch(m epochMsg) error {
 }
 
 // handleTotals answers a totals request with the owned shards'
-// counters, in shard order. The coordinator asks only at a barrier,
-// once the worker is ready.
+// counters and histograms, in shard order. The coordinator asks only at
+// a barrier, once the worker is ready.
 func (w *worker) handleTotals() error {
 	if w.local == nil || w.replay > 0 {
 		return errors.New("cluster: totals before ready")
@@ -471,13 +450,11 @@ func (w *worker) handleTotals() error {
 	return w.cn.send(msgTotals, m)
 }
 
-// handleResults snapshots stats (pre-close, matching when a
-// single-process run reads its facade stats), closes the domains to
-// flush open trace spans, and ships everything in one reply.
+// handleResults reads the totals before closing the domains, as a
+// single-process run reads its facade stats (closing finishes the open
+// spans), and ships them with the flushed output in one reply.
 func (w *worker) handleResults() error {
 	var m resultsMsg
-	w.view.Publish()
-	m.Metrics = w.metrics.Load().Snapshot()
 	for _, s := range w.shards {
 		d := w.domains[s]
 		sr := shardResult{Shard: s, Totals: d.Totals()}

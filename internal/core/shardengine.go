@@ -569,8 +569,8 @@ func (e *ShardEngine) Replay(src telescope.Source, halt func() bool, epilogue ti
 	})
 }
 
-// Totals sums every domain's counters.
-func (e *ShardEngine) Totals() Totals { return sumTotals(e.domains) }
+// Totals sums every domain's counters, with copies of their histograms.
+func (e *ShardEngine) Totals() Totals { return ownTotals(e.domains) }
 
 // GatewayStats is Totals().Gateway.
 func (e *ShardEngine) GatewayStats() gateway.Stats { return e.Totals().Gateway }
@@ -583,54 +583,6 @@ func (e *ShardEngine) LiveVMs() int { return e.Totals().LiveVMs }
 
 // MemoryInUse is Totals().Memory.
 func (e *ShardEngine) MemoryInUse() uint64 { return e.Totals().Memory }
-
-// Hosts returns every server across domains, in shard order.
-func (e *ShardEngine) Hosts() []*vmm.VMHost {
-	var hs []*vmm.VMHost
-	for _, d := range e.domains {
-		hs = append(hs, d.F.Hosts()...)
-	}
-	return hs
-}
-
-// CloneLatency merges the per-host clone-latency histograms.
-func (e *ShardEngine) CloneLatency() metrics.Histogram {
-	var clone metrics.Histogram
-	for _, h := range e.Hosts() {
-		clone.Merge(&h.CloneLatency)
-	}
-	return clone
-}
-
-// OpenSpans sums the unfinished spans of every domain's tracer.
-func (e *ShardEngine) OpenSpans() int {
-	n := 0
-	for _, d := range e.domains {
-		n += d.tracer.OpenSpans()
-	}
-	return n
-}
-
-// StageLatency merges the per-domain tracers' stage histograms by
-// stage name, in shard order; nil when tracing is off or nothing has
-// been observed.
-func (e *ShardEngine) StageLatency() map[string]*metrics.Histogram {
-	var stages map[string]*metrics.Histogram
-	for _, d := range e.domains {
-		for _, name := range d.tracer.StageNames() {
-			if stages == nil {
-				stages = make(map[string]*metrics.Histogram)
-			}
-			h := stages[name]
-			if h == nil {
-				h = &metrics.Histogram{}
-				stages[name] = h
-			}
-			h.Merge(d.tracer.Stage(name))
-		}
-	}
-	return stages
-}
 
 // VMAt returns the live VM bound to addr, or nil.
 func (e *ShardEngine) VMAt(addr netsim.Addr) *vmm.VM {

@@ -17,10 +17,10 @@ import (
 // of a scenario run with 4,000 of them, every second it is below 1%.
 const publishEvery = time.Second
 
-// Totals is the one sum of a set of shard domains' counters: what the
-// registry's gateway_*, farm_*, vmm_* and guest_* series publish, what
-// the facade's Stats and Snapshot report, what a cluster worker ships
-// per shard, and what a scorecard is computed from.
+// Totals is the one sum of a set of shard domains' counters and
+// histograms. Stats, Snapshot, the registry's gateway_*, farm_*, vmm_*
+// and guest_* series, a scorecard and a cluster worker's reply are all
+// read from it.
 type Totals struct {
 	Gateway gateway.Stats
 	Farm    farm.Stats
@@ -33,24 +33,23 @@ type Totals struct {
 	InfectedVMs int
 	Memory      uint64 // modeled bytes across servers
 	DNSQueries  uint64 // lookups the safe resolvers served
+	OpenSpans   int    // the tracers' unfinished spans
 
-	// FirstDetectMS is the earliest detector firing in simulated
-	// milliseconds, the min of the gateways' DetectTime; it means
-	// something only when Gateway.DetectedInfected > 0.
-	FirstDetectMS float64
-	// Deception is the attacker actions guests executed before going
-	// quiet, the sum of the farms' Deception histograms.
-	Deception uint64
+	// The histograms, one per source, never merged here: each host's
+	// clone latency (shard, then host order), each gateway's detect time,
+	// each farm's deception actions and each tracer's stage latencies
+	// (tracing on). Readers merge them in this order in every mode.
+	Clone     []*metrics.Histogram
+	Detect    []*metrics.Histogram
+	Deception []*metrics.Histogram
+	Stages    []map[string]*metrics.Histogram
 }
 
-// Add accumulates o into t: every counter adds, and the first detection
-// is the earlier of the two. Peaks add too (farm.Stats.PeakLiveVMs,
+// Add accumulates o into t: every counter adds and every histogram list
+// appends. Peaks add too (farm.Stats.PeakLiveVMs,
 // gateway.Stats.PeakBindings): summed over shards, a peak is the sum of
 // per-shard peaks, an upper bound on the farm-wide peak above one shard.
 func (t *Totals) Add(o *Totals) {
-	if o.Gateway.DetectedInfected > 0 && (t.Gateway.DetectedInfected == 0 || o.FirstDetectMS < t.FirstDetectMS) {
-		t.FirstDetectMS = o.FirstDetectMS
-	}
 	t.Gateway.Add(&o.Gateway)
 	t.Farm.Add(&o.Farm)
 	t.Host.Add(&o.Host)
@@ -59,110 +58,154 @@ func (t *Totals) Add(o *Totals) {
 	t.InfectedVMs += o.InfectedVMs
 	t.Memory += o.Memory
 	t.DNSQueries += o.DNSQueries
-	t.Deception += o.Deception
+	t.OpenSpans += o.OpenSpans
+	t.Clone = append(t.Clone, o.Clone...)
+	t.Detect = append(t.Detect, o.Detect...)
+	t.Deception = append(t.Deception, o.Deception...)
+	t.Stages = append(t.Stages, o.Stages...)
 }
 
-// Totals reads the domain's counters, with one walk over its live
-// guests.
-func (d *ShardDomain) Totals() Totals {
-	t := Totals{
-		Gateway:       d.G.Stats(),
-		Farm:          d.F.Stats(),
-		Host:          d.F.HostStats(),
-		LiveVMs:       d.F.LiveVMs(),
-		Memory:        d.F.MemoryInUse(),
-		DNSQueries:    d.Resolver.Queries,
-		FirstDetectMS: d.G.DetectTime().Min(),
-		// Each sample is a whole number of actions, so the sum is exact.
-		Deception: uint64(d.F.Deception().Sum()),
+// FirstDetectMS is the earliest detector firing in simulated
+// milliseconds, the smallest sample of the gateways' detect times; it
+// means something only when Gateway.DetectedInfected > 0.
+func (t *Totals) FirstDetectMS() float64 { return merged(t.Detect).Min() }
+
+// DeceptionActions is the attacker actions guests executed before going
+// quiet: the farms' deception samples, summed. Each is a whole number
+// of actions, so the sum is exact.
+func (t *Totals) DeceptionActions() uint64 { return uint64(merged(t.Deception).Sum()) }
+
+// merged is the merge of hs, in order; of one, a copy.
+func merged(hs []*metrics.Histogram) *metrics.Histogram {
+	m := new(metrics.Histogram)
+	for _, h := range hs {
+		m.Merge(h)
 	}
-	t.Guest, t.InfectedVMs = d.F.GuestCumulative()
+	return m
+}
+
+// addTo adds the domain's counters to t, with one walk over its live
+// guests, and appends its histograms: the domain's own, so t reads them
+// only while the domain is stopped.
+func (d *ShardDomain) addTo(t *Totals) {
+	gt, infected := d.F.GuestCumulative()
+	t.Add(&Totals{
+		Gateway: d.G.Stats(), Farm: d.F.Stats(), Host: d.F.HostStats(), Guest: gt,
+		LiveVMs: d.F.LiveVMs(), InfectedVMs: infected, Memory: d.F.MemoryInUse(),
+		DNSQueries: d.Resolver.Queries, OpenSpans: d.tracer.OpenSpans(),
+		Detect:    []*metrics.Histogram{d.G.DetectTime()},
+		Deception: []*metrics.Histogram{d.F.Deception()},
+	})
+	for _, h := range d.F.Hosts() {
+		t.Clone = append(t.Clone, &h.CloneLatency)
+	}
+	if names := d.tracer.StageNames(); len(names) > 0 {
+		stages := make(map[string]*metrics.Histogram, len(names))
+		for _, name := range names {
+			stages[name] = d.tracer.Stage(name)
+		}
+		t.Stages = append(t.Stages, stages)
+	}
+}
+
+// sumTotals sets t to the sum of the domains' Totals, keeping the
+// storage of its histogram lists; the histograms are the domains' own.
+func sumTotals(t *Totals, domains []*ShardDomain) {
+	*t = Totals{Clone: t.Clone[:0], Detect: t.Detect[:0], Deception: t.Deception[:0], Stages: t.Stages[:0]}
+	for _, d := range domains {
+		d.addTo(t)
+	}
+}
+
+// ownTotals is the sum of the domains' Totals with copies of their
+// histograms, which stay what they were when read.
+func ownTotals(domains []*ShardDomain) Totals {
+	var t Totals
+	sumTotals(&t, domains)
+	for _, hs := range [][]*metrics.Histogram{t.Clone, t.Detect, t.Deception} {
+		for i := range hs {
+			hs[i] = merged(hs[i : i+1])
+		}
+	}
+	for _, stages := range t.Stages { // addTo's fresh maps: safe to overwrite
+		for name, h := range stages {
+			stages[name] = merged([]*metrics.Histogram{h})
+		}
+	}
 	return t
 }
 
-// sumTotals sums the domains' Totals.
-func sumTotals(domains []*ShardDomain) Totals {
-	var sum Totals
-	for _, d := range domains {
-		t := d.Totals()
-		sum.Add(&t)
-	}
-	return sum
-}
+// Totals reads the domain's counters and copies of its histograms.
+func (d *ShardDomain) Totals() Totals { return ownTotals([]*ShardDomain{d}) }
 
 // StatsView makes the registry's gateway_*, farm_*, vmm_* and guest_*
-// series a view over what a set of shard domains count — the engine's,
-// or a cluster worker's: nothing records into the registry per event.
-// Publish stores the domains' Totals, summed into the view's own field,
-// and their Histograms, merged in shard order, so that publishing
-// allocates nothing.
+// series a view over a Totals: the engine's domains', summed into the
+// view's own (Publish), or one a cluster coordinator gathered from its
+// workers (Store). Nothing records into the registry per event, and
+// publishing allocates nothing.
 type StatsView struct {
 	domains                    []*ShardDomain
 	gateway, farm, host, guest *metrics.Exporter
-	hists                      []histView
+	clone, detect, deception   *metrics.Hist
 
 	pace Pace // due from clock 0: a run's first barrier publishes
 	sum  Totals
 }
 
-// histView is one registry histogram and the domains' Histograms it is
-// the merge of, in shard order.
-type histView struct {
-	h    *metrics.Hist
-	srcs []*metrics.Histogram
-}
-
 // NewStatsView resolves the four Stats types' series and the three
-// histograms on reg. A nil registry yields a nil view, whose methods do
-// nothing.
+// histograms on reg, for a view over domains (none for a coordinator's).
+// A nil registry yields a nil view, whose methods do nothing.
 func NewStatsView(reg *metrics.Registry, domains []*ShardDomain) *StatsView {
 	if reg == nil {
 		return nil
 	}
-	var clone, detect, deception []*metrics.Histogram
-	for _, d := range domains {
-		for _, h := range d.F.Hosts() {
-			clone = append(clone, &h.CloneLatency)
-		}
-		detect = append(detect, d.G.DetectTime())
-		deception = append(deception, d.F.Deception())
-	}
 	return &StatsView{
-		domains: domains,
-		pace:    Pace{period: sim.Time(publishEvery)},
-		gateway: metrics.NewExporter(reg, gateway.Stats{}),
-		farm:    metrics.NewExporter(reg, farm.Stats{}),
-		host:    metrics.NewExporter(reg, vmm.HostStats{}),
-		guest:   metrics.NewExporter(reg, guest.Stats{}),
-		hists: []histView{
-			{reg.Hist("vmm_clone_ms"), clone},
-			{reg.Hist("gateway_detect_time_ms"), detect},
-			{reg.Hist("guest_deception_actions"), deception},
-		},
+		domains:   domains,
+		pace:      Pace{period: sim.Time(publishEvery)},
+		gateway:   metrics.NewExporter(reg, gateway.Stats{}),
+		farm:      metrics.NewExporter(reg, farm.Stats{}),
+		host:      metrics.NewExporter(reg, vmm.HostStats{}),
+		guest:     metrics.NewExporter(reg, guest.Stats{}),
+		clone:     reg.Hist("vmm_clone_ms"),
+		detect:    reg.Hist("gateway_detect_time_ms"),
+		deception: reg.Hist("guest_deception_actions"),
 	}
 }
 
-// Publish brings the registry up to date. Call it only while the domains
-// are stopped (at a barrier, between runs), from the goroutine that
-// drives them; any goroutine may then read the registry at any time.
+// Publish brings the registry up to date with the view's domains. Call
+// it only while they are stopped (at a barrier, between runs), from the
+// goroutine that drives them; any goroutine may then read the registry
+// at any time.
 func (v *StatsView) Publish() {
 	if v == nil {
 		return
 	}
-	v.sum = sumTotals(v.domains)
-	v.gateway.Publish(&v.sum.Gateway)
-	v.farm.Publish(&v.sum.Farm)
-	v.host.Publish(&v.sum.Host)
-	v.guest.Publish(&v.sum.Guest)
-	for _, hv := range v.hists {
-		hv.h.Store(hv.srcs)
-	}
+	sumTotals(&v.sum, v.domains)
+	v.Store(&v.sum)
 }
 
-// PublishDue is Publish at the first barrier at or past each
-// publishEvery of simulated time, and nothing at the barriers between.
+// Store publishes t into the registry.
+func (v *StatsView) Store(t *Totals) {
+	if v == nil {
+		return
+	}
+	v.gateway.Publish(&t.Gateway)
+	v.farm.Publish(&t.Farm)
+	v.host.Publish(&t.Host)
+	v.guest.Publish(&t.Guest)
+	v.clone.Store(t.Clone)
+	v.detect.Store(t.Detect)
+	v.deception.Store(t.Deception)
+}
+
+// Due reports whether the barrier at now is one the view publishes at:
+// the first at or past each publishEvery of simulated time.
+func (v *StatsView) Due(now sim.Time) bool { return v != nil && v.pace.Due(now) }
+
+// PublishDue is Publish at the barriers Due picks, and nothing at the
+// barriers between.
 func (v *StatsView) PublishDue(now sim.Time) {
-	if v != nil && v.pace.Due(now) {
+	if v.Due(now) {
 		v.Publish()
 	}
 }

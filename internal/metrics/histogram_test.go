@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -256,4 +259,86 @@ func TestHistogramStorage(t *testing.T) {
 	if h.buckets != nil {
 		t.Error("Reset kept the buckets")
 	}
+}
+
+// TestHistogramDecodeRejectsLayouts: a decoded histogram's storage
+// starts at octave 0 or above, ends within the last, comes in whole
+// octaves, and its buckets add up to its count; anything else is an
+// error, not a histogram Merge would index out of range. An observed
+// histogram decodes from its encoding unchanged.
+func TestHistogramDecodeRejectsLayouts(t *testing.T) {
+	octave := `[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]`
+	for _, b := range []string{
+		`{"lo":-1,"n":1,"b":` + octave + `}`,
+		`{"lo":64,"n":1,"b":` + octave + `}`,
+		`{"n":1,"b":[1,0,0]}`,
+		`{"n":2,"b":` + octave + `}`,
+		`{"n":1,"b":[18446744073709551615,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`,
+	} {
+		var h Histogram
+		if err := json.Unmarshal([]byte(b), &h); err == nil {
+			t.Errorf("%s decoded to %+v", b, h)
+		}
+	}
+	var h Histogram
+	if err := json.Unmarshal([]byte(`{"lo":63,"n":1,"b":`+octave+`}`), &h); err != nil || h.Count() != 1 {
+		t.Errorf("the last octave: %+v, %v", h, err)
+	}
+	var src, back Histogram
+	for _, v := range []float64{0.3, 3, 17, 1e4} {
+		src.Observe(v)
+	}
+	b, err := json.Marshal(&src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, src) {
+		t.Errorf("%+v encodes to %s, which decodes to %+v (%v)", src, b, back, err)
+	}
+}
+
+// FuzzHistogramDecode: decoding any bytes never panics, a histogram it
+// accepts survives Merge, Quantile and re-encoding, and an encoding
+// decodes to an equal histogram, its mean to the bit.
+func FuzzHistogramDecode(f *testing.F) {
+	var h, empty Histogram
+	for _, v := range []float64{0.3, 3, 17, 1e4, 1e300} {
+		h.Observe(v)
+	}
+	for _, src := range []*Histogram{&h, &empty} {
+		b, err := json.Marshal(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"lo":-1,"n":1,"sum":1,"min":1,"max":1,"b":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	f.Add([]byte(`{"lo":63,"n":2,"sum":1,"min":1,"max":1,"b":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	f.Add([]byte(`{"n":1,"sum":-0,"min":-0,"max":-0,"b":[1,0,0]}`))
+	f.Add([]byte(`{"n":1,"b":[18446744073709551615,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h Histogram
+		if json.Unmarshal(b, &h) != nil {
+			return
+		}
+		var m Histogram
+		m.Merge(&h)
+		m.Merge(&h)
+		for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
+			h.Quantile(q)
+			m.Quantile(q)
+		}
+		enc, err := json.Marshal(&h)
+		if err != nil {
+			t.Fatalf("re-encoding %s: %v", b, err)
+		}
+		var back Histogram
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("decoding the encoding %s: %v", enc, err)
+		}
+		if back.lo != h.lo || back.count != h.count || back.min != h.min || back.max != h.max ||
+			math.Float64bits(back.Mean()) != math.Float64bits(h.Mean()) || !slices.Equal(back.buckets, h.buckets) {
+			t.Errorf("%s decodes to %+v, its re-encoding %s to %+v", b, h, enc, back)
+		}
+	})
 }

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -186,6 +187,45 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i, c := range other.buckets {
 		h.buckets[off+i] += c
 	}
+}
+
+// histogramJSON is a Histogram's encoding: its fields as they are, the
+// bucket storage included.
+type histogramJSON struct {
+	Lo      int      `json:"lo,omitempty"`
+	Count   uint64   `json:"n,omitempty"`
+	Sum     float64  `json:"sum"` // no omitempty: it would drop a -0
+	Min     float64  `json:"min"`
+	Max     float64  `json:"max"`
+	Buckets []uint64 `json:"b,omitempty"`
+}
+
+// MarshalJSON encodes h exactly: UnmarshalJSON rebuilds an equal
+// histogram, its sum to the bit.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histogramJSON{h.lo, h.count, h.sum, h.min, h.max, h.buckets})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encoded. It rejects a layout
+// Merge and Quantile could not index: storage starting below octave 0,
+// reaching past the last octave or not in whole octaves, or bucket
+// counts that do not add up to the sample count.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var e histogramJSON
+	if err := json.Unmarshal(b, &e); err != nil {
+		return err
+	}
+	n, overflow := uint64(0), false
+	for _, c := range e.Buckets {
+		n += c
+		overflow = overflow || n < c
+	}
+	if e.Lo < 0 || len(e.Buckets)%subBuckets != 0 || e.Lo > numBuckets/subBuckets-len(e.Buckets)/subBuckets || overflow || n != e.Count {
+		return fmt.Errorf("metrics: a histogram of %d samples in %d buckets from octave %d does not fit the %d octaves",
+			e.Count, len(e.Buckets), e.Lo, numBuckets/subBuckets)
+	}
+	*h = Histogram{buckets: e.Buckets, lo: e.Lo, count: e.Count, sum: e.Sum, min: e.Min, max: e.Max}
+	return nil
 }
 
 // Summary formats count/mean/p50/p95/p99/max on one line.

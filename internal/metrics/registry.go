@@ -110,10 +110,9 @@ func (h *Hist) Observe(v float64) {
 }
 
 // Store replaces the samples with the merge of srcs, in order. The sum
-// is each source's rounded to micro-units, then added: sources split
-// across registries (a cluster's workers) add up to the same integer as
-// one registry holding them all. Once the histogram has covered the
-// sources' range, Store allocates nothing.
+// is each source's rounded to micro-units, then added, so it is an
+// exact integer however the sources' own sums were formed. Once the
+// histogram has covered the sources' range, Store allocates nothing.
 func (h *Hist) Store(srcs []*Histogram) {
 	if h == nil {
 		return
@@ -133,7 +132,13 @@ func (h *Hist) Store(srcs []*Histogram) {
 func (h *Hist) point(name string) Point {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return histPoint(name, &h.h, h.sumMicro)
+	p := Point{Name: name, Kind: "hist", Count: h.h.count, SumMicro: h.sumMicro, Min: h.h.Min(), Max: h.h.Max()}
+	for i, n := range h.h.buckets {
+		if n > 0 {
+			p.Buckets = append(p.Buckets, Bucket{Idx: h.h.lo*subBuckets + i, N: n})
+		}
+	}
+	return p
 }
 
 // Bucket is one non-empty histogram bucket in a snapshot Point.
@@ -158,17 +163,6 @@ type Point struct {
 
 // Sum returns a histogram point's sample sum in original units.
 func (p Point) Sum() float64 { return float64(p.SumMicro) / 1e6 }
-
-// histPoint is h as a snapshot Point whose sum is sumMicro.
-func histPoint(name string, h *Histogram, sumMicro int64) Point {
-	p := Point{Name: name, Kind: "hist", Count: h.count, SumMicro: sumMicro, Min: h.Min(), Max: h.Max()}
-	for i, n := range h.buckets {
-		if n > 0 {
-			p.Buckets = append(p.Buckets, Bucket{Idx: h.lo*subBuckets + i, N: n})
-		}
-	}
-	return p
-}
 
 // Histogram rebuilds the distribution a histogram point was taken from,
 // with its sum to the micro-unit: a point's quantiles are that
@@ -284,43 +278,6 @@ func (r *Registry) Snapshot() []Point {
 		return pts[i].Kind < pts[j].Kind
 	})
 	return pts
-}
-
-// MergePoints folds src into dst by (name, kind): counters and gauges
-// add, histograms merge as Histograms do with their micro-unit sums
-// added. Both inputs must be Snapshot-style sorted; the result is
-// sorted the same way. Neither input is modified.
-func MergePoints(dst, src []Point) []Point {
-	byKey := make(map[[2]string]int, len(dst))
-	out := make([]Point, len(dst))
-	copy(out, dst)
-	for i, p := range out {
-		byKey[[2]string{p.Name, p.Kind}] = i
-	}
-	for _, p := range src {
-		i, ok := byKey[[2]string{p.Name, p.Kind}]
-		if !ok {
-			byKey[[2]string{p.Name, p.Kind}] = len(out)
-			out = append(out, p)
-			continue
-		}
-		d := &out[i]
-		switch p.Kind {
-		case "counter", "gauge":
-			d.Value += p.Value
-		case "hist":
-			a, b := d.Histogram(), p.Histogram()
-			a.Merge(&b)
-			*d = histPoint(d.Name, &a, d.SumMicro+p.SumMicro)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
 }
 
 // WriteProm renders points in the Prometheus text exposition format

@@ -132,8 +132,7 @@ func TestHistPointRoundTrip(t *testing.T) {
 
 // TestHistStoreMergesSources: Store replaces what the histogram held
 // with the merge of its sources, rounds each source's sum to micro-units
-// before adding, so sources split across registries merge back to the
-// same point, and allocates nothing once it has covered their range.
+// before adding, and allocates nothing once it has covered their range.
 func TestHistStoreMergesSources(t *testing.T) {
 	var a, b, empty Histogram
 	for _, v := range []float64{0.0000004, 3.5, 17} {
@@ -159,15 +158,6 @@ func TestHistStoreMergesSources(t *testing.T) {
 		t.Errorf("stored %+v, merged sources %+v", got, merged)
 	}
 
-	split := func(srcs ...*Histogram) []Point {
-		r := NewRegistry()
-		r.Hist("ms").Store(srcs)
-		return r.Snapshot()
-	}
-	if whole, parts := split(&a, &b), MergePoints(split(&a), split(&b)); !reflect.DeepEqual(whole, parts) {
-		t.Errorf("one registry holds %+v, two merged %+v", whole, parts)
-	}
-
 	if n := testing.AllocsPerRun(50, func() { h.Store([]*Histogram{&a, &empty, &b}) }); n != 0 {
 		t.Errorf("a warm Store allocates %v objects, want 0", n)
 	}
@@ -177,9 +167,9 @@ func TestHistStoreMergesSources(t *testing.T) {
 	}
 }
 
-// TestHistPointOutOfLayoutBuckets: a point decoded from a cluster
-// worker's message may carry any bucket index. Reading, merging and
-// rendering it never faults; buckets outside the layout are dropped.
+// TestHistPointOutOfLayoutBuckets: a point may carry any bucket index.
+// Reading, merging and rendering it never faults; buckets outside the
+// layout are dropped.
 func TestHistPointOutOfLayoutBuckets(t *testing.T) {
 	p := Point{Name: "h", Kind: "hist", Count: 4, Min: 20, Max: 30,
 		Buckets: []Bucket{{Idx: -1, N: 1}, {Idx: bucketIndex(24), N: 2}, {Idx: numBuckets, N: 1}}}
@@ -187,7 +177,10 @@ func TestHistPointOutOfLayoutBuckets(t *testing.T) {
 	if q := h.Quantile(0.5); q < 20 || q > 30 {
 		t.Errorf("p50 = %v, want within [min, max]", q)
 	}
-	if m := MergePoints([]Point{p}, []Point{p}); len(m) != 1 || m[0].Count != 8 || len(m[0].Buckets) != 1 {
+	var m Histogram
+	m.Merge(&h)
+	m.Merge(&h)
+	if m.Count() != 8 || len(m.buckets) != subBuckets {
 		t.Errorf("merged %+v", m)
 	}
 	if err := WriteProm(io.Discard, []Point{p}); err != nil {
@@ -245,62 +238,6 @@ func TestConcurrentUpdatesOrderIndependent(t *testing.T) {
 	wantSum := float64(workers) * float64(per) * 5.0
 	if math.Abs(hp.Sum()-wantSum) > 1e-6 {
 		t.Errorf("hist sum = %v, want %v", hp.Sum(), wantSum)
-	}
-}
-
-// TestMergePoints: counters add, gauges add, histograms union — and
-// merging is associative enough that coordinator aggregation equals
-// running the whole workload in one registry.
-func TestMergePoints(t *testing.T) {
-	mk := func(n uint64) []Point {
-		r := NewRegistry()
-		r.Counter("reqs").Add(n)
-		r.Gauge("live").Set(int64(n))
-		h := r.Hist("ms")
-		for i := uint64(0); i < n; i++ {
-			h.Observe(float64(i))
-		}
-		return r.Snapshot()
-	}
-	merged := MergePoints(mk(3), mk(5))
-	whole := mk(8)
-	// Counter totals and hist counts/sums must match the single-registry
-	// run exactly (bucket layouts differ only if inputs did).
-	get := func(pts []Point, name string) Point {
-		for _, p := range pts {
-			if p.Name == name {
-				return p
-			}
-		}
-		t.Fatalf("point %q missing", name)
-		return Point{}
-	}
-	if got, want := get(merged, "reqs").Value, get(whole, "reqs").Value; got != want {
-		t.Errorf("merged counter = %d, want %d", got, want)
-	}
-	if got, want := get(merged, "live").Value, get(whole, "live").Value; got != want {
-		t.Errorf("merged gauge = %d, want %d", got, want)
-	}
-	mh := get(merged, "ms")
-	if mh.Count != 8 {
-		t.Errorf("merged hist count = %d", mh.Count)
-	}
-	if mh.Min != 0 || mh.Max != 4 {
-		t.Errorf("merged hist min/max = %v/%v", mh.Min, mh.Max)
-	}
-	// Disjoint names pass through; result stays sorted.
-	r2 := NewRegistry()
-	r2.Counter("zz_only").Inc()
-	out := MergePoints(mk(1), r2.Snapshot())
-	if out[len(out)-1].Name != "zz_only" {
-		t.Errorf("disjoint merge order: %v", out)
-	}
-	// Inputs are not mutated.
-	a := mk(2)
-	before := a[0].Value
-	MergePoints(a, mk(2))
-	if a[0].Value != before {
-		t.Error("MergePoints mutated dst")
 	}
 }
 

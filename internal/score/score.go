@@ -76,12 +76,12 @@ func Compute(facts Facts, t *core.Totals) *Scorecard {
 		Canaries:        t.Guest.CanariesOut,
 		Beacons:         t.Guest.BeaconsOut,
 		Fingerprints:    t.Guest.Fingerprinted,
-		DeceptionSteps:  t.Deception,
+		DeceptionSteps:  t.DeceptionActions(),
 		Infections:      t.Farm.Infections,
 		Clones:          t.Host.Clones,
 	}
 	if c.Detections > 0 {
-		c.FirstDetectMS = t.FirstDetectMS
+		c.FirstDetectMS = t.FirstDetectMS()
 	}
 	c.derive()
 	return c

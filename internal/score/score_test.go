@@ -6,18 +6,23 @@ import (
 	"testing"
 
 	"potemkin/internal/core"
+	"potemkin/internal/metrics"
 )
 
 // totalsFor builds the summed counters of a small synthetic run.
 func totalsFor(detectAtMS float64, detections, attempted, permitted, fp int, acts []float64) *core.Totals {
-	t := &core.Totals{FirstDetectMS: detectAtMS}
+	var detect, deception metrics.Histogram
+	if detections > 0 {
+		detect.Observe(detectAtMS)
+	}
+	for _, a := range acts {
+		deception.Observe(a)
+	}
+	t := &core.Totals{Detect: []*metrics.Histogram{&detect}, Deception: []*metrics.Histogram{&deception}}
 	t.Gateway.DetectedInfected = uint64(detections)
 	t.Gateway.EgressAttempted = uint64(attempted)
 	t.Gateway.EgressPermitted = uint64(permitted)
 	t.Guest.Fingerprinted = uint64(fp)
-	for _, a := range acts {
-		t.Deception += uint64(a)
-	}
 	t.Guest.CanariesOut = 7
 	t.Farm.Infections = 3
 	t.Host.Clones = 12

@@ -654,12 +654,10 @@ func (hf *Honeyfarm) Close() {
 }
 
 // MetricsText renders the live telemetry registry in the Prometheus
-// text exposition format (empty when Options.Metrics is off). It may be
-// called from any goroutine at any time, including mid-run: every
-// series is a plain atomic, so a scrape never touches simulation state.
-// The farm's counters are published at epoch barriers (see
-// Options.Metrics): up to a second of simulated time behind mid-run,
-// exact once the call driving the farm has returned.
+// text exposition format (empty when Options.Metrics is off). Any
+// goroutine may call it at any time: it reads atomics published at
+// epoch barriers (see Options.Metrics), up to a second of simulated time
+// behind mid-run and exact once the driving call has returned.
 func (hf *Honeyfarm) MetricsText() []byte {
 	if hf.metrics == nil {
 		return nil

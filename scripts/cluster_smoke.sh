@@ -2,9 +2,10 @@
 # Cluster-mode smoke test: a coordinator and two worker processes plus
 # one hot standby run a 4-shard scenario over real TCP; one assigned
 # worker is SIGKILLed mid-feed; the run must recover onto the standby,
-# the merged -json stats must be byte-identical to the single-process
-# oracle at the same seed, and so must the progress lines both print
-# (one per -interval of simulated time, at the same epoch barriers).
+# the merged -json stats and the -snapshot-out file must be
+# byte-identical to the single-process oracle's at the same seed, and so
+# must the progress lines both print (one per -interval of simulated
+# time, at the same epoch barriers). No process it started outlives it.
 # The workers run -parallel, so each advances its two shards on the
 # engine's persistent transport goroutines in a real process.
 #
@@ -27,19 +28,21 @@ echo "== building potemkind"
 go build -o "$work/potemkind" ./cmd/potemkind
 
 echo "== single-process oracle"
-"$work/potemkind" -parallel "${common[@]}" -json >"$work/oracle.raw"
+"$work/potemkind" -parallel "${common[@]}" -json -snapshot-out "$work/oracle.snap" >"$work/oracle.raw"
 
 pids=()
 cleanup() {
+    # SIGKILL: a worker defers its first SIGTERM to the coordinator.
     for pid in "${pids[@]}"; do
-        kill "$pid" 2>/dev/null || true
+        kill -KILL "$pid" 2>/dev/null || true
     done
+    wait 2>/dev/null || true
 }
 trap cleanup EXIT
 
 echo "== coordinator on $addr + 2 workers + 1 standby"
 "$work/potemkind" -coordinator "$addr" -workers 2 "${common[@]}" -json \
-    >"$work/cluster.raw" 2>"$work/coord.err" &
+    -snapshot-out "$work/cluster.snap" >"$work/cluster.raw" 2>"$work/coord.err" &
 coord=$!
 pids+=("$coord")
 
@@ -47,15 +50,15 @@ start_worker() {
     "$work/potemkind" -worker "$addr" -name "$1" -parallel "${common[@]}" \
         >"$work/$1.out" 2>&1 &
     pids+=("$!")
-    echo "$!"
 }
 # Sequenced startup so the first two connections (the assigned workers)
 # are w0 and w1, and w2 is the standby.
-victim=$(start_worker w0)
+start_worker w0
+victim=${pids[-1]}
 sleep 0.5
-start_worker w1 >/dev/null
+start_worker w1
 sleep 0.5
-start_worker w2 >/dev/null
+start_worker w2
 
 echo "== waiting for the feed to start"
 for _ in $(seq 1 120); do
@@ -113,4 +116,11 @@ if ! diff -u "$work/oracle.progress" "$work/cluster.progress"; then
     exit 1
 fi
 
-echo "PASS: recovered from SIGKILL; stats and progress lines byte-identical to the oracle"
+echo "== diffing the final snapshot against the oracle"
+[ -s "$work/oracle.snap" ] || { echo "FAIL: the oracle wrote no snapshot" >&2; exit 1; }
+if ! diff -u "$work/oracle.snap" "$work/cluster.snap"; then
+    echo "FAIL: cluster snapshot differs from the single-process oracle" >&2
+    exit 1
+fi
+
+echo "PASS: recovered from SIGKILL; stats, snapshot and progress lines byte-identical to the oracle"

@@ -2,17 +2,16 @@ package potemkin
 
 import (
 	"encoding/json"
+	"time"
 
+	"potemkin/internal/core"
 	"potemkin/internal/metrics"
+	"potemkin/internal/sim"
 )
 
-// Snapshot is a single point-in-time view of the honeyfarm, designed
-// to marshal to one JSON object: the live gauges an operator watches
-// (bindings, VMs, queue depths), the cumulative counters, and latency
-// summaries — clone latency merged across every server, plus the
-// tracers' per-stage histograms (merged across gateway shards) when
-// tracing is on. potemkind serves it
-// from the live debug endpoint and inspect snapshot renders it offline.
+// Snapshot is the honeyfarm at one epoch barrier as one JSON object:
+// live gauges, cumulative counters and latency summaries. potemkind
+// serves and writes it in every mode; inspect snapshot renders it.
 type Snapshot struct {
 	TSeconds float64 `json:"t_seconds"` // simulated time
 
@@ -35,14 +34,12 @@ type Snapshot struct {
 	DetectedInfected uint64 `json:"detected_infected"`
 	MemoryInUseBytes uint64 `json:"memory_in_use_bytes"`
 
-	// CloneMs summarizes flash-clone latency, merged across all servers
-	// (metrics.Histogram.Merge over the per-host histograms).
+	// CloneMs summarizes flash-clone latency across all servers.
 	CloneMs LatencySummary `json:"clone_ms"`
 
-	// StagesMs carries the per-stage latency summaries (binding, spawn,
-	// place, clone, active, pending-wait, …) of the gateway shards'
-	// tracers merged together, present only when tracing is on. encoding/json sorts map keys, so the
-	// rendered snapshot is deterministic.
+	// StagesMs summarizes the tracers' per-stage latencies (binding,
+	// spawn, place, clone, active, pending-wait, …) when tracing is on;
+	// encoding/json sorts its keys, so the bytes are deterministic.
 	StagesMs map[string]LatencySummary `json:"stages_ms,omitempty"`
 
 	// Ingest carries wire-listener loss accounting, present only when
@@ -94,15 +91,29 @@ func summarize(h *metrics.Histogram) LatencySummary {
 
 // Snapshot captures the current state.
 func (hf *Honeyfarm) Snapshot() Snapshot {
-	t := hf.eng.Totals()
+	s := SnapshotOf(hf.Totals())
+	// The wire server's counters are atomic, so this is safe mid-serve.
+	if w := hf.wire; w != nil {
+		st := w.Stats()
+		s.Ingest = &st.Ingest
+	}
+	return s
+}
+
+// SnapshotOf shapes summed counters and histograms as a Snapshot,
+// without Ingest, as StatsOf shapes Stats.
+func SnapshotOf(now time.Duration, t core.Totals) Snapshot {
 	gs, fs := &t.Gateway, &t.Farm
-	clone := hf.eng.CloneLatency()
+	var clone metrics.Histogram
+	for _, h := range t.Clone {
+		clone.Merge(h)
+	}
 	s := Snapshot{
-		TSeconds:         hf.eng.Now().Seconds(),
+		TSeconds:         sim.Time(now).Seconds(),
 		LiveVMs:          t.LiveVMs,
 		BindingsLive:     gs.BindingsLive,
 		PendingQueued:    gs.PendingQueued,
-		OpenSpans:        hf.eng.OpenSpans(),
+		OpenSpans:        t.OpenSpans,
 		PeakVMs:          fs.PeakLiveVMs,
 		InfectedVMs:      t.InfectedVMs,
 		BindingsCreated:  gs.BindingsCreated,
@@ -116,16 +127,20 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 		MemoryInUseBytes: t.Memory,
 		CloneMs:          summarize(&clone),
 	}
-	if stages := hf.eng.StageLatency(); stages != nil {
+	stages := map[string]*metrics.Histogram{}
+	for _, tracer := range t.Stages {
+		for name, h := range tracer {
+			if stages[name] == nil {
+				stages[name] = &metrics.Histogram{}
+			}
+			stages[name].Merge(h)
+		}
+	}
+	if len(stages) > 0 {
 		s.StagesMs = make(map[string]LatencySummary, len(stages))
 		for name, h := range stages {
 			s.StagesMs[name] = summarize(h)
 		}
-	}
-	// The wire server's counters are atomic, so this is safe mid-serve.
-	if w := hf.wire; w != nil {
-		st := w.Stats()
-		s.Ingest = &st.Ingest
 	}
 	return s
 }
