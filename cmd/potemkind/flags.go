@@ -64,8 +64,8 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed")
 	fs.DurationVar(&f.interval, "interval", 10*time.Second, "progress interval (simulated)")
 	fs.StringVar(&f.eventLog, "eventlog", "", "write the gateway's forensic event log (JSONL) to this file")
-	fs.StringVar(&f.capture, "capture", "", "record all gateway traffic into pcap savefiles (in, tovm, out) under this directory")
-	fs.StringVar(&f.checkpoints, "checkpoints", "", "save delta checkpoints of detected VMs into this directory")
+	fs.StringVar(&f.capture, "capture", "", "record all gateway traffic into pcap savefiles (in, tovm, out) under this directory (shard-<i>/ above one shard; a cluster worker writes its own shards')")
+	fs.StringVar(&f.checkpoints, "checkpoints", "", "save delta checkpoints of detected VMs into this directory (a cluster worker saves its own shards')")
 	fs.BoolVar(&f.jsonOut, "json", false, "emit the final stats as JSON on stdout")
 	fs.StringVar(&f.traceOut, "trace-out", "", "write the binding-lifecycle span trace (JSONL) to this file (see inspect trace; inspect trace -chrome renders it for Perfetto)")
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /snapshot, /metrics, /debug/vars (expvar) and /debug/pprof on this address while running (a worker serves /debug/pprof only)")
@@ -133,10 +133,10 @@ func (f *flags) options(fs *flag.FlagSet) (potemkin.Options, []string) {
 			}
 		}
 	}
-	if coordinator || worker {
+	if coordinator {
 		for _, name := range []string{"capture", "checkpoints"} {
 			if set[name] {
-				bad("-%s is not supported in cluster mode", name)
+				bad("-%s is a worker flag; each worker writes its own shards' files", name)
 			}
 		}
 	}

@@ -49,8 +49,9 @@ func TestFlagProblems(t *testing.T) {
 		{"worker profiling", "-worker A -debug-addr 127.0.0.1:0", nil},
 		{"worker output", "-worker A -json",
 			[]string{"-json is a coordinator flag; the worker ships its output over the cluster protocol"}},
+		{"worker files", "-worker A -capture dir -checkpoints dir", nil},
 		{"cluster-only sinks", "-coordinator A -shards 2 -capture dir",
-			[]string{"-capture is not supported in cluster mode"}},
+			[]string{"-capture is a worker flag; each worker writes its own shards' files"}},
 		{"progress interval", "-interval 0",
 			[]string{"-interval must be positive (got 0s)"}},
 		{"scorecard needs a campaign", "-scorecard-out card.json",
@@ -75,7 +76,6 @@ func TestFlagProblems(t *testing.T) {
 				"cluster mode does not support -listen (wire arrivals defeat conservative lookahead)",
 				"-pcap is a coordinator flag; the worker ships its output over the cluster protocol",
 				"-json is a coordinator flag; the worker ships its output over the cluster protocol",
-				"-capture is not supported in cluster mode",
 				`unknown policy "bogus" (want open, drop-all, reflect-source, or internal-reflect)`,
 				`unknown guest "bogus" (want winxp, sqlserver, or linux)`,
 				"potemkin: negative server count",
@@ -91,8 +91,9 @@ func TestFlagProblems(t *testing.T) {
 }
 
 // TestClusterRefusals: every refusal left for a cluster role fires. A
-// worker writes none of the run's outputs (the coordinator does), and
-// neither role writes -capture or -checkpoints.
+// worker writes none of the run's merged outputs (the coordinator
+// does), and the coordinator writes no shard's files: a worker takes
+// -capture and -checkpoints and writes its own shards'.
 func TestClusterRefusals(t *testing.T) {
 	for _, name := range []string{"pcap", "json", "eventlog", "trace-out", "snapshot-out", "epoch-log", "scorecard-out"} {
 		args := []string{"-worker", "A", "-" + name}
@@ -104,13 +105,15 @@ func TestClusterRefusals(t *testing.T) {
 			t.Errorf("potemkind %q:\n got %q\nwant %q among them", args, got, want)
 		}
 	}
-	for _, role := range [][]string{{"-worker", "A"}, {"-coordinator", "A", "-shards", "2"}} {
-		for _, name := range []string{"capture", "checkpoints"} {
-			args := append(slices.Clone(role), "-"+name, "dir")
-			_, got := parseOptions(t, args...)
-			if want := []string{"-" + name + " is not supported in cluster mode"}; !slices.Equal(got, want) {
-				t.Errorf("potemkind %q:\n got %q\nwant %q", args, got, want)
-			}
+	for _, name := range []string{"capture", "checkpoints"} {
+		args := []string{"-worker", "A", "-" + name, "dir"}
+		if opts, got := parseOptions(t, args...); got != nil || opts.CaptureDir+opts.CheckpointDir != "dir" {
+			t.Errorf("potemkind %q: problems %q, capture %q, checkpoints %q", args, got, opts.CaptureDir, opts.CheckpointDir)
+		}
+		args = []string{"-coordinator", "A", "-shards", "2", "-" + name, "dir"}
+		_, got := parseOptions(t, args...)
+		if want := []string{"-" + name + " is a worker flag; each worker writes its own shards' files"}; !slices.Equal(got, want) {
+			t.Errorf("potemkind %q:\n got %q\nwant %q", args, got, want)
 		}
 	}
 }

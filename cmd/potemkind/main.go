@@ -37,6 +37,8 @@
 //	                 bindings created and recycled, memory in MiB) at the first
 //	                 epoch barrier at or past each multiple, alike in every mode
 //	-capture DIR     record gateway traffic, payloads included, as pcap savefiles
+//	                 (in, tovm, out; under shard-<i>/ above one shard)
+//	-checkpoints DIR save a delta checkpoint of every VM the scan detector flags
 //	-trace-out F     write the binding-lifecycle span trace (JSONL; inspect trace,
 //	                 and inspect trace -chrome for Perfetto, in every mode)
 //	-debug-addr A    serve /snapshot, /metrics, expvar and pprof on this HTTP address
@@ -58,6 +60,9 @@
 //	-heartbeat D     cluster heartbeat interval (default 1s)
 //	-heartbeat-timeout D  declare a peer dead after this much silence (default 5s)
 //	-recovery-wait D wait this long for a replacement worker before degrading
+//
+// A worker takes -capture and -checkpoints and writes its own shards'
+// files on its host; the coordinator refuses them.
 //
 // Both roles build their domains from the same Options a
 // single-process run would (potemkin.Options.EngineConfig), so

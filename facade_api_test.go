@@ -112,7 +112,7 @@ func TestHooksStruct(t *testing.T) {
 }
 
 // TestNewErrorClosesCaptures is the regression test for the capture
-// leak: when New fails after openCapture already created the trace
+// leak: when New fails after a shard domain already created its trace
 // files, the files must be flushed and closed on the way out — a valid
 // (empty) capture, not a zero-byte file with its header stuck in a
 // buffer. Shard 0 opens its capture; shard 1's cannot, because a

@@ -174,9 +174,10 @@ type Coordinator struct {
 	// Telemetry. reg/prof come from Engine.Metrics / Engine.EpochLog;
 	// the runner profiles each epoch with workers in the shard role, and
 	// view publishes the workers' totals into reg. The pub* atomics and
-	// the published worker list are the driver's health mirror, refreshed
-	// at epoch boundaries and recovery events so the HTTP endpoints never
-	// read driver-owned state.
+	// the published worker list are the driver's health mirror, the
+	// atomics refreshed at epoch boundaries and the list where a slot is
+	// filled or emptied, so the HTTP endpoints never read driver-owned
+	// state.
 	reg           *metrics.Registry
 	view          *core.StatsView
 	prof          *metrics.EpochProfiler
@@ -288,7 +289,7 @@ func (c *Coordinator) fail(err error) {
 	if c.err == nil {
 		c.err = err
 		c.recoveryf("event=degraded err=%q", err.Error())
-		c.publishHealth()
+		c.publishProgress()
 	}
 }
 
@@ -409,7 +410,7 @@ func (c *Coordinator) markDead(w *wconn, reason string) {
 		if !c.closed { // deliberate shutdown is not a crash
 			c.recoveryf("epoch=%d t=%s event=crash-detected worker=%d name=%q shards=%v reason=%q",
 				c.seq, c.now(), w.id, w.name, c.shardsOf(w.id), reason)
-			c.publishHealth()
+			c.publishSlots()
 		}
 	}
 }
@@ -525,6 +526,7 @@ func (c *Coordinator) assign(id int, recovery bool, deadline time.Time) bool {
 			continue
 		}
 		c.next[id] = m.Next
+		c.publishSlots()
 		c.logf("cluster: worker %d (%q) ready with shards %v", id, w.name, msg.Shards)
 		return true
 	}
@@ -553,7 +555,7 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 			c.epochIngress = 0
 		})
 	}
-	c.publishHealth()
+	c.publishProgress()
 	c.logf("cluster: %d workers ready, %d shards", c.workers, c.shards)
 	return nil
 }
@@ -743,7 +745,7 @@ func (c *Coordinator) Advance(end sim.Time, timed bool) ([]int64, bool) {
 		c.log[id] = append(c.log[id], f)
 	}
 	c.seq++
-	c.publishHealth()
+	c.publishProgress()
 	return c.advanceNS, true
 }
 
@@ -758,14 +760,20 @@ func (c *Coordinator) epochDone(id int) bool {
 	return err == nil && c.recordEpochDone(w, a)
 }
 
-// publishHealth refreshes the atomic mirror the HTTP /cluster endpoint
-// reads: run progress plus the current worker-slot assignments. Driver
-// goroutine only; called at every epoch boundary and recovery.
-func (c *Coordinator) publishHealth() {
+// publishProgress refreshes the run-progress half of the health mirror
+// the HTTP /cluster endpoint reads. Driver goroutine only; called at
+// every epoch boundary, so it stores atomics and allocates nothing.
+func (c *Coordinator) publishProgress() {
 	c.pubSeq.Store(c.seq)
 	c.pubNow.Store(int64(c.now()))
 	c.pubRecoveries.Store(int64(c.recoveries))
 	c.pubDegraded.Store(c.err != nil)
+}
+
+// publishSlots publishes the worker-slot assignments, the other half of
+// the mirror, where they change: a slot filled (assign) or emptied
+// (markDead). Driver goroutine only.
+func (c *Coordinator) publishSlots() {
 	refs := make([]workerRef, c.workers)
 	for id := 0; id < c.workers; id++ {
 		refs[id] = workerRef{id: id, w: c.assigned[id]}
@@ -803,7 +811,7 @@ func (c *Coordinator) recover(id int) bool {
 	}
 	c.recoveries++
 	c.recoveryf("epoch=%d t=%s event=restore-done worker=%d name=%q", c.seq, c.now(), id, c.assigned[id].name)
-	c.publishHealth()
+	c.publishProgress()
 	return true
 }
 

@@ -389,3 +389,30 @@ func TestClusterMetricsOffByDefault(t *testing.T) {
 	_ = got
 	h.shutdown(t)
 }
+
+// TestClusterHealthSlotsPublishedOnChange: the /cluster mirror publishes
+// the worker-slot list where the assignment changes, not at every
+// epoch. A run without a recovery leaves the published list as
+// WaitReady's assignments left it, while the epoch progress moves, and
+// the per-epoch progress publish allocates nothing.
+func TestClusterHealthSlotsPublishedOnChange(t *testing.T) {
+	const seed = 29
+	h := startCluster(t, seed, nil, 2, 0, nil)
+	slots, seq := h.c.pubWorkers.Load(), h.c.pubSeq.Load()
+	if slots == nil {
+		t.Fatal("no slot list published once the workers were assigned")
+	}
+	if _, err := h.drive(t, seed, 500*time.Millisecond); err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	if got := h.c.pubWorkers.Load(); got != slots {
+		t.Error("a run without a recovery republished the slot list")
+	}
+	if h.c.pubSeq.Load() == seq {
+		t.Error("the run published no epoch progress")
+	}
+	if n := testing.AllocsPerRun(100, h.c.publishProgress); n != 0 {
+		t.Errorf("per-epoch progress publish: %v allocs, want 0", n)
+	}
+	h.shutdown(t)
+}

@@ -26,7 +26,8 @@ type WorkerConfig struct {
 	// coordinator was launched with (SPMD). EventLog and TraceOut serve
 	// only as collection markers here: the worker buffers per-domain
 	// output and ships it to the coordinator when asked, regardless of
-	// where those writers point.
+	// where those writers point. CaptureDir and CheckpointDir are the
+	// worker's own: it writes its shards' files there.
 	Engine core.ShardEngineConfig
 	// ConfigTag must match the coordinator's (see Config.ConfigTag).
 	ConfigTag string
@@ -282,6 +283,11 @@ func (w *worker) buildDomains(m assignMsg) error {
 			}
 		})
 		if err != nil {
+			for _, d := range w.domains {
+				if d != nil {
+					d.Close() // a failed build leaves no file open or unflushed
+				}
+			}
 			return fmt.Errorf("cluster: building shard %d: %w", s, err)
 		}
 		w.domains[s] = d
@@ -452,7 +458,9 @@ func (w *worker) handleTotals() error {
 
 // handleResults reads the totals before closing the domains, as a
 // single-process run reads its facade stats (closing finishes the open
-// spans), and ships them with the flushed output in one reply.
+// spans and closes the shard's capture files), and ships them with the
+// flushed output in one reply. A shard's file error is the worker's to
+// log: the files are on its host.
 func (w *worker) handleResults() error {
 	var m resultsMsg
 	for _, s := range w.shards {
@@ -463,7 +471,9 @@ func (w *worker) handleResults() error {
 				sr.FaultLog = append(sr.FaultLog, fmt.Sprintf("shard=%d %s", s, ev))
 			}
 		}
-		d.Close()
+		if err := d.Close(); err != nil {
+			w.logf("cluster: worker %d shard %d: %v", w.id, s, err)
+		}
 		if d.EventBuf != nil {
 			sr.Events = d.EventBuf.Bytes()
 		}

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"time"
 
 	"potemkin/internal/dns"
@@ -48,7 +49,6 @@ import (
 	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
 	"potemkin/internal/trace"
-	"potemkin/internal/vmm"
 )
 
 // sinkArenaCap is the initial capacity of a per-domain buffered sink:
@@ -74,7 +74,7 @@ type ShardEngineConfig struct {
 	// Gateway is the per-shard gateway template. Space must be set;
 	// EventSink, Tracer, Capture, ExternalOut, and OnDetected must be
 	// left nil — the engine installs per-domain sinks (see EventLog,
-	// TraceOut, Capture below) so output stays deterministic.
+	// TraceOut, CaptureDir below) so output stays deterministic.
 	Gateway gateway.Config
 	// Farm is the farm template; Servers is the total across all
 	// shards (split as evenly as possible, at least one per shard).
@@ -112,10 +112,15 @@ type ShardEngineConfig struct {
 	// observability-only — they never feed back into sim state.
 	EpochLog io.Writer
 
-	// Capture, when non-nil, supplies a per-shard capture sink (the
-	// facade opens one capture directory per shard above one shard).
-	// Called once per shard at construction.
-	Capture func(shard int) (gateway.CaptureSink, error)
+	// CaptureDir, when set, is where each domain records its gateway's
+	// traffic as the pcap savefiles in.pcap, tovm.pcap and out.pcap: in
+	// the directory itself with one shard, in its shard-<i>
+	// subdirectory above one.
+	CaptureDir string
+	// CheckpointDir, when set, is where each domain saves the delta
+	// checkpoint of every VM its scan detector flags, as
+	// <addr>-<t>.ckpt.
+	CheckpointDir string
 
 	// OnDetected, OnInfected, and OnEgress observe shard activity. In
 	// parallel mode they are invoked from shard goroutines — they must
@@ -185,6 +190,12 @@ type ShardDomain struct {
 	TraceBuf *mem.Arena
 	tracer   *trace.Tracer
 
+	// captures are the open capture savefiles, by direction (see
+	// CaptureDir), and fileErr the first error writing them or a
+	// checkpoint, for Close to return.
+	captures [len(captureNames)]captureFile
+	fileErr  error
+
 	// freeEnvs is the domain's own free list of delivery envelopes (see
 	// Deliver); records, fed from a time-sorted source, is the kernel
 	// lane a replayed record's event queues in.
@@ -194,10 +205,11 @@ type ShardDomain struct {
 
 // NewShardDomain builds domain i of cfg.Shards exactly as the engine
 // does: derived seed, even farm split, per-shard host names (plain when
-// there is one shard), buffered event/trace sinks, shard-local safe
-// resolver. cross receives every packet the domain emits for an address
-// another shard owns. The caller (engine or cluster worker) owns epoch
-// advancement of the domain's kernel.
+// there is one shard), buffered event/trace sinks, its own capture and
+// checkpoint files, shard-local safe resolver. cross receives every
+// packet the domain emits for an address another shard owns. The
+// caller (engine or cluster worker) owns epoch advancement of the
+// domain's kernel.
 func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain, error) {
 	n := cfg.Shards
 	// Golden-ratio stride keeps per-domain seeds distinct and
@@ -237,14 +249,26 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 		gc.Tracer = d.tracer
 		f.SetTracer(d.tracer)
 	}
-	if cfg.Capture != nil {
-		sink, err := cfg.Capture(i)
-		if err != nil {
+	gc.OnDetected = cfg.OnDetected
+	if dir := cfg.CheckpointDir; dir != "" {
+		onDetected := cfg.OnDetected
+		gc.OnDetected = func(now sim.Time, a netsim.Addr, targets int) {
+			if err := saveCheckpoint(dir, now, a, f.VMAt(a)); err != nil {
+				d.keep(fmt.Errorf("checkpoint %s: %w", a, err))
+			}
+			if onDetected != nil {
+				onDetected(now, a, targets)
+			}
+		}
+	}
+	if dir := cfg.CaptureDir; dir != "" {
+		if n > 1 {
+			dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+		}
+		if gc.Capture, err = d.createCapture(dir); err != nil {
 			return nil, err
 		}
-		gc.Capture = sink
 	}
-	gc.OnDetected = cfg.OnDetected
 
 	d.Resolver = dns.NewResolver(gc.Space)
 	resolverAddr := gc.Resolver
@@ -331,12 +355,16 @@ func (env *packetEnv) deliver(now sim.Time) {
 	d.freeEnvs.Put(env)
 }
 
-// Close stops the domain's background work and finishes open spans.
-func (d *ShardDomain) Close() {
+// Close stops the domain's background work, finishes open spans, and
+// flushes and closes its capture files. It returns the domain's first
+// error writing a capture or a checkpoint.
+func (d *ShardDomain) Close() error {
 	d.G.Close()
 	if d.tracer != nil {
 		d.tracer.FlushOpen(d.K.Now())
 	}
+	d.closeFiles()
+	return d.fileErr
 }
 
 // ShardEngine is the parallel (or sequential-oracle) shard executor.
@@ -356,7 +384,7 @@ type ShardEngine struct {
 	pace     Pace
 
 	// sinkErr is the first error writing EventLog or TraceOut returned,
-	// for Close to report.
+	// for Close to report beside the domains' own.
 	sinkErr error
 
 	// epochIngress counts records Replay scheduled since the last epoch
@@ -382,6 +410,10 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 			e.local.Send(src, dst, now.Add(Lookahead), pkt)
 		})
 		if err != nil {
+			// A failed build leaves no file open or unflushed.
+			for _, d := range e.domains {
+				d.Close()
+			}
 			return nil, err
 		}
 		e.domains = append(e.domains, d)
@@ -584,11 +616,6 @@ func (e *ShardEngine) LiveVMs() int { return e.Totals().LiveVMs }
 // MemoryInUse is Totals().Memory.
 func (e *ShardEngine) MemoryInUse() uint64 { return e.Totals().Memory }
 
-// VMAt returns the live VM bound to addr, or nil.
-func (e *ShardEngine) VMAt(addr netsim.Addr) *vmm.VM {
-	return e.domains[e.Owner(addr)].F.VMAt(addr)
-}
-
 // RecycleAll destroys every binding on every domain, in shard order.
 func (e *ShardEngine) RecycleAll() {
 	for _, d := range e.domains {
@@ -597,9 +624,11 @@ func (e *ShardEngine) RecycleAll() {
 	e.atRest()
 }
 
-// Close stops the domains' background work, finishes open spans, and
-// writes what the per-domain event logs and traces still buffer to the
-// configured writers in shard order. Idempotent.
+// Close stops the domains' background work, finishes open spans,
+// closes their capture files, and writes what the per-domain event logs
+// and traces still buffer to the configured writers in shard order. It
+// returns every domain's file error and the first sink error.
+// Idempotent.
 func (e *ShardEngine) Close() error {
 	if e.closed {
 		return nil
@@ -607,11 +636,12 @@ func (e *ShardEngine) Close() error {
 	e.closed = true
 	flushT0 := time.Now()
 	e.runner.Close()
+	var errs []error
 	for _, d := range e.domains {
-		d.Close()
+		errs = append(errs, d.Close())
 	}
 	e.writeSinks()
 	e.view.Publish()
 	e.prof.RecordFlush(time.Since(flushT0).Nanoseconds())
-	return errors.Join(e.sinkErr, e.prof.FlushTimeline())
+	return errors.Join(append(errs, e.sinkErr, e.prof.FlushTimeline())...)
 }

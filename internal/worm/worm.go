@@ -27,142 +27,15 @@ import (
 	"potemkin/internal/telescope"
 )
 
-// Strategy is a worm target-selection strategy.
-type Strategy int
-
-// Scan strategies.
-const (
-	// Uniform picks targets uniformly from the 2^32 address space
-	// (Code Red / Slammer style).
-	Uniform Strategy = iota
-	// LocalPref scans the local neighbourhood with higher probability,
-	// raising the effective hit rate on susceptibles but never hitting
-	// the telescope with local scans (the telescope space is dark).
-	LocalPref
-	// Hitlist starts with a precomputed target list: the initial phase
-	// is instantaneous, modeled as a larger initial infected count.
-	Hitlist
-	// Permutation coordinates instances over a shared pseudorandom
-	// permutation of the address space (Warhol-worm style): the
-	// population collectively scans without replacement, saturates the
-	// susceptible pool in finite time, and then goes quiet — including
-	// at the telescope, a distinctive signature.
-	Permutation
-	// P2P propagates over a structured overlay: instances pick targets
-	// from a shared peer table (Chord-style fingers over the telescope
-	// space) instead of drawing uniformly, so the materialized traffic
-	// concentrates on a small stable working set of addresses — the
-	// botnet-shaped load the paper's uniform-scanning experiments never
-	// exercise.
-	P2P
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Uniform:
-		return "uniform"
-	case LocalPref:
-		return "local-pref"
-	case Hitlist:
-		return "hitlist"
-	case Permutation:
-		return "permutation"
-	case P2P:
-		return "p2p"
-	default:
-		return "unknown"
-	}
-}
-
-// Targeter materializes the destination sequence of telescope-bound
-// scans for one strategy. Every implementation draws exactly once from
-// the caller's RNG per packet, so switching strategies never shifts
-// the shared stream consumed by the rest of the epidemic — and the
-// same seed pins the same target sequence (see TestTargeterDeterminism).
-type Targeter interface {
-	// Next returns the next scan destination inside the telescope.
-	Next(r *sim.RNG) netsim.Addr
-}
-
-// NewTargeter builds the materialization targeter for a strategy.
-// Uniform, LocalPref, Hitlist, and Permutation all materialize
-// telescope hits uniformly (their structure lives in the aggregate SI
-// model — local scans never reach the dark telescope, and hitlist /
-// permutation phases only change who scans, not where telescope hits
-// land), so they share one implementation whose draw sequence is
-// byte-identical to the pre-seam code. P2P scans from a peer table
-// derived from the seed.
-func NewTargeter(s Strategy, tel netsim.Prefix, seed uint64) Targeter {
-	if s == P2P {
-		return NewP2PTargeter(tel, seed, 0)
-	}
-	return uniformTargeter{tel: tel}
-}
-
-// uniformTargeter draws uniformly over the telescope prefix.
-type uniformTargeter struct {
-	tel netsim.Prefix
-}
-
-func (t uniformTargeter) Next(r *sim.RNG) netsim.Addr {
-	return t.tel.Nth(r.Uint64n(t.tel.Size()))
-}
-
-// p2pTargeter scans a fixed peer table: `peers` addresses placed by a
-// seed-keyed hash over the telescope space, one uniform index draw per
-// packet. The working set is tiny and stable, so the gateway sees the
-// same bindings hit over and over — overlay maintenance traffic, not a
-// sweep.
-type p2pTargeter struct {
-	peers []netsim.Addr
-}
-
-// NewP2PTargeter builds a peer-table targeter with the given table
-// size (<= 0 selects the default of 64 peers).
-func NewP2PTargeter(tel netsim.Prefix, seed uint64, peers int) Targeter {
-	if peers <= 0 {
-		peers = 64
-	}
-	if u := tel.Size(); uint64(peers) > u {
-		peers = int(u)
-	}
-	t := &p2pTargeter{peers: make([]netsim.Addr, peers)}
-	for i := range t.peers {
-		x := seed + uint64(i+1)*0x9e3779b97f4a7c15
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		t.peers[i] = tel.Nth(x % tel.Size())
-	}
-	return t
-}
-
-func (t *p2pTargeter) Next(r *sim.RNG) netsim.Addr {
-	return t.peers[r.Uint64n(uint64(len(t.peers)))]
-}
-
 // Config parameterizes an epidemic.
 type Config struct {
 	// Susceptible is the vulnerable population size.
 	Susceptible int
 	// InitialInfected seeds the epidemic.
 	InitialInfected int
-	// ScanRate is scans/second per infected host.
+	// ScanRate is scans/second per infected host, each aimed uniformly
+	// at the 2^32 address space (Code Red / Slammer style).
 	ScanRate float64
-	// AggregateScanCap, when positive, bounds the population's total
-	// scans/second — Slammer-style bandwidth limiting, where access
-	// links saturate long before every instance reaches its nominal
-	// rate. Growth turns from exponential to linear once the cap binds.
-	AggregateScanCap float64
-	// Strategy selects targeting.
-	Strategy Strategy
-	// LocalFraction (LocalPref only): fraction of scans aimed at the
-	// local neighbourhood.
-	LocalFraction float64
-	// LocalDensityBoost (LocalPref only): how much denser susceptibles
-	// are in an infected host's neighbourhood than globally.
-	LocalDensityBoost float64
 
 	// Telescope is the honeyfarm's monitored space; scans landing there
 	// become the records Source yields.
@@ -194,9 +67,6 @@ func DefaultConfig() Config {
 		Susceptible:       1 << 20,
 		InitialInfected:   10,
 		ScanRate:          10,
-		Strategy:          Uniform,
-		LocalFraction:     0.5,
-		LocalDensityBoost: 8,
 		Telescope:         netsim.MustParsePrefix("10.5.0.0/16"),
 		MaxDeliverPerStep: 64,
 		Port:              445,
@@ -235,12 +105,6 @@ type Epidemic struct {
 	infected    float64
 	stats       Stats
 	rng         *sim.RNG
-	targeter    Targeter
-
-	// Permutation-scanning state: total scans issued and the
-	// susceptible pool at start (coverage-based infection accounting).
-	totalScans  float64
-	initialSusc float64
 
 	// Response state: once a countermeasure deploys, susceptibles are
 	// immunized at patchRate fraction/second.
@@ -262,24 +126,13 @@ func New(cfg Config) *Epidemic {
 	if cfg.MaxDeliverPerStep <= 0 {
 		cfg.MaxDeliverPerStep = 64
 	}
-	initial := cfg.InitialInfected
-	if cfg.Strategy == Hitlist {
-		// The hitlist phase compromises its list near-instantly; model
-		// it as a 100x head start (bounded by the population).
-		initial *= 100
-		if initial > cfg.Susceptible/2 {
-			initial = cfg.Susceptible / 2
-		}
-	}
 	e := &Epidemic{
 		Cfg:         cfg,
 		nextStep:    sim.Start.Add(cfg.Step),
-		susceptible: float64(cfg.Susceptible - initial),
-		infected:    float64(initial),
+		susceptible: float64(cfg.Susceptible - cfg.InitialInfected),
+		infected:    float64(cfg.InitialInfected),
 		rng:         sim.NewRNG(cfg.Seed ^ 0x776f726d),
-		targeter:    NewTargeter(cfg.Strategy, cfg.Telescope, cfg.Seed),
 	}
-	e.initialSusc = e.susceptible
 	e.Curve.Name = "infected"
 	return e
 }
@@ -363,44 +216,13 @@ const universe = float64(1 << 32)
 func (e *Epidemic) step(now sim.Time) int {
 	dt := e.Cfg.Step.Seconds()
 	scanRate := e.infected * e.Cfg.ScanRate
-	if cap := e.Cfg.AggregateScanCap; cap > 0 && scanRate > cap {
-		scanRate = cap
-	}
 	scans := float64(scanRate * dt) // float64 rounds the product: no fused multiply-add (make vet)
 	if scans <= 0 {
 		return 0
 	}
 
-	// Partition scans between global and local targeting.
-	globalScans := scans
-	localScans := 0.0
-	if e.Cfg.Strategy == LocalPref {
-		localScans = float64(scans * e.Cfg.LocalFraction) // float64 rounds the product: no fused multiply-add (make vet)
-		globalScans = scans - localScans
-	}
-
-	var newInf float64
-	sweepDone := false
-	if e.Cfg.Strategy == Permutation {
-		// Coordinated scanning without replacement: after N total scans
-		// the population has covered N/2^32 of the space exactly once,
-		// so cumulative infections track coverage linearly and the sweep
-		// ends when coverage reaches 1.
-		before := math.Min(1, e.totalScans/universe)
-		e.totalScans += scans
-		after := math.Min(1, e.totalScans/universe)
-		newInf = e.sampleCount(e.initialSusc * (after - before))
-		sweepDone = before >= 1
-	} else {
-		// Random with replacement: global scans hit susceptibles at
-		// density S/2^32; local scans at boosted density.
-		pGlobal := e.susceptible / universe
-		newInf = e.sampleCount(globalScans * pGlobal)
-		if localScans > 0 {
-			pLocal := math.Min(1, pGlobal*e.Cfg.LocalDensityBoost)
-			newInf += e.sampleCount(localScans * pLocal)
-		}
-	}
+	// Random with replacement: scans hit susceptibles at density S/2^32.
+	newInf := e.sampleCount(scans * (e.susceptible / universe))
 	if newInf > e.susceptible {
 		newInf = e.susceptible
 	}
@@ -417,13 +239,9 @@ func (e *Epidemic) step(now sim.Time) int {
 		e.immunized += patched
 	}
 
-	// Telescope hits come only from globally-targeted scans — and a
-	// completed permutation sweep stops scanning altogether.
-	if sweepDone {
-		return 0
-	}
+	// The telescope's share of the scans lands in it.
 	pTel := float64(e.Cfg.Telescope.Size()) / universe
-	hits := int(e.sampleCount(globalScans * pTel))
+	hits := int(e.sampleCount(scans * pTel))
 	if hits > 0 {
 		e.stats.TelescopeHits += uint64(hits)
 		if !e.stats.SeenTelescope {
@@ -459,11 +277,10 @@ func (e *Epidemic) sampleCount(m float64) float64 {
 }
 
 // scan materializes into rec one telescope-bound probe at time at from
-// a random infected host, with the destination drawn by the strategy's
-// targeter.
+// a random infected host to a uniformly drawn telescope address.
 func (e *Epidemic) scan(at sim.Time, rec *telescope.Record) {
 	src := e.randomExternal()
-	dst := e.targeter.Next(e.rng)
+	dst := e.Cfg.Telescope.Nth(e.rng.Uint64n(e.Cfg.Telescope.Size()))
 	*rec = telescope.Record{
 		At: at, Src: src, Dst: dst, Proto: e.Cfg.Proto,
 		SrcPort: uint16(1024 + e.rng.Intn(60000)), DstPort: e.Cfg.Port,

@@ -142,131 +142,6 @@ func TestFirstTelescopeHitScalesWithTelescopeSize(t *testing.T) {
 	}
 }
 
-func TestHitlistHeadStart(t *testing.T) {
-	run := func(s Strategy) int {
-		cfg := DefaultConfig()
-		cfg.Strategy = s
-		cfg.InitialInfected = 50
-		cfg.ScanRate = 50
-		e := New(cfg)
-		e.RunUntil(sim.Start.Add(time.Minute))
-		return e.Infected()
-	}
-	if uni, hl := run(Uniform), run(Hitlist); hl <= uni {
-		t.Errorf("hitlist (%d) not ahead of uniform (%d)", hl, uni)
-	}
-}
-
-func TestLocalPrefSpreadsFaster(t *testing.T) {
-	run := func(s Strategy) int {
-		cfg := DefaultConfig()
-		cfg.Strategy = s
-		cfg.Susceptible = 1 << 22
-		cfg.InitialInfected = 500
-		cfg.ScanRate = 100
-		e := New(cfg)
-		e.RunUntil(sim.Start.Add(2 * time.Minute))
-		return e.Infected()
-	}
-	if uni, lp := run(Uniform), run(LocalPref); lp <= uni {
-		t.Errorf("local-pref infected %d <= uniform %d", lp, uni)
-	}
-}
-
-func TestLocalPrefHitsTelescopeLessPerScan(t *testing.T) {
-	// Freeze growth so both strategies field the same scan volume; the
-	// local fraction of local-pref scans never reaches the (dark)
-	// telescope, so its hit count should be roughly halved.
-	run := func(s Strategy) uint64 {
-		cfg := DefaultConfig()
-		cfg.Strategy = s
-		cfg.InitialInfected = 2000
-		cfg.Susceptible = cfg.InitialInfected + 1
-		cfg.ScanRate = 100
-		e := New(cfg)
-		e.RunUntil(sim.Start.Add(time.Minute))
-		return e.Stats().TelescopeHits
-	}
-	uni, lp := run(Uniform), run(LocalPref)
-	ratio := float64(lp) / float64(uni)
-	if ratio < 0.35 || ratio > 0.65 {
-		t.Errorf("local-pref/uniform hit ratio = %.2f, want ~0.5 (%d vs %d)", ratio, lp, uni)
-	}
-}
-
-func TestPermutationScanning(t *testing.T) {
-	// A coordinated worm with enough aggregate scan capacity to sweep
-	// 2^32 addresses: 100k infected × 1000 scans/s = 1e8/s → full sweep
-	// in ~43 s. After the sweep: saturation and telescope silence.
-	run := func(s Strategy) (int, uint64, uint64) {
-		cfg := DefaultConfig()
-		cfg.Strategy = s
-		cfg.Susceptible = 1 << 20
-		cfg.InitialInfected = 100000
-		cfg.ScanRate = 1000
-		e := New(cfg)
-		e.RunUntil(sim.Start.Add(50 * time.Second))
-		infAt50 := e.Infected()
-		hitsAt50 := e.Stats().TelescopeHits
-		e.RunUntil(sim.Start.Add(2 * time.Minute))
-		return infAt50, hitsAt50, e.Stats().TelescopeHits
-	}
-	permAt50Inf, permAt50, permFinal := run(Permutation)
-	uniAt50Inf, _, uniFinal := run(Uniform)
-
-	// Just past one full sweep (~43 s) the permutation worm has
-	// saturated; random-with-replacement has covered only ~1-1/e.
-	if permAt50Inf != 1<<20 {
-		t.Errorf("permutation infected %d at 50s, want full saturation", permAt50Inf)
-	}
-	if uniAt50Inf >= permAt50Inf {
-		t.Errorf("uniform at 50s (%d) should trail permutation (%d)", uniAt50Inf, permAt50Inf)
-	}
-	// Telescope signature: permutation goes quiet after the sweep.
-	permAfter := permFinal - permAt50
-	if permAfter > permAt50/20 {
-		t.Errorf("telescope not quiet after sweep: %d hits before, %d after", permAt50, permAfter)
-	}
-	if uniFinal <= permFinal {
-		t.Errorf("uniform (%d hits) should out-hit a retired permutation worm (%d)", uniFinal, permFinal)
-	}
-}
-
-func TestAggregateScanCapLinearizesGrowth(t *testing.T) {
-	run := func(cap float64) (early, late int) {
-		cfg := DefaultConfig()
-		cfg.Susceptible = 1 << 22
-		cfg.InitialInfected = 1000
-		cfg.ScanRate = 50
-		cfg.AggregateScanCap = cap
-		e := New(cfg)
-		e.RunUntil(sim.Start.Add(30 * time.Second))
-		early = e.Infected()
-		e.RunUntil(sim.Start.Add(60 * time.Second))
-		late = e.Infected()
-		return early, late
-	}
-	// Uncapped: exponential — far more growth in the second half-minute.
-	uEarly, uLate := run(0)
-	// Tightly capped: linear — roughly equal growth in both halves.
-	capRate := 50.0 * 1000 // binds immediately (initial population rate)
-	cEarly, cLate := run(capRate)
-
-	if uLate <= cLate {
-		t.Errorf("uncapped (%d) not ahead of capped (%d)", uLate, cLate)
-	}
-	uGrow2 := float64(uLate - uEarly)
-	uGrow1 := float64(uEarly - 1000)
-	if uGrow2 < 2*uGrow1 {
-		t.Errorf("uncapped growth not accelerating: %+v then %+v", uGrow1, uGrow2)
-	}
-	cGrow1 := float64(cEarly - 1000)
-	cGrow2 := float64(cLate - cEarly)
-	if ratio := cGrow2 / cGrow1; ratio < 0.7 || ratio > 1.3 {
-		t.Errorf("capped growth not linear: %.0f then %.0f (ratio %.2f)", cGrow1, cGrow2, ratio)
-	}
-}
-
 func TestDeliveryCapSuppresses(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialInfected = 100000
@@ -352,40 +227,30 @@ func TestBadConfigPanics(t *testing.T) {
 }
 
 // TestSourceScanStreamPinned pins the first scans the source yields at
-// seed 1 — time, addresses, ports and payload — for the uniform and the
-// peer-table targeters. The values were taken from the epidemic's
-// stream when it still delivered packets from kernel ticks: the source
-// keeps its draw order.
+// seed 1 — time, addresses, ports and payload. The value was taken from
+// the epidemic's stream when it still delivered packets from kernel
+// ticks: the source keeps its draw order.
 func TestSourceScanStreamPinned(t *testing.T) {
-	for _, tc := range []struct {
-		s    Strategy
-		want uint64
-	}{
-		{Uniform, 0xc74d675446d9d7be},
-		{P2P, 0xcd00bcb77265a1c2},
-	} {
-		cfg := DefaultConfig()
-		cfg.Strategy = tc.s
-		cfg.InitialInfected = 5000
-		cfg.ScanRate = 500
-		cfg.ExploitPayload = []byte("sig\x00")
-		recs := scans(t, New(cfg), sim.Start.Add(30*time.Second))
-		if len(recs) < 500 {
-			t.Fatalf("%v: %d scans, want at least 500", tc.s, len(recs))
-		}
-		h := fnv.New64a()
-		var b [20]byte
-		for _, r := range recs[:500] {
-			binary.LittleEndian.PutUint64(b[0:], uint64(r.At))
-			binary.LittleEndian.PutUint32(b[8:], uint32(r.Src))
-			binary.LittleEndian.PutUint32(b[12:], uint32(r.Dst))
-			binary.LittleEndian.PutUint16(b[16:], r.SrcPort)
-			binary.LittleEndian.PutUint16(b[18:], r.DstPort)
-			h.Write(b[:])
-			h.Write(r.Payload)
-		}
-		if got := h.Sum64(); got != tc.want {
-			t.Errorf("%v: scan stream FNV = %#x, want %#x", tc.s, got, tc.want)
-		}
+	cfg := DefaultConfig()
+	cfg.InitialInfected = 5000
+	cfg.ScanRate = 500
+	cfg.ExploitPayload = []byte("sig\x00")
+	recs := scans(t, New(cfg), sim.Start.Add(30*time.Second))
+	if len(recs) < 500 {
+		t.Fatalf("%d scans, want at least 500", len(recs))
+	}
+	h := fnv.New64a()
+	var b [20]byte
+	for _, r := range recs[:500] {
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.At))
+		binary.LittleEndian.PutUint32(b[8:], uint32(r.Src))
+		binary.LittleEndian.PutUint32(b[12:], uint32(r.Dst))
+		binary.LittleEndian.PutUint16(b[16:], r.SrcPort)
+		binary.LittleEndian.PutUint16(b[18:], r.DstPort)
+		h.Write(b[:])
+		h.Write(r.Payload)
+	}
+	if got, want := h.Sum64(), uint64(0xc74d675446d9d7be); got != want {
+		t.Errorf("scan stream FNV = %#x, want %#x", got, want)
 	}
 }

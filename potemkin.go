@@ -31,20 +31,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"potemkin/internal/core"
 	"potemkin/internal/farm"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
-	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/scenario"
 	"potemkin/internal/sim"
 	"potemkin/internal/telescope"
-	"potemkin/internal/vmm"
 )
 
 // Policy selects the containment mode for VM-originated traffic.
@@ -202,16 +199,16 @@ type Options struct {
 	// are observability-only and never feed back into the simulation.
 	EpochLog io.Writer
 
-	// CheckpointDir, when set, saves a delta checkpoint of every VM the
-	// scan detector flags (its dirtied memory pages) to
-	// <dir>/<addr>-<t>.ckpt before the VM can be recycled.
+	// CheckpointDir, when set, saves the dirtied pages of every VM the
+	// scan detector flags to <dir>/<addr>-<t>.ckpt, in every mode; a
+	// cluster worker writes its own shards' files.
 	CheckpointDir string
 
 	// CaptureDir, when set, records every packet crossing the gateway,
-	// payloads included, into the pcap savefiles in.pcap, tovm.pcap and
-	// out.pcap (potemkind -pcap replays them). Call Close to flush them.
-	// With several gateway shards each captures into its own
-	// subdirectory (shard-0, shard-1, …): shards never share a file.
+	// payloads included, as the pcap savefiles in.pcap, tovm.pcap and
+	// out.pcap (Close flushes them; potemkind -pcap replays them), under
+	// shard-0, shard-1, … above one gateway shard, in every mode; a
+	// cluster worker writes its own shards' files.
 	CaptureDir string
 
 	// Hooks bundles the observation callbacks.
@@ -369,15 +366,12 @@ type Honeyfarm struct {
 	// wire is the server handed out by StartWire (Options.Wire mode),
 	// the ingest accounting source for Snapshot.
 	wire *WireServer
-
-	captures []*captureFile
 }
 
 // EngineConfig translates o into the shard engine's configuration — one
-// domain per gateway shard, with the policy, idle recycling, guest, and
-// a scenario's guest and target picker — after validating it. New adds
-// sinks, hooks and capture to it; potemkind's cluster roles run on it
-// as it is.
+// domain per gateway shard, with the policy, idle recycling, guest,
+// file directories, and a scenario's target picker — after validating
+// it. New adds sinks and hooks; potemkind's cluster roles run on it.
 func (o Options) EngineConfig() (core.ShardEngineConfig, error) {
 	ec, _, err := o.engineConfig()
 	return ec, err
@@ -432,11 +426,13 @@ func (o Options) engineConfig() (core.ShardEngineConfig, *scenario.Plan, error) 
 	// each with Parallel, in shard order on the caller's without — same
 	// bytes either way.
 	return core.ShardEngineConfig{
-		Shards:   o.GatewayShards,
-		Parallel: o.Parallel,
-		Seed:     o.Seed,
-		Gateway:  gc,
-		Farm:     fc,
+		Shards:        o.GatewayShards,
+		Parallel:      o.Parallel,
+		Seed:          o.Seed,
+		Gateway:       gc,
+		Farm:          fc,
+		CaptureDir:    o.CaptureDir,
+		CheckpointDir: o.CheckpointDir,
 	}, plan, nil
 }
 
@@ -469,60 +465,16 @@ func New(opts Options) (*Honeyfarm, error) {
 		cb := hooks.OnEgress
 		ec.OnEgress = func(_ sim.Time, p *netsim.Packet) { cb(p.String()) }
 	}
-	if opts.CheckpointDir != "" || hooks.OnDetected != nil {
-		ec.OnDetected = func(now sim.Time, a netsim.Addr, n int) {
-			if opts.CheckpointDir != "" {
-				if err := hf.checkpointVM(now, a); err != nil {
-					fmt.Fprintf(os.Stderr, "potemkin: checkpoint %s: %v\n", a, err)
-				}
-			}
-			if hooks.OnDetected != nil {
-				hooks.OnDetected(a.String(), n)
-			}
-		}
-	}
-	if opts.CaptureDir != "" {
-		ec.Capture = func(shard int) (gateway.CaptureSink, error) {
-			dir := opts.CaptureDir
-			if opts.GatewayShards > 1 {
-				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", shard))
-			}
-			return hf.openCapture(dir)
-		}
+	if hooks.OnDetected != nil {
+		cb := hooks.OnDetected
+		ec.OnDetected = func(_ sim.Time, a netsim.Addr, n int) { cb(a.String(), n) }
 	}
 	eng, err := core.NewShardEngine(ec)
 	if err != nil {
-		// Capture files opened before the failure are flushed and
-		// closed: a failed New leaks no file handles or unflushed
-		// buffers.
-		hf.closeCaptures()
 		return nil, err
 	}
 	hf.eng = eng
 	return hf, nil
-}
-
-// checkpointVM saves the delta state of the VM bound to addr into
-// CheckpointDir.
-func (hf *Honeyfarm) checkpointVM(now sim.Time, addr netsim.Addr) error {
-	vm := hf.eng.VMAt(addr)
-	if vm == nil {
-		return fmt.Errorf("no VM bound")
-	}
-	ck := vmm.TakeCheckpoint(vm)
-	if err := os.MkdirAll(hf.opts.CheckpointDir, 0o755); err != nil {
-		return err
-	}
-	name := fmt.Sprintf("%s-%.3fs.ckpt", addr, now.Seconds())
-	f, err := os.Create(filepath.Join(hf.opts.CheckpointDir, name))
-	if err != nil {
-		return err
-	}
-	if _, err := ck.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // MustNew is New that panics on error (examples, tests).
@@ -635,14 +587,6 @@ func StatsOf(now time.Duration, t core.Totals) Stats {
 	}
 }
 
-// closeCaptures flushes and closes every open capture file.
-func (hf *Honeyfarm) closeCaptures() {
-	for _, c := range hf.captures {
-		c.flush()
-	}
-	hf.captures = nil
-}
-
 // Close stops background activity (recycling timers), finishes spans
 // still open in the trace, writes whatever the event log and traces
 // still buffer, and flushes capture files.
@@ -650,7 +594,6 @@ func (hf *Honeyfarm) Close() {
 	if err := hf.eng.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "potemkin: close: %v\n", err)
 	}
-	hf.closeCaptures()
 }
 
 // MetricsText renders the live telemetry registry in the Prometheus
@@ -665,60 +608,6 @@ func (hf *Honeyfarm) MetricsText() []byte {
 	var buf bytes.Buffer
 	hf.metrics.WriteProm(&buf)
 	return buf.Bytes()
-}
-
-// captureFile is one open capture savefile: full marshaled packets,
-// classic pcap.
-type captureFile struct {
-	f   *os.File
-	pw  *ingest.PcapWriter
-	buf []byte // marshal scratch
-}
-
-func (cf *captureFile) flush() {
-	cf.pw.Flush()
-	cf.f.Close()
-}
-
-// openCapture creates the per-direction pcap writers.
-func (hf *Honeyfarm) openCapture(dir string) (gateway.CaptureSink, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	byDir := make(map[gateway.Direction]*captureFile, 3)
-	for d, name := range map[gateway.Direction]string{
-		gateway.CapInbound: "in",
-		gateway.CapToVM:    "tovm",
-		gateway.CapEgress:  "out",
-	} {
-		f, err := os.Create(filepath.Join(dir, name+".pcap"))
-		if err != nil {
-			return nil, err
-		}
-		pw, err := ingest.NewPcapWriter(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		cf := &captureFile{f: f, pw: pw}
-		byDir[d] = cf
-		hf.captures = append(hf.captures, cf)
-	}
-	return func(now sim.Time, d gateway.Direction, pkt *netsim.Packet) {
-		cf, ok := byDir[d]
-		if !ok {
-			return
-		}
-		if n := pkt.WireLen(); cap(cf.buf) < n {
-			cf.buf = make([]byte, n)
-		} else {
-			cf.buf = cf.buf[:n]
-		}
-		pkt.MarshalInto(cf.buf)
-		if err := cf.pw.WritePacket(now, cf.buf); err != nil {
-			fmt.Fprintf(os.Stderr, "potemkin: capture: %v\n", err)
-		}
-	}, nil
 }
 
 // Internals exposes the underlying components for advanced use. The

@@ -5,7 +5,11 @@
 # the merged -json stats and the -snapshot-out file must be
 # byte-identical to the single-process oracle's at the same seed, and so
 # must the progress lines both print (one per -interval of simulated
-# time, at the same epoch barriers). No process it started outlives it.
+# time, at the same epoch barriers). The oracle runs with -capture, and
+# the three workers with one shared -capture directory, as on one host:
+# the standby recreates the killed worker's shard files and rewrites
+# them, so the capture tree must equal the oracle's. No process it
+# started outlives it.
 # The workers run -parallel, so each advances its two shards on the
 # engine's persistent transport goroutines in a real process.
 #
@@ -28,7 +32,8 @@ echo "== building potemkind"
 go build -o "$work/potemkind" ./cmd/potemkind
 
 echo "== single-process oracle"
-"$work/potemkind" -parallel "${common[@]}" -json -snapshot-out "$work/oracle.snap" >"$work/oracle.raw"
+"$work/potemkind" -parallel "${common[@]}" -json -snapshot-out "$work/oracle.snap" \
+    -capture "$work/oracle.cap" >"$work/oracle.raw"
 
 pids=()
 cleanup() {
@@ -48,7 +53,7 @@ pids+=("$coord")
 
 start_worker() {
     "$work/potemkind" -worker "$addr" -name "$1" -parallel "${common[@]}" \
-        >"$work/$1.out" 2>&1 &
+        -capture "$work/cluster.cap" >"$work/$1.out" 2>&1 &
     pids+=("$!")
 }
 # Sequenced startup so the first two connections (the assigned workers)
@@ -123,4 +128,18 @@ if ! diff -u "$work/oracle.snap" "$work/cluster.snap"; then
     exit 1
 fi
 
-echo "PASS: recovered from SIGKILL; stats, snapshot and progress lines byte-identical to the oracle"
+echo "== diffing the workers' capture tree against the oracle's"
+[ -s "$work/oracle.cap/shard-0/in.pcap" ] || { echo "FAIL: the oracle captured nothing" >&2; exit 1; }
+if ! diff -r "$work/oracle.cap" "$work/cluster.cap"; then
+    echo "FAIL: the workers' capture files differ from the single-process oracle's" >&2
+    exit 1
+fi
+
+# Anchored at the command's start, so that no shell naming the path
+# matches.
+if pgrep -f "^$work/potemkind( |$)" >&2; then
+    echo "FAIL: a potemkind process outlived the run" >&2
+    exit 1
+fi
+
+echo "PASS: recovered from SIGKILL; stats, snapshot, progress lines and capture files byte-identical to the oracle"

@@ -3,10 +3,13 @@
 # potemkind three ways — sequential shard engine, -parallel, and a real
 # coordinator + two worker processes over TCP — and the three
 # effectiveness scorecards must be byte-identical, and so must the three
-# -snapshot-out files. This is the end-to-end form of the acceptance
-# criteria asserted unit-side in scenario_run_test.go,
-# snapshot_modes_test.go and internal/cluster's scorecard test. No
-# process it started outlives it.
+# -snapshot-out files. multistage, whose scan detector fires, also runs
+# with -capture and -checkpoints (the cluster's two workers share one
+# directory of each, as on one host), and the three capture trees and
+# the three checkpoint directories must be byte-identical too. This is
+# the end-to-end form of the acceptance criteria asserted unit-side in
+# scenario_run_test.go, snapshot_modes_test.go and internal/cluster's
+# scorecard test. No process it started outlives it.
 #
 # Usage: scripts/scenario_smoke.sh [workdir]
 set -euo pipefail
@@ -16,9 +19,7 @@ work="${1:-$(mktemp -d)}"
 mkdir -p "$work"
 
 seed=9
-space="10.5.0.0/22"
 shards=2
-common=(-space "$space" -shards "$shards" -seed "$seed")
 
 echo "== building potemkind"
 go build -o "$work/potemkind" ./cmd/potemkind
@@ -33,15 +34,29 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# files prints the -capture and -checkpoints flags of family's mode
+# leg: multistage only, whose detector fires.
+files() {
+    [ "$1" = multistage ] && echo "-capture $work/$1.$2.cap -checkpoints $work/$1.$2.ckpt"
+    return 0
+}
+
 for family in multistage fingerprint p2p; do
+    # multistage's detector flags nearly every infected VM, and each
+    # checkpoint is some 400 KiB: a /24 keeps its files to ~90 MB a leg.
+    space="10.5.0.0/22"
+    [ "$family" = multistage ] && space="10.5.0.0/24"
+    common=(-space "$space" -shards "$shards" -seed "$seed")
     scen="scenarios/$family.json"
     [ -f "$scen" ] || { echo "FAIL: missing $scen" >&2; exit 1; }
     echo "== scenario $family: sequential"
-    "$work/potemkind" "${common[@]}" -scenario "$scen" \
+    # shellcheck disable=SC2046 # files prints whole flags
+    "$work/potemkind" "${common[@]}" -scenario "$scen" $(files "$family" seq) \
         -scorecard-out "$work/$family.seq.json" -snapshot-out "$work/$family.seq.snap" >"$work/$family.seq.out"
 
     echo "== scenario $family: parallel"
-    "$work/potemkind" "${common[@]}" -parallel -scenario "$scen" \
+    # shellcheck disable=SC2046
+    "$work/potemkind" "${common[@]}" -parallel -scenario "$scen" $(files "$family" par) \
         -scorecard-out "$work/$family.par.json" -snapshot-out "$work/$family.par.snap" >"$work/$family.par.out"
 
     echo "== scenario $family: cluster (coordinator + 2 workers)"
@@ -52,11 +67,13 @@ for family in multistage fingerprint p2p; do
     coord=$!
     pids+=("$coord")
     sleep 0.5
-    "$work/potemkind" -worker "$addr" -name w0 "${common[@]}" -scenario "$scen" \
+    # shellcheck disable=SC2046
+    "$work/potemkind" -worker "$addr" -name w0 "${common[@]}" -scenario "$scen" $(files "$family" clu) \
         >"$work/$family.w0.out" 2>&1 &
     pids+=("$!")
     sleep 0.3
-    "$work/potemkind" -worker "$addr" -name w1 "${common[@]}" -scenario "$scen" \
+    # shellcheck disable=SC2046
+    "$work/potemkind" -worker "$addr" -name w1 "${common[@]}" -scenario "$scen" $(files "$family" clu) \
         >"$work/$family.w1.out" 2>&1 &
     pids+=("$!")
     if ! wait "$coord"; then
@@ -82,6 +99,23 @@ for family in multistage fingerprint p2p; do
         echo "FAIL: $family scorecard does not name its scenario" >&2
         exit 1
     }
+    if [ -n "$(files "$family" seq)" ]; then
+        [ -n "$(ls -A "$work/$family.seq.ckpt" 2>/dev/null)" ] || {
+            echo "FAIL: $family saved no checkpoint" >&2
+            exit 1
+        }
+        for mode in par clu; do
+            for tree in cap ckpt; do
+                if ! diff -r "$work/$family.seq.$tree" "$work/$family.$mode.$tree"; then
+                    echo "FAIL: $family -$tree files differ between sequential and $mode" >&2
+                    exit 1
+                fi
+            done
+        done
+        echo "   $family: sequential = parallel = cluster, capture and checkpoint files"
+        # Equal, and some 270 MB together: a passing run keeps none.
+        rm -rf "$work/$family".{seq,par,clu}.{cap,ckpt}
+    fi
     echo "   $family: sequential = parallel = cluster, scorecard and snapshot"
 done
 
@@ -89,4 +123,11 @@ echo "== rendering with inspect scorecard"
 go run ./cmd/inspect scorecard "$work"/multistage.seq.json >/dev/null
 go run ./cmd/inspect scorecard -merge -json "$work"/p2p.seq.json "$work"/p2p.seq.json >/dev/null
 
-echo "PASS: all scenario families score and snapshot byte-identically across execution modes"
+# Anchored at the command's start, so that no shell naming the path
+# matches.
+if pgrep -f "^$work/potemkind( |$)" >&2; then
+    echo "FAIL: a potemkind process outlived its leg" >&2
+    exit 1
+fi
+
+echo "PASS: all scenario families score and snapshot byte-identically across execution modes, and multistage's capture and checkpoint files match"
