@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"potemkin/internal/fault"
 	"potemkin/internal/gateway"
 	"potemkin/internal/guest"
+	"potemkin/internal/ingest"
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
@@ -228,6 +230,12 @@ func newCluster(t *testing.T, seed uint64, faults *fault.Config, workers int, tw
 // addWorker runs one more in-process worker, dialing addr; its error
 // lands in h.errs once it returns.
 func (h *clusterHarness) addWorker(seed uint64, faults *fault.Config, addr string) {
+	h.addWorkerWith(seed, faults, addr, nil)
+}
+
+// addWorkerWith is addWorker with tweak, if not nil, applied to the
+// worker's config.
+func (h *clusterHarness) addWorkerWith(seed uint64, faults *fault.Config, addr string, tweak func(*WorkerConfig)) {
 	h.mu.Lock()
 	i := len(h.errs)
 	h.errs = append(h.errs, nil)
@@ -239,6 +247,9 @@ func (h *clusterHarness) addWorker(seed uint64, faults *fault.Config, addr strin
 		Name:              fmt.Sprintf("w%d", i),
 		HeartbeatInterval: 50 * time.Millisecond,
 		Logf:              h.logf,
+	}
+	if tweak != nil {
+		tweak(&wc)
 	}
 	h.wg.Add(1)
 	go func() {
@@ -509,6 +520,66 @@ func cutAtTotals(t *testing.T, addr string) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestLostWorkerClosesItsFiles: a worker that loses its coordinator
+// connection mid-run closes its domains as RunWorker returns, as a
+// results exchange does, so once it has returned each of its shards'
+// capture files is flushed whole: it parses to its last record. The
+// cut worker writes under a directory of its own, which the standby
+// that takes its slot over does not rewrite; the worker that runs to
+// the end writes under another, which must parse whole as well.
+func TestLostWorkerClosesItsFiles(t *testing.T) {
+	const seed = 17
+	h := newCluster(t, seed, nil, 2, nil)
+	addr := h.c.Addr().String()
+	cutDir, keptDir := t.TempDir(), t.TempDir()
+	capture := func(dir string) func(*WorkerConfig) {
+		return func(wc *WorkerConfig) { wc.Engine.CaptureDir = dir }
+	}
+	// The first worker to connect takes slot 0.
+	h.addWorkerWith(seed, nil, cutAtTotals(t, addr), capture(cutDir))
+	for standbys := 0; standbys == 0; time.Sleep(time.Millisecond) {
+		h.c.mu.Lock()
+		standbys = len(h.c.standby)
+		h.c.mu.Unlock()
+	}
+	h.addWorkerWith(seed, nil, addr, capture(keptDir))
+	h.addWorker(seed, nil, addr) // the standby
+	h.waitReady(t)
+	if _, err := h.drive(t, seed, time.Second); err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	h.shutdown(t)
+	if h.c.Recoveries() != 1 {
+		t.Fatalf("%d recoveries, want the cut worker's one", h.c.Recoveries())
+	}
+	for _, dir := range []string{cutDir, keptDir} {
+		files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "*.pcap"))
+		if len(files) != 6 {
+			t.Fatalf("%s holds %d capture files, want three for each of two shards: %v", dir, len(files), files)
+		}
+		records := 0
+		for _, name := range files {
+			f, err := os.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := ingest.NewPcapReader(f)
+			for err == nil {
+				if _, _, err = pr.Next(); err == nil {
+					records++
+				}
+			}
+			f.Close()
+			if err != io.EOF {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+		if records == 0 {
+			t.Errorf("%s: no packet captured", dir)
+		}
+	}
 }
 
 // TestClusterRetiresWorkerSendingBadHistogram: a totals reply whose

@@ -71,7 +71,9 @@ type worker struct {
 	id     int
 	shards []int
 	// domains is indexed by shard, nil where another worker owns it.
+	// closed is set once closeDomains has closed them.
 	domains []*core.ShardDomain
+	closed  bool
 	// local is the engine's in-process transport over every shard of the
 	// run, hosting the owned domains' kernels: it advances them (on its
 	// persistent goroutines when the scenario asks for parallelism, else
@@ -128,6 +130,7 @@ func RunWorker(cfg WorkerConfig) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	go w.heartbeatLoop(stop)
+	defer w.closeDomains() // after the shard goroutines have ended
 	defer func() {
 		if w.local != nil {
 			w.local.Close() // its shard goroutines end with the worker, however it ends
@@ -283,11 +286,7 @@ func (w *worker) buildDomains(m assignMsg) error {
 			}
 		})
 		if err != nil {
-			for _, d := range w.domains {
-				if d != nil {
-					d.Close() // a failed build leaves no file open or unflushed
-				}
-			}
+			w.closeDomains() // a failed build leaves no file open or unflushed
 			return fmt.Errorf("cluster: building shard %d: %w", s, err)
 		}
 		w.domains[s] = d
@@ -459,8 +458,7 @@ func (w *worker) handleTotals() error {
 // handleResults reads the totals before closing the domains, as a
 // single-process run reads its facade stats (closing finishes the open
 // spans and closes the shard's capture files), and ships them with the
-// flushed output in one reply. A shard's file error is the worker's to
-// log: the files are on its host.
+// flushed output in one reply.
 func (w *worker) handleResults() error {
 	var m resultsMsg
 	for _, s := range w.shards {
@@ -471,16 +469,36 @@ func (w *worker) handleResults() error {
 				sr.FaultLog = append(sr.FaultLog, fmt.Sprintf("shard=%d %s", s, ev))
 			}
 		}
-		if err := d.Close(); err != nil {
-			w.logf("cluster: worker %d shard %d: %v", w.id, s, err)
-		}
-		if d.EventBuf != nil {
-			sr.Events = d.EventBuf.Bytes()
-		}
-		if d.TraceBuf != nil {
-			sr.Trace = d.TraceBuf.Bytes()
-		}
 		m.Shards = append(m.Shards, sr)
 	}
+	w.closeDomains()
+	for i, s := range w.shards {
+		d := w.domains[s]
+		if d.EventBuf != nil {
+			m.Shards[i].Events = d.EventBuf.Bytes()
+		}
+		if d.TraceBuf != nil {
+			m.Shards[i].Trace = d.TraceBuf.Bytes()
+		}
+	}
 	return w.cn.send(msgResults, m)
+}
+
+// closeDomains closes the owned domains, once, however the worker ends:
+// at its results, on a failed build, or when RunWorker returns on a lost
+// connection, a kill or a shutdown. Closing flushes and closes each
+// shard's capture files. A shard's file error is the worker's to log:
+// the files are on its host.
+func (w *worker) closeDomains() {
+	if w.closed {
+		return
+	}
+	w.closed = true
+	for _, s := range w.shards {
+		if d := w.domains[s]; d != nil {
+			if err := d.Close(); err != nil {
+				w.logf("cluster: worker %d shard %d: %v", w.id, s, err)
+			}
+		}
+	}
 }

@@ -132,33 +132,30 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 	img := BuildImage(s, 8, 4, 650)
 	a := img.NewClone()
 	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8} // the guest's 10-byte record
-	for i, wantSize := range []int{0, 0, 10, 20, 30, 40, 50, 60} {
+	for i, wantSize := range []int{0, 10, 20, 30, 40, 50, 60, 70} {
 		a.Write(1, 16*i, touch)
 		e, size := ownedEntry(t, a, 1), 0
 		if e.ovfLen() > 0 {
-			size = overflowSize(e.overflow())
+			size = overflowSize(e.ovf)
 		}
-		wantInl, wantOvf := 10*(i+1), 0
-		if i >= 2 {
-			wantInl, wantOvf = 20, 10*(i-1)
-		}
+		wantInl, wantOvf := 10, 10*i
 		if size != wantSize || e.ovfLen() != wantOvf || e.inlLen() != wantInl {
 			t.Fatalf("after %d touches: inline len=%d, overflow len=%d size=%d, want inline len=%d, overflow len=%d size=%d",
 				i+1, e.inlLen(), e.ovfLen(), size, wantInl, wantOvf, wantSize)
 		}
 	}
-	for c, size := range []int{10, 20, 30, 40, 50} {
+	for c, size := range []int{10, 20, 30, 40, 50, 60} {
 		if n := len(s.overflow[c].free); n != 1 {
 			t.Errorf("outgrown %d B buffers freed: %d, want one", size, n)
 		}
 	}
-	if n := len(s.overflow[6].free) + int(s.overflow[6].carved); n != 0 {
-		t.Errorf("the 70 B class was used %d times, want never: a spill leaves both inline touches inline", n)
+	if n := len(s.overflow[7].free) + int(s.overflow[7].carved); n != 0 {
+		t.Errorf("the 80 B class was used %d times, want never: a spill leaves the inline touch inline", n)
 	}
 	want := a.PeekPage(1)
 	a.Release()
-	if n := len(s.overflow[5].free); n != 1 {
-		t.Errorf("released page's 60 B buffer freed %d times, want 1", n)
+	if n := len(s.overflow[6].free); n != 1 {
+		t.Errorf("released page's 70 B buffer freed %d times, want 1", n)
 	}
 	b := img.NewClone()
 	for i := 0; i < 8; i++ {
@@ -175,7 +172,7 @@ func TestDeltaOverflowSizeClasses(t *testing.T) {
 }
 
 // A spill keeps the records in the order they were written: the inline
-// ones stay, and the buffer takes the ones after them. Every touch
+// one stays, and the buffer takes the ones after it. Every touch
 // lands on bytes the one before wrote, so applying them out of order
 // reads back wrong. A page takes
 // deltaCap/10 touches lazily, in a buffer of exactly its overflow
@@ -209,61 +206,58 @@ func TestDeltaSpillKeepsRecordOrder(t *testing.T) {
 			}
 			break
 		}
-		wantInl, wantOvf := 10*k, 0
-		if k > 2 {
-			wantInl, wantOvf = 20, 10*(k-2)
-		}
+		wantInl, wantOvf := 10, 10*(k-1)
 		if !e.isDelta() || e.inlLen() != wantInl || e.ovfLen() != wantOvf {
 			t.Fatalf("%s: lazy=%v with %d bytes inline and %d overflow, want %d and %d",
 				at, e.isDelta(), e.inlLen(), e.ovfLen(), wantInl, wantOvf)
 		}
-		if wantOvf > 0 && overflowSize(e.overflow()) != wantOvf {
-			t.Fatalf("%s: %d bytes of overflow in a %d B buffer", at, wantOvf, overflowSize(e.overflow()))
+		if wantOvf > 0 && overflowSize(e.ovf) != wantOvf {
+			t.Fatalf("%s: %d bytes of overflow in a %d B buffer", at, wantOvf, overflowSize(e.ovf))
 		}
 	}
 
-	// A 15-byte write's 17-byte record is inline when the page spills: it
-	// stays there, and the touch starts the buffer.
+	// A 9-byte write is one byte too long to sit inline: its 11-byte
+	// record starts the buffer, and a touch after it follows it there,
+	// not inline, where it would apply first.
 	want = imagePage(img, 2)
-	long := bytes.Repeat([]byte{0xE1}, 15)
+	long := bytes.Repeat([]byte{0xE1}, deltaInline+1)
 	a.Write(2, 40, long)
 	copy(want[40:], long)
 	touch := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	a.Write(2, 50, touch)
-	copy(want[50:], touch)
-	check("a touch after a 15-byte write", 2)
-	if e := ownedEntry(t, a, 2); e.inlLen() != 17 || e.ovfLen() != 10 {
-		t.Fatalf("spill behind a 17-byte record: %d bytes inline and %d overflow, want 17 and 10", e.inlLen(), e.ovfLen())
+	a.Write(2, 45, touch)
+	copy(want[45:], touch)
+	check("a touch after a 9-byte write", 2)
+	if e := ownedEntry(t, a, 2); e.inlLen() != 0 || e.ovfLen() != 21 {
+		t.Fatalf("a touch after a 9-byte write: %d bytes inline and %d overflow, want 0 and 21", e.inlLen(), e.ovfLen())
 	}
 	a.Write(2, 44, touch)
 	copy(want[44:], touch)
-	check("a second touch after the spill", 2)
-	if e := ownedEntry(t, a, 2); e.inlLen() != 17 || e.ovfLen() != 20 {
-		t.Fatalf("a second touch after the spill: %d bytes inline and %d overflow, want 17 and 20", e.inlLen(), e.ovfLen())
+	check("a second touch after the 9-byte write", 2)
+	if e := ownedEntry(t, a, 2); e.inlLen() != 0 || e.ovfLen() != 31 {
+		t.Fatalf("a second touch after the 9-byte write: %d bytes inline and %d overflow, want 0 and 31", e.inlLen(), e.ovfLen())
 	}
 	if got := a.Read(2, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("promoted page differs from its writes in order")
 	}
 }
 
-// A spilled page keeps both inline touches: its overflow handle sits in
-// the high word of the entry's vpn, where a lazy delta's page number
-// (an image's, below 2^32) leaves room, so hi stays all records. Each
-// touch from the third on goes to a buffer of exactly its overflow, and
-// the index, which keys on the page number, still finds the page: it is
+// A spilled page keeps its inline touch: the overflow handle has a word
+// of its own, and rec keeps the touch's bytes unmoved. Each touch from
+// the second on goes to a buffer of exactly its overflow, and the
+// index, which keys on the page number, still finds the page: it is
 // past the window, so the index holds it.
 func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
 	s := NewStore()
 	img := BuildImage(s, windowPages+8, windowPages+4, 670)
 	a := img.NewClone()
 	// Another page spills first, so that no handle of the page under test
-	// is the all-zero one the high word holds before a spill.
-	for i := 0; i < 3; i++ {
+	// is the all-zero one a fresh entry's ovf holds.
+	for i := 0; i < 2; i++ {
 		a.Write(0, 10*i, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	}
 	const vpn = windowPages + 3
 	want := imagePage(img, vpn)
-	var inline [deltaInline]byte
+	var inline entry
 	for k := 1; k <= deltaCap/recordSize(8); k++ {
 		off := 200 + 5*k
 		touch := make([]byte, 8)
@@ -277,23 +271,23 @@ func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
 			t.Fatalf("%s: page reads back differently from its writes", at)
 		}
 		e := ownedEntry(t, a, vpn)
-		if k == 2 {
-			inline = e.hi
+		if k == 1 {
+			inline = *e
 		}
-		if k < 3 {
+		if k < 2 {
 			continue
 		}
-		wantOvf := 10 * (k - 2)
-		if !e.isDelta() || e.inlLen() != deltaInline || e.hi != inline || e.ovfLen() != wantOvf {
+		wantOvf := 10 * (k - 1)
+		if !e.isDelta() || e.inlLen() != recordSize(8) || e.rec != inline.rec || e.inlHdr() != inline.inlHdr() || e.ovfLen() != wantOvf {
 			t.Fatalf("%s: lazy=%v with %d bytes inline (unmoved: %v) and %d overflow, want %d unmoved and %d",
-				at, e.isDelta(), e.inlLen(), e.hi == inline, e.ovfLen(), deltaInline, wantOvf)
+				at, e.isDelta(), e.inlLen(), e.rec == inline.rec, e.ovfLen(), recordSize(8), wantOvf)
 		}
-		h := e.overflow()
+		h := e.ovf
 		if overflowSize(h) != wantOvf || int(h>>overflowPosBits) != deltaClass(wantOvf) {
 			t.Fatalf("%s: %d bytes of overflow in a %d B buffer, want one of exactly that class", at, wantOvf, overflowSize(h))
 		}
-		if e.vpn>>32 != uint64(h) || h == 0 || e.page() != vpn {
-			t.Fatalf("%s: vpn %#x, want handle %#x over page %d", at, e.vpn, h, vpn)
+		if h == 0 || e.vpn != vpn || e.page() != vpn {
+			t.Fatalf("%s: handle %#x and vpn %#x, want a handle past the other page's and page %d", at, h, e.vpn, vpn)
 		}
 		if found, _ := a.probe(vpn); found != e || a.OwnedPages() != 2 {
 			t.Fatalf("%s: the index lost the page (found %p, want %p; %d pages owned)", at, found, e, a.OwnedPages())
@@ -313,12 +307,12 @@ func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
 	if !reflect.DeepEqual(owned, []uint64{0, vpn}) {
 		t.Errorf("owned pages %v, want [0 %d]", owned, vpn)
 	}
-	// The next touch passes the cap, and the promoted frame's vpn is the
-	// page number alone.
+	// The next touch passes the cap, and the promoted frame's page
+	// number has no high word.
 	a.Write(vpn, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	copy(want, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if e := ownedEntry(t, a, vpn); e.isDelta() || e.vpn != vpn {
-		t.Fatalf("past the cap: lazy=%v vpn %#x, want a frame at page %d", e.isDelta(), e.vpn, vpn)
+	if e := ownedEntry(t, a, vpn); e.isDelta() || e.page() != vpn {
+		t.Fatalf("past the cap: lazy=%v page %#x, want a frame at page %d", e.isDelta(), e.page(), vpn)
 	}
 	if got := a.Read(vpn, 0, PageSize); !bytes.Equal(got, want) {
 		t.Error("promoted page differs from its writes in order")
@@ -330,7 +324,8 @@ func TestSpilledDeltaKeepsInlineRecords(t *testing.T) {
 }
 
 // No image backs a page at or above 2^32, which is what lets a lazy
-// delta keep its overflow handle above its page number. Image specs are
+// delta keep its page number in vpn alone and its first record where a
+// frame keeps the high word. Image specs are
 // compiled in, so BuildImage panics rather than return an error.
 func TestImagePagesBelow2To32(t *testing.T) {
 	s := NewStore()
@@ -372,25 +367,24 @@ func TestDeltaOverflowChunkBoundaries(t *testing.T) {
 				copy(page[off:], b)
 			}
 			// Each page's buffer is filled to its last byte: in class 0 a
-			// touch spilled behind an 11-byte record, which stays inline;
-			// in class 1 the third and fourth touches behind two inline
-			// ones, the fourth moving the buffer up from class 0; in the
-			// others one record the class's size.
+			// touch spilled behind an inline one; in class 1 the second
+			// and third touches behind an inline one, the third moving
+			// the buffer up from class 0; in the others one record the
+			// class's size, too long to sit inline.
 			off := vpn * 29 % (PageSize - deltaCap)
 			switch c {
 			case 0:
-				write(off, 9)
+				write(off, 8)
 				write(off+100, 8)
 			case 1:
 				write(off, 8)
 				write(off+4, 8)
 				write(off+100, 8)
-				write(off+104, 8)
 			default:
 				write(off, (c+1)*deltaStep-deltaHdr)
 			}
 			e := ownedEntry(t, a, uint64(vpn))
-			if h := e.overflow(); int(h>>overflowPosBits) != c || e.ovfLen() != overflowSize(h) {
+			if h := e.ovf; int(h>>overflowPosBits) != c || e.ovfLen() != overflowSize(h) {
 				t.Fatalf("class %d page %d: overflow len %d in a %d B buffer of class %d",
 					c, vpn, e.ovfLen(), overflowSize(h), h>>overflowPosBits)
 			}
@@ -710,7 +704,7 @@ func TestPageTableWidest(t *testing.T) {
 		t.Fatalf("owned %d pages, want %d", wide.OwnedPages(), pages)
 	}
 	for i := uint64(0); i < pages; i++ {
-		if e, _ := wide.probe(vpnOf(i)); e == nil || e.vpn != vpnOf(i) {
+		if e, _ := wide.probe(vpnOf(i)); e == nil || e.page() != vpnOf(i) {
 			t.Fatalf("page %#x not found", vpnOf(i))
 		}
 		if e, _ := wide.probe(vpnOf(i) + 1<<20); e != nil {

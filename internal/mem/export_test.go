@@ -9,7 +9,8 @@ import "unsafe"
 // generated operations address pages on both sides of the window's edge.
 const WindowPages = windowPages
 
-// The delta record geometry, so generated writes can straddle its edges.
+// The delta record geometry, so generated writes can straddle its edges:
+// DeltaInline is the longest write whose record sits inline.
 const (
 	DeltaHdr      = deltaHdr
 	DeltaShortMax = deltaShortMax

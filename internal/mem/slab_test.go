@@ -26,8 +26,8 @@ func TestFrameSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(frame{}); got > 32 {
 		t.Errorf("frame slot is %d bytes, want at most 32", got)
 	}
-	if got := unsafe.Sizeof(entry{}); got > 32 {
-		t.Errorf("page-table entry is %d bytes, want at most 32", got)
+	if got := unsafe.Sizeof(entry{}); got != 20 {
+		t.Errorf("page-table entry is %d bytes, want 20", got)
 	}
 }
 
@@ -42,28 +42,24 @@ func TestStoreHostBytes(t *testing.T) {
 	}
 	a := BuildImage(s, 8, 4, 800).NewClone()
 	defer a.Release()
-	// An 11-byte record leaves the inline area no room for a touch, so
-	// the first touch spills the page into class 0 and each after it
-	// moves the page up a class, the record staying inline throughout; a
-	// last 9-byte record brings it to the cap in class 30. No page that
-	// passes through class 0 can reach class 31 (its inline records are
-	// more than 10 bytes, and the cap counts them), so a second page's
-	// single 320-byte record starts there.
-	a.Write(1, 0, bytes.Repeat([]byte{0xAA}, 9))
+	// A first touch sits inline, the second spills the page into class 0
+	// and each after it moves the page up a class, the first staying
+	// inline throughout, until the 32nd brings it to the cap in class 30.
+	// No page with an inline record can reach class 31 (the cap counts
+	// the record), so a second page's single 320-byte record starts
+	// there.
+	a.Write(1, 0, bytes.Repeat([]byte{0xAA}, 8))
 	for c := 0; c < deltaClasses; c++ {
 		vpn, b := uint64(1), bytes.Repeat([]byte{byte(c + 1)}, 8)
-		switch c {
-		case deltaClasses - 2:
-			b = b[:7]
-		case deltaClasses - 1:
+		if c == deltaClasses-1 {
 			vpn, b = 2, bytes.Repeat([]byte{0xBB}, deltaCap-deltaHdr)
 		}
 		a.Write(vpn, 10*(c+2), b)
-		if e := ownedEntry(t, a, vpn); !e.isDelta() || e.ovfLen() == 0 || int(e.overflow()>>overflowPosBits) != c {
+		if e := ownedEntry(t, a, vpn); !e.isDelta() || e.ovfLen() == 0 || int(e.ovf>>overflowPosBits) != c {
 			t.Fatalf("write %d: page %d is not a delta in overflow class %d", c+2, vpn, c)
 		}
-		if e := ownedEntry(t, a, 1); e.inlLen() != recordSize(9) {
-			t.Fatalf("write %d: page 1 holds %d bytes inline, want its first record's %d", c+2, e.inlLen(), recordSize(9))
+		if e := ownedEntry(t, a, 1); e.inlLen() != recordSize(8) {
+			t.Fatalf("write %d: page 1 holds %d bytes inline, want its first record's %d", c+2, e.inlLen(), recordSize(8))
 		}
 	}
 	if e := ownedEntry(t, a, 1); e.inlLen()+e.ovfLen() != deltaCap {
@@ -184,7 +180,7 @@ func TestRecycledSlotDeltaHygiene(t *testing.T) {
 		a := img.NewClone()
 		for vpn := uint64(0); vpn < 8; vpn++ {
 			a.Write(vpn, 10, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-			for i := 0; i < 6; i++ { // past deltaInline: spills
+			for i := 0; i < 6; i++ { // after the inline touch: spills
 				a.Write(vpn, 100+20*i, []byte{0xDE, 0xAD, 0xBE, 0xEF, byte(i)})
 			}
 			if e := ownedEntry(t, a, vpn); !e.isDelta() || e.inlLen() == 0 || e.ovfLen() == 0 {

@@ -23,7 +23,7 @@
 // simulated machine (a frame, a CowCopies count, PageSize of
 // ModeledBytes) is the same either way; only the host cost differs.
 //
-// A space's page table is an append-only log of 32-byte entries, and a
+// A space's page table is an append-only log of 20-byte entries, and a
 // map from page number to log position that is direct for the low
 // pages: a byte per page below 128, where guests' working sets
 // lie, so most faults and reads touch one byte and the entry, and a

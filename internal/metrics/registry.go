@@ -166,15 +166,12 @@ func (p Point) Sum() float64 { return float64(p.SumMicro) / 1e6 }
 
 // Histogram rebuilds the distribution a histogram point was taken from,
 // with its sum to the micro-unit: a point's quantiles are that
-// Histogram's. Buckets outside the layout are dropped, so a malformed
-// point cannot fault the reader.
+// Histogram's. Every point comes from a Hist of this registry's layout.
 func (p Point) Histogram() Histogram {
 	h := Histogram{count: p.Count, sum: p.Sum(), min: p.Min, max: p.Max}
 	for _, b := range p.Buckets {
-		if b.Idx >= 0 && b.Idx < numBuckets {
-			h.cover(b.Idx/subBuckets, b.Idx/subBuckets)
-			h.buckets[b.Idx-h.lo*subBuckets] += b.N
-		}
+		h.cover(b.Idx/subBuckets, b.Idx/subBuckets)
+		h.buckets[b.Idx-h.lo*subBuckets] += b.N
 	}
 	return h
 }

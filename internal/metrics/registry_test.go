@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -164,27 +163,6 @@ func TestHistStoreMergesSources(t *testing.T) {
 	h.Store(nil)
 	if p := r.Snapshot()[0]; p.Count != 0 || p.SumMicro != 0 || len(p.Buckets) != 0 {
 		t.Errorf("storing no sources left %+v", p)
-	}
-}
-
-// TestHistPointOutOfLayoutBuckets: a point may carry any bucket index.
-// Reading, merging and rendering it never faults; buckets outside the
-// layout are dropped.
-func TestHistPointOutOfLayoutBuckets(t *testing.T) {
-	p := Point{Name: "h", Kind: "hist", Count: 4, Min: 20, Max: 30,
-		Buckets: []Bucket{{Idx: -1, N: 1}, {Idx: bucketIndex(24), N: 2}, {Idx: numBuckets, N: 1}}}
-	h := p.Histogram()
-	if q := h.Quantile(0.5); q < 20 || q > 30 {
-		t.Errorf("p50 = %v, want within [min, max]", q)
-	}
-	var m Histogram
-	m.Merge(&h)
-	m.Merge(&h)
-	if m.Count() != 8 || len(m.buckets) != subBuckets {
-		t.Errorf("merged %+v", m)
-	}
-	if err := WriteProm(io.Discard, []Point{p}); err != nil {
-		t.Error(err)
 	}
 }
 

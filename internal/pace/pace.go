@@ -29,6 +29,7 @@ type Governor struct {
 	rate  float64 // events/second; <= 0 disables pacing
 	batch uint64
 	n     uint64
+	sleep func(time.Duration) // time.Sleep; tests watch it
 }
 
 // NewGovernor builds a governor for perSec events per second measured
@@ -37,7 +38,7 @@ func NewGovernor(start time.Time, perSec float64, batch int) *Governor {
 	if batch <= 0 {
 		batch = 64
 	}
-	return &Governor{start: start, rate: perSec, batch: uint64(batch)}
+	return &Governor{start: start, rate: perSec, batch: uint64(batch), sleep: time.Sleep}
 }
 
 // Pace records one event and, at batch boundaries, sleeps until the
@@ -48,6 +49,6 @@ func (g *Governor) Pace() {
 		return
 	}
 	if d := time.Until(g.start.Add(Schedule(g.n, g.rate))); d > 0 {
-		time.Sleep(d)
+		g.sleep(d)
 	}
 }

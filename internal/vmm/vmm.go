@@ -112,6 +112,16 @@ func (vm *VM) WriteMemory(vpn uint64, off int, b []byte) bool {
 	return faulted
 }
 
+// WriteTouches performs a burst of guest touches as WriteMemory would
+// one at a time (see mem.AddressSpace.WriteTouches), charging the host's
+// CoW fault cost for each that faults.
+func (vm *VM) WriteTouches(ts []mem.Touch) {
+	if vm.State == StateDead {
+		panic("vmm: write to dead VM")
+	}
+	vm.host.stats.CowFaults += uint64(vm.Mem.WriteTouches(ts))
+}
+
 // HostConfig sizes a simulated physical server. Every host charges
 // PerVMOverheadBytes per VM and the DefaultLatencies model.
 type HostConfig struct {
