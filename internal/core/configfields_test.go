@@ -196,6 +196,9 @@ var exportAllowlist = map[string]string{
 	"core.ShardEngine.InjectBarrier":   "cluster's runOracleConfig (TestFaultScheduleAcrossModes, metrics_test.go) seeds the single-process oracle with it",
 	"core.ShardEngine.RecycleAll":      "the root TestRegistryEqualsStatsAtRest recycles every binding through it",
 	"core.ShardEngine.SetAdaptive":     "the root TestWireParallelAdaptiveSnapback and TestValidateParallelConstraints and cluster's runOracleConfig (TestClusterEpochGridMatchesEngine) set the epoch cap with it",
+	"free.List.Len":                    "called through free.Trimmer, which this check does not match to a generic type's methods: farm's TestPoolsGiveBackAfterBurst reads each pool's parked items through it",
+	"free.Pool.Most":                   "called through free.Trimmer (as free.List.Len): farm's TestPoolsGiveBackAfterBurst reads each pool's largest period through it; ROADMAP item 22(a′) publishes it",
+	"free.Pool.Trim":                   "called through free.Trimmer (as free.List.Len): the gateway's scrub trims every pool through it (gateway.trim)",
 	"gateway.Gateway.Binding":          "farm's TestCrashWhileClonePendingRetriesOnSurvivor and the root TestShardedGatewayThroughFacade look bindings up with it",
 	"gateway.Gateway.Scrub":            "the root BenchmarkAblationScrub, which make bench requires, times one pass",
 	"gateway.JSONLSink":                "the oracle of gateway's TestArenaSinkMatchesJSONLSink, and analysis's TestAnalyzeRealIncident writes its event logs",

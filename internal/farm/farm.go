@@ -170,10 +170,11 @@ type Farm struct {
 	// Free lists. A spawn costs a request record and a FarmVM, a packet
 	// crossing the intra-farm hop costs a timer callback holding it;
 	// each comes from here and returns when its last user is done, so
-	// clone → serve → reclaim allocates nothing on a warmed farm.
-	freeReqs free.List[*spawnReq]
-	freeVMs  free.List[*FarmVM]
-	freeHops free.List[*hop]
+	// clone → serve → reclaim allocates nothing on a warmed farm. The
+	// gateway's scrub trims them (EachPool).
+	freeReqs free.Pool[*spawnReq]
+	freeVMs  free.Pool[*FarmVM]
+	freeHops free.Pool[*hop]
 	// up and down are the kernel lanes the two directions of the
 	// intra-farm link queue their hops in: at a constant latency each
 	// direction's hops are scheduled already in firing order.
@@ -219,6 +220,19 @@ func (f *Farm) SetTracer(t *trace.Tracer) {
 	f.tr = t
 	for _, h := range f.hosts {
 		h.SetTracer(t)
+	}
+}
+
+// EachPool implements gateway.PoolOwner: it visits the farm's free
+// lists, its guests' and every server's, each with the multiple of its
+// largest period's demand that a trim keeps.
+func (f *Farm) EachPool(fn func(name string, p free.Trimmer, keep int)) {
+	fn("farm.reqs", &f.freeReqs, 1)
+	fn("farm.vms", &f.freeVMs, 1)
+	fn("farm.hops", &f.freeHops, 1)
+	f.hooks.Metrics.EachPool(fn)
+	for _, h := range f.hosts {
+		h.EachPool(fn)
 	}
 }
 
@@ -560,7 +574,7 @@ func (hp *hop) arrive(now sim.Time) {
 	f.freeHops.Put(hp)
 	if fv != nil {
 		if fv.arriving--; fv.dead && fv.arriving == 0 {
-			f.freeVMs.Put(fv)
+			fv.park()
 		}
 	}
 }
@@ -614,8 +628,15 @@ func (fv *FarmVM) Destroy(_ sim.Time) {
 	f.stats.Reclaims++
 	f.stats.LiveVMs--
 	if fv.arriving == 0 {
-		f.freeVMs.Put(fv)
+		fv.park()
 	}
+}
+
+// park puts a destroyed FarmVM on the free list, letting go of its last
+// tenant's VM and guest: their own free lists hold those.
+func (fv *FarmVM) park() {
+	fv.VM, fv.Guest = nil, nil
+	fv.farm.freeVMs.Put(fv)
 }
 
 // ServersNeeded is the provisioning arithmetic the paper's scalability

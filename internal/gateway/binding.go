@@ -101,9 +101,11 @@ func (g *Gateway) newBinding(now sim.Time, addr netsim.Addr, hint SpawnHint) *Bi
 }
 
 // release puts a recycled binding on the free list once nothing is
-// waiting to call it back.
+// waiting to call it back. It lets go of the last tenant's VM and spans
+// first, so a parked binding holds nothing a trim would not free.
 func (b *Binding) release() {
 	if b.gone && !b.waiting {
+		b.VM, b.span, b.spawnSpan, b.activeSpan = nil, nil, nil, nil
 		b.g.freeBindings.Put(b)
 	}
 }

@@ -1,7 +1,7 @@
 package gateway
 
 // spareHeld reports how many spare held packets the free list keeps.
-func (g *Gateway) spareHeld() int { return len(g.freeHeld) }
+func (g *Gateway) spareHeld() int { return g.freeHeld.Len() }
 
 // Peers returns the number of remembered peers.
 func (b *Binding) Peers() int { return b.peers.len() }

@@ -100,6 +100,14 @@ type Backend interface {
 // gateway's shed mode (Config.ShedOnFull) keys off it.
 var ErrBackendFull = errors.New("backend at capacity")
 
+// PoolOwner is implemented by a backend that keeps free lists of its
+// own: the gateway's scrub trims them once a tick, after it has recycled
+// what expired, so the backend's lists follow the same clock as the
+// gateway's (see Gateway.EachPool).
+type PoolOwner interface {
+	EachPool(fn func(name string, p free.Trimmer, keep int))
+}
+
 // Recycler is implemented by a gateway frontend (Gateway, or a
 // decorator around one) that can tear a binding down on demand. The backend calls it when it
 // loses a VM out from under a binding — a crashed server — so the
@@ -306,11 +314,12 @@ type Gateway struct {
 	expirySeq uint64
 	// scrubbed and requeued are scrubOnce's working lists, kept between
 	// ticks; freeBindings are recycled bindings' structs, maps attached;
-	// freeHeld are spare held packets (see held.go).
+	// freeHeld are spare held packets (see held.go). Each scrub trims
+	// both (see trimFree).
 	scrubbed     []netsim.Addr
 	requeued     []*Binding
-	freeBindings free.List[*Binding]
-	freeHeld     free.List[*netsim.Packet]
+	freeBindings free.Pool[*Binding]
+	freeHeld     free.Pool[*netsim.Packet]
 	// pendingDepth is the live count of packets queued across all
 	// pending bindings (the Stats.PendingQueued gauge).
 	pendingDepth int
@@ -444,6 +453,28 @@ func (g *Gateway) scrubOnce(now sim.Time) {
 	}
 	clear(requeue)
 	g.scrubbed, g.requeued = expired[:0], requeue[:0]
+	g.trimFree()
+}
+
+// trimFree ends a scrub period for every free list the scrub releases
+// into: the gateway's own, and through the backend the farm's, its
+// servers', their stores' and its guests'. Each keeps what its largest
+// period's demand needs (free.Pool.Trim); the scrub is the clock, so
+// trimming adds no kernel event.
+func (g *Gateway) trimFree() {
+	g.EachPool(trim)
+	if o, ok := g.backend.(PoolOwner); ok {
+		o.EachPool(trim)
+	}
+}
+
+func trim(_ string, p free.Trimmer, keep int) { p.Trim(keep) }
+
+// EachPool visits the gateway's free lists, each with the multiple of
+// its largest period's demand that a trim keeps.
+func (g *Gateway) EachPool(fn func(name string, p free.Trimmer, keep int)) {
+	fn("gateway.bindings", &g.freeBindings, 1)
+	fn("gateway.held", &g.freeHeld, 1)
 }
 
 func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {

@@ -13,7 +13,8 @@ import "potemkin/internal/netsim"
 //
 // The free list keeps at most one spare per live binding: a warm-up that
 // queued pendingLimit packets on each of many pending bindings would
-// otherwise pin all of them for the rest of the run.
+// otherwise pin all of them for the rest of the run, because the scrub's
+// trim (Gateway.trimFree) keeps what the largest period took.
 
 // hold copies pkt into a packet off the free list, marked Ephemeral.
 // Release it with drop once the gateway is done with it. Holds nest: a

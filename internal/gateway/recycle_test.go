@@ -45,8 +45,11 @@ func TestRecycledBindingHygiene(t *testing.T) {
 	gen := first.gen
 
 	g.RecycleAll(k.Now())
-	if len(g.freeBindings) != 1 || g.freeBindings[0] != first {
-		t.Fatalf("free list holds %d bindings, want only the one nothing is waiting on", len(g.freeBindings))
+	if g.freeBindings.Len() != 1 || g.freeBindings.List[0] != first {
+		t.Fatalf("free list holds %d bindings, want only the one nothing is waiting on", g.freeBindings.Len())
+	}
+	if first.VM != nil || first.span != nil || first.spawnSpan != nil || first.activeSpan != nil {
+		t.Fatal("the parked binding still holds its last tenant's VM or spans")
 	}
 	if !pendingOne.gone || !pendingOne.waiting {
 		t.Fatal("a binding recycled mid-clone should be gone and still waiting for the backend")
@@ -84,7 +87,7 @@ func TestRecycledBindingHygiene(t *testing.T) {
 	if !late.destroyed || len(late.delivered) != 0 {
 		t.Errorf("late VM for a recycled binding: destroyed=%v delivered=%d", late.destroyed, len(late.delivered))
 	}
-	if len(g.freeBindings) != 1 || g.freeBindings[0] != pendingOne {
+	if g.freeBindings.Len() != 1 || g.freeBindings.List[0] != pendingOne {
 		t.Error("the binding recycled mid-clone did not reach the free list when the backend answered")
 	}
 	if got := len(fb.spawned[2].delivered); got != 1 {
@@ -117,7 +120,7 @@ func TestRebindSameAddressMidRetry(t *testing.T) {
 	if second.State != BindingActive || len(fb.spawned) != 1 || len(fb.spawned[0].delivered) != 1 {
 		t.Errorf("new tenant: state=%v spawned=%d", second.State, len(fb.spawned))
 	}
-	if len(g.freeBindings) != 1 || g.freeBindings[0] != first {
+	if g.freeBindings.Len() != 1 || g.freeBindings.List[0] != first {
 		t.Error("the old binding is not free after its retry timer fired")
 	}
 }

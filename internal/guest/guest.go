@@ -262,8 +262,15 @@ type Instruments struct {
 	// farm's guest totals stay monotone across recycling.
 	Retired Stats
 	// free are stopped instances with no kernel event left in flight,
-	// connection table and bound callbacks attached.
-	free free.List[*Instance]
+	// connection table and bound callbacks attached; the gateway's scrub
+	// trims it, through the farm (EachPool).
+	free free.Pool[*Instance]
+}
+
+// EachPool visits the instances' free list, with the multiple of its
+// largest period's demand that a trim keeps.
+func (m *Instruments) EachPool(fn func(name string, p free.Trimmer, keep int)) {
+	fn("guest.instances", &m.free, 1)
 }
 
 // Stats counts guest activity, the only place it is counted; a field's
@@ -309,9 +316,10 @@ func (s *Stats) Add(src *Stats) {
 
 // Instance is one running guest bound to a VM. It is valid until Stop:
 // a stopped instance keeps its final state only until New hands the
-// struct to the next guest of the same Instruments, so read what you
-// need (Stats, Infected, Generation) before stopping it, and stop it no
-// later than its VM is destroyed — the VM struct is reused the same way.
+// struct to the next guest of the same Instruments, and its VM only
+// until it is parked for that, so read what you need (Stats, Infected,
+// Generation, VM) before stopping it, and stop it no later than its VM
+// is destroyed — the VM struct is reused the same way.
 type Instance struct {
 	K       *sim.Kernel
 	VM      *vmm.VM
@@ -458,9 +466,11 @@ func (in *Instance) fired() {
 }
 
 // retire frees the instance for reuse once it is stopped and the last
-// of its events has fired.
+// of its events has fired, letting go of its VM and target picker
+// first: the VM's host keeps the VM.
 func (in *Instance) retire() {
 	if in.stopped && in.events == 0 {
+		in.VM, in.pick = nil, nil
 		in.inst.free.Put(in)
 	}
 }

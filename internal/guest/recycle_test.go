@@ -75,7 +75,7 @@ func TestStaleTimerNeverReachesNextTenant(t *testing.T) {
 			}
 			first.Stop()
 			r.h.Destroy(first.VM.ID)
-			if len(r.shared.free) != 0 {
+			if r.shared.free.Len() != 0 {
 				t.Fatal("an instance with a timer in flight went on the free list")
 			}
 
@@ -101,13 +101,14 @@ func TestStaleTimerNeverReachesNextTenant(t *testing.T) {
 			if r.sent != sent || second.Stats().ScansOut != 0 {
 				t.Error("the stale timer sent a packet")
 			}
-			if len(r.shared.free) != 1 || r.shared.free[0] != first {
-				t.Fatalf("after its last event the stopped instance is not free: %d on the list", len(r.shared.free))
+			if r.shared.free.Len() != 1 || r.shared.free.List[0] != first {
+				t.Fatalf("after its last event the stopped instance is not free: %d on the list", r.shared.free.Len())
 			}
 
 			// Now it is reused, and as good as new.
+			id := second.VM.ID // a stopped instance with no event queued lets go of its VM
 			second.Stop()
-			r.h.Destroy(second.VM.ID)
+			r.h.Destroy(id)
 			third := r.guest(t, netsim.MustParseAddr("10.9.9.9"), WindowsXP())
 			if third != second && third != first {
 				t.Error("New allocated with two instances free")
@@ -147,8 +148,9 @@ func TestRecycledInstanceMatchesFresh(t *testing.T) {
 	prev := used.guest(t, netsim.MustParseAddr("10.3.3.3"), other)
 	drive(used, prev)
 	prev.ForceInfect(3)
+	id := prev.VM.ID
 	prev.Stop()
-	used.h.Destroy(prev.VM.ID)
+	used.h.Destroy(id)
 	for used.k.Step() { // drain whatever the first tenant left queued
 	}
 	again := used.guest(t, ip, WindowsXP())

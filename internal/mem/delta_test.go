@@ -495,14 +495,14 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 	}
 	a.Read(0, 0, 8)
 	a.Release()
-	if len(s.spaceFree) != 1 || len(s.chunkFree) != 2 {
-		t.Fatalf("released clone's space and two chunks not on the store's free lists (%d, %d)", len(s.spaceFree), len(s.chunkFree))
+	if s.spaceFree.Len() != 1 || s.chunkFree.Len() != 2 {
+		t.Fatalf("released clone's space and two chunks not on the store's free lists (%d, %d)", s.spaceFree.Len(), s.chunkFree.Len())
 	}
 	b := img.NewClone()
 	if b != a {
 		t.Fatal("NewClone did not reuse the released clone")
 	}
-	if len(s.spaceFree) != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 2048 || b.PrivatePages() != 0 {
+	if s.spaceFree.Len() != 0 || b.OwnedPages() != 0 || b.ResidentPages() != 2048 || b.PrivatePages() != 0 {
 		t.Fatalf("recycled clone not empty: owned=%d resident=%d private=%d", b.OwnedPages(), b.ResidentPages(), b.PrivatePages())
 	}
 	if b.Stats() != (SpaceStats{}) || b.released || b.base != img {
@@ -531,7 +531,7 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 	// all the same. over owns one page more than an index at the cap
 	// holds, under one page fewer than over, all of them past the window.
 	b.Release()
-	s.spaceFree, s.chunkFree = s.spaceFree[:0], s.chunkFree[:0]
+	s.spaceFree.List, s.chunkFree.List = s.spaceFree.List[:0], s.chunkFree.List[:0]
 	NewAddressSpace(s, 8).Release()
 	over := img.NewClone()
 	pages := uint64(0)
@@ -546,18 +546,18 @@ func TestPageTableRecycledEmpty(t *testing.T) {
 		under.Write(windowPages+vpn, 0, []byte{1})
 	}
 	under.Release()
-	if len(s.spaceFree) != 1 || s.spaceFree[0] != under || under.index.Slots() != indexMaxRecycle || under.index.Len() != 0 {
+	if s.spaceFree.Len() != 1 || s.spaceFree.List[0] != under || under.index.Slots() != indexMaxRecycle || under.index.Len() != 0 {
 		t.Errorf("a clone whose index is at the cap was not kept with its cleared index: pooled %d, %d slots, %d entries",
-			len(s.spaceFree), under.index.Slots(), under.index.Len())
+			s.spaceFree.Len(), under.index.Slots(), under.index.Len())
 	}
-	s.spaceFree, s.chunkFree = s.spaceFree[:0], s.chunkFree[:0]
+	s.spaceFree.List, s.chunkFree.List = s.spaceFree.List[:0], s.chunkFree.List[:0]
 	chunks := len(over.chunks)
 	over.Release()
-	if len(s.spaceFree) != 0 {
-		t.Errorf("pooled %d spaces that should have been dropped", len(s.spaceFree))
+	if s.spaceFree.Len() != 0 {
+		t.Errorf("pooled %d spaces that should have been dropped", s.spaceFree.Len())
 	}
-	if len(s.chunkFree) != chunks || !reflect.DeepEqual(over.index, pageIndex{}) || len(over.chunks) != 0 {
-		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %+v", len(s.chunkFree), chunks, over.index)
+	if s.chunkFree.Len() != chunks || !reflect.DeepEqual(over.index, pageIndex{}) || len(over.chunks) != 0 {
+		t.Errorf("dropped clone kept its table: %d of %d chunks returned, index %+v", s.chunkFree.Len(), chunks, over.index)
 	}
 }
 
@@ -690,8 +690,8 @@ func TestPageTableWidest(t *testing.T) {
 		}
 	}
 	a.Release()
-	if s.FrameCount() != 1+resident || len(s.spaceFree) != 0 {
-		t.Errorf("after release: %d frames, %d pooled spaces", s.FrameCount(), len(s.spaceFree))
+	if s.FrameCount() != 1+resident || s.spaceFree.Len() != 0 {
+		t.Errorf("after release: %d frames, %d pooled spaces", s.FrameCount(), s.spaceFree.Len())
 	}
 
 	wide := NewAddressSpace(s, ^uint64(0))

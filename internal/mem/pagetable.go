@@ -250,13 +250,9 @@ const (
 // of it, so one that held a whole image would tax every later tenant.
 // It bounds the store's spare index arrays too, one per power-of-two
 // size up to it (indexSpares classes, at most 16 KiB in all).
-// chunkPoolCap bounds the chunks the store keeps for reuse (10 MiB) and
-// spacePoolCap the released clones.
 const (
 	indexMaxRecycle = 2048
 	indexSpares     = 12 // log2(indexMaxRecycle) + 1
-	chunkPoolCap    = 16384
-	spacePoolCap    = 4096
 )
 
 // at addresses position i of the log.

@@ -31,6 +31,16 @@ func TestFrameSlotSize(t *testing.T) {
 	}
 }
 
+// Every simulated server has a store, so the struct itself is paid per
+// server: it stays in its 2,304-byte size class with the counters of its
+// three trimmed free lists (the next class is 2,688 bytes, 24 KiB more
+// over wire-warm's 64 servers).
+func TestStoreSize(t *testing.T) {
+	if got := unsafe.Sizeof(Store{}); got > 2304 {
+		t.Errorf("Store is %d bytes, want at most 2,304", got)
+	}
+}
+
 // Every simulated server has a store, so what a store's arenas carve
 // before they hold much is paid per server, however few VMs it runs: the
 // slab's first chunk, which holds the zero frame, and a chunk of every

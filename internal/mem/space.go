@@ -305,11 +305,11 @@ func (a *AddressSpace) Release() {
 	}
 	s.uncount(deltas)
 	for _, c := range a.chunks {
-		s.chunkFree.PutBelow(c, chunkPoolCap)
+		s.chunkFree.Put(c)
 	}
 	clear(a.chunks)
 	a.chunks = a.chunks[:0]
-	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle && s.spaceFree.Len() < spacePoolCap
+	keep := a.base != nil && a.index.Slots() <= indexMaxRecycle
 	a.n = 0
 	a.released = true
 	a.base = nil

@@ -109,13 +109,6 @@ const noFreeSlot = ^uint32(0)
 // a chunk is paid per server, not per VM.
 const slabChunk = 16
 
-// bufPoolCap bounds the recycled page-buffer pool (4 MiB of 4 KiB
-// pages). Only frames whose bytes something read or wrote wholesale
-// hold a buffer (lazy deltas and pattern frames do not), so the pool
-// serves checkpoints, share passes and large writes; churn beyond the
-// cap falls back to the allocator.
-const bufPoolCap = 1024
-
 // Store is a machine-wide refcounted frame table shared by every VM on a
 // simulated physical host. It is not safe for concurrent use; the VMM is
 // single-threaded under the sim kernel.
@@ -138,12 +131,16 @@ type Store struct {
 	zero  FrameID
 	dedup map[uint64][]FrameID
 
-	bufPool   free.List[*[PageSize]byte]
+	// bufPool are page buffers of freed frames. Only frames whose bytes
+	// something read or wrote wholesale hold a buffer (lazy deltas and
+	// pattern frames do not), so it serves checkpoints, share passes and
+	// large writes. chunkFree are page-table chunks and spaceFree
+	// released clones, index attached and empty, waiting to be the next
+	// clone. The gateway's scrub trims all three (EachPool).
+	bufPool   free.Pool[*[PageSize]byte]
 	overflow  [deltaClasses]overflowClass
-	chunkFree free.List[*tableChunk]
-	// spaceFree are released clones, index attached and empty, waiting
-	// to be the next clone.
-	spaceFree free.List[*AddressSpace]
+	chunkFree free.Pool[*tableChunk]
+	spaceFree free.Pool[*AddressSpace]
 	// indexSpare holds, by log2 of its length, one zeroed page-index
 	// array for the next index that grows to that size (growIndex).
 	indexSpare [indexSpares][]uint32
@@ -240,7 +237,23 @@ func (s *Store) getBuf() *[PageSize]byte {
 }
 
 func (s *Store) putBuf(b *[PageSize]byte) {
-	s.bufPool.PutBelow(b, bufPoolCap)
+	s.bufPool.Put(b)
+}
+
+// chunkKeep is how many times its largest period's demand the chunk
+// pool keeps, where every other pool keeps one: a clone takes chunks
+// over its whole life, not just at its clone, so a burst's clones go
+// on asking for chunks in the periods after it, while the first ones
+// they freed are still to come back.
+const chunkKeep = 2
+
+// EachPool visits the store's free lists, each with the multiple of its
+// largest period's demand that a trim keeps. The gateway's scrub trims
+// them, through its farm and the farm's servers.
+func (s *Store) EachPool(fn func(name string, p free.Trimmer, keep int)) {
+	fn("mem.bufs", &s.bufPool, 1)
+	fn("mem.chunks", &s.chunkFree, chunkKeep)
+	fn("mem.spaces", &s.spaceFree, 1)
 }
 
 // Stats returns a copy of the store counters.

@@ -68,8 +68,8 @@ type Image struct {
 
 // VM is one virtual machine on a Host. A *VM is valid until the VM is
 // destroyed: the host keeps the struct for a later clone, so a handle
-// held past Destroy reads StateDead only until the next clone or boot
-// takes it over.
+// held past Destroy reads StateDead, and no Mem, only until the next
+// clone or boot takes it over.
 type VM struct {
 	ID    VMID
 	Image *Image
@@ -199,8 +199,9 @@ type VMHost struct {
 	store  *mem.Store
 	images map[string]*Image
 	vms    map[VMID]*VM
-	// vmFree are destroyed VMs' structs, waiting to be the next clone.
-	vmFree free.List[*VM]
+	// vmFree are destroyed VMs' structs, waiting to be the next clone;
+	// the gateway's scrub trims it (EachPool).
+	vmFree free.Pool[*VM]
 	nextID VMID
 	rng    *sim.RNG
 
@@ -237,6 +238,13 @@ func NewHost(k *sim.Kernel, cfg HostConfig) *VMHost {
 		nextID: 1,
 		rng:    k.Stream("vmm/" + cfg.Name),
 	}
+}
+
+// EachPool visits the host's free lists and its store's, each with the
+// multiple of its largest period's demand that a trim keeps.
+func (h *VMHost) EachPool(fn func(name string, p free.Trimmer, keep int)) {
+	fn("vmm.vms", &h.vmFree, 1)
+	h.store.EachPool(fn)
 }
 
 // Store exposes the host's frame store (tests and experiments read
@@ -373,7 +381,7 @@ func (vm *VM) rise(d time.Duration, ready func(*VM)) {
 func (vm *VM) up(now sim.Time) {
 	vm.rising = false
 	if vm.State == StateDead {
-		vm.host.vmFree.Put(vm)
+		vm.park()
 		return
 	}
 	vm.State = StateRunning
@@ -432,9 +440,16 @@ func (h *VMHost) Destroy(id VMID) {
 	vm.ready = nil
 	delete(h.vms, id)
 	if !vm.rising {
-		h.vmFree.Put(vm)
+		vm.park()
 	}
 	h.stats.Destroys++
+}
+
+// park puts a destroyed VM on the host's free list, letting go of its
+// last tenant's memory and span: the store keeps the released space.
+func (vm *VM) park() {
+	vm.Mem, vm.span = nil, nil
+	vm.host.vmFree.Put(vm)
 }
 
 // DestroyAll tears down every VM (end-of-experiment cleanup and host

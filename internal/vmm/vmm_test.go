@@ -6,6 +6,7 @@ import (
 
 	"potemkin/internal/mem"
 	"potemkin/internal/sim"
+	"potemkin/internal/trace"
 )
 
 func newTestHost(t *testing.T, k *sim.Kernel) *VMHost {
@@ -202,6 +203,36 @@ func TestDestroyMidCloneCancelsReady(t *testing.T) {
 	}
 	if err := h.CheckMemoryInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParkedVMDropsItsMemory destroys a traced VM once it is up and
+// another mid-clone: each is parked on the host's free list, the second
+// once its completion event has fired, without its address space or
+// span, which belong to its last tenant.
+func TestParkedVMDropsItsMemory(t *testing.T) {
+	k := sim.NewKernel(1)
+	h := newTestHost(t, k)
+	h.SetTracer(trace.New(func(trace.Record) {}, 0))
+	up, _ := h.FlashClone("winxp", 1, nil)
+	k.Run()
+	mid, _ := h.FlashClone("winxp", 2, nil)
+	if up.span == nil || mid.span == nil || up.Mem == nil {
+		t.Fatal("setup: a traced clone has no span or no memory")
+	}
+	h.Destroy(up.ID)
+	h.Destroy(mid.ID)
+	if h.vmFree.Len() != 1 || mid.Mem == nil {
+		t.Fatal("the VM destroyed mid-clone was parked before its completion event fired")
+	}
+	k.Run()
+	if h.vmFree.Len() != 2 {
+		t.Fatalf("%d VMs parked, want both", h.vmFree.Len())
+	}
+	for _, vm := range []*VM{up, mid} {
+		if vm.Mem != nil || vm.span != nil {
+			t.Errorf("parked VM %d still holds its address space or its span", vm.ID)
+		}
 	}
 }
 
