@@ -210,6 +210,11 @@ func DefaultConfig() Config {
 const (
 	// pendingLimit bounds packets queued per binding during cloning.
 	pendingLimit = 64
+	// pendingKeep is the most slots a drained queue keeps for the
+	// binding's next clone (see drained). Nearly every clone queues one
+	// packet: on replay-radiation at seed 1, 11,041 of 11,458 flushes
+	// held one, 336 two and 44 three.
+	pendingKeep = 4
 	// maxPeers bounds remembered remote peers per binding.
 	maxPeers = 64
 	// spawnRetryBackoff is the delay before the first spawn retry; it
@@ -487,8 +492,8 @@ func (g *Gateway) recycle(now sim.Time, addr netsim.Addr, b *Binding) {
 	for _, h := range b.pending {
 		g.drop(h)
 	}
-	clear(b.pending)
-	b.pending = b.pending[:0]
+	b.pending = drained(b.pending)
+	b.pendingAt = drained(b.pendingAt)
 	if b.Hint.Reflected {
 		// Drop the reflection route so a later contact re-instantiates.
 		for ext, internal := range g.reflections {

@@ -6,6 +6,7 @@ import (
 
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
+	"potemkin/internal/trace"
 )
 
 // hookBackend answers every request at once, with itself as the VM: a
@@ -90,6 +91,55 @@ func TestHeldSparesBoundedByBindings(t *testing.T) {
 		t.Errorf("the gateway keeps %d spare packets for %d bindings, want at most %d", got, n, n)
 	} else if got == 0 {
 		t.Error("the gateway kept no spare packet to reuse")
+	}
+}
+
+// TestDrainedQueuesLetGoOfBursts: a drained queue keeps its array only
+// if it has at most pendingKeep slots. Bindings that each queued
+// pendingLimit packets, with their arrival times (tracing is on), hold
+// no longer array after their flush, and none after a recycle with
+// their packets still queued; a binding that queued one packet keeps
+// its array for the next clone.
+func TestDrainedQueuesLetGoOfBursts(t *testing.T) {
+	g, _, k := newTestGateway(t, func(c *Config) {
+		c.Tracer = trace.New(func(trace.Record) {}, 0)
+	})
+	const n = 4
+	queue := func(addr netsim.Addr, packets int) *Binding {
+		for j := 0; j < packets; j++ {
+			g.HandleInbound(k.Now(), syn(ext(j), addr))
+		}
+		b := g.Binding(addr)
+		if len(b.pending) != packets || len(b.pendingAt) != packets {
+			t.Fatalf("%d packets queued with %d arrival times, want %d", len(b.pending), len(b.pendingAt), packets)
+		}
+		return b
+	}
+	kept := func(when string, b *Binding) {
+		t.Helper()
+		if cap(b.pending) > pendingKeep || cap(b.pendingAt) > pendingKeep {
+			t.Errorf("after its %s, a binding keeps %d queue slots and %d arrival-time slots, want at most %d", when, cap(b.pending), cap(b.pendingAt), pendingKeep)
+		}
+	}
+	var flushed, recycled [n]*Binding
+	for i := range n {
+		flushed[i] = queue(mon(i), pendingLimit)
+		recycled[i] = queue(mon(n+i), pendingLimit)
+	}
+	single := queue(mon(2*n), 1)
+	for i := range n {
+		g.RecycleBinding(k.Now(), mon(n+i), "test")
+	}
+	k.RunFor(time.Second) // the clones complete and the queues flush
+	if got := g.Stats().DeliveredToVM; got != uint64(n*pendingLimit+1) {
+		t.Fatalf("%d packets delivered, want %d", got, n*pendingLimit+1)
+	}
+	for i := range n {
+		kept("flush", flushed[i])
+		kept("recycle", recycled[i])
+	}
+	if single.State != BindingActive || cap(single.pending) == 0 || cap(single.pendingAt) == 0 {
+		t.Errorf("a binding that queued one packet kept %d queue slots and %d arrival-time slots, want its arrays", cap(single.pending), cap(single.pendingAt))
 	}
 }
 

@@ -170,7 +170,7 @@ func (b *Binding) vmReady(vm VMRef, err error) {
 		for _, at := range b.pendingAt {
 			tr.ObserveStage("pending-wait", flushAt.Sub(at).Seconds()*1e3)
 		}
-		b.pendingAt = b.pendingAt[:0]
+		b.pendingAt = drained(b.pendingAt)
 	}
 	g.pendingDepth -= len(b.pending)
 	for _, queued := range b.pending {
@@ -179,8 +179,19 @@ func (b *Binding) vmReady(vm VMRef, err error) {
 		vm.Deliver(flushAt, queued)
 		g.drop(queued)
 	}
-	clear(b.pending)
-	b.pending = b.pending[:0]
+	b.pending = drained(b.pending)
+}
+
+// drained empties a queue whose packets have gone. It keeps the array
+// for the binding's next clone only if it has at most pendingKeep
+// slots: a longer one held a burst (a warm-up queues pendingLimit), and
+// the binding would carry it for the rest of its life.
+func drained[T any](q []T) []T {
+	if cap(q) > pendingKeep {
+		return nil
+	}
+	clear(q)
+	return q[:0]
 }
 
 // spawnFailed handles a backend error for a still-current binding:

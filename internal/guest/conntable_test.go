@@ -10,10 +10,11 @@ import (
 )
 
 // Every warm flow holds a tcpConn for as long as it is tracked, so its
-// size is most of what a flow costs the host.
+// size is most of what a flow costs the host: 32 bytes, 64 to a
+// 2,048-byte size class.
 func TestConnSize(t *testing.T) {
-	if got := unsafe.Sizeof(tcpConn{}); got > 48 {
-		t.Errorf("tcpConn is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(tcpConn{}); got != 32 {
+		t.Errorf("tcpConn is %d bytes, want 32", got)
 	}
 }
 
@@ -30,21 +31,21 @@ func TestInstanceSize(t *testing.T) {
 // evicts nothing else.
 func TestInsertReplacingKeyInFullTableEvictsNothingElse(t *testing.T) {
 	var ct connTable
-	local := netsim.MustParseAddr("10.0.0.1")
-	key := func(i int) netsim.FlowKey {
-		return netsim.FlowKey{Src: local, Dst: netsim.Addr(0x0b000000 + i), SrcPort: uint16(1024 + i), DstPort: 445, Proto: netsim.ProtoTCP}
+	key := func(i int) connKey {
+		return connKey{remote: netsim.Addr(0x0b000000 + i), rport: 445, lport: uint16(1024 + i), client: true}
 	}
 	for i := 0; i < maxConns; i++ {
-		ct.insert(sim.Time(i), tcpConn{key: key(i), state: tcpSynSent, client: true})
+		ct.insert(sim.Time(i), key(i))
 	}
-	c := ct.insert(sim.Time(maxConns), tcpConn{key: key(maxConns - 1), state: tcpSynSent, client: true, iss: 7})
+	h, c := ct.insert(sim.Time(maxConns), key(maxConns-1))
+	c.iss = 7
 	if ct.len() != maxConns {
 		t.Errorf("len = %d after replacing a key in a full table, want %d", ct.len(), maxConns)
 	}
-	if ct.lookup(key(0)) == nil {
+	if _, c := ct.lookup(key(0)); c == nil {
 		t.Error("the oldest connection was evicted to make room for a replacement")
 	}
-	if got := ct.lookup(key(maxConns - 1)); got != c || got.iss != 7 || ct.newest != c.self {
+	if gh, got := ct.lookup(key(maxConns - 1)); got != c || gh != h || got.iss != 7 || ct.newest != h {
 		t.Error("the replacement is not the connection indexed under its key, or not the newest")
 	}
 	if ct.clients != maxConns {
@@ -58,21 +59,22 @@ func TestInsertReplacingKeyInFullTableEvictsNothingElse(t *testing.T) {
 // without allocating.
 func TestConnTableSteadyStateAllocs(t *testing.T) {
 	var ct connTable
-	local := netsim.MustParseAddr("10.0.0.1")
-	key := func(i int) netsim.FlowKey {
-		return netsim.FlowKey{Src: netsim.Addr(0x0b000000 + i), Dst: local, SrcPort: uint16(1024 + i), DstPort: 445, Proto: netsim.ProtoTCP}
+	key := func(i int) connKey {
+		return connKey{remote: netsim.Addr(0x0b000000 + i), rport: uint16(1024 + i), lport: 445}
 	}
+	has := func(k connKey) bool { _, c := ct.lookup(k); return c != nil }
 	// serve fills the table with flows from base on, touches every other
 	// one, then opens a quarter more, each evicting the oldest-idle.
 	serve := func(base int) {
 		for i := 0; i < maxConns; i++ {
-			ct.insert(sim.Time(i), tcpConn{key: key(base + i), state: tcpSynRcvd})
+			ct.insert(sim.Time(i), key(base+i))
 		}
 		for i := 0; i < maxConns; i += 2 {
-			ct.touch(ct.lookup(key(base+i)), sim.Time(maxConns+i))
+			h, _ := ct.lookup(key(base + i))
+			ct.touch(h, sim.Time(maxConns+i))
 		}
 		for i := 0; i < maxConns/4; i++ {
-			ct.insert(sim.Time(2*maxConns+i), tcpConn{key: key(base + maxConns + i), state: tcpSynRcvd})
+			ct.insert(sim.Time(2*maxConns+i), key(base+maxConns+i))
 		}
 	}
 	serve(0)
@@ -84,37 +86,47 @@ func TestConnTableSteadyStateAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("a recycled table serving a full table allocates %.1f objects, want 0", avg)
 	}
-	if ct.len() != maxConns || ct.lookup(key(base+1)) != nil || ct.lookup(key(base)) == nil {
+	if ct.len() != maxConns || has(key(base+1)) || !has(key(base)) {
 		t.Errorf("len = %d; evictions did not take the untouched flows first", ct.len())
 	}
 }
 
 // refConn and refConnTable are the connection table as it was before the
-// flat index: a Go map over an idle-order list. insert removes the
-// connection whose key it replaces before deciding to evict, as the
-// table under test does.
+// flat index: a Go map over an idle-order list, keyed by flow. insert
+// removes the connection whose key it replaces before deciding to
+// evict, as the table under test does.
 type refConn struct {
-	key          netsim.FlowKey
+	key          flowKey
 	client       bool
 	lastActive   sim.Time
 	older, newer *refConn
 }
 
 type refConnTable struct {
-	conns          map[netsim.FlowKey]*refConn
+	conns          map[flowKey]*refConn
 	oldest, newest *refConn
 }
 
-func (rt *refConnTable) lookup(key netsim.FlowKey) *refConn { return rt.conns[key] }
+// flowKey is a TCP flow's key, as the table was keyed before connKey:
+// remote->local for a server connection, local->remote for a client one.
+type flowKey struct {
+	src, dst     netsim.Addr
+	sport, dport uint16
+}
 
-func (rt *refConnTable) lookupClient(key netsim.FlowKey) *refConn {
-	if c := rt.conns[key.Reverse()]; c != nil && c.client {
+// reverse returns the key of the opposite direction of the same flow.
+func (k flowKey) reverse() flowKey { return flowKey{k.dst, k.src, k.dport, k.sport} }
+
+func (rt *refConnTable) lookup(key flowKey) *refConn { return rt.conns[key] }
+
+func (rt *refConnTable) lookupClient(key flowKey) *refConn {
+	if c := rt.conns[key.reverse()]; c != nil && c.client {
 		return c
 	}
 	return nil
 }
 
-func (rt *refConnTable) insert(now sim.Time, key netsim.FlowKey, client bool) *refConn {
+func (rt *refConnTable) insert(now sim.Time, key flowKey, client bool) *refConn {
 	if old := rt.conns[key]; old != nil {
 		rt.remove(old)
 	}
@@ -181,48 +193,78 @@ func (rt *refConnTable) reset() {
 // connections must be gone, oldest first), or in the length.
 func connOps(t *testing.T, data []byte) {
 	var ct connTable
-	rt := refConnTable{conns: make(map[netsim.FlowKey]*refConn)}
+	rt := refConnTable{conns: make(map[flowKey]*refConn)}
 	local := netsim.MustParseAddr("10.0.0.1")
-	// Keys come from a pool of 4,096 flows in each direction: an inbound
-	// flow's key and the key of the client connection it would answer
-	// are each other's Reverse, so server and client inserts collide.
-	key := func(k uint16) netsim.FlowKey {
+	// Keys come from a pool of 4,096 flows in each direction: a server
+	// connection's flow key and that of the client connection to the
+	// same remote end and ports are each other's reverse. Server inserts
+	// take the first, client inserts the second, lookups either.
+	key := func(k uint16) flowKey {
 		remote := netsim.Addr(0x0b000000 | uint32(k>>5))
 		port := 1024 + k&15
 		if k&16 == 0 {
-			return netsim.FlowKey{Src: remote, Dst: local, SrcPort: port, DstPort: 445, Proto: netsim.ProtoTCP}
+			return flowKey{src: remote, dst: local, sport: port, dport: 445}
 		}
-		return netsim.FlowKey{Src: local, Dst: remote, SrcPort: 445, DstPort: port, Proto: netsim.ProtoTCP}
+		return flowKey{src: local, dst: remote, sport: 445, dport: port}
+	}
+	// in is the inbound packet of a flow; tkey maps a flow key to the
+	// table's key, as the guest builds it from the packet it receives: a
+	// server connection's from the packet itself, a client connection's
+	// from the reply.
+	in := func(f flowKey) *netsim.Packet {
+		return &netsim.Packet{Src: f.src, Dst: f.dst, SrcPort: f.sport, DstPort: f.dport, Proto: netsim.ProtoTCP}
+	}
+	tkey := func(f flowKey) connKey {
+		if f.src == local {
+			return clientKey(in(f.reverse()))
+		}
+		return serverKey(in(f))
 	}
 	same := func(op int, c *tcpConn, r *refConn) {
 		t.Helper()
-		if (c == nil) != (r == nil) || c != nil && (c.key != r.key || c.client != r.client || c.lastActive != r.lastActive) {
+		if (c == nil) != (r == nil) || c != nil && (c.key() != tkey(r.key) || c.client() != r.client || c.lastActive != r.lastActive) {
 			t.Fatalf("op %d: table hit %+v, reference %+v", op, c, r)
 		}
 	}
 	var now sim.Time
+	// insert opens a connection in both, a client one as a canary in
+	// tcpSynSent and a server one in tcpFinWait: the walk below checks
+	// that the flags ride the link updates untouched.
+	insert := func(op int, f flowKey, client bool) {
+		t.Helper()
+		_, c := ct.insert(now, tkey(f))
+		if client {
+			c.flagsOlder |= connCanary
+			c.setState(tcpSynSent)
+		} else {
+			c.setState(tcpFinWait)
+		}
+		same(op, c, rt.insert(now, f, client))
+	}
 	for op := 0; len(data) >= 3; op++ {
 		code, k := data[0], uint16(data[1])<<8|uint16(data[2])
 		data = data[3:]
 		switch code % 10 {
 		case 0, 1: // a server connection
-			same(op, ct.insert(now, tcpConn{key: key(k), state: tcpSynRcvd}), rt.insert(now, key(k), false))
+			insert(op, key(k&^16), false)
 		case 2: // a client connection
-			same(op, ct.insert(now, tcpConn{key: key(k), state: tcpSynSent, client: true}), rt.insert(now, key(k), true))
+			insert(op, key(k|16), true)
 		case 3:
-			same(op, ct.lookup(key(k)), rt.lookup(key(k)))
+			_, c := ct.lookup(tkey(key(k)))
+			same(op, c, rt.lookup(key(k)))
 		case 4:
-			same(op, ct.lookupClient(key(k)), rt.lookupClient(key(k)))
+			_, c := ct.lookupClient(clientKey(in(key(k))))
+			same(op, c, rt.lookupClient(key(k)))
 		case 5:
-			if c := ct.lookup(key(k)); c != nil {
-				ct.touch(c, now)
+			if h, _ := ct.lookup(tkey(key(k))); h != 0 {
+				ct.touch(h, now)
 			}
 			if r := rt.lookup(key(k)); r != nil {
 				rt.touch(r, now)
 			}
 		case 6:
-			if c := ct.lookup(key(k)); c != nil {
-				ct.remove(c)
+			if h, _ := ct.lookup(tkey(key(k))); h != 0 {
+				ct.remove(h)
 			}
 			if r := rt.lookup(key(k)); r != nil {
 				rt.remove(r)
@@ -234,8 +276,7 @@ func connOps(t *testing.T, data []byte) {
 			}
 		case 8: // a burst of 64 flows: the table fills and evicts
 			for i := uint16(0); i < 64; i++ {
-				kk := k + i*97
-				same(op, ct.insert(now, tcpConn{key: key(kk)}), rt.insert(now, key(kk), false))
+				insert(op, key((k+i*97)&^16), false)
 			}
 		case 9:
 			if k%8 == 0 {
@@ -249,19 +290,30 @@ func connOps(t *testing.T, data []byte) {
 			t.Fatalf("op %d: len %d, reference %d", op, ct.len(), len(rt.conns))
 		}
 		clients := 0
+		var older uint16
 		h, r := ct.oldest, rt.oldest
 		for ; h != 0 && r != nil; h, r = ct.at(h).newer, r.newer {
 			c := ct.at(h)
 			same(op, c, r)
-			same(op, ct.lookup(c.key), r)
-			if c.self != h {
-				t.Fatalf("op %d: the conn at handle %d names itself %d", op, h, c.self)
+			if gh, _ := ct.lookup(c.key()); gh != h {
+				t.Fatalf("op %d: the conn at handle %d is indexed at %d", op, h, gh)
 			}
-			if c.client {
+			if c.older() != older {
+				t.Fatalf("op %d: the conn at handle %d links back to %d, not %d", op, h, c.older(), older)
+			}
+			want := tcpFinWait
+			if c.client() {
+				want = tcpSynSent
+			}
+			if c.state() != want || c.canary() != c.client() {
+				t.Fatalf("op %d: the conn at handle %d is %v, canary %v, want %v", op, h, c.state(), c.canary(), want)
+			}
+			if c.client() {
 				clients++
 			}
+			older = h
 		}
-		if h != 0 || r != nil {
+		if h != 0 || r != nil || ct.newest != older {
 			t.Fatalf("op %d: idle lists differ in length", op)
 		}
 		if clients != int(ct.clients) {

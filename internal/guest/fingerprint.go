@@ -57,33 +57,26 @@ func (in *Instance) emitCanary() {
 	dst := in.pick(&in.rng)
 	srcPort := in.ephemeralPort()
 	now := in.K.Now()
-	key := netsim.FlowKey{
-		Src: in.IP, Dst: dst, SrcPort: srcPort, DstPort: in.Profile.canaryPort(),
-		Proto: netsim.ProtoTCP,
-	}
+	key := connKey{remote: dst, rport: in.Profile.canaryPort(), lport: srcPort, client: true}
 	iss := uint32(in.rng.Uint64()) | 1
-	in.conns.insert(now, tcpConn{
-		key:    key,
-		state:  tcpSynSent,
-		iss:    iss,
-		sndNxt: iss + 1,
-		client: true,
-		canary: true,
-	})
+	_, c := in.conns.insert(now, key)
+	c.flagsOlder |= connCanary
+	c.setState(tcpSynSent)
+	c.iss, c.sndNxt = iss, iss+1
 	in.stats.CanariesOut++
 	in.actions++
-	in.sendSegment(dst, srcPort, key.DstPort, iss, 0, netsim.FlagSYN, nil)
+	in.sendSegment(dst, srcPort, key.rport, iss, 0, netsim.FlagSYN, nil)
 
 	in.after(in.Profile.canaryTimeout(), func(sim.Time) {
 		in.fired()
 		if in.stopped {
 			return
 		}
-		cc := in.conns.lookup(key)
-		if cc == nil || !cc.canary || cc.state != tcpSynSent {
+		h, cc := in.conns.lookup(key)
+		if cc == nil || !cc.canary() || cc.state() != tcpSynSent {
 			return // answered (or evicted); answered canaries reset suspicion
 		}
-		in.conns.remove(cc)
+		in.conns.remove(h)
 		if !in.Infected || in.quiet {
 			return
 		}
@@ -96,12 +89,12 @@ func (in *Instance) emitCanary() {
 
 // canaryAnswered handles a SYN-ACK on a canary connection: something
 // out there talks back, so the world looks real again.
-func (in *Instance) canaryAnswered(c *tcpConn) {
+func (in *Instance) canaryAnswered(h uint16, c *tcpConn) {
 	in.suspicion = 0
 	// Be polite: reset the probe connection like a scanner would.
-	in.sendSegment(c.key.Dst, c.key.SrcPort, c.key.DstPort,
+	in.sendSegment(c.remote, c.lport, c.rport,
 		c.sndNxt, c.rcvNxt, netsim.FlagRST, nil)
-	in.conns.remove(c)
+	in.conns.remove(h)
 }
 
 // goQuiet is the fingerprint decision: the guest concludes it is in a

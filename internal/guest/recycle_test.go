@@ -207,7 +207,7 @@ func TestSynFloodSameTickDigest(t *testing.T) {
 		n := 0
 		for h := r.in.conns.oldest; h != 0; h = r.in.conns.at(h).newer {
 			c := r.in.conns.at(h)
-			put(uint64(c.key.Src)<<16 | uint64(c.key.SrcPort))
+			put(uint64(c.remote)<<16 | uint64(c.rport))
 			put(uint64(c.iss))
 			n++
 		}
@@ -251,7 +251,7 @@ func TestConnTableIdleOrder(t *testing.T) {
 	r.deliver(syn(0)) // flow 0 is now the most recently active
 	r.deliver(syn(maxConns))
 	r.deliver(syn(maxConns + 1))
-	has := func(i int) bool { return r.in.conns.lookup(syn(i).Flow()) != nil }
+	has := func(i int) bool { _, c := r.in.conns.lookup(serverKey(syn(i))); return c != nil }
 	if !has(0) {
 		t.Error("a connection that was just active was evicted")
 	}

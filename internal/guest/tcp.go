@@ -49,25 +49,76 @@ func (s tcpState) String() string {
 	}
 }
 
-// tcpConn is one tracked connection: 48 bytes, widest fields first so
-// the flags pack into what would otherwise be padding. It lives in its
-// table's slab, which insert may move, so a *tcpConn is good only until
-// the table's next insert: hold its key across one, not the pointer.
+// tcpConn is one tracked connection: 32 bytes, so 64 of them fill a
+// 2,048-byte size class. It lives in its table's slab, which insert may
+// move, so a *tcpConn is good only until the table's next insert: hold
+// its key across one, not the pointer.
 type tcpConn struct {
-	key        netsim.FlowKey // remote->local for server conns, local->remote for client conns
-	lastActive sim.Time
-
-	// self is the conn's own handle, its slab position plus one; older
-	// and newer are the idle-order links (see connTable), handles too,
-	// 0 at either end. A free conn chains through newer.
-	self, older, newer uint16
+	remote       netsim.Addr // the other end; ours is always the guest's IP
+	rport, lport uint16      // the remote end's port and ours
+	lastActive   sim.Time
 
 	iss    uint32 // our initial sequence number
 	sndNxt uint32 // next sequence we will send
 	rcvNxt uint32 // next sequence we expect
-	state  tcpState
-	client bool // we initiated (exploit dialogue or canary probe)
-	canary bool // fingerprinting probe: SYN-ACK means the world answered
+
+	// flagsOlder and newer are the idle-order links (see connTable):
+	// handles in their low connHandleBits bits, 0 at either end. A free
+	// conn chains through newer. The bits above the older handle hold
+	// the conn's state and its connClient and connCanary flags.
+	flagsOlder, newer uint16
+}
+
+// The flags in the bits of flagsOlder above its handle.
+const (
+	connHandleMask = 1<<connHandleBits - 1
+	connStateShift = connHandleBits // 2 bits of tcpState
+	connStateMask  = 3 << connStateShift
+	connClient     = 1 << (connHandleBits + 2) // we initiated (exploit dialogue or canary probe)
+	connCanary     = 1 << (connHandleBits + 3) // fingerprinting probe: SYN-ACK means the world answered
+	// These overflow, and the package fails to build, if the states
+	// outgrow 2 bits or the flags 16 bits.
+	_ = uint(connStateMask>>connStateShift - tcpSynSent)
+	_ = uint(1<<16 - 1 - connCanary)
+)
+
+func (c *tcpConn) older() uint16 { return c.flagsOlder & connHandleMask }
+
+func (c *tcpConn) setOlder(h uint16) { c.flagsOlder = c.flagsOlder&^connHandleMask | h }
+
+func (c *tcpConn) state() tcpState { return tcpState(c.flagsOlder & connStateMask >> connStateShift) }
+
+func (c *tcpConn) setState(s tcpState) {
+	c.flagsOlder = c.flagsOlder&^connStateMask | uint16(s)<<connStateShift
+}
+
+func (c *tcpConn) client() bool { return c.flagsOlder&connClient != 0 }
+
+func (c *tcpConn) canary() bool { return c.flagsOlder&connCanary != 0 }
+
+func (c *tcpConn) key() connKey {
+	return connKey{remote: c.remote, rport: c.rport, lport: c.lport, client: c.client()}
+}
+
+// connKey names a connection by its remote end, the two ports and which
+// side opened it. The local address is always the guest's own IP and
+// the protocol always TCP, so this is as exact as the 5-tuple: a server
+// connection's is remote->local and a client connection's
+// local->remote, and the two coincide only if local == remote.
+type connKey struct {
+	remote       netsim.Addr
+	rport, lport uint16
+	client       bool
+}
+
+// serverKey is the key of the connection this guest accepted that an
+// inbound packet belongs to; clientKey that of the one it opened.
+func serverKey(pkt *netsim.Packet) connKey {
+	return connKey{remote: pkt.Src, rport: pkt.SrcPort, lport: pkt.DstPort}
+}
+
+func clientKey(pkt *netsim.Packet) connKey {
+	return connKey{remote: pkt.Src, rport: pkt.SrcPort, lport: pkt.DstPort, client: true}
 }
 
 // maxConns bounds each guest's connection table, like a small server's
@@ -75,18 +126,15 @@ type tcpConn struct {
 const maxConns = 256
 
 // connHandleBits is the width of a connection's handle, 1 to maxConns,
-// in its index slot: the index keeps a hash tag in the 7 bits above. The
-// constant below overflows, and the package fails to build, if maxConns
-// outgrows it.
+// in its index slot and its links: the index keeps a hash tag in the 7
+// bits above, a connection its flags. The constant below overflows, and
+// the package fails to build, if maxConns outgrows it.
 const (
 	connHandleBits = 9
 	_              = uint(1<<connHandleBits - 1 - maxConns)
 )
 
-// connTable is the guest's connection state, keyed by the REMOTE
-// endpoint's flow key as seen in inbound packets (src=remote,
-// dst=local) for connections it accepted, and by its own outbound key
-// for the client connections it opened.
+// connTable is the guest's connection state, keyed by connKey.
 //
 // The connections sit in one slab, grown by append up to maxConns and
 // kept when the table is reset for another guest, and are named by
@@ -103,7 +151,7 @@ const (
 // looking for one.
 type connTable struct {
 	slab                 connSlab
-	index                flatindex.Index[netsim.FlowKey, uint16, connSlab]
+	index                flatindex.Index[connKey, uint16, connSlab]
 	oldest, newest, free uint16
 	clients              uint16
 }
@@ -112,47 +160,52 @@ type connTable struct {
 // a handle is a position plus one, and its key the connection's.
 type connSlab []tcpConn
 
-func (s connSlab) Key(h uint16) netsim.FlowKey { return s[h-1].key }
+func (s connSlab) Key(h uint16) connKey { return s[h-1].key() }
 
 func (connSlab) HandleBits() int { return connHandleBits }
 
-func (connSlab) Hash(k netsim.FlowKey) uint64 {
-	return uint64(k.Src)<<32 ^ uint64(k.Dst) ^
-		(uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))*0x9e3779b97f4a7c15
+// Hash packs the key; a client key hashes to the complement of the
+// server key with the same ends.
+func (connSlab) Hash(k connKey) uint64 {
+	h := uint64(k.remote)<<32 | uint64(k.rport)<<16 | uint64(k.lport)
+	if k.client {
+		h = ^h
+	}
+	return h
 }
 
 // at returns the connection with handle h, which must not be 0.
 func (ct *connTable) at(h uint16) *tcpConn { return &ct.slab[h-1] }
 
-func (ct *connTable) lookup(key netsim.FlowKey) *tcpConn {
+// lookup returns the handle of the connection under key and the
+// connection, or 0 and nil.
+func (ct *connTable) lookup(key connKey) (uint16, *tcpConn) {
 	if h := ct.index.Get(ct.slab, key); h != 0 {
-		return ct.at(h)
+		return h, ct.at(h)
 	}
-	return nil
+	return 0, nil
 }
 
-// lookupClient returns the client connection an inbound packet with
-// flow key answers, if there is one.
-func (ct *connTable) lookupClient(key netsim.FlowKey) *tcpConn {
+// lookupClient is lookup for a client key, which skips the index while
+// the guest has no client connection open.
+func (ct *connTable) lookupClient(key connKey) (uint16, *tcpConn) {
 	if ct.clients == 0 {
-		return nil
+		return 0, nil
 	}
-	if c := ct.lookup(key.Reverse()); c != nil && c.client {
-		return c
-	}
-	return nil
+	return ct.lookup(key)
 }
 
-// insert opens a connection with proto's fields. One under the same key
-// is replaced (a reused ephemeral port: the new dialogue replaces the
-// old); otherwise, when the table is full, the oldest-idle one is
-// evicted.
-func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
-	if old := ct.lookup(proto.key); old != nil {
+// insert opens a connection under key, its sequence numbers zero and
+// its state the zero tcpSynRcvd, and returns its handle and the
+// connection. One under the same key is replaced (a reused ephemeral
+// port: the new dialogue replaces the old); otherwise, when the table
+// is full, the oldest-idle one is evicted.
+func (ct *connTable) insert(now sim.Time, key connKey) (uint16, *tcpConn) {
+	if old := ct.index.Get(ct.slab, key); old != 0 {
 		ct.remove(old)
 	}
 	if ct.len() >= maxConns {
-		ct.remove(ct.at(ct.oldest))
+		ct.remove(ct.oldest)
 	}
 	h := ct.free
 	if h != 0 {
@@ -162,58 +215,63 @@ func (ct *connTable) insert(now sim.Time, proto tcpConn) *tcpConn {
 		h = uint16(len(ct.slab))
 	}
 	c := ct.at(h)
-	*c = proto
-	c.self = h
-	ct.index.Insert(ct.slab, h)
-	if c.client {
+	*c = tcpConn{remote: key.remote, rport: key.rport, lport: key.lport}
+	if key.client {
+		c.flagsOlder = connClient
 		ct.clients++
 	}
-	ct.pushNewest(c, now)
-	return c
+	ct.index.Insert(ct.slab, h)
+	ct.pushNewest(h, c, now)
+	return h, c
 }
 
-func (ct *connTable) pushNewest(c *tcpConn, now sim.Time) {
+func (ct *connTable) pushNewest(h uint16, c *tcpConn, now sim.Time) {
 	c.lastActive = now
-	c.older, c.newer = ct.newest, 0
+	c.setOlder(ct.newest)
+	c.newer = 0
 	if ct.newest != 0 {
-		ct.at(ct.newest).newer = c.self
+		ct.at(ct.newest).newer = h
 	} else {
-		ct.oldest = c.self
+		ct.oldest = h
 	}
-	ct.newest = c.self
+	ct.newest = h
 }
 
 func (ct *connTable) unlink(c *tcpConn) {
-	if c.older != 0 {
-		ct.at(c.older).newer = c.newer
+	older := c.older()
+	if older != 0 {
+		ct.at(older).newer = c.newer
 	} else {
 		ct.oldest = c.newer
 	}
 	if c.newer != 0 {
-		ct.at(c.newer).older = c.older
+		ct.at(c.newer).setOlder(older)
 	} else {
-		ct.newest = c.older
+		ct.newest = older
 	}
 }
 
-// touch records activity on c.
-func (ct *connTable) touch(c *tcpConn, now sim.Time) {
-	if c.self == ct.newest {
+// touch records activity on the connection with handle h.
+func (ct *connTable) touch(h uint16, now sim.Time) {
+	c := ct.at(h)
+	if h == ct.newest {
 		c.lastActive = now
 		return
 	}
 	ct.unlink(c)
-	ct.pushNewest(c, now)
+	ct.pushNewest(h, c, now)
 }
 
-func (ct *connTable) remove(c *tcpConn) {
-	ct.index.Delete(ct.slab, c.key)
-	if c.client {
+// remove closes the connection with handle h.
+func (ct *connTable) remove(h uint16) {
+	c := ct.at(h)
+	ct.index.Delete(ct.slab, c.key())
+	if c.client() {
 		ct.clients--
 	}
 	ct.unlink(c)
-	c.older, c.newer = 0, ct.free
-	ct.free = c.self
+	c.flagsOlder, c.newer = 0, ct.free
+	ct.free = h
 }
 
 func (ct *connTable) len() int { return ct.index.Len() }
@@ -235,11 +293,10 @@ const connIdleTimeout = 2 * time.Minute
 func (ct *connTable) pruneIdle(now sim.Time) int {
 	n := 0
 	for ct.oldest != 0 {
-		c := ct.at(ct.oldest)
-		if now.Sub(c.lastActive) < connIdleTimeout {
+		if now.Sub(ct.at(ct.oldest).lastActive) < connIdleTimeout {
 			break
 		}
-		ct.remove(c)
+		ct.remove(ct.oldest)
 		n++
 	}
 	return n
@@ -248,7 +305,6 @@ func (ct *connTable) pruneIdle(now sim.Time) int {
 // handleTCP is the guest's TCP input processing.
 func (in *Instance) handleTCP(pkt *netsim.Packet) {
 	now := in.K.Now()
-	key := pkt.Flow()
 
 	// Reap abandoned connections every so often (cheap amortization).
 	in.tcpSeen++
@@ -257,18 +313,18 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 	}
 
 	// Client-side dialogue: is this a reply to a connection we opened?
-	if c := in.conns.lookupClient(key); c != nil {
-		in.handleClientTCP(now, c, pkt)
+	if h, c := in.conns.lookupClient(clientKey(pkt)); c != nil {
+		in.handleClientTCP(now, h, c, pkt)
 		return
 	}
 
 	open := in.Profile.openPort(netsim.ProtoTCP, pkt.DstPort)
-	c := in.conns.lookup(key)
+	h, c := in.conns.lookup(serverKey(pkt))
 
 	switch {
 	case pkt.Flags&netsim.FlagRST != 0:
 		if c != nil {
-			in.conns.remove(c)
+			in.conns.remove(h)
 		}
 		return
 
@@ -279,24 +335,19 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 		}
 		if c == nil {
 			iss := uint32(in.rng.Uint64()) | 1
-			c = in.conns.insert(now, tcpConn{
-				key:    key,
-				state:  tcpSynRcvd,
-				iss:    iss,
-				sndNxt: iss + 1,
-				rcvNxt: pkt.Seq + 1,
-			})
+			h, c = in.conns.insert(now, serverKey(pkt)) // in tcpSynRcvd
+			c.iss, c.sndNxt, c.rcvNxt = iss, iss+1, pkt.Seq+1
 			in.stats.ConnsAccepted++
 		}
 		// SYN (or retransmitted SYN): (re)send SYN-ACK.
-		in.conns.touch(c, now)
+		in.conns.touch(h, now)
 		in.sendSegment(pkt.Src, pkt.DstPort, pkt.SrcPort,
 			c.iss, c.rcvNxt, netsim.FlagSYN|netsim.FlagACK, nil)
 
 		// Fast-path exploit: a lone SYN|PSH probe carrying payload is
 		// the worm simulator's single-packet abstraction.
 		if len(pkt.Payload) > 0 {
-			c.state = tcpEstablished
+			c.setState(tcpEstablished)
 			in.checkExploit(netsim.ProtoTCP, pkt)
 			in.serveApp(c, pkt)
 		}
@@ -309,11 +360,11 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 		}
 
 	default:
-		in.conns.touch(c, now)
-		switch c.state {
+		in.conns.touch(h, now)
+		switch c.state() {
 		case tcpSynRcvd:
 			if pkt.Flags&netsim.FlagACK != 0 && pkt.Ack == c.sndNxt {
-				c.state = tcpEstablished
+				c.setState(tcpEstablished)
 				in.stats.ConnsEstablished++
 			}
 			fallthrough
@@ -331,11 +382,11 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 				in.sendSegment(pkt.Src, pkt.DstPort, pkt.SrcPort,
 					c.sndNxt, c.rcvNxt, netsim.FlagFIN|netsim.FlagACK, nil)
 				c.sndNxt++
-				c.state = tcpFinWait
+				c.setState(tcpFinWait)
 			}
 		case tcpFinWait:
 			if pkt.Flags&netsim.FlagACK != 0 && pkt.Ack == c.sndNxt {
-				in.conns.remove(c)
+				in.conns.remove(h)
 				in.stats.ConnsClosed++
 			}
 		}
@@ -343,30 +394,30 @@ func (in *Instance) handleTCP(pkt *netsim.Packet) {
 }
 
 // handleClientTCP advances an exploit dialogue this guest initiated.
-func (in *Instance) handleClientTCP(now sim.Time, c *tcpConn, pkt *netsim.Packet) {
-	in.conns.touch(c, now)
+func (in *Instance) handleClientTCP(now sim.Time, h uint16, c *tcpConn, pkt *netsim.Packet) {
+	in.conns.touch(h, now)
 	switch {
 	case pkt.Flags&netsim.FlagRST != 0:
-		in.conns.remove(c)
-	case c.state == tcpSynSent && pkt.Flags&(netsim.FlagSYN|netsim.FlagACK) == netsim.FlagSYN|netsim.FlagACK:
-		if c.canary {
+		in.conns.remove(h)
+	case c.state() == tcpSynSent && pkt.Flags&(netsim.FlagSYN|netsim.FlagACK) == netsim.FlagSYN|netsim.FlagACK:
+		if c.canary() {
 			// A canary got its SYN-ACK: something answered, so the
 			// guest's honeypot suspicion resets. No payload follows.
 			c.rcvNxt = pkt.Seq + 1
-			in.canaryAnswered(c)
+			in.canaryAnswered(h, c)
 			return
 		}
 		// Handshake completes: ACK and fire the exploit payload.
-		c.state = tcpEstablished
+		c.setState(tcpEstablished)
 		c.rcvNxt = pkt.Seq + 1
 		payload := in.exploit
-		in.sendSegment(pkt.Src, c.key.SrcPort, c.key.DstPort,
+		in.sendSegment(pkt.Src, c.lport, c.rport,
 			c.sndNxt, c.rcvNxt, netsim.FlagACK|netsim.FlagPSH, payload)
 		c.sndNxt += uint32(len(payload))
 		in.stats.ExploitsSent++
 		// Dialogue done; drop our state (fire and forget, like the
 		// malware it models).
-		in.conns.remove(c)
+		in.conns.remove(h)
 	}
 }
 
@@ -375,16 +426,9 @@ func (in *Instance) openExploitDialogue(dst netsim.Addr, dstPort uint16) {
 	now := in.K.Now()
 	srcPort := in.ephemeralPort()
 	iss := uint32(in.rng.Uint64()) | 1
-	in.conns.insert(now, tcpConn{
-		key: netsim.FlowKey{
-			Src: in.IP, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
-			Proto: netsim.ProtoTCP,
-		},
-		state:  tcpSynSent,
-		iss:    iss,
-		sndNxt: iss + 1,
-		client: true,
-	})
+	_, c := in.conns.insert(now, connKey{remote: dst, rport: dstPort, lport: srcPort, client: true})
+	c.setState(tcpSynSent)
+	c.iss, c.sndNxt = iss, iss+1
 	in.sendSegment(dst, srcPort, dstPort, iss, 0, netsim.FlagSYN, nil)
 }
 

@@ -92,28 +92,6 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// FlowKey identifies a transport flow by 5-tuple.
-type FlowKey struct {
-	Src, Dst         Addr
-	SrcPort, DstPort uint16
-	Proto            Proto
-}
-
-// Flow returns the packet's 5-tuple.
-func (p *Packet) Flow() FlowKey {
-	return FlowKey{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
-}
-
-// Reverse returns the key of the opposite direction of the same flow.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
-}
-
-// String formats the key like "tcp 1.2.3.4:80 > 5.6.7.8:1234".
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%s %s:%d > %s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
-}
-
 // String summarizes the packet for logs.
 func (p *Packet) String() string {
 	switch p.Proto {

@@ -218,18 +218,6 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 	}
 }
 
-func TestFlowKeyReverse(t *testing.T) {
-	p := TCPSyn(MustParseAddr("1.1.1.1"), MustParseAddr("2.2.2.2"), 1000, 80, 1)
-	k := p.Flow()
-	r := k.Reverse()
-	if r.Src != k.Dst || r.Dst != k.Src || r.SrcPort != k.DstPort || r.DstPort != k.SrcPort {
-		t.Errorf("Reverse() = %v", r)
-	}
-	if r.Reverse() != k {
-		t.Error("Reverse not involutive")
-	}
-}
-
 func TestFlagString(t *testing.T) {
 	if s := FlagString(FlagSYN | FlagACK); s != "SA" {
 		t.Errorf("FlagString(SYN|ACK) = %q", s)

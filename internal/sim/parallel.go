@@ -371,9 +371,12 @@ type Local[M any] struct {
 	// timed are written by the driver before the sends (the channel
 	// send / receive pair orders them); advanceNS[i] is written only by
 	// kernel i's worker during an epoch and read by the driver after
-	// wg.Wait.
+	// wg.Wait. exited counts the workers still running: Close waits for
+	// it, because a worker's stack holds the Local (and through it
+	// whatever the kernels reach) until its goroutine returns.
 	work      []chan struct{}
 	wg        sync.WaitGroup
+	exited    sync.WaitGroup
 	curEnd    Time
 	timed     bool
 	warm      bool
@@ -419,15 +422,16 @@ func (p *Local[M]) Now() Time {
 	return now
 }
 
-// Close stops the persistent shard goroutines (a no-op if there are
-// none or they are already stopped). Advance then runs on the caller's
-// goroutine.
+// Close stops the persistent shard goroutines and returns once they
+// have exited (a no-op if there are none or they are already stopped).
+// Advance then runs on the caller's goroutine.
 func (p *Local[M]) Close() {
 	if !p.closed {
 		p.closed = true
 		for _, ch := range p.work {
 			close(ch)
 		}
+		p.exited.Wait()
 	}
 }
 
@@ -453,10 +457,12 @@ func (p *Local[M]) Send(src, dst int, at Time, m M) {
 // keeping steady-state epochs allocation-free.
 func (p *Local[M]) startWorkers() {
 	p.work = make([]chan struct{}, len(p.hosted))
+	p.exited.Add(len(p.hosted))
 	for j, i := range p.hosted {
 		ch := make(chan struct{}, 1)
 		p.work[j] = ch
 		go func() {
+			defer p.exited.Done()
 			for range ch {
 				if !p.warm {
 					p.run(i)

@@ -263,6 +263,24 @@ func TestOneKernelRunnerStartsNoWorker(t *testing.T) {
 	r.Close()
 }
 
+// TestLocalCloseWaitsForWorkers: Close returns only once the shard
+// goroutines have exited, so no worker's stack still holds the Local,
+// and through it the kernels, when the caller drops it. On one P the
+// waiter a worker wakes runs after that worker has returned, so the
+// count is exact right after Close, without a sleep or a poll.
+func TestLocalCloseWaitsForWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := runtime.NumGoroutine()
+	local := NewLocal([]*Kernel{NewKernel(1), NewKernel(2)}, func(int, Time, int) {})
+	if n := runtime.NumGoroutine() - before; n != 2 {
+		t.Fatalf("%d shard goroutines for two kernels, want 2", n)
+	}
+	local.Close()
+	if n := runtime.NumGoroutine() - before; n != 0 {
+		t.Errorf("%d shard goroutines still running when Close returned", n)
+	}
+}
+
 // TestLocalHostedElsewhere: a nil kernel is a shard another process
 // hosts. Its row carries what a driver sends for it between epochs,
 // merged with the hosted rows in (source, send order); a message not yet
