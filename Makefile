@@ -54,9 +54,10 @@ test:
 # so a forward from one config to another does not count for the first,
 # and a function filling in defaults on a config it was handed does not
 # count at all): a knob nothing turns is dead code or a constant. And so does a test or fuzz name in a -run or -fuzz pattern
-# of this Makefile or of CI that no func Test or func Fuzz starts with
-# (TestEveryRunPatternNamesATest): go test runs nothing for a dead name
-# and passes, so a deleted or renamed test would leave CI unseen. And
+# of this Makefile or of CI that no func Test or func Fuzz in the
+# packages on the same line starts with (TestEveryRunPatternNamesATest):
+# go test runs nothing for a dead name and passes, so a deleted, renamed
+# or moved test would leave CI unseen. And
 # so does an exported identifier or method, or
 # an unexported function or method, in internal/, or an exported
 # function, type or method of the root package, that no non-test code
@@ -122,6 +123,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIndexOps -fuzztime=$(FUZZTIME) ./internal/flatindex
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzLaneOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzLoadScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,
 # flash clone, wire ingest, shard replay, kernel heap vs lane), written to

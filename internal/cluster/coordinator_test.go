@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -26,24 +25,18 @@ func TestCoordinatorLeavesNoGoroutines(t *testing.T) {
 		{"degraded", killFaults(100*time.Millisecond, 0), 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const seed = 19
-			before := runtime.NumGoroutine()
-			h := startCluster(t, seed, tc.faults, 2, tc.standbys, func(cfg *Config) {
-				cfg.RecoveryWait = 300 * time.Millisecond
-			})
-			if _, err := h.drive(t, seed, 200*time.Millisecond); (err != nil) != tc.degrade {
+			sp := standard(t, 19)
+			sp.runFor = 200 * time.Millisecond
+			sp.faults = tc.faults
+			sp.coord = func(cfg *Config) { cfg.RecoveryWait = 300 * time.Millisecond }
+			g, fds := resources()
+			h := startCluster(t, sp, "cluster")
+			h.connect(t, 2+tc.standbys)
+			if _, err := h.drive(t); (err != nil) != tc.degrade {
 				t.Fatalf("cluster run returned %v", err)
 			}
 			h.shutdown(t)
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines before the cluster ran, %d after it closed:\n%s",
-					before, n, buf[:runtime.Stack(buf, true)])
-			}
+			requireNoLeak(t, tc.name, g, fds)
 		})
 	}
 }

@@ -1,36 +1,16 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"potemkin/internal/core"
-	"potemkin/internal/guest"
 	"potemkin/internal/metrics"
-	"potemkin/internal/sim"
-	"potemkin/internal/telescope"
-	"potemkin/internal/vmm"
 )
-
-// filterSim drops the epoch_* profiler series so snapshots can be
-// compared across execution modes: their timings are wall-clock, and a
-// cluster's are the coordinator's, not the workers' (its counters are
-// checked by TestClusterEpochProfileMatchesEngine).
-func filterSim(pts []metrics.Point) []metrics.Point {
-	var out []metrics.Point
-	for _, p := range pts {
-		if strings.HasPrefix(p.Name, "epoch") {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
 
 // TestClusterMetricsAggregation is the farm-wide telemetry acceptance
 // test: with a registry on the coordinator, which publishes the
@@ -38,51 +18,27 @@ func filterSim(pts []metrics.Point) []metrics.Point {
 // single sequential registry would have recorded for the same seed, and
 // /metrics renders it.
 func TestClusterMetricsAggregation(t *testing.T) {
-	const seed = 23
-
-	// Oracle: the same scenario in one process, one registry.
-	oracleReg := metrics.NewRegistry()
-	ocfg := testEngineConfig(seed, nil)
-	ocfg.Parallel = false
-	ocfg.Metrics = oracleReg
-	oeng, err := core.NewShardEngine(ocfg)
-	if err != nil {
-		t.Fatalf("NewShardEngine: %v", err)
-	}
-	for _, pkt := range exploitPackets(ocfg.Farm.Profile) {
-		oeng.InjectBarrier(pkt)
-	}
-	if _, err := oeng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond); err != nil {
-		t.Fatalf("oracle replay: %v", err)
-	}
-	oeng.RunFor(time.Second)
-	oraclePts := filterSim(oracleReg.Snapshot())
-	oracleGw := oeng.GatewayStats()
-	oeng.Close()
-	if len(oraclePts) == 0 {
+	sp := standard(t, 23)
+	sp.runFor = time.Second
+	sp.opts.Metrics = true
+	sp.opts.EpochLog = io.Discard
+	// Between Replay and RunFor the engine's registry holds what Replay's
+	// return published, the coordinator's its last paced one, so
+	// registries compare mid-run only at the pace
+	// (TestClusterRegistryMatchesEngineMidRun). ROADMAP item 38 stores the
+	// coordinator's view when a driving call returns and deletes this line.
+	sp.progress = 0
+	oracle := runModes(t, sp, "seq")[0]
+	if len(oracle.art["registry"]) <= 2 {
 		t.Fatal("oracle registry empty; scenario records no metrics")
 	}
 
 	// Cluster: two workers, coordinator registry + epoch timeline.
-	var timeline bytes.Buffer
-	clusterReg := metrics.NewRegistry()
-	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) {
-		cfg.Engine.Metrics = clusterReg
-		cfg.Engine.EpochLog = &timeline
-	})
-	got, err := h.drive(t, seed, time.Second)
+	h := startCluster(t, sp, "cluster")
+	h.connect(t, 2)
+	got, err := h.drive(t)
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
-	}
-
-	// The coordinator's registry must equal the oracle registry exactly:
-	// counters, gauges, and histogram buckets are all integer
-	// accumulations over the same simulated run.
-	clusterPts := filterSim(clusterReg.Snapshot())
-	a, _ := json.Marshal(oraclePts)
-	b, _ := json.Marshal(clusterPts)
-	if !bytes.Equal(a, b) {
-		t.Errorf("cluster metrics diverge from sequential oracle:\noracle:  %s\ncluster: %s", a, b)
 	}
 
 	// The live scrape after the run reflects the final totals.
@@ -107,14 +63,14 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	// Scraped counter equals the merged gateway stats.
 	var inbound int64 = -1
-	for _, p := range clusterReg.Snapshot() {
+	for _, p := range got.reg.Snapshot() {
 		if p.Name == "gateway_inbound_packets_total" {
 			inbound = p.Value
 		}
 	}
-	if uint64(inbound) != got.totals.Gateway.InboundPackets || got.totals.Gateway.InboundPackets != oracleGw.InboundPackets {
+	if uint64(inbound) != got.totals.Gateway.InboundPackets || got.totals.Gateway.InboundPackets != oracle.totals.Gateway.InboundPackets {
 		t.Errorf("inbound: metrics=%d cluster-stats=%d oracle=%d",
-			inbound, got.totals.Gateway.InboundPackets, oracleGw.InboundPackets)
+			inbound, got.totals.Gateway.InboundPackets, oracle.totals.Gateway.InboundPackets)
 	}
 
 	// Cluster health: both workers live, caught up, no recoveries.
@@ -142,20 +98,21 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 
 	h.shutdown(t)
+	// The coordinator's registry equals the oracle's exactly — counters,
+	// gauges and histogram buckets are integer accumulations over the
+	// same simulated run — and so does its epoch timeline, wall times
+	// aside.
+	requireSame(t, oracle, got)
 
 	// The coordinator's epoch timeline profiled the worker barrier:
 	// per-epoch samples with one advance/wait entry per worker.
-	samples, err := metrics.ReadEpochs(&timeline)
-	if err != nil {
-		t.Fatal(err)
+	if uint64(len(got.samples)) != health.Epoch {
+		t.Errorf("timeline has %d epochs, health says %d", len(got.samples), health.Epoch)
 	}
-	if uint64(len(samples)) != health.Epoch {
-		t.Errorf("timeline has %d epochs, health says %d", len(samples), health.Epoch)
-	}
-	if len(samples) == 0 {
+	if len(got.samples) == 0 {
 		t.Fatal("empty coordinator epoch timeline")
 	}
-	s := samples[0]
+	s := got.samples[0]
 	if len(s.AdvanceNS) != 2 || len(s.BarrierWaitNS) != 2 {
 		t.Errorf("per-worker arrays not 2-wide: %+v", s)
 	}
@@ -167,7 +124,6 @@ func TestClusterMetricsAggregation(t *testing.T) {
 // from the coordinator's registry as from the in-process parallel
 // engine's, because both come from one runner loop.
 func TestClusterEpochProfileMatchesEngine(t *testing.T) {
-	const seed = 23
 	counters := func(reg *metrics.Registry) map[string]int64 {
 		out := map[string]int64{}
 		for _, p := range reg.Snapshot() {
@@ -178,38 +134,19 @@ func TestClusterEpochProfileMatchesEngine(t *testing.T) {
 		}
 		return out
 	}
-
-	cfg := testEngineConfig(seed, nil)
-	engReg := metrics.NewRegistry()
-	cfg.Metrics = engReg
-	eng, err := core.NewShardEngine(cfg)
-	if err != nil {
-		t.Fatalf("NewShardEngine: %v", err)
-	}
-	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
-		eng.InjectBarrier(pkt)
-	}
-	if _, err := eng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond); err != nil {
-		t.Fatalf("engine replay: %v", err)
-	}
-	eng.RunFor(time.Second)
-	eng.Close()
-	want := counters(engReg)
-
-	clusterReg := metrics.NewRegistry()
-	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = clusterReg })
-	if _, err := h.drive(t, seed, time.Second); err != nil {
-		t.Fatalf("cluster run: %v", err)
-	}
-	h.shutdown(t)
-	got := counters(clusterReg)
-
+	sp := standard(t, 23)
+	sp.runFor = time.Second
+	sp.opts.Metrics = true
+	sp.progress = 0
+	runs := runModes(t, sp, "par", "cluster")
+	want, got := counters(runs[0].reg), counters(runs[1].reg)
 	if len(want) != 3 || want["epoch_exchange_msgs_total"] == 0 || want["epoch_ingress_frames_total"] == 0 {
 		t.Fatalf("vacuous engine profile: %v", want)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("epoch profile differs:\nengine  %v\ncluster %v", want, got)
 	}
+	requireSame(t, runs[0], runs[1])
 }
 
 // TestClusterRegistryEqualsStatsAtRest is the cluster twin of the
@@ -221,63 +158,33 @@ func TestClusterEpochProfileMatchesEngine(t *testing.T) {
 // of the oracle's Histograms: its count, min, max and buckets, and a sum
 // rounded to micro-units per source.
 func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
-	const seed = 31
+	sp := standard(t, 31)
+	sp.runFor = time.Second
+	oracle := runModes(t, sp, "seq")[0].totals
+	sp.opts.Metrics = true
+	cl := runModes(t, sp, "cluster")[0]
+	res := cl.totals
 
-	ocfg := testEngineConfig(seed, nil)
-	ocfg.Parallel = false
-	oeng, err := core.NewShardEngine(ocfg)
-	if err != nil {
-		t.Fatalf("NewShardEngine: %v", err)
-	}
-	for _, pkt := range exploitPackets(ocfg.Farm.Profile) {
-		oeng.InjectBarrier(pkt)
-	}
-	if _, err := oeng.Replay(&telescope.SliceSource{Recs: testRecords(t, seed)}, nil, time.Millisecond); err != nil {
-		t.Fatalf("oracle replay: %v", err)
-	}
-	oeng.RunFor(time.Second)
-	var hosts vmm.HostStats
-	var guests guest.Stats
-	srcs := map[string][]*metrics.Histogram{}
-	for _, d := range oeng.Domains() {
-		h := d.F.HostStats()
-		g, _ := d.F.GuestCumulative()
-		hosts.Add(&h)
-		guests.Add(&g)
-		for _, h := range d.F.Hosts() {
-			srcs["vmm_clone_ms"] = append(srcs["vmm_clone_ms"], &h.CloneLatency)
-		}
-		srcs["gateway_detect_time_ms"] = append(srcs["gateway_detect_time_ms"], d.G.DetectTime())
-		srcs["guest_deception_actions"] = append(srcs["guest_deception_actions"], d.F.Deception())
-	}
-	oeng.Close()
-
-	reg := metrics.NewRegistry()
-	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = reg })
-	if _, err := h.drive(t, seed, time.Second); err != nil {
-		t.Fatalf("cluster run: %v", err)
-	}
-	res, err := h.c.Results()
-	if err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-	h.shutdown(t)
-
-	if res.Gateway.InboundPackets == 0 || hosts.CowFaults == 0 || guests.PacketsIn == 0 {
-		t.Fatalf("vacuous run: gateway %+v, hosts %+v, guests %+v", res.Gateway, hosts, guests)
+	if res.Gateway.InboundPackets == 0 || oracle.Host.CowFaults == 0 || oracle.Guest.PacketsIn == 0 {
+		t.Fatalf("vacuous run: gateway %+v, hosts %+v, guests %+v", res.Gateway, oracle.Host, oracle.Guest)
 	}
 	want := metrics.NewRegistry()
-	for _, st := range []any{&res.Gateway, &res.Farm, &hosts, &guests} {
+	for _, st := range []any{&res.Gateway, &res.Farm, &oracle.Host, &oracle.Guest} {
 		metrics.NewExporter(want, st).Publish(st)
 	}
 	got := make(map[string]metrics.Point)
-	for _, p := range reg.Snapshot() {
+	for _, p := range cl.reg.Snapshot() {
 		got[p.Name] = p
 	}
 	for _, w := range want.Snapshot() {
 		if p, ok := got[w.Name]; !ok || p.Kind != w.Kind || p.Value != w.Value {
 			t.Errorf("the Stats structs hold %s %s = %d, the coordinator's registry has %+v", w.Kind, w.Name, w.Value, p)
 		}
+	}
+	srcs := map[string][]*metrics.Histogram{
+		"vmm_clone_ms":            oracle.Clone,
+		"gateway_detect_time_ms":  oracle.Detect,
+		"guest_deception_actions": oracle.Deception,
 	}
 	for name, hs := range srcs {
 		var merged metrics.Histogram
@@ -307,77 +214,27 @@ func TestClusterRegistryEqualsStatsAtRest(t *testing.T) {
 // from the in-process engine at every barrier it reports at — mid-run,
 // not only once the run is at rest.
 func TestClusterRegistryMatchesEngineMidRun(t *testing.T) {
-	const seed = 23
-	const every = time.Second // core's publication period
-	type reading struct {
-		now sim.Time
-		reg string
-	}
-	read := func(reg *metrics.Registry, readings *[]reading) func(sim.Time, core.Totals) {
-		return func(now sim.Time, _ core.Totals) {
-			b, err := json.Marshal(filterSim(reg.Snapshot()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			*readings = append(*readings, reading{now, string(b)})
-		}
-	}
-	recs := testRecords(t, seed)
-
-	var want []reading
-	cfg := testEngineConfig(seed, nil)
-	cfg.Parallel = false
-	engReg := metrics.NewRegistry()
-	cfg.Metrics = engReg
-	eng, err := core.NewShardEngine(cfg)
-	if err != nil {
-		t.Fatalf("NewShardEngine: %v", err)
-	}
-	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
-		eng.InjectBarrier(pkt)
-	}
-	eng.SetProgress(every, read(engReg, &want))
-	if _, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil {
-		t.Fatalf("engine replay: %v", err)
-	}
-	eng.RunFor(3 * time.Second)
-	eng.Close()
-
-	var got []reading
-	clusterReg := metrics.NewRegistry()
-	h := startCluster(t, seed, nil, 2, 0, func(cfg *Config) { cfg.Engine.Metrics = clusterReg })
-	defer h.shutdown(t)
-	for _, pkt := range exploitPackets(cfg.Farm.Profile) {
-		h.c.Inject(pkt)
-	}
-	h.c.SetProgress(every, read(clusterReg, &got))
-	if _, err := h.c.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond); err != nil {
-		t.Fatalf("cluster replay: %v", err)
-	}
-	h.c.RunFor(3 * time.Second)
-	if _, err := h.c.Results(); err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-
+	sp := standard(t, 23)
+	sp.progress = time.Second // core's publication period
+	sp.runFor = 3 * time.Second
+	sp.opts.Metrics = true
+	runs := runModes(t, sp, "seq", "cluster")
+	want := runs[0].ticks
 	if len(want) < 3 || want[0].reg == want[len(want)-1].reg {
 		t.Fatalf("vacuous: the engine's registry read the same at its %d barriers", len(want))
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("registries differ at the progress barriers:\nengine  %v\ncluster %v", want, got)
-	}
+	requireSame(t, runs[0], runs[1])
 }
 
 // TestClusterMetricsOffByDefault: without a coordinator registry the
 // scrape endpoints degrade gracefully.
 func TestClusterMetricsOffByDefault(t *testing.T) {
-	const seed = 29
-	h := startCluster(t, seed, nil, 2, 0, nil)
-	got, err := h.drive(t, seed, 500*time.Millisecond)
-	if err != nil {
+	sp := standard(t, 29)
+	sp.runFor = 500 * time.Millisecond
+	h := startCluster(t, sp, "cluster")
+	h.connect(t, 2)
+	if _, err := h.drive(t); err != nil {
 		t.Fatalf("cluster run: %v", err)
-	}
-	if _, err := h.c.Results(); err != nil {
-		t.Fatalf("Results: %v", err)
 	}
 	if text := h.c.MetricsText(); len(text) != 0 {
 		t.Errorf("MetricsText without registry: %q", text)
@@ -386,7 +243,6 @@ func TestClusterMetricsOffByDefault(t *testing.T) {
 	if health := h.c.Health(); len(health.Workers) != 2 {
 		t.Errorf("health workers = %d", len(health.Workers))
 	}
-	_ = got
 	h.shutdown(t)
 }
 
@@ -396,13 +252,15 @@ func TestClusterMetricsOffByDefault(t *testing.T) {
 // WaitReady's assignments left it, while the epoch progress moves, and
 // the per-epoch progress publish allocates nothing.
 func TestClusterHealthSlotsPublishedOnChange(t *testing.T) {
-	const seed = 29
-	h := startCluster(t, seed, nil, 2, 0, nil)
+	sp := standard(t, 29)
+	sp.runFor = 500 * time.Millisecond
+	h := startCluster(t, sp, "cluster")
+	h.connect(t, 2)
 	slots, seq := h.c.pubWorkers.Load(), h.c.pubSeq.Load()
 	if slots == nil {
 		t.Fatal("no slot list published once the workers were assigned")
 	}
-	if _, err := h.drive(t, seed, 500*time.Millisecond); err != nil {
+	if _, err := h.drive(t); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
 	if got := h.c.pubWorkers.Load(); got != slots {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -185,7 +184,7 @@ func TestWorkerLeavesNoGoroutines(t *testing.T) {
 		}, func(err error) bool { return err != nil && !errors.Is(err, ErrKilled) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			g, fds := resources()
 			cfg := testEngineConfig(3, nil)
 			if tc.faults {
 				cfg.Fault = killFaults(5*time.Millisecond, 0)
@@ -195,15 +194,7 @@ func TestWorkerLeavesNoGoroutines(t *testing.T) {
 			if err := fc.finish(); !tc.want(err) {
 				t.Fatalf("RunWorker returned %v", err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines before the worker ran, %d after it returned:\n%s",
-					before, n, buf[:runtime.Stack(buf, true)])
-			}
+			requireNoLeak(t, "the worker", g, fds)
 		})
 	}
 }

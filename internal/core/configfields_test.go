@@ -192,10 +192,10 @@ func moduleRoot(t *testing.T) (dir, module string) {
 // method, pkg being the directory under internal/, or potemkin for the
 // root package.
 var exportAllowlist = map[string]string{
-	"core.ShardEngine.FaultLog":        "cluster's TestFaultScheduleAcrossModes compares the cluster's fault log with the engine's",
-	"core.ShardEngine.InjectBarrier":   "cluster's runOracleConfig (TestFaultScheduleAcrossModes, metrics_test.go) seeds the single-process oracle with it",
+	"core.ShardEngine.FaultLog":        "the cross-mode harness (cluster's runModes) records the engine's fault log as an artifact",
+	"core.ShardEngine.InjectBarrier":   "the cross-mode harness (cluster's runModes) seeds its engine runs' exploits with it, as Coordinator.Inject seeds a cluster's",
 	"core.ShardEngine.RecycleAll":      "the root TestRegistryEqualsStatsAtRest recycles every binding through it",
-	"core.ShardEngine.SetAdaptive":     "the root TestWireParallelAdaptiveSnapback and TestValidateParallelConstraints and cluster's runOracleConfig (TestClusterEpochGridMatchesEngine) set the epoch cap with it",
+	"core.ShardEngine.SetAdaptive":     "the cross-mode harness (cluster's runModes) sets a spec's epoch cap with it, and the root TestWireParallelAdaptiveSnapback and TestValidateParallelConstraints",
 	"free.List.Len":                    "called through free.Trimmer, which this check does not match to a generic type's methods: farm's TestPoolsGiveBackAfterBurst reads each pool's parked items through it",
 	"free.Pool.Most":                   "called through free.Trimmer (as free.List.Len): farm's TestPoolsGiveBackAfterBurst reads each pool's largest period through it; ROADMAP item 22(a′) publishes it",
 	"free.Pool.Trim":                   "called through free.Trimmer (as free.List.Len): the gateway's scrub trims every pool through it (gateway.trim)",

@@ -65,6 +65,23 @@ func oneShardWorkload(t *testing.T, seed uint64) (farm.Config, gateway.Config, [
 	return fc, gc, recs
 }
 
+// shardRun is everything observable a shard-engine run produces: the
+// summed stats, the injected count, and the exact event-log and trace
+// bytes.
+type shardRun struct {
+	gw       gateway.Stats
+	fm       farm.Stats
+	guests   guest.Stats
+	injected int
+	now      sim.Time
+	liveVMs  int
+	memory   uint64
+	dns      uint64
+	faults   int // applied fault events (runs with a fault.Config)
+	events   []byte
+	trace    []byte
+}
+
 // runHandWired is the reference: the pipeline a facade user had before
 // there was an engine — one kernel, farm.New, gateway.New with directly
 // attached sinks, the safe resolver answering in ExternalOut, and

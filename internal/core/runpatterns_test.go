@@ -13,15 +13,17 @@ import (
 
 // TestEveryRunPatternNamesATest fails when a -run or -fuzz pattern in
 // the Makefile or .github/workflows/ci.yml names a test that no
-// func Test… or func Fuzz… in the module starts with: go test with a
-// dead name in -run passes and runs nothing, so a deleted or renamed
-// test would drop out of CI unseen. A pattern is literal names joined by
-// |, with ( ) groups and ^ $ anchors; a name anchored with $ must be a
-// whole test name.
+// func Test… or func Fuzz… in the packages on the same line starts
+// with: go test with a dead name in -run passes and runs nothing, so a
+// deleted, renamed or moved test would drop out of CI unseen. A pattern
+// is literal names joined by |, with ( ) groups and ^ $ anchors; a name
+// anchored with $ must be a whole test name. The packages are the
+// line's arguments . and ./dir, where dir/... takes in every package
+// below dir; a line that names none runs the root's.
 func TestEveryRunPatternNamesATest(t *testing.T) {
 	root, _ := moduleRoot(t)
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-	var tests []string
+	tests := map[string][]string{} // by package directory, "." for the root
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -39,10 +41,12 @@ func TestEveryRunPatternNamesATest(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		dir := filepath.ToSlash(rel)
 		for _, m := range funcRE.FindAllStringSubmatch(string(src), -1) {
-			tests = append(tests, m[1])
+			tests[dir] = append(tests[dir], m[1])
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +67,24 @@ func TestEveryRunPatternNamesATest(t *testing.T) {
 			if strings.HasPrefix(strings.TrimSpace(line), "#") {
 				continue // a comment in either file
 			}
+			var pkgs []string
+			for _, arg := range strings.Fields(line) {
+				if arg == "." || strings.HasPrefix(arg, "./") {
+					pkgs = append(pkgs, strings.TrimPrefix(arg, "./"))
+				}
+			}
+			if len(pkgs) == 0 {
+				pkgs = []string{"."}
+			}
+			var inPkgs []string
+			for dir, names := range tests {
+				if slices.ContainsFunc(pkgs, func(pkg string) bool {
+					below, all := strings.CutSuffix(pkg, "...")
+					return pkg == dir || all && (below == "" || dir+"/" == below || strings.HasPrefix(dir, below))
+				}) {
+					inPkgs = append(inPkgs, names...)
+				}
+			}
 			for _, m := range flagRE.FindAllStringSubmatch(line, -1) {
 				pattern := m[1] + m[2] + m[3]
 				names, err := expandRunPattern(pattern)
@@ -78,10 +100,10 @@ func TestEveryRunPatternNamesATest(t *testing.T) {
 						continue // ^$ runs no test
 					}
 					checked++
-					if !slices.ContainsFunc(tests, func(test string) bool {
+					if !slices.ContainsFunc(inPkgs, func(test string) bool {
 						return test == name || !whole && strings.HasPrefix(test, name)
 					}) {
-						t.Errorf("%s:%d: -run or -fuzz names %q, which no func Test… or func Fuzz… in the module starts with", file, i+1, name)
+						t.Errorf("%s:%d: -run or -fuzz names %q, which no func Test… or func Fuzz… in %v starts with", file, i+1, name, pkgs)
 					}
 				}
 			}

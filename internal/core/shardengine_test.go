@@ -16,162 +16,8 @@ import (
 	"potemkin/internal/guest"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
-	"potemkin/internal/telescope"
 	"potemkin/internal/trace"
 )
-
-// shardRun is everything observable a shard-engine run produces: the
-// summed stats, the injected count, and the exact event-log and trace
-// bytes.
-type shardRun struct {
-	gw       gateway.Stats
-	fm       farm.Stats
-	guests   guest.Stats
-	injected int
-	now      sim.Time
-	liveVMs  int
-	memory   uint64
-	dns      uint64
-	faults   int // applied fault events (runs with a fault.Config)
-	events   []byte
-	trace    []byte
-}
-
-// runShardWorkload drives the standard equivalence workload: a
-// multi-stage guest population (DNS + second-stage fetches, so safe-
-// resolver answers send traffic across shards through the barrier), a
-// handful of exploits spanning shards, and a generated telescope trace.
-func runShardWorkload(t *testing.T, parallel bool, seed uint64) shardRun {
-	t.Helper()
-	var ev, tr bytes.Buffer
-	gc := gateway.DefaultConfig()
-	gc.IdleTimeout = 2 * time.Second
-	gc.ReflectionLimit = 128 // cap the reflection cascade: keep CI fast
-	fc := farm.DefaultConfig()
-	fc.Servers = 4
-	fc.Profile = guest.MultiStageDNS("update.evil.example")
-	eng, err := NewShardEngine(ShardEngineConfig{
-		Shards:   4,
-		Parallel: parallel,
-		Seed:     seed,
-		Gateway:  gc,
-		Farm:     fc,
-		EventLog: &ev,
-		TraceOut: &tr,
-	})
-	if err != nil {
-		t.Fatalf("NewShardEngine: %v", err)
-	}
-
-	payload := fc.Profile.ExploitPayload(0)
-	if payload == nil {
-		t.Fatal("multi-stage profile has no exploit payload")
-	}
-	for i := 0; i < 4; i++ {
-		src := netsim.MustParseAddr(fmt.Sprintf("198.51.100.%d", 10+i))
-		dst := netsim.MustParseAddr(fmt.Sprintf("10.5.7.%d", 20+i))
-		pkt := netsim.TCPSyn(src, dst, 40000, fc.Profile.ScanDstPort, 1)
-		pkt.Flags |= netsim.FlagPSH
-		pkt.Payload = payload
-		eng.Inject(pkt)
-	}
-
-	gcfg := telescope.DefaultGenConfig()
-	gcfg.Space = gc.Space
-	gcfg.Duration = 2 * time.Second
-	gcfg.Rate = 200
-	gcfg.Seed = seed
-	recs, err := telescope.Generate(gcfg)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	injected, err := eng.Replay(&telescope.SliceSource{Recs: recs}, nil, time.Millisecond)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	eng.RunFor(3 * time.Second) // let infections scan and bindings recycle
-	tot := eng.Totals()
-	run := shardRun{
-		gw:       tot.Gateway,
-		fm:       tot.Farm,
-		guests:   tot.Guest,
-		injected: injected,
-		liveVMs:  tot.LiveVMs,
-		memory:   tot.Memory,
-		dns:      tot.DNSQueries,
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	run.events = ev.Bytes()
-	run.trace = tr.Bytes()
-	return run
-}
-
-// TestShardEngineParallelMatchesSequential is the tentpole equivalence
-// proof: with the same seed and configuration, running the epochs on
-// goroutines produces byte-identical output to the single-threaded
-// oracle — final stats, forensic event log, and span trace. CI runs it
-// under -race, so it also proves the epoch isolation is sound.
-func TestShardEngineParallelMatchesSequential(t *testing.T) {
-	seq := runShardWorkload(t, false, 7)
-	par := runShardWorkload(t, true, 7)
-
-	if !reflect.DeepEqual(seq.gw, par.gw) {
-		t.Errorf("gateway stats differ:\nseq: %+v\npar: %+v", seq.gw, par.gw)
-	}
-	if !reflect.DeepEqual(seq.fm, par.fm) {
-		t.Errorf("farm stats differ:\nseq: %+v\npar: %+v", seq.fm, par.fm)
-	}
-	if !reflect.DeepEqual(seq.guests, par.guests) {
-		t.Errorf("guest totals differ:\nseq: %+v\npar: %+v", seq.guests, par.guests)
-	}
-	if seq.injected != par.injected {
-		t.Errorf("injected: seq %d, par %d", seq.injected, par.injected)
-	}
-	if seq.liveVMs != par.liveVMs || seq.memory != par.memory || seq.dns != par.dns {
-		t.Errorf("gauges differ: seq vms=%d mem=%d dns=%d, par vms=%d mem=%d dns=%d",
-			seq.liveVMs, seq.memory, seq.dns, par.liveVMs, par.memory, par.dns)
-	}
-	if !bytes.Equal(seq.events, par.events) {
-		t.Errorf("event logs differ (seq %d bytes, par %d bytes)", len(seq.events), len(par.events))
-	}
-	if !bytes.Equal(seq.trace, par.trace) {
-		t.Errorf("traces differ (seq %d bytes, par %d bytes)", len(seq.trace), len(par.trace))
-	}
-
-	// The workload must actually exercise the cross-shard machinery, or
-	// the equivalence proof is vacuous.
-	if seq.gw.OutInternal == 0 {
-		t.Error("no internal VM-to-VM traffic — cross-shard path not exercised")
-	}
-	if seq.guests.Stage2Fetches == 0 {
-		t.Error("no second-stage fetches — DNS reinjection path not exercised")
-	}
-	if seq.gw.OutDNSProxied == 0 || seq.dns == 0 {
-		t.Errorf("safe resolver idle: proxied=%d served=%d", seq.gw.OutDNSProxied, seq.dns)
-	}
-	if seq.fm.Infections == 0 {
-		t.Error("no infections — exploit injection failed")
-	}
-	if len(seq.events) == 0 || len(seq.trace) == 0 {
-		t.Error("event log or trace empty")
-	}
-}
-
-// TestShardEngineParallelDeterministic re-runs the parallel mode and
-// demands identical bytes — goroutine scheduling must not leak into the
-// output.
-func TestShardEngineParallelDeterministic(t *testing.T) {
-	a := runShardWorkload(t, true, 11)
-	b := runShardWorkload(t, true, 11)
-	if !bytes.Equal(a.events, b.events) || !bytes.Equal(a.trace, b.trace) {
-		t.Fatal("parallel runs with the same seed produced different bytes")
-	}
-	if !reflect.DeepEqual(a.gw, b.gw) {
-		t.Fatalf("parallel runs with the same seed produced different stats:\n%+v\n%+v", a.gw, b.gw)
-	}
-}
 
 // TestShardEngineServerSplit checks the server-share arithmetic and the
 // one-server-per-shard floor.

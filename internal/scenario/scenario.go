@@ -39,7 +39,8 @@ type Stage struct {
 	// Kind is "recon" (SYN probes, no payload) or "exploit" (the guest
 	// profile's exploit payload at its vulnerable service).
 	Kind string `json:"kind"`
-	// Count is how many packets the stage sends.
+	// Count is how many packets the stage sends. A campaign's stages
+	// send maxPackets (1 << 20) at most between them: Compile holds them all.
 	Count int `json:"count"`
 	// Sources is how many distinct attacker addresses the stage rotates
 	// through (default 1).
@@ -98,6 +99,9 @@ type Scenario struct {
 // later one would wrap negative and fire at the campaign's start.
 const maxMS = int64(sim.End) / int64(time.Millisecond)
 
+// maxPackets bounds the packets a campaign's stages send, in all.
+const maxPackets = 1 << 20
+
 // Validate reports every problem with the scenario at once, one per
 // line, in the collect-all style of potemkin.Options.Validate.
 func (s *Scenario) Validate() error {
@@ -114,6 +118,7 @@ func (s *Scenario) Validate() error {
 	if len(s.Stages) == 0 {
 		add("%q has no stages", s.Name)
 	}
+	packets := 0
 	for i, st := range s.Stages {
 		switch st.Kind {
 		case "recon", "exploit":
@@ -122,6 +127,10 @@ func (s *Scenario) Validate() error {
 		}
 		if st.Count <= 0 {
 			add("%q stage %d has count %d", s.Name, i, st.Count)
+		} else if packets <= maxPackets {
+			if packets += min(st.Count, maxPackets+1); packets > maxPackets {
+				add("%q stage %d takes the campaign past %d packets", s.Name, i, maxPackets)
+			}
 		}
 		if st.AtMS < 0 || st.SpreadMS < 0 {
 			add("%q stage %d has negative timing", s.Name, i)

@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -225,4 +228,76 @@ func TestFactsAreModeFree(t *testing.T) {
 	if want := last + p.Settle.Milliseconds(); f.HorizonMS != want {
 		t.Fatalf("horizon = %d, want last record %d + settle %d", f.HorizonMS, last, p.Settle.Milliseconds())
 	}
+}
+
+// TestCountBounded: a campaign's stages send at most maxPackets between
+// them, and Load refuses a document past that before anything compiles
+// it, where Compile would try to hold every packet at once. The
+// builtins and the committed scenarios/*.json stay well inside.
+func TestCountBounded(t *testing.T) {
+	stage := func(count int) string {
+		return fmt.Sprintf(`{"at_ms":0,"kind":"recon","count":%d}`, count)
+	}
+	doc := func(stages ...string) string {
+		return `{"version":1,"name":"x","stages":[` + strings.Join(stages, ",") + `]}`
+	}
+	for name, body := range map[string]string{
+		"one huge stage":            doc(stage(9000000000000)),
+		"two stages past the bound": doc(stage(maxPackets/2+1), stage(maxPackets/2)),
+		"overflowing counts":        doc(stage(math.MaxInt), stage(math.MaxInt), stage(1)),
+	} {
+		if _, err := Load(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "packets") {
+			t.Errorf("%s: Load returned %v", name, err)
+		}
+	}
+	if _, err := Load(strings.NewReader(doc(stage(maxPackets/2), stage(maxPackets/2)))); err != nil {
+		t.Errorf("Load rejected the bound itself: %v", err)
+	}
+	for _, name := range Names() {
+		if err := Builtin(name).Validate(); err != nil {
+			t.Errorf("builtin %s: %v", name, err)
+		}
+	}
+	files, _ := filepath.Glob("../../scenarios/*.json")
+	if len(files) == 0 {
+		t.Fatal("no committed scenario files")
+	}
+	for _, f := range files {
+		if _, err := LoadFile(f); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// FuzzLoadScenario loads arbitrary documents, seeded with the
+// committed scenarios, and compiles each one Load accepts: a valid
+// scenario compiles, or fails with an error, to one record per packet
+// its stages send; nothing panics.
+func FuzzLoadScenario(f *testing.F) {
+	files, _ := filepath.Glob("../../scenarios/*.json")
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	sp := netsim.MustParsePrefix("10.5.0.0/16")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Load(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		p, err := Compile(s, 1, sp)
+		if err != nil {
+			return
+		}
+		packets := 0
+		for _, st := range s.Stages {
+			packets += st.Count
+		}
+		if len(p.Records) != packets {
+			t.Fatalf("%d stage packets compiled to %d records", packets, len(p.Records))
+		}
+	})
 }

@@ -301,53 +301,18 @@ func TestWireParallelMultiShardListener(t *testing.T) {
 // in-process replay of the same trace.
 func TestWireSequentialOptionsAPI(t *testing.T) {
 	recs := wireTestTrace(t)
+	opts := Options{Seed: wireSeed, Policy: InternalReflect, IdleTimeout: time.Second}
 
 	// Reference: plain in-process replay on an identically-seeded farm.
-	ref := MustNew(Options{Seed: wireSeed, Policy: InternalReflect, IdleTimeout: time.Second})
+	ref := MustNew(opts)
 	if _, err := ref.Replay(SliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
 	refStats := ref.Stats()
 	ref.Close()
 
-	opts := Options{
-		Seed:        wireSeed,
-		Policy:      InternalReflect,
-		IdleTimeout: time.Second,
-		Wire:        &WireOptions{Addr: "127.0.0.1:0"},
-	}
-	hf := MustNew(opts)
-	defer hf.Close()
-	srv, err := hf.StartWire()
-	if err != nil {
-		t.Fatalf("StartWire: %v", err)
-	}
-	done := make(chan WireStats, 1)
-	go func() {
-		ws, err := srv.Serve()
-		if err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		done <- ws
-	}()
-	s, err := ingest.DialWire(srv.Addr().String(), 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sent := sendChunked(t, s, srv, recs)
-	waitUntilWire(t, func() bool { return srv.Stats().Ingest.Received == sent })
-	srv.Stop()
-	var ws WireStats
-	select {
-	case ws = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Serve did not finish")
-	}
-	if ws.Ingest.Dropped != 0 || ws.Ingest.FrameErrors != 0 || ws.Ingest.SeqGaps != 0 {
-		t.Fatalf("transport was lossy: %+v", ws.Ingest)
-	}
-	if got := hf.Stats(); !reflect.DeepEqual(refStats, got) {
+	opts.Wire = &WireOptions{Addr: "127.0.0.1:0"}
+	if got := serveLive(t, opts, recs); !reflect.DeepEqual(refStats, got) {
 		t.Errorf("sequential wire serve diverges from in-process replay:\nref:  %+v\nwire: %+v", refStats, got)
 	}
 }
