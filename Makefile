@@ -105,8 +105,9 @@ race:
 # run more than one target per package. FuzzSpaceOps executes whole
 # operation sequences (FuzzLaneOrder whole event schedules, twice), so
 # minimizing each new input by the default 60 s would be the entire
-# pass; they get an execution budget instead, and so does
-# FuzzHistogramDecode, whose JSON inputs minimize a byte at a time.
+# pass; they get an execution budget instead, and so do
+# FuzzHistogramDecode and FuzzLoadProfile, whose JSON inputs minimize a
+# byte at a time.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzResolverServe -fuzztime=$(FUZZTIME) ./internal/dns
@@ -124,6 +125,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzLaneOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzLoadScenario -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run=^$$ -fuzz=FuzzLoadProfile -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x .
 
 # The core fast-path benchmarks (store alloc, CoW write, gateway scrub,
 # flash clone, wire ingest, shard replay, kernel heap vs lane), written to

@@ -584,6 +584,7 @@ func (c *Coordinator) started() bool {
 func (c *Coordinator) RunFor(d time.Duration) {
 	if c.started() {
 		c.runner.RunFor(d)
+		c.atRest()
 	}
 }
 
@@ -604,6 +605,7 @@ func (c *Coordinator) Replay(src telescope.Source, halt func() bool, epilogue ti
 		return 0, c.err
 	}
 	n, err := core.ReplayOver(c.runner, src, halt, epilogue, c.scheduleRecord)
+	c.atRest()
 	if err == nil {
 		err = c.err
 	}
@@ -634,19 +636,9 @@ func (c *Coordinator) afterEpoch() {
 	if !publish && !report {
 		return
 	}
-	perShard := make([]core.Totals, c.shards)
-	for id := range c.assigned {
-		// A replacement replays the slot's log, this epoch included, and
-		// is asked again.
-		for !c.shardTotals(id, perShard) {
-			if !c.recover(id) {
-				return
-			}
-		}
-	}
-	var sum core.Totals
-	for i := range perShard {
-		sum.Add(&perShard[i])
+	sum, ok := c.gather()
+	if !ok {
+		return
 	}
 	if publish {
 		c.view.Store(&sum)
@@ -654,6 +646,38 @@ func (c *Coordinator) afterEpoch() {
 	if report {
 		c.progress(now, sum)
 	}
+}
+
+// atRest ends a driving call as core.ShardEngine's end: the registry,
+// if any, holds the workers' totals at the clock the call returns at.
+func (c *Coordinator) atRest() {
+	if c.view == nil || c.err != nil {
+		return
+	}
+	if sum, ok := c.gather(); ok {
+		c.view.Store(&sum)
+	}
+}
+
+// gather asks every worker for its shards' Totals at the barrier and
+// returns their sum in shard order. False means a slot's worker is gone
+// and no standby took its shards: the run is degraded.
+func (c *Coordinator) gather() (core.Totals, bool) {
+	perShard := make([]core.Totals, c.shards)
+	for id := range c.assigned {
+		// A replacement replays the slot's log, this epoch included, and
+		// is asked again.
+		for !c.shardTotals(id, perShard) {
+			if !c.recover(id) {
+				return core.Totals{}, false
+			}
+		}
+	}
+	var sum core.Totals
+	for i := range perShard {
+		sum.Add(&perShard[i])
+	}
+	return sum, true
 }
 
 // shardTotals asks worker slot id for its shards' Totals at the barrier

@@ -4,6 +4,7 @@ package cluster
 // files, on the harness in modes_test.go.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"potemkin/internal/guest"
 	"potemkin/internal/netsim"
 	"potemkin/internal/telescope"
+	"potemkin/internal/trace"
 )
 
 // shardWorkload is the engine's equivalence workload: multi-stage
@@ -26,7 +28,7 @@ import (
 func shardWorkload(t *testing.T, seed uint64) spec {
 	sp := standard(t, seed)
 	sp.opts.Servers = 4
-	sp.recs = testRecords(t, seed, 2*time.Second, 200)
+	sp.src = records(testRecords(t, seed, 2*time.Second, 200))
 	sp.runFor = 3 * time.Second
 	return sp
 }
@@ -34,8 +36,9 @@ func shardWorkload(t *testing.T, seed uint64) spec {
 // TestShardEngineParallelMatchesSequential is the tentpole equivalence
 // proof: with the same seed and configuration, running the epochs on
 // goroutines produces byte-identical output to the single-threaded
-// oracle — final stats, forensic event log, and span trace. CI runs it
-// under -race, so it also proves the epoch isolation is sound.
+// oracle — final stats, forensic event log, and span trace, whose span
+// IDs do not repeat across shards. CI runs it under -race, so it also
+// proves the epoch isolation is sound.
 func TestShardEngineParallelMatchesSequential(t *testing.T) {
 	runs := runModes(t, shardWorkload(t, 7), "seq", "par")
 	requireSame(t, runs[0], runs[1])
@@ -57,6 +60,17 @@ func TestShardEngineParallelMatchesSequential(t *testing.T) {
 	}
 	if len(runs[0].art["events"]) == 0 || len(runs[0].art["trace"]) == 0 {
 		t.Error("event log or trace empty")
+	}
+	spans, err := trace.ReadAll(bytes.NewReader(runs[1].art["trace"]))
+	if err != nil {
+		t.Fatalf("trace not valid JSONL: %v", err)
+	}
+	seen := make(map[uint64]bool, len(spans))
+	for _, s := range spans {
+		if seen[s.Span] {
+			t.Fatalf("span ID %#x repeats", s.Span)
+		}
+		seen[s.Span] = true
 	}
 }
 
@@ -98,7 +112,7 @@ func TestShardEngineAdaptiveMatchesFixed(t *testing.T) {
 	exploit.Payload = profile.ExploitPayload(0)
 	sp := shardWorkload(t, seed)
 	sp.tune = func(ec *core.ShardEngineConfig) { ec.Gateway.ReflectionLimit = 64 }
-	sp.recs = burstGapTrace(t, seed)
+	sp.src = records(burstGapTrace(t, seed))
 	sp.inject = []*netsim.Packet{exploit}
 	sp.opts.EpochLog = io.Discard
 	sp.progress = 0 // barriers, and so ticks, differ by grid
@@ -142,7 +156,7 @@ func TestShardEngineAdaptiveMatchesFixed(t *testing.T) {
 // (core.ReplayOver).
 func TestWireReplayDeterminism(t *testing.T) {
 	const seed = 42
-	sp := spec{opts: potemkin.Options{Seed: seed}, recs: testRecords(t, seed, 20*time.Second, 300)}
+	sp := spec{opts: potemkin.Options{Seed: seed}, src: records(testRecords(t, seed, 20*time.Second, 300))}
 	runs := runModes(t, sp, "seq", "wire", "wire")
 	requireSame(t, runs[0], runs[1])
 	requireSame(t, runs[1], runs[2])
@@ -150,22 +164,26 @@ func TestWireReplayDeterminism(t *testing.T) {
 
 // TestSnapshotOfMatchesAcrossModes: SnapshotOf's JSON at the end of a
 // run — and every other artifact — is the same bytes sequentially,
-// under Parallel, and through an in-process cluster coordinator —
-// clean, and with a worker lost mid-run and recovered onto a standby —
-// at two and at four shards, with tracing on (stages_ms and open_spans
-// filled) and off. The root test of the same name holds the facade's
-// Replay to it sequentially and under Parallel.
+// under Parallel, through an in-process cluster coordinator — clean,
+// and with a worker lost mid-run and recovered onto a standby — and
+// through the facade's Replay, at two and at four shards, with tracing
+// on (stages_ms and open_spans filled) and off.
 func TestSnapshotOfMatchesAcrossModes(t *testing.T) {
+	feed := records(wireTestTrace(t))
 	for _, traced := range []bool{false, true} {
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("trace=%v/shards=%d", traced, shards), func(t *testing.T) {
-				sp := standard(t, 77)
-				sp.opts.GatewayShards = shards
-				sp.cut = 2 << 10
-				if !traced {
-					sp.opts.TraceOut = nil
+				sp := spec{
+					opts: potemkin.Options{Seed: wireSeed, GatewayShards: shards, Policy: potemkin.InternalReflect,
+						IdleTimeout: time.Second, EventLog: io.Discard},
+					src:      feed,
+					progress: 100 * time.Millisecond,
+					cut:      2 << 10,
 				}
-				runs := runModes(t, sp, "seq", "par", "cluster", "recovered")
+				if traced {
+					sp.opts.TraceOut = io.Discard
+				}
+				runs := runModes(t, sp, "seq", "par", "cluster", "recovered", "facade")
 				var s potemkin.Snapshot
 				if err := json.Unmarshal(runs[0].art["snapshot"], &s); err != nil {
 					t.Fatal(err)
@@ -189,9 +207,8 @@ func TestSnapshotOfMatchesAcrossModes(t *testing.T) {
 // detector fires, leaves the same bytes in every shard-<i>/ pcap and
 // every checkpoint sequentially, under Parallel and through an
 // in-process cluster coordinator — clean, and with slot 0 lost mid-run
-// and recovered onto a standby, which recreates its shards' files — at
-// two and at four shards. The root test of the same name holds the
-// facade's RunScenario to it sequentially and under Parallel.
+// and recovered onto a standby, which recreates its shards' files — and
+// from the facade's RunScenario, at two and at four shards.
 func TestCaptureMatchesAcrossModes(t *testing.T) {
 	sc, err := potemkin.LoadScenario("multistage")
 	if err != nil {
@@ -210,7 +227,7 @@ func TestCaptureMatchesAcrossModes(t *testing.T) {
 				// standby's rebuild truncates and rewrites.
 				cut: 32 << 10,
 			}
-			runs := runModes(t, sp, "seq", "par", "cluster", "recovered")
+			runs := runModes(t, sp, "seq", "par", "cluster", "recovered", "facade")
 			ckpts := 0
 			for name := range runs[0].art {
 				if filepath.Ext(name) == ".ckpt" {

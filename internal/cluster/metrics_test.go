@@ -22,12 +22,6 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	sp.runFor = time.Second
 	sp.opts.Metrics = true
 	sp.opts.EpochLog = io.Discard
-	// Between Replay and RunFor the engine's registry holds what Replay's
-	// return published, the coordinator's its last paced one, so
-	// registries compare mid-run only at the pace
-	// (TestClusterRegistryMatchesEngineMidRun). ROADMAP item 38 stores the
-	// coordinator's view when a driving call returns and deletes this line.
-	sp.progress = 0
 	oracle := runModes(t, sp, "seq")[0]
 	if len(oracle.art["registry"]) <= 2 {
 		t.Fatal("oracle registry empty; scenario records no metrics")

@@ -48,7 +48,7 @@ import (
 type spec struct {
 	opts     potemkin.Options
 	tune     func(*core.ShardEngineConfig) // what Options cannot say
-	recs     []telescope.Record            // replayed; with opts.Scenario, its compiled plan's records
+	src      func() telescope.Source       // what is replayed, a new source each run; with opts.Scenario, its compiled plan's records
 	inject   []*netsim.Packet              // enter at the first barrier
 	runFor   time.Duration                 // simulated time run after the replay
 	faults   *fault.Config
@@ -97,8 +97,15 @@ type tick struct {
 //   - cluster: a coordinator over in-process workers on loopback TCP;
 //   - recovered: cluster, with slot 0's connection cut mid-run and its
 //     shards recovered onto a standby;
+//   - facade: the facade's RunScenario with a scenario and Replay
+//     without, its shards on goroutines when it has several;
 //   - wire: the facade's Serve, the records sent over loopback UDP in
-//     lossless chunks.
+//     lossless chunks. With opts.Wire, its listener shards as the spec
+//     asks, and its capture is one more artifact, files/wire.pcap.
+//
+// The facade modes report progress through WithProgress, which observes
+// the driving call, so they run specs without barrier injections,
+// faults, engine changes or a registry, and without ticks past Replay.
 //
 // After each, the process's goroutines and open descriptors come back
 // to what they were before it.
@@ -116,6 +123,8 @@ func runModes(t *testing.T, sp spec, modes ...string) []*run {
 			r = runEngine(t, sp, mode)
 		case "cluster", "recovered":
 			r = runCluster(t, sp, mode)
+		case "facade":
+			r = runFacade(t, sp)
 		case "wire":
 			r = runWire(t, sp)
 		default:
@@ -134,8 +143,12 @@ func (sp *spec) check(mode string) error {
 		return fmt.Errorf("runs a goroutine per shard and the spec has %d", sp.opts.GatewayShards)
 	case mode == "recovered" && sp.cut <= 0:
 		return fmt.Errorf("cuts slot 0 and the spec sets no cut")
-	case mode == "wire" && (sp.inject != nil || sp.faults != nil || sp.tune != nil || sp.opts.Metrics || sp.opts.Scenario != nil):
-		return fmt.Errorf("serves Options alone: no injections, faults, engine changes, registry or scenario")
+	case (mode == "facade" || mode == "wire") && (sp.inject != nil || sp.faults != nil || sp.tune != nil || sp.opts.Metrics):
+		return fmt.Errorf("runs Options alone: no barrier injections, faults, engine changes or registry")
+	case (mode == "facade" || mode == "wire") && sp.progress > 0 && sp.runFor > 0:
+		return fmt.Errorf("observes progress through WithProgress, which RunFor does not take")
+	case mode == "wire" && sp.opts.Scenario != nil:
+		return fmt.Errorf("serves records, not a scenario")
 	}
 	return nil
 }
@@ -194,7 +207,35 @@ func (r *run) source() (telescope.Source, time.Duration) {
 	if r.plan != nil {
 		return &telescope.SliceSource{Recs: r.plan.Records}, r.plan.Settle
 	}
-	return &telescope.SliceSource{Recs: r.sp.recs}, time.Millisecond
+	return r.sp.src(), time.Millisecond
+}
+
+// records is a spec's src replaying recs.
+func records(recs []telescope.Record) func() telescope.Source {
+	return func() telescope.Source { return &telescope.SliceSource{Recs: recs} }
+}
+
+// readRecords decodes a pcap savefile, every frame of which must parse.
+func readRecords(t *testing.T, pcap []byte) []telescope.Record {
+	t.Helper()
+	src, err := ingest.NewPcapSource(bytes.NewReader(pcap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []telescope.Record
+	for {
+		var rec telescope.Record
+		if err := src.Read(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if src.Skipped != 0 {
+		t.Fatalf("%d frames of the pcap do not parse", src.Skipped)
+	}
+	return recs
 }
 
 // observe is the progress observer of every mode.
@@ -377,45 +418,84 @@ func runCluster(t *testing.T, sp spec, mode string) *run {
 	return r
 }
 
+// facade builds the farm of a facade mode from sp's Options, writing
+// into r's sinks and directories, its shards on goroutines when it has
+// several, and returns it with the progress option recording r's ticks.
+func (r *run) facade(t *testing.T, ec core.ShardEngineConfig, wire *potemkin.WireOptions) (*potemkin.Honeyfarm, potemkin.ReplayOption) {
+	t.Helper()
+	opts := r.sp.opts
+	opts.Parallel = opts.GatewayShards > 1
+	opts.EventLog, opts.TraceOut, opts.EpochLog = ec.EventLog, ec.TraceOut, ec.EpochLog
+	opts.CaptureDir, opts.CheckpointDir = ec.CaptureDir, ec.CheckpointDir
+	opts.Wire = wire
+	hf := potemkin.MustNew(opts)
+	if r.sp.adaptive != 0 {
+		hf.Internals().Engine.SetAdaptive(r.sp.adaptive)
+	}
+	observe := r.observe(t)
+	return hf, potemkin.WithProgress(r.sp.progress, func(potemkin.Stats) {
+		now, tot := hf.Totals()
+		observe(sim.Time(now), tot)
+	})
+}
+
+// runFacade runs sp through the facade: RunScenario with a scenario,
+// whose scorecard is the artifact, and Replay without, then RunFor.
+func runFacade(t *testing.T, sp spec) *run {
+	t.Helper()
+	r, ec := newRun(t, &sp, "facade")
+	hf, progress := r.facade(t, ec, nil)
+	defer hf.Close()
+	var (
+		injected int
+		card     *potemkin.Scorecard
+		err      error
+	)
+	if r.plan != nil {
+		card, err = hf.RunScenario(progress)
+		injected = len(r.plan.Records) // all of them, unless it failed
+	} else {
+		injected, err = hf.Replay(sp.src(), progress)
+	}
+	if err != nil {
+		t.Fatalf("facade run: %v", err)
+	}
+	hf.RunFor(sp.runFor)
+	now, tot := hf.Totals()
+	r.finish(t, sim.Time(now), tot, injected, nil)
+	if card != nil {
+		var b bytes.Buffer
+		if err := card.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		r.art["scorecard"] = b.Bytes()
+	}
+	hf.Close()
+	r.close(t)
+	return r
+}
+
 // runWire serves sp's records to a facade farm over loopback UDP, each
 // chunk of 1024 consumed before the next leaves, through the pcap
 // codec, as a wire capture replays.
 func runWire(t *testing.T, sp spec) *run {
 	t.Helper()
 	r, ec := newRun(t, &sp, "wire")
-	opts := sp.opts
-	opts.Parallel = opts.GatewayShards > 1
-	opts.EventLog, opts.TraceOut, opts.EpochLog = ec.EventLog, ec.TraceOut, ec.EpochLog
-	opts.CaptureDir, opts.CheckpointDir = ec.CaptureDir, ec.CheckpointDir
-	opts.Wire = &potemkin.WireOptions{Addr: "127.0.0.1:0"}
-	hf := potemkin.MustNew(opts)
-	defer hf.Close()
-	eng := hf.Internals().Engine
-	if sp.adaptive != 0 {
-		eng.SetAdaptive(sp.adaptive)
-	}
-	if sp.progress > 0 {
-		eng.SetProgress(sp.progress, r.observe(t))
-	}
-	var pcap bytes.Buffer
-	if _, err := ingest.WritePcap(&pcap, &telescope.SliceSource{Recs: sp.recs}); err != nil {
-		t.Fatal(err)
-	}
-	src, err := ingest.NewPcapSource(&pcap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []telescope.Record
-	for {
-		var rec telescope.Record
-		if err := src.Read(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
+	w := potemkin.WireOptions{Addr: "127.0.0.1:0"}
+	if sp.opts.Wire != nil {
+		w = *sp.opts.Wire
+		if r.dir == "" {
+			r.dir = t.TempDir()
 		}
-		recs = append(recs, rec)
+		w.Capture = filepath.Join(r.dir, "wire.pcap")
 	}
-	_, epilogue := r.source()
+	hf, progress := r.facade(t, ec, &w)
+	defer hf.Close()
+	var pcap bytes.Buffer
+	if _, err := ingest.WritePcap(&pcap, sp.src()); err != nil {
+		t.Fatal(err)
+	}
+	recs := readRecords(t, pcap.Bytes())
 
 	srv, err := hf.StartWire()
 	if err != nil {
@@ -428,7 +508,7 @@ func runWire(t *testing.T, sp spec) *run {
 	}
 	done := make(chan served, 1)
 	go func() {
-		ws, err := srv.Serve(potemkin.WithEpilogue(epilogue))
+		ws, err := srv.Serve(progress)
 		done <- served{ws, err}
 	}()
 	s, err := ingest.DialWire(srv.Addr().String(), 1, true)
@@ -458,10 +538,12 @@ func runWire(t *testing.T, sp spec) *run {
 	if res.err != nil {
 		t.Fatalf("Serve: %v", res.err)
 	}
+	// The reader accounts sequence numbers before it shards, so a
+	// lossless feed reports no gap however many queues it is split over.
 	if ig := res.ws.Ingest; ig.Dropped != 0 || ig.FrameErrors != 0 || ig.SeqGaps != 0 || ig.Delivered != sent {
 		t.Fatalf("the transport lost frames, so the run is not the records' (%d sent): %+v", sent, ig)
 	}
-	eng.RunFor(sp.runFor)
+	hf.RunFor(sp.runFor)
 	now, tot := hf.Totals()
 	r.finish(t, sim.Time(now), tot, res.ws.Injected, nil)
 	hf.Close()
@@ -752,7 +834,7 @@ func standard(t *testing.T, seed uint64) spec {
 	return spec{
 		opts:     standardOptions(seed),
 		tune:     limitReflections,
-		recs:     testRecords(t, seed, time.Second, 300),
+		src:      records(testRecords(t, seed, time.Second, 300)),
 		inject:   exploitPackets(guest.MultiStageDNS("update.evil.example")),
 		progress: 100 * time.Millisecond,
 	}

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -150,6 +151,29 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			t.Errorf("%s: allowlisted, but non-test code sets it or it is gone (drop the entry)", name)
 		}
 	}
+	requireReasonsNameTests(t, configAllowlist)
+}
+
+// requireReasonsNameTests fails t for every Test…, Benchmark… or Fuzz…
+// word in an allowlist's reasons that is not a function of the module's
+// _test.go files: an entry a test justifies goes when the test does.
+func requireReasonsNameTests(t *testing.T, allowlist map[string]string) {
+	t.Helper()
+	root, _ := moduleRoot(t)
+	defined := map[string]bool{}
+	for _, names := range testFuncs(t, root) {
+		for _, name := range names {
+			defined[name] = true
+		}
+	}
+	wordRE := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)\w*`)
+	for key, reason := range allowlist {
+		for _, name := range wordRE.FindAllString(reason, -1) {
+			if !defined[name] {
+				t.Errorf("%s: its reason names %s, which no _test.go defines (update the reason, or drop the entry)", key, name)
+			}
+		}
+	}
 }
 
 // configAllowlist names the config fields that no non-test code sets and
@@ -195,7 +219,7 @@ var exportAllowlist = map[string]string{
 	"core.ShardEngine.FaultLog":        "the cross-mode harness (cluster's runModes) records the engine's fault log as an artifact",
 	"core.ShardEngine.InjectBarrier":   "the cross-mode harness (cluster's runModes) seeds its engine runs' exploits with it, as Coordinator.Inject seeds a cluster's",
 	"core.ShardEngine.RecycleAll":      "the root TestRegistryEqualsStatsAtRest recycles every binding through it",
-	"core.ShardEngine.SetAdaptive":     "the cross-mode harness (cluster's runModes) sets a spec's epoch cap with it, and the root TestWireParallelAdaptiveSnapback and TestValidateParallelConstraints",
+	"core.ShardEngine.SetAdaptive":     "the cross-mode harness (cluster's runModes) sets a spec's epoch cap with it, and the root TestValidateParallelConstraints",
 	"free.List.Len":                    "called through free.Trimmer, which this check does not match to a generic type's methods: farm's TestPoolsGiveBackAfterBurst reads each pool's parked items through it",
 	"free.Pool.Most":                   "called through free.Trimmer (as free.List.Len): farm's TestPoolsGiveBackAfterBurst reads each pool's largest period through it; ROADMAP item 22(a′) publishes it",
 	"free.Pool.Trim":                   "called through free.Trimmer (as free.List.Len): the gateway's scrub trims every pool through it (gateway.trim)",
@@ -342,6 +366,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			t.Errorf("%s: allowlisted, but non-test code uses it or it is gone (drop the entry)", name)
 		}
 	}
+	requireReasonsNameTests(t, exportAllowlist)
 }
 
 // origin maps an instantiated generic function, method or field to its

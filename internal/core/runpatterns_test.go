@@ -22,34 +22,13 @@ import (
 // below dir; a line that names none runs the root's.
 func TestEveryRunPatternNamesATest(t *testing.T) {
 	root, _ := moduleRoot(t)
-	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-	tests := map[string][]string{} // by package directory, "." for the root
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+	tests := map[string][]string{}
+	for dir, names := range testFuncs(t, root) {
+		for _, name := range names {
+			if !strings.HasPrefix(name, "Benchmark") {
+				tests[dir] = append(tests[dir], name)
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		dir := filepath.ToSlash(rel)
-		for _, m := range funcRE.FindAllStringSubmatch(string(src), -1) {
-			tests[dir] = append(tests[dir], m[1])
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	flagRE := regexp.MustCompile(`(?:^|\s)-(?:run|fuzz)[= ](?:'([^']*)'|"([^"]*)"|(\S+))`)
@@ -162,4 +141,41 @@ func expandAlts(p string) (alts []string, rest string, err error) {
 		}
 	}
 	return append(alts, seq...), "", nil
+}
+
+// testFuncs returns the name of every func Test…, Benchmark… and
+// Fuzz… in the module's _test.go files, by package directory relative
+// to root ("." for the root package).
+func testFuncs(t *testing.T, root string) map[string][]string {
+	t.Helper()
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	funcs := map[string][]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		dir := filepath.ToSlash(rel)
+		for _, m := range funcRE.FindAllStringSubmatch(string(src), -1) {
+			funcs[dir] = append(funcs[dir], m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
 }

@@ -5,11 +5,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"potemkin/internal/guest"
 	"potemkin/internal/ingest"
 	"potemkin/internal/netsim"
 	"potemkin/internal/telescope"
@@ -464,4 +466,45 @@ func TestShardedGatewayThroughFacade(t *testing.T) {
 	if snap.OpenSpans < 12 {
 		t.Errorf("OpenSpans = %d, want the 12 live bindings' spans", snap.OpenSpans)
 	}
+}
+
+// FuzzLoadProfile feeds arbitrary bytes to guest.LoadProfile, seeded
+// with the builtin profiles: a profile it accepts passes Validate, saves
+// and loads back unchanged, and builds a farm that closes without a
+// panic. It runs no simulated time, since a valid profile may ask for
+// 10^9 page touches a second.
+func FuzzLoadProfile(f *testing.F) {
+	for _, p := range []*guest.Profile{guest.WindowsXP(), guest.SQLServer(), guest.LinuxServer(),
+		guest.MultiStage(netsim.MustParseAddr("203.0.113.80")), guest.MultiStageDNS("update.evil.example")} {
+		var b bytes.Buffer
+		if err := guest.SaveProfile(&b, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := guest.LoadProfile(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("LoadProfile returned a profile Validate rejects: %v", err)
+		}
+		var saved bytes.Buffer
+		if err := guest.SaveProfile(&saved, p); err != nil {
+			t.Fatal(err)
+		}
+		again, err := guest.LoadProfile(&saved)
+		if err != nil {
+			t.Fatalf("the saved profile does not load: %v\n%s", err, saved.Bytes())
+		}
+		if !reflect.DeepEqual(p, again) {
+			t.Fatalf("save and load changed the profile:\n%+v\n%+v", p, again)
+		}
+		hf, err := New(Options{GuestProfile: p})
+		if err != nil {
+			t.Fatalf("New rejects a profile LoadProfile accepts: %v", err)
+		}
+		hf.Close()
+	})
 }

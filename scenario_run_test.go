@@ -33,44 +33,6 @@ func scenarioCard(t *testing.T, opts Options) (*Scorecard, []byte) {
 	return card, buf.Bytes()
 }
 
-// Every builtin family must produce byte-identical scorecards from the
-// sequential scenario engine and the parallel one at the same shard
-// count — the facade half of the acceptance criterion (the cluster
-// half lives in internal/cluster).
-func TestScenarioSequentialMatchesParallel(t *testing.T) {
-	for _, name := range scenario.Names() {
-		t.Run(name, func(t *testing.T) {
-			sc, err := LoadScenario(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := Options{
-				Seed:           9,
-				MonitoredSpace: "10.5.0.0/22",
-				Servers:        4,
-				GatewayShards:  2,
-				Policy:         InternalReflect,
-				Scenario:       sc,
-			}
-			par := base
-			par.Parallel = true
-			seqCard, seqJSON := scenarioCard(t, base)
-			_, parJSON := scenarioCard(t, par)
-			if !bytes.Equal(seqJSON, parJSON) {
-				t.Errorf("scorecards differ between sequential and parallel:\n--- sequential\n%s--- parallel\n%s", seqJSON, parJSON)
-			}
-			if seqCard.Infections == 0 {
-				t.Errorf("scenario %s captured no infections:\n%s", name, seqJSON)
-			}
-			// Same options, same seed: running it again reproduces the bytes.
-			_, again := scenarioCard(t, base)
-			if !bytes.Equal(seqJSON, again) {
-				t.Error("same-seed rerun changed the scorecard")
-			}
-		})
-	}
-}
-
 // goldenOptions is the configuration the committed scorecards were
 // written with, the one TestClusterScorecardMatchesFacade runs in
 // internal/cluster.

@@ -2,7 +2,6 @@ package potemkin
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"potemkin/internal/metrics"
 	"potemkin/internal/netsim"
 	"potemkin/internal/sim"
-	"potemkin/internal/trace"
 	"potemkin/internal/vmm"
 )
 
@@ -85,62 +83,6 @@ func TestMetricsThroughFacade(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-}
-
-// filterSimMetrics drops the wall-clock epoch_* profiler series, the
-// one explicitly nondeterministic family, leaving only points that are
-// a pure function of the simulated run.
-func filterSimMetrics(pts []metrics.Point) []metrics.Point {
-	out := pts[:0:0]
-	for _, p := range pts {
-		if strings.HasPrefix(p.Name, "epoch") {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// TestMetricsDeterminism is the property test for the registry's
-// determinism contract: two same-seed runs — and a parallel run versus
-// its single-threaded oracle — expose identical snapshots (modulo the
-// wall-clock epoch profiler), because every instrument is an
-// order-independent integer accumulation.
-func TestMetricsDeterminism(t *testing.T) {
-	run := func(parallel, oracle bool) []byte {
-		opts := Options{Seed: 9, Metrics: true, IdleTimeout: time.Second}
-		if parallel {
-			opts.Parallel = true
-			opts.GatewayShards = 4
-		}
-		hf := MustNew(opts)
-		defer hf.Close()
-		if oracle {
-			hf.Internals().Engine.SetSequential(true)
-		}
-		recs, err := hf.GenerateTrace(2*time.Second, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hf.Replay(SliceSource(recs))
-		hf.RunFor(2 * time.Second)
-		b, err := json.Marshal(filterSimMetrics(hf.metrics.Snapshot()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	seqA, seqB := run(false, false), run(false, false)
-	if !bytes.Equal(seqA, seqB) {
-		t.Errorf("same-seed sequential snapshots diverge:\n%s\n%s", seqA, seqB)
-	}
-	parO, parP := run(true, true), run(true, false)
-	if !bytes.Equal(parO, parP) {
-		t.Errorf("parallel snapshot diverges from oracle:\n%s\n%s", parO, parP)
-	}
-	if len(parP) <= 2 {
-		t.Error("vacuous parallel snapshot")
 	}
 }
 
@@ -387,65 +329,6 @@ func TestMetricsPublishedMidRun(t *testing.T) {
 	}
 }
 
-// traceRun drives the same parallel workload with the span trace
-// attached and returns the trace bytes. With oracle set the engine
-// runs its epochs single-threaded — the byte-identity baseline.
-func traceRun(t *testing.T, oracle bool) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	hf := MustNew(Options{
-		Seed:          11,
-		Parallel:      true,
-		GatewayShards: 4,
-		Policy:        InternalReflect,
-		Guest:         GuestMultiStage,
-		IdleTimeout:   time.Second,
-		TraceOut:      &out,
-	})
-	if oracle {
-		hf.Internals().Engine.SetSequential(true)
-	}
-	if err := hf.InjectExploit("198.51.100.10", "10.5.7.20"); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := hf.GenerateTrace(500*time.Millisecond, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hf.Replay(SliceSource(recs)); err != nil {
-		t.Fatal(err)
-	}
-	hf.RunFor(1500 * time.Millisecond)
-	hf.Close() // the shards' buffers flush in shard order at Close
-	return out.Bytes()
-}
-
-// TestTraceParallelMatchesSequential: the span trace under the parallel
-// engine is buffered per shard and flushed in shard order, so a
-// same-seed parallel run emits byte-identical JSONL to the
-// single-threaded oracle, and no span ID repeats across its shards.
-func TestTraceParallelMatchesSequential(t *testing.T) {
-	seq := traceRun(t, true)
-	par := traceRun(t, false)
-	if !bytes.Equal(seq, par) {
-		t.Errorf("traces diverge (seq %d bytes, par %d bytes)", len(seq), len(par))
-	}
-	recs, err := trace.ReadAll(bytes.NewReader(par))
-	if err != nil {
-		t.Fatalf("trace not valid JSONL: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("parallel run produced no spans")
-	}
-	seen := make(map[uint64]bool, len(recs))
-	for _, r := range recs {
-		if seen[r.Span] {
-			t.Fatalf("span ID %#x repeats", r.Span)
-		}
-		seen[r.Span] = true
-	}
-}
-
 // TestEpochLogProfile: a run with the epoch timeline attached yields
 // parseable per-epoch samples with one slot per shard in the per-shard
 // arrays, and the registry's barrier-wait histogram is populated — on a
@@ -543,7 +426,11 @@ func TestSnapshotIngestSummary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntilWire(t, func() bool { return srv.Stats().Ingest.Received >= sent })
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Ingest.Received < sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the listener received %d of %d frames in 10s", srv.Stats().Ingest.Received, sent)
+		}
+	}
 	srv.Stop()
 	select {
 	case err := <-served:
