@@ -2,10 +2,14 @@ package potemkin
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -325,6 +329,70 @@ func TestCaptureThroughFacade(t *testing.T) {
 	// Delivery happened ~0.5 s after arrival (the clone).
 	if out[0].At <= in[0].At {
 		t.Error("capture timestamps not ordered")
+	}
+}
+
+// TestCaptureMatchesAcrossModes: every shard domain writes its own
+// capture and checkpoint files, so a multistage campaign, whose scan
+// detector fires, leaves the same bytes in every shard-<i>/ pcap and
+// every checkpoint from the facade's RunScenario sequentially and under
+// Parallel, at two and at four shards. internal/cluster's test of the
+// same name holds the engine and cluster modes, recovered clusters
+// included, to the same files.
+func TestCaptureMatchesAcrossModes(t *testing.T) {
+	sc, err := LoadScenario("multistage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var files [2]map[string][]byte
+			for i, parallel := range []bool{false, true} {
+				// A /26 keeps the files small: the detector flags nearly
+				// every infected VM, and each checkpoint is some 400 KiB.
+				dir := t.TempDir()
+				hf := MustNew(Options{Seed: 9, MonitoredSpace: "10.5.0.0/26", Servers: 4, GatewayShards: shards, Policy: InternalReflect,
+					Scenario: sc, Parallel: parallel, CaptureDir: filepath.Join(dir, "capture"), CheckpointDir: filepath.Join(dir, "checkpoints")})
+				if _, err := hf.RunScenario(); err != nil {
+					t.Fatal(err)
+				}
+				hf.Close()
+				files[i] = map[string][]byte{}
+				err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+					if err != nil || e.IsDir() {
+						return err
+					}
+					b, err := os.ReadFile(path)
+					rel, _ := filepath.Rel(dir, path)
+					files[i][filepath.ToSlash(rel)] = b
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, got := files[0], files[1]
+			if !slices.ContainsFunc(slices.Collect(maps.Keys(want)), func(name string) bool { return filepath.Ext(name) == ".ckpt" }) {
+				t.Errorf("the scan detector saved no checkpoint: %v", slices.Sorted(maps.Keys(want)))
+			}
+			for i := 0; i < shards; i++ {
+				for _, name := range []string{"in", "tovm", "out"} {
+					if _, ok := want[fmt.Sprintf("capture/shard-%d/%s.pcap", i, name)]; !ok {
+						t.Errorf("no capture/shard-%d/%s.pcap", i, name)
+					}
+				}
+			}
+			for _, name := range slices.Sorted(maps.Keys(want)) {
+				if !bytes.Equal(want[name], got[name]) {
+					t.Errorf("parallel: %s differs from sequential (%d bytes, want %d)", name, len(got[name]), len(want[name]))
+				}
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("parallel: %s has no sequential counterpart", name)
+				}
+			}
+		})
 	}
 }
 

@@ -33,6 +33,32 @@ func scenarioCard(t *testing.T, opts Options) (*Scorecard, []byte) {
 	return card, buf.Bytes()
 }
 
+// TestScenarioSequentialMatchesParallel: every builtin family's
+// scorecard is the same bytes from the facade's sequential and Parallel
+// RunScenario at the committed scorecards' options, and a same-seed
+// rerun reproduces them. internal/cluster's
+// TestClusterScorecardMatchesFacade holds the engine and cluster modes
+// to the same bytes.
+func TestScenarioSequentialMatchesParallel(t *testing.T) {
+	for _, name := range scenario.Names() {
+		t.Run(name, func(t *testing.T) {
+			opts := goldenOptions(t, name)
+			seqCard, seqJSON := scenarioCard(t, opts)
+			if seqCard.Infections == 0 {
+				t.Errorf("scenario %s captured no infections:\n%s", name, seqJSON)
+			}
+			par := opts
+			par.Parallel = true
+			if _, parJSON := scenarioCard(t, par); !bytes.Equal(seqJSON, parJSON) {
+				t.Errorf("scorecards differ between sequential and parallel:\n--- sequential\n%s--- parallel\n%s", seqJSON, parJSON)
+			}
+			if _, again := scenarioCard(t, opts); !bytes.Equal(seqJSON, again) {
+				t.Error("same-seed rerun changed the scorecard")
+			}
+		})
+	}
+}
+
 // goldenOptions is the configuration the committed scorecards were
 // written with, the one TestClusterScorecardMatchesFacade runs in
 // internal/cluster.

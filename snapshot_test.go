@@ -3,10 +3,18 @@ package potemkin
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"potemkin/internal/guest"
+	"potemkin/internal/netsim"
+	"potemkin/internal/sim"
+	"potemkin/internal/telescope"
 	"potemkin/internal/trace"
 )
 
@@ -123,5 +131,60 @@ func TestFacadeTraceDeterministic(t *testing.T) {
 			}
 		}
 		t.Fatal("traces differ in length")
+	}
+}
+
+// TestSnapshotOfMatchesAcrossModes: SnapshotOf's JSON at the end of a
+// replay is the same bytes from the facade sequentially and under
+// Parallel, at two and at four shards, with tracing on (stages_ms and
+// open_spans filled) and off. The trace is four seconds of radiation
+// with one exploit at 3.5 s, so the snapshot covers infection state.
+// internal/cluster's test of the same name holds the engine and cluster
+// modes, recovered clusters included, to the same bytes.
+func TestSnapshotOfMatchesAcrossModes(t *testing.T) {
+	gcfg := telescope.DefaultGenConfig()
+	gcfg.Seed, gcfg.Duration, gcfg.Rate = 77, 4*time.Second, 250
+	recs, err := telescope.Generate(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := guest.WindowsXP()
+	payload := prof.ExploitPayload(0)
+	ex := TraceRecord{At: sim.Time(3500 * time.Millisecond), Src: netsim.MustParseAddr("198.51.100.77"), Dst: netsim.MustParseAddr("10.5.7.20"),
+		Proto: netsim.ProtoTCP, SrcPort: 40000, DstPort: prof.ScanDstPort, Flags: netsim.FlagSYN | netsim.FlagPSH, PayLen: uint16(len(payload)), Payload: payload}
+	recs = slices.Insert(recs, sort.Search(len(recs), func(i int) bool { return recs[i].At > ex.At }), ex)
+	for _, traced := range []bool{false, true} {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("trace=%v/shards=%d", traced, shards), func(t *testing.T) {
+				var snaps [2][]byte
+				for i, parallel := range []bool{false, true} {
+					opts := Options{Seed: 77, GatewayShards: shards, Policy: InternalReflect, IdleTimeout: time.Second, Parallel: parallel}
+					if traced {
+						opts.TraceOut = io.Discard
+					}
+					hf := MustNew(opts)
+					if _, err := hf.Replay(SliceSource(recs)); err != nil {
+						t.Fatal(err)
+					}
+					if snaps[i], err = json.MarshalIndent(SnapshotOf(hf.Totals()), "", "  "); err != nil {
+						t.Fatal(err)
+					}
+					hf.Close()
+				}
+				var s Snapshot
+				if err := json.Unmarshal(snaps[0], &s); err != nil {
+					t.Fatal(err)
+				}
+				if s.InfectedVMs == 0 || s.CloneMs.Count == 0 {
+					t.Errorf("vacuous run: %s", snaps[0])
+				}
+				if traced != (s.StagesMs != nil) || traced != (s.OpenSpans > 0) {
+					t.Errorf("tracing %v, yet stages %v and %d open spans", traced, s.StagesMs, s.OpenSpans)
+				}
+				if !bytes.Equal(snaps[0], snaps[1]) {
+					t.Errorf("parallel snapshot differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", snaps[0], snaps[1])
+				}
+			})
+		}
 	}
 }
